@@ -2,17 +2,18 @@ PYTHON ?= python
 export PYTHONPATH := $(CURDIR)/src
 
 .PHONY: analyze test bench bench-smoke bench-r16 bench-r17 chaos-smoke \
-	check-results dist-smoke lint net-smoke sanitize-smoke sql-smoke \
-	storage-smoke verify
+	check-results dist-smoke lint net-smoke perf perf-smoke sanitize-smoke \
+	sql-smoke storage-smoke verify
 
 # The PR gate, in dependency-cheapest order: the AST lint rules, the
 # static view-program analyzer, the full tier-1 test suite, the
 # protocol sanitizers, the paged-storage smoke, the bounded chaos tier
 # (which includes the crash-storm recovery leg), then the sharded 2PC
-# smoke and its message-transport tier. benchmarks/run_all.py finishes
-# with the same chain.
+# smoke and its message-transport tier, the SQL smoke, and the checks
+# the wall-clock benchmark runs on itself. benchmarks/run_all.py
+# finishes with the same chain up to the SQL smoke.
 verify: lint analyze test sanitize-smoke storage-smoke chaos-smoke \
-	dist-smoke net-smoke sql-smoke
+	dist-smoke net-smoke sql-smoke perf-smoke
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -95,6 +96,18 @@ net-smoke:
 sql-smoke:
 	cd benchmarks && $(PYTHON) -c "import sql_smoke as b; b.scenario()"
 	$(PYTHON) benchmarks/check_results.py
+
+# The wall-clock benchmark BENCHMARK.json declares: every workload
+# untraced, then traced (≈ 3 min). Method, metrics and the --runs /
+# --compare procedure: benchmarks/perf/README.md; results so far:
+# docs/PERFORMANCE.md.
+perf:
+	$(PYTHON) benchmarks/perf/run.py
+
+# The benchmark's checks on itself at 1/20 size (≈ 15 s): manifest
+# shape, every metric produced, oracles, --compare verdicts.
+perf-smoke:
+	$(PYTHON) -m pytest benchmarks/perf -q
 
 check-results:
 	$(PYTHON) benchmarks/check_results.py

@@ -21,9 +21,9 @@ produces the dict shape validated by
 from repro.analysis.static.diagnostics import Diagnostic
 from repro.analysis.static.footprint import (
     fanout_indexes,
+    index_read_footprint,
     is_opaque,
     statement_footprint,
-    view_read_footprint,
 )
 from repro.analysis.static.lockgraph import LockOrderGraph
 from repro.analysis.static.shard import check_copartition
@@ -74,15 +74,21 @@ class ViewCheckReport:
 
 
 class ExplainReport:
-    """``EXPLAIN`` output: one statement's inferred footprint."""
+    """``EXPLAIN`` output: one statement's inferred footprint, and —
+    for a statement that reads by a WHERE — the access path it takes
+    (``point``, ``range`` or ``full``; ``None`` for shapes that do not
+    read)."""
 
-    def __init__(self, label, footprints, diagnostics=()):
+    def __init__(self, label, footprints, diagnostics=(), path=None):
         self.label = label
         self.footprints = tuple(footprints)
         self.diagnostics = _sorted_diagnostics(diagnostics)
+        self.path = path
 
     def render_lines(self):
         lines = [f"EXPLAIN {self.label}:"]
+        if self.path is not None:
+            lines.append(f"  path: {self.path}")
         for footprint in self.footprints:
             lines.extend("  " + line for line in footprint.render_lines())
         if self.diagnostics:
@@ -263,7 +269,9 @@ class StaticAnalyzer:
                     self.serializable,
                 )
             )
-        footprints.append(view_read_footprint(view))
+        footprints.append(
+            index_read_footprint(view.name, "<view key>", "point")
+        )
         diagnostics = (
             self.proof_diagnostics(view)
             + self.predicate_diagnostics(view)
@@ -273,17 +281,33 @@ class StaticAnalyzer:
         )
         return ViewCheckReport(view, proofs, footprints, diagnostics)
 
-    def explain(self, op, target):
+    def explain(self, op, target, statement=None):
         """Footprint of one statement shape: ``op`` in insert/update/
-        delete against a base table, or select/read against any index."""
+        delete against a base table, or select against any index.
+
+        ``statement`` (the parsed AST) lets the report follow the access
+        path the SQL planner picks from the WHERE clause: a keyed
+        SELECT shrinks from the whole-index scan to one key (or one
+        range), and an UPDATE/DELETE gains the locate step that reads
+        its rows. Without it the shape is analyzed at its worst case.
+        """
         if op in ("insert", "update", "delete"):
             if not self.catalog.has_table(target):
                 raise CatalogError(
                     f"EXPLAIN: no base table named {target!r}"
                 )
-            footprint = statement_footprint(
-                self.catalog, target, op, self.strategy, self.serializable
-            )
+            footprints = [
+                statement_footprint(
+                    self.catalog, target, op, self.strategy, self.serializable
+                )
+            ]
+            path = None
+            if op != "insert":
+                path = self._access_path(statement)
+            if path is not None:
+                footprints.insert(0, index_read_footprint(
+                    target, f"<pk({target})>", path, for_update=True
+                ))
             diagnostics = []
             fanout = fanout_indexes(self.catalog, target)
             if len(fanout) > 1:
@@ -295,29 +319,34 @@ class StaticAnalyzer:
                         f"indexes beyond the base: {', '.join(fanout)}",
                     )
                 )
-            return ExplainReport(f"{op} {target}", [footprint], diagnostics)
+            return ExplainReport(
+                f"{op} {target}", footprints, diagnostics, path=path
+            )
         if op == "select":
             if self.catalog.has_view(target):
-                view = self.catalog.view(target)
-                return ExplainReport(
-                    f"select {target}",
-                    [view_read_footprint(view, point=False)],
+                key_sym = "<view key>"
+            else:
+                self.catalog.table(target)  # CatalogError when unknown
+                key_sym = f"<pk({target})>"
+            path = self._access_path(statement) or "full"
+            footprints = [index_read_footprint(target, key_sym, path)]
+            join = getattr(statement, "join", None)
+            if join is not None:  # the inner table is scanned whole
+                inner = join.table.name
+                footprints.append(
+                    index_read_footprint(inner, f"<pk({inner})>")
                 )
-            # a base-table scan: same shape, no view machinery
-            self.catalog.table(target)
-            from repro.analysis.static.footprint import Footprint, LockStep
-
-            steps = [
-                LockStep(
-                    target, "range *", "RangeS-S",
-                    "serializable scan locks every key plus the tail "
-                    "fence",
-                )
-            ]
-            return ExplainReport(
-                f"select {target}", [Footprint(f"scan {target}", steps)]
-            )
+            return ExplainReport(f"select {target}", footprints, path=path)
         raise CatalogError(f"EXPLAIN: unknown statement shape {op!r}")
+
+    def _access_path(self, statement):
+        """The path kind the SQL planner picks for ``statement``;
+        ``None`` without one."""
+        if statement is None:
+            return None
+        from repro.sql.compiler import access_path
+
+        return access_path(self.catalog, statement).kind
 
     def check_all(self):
         graph = self.lock_order_graph()

@@ -273,24 +273,37 @@ def statement_footprint(catalog, table, op, strategy="escrow",
     return Footprint(f"{op} {table}", steps, notes)
 
 
-def view_read_footprint(view, point=True):
-    """Reading a view touches only its own index (the reason reads
-    never contribute reverse edges to the lock-order graph)."""
-    if point:
+def index_read_footprint(name, key_sym, path="full", for_update=False):
+    """Reading one index (a base table's or a view's) by an access path
+    (``point``, ``range`` or ``full``, see :mod:`repro.sql.access`). A
+    read touches only the index it names — the reason reads never
+    contribute reverse edges to the lock-order graph.
+    ``for_update`` is the locate step of an UPDATE/DELETE, whose point
+    read takes U so the write's X is a conversion, not a second queue.
+    Every key lock implies its table intention lock (IS), not listed."""
+    if path == "point":
         steps = [
             LockStep(
-                view.name, "key <view key>", "S",
-                "point read (converts held E to X when reading exact)",
-            )
+                name, f"key {key_sym}", "U" if for_update else "S",
+                "locate the row to change" if for_update else
+                "point read (waits out escrow writers of this key only)",
+            ),
+            LockStep(
+                name, f"gap {key_sym}", "RangeS-S",
+                "only if the key is absent: fence its gap so \"not "
+                "there\" stays true",
+            ),
         ]
-        return Footprint(f"read {view.name}", steps)
-    steps = [
-        LockStep(
-            view.name, "range *", "RangeS-S",
-            "serializable scan locks every key plus the tail fence",
-        )
-    ]
-    return Footprint(f"scan {view.name}", steps)
+        return Footprint(f"read {name}", steps)
+    if path == "range":
+        resource = "range <key range>"
+        reach = "the keys in range plus the fence above"
+    else:
+        resource, reach = "range *", "every key plus the tail fence"
+    step = LockStep(
+        name, resource, "RangeS-S", f"serializable scan locks {reach}"
+    )
+    return Footprint(f"scan {name}", [step])
 
 
 def view_footprints(catalog, view, strategy="escrow", serializable=True):

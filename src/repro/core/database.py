@@ -599,7 +599,8 @@ class Database(RecoveryTarget):
 
     def explain(self, statement):
         """``EXPLAIN <stmt>``: infer the statement's lock footprint
-        (including view-maintenance fan-out) without executing it.
+        (including view-maintenance fan-out) and, for SELECT / UPDATE /
+        DELETE, the access path its WHERE selects — without executing it.
 
         ``statement`` is a parsed AST statement; ``EXPLAIN CREATE
         ... VIEW`` analyzes the would-be view against a scratch copy of
@@ -612,11 +613,13 @@ class Database(RecoveryTarget):
         if isinstance(statement, sql_ast.Insert):
             report = analyzer.explain("insert", statement.table)
         elif isinstance(statement, sql_ast.Update):
-            report = analyzer.explain("update", statement.table)
+            report = analyzer.explain("update", statement.table, statement)
         elif isinstance(statement, sql_ast.Delete):
-            report = analyzer.explain("delete", statement.table)
+            report = analyzer.explain("delete", statement.table, statement)
         elif isinstance(statement, sql_ast.Select):
-            report = analyzer.explain("select", statement.table.name)
+            report = analyzer.explain(
+                "select", statement.table.name, statement
+            )
         elif isinstance(statement, sql_ast.CreateView):
             definition = compile_view(statement, self.catalog)
             scratch = Catalog()
@@ -1615,12 +1618,46 @@ class Database(RecoveryTarget):
 
         DDL is not logged (see :meth:`create_view`), so the receiving
         database must already have the same tables and views registered —
-        the usual pattern is: build the schema, then restore.
+        the usual pattern is: build the schema, then restore. The target
+        must be schema-only (see :meth:`_adopt_log`).
         """
-        self.log = LogManager.load(
+        return self._adopt_log(LogManager.load(
             path, checksums=self.config.wal_checksums
-        )
+        ))
+
+    def _adopt_log(self, loaded):
+        """Replace the log with one read back from disk and recover
+        from it.
+
+        Recovery seeds from the durable page store and gates redo on the
+        page LSNs, which is only sound when those pages were written
+        under the log being loaded. An engine reloading its *own* dumped
+        chain (possibly recycled: the pages then hold what the dropped
+        segments said) qualifies — the loaded log ends at this engine's
+        own last durable record. Pages from any other history would pass
+        for the checkpoint's images and silently gate out redo, so a
+        restore into such an engine is refused: restore targets must be
+        schema-only.
+        """
+        if len(self._store) and not self._ends_like_own_log(loaded):
+            raise StorageError(
+                f"cannot restore a WAL into this engine: its page store "
+                f"already holds {len(self._store)} page(s) written under "
+                f"a different log, which recovery would mistake for the "
+                f"loaded log's durable images; restore into a "
+                f"schema-only engine"
+            )
+        self.log = loaded
         return self._rebuild_from_log()
+
+    def _ends_like_own_log(self, loaded):
+        tail = loaded.tail_lsn()
+        if not len(loaded) or tail != self.log.flushed_lsn:
+            return False
+        return (
+            loaded.record_at(tail).checksum()
+            == self.log.record_at(tail).checksum()
+        )
 
     def dump_wal_segments(self, directory):
         """Persist the flushed log prefix as a chain of fixed-size
@@ -1639,10 +1676,9 @@ class Database(RecoveryTarget):
         DDL is not logged — build the schema first, then restore. A
         broken chain (bad trailer CRC, lost segment) is truncated at the
         break and the loss lands in the salvage report."""
-        self.log = load_segments(
+        return self._adopt_log(load_segments(
             directory, checksums=self.config.wal_checksums
-        )
-        return self._rebuild_from_log()
+        ))
 
     def wal_recycle_floor(self):
         """First LSN the log must retain — the ARIES truncation point:

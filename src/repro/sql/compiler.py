@@ -20,9 +20,12 @@ Two entry points:
 
 * :func:`execute_statement` runs one bound DML/SELECT statement inside a
   transaction, translating to ``db.insert`` / ``db.update`` /
-  ``db.delete`` / ``db.scan`` plus the relational operators in
-  :mod:`repro.query.executor`. The engine's own maintenance machinery
-  does the rest — the SQL layer never touches a view index directly.
+  ``db.delete`` / ``db.read`` / ``db.scan`` plus the relational
+  operators in :mod:`repro.query.executor`. Which of ``read`` and
+  ``scan`` — and over which key range — is the access path
+  :mod:`repro.sql.access` picks from the WHERE clause. The engine's own
+  maintenance machinery does the rest — the SQL layer never touches a
+  view index directly.
 """
 
 from repro.catalog.schema import TableSchema
@@ -30,6 +33,7 @@ from repro.common import BindError, UnsupportedSqlError
 from repro.query.aggregates import AggregateSpec
 from repro.query.executor import group_aggregate, nested_loops_join
 from repro.sql import ast
+from repro.sql.access import FULL, POINT, plan_access
 from repro.sql.binder import (
     Scope,
     bind_options,
@@ -390,18 +394,43 @@ def _dml_schema(catalog, stmt):
     return catalog.table(stmt.table)
 
 
-def _matching_rows(db, txn, schema, where):
-    """Materialize (key, row) pairs matching a WHERE, *before* mutating:
-    DML must not observe its own writes mid-statement."""
-    scope = Scope({schema.name: schema})
+def _fetch(db, txn, name, path, for_update=False):
+    """The rows of table or view ``name`` that ``path`` selects, in key
+    order, through the engine's own read calls — so the lock plans,
+    snapshot reads, quarantine and online-build rules are theirs. A path
+    whose literals the index cannot order against its keys (a string
+    against an integer key) is read as a full scan, where the predicate
+    decides row by row; that is settled here, before the engine is
+    called, so a ``TypeError`` from inside the engine stays visible."""
+    if path.kind == FULL or not path.orders_with(db.index(name).first_key()):
+        return db.scan(txn, name)
+    if path.kind == POINT:
+        row = db.read(txn, name, path.key, for_update=for_update)
+        return [] if row is None else [row]
+    return db.scan(txn, name, path.key_range)
+
+
+def _where_plan(where, scope, key_columns):
+    """Bind a WHERE (``None`` when absent) and choose its access path
+    over an index keyed on ``key_columns``: ``(predicate, path)``."""
     predicate = (
         compile_predicate(where, scope) if where is not None else None
     )
-    matches = []
-    for row in db.scan(txn, schema.name):
-        if predicate is None or predicate(row):
-            matches.append((schema.key_of(row), row))
-    return matches
+    return predicate, plan_access(where, key_columns, scope.resolve)
+
+
+def _matching_rows(db, txn, schema, where):
+    """Materialize (key, row) pairs matching a WHERE, *before* mutating:
+    DML must not observe its own writes mid-statement. A WHERE naming
+    the whole primary key reads that one row under a U lock."""
+    predicate, path = _where_plan(
+        where, Scope({schema.name: schema}), schema.primary_key
+    )
+    return [
+        (schema.key_of(row), row)
+        for row in _fetch(db, txn, schema.name, path, for_update=True)
+        if predicate is None or predicate(row)
+    ]
 
 
 def _execute_insert(db, txn, stmt):
@@ -467,24 +496,46 @@ def _sorted_rows(keyed_rows):
     return [row for _key, row in ordered]
 
 
-def _execute_select(db, txn, stmt):
-    catalog = db.catalog
+def _select_plan(catalog, stmt):
+    """Bind a SELECT's FROM/JOIN/WHERE and choose the access path of
+    its (outer) table or view.
+
+    Returns ``(scope, schema, predicate, path, right_schema, on_pairs)``;
+    the last two are ``None`` without a join, ``predicate`` without a
+    WHERE. A single-table read of an indexed view reads the view's own
+    index, keyed on the view's key columns.
+    """
     if stmt.join is None and catalog.has_view(stmt.table.name):
         view = catalog.view(stmt.table.name)
         schema = TableSchema(view.name, view.columns, view.key_columns)
-        scope = Scope({view.name: schema})
-        rows = db.scan(txn, view.name)
+        scope, right_schema, on_pairs = Scope({view.name: schema}), None, None
     else:
-        scope, left_schema, right_schema, on_pairs = _select_scope(
-            catalog, stmt
-        )
-        rows = db.scan(txn, left_schema.name)
-        if right_schema is not None:
-            rows = list(nested_loops_join(
-                rows, db.scan(txn, right_schema.name), on_pairs
-            ))
-    if stmt.where is not None:
-        predicate = compile_predicate(stmt.where, scope)
+        scope, schema, right_schema, on_pairs = _select_scope(catalog, stmt)
+    predicate, path = _where_plan(stmt.where, scope, schema.primary_key)
+    return scope, schema, predicate, path, right_schema, on_pairs
+
+
+def access_path(catalog, stmt):
+    """The access path ``stmt`` (a SELECT, UPDATE or DELETE) would read
+    its (outer) table or view by — what ``EXPLAIN`` reports."""
+    if isinstance(stmt, ast.Select):
+        return _select_plan(catalog, stmt)[3]
+    schema = _dml_schema(catalog, stmt)
+    return _where_plan(
+        stmt.where, Scope({schema.name: schema}), schema.primary_key
+    )[1]
+
+
+def _execute_select(db, txn, stmt):
+    scope, schema, predicate, path, right_schema, on_pairs = _select_plan(
+        db.catalog, stmt
+    )
+    rows = _fetch(db, txn, schema.name, path)
+    if right_schema is not None:
+        rows = list(nested_loops_join(
+            rows, db.scan(txn, right_schema.name), on_pairs
+        ))
+    if predicate is not None:
         rows = [row for row in rows if predicate(row)]
     if stmt.group_by is not None:
         group_by, specs = _grouped_specs(

@@ -16,6 +16,7 @@ power failure does to an OS page cache.
 """
 
 import json
+import zlib
 
 from repro.common import FaultInjected, WalError
 from repro.faults import NULL_INJECTOR
@@ -38,7 +39,7 @@ class LogManager:
         self.bytes_estimate = 0
         self.tracer = tracer
         self.faults = faults if faults is not None else NULL_INJECTOR
-        #: stamp a CRC on every record as it becomes durable, so the
+        #: stamp a CRC on every record as it is appended, so the
         #: salvage scan (repro.wal.recovery.salvage) can detect a
         #: corrupted durable stream. EngineConfig(wal_checksums=False)
         #: turns this off — the negative control for salvage honesty.
@@ -89,7 +90,14 @@ class LogManager:
             record.prev_lsn = self._txn_last_lsn.get(record.txn_id)
             self._txn_last_lsn[record.txn_id] = record.lsn
         self._records.append(record)
-        size = self._estimate_size(record)
+        # One encoding per record: its length is the size estimate (a
+        # stable proxy for on-disk size — benchmarks compare log volume
+        # across logging strategies with it) and its CRC the durable
+        # stamp. The bytes themselves are not kept.
+        encoded = record.encoded()
+        size = len(encoded)
+        if self.checksums:
+            record.stored_crc = zlib.crc32(encoded)
         self.bytes_estimate += size
         if record.txn_id is not None:
             self._txn_bytes[record.txn_id] = (
@@ -113,13 +121,6 @@ class LogManager:
             # the caller already applied.
             raise FaultInjected("wal.append", record.txn_id)
         return record.lsn
-
-    @staticmethod
-    def _estimate_size(record):
-        """A stable proxy for on-disk record size: the length of the JSON
-        encoding. Benchmarks use it to compare log volume across logging
-        strategies without caring about a real binary format."""
-        return len(json.dumps(record.to_dict(), default=str))
 
     def last_lsn_of(self, txn_id):
         return self._txn_last_lsn.get(txn_id)
@@ -156,8 +157,8 @@ class LogManager:
         previous = self.flushed_lsn
         advanced = target - previous
         self.flushed_lsn = target
-        if self.checksums or self.faults.active:
-            self._harden_records(previous, target)
+        if self.faults.active:
+            self._corrupt_newly_durable(previous, target)
         self.flush_count += 1
         self.flush_records.observe(advanced)
         if self.tracer.enabled:
@@ -167,11 +168,11 @@ class LogManager:
         if self.flush_listener is not None:
             self.flush_listener(target)
 
-    def _harden_records(self, previous, target):
-        """Stamp the checksum of every record that just became durable
-        (``previous < lsn <= target``) and evaluate the ``wal.corrupt``
-        fault site on each — a fired site flips the record's payload
-        *after* the stamp, modelling a bit flip in the durable stream."""
+    def _corrupt_newly_durable(self, previous, target):
+        """Evaluate the ``wal.corrupt`` fault site on every record that
+        just became durable (``previous < lsn <= target``) — a fired
+        site flips the record's payload under its checksum stamp,
+        modelling a bit flip in the durable stream."""
         newly = []
         for record in reversed(self._records):
             if record.lsn > target:
@@ -180,9 +181,7 @@ class LogManager:
                 break
             newly.append(record)
         for record in reversed(newly):
-            if self.checksums:
-                record.stored_crc = record.checksum()
-            if self.faults.active and self.faults.fires(
+            if self.faults.fires(
                 "wal.corrupt", txn_id=record.txn_id,
                 detail=type(record).__name__,
             ) is not None:
@@ -277,11 +276,18 @@ class LogManager:
                 yield record
 
     def record_at(self, lsn):
-        """Fetch one record by LSN (binary-search-free: LSNs are dense
-        except after truncation, so scan from an estimate)."""
-        for record in self._records:
-            if record.lsn == lsn:
-                return record
+        """Fetch one record by LSN. LSNs are dense from the first
+        record's, so the offset is the answer. Only a log loaded from a
+        file that lost a line can hold a gap, so a miss at the offset
+        searches the records before giving up."""
+        records = self._records
+        if records:
+            offset = lsn - records[0].lsn
+            if 0 <= offset < len(records) and records[offset].lsn == lsn:
+                return records[offset]
+            for record in records:
+                if record.lsn == lsn:
+                    return record
         raise WalError(f"no record with LSN {lsn}")
 
     def latest_checkpoint(self):

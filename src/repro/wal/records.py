@@ -30,6 +30,12 @@ from repro.common import WalError
 from repro.common.rows import Row
 
 
+#: The canonical encoding of a record: sorted keys, ASCII, ``str`` for
+#: values JSON has no form for. One encoder object, built once — its
+#: output both sizes the record in the log and feeds its checksum.
+_encode_canonical = json.JSONEncoder(sort_keys=True, default=str).encode
+
+
 class RecordType(enum.Enum):
     BEGIN = "begin"
     COMMIT = "commit"
@@ -53,10 +59,11 @@ class LogRecord:
     """Base class: LSN plus the per-transaction backchain.
 
     ``stored_crc`` is the checksum the durable stream carries for this
-    record: the log manager stamps it when the record becomes durable
-    (and ``dump``/``load`` round-trip it), so any later divergence
-    between the payload and the stamp — a bit flip "on disk" — is
-    detectable by :meth:`verify_checksum` during the salvage scan.
+    record: the log manager stamps it as the record is appended, from
+    the same encoding that sizes it (and ``dump``/``load`` round-trip
+    it), so any later divergence between the payload and the stamp — a
+    bit flip "on disk" — is detectable by :meth:`verify_checksum`
+    during the salvage scan.
     """
 
     __slots__ = ("lsn", "txn_id", "prev_lsn", "stored_crc")
@@ -67,7 +74,7 @@ class LogRecord:
         self.lsn = None  # assigned by the log manager
         self.txn_id = txn_id
         self.prev_lsn = None  # assigned by the log manager
-        self.stored_crc = None  # stamped at flush / loaded from disk
+        self.stored_crc = None  # stamped at append / loaded from disk
 
     def __repr__(self):
         return (
@@ -105,12 +112,15 @@ class LogRecord:
     def _payload(self):
         return {}
 
-    def checksum(self):
-        """CRC-32 over the canonical JSON encoding (lsn, backchain, and
+    def encoded(self):
+        """The canonical JSON bytes of the record (lsn, backchain, and
         payload — everything :meth:`to_dict` covers, which is everything
-        recovery consumes)."""
-        canonical = json.dumps(self.to_dict(), sort_keys=True, default=str)
-        return zlib.crc32(canonical.encode("utf-8"))
+        recovery consumes), built from the live fields on every call."""
+        return _encode_canonical(self.to_dict()).encode("ascii")
+
+    def checksum(self):
+        """CRC-32 over :meth:`encoded`."""
+        return zlib.crc32(self.encoded())
 
     def verify_checksum(self):
         """True when the stored checksum matches the payload (records

@@ -16,8 +16,8 @@ from repro.analysis.static import (
 )
 from repro.analysis.static.footprint import (
     fanout_indexes,
+    index_read_footprint,
     statement_footprint,
-    view_read_footprint,
 )
 from repro.common import CatalogError, DeadlockError, WouldWait
 from repro.core import Database, EngineConfig
@@ -139,11 +139,9 @@ class TestFootprints:
         ]
         assert base_gaps == []
 
-    def test_view_read_footprint_point_vs_scan(self):
-        db = escrow_db()
-        view = db.catalog.view("branch_totals")
-        point = view_read_footprint(view)
-        scan = view_read_footprint(view, point=False)
+    def test_index_read_footprint_point_vs_scan(self):
+        point = index_read_footprint("branch_totals", "<view key>", "point")
+        scan = index_read_footprint("branch_totals", "<view key>")
         assert point.steps[0].mode == "S"
         assert scan.steps[0].mode == "RangeS-S"
         assert {s.index for s in point.steps + scan.steps} == {

@@ -122,6 +122,33 @@ class TestReading:
         with pytest.raises(WalError):
             log.record_at(99)
 
+    def test_record_at_after_a_salvage_cut(self):
+        log = LogManager()
+        for i in range(1, 7):
+            log.append(BeginRecord(i))
+        log.flush()
+        log.truncate_from(5)
+        assert [log.record_at(lsn).txn_id for lsn in (1, 4)] == [1, 4]
+        with pytest.raises(WalError):
+            log.record_at(5)
+
+    def test_record_at_finds_records_on_both_sides_of_a_gap(self, tmp_path):
+        log = LogManager()
+        for i in range(1, 7):
+            log.append(BeginRecord(i))
+        log.flush()
+        path = tmp_path / "wal.jsonl"
+        log.dump(path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:2] + lines[3:]))  # LSN 3 is lost
+        gapped = LogManager.load(path)
+        assert [r.lsn for r in gapped.records()] == [1, 2, 4, 5, 6]
+        for lsn in (1, 2, 4, 5, 6):
+            assert gapped.record_at(lsn).lsn == lsn
+        for lsn in (0, 3, 7):
+            with pytest.raises(WalError):
+                gapped.record_at(lsn)
+
     def test_latest_checkpoint(self):
         log = LogManager()
         assert log.latest_checkpoint() is None

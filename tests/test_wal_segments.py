@@ -12,6 +12,7 @@ import os
 
 import pytest
 
+from repro.common import StorageError
 from repro.core import Database, EngineConfig
 from repro.faults import FaultInjector
 from repro.wal import LogManager
@@ -122,3 +123,71 @@ class TestSegmentLossDetection:
         report = fresh.load_wal_segments_and_recover(tmp_path)
         assert report.salvage is not None
         assert report.salvage["undecodable_lines"] > 0
+
+
+def paged_db(ids=()):
+    """A tiny-pool engine, so even a few rows reach the page store."""
+    db = Database(EngineConfig(
+        buffer_pool_frames=4, page_size=256, checkpoint_interval=5,
+    ))
+    db.execute(
+        """
+        CREATE TABLE t (id, grp, v, PRIMARY KEY (id));
+        CREATE UNIQUE INDEXED VIEW by_grp AS
+            SELECT grp, COUNT(*) AS n, SUM(v) AS total FROM t GROUP BY grp;
+        """
+    )
+    for i in ids:
+        db.execute(f"INSERT INTO t VALUES ({i}, {i % 3}, {i})")
+    return db
+
+
+class TestRestoreTargetMustBeSchemaOnly:
+    """Recovery seeds from the page store and gates redo on page LSNs;
+    pages written under another log would pass for the loaded log's
+    durable images and silently drop view rows. The restore refuses."""
+
+    def test_segments_into_a_populated_engine_are_refused(self, tmp_path):
+        src = paged_db(range(1, 40))
+        src.dump_wal_segments(tmp_path)
+        target = paged_db(range(100, 130))
+        with pytest.raises(StorageError, match="page store already holds"):
+            target.load_wal_segments_and_recover(tmp_path)
+        # refused before anything was replaced: the target is intact
+        assert target.check_all_views() == []
+        assert target.read_committed("t", (100,)) is not None
+
+    def test_jsonl_into_a_populated_engine_is_refused(self, tmp_path):
+        src = paged_db(range(1, 40))
+        path = tmp_path / "wal.jsonl"
+        src.dump_wal(path)
+        target = paged_db(range(100, 130))
+        with pytest.raises(StorageError, match="schema-only"):
+            target.load_wal_and_recover(path)
+
+    def test_schema_only_target_restores_every_view_row(self, tmp_path):
+        src = paged_db(range(1, 40))
+        src.dump_wal_segments(tmp_path)
+        target = paged_db()
+        target.load_wal_segments_and_recover(tmp_path)
+        assert target.check_all_views() == []
+        assert target.execute("SELECT * FROM by_grp") == src.execute(
+            "SELECT * FROM by_grp"
+        )
+
+    def test_an_engine_may_reload_its_own_recycled_chain(self, tmp_path):
+        db = paged_db(range(1, 40))
+        before = db.execute("SELECT * FROM by_grp")
+        db.take_checkpoint(kind="fuzzy")
+        db.dump_wal_segments(tmp_path)
+        db.recycle_wal_segments(tmp_path)
+        report = db.load_wal_segments_and_recover(tmp_path)
+        assert report.pages_loaded > 0
+        assert db.execute("SELECT * FROM by_grp") == before
+
+    def test_own_chain_older_than_the_pages_is_refused(self, tmp_path):
+        db = paged_db(range(1, 40))
+        db.dump_wal_segments(tmp_path)
+        db.execute("INSERT INTO t VALUES (40, 1, 40)")  # pages move on
+        with pytest.raises(StorageError, match="schema-only"):
+            db.load_wal_segments_and_recover(tmp_path)
