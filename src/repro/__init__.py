@@ -15,15 +15,15 @@ makes that safe and fast:
 
 Quickstart::
 
-    from repro import AggregateSpec, Database
+    from repro import AggregateSpec, AggregateView, Database
 
     db = Database()
     db.create_table("sales", ("id", "product", "amount"), ("id",))
-    db.create_aggregate_view(
+    db.create_view(AggregateView(
         "by_product", "sales", group_by=("product",),
         aggregates=[AggregateSpec.count("n"),
                     AggregateSpec.sum_of("total", "amount")],
-    )
+    ))
     txn = db.begin()
     db.insert(txn, "sales", {"id": 1, "product": "ant", "amount": 30})
     db.commit(txn)

@@ -49,11 +49,12 @@ status 1 on any finding), via ``make lint``, or programmatically through
   transport, so the ``net.*`` fault sites see every protocol message.
   Construction, schema fan-out, folded reads, and operator accessors
   may still hold the engine list.
-* **view-entry-point** — the deprecated ``create_*_view`` wrappers are
-  not called by engine or client code; views are created through
-  ``Database.create_view`` (a definition or ``CREATE INDEXED VIEW``
-  SQL) or ``Database.execute``. The wrappers stay for downstream
-  compatibility; tests may still exercise them.
+* **logged-write** — the row-change log records (``InsertRecord`` /
+  ``GhostRecord`` / ``ReviveRecord`` / ``UpdateRecord``) are constructed
+  only under ``repro/wal/`` and in ``repro/txn/write.py``; everything
+  else changes rows through that module's ``put`` / ``ghost`` /
+  ``patch``, so no write can skip the log, the version stamp or the
+  ghost cleaner's work list.
 """
 
 import ast
@@ -72,7 +73,7 @@ RULES = (
     "page-discipline",
     "dist-isolation",
     "transport-discipline",
-    "view-entry-point",
+    "logged-write",
 )
 
 #: a constant-propagation cell bound more than once with different
@@ -88,12 +89,14 @@ _ERRORS_MODULE = ("common", "errors.py")
 #: internals.
 _BENCH_EXTRA_SURFACE = "repro.analysis"
 
-#: the deprecated view-creation wrappers; ``Database.create_view`` (or
-#: ``execute`` with CREATE INDEXED VIEW SQL) is the supported entry.
-_DEPRECATED_VIEW_ENTRY_POINTS = frozenset(
-    {"create_aggregate_view", "create_join_view", "create_projection_view",
-     "create_join_aggregate_view"}
+#: the log records of a row change; constructed only by the WAL
+#: package itself and by the logged-write primitives.
+_ROW_CHANGE_RECORDS = frozenset(
+    {"InsertRecord", "GhostRecord", "ReviveRecord", "UpdateRecord"}
 )
+
+#: the one module outside ``repro/wal/`` that may construct them.
+_WRITE_MODULE = ("txn", "write.py")
 
 #: attribute-call names that mutate a page or its durable image
 #: directly; allowed only inside the page layer itself.
@@ -247,6 +250,11 @@ class _FileLinter(ast.NodeVisitor):
         self.check_pages = (
             "page-discipline" in rules
             and _rel_to_repro(path) not in _PAGE_LAYER
+        )
+        self.check_writes = (
+            "logged-write" in rules
+            and (_rel_to_repro(path) or ())[:1] != ("wal",)
+            and _rel_to_repro(path) != _WRITE_MODULE
         )
         self.check_dist = (
             "dist-isolation" in rules
@@ -413,6 +421,19 @@ class _FileLinter(ast.NodeVisitor):
     # ----------------------------------------------------------- calls
     def visit_Call(self, node):
         func = node.func
+        if self.check_writes:
+            name = func.id if isinstance(func, ast.Name) else (
+                func.attr if isinstance(func, ast.Attribute) else None
+            )
+            if name in _ROW_CHANGE_RECORDS:
+                self.flag(
+                    node,
+                    "logged-write",
+                    f"{name} constructed outside repro/wal/ and "
+                    f"repro/txn/write.py; change rows through "
+                    f"repro.txn.write.put / ghost / patch so the log, the "
+                    f"version stamp and the ghost cleaner all hear of it",
+                )
         if isinstance(func, ast.Attribute):
             if func.attr == "emit" and self.engine and node.args:
                 arg = node.args[0]
@@ -433,18 +454,6 @@ class _FileLinter(ast.NodeVisitor):
                     f"direct page mutation .{func.attr}() outside the "
                     f"page layer; go through BufferPool.record_* so the "
                     f"dirty-page table and WAL-before-write hold",
-                )
-            if (
-                "view-entry-point" in self.rules
-                and (self.engine or self.client)
-                and func.attr in _DEPRECATED_VIEW_ENTRY_POINTS
-            ):
-                self.flag(
-                    node,
-                    "view-entry-point",
-                    f"call to deprecated .{func.attr}(); create views "
-                    f"through Database.create_view (definition or CREATE "
-                    f"INDEXED VIEW SQL) or Database.execute",
                 )
         self.generic_visit(node)
 

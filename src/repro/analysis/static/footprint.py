@@ -32,7 +32,6 @@ steps verbatim.
 """
 
 from repro.common import CatalogError
-from repro.views.definition import is_aggregate_kind
 
 
 class LockStep:
@@ -79,14 +78,6 @@ class Footprint:
 
     def __repr__(self):
         return f"Footprint({self.label!r}, {len(self.steps)} steps)"
-
-
-def secondary_index_name(view_name):
-    return f"{view_name}#right"
-
-
-def leftfk_index_name(view_name):
-    return f"{view_name}#leftfk"
 
 
 def _pk_sym(table):
@@ -222,7 +213,7 @@ def _join_maintenance_steps(view, table, op, strategy, serializable):
     else:
         steps.append(
             LockStep(
-                leftfk_index_name(view.name), "range <matches>", "S",
+                view.leftfk_index.name, "range <matches>", "S",
                 "scan the fk secondary for left rows matching the right "
                 "key",
             )
@@ -330,7 +321,7 @@ def fanout_indexes(catalog, table):
             other = view.right if table == view.left else view.left
             out.append(other)
             if table != view.left:
-                out.append(leftfk_index_name(view.name))
+                out.append(view.leftfk_index.name)
     seen = []
     for name in out:
         if name not in seen and name != table:

@@ -101,7 +101,7 @@ from repro.dist import (
 )
 from repro.faults import FAULT_SITES, FaultInjector, FaultSpec
 from repro.integrity import Damage, IntegrityReport, check_database
-from repro.metrics import Counters, Histogram, format_table
+from repro.obs.metrics import Counters, Histogram, format_table
 from repro.obs import (
     EVENT_TYPES,
     NET_STATS_FIELDS,

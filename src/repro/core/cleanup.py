@@ -23,53 +23,45 @@ structure the paper requires (a user rollback never resurrects a cleaned
 ghost, and a cleaner crash never affects user work).
 """
 
-from collections import deque
-
 from repro.common import TransactionAborted
 from repro.locking.keyrange import locks_for_ghost_cleanup, locks_for_update
-from repro.views.definition import is_aggregate_kind
-from repro.wal.records import CleanupRecord, GhostRecord
+from repro.txn.write import ghost
+from repro.wal.records import CleanupRecord
 
 
 class CleanupQueue:
-    """Pending (index_name, key) candidates, deduplicated."""
+    """Pending (index_name, key) candidates, deduplicated, first in
+    first out."""
 
     def __init__(self):
-        self._queue = deque()
-        self._members = set()
+        self._items = {}  # insertion-ordered set
 
     def __len__(self):
-        return len(self._queue)
+        return len(self._items)
 
     def enqueue(self, index_name, key):
-        item = (index_name, key)
-        if item not in self._members:
-            self._members.add(item)
-            self._queue.append(item)
+        self._items.setdefault((index_name, key))
 
     def cancel(self, index_name, key):
-        """Drop a candidate (it was revived); lazily removed from the
-        deque on pop."""
-        self._members.discard((index_name, key))
+        """Drop a candidate (it was revived, or removed already)."""
+        self._items.pop((index_name, key), None)
 
     def pop(self):
-        while self._queue:
-            item = self._queue.popleft()
-            if item in self._members:
-                self._members.discard(item)
-                return item
+        for item in self._items:
+            del self._items[item]
+            return item
         return None
 
     def drop_index(self, index_name):
         """Purge every candidate of ``index_name`` (its index is being
-        dropped — a vanished online build); the cleaner must never probe
-        an index that no longer exists."""
-        self._members = {
-            item for item in self._members if item[0] != index_name
+        dropped — a vanished build); the cleaner must never probe an
+        index that no longer exists."""
+        self._items = {
+            item: None for item in self._items if item[0] != index_name
         }
 
     def snapshot(self):
-        return [item for item in self._queue if item in self._members]
+        return list(self._items)
 
 
 class GhostCleaner:
@@ -115,12 +107,8 @@ class GhostCleaner:
             if not record.is_ghost:
                 # A live candidate: only aggregate groups whose committed
                 # count is zero qualify; anything else was revived.
-                view = db.view_of_index(index_name)
-                if (
-                    view is None
-                    or not is_aggregate_kind(view)
-                    or index_name != view.name  # aux indexes have no counters
-                ):
+                count_column = db.count_column(index_name)
+                if count_column is None:
                     db.abort(txn)
                     self.skipped_live += 1
                     self._trace(db, index_name, key, "skipped_live")
@@ -130,17 +118,14 @@ class GhostCleaner:
                 if record is None or record.is_ghost:
                     db.abort(txn)
                     return False
-                if record.current_row[view.count_column] != 0 or self._has_pending(
+                if record.current_row[count_column] != 0 or self._has_pending(
                     db, index_name, key
                 ):
                     db.abort(txn)
                     self.skipped_live += 1
                     self._trace(db, index_name, key, "skipped_live")
                     return False
-                index.logical_delete(key)
-                db.log.append(
-                    GhostRecord(txn.txn_id, index_name, key, record.current_row)
-                )
+                ghost(db, txn, index, key)
             # Physically remove the ghost: lock the key and the fence above
             # it (removing a key merges two gaps).
             db.acquire_plan(txn, locks_for_ghost_cleanup(index, key))
@@ -163,7 +148,9 @@ class GhostCleaner:
             ghost_row = record.current_row
             index.physical_delete(key)
             db.log.append(CleanupRecord(txn.txn_id, index_name, key, ghost_row))
-            self._drop_escrow_accounts(db, index_name, key)
+            db.cleanup.cancel(index_name, key)  # re-listed if ghosted above
+            for column in db.counter_columns(index_name):
+                db.escrow.drop((index_name, key, column))
             db.commit(txn)
             self.cleaned += 1
             db.counters.incr("cleanup.removed")
@@ -187,19 +174,8 @@ class GhostCleaner:
 
     @staticmethod
     def _has_pending(db, index_name, key):
-        view = db.view_of_index(index_name)
-        if view is None or not is_aggregate_kind(view) or index_name != view.name:
-            return False
-        for column in view.counter_columns():
+        for column in db.counter_columns(index_name):
             account = db.escrow.existing((index_name, key, column))
             if account is not None and account.has_pending():
                 return True
         return False
-
-    @staticmethod
-    def _drop_escrow_accounts(db, index_name, key):
-        view = db.view_of_index(index_name)
-        if view is None or not is_aggregate_kind(view) or index_name != view.name:
-            return
-        for column in view.counter_columns():
-            db.escrow.drop((index_name, key, column))

@@ -51,38 +51,24 @@ from repro.locking.keyrange import (
     locks_for_update,
     table_resource,
 )
-from repro.metrics import Counters
-from repro.obs import EngineMetrics, RetryStats, Tracer
+from repro.obs import Counters, EngineMetrics, RetryStats, Tracer
 from repro.storage import Index
 from repro.storage.bufferpool import BufferPool, PageManager, PageStore
 from repro.storage.records import VersionedRecord
 from repro.txn import LockPolicy, SnapshotRegistry, TransactionManager
+from repro.txn.write import ghost, patch, put
 from repro.views.actions import Action, run_actions
-from repro.views.definition import (
-    AggregateView,
-    JoinAggregateView,
-    JoinView,
-    ProjectionView,
-    is_aggregate_kind,
-)
 from repro.views.deferred import DeferredMaintainer
 from repro.views.delta import TxnViewDeltas
-from repro.views.join import leftfk_index_name, secondary_index_name
 from repro.views.maintenance import MaintenanceEngine
 from repro.views.online import (
     OnlineBuildRegistry,
-    OnlineViewBuilder,
+    ViewBuilder,
     resolve_after_recovery,
 )
 from repro.core.cleanup import CleanupQueue, GhostCleaner
 from repro.core.secondary import SecondaryIndexManager
 from repro.core.config import EngineConfig
-from repro.query.executor import (
-    recompute_aggregate_view,
-    recompute_join_aggregate_view,
-    recompute_join_view,
-    recompute_projection_view,
-)
 from repro.wal import (
     CheckpointRecord,
     CommitTicket,
@@ -96,10 +82,7 @@ from repro.wal.records import (
     CommitRecord,
     CompensationRecord,
     EndRecord,
-    GhostRecord,
-    InsertRecord,
     PrepareRecord,
-    UpdateRecord,
 )
 from repro.wal.recovery import RecoveryTarget
 from repro.wal.segments import dump_segments, load_segments, recycle_segments
@@ -247,81 +230,6 @@ class Database(RecoveryTarget):
         )
         return schema
 
-    def create_aggregate_view(self, name, base, group_by, aggregates,
-                              where=None, bounds=None, *, unique=True,
-                              deferred=False):
-        """Create a GROUP BY view; returns the
-        :class:`~repro.views.definition.ViewDefinition`.
-
-        .. deprecated::
-            The four ``create_*_view`` wrappers are legacy entry points;
-            new code should call :meth:`create_view` with either a
-            ``CREATE INDEXED VIEW ...`` SQL string or a constructed
-            definition (the ``view-entry-point`` lint rule flags internal
-            callers).
-
-        All four ``create_*_view`` methods share the keyword tail
-        ``where=``, ``unique=``, ``deferred=``: ``where`` filters base
-        rows, ``unique`` records the (always-satisfied) key-uniqueness of
-        the view index for parity with :meth:`create_secondary_index`,
-        and ``deferred=True`` routes this one view's maintenance through
-        the deferred maintainer even when the global
-        ``maintenance_mode`` is immediate (refresh with
-        :meth:`refresh_view`).
-        """
-        view = AggregateView(name, base, group_by, aggregates, where, bounds)
-        return self.create_view(view, unique=unique, deferred=deferred)
-
-    def create_join_view(self, name, left, right, on, columns, where=None,
-                         *, unique=True, deferred=False):
-        """Create a foreign-key join view; returns the
-        :class:`~repro.views.definition.ViewDefinition`. Shares the
-        keyword tail (and deprecation) of :meth:`create_aggregate_view`;
-        prefer :meth:`create_view`."""
-        view = JoinView(
-            name,
-            left,
-            right,
-            on,
-            left_pk=self.catalog.table(left).primary_key,
-            right_pk=self.catalog.table(right).primary_key,
-            columns=columns,
-            where=where,
-        )
-        return self.create_view(view, unique=unique, deferred=deferred)
-
-    def create_projection_view(self, name, base, columns, where=None,
-                               *, unique=True, deferred=False):
-        """Create a projection view; returns the
-        :class:`~repro.views.definition.ViewDefinition`. Shares the
-        keyword tail (and deprecation) of :meth:`create_aggregate_view`;
-        prefer :meth:`create_view`."""
-        view = ProjectionView(
-            name, base, self.catalog.table(base).primary_key, columns, where
-        )
-        return self.create_view(view, unique=unique, deferred=deferred)
-
-    def create_join_aggregate_view(self, name, left, right, on, group_by,
-                                   aggregates, where=None, bounds=None,
-                                   *, unique=True, deferred=False):
-        """Create a join-aggregate view; returns the
-        :class:`~repro.views.definition.ViewDefinition`. Shares the
-        keyword tail (and deprecation) of :meth:`create_aggregate_view`;
-        prefer :meth:`create_view`."""
-        view = JoinAggregateView(
-            name,
-            left,
-            right,
-            on,
-            left_pk=self.catalog.table(left).primary_key,
-            right_pk=self.catalog.table(right).primary_key,
-            group_by=group_by,
-            aggregates=aggregates,
-            where=where,
-            bounds=bounds,
-        )
-        return self.create_view(view, unique=unique, deferred=deferred)
-
     def create_secondary_index(self, table, name, columns, unique=False):
         """Create a secondary index on a base table; ``unique=True``
         enforces the constraint (see :mod:`repro.core.secondary`)."""
@@ -334,150 +242,86 @@ class Database(RecoveryTarget):
 
     def create_view(self, view, *, unique=True, deferred=False,
                     online=False):
-        """Register a view, build its index(es), and materialize it over
-        any existing base data. Returns the definition.
+        """Register a view, build its index(es), and fill it over any
+        existing base data. Returns the definition.
 
         ``view`` is either a :class:`~repro.views.definition.ViewDefinition`
+        (primary-key columns it leaves unset are taken from the catalog)
         or a ``CREATE [UNIQUE] INDEXED VIEW ... AS SELECT ...`` SQL string
         (compiled through :func:`repro.sql.compile_view`; the statement's
         ``UNIQUE`` and ``WITH (...)`` options override the keyword
-        arguments). ``online=True`` builds the view without blocking
-        writers: snapshot scan, WAL catch-up, then a short lock-protected
-        flip (see :mod:`repro.views.online`).
+        arguments). ``unique`` records the (always-satisfied)
+        key-uniqueness of the view index, for parity with
+        :meth:`create_secondary_index`; ``deferred=True`` routes this one
+        view's maintenance through the deferred maintainer even when the
+        global ``maintenance_mode`` is immediate (refresh with
+        :meth:`refresh_view`). ``online=True`` builds the view without
+        blocking writers: snapshot scan, WAL catch-up, then a short
+        lock-protected flip; otherwise the build holds S on the base
+        tables throughout (see :mod:`repro.views.online` for both).
 
         DDL is not logged: recovery re-creates the schema from the
-        catalog, then replays the data log — except an *online* build,
-        whose view inserts run in a logged system transaction precisely
-        so recovery can settle an interrupted build (complete it when the
-        build commit is durable, make it vanish otherwise).
+        catalog, then replays the data log. The *fill* is: its inserts
+        run in one logged system transaction, so recovery settles an
+        interrupted build (complete when the build commit is durable,
+        absent otherwise). A view that computes empty logs nothing.
         """
-        if not hasattr(view, "kind"):  # SQL text or a parsed statement
+        view, unique, options = self._view_definition(view, unique)
+        view.unique = unique
+        view.deferred = options.get("deferred", deferred)
+        builder = ViewBuilder(self, view)
+        if options.get("online", online):
+            return builder.run()
+        return builder.run_locked()
+
+    def begin_online_build(self, view, *, unique=True):
+        """An un-run :class:`~repro.views.online.ViewBuilder` for
+        ``view`` (definition or CREATE INDEXED VIEW SQL) — callers drive
+        ``start`` / ``catch_up`` / ``finish`` themselves, interleaving
+        writers between phases; :meth:`create_view` with ``online=True``
+        is the one-shot form."""
+        view, unique, _ = self._view_definition(view, unique)
+        view.unique = unique
+        return ViewBuilder(self, view)
+
+    def _view_definition(self, view, unique):
+        """``(definition, unique, WITH options)`` of what a caller handed
+        to view creation: a definition (keys bound to the catalog), SQL
+        text or a parsed statement."""
+        options = {}
+        if not hasattr(view, "kind"):
             from repro.sql import ast as sql_ast
             from repro.sql import bind_options, compile_view, parse_one
 
             stmt = parse_one(view) if isinstance(view, str) else view
             if not isinstance(stmt, sql_ast.CreateView):
                 raise UnsupportedSqlError(
-                    "create_view expects a CREATE INDEXED VIEW statement; "
-                    f"got {type(stmt).__name__}", *stmt.pos
-                )
-            opts = bind_options(stmt)
-            unique = stmt.unique
-            deferred = opts.get("deferred", deferred)
-            online = opts.get("online", online)
-            view = compile_view(stmt, self.catalog)
-        if online:
-            if deferred:
-                raise CatalogError(
-                    f"view {view.name!r}: online build and deferred "
-                    "maintenance are mutually exclusive"
-                )
-            return OnlineViewBuilder(self, view, unique=unique).run()
-        view.unique = unique
-        view.deferred = deferred
-        self.catalog.add_view(view)
-        self._create_view_indexes(view)
-        self._materialize(view)
-        return view
-
-    def begin_online_build(self, view, *, unique=True):
-        """An un-run :class:`~repro.views.online.OnlineViewBuilder` for
-        ``view`` (definition or CREATE INDEXED VIEW SQL) — callers drive
-        ``start`` / ``catch_up`` / ``finish`` themselves, interleaving
-        writers between phases; :meth:`create_view` with ``online=True``
-        is the one-shot form."""
-        if not hasattr(view, "kind"):
-            from repro.sql import ast as sql_ast
-            from repro.sql import compile_view, parse_one
-
-            stmt = parse_one(view) if isinstance(view, str) else view
-            if not isinstance(stmt, sql_ast.CreateView):
-                raise UnsupportedSqlError(
-                    "begin_online_build expects a CREATE INDEXED VIEW "
+                    "view creation expects a CREATE INDEXED VIEW "
                     f"statement; got {type(stmt).__name__}", *stmt.pos
                 )
+            options = bind_options(stmt)
             unique = stmt.unique
             view = compile_view(stmt, self.catalog)
-        return OnlineViewBuilder(self, view, unique=unique)
+        view.bind_keys(self.catalog)
+        return view, unique, options
 
     def _create_view_indexes(self, view):
-        """Build the (empty) index family a view owns: its primary view
-        index, plus the secondary and left-FK auxiliaries for joins."""
-        order = self.config.btree_order
-        self._indexes[view.name] = Index(
-            view.name, view.key_columns, order=order, latch_set=self.latches
-        )
-        self._index_views[view.name] = view
-        if view.kind == "join":
-            sec = secondary_index_name(view.name)
-            sec_key = tuple(view.right_pk) + tuple(
-                c for c in view.left_pk if c not in view.right_pk
+        """Build the (empty) index family a view owns."""
+        for index_name, key_columns in view.owned_indexes():
+            self._indexes[index_name] = Index(
+                index_name, key_columns,
+                order=self.config.btree_order, latch_set=self.latches,
             )
-            self._indexes[sec] = Index(
-                sec, sec_key, order=order, latch_set=self.latches
-            )
-            self._index_views[sec] = view
-        if view.kind in ("join", "join_aggregate"):
-            fk = leftfk_index_name(view.name)
-            fk_key = tuple(lc for lc, _ in view.on) + tuple(view.left_pk)
-            self._indexes[fk] = Index(
-                fk, fk_key, order=order, latch_set=self.latches
-            )
-            self._index_views[fk] = view
+            self._index_views[index_name] = view
 
     def _maintenance_suppressed(self, view_name):
         """Maintenance skips quarantined views (damaged; rebuilt on
-        demand) and views mid online build (the build's catch-up phase
+        demand) and views mid build (an online build's catch-up phase
         replays their deltas from the log instead)."""
         return (
             self.quarantine.is_quarantined(view_name)
             or self.online_builds.is_building(view_name)
         )
-
-    def _materialize(self, view):
-        """Fill a freshly created view from current base contents.
-
-        Aggregate-shaped and projection views use the bottom-up bulk
-        index build; join views insert per row because two indexes must
-        stay aligned.
-        """
-        ts = self.clock.now()
-        if view.kind == "aggregate":
-            base_rows = list(self._indexes[view.base].rows())
-            expected = recompute_aggregate_view(base_rows, view)
-            self._indexes[view.name].bulk_load(expected.items(), stamp_ts=ts)
-        elif view.kind == "projection":
-            base_rows = list(self._indexes[view.base].rows())
-            expected = recompute_projection_view(base_rows, view)
-            self._indexes[view.name].bulk_load(expected.items(), stamp_ts=ts)
-        elif view.kind == "join_aggregate":
-            left_rows = list(self._indexes[view.left].rows())
-            right_rows = list(self._indexes[view.right].rows())
-            expected = recompute_join_aggregate_view(left_rows, right_rows, view)
-            self._indexes[view.name].bulk_load(expected.items(), stamp_ts=ts)
-            self._materialize_leftfk(view, left_rows, ts)
-        else:  # join
-            left_rows = list(self._indexes[view.left].rows())
-            right_rows = list(self._indexes[view.right].rows())
-            maintainer = self.maintenance.join
-            for vkey, row in recompute_join_view(left_rows, right_rows, view).items():
-                self._bulk_insert(view.name, vkey, row, ts)
-                skey = maintainer._secondary_key(self, view, row)
-                self._bulk_insert(secondary_index_name(view.name), skey, row, ts)
-            self._materialize_leftfk(view, left_rows, ts)
-
-    def _materialize_leftfk(self, view, left_rows, ts):
-        fk_name = leftfk_index_name(view.name)
-        fk_index = self._indexes[fk_name]
-        for left_row in left_rows:
-            key = view.left_fk_of(left_row) + self.table_key(view.left, left_row)
-            ref = left_row.project(fk_index.key_columns)
-            self._bulk_insert(fk_name, key, ref, ts)
-
-    def _bulk_insert(self, index_name, key, row, ts):
-        record = self._indexes[index_name].insert(key, row)
-        record.stamp_version(ts)
-        return record
 
     # ==================================================================
     # lookups other layers use
@@ -500,6 +344,33 @@ class Database(RecoveryTarget):
 
     def view_of_index(self, index_name):
         return self._index_views.get(index_name)
+
+    def counter_columns(self, index_name):
+        """The escrow-counter columns of ``index_name``'s rows: an
+        aggregate-shaped view's COUNT/SUM columns for the view's own
+        index, ``()`` for every other index."""
+        view = self._index_views.get(index_name)
+        if view is None or view.name != index_name:
+            return ()
+        return view.counter_columns()
+
+    def count_column(self, index_name):
+        """The COUNT(*) column whose zero marks a row of ``index_name``
+        logically deleted, or ``None`` (see :meth:`counter_columns`)."""
+        view = self._index_views.get(index_name)
+        if view is None or view.name != index_name:
+            return None
+        return view.count_column
+
+    def rows_as_of(self, table, as_of):
+        """The committed rows of ``table`` as of timestamp ``as_of``,
+        read from the version chains without locks."""
+        rows = []
+        for _, record in self.index(table).scan(include_ghosts=True):
+            row = record.read_as_of(as_of)
+            if row is not None:
+                rows.append(row)
+        return rows
 
     def acquire_plan(self, txn, plan):
         """Acquire a key-lock plan through the multi-granularity /
@@ -1099,12 +970,9 @@ class Database(RecoveryTarget):
                 continue
             record.current_row = record.current_row.replace(**{column: new_value})
             records_to_stamp.append(record)
-            view = self.view_of_index(index_name)
             if (
-                view is not None
-                and is_aggregate_kind(view)
-                and column == view.count_column
-                and new_value == 0
+                new_value == 0
+                and column == self.count_column(index_name)
                 and not record.is_ghost
             ):
                 self.cleanup.enqueue(index_name, key)
@@ -1130,28 +998,15 @@ class Database(RecoveryTarget):
         txn.acquire(table_resource(table), LockMode.IX)
         index = self._indexes[table]
         base_plan = locks_for_insert(index, key, self.config.serializable)
-        # Duplicate check happens in apply (under the key's X lock), but a
-        # pre-check gives a cleaner error without burning a lock wait.
+        # The put in apply refuses a live duplicate too (under the key's X
+        # lock); this pre-check gives a cleaner error without burning a
+        # lock wait.
         existing = index.get_record(key)
         if existing is not None:
             raise StorageError(f"duplicate primary key {key!r} in {table!r}")
 
         def apply_base(d, t):
-            current = index.get_record(key, include_ghost=True)
-            if current is not None and not current.is_ghost:
-                raise StorageError(f"duplicate primary key {key!r} in {table!r}")
-            if current is not None:
-                ghost_row = current.current_row
-                index.insert(key, row)
-                from repro.wal.records import ReviveRecord
-
-                d.log.append(ReviveRecord(t.txn_id, table, key, row, ghost_row))
-                d.cleanup.cancel(table, key)
-                t.touch_record(current)
-            else:
-                record = index.insert(key, row)
-                d.log.append(InsertRecord(t.txn_id, table, key, row))
-                t.touch_record(record)
+            put(d, t, index, key, row)
             t.stats.writes += 1
             d.counters.incr("dml.insert")
 
@@ -1174,11 +1029,7 @@ class Database(RecoveryTarget):
             raise StorageError(f"no row with key {key!r} in {table!r}")
 
         def apply_base(d, t):
-            record = index.get_record(key)
-            index.logical_delete(key)
-            d.log.append(GhostRecord(t.txn_id, table, key, record.current_row))
-            t.touch_record(record)
-            d.cleanup.enqueue(table, key)
+            ghost(d, t, index, key)
             t.stats.writes += 1
             d.counters.incr("dml.delete")
 
@@ -1214,10 +1065,7 @@ class Database(RecoveryTarget):
             return after
 
         def apply_base(d, t):
-            record = index.get_record(key)
-            d.log.append(UpdateRecord(t.txn_id, table, key, record.current_row, after))
-            record.current_row = after
-            t.touch_record(record)
+            patch(d, t, index, key, after)
             t.stats.writes += 1
             d.counters.incr("dml.update")
 
@@ -1238,13 +1086,8 @@ class Database(RecoveryTarget):
         the ghost cleaner physically removes them."""
         if row is None:
             return None
-        view = self.view_of_index(name)
-        if (
-            view is not None
-            and is_aggregate_kind(view)
-            and name == view.name
-            and row[view.count_column] == 0
-        ):
+        count_column = self.count_column(name)
+        if count_column is not None and row[count_column] == 0:
             return None
         return row
 
@@ -1304,15 +1147,13 @@ class Database(RecoveryTarget):
         row = index.get_row(key)
         if row is None:
             return None
-        view = self.view_of_index(name)
-        if view is not None and is_aggregate_kind(view) and name == view.name:
-            changes = {}
-            for column in view.counter_columns():
-                account = self.escrow.existing((name, key, column))
-                if account is not None:
-                    changes[column] = account.read_exact(txn.txn_id)
-            if changes:
-                row = row.replace(**changes)
+        changes = {}
+        for column in self.counter_columns(name):
+            account = self.escrow.existing((name, key, column))
+            if account is not None:
+                changes[column] = account.read_exact(txn.txn_id)
+        if changes:
+            row = row.replace(**changes)
         return row
 
     def scan(self, txn, name, key_range=None):
@@ -1411,39 +1252,9 @@ class Database(RecoveryTarget):
         transactions)."""
         if self.online_builds.is_building(view_name):
             return []  # not yet logically a view; the build verifies it
-        view = self.catalog.view(view_name)
-        index = self._indexes[view.name]
-        actual = {key: record.current_row for key, record in index.scan()}
-        if view.kind == "aggregate":
-            base_rows = list(self._indexes[view.base].rows())
-            expected = recompute_aggregate_view(base_rows, view)
-        elif view.kind == "projection":
-            base_rows = list(self._indexes[view.base].rows())
-            expected = recompute_projection_view(base_rows, view)
-        elif view.kind == "join_aggregate":
-            expected = recompute_join_aggregate_view(
-                list(self._indexes[view.left].rows()),
-                list(self._indexes[view.right].rows()),
-                view,
-            )
-        else:
-            expected = recompute_join_view(
-                list(self._indexes[view.left].rows()),
-                list(self._indexes[view.right].rows()),
-                view,
-            )
-        problems = []
-        if is_aggregate_kind(view):
-            # Maintained views may legitimately hold zero-count groups not
-            # yet cleaned; treat them as absent.
-            actual = {
-                k: r for k, r in actual.items() if r[view.count_column] != 0
-            }
-        for key in sorted(set(expected) | set(actual), key=repr):
-            exp, act = expected.get(key), actual.get(key)
-            if exp != act:
-                problems.append(f"{view_name}{key!r}: expected {exp!r}, got {act!r}")
-        return problems
+        from repro.integrity import view_problems
+
+        return view_problems(self, self.catalog.view(view_name))
 
     def check_all_views(self):
         problems = []
@@ -1524,12 +1335,7 @@ class Database(RecoveryTarget):
         snapshot = {}
         for name, index in self._indexes.items():
             entries = []
-            view = self.view_of_index(name)
-            counter_cols = (
-                view.counter_columns()
-                if view is not None and is_aggregate_kind(view) and name == view.name
-                else ()
-            )
+            counter_cols = self.counter_columns(name)
             for key, record in index.scan(include_ghosts=True):
                 row = record.current_row
                 for column in counter_cols:
@@ -1638,6 +1444,13 @@ class Database(RecoveryTarget):
         for the checkpoint's images and silently gate out redo, so a
         restore into such an engine is refused: restore targets must be
         schema-only.
+
+        The converse is refused too: a *recycled* chain (it no longer
+        starts at LSN 1) needs the pages its dropped segments were
+        folded into, and those live only in the engine that recycled it.
+        Loaded into an engine without pages, and without a sharp
+        checkpoint's snapshot to stand in for them, it would recover the
+        log's tail and silently lose everything before it.
         """
         if len(self._store) and not self._ends_like_own_log(loaded):
             raise StorageError(
@@ -1646,6 +1459,20 @@ class Database(RecoveryTarget):
                 f"a different log, which recovery would mistake for the "
                 f"loaded log's durable images; restore into a "
                 f"schema-only engine"
+            )
+        first = next(loaded.records(), None)
+        checkpoint = loaded.latest_checkpoint()
+        if (
+            first is not None and first.lsn > 1 and not len(self._store)
+            and (checkpoint is None or checkpoint.snapshot is None)
+        ):
+            raise StorageError(
+                f"cannot restore this WAL into an engine without durable "
+                f"pages: the log was recycled and starts at LSN "
+                f"{first.lsn}, and what its dropped records said lives "
+                f"only in the page store of the engine that recycled it; "
+                f"restore the unrecycled chain, or one whose latest "
+                f"checkpoint is sharp (it carries a snapshot)"
             )
         self.log = loaded
         return self._rebuild_from_log()
@@ -1944,17 +1771,13 @@ class Database(RecoveryTarget):
         """Stamp baseline versions and rebuild the cleanup work list."""
         ts = self.clock.tick()
         for name, index in self._indexes.items():
-            view = self.view_of_index(name)
-            is_agg = (
-                view is not None
-                and is_aggregate_kind(view)
-                and name == view.name  # aux indexes carry no counters
-            )
+            count_column = self.count_column(name)
             for key, record in index.scan(include_ghosts=True):
                 record.stamp_version(ts)
-                if record.is_ghost:
-                    self.cleanup.enqueue(name, key)
-                elif is_agg and record.current_row[view.count_column] == 0:
+                if record.is_ghost or (
+                    count_column is not None
+                    and record.current_row[count_column] == 0
+                ):
                     self.cleanup.enqueue(name, key)
 
     # ==================================================================

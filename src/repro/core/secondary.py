@@ -15,20 +15,25 @@ key-range protocol on the secondary index: RangeI-N on the gap fence +
 X on the new entry for inserts, X on the entry for ghosting.
 
 Entries are ghosted on delete (the cleaner reclaims them) and logged, so
-recovery rebuilds them with everything else.
+recovery rebuilds them with everything else — including the entries an
+index created over existing rows starts with, which one registered
+system transaction inserts (complete or absent after a crash, like a
+view build; see :mod:`repro.views.online`).
 """
 
-from repro.common import CatalogError
+from repro.common import CatalogError, SimulatedCrash
 from repro.common.keys import KeyRange
+from repro.locking import LockMode
 from repro.locking.keyrange import (
     locks_for_insert,
     locks_for_logical_delete,
     locks_for_point_read,
     locks_for_range_scan,
+    table_resource,
 )
 from repro.storage import Index
+from repro.txn.write import ghost, put
 from repro.views.actions import Action
-from repro.wal.records import GhostRecord, InsertRecord, ReviveRecord
 
 
 def secondary_name(table, index_name):
@@ -99,32 +104,65 @@ class SecondaryIndexManager:
             latch_set=db.latches,
         )
         self._by_table.setdefault(table, []).append(definition)
-        # materialize over existing rows
-        ts = db.clock.now()
-        base = db.index(table)
-        seen = set()
-        for _, record in base.scan():
-            key = self._entry_key(definition, record.current_row)
-            if unique and key in seen:
-                raise CatalogError(
-                    f"cannot create unique index {name!r} on {table!r}: "
-                    f"duplicate value {key!r}"
-                )
-            seen.add(key)
-            ref = self._ref_row(definition, record.current_row)
-            db._bulk_insert(definition.full_name, key, ref, ts)
+        if db.index(table).total_entries():
+            self._fill(definition)
         return definition
 
-    def _ref_row(self, definition, row):
-        """The stored entry: indexed columns plus the base primary key
-        (always carried, so lookups can fetch the base row)."""
+    def _fill(self, definition):
+        """Enter the table's existing rows: logged puts in one system
+        transaction holding S on the table, listed with the builds so a
+        crash before its durable commit drops the index again."""
         db = self._db
-        index = db.index(definition.full_name)
-        ref_cols = tuple(index.key_columns) + tuple(
-            c for c in db.table_pk(definition.table)
-            if c not in index.key_columns
+        name, table = definition.full_name, definition.table
+        index = db.index(name)
+
+        def drop():
+            self._by_table[table].remove(definition)
+            db._indexes.pop(name, None)
+            db.cleanup.drop_index(name)
+
+        txn = db.begin_system()
+        db.online_builds.register(name, txn.txn_id, drop)
+        try:
+            txn.acquire(table_resource(table), LockMode.S)
+            for row in db.index(table).rows():
+                key, ref = self.entry(definition, row)
+                if definition.unique and index.get_record(key) is not None:
+                    raise CatalogError(
+                        f"cannot create unique index {definition.name!r} "
+                        f"on {table!r}: duplicate value {key!r}"
+                    )
+                db.acquire_plan(
+                    txn, locks_for_insert(index, key, db.config.serializable)
+                )
+                put(db, txn, index, key, ref)
+            db.commit(txn)
+            db.ensure_durable(txn)
+        except SimulatedCrash:
+            raise  # recovery settles it (resolve_after_recovery)
+        except BaseException:
+            from repro.txn.transaction import TxnState
+
+            if txn.state is TxnState.ACTIVE:
+                db.abort(txn, reason="index build abandoned")
+            drop()
+            db.online_builds.remove(name)
+            raise
+        db.online_builds.remove(name)
+
+    def entry(self, definition, row):
+        """``(key, stored reference row)`` of a base row's entry: the
+        indexed columns plus the base primary key (always carried, so
+        lookups can fetch the base row)."""
+        key_columns = self._db.index(definition.full_name).key_columns
+        ref_cols = key_columns + tuple(
+            c for c in self._db.table_pk(definition.table)
+            if c not in key_columns
         )
-        return row.project(ref_cols)
+        return row.key(key_columns), row.project(ref_cols)
+
+    def _entry_key(self, definition, row):
+        return row.key(self._db.index(definition.full_name).key_columns)
 
     def indexes_on(self, table):
         return list(self._by_table.get(table, ()))
@@ -155,16 +193,10 @@ class SecondaryIndexManager:
                     actions.append(self._insert_action(definition, after))
         return actions
 
-    def _entry_key(self, definition, row):
-        db = self._db
-        index = db.index(definition.full_name)
-        return row.key(index.key_columns)
-
     def _insert_action(self, definition, row):
         db = self._db
         index = db.index(definition.full_name)
-        key = self._entry_key(definition, row)
-        ref = self._ref_row(definition, row)
+        key, ref = self.entry(definition, row)
         if definition.unique and index.get_record(key) is not None:
             # Compile-phase check: nothing has mutated yet, so the
             # statement fails cleanly and the transaction stays usable.
@@ -174,40 +206,19 @@ class SecondaryIndexManager:
             )
 
         def apply(d, t):
-            existing = index.get_record(key, include_ghost=True)
-            if existing is not None and existing.is_ghost:
-                ghost_row = existing.current_row
-                index.insert(key, ref)
-                d.log.append(
-                    ReviveRecord(t.txn_id, definition.full_name, key, ref, ghost_row)
-                )
-                d.cleanup.cancel(definition.full_name, key)
-                t.touch_record(existing)
-            else:
-                record = index.insert(key, ref)
-                d.log.append(InsertRecord(t.txn_id, definition.full_name, key, ref))
-                t.touch_record(record)
+            put(d, t, index, key, ref)
             d.counters.incr("secondary.entry_inserted")
 
         plan = locks_for_insert(index, key, db.config.serializable)
         return Action(f"sec-insert {definition.full_name}{key!r}", plan, apply)
 
     def _ghost_action(self, definition, row):
-        db = self._db
-        index = db.index(definition.full_name)
+        index = self._db.index(definition.full_name)
         key = self._entry_key(definition, row)
 
         def apply(d, t):
-            record = index.get_record(key)
-            if record is None:
-                return
-            index.logical_delete(key)
-            d.log.append(
-                GhostRecord(t.txn_id, definition.full_name, key, record.current_row)
-            )
-            t.touch_record(record)
-            d.cleanup.enqueue(definition.full_name, key)
-            d.counters.incr("secondary.entry_ghosted")
+            if ghost(d, t, index, key) is not None:
+                d.counters.incr("secondary.entry_ghosted")
 
         plan = locks_for_logical_delete(index, key)
         return Action(f"sec-ghost {definition.full_name}{key!r}", plan, apply)

@@ -196,6 +196,7 @@ class ShardedDatabase:
             from repro.sql import compile_view
 
             probe = compile_view(view, self._engines[0].catalog)
+        probe.bind_keys(self._engines[0].catalog)
         self._shard_check(probe)
         result = None
         for engine in self._engines:
@@ -204,47 +205,6 @@ class ShardedDatabase:
             )
         self._views[result.name] = result
         return result
-
-    def create_aggregate_view(self, name, base, group_by, aggregates,
-                              where=None, bounds=None, *, unique=True,
-                              deferred=False):
-        from repro.views.definition import AggregateView
-
-        self._shard_check(
-            AggregateView(name, base, group_by, aggregates, where, bounds)
-        )
-        view = None
-        for engine in self._engines:
-            view = engine.create_view(
-                AggregateView(name, base, group_by, aggregates, where,
-                              bounds),
-                unique=unique, deferred=deferred,
-            )
-        self._views[name] = view
-        return view
-
-    def create_projection_view(self, name, base, columns, where=None, *,
-                               unique=True, deferred=False):
-        from repro.views.definition import ProjectionView
-
-        self._shard_check(
-            ProjectionView(
-                name, base,
-                self._engines[0].catalog.table(base).primary_key,
-                columns, where,
-            )
-        )
-        view = None
-        for engine in self._engines:
-            view = engine.create_view(
-                ProjectionView(
-                    name, base, engine.catalog.table(base).primary_key,
-                    columns, where,
-                ),
-                unique=unique, deferred=deferred,
-            )
-        self._views[name] = view
-        return view
 
     # ------------------------------------------------------------------
     # static analysis (docs/ANALYSIS.md)
@@ -305,14 +265,6 @@ class ShardedDatabase:
         report = self._analyzer().check_all()
         self._trace_static_check("catalog", "check_all", report.diagnostics)
         return report
-
-    def create_join_view(self, *args, **kwargs):
-        raise CatalogError(
-            "join views are not supported in dist mode: the join sides "
-            "cannot be co-partitioned in general (documented limitation)"
-        )
-
-    create_join_aggregate_view = create_join_view
 
     # ------------------------------------------------------------------
     # routing

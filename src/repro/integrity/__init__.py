@@ -22,7 +22,7 @@ from repro.integrity.checker import (
     Damage,
     IntegrityReport,
     check_database,
-    expected_index_contents,
+    view_problems,
 )
 from repro.integrity.quarantine import QuarantineManager
 
@@ -31,5 +31,5 @@ __all__ = [
     "IntegrityReport",
     "QuarantineManager",
     "check_database",
-    "expected_index_contents",
+    "view_problems",
 ]

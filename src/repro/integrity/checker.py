@@ -28,14 +28,7 @@ pair it with ``Database.check_integrity(quarantine=True)`` and
 import json
 
 from repro.common import StorageError
-from repro.query.executor import (
-    recompute_aggregate_view,
-    recompute_join_aggregate_view,
-    recompute_join_view,
-    recompute_projection_view,
-)
-from repro.views.definition import is_aggregate_kind
-from repro.views.join import leftfk_index_name, secondary_index_name
+from repro.views.definition import expected_index_contents
 
 
 class Damage:
@@ -103,47 +96,38 @@ class IntegrityReport:
         )
 
 
-def expected_index_contents(db, view):
-    """Freshly recomputed contents of every index ``view`` owns.
+def view_discrepancies(db, view):
+    """Diff every index ``view`` owns against a recomputation from the
+    live base rows: yields ``(index_name, key, expected, actual)`` where
+    they differ. Pending escrow deltas count as applied (an online build
+    verifies itself before its commit folds them in), and zero-count
+    groups — logically deleted, awaiting the ghost cleaner — as absent.
+    The one oracle behind ``check_view_consistency``, the integrity
+    sweep and the online build's verification."""
+    live = expected_index_contents(view, lambda table: db.index(table).rows())
+    for index_name, expected in live.items():
+        counters = db.counter_columns(index_name)
+        actual = {}
+        for key, record in db.index(index_name).scan():
+            row = record.current_row
+            for column in counters:
+                account = db.escrow.existing((index_name, key, column))
+                if account is not None and account.has_pending():
+                    row = row.replace(**{column: account.read_inclusive()})
+            if not counters or row[view.count_column] != 0:
+                actual[key] = row
+        for key in sorted(set(expected) | set(actual), key=repr):
+            want, got = expected.get(key), actual.get(key)
+            if want != got:
+                yield index_name, key, want, got
 
-    Returns ``{index_name: {key: row}}`` — the main view index plus the
-    ``#secondary`` (join) and ``#leftfk`` (join / join_aggregate)
-    auxiliary indexes, built exactly as first materialization builds
-    them. Shared by the checker (diff) and the rebuild (reconcile).
-    """
-    contents = {}
-    if view.kind == "aggregate":
-        contents[view.name] = recompute_aggregate_view(
-            list(db.index(view.base).rows()), view
-        )
-        return contents
-    if view.kind == "projection":
-        contents[view.name] = recompute_projection_view(
-            list(db.index(view.base).rows()), view
-        )
-        return contents
-    left_rows = list(db.index(view.left).rows())
-    right_rows = list(db.index(view.right).rows())
-    if view.kind == "join":
-        main = recompute_join_view(left_rows, right_rows, view)
-        contents[view.name] = main
-        maintainer = db.maintenance.join
-        contents[secondary_index_name(view.name)] = {
-            maintainer._secondary_key(db, view, row): row
-            for row in main.values()
-        }
-    else:  # join_aggregate
-        contents[view.name] = recompute_join_aggregate_view(
-            left_rows, right_rows, view
-        )
-    fk_name = leftfk_index_name(view.name)
-    fk_index = db.index(fk_name)
-    contents[fk_name] = {
-        view.left_fk_of(row) + db.table_key(view.left, row):
-            row.project(fk_index.key_columns)
-        for row in left_rows
-    }
-    return contents
+
+def view_problems(db, view):
+    """:func:`view_discrepancies`, one line of text each."""
+    return [
+        f"{index_name}{key!r}: expected {want!r}, got {got!r}"
+        for index_name, key, want, got in view_discrepancies(db, view)
+    ]
 
 
 def check_database(db):
@@ -182,7 +166,7 @@ def _check_one_secondary(db, report, definition):
     sec = db.index(definition.full_name)
     expected = {}
     for _, record in base.scan():
-        key = db.secondary._entry_key(definition, record.current_row)
+        key, ref = db.secondary.entry(definition, record.current_row)
         if definition.unique and key in expected:
             report.damage.append(
                 Damage(
@@ -191,7 +175,7 @@ def _check_one_secondary(db, report, definition):
                 )
             )
             continue
-        expected[key] = db.secondary._ref_row(definition, record.current_row)
+        expected[key] = ref
     actual = {key: record.current_row for key, record in sec.scan()}
     for key in sorted(set(expected) | set(actual), key=repr):
         want, got = expected.get(key), actual.get(key)
@@ -211,32 +195,18 @@ def _check_one_secondary(db, report, definition):
 def _check_views(db, report):
     for view in db.catalog.views():
         if db.online_builds.is_building(view.name):
-            # Mid online build: the maintained contents lag the bases by
-            # design until the build's flip; the build verifies itself.
+            # Mid build: the maintained contents lag the bases by design
+            # until the build commits; the build verifies itself.
             continue
         report.views_checked += 1
-        for index_name, expected in expected_index_contents(db, view).items():
-            actual = {
-                key: record.current_row
-                for key, record in db.index(index_name).scan()
-            }
-            if index_name == view.name and is_aggregate_kind(view):
-                # Zero-count groups are logically deleted but may linger
-                # until the ghost cleaner runs; treat them as absent.
-                actual = {
-                    k: r for k, r in actual.items()
-                    if r[view.count_column] != 0
-                }
-            for key in sorted(set(expected) | set(actual), key=repr):
-                want, got = expected.get(key), actual.get(key)
-                if want != got:
-                    report.damage.append(
-                        Damage(
-                            "view", index_name, key=key,
-                            detail=f"expected {want!r}, got {got!r}",
-                            view=view.name,
-                        )
-                    )
+        for index_name, key, want, got in view_discrepancies(db, view):
+            report.damage.append(
+                Damage(
+                    "view", index_name, key=key,
+                    detail=f"expected {want!r}, got {got!r}",
+                    view=view.name,
+                )
+            )
 
 
 def _json_round_trip(value):

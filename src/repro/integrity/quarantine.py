@@ -22,23 +22,10 @@ the *operator's* knowledge, not the engine's volatile state: it survives
 """
 
 from repro.common import IntegrityError
-from repro.integrity.checker import expected_index_contents
 from repro.locking import LockMode
 from repro.locking.keyrange import table_resource
-from repro.query.executor import (
-    recompute_aggregate_view,
-    recompute_join_aggregate_view,
-    recompute_join_view,
-    recompute_projection_view,
-)
-from repro.views.definition import is_aggregate_kind
-from repro.views.join import leftfk_index_name, secondary_index_name
-from repro.wal.records import (
-    GhostRecord,
-    InsertRecord,
-    ReviveRecord,
-    UpdateRecord,
-)
+from repro.txn.write import ghost, patch, put
+from repro.views.definition import expected_index_contents
 
 
 class QuarantineManager:
@@ -106,12 +93,7 @@ class QuarantineManager:
                 as_of = db.clock.now()
 
             def rows_of(table):
-                out = []
-                for _, record in db.index(table).scan(include_ghosts=True):
-                    row = record.read_as_of(as_of)
-                    if row is not None:
-                        out.append(row)
-                return out
+                return db.rows_as_of(table, as_of)
         else:
             # Serializable: a table-level S lock on each base table makes
             # the recomputation as repeatable as the maintained view index
@@ -121,14 +103,7 @@ class QuarantineManager:
                 txn.acquire(table_resource(table), LockMode.S)
                 return list(db.index(table).rows())
 
-        if view.kind == "aggregate":
-            return recompute_aggregate_view(rows_of(view.base), view)
-        if view.kind == "projection":
-            return recompute_projection_view(rows_of(view.base), view)
-        left_rows, right_rows = rows_of(view.left), rows_of(view.right)
-        if view.kind == "join":
-            return recompute_join_view(left_rows, right_rows, view)
-        return recompute_join_aggregate_view(left_rows, right_rows, view)
+        return view.recompute(rows_of)
 
     # ------------------------------------------------------------------
     # rebuild
@@ -158,16 +133,12 @@ class QuarantineManager:
         try:
             for base in view.base_tables():
                 txn.acquire(table_resource(base), LockMode.S)
-            owned = [view.name]
-            if view.kind == "join":
-                owned.append(secondary_index_name(view.name))
-            if view.kind in ("join", "join_aggregate"):
-                owned.append(leftfk_index_name(view.name))
-            for index_name in owned:
+            for index_name, _ in view.owned_indexes():
                 txn.acquire(table_resource(index_name), LockMode.X)
-            for index_name, expected in sorted(
-                expected_index_contents(db, view).items()
-            ):
+            contents = expected_index_contents(
+                view, lambda table: db.index(table).rows()
+            )
+            for index_name, expected in sorted(contents.items()):
                 corrections += self._reconcile(txn, index_name, expected)
             db.commit(txn)
         except BaseException:
@@ -192,17 +163,6 @@ class QuarantineManager:
         db = self._db
         index = db.index(index_name)
         actual = dict(index.scan(include_ghosts=True))
-        view = db.view_of_index(index_name)
-        # Escrow accounts are created lazily from the row's current value;
-        # correcting a counter row must drop any stale account or the next
-        # escrow update would resume from the damaged value. Safe here: the
-        # X lock on the view index excludes every escrow holder.
-        counter_cols = (
-            view.counter_columns()
-            if view is not None and is_aggregate_kind(view)
-            and index_name == view.name
-            else ()
-        )
         corrections = 0
         for key in sorted(set(expected) | set(actual), key=repr):
             want = expected.get(key)
@@ -210,35 +170,19 @@ class QuarantineManager:
             if want is None:
                 if record is None or record.is_ghost:
                     continue  # ghosts are the cleaner's business
-                db.log.append(
-                    GhostRecord(txn.txn_id, index_name, key,
-                                record.current_row)
-                )
-                index.logical_delete(key)
-                db.cleanup.enqueue(index_name, key)
-                txn.touch_record(record)
-            elif record is None:
-                fresh = index.insert(key, want)
-                db.log.append(InsertRecord(txn.txn_id, index_name, key, want))
-                txn.touch_record(fresh)
-            elif record.is_ghost:
-                ghost_row = record.current_row
-                index.insert(key, want)
-                db.log.append(
-                    ReviveRecord(txn.txn_id, index_name, key, want, ghost_row)
-                )
-                db.cleanup.cancel(index_name, key)
-                txn.touch_record(record)
+                ghost(db, txn, index, key)
+            elif record is None or record.is_ghost:
+                put(db, txn, index, key, want)
             elif record.current_row != want:
-                db.log.append(
-                    UpdateRecord(txn.txn_id, index_name, key,
-                                 record.current_row, want)
-                )
-                record.current_row = want
-                txn.touch_record(record)
+                patch(db, txn, index, key, want)
             else:
                 continue
-            for column in counter_cols:
+            # Escrow accounts are created lazily from the row's current
+            # value; correcting a counter row must drop any stale account
+            # or the next escrow update would resume from the damaged
+            # value. Safe here: the X lock on the view index excludes
+            # every escrow holder.
+            for column in db.counter_columns(index_name):
                 db.escrow.drop((index_name, key, column))
             corrections += 1
         return corrections

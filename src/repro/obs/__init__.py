@@ -5,7 +5,13 @@ See ``docs/OBSERVABILITY.md`` for the event catalogue, the
 """
 
 from repro.obs.events import CATEGORIES, EVENT_TYPES, Event
-from repro.obs.metrics import EngineMetrics, RetryStats
+from repro.obs.metrics import (
+    Counters,
+    EngineMetrics,
+    Histogram,
+    RetryStats,
+    format_table,
+)
 from repro.obs.schema import (
     BUFFER_POOL_STATS_FIELDS,
     CHECKPOINT_RECORD_FIELDS,
@@ -31,11 +37,13 @@ __all__ = [
     "BUFFER_POOL_STATS_FIELDS",
     "CATEGORIES",
     "CHECKPOINT_RECORD_FIELDS",
+    "Counters",
     "DIAGNOSTIC_FIELDS",
     "EVENT_TYPES",
     "FLOOR_MARKER_FIELDS",
     "Event",
     "EngineMetrics",
+    "Histogram",
     "NET_STATS_FIELDS",
     "NULL_TRACER",
     "PAGE_HEADER_FIELDS",
@@ -49,6 +57,7 @@ __all__ = [
     "STATIC_REPORT_FIELDS",
     "Tracer",
     "VERDICTS",
+    "format_table",
     "validate_recovery_report",
     "validate_result",
     "validate_static_report",

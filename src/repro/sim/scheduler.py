@@ -32,7 +32,7 @@ retry budget. Identical inputs give identical runs, tick for tick.
 """
 
 from repro.common import DeterministicRng, ReproError, StorageError, TransactionAborted
-from repro.metrics import Counters, Histogram
+from repro.obs.metrics import Counters, Histogram
 from repro.txn import LockPolicy, WouldWait
 
 

@@ -327,11 +327,11 @@ def compile_view(stmt_or_sql, catalog):
                 left_schema.name,
                 right_schema.name,
                 on_pairs,
-                left_schema.primary_key,
-                right_schema.primary_key,
                 group_by,
                 specs,
                 where=where,
+                left_pk=left_schema.primary_key,
+                right_pk=right_schema.primary_key,
             )
         return AggregateView(
             stmt.name, left_schema.name, group_by, specs, where=where
@@ -354,10 +354,10 @@ def compile_view(stmt_or_sql, catalog):
             left_schema.name,
             right_schema.name,
             on_pairs,
-            left_schema.primary_key,
-            right_schema.primary_key,
             columns=columns,
             where=where,
+            left_pk=left_schema.primary_key,
+            right_pk=right_schema.primary_key,
         )
     missing = [c for c in left_schema.primary_key if c not in columns]
     if missing:
@@ -369,9 +369,9 @@ def compile_view(stmt_or_sql, catalog):
     return ProjectionView(
         stmt.name,
         left_schema.name,
-        left_schema.primary_key,
         columns,
         where=where,
+        base_pk=left_schema.primary_key,
     )
 
 

@@ -205,81 +205,6 @@ class BPlusTree:
         self._root = self._new_leaf().id
         self._size = 0
 
-    def bulk_build(self, sorted_items):
-        """Replace the tree's contents by bottom-up bulk loading.
-
-        ``sorted_items`` must be (key, value) pairs in strictly ascending
-        key order — the classic index-build path: pack leaves to ~full,
-        then build each inner level from the one below. O(n), no splits.
-        Raises :class:`StorageError` on unsorted or duplicate keys.
-        """
-        items = list(sorted_items)
-        self.clear()
-        if not items:
-            return
-        for i in range(1, len(items)):
-            if items[i - 1][0] >= items[i][0]:
-                raise StorageError(
-                    "bulk_build requires strictly ascending keys; saw "
-                    f"{items[i - 1][0]!r} before {items[i][0]!r}"
-                )
-        self._nodes = {}
-        capacity = self._order - 1
-        # Pack leaves; keep every leaf at >= min fill by borrowing from the
-        # neighbour when the final leaf would come up short.
-        leaves = []
-        start = 0
-        while start < len(items):
-            chunk = items[start : start + capacity]
-            start += capacity
-            leaf = self._new_leaf()
-            leaf.keys = [k for k, _ in chunk]
-            leaf.values = [v for _, v in chunk]
-            leaves.append(leaf)
-        min_fill = self._min_leaf_fill()
-        if len(leaves) > 1 and len(leaves[-1].keys) < min_fill:
-            donor = leaves[-2]
-            need = min_fill - len(leaves[-1].keys)
-            leaves[-1].keys[:0] = donor.keys[-need:]
-            leaves[-1].values[:0] = donor.values[-need:]
-            del donor.keys[-need:]
-            del donor.values[-need:]
-        for left, right in zip(leaves, leaves[1:]):
-            left.next = right.id
-            right.prev = left.id
-        self._size = len(items)
-        # Build inner levels bottom-up.
-        level = leaves
-        while len(level) > 1:
-            parents = []
-            i = 0
-            while i < len(level):
-                group = level[i : i + self._order]
-                i += self._order
-                node = self._new_inner()
-                node.children = [c.id for c in group]
-                node.keys = [self._subtree_min(c.id) for c in group[1:]]
-                parents.append(node)
-            min_children = self._min_inner_children()
-            if len(parents) > 1 and len(parents[-1].children) < min_children:
-                donor = parents[-2]
-                need = min_children - len(parents[-1].children)
-                moved = donor.children[-need:]
-                del donor.children[-need:]
-                del donor.keys[-need:]
-                parents[-1].children[:0] = moved
-                parents[-1].keys = [
-                    self._subtree_min(c) for c in parents[-1].children[1:]
-                ]
-            level = parents
-        self._root = level[0].id
-
-    def _subtree_min(self, node_id):
-        node = self._node(node_id)
-        while not node.is_leaf:
-            node = self._node(node.children[0])
-        return node.keys[0]
-
     # ------------------------------------------------------------------
     # ordered navigation
     # ------------------------------------------------------------------

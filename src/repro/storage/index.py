@@ -181,27 +181,6 @@ class Index:
         """Snapshot of keys currently marked ghost (cleanup work list)."""
         return sorted(self._ghost_keys)
 
-    def bulk_load(self, items, stamp_ts=None):
-        """Replace the index contents by bottom-up bulk build.
-
-        ``items`` is an iterable of (key, row) pairs; they are sorted
-        here. Used by view materialization — O(n log n) for the sort,
-        O(n) for the build, no per-key split work. Optionally stamps a
-        baseline committed version at ``stamp_ts``.
-        """
-
-        def build():
-            records = []
-            for key, row in sorted(items, key=lambda item: item[0]):
-                record = VersionedRecord(key, row)
-                if stamp_ts is not None:
-                    record.stamp_version(stamp_ts)
-                records.append((key, record))
-            self._tree.bulk_build(records)
-            self._ghost_keys.clear()
-
-        self._latched_exclusive(build)
-
     # ------------------------------------------------------------------
     # scans and navigation
     # ------------------------------------------------------------------

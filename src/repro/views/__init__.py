@@ -9,11 +9,11 @@ from repro.views.definition import (
     JoinView,
     ProjectionView,
     ViewDefinition,
-    is_aggregate_kind,
+    expected_index_contents,
 )
 from repro.views.join_aggregate import JoinAggregateMaintainer
 from repro.views.delta import NetDelta, TxnViewDeltas
-from repro.views.join import JoinMaintainer, leftfk_index_name, secondary_index_name
+from repro.views.join import JoinMaintainer
 from repro.views.maintenance import MaintenanceEngine
 from repro.views.projection import ProjectionMaintainer
 
@@ -34,8 +34,6 @@ __all__ = [
     "ProjectionView",
     "TxnViewDeltas",
     "ViewDefinition",
-    "is_aggregate_kind",
-    "leftfk_index_name",
+    "expected_index_contents",
     "run_actions",
-    "secondary_index_name",
 ]

@@ -33,16 +33,10 @@ from repro.locking.keyrange import (
     locks_for_update,
 )
 from repro.locking.modes import LockMode, RangeMode
+from repro.txn.write import ghost, patch, put
 from repro.views.actions import Action
 from repro.views.delta import NetDelta, TxnViewDeltas
-from repro.wal.records import (
-    CounterImageRecord,
-    EscrowDeltaRecord,
-    GhostRecord,
-    InsertRecord,
-    ReviveRecord,
-    UpdateRecord,
-)
+from repro.wal.records import CounterImageRecord, EscrowDeltaRecord
 
 ESCROW = "escrow"
 XLOCK = "xlock"
@@ -60,28 +54,18 @@ class AggregateMaintainer:
     # statement compilation
     # ------------------------------------------------------------------
 
-    def compile_insert(self, db, txn, view, row):
+    def compile(self, db, txn, view, table, op, before, after):
+        contributions = []
+        if before is not None:
+            contributions.append((before, -1))
+        if after is not None:
+            contributions.append((after, +1))
         if view.has_extremes():
-            return self._compile_extremes(db, txn, view, [(row, +1)])
-        deltas = view.deltas_for(row, +1)
-        return self._compile_deltas(db, txn, view, [(row, deltas)])
-
-    def compile_delete(self, db, txn, view, row):
-        if view.has_extremes():
-            return self._compile_extremes(db, txn, view, [(row, -1)])
-        deltas = view.deltas_for(row, -1)
-        return self._compile_deltas(db, txn, view, [(row, deltas)])
-
-    def compile_update(self, db, txn, view, before, after):
-        if view.has_extremes():
-            return self._compile_extremes(
-                db, txn, view, [(before, -1), (after, +1)]
-            )
-        contributions = [
-            (before, view.deltas_for(before, -1)),
-            (after, view.deltas_for(after, +1)),
-        ]
-        return self._compile_deltas(db, txn, view, contributions)
+            return self._compile_extremes(db, txn, view, contributions)
+        return self._compile_deltas(
+            db, txn, view,
+            [(row, view.deltas_for(row, sign)) for row, sign in contributions],
+        )
 
     def _compile_deltas(self, db, txn, view, contributions):
         """Fold row contributions into net per-group deltas, then compile
@@ -138,11 +122,9 @@ class AggregateMaintainer:
     # ------------------------------------------------------------------
 
     def _apply_to_new_group(self, db, txn, view, group_key, deltas):
-        index = db.index(view.name)
-        row = view.zero_row(group_key)
-        record = index.insert(group_key, row)
-        db.log.append(InsertRecord(txn.txn_id, view.name, group_key, row))
-        txn.touch_record(record)
+        record = put(
+            db, txn, db.index(view.name), group_key, view.zero_row(group_key)
+        )
         db.counters.incr("agg.group_created")
         if self.strategy == ESCROW:
             # The creator holds X, which covers E: apply deltas through
@@ -153,17 +135,10 @@ class AggregateMaintainer:
             self._apply_xlock(db, txn, view, group_key, deltas)
 
     def _apply_to_ghost_group(self, db, txn, view, group_key, deltas):
-        index = db.index(view.name)
-        record = index.get_record(group_key, include_ghost=True)
-        ghost_row = record.current_row
-        row = view.zero_row(group_key)
-        index.insert(group_key, row)  # revives in place
-        db.log.append(
-            ReviveRecord(txn.txn_id, view.name, group_key, row, ghost_row)
+        record = put(  # revives in place
+            db, txn, db.index(view.name), group_key, view.zero_row(group_key)
         )
-        txn.touch_record(record)
         db.counters.incr("agg.ghost_revived")
-        db.cleanup.cancel(view.name, group_key)
         if self.strategy == ESCROW:
             self._apply_escrow(db, txn, view, group_key, deltas, record=record)
         else:
@@ -213,22 +188,14 @@ class AggregateMaintainer:
 
     def _apply_xlock(self, db, txn, view, group_key, deltas):
         index = db.index(view.name)
-        record = index.get_record(group_key)
-        before = record.current_row
-        changes = {c: before[c] + d for c, d in deltas.items()}
-        after = before.replace(**changes)
-        db.log.append(
-            UpdateRecord(txn.txn_id, view.name, group_key, before, after)
-        )
-        record.current_row = after
-        txn.touch_record(record)
+        before = index.get_row(group_key)
+        after = before.replace(**{c: before[c] + d for c, d in deltas.items()})
+        patch(db, txn, index, group_key, after)
         txn.stats.view_maintenances += 1
         db.counters.incr("agg.xlock_applied")
         if after[view.count_column] == 0:
             # The X holder knows the group is empty: ghost it inline.
-            index.logical_delete(group_key)
-            db.log.append(GhostRecord(txn.txn_id, view.name, group_key, after))
-            db.cleanup.enqueue(view.name, group_key)
+            ghost(db, txn, index, group_key)
             db.counters.incr("agg.group_emptied_inline")
 
     # ------------------------------------------------------------------
@@ -284,22 +251,11 @@ class AggregateMaintainer:
     def _apply_extreme_contribution(self, db, txn, view, group_key, row, sign):
         index = db.index(view.name)
         record = index.get_record(group_key, include_ghost=True)
-        if record is None:
-            base = view.zero_row(group_key)
-            record = index.insert(group_key, base)
-            db.log.append(InsertRecord(txn.txn_id, view.name, group_key, base))
-            txn.touch_record(record)
-            db.counters.incr("agg.group_created")
-        elif record.is_ghost:
-            ghost_row = record.current_row
-            base = view.zero_row(group_key)
-            index.insert(group_key, base)
-            db.log.append(
-                ReviveRecord(txn.txn_id, view.name, group_key, base, ghost_row)
+        if record is None or record.is_ghost:
+            db.counters.incr(
+                "agg.group_created" if record is None else "agg.ghost_revived"
             )
-            txn.touch_record(record)
-            db.cleanup.cancel(view.name, group_key)
-            db.counters.incr("agg.ghost_revived")
+            record = put(db, txn, index, group_key, view.zero_row(group_key))
         before = record.current_row
         changes = {
             spec.out: before[spec.out] + spec.delta_for(row, sign)
@@ -323,17 +279,11 @@ class AggregateMaintainer:
                 changes.update(self._rescan_extremes(db, view, group_key))
                 db.counters.incr("agg.extreme_rescans")
         after = before.replace(**changes)
-        db.log.append(
-            UpdateRecord(txn.txn_id, view.name, group_key, before, after)
-        )
-        record.current_row = after
-        txn.touch_record(record)
+        patch(db, txn, index, group_key, after)
         txn.stats.view_maintenances += 1
         db.counters.incr("agg.extreme_applied")
         if new_count == 0:
-            index.logical_delete(group_key)
-            db.log.append(GhostRecord(txn.txn_id, view.name, group_key, after))
-            db.cleanup.enqueue(view.name, group_key)
+            ghost(db, txn, index, group_key)
             db.counters.incr("agg.group_emptied_inline")
 
     def _rescan_extremes(self, db, view, group_key):
@@ -355,18 +305,6 @@ class AggregateMaintainer:
                     values[spec.out], base_row[spec.source]
                 )
         return values
-
-    # ------------------------------------------------------------------
-    # commit-time folding (commit_fold maintenance mode)
-    # ------------------------------------------------------------------
-
-    def compile_net(self, db, txn, view, net):
-        """Compile the transaction's accumulated NetDelta into actions —
-        called by the database just before the commit record."""
-        return [
-            self.compile_group_delta(db, txn, view, group_key, deltas)
-            for group_key, deltas in net.items()
-        ]
 
 
 def read_exact_lock_plan(view_name, group_key):

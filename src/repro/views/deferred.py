@@ -68,7 +68,7 @@ class DeferredMaintainer:
         try:
             while queue and (limit is None or applied < limit):
                 change = queue[0]
-                actions = engine._compile_one(
+                actions = engine.compile_view(
                     db, txn, view, change.table, change.op, change.before, change.after
                 )
                 for action in actions:

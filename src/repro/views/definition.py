@@ -18,24 +18,73 @@ Three view shapes cover the paper's territory:
   base primary key; the simplest case, included as the baseline shape and
   for predicate enter/leave testing.
 
-Definitions are immutable descriptions; all machinery lives in the
-maintainers.
+A definition is the one place that knows its kind: what the view
+contains (:meth:`ViewDefinition.recompute`, a call into the reference
+executor), which indexes it owns besides its own
+(:attr:`ViewDefinition.aux_indexes`) and how their entries derive from
+a view or base row. :func:`expected_index_contents` puts the two
+together; building, verifying, degraded reads, rebuilding and checking a
+view all call it and differ only in the rows they hand it. The delta
+programs live in the maintainers.
 """
 
 from repro.common import CatalogError
+from repro.query import executor
 from repro.query.aggregates import AggFunc
 
 
-def is_aggregate_kind(view):
-    """True for views whose rows are escrow-counter groups with COUNT
-    semantics (plain aggregate views and join-aggregate views)."""
-    return view.kind in ("aggregate", "join_aggregate")
+class AuxIndex:
+    """An index a view owns besides its own: its name, its key columns,
+    and the table whose rows it indexes (``None``: the view's own rows,
+    stored whole; a base table's rows are stored as their key columns)."""
+
+    __slots__ = ("name", "key_columns", "source")
+
+    def __init__(self, name, key_columns, source=None):
+        self.name = name
+        self.key_columns = tuple(key_columns)
+        self.source = source
+
+    def entry(self, row):
+        """``(key, stored row)`` of the entry a source row derives."""
+        key = row.key(self.key_columns)
+        if self.source is None:
+            return key, row
+        return key, row.project(self.key_columns)
+
+
+def expected_index_contents(view, rows_of):
+    """Contents of every index ``view`` owns, computed from scratch:
+    ``{index_name: {key: row}}``, the view's own index first.
+
+    ``rows_of(table)`` yields the base rows to compute over — live rows,
+    rows as of a timestamp, rows read under a table S lock; each table
+    is asked for once."""
+    fetched = {}
+
+    def rows(table):
+        if table not in fetched:
+            fetched[table] = list(rows_of(table))
+        return fetched[table]
+
+    main = view.recompute(rows)
+    contents = {view.name: main}
+    for aux in view.aux_indexes:
+        source = main.values() if aux.source is None else rows(aux.source)
+        contents[aux.name] = dict(aux.entry(row) for row in source)
+    return contents
 
 
 class ViewDefinition:
     """Common shape of a view definition."""
 
     kind = "abstract"
+    #: the COUNT(*) column of an aggregate-shaped view (a row whose
+    #: count is zero is logically deleted); ``None`` for other kinds
+    count_column = None
+    #: :class:`AuxIndex` descriptions of the indexes owned besides the
+    #: view's own
+    aux_indexes = ()
 
     def __init__(self, name, key_columns, columns, where=None):
         self.name = name
@@ -59,6 +108,32 @@ class ViewDefinition:
 
     def base_tables(self):
         raise NotImplementedError
+
+    def bind_keys(self, catalog):
+        """Take primary-key columns the definition left unset from the
+        catalog (``Database.create_view`` calls this)."""
+
+    def recompute(self, rows_of):
+        """The view's contents ``{key: row}`` computed from scratch by
+        the reference executor over ``rows_of(table)``."""
+        raise NotImplementedError
+
+    def owned_indexes(self):
+        """``(index name, key columns)`` of every index the view owns,
+        its own first."""
+        return [(self.name, self.key_columns)] + [
+            (aux.name, aux.key_columns) for aux in self.aux_indexes
+        ]
+
+    def has_extremes(self):
+        """True if the view carries MIN/MAX columns (see
+        :meth:`AggregateView.has_extremes`)."""
+        return False
+
+    def counter_columns(self):
+        """Columns maintained as escrow counters; none but for
+        aggregate-shaped views."""
+        return ()
 
     def key_of(self, row):
         """The view-index key of a view row."""
@@ -122,6 +197,9 @@ class AggregateView(ViewDefinition):
     def base_tables(self):
         return (self.base,)
 
+    def recompute(self, rows_of):
+        return executor.recompute_aggregate_view(rows_of(self.base), self)
+
     def has_extremes(self):
         """True if the view carries MIN/MAX columns — which forces
         exclusive (non-escrow) maintenance of its rows and delete-time
@@ -162,49 +240,44 @@ class AggregateView(ViewDefinition):
         return Row(values)
 
 
-class JoinView(ViewDefinition):
-    """A two-table foreign-key join view."""
+class _JoinSides:
+    """What the two join-shaped kinds share: the tables, the ON pairs,
+    primary keys the catalog can supply, and the internal ``#leftfk``
+    index on the left table's join columns (it lets a right-side change
+    find the left rows that reference it)."""
 
-    kind = "join"
-
-    def __init__(self, name, left, right, on, left_pk, right_pk,
-                 columns=None, where=None):
-        """``on`` is a sequence of (left_col, right_col) pairs, where every
-        right column must be part of the right table's primary key.
-
-        ``left_pk`` / ``right_pk`` are the base tables' primary-key
-        columns (the catalog wires them in; they name columns of the
-        *joined* row, so they must survive projection).
-        """
+    def _init_sides(self, left, right, on, left_pk, right_pk):
         self.left = left
         self.right = right
         self.on = tuple(on)
+        if not self.on:
+            raise CatalogError(f"view {self.name!r}: join needs ON pairs")
+        self.left_pk = self.right_pk = None
+        if left_pk is not None and right_pk is not None:
+            self._set_keys(left_pk, right_pk)
+
+    def bind_keys(self, catalog):
+        if self.left_pk is None:
+            self._set_keys(
+                catalog.table(self.left).primary_key,
+                catalog.table(self.right).primary_key,
+            )
+
+    def _set_keys(self, left_pk, right_pk):
         self.left_pk = tuple(left_pk)
         self.right_pk = tuple(right_pk)
-        if not self.on:
-            raise CatalogError(f"view {name!r}: join needs ON pairs")
         right_on = [rc for _, rc in self.on]
         if set(right_on) != set(self.right_pk):
             raise CatalogError(
-                f"view {name!r}: the right side must be joined on exactly "
-                f"its primary key {self.right_pk!r}, got {right_on!r}"
+                f"view {self.name!r}: the right side must be joined on "
+                f"exactly its primary key {self.right_pk!r}, got {right_on!r}"
             )
-        key_columns = self.left_pk + tuple(
-            c for c in self.right_pk if c not in self.left_pk
+        self.leftfk_index = AuxIndex(
+            f"{self.name}#leftfk",
+            tuple(lc for lc, _ in self.on) + self.left_pk,
+            source=self.left,
         )
-        if columns is None:
-            raise CatalogError(
-                f"view {name!r}: list the projected columns explicitly"
-            )
-        columns = tuple(columns)
-        missing = [c for c in key_columns if c not in columns]
-        if missing:
-            raise CatalogError(
-                f"view {name!r}: projected columns must include the view "
-                f"key columns {missing!r}"
-            )
-        super().__init__(name, key_columns, columns, where)
-        self.name = name
+        self.aux_indexes = (self.leftfk_index,)
 
     def base_tables(self):
         return (self.left, self.right)
@@ -217,7 +290,56 @@ class JoinView(ViewDefinition):
         return self.where is None or self.where(joined_row)
 
 
-class JoinAggregateView(ViewDefinition):
+class JoinView(_JoinSides, ViewDefinition):
+    """A two-table foreign-key join view."""
+
+    kind = "join"
+
+    def __init__(self, name, left, right, on, columns=None, where=None,
+                 left_pk=None, right_pk=None):
+        """``on`` is a sequence of (left_col, right_col) pairs, where every
+        right column must be part of the right table's primary key.
+
+        ``left_pk`` / ``right_pk`` are the base tables' primary-key
+        columns (they name columns of the *joined* row, so they must
+        survive projection); left unset, ``Database.create_view`` fills
+        them from the catalog.
+        """
+        if columns is None:
+            raise CatalogError(
+                f"view {name!r}: list the projected columns explicitly"
+            )
+        super().__init__(name, (), columns, where)
+        self._init_sides(left, right, on, left_pk, right_pk)
+
+    def _set_keys(self, left_pk, right_pk):
+        super()._set_keys(left_pk, right_pk)
+        self.key_columns = self.left_pk + tuple(
+            c for c in self.right_pk if c not in self.left_pk
+        )
+        missing = [c for c in self.key_columns if c not in self.columns]
+        if missing:
+            raise CatalogError(
+                f"view {self.name!r}: projected columns must include the "
+                f"view key columns {missing!r}"
+            )
+        #: the secondary index keyed right-side first, so a right-side
+        #: delete finds its view rows without scanning
+        self.right_index = AuxIndex(
+            f"{self.name}#right",
+            self.right_pk + tuple(
+                c for c in self.left_pk if c not in self.right_pk
+            ),
+        )
+        self.aux_indexes = (self.right_index, self.leftfk_index)
+
+    def recompute(self, rows_of):
+        return executor.recompute_join_view(
+            rows_of(self.left), rows_of(self.right), self
+        )
+
+
+class JoinAggregateView(_JoinSides, ViewDefinition):
     """``SELECT g.., COUNT(*), SUM(x).. FROM left JOIN right ON left.fk =
     right.pk [WHERE p] GROUP BY g..`` — the canonical SQL Server indexed
     view shape, composing the join and aggregate machinery.
@@ -231,8 +353,8 @@ class JoinAggregateView(ViewDefinition):
 
     kind = "join_aggregate"
 
-    def __init__(self, name, left, right, on, left_pk, right_pk, group_by,
-                 aggregates, where=None, bounds=None):
+    def __init__(self, name, left, right, on, group_by, aggregates,
+                 where=None, bounds=None, left_pk=None, right_pk=None):
         if not group_by:
             raise CatalogError(f"view {name!r}: GROUP BY must not be empty")
         aggregates = tuple(aggregates)
@@ -255,19 +377,9 @@ class JoinAggregateView(ViewDefinition):
                 f"view {name!r}: aggregate columns {sorted(clash)!r} clash "
                 "with group-by columns"
             )
-        self.left = left
-        self.right = right
-        self.on = tuple(on)
-        self.left_pk = tuple(left_pk)
-        self.right_pk = tuple(right_pk)
-        right_on = [rc for _, rc in self.on]
-        if set(right_on) != set(self.right_pk):
-            raise CatalogError(
-                f"view {name!r}: the right side must be joined on exactly "
-                f"its primary key {self.right_pk!r}, got {right_on!r}"
-            )
         columns = tuple(group_by) + tuple(out_names)
         super().__init__(name, tuple(group_by), columns, where)
+        self._init_sides(left, right, on, left_pk, right_pk)
         self.group_by = tuple(group_by)
         self.aggregates = aggregates
         self.count_column = count_specs[0].out
@@ -287,20 +399,13 @@ class JoinAggregateView(ViewDefinition):
             low = 0 if low is None else max(low, 0)
         return low, high
 
-    def base_tables(self):
-        return (self.left, self.right)
-
-    def has_extremes(self):
-        return False
+    def recompute(self, rows_of):
+        return executor.recompute_join_aggregate_view(
+            rows_of(self.left), rows_of(self.right), self
+        )
 
     def counter_columns(self):
         return tuple(a.out for a in self.aggregates)
-
-    def left_fk_of(self, left_row):
-        return tuple(left_row[lc] for lc, _ in self.on)
-
-    def relevant(self, joined_row):
-        return self.where is None or self.where(joined_row)
 
     def group_key_of_joined_row(self, joined_row):
         return tuple(joined_row[c] for c in self.group_by)
@@ -325,19 +430,32 @@ class ProjectionView(ViewDefinition):
 
     kind = "projection"
 
-    def __init__(self, name, base, base_pk, columns, where=None):
-        columns = tuple(columns)
-        missing = [c for c in base_pk if c not in columns]
+    def __init__(self, name, base, columns, where=None, base_pk=None):
+        """``base_pk`` left unset is filled from the catalog by
+        ``Database.create_view``."""
+        super().__init__(name, (), columns, where)
+        self.base = base
+        if base_pk is not None:
+            self._set_keys(base_pk)
+
+    def bind_keys(self, catalog):
+        if not self.key_columns:
+            self._set_keys(catalog.table(self.base).primary_key)
+
+    def _set_keys(self, base_pk):
+        missing = [c for c in base_pk if c not in self.columns]
         if missing:
             raise CatalogError(
-                f"view {name!r}: projected columns must include the base "
-                f"primary key {missing!r}"
+                f"view {self.name!r}: projected columns must include the "
+                f"base primary key {missing!r}"
             )
-        super().__init__(name, tuple(base_pk), columns, where)
-        self.base = base
+        self.key_columns = tuple(base_pk)
 
     def base_tables(self):
         return (self.base,)
+
+    def recompute(self, rows_of):
+        return executor.recompute_projection_view(rows_of(self.base), self)
 
     def relevant(self, base_row):
         return self.where is None or self.where(base_row)

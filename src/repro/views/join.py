@@ -25,16 +25,52 @@ from repro.locking.keyrange import (
     locks_for_point_read,
     locks_for_update,
 )
+from repro.txn.write import ghost, patch, put
 from repro.views.actions import Action
-from repro.wal.records import GhostRecord, InsertRecord, ReviveRecord, UpdateRecord
 
 
-def secondary_index_name(view_name):
-    return f"{view_name}#right"
+def leftfk_actions(db, view, table, before, after):
+    """Maintain a join-shaped view's ``#leftfk`` index for one
+    left-table change: ghost the old entry, put the new one. Entries are
+    covered by the base row's own lock, so the actions carry no plan."""
+    if table != view.left:
+        return []
+    aux = view.leftfk_index
+    index = db.index(aux.name)
+    actions = []
+    if before is not None:
+        old_key, _ = aux.entry(before)
+        actions.append(Action(
+            f"leftfk-ghost {aux.name}{old_key!r}", [],
+            lambda d, t: ghost(d, t, index, old_key),
+        ))
+    if after is not None:
+        new_key, ref_row = aux.entry(after)
+        actions.append(Action(
+            f"leftfk-insert {aux.name}{new_key!r}", [],
+            lambda d, t: put(d, t, index, new_key, ref_row),
+        ))
+    return actions
 
 
-def leftfk_index_name(view_name):
-    return f"{view_name}#leftfk"
+def left_rows_referencing(db, txn, view, right_key):
+    """The left rows whose join columns equal ``right_key``, found
+    through ``#leftfk`` and each read under an S lock (compile phase:
+    nothing has mutated yet)."""
+    fk_index = db.index(view.leftfk_index.name)
+    matches = list(
+        fk_index.scan(KeyRange.prefix(right_key, len(fk_index.key_columns)))
+    )
+    left_index = db.index(view.left)
+    rows = []
+    for _, ref_record in matches:
+        left_key = ref_record.current_row.key(view.left_pk)
+        db.acquire_plan(txn, locks_for_point_read(left_index, left_key))
+        txn.stats.reads += 1
+        left_row = left_index.get_row(left_key)
+        if left_row is not None:
+            rows.append(left_row)
+    return rows
 
 
 class JoinMaintainer:
@@ -44,24 +80,25 @@ class JoinMaintainer:
     # statement compilation
     # ------------------------------------------------------------------
 
-    def compile_insert(self, db, txn, view, table, row):
+    def compile(self, db, txn, view, table, op, before, after):
+        if op == "insert":
+            return self._compile_insert(db, txn, view, table, after)
+        if op == "delete":
+            return self._compile_delete(db, txn, view, table, before)
+        return self._compile_update(db, txn, view, table, before, after)
+
+    def _compile_insert(self, db, txn, view, table, row):
         if table == view.left:
             return self._compile_left_insert(db, txn, view, row)
         return self._compile_right_insert(db, txn, view, row)
 
-    def compile_delete(self, db, txn, view, table, row):
-        if table == view.left:
-            keys = self._view_keys_for_left(db, view, self._left_key(db, view, row))
-        else:
-            keys = self._view_keys_for_right(db, view, db.table_key(view.right, row))
-        actions = []
-        if table == view.left:
-            actions.append(self._leftfk_delete_action(db, view, row))
-        for vkey in keys:
+    def _compile_delete(self, db, txn, view, table, row):
+        actions = leftfk_actions(db, view, table, row, None)
+        for vkey in self._view_keys(db, view, table, row):
             actions.extend(self._ghost_view_row_actions(db, view, vkey))
         return actions
 
-    def compile_update(self, db, txn, view, table, before, after):
+    def _compile_update(self, db, txn, view, table, before, after):
         """Updates decompose into delete+insert unless the row's join
         behaviour is unchanged, in which case affected view rows are
         patched in place."""
@@ -70,20 +107,12 @@ class JoinMaintainer:
         )
         join_changed = any(before[c] != after[c] for c in join_cols)
         if join_changed:
-            return self.compile_delete(db, txn, view, table, before) + (
-                self.compile_insert(db, txn, view, table, after)
+            return self._compile_delete(db, txn, view, table, before) + (
+                self._compile_insert(db, txn, view, table, after)
             )
         # In-place: re-derive each affected view row from the new base row.
-        if table == view.left:
-            keys = self._view_keys_for_left(
-                db, view, self._left_key(db, view, before)
-            )
-        else:
-            keys = self._view_keys_for_right(
-                db, view, db.table_key(view.right, before)
-            )
         actions = []
-        for vkey in keys:
+        for vkey in self._view_keys(db, view, table, before):
             actions.extend(
                 self._patch_view_row_actions(db, txn, view, table, vkey, before, after)
             )
@@ -94,7 +123,7 @@ class JoinMaintainer:
     # ------------------------------------------------------------------
 
     def _compile_left_insert(self, db, txn, view, row):
-        actions = [self._leftfk_insert_action(db, view, row)]
+        actions = leftfk_actions(db, view, view.left, None, row)
         right_index = db.index(view.right)
         fk = view.left_fk_of(row)
         # Read the matched right row under a shared lock (before any
@@ -113,24 +142,10 @@ class JoinMaintainer:
 
     def _compile_right_insert(self, db, txn, view, row):
         """A new right row may match left rows inserted before it (no FK
-        enforcement here). Find them through the auto-created left-fk
-        index."""
+        enforcement here)."""
         actions = []
-        fk_index = db.index(leftfk_index_name(view.name))
         right_key = db.table_key(view.right, row)
-        matches = list(
-            fk_index.scan(KeyRange.prefix(right_key, len(fk_index.key_columns)))
-        )
-        left_index = db.index(view.left)
-        for _, ref_record in matches:
-            left_key = tuple(
-                ref_record.current_row[c] for c in db.table_pk(view.left)
-            )
-            db.acquire_plan(txn, locks_for_point_read(left_index, left_key))
-            txn.stats.reads += 1
-            left_row = left_index.get_row(left_key)
-            if left_row is None:
-                continue
+        for left_row in left_rows_referencing(db, txn, view, right_key):
             joined = left_row.merge(row)
             if not view.relevant(joined):
                 continue
@@ -145,15 +160,13 @@ class JoinMaintainer:
     def _insert_view_row_actions(self, db, view, view_row):
         vkey = view.key_of(view_row)
         primary = db.index(view.name)
-        secondary = db.index(secondary_index_name(view.name))
-        skey = self._secondary_key(db, view, view_row)
+        secondary = db.index(view.right_index.name)
+        skey, _ = view.right_index.entry(view_row)
         plan = locks_for_insert(primary, vkey, db.config.serializable)
 
         def apply(d, t):
-            self._insert_into(d, t, view.name, primary, vkey, view_row)
-            self._insert_into(
-                d, t, secondary_index_name(view.name), secondary, skey, view_row
-            )
+            put(d, t, primary, vkey, view_row)
+            put(d, t, secondary, skey, view_row)
             t.stats.view_maintenances += 1
             d.counters.incr("join.row_inserted")
 
@@ -164,24 +177,13 @@ class JoinMaintainer:
         record = primary.get_record(vkey)
         if record is None:
             return []
-        view_row = record.current_row
-        skey = self._secondary_key(db, view, view_row)
-        sec_name = secondary_index_name(view.name)
-        secondary = db.index(sec_name)
+        secondary = db.index(view.right_index.name)
+        skey, _ = view.right_index.entry(record.current_row)
         plan = locks_for_logical_delete(primary, vkey)
 
         def apply(d, t):
-            rec = primary.get_record(vkey)
-            primary.logical_delete(vkey)
-            d.log.append(GhostRecord(t.txn_id, view.name, vkey, rec.current_row))
-            t.touch_record(rec)
-            d.cleanup.enqueue(view.name, vkey)
-            srec = secondary.get_record(skey)
-            if srec is not None:
-                secondary.logical_delete(skey)
-                d.log.append(GhostRecord(t.txn_id, sec_name, skey, srec.current_row))
-                t.touch_record(srec)
-                d.cleanup.enqueue(sec_name, skey)
+            ghost(d, t, primary, vkey)
+            ghost(d, t, secondary, skey)
             t.stats.view_maintenances += 1
             d.counters.incr("join.row_ghosted")
 
@@ -204,105 +206,30 @@ class JoinMaintainer:
         if not view.relevant(new_view_row):
             # The update pushed the joined row out of the view's predicate.
             return self._ghost_view_row_actions(db, view, vkey)
-        sec_name = secondary_index_name(view.name)
-        secondary = db.index(sec_name)
-        skey = self._secondary_key(db, view, old_view_row)
+        secondary = db.index(view.right_index.name)
+        skey, _ = view.right_index.entry(old_view_row)
         plan = locks_for_update(primary, vkey)
 
         def apply(d, t):
-            rec = primary.get_record(vkey)
-            d.log.append(
-                UpdateRecord(t.txn_id, view.name, vkey, rec.current_row, new_view_row)
-            )
-            rec.current_row = new_view_row
-            t.touch_record(rec)
-            srec = secondary.get_record(skey)
-            if srec is not None:
-                d.log.append(
-                    UpdateRecord(t.txn_id, sec_name, skey, srec.current_row, new_view_row)
-                )
-                srec.current_row = new_view_row
-                t.touch_record(srec)
+            patch(d, t, primary, vkey, new_view_row)
+            patch(d, t, secondary, skey, new_view_row)
             t.stats.view_maintenances += 1
             d.counters.incr("join.row_patched")
 
         return [Action(f"join-patch {view.name}{vkey!r}", plan, apply)]
 
-    def _insert_into(self, db, txn, index_name, index, key, row):
-        existing = index.get_record(key, include_ghost=True)
-        if existing is not None and existing.is_ghost:
-            ghost_row = existing.current_row
-            index.insert(key, row)
-            db.log.append(ReviveRecord(txn.txn_id, index_name, key, row, ghost_row))
-            db.cleanup.cancel(index_name, key)
-            txn.touch_record(existing)
-            return
-        record = index.insert(key, row)
-        db.log.append(InsertRecord(txn.txn_id, index_name, key, row))
-        txn.touch_record(record)
-
-    # ------------------------------------------------------------------
-    # the internal left-fk index
-    # ------------------------------------------------------------------
-
-    def _leftfk_insert_action(self, db, view, row):
-        name = leftfk_index_name(view.name)
-        index = db.index(name)
-        key = self._leftfk_key(db, view, row)
-        ref_columns = []
-        for c in [lc for lc, _ in view.on] + list(db.table_pk(view.left)):
-            if c not in ref_columns:
-                ref_columns.append(c)
-        ref_row = row.project(tuple(ref_columns))
-
-        def apply(d, t):
-            self._insert_into(d, t, name, index, key, ref_row)
-
-        # Covered by the base row's lock: no plan of its own.
-        return Action(f"leftfk-insert {name}{key!r}", [], apply)
-
-    def _leftfk_delete_action(self, db, view, row):
-        name = leftfk_index_name(view.name)
-        index = db.index(name)
-        key = self._leftfk_key(db, view, row)
-
-        def apply(d, t):
-            record = index.get_record(key)
-            if record is None:
-                return
-            index.logical_delete(key)
-            d.log.append(GhostRecord(t.txn_id, name, key, record.current_row))
-            t.touch_record(record)
-            d.cleanup.enqueue(name, key)
-
-        return Action(f"leftfk-ghost {name}{key!r}", [], apply)
-
     # ------------------------------------------------------------------
     # key plumbing
     # ------------------------------------------------------------------
 
-    def _left_key(self, db, view, row):
-        return db.table_key(view.left, row)
-
-    def _leftfk_key(self, db, view, left_row):
-        fk = view.left_fk_of(left_row)
-        return fk + self._left_key(db, view, left_row)
-
-    def _secondary_key(self, db, view, view_row):
-        right_part = tuple(view_row[c] for c in view.right_pk)
-        left_part = tuple(view_row[c] for c in view.left_pk)
-        return right_part + left_part
-
-    def _view_keys_for_left(self, db, view, left_key):
-        primary = db.index(view.name)
-        rng = KeyRange.prefix(left_key, len(view.key_columns))
-        return [key for key, _ in primary.scan(rng)]
-
-    def _view_keys_for_right(self, db, view, right_key):
-        secondary = db.index(secondary_index_name(view.name))
-        rng = KeyRange.prefix(right_key, len(secondary.key_columns))
-        keys = []
-        for _, record in secondary.scan(rng):
-            row = record.current_row
-            keys.append(view.key_of(row))
-        return keys
+    def _view_keys(self, db, view, table, row):
+        """Keys of the view rows a left or right base row joined into:
+        a prefix of the view index for a left row, of ``#right`` for a
+        right row."""
+        if table == view.left:
+            index, prefix = db.index(view.name), db.table_key(view.left, row)
+        else:
+            index = db.index(view.right_index.name)
+            prefix = db.table_key(view.right, row)
+        rng = KeyRange.prefix(prefix, len(index.key_columns))
+        return [view.key_of(record.current_row) for _, record in index.scan(rng)]

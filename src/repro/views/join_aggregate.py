@@ -24,10 +24,9 @@ Right-side fan-out means one parent update can touch many groups — the
 NetDelta fold collapses those into one action per affected group.
 """
 
-from repro.common.keys import KeyRange
 from repro.locking.keyrange import locks_for_point_read
 from repro.views.delta import NetDelta, TxnViewDeltas
-from repro.views.join import leftfk_index_name
+from repro.views.join import left_rows_referencing, leftfk_actions
 
 
 class JoinAggregateMaintainer:
@@ -41,6 +40,11 @@ class JoinAggregateMaintainer:
     # ------------------------------------------------------------------
 
     def compile(self, db, txn, view, table, op, before, after):
+        return leftfk_actions(db, view, table, before, after) + (
+            self._compile_groups(db, txn, view, table, op, before, after)
+        )
+
+    def _compile_groups(self, db, txn, view, table, op, before, after):
         contributions = []
         if table == view.left:
             if op in ("delete", "update"):
@@ -80,24 +84,11 @@ class JoinAggregateMaintainer:
 
     def _right_contributions(self, db, txn, view, right_row, sign):
         """All children's joined rows with ``right_row``, via #leftfk."""
-        fk_index = db.index(leftfk_index_name(view.name))
-        right_key = tuple(right_row[c] for c in view.right_pk)
-        left_index = db.index(view.left)
-        contributions = []
-        matches = list(
-            fk_index.scan(KeyRange.prefix(right_key, len(fk_index.key_columns)))
-        )
-        for _, ref_record in matches:
-            left_key = tuple(
-                ref_record.current_row[c] for c in db.table_pk(view.left)
-            )
-            db.acquire_plan(txn, locks_for_point_read(left_index, left_key))
-            txn.stats.reads += 1
-            left_row = left_index.get_row(left_key)
-            if left_row is None:
-                continue
-            contributions.append((left_row.merge(right_row), sign))
-        return contributions
+        right_key = right_row.key(view.right_pk)
+        return [
+            (left_row.merge(right_row), sign)
+            for left_row in left_rows_referencing(db, txn, view, right_key)
+        ]
 
     def _right_change_matters(self, view, before, after):
         """Did the update touch any column the view derives from?"""
@@ -125,22 +116,3 @@ class JoinAggregateMaintainer:
             self._aggregate.compile_group_delta(db, txn, view, group_key, deltas)
             for group_key, deltas in net.items()
         ]
-
-    # ------------------------------------------------------------------
-    # the internal left-fk index (shared shape with join views)
-    # ------------------------------------------------------------------
-
-    def leftfk_actions(self, db, txn, view, table, op, before, after):
-        """Maintain the #leftfk index for left-table changes.
-
-        Reuses the join maintainer's covered-by-base-lock convention.
-        """
-        if table != view.left:
-            return []
-        join_maintainer = db.maintenance.join
-        actions = []
-        if op in ("delete", "update"):
-            actions.append(join_maintainer._leftfk_delete_action(db, view, before))
-        if op in ("insert", "update"):
-            actions.append(join_maintainer._leftfk_insert_action(db, view, after))
-        return actions

@@ -14,7 +14,6 @@ defined over that table, honouring the database's maintenance mode:
   drift stale until refreshed (experiment R6's baseline).
 """
 
-from repro.common import CatalogError
 from repro.views.aggregate import AggregateMaintainer
 from repro.views.join import JoinMaintainer
 from repro.views.join_aggregate import JoinAggregateMaintainer
@@ -22,33 +21,24 @@ from repro.views.projection import ProjectionMaintainer
 
 
 class MaintenanceEngine:
-    """Routes base-table deltas to per-view-kind maintainers."""
+    """Routes base-table deltas to per-view-kind maintainers, which all
+    answer ``compile(db, txn, view, table, op, before, after)``."""
 
     def __init__(self, catalog, aggregate_strategy="escrow", deferred=None):
         self._catalog = catalog
         self.aggregate = AggregateMaintainer(strategy=aggregate_strategy)
-        self.join = JoinMaintainer()
-        self.join_aggregate = JoinAggregateMaintainer(self.aggregate)
-        self.projection = ProjectionMaintainer()
+        self._maintainers = {
+            "aggregate": self.aggregate,
+            "join": JoinMaintainer(),
+            "join_aggregate": JoinAggregateMaintainer(self.aggregate),
+            "projection": ProjectionMaintainer(),
+        }
         self.deferred = deferred  # a DeferredMaintainer, or None
         #: optional predicate(view_name) -> bool; True pauses maintenance
         #: for that view (set to the quarantine check by Database — a
         #: quarantined view's contents will be rebuilt wholesale, so
         #: incrementally maintaining damaged state is wasted and risky)
         self.suppressed = None
-
-    def _maintainer_for(self, view):
-        if view.kind == "aggregate":
-            return self.aggregate
-        if view.kind == "join":
-            return self.join
-        if view.kind == "join_aggregate":
-            return self.join_aggregate
-        if view.kind == "projection":
-            return self.projection
-        raise CatalogError(f"no maintainer for view kind {view.kind!r}")
-
-    # ------------------------------------------------------------------
 
     def compile(self, db, txn, table, op, before=None, after=None):
         """Actions maintaining every view over ``table`` for one change.
@@ -68,51 +58,14 @@ class MaintenanceEngine:
                 self.deferred.enqueue(view, table, op, before, after)
                 continue
             actions.extend(
-                self._compile_one(db, txn, view, table, op, before, after)
+                self.compile_view(db, txn, view, table, op, before, after)
             )
         return actions
 
-    def _compile_one(self, db, txn, view, table, op, before, after):
-        maintainer = self._maintainer_for(view)
-        if view.kind == "aggregate":
-            if op == "insert":
-                return maintainer.compile_insert(db, txn, view, after)
-            if op == "delete":
-                return maintainer.compile_delete(db, txn, view, before)
-            return maintainer.compile_update(db, txn, view, before, after)
-        if view.kind == "join":
-            if op == "insert":
-                return maintainer.compile_insert(db, txn, view, table, after)
-            if op == "delete":
-                return maintainer.compile_delete(db, txn, view, table, before)
-            return maintainer.compile_update(db, txn, view, table, before, after)
-        if view.kind == "join_aggregate":
-            actions = maintainer.leftfk_actions(
-                db, txn, view, table, op, before, after
-            )
-            actions.extend(
-                maintainer.compile(db, txn, view, table, op, before, after)
-            )
-            return actions
-        # projection
-        if op == "insert":
-            return maintainer.compile_insert(db, txn, view, after)
-        if op == "delete":
-            return maintainer.compile_delete(db, txn, view, before)
-        return maintainer.compile_update(db, txn, view, before, after)
-
-    # ------------------------------------------------------------------
-
-    def compile_commit_folds(self, db, txn):
-        """Actions for the transaction's accumulated NetDeltas
-        (commit_fold mode); empty in other modes."""
-        from repro.views.delta import TxnViewDeltas
-
-        nets = txn.scratch.get(TxnViewDeltas.SCRATCH_KEY)
-        if not nets:
-            return []
-        actions = []
-        for view_name in sorted(nets):
-            view = self._catalog.view(view_name)
-            actions.extend(self.aggregate.compile_net(db, txn, view, nets[view_name]))
-        return actions
+    def compile_view(self, db, txn, view, table, op, before, after):
+        """Actions maintaining ``view`` alone for one change, suppressed
+        or deferred or not — what a deferred refresh and an online
+        build's catch-up replay."""
+        return self._maintainers[view.kind].compile(
+            db, txn, view, table, op, before, after
+        )

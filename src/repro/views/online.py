@@ -1,8 +1,22 @@
-"""Online view creation: build an indexed view without stopping writers.
+"""Building an indexed view over existing rows — online or not.
 
-``CREATE INDEXED VIEW ... WITH (online = true)`` must not hold base
-tables locked for the duration of a full scan. The build instead runs in
-three phases inside **one system transaction**:
+Either way the fill is **one system transaction** of logged inserts,
+registered in the :class:`OnlineBuildRegistry` until its commit is
+durable, so a crash leaves the view complete or absent, never
+registered-but-empty. The two ways differ only in how the base tables
+are held still:
+
+``create_view(...)`` (:meth:`ViewBuilder.run_locked`) takes a table S
+lock on every base table *first*. The live rows are then the committed
+rows and nothing commits behind the fill, so there is no gap to catch
+up; an open writer on a base table makes the build fail with the lock
+error rather than materialize its uncommitted rows. A view whose
+contents come out empty over quiet base tables is simply registered:
+nothing is logged and no transaction starts.
+
+``CREATE INDEXED VIEW ... WITH (online = true)`` (:meth:`ViewBuilder.run`)
+must not hold base tables locked for the duration of a full scan. It
+runs three phases:
 
 1. **snapshot** — scan the base tables *as of* the build's start
    timestamp (the version chains provide the consistent picture; no base
@@ -25,11 +39,11 @@ transaction, so a crash before the durable commit makes recovery undo
 every view insert — the half-built view then **vanishes** (catalog and
 indexes dropped, never half-maintained). A crash after the durable
 commit replays the build as a winner and the view **completes on
-recovery**. ``Database._resolve_online_builds`` applies that verdict;
-the ``view_online_build`` trace event records each phase.
+recovery**. :func:`resolve_after_recovery` applies that verdict; the
+``view_online_build`` trace event records each phase.
 
 Reads of a building view are refused (:class:`~repro.common.CatalogError`)
-— it does not logically exist until the flip commits.
+— it does not logically exist until the build commits.
 """
 
 from repro.common import (
@@ -38,17 +52,13 @@ from repro.common import (
     SimulatedCrash,
     TransactionAborted,
 )
+from repro.integrity.checker import view_problems
 from repro.locking import LockMode
 from repro.locking.keyrange import locks_for_insert, table_resource
-from repro.query.executor import (
-    recompute_aggregate_view,
-    recompute_join_aggregate_view,
-    recompute_join_view,
-    recompute_projection_view,
-)
+from repro.locking.modes import mode_compatible
+from repro.txn.write import put
 from repro.views.actions import run_actions
-from repro.views.definition import is_aggregate_kind
-from repro.views.join import leftfk_index_name, secondary_index_name
+from repro.views.definition import expected_index_contents
 from repro.wal.records import (
     CommitRecord,
     CompensationRecord,
@@ -63,7 +73,9 @@ FAULT_SITE = "view.online_build"
 
 
 class OnlineBuildRegistry:
-    """Views currently being built online: ``view name -> build state``.
+    """Fills in flight — views (and secondary indexes) being built over
+    existing rows: ``name -> {"txn_id", "drop"}``, ``drop()`` making the
+    unfinished thing vanish.
 
     Plain Python state, deliberately *not* reset by recovery (like the
     catalog): after a crash the registry is exactly the list of builds
@@ -78,44 +90,33 @@ class OnlineBuildRegistry:
     def active(self):
         return bool(self._building)
 
-    def is_building(self, view_name):
-        return view_name in self._building
+    def is_building(self, name):
+        return name in self._building
 
-    def register(self, view_name, txn_id):
-        self._building[view_name] = {"txn_id": txn_id}
+    def register(self, name, txn_id, drop):
+        self._building[name] = {"txn_id": txn_id, "drop": drop}
 
-    def remove(self, view_name):
-        self._building.pop(view_name, None)
+    def remove(self, name):
+        self._building.pop(name, None)
 
     def pending(self):
         return dict(self._building)
 
 
-class OnlineViewBuilder:
-    """Drives one online build; see the module docstring for the phases.
+class ViewBuilder:
+    """Drives one build; see the module docstring.
 
-    :meth:`run` does the whole dance; tests drive :meth:`start` /
-    :meth:`catch_up` / :meth:`finish` separately to interleave writers
-    between phases.
+    :meth:`run_locked` and :meth:`run` do the whole dance; tests drive
+    the online phases :meth:`start` / :meth:`catch_up` / :meth:`finish`
+    separately to interleave writers between them.
     """
 
-    def __init__(self, db, view, unique=True):
-        if view.has_extremes():
-            raise CatalogError(
-                f"view {view.name!r}: MIN/MAX views cannot be built "
-                "online — extremes are not delta-maintainable, so the "
-                "catch-up phase could not replay writer deletes"
-            )
-        if getattr(view, "deferred", False):
-            raise CatalogError(
-                f"view {view.name!r}: online build and deferred "
-                "maintenance are mutually exclusive"
-            )
+    def __init__(self, db, view):
         self.db = db
         self.view = view
-        self.unique = unique
         self.txn = None
         self.build_ts = None
+        self._installed = False
         self._applied_txns = set()
 
     def _emit(self, phase, rows=0, txns=0):
@@ -127,19 +128,25 @@ class OnlineViewBuilder:
             )
 
     # ------------------------------------------------------------------
-    # phases
+    # the two ways to run
     # ------------------------------------------------------------------
 
-    def run(self):
-        """start -> catch_up -> finish; returns the view definition.
+    def run_locked(self):
+        """Build holding S on the base tables throughout; returns the
+        view definition."""
+        return self._guarded(self._build_locked)
 
-        Any failure short of a crash makes the half-built view vanish
+    def run(self):
+        """start -> catch_up -> finish; returns the view definition."""
+        return self._guarded(self.start, self.catch_up, self.finish)
+
+    def _guarded(self, *phases):
+        """Any failure short of a crash makes the half-built view vanish
         before the error propagates; a :class:`SimulatedCrash` leaves the
         state exactly as-is for recovery to settle."""
         try:
-            self.start()
-            self.catch_up()
-            self.finish()
+            for phase in phases:
+                phase()
         except SimulatedCrash:
             raise
         except BaseException:
@@ -147,93 +154,133 @@ class OnlineViewBuilder:
             raise
         return self.view
 
+    def _build_locked(self):
+        self._install()
+        if self._nothing_to_build():
+            return
+        self._begin()
+        self._lock_tables()
+        self._fill(self._live_rows)
+        self._commit()
+
+    def _live_rows(self, table):
+        return self.db.index(table).rows()
+
+    def _nothing_to_build(self):
+        """True when no open writer holds a base table (so the live rows
+        are the committed rows) and the view computes empty over them."""
+        db, view = self.db, self.view
+        for table in view.base_tables():
+            held = db.locks.holders(table_resource(table)).values()
+            if not all(mode_compatible(mode, LockMode.S) for mode in held):
+                return False
+        contents = expected_index_contents(view, self._live_rows)
+        return not any(contents.values())
+
+    # ------------------------------------------------------------------
+    # shared steps
+    # ------------------------------------------------------------------
+
+    def _install(self):
+        """Register the view and create the (empty) indexes it owns."""
+        db, view = self.db, self.view
+        if view.name in db._indexes:
+            # Validate *before* mutating anything: a duplicate name must
+            # never reach _vanish, which would drop the storage of the
+            # existing view/table that owns the name.
+            raise CatalogError(f"name {view.name!r} already in use")
+        db.catalog.add_view(view)
+        db._create_view_indexes(view)
+        self._installed = True
+
+    def _begin(self):
+        """Open the build transaction and list the build: from here on
+        the view is suppressed for writers' maintenance, unreadable, and
+        recovery's to settle."""
+        db, view = self.db, self.view
+        self.txn = db.begin_system()
+        self._applied_txns.add(self.txn.txn_id)
+        db.online_builds.register(
+            view.name, self.txn.txn_id, lambda: _drop_view_storage(db, view)
+        )
+
+    def _lock_tables(self):
+        """S on every base table (writers quiesce), X on the view."""
+        txn = self.txn
+        try:
+            for table in self.view.base_tables():
+                txn.acquire(table_resource(table), LockMode.S)
+            txn.acquire(table_resource(self.view.name), LockMode.X)
+        except TransactionAborted:
+            # NOWAIT lost against a live writer: completes-or-vanishes
+            # means vanish here; the caller may rebuild later.
+            self._vanish()
+            raise
+
+    def _fill(self, rows_of):
+        """Insert, logged and locked under the build transaction (undone
+        wholesale if the build loses), what every owned index must hold
+        over ``rows_of``."""
+        db, view, txn = self.db, self.view, self.txn
+        count = 0
+        contents = expected_index_contents(view, rows_of)
+        for index_name, expected in contents.items():
+            index = db.index(index_name)
+            for key, row in expected.items():
+                if index_name == view.name:
+                    if db.faults.active:
+                        db.faults.maybe_crash(
+                            FAULT_SITE, txn_id=txn.txn_id,
+                            detail=f"snapshot:{count}",
+                        )
+                    count += 1
+                db.acquire_plan(
+                    txn, locks_for_insert(index, key, db.config.serializable)
+                )
+                put(db, txn, index, key, row)
+        self._emit("snapshot", rows=count)
+
+    def _commit(self):
+        db, view, txn = self.db, self.view, self.txn
+        if db.faults.active:
+            db.faults.maybe_crash(
+                FAULT_SITE, txn_id=txn.txn_id, detail="flip"
+            )
+        db.commit(txn)
+        db.ensure_durable(txn)
+        if db.faults.active:
+            db.faults.maybe_crash(
+                FAULT_SITE, txn_id=txn.txn_id, detail="post_commit",
+                committed=True,
+            )
+        db.online_builds.remove(view.name)
+        self._installed = False  # finished: nothing left to vanish
+        self._emit("completed")
+
+    # ------------------------------------------------------------------
+    # the online phases
+    # ------------------------------------------------------------------
+
     def start(self):
         """Register the view (suppressed + unreadable), then populate it
         from a snapshot of the base tables at the build timestamp."""
         db, view = self.db, self.view
-        if view.name in db._indexes:
-            # Validate *before* mutating anything: a duplicate name must
-            # not register a build (else _vanish would drop the storage
-            # of the existing view/table that owns the name).
-            raise CatalogError(f"name {view.name!r} already in use")
-        view.unique = self.unique
-        view.deferred = False
-        self.txn = db.begin_system()
-        self._applied_txns.add(self.txn.txn_id)
-        # Suppression first: from the instant the view is visible to
-        # writers' maintenance compilation, it must be skipped.
-        db.online_builds.register(view.name, self.txn.txn_id)
-        db.catalog.add_view(view)
-        db._create_view_indexes(view)
+        if view.has_extremes():
+            raise CatalogError(
+                f"view {view.name!r}: MIN/MAX views cannot be built "
+                "online — extremes are not delta-maintainable, so the "
+                "catch-up phase could not replay writer deletes"
+            )
+        if view.deferred:
+            raise CatalogError(
+                f"view {view.name!r}: online build and deferred "
+                "maintenance are mutually exclusive"
+            )
+        self._install()
+        self._begin()
         self.build_ts = db.clock.now()
-        rows = self._build_snapshot()
-        self._emit("snapshot", rows=rows)
+        self._fill(lambda table: db.rows_as_of(table, self.build_ts))
         return self
-
-    def _snapshot_rows(self, table):
-        """The committed rows of ``table`` as of the build timestamp."""
-        rows = []
-        for _, record in self.db.index(table).scan(include_ghosts=True):
-            row = record.read_as_of(self.build_ts)
-            if row is not None:
-                rows.append(row)
-        return rows
-
-    def _build_snapshot(self):
-        db, view, txn = self.db, self.view, self.txn
-        if view.kind == "aggregate":
-            expected = recompute_aggregate_view(
-                self._snapshot_rows(view.base), view
-            )
-        elif view.kind == "projection":
-            expected = recompute_projection_view(
-                self._snapshot_rows(view.base), view
-            )
-        else:
-            left_rows = self._snapshot_rows(view.left)
-            right_rows = self._snapshot_rows(view.right)
-            if view.kind == "join":
-                expected = recompute_join_view(left_rows, right_rows, view)
-            else:
-                expected = recompute_join_aggregate_view(
-                    left_rows, right_rows, view
-                )
-        count = 0
-        join_maintainer = db.maintenance.join
-        for key, row in expected.items():
-            if db.faults.active:
-                db.faults.maybe_crash(
-                    FAULT_SITE, txn_id=txn.txn_id,
-                    detail=f"snapshot:{count}",
-                )
-            self._build_insert(view.name, key, row)
-            if view.kind == "join":
-                skey = join_maintainer._secondary_key(db, view, row)
-                self._build_insert(secondary_index_name(view.name), skey, row)
-            count += 1
-        if view.kind in ("join", "join_aggregate"):
-            fk_name = leftfk_index_name(view.name)
-            fk_index = db.index(fk_name)
-            for left_row in self._snapshot_rows(view.left):
-                key = view.left_fk_of(left_row) + db.table_key(
-                    view.left, left_row
-                )
-                self._build_insert(
-                    fk_name, key, left_row.project(fk_index.key_columns)
-                )
-        return count
-
-    def _build_insert(self, index_name, key, row):
-        """One logged, locked insert into a view index under the build
-        transaction (undone wholesale if the build loses)."""
-        db, txn = self.db, self.txn
-        index = db.index(index_name)
-        db.acquire_plan(
-            txn, locks_for_insert(index, key, db.config.serializable)
-        )
-        record = index.insert(key, row)
-        db.log.append(InsertRecord(txn.txn_id, index_name, key, row))
-        txn.touch_record(record)
 
     def catch_up(self):
         """Replay base-table changes of every transaction that committed
@@ -257,7 +304,7 @@ class OnlineViewBuilder:
                     detail=f"catchup:{txn_id}",
                 )
             for table, op, before, after in self._base_changes(txn_id, bases):
-                actions = db.maintenance._compile_one(
+                actions = db.maintenance.compile_view(
                     db, self.txn, view, table, op, before, after
                 )
                 run_actions(db, self.txn, actions)
@@ -309,82 +356,17 @@ class OnlineViewBuilder:
     def finish(self):
         """Flip: quiesce writers with short table locks, drain the last
         gap, verify against recomputation, commit durably."""
-        db, view, txn = self.db, self.view, self.txn
-        try:
-            for table in view.base_tables():
-                txn.acquire(table_resource(table), LockMode.S)
-            txn.acquire(table_resource(view.name), LockMode.X)
-        except TransactionAborted:
-            # NOWAIT lost against a live writer: completes-or-vanishes
-            # means vanish here; the caller may rebuild later.
-            self._vanish()
-            raise
+        self._lock_tables()
         self.catch_up()
-        problems = self._verify()
+        problems = view_problems(self.db, self.view)
         if problems:
             self._vanish()
             raise IntegrityError(
-                f"online build of {view.name!r} failed verification: "
+                f"online build of {self.view.name!r} failed verification: "
                 + "; ".join(problems)
             )
-        if db.faults.active:
-            db.faults.maybe_crash(
-                FAULT_SITE, txn_id=txn.txn_id, detail="flip"
-            )
-        db.commit(txn)
-        db.ensure_durable(txn)
-        if db.faults.active:
-            db.faults.maybe_crash(
-                FAULT_SITE, txn_id=txn.txn_id, detail="post_commit",
-                committed=True,
-            )
-        db.online_builds.remove(view.name)
-        self._emit("completed")
-        return view
-
-    def _verify(self):
-        """Diff the built contents (pending escrow folded in) against a
-        fresh recomputation from the live base tables."""
-        db, view = self.db, self.view
-        if view.kind == "aggregate":
-            expected = recompute_aggregate_view(
-                list(db.index(view.base).rows()), view
-            )
-        elif view.kind == "projection":
-            expected = recompute_projection_view(
-                list(db.index(view.base).rows()), view
-            )
-        elif view.kind == "join":
-            expected = recompute_join_view(
-                list(db.index(view.left).rows()),
-                list(db.index(view.right).rows()),
-                view,
-            )
-        else:
-            expected = recompute_join_aggregate_view(
-                list(db.index(view.left).rows()),
-                list(db.index(view.right).rows()),
-                view,
-            )
-        actual = {}
-        counter_cols = (
-            view.counter_columns() if is_aggregate_kind(view) else ()
-        )
-        for key, record in db.index(view.name).scan():
-            row = record.current_row
-            for column in counter_cols:
-                account = db.escrow.existing((view.name, key, column))
-                if account is not None:
-                    row = row.replace(**{column: account.read_inclusive()})
-            if counter_cols and row[view.count_column] == 0:
-                continue  # logically deleted, awaiting cleanup
-            actual[key] = row
-        problems = []
-        for key in sorted(set(expected) | set(actual), key=repr):
-            exp, act = expected.get(key), actual.get(key)
-            if exp != act:
-                problems.append(f"{key!r}: expected {exp!r}, got {act!r}")
-        return problems
+        self._commit()
+        return self.view
 
     # ------------------------------------------------------------------
     # failure paths
@@ -398,8 +380,9 @@ class OnlineViewBuilder:
         db, view = self.db, self.view
         if self.txn is not None and self.txn.state is TxnState.ACTIVE:
             db.abort(self.txn, reason="online build abandoned")
-        if not db.online_builds.is_building(view.name):
-            return  # never registered (or already vanished/completed)
+        if not self._installed:
+            return  # never registered (or already vanished)
+        self._installed = False
         _drop_view_storage(db, view)
         db.online_builds.remove(view.name)
         self._emit("vanished")
@@ -409,12 +392,7 @@ def _drop_view_storage(db, view):
     """Drop the view's catalog entry and every index it owns."""
     if db.catalog.has_view(view.name):
         db.catalog.drop_view(view.name)
-    doomed = [view.name]
-    if view.kind == "join":
-        doomed.append(secondary_index_name(view.name))
-    if view.kind in ("join", "join_aggregate"):
-        doomed.append(leftfk_index_name(view.name))
-    for index_name in doomed:
+    for index_name, _ in view.owned_indexes():
         db._indexes.pop(index_name, None)
         db._index_views.pop(index_name, None)
         db.cleanup.drop_index(index_name)
@@ -422,29 +400,25 @@ def _drop_view_storage(db, view):
 
 def resolve_after_recovery(db):
     """Settle every build interrupted by a crash: a durable COMMIT for
-    the build transaction means the view completed (recovery already
-    replayed it as a winner); anything else vanishes (recovery already
-    undid it as a loser). Called by ``Database._rebuild_from_log`` before
+    the build transaction means it completed (recovery already replayed
+    it as a winner); anything else vanishes (recovery already undid it
+    as a loser). Called by ``Database._rebuild_from_log`` before
     ``_post_recovery`` stamps versions and enqueues cleanup."""
     resolutions = []
-    for view_name, info in sorted(db.online_builds.pending().items()):
+    for name, build in sorted(db.online_builds.pending().items()):
         committed = any(
             isinstance(record, CommitRecord)
-            and record.txn_id == info["txn_id"]
+            and record.txn_id == build["txn_id"]
             for record in db.log.records()
         )
-        view = db.catalog.view(view_name)
-        if committed:
-            db.online_builds.remove(view_name)
-            phase = "completed_on_recovery"
-        else:
-            _drop_view_storage(db, view)
-            db.online_builds.remove(view_name)
-            phase = "vanished"
-        resolutions.append((view_name, phase))
+        if not committed:
+            build["drop"]()
+        db.online_builds.remove(name)
+        phase = "completed_on_recovery" if committed else "vanished"
+        resolutions.append((name, phase))
         if db.tracer.enabled:
             db.tracer.emit(
-                "view_online_build", view=view_name, phase=phase,
+                "view_online_build", view=name, phase=phase,
                 rows=0, txns=0,
             )
     return resolutions

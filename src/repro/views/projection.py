@@ -12,93 +12,48 @@ from repro.locking.keyrange import (
     locks_for_logical_delete,
     locks_for_update,
 )
+from repro.txn.write import ghost, patch, put
 from repro.views.actions import Action
-from repro.wal.records import GhostRecord, InsertRecord, ReviveRecord, UpdateRecord
 
 
 class ProjectionMaintainer:
     """Compiles base-table changes into projection-view actions."""
 
-    def compile_insert(self, db, txn, view, row):
-        if not view.relevant(row):
-            return []
-        view_row = view.project(row)
-        return [self._insert_action(db, view, view_row)]
-
-    def compile_delete(self, db, txn, view, row):
-        if not view.relevant(row):
-            return []
-        vkey = view.key_of(view.project(row))
-        return self._ghost_actions(db, view, vkey)
-
-    def compile_update(self, db, txn, view, before, after):
-        was_in = view.relevant(before)
-        now_in = view.relevant(after)
-        if not was_in and not now_in:
-            return []
-        if was_in and not now_in:
+    def compile(self, db, txn, view, table, op, before, after):
+        was_in = before is not None and view.relevant(before)
+        now_in = after is not None and view.relevant(after)
+        index = db.index(view.name)
+        if not now_in:
+            if not was_in:
+                return []
             vkey = view.key_of(view.project(before))
-            return self._ghost_actions(db, view, vkey)
-        if not was_in and now_in:
-            return [self._insert_action(db, view, view.project(after))]
-        # stayed in the view: in-place patch (the key cannot change — base
-        # primary keys are immutable in this engine)
-        new_view_row = view.project(after)
-        vkey = view.key_of(new_view_row)
-        index = db.index(view.name)
-        plan = locks_for_update(index, vkey)
-
-        def apply(d, t):
-            record = index.get_record(vkey)
-            d.log.append(
-                UpdateRecord(t.txn_id, view.name, vkey, record.current_row, new_view_row)
-            )
-            record.current_row = new_view_row
-            t.touch_record(record)
-            t.stats.view_maintenances += 1
-            d.counters.incr("proj.row_patched")
-
-        return [Action(f"proj-patch {view.name}{vkey!r}", plan, apply)]
-
-    # ------------------------------------------------------------------
-
-    def _insert_action(self, db, view, view_row):
-        index = db.index(view.name)
+            if index.get_record(vkey) is None:
+                return []
+            return [self._action(
+                "ghost", view, vkey, locks_for_logical_delete(index, vkey),
+                lambda d, t: ghost(d, t, index, vkey),
+            )]
+        view_row = view.project(after)
         vkey = view.key_of(view_row)
-        plan = locks_for_insert(index, vkey, db.config.serializable)
+        if was_in:
+            # stayed in the view: in-place patch (the key cannot change —
+            # base primary keys are immutable in this engine)
+            return [self._action(
+                "patch", view, vkey, locks_for_update(index, vkey),
+                lambda d, t: patch(d, t, index, vkey, view_row),
+            )]
+        return [self._action(
+            "insert", view, vkey,
+            locks_for_insert(index, vkey, db.config.serializable),
+            lambda d, t: put(d, t, index, vkey, view_row),
+        )]
 
+    @staticmethod
+    def _action(verb, view, vkey, plan, write):
         def apply(d, t):
-            existing = index.get_record(vkey, include_ghost=True)
-            if existing is not None and existing.is_ghost:
-                ghost_row = existing.current_row
-                index.insert(vkey, view_row)
-                d.log.append(
-                    ReviveRecord(t.txn_id, view.name, vkey, view_row, ghost_row)
-                )
-                d.cleanup.cancel(view.name, vkey)
-                t.touch_record(existing)
-            else:
-                record = index.insert(vkey, view_row)
-                d.log.append(InsertRecord(t.txn_id, view.name, vkey, view_row))
-                t.touch_record(record)
+            write(d, t)
             t.stats.view_maintenances += 1
-            d.counters.incr("proj.row_inserted")
+            # proj.row_inserted / proj.row_ghosted / proj.row_patched
+            d.counters.incr(f"proj.row_{verb}ed")
 
-        return Action(f"proj-insert {view.name}{vkey!r}", plan, apply)
-
-    def _ghost_actions(self, db, view, vkey):
-        index = db.index(view.name)
-        if index.get_record(vkey) is None:
-            return []
-        plan = locks_for_logical_delete(index, vkey)
-
-        def apply(d, t):
-            record = index.get_record(vkey)
-            index.logical_delete(vkey)
-            d.log.append(GhostRecord(t.txn_id, view.name, vkey, record.current_row))
-            t.touch_record(record)
-            d.cleanup.enqueue(view.name, vkey)
-            t.stats.view_maintenances += 1
-            d.counters.incr("proj.row_ghosted")
-
-        return [Action(f"proj-ghost {view.name}{vkey!r}", plan, apply)]
+        return Action(f"proj-{verb} {view.name}{vkey!r}", plan, apply)

@@ -37,7 +37,7 @@ hands the non-durable tickets to ``failure_handler`` (installed by
 
 from repro.common import FaultInjected, SimulatedCrash
 from repro.faults import NULL_INJECTOR
-from repro.metrics import Histogram
+from repro.obs.metrics import Histogram
 from repro.obs.tracer import NULL_TRACER
 
 

@@ -20,7 +20,7 @@ import zlib
 
 from repro.common import FaultInjected, WalError
 from repro.faults import NULL_INJECTOR
-from repro.metrics import Histogram
+from repro.obs.metrics import Histogram
 from repro.obs.tracer import NULL_TRACER
 from repro.wal.records import CheckpointRecord, LogRecord
 

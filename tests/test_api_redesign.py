@@ -17,6 +17,7 @@ from repro.core.session import Session
 from repro.query import AggregateSpec
 from repro.txn.transaction import LockPolicy
 from repro.views.definition import ViewDefinition
+from repro.views import AggregateView, JoinAggregateView, JoinView, ProjectionView
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
@@ -98,20 +99,28 @@ class TestViewDdlKeywordTail:
     def test_all_four_return_view_definition(self):
         db = sales_db()
         views = [
-            db.create_aggregate_view(
-                "agg", "sales", group_by=("product",), aggregates=AGGS
-            ),
-            db.create_join_view(
-                "join", "sales", "products",
+            db.create_view(AggregateView(
+                "agg",
+                "sales",
+                group_by=("product",),
+                aggregates=AGGS,
+            )),
+            db.create_view(JoinView(
+                "join",
+                "sales",
+                "products",
                 on=[("product", "product")],
                 columns=("id", "product", "name"),
-            ),
-            db.create_projection_view("proj", "sales", columns=("id",)),
-            db.create_join_aggregate_view(
-                "joinagg", "sales", "products",
-                on=[("product", "product")], group_by=("name",),
+            )),
+            db.create_view(ProjectionView("proj", "sales", columns=("id",))),
+            db.create_view(JoinAggregateView(
+                "joinagg",
+                "sales",
+                "products",
+                on=[("product", "product")],
+                group_by=("name",),
                 aggregates=AGGS,
-            ),
+            )),
         ]
         for view in views:
             assert isinstance(view, ViewDefinition)
@@ -120,9 +129,11 @@ class TestViewDdlKeywordTail:
 
     def test_unique_and_deferred_flags_recorded(self):
         db = sales_db()
-        view = db.create_projection_view(
-            "proj", "sales", columns=("id",), unique=False, deferred=True
-        )
+        view = db.create_view(ProjectionView(
+            "proj",
+            "sales",
+            columns=("id",),
+        ), unique=False, deferred=True)
         assert view.unique is False
         assert view.deferred is True
 
@@ -130,13 +141,18 @@ class TestViewDdlKeywordTail:
         """``deferred=True`` on one view defers just that view, even when
         the engine-wide maintenance mode is immediate."""
         db = sales_db()  # maintenance_mode defaults to immediate
-        db.create_aggregate_view(
-            "lazy", "sales", group_by=("product",), aggregates=AGGS,
-            deferred=True,
-        )
-        db.create_aggregate_view(
-            "eager", "sales", group_by=("product",), aggregates=AGGS,
-        )
+        db.create_view(AggregateView(
+            "lazy",
+            "sales",
+            group_by=("product",),
+            aggregates=AGGS,
+        ), deferred=True)
+        db.create_view(AggregateView(
+            "eager",
+            "sales",
+            group_by=("product",),
+            aggregates=AGGS,
+        ))
         session = db.session()
         session.insert("sales", {"id": 1, "product": "ant", "amount": 3})
         assert db.read_committed("eager", ("ant",)) is not None

@@ -20,6 +20,7 @@ from repro.storage.bufferpool import BufferPool, PageStore
 from repro.storage.pages import SlottedPage
 from repro.wal import LogManager
 from repro.wal.records import InsertRecord
+from repro.views import AggregateView
 
 PAGE_SIZE = 128
 
@@ -251,13 +252,15 @@ class TestEngineUnderMemoryPressure:
             )
         )
         db.create_table("sales", ("id", "product", "amount"), ("id",))
-        db.create_aggregate_view(
-            "v", "sales", group_by=("product",),
+        db.create_view(AggregateView(
+            "v",
+            "sales",
+            group_by=("product",),
             aggregates=[
                 AggregateSpec.count("n"),
                 AggregateSpec.sum_of("t", "amount"),
             ],
-        )
+        ))
         return db
 
     def test_pressure_run_stays_consistent_and_flushes_early(self):

@@ -4,15 +4,18 @@ an active snapshot can still see."""
 from repro.common import Row
 from repro.core import Database, EngineConfig
 from repro.query import AggregateSpec
+from repro.views import AggregateView
 
 
 def sales_db():
     db = Database(EngineConfig(aggregate_strategy="escrow"))
     db.create_table("sales", ("id", "product", "amount"), ("id",))
-    db.create_aggregate_view(
-        "v", "sales", group_by=("product",),
+    db.create_view(AggregateView(
+        "v",
+        "sales",
+        group_by=("product",),
         aggregates=[AggregateSpec.count("n"), AggregateSpec.sum_of("t", "amount")],
-    )
+    ))
     return db
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.common import KeyRange, LogicalClock, ReproError, Row
+from repro.common import KeyRange, LogicalClock, ReproError
 from repro.common.keys import NEG_INF, POS_INF
 from repro.views.delta import NetDelta, TxnViewDeltas
 
@@ -125,25 +125,3 @@ class TestTxnViewDeltas:
         a = TxnViewDeltas.for_view(txn, "a")
         b = TxnViewDeltas.for_view(txn, "b")
         assert a is not b
-
-
-class TestIndexBulkLoad:
-    def test_bulk_load_replaces_and_stamps(self):
-        from repro.storage import Index
-
-        idx = Index("i", ("k",), order=4)
-        idx.insert((99,), Row(k=99))
-        idx.bulk_load([((i,), Row(k=i)) for i in range(20)], stamp_ts=5)
-        assert len(idx) == 20
-        assert idx.get_record((99,)) is None
-        record = idx.get_record((3,))
-        assert record.read_as_of(5) == Row(k=3)
-        assert record.read_as_of(4) is None
-        idx.check_invariants()
-
-    def test_bulk_load_unsorted_input_ok(self):
-        from repro.storage import Index
-
-        idx = Index("i", ("k",), order=4)
-        idx.bulk_load([((3,), Row(k=3)), ((1,), Row(k=1)), ((2,), Row(k=2))])
-        assert list(idx.rows()) == [Row(k=1), Row(k=2), Row(k=3)]

@@ -17,12 +17,13 @@ from repro.common import (
 )
 from repro.core import Database, EngineConfig
 from repro.query import AggregateSpec
+from repro.views import AggregateView
 
 
 def sales_db(strategy="escrow", **kwargs):
     db = Database(EngineConfig(aggregate_strategy=strategy, **kwargs))
     db.create_table("sales", ("id", "product", "amount"), ("id",))
-    db.create_aggregate_view(
+    db.create_view(AggregateView(
         "by_product",
         "sales",
         group_by=("product",),
@@ -30,7 +31,7 @@ def sales_db(strategy="escrow", **kwargs):
             AggregateSpec.count("n"),
             AggregateSpec.sum_of("total", "amount"),
         ],
-    )
+    ))
     return db
 
 

@@ -6,12 +6,13 @@ from repro.common import Row, StorageError
 from repro.common.keys import KeyRange
 from repro.core import Database, EngineConfig
 from repro.query import AggregateSpec, col_ge
+from repro.views import AggregateView
 
 
 def sales_db(strategy="escrow", **config_kwargs):
     db = Database(EngineConfig(aggregate_strategy=strategy, **config_kwargs))
     db.create_table("sales", ("id", "product", "amount"), ("id",))
-    db.create_aggregate_view(
+    db.create_view(AggregateView(
         "by_product",
         "sales",
         group_by=("product",),
@@ -19,7 +20,7 @@ def sales_db(strategy="escrow", **config_kwargs):
             AggregateSpec.count("n"),
             AggregateSpec.sum_of("total", "amount"),
         ],
-    )
+    ))
     return db
 
 
@@ -221,13 +222,13 @@ class TestAggregateViewMaintenance:
     def test_filtered_view(self, strategy):
         db = Database(EngineConfig(aggregate_strategy=strategy))
         db.create_table("sales", ("id", "product", "amount"), ("id",))
-        db.create_aggregate_view(
+        db.create_view(AggregateView(
             "big_sales",
             "sales",
             group_by=("product",),
             aggregates=[AggregateSpec.count("n")],
             where=col_ge("amount", 50),
-        )
+        ))
         txn = db.begin()
         add_sale(db, txn, 1, "ant", 10)  # filtered out
         add_sale(db, txn, 2, "ant", 90)  # in
@@ -247,7 +248,7 @@ class TestAggregateViewMaintenance:
         add_sale(db, txn, 1, "ant", 30)
         add_sale(db, txn, 2, "ant", 12)
         db.commit(txn)
-        db.create_aggregate_view(
+        db.create_view(AggregateView(
             "by_product",
             "sales",
             group_by=("product",),
@@ -255,7 +256,7 @@ class TestAggregateViewMaintenance:
                 AggregateSpec.count("n"),
                 AggregateSpec.sum_of("total", "amount"),
             ],
-        )
+        ))
         assert db.read_committed("by_product", ("ant",)) == Row(
             product="ant", n=2, total=42
         )
@@ -267,12 +268,12 @@ class TestAggregateViewMaintenance:
     def test_multi_column_group_by(self, strategy):
         db = Database(EngineConfig(aggregate_strategy=strategy))
         db.create_table("t", ("id", "a", "b", "x"), ("id",))
-        db.create_aggregate_view(
+        db.create_view(AggregateView(
             "v",
             "t",
             group_by=("a", "b"),
             aggregates=[AggregateSpec.count("n"), AggregateSpec.sum_of("s", "x")],
-        )
+        ))
         txn = db.begin()
         db.insert(txn, "t", {"id": 1, "a": 1, "b": "p", "x": 5})
         db.insert(txn, "t", {"id": 2, "a": 1, "b": "q", "x": 6})

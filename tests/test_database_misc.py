@@ -5,15 +5,18 @@ import pytest
 from repro.common import Row, StorageError
 from repro.core import Database, EngineConfig
 from repro.query import AggregateSpec, derive_averages
+from repro.views import AggregateView
 
 
 def sales_db():
     db = Database(EngineConfig())
     db.create_table("sales", ("id", "product", "amount"), ("id",))
-    db.create_aggregate_view(
-        "v", "sales", group_by=("product",),
+    db.create_view(AggregateView(
+        "v",
+        "sales",
+        group_by=("product",),
         aggregates=[AggregateSpec.count("n"), AggregateSpec.sum_of("t", "amount")],
-    )
+    ))
     return db
 
 

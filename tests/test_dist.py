@@ -22,6 +22,7 @@ from repro.core import Database, EngineConfig
 from repro.dist import RangePartitioner, ShardedDatabase, check_conservation
 from repro.faults import FaultInjector
 from repro.query import AggregateSpec
+from repro.views import AggregateView, JoinView
 
 BOUNDS = (250, 500, 750)  # 4 partitions
 ACCOUNTS = "accounts"
@@ -33,10 +34,12 @@ def fleet(boundaries=BOUNDS, **config_kwargs):
         boundaries, EngineConfig(aggregate_strategy="escrow", **config_kwargs)
     )
     db.create_table(ACCOUNTS, ("id", "region", "amount"), ("id",))
-    db.create_aggregate_view(
-        TOTALS, ACCOUNTS, ("region",),
+    db.create_view(AggregateView(
+        TOTALS,
+        ACCOUNTS,
+        ("region",),
         [AggregateSpec.count(), AggregateSpec.sum_of("total", "amount")],
-    )
+    ))
     return db
 
 
@@ -88,7 +91,7 @@ class TestRouting:
     def test_join_views_are_rejected(self):
         db = fleet()
         with pytest.raises(CatalogError):
-            db.create_join_view("j", "a", "b", on=(), columns=())
+            db.create_view(JoinView("j", "a", "b", on=(), columns=()))
 
     def test_transactional_read_routes(self):
         db = fleet()
@@ -138,11 +141,13 @@ class TestCommitPaths:
 
     def test_min_max_fold_across_partitions(self):
         db = fleet()
-        db.create_aggregate_view(
-            "extremes", ACCOUNTS, ("region",),
+        db.create_view(AggregateView(
+            "extremes",
+            ACCOUNTS,
+            ("region",),
             [AggregateSpec.count(), AggregateSpec.min_of("lo", "amount"),
              AggregateSpec.max_of("hi", "amount")],
-        )
+        ))
         deposit(db, 10, "w", 5)
         deposit(db, 600, "w", 90)
         deposit(db, 900, "w", -3)
@@ -301,10 +306,12 @@ class TestInDoubtLockScope:
     def engine_with_in_doubt(self):
         db = Database(EngineConfig(aggregate_strategy="escrow"))
         db.create_table(ACCOUNTS, ("id", "region", "amount"), ("id",))
-        db.create_aggregate_view(
-            TOTALS, ACCOUNTS, ("region",),
+        db.create_view(AggregateView(
+            TOTALS,
+            ACCOUNTS,
+            ("region",),
             [AggregateSpec.count(), AggregateSpec.sum_of("total", "amount")],
-        )
+        ))
         for key, region in ((1, "a"), (2, "b")):
             with db.transaction() as seed:
                 db.insert(seed, ACCOUNTS, {"id": key, "region": region,
@@ -391,10 +398,12 @@ class TestRecycleFloorInDoubt:
         # survive with its resources intact and still resolve cleanly.
         restored = Database(EngineConfig(aggregate_strategy="escrow"))
         restored.create_table(ACCOUNTS, ("id", "region", "amount"), ("id",))
-        restored.create_aggregate_view(
-            TOTALS, ACCOUNTS, ("region",),
+        restored.create_view(AggregateView(
+            TOTALS,
+            ACCOUNTS,
+            ("region",),
             [AggregateSpec.count(), AggregateSpec.sum_of("total", "amount")],
-        )
+        ))
         report = restored.load_wal_segments_and_recover(wal_dir)
         assert report.salvage is None or report.salvage["lost_commits"] == []
         assert txn_id in report.in_doubt

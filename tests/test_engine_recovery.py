@@ -5,12 +5,13 @@ import pytest
 from repro.common import Row
 from repro.core import Database, EngineConfig
 from repro.query import AggregateSpec
+from repro.views import AggregateView, JoinView
 
 
 def sales_db(strategy="escrow", **kwargs):
     db = Database(EngineConfig(aggregate_strategy=strategy, **kwargs))
     db.create_table("sales", ("id", "product", "amount"), ("id",))
-    db.create_aggregate_view(
+    db.create_view(AggregateView(
         "by_product",
         "sales",
         group_by=("product",),
@@ -18,7 +19,7 @@ def sales_db(strategy="escrow", **kwargs):
             AggregateSpec.count("n"),
             AggregateSpec.sum_of("total", "amount"),
         ],
-    )
+    ))
     return db
 
 
@@ -154,10 +155,13 @@ class TestJoinViewRecovery:
         db = Database()
         db.create_table("customers", ("cid", "name"), ("cid",))
         db.create_table("orders", ("oid", "cid", "amount"), ("oid",))
-        db.create_join_view(
-            "v", "orders", "customers", on=[("cid", "cid")],
+        db.create_view(JoinView(
+            "v",
+            "orders",
+            "customers",
+            on=[("cid", "cid")],
             columns=("oid", "cid", "amount", "name"),
-        )
+        ))
         return db
 
     def test_join_view_and_aux_indexes_recover(self):
@@ -168,10 +172,9 @@ class TestJoinViewRecovery:
         db.commit(txn)
         db.simulate_crash_and_recover()
         assert db.read_committed("v", (10, 1))["name"] == "alice"
-        from repro.views import leftfk_index_name, secondary_index_name
 
-        assert db.index(secondary_index_name("v")).get_row((1, 10)) is not None
-        assert db.index(leftfk_index_name("v")).get_row((1, 10)) is not None
+        assert db.index("v#right").get_row((1, 10)) is not None
+        assert db.index("v#leftfk").get_row((1, 10)) is not None
         # and maintenance still works post-recovery
         t2 = db.begin()
         db.delete(t2, "customers", (1,))

@@ -6,13 +6,14 @@ from repro.common import CatalogError, EscrowViolationError, LockTimeoutError
 from repro.core import Database, EngineConfig
 from repro.core.inspect import hot_resources, render_hot_resources
 from repro.query import AggregateSpec
+from repro.views import AggregateView, JoinAggregateView
 
 
 def reserve_bank(reserve=50):
     """Branch totals may never drop below the reserve requirement."""
     db = Database(EngineConfig(aggregate_strategy="escrow"))
     db.create_table("accounts", ("aid", "branch", "balance"), ("aid",))
-    db.create_aggregate_view(
+    db.create_view(AggregateView(
         "branch_totals",
         "accounts",
         group_by=("branch",),
@@ -21,7 +22,7 @@ def reserve_bank(reserve=50):
             AggregateSpec.sum_of("total", "balance"),
         ],
         bounds={"total": (reserve, None)},
-    )
+    ))
     txn = db.begin()
     db.insert(txn, "accounts", {"aid": 1, "branch": "b", "balance": 60})
     db.insert(txn, "accounts", {"aid": 2, "branch": "b", "balance": 40})
@@ -34,11 +35,13 @@ class TestViewBounds:
         db = Database()
         db.create_table("t", ("id", "g", "x"), ("id",))
         with pytest.raises(CatalogError):
-            db.create_aggregate_view(
-                "v", "t", group_by=("g",),
+            db.create_view(AggregateView(
+                "v",
+                "t",
+                group_by=("g",),
                 aggregates=[AggregateSpec.count("n")],
                 bounds={"nope": (0, None)},
-            )
+            ))
 
     def test_bounds_for_defaults(self):
         db = reserve_bank()
@@ -91,12 +94,14 @@ class TestViewBounds:
     def test_group_creation_respects_bounds(self):
         db = Database(EngineConfig(aggregate_strategy="escrow"))
         db.create_table("accounts", ("aid", "branch", "balance"), ("aid",))
-        db.create_aggregate_view(
-            "branch_totals", "accounts", group_by=("branch",),
+        db.create_view(AggregateView(
+            "branch_totals",
+            "accounts",
+            group_by=("branch",),
             aggregates=[AggregateSpec.count("n"),
                         AggregateSpec.sum_of("total", "balance")],
             bounds={"total": (0, 1000)},
-        )
+        ))
         txn = db.begin()
         with pytest.raises(EscrowViolationError):
             db.insert(txn, "accounts", {"aid": 1, "branch": "x", "balance": 5000})
@@ -111,13 +116,16 @@ class TestViewBounds:
         txn = db.begin()
         db.insert(txn, "customers", {"cid": 1, "region": "eu"})
         db.commit(txn)
-        db.create_join_aggregate_view(
-            "v", "orders", "customers", on=[("cid", "cid")],
+        db.create_view(JoinAggregateView(
+            "v",
+            "orders",
+            "customers",
+            on=[("cid", "cid")],
             group_by=("region",),
             aggregates=[AggregateSpec.count("n"),
                         AggregateSpec.sum_of("rev", "amount")],
             bounds={"rev": (None, 100)},
-        )
+        ))
         t = db.begin()
         db.insert(t, "orders", {"oid": 1, "cid": 1, "amount": 80})
         with pytest.raises(EscrowViolationError):
@@ -130,10 +138,12 @@ class TestHotSpotReport:
     def test_contention_ranked(self):
         db = Database(EngineConfig(aggregate_strategy="xlock"))
         db.create_table("sales", ("id", "product", "amount"), ("id",))
-        db.create_aggregate_view(
-            "v", "sales", group_by=("product",),
+        db.create_view(AggregateView(
+            "v",
+            "sales",
+            group_by=("product",),
             aggregates=[AggregateSpec.count("n")],
-        )
+        ))
         t0 = db.begin()
         db.insert(t0, "sales", {"id": 1, "product": "hot", "amount": 1})
         db.commit(t0)

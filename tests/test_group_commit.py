@@ -22,6 +22,7 @@ from repro.query import AggregateSpec
 from repro.sim import Scheduler
 from repro.wal import CommitTicket
 from repro.workload import BY_PRODUCT, SALES
+from repro.views import AggregateView
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 DOCS = REPO / "docs"
@@ -30,7 +31,7 @@ DOCS = REPO / "docs"
 def sales_db(**kwargs):
     db = Database(EngineConfig(aggregate_strategy="escrow", **kwargs))
     db.create_table(SALES, ("id", "product", "customer", "amount"), ("id",))
-    db.create_aggregate_view(
+    db.create_view(AggregateView(
         BY_PRODUCT,
         SALES,
         group_by=("product",),
@@ -38,7 +39,7 @@ def sales_db(**kwargs):
             AggregateSpec.count("n_sales"),
             AggregateSpec.sum_of("revenue", "amount"),
         ],
-    )
+    ))
     return db
 
 

@@ -283,33 +283,36 @@ def test_transport_discipline_exempts_non_protocol_methods(tmp_path):
     assert lint_paths([ok]) == []
 
 
-def test_view_entry_point_fires_in_engine_and_client_code(tmp_path):
+def test_logged_write_fires_outside_the_wal_and_the_write_module(tmp_path):
     source = '''
-    def build(db):
-        db.create_aggregate_view("v", "t", group_by=("g",), aggregates=[])
-        db.create_join_view("j", "a", "b", on=())
+    from repro.wal import records
+    from repro.wal.records import GhostRecord, InsertRecord
+
+    def sneak(db, txn, index, key, row):
+        index.insert(key, row)
+        db.log.append(InsertRecord(txn.txn_id, index.name, key, row))
+        db.log.append(records.UpdateRecord(txn.txn_id, index.name, key, row, row))
     '''
-    for rel in ("src/repro/core/sneaky.py", "benchmarks/sneaky.py"):
+    for rel in ("src/repro/views/sneaky.py", "benchmarks/sneaky.py"):
         bad = _plant(tmp_path, rel, source)
-        findings = lint_paths([bad], rules=("view-entry-point",))
-        assert _rules(findings) == {"view-entry-point"}, rel
+        findings = lint_paths([bad], rules=("logged-write",))
+        assert _rules(findings) == {"logged-write"}, rel
         assert len(findings) == 2
-        assert "create_aggregate_view" in findings[0].message
+        assert "InsertRecord" in findings[0].message
+        assert "UpdateRecord" in findings[1].message
 
 
-def test_view_entry_point_allows_tests_and_the_facade(tmp_path):
-    # The canonical surface passes...
+def test_logged_write_allows_the_wal_package_and_the_write_module(tmp_path):
+    source = "record = ReviveRecord(1, 'i', (1,), row, ghost_row)\n"
+    for rel in ("src/repro/wal/recovery.py", "src/repro/txn/write.py"):
+        ok = _plant(tmp_path, rel, source)
+        assert lint_paths([ok], rules=("logged-write",)) == [], rel
+    # other record types are not row changes
     ok = _plant(
-        tmp_path, "benchmarks/fine.py",
-        'db.create_view("CREATE INDEXED VIEW v AS SELECT a FROM t")\n',
+        tmp_path, "src/repro/views/fine.py",
+        "db.log.append(EscrowDeltaRecord(1, 'v', (1,), {'n': 1}))\n",
     )
-    assert lint_paths([ok], rules=("view-entry-point",)) == []
-    # ...and non-engine, non-client trees (tests/) are out of scope.
-    test_file = _plant(
-        tmp_path, "tests/test_old_api.py",
-        "db.create_projection_view('p', 't', ('a',))\n",
-    )
-    assert lint_paths([test_file], rules=("view-entry-point",)) == []
+    assert lint_paths([ok], rules=("logged-write",)) == []
 
 
 def test_import_surface_flags_from_repro_submodule_form(tmp_path):
@@ -333,7 +336,7 @@ def test_rules_tuple_is_the_documented_set():
         "page-discipline",
         "dist-isolation",
         "transport-discipline",
-        "view-entry-point",
+        "logged-write",
     )
 
 

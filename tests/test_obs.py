@@ -22,6 +22,7 @@ from repro.obs import (
 from repro.query import AggregateSpec
 from repro.sim import Scheduler
 from repro.workload import BY_PRODUCT, SALES
+from repro.views import AggregateView
 
 DOCS = pathlib.Path(__file__).resolve().parent.parent / "docs"
 
@@ -29,7 +30,7 @@ DOCS = pathlib.Path(__file__).resolve().parent.parent / "docs"
 def sales_db(strategy="escrow", **kwargs):
     db = Database(EngineConfig(aggregate_strategy=strategy, **kwargs))
     db.create_table(SALES, ("id", "product", "customer", "amount"), ("id",))
-    db.create_aggregate_view(
+    db.create_view(AggregateView(
         BY_PRODUCT,
         SALES,
         group_by=("product",),
@@ -37,7 +38,7 @@ def sales_db(strategy="escrow", **kwargs):
             AggregateSpec.count("n_sales"),
             AggregateSpec.sum_of("revenue", "amount"),
         ],
-    )
+    ))
     return db
 
 

@@ -13,20 +13,24 @@ from hypothesis import strategies as st
 from repro.core import Database, EngineConfig
 from repro.common import StorageError, TransactionAborted
 from repro.query import AggregateSpec, col_ge
+from repro.views import AggregateView, ProjectionView
 
 
 def build_db(strategy):
     db = Database(EngineConfig(aggregate_strategy=strategy))
     db.create_table("t", ("id", "g", "x"), ("id",))
-    db.create_aggregate_view(
+    db.create_view(AggregateView(
         "agg",
         "t",
         group_by=("g",),
         aggregates=[AggregateSpec.count("n"), AggregateSpec.sum_of("s", "x")],
-    )
-    db.create_projection_view(
-        "big", "t", columns=("id", "x"), where=col_ge("x", 5)
-    )
+    ))
+    db.create_view(ProjectionView(
+        "big",
+        "t",
+        columns=("id", "x"),
+        where=col_ge("x", 5),
+    ))
     return db
 
 

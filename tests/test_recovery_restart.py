@@ -19,6 +19,7 @@ from repro.faults import FaultInjector
 from repro.query import AggregateSpec
 from repro.wal import LogManager, RecordType
 from repro.workload import BY_PRODUCT, SALES
+from repro.views import AggregateView
 
 RECOVERY_SITES = ("recovery.analysis", "recovery.redo", "recovery.undo")
 
@@ -26,7 +27,7 @@ RECOVERY_SITES = ("recovery.analysis", "recovery.redo", "recovery.undo")
 def build_db(**kwargs):
     db = Database(EngineConfig(**kwargs))
     db.create_table(SALES, ("id", "product", "customer", "amount"), ("id",))
-    db.create_aggregate_view(
+    db.create_view(AggregateView(
         BY_PRODUCT,
         SALES,
         group_by=("product",),
@@ -34,7 +35,7 @@ def build_db(**kwargs):
             AggregateSpec.count("n_sales"),
             AggregateSpec.sum_of("revenue", "amount"),
         ],
-    )
+    ))
     return db
 
 

@@ -26,6 +26,7 @@ from repro.obs import validate_static_report
 from repro.query import AggregateSpec
 from repro.query.predicates import Predicate
 from repro.txn import LockPolicy
+from repro.views import AggregateView, ProjectionView
 
 
 def escrow_db():
@@ -239,10 +240,12 @@ class TestCheckViewSurface:
     def test_opaque_predicate_reports_sa003(self):
         db = Database()
         db.create_table("t", ("id", "flag"), ("id",))
-        db.create_projection_view(
-            "odd", "t", ("id", "flag"),
+        db.create_view(ProjectionView(
+            "odd",
+            "t",
+            ("id", "flag"),
             where=Predicate(lambda row: row["id"] % 2 == 1, "id % 2 = 1"),
-        )
+        ))
         report = db.check_view_static("odd")
         (diag,) = [d for d in report.diagnostics if d.code == "SA003"]
         assert diag.severity == "info"
@@ -365,10 +368,12 @@ class TestShardGate:
 
     def test_non_copartitioned_view_warns_sa020_and_proceeds(self):
         db = self.fleet()
-        db.create_aggregate_view(
-            "totals", "accounts", ("region",),
+        db.create_view(AggregateView(
+            "totals",
+            "accounts",
+            ("region",),
             [AggregateSpec.count(), AggregateSpec.sum_of("total", "amount")],
-        )
+        ))
         (diag,) = db.copartition_warnings
         assert diag.code == "SA020" and diag.severity == "warning"
         assert "scatter-gather" in diag.message
@@ -376,7 +381,7 @@ class TestShardGate:
 
     def test_copartitioned_projection_is_silent(self):
         db = self.fleet()
-        db.create_projection_view("flat", "accounts", ("id", "amount"))
+        db.create_view(ProjectionView("flat", "accounts", ("id", "amount")))
         assert db.copartition_warnings == []
 
     def test_join_view_is_refused_with_sa021(self):
@@ -397,20 +402,24 @@ class TestShardGate:
 
     def test_check_view_reports_the_copartition_verdict(self):
         db = self.fleet()
-        db.create_aggregate_view(
-            "totals", "accounts", ("region",),
+        db.create_view(AggregateView(
+            "totals",
+            "accounts",
+            ("region",),
             [AggregateSpec.count(), AggregateSpec.sum_of("total", "amount")],
-        )
+        ))
         report = db.check_view("totals")
         assert any(d.code == "SA020" for d in report.diagnostics)
 
     def test_ddl_checks_emit_static_check_events(self):
         db = self.fleet()
         db.tracer.enable()
-        db.create_aggregate_view(
-            "totals", "accounts", ("region",),
+        db.create_view(AggregateView(
+            "totals",
+            "accounts",
+            ("region",),
             [AggregateSpec.count(), AggregateSpec.sum_of("total", "amount")],
-        )
+        ))
         (event,) = db.tracer.events(name="static_check")
         assert event.fields["subject"] == "totals"
         assert event.fields["warnings"] == 1

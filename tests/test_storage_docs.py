@@ -25,6 +25,7 @@ from repro.query import AggregateSpec
 from repro.storage.pages import MAX_PAGE_SIZE, MIN_PAGE_SIZE, PAGE_HEADER, PAGE_SLOT
 from repro.wal.records import RecordType
 from repro.workload import BY_PRODUCT, SALES
+from repro.views import AggregateView
 
 DOC = pathlib.Path(__file__).resolve().parent.parent / "docs" / "STORAGE.md"
 
@@ -54,7 +55,7 @@ def _section_rows(text, name):
 def sales_db(**kwargs):
     db = Database(EngineConfig(**kwargs))
     db.create_table(SALES, ("id", "product", "customer", "amount"), ("id",))
-    db.create_aggregate_view(
+    db.create_view(AggregateView(
         BY_PRODUCT,
         SALES,
         group_by=("product",),
@@ -62,7 +63,7 @@ def sales_db(**kwargs):
             AggregateSpec.count("n_sales"),
             AggregateSpec.sum_of("revenue", "amount"),
         ],
-    )
+    ))
     return db
 
 

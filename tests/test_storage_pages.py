@@ -22,6 +22,7 @@ from repro.core import Database, EngineConfig
 from repro.faults import FaultInjector
 from repro.query import AggregateSpec
 from repro.storage.pages import MAX_PAGE_SIZE, SlottedPage
+from repro.views import AggregateView
 
 
 class TestGarbageAccounting:
@@ -74,13 +75,15 @@ def paged_db():
         )
     )
     db.create_table("sales", ("id", "product", "amount"), ("id",))
-    db.create_aggregate_view(
-        "v", "sales", group_by=("product",),
+    db.create_view(AggregateView(
+        "v",
+        "sales",
+        group_by=("product",),
         aggregates=[
             AggregateSpec.count("n"),
             AggregateSpec.sum_of("t", "amount"),
         ],
-    )
+    ))
     return db
 
 

@@ -11,12 +11,13 @@ from repro.common import CatalogError, LockTimeoutError, Row
 from repro.core import Database, EngineConfig
 from repro.query import AggregateSpec
 from repro.query.aggregates import AggFunc
+from repro.views import AggregateView
 
 
 def minmax_db(strategy="escrow"):
     db = Database(EngineConfig(aggregate_strategy=strategy))
     db.create_table("sales", ("id", "product", "amount"), ("id",))
-    db.create_aggregate_view(
+    db.create_view(AggregateView(
         "price_stats",
         "sales",
         group_by=("product",),
@@ -26,7 +27,7 @@ def minmax_db(strategy="escrow"):
             AggregateSpec.min_of("cheapest", "amount"),
             AggregateSpec.max_of("priciest", "amount"),
         ],
-    )
+    ))
     return db
 
 
@@ -196,12 +197,12 @@ class TestExtremeConcurrencyCost:
         """A second, counter-only view on the same table still enjoys
         escrow concurrency — the X cost is per-view, not per-table."""
         db = minmax_db("escrow")
-        db.create_aggregate_view(
+        db.create_view(AggregateView(
             "counts_only",
             "sales",
             group_by=("product",),
             aggregates=[AggregateSpec.count("n2")],
-        )
+        ))
         t0 = db.begin()
         add(db, t0, 1, "hot", 10)
         db.commit(t0)

@@ -5,12 +5,13 @@ import pytest
 from repro.common import Row
 from repro.core import Database, EngineConfig
 from repro.query import AggregateSpec
+from repro.views import AggregateView
 
 
 def build_schema(strategy="escrow"):
     db = Database(EngineConfig(aggregate_strategy=strategy))
     db.create_table("sales", ("id", "product", "amount"), ("id",))
-    db.create_aggregate_view(
+    db.create_view(AggregateView(
         "by_product",
         "sales",
         group_by=("product",),
@@ -18,7 +19,7 @@ def build_schema(strategy="escrow"):
             AggregateSpec.count("n"),
             AggregateSpec.sum_of("total", "amount"),
         ],
-    )
+    ))
     return db
 
 

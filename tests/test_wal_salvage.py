@@ -20,12 +20,13 @@ from repro.obs import validate_recovery_report
 from repro.query import AggregateSpec
 from repro.wal import LogManager, RecordType, salvage
 from repro.workload import BY_PRODUCT, SALES
+from repro.views import AggregateView
 
 
 def sales_db(**kwargs):
     db = Database(EngineConfig(**kwargs))
     db.create_table(SALES, ("id", "product", "customer", "amount"), ("id",))
-    db.create_aggregate_view(
+    db.create_view(AggregateView(
         BY_PRODUCT,
         SALES,
         group_by=("product",),
@@ -33,7 +34,7 @@ def sales_db(**kwargs):
             AggregateSpec.count("n_sales"),
             AggregateSpec.sum_of("revenue", "amount"),
         ],
-    )
+    ))
     return db
 
 

@@ -185,6 +185,31 @@ class TestRestoreTargetMustBeSchemaOnly:
         assert report.pages_loaded > 0
         assert db.execute("SELECT * FROM by_grp") == before
 
+    def test_a_recycled_chain_into_a_schema_only_engine_is_refused(
+        self, tmp_path
+    ):
+        """The dropped segments' history lives only in the source's page
+        store; a fresh engine would recover the tail and lose the rest."""
+        src = paged_db(range(1, 61))
+        src.dump_wal_segments(tmp_path)
+        assert src.recycle_wal_segments(tmp_path)
+        target = paged_db()
+        with pytest.raises(StorageError, match="recycled and starts at LSN"):
+            target.load_wal_segments_and_recover(tmp_path)
+        assert target.execute("SELECT * FROM t") == []  # nothing replaced
+
+    def test_a_recycled_chain_under_a_sharp_checkpoint_restores(
+        self, tmp_path
+    ):
+        src = paged_db(range(1, 61))
+        src.take_checkpoint()  # sharp: the snapshot stands in for pages
+        src.dump_wal_segments(tmp_path)
+        assert src.recycle_wal_segments(tmp_path)
+        target = paged_db()
+        target.load_wal_segments_and_recover(tmp_path)
+        assert target.check_all_views() == []
+        assert len(target.execute("SELECT * FROM t")) == 60
+
     def test_own_chain_older_than_the_pages_is_refused(self, tmp_path):
         db = paged_db(range(1, 40))
         db.dump_wal_segments(tmp_path)
