@@ -4,17 +4,19 @@ checkpoints buy.
 Grow the committed history, crash, recover — three ways:
 
 * ``no ckpt`` — plain log, recovery replays everything;
-* ``sharp`` — one stop-the-world checkpoint at 90% of the history;
-* ``fuzzy`` — automatic fuzzy checkpoints every
-  ``EngineConfig(checkpoint_interval=…)`` commits: the checkpoint
-  records only the ATT + dirty-page table, dirty pages are written
-  back, and recovery seeds from the durable page images.
+* ``one ckpt`` — a single ``take_checkpoint()`` at 90% of the history;
+* ``auto ckpt`` — a checkpoint every
+  ``EngineConfig(checkpoint_interval=…)`` commits.
+
+There is one kind of checkpoint: it records only the ATT + dirty-page
+table, dirty pages are written back, and recovery seeds from the
+durable page images (``docs/STORAGE.md`` §4).
 
 Expected shape: recovery work (records analyzed/redone, wall time)
-grows linearly with log length without checkpoints; a sharp checkpoint
-caps it at the post-checkpoint tail; the fuzzy leg is **flat** — with a
-fixed working set the dirty-page table is bounded, so analysis+redo
-stay roughly constant while the log grows 16x (``docs/STORAGE.md`` §4).
+grows linearly with log length without checkpoints; one checkpoint
+caps it at the post-checkpoint tail; the automatic leg is **flat** —
+with a fixed working set the dirty-page table is bounded, so
+analysis+redo stay roughly constant while the log grows 16x.
 """
 
 import time
@@ -24,15 +26,15 @@ from repro.api import Database, EngineConfig, OrderEntryWorkload
 from harness import claim, emit
 
 HISTORY_SIZES = (100, 400, 1600)
-FUZZY_INTERVAL = 30
-MODES = ("none", "sharp", "fuzzy")
-MODE_LABELS = {"none": "no ckpt", "sharp": "sharp ckpt", "fuzzy": "fuzzy auto"}
+AUTO_INTERVAL = 30
+MODES = ("none", "once", "auto")
+MODE_LABELS = {"none": "no ckpt", "once": "one ckpt", "auto": "auto ckpt"}
 
 
 def build_history(n_txns, mode):
     config = {"aggregate_strategy": "escrow"}
-    if mode == "fuzzy":
-        config["checkpoint_interval"] = FUZZY_INTERVAL
+    if mode == "auto":
+        config["checkpoint_interval"] = AUTO_INTERVAL
     db = Database(EngineConfig(**config))
     workload = OrderEntryWorkload(db, n_products=20, zipf_theta=0.5, seed=4)
     db.create_table("sales", ("id", "product", "customer", "amount"), ("id",))
@@ -48,7 +50,7 @@ def build_history(n_txns, mode):
         txn = db.begin()
         db.insert(txn, "sales", workload.next_sale_values())
         db.commit(txn)
-        if mode == "sharp" and i == checkpoint_at:
+        if mode == "once" and i == checkpoint_at:
             db.take_checkpoint()
     db.log.flush()
     return db
@@ -90,10 +92,10 @@ def scenario():
         "R13 (ablation): recovery cost vs history length, with/without checkpoints",
         params={
             "history_sizes": list(HISTORY_SIZES),
-            "fuzzy_checkpoint_interval": FUZZY_INTERVAL,
+            "auto_checkpoint_interval": AUTO_INTERVAL,
         },
         claim=claim(
-            "checkpoints cap recovery; fuzzy checkpoints flatten it",
+            "a checkpoint caps recovery; regular checkpoints flatten it",
             checks,
         ),
     )
@@ -105,34 +107,34 @@ def judge(outcomes):
     pytest assertion and the emitted result document."""
     small_plain = outcomes[(HISTORY_SIZES[0], "none")][0]
     large_plain = outcomes[(HISTORY_SIZES[-1], "none")][0]
-    large_sharp = outcomes[(HISTORY_SIZES[-1], "sharp")][0]
-    small_fuzzy = outcomes[(HISTORY_SIZES[0], "fuzzy")][0]
-    large_fuzzy = outcomes[(HISTORY_SIZES[-1], "fuzzy")][0]
+    large_once = outcomes[(HISTORY_SIZES[-1], "once")][0]
+    small_auto = outcomes[(HISTORY_SIZES[0], "auto")][0]
+    large_auto = outcomes[(HISTORY_SIZES[-1], "auto")][0]
     return [
         (
             "without checkpoints, redo work grows with history",
             large_plain.redo_count > 8 * small_plain.redo_count,
         ),
         (
-            "a sharp checkpoint caps analysis at the tail",
-            large_sharp.analyzed_records < 0.25 * large_plain.analyzed_records,
+            "one checkpoint caps analysis at the tail",
+            large_once.analyzed_records < 0.25 * large_plain.analyzed_records,
         ),
         (
-            "a sharp checkpoint caps redo at the tail",
-            large_sharp.redo_count < 0.25 * large_plain.redo_count,
+            "one checkpoint caps redo at the tail",
+            large_once.redo_count < 0.25 * large_plain.redo_count,
         ),
         (
-            "fuzzy recovery seeds from durable pages",
-            large_fuzzy.pages_loaded > 0,
+            "checkpointed recovery seeds from durable pages",
+            large_once.pages_loaded > 0 and large_auto.pages_loaded > 0,
         ),
         (
-            "fuzzy analysis+redo is flat across 16x log growth",
-            large_fuzzy.analyzed_records + large_fuzzy.redo_count
-            <= 2 * (small_fuzzy.analyzed_records + small_fuzzy.redo_count),
+            "auto-checkpoint analysis+redo is flat across 16x log growth",
+            large_auto.analyzed_records + large_auto.redo_count
+            <= 2 * (small_auto.analyzed_records + small_auto.redo_count),
         ),
         (
-            "fuzzy redo is bounded by the DPT, not the log",
-            large_fuzzy.redo_count < 0.05 * large_plain.redo_count,
+            "auto-checkpoint redo is bounded by the DPT, not the log",
+            large_auto.redo_count < 0.05 * large_plain.redo_count,
         ),
     ]
 

@@ -143,7 +143,7 @@ def leg_segments(workdir):
 def leg_recycle(workdir):
     db = build()
     run_workload(db)
-    db.take_checkpoint(kind="fuzzy")
+    db.take_checkpoint()
     db.dump_wal_segments(workdir)
     removed = db.recycle_wal_segments(workdir)
     # same process reloads its own truncated chain: the durable pages
@@ -173,7 +173,7 @@ def leg_torn_page():
     injector = FaultInjector(seed=11)
     db.install_fault_injector(injector)
     injector.arm("page.torn_write", probability=1.0, times=2)
-    db.take_checkpoint(kind="fuzzy")
+    db.take_checkpoint()
     log_len = len(db.log)  # fully flushed: every txn committed
     report = db.simulate_crash_and_recover()
     torn = db.counters.as_dict().get("storage.torn_pages", 0)

@@ -71,7 +71,8 @@ def checkpoint_demo():
     db.commit(txn)
     report = db.simulate_crash_and_recover()
     print(
-        f"log holds {len(db.log)} records; recovery analyzed only "
+        f"log holds {len(db.log)} records; recovery seeded from "
+        f"{report.pages_loaded} durable page(s) and analyzed only "
         f"{report.analyzed_records} (post-checkpoint tail)"
     )
     print("south totals:", db.read_committed("branch_totals", ("south",)))

@@ -65,8 +65,8 @@ class EngineConfig:
       ``RecoveryReport.salvage``; ``"strict"`` raises
       :class:`~repro.common.errors.WalCorruptionError` instead of
       silently serving a state missing committed transactions.
-    * ``checkpoint_interval`` — take a *fuzzy* checkpoint automatically
-      every N commits (``None`` disables, the default). A fuzzy
+    * ``checkpoint_interval`` — take a checkpoint automatically
+      every N commits (``None`` disables, the default). A
       checkpoint logs the active-transaction table plus the buffer
       pool's dirty-page table — no data snapshot — then flushes dirty
       pages in the background; recovery's redo window shrinks to

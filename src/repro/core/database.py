@@ -53,9 +53,15 @@ from repro.locking.keyrange import (
 )
 from repro.obs import Counters, EngineMetrics, RetryStats, Tracer
 from repro.storage import Index
-from repro.storage.bufferpool import BufferPool, PageManager, PageStore
+from repro.storage.bufferpool import (
+    BufferPool,
+    PageManager,
+    PageStore,
+    durable_winners,
+)
 from repro.storage.records import VersionedRecord
 from repro.txn import LockPolicy, SnapshotRegistry, TransactionManager
+from repro.txn.transaction import TxnState
 from repro.txn.write import ghost, patch, put
 from repro.views.actions import Action, run_actions
 from repro.views.deferred import DeferredMaintainer
@@ -136,19 +142,13 @@ class Database(RecoveryTarget):
         self.group_commit.failure_handler = self._on_group_flush_failure
         self.log.flush_listener = self.group_commit.on_flushed
         self._txns.group_commit = self.group_commit
+        self._indexes = {}
+        self._index_views = {}  # index name -> owning view definition
         #: the page world: a durable page store (survives crashes), a
         #: fixed-frame buffer pool over it, and the slotted-page mirror
         #: that subscribes to the log's append stream (docs/STORAGE.md).
-        self._store = PageStore(faults=self.faults)
-        self._pool = BufferPool(
-            self._store, capacity=self.config.buffer_pool_frames,
-            log=self.log, tracer=self.tracer,
-        )
-        self._pages = PageManager(self._pool, page_size=self.config.page_size)
-        self.log.append_listener = self._pages.apply
+        self._rebuild_page_mirror()
         self._commits_since_checkpoint = 0
-        self._indexes = {}
-        self._index_views = {}  # index name -> owning view definition
         self.secondary = SecondaryIndexManager(self)
         from repro.integrity import QuarantineManager
 
@@ -396,40 +396,52 @@ class Database(RecoveryTarget):
         inside it (DDL always runs outside any transaction — it is not
         logged and cannot roll back).
         """
-        from repro.sql import ast as sql_ast
-        from repro.sql import execute_statement, parse
+        from repro.sql import parse
+
+        if txn is None:
+            run = self._autocommit
+        else:
+            def run(fn):
+                txn.require_active()
+                return fn(txn)
 
         result = None
         for stmt in parse(sql):
-            if isinstance(stmt, sql_ast.CreateTable):
-                result = self.create_table(
-                    stmt.name, stmt.columns, stmt.primary_key
-                )
-            elif isinstance(stmt, sql_ast.CreateView):
-                result = self.create_view(stmt)
-            elif isinstance(stmt, sql_ast.CheckView):
-                result = self.check_view_static(stmt.name)
-            elif isinstance(stmt, sql_ast.Explain):
-                result = self.explain(stmt.statement)
-            elif txn is not None:
-                txn.require_active()
-                result = execute_statement(self, txn, stmt)
-            else:
-                result = self._execute_autocommit(stmt)
+            result = self._execute_statement(stmt, run)
         return result
 
-    def _execute_autocommit(self, stmt):
+    def _execute_statement(self, stmt, run):
+        """The one statement dispatcher behind :meth:`execute` and
+        :meth:`Session.execute <repro.core.session.Session.execute>`.
+        ``run(fn)`` calls ``fn(txn)`` in whatever transaction the caller
+        means a DML/SELECT statement to have — an open one, or an
+        autocommit one."""
+        from repro.sql import ast as sql_ast
         from repro.sql import execute_statement
-        from repro.txn.transaction import TxnState
 
-        txn = self._begin_txn()
+        if isinstance(stmt, sql_ast.CreateTable):
+            return self.create_table(stmt.name, stmt.columns, stmt.primary_key)
+        if isinstance(stmt, sql_ast.CreateView):
+            return self.create_view(stmt)
+        if isinstance(stmt, sql_ast.CheckView):
+            return self.check_view_static(stmt.name)
+        if isinstance(stmt, sql_ast.Explain):
+            return self.explain(stmt.statement)
+        return run(lambda txn: execute_statement(self, txn, stmt))
+
+    def _autocommit(self, fn, policy=LockPolicy.NOWAIT,
+                    isolation="serializable"):
+        """Run ``fn(txn)`` as its own transaction: committed — and
+        durable, since an autocommit caller has no handle to wait on
+        later — on success, aborted on failure."""
+        txn = self.begin(policy=policy, isolation=isolation)
         try:
-            result = execute_statement(self, txn, stmt)
+            result = fn(txn)
             self.commit(txn)
             self.ensure_durable(txn)
             return result
         except SimulatedCrash:
-            raise
+            raise  # nothing is running any more; recovery will resolve it
         except BaseException:
             if txn.state is TxnState.ACTIVE:
                 self.abort(txn)
@@ -527,26 +539,16 @@ class Database(RecoveryTarget):
     def session(self, isolation="serializable", policy=LockPolicy.NOWAIT):
         """The canonical entry point: a connection-like wrapper with an
         implicit current transaction and autocommit statements (see
-        :mod:`repro.core.session`). ``begin()`` and ``transaction()``
-        both route through it and accept the same ``policy=`` /
-        ``isolation=`` keywords."""
+        :mod:`repro.core.session`)."""
         from repro.core.session import Session
 
         return Session(self, isolation=isolation, policy=policy)
 
     def begin(self, policy=LockPolicy.NOWAIT, isolation="serializable"):
-        """Start and return a bare transaction handle.
-
-        .. deprecated:: prefer ``db.session(...).begin()`` (or
-           :meth:`transaction` / :meth:`run_transaction`); ``begin()``
-           remains as a shorthand and simply routes through
-           :meth:`session`.
-        """
-        return self.session(isolation=isolation, policy=policy).begin()
-
-    def _begin_txn(self, policy=LockPolicy.NOWAIT, isolation="serializable"):
-        """Internal begin, used by Session and the engine's own loops —
-        the one place that talks to the transaction manager directly."""
+        """Start and return a bare transaction handle — the primitive
+        under :meth:`session`, :meth:`transaction` and
+        :meth:`run_transaction`, and the one place that talks to the
+        transaction manager directly."""
         return self._txns.begin(policy=policy, isolation=isolation)
 
     def begin_system(self):
@@ -559,6 +561,19 @@ class Database(RecoveryTarget):
         result = self._txns.commit(txn)
         self._maybe_auto_checkpoint()
         return result
+
+    def _commit_or_abort(self, txn):
+        """Commit on behalf of a caller that then lets go of ``txn``: a
+        failed commit (e.g. an injected fault while folding view deltas)
+        must not leave it holding locks nobody will release."""
+        try:
+            return self.commit(txn)
+        except SimulatedCrash:
+            raise  # nothing is running any more; recovery will resolve it
+        except BaseException:
+            if txn.state is TxnState.ACTIVE:
+                self.abort(txn, reason="commit failed")
+            raise
 
     def abort(self, txn, reason="user"):
         self._txns.abort(txn, reason)
@@ -698,12 +713,10 @@ class Database(RecoveryTarget):
         Returns ``fn``'s result from the successful attempt; commits for
         ``fn`` unless ``fn`` already resolved the transaction itself.
         """
-        from repro.txn.transaction import TxnState
-
         attempt = 0
         while True:
             attempt += 1
-            txn = self._begin_txn(policy=policy, isolation=isolation)
+            txn = self.begin(policy=policy, isolation=isolation)
             try:
                 result = fn(txn)
                 if txn.state is TxnState.ACTIVE:
@@ -746,11 +759,6 @@ class Database(RecoveryTarget):
     def transaction(self, policy=LockPolicy.NOWAIT, isolation="serializable"):
         """Context manager: commit on clean exit, abort on exception.
 
-        .. deprecated:: prefer ``db.session(...)`` and its statement
-           methods, or :meth:`run_transaction` for retry-safe bodies;
-           ``transaction()`` remains as a shorthand and routes through
-           :meth:`session`.
-
         >>> db = Database(); _ = db.create_table("t", ("a",), ("a",))
         >>> with db.transaction() as txn:
         ...     db.insert(txn, "t", {"a": 1})
@@ -758,9 +766,7 @@ class Database(RecoveryTarget):
         >>> db.read_committed("t", (1,))
         Row(a=1)
         """
-        return _TransactionContext(
-            self.session(isolation=isolation, policy=policy)
-        )
+        return _TransactionContext(self, policy, isolation)
 
     @property
     def committed_count(self):
@@ -828,8 +834,6 @@ class Database(RecoveryTarget):
         dependent-abort story the commit-flush comment in
         ``txn/manager.py`` documents.
         """
-        from repro.txn.transaction import TxnState
-
         if not tickets:
             return
         if not self._group_retractable(member_ids):
@@ -1269,8 +1273,8 @@ class Database(RecoveryTarget):
     def check_integrity(self, quarantine=False):
         """Run the online integrity checker (see
         :mod:`repro.integrity.checker`): B-tree structural invariants of
-        every index, secondary-index agreement with the heap, and every
-        view against fresh recomputation. Returns the
+        every index, secondary-index agreement with the base table, and
+        every view against fresh recomputation. Returns the
         :class:`~repro.integrity.IntegrityReport`.
 
         ``quarantine=True`` additionally quarantines every view the
@@ -1313,53 +1317,21 @@ class Database(RecoveryTarget):
     # checkpoints, crash, recovery
     # ==================================================================
 
-    def take_checkpoint(self, kind="sharp"):
-        """Write a checkpoint record; flushes the log.
+    def take_checkpoint(self):
+        """Write the ARIES checkpoint record and run the background
+        writer.
 
-        ``kind="sharp"`` (default, the pre-page-world behaviour) logs a
-        full snapshot of every index with pending escrow deltas folded
-        in (loser undo subtracts them back), plus the active-transaction
-        table — recovery then replays only the log suffix.
-
-        ``kind="fuzzy"`` is the ARIES checkpoint: no data snapshot, just
-        the active-transaction table and the buffer pool's dirty-page
-        table, followed by a background-writer sweep
-        (:meth:`~repro.storage.bufferpool.BufferPool.flush_dirty`).
-        Recovery seeds from the durable page images and redoes only from
-        ``min(recLSN)`` — cost bounded by the checkpoint interval, not
-        the log length. ``EngineConfig(checkpoint_interval=N)`` takes
-        one automatically every N commits.
+        The record carries no data, just the active-transaction table
+        and the buffer pool's dirty-page table; the sweep after it
+        (:meth:`~repro.storage.bufferpool.BufferPool.flush_dirty`) makes
+        every mirrored entry durable. Recovery seeds from the durable
+        page images and redoes only from ``min(recLSN)`` — cost bounded
+        by the checkpoint interval, not the log length.
+        ``EngineConfig(checkpoint_interval=N)`` takes one automatically
+        every N commits.
         """
-        if kind == "fuzzy":
-            return self._take_fuzzy_checkpoint()
-        snapshot = {}
-        for name, index in self._indexes.items():
-            entries = []
-            counter_cols = self.counter_columns(name)
-            for key, record in index.scan(include_ghosts=True):
-                row = record.current_row
-                for column in counter_cols:
-                    account = self.escrow.existing((name, key, column))
-                    if account is not None:
-                        row = row.replace(**{column: account.read_inclusive()})
-                entries.append([list(key), row.as_dict(), record.is_ghost])
-            snapshot[name] = entries
-        record = CheckpointRecord(self._checkpoint_att(), snapshot)
-        self.log.append(record)
-        self.log.flush()
-        self.counters.incr("checkpoint.taken")
-        if self.tracer.enabled:
-            self.tracer.emit(
-                "checkpoint_taken", kind="sharp", lsn=record.lsn,
-                active_txns=len(record.active_txns), dirty_pages=0,
-            )
-        return record
-
-    def _take_fuzzy_checkpoint(self):
         dirty = self._pool.dirty_page_table()
-        record = CheckpointRecord(
-            self._checkpoint_att(), None, dirty, kind="fuzzy"
-        )
+        record = CheckpointRecord(self._checkpoint_att(), dirty)
         self.log.append(record)
         # Runs inside the commit path when auto-triggered: the scheduled
         # flush fault sites belong to statement-level retries, not to a
@@ -1370,10 +1342,9 @@ class Database(RecoveryTarget):
         # that page-to-page moves left behind can finally be erased.
         self._pages.reclaim_stale()
         self.counters.incr("checkpoint.taken")
-        self.counters.incr("checkpoint.fuzzy")
         if self.tracer.enabled:
             self.tracer.emit(
-                "checkpoint_taken", kind="fuzzy", lsn=record.lsn,
+                "checkpoint_taken", lsn=record.lsn,
                 active_txns=len(record.active_txns),
                 dirty_pages=len(dirty),
             )
@@ -1396,7 +1367,7 @@ class Database(RecoveryTarget):
         self._commits_since_checkpoint += 1
         if self._commits_since_checkpoint >= interval:
             self._commits_since_checkpoint = 0
-            self.take_checkpoint(kind="fuzzy")
+            self.take_checkpoint()
 
     def simulate_crash_and_recover(self):
         """Lose all volatile state, then rebuild from the durable log.
@@ -1412,31 +1383,12 @@ class Database(RecoveryTarget):
         self.log.crash()
         return self._rebuild_from_log()
 
-    def dump_wal(self, path):
-        """Persist the flushed log prefix as JSON lines (durability across
-        process restarts; pair with :meth:`load_wal_and_recover`)."""
-        self.log.flush()
-        self.log.dump(path)
-
-    def load_wal_and_recover(self, path):
-        """Replace the log with a previously dumped one and rebuild all
-        state from it.
-
-        DDL is not logged (see :meth:`create_view`), so the receiving
-        database must already have the same tables and views registered —
-        the usual pattern is: build the schema, then restore. The target
-        must be schema-only (see :meth:`_adopt_log`).
-        """
-        return self._adopt_log(LogManager.load(
-            path, checksums=self.config.wal_checksums
-        ))
-
     def _adopt_log(self, loaded):
         """Replace the log with one read back from disk and recover
         from it.
 
         Recovery seeds from the durable page store and gates redo on the
-        page LSNs, which is only sound when those pages were written
+        entry LSNs, which is only sound when those pages were written
         under the log being loaded. An engine reloading its *own* dumped
         chain (possibly recycled: the pages then hold what the dropped
         segments said) qualifies — the loaded log ends at this engine's
@@ -1448,9 +1400,8 @@ class Database(RecoveryTarget):
         The converse is refused too: a *recycled* chain (it no longer
         starts at LSN 1) needs the pages its dropped segments were
         folded into, and those live only in the engine that recycled it.
-        Loaded into an engine without pages, and without a sharp
-        checkpoint's snapshot to stand in for them, it would recover the
-        log's tail and silently lose everything before it.
+        Loaded into an engine without pages it would recover the log's
+        tail and silently lose everything before it.
         """
         if len(self._store) and not self._ends_like_own_log(loaded):
             raise StorageError(
@@ -1461,18 +1412,13 @@ class Database(RecoveryTarget):
                 f"schema-only engine"
             )
         first = next(loaded.records(), None)
-        checkpoint = loaded.latest_checkpoint()
-        if (
-            first is not None and first.lsn > 1 and not len(self._store)
-            and (checkpoint is None or checkpoint.snapshot is None)
-        ):
+        if first is not None and first.lsn > 1 and not len(self._store):
             raise StorageError(
                 f"cannot restore this WAL into an engine without durable "
                 f"pages: the log was recycled and starts at LSN "
                 f"{first.lsn}, and what its dropped records said lives "
                 f"only in the page store of the engine that recycled it; "
-                f"restore the unrecycled chain, or one whose latest "
-                f"checkpoint is sharp (it carries a snapshot)"
+                f"restore the unrecycled chain"
             )
         self.log = loaded
         return self._rebuild_from_log()
@@ -1499,10 +1445,14 @@ class Database(RecoveryTarget):
 
     def load_wal_segments_and_recover(self, directory):
         """Rebuild all state from a segment chain written by
-        :meth:`dump_wal_segments`. As with :meth:`load_wal_and_recover`,
-        DDL is not logged — build the schema first, then restore. A
-        broken chain (bad trailer CRC, lost segment) is truncated at the
-        break and the loss lands in the salvage report."""
+        :meth:`dump_wal_segments`.
+
+        DDL is not logged (see :meth:`create_view`), so the receiving
+        database must already have the same tables and views registered
+        — build the schema, load no rows, then restore (see
+        :meth:`_adopt_log`). A broken chain (bad trailer CRC, lost
+        segment) is truncated at the break and the loss lands in the
+        salvage report."""
         return self._adopt_log(load_segments(
             directory, checksums=self.config.wal_checksums
         ))
@@ -1595,20 +1545,10 @@ class Database(RecoveryTarget):
         self.clock.advance_to(max_commit_ts)
         self._reset_volatile()
         self._txns._next_txn_id = max(self._txns._next_txn_id, max_txn + 1)
-        checkpoint = self.log.latest_checkpoint()
-        pages_gate = None
-        pages_loaded = 0
-        if checkpoint is not None and checkpoint.snapshot is not None:
-            # Sharp checkpoint: the snapshot already folds everything in;
-            # redo the suffix ungated.
-            self._load_snapshot(checkpoint.snapshot)
-        elif len(self._store):
-            # Fuzzy / no checkpoint, but durable page images exist: seed
-            # state from them and gate redo per key on the entry LSNs.
-            pages_gate, pages_loaded = self._seed_from_pages()
+        gate, pages_loaded = self._seed_from_store()
         report = recover(
             self.log, self, faults=self.faults,
-            salvage_report=self._pending_salvage, pages=pages_gate,
+            salvage_report=self._pending_salvage, gate=gate,
         )
         report.pages_loaded = pages_loaded
         self._register_in_doubt(report.in_doubt)
@@ -1695,16 +1635,11 @@ class Database(RecoveryTarget):
         self.group_commit.abandon_pending()
         self.group_commit.log = self.log
         self.log.flush_listener = self.group_commit.on_flushed
-        # The buffer pool's frames are volatile — gone with the crash —
-        # but the page store survives. Recovery decides whether to trust
-        # it (_seed_from_pages) or discard it (_rebuild_page_mirror).
-        self._store.faults = self.faults
-        self._pool = BufferPool(
-            self._store, capacity=self.config.buffer_pool_frames,
-            log=self.log, tracer=self.tracer,
-        )
-        self._pages = PageManager(self._pool, page_size=self.config.page_size)
-        self.log.append_listener = self._pages.apply
+        # The pool and the mirror are volatile — gone with the crash —
+        # and nothing replaces them until recovery's last step: the page
+        # store survives and recovery only reads it, so no record
+        # appended meanwhile (undo's CLRs) may reach a page.
+        self.log.append_listener = None
         self._commits_since_checkpoint = 0
         for name, index in list(self._indexes.items()):
             self._indexes[name] = Index(
@@ -1714,33 +1649,44 @@ class Database(RecoveryTarget):
                 latch_set=self.latches,
             )
 
-    def _load_snapshot(self, snapshot):
-        for name, entries in snapshot.items():
-            index = self._indexes.get(name)
-            if index is None:
-                continue
-            for key_list, row_dict, is_ghost in entries:
-                record = VersionedRecord(tuple(key_list), Row(row_dict), is_ghost)
-                index.physical_insert(record)
+    def _seed_from_store(self):
+        """Recovery's one read of the page store: insert the newest live
+        entry per key into the fresh indexes and return ``(gate,
+        pages_loaded)`` — the table of per-key winners that gates redo.
 
-    def _seed_from_pages(self):
-        """Load the durable page images into the fresh mirror and insert
-        the newest live entry per key into the live indexes. Returns
-        ``(pages_gate, pages_loaded)`` — the gate is ``None`` when a
-        torn page makes the store untrustworthy, in which case the
-        mirror is discarded and redo replays the whole log ungated."""
-        loaded, torn, seeds = self._pages.load_durable_pages()
-        if seeds is None:
+        The gate is ``None`` when nothing vouches for the store: a torn
+        page, or entries written under log records the salvage pass has
+        just cut away (their effects would survive the transactions the
+        report calls lost). Recovery then replays the whole log ungated
+        — which needs the whole log."""
+        gate, loaded, torn = durable_winners(self._store)
+        if torn:
             self.counters.incr("storage.torn_pages", torn)
-            self._fresh_mirror()
-            return None, loaded
-        for index_name, key, row, is_ghost in seeds:
-            self.recovery_insert(index_name, key, Row(row), is_ghost=is_ghost)
-        return self._pages, loaded
+        cut = (self._pending_salvage or {}).get("truncated_lsn")
+        if gate and cut is not None and any(
+            lsn >= cut for lsn, _, _, _ in gate.values()
+        ):
+            first = next(self.log.records(), None)
+            if first is not None and first.lsn > 1:
+                raise WalCorruptionError(
+                    f"durable pages were written under log records lost "
+                    f"past LSN {cut}, and the log, recycled, starts at LSN "
+                    f"{first.lsn}: neither the pages nor a full replay can "
+                    f"vouch for a state",
+                    salvage=self._pending_salvage,
+                )
+            gate = None
+        for locator, (_, row, is_ghost, dead) in (gate or {}).items():
+            if not dead and row is not None:
+                self.recovery_insert(*locator, Row(row), is_ghost=is_ghost)
+        return gate, loaded
 
-    def _fresh_mirror(self):
-        """Brand-new empty page world (store included), attached to the
-        current log's append stream."""
+    def _rebuild_page_mirror(self):
+        """A brand-new page world (store included) holding the live
+        indexes as of the log tail, flushed and attached to the log's
+        append stream — how an engine starts, and recovery's last step:
+        whatever the old store said, the durable pages and the recovered
+        state agree from here on."""
         self._store = PageStore(faults=self.faults)
         self._pool = BufferPool(
             self._store, capacity=self.config.buffer_pool_frames,
@@ -1748,16 +1694,6 @@ class Database(RecoveryTarget):
         )
         self._pages = PageManager(self._pool, page_size=self.config.page_size)
         self.log.append_listener = self._pages.apply
-
-    def _rebuild_page_mirror(self):
-        """Resynchronize the page mirror with the recovered live state.
-
-        Recovery can reach here through paths the mirror cannot track
-        exactly (sharp snapshots, torn-page fallback, salvage cuts), so
-        every path converges the same way: rebuild the mirror wholesale
-        from the live indexes as of the log tail, then flush it — the
-        durable pages and the recovered state agree from here on."""
-        self._fresh_mirror()
         entries = []
         for name, index in self._indexes.items():
             for key, record in index.scan(include_ghosts=True):
@@ -1852,29 +1788,28 @@ class Database(RecoveryTarget):
 
 
 class _TransactionContext:
-    """``with db.transaction() as txn`` — commit or abort automatically.
+    """``with db.transaction() as txn`` — commit or abort automatically."""
 
-    A thin adapter over a :class:`~repro.core.session.Session`, so the
-    three entry points share one code path."""
+    __slots__ = ("_db", "_policy", "_isolation", "_txn")
 
-    __slots__ = ("_session", "_txn")
-
-    def __init__(self, session):
-        self._session = session
+    def __init__(self, db, policy, isolation):
+        self._db = db
+        self._policy = policy
+        self._isolation = isolation
         self._txn = None
 
     def __enter__(self):
-        self._txn = self._session.begin()
+        self._txn = self._db.begin(
+            policy=self._policy, isolation=self._isolation
+        )
         return self._txn
 
     def __exit__(self, exc_type, exc, tb):
-        from repro.txn.transaction import TxnState
-
         if self._txn.state is not TxnState.ACTIVE:
             # already resolved (e.g. aborted as a deadlock victim)
             return False
         if exc_type is None:
-            self._session.commit()
+            self._db._commit_or_abort(self._txn)
         else:
-            self._session.rollback()
+            self._db.abort(self._txn)
         return False

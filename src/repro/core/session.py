@@ -17,7 +17,7 @@ mode (its own transaction, committed on success, aborted on failure) —
 the same default as every SQL client library.
 """
 
-from repro.common import SimulatedCrash, TransactionStateError
+from repro.common import TransactionStateError
 from repro.txn.transaction import LockPolicy, TxnState
 
 
@@ -49,7 +49,7 @@ class Session:
         """Start an explicit transaction (error if one is open)."""
         if self.in_transaction():
             raise TransactionStateError("session already has an open transaction")
-        self._txn = self._db._begin_txn(
+        self._txn = self._db.begin(
             policy=self.policy, isolation=self.isolation
         )
         return self._txn
@@ -57,18 +57,8 @@ class Session:
     def commit(self):
         if not self.in_transaction():
             raise TransactionStateError("no open transaction to commit")
-        txn = self._txn
         try:
-            return self._db.commit(txn)
-        except SimulatedCrash:
-            raise  # nothing is running any more; recovery will resolve it
-        except BaseException:
-            # A failed commit (e.g. an injected fault while folding view
-            # deltas) must not leave the transaction holding locks while
-            # the session believes it is idle.
-            if txn.state is TxnState.ACTIVE:
-                self._db.abort(txn, reason="commit failed")
-            raise
+            return self._db._commit_or_abort(self._txn)
         finally:
             self._txn = None
 
@@ -123,40 +113,18 @@ class Session:
     def _run(self, fn):
         if self.in_transaction():
             return fn(self._txn)
-        txn = self._db._begin_txn(policy=self.policy, isolation=self.isolation)
-        try:
-            result = fn(txn)
-            self._db.commit(txn)
-            return result
-        except SimulatedCrash:
-            raise
-        except BaseException:
-            if txn.state is TxnState.ACTIVE:
-                self._db.abort(txn)
-            raise
+        return self._db._autocommit(fn, self.policy, self.isolation)
 
     def execute(self, sql):
         """Execute SQL in this session: inside the current transaction
-        when one is open, autocommit otherwise. DDL always routes to
-        :meth:`Database.execute` outside any transaction (DDL is not
-        logged and cannot roll back)."""
-        from repro.sql import ast as sql_ast
-        from repro.sql import execute_statement, parse
+        when one is open, autocommit otherwise — through the same
+        statement dispatcher as :meth:`Database.execute`, so DDL,
+        ``EXPLAIN`` and ``CHECK VIEW`` run outside any transaction."""
+        from repro.sql import parse
 
         result = None
         for stmt in parse(sql):
-            if isinstance(stmt, sql_ast.CreateTable):
-                result = self._db.create_table(
-                    stmt.name, stmt.columns, stmt.primary_key
-                )
-            elif isinstance(stmt, sql_ast.CreateView):
-                result = self._db.create_view(stmt)
-            else:
-                result = self._run(
-                    lambda txn, stmt=stmt: execute_statement(
-                        self._db, txn, stmt
-                    )
-                )
+            result = self._db._execute_statement(stmt, self._run)
         return result
 
     def insert(self, table, values):

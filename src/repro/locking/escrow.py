@@ -119,9 +119,9 @@ class EscrowAccount:
 
     def read_inclusive(self):
         """Committed value plus *all* pending deltas — the value the
-        counter will have if every in-flight transaction commits. Used by
-        sharp checkpoints, which snapshot uncommitted state and rely on
-        loser undo to subtract the deltas back out."""
+        counter will have if every in-flight transaction commits. The
+        view checker compares this against the base tables' current
+        rows, which carry the same uncommitted changes."""
         return self.committed + sum(self._pending.values())
 
     def others_pending(self, txn_id):

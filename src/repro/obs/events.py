@@ -200,12 +200,9 @@ EVENT_TYPES = {
     "checkpoint_taken": {
         "category": "storage",
         "fields": {
-            "kind": "sharp (full snapshot) | fuzzy (ATT + dirty-page "
-            "table only)",
             "lsn": "LSN of the checkpoint record",
             "active_txns": "transactions open at the checkpoint",
-            "dirty_pages": "dirty-page-table entries captured (0 for "
-            "sharp)",
+            "dirty_pages": "dirty-page-table entries captured",
         },
     },
     # ------------------------------------------------------------ dist

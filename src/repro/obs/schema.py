@@ -98,8 +98,8 @@ SEGMENT_TRAILER_FIELDS = {"segment", "records", "last_lsn", "crc"}
 #: the ``wal.floor`` truncation marker beside the segment chain.
 FLOOR_MARKER_FIELDS = {"first_lsn", "segments"}
 
-#: payload keys of a checkpoint log record (sharp and fuzzy).
-CHECKPOINT_RECORD_FIELDS = {"active_txns", "snapshot", "dirty_pages", "kind"}
+#: payload keys of a checkpoint log record.
+CHECKPOINT_RECORD_FIELDS = {"active_txns", "dirty_pages"}
 
 #: keys of ``BufferPool.stats()`` (surfaced as ``stats()["storage"]["pool"]``).
 BUFFER_POOL_STATS_FIELDS = {

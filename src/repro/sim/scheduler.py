@@ -405,7 +405,7 @@ class Scheduler:
                 session.state = "done"
                 return
             session.generator = session.program_factory()
-            session.txn = db._begin_txn(
+            session.txn = db.begin(
                 policy=LockPolicy.COOPERATIVE, isolation=session.isolation
             )
             session.pending_op = None

@@ -1,4 +1,4 @@
-"""Storage substrate: B+-trees, heap files, versioned records, ghosts.
+"""Storage substrate: B+-trees, slotted pages, versioned records, ghosts.
 
 This package is deliberately ignorant of transactions and locking — it
 provides the physical structures (and the ghost/version mechanics) that the
@@ -7,7 +7,6 @@ transactional layers coordinate over.
 
 from repro.storage.btree import BPlusTree
 from repro.storage.bufferpool import BufferPool, PageManager, PageStore
-from repro.storage.heap import HeapFile
 from repro.storage.index import Index
 from repro.storage.pages import SlottedPage
 from repro.storage.records import Version, VersionedRecord
@@ -15,7 +14,6 @@ from repro.storage.records import Version, VersionedRecord
 __all__ = [
     "BPlusTree",
     "BufferPool",
-    "HeapFile",
     "Index",
     "PageManager",
     "PageStore",

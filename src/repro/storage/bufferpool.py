@@ -19,8 +19,8 @@ Three layers live here (the pinned contract is ``docs/STORAGE.md``):
   the log's append listener, it re-applies every data record (including
   CLRs, whose redo is the compensated record's undo) to a slotted-page
   image of each index, stamping every entry with the LSN that produced
-  it. The dirty-page table it feeds is what a fuzzy checkpoint snapshots
-  and what bounds ARIES redo after a crash.
+  it. The dirty-page table it feeds is what a checkpoint snapshots and
+  what bounds ARIES redo after a crash.
 
 Entries are stored one per key as JSON payloads
 ``[index, key, row, is_ghost, lsn, dead]``. A delete leaves a *dead*
@@ -32,10 +32,10 @@ recovery's per-key election no matter which subset of pages reached the
 store before the crash. Stale copies are erased only once their
 replacement is durable (:meth:`PageManager.reclaim_stale`, run after a
 checkpoint's ``flush_dirty``); erasing them earlier could leave a crash
-with no durable trace of the key at all. Recovery gates redo per key: a
-live winner covers records up to and including its own LSN, while a
-dead winner covers only strictly older ones, so the record that
-produced a tombstone is always redone (deletes are idempotent).
+with no durable trace of the key at all. Recovery only *reads* the store
+(:func:`durable_winners`): it elects the newest entry per key, seeds the
+live ones, and gates redo on the winners' LSNs
+(:func:`repro.wal.recovery.redo`).
 
 >>> from repro.storage.pages import SlottedPage
 >>> store = PageStore()
@@ -71,9 +71,10 @@ class PageStore:
     """The durable side of the page world: last-written image per page.
 
     A crash loses every buffer-pool frame but none of these images —
-    recovery seeds its redo gate from them. ``write_listener`` (when
-    set) observes every completed write, corrupted or not, so crash
-    harnesses can reconstruct the exact device state at any boundary.
+    recovery seeds state and its redo gate from them. ``write_listener``
+    (when set) observes every completed write, corrupted or not, so
+    crash harnesses can reconstruct the exact device state at any
+    boundary.
     """
 
     def __init__(self, faults=None):
@@ -256,7 +257,7 @@ class BufferPool:
         return frame
 
     def dirty_page_table(self):
-        """``{page_id: recLSN}`` for every dirty frame — what a fuzzy
+        """``{page_id: recLSN}`` for every dirty frame — what a
         checkpoint snapshots and where ARIES redo starts."""
         return {
             page_id: frame.rec_lsn
@@ -273,7 +274,7 @@ class BufferPool:
 
     def flush_dirty(self):
         """Write back every dirty frame (the collapsed background
-        writer, run after a fuzzy checkpoint); returns pages written."""
+        writer, run after a checkpoint); returns pages written."""
         written = 0
         for page_id in list(self._frames):
             if self.flush_page(page_id):
@@ -326,20 +327,18 @@ class PageManager:
     Subscribed as ``LogManager.append_listener``, it replays each data
     record into the slotted-page image the moment the record enters the
     append stream — online rollback stays consistent for free, because a
-    CLR's redo *is* the compensated record's undo. During crash
-    recovery the same object seeds state from the durable store and
-    gates redo per key (:meth:`needs_redo`).
+    CLR's redo *is* the compensated record's undo. Recovery never
+    touches a mirror: it reads the store (:func:`durable_winners`) and
+    the engine builds a fresh one from the recovered indexes afterwards.
     """
 
     def __init__(self, pool, page_size=4096):
         self.pool = pool
         self.page_size = page_size
         self._slots = {}    # (index, key) -> (page_id, slot)
-        self._key_lsn = {}  # (index, key) -> LSN of last applied record
         self._open = {}     # index -> page_id currently taking new entries
         self._stale = []    # superseded (page_id, slot) pairs, reclaimable
                             # once their replacements are durable
-        self._dead_seeds = set()  # locators whose seeded winner is a tombstone
         self._next_page_id = 1
         self._lsn = 0
         self.applied = 0
@@ -350,38 +349,16 @@ class PageManager:
     # ------------------------------------------------------------------
 
     def apply(self, record):
-        """Replay one log record into the page image (append listener,
-        also called for every non-skipped record during ARIES redo)."""
+        """Replay one log record into the page image (the log's append
+        listener)."""
         if record.lsn is None or record.type.value not in _MIRRORED:
             return
         self._lsn = record.lsn
         record.redo(self)
         self.applied += 1
 
-    @staticmethod
-    def _locus(record):
-        inner = record.action if record.type.value == "clr" else record
-        return inner.index_name, tuple(inner.key)
-
-    def needs_redo(self, record):
-        """Redo gate: skip the record iff the mirrored entry for its key
-        already reflects it.
-
-        A live seeded entry is a full row image, so it covers every
-        record up to and including its own LSN. A seeded *tombstone*
-        covers only strictly older records: redoing the delete that
-        produced it is idempotent, and a tombstone must never suppress a
-        same-LSN record whose effect it does not actually carry.
-        """
-        index_name, key = self._locus(record)
-        locator = (index_name, key)
-        entry_lsn = self._key_lsn.get(locator, 0)
-        if locator in self._dead_seeds:
-            return entry_lsn <= record.lsn
-        return entry_lsn < record.lsn
-
     def entry_count(self):
-        return len(self._key_lsn)
+        return len(self._slots)
 
     # -- RecoveryTarget-shaped mutators --------------------------------
 
@@ -453,9 +430,6 @@ class PageManager:
                 self._place(locator, payload, lsn)
         else:
             self._place(locator, payload, lsn)
-        previous = self._key_lsn.get(locator, 0)
-        self._key_lsn[locator] = max(previous, lsn)
-        self._dead_seeds.discard(locator)
 
     def _place(self, locator, payload, lsn):
         index_name = locator[0]
@@ -484,63 +458,9 @@ class PageManager:
             self._open[index_name] = page.page_id
         return page
 
-    # ------------------------------------------------------------------
-    # recovery: seed from the durable store
-    # ------------------------------------------------------------------
-
-    def load_durable_pages(self):
-        """Rebuild the mirror from the page store after a crash.
-
-        Returns ``(pages_loaded, torn_pages, seeds)``: ``seeds`` is the
-        newest live entry per key (``[(index, key, row, is_ghost)]``),
-        or ``None`` when a torn page makes the store untrustworthy and
-        the caller must fall back to full-log replay.
-        """
-        winners = {}  # locator -> (lsn, row, ghost, dead, page_id, slot)
-        found = []    # every decoded (locator, page_id, slot)
-        pages_loaded = 0
-        torn = 0
-        for page_id in sorted(self.store_page_ids()):
-            self._next_page_id = max(self._next_page_id, page_id + 1)
-            try:
-                page = self.pool.page(page_id)
-            except StorageError:
-                torn += 1
-                continue
-            pages_loaded += 1
-            for slot, payload in page.records():
-                index_name, key_list, row, ghost, lsn, dead = json.loads(
-                    payload
-                )
-                locator = (index_name, tuple(key_list))
-                found.append((locator, page_id, slot))
-                current = winners.get(locator)
-                if (
-                    current is None
-                    or lsn > current[0]
-                    or (lsn == current[0] and page_id > current[4])
-                ):
-                    winners[locator] = (lsn, row, ghost, dead, page_id, slot)
-        if torn:
-            return pages_loaded, torn, None
-        seeds = []
-        for locator, (lsn, row, ghost, dead, page_id, slot) in winners.items():
-            self._slots[locator] = (page_id, slot)
-            self._key_lsn[locator] = lsn
-            if dead:
-                self._dead_seeds.add(locator)
-            elif row is not None:
-                seeds.append((locator[0], locator[1], row, ghost))
-        # every non-winning copy is a superseded stale fact; it is safe
-        # to reclaim because the fact that beat it is already durable
-        for locator, page_id, slot in found:
-            if (page_id, slot) != winners[locator][4:6]:
-                self._stale.append((page_id, slot))
-        return pages_loaded, torn, seeds
-
     def reclaim_stale(self):
         """Erase superseded entry copies left behind by page-to-page
-        moves (and recovery's losing duplicates); returns the count.
+        moves; returns the count.
 
         Only safe once every superseding entry is durable — the engine
         calls this right after a checkpoint's ``flush_dirty`` — because
@@ -556,12 +476,9 @@ class PageManager:
         self._stale = []
         return reclaimed
 
-    def store_page_ids(self):
-        return self.pool.store.page_ids()
-
     def bootstrap(self, entries, lsn):
-        """Materialize the mirror from live engine state (post-recovery
-        resynchronization): every entry is written as of ``lsn``."""
+        """Materialize the mirror from live engine state (the last step
+        of recovery): every entry is written as of ``lsn``."""
         self._lsn = lsn
         for index_name, key, row, is_ghost in entries:
             self._write(index_name, tuple(key), _plain(row), is_ghost)
@@ -575,6 +492,36 @@ class PageManager:
             payload = json.loads(self.pool.page(page_id).read_record(slot))
             if not payload[5]:
                 yield index_name, key, payload[2], payload[3]
+
+
+def durable_winners(store):
+    """Recovery's one read of the durable device.
+
+    Reads every page image in ``store`` once (CRC-checked
+    :meth:`PageStore.read_page`, no buffer pool) and elects the newest
+    entry per key. Returns ``(table, pages_loaded, torn)`` where
+    ``table`` maps ``(index, key)`` to ``(lsn, row, is_ghost, dead)`` —
+    or is ``None`` when a torn page makes the store untrustworthy and
+    the caller must replay the whole log instead.
+    """
+    table = {}
+    pages_loaded = 0
+    torn = 0
+    for page_id in sorted(store.page_ids()):
+        try:
+            page = store.read_page(page_id)
+        except StorageError:
+            torn += 1
+            continue
+        pages_loaded += 1
+        for _, payload in page.records():
+            index_name, key, row, ghost, lsn, dead = json.loads(payload)
+            locator = (index_name, tuple(key))
+            current = table.get(locator)
+            # pages are visited in id order, so a tie goes to the later page
+            if current is None or lsn >= current[0]:
+                table[locator] = (lsn, row, ghost, dead)
+    return (None if torn else table), pages_loaded, torn
 
 
 def _plain(row):

@@ -80,7 +80,7 @@ class GroupCommitCoordinator:
 
     def __init__(self, log, clock, policy=None, size=8, latency=16,
                  tracer=NULL_TRACER, faults=None):
-        self.log = log  # reattached by Database after load_wal_and_recover
+        self.log = log  # reattached by Database after a WAL restore
         self._clock = clock
         self.policy = policy  # None | "size" | "latency"
         self.size = size

@@ -2,8 +2,8 @@
 
 Assigns LSNs, maintains each transaction's backchain (``prev_lsn``),
 tracks the flushed prefix, and simulates crashes by discarding the
-unflushed suffix. The log lives in memory as record objects; it can also
-be serialized to / replayed from a JSON-lines file for durability tests.
+unflushed suffix. The log lives in memory as record objects; its one
+on-disk form is the segment chain of :mod:`repro.wal.segments`.
 
 Flushing policy: :meth:`LogManager.flush` advances ``flushed_lsn`` to the
 log tail. Without group commit the engine forces a flush inside every
@@ -15,14 +15,13 @@ truncates everything beyond the flushed prefix — exactly what a real
 power failure does to an OS page cache.
 """
 
-import json
 import zlib
 
 from repro.common import FaultInjected, WalError
 from repro.faults import NULL_INJECTOR
 from repro.obs.metrics import Histogram
 from repro.obs.tracer import NULL_TRACER
-from repro.wal.records import CheckpointRecord, LogRecord
+from repro.wal.records import CheckpointRecord
 
 
 class LogManager:
@@ -44,8 +43,8 @@ class LogManager:
         #: corrupted durable stream. EngineConfig(wal_checksums=False)
         #: turns this off — the negative control for salvage honesty.
         self.checksums = checksums
-        #: JSON lines load() could not decode (a torn / garbage file
-        #: tail); reported by the salvage pass, never silently dropped.
+        #: record lines load_segments() dropped at or past a break in the
+        #: chain; reported by the salvage pass, never silently dropped.
         self.undecodable_tail = 0
         #: called with the new ``flushed_lsn`` after every advance; the
         #: group-commit coordinator hangs off this to settle tickets even
@@ -277,17 +276,13 @@ class LogManager:
 
     def record_at(self, lsn):
         """Fetch one record by LSN. LSNs are dense from the first
-        record's, so the offset is the answer. Only a log loaded from a
-        file that lost a line can hold a gap, so a miss at the offset
-        searches the records before giving up."""
+        record's (``load_segments`` stops at the first gap), so the
+        offset is the answer."""
         records = self._records
         if records:
             offset = lsn - records[0].lsn
             if 0 <= offset < len(records) and records[offset].lsn == lsn:
                 return records[offset]
-            for record in records:
-                if record.lsn == lsn:
-                    return record
         raise WalError(f"no record with LSN {lsn}")
 
     def latest_checkpoint(self):
@@ -299,51 +294,3 @@ class LogManager:
 
     def records_by_type(self, record_type):
         return [r for r in self._records if r.type is record_type]
-
-    # ------------------------------------------------------------------
-    # persistence
-    # ------------------------------------------------------------------
-
-    def dump(self, path):
-        """Write the flushed prefix as JSON lines, carrying each record's
-        durable checksum stamp (so a flip made after the stamp — in
-        memory or in the file — stays detectable after a round trip)."""
-        with open(path, "w") as f:
-            for record in self._records:
-                if record.lsn > self.flushed_lsn:
-                    break
-                d = record.to_dict()
-                if self.checksums:
-                    crc = record.stored_crc
-                    d["crc"] = record.checksum() if crc is None else crc
-                f.write(json.dumps(d) + "\n")
-
-    @classmethod
-    def load(cls, path, checksums=True):
-        """Rebuild a log manager from a JSON-lines dump.
-
-        An undecodable line ends the load — everything from it on is a
-        torn or garbage tail. The count of dropped lines lands in
-        ``undecodable_tail`` so the salvage pass can report the loss;
-        checksum-invalid (but decodable) records are loaded as-is and
-        left for the salvage scan to find and classify.
-        """
-        manager = cls(checksums=checksums)
-        with open(path) as f:
-            lines = f.readlines()
-        for position, line in enumerate(lines):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = LogRecord.from_dict(json.loads(line))
-            except (ValueError, KeyError, TypeError):
-                manager.undecodable_tail = len(lines) - position
-                break
-            manager._records.append(record)
-            if record.txn_id is not None:
-                manager._txn_last_lsn[record.txn_id] = record.lsn
-        if manager._records:
-            manager._next_lsn = manager._records[-1].lsn + 1
-            manager.flushed_lsn = manager._records[-1].lsn
-        return manager

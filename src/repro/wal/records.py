@@ -607,45 +607,35 @@ class DecisionRecord(LogRecord):
 
 
 class CheckpointRecord(LogRecord):
-    """A checkpoint, in one of two flavours (``kind``):
-
-    * ``"sharp"`` — the active-transaction table plus an opaque snapshot
-      handle holding every index's full contents; recovery restores the
-      snapshot and replays only the suffix.
-    * ``"fuzzy"`` — the ARIES checkpoint: the active-transaction table
-      plus the **dirty-page table** (``page_id -> recLSN``) as it stood
-      at the checkpoint, with *no* data snapshot. Analysis starts just
-      after the checkpoint; redo starts at ``min(recLSN)`` and is gated
-      per entry against the durable page images (``docs/STORAGE.md``).
+    """The ARIES checkpoint: the active-transaction table plus the
+    **dirty-page table** (``page_id -> recLSN``) as it stood at the
+    checkpoint — no data. Analysis starts just after the checkpoint;
+    redo starts at ``min(recLSN)`` and is gated per entry against the
+    durable page images (``docs/STORAGE.md``).
     """
 
     type = RecordType.CHECKPOINT
-    __slots__ = ("active_txns", "snapshot", "dirty_pages", "kind")
+    __slots__ = ("active_txns", "dirty_pages")
 
-    def __init__(self, active_txns, snapshot=None, dirty_pages=None,
-                 kind="sharp"):
+    def __init__(self, active_txns, dirty_pages=None):
         super().__init__(txn_id=None)
         self.active_txns = dict(active_txns)  # txn_id -> last_lsn
-        self.snapshot = snapshot
         self.dirty_pages = dict(dirty_pages or {})  # page_id -> recLSN
-        self.kind = kind
 
     def _extra_repr(self):
-        return f", kind={self.kind}, active={sorted(self.active_txns)}"
+        return f", active={sorted(self.active_txns)}"
 
     def _payload(self):
         return {
             "active_txns": {str(k): v for k, v in self.active_txns.items()},
-            "snapshot": self.snapshot,
             "dirty_pages": {str(k): v for k, v in self.dirty_pages.items()},
-            "kind": self.kind,
         }
 
     @classmethod
     def _from_payload(cls, d):
         active = {int(k): v for k, v in d["active_txns"].items()}
-        dirty = {int(k): v for k, v in d.get("dirty_pages", {}).items()}
-        return cls(active, d["snapshot"], dirty, d.get("kind", "sharp"))
+        dirty = {int(k): v for k, v in d["dirty_pages"].items()}
+        return cls(active, dirty)
 
 
 _RECORD_CLASSES = {

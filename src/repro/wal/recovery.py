@@ -1,8 +1,9 @@
 """Crash recovery: analysis, repeat-history redo, loser undo.
 
 The engine's tables are in-memory, so a crash loses *all* data state and
-recovery rebuilds it from the durable log prefix (or from the latest sharp
-checkpoint snapshot). The three ARIES phases survive intact:
+recovery rebuilds it from the durable page images (read once, never
+written) plus the durable log prefix. The three ARIES phases survive
+intact:
 
 1. **Analysis** — scan the log; transactions with a COMMIT record are
    winners, everything else still open at the crash is a loser. System
@@ -90,8 +91,8 @@ class RecoveryReport:
         self.undo_count = 0
         self.clrs_written = 0
         self.analyzed_records = 0
-        #: data records the page-LSN gate proved already reflected in the
-        #: durable page images (fuzzy-checkpoint recovery only).
+        #: data records the gate proved already reflected in the durable
+        #: page images.
         self.redo_skipped = 0
         #: durable page images loaded to seed state before redo.
         self.pages_loaded = 0
@@ -152,8 +153,8 @@ def salvage(log, verify=True):
       *committed work was rolled back*, the honest-loss case;
     * ``tail_garbage`` — dropped records belonging to no lost commit
       (uncommitted tail work recovery would have undone anyway);
-    * ``undecodable_lines`` — file lines ``LogManager.load`` could not
-      decode at all (torn tail of a dumped log).
+    * ``undecodable_lines`` — record lines (and whole segments)
+      ``load_segments`` dropped at or past a break in the chain.
 
     With ``verify=False`` (checksums disabled) the scan is skipped — the
     negative control proving corruption then goes undetected here and
@@ -244,17 +245,32 @@ def analyze(log, from_lsn=1, faults=None):
     return winners, losers, count, in_doubt
 
 
-def redo(log, target, from_lsn=1, report=None, faults=None, pages=None):
+def _covered(gate, record):
+    """True when the durable winner for ``record``'s key already carries
+    its effect. A live winner is a full row image, so it covers every
+    record up to and including its own LSN. A *tombstone* covers only
+    strictly older records: redoing the delete that produced it is
+    idempotent, and a tombstone must never suppress a same-LSN record
+    whose effect it does not actually carry."""
+    inner = record.action if record.type is RecordType.CLR else record
+    winner = gate.get((inner.index_name, tuple(inner.key)))
+    if winner is None:
+        return False
+    lsn, _, _, dead = winner
+    return record.lsn < lsn or (record.lsn == lsn and not dead)
+
+
+def redo(log, target, from_lsn=1, report=None, faults=None, gate=None):
     """Phase 2: repeat history — replay every data record in LSN order.
 
-    When ``pages`` (a :class:`~repro.storage.bufferpool.PageManager`
-    seeded from durable page images) is supplied, redo is *gated*: a
-    record whose effect the page mirror already carries — the mirrored
-    entry's LSN is at or past the record's LSN — is skipped instead of
-    re-applied. That is what makes fuzzy-checkpoint recovery sound for
-    non-idempotent escrow deltas: a delta flushed to disk before the
-    crash must not be added twice. Skipped records still count into
-    ``report.redo_skipped``.
+    When ``gate`` (the per-key winners read from the durable page
+    images, ``{(index, key): (lsn, row, is_ghost, dead)}``) is supplied,
+    redo is *gated*: a record whose effect its key's winner already
+    carries is skipped instead of re-applied. That is what makes
+    checkpointed recovery sound for non-idempotent escrow deltas: a
+    delta flushed to disk before the crash must not be added twice. The
+    table is only read, so every attempt of a re-entered recovery gates
+    identically. Skipped records count into ``report.redo_skipped``.
     """
     for record in log.records(from_lsn):
         if record.type in _DATA_TYPES:
@@ -263,13 +279,11 @@ def redo(log, target, from_lsn=1, report=None, faults=None, pages=None):
                     "recovery.redo", txn_id=record.txn_id,
                     detail=type(record).__name__,
                 )
-            if pages is not None and not pages.needs_redo(record):
+            if gate and _covered(gate, record):
                 if report is not None:
                     report.redo_skipped += 1
                 continue
             record.redo(target)
-            if pages is not None:
-                pages.apply(record)
             if report is not None:
                 report.redo_count += 1
 
@@ -344,15 +358,18 @@ def _prepared_on_backchain(log, last_lsn):
     return False
 
 
-def recover(log, target, faults=None, salvage_report=None, pages=None):
+def recover(log, target, faults=None, salvage_report=None, gate=None):
     """Run full recovery against ``target``; returns a RecoveryReport.
 
-    If a sharp checkpoint exists, the caller is expected to have restored
-    the snapshot into ``target`` already; redo then starts just after the
-    checkpoint. With ``pages`` (a page mirror seeded from durable page
-    images — the fuzzy-checkpoint path), analysis still starts at the
-    checkpoint but redo rewinds to ``min(recLSN)`` of the checkpoint's
-    dirty-page table: the oldest change that might not have reached disk.
+    ``gate`` is the table of per-key winners the caller read from the
+    durable page images and already seeded into ``target`` (see
+    :func:`redo`). With it, analysis starts just after the latest
+    checkpoint and redo rewinds to ``min(recLSN)`` of the checkpoint's
+    dirty-page table: the oldest change that might not have reached
+    disk. Without it — a torn page, a store written under dropped log
+    records, or a fresh process that never had the page store — the
+    checkpoint summarizes state nobody holds, so recovery replays the
+    whole log from LSN 1, ungated, exactly as if no checkpoint existed.
     ``faults`` (when armed) exposes the per-record crash sites
     ``recovery.analysis`` / ``recovery.redo`` / ``recovery.undo``;
     ``salvage_report`` — the result of the caller's :func:`salvage` pass
@@ -360,19 +377,11 @@ def recover(log, target, faults=None, salvage_report=None, pages=None):
     """
     report = RecoveryReport()
     report.salvage = salvage_report
-    checkpoint = log.latest_checkpoint()
-    # A checkpoint only shortcuts recovery when the state it summarizes
-    # is actually available: a sharp checkpoint's snapshot (restored by
-    # the caller) or a fuzzy checkpoint's durable page images (``pages``).
-    # A fuzzy checkpoint with no trustworthy pages — a torn page, or a
-    # fresh process that never had the page store — falls back to full
-    # log replay from LSN 1, exactly as if no checkpoint existed.
-    trusted = checkpoint is not None and (
-        checkpoint.snapshot is not None or pages is not None
-    )
-    from_lsn = checkpoint.lsn + 1 if trusted else 1
+    checkpoint = log.latest_checkpoint() if gate else None
+    from_lsn = checkpoint.lsn + 1 if checkpoint is not None else 1
     winners, losers, analyzed, in_doubt = analyze(log, from_lsn, faults=faults)
-    if trusted:
+    redo_from = from_lsn
+    if checkpoint is not None:
         # Transactions active at the checkpoint may have no records after
         # it; they are losers unless a later COMMIT appeared — or
         # in-doubt, if their backchain carries a PREPARE the truncated
@@ -387,16 +396,14 @@ def recover(log, target, faults=None, salvage_report=None, pages=None):
                 in_doubt.add(txn_id)
             else:
                 losers[txn_id] = tail
+        # Dirty pages' oldest unflushed change may predate the
+        # checkpoint record itself.
+        redo_from = min([from_lsn, *checkpoint.dirty_pages.values()])
     report.winners = winners
     report.losers = set(losers)
     report.in_doubt = in_doubt
     report.analyzed_records = analyzed
-    redo_from = from_lsn
-    if pages is not None and trusted and checkpoint.dirty_pages:
-        # Fuzzy checkpoint: dirty pages' oldest unflushed change may
-        # predate the checkpoint record itself.
-        redo_from = min([from_lsn] + list(checkpoint.dirty_pages.values()))
-    redo(log, target, redo_from, report, faults=faults, pages=pages)
+    redo(log, target, redo_from, report, faults=faults, gate=gate)
     undo(log, target, losers, report, faults=faults, durable=True)
     # Recovery's own durability point bypasses the flush fault sites:
     # nothing retries a failed recovery flush, it just re-enters.

@@ -1,15 +1,14 @@
 """Segmented on-disk WAL: fixed-size segments with CRC trailers.
 
-The single-file JSON-lines dump (``LogManager.dump``) scales poorly and
-can only ever be truncated as a whole; real logs are a chain of
-fixed-size segment files that are sealed, verified, and recycled
-independently. This module gives the simulated engine that shape
-(formats pinned in ``docs/STORAGE.md``):
+Real logs are a chain of fixed-size segment files that are sealed,
+verified, and recycled independently. This module gives the simulated
+engine that shape — the log's one on-disk form (formats pinned in
+``docs/STORAGE.md``):
 
 * ``wal.00001.seg``, ``wal.00002.seg``, … — each segment holds a JSON
   **header line** (``segment``, ``first_lsn``), a run of record lines
-  identical to the single-file dump (each carrying the record's durable
-  CRC stamp from PR-5), and a JSON **trailer line** (``segment``,
+  (one JSON object per record, each carrying the record's durable CRC
+  stamp), and a JSON **trailer line** (``segment``,
   ``records``, ``last_lsn``, ``crc``) whose CRC-32 covers the segment
   body — a torn segment tail or a bit flip fails the trailer check and
   the segment (plus everything after it) is dropped, never replayed.
@@ -27,7 +26,7 @@ independently. This module gives the simulated engine that shape
   ``LogManager.undecodable_tail`` so the salvage pass reports the loss
   instead of recovery silently replaying a history with a hole.
 * :func:`recycle_segments` deletes sealed segments wholly below a
-  caller-supplied LSN floor — after a fuzzy checkpoint the engine's
+  caller-supplied LSN floor — after a checkpoint the engine's
   floor is ``min(checkpoint LSN, min dirty-page recLSN, oldest active
   transaction's first LSN)`` (``Database.wal_recycle_floor``).
 

@@ -8,6 +8,8 @@ The two contracted behaviours (``docs/STORAGE.md`` §2):
   ``pageLSN`` before the image reaches the store.
 """
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +18,7 @@ from repro.common import Row, StorageError
 from repro.core import Database, EngineConfig
 from repro.obs import Tracer
 from repro.query import AggregateSpec
-from repro.storage.bufferpool import BufferPool, PageStore
+from repro.storage.bufferpool import BufferPool, PageStore, durable_winners
 from repro.storage.pages import SlottedPage
 from repro.wal import LogManager
 from repro.wal.records import InsertRecord
@@ -230,7 +232,7 @@ class TestEntryMovesSurviveCrashes:
         db = self.build()
         old_loc, _, last = self.grow_until_moved(db)
         assert db._pages._stale  # the move left a superseded copy
-        db.take_checkpoint(kind="fuzzy")
+        db.take_checkpoint()
         assert db._pages._stale == []  # checkpoint swept it
         # the old slot is actually dead on its page now
         with pytest.raises(StorageError):
@@ -239,6 +241,85 @@ class TestEntryMovesSurviveCrashes:
         db.simulate_crash_and_recover()
         record = db._indexes["t"].get_record((1,))
         assert record.current_row["data"] == last
+
+
+class TestDurableWinners:
+    """Recovery's one read of the device (``docs/STORAGE.md`` §4 step 1):
+    a pure function of the store that elects the newest entry per key."""
+
+    @staticmethod
+    def page_of(page_id, *entries):
+        """A page image holding ``[index, key, row, ghost, lsn, dead]``
+        entries, as the mirror writes them."""
+        page = SlottedPage(page_id, page_size=512)
+        for index, key, row, ghost, lsn, dead in entries:
+            page.insert_record(
+                json.dumps([index, list(key), row, ghost, lsn, dead]).encode()
+            )
+        return page
+
+    def test_an_empty_store_is_an_empty_table(self):
+        assert durable_winners(PageStore()) == ({}, 0, 0)
+
+    def test_newest_lsn_wins_whatever_page_it_sits_on(self):
+        store = PageStore()
+        store.write_page(self.page_of(
+            1, ("t", (1,), {"id": 1, "v": "new"}, False, 9, False),
+        ))
+        store.write_page(self.page_of(
+            2, ("t", (1,), {"id": 1, "v": "old"}, False, 4, False),
+            ("t", (2,), {"id": 2, "v": "only"}, True, 5, False),
+        ))
+        table, pages_loaded, torn = durable_winners(store)
+        assert (pages_loaded, torn) == (2, 0)
+        assert table == {
+            ("t", (1,)): (9, {"id": 1, "v": "new"}, False, False),
+            ("t", (2,)): (5, {"id": 2, "v": "only"}, True, False),
+        }
+
+    def test_an_lsn_tie_goes_to_the_later_page(self):
+        store = PageStore()
+        store.write_page(self.page_of(
+            7, ("t", (1,), {"id": 1, "v": "moved"}, False, 6, False),
+        ))
+        store.write_page(self.page_of(
+            3, ("t", (1,), {"id": 1, "v": "left behind"}, False, 6, False),
+        ))
+        table, _, _ = durable_winners(store)
+        assert table[("t", (1,))][1]["v"] == "moved"
+
+    def test_a_tombstone_wins_as_a_dead_entry(self):
+        store = PageStore()
+        store.write_page(self.page_of(
+            1, ("t", (1,), {"id": 1}, False, 3, False),
+            ("t", (1,), None, False, 8, True),
+        ))
+        table, _, _ = durable_winners(store)
+        assert table == {("t", (1,)): (8, None, False, True)}
+
+    def test_a_torn_page_means_no_table_but_intact_pages_still_count(self):
+        store = PageStore()
+        store.write_page(self.page_of(1, ("t", (1,), {"id": 1}, False, 3, False)))
+        store.write_page(self.page_of(2, ("t", (2,), {"id": 2}, False, 4, False)))
+        images = store.snapshot()
+        torn = bytearray(images[2])
+        torn[len(torn) // 2] ^= 0xFF
+        images[2] = bytes(torn)
+        store.restore(images)
+        assert durable_winners(store) == (None, 1, 1)
+
+    def test_reading_writes_nothing(self):
+        db = Database(EngineConfig(buffer_pool_frames=2, page_size=256))
+        db.create_table("t", ("id", "data"), ("id",))
+        for i in range(12):
+            with db.transaction() as txn:
+                db.insert(txn, "t", {"id": i, "data": "x" * 20})
+        before, writes = db._store.snapshot(), db._store.writes
+        assert before  # the tiny pool evicted to the store
+        first = durable_winners(db._store)
+        assert durable_winners(db._store) == first
+        assert db._store.snapshot() == before
+        assert db._store.writes == writes
 
 
 class TestEngineUnderMemoryPressure:

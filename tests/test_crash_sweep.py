@@ -18,7 +18,8 @@ from repro.common import LockTimeoutError, SimulatedCrash
 from repro.core import Database, EngineConfig
 from repro.faults import FaultInjector
 from repro.query import AggregateSpec, col_ge
-from repro.wal import LogManager, RecordType
+from repro.wal import RecordType
+from repro.wal.segments import load_segments
 from repro.views import (
     AggregateView,
     JoinAggregateView,
@@ -74,16 +75,15 @@ def committed_ids_in_prefix(log, limit_lsn):
 def test_recovery_correct_at_every_crash_point(strategy, tmp_path):
     reference = build_schema(strategy)
     run_workload(reference)
-    path = tmp_path / "wal.jsonl"
-    reference.dump_wal(path)
-    full_log = LogManager.load(path)
+    reference.dump_wal_segments(tmp_path)
+    full_log = load_segments(tmp_path)
     tail = full_log.tail_lsn()
     # sanity: the scenario produced a meaningful log
     assert tail > 30
 
     for crash_lsn in range(0, tail + 1):
         db = build_schema(strategy)
-        db.log = LogManager.load(path)
+        db.log = load_segments(tmp_path)
         db.log.flushed_lsn = crash_lsn
         db.log.crash()  # discard everything past the crash point
         report = db._rebuild_from_log()
@@ -158,11 +158,10 @@ def fuzzy_sweep(strategy, tmp_path, workload):
         (reference.log.tail_lsn(), pid, data)
     )
     workload(reference)
-    reference.take_checkpoint(kind="fuzzy")
+    reference.take_checkpoint()
     reference.log.flush()
-    path = tmp_path / "wal.jsonl"
-    reference.dump_wal(path)
-    full_log = LogManager.load(path)
+    reference.dump_wal_segments(tmp_path)
+    full_log = load_segments(tmp_path)
     tail = full_log.tail_lsn()
     checkpoints = [
         r.lsn for r in full_log.records()
@@ -175,7 +174,7 @@ def fuzzy_sweep(strategy, tmp_path, workload):
     redo_skipped_total = 0
     for crash_lsn in range(0, tail + 1):
         db = build_fuzzy_schema(strategy)
-        db.log = LogManager.load(path)
+        db.log = load_segments(tmp_path)
         db.log.flushed_lsn = crash_lsn
         db.log.crash()
         # reconstruct the device: last image per page written while the
@@ -271,6 +270,59 @@ def test_recovery_correct_when_entries_move_between_pages(strategy, tmp_path):
     assert reference._pages.moves > 0
     assert seeded_points > 0
 
+
+
+RECOVERY_SITES = ("recovery.analysis", "recovery.redo", "recovery.undo")
+
+
+def crashed_paged_engine(strategy):
+    """The storm's starting point: the churned paged engine with a
+    durable loser, stopped dead. Rebuilt from scratch for every crash
+    site — the workload is deterministic."""
+    db = build_fuzzy_schema(strategy)
+    run_workload(db)
+    loser = db.begin()
+    for i in range(50, 58):  # more redo and undo than the pool has frames
+        db.insert(loser, "sales", {"id": i, "product": "abcd"[i % 4], "amount": i})
+    db.update(loser, "sales", (2,), {"product": "b"})
+    db.log.flush()  # the loser's records are durable, its COMMIT is not
+    return db
+
+
+@pytest.mark.parametrize("strategy", ["escrow", "xlock"])
+def test_recovery_never_writes_the_page_store(strategy):
+    """From the crash until recovery's final rebuild the durable pages
+    are byte-identical — at every record boundary of every phase a crash
+    can interrupt. Recovery only reads the store, so a re-entered
+    recovery sees exactly what the first attempt saw."""
+    reference = crashed_paged_engine(strategy)
+    expected = reference.simulate_crash_and_recover()
+    assert expected.pages_loaded and expected.redo_skipped and expected.losers
+    for site in RECOVERY_SITES:
+        boundary = 0
+        while True:
+            db = crashed_paged_engine(strategy)
+            store, before = db._store, db._store.snapshot()
+            injector = db.install_fault_injector(FaultInjector())
+            injector.arm(site, after=boundary, times=1)
+            try:
+                report = db.simulate_crash_and_recover()
+            except SimulatedCrash:
+                label = f"{site}@{boundary}"
+                assert db._store is store, label
+                assert store.snapshot() == before, label
+                assert db.log.append_listener is None, label
+                report = db.simulate_crash_and_recover()
+                # the second attempt read the same pages: same verdicts
+                assert report.pages_loaded == expected.pages_loaded, label
+                assert report.losers == expected.losers, label
+                assert db.check_all_views() == [], label
+                assert db.check_integrity().clean, label
+                boundary += 1
+                continue
+            assert boundary > 0, f"{site} never evaluated"
+            assert db._store is not store  # the final rebuild replaced it
+            break
 
 
 # ----------------------------------------------------------------------

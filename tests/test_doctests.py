@@ -14,7 +14,6 @@ import repro.locking.modes
 import repro.query.aggregates
 import repro.storage.btree
 import repro.storage.bufferpool
-import repro.storage.heap
 import repro.storage.pages
 import repro.wal.segments
 
@@ -28,7 +27,6 @@ MODULES = [
     repro.query.aggregates,
     repro.storage.btree,
     repro.storage.bufferpool,
-    repro.storage.heap,
     repro.storage.pages,
     repro.wal.segments,
 ]

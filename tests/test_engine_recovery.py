@@ -184,7 +184,7 @@ class TestJoinViewRecovery:
 
 
 class TestCheckpoints:
-    def test_checkpoint_snapshot_restores(self):
+    def test_checkpoint_bounds_analysis(self):
         db = sales_db("escrow")
         txn = db.begin()
         db.insert(txn, "sales", {"id": 1, "product": "ant", "amount": 30})
@@ -197,21 +197,22 @@ class TestCheckpoints:
         assert db.read_committed("by_product", ("ant",)) == Row(
             product="ant", n=2, total=42
         )
-        # redo started after the checkpoint: fewer records analyzed than
-        # the log holds
+        # analysis started after the checkpoint: fewer records analyzed
+        # than the log holds
         assert report.analyzed_records < len(db.log)
         assert db.check_all_views() == []
 
     def test_checkpoint_with_active_escrow_txn(self):
         """The subtle case: a checkpoint taken while an escrow delta is
-        pending snapshots the inclusive value; undo subtracts it back."""
+        pending leaves the inclusive value in the durable pages; undo
+        subtracts it back."""
         db = sales_db("escrow")
         t0 = db.begin()
         db.insert(t0, "sales", {"id": 1, "product": "hot", "amount": 10})
         db.commit(t0)
         t1 = db.begin()
         db.insert(t1, "sales", {"id": 2, "product": "hot", "amount": 99})
-        db.take_checkpoint()  # t1 still open: snapshot holds 109 inclusive
+        db.take_checkpoint()  # t1 still open: the pages hold 109 inclusive
         db.simulate_crash_and_recover()  # t1 is a loser
         assert db.read_committed("by_product", ("hot",)) == Row(
             product="hot", n=1, total=10

@@ -154,15 +154,13 @@ class TestViewsAlwaysConsistent:
         """Restoring from a WAL dump in a fresh database reproduces the
         same state a crash/recover in the original produces."""
         import tempfile
-        import pathlib
 
         db = build_db(strategy)
         run_script(db, script)
         with tempfile.TemporaryDirectory() as tmp:
-            path = pathlib.Path(tmp) / "wal.jsonl"
-            db.dump_wal(path)
+            db.dump_wal_segments(tmp)
             fresh = build_db(strategy)
-            fresh.load_wal_and_recover(path)
+            fresh.load_wal_segments_and_recover(tmp)
         db.simulate_crash_and_recover()
         original = {
             key: rec.current_row for key, rec in db.index("agg").scan()

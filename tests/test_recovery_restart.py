@@ -17,7 +17,9 @@ from repro.common import SimulatedCrash
 from repro.core import Database, EngineConfig
 from repro.faults import FaultInjector
 from repro.query import AggregateSpec
-from repro.wal import LogManager, RecordType
+from repro.storage.bufferpool import durable_winners
+from repro.wal import RecordType
+from repro.wal.segments import load_segments
 from repro.workload import BY_PRODUCT, SALES
 from repro.views import AggregateView
 
@@ -88,11 +90,10 @@ class TestCrashSweep:
     def test_sweep_every_boundary_every_phase(self, tmp_path):
         reference = build_db()
         run_workload(reference)
-        path = tmp_path / "wal.jsonl"
-        reference.dump_wal(path)
+        reference.dump_wal_segments(tmp_path)
 
         single_shot = build_db()
-        ref_report = single_shot.load_wal_and_recover(path)
+        ref_report = single_shot.load_wal_segments_and_recover(tmp_path)
         ref_state = state_snapshot(single_shot)
         assert ref_report.losers  # the sweep must exercise undo
 
@@ -100,7 +101,7 @@ class TestCrashSweep:
             boundary = 0
             while True:
                 db = build_db()
-                db.log = LogManager.load(path)
+                db.log = load_segments(tmp_path)
                 injector = db.install_fault_injector(FaultInjector())
                 injector.arm(site, after=boundary, times=1)
                 report, crashes = recover_until_done(db)
@@ -123,15 +124,14 @@ class TestCrashStorm:
     def test_nested_crashes_converge(self, tmp_path):
         reference = build_db()
         run_workload(reference)
-        path = tmp_path / "wal.jsonl"
-        reference.dump_wal(path)
+        reference.dump_wal_segments(tmp_path)
 
         single_shot = build_db()
-        ref_report = single_shot.load_wal_and_recover(path)
+        ref_report = single_shot.load_wal_segments_and_recover(tmp_path)
         ref_state = state_snapshot(single_shot)
 
         db = build_db(sanitizers=True)
-        db.log = LogManager.load(path)
+        db.log = load_segments(tmp_path)
         injector = db.install_fault_injector(FaultInjector(seed=11))
         schedule = [
             ("recovery.analysis", 2),
@@ -251,3 +251,37 @@ class TestRecoveryIdempotence:
         assert second.winners == first.winners
         assert second.losers == set()  # first recovery ended every loser
         assert db.check_all_views() == []
+
+    def test_recover_twice_equals_once_over_a_durable_tombstone(self):
+        """The dead-winner case of the gate: a tombstone in the durable
+        pages, newer than the last checkpoint, covers the records before
+        its key's delete but never the delete itself — and recovery,
+        which only reads the store, gates the same way every time."""
+        db = build_db(buffer_pool_frames=2, page_size=256)
+        for i in range(1, 5):
+            with db.transaction() as txn:
+                db.insert(txn, SALES, {
+                    "id": i, "product": "ab"[i % 2], "customer": 1, "amount": i,
+                })
+        db.take_checkpoint()
+        with db.transaction() as txn:
+            db.delete(txn, SALES, (2,))
+        db.run_ghost_cleanup()  # CLEANUP: the mirror entry becomes a tombstone
+        for i in range(10, 16):  # churn two frames until it is written back
+            with db.transaction() as txn:
+                db.insert(txn, SALES, {
+                    "id": i, "product": "c", "customer": 1, "amount": i,
+                })
+        table, _, _ = durable_winners(db._store)
+        lsn, _, _, dead = table[(SALES, (2,))]
+        assert dead and lsn > db.log.latest_checkpoint().lsn
+        assert db.log.record_at(lsn).type is RecordType.CLEANUP
+
+        first = db.simulate_crash_and_recover()
+        assert first.pages_loaded > 0 and first.redo_skipped > 0
+        state_once = state_snapshot(db)
+        assert (2,) not in state_once[SALES]
+        second = db.simulate_crash_and_recover()
+        assert state_snapshot(db) == state_once
+        assert db.check_all_views() == []
+        assert db.check_integrity().clean

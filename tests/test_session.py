@@ -134,3 +134,44 @@ class TestSessionIsolation:
         session.begin()
         assert "active" in repr(session)
         session.rollback()
+
+
+class TestOneDispatcherOneAutocommit:
+    """``Session.execute`` and ``Database.execute`` share one statement
+    dispatcher and one autocommit wrapper."""
+
+    def test_session_answers_explain_and_check_view(self):
+        db = sales_db()
+        session = db.session()
+        for sql in ("EXPLAIN INSERT INTO sales VALUES (1, 'a', 2)", "CHECK VIEW v"):
+            assert (
+                session.execute(sql).render_lines()
+                == db.execute(sql).render_lines()
+            )
+        session.begin()  # and neither needs, nor disturbs, an open one
+        session.execute("INSERT INTO sales VALUES (1, 'a', 2)")
+        assert session.execute("EXPLAIN SELECT * FROM v").render_lines()
+        session.rollback()
+        assert db.read_committed("sales", (1,)) is None
+
+    def test_session_autocommit_is_durable_on_return(self):
+        """An autocommit caller has no handle to wait on later, so under
+        group commit the statement itself waits out the flush."""
+        db = Database(EngineConfig(group_commit="size", group_commit_size=8))
+        db.create_table("sales", ("id", "product", "amount"), ("id",))
+        session = db.session()
+        session.insert("sales", {"id": 1, "product": "a", "amount": 5})
+        session.execute("INSERT INTO sales VALUES (2, 'a', 5)")
+        assert db.group_commit.pending_count() == 0
+        assert db.log.flushed_lsn == db.log.tail_lsn()
+        db.simulate_crash_and_recover()
+        assert len(session.scan("sales")) == 2
+
+    def test_begin_is_the_primitive(self):
+        db = sales_db()
+        txn = db.begin(isolation="snapshot")
+        assert txn.isolation == "snapshot" and db.active_transactions() == [txn]
+        db.abort(txn)
+        with db.transaction() as inner:
+            db.insert(inner, "sales", {"id": 1, "product": "a", "amount": 5})
+        assert db.committed_count == 1

@@ -114,7 +114,7 @@ class TestSchemaMatchesEngine:
     def test_checkpoint_record_payload_shape(self, tmp_path):
         db = sales_db()
         insert(db, 1)
-        db.take_checkpoint(kind="fuzzy")
+        db.take_checkpoint()
         db.dump_wal_segments(tmp_path)
         # checkpoint payload keys sit beside the record envelope
         # (type/lsn/txn_id/prev_lsn + optional crc stamp)

@@ -102,7 +102,7 @@ class TestUntrustedCheckpointFallback:
         injector = FaultInjector(seed=1)
         db.install_fault_injector(injector)
         injector.arm("page.torn_write", probability=1.0, times=2)
-        db.take_checkpoint(kind="fuzzy")  # these write-backs tear
+        db.take_checkpoint()  # these write-backs tear
         log_len = len(db.log)
         report = db.simulate_crash_and_recover()
         assert db.counters.as_dict().get("storage.torn_pages", 0) >= 1
@@ -132,7 +132,7 @@ class TestUntrustedCheckpointFallback:
     def test_same_process_reload_still_seeds_from_pages(self, tmp_path):
         db = paged_db()
         insert_rows(db)
-        db.take_checkpoint(kind="fuzzy")
+        db.take_checkpoint()
         db.dump_wal_segments(tmp_path)
         removed = db.recycle_wal_segments(tmp_path)
         # its own store survived, so the truncated chain plus the

@@ -1,11 +1,11 @@
-"""Unit tests for versioned records, heap files, and ghost-aware indexes."""
+"""Unit tests for versioned records and ghost-aware indexes."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common import KeyRange, Row, StorageError
-from repro.storage import HeapFile, Index, VersionedRecord
+from repro.storage import Index, VersionedRecord
 
 
 class TestVersionedRecord:
@@ -69,59 +69,6 @@ class TestVersionedRecord:
 
     def test_prune_empty(self):
         assert VersionedRecord((1,), None).prune_versions(10) == 0
-
-
-class TestHeapFile:
-    def test_insert_assigns_rids(self):
-        h = HeapFile("t")
-        r1, r2 = h.insert_row(Row(a=1)), h.insert_row(Row(a=2))
-        assert r1 != r2
-        assert h.get(r1).current_row == Row(a=1)
-
-    def test_explicit_rid(self):
-        h = HeapFile("t")
-        h.insert_row(Row(a=1), rid=10)
-        assert h.get(10).current_row == Row(a=1)
-        # fresh rids must not collide with the explicit one
-        assert h.insert_row(Row(a=2)) > 10
-
-    def test_duplicate_rid_rejected(self):
-        h = HeapFile("t")
-        h.insert_row(Row(a=1), rid=5)
-        with pytest.raises(StorageError):
-            h.insert_row(Row(a=2), rid=5)
-
-    def test_get_missing_raises(self):
-        with pytest.raises(StorageError):
-            HeapFile("t").get(1)
-
-    def test_try_get(self):
-        h = HeapFile("t")
-        assert h.try_get(1) is None
-
-    def test_delete(self):
-        h = HeapFile("t")
-        rid = h.insert_row(Row(a=1))
-        h.delete(rid)
-        assert h.try_get(rid) is None
-        with pytest.raises(StorageError):
-            h.delete(rid)
-
-    def test_rids_never_reused(self):
-        h = HeapFile("t")
-        rid = h.insert_row(Row(a=1))
-        h.delete(rid)
-        assert h.insert_row(Row(a=2)) != rid
-
-    def test_scan_skips_ghosts(self):
-        h = HeapFile("t")
-        r1 = h.insert_row(Row(a=1))
-        r2 = h.insert_row(Row(a=2))
-        h.get(r1).make_ghost()
-        assert [rid for rid, _ in h.scan()] == [r2]
-        assert [rid for rid, _ in h.scan(include_ghosts=True)] == [r1, r2]
-        assert h.live_count() == 1
-        assert len(h) == 2
 
 
 class TestIndex:

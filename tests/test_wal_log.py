@@ -18,6 +18,7 @@ from repro.wal import (
     ReviveRecord,
     UpdateRecord,
 )
+from repro.wal.segments import dump_segments, load_segments
 
 
 class TestAppend:
@@ -132,23 +133,6 @@ class TestReading:
         with pytest.raises(WalError):
             log.record_at(5)
 
-    def test_record_at_finds_records_on_both_sides_of_a_gap(self, tmp_path):
-        log = LogManager()
-        for i in range(1, 7):
-            log.append(BeginRecord(i))
-        log.flush()
-        path = tmp_path / "wal.jsonl"
-        log.dump(path)
-        lines = path.read_text().splitlines(keepends=True)
-        path.write_text("".join(lines[:2] + lines[3:]))  # LSN 3 is lost
-        gapped = LogManager.load(path)
-        assert [r.lsn for r in gapped.records()] == [1, 2, 4, 5, 6]
-        for lsn in (1, 2, 4, 5, 6):
-            assert gapped.record_at(lsn).lsn == lsn
-        for lsn in (0, 3, 7):
-            with pytest.raises(WalError):
-                gapped.record_at(lsn)
-
     def test_latest_checkpoint(self):
         log = LogManager()
         assert log.latest_checkpoint() is None
@@ -212,11 +196,11 @@ class TestSerialization:
         assert got.action.deltas == {"cnt": 2}
 
     def test_checkpoint_roundtrip(self):
-        cp = CheckpointRecord({3: 7, 4: 9}, snapshot="snap-1")
+        cp = CheckpointRecord({3: 7, 4: 9}, {12: 5})
         cp.lsn = 1
         got = LogRecord.from_dict(cp.to_dict())
         assert got.active_txns == {3: 7, 4: 9}
-        assert got.snapshot == "snap-1"
+        assert got.dirty_pages == {12: 5}
 
     def test_dump_and_load(self, tmp_path):
         log = LogManager()
@@ -224,9 +208,8 @@ class TestSerialization:
         log.append(InsertRecord(1, "t", (1,), Row(a=1)))
         log.append(CommitRecord(1, 5))
         log.flush()
-        path = tmp_path / "wal.jsonl"
-        log.dump(path)
-        loaded = LogManager.load(path)
+        dump_segments(log, tmp_path)
+        loaded = load_segments(tmp_path)
         assert loaded.tail_lsn() == 3
         assert loaded.flushed_lsn == 3
         types = [r.type for r in loaded.records()]
@@ -237,6 +220,5 @@ class TestSerialization:
         log.append(BeginRecord(1))
         log.flush()
         log.append(BeginRecord(2))
-        path = tmp_path / "wal.jsonl"
-        log.dump(path)
-        assert LogManager.load(path).tail_lsn() == 1
+        dump_segments(log, tmp_path)
+        assert load_segments(tmp_path).tail_lsn() == 1

@@ -11,6 +11,7 @@ from repro.common import Row
 from repro.wal import (
     AbortRecord,
     BeginRecord,
+    CheckpointRecord,
     CommitRecord,
     DeleteRecord,
     EndRecord,
@@ -293,3 +294,68 @@ class TestRecoveryIdempotence:
         log.flush()
         recover(log, t2)
         assert t1.indexes == t2.indexes
+
+
+class TestRedoGate:
+    """The gate is a read-only table of per-key winners elected from the
+    durable pages: ``{(index, key): (lsn, row, is_ghost, dead)}``."""
+
+    def escrow_log(self):
+        log = LogManager()
+        committed_txn(log, 1, [InsertRecord(1, "v", (1,), Row(k=1, n=0))])  # 2
+        committed_txn(log, 2, [EscrowDeltaRecord(2, "v", (1,), {"n": 5})])  # 5
+        committed_txn(log, 3, [EscrowDeltaRecord(3, "v", (1,), {"n": 7})])  # 8
+        log.flush()
+        return log
+
+    def test_live_winner_covers_up_to_and_including_its_own_lsn(self):
+        log = self.escrow_log()
+        gate = {("v", (1,)): (5, {"k": 1, "n": 5}, False, False)}
+        target = FakeTarget()
+        target.recovery_insert("v", (1,), Row(k=1, n=5))  # the seed
+        report = recover(log, target, gate=dict(gate))
+        assert (report.redo_skipped, report.redo_count) == (2, 1)
+        assert target.row("v", (1,)) == Row(k=1, n=12)  # +5 not added twice
+
+    def test_tombstone_never_suppresses_its_own_delete(self):
+        log = LogManager()
+        committed_txn(log, 1, [InsertRecord(1, "t", (1,), Row(v=1))])  # 2
+        committed_txn(log, 2, [DeleteRecord(2, "t", (1,), Row(v=1))])  # 5
+        log.flush()
+        redone = []
+
+        class Watching(FakeTarget):
+            def recovery_delete(self, index_name, key):
+                redone.append((index_name, key))
+                super().recovery_delete(index_name, key)
+
+        report = recover(
+            log, Watching(), gate={("t", (1,)): (5, None, False, True)}
+        )
+        # strictly older records are covered; the delete at the
+        # tombstone's own LSN is redone (it is idempotent)
+        assert redone == [("t", (1,))]
+        assert (report.redo_skipped, report.redo_count) == (1, 1)
+
+    def test_recovery_only_reads_the_gate(self):
+        log = self.escrow_log()
+        open_txn(log, 4, [EscrowDeltaRecord(4, "v", (1,), {"n": 100})])
+        log.flush()
+        gate = {("v", (1,)): (5, {"k": 1, "n": 5}, False, False)}
+        before = dict(gate)
+        first, second = FakeTarget(), FakeTarget()
+        for target in (first, second):  # a re-entered recovery gates alike
+            target.recovery_insert("v", (1,), Row(k=1, n=5))
+            recover(log, target, gate=gate)
+            assert gate == before
+        assert first.row("v", (1,)) == second.row("v", (1,)) == Row(k=1, n=12)
+
+    def test_empty_gate_gates_nothing_and_trusts_no_checkpoint(self):
+        log = self.escrow_log()
+        log.append(CheckpointRecord({}))
+        log.flush()
+        target = FakeTarget()
+        report = recover(log, target, gate={})
+        assert report.analyzed_records == len(log)
+        assert (report.redo_skipped, report.redo_count) == (0, 3)
+        assert target.row("v", (1,)) == Row(k=1, n=12)

@@ -10,6 +10,8 @@ integrity checker is a real oracle, not a tautology.
 """
 
 import json
+import pathlib
+import zlib
 
 import pytest
 
@@ -18,7 +20,8 @@ from repro.core import Database, EngineConfig
 from repro.faults import FaultInjector
 from repro.obs import validate_recovery_report
 from repro.query import AggregateSpec
-from repro.wal import LogManager, RecordType, salvage
+from repro.wal import RecordType, salvage
+from repro.wal.segments import load_segments
 from repro.workload import BY_PRODUCT, SALES
 from repro.views import AggregateView
 
@@ -67,9 +70,8 @@ class TestChecksums:
     def test_dump_load_round_trip_preserves_crc(self, tmp_path):
         db = sales_db()
         commit_sales(db, range(1, 4))
-        path = tmp_path / "wal.jsonl"
-        db.dump_wal(path)
-        loaded = LogManager.load(path)
+        db.dump_wal_segments(tmp_path)
+        loaded = load_segments(tmp_path)
         assert len(loaded) == len(db.log)
         for record in loaded.records():
             assert record.stored_crc is not None
@@ -187,36 +189,111 @@ class TestRecoveryIntegration:
             EngineConfig(salvage_policy="panic")
 
     def test_dump_load_with_tampered_line(self, tmp_path):
-        """On-disk tampering that stays valid JSON is caught by the CRC."""
+        """On-disk tampering that stays valid JSON — and even re-seals
+        the segment trailer — is caught by the record's own CRC."""
         db = sales_db()
         commit_sales(db, range(1, 4))
-        path = tmp_path / "wal.jsonl"
-        db.dump_wal(path)
-        lines = path.read_text().splitlines()
+        (path,) = map(pathlib.Path, db.dump_wal_segments(tmp_path))
+        header, *lines, trailer = path.read_text().splitlines()
         doc = json.loads(lines[5])
         assert doc["crc"] is not None
         doc["txn_id"] = 999  # payload edit without re-stamping the CRC
         lines[5] = json.dumps(doc)
-        path.write_text("\n".join(lines) + "\n")
+        body = "\n".join(lines) + "\n"
+        sealed = dict(json.loads(trailer), crc=zlib.crc32(body.encode("utf-8")))
+        path.write_text(header + "\n" + body + json.dumps(sealed) + "\n")
         fresh = sales_db()
-        report = fresh.load_wal_and_recover(path)
+        report = fresh.load_wal_segments_and_recover(tmp_path)
         assert report.salvage is not None
         assert report.salvage["truncated_lsn"] == 6
         assert fresh.check_all_views() == []
 
-    def test_undecodable_tail_is_counted(self, tmp_path):
-        db = sales_db()
-        commit_sales(db, [1, 2])
-        path = tmp_path / "wal.jsonl"
-        db.dump_wal(path)
-        with path.open("a") as fh:
-            fh.write('{"type": "INSERT", "lsn":')  # torn final line
+    def test_torn_segment_tail_is_counted(self, tmp_path):
+        db = sales_db(wal_segment_bytes=1024)
+        commit_sales(db, range(1, 13))
+        paths = db.dump_wal_segments(tmp_path)
+        assert len(paths) > 2
+        last = pathlib.Path(paths[-1])
+        lines = last.read_text().splitlines()
+        # the write tore before the trailer
+        last.write_text("\n".join(lines[:-1]) + "\n")
         fresh = sales_db()
-        report = fresh.load_wal_and_recover(path)
+        report = fresh.load_wal_segments_and_recover(tmp_path)
         assert report.salvage is not None
         assert report.salvage["undecodable_lines"] == 1
         assert report.salvage["truncated_lsn"] is None
+        assert fresh.read_committed(SALES, (1,)) is not None  # prefix kept
         assert fresh.check_all_views() == []
+
+
+def paged_db(**kwargs):
+    """Two frames and 256-byte pages: nearly every commit writes a page
+    back, so the page store runs right behind the durable log."""
+    db = Database(EngineConfig(buffer_pool_frames=2, page_size=256, **kwargs))
+    db.execute(
+        """
+        CREATE TABLE t (id, grp, v, PRIMARY KEY (id));
+        CREATE UNIQUE INDEXED VIEW byg AS
+            SELECT grp, COUNT(*) AS n, SUM(v) AS total FROM t GROUP BY grp;
+        """
+    )
+    return db
+
+
+class TestSalvageDistrustsPagesPastTheCut:
+    """Pages written under records the salvage pass dropped would keep
+    alive the very commits its report calls lost; the store is then as
+    untrusted as a torn page."""
+
+    def test_pages_written_under_dropped_records_are_not_seeded(self):
+        db = paged_db()
+        for i in range(40):
+            db.execute(f"INSERT INTO t VALUES ({i}, {i % 3}, {i})")
+        db.log.corrupt(db.log.flushed_lsn // 2)
+        report = db.simulate_crash_and_recover()
+        assert report.salvage["truncated_lsn"] == 101
+        assert len(report.salvage["lost_commits"]) == 21
+        # full ungated replay of the surviving prefix, nothing from pages
+        assert report.redo_skipped == 0
+        assert report.analyzed_records == 100
+        assert [row["id"] for row in db.execute("SELECT * FROM t")] == list(
+            range(19)
+        )
+        assert db.check_all_views() == []
+        assert db.check_integrity().clean
+
+    def test_a_cut_above_every_durable_entry_keeps_the_pages(self):
+        db = paged_db()
+        for i in range(40):
+            db.execute(f"INSERT INTO t VALUES ({i}, {i % 3}, {i})")
+        db.take_checkpoint()
+        txn = db.begin()
+        db.insert(txn, "t", {"id": 99, "grp": 0, "v": 1})
+        db.log.flush()  # durable, but no page was written under it
+        cut = db.log.flushed_lsn
+        db.log.corrupt(cut)
+        report = db.simulate_crash_and_recover()
+        assert report.salvage["truncated_lsn"] == cut
+        assert report.pages_loaded > 0 and report.analyzed_records < 10
+        assert len(db.execute("SELECT * FROM t")) == 40
+        assert db.check_all_views() == []
+
+    def test_no_replayable_log_either_raises(self, tmp_path):
+        """A recycled log cannot replay from LSN 1: with the pages
+        untrusted too, nothing vouches for any state."""
+        db = paged_db(checkpoint_interval=5, wal_segment_bytes=1024)
+        for i in range(30):
+            db.execute(f"INSERT INTO t VALUES ({i}, {i % 3}, {i})")
+        db.dump_wal_segments(tmp_path)
+        assert db.recycle_wal_segments(tmp_path)
+        db.load_wal_segments_and_recover(tmp_path)  # the log now starts late
+        for i in range(30, 40):
+            db.execute(f"INSERT INTO t VALUES ({i}, {i % 3}, {i})")
+        db.log.corrupt(db.log.flushed_lsn - 30)
+        with pytest.raises(WalCorruptionError, match="vouch"):
+            db.simulate_crash_and_recover()
+        with pytest.raises(WalCorruptionError):  # and it stays refused
+            db.simulate_crash_and_recover()
 
 
 class TestCorruptFaultSite:

@@ -157,14 +157,6 @@ class TestRestoreTargetMustBeSchemaOnly:
         assert target.check_all_views() == []
         assert target.read_committed("t", (100,)) is not None
 
-    def test_jsonl_into_a_populated_engine_is_refused(self, tmp_path):
-        src = paged_db(range(1, 40))
-        path = tmp_path / "wal.jsonl"
-        src.dump_wal(path)
-        target = paged_db(range(100, 130))
-        with pytest.raises(StorageError, match="schema-only"):
-            target.load_wal_and_recover(path)
-
     def test_schema_only_target_restores_every_view_row(self, tmp_path):
         src = paged_db(range(1, 40))
         src.dump_wal_segments(tmp_path)
@@ -178,7 +170,7 @@ class TestRestoreTargetMustBeSchemaOnly:
     def test_an_engine_may_reload_its_own_recycled_chain(self, tmp_path):
         db = paged_db(range(1, 40))
         before = db.execute("SELECT * FROM by_grp")
-        db.take_checkpoint(kind="fuzzy")
+        db.take_checkpoint()
         db.dump_wal_segments(tmp_path)
         db.recycle_wal_segments(tmp_path)
         report = db.load_wal_segments_and_recover(tmp_path)
@@ -197,18 +189,6 @@ class TestRestoreTargetMustBeSchemaOnly:
         with pytest.raises(StorageError, match="recycled and starts at LSN"):
             target.load_wal_segments_and_recover(tmp_path)
         assert target.execute("SELECT * FROM t") == []  # nothing replaced
-
-    def test_a_recycled_chain_under_a_sharp_checkpoint_restores(
-        self, tmp_path
-    ):
-        src = paged_db(range(1, 61))
-        src.take_checkpoint()  # sharp: the snapshot stands in for pages
-        src.dump_wal_segments(tmp_path)
-        assert src.recycle_wal_segments(tmp_path)
-        target = paged_db()
-        target.load_wal_segments_and_recover(tmp_path)
-        assert target.check_all_views() == []
-        assert len(target.execute("SELECT * FROM t")) == 60
 
     def test_own_chain_older_than_the_pages_is_refused(self, tmp_path):
         db = paged_db(range(1, 40))
