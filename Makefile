@@ -2,8 +2,8 @@ PYTHON ?= python
 export PYTHONPATH := $(CURDIR)/src
 
 .PHONY: analyze test bench bench-smoke bench-r16 bench-r17 chaos-smoke \
-	check-results dist-smoke lint net-smoke perf perf-smoke sanitize-smoke \
-	sql-smoke storage-smoke verify
+	check-results dist-smoke lint net-smoke perf perf-pairs perf-smoke \
+	sanitize-smoke sql-smoke storage-smoke verify
 
 # The PR gate, in dependency-cheapest order: the AST lint rules, the
 # static view-program analyzer, the full tier-1 test suite, the
@@ -108,6 +108,16 @@ perf:
 # shape, every metric produced, oracles, --compare verdicts.
 perf-smoke:
 	$(PYTHON) -m pytest benchmarks/perf -q
+
+# Parent against the staged change, the way a PR that claims a gain must
+# measure it (benchmarks/perf/README.md): 10 alternating pairs per
+# workload, the first side flipping every pair (≈ 35 min), verdicts and
+# raw values written to BENCH_$(PR).json. Stage the change first
+# (`git add -A`): the change tree is the index.
+#   make perf-pairs PARENT=<rev> PR=<n> [CLAIM=workload:metric[:at_most]]
+perf-pairs:
+	$(PYTHON) benchmarks/pairs.py --parent $(PARENT) --pr $(PR) \
+		$(if $(CLAIM),--claim $(CLAIM)) $(if $(SEED),--seed $(SEED))
 
 check-results:
 	$(PYTHON) benchmarks/check_results.py

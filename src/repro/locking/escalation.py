@@ -10,7 +10,8 @@ individual keys.
 
 :class:`EscalationPolicy` wraps plan acquisition for the Database:
 
-* it injects the correct intention lock ahead of every key lock;
+* it takes the correct intention lock ahead of an index's key locks —
+  once, remembering the strongest intent the transaction already has;
 * it counts per-(transaction, index) key locks;
 * past the threshold it converts the transaction's intent to a full
   table lock and *skips* further key locks that the table lock covers.
@@ -21,7 +22,13 @@ locking.
 """
 
 from repro.locking.keyrange import table_resource
-from repro.locking.modes import GapMode, LockMode, RangeMode
+from repro.locking.modes import (
+    GapMode,
+    LockMode,
+    RangeMode,
+    covers,
+    supremum,
+)
 from repro.obs.tracer import NULL_TRACER
 
 
@@ -40,12 +47,15 @@ def intent_for(mode):
 
 
 class _IndexLockState:
-    __slots__ = ("count", "read_only", "escalated_to")
+    __slots__ = ("count", "read_only", "escalated_to", "intent")
 
     def __init__(self):
         self.count = 0
         self.read_only = True
         self.escalated_to = None  # None | LockMode.S | LockMode.X
+        # Strongest table intent taken so far: NL | IS | IX. Locks stay
+        # until commit/abort, so what was taken is still held.
+        self.intent = LockMode.NL
 
 
 class EscalationPolicy:
@@ -60,14 +70,6 @@ class EscalationPolicy:
 
     # ------------------------------------------------------------------
 
-    def _state_of(self, txn, index_name):
-        states = txn.scratch.setdefault(self.SCRATCH_KEY, {})
-        state = states.get(index_name)
-        if state is None:
-            state = _IndexLockState()
-            states[index_name] = state
-        return state
-
     def acquire_plan(self, txn, plan):
         """Acquire a lock plan with intention locks and escalation.
 
@@ -77,16 +79,25 @@ class EscalationPolicy:
         acquisition — callers re-run safely because nothing here mutates
         data.
         """
+        states = txn.scratch.get(self.SCRATCH_KEY)
+        if states is None:
+            states = txn.scratch[self.SCRATCH_KEY] = {}
+        # With fault sites armed every key's intent is asked for again, so
+        # lock.deny / lock.delay schedules see the requests they always did.
+        ask_again = txn.faults_armed
+        index_name = state = plan_mode = read_only = None
         for resource, mode in plan:
             if resource[0] != "key" and resource[0] != "eof":
                 txn.acquire(resource, mode)
                 continue
-            index_name = resource[1]
-            state = self._state_of(txn, index_name)
-            read_only = _is_read_only_mode(mode)
-            needed_table_mode = (
-                LockMode.S if (read_only and state.read_only) else LockMode.X
-            )
+            if resource[1] != index_name:
+                index_name = resource[1]
+                state = states.get(index_name)
+                if state is None:
+                    state = states[index_name] = _IndexLockState()
+            if mode is not plan_mode:  # a scan's keys share one mode
+                plan_mode = mode
+                read_only = _is_read_only_mode(mode)
             if state.escalated_to is not None:
                 # Already escalated: does the table lock cover this mode?
                 if state.escalated_to is LockMode.X or read_only:
@@ -101,11 +112,18 @@ class EscalationPolicy:
                         mode=LockMode.X, key_locks=state.count,
                     )
                 continue
-            txn.acquire(table_resource(index_name), intent_for(mode))
+            intent = LockMode.IS if read_only else LockMode.IX
+            if ask_again or not covers(state.intent, intent):
+                txn.acquire(table_resource(index_name), intent)
+                state.intent = supremum(state.intent, intent)
             if (
                 self.threshold is not None
                 and state.count + 1 > self.threshold
             ):
+                needed_table_mode = (
+                    LockMode.S if (read_only and state.read_only)
+                    else LockMode.X
+                )
                 txn.acquire(table_resource(index_name), needed_table_mode)
                 state.escalated_to = needed_table_mode
                 state.read_only = state.read_only and read_only

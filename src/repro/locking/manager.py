@@ -26,10 +26,15 @@ Fairness: a new request must also be compatible with *earlier waiting*
 requests of other transactions, so writers cannot starve behind a stream of
 compatible readers. Conversions of already-granted locks jump the queue
 (standard, and required to avoid trivial conversion deadlocks).
+
+What a transaction holds is one fact with one owner: the *held-lock
+table* ``{resource: mode}`` of :meth:`LockManager.held_locks`, written at
+exactly the places a resource's granted set is (grant, conversion, queue
+grant, release) and kept in acquisition order, so locks are released —
+and waiters woken — in the order they were taken, whatever the hash seed.
 """
 
 import enum
-from collections import OrderedDict
 
 from repro.common import (
     DeadlockError,
@@ -38,7 +43,7 @@ from repro.common import (
     TransactionStateError,
 )
 from repro.faults import NULL_INJECTOR
-from repro.locking.modes import mode_compatible, mode_supremum
+from repro.locking.modes import covers, mode_compatible, mode_supremum
 from repro.obs.tracer import NULL_TRACER
 
 
@@ -89,7 +94,7 @@ class _ResourceQueue:
     __slots__ = ("granted", "waiting")
 
     def __init__(self):
-        self.granted = OrderedDict()  # txn_id -> mode
+        self.granted = {}  # txn_id -> mode, in grant order
         self.waiting = []  # list of LockRequest
 
     def is_idle(self):
@@ -101,6 +106,7 @@ class LockStats:
 
     __slots__ = (
         "requests",
+        "covered",
         "immediate_grants",
         "waits",
         "conversions",
@@ -110,7 +116,8 @@ class LockStats:
     )
 
     def __init__(self):
-        self.requests = 0
+        self.requests = 0  # calls that reached the queues
+        self.covered = 0  # re-requests answered from the held-lock table
         self.immediate_grants = 0
         self.waits = 0
         self.conversions = 0
@@ -121,6 +128,7 @@ class LockStats:
     def as_dict(self):
         return {
             "requests": self.requests,
+            "covered": self.covered,
             "immediate_grants": self.immediate_grants,
             "waits": self.waits,
             "conversions": self.conversions,
@@ -136,7 +144,7 @@ class LockManager:
     def __init__(self, tracer=NULL_TRACER, clock=None, timeout=None,
                  faults=None):
         self._queues = {}
-        self._held_by_txn = {}  # txn_id -> set of resources
+        self._held_by_txn = {}  # txn_id -> {resource: mode}, see held_locks
         self._waiting_request = {}  # txn_id -> LockRequest (at most one)
         self.stats = LockStats()
         self.contention = {}  # resource -> cumulative wait count
@@ -172,20 +180,21 @@ class LockManager:
             request.deny_error = FaultInjected("lock.deny", txn_id)
             self.stats.denials += 1
             return request
-        queue = self._queues.setdefault(resource, _ResourceQueue())
-        held = queue.granted.get(txn_id)
+        queue = self._queues.get(resource)
+        held = queue.granted.get(txn_id) if queue is not None else None
 
         if held is not None:
-            target = mode_supremum(held, mode)
-            if target == held:
+            if covers(held, mode):
                 # Already covered; nothing to do.
                 request = LockRequest(txn_id, resource, held, is_conversion=True)
                 request.status = RequestStatus.GRANTED
                 self.stats.immediate_grants += 1
                 return request
+            target = mode_supremum(held, mode)
             request = LockRequest(txn_id, resource, target, is_conversion=True)
             if self._compatible_with_granted(queue, txn_id, target):
                 queue.granted[txn_id] = target
+                self._held_by_txn[txn_id][resource] = target
                 request.status = RequestStatus.GRANTED
                 self.stats.immediate_grants += 1
                 self.stats.conversions += 1
@@ -205,14 +214,21 @@ class LockManager:
             delay_spec = self.faults.fires(
                 "lock.delay", txn_id=txn_id, detail=repr(resource)
             )
-        if delay_spec is None and self._compatible_with_granted(
-            queue, txn_id, mode
-        ) and not any(
-            w.txn_id != txn_id and not mode_compatible(mode, w.mode)
-            for w in queue.waiting
-        ):
+        if queue is None:
+            # Nobody holds the resource and nobody waits for it: there is
+            # nothing to be compatible with.
+            queue = self._queues[resource] = _ResourceQueue()
+            grantable = delay_spec is None
+        else:
+            grantable = delay_spec is None and self._compatible_with_granted(
+                queue, txn_id, mode
+            ) and not any(
+                w.txn_id != txn_id and not mode_compatible(mode, w.mode)
+                for w in queue.waiting
+            )
+        if grantable:
             queue.granted[txn_id] = mode
-            self._held_by_txn.setdefault(txn_id, set()).add(resource)
+            self.held_locks(txn_id)[resource] = mode
             request.status = RequestStatus.GRANTED
             self.stats.immediate_grants += 1
             if self.tracer.enabled:
@@ -290,29 +306,41 @@ class LockManager:
 
     def release(self, txn_id, resource):
         """Release one lock; returns txn_ids whose requests got granted."""
-        queue = self._queues.get(resource)
-        if queue is None or txn_id not in queue.granted:
-            return []
-        del queue.granted[txn_id]
         held = self._held_by_txn.get(txn_id)
-        if held is not None:
-            held.discard(resource)
+        if held is None or resource not in held:
+            return []
+        del held[resource]
+        queue = self._queues[resource]
+        del queue.granted[txn_id]
         granted = self._grant_from_queue(queue)
         if queue.is_idle():
             del self._queues[resource]
         return granted
 
     def release_all(self, txn_id):
-        """Release every lock of ``txn_id`` (commit/abort). Cancels any
-        waiting request. Returns txn_ids newly granted."""
+        """Release every lock of ``txn_id`` (commit/abort), in the order
+        they were acquired. Cancels any waiting request. Returns txn_ids
+        newly granted."""
         self.cancel_wait(txn_id)
-        resources = list(self._held_by_txn.get(txn_id, ()))
+        held = self._held_by_txn.pop(txn_id, None)
+        if not held:
+            return []
+        queues = self._queues
         newly_granted = []
-        for resource in resources:
-            newly_granted.extend(self.release(txn_id, resource))
-        self._held_by_txn.pop(txn_id, None)
-        if resources and self.tracer.enabled:
-            self.tracer.emit("lock_release", txn_id=txn_id, count=len(resources))
+        for resource in held:
+            queue = queues[resource]
+            del queue.granted[txn_id]
+            if queue.waiting:
+                # whoever is left waits or was just granted: not idle
+                newly_granted.extend(self._grant_from_queue(queue))
+            elif not queue.granted:
+                del queues[resource]
+        count = len(held)
+        # The transaction keeps a reference to this table; leave it
+        # saying what is true.
+        held.clear()
+        if self.tracer.enabled:
+            self.tracer.emit("lock_release", txn_id=txn_id, count=count)
         return newly_granted
 
     def cancel_wait(self, txn_id):
@@ -442,9 +470,7 @@ class LockManager:
                     break
                 queue.waiting.remove(request)
                 queue.granted[request.txn_id] = request.mode
-                self._held_by_txn.setdefault(request.txn_id, set()).add(
-                    request.resource
-                )
+                self.held_locks(request.txn_id)[request.resource] = request.mode
                 request.status = RequestStatus.GRANTED
                 if now is not None:
                     request.resolved_at = now
@@ -463,12 +489,20 @@ class LockManager:
     # introspection
     # ------------------------------------------------------------------
 
+    def held_locks(self, txn_id):
+        """The live held-lock table ``{resource: mode}`` of ``txn_id``, in
+        acquisition order — created on first use, updated wherever a
+        grant is, emptied and dropped by :meth:`release_all`. Callers read
+        it; only the manager writes it."""
+        held = self._held_by_txn.get(txn_id)
+        if held is None:
+            held = self._held_by_txn[txn_id] = {}
+        return held
+
     def held_mode(self, txn_id, resource):
         """The mode ``txn_id`` holds on ``resource``, or ``None``."""
-        queue = self._queues.get(resource)
-        if queue is None:
-            return None
-        return queue.granted.get(txn_id)
+        held = self._held_by_txn.get(txn_id)
+        return held.get(resource) if held is not None else None
 
     def holders(self, resource):
         """Mapping txn_id -> mode of current holders of ``resource``."""
@@ -481,12 +515,10 @@ class LockManager:
 
     def locks_of(self, txn_id):
         """Snapshot of (resource, mode) pairs held by ``txn_id``."""
-        return [
-            (resource, self.held_mode(txn_id, resource))
-            for resource in sorted(
-                self._held_by_txn.get(txn_id, ()), key=repr
-            )
-        ]
+        return sorted(
+            self._held_by_txn.get(txn_id, {}).items(),
+            key=lambda held: repr(held[0]),
+        )
 
     def waiting_for(self, txn_id):
         """The resource ``txn_id`` is waiting on, or ``None``."""

@@ -118,12 +118,6 @@ def supremum(a, b):
     return _SUP[frozenset((a, b))]
 
 
-def covers(held, requested):
-    """True if holding ``held`` already grants everything ``requested``
-    would (no conversion needed)."""
-    return supremum(held, requested) is held
-
-
 class GapMode(enum.Enum):
     """Lock modes for the open gap below an index key."""
 
@@ -259,3 +253,11 @@ def mode_supremum(a, b):
     if not b_range:
         b = RangeMode.key(b)
     return a.supremum_with(b)
+
+
+def covers(held, wanted):
+    """True if a holder of ``held`` that asks for ``wanted`` needs no
+    conversion: ``mode_supremum(held, wanted) == held``. A plain mode never
+    covers a range mode (the supremum is the promoted range mode), so the
+    first key-range request on a plainly locked resource converts it."""
+    return held is wanted or mode_supremum(held, wanted) == held

@@ -16,6 +16,7 @@ from repro.obs.schema import (
     BUFFER_POOL_STATS_FIELDS,
     CHECKPOINT_RECORD_FIELDS,
     FLOOR_MARKER_FIELDS,
+    LOCK_STATS_FIELDS,
     NET_STATS_FIELDS,
     PAGE_HEADER_FIELDS,
     PAGE_STATES,
@@ -44,6 +45,7 @@ __all__ = [
     "Event",
     "EngineMetrics",
     "Histogram",
+    "LOCK_STATS_FIELDS",
     "NET_STATS_FIELDS",
     "NULL_TRACER",
     "PAGE_HEADER_FIELDS",

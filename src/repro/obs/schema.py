@@ -116,6 +116,15 @@ NET_STATS_FIELDS = {
     "heartbeats", "suspected", "readmitted",
 }
 
+#: pinned key set of ``Database.stats()["lock"]`` (``LockStats.as_dict()``).
+#: ``requests`` counts calls that reached the lock manager's queues,
+#: ``covered`` re-requests a transaction answered from its held-lock
+#: table; their sum is the number of ``Transaction.acquire`` calls.
+LOCK_STATS_FIELDS = {
+    "requests", "covered", "immediate_grants", "waits", "conversions",
+    "deadlocks", "denials", "timeouts",
+}
+
 #: lifecycle states a buffer-pool frame moves through.
 PAGE_STATES = ("pinned", "clean", "dirty", "evicted")
 

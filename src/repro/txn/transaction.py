@@ -20,6 +20,7 @@ import enum
 
 from repro.common import LockTimeoutError, TransactionStateError, WouldWait
 from repro.locking.manager import RequestStatus
+from repro.locking.modes import covers
 
 
 class LockPolicy(enum.Enum):
@@ -54,6 +55,7 @@ class Transaction:
         "stats",
         "commit_ticket",
         "_lock_manager",
+        "_held",
     )
 
     def __init__(self, txn_id, lock_manager, policy=LockPolicy.NOWAIT, read_ts=0,
@@ -72,6 +74,10 @@ class Transaction:
         self.stats = TxnStats()
         self.commit_ticket = None  # CommitTicket once enrolled (group commit)
         self._lock_manager = lock_manager
+        # The lock manager's own held-lock table for this transaction
+        # ({resource: mode}): the manager writes it on every grant,
+        # conversion and release, this class only reads it.
+        self._held = lock_manager.held_locks(txn_id)
 
     def __repr__(self):
         return f"Transaction({self.txn_id}, {self.state.value})"
@@ -84,12 +90,34 @@ class Transaction:
                 f"transaction {self.txn_id} is {self.state.value}, not active"
             )
 
+    @property
+    def faults_armed(self):
+        """True while a fault injector has sites armed: every
+        :meth:`acquire` then reaches the lock manager, so ``lock.deny`` /
+        ``lock.delay`` schedules count covered re-requests too."""
+        return self._lock_manager.faults.active
+
     def acquire(self, resource, mode):
-        """Take a lock, honouring this transaction's policy on waits."""
+        """Take a lock, honouring this transaction's policy on waits.
+
+        A request the held-lock table already covers is answered here.
+        Strict two-phase locking makes that sound: nothing leaves the
+        table before ``release_all`` at commit/abort, and a conversion
+        granted from a queue lands in the same table.
+        """
         self.require_active()
-        request = self._lock_manager.request(self.txn_id, resource, mode)
+        locks = self._lock_manager
+        held = self._held.get(resource)
+        if (
+            held is not None
+            and covers(held, mode)
+            and not locks.faults.active
+        ):
+            locks.stats.covered += 1
+            return
+        request = locks.request(self.txn_id, resource, mode)
         if request.status is RequestStatus.GRANTED:
-            return request
+            return
         if request.status is RequestStatus.DENIED:
             self.stats.deadlocks += 1
             raise request.deny_error
@@ -97,7 +125,7 @@ class Transaction:
         self.stats.lock_waits += 1
         if self.policy is LockPolicy.COOPERATIVE:
             raise WouldWait(request)
-        self._lock_manager.cancel_wait(self.txn_id)
+        locks.cancel_wait(self.txn_id)
         raise LockTimeoutError(self.txn_id, resource)
 
     def acquire_all(self, plan):
@@ -106,7 +134,8 @@ class Transaction:
             self.acquire(resource, mode)
 
     def holds(self, resource):
-        return self._lock_manager.held_mode(self.txn_id, resource)
+        """The mode this transaction holds on ``resource``, or ``None``."""
+        return self._held.get(resource)
 
     # ------------------------------------------------------------------
 

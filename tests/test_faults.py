@@ -23,6 +23,7 @@ from repro.core import Database, EngineConfig
 from repro.faults import FAULT_SITES, FaultInjector, NULL_INJECTOR
 from repro.query import AggregateSpec
 from repro.sim import Scheduler
+from repro.txn.transaction import Transaction
 from repro.wal import LogManager
 from repro.wal.records import BeginRecord, InsertRecord
 from repro.workload import BY_PRODUCT, SALES
@@ -316,6 +317,34 @@ class TestLockFaults:
         with db.transaction() as txn:  # budget spent: clean retry
             db.insert(txn, SALES, sale(1))
         assert db.check_all_views() == []
+
+    def test_armed_sites_see_every_acquire_covered_or_not(self, monkeypatch):
+        """A covered re-request is normally answered from the
+        transaction's held-lock table; with a site armed it must reach
+        the lock manager, or nth-hit and seeded schedules would shift.
+        The intent ahead of each key lock is asked for again, too."""
+        acquires = []
+        acquire = Transaction.acquire
+
+        def counted(txn, resource, mode):
+            acquires.append(resource)
+            return acquire(txn, resource, mode)
+
+        monkeypatch.setattr(Transaction, "acquire", counted)
+        db, inj = armed_db("lock.deny", probability=0.0)  # armed, never fires
+        inj.arm("lock.delay", probability=0.0)
+        with db.transaction() as txn:
+            for i in range(1, 5):
+                db.insert(txn, SALES, sale(i, product=f"p{i % 2}"))
+        with db.transaction() as txn:
+            rows = db.scan(txn, BY_PRODUCT)
+        assert inj.fired == {} and len(rows) == 2
+        assert inj.hits["lock.deny"] == len(acquires)
+        stats = db.stats()["lock"]
+        assert stats["requests"] == len(acquires) and stats["covered"] == 0
+        # what the sites saw before there was a held-lock table to consult:
+        # 38 requests, 14 of them for a lock the transaction did not hold
+        assert inj.hits == {"lock.deny": 38, "lock.delay": 14}
 
     def test_injected_delay_resolves_under_the_simulator(self):
         db, inj = armed_db("lock.delay", times=1, delay=7)

@@ -1,9 +1,24 @@
 """Tests for the lock manager: grants, queues, conversion, deadlocks."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.common import LockTimeoutError, LogicalClock, TransactionStateError
-from repro.locking import LockManager, LockMode, RangeMode, RequestStatus
+from repro.common import (
+    DeadlockError,
+    LockTimeoutError,
+    LogicalClock,
+    TransactionStateError,
+    WouldWait,
+)
+from repro.locking import (
+    GapMode,
+    LockManager,
+    LockMode,
+    RangeMode,
+    RequestStatus,
+)
+from repro.txn.transaction import LockPolicy, Transaction, TxnState
 
 M = LockMode
 RES = ("key", "idx", (1,))
@@ -378,3 +393,186 @@ class TestIntrospection:
         lm.request(1, RES, M.X)
         lm.release_all(1)
         assert lm.active_resources() == []
+
+
+class TestHeldLockTable:
+    """What a transaction holds is one table, written by the manager and
+    read by the transaction (``Transaction.acquire`` / ``holds``)."""
+
+    def txn(self, lm, txn_id):
+        return Transaction(txn_id, lm, policy=LockPolicy.COOPERATIVE)
+
+    def test_covered_rerequest_never_reaches_the_queues(self, lm):
+        t = self.txn(lm, 1)
+        t.acquire(TAB, M.IX)
+        t.acquire(TAB, M.IS)
+        t.acquire(TAB, M.IX)
+        assert lm.stats.requests == 1
+        assert lm.stats.covered == 2
+        assert t.holds(TAB) is M.IX
+
+    def test_plain_mode_does_not_cover_a_range_mode(self, lm):
+        t = self.txn(lm, 1)
+        t.acquire(RES, M.X)
+        t.acquire(RES, RangeMode.key(M.S))  # converts to Range(NL,X)
+        assert lm.stats.requests == 2
+        assert t.holds(RES) == RangeMode.key(M.X)
+
+    def test_queue_granted_conversion_shows_in_the_table(self, lm):
+        reader, upgrader = self.txn(lm, 1), self.txn(lm, 2)
+        reader.acquire(RES, M.S)
+        upgrader.acquire(RES, M.S)
+        with pytest.raises(WouldWait) as parked:
+            upgrader.acquire(RES, M.X)
+        assert upgrader.holds(RES) is M.S
+        lm.release_all(1)
+        assert parked.value.request.status is RequestStatus.GRANTED
+        assert upgrader.holds(RES) is M.X
+        before = lm.stats.requests
+        upgrader.acquire(RES, M.X)  # the re-run after the wait
+        assert lm.stats.requests == before
+
+    def test_release_all_empties_the_transactions_table(self, lm):
+        t = self.txn(lm, 1)
+        t.acquire(TAB, M.IX)
+        t.acquire(RES, M.X)
+        lm.release_all(1)
+        assert t.holds(TAB) is None and t.holds(RES) is None
+        assert lm.locks_of(1) == []
+
+    def test_release_wakes_waiters_in_acquisition_order(self, lm):
+        resources = [("key", "idx", (name,)) for name in "qwertyuiop"]
+        for i, resource in enumerate(resources):
+            lm.request(1, resource, M.X)
+            lm.request(10 + i, resource, M.S)
+        assert lm.release_all(1) == [10 + i for i in range(len(resources))]
+
+    def test_single_release_leaves_the_table(self, lm):
+        t = self.txn(lm, 1)
+        t.acquire(RES, M.S)
+        t.acquire(RES2, M.S)
+        lm.release(1, RES)
+        assert t.holds(RES) is None
+        assert lm.locks_of(1) == [(RES2, M.S)]
+        t.acquire(RES, M.S)
+        assert lm.stats.covered == 0
+
+
+# ----------------------------------------------------------------------
+# differential: Transaction.acquire (held-table fast path) against
+# LockManager.request called for every step
+# ----------------------------------------------------------------------
+
+EOF_RES = ("eof", "idx")
+RESOURCES = (TAB, RES, RES2, EOF_RES)
+MODES = (
+    M.IS, M.IX, M.S, M.SIX, M.U, M.X, M.E,
+    RangeMode.RANGE_S_S, RangeMode.RANGE_I_N, RangeMode.RANGE_X_X,
+    RangeMode.key(M.S), RangeMode.key(M.U), RangeMode.key(M.X),
+    RangeMode.key(M.E),
+    RangeMode(GapMode.S, M.NL), RangeMode(GapMode.X, M.NL),
+)
+
+acquire_step = st.tuples(
+    st.just("acquire"), st.integers(0, 3),
+    st.sampled_from(RESOURCES), st.sampled_from(MODES),
+)
+finish_step = st.tuples(st.sampled_from(["commit", "abort"]), st.integers(0, 3))
+# mostly acquisitions, so transactions live long enough to convert, queue
+# up behind each other and deadlock
+steps = st.lists(
+    st.one_of(*[acquire_step] * 6, finish_step), min_size=8, max_size=80
+)
+
+
+def outcome_of(request):
+    if request.status is RequestStatus.DENIED:
+        error = request.deny_error
+        return ("denied", error.txn_id, error.cycle)
+    return (request.status.value,)
+
+
+class TestAcquireMatchesRequest:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 4), steps)
+    @example(2, [  # two-resource deadlock: the younger requester is denied
+        ("acquire", 0, RES, M.S), ("acquire", 1, RES2, M.S),
+        ("acquire", 0, RES2, M.X), ("acquire", 1, RES, M.X),
+        ("abort", 1), ("acquire", 0, RES2, M.X),
+    ])
+    @example(3, [  # conversion deadlock whose victim is parked, not asking
+        ("acquire", 2, RES, M.S), ("acquire", 0, RES, M.S),
+        ("acquire", 2, RES, M.X), ("acquire", 0, RES, M.X),
+        ("abort", 2), ("acquire", 0, RES, M.S),
+    ])
+    def test_same_grants_waits_and_victims(self, n_txns, schedule):
+        fast, plain = LockManager(), LockManager()
+        slots = list(range(1, n_txns + 1))  # slot -> current txn id
+        txns = {
+            i: Transaction(i, fast, policy=LockPolicy.COOPERATIVE)
+            for i in slots
+        }
+        parked = {}  # txn id -> (fast request, plain request)
+        next_id = n_txns + 1
+        for step in schedule:
+            slot = step[1] % n_txns
+            txn_id = slots[slot]
+            txn = txns[txn_id]
+            if step[0] == "acquire":
+                if plain.waiting_for(txn_id) is not None:
+                    continue  # a parked transaction does nothing
+                _, _, resource, mode = step
+                reference = plain.request(txn_id, resource, mode)
+                try:
+                    txn.acquire(resource, mode)
+                    outcome = ("granted",)
+                except WouldWait as wait:
+                    outcome = ("waiting",)
+                    parked[txn_id] = (wait.request, reference)
+                except DeadlockError as victim:
+                    outcome = ("denied", victim.txn_id, victim.cycle)
+                assert outcome == outcome_of(reference)
+            else:
+                txn.state = (
+                    TxnState.COMMITTED if step[0] == "commit"
+                    else TxnState.ABORTED
+                )
+                assert fast.release_all(txn_id) == plain.release_all(txn_id)
+                parked.pop(txn_id, None)
+                slots[slot] = next_id
+                txns[next_id] = Transaction(
+                    next_id, fast, policy=LockPolicy.COOPERATIVE
+                )
+                next_id += 1
+            # every outstanding wait resolved the same way on both sides
+            for ours, theirs in parked.values():
+                assert outcome_of(ours) == outcome_of(theirs)
+            for resource in RESOURCES:
+                assert fast.holders(resource) == plain.holders(resource)
+                assert [
+                    (w.txn_id, w.mode, w.is_conversion)
+                    for w in fast.waiters(resource)
+                ] == [
+                    (w.txn_id, w.mode, w.is_conversion)
+                    for w in plain.waiters(resource)
+                ]
+            for txn_id in slots:
+                assert fast.locks_of(txn_id) == plain.locks_of(txn_id)
+                assert fast.waiting_for(txn_id) == plain.waiting_for(txn_id)
+                for resource in RESOURCES:
+                    held = plain.held_mode(txn_id, resource)
+                    assert fast.held_mode(txn_id, resource) == held
+                    # a conversion granted from the queue is already in
+                    # the transaction's table: no second request needed
+                    assert txns[txn_id].holds(resource) == held
+            assert sorted(map(repr, fast.active_resources())) == sorted(
+                map(repr, plain.active_resources())
+            )
+        ours, theirs = fast.stats.as_dict(), plain.stats.as_dict()
+        assert ours["requests"] + ours["covered"] == theirs["requests"]
+        assert (
+            ours["immediate_grants"] + ours["covered"]
+            == theirs["immediate_grants"]
+        )
+        for counter in ("waits", "conversions", "deadlocks", "denials"):
+            assert ours[counter] == theirs[counter]

@@ -13,6 +13,7 @@ from repro.core.inspect import trace_tail, wait_graph_snapshot
 from repro.obs import (
     CATEGORIES,
     EVENT_TYPES,
+    LOCK_STATS_FIELDS,
     NULL_TRACER,
     RECOVERY_REPORT_FIELDS,
     SALVAGE_REPORT_FIELDS,
@@ -21,7 +22,8 @@ from repro.obs import (
 )
 from repro.query import AggregateSpec
 from repro.sim import Scheduler
-from repro.workload import BY_PRODUCT, SALES
+from repro.txn.transaction import Transaction
+from repro.workload import BY_PRODUCT, SALES, OrderEntryWorkload
 from repro.views import AggregateView
 
 DOCS = pathlib.Path(__file__).resolve().parent.parent / "docs"
@@ -215,6 +217,43 @@ class TestDatabaseStats:
         assert per_txn["actions"]["min"] >= 2  # base insert + view action
         assert stats["wal"]["records"] == len(db.log)
         assert stats["tracer"]["enabled"] is False
+
+    def test_lock_section_is_pinned(self):
+        assert set(sales_db().stats()["lock"]) == LOCK_STATS_FIELDS
+
+    def test_requests_plus_covered_counts_every_acquire(self, monkeypatch):
+        """``requests`` are the acquisitions that reached the lock
+        manager's queues, ``covered`` the ones the transaction's held-lock
+        table answered: together, every ``Transaction.acquire`` call."""
+        calls = []
+        acquire = Transaction.acquire
+
+        def counted(txn, resource, mode):
+            calls.append(resource)
+            return acquire(txn, resource, mode)
+
+        monkeypatch.setattr(Transaction, "acquire", counted)
+        db = Database(EngineConfig())
+        orders = OrderEntryWorkload(
+            db, n_products=20, zipf_theta=1.0, seed=11
+        ).setup().seed_groups()
+        session = db.session()
+        before = db.stats()["lock"]
+        del calls[:]
+        for _ in range(25):  # the benchmark's order_api transaction
+            session.begin()
+            for _ in range(4):
+                session.insert(SALES, orders.next_sale_values())
+            session.commit()
+        after = db.stats()["lock"]
+        requests = after["requests"] - before["requests"]
+        covered = after["covered"] - before["covered"]
+        assert requests + covered == len(calls)
+        assert covered > 0
+        # about one request per lock held at commit (table IX, fence and
+        # key per insert, view table IX and row E), where asking for the
+        # table intent before every key made it 28
+        assert requests <= 12 * 25
 
     def test_lock_wait_histogram_fed_by_simulator(self):
         db = sales_db("xlock")
