@@ -64,10 +64,13 @@ def iqr(values):
 
 def judge(spec, parent, change):
     """One workload x metric row: ``parent`` and ``change`` are the
-    per-pair values in pair order. The verdict is ``run.py --compare``'s:
-    ``worse`` when the change's median is worse than the parent's by more
-    than the bound (or an exact metric differs in any pair),
-    ``unresolved`` when either side's own spread exceeds the bound."""
+    per-pair values in pair order. The verdict is ``run.py --compare``'s
+    — ``worse`` when the change's median is worse than the parent's by
+    more than the bound, ``unresolved`` when either side's own spread
+    exceeds the bound — except that an exact metric is direction-aware
+    here: one that moved to its ``better`` side in *every* pair is a
+    declared drop and judged like any other metric; one that differs
+    in a mixed or worse-side way is ``worse`` whatever the size."""
     lower = spec["better"] == "lower"
     parent_median = statistics.median(parent)
     change_median = statistics.median(change)
@@ -78,7 +81,10 @@ def judge(spec, parent, change):
         for values, median in ((parent, parent_median), (change, change_median))
     ]
     exact = spec["name"] in EXACT
-    if exact and parent != change:
+    better_pairs = sum(
+        (c < p) if lower else (c > p) for p, c in zip(parent, change)
+    )
+    if exact and parent != change and better_pairs < len(parent):
         verdict = "worse (exact metric differs)"
     elif worsening > spec["bound"]:
         verdict = "worse"
@@ -96,9 +102,7 @@ def judge(spec, parent, change):
         "parent_iqr": round(iqr(parent), 6),
         "spread_parent": round(spreads[0], 4),
         "spread_change": round(spreads[1], 4),
-        "pairs_change_better": sum(
-            (c < p) if lower else (c > p) for p, c in zip(parent, change)
-        ),
+        "pairs_change_better": better_pairs,
         "pairs_tied": sum(p == c for p, c in zip(parent, change)),
         "pairs": len(parent),
         "exact_identical": (parent == change) if exact else None,

@@ -54,7 +54,8 @@ def build():
             aggregate_strategy="escrow",
             checkpoint_interval=6,
             buffer_pool_frames=4,
-            page_size=256,
+            # two or three packed entries a page, so four frames spill
+            page_size=128,
             wal_segment_bytes=2048,
         )
     )
@@ -245,7 +246,7 @@ def scenario():
         params={
             "txns": N_TXNS,
             "buffer_pool_frames": 4,
-            "page_size": 256,
+            "page_size": 128,
             "wal_segment_bytes": 2048,
             "checkpoint_interval": 6,
         },

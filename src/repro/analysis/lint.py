@@ -55,6 +55,13 @@ status 1 on any finding), via ``make lint``, or programmatically through
   else changes rows through that module's ``put`` / ``ghost`` /
   ``patch``, so no write can skip the log, the version stamp or the
   ghost cleaner's work list.
+* **one-codec** — a log record and a page entry have one byte layout,
+  ``repro/wal/codec.py``: ``json`` is not imported anywhere under
+  ``repro/storage/`` nor in ``repro/wal/{records,log,analysis,
+  recovery}.py`` (a second encoder would size, stamp or store a record
+  differently from the log), and ``struct`` is imported by engine code
+  only in ``repro/wal/codec.py`` and ``repro/storage/pages.py`` (the
+  page header and slot directory).
 """
 
 import ast
@@ -74,6 +81,7 @@ RULES = (
     "dist-isolation",
     "transport-discipline",
     "logged-write",
+    "one-codec",
 )
 
 #: a constant-propagation cell bound more than once with different
@@ -97,6 +105,13 @@ _ROW_CHANGE_RECORDS = frozenset(
 
 #: the one module outside ``repro/wal/`` that may construct them.
 _WRITE_MODULE = ("txn", "write.py")
+
+#: the only engine files that may ``import struct`` (byte layouts)
+_LAYOUT_FILES = (("wal", "codec.py"), ("storage", "pages.py"))
+
+#: ``repro/wal/`` files that handle records but may not ``import json``
+#: (segments.py keeps JSON for its header / trailer / floor lines)
+_WAL_NO_JSON = frozenset({"records.py", "log.py", "analysis.py", "recovery.py"})
 
 #: attribute-call names that mutate a page or its durable image
 #: directly; allowed only inside the page layer itself.
@@ -256,6 +271,15 @@ class _FileLinter(ast.NodeVisitor):
             and (_rel_to_repro(path) or ())[:1] != ("wal",)
             and _rel_to_repro(path) != _WRITE_MODULE
         )
+        rel = _rel_to_repro(path) or ()
+        self.codec_banned = set()  # modules this file may not import
+        if "one-codec" in rules and rel:
+            if rel not in _LAYOUT_FILES:
+                self.codec_banned.add("struct")
+            if rel[:1] == ("storage",) or (
+                rel[:1] == ("wal",) and rel[-1] in _WAL_NO_JSON
+            ):
+                self.codec_banned.add("json")
         self.check_dist = (
             "dist-isolation" in rules
             and (_rel_to_repro(path) or ())[:1] != ("dist",)
@@ -360,6 +384,7 @@ class _FileLinter(ast.NodeVisitor):
                     "import of ambient `random` (use "
                     "repro.common.DeterministicRng)",
                 )
+            self._check_codec(node, top)
             self._check_surface(node, alias.name)
         self.generic_visit(node)
 
@@ -383,6 +408,7 @@ class _FileLinter(ast.NodeVisitor):
                             "logical clock)",
                         )
         if node.level == 0:
+            self._check_codec(node, module.split(".")[0])
             self._check_surface(node, module)
             if (
                 "import-surface" in self.rules
@@ -400,6 +426,16 @@ class _FileLinter(ast.NodeVisitor):
                             f"facade, not repro.{alias.name}",
                         )
         self.generic_visit(node)
+
+    def _check_codec(self, node, top):
+        if top in self.codec_banned:
+            self.flag(
+                node,
+                "one-codec",
+                f"`{top}` imported here: record and entry bytes are laid "
+                f"out by repro.wal.codec alone (struct also in "
+                f"repro/storage/pages.py for the page header)",
+            )
 
     def _check_surface(self, node, module):
         if "import-surface" not in self.rules or not self.client:

@@ -27,6 +27,7 @@ from repro.common.errors import (
     TransactionAborted,
     TransactionStateError,
     UnsupportedSqlError,
+    UnsupportedValueError,
     WalCorruptionError,
     WalError,
     WouldWait,
@@ -60,6 +61,7 @@ __all__ = [
     "TransactionAborted",
     "TransactionStateError",
     "UnsupportedSqlError",
+    "UnsupportedValueError",
     "WalCorruptionError",
     "WalError",
     "WouldWait",

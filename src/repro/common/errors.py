@@ -14,6 +14,12 @@ class StorageError(ReproError):
     """A storage-layer invariant was violated (bad key, missing record...)."""
 
 
+class UnsupportedValueError(StorageError):
+    """A row or key holds a value the storage codec has no layout for
+    (a ``list``, a ``set``, a user object ...). Raised before anything is
+    mutated or logged: the transaction stays usable."""
+
+
 class WalError(ReproError):
     """The write-ahead log was used incorrectly or is corrupt."""
 

@@ -50,6 +50,18 @@ class Row(Mapping):
     def __len__(self):
         return len(self._values)
 
+    # The dict's own views: the Mapping mixins would go through
+    # __getitem__ once per column.
+
+    def keys(self):
+        return self._values.keys()
+
+    def values(self):
+        return self._values.values()
+
+    def items(self):
+        return self._values.items()
+
     def __hash__(self):
         if self._hash is None:
             object.__setattr__(

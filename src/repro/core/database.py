@@ -83,6 +83,7 @@ from repro.wal import (
     recover,
     salvage,
 )
+from repro.wal.codec import check_row
 from repro.wal.records import (
     AbortRecord,
     CommitRecord,
@@ -998,6 +999,7 @@ class Database(RecoveryTarget):
         schema = self.catalog.table(table)
         row = values if isinstance(values, Row) else Row(values)
         schema.validate_row(row)
+        check_row(row)  # before anything is locked, mutated or logged
         key = schema.key_of(row)
         txn.acquire(table_resource(table), LockMode.IX)
         index = self._indexes[table]
@@ -1058,6 +1060,7 @@ class Database(RecoveryTarget):
         unknown = [c for c in changes if c not in schema.columns]
         if unknown:
             raise StorageError(f"unknown columns {unknown!r} for table {table!r}")
+        check_row(changes)
         txn.acquire(table_resource(table), LockMode.IX)
         index = self._indexes[table]
         self.acquire_plan(txn, locks_for_update(index, key))

@@ -25,8 +25,6 @@ pair it with ``Database.check_integrity(quarantine=True)`` and
 :mod:`repro.integrity.quarantine`).
 """
 
-import json
-
 from repro.common import StorageError
 from repro.views.definition import expected_index_contents
 
@@ -209,12 +207,6 @@ def _check_views(db, report):
             )
 
 
-def _json_round_trip(value):
-    """Both comparison sides through JSON, since mirrored entries were
-    JSON-encoded at write time (``default=str`` for exotic values)."""
-    return json.loads(json.dumps(value, default=str))
-
-
 def _check_storage(db, report):
     """Layer 4: durable page images decode, and the page mirror agrees
     entry-for-entry with the live indexes. Only meaningful at
@@ -231,13 +223,9 @@ def _check_storage(db, report):
     live = {}
     for name in db.index_names():
         for key, record in db.index(name).scan(include_ghosts=True):
-            locator = (name, tuple(_json_round_trip(list(key))))
-            live[locator] = (
-                _json_round_trip(record.current_row.as_dict()),
-                record.is_ghost,
-            )
+            live[name, key] = (record.current_row.as_dict(), record.is_ghost)
     mirrored = {
-        (index_name, key): (row, bool(ghost))
+        (index_name, key): (row, ghost)
         for index_name, key, row, ghost in db._pages.iter_entries()
     }
     for locator in sorted(set(live) | set(mirrored), key=repr):

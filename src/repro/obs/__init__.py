@@ -18,15 +18,19 @@ from repro.obs.schema import (
     FLOOR_MARKER_FIELDS,
     LOCK_STATS_FIELDS,
     NET_STATS_FIELDS,
+    PAGE_ENTRY_FIELDS,
     PAGE_HEADER_FIELDS,
     PAGE_STATES,
     DIAGNOSTIC_FIELDS,
+    RECORD_HEADER_FIELDS,
     RECOVERY_REPORT_FIELDS,
     RESULT_SCHEMA_VERSION,
     SALVAGE_REPORT_FIELDS,
+    SEGMENT_FRAME_FIELDS,
     SEGMENT_HEADER_FIELDS,
     SEGMENT_TRAILER_FIELDS,
     STATIC_REPORT_FIELDS,
+    VALUE_TAGS,
     VERDICTS,
     validate_recovery_report,
     validate_result,
@@ -48,16 +52,20 @@ __all__ = [
     "LOCK_STATS_FIELDS",
     "NET_STATS_FIELDS",
     "NULL_TRACER",
+    "PAGE_ENTRY_FIELDS",
     "PAGE_HEADER_FIELDS",
     "PAGE_STATES",
+    "RECORD_HEADER_FIELDS",
     "RECOVERY_REPORT_FIELDS",
     "RESULT_SCHEMA_VERSION",
     "RetryStats",
     "SALVAGE_REPORT_FIELDS",
+    "SEGMENT_FRAME_FIELDS",
     "SEGMENT_HEADER_FIELDS",
     "SEGMENT_TRAILER_FIELDS",
     "STATIC_REPORT_FIELDS",
     "Tracer",
+    "VALUE_TAGS",
     "VERDICTS",
     "format_table",
     "validate_recovery_report",

@@ -89,6 +89,25 @@ STATIC_REPORT_FIELDS = {
 #: slotted-page header fields, in struct order (``<IQHHI``).
 PAGE_HEADER_FIELDS = ("page_id", "page_lsn", "slot_count", "free_end", "crc")
 
+#: one page entry (``repro.wal.codec.pack_entry``), in layout order: a
+#: packed ``<BI`` header, then the length-prefixed name, key and row.
+PAGE_ENTRY_FIELDS = ("flags", "lsn", "index", "key", "row")
+
+#: the fixed header of every log record, in struct order (``<BIII``).
+RECORD_HEADER_FIELDS = ("type", "lsn", "txn_id", "prev_lsn")
+
+#: the tagged values rows, keys and record fields are built from, in tag
+#: order (tag byte = position).
+VALUE_TAGS = (
+    "none", "false", "true", "int8", "int16", "int32", "int64", "bigint",
+    "float", "str", "bytes", "tuple", "decimal", "date", "datetime",
+    "datetime_tz",
+)
+
+#: one frame of a segment body, in layout order: a packed ``<II``
+#: header, then the record's bytes.
+SEGMENT_FRAME_FIELDS = ("length", "crc", "record")
+
 #: the JSON header line of every WAL segment file.
 SEGMENT_HEADER_FIELDS = {"segment", "first_lsn"}
 

@@ -22,8 +22,9 @@ Three layers live here (the pinned contract is ``docs/STORAGE.md``):
   it. The dirty-page table it feeds is what a checkpoint snapshots and
   what bounds ARIES redo after a crash.
 
-Entries are stored one per key as JSON payloads
-``[index, key, row, is_ghost, lsn, dead]``. A delete leaves a *dead*
+Entries are stored one per key, packed by
+:func:`repro.wal.codec.pack_entry` (flags ghost|dead, lsn, index, key,
+row: the log records' own typed layout). A delete leaves a *dead*
 entry (tombstone) in place rather than reclaiming the slot, and an
 entry that outgrows its page is re-placed elsewhere with the superseded
 copy left behind as a *stale* fact — every durable entry is therefore a
@@ -52,19 +53,11 @@ b'xxxxxxxx'
 >>> pool.pin(2); pool.unpin(2)
 """
 
-import json
-
 from repro.common import StorageError
 from repro.faults import NULL_INJECTOR
 from repro.obs.tracer import NULL_TRACER
 from repro.storage.pages import PAGE_HEADER, PAGE_SLOT, MAX_PAGE_SIZE, SlottedPage
-
-#: log record types the page mirror replays (by RecordType value, so the
-#: storage layer needs no import from repro.wal)
-_MIRRORED = frozenset({
-    "insert", "update", "delete", "ghost", "revive", "cleanup",
-    "escrow_delta", "counter_image", "clr",
-})
+from repro.wal.codec import pack_entry, unpack_entry
 
 
 class PageStore:
@@ -351,7 +344,7 @@ class PageManager:
     def apply(self, record):
         """Replay one log record into the page image (the log's append
         listener)."""
-        if record.lsn is None or record.type.value not in _MIRRORED:
+        if record.lsn is None or not record.changes_rows:
             return
         self._lsn = record.lsn
         record.redo(self)
@@ -363,54 +356,50 @@ class PageManager:
     # -- RecoveryTarget-shaped mutators --------------------------------
 
     def recovery_insert(self, index_name, key, row, is_ghost=False):
-        self._write(index_name, tuple(key), _plain(row), is_ghost)
+        self._write(index_name, tuple(key), row, is_ghost)
 
     def recovery_delete(self, index_name, key):
         self._write(index_name, tuple(key), None, False, dead=True)
 
     def recovery_update(self, index_name, key, row):
-        entry = self._entry(index_name, tuple(key))
-        ghost = bool(entry[3]) if entry is not None and not entry[5] else False
-        self._write(index_name, tuple(key), _plain(row), ghost)
+        _, ghost = self._live(index_name, tuple(key))
+        self._write(index_name, tuple(key), row, ghost)
 
     def recovery_set_ghost(self, index_name, key, ghost):
-        entry = self._entry(index_name, tuple(key))
-        row = entry[2] if entry is not None and not entry[5] else None
+        row, _ = self._live(index_name, tuple(key))
         self._write(index_name, tuple(key), row, bool(ghost))
 
     def recovery_revive(self, index_name, key, row):
-        self._write(index_name, tuple(key), _plain(row), False)
+        self._write(index_name, tuple(key), row, False)
 
     def recovery_escrow_apply(self, index_name, key, deltas):
-        entry = self._entry(index_name, tuple(key))
-        live = entry is not None and not entry[5]
-        row = dict(entry[2]) if live and entry[2] is not None else {}
+        row, ghost = self._live(index_name, tuple(key))
+        row = {} if row is None else row
         for column, delta in deltas.items():
             row[column] = row.get(column, 0) + delta
-        ghost = bool(entry[3]) if live else False
         self._write(index_name, tuple(key), row, ghost)
 
     # ------------------------------------------------------------------
     # entry plumbing
     # ------------------------------------------------------------------
 
-    def _entry(self, index_name, key):
+    def _live(self, index_name, key):
+        """``(row, is_ghost)`` of the key's mirrored entry — ``(None,
+        False)`` when it has none or only a tombstone."""
         loc = self._slots.get((index_name, key))
-        if loc is None:
-            return None
-        page_id, slot = loc
-        return json.loads(self.pool.page(page_id).read_record(slot))
-
-    def _encode(self, index_name, key, row, is_ghost, dead):
-        return json.dumps(
-            [index_name, list(key), row, is_ghost, self._lsn, dead],
-            default=str,
-        ).encode("utf-8")
+        if loc is not None:
+            page_id, slot = loc
+            _, _, row, is_ghost, _, dead = unpack_entry(
+                self.pool.page(page_id).read_record(slot)
+            )
+            if not dead:
+                return row, is_ghost
+        return None, False
 
     def _write(self, index_name, key, row, is_ghost, dead=False):
         lsn = self._lsn
         locator = (index_name, key)
-        payload = self._encode(index_name, key, row, is_ghost, dead)
+        payload = pack_entry(index_name, key, row, is_ghost, dead, lsn)
         loc = self._slots.get(locator)
         if loc is not None:
             page_id, slot = loc
@@ -481,7 +470,7 @@ class PageManager:
         of recovery): every entry is written as of ``lsn``."""
         self._lsn = lsn
         for index_name, key, row, is_ghost in entries:
-            self._write(index_name, tuple(key), _plain(row), is_ghost)
+            self._write(index_name, tuple(key), row, is_ghost)
 
     def iter_entries(self):
         """Yield ``(index, key, row, is_ghost)`` for every live mirrored
@@ -489,9 +478,11 @@ class PageManager:
         for (index_name, key), (page_id, slot) in sorted(
             self._slots.items(), key=repr
         ):
-            payload = json.loads(self.pool.page(page_id).read_record(slot))
-            if not payload[5]:
-                yield index_name, key, payload[2], payload[3]
+            _, _, row, is_ghost, _, dead = unpack_entry(
+                self.pool.page(page_id).read_record(slot)
+            )
+            if not dead:
+                yield index_name, key, row, is_ghost
 
 
 def durable_winners(store):
@@ -515,16 +506,10 @@ def durable_winners(store):
             continue
         pages_loaded += 1
         for _, payload in page.records():
-            index_name, key, row, ghost, lsn, dead = json.loads(payload)
-            locator = (index_name, tuple(key))
+            index_name, key, row, ghost, lsn, dead = unpack_entry(payload)
+            locator = (index_name, key)
             current = table.get(locator)
             # pages are visited in id order, so a tie goes to the later page
             if current is None or lsn >= current[0]:
                 table[locator] = (lsn, row, ghost, dead)
     return (None if torn else table), pages_loaded, torn
-
-
-def _plain(row):
-    if row is None:
-        return None
-    return row.as_dict() if hasattr(row, "as_dict") else dict(row)

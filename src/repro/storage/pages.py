@@ -42,6 +42,7 @@ Traceback (most recent call last):
 repro.common.errors.StorageError: page 7: image checksum mismatch
 """
 
+import itertools
 import struct
 import zlib
 
@@ -59,9 +60,19 @@ MAX_PAGE_SIZE = 65535
 
 
 class SlottedPage:
-    """One fixed-size page: header + slot directory + packed payloads."""
+    """One fixed-size page: header + slot directory + packed payloads.
 
-    __slots__ = ("page_id", "page_size", "page_lsn", "_slots", "_buf")
+    The mutators maintain (and :meth:`from_bytes` derives once) what a
+    placement asks: ``_free_end``, the lowest payload offset in use;
+    ``_live_bytes`` of live payloads; ``_dead`` slots in the directory;
+    ``_free_hint``, below which no slot is dead. The directory is walked
+    only to find the next-lowest payload when the lowest is released.
+    """
+
+    __slots__ = (
+        "page_id", "page_size", "page_lsn", "_slots", "_buf",
+        "_free_end", "_live_bytes", "_dead", "_free_hint",
+    )
 
     def __init__(self, page_id, page_size=4096):
         if not MIN_PAGE_SIZE <= page_size <= MAX_PAGE_SIZE:
@@ -74,6 +85,10 @@ class SlottedPage:
         self.page_lsn = 0
         self._slots = []  # (offset, length); offset 0 = dead slot
         self._buf = bytearray(page_size)
+        self._free_end = page_size
+        self._live_bytes = 0
+        self._dead = 0
+        self._free_hint = 0
 
     def __repr__(self):
         return (
@@ -86,33 +101,24 @@ class SlottedPage:
     # geometry
     # ------------------------------------------------------------------
 
-    def _slot_dir_end(self, slot_count=None):
-        count = len(self._slots) if slot_count is None else slot_count
-        return PAGE_HEADER.size + count * PAGE_SLOT.size
+    def _slot_dir_end(self):
+        return PAGE_HEADER.size + len(self._slots) * PAGE_SLOT.size
 
     def _garbage(self):
         """Payload bytes reclaimable by compaction: everything in
-        ``[free_end, page_size)`` that is not a live payload. Derived
-        from the slot directory rather than tracked incrementally — an
-        allocation may land inside the hole a dead slot left behind
-        (``free_end`` jumps past it), which a running counter cannot
-        see."""
-        live = sum(length for off, length in self._slots if off != 0)
-        return self.page_size - self._free_end() - live
-
-    def _free_end(self):
-        """Lowest payload offset in use (payloads pack down from the
-        page end)."""
-        used = [off for off, _ in self._slots if off != 0]
-        return min(used) if used else self.page_size
+        ``[free_end, page_size)`` that is not a live payload — never a
+        running counter of its own: an allocation may land inside the
+        hole a dead slot left (``free_end`` jumps past it), which such
+        a counter cannot see."""
+        return self.page_size - self._free_end - self._live_bytes
 
     def free_space(self):
         """Contiguous bytes between the slot directory and the payloads
         (what one insert can use without compaction)."""
-        return self._free_end() - self._slot_dir_end()
+        return self._free_end - self._slot_dir_end()
 
     def live_count(self):
-        return sum(1 for off, _ in self._slots if off != 0)
+        return len(self._slots) - self._dead
 
     def slot_count(self):
         return len(self._slots)
@@ -120,10 +126,8 @@ class SlottedPage:
     def has_room_for(self, payload):
         """True when ``payload`` fits, counting compactable garbage and
         a possibly-new directory entry."""
-        need = len(payload)
-        if not any(off == 0 for off, _ in self._slots):
-            need += PAGE_SLOT.size
-        return need <= self.free_space() + self._garbage()
+        need = len(payload) if self._dead else len(payload) + PAGE_SLOT.size
+        return need <= self.page_size - self._slot_dir_end() - self._live_bytes
 
     @classmethod
     def capacity(cls, page_size):
@@ -135,24 +139,28 @@ class SlottedPage:
     # ------------------------------------------------------------------
 
     def insert_record(self, payload):
-        """Place ``payload`` in a free slot; returns the slot number."""
-        slot = None
-        for i, (off, _) in enumerate(self._slots):
-            if off == 0:
-                slot = i
-                break
-        if slot is None:
-            slot = len(self._slots)
-            self._slots.append((0, 0))
+        """Place ``payload`` in the lowest free slot; returns the slot
+        number."""
+        slots = self._slots
+        if self._dead:
+            slot = self._free_hint
+            while slots[slot][0] != 0:
+                slot += 1
+        else:
+            slot = len(slots)
+            slots.append((0, 0))
+            self._dead = 1
         offset = self._allocate(len(payload))
         if offset is None:
-            if slot == len(self._slots) - 1 and self._slots[slot] == (0, 0):
-                self._slots.pop()
+            if slot == len(slots) - 1:
+                slots.pop()
+                self._dead -= 1
             raise StorageError(
                 f"page {self.page_id}: full ({len(payload)} bytes do not fit)"
             )
-        self._buf[offset:offset + len(payload)] = payload
-        self._slots[slot] = (offset, len(payload))
+        self._dead -= 1
+        self._free_hint = slot + 1
+        self._place(slot, offset, payload)
         return slot
 
     def update_record(self, slot, payload):
@@ -162,35 +170,60 @@ class SlottedPage:
         if len(payload) <= length:
             self._buf[offset:offset + len(payload)] = payload
             self._slots[slot] = (offset, len(payload))
+            self._live_bytes += len(payload) - length
             return
-        self._slots[slot] = (0, 0)
+        free_end = self._free_end
+        self._release(slot)
         new_offset = self._allocate(len(payload))
         if new_offset is None:
-            self._slots[slot] = (offset, length)  # restore; nothing moved
+            # nothing moved (no room means no compaction ran): restore
+            self._slots[slot] = (offset, length)
+            self._live_bytes += length
+            self._dead -= 1
+            self._free_end = free_end
             raise StorageError(
                 f"page {self.page_id}: full ({len(payload)} bytes do not fit)"
             )
-        self._buf[new_offset:new_offset + len(payload)] = payload
-        self._slots[slot] = (new_offset, len(payload))
+        self._dead -= 1
+        self._place(slot, new_offset, payload)
 
     def delete_record(self, slot):
         """Mark ``slot`` dead; its payload space becomes garbage."""
         self._slot(slot)  # raises for a dead or out-of-range slot
-        self._slots[slot] = (0, 0)
+        self._release(slot)
 
     def set_page_lsn(self, lsn):
         self.page_lsn = lsn
 
+    def _place(self, slot, offset, payload):
+        self._buf[offset:offset + len(payload)] = payload
+        self._slots[slot] = (offset, len(payload))
+        self._free_end = offset
+        self._live_bytes += len(payload)
+
+    def _release(self, slot):
+        offset, length = self._slots[slot]
+        self._slots[slot] = (0, 0)
+        self._live_bytes -= length
+        self._dead += 1
+        if slot < self._free_hint:
+            self._free_hint = slot
+        if offset == self._free_end:
+            # the lowest payload went: free_end jumps to the next one
+            self._free_end = min(
+                (off for off, _ in self._slots if off != 0),
+                default=self.page_size,
+            )
+
     def _allocate(self, length):
         """An offset for ``length`` payload bytes, compacting if needed;
         ``None`` when the page genuinely has no room."""
-        if length > self._free_end() - self._slot_dir_end():
-            if length > self.free_space() + self._garbage():
+        dir_end = self._slot_dir_end()
+        if length > self._free_end - dir_end:
+            if length > self.page_size - dir_end - self._live_bytes:
                 return None
             self._compact()
-            if length > self._free_end() - self._slot_dir_end():
-                return None
-        return self._free_end() - length
+        return self._free_end - length
 
     def _compact(self):
         """Re-pack live payloads against the page end, squeezing out
@@ -206,6 +239,7 @@ class SlottedPage:
             cursor -= len(payload)
             self._buf[cursor:cursor + len(payload)] = payload
             self._slots[i] = (cursor, len(payload))
+        self._free_end = cursor
 
     # ------------------------------------------------------------------
     # reads
@@ -234,22 +268,22 @@ class SlottedPage:
         """The full page image, CRC stamped over the image with the crc
         field zeroed."""
         image = bytearray(self._buf)
-        free_end = self._free_end()
+        count = len(self._slots)
+        free_end = self._free_end
         PAGE_HEADER.pack_into(
-            image, 0, self.page_id, self.page_lsn, len(self._slots),
-            free_end, 0,
+            image, 0, self.page_id, self.page_lsn, count, free_end, 0,
         )
-        cursor = PAGE_HEADER.size
-        for offset, length in self._slots:
-            PAGE_SLOT.pack_into(image, cursor, offset, length)
-            cursor += PAGE_SLOT.size
+        cursor = self._slot_dir_end()
+        struct.pack_into(  # the whole directory: count x PAGE_SLOT
+            f"<{2 * count}H", image, PAGE_HEADER.size,
+            *itertools.chain.from_iterable(self._slots),
+        )
         # zero the dead zone between directory and payloads so the image
         # (and its CRC) never depends on stale garbage bytes
         image[cursor:free_end] = bytes(free_end - cursor)
-        crc = zlib.crc32(bytes(image))
         PAGE_HEADER.pack_into(
-            image, 0, self.page_id, self.page_lsn, len(self._slots),
-            free_end, crc,
+            image, 0, self.page_id, self.page_lsn, count, free_end,
+            zlib.crc32(image),
         )
         return bytes(image)
 
@@ -261,17 +295,21 @@ class SlottedPage:
         page_id, page_lsn, slot_count, free_end, crc = PAGE_HEADER.unpack_from(
             data, 0
         )
-        unstamped = bytearray(data)
+        image = bytearray(data)
         PAGE_HEADER.pack_into(
-            unstamped, 0, page_id, page_lsn, slot_count, free_end, 0
+            image, 0, page_id, page_lsn, slot_count, free_end, 0
         )
-        if zlib.crc32(bytes(unstamped)) != crc:
+        if zlib.crc32(image) != crc:
             raise StorageError(f"page {page_id}: image checksum mismatch")
+        dir_end = PAGE_HEADER.size + slot_count * PAGE_SLOT.size
+        if dir_end > len(data):
+            raise StorageError(f"page {page_id}: slot directory overruns")
         page = cls(page_id, page_size=len(data))
         page.page_lsn = page_lsn
-        page._buf = bytearray(data)
-        cursor = PAGE_HEADER.size
-        for _ in range(slot_count):
-            page._slots.append(PAGE_SLOT.unpack_from(data, cursor))
-            cursor += PAGE_SLOT.size
+        page._buf = image
+        page._slots = list(PAGE_SLOT.iter_unpack(data[PAGE_HEADER.size:dir_end]))
+        live = [entry for entry in page._slots if entry[0] != 0]
+        page._dead = slot_count - len(live)
+        page._live_bytes = sum(length for _, length in live)
+        page._free_end = min((off for off, _ in live), default=len(data))
         return page

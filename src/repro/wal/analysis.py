@@ -6,9 +6,7 @@ byte accounting; the introspection examples print the summaries; tests
 use the per-transaction footprint to assert logging behaviour precisely.
 """
 
-import json
-
-from repro.wal.records import RecordType
+from repro.wal.records import RecordType, RowChangeRecord
 
 
 def records_by_type(log):
@@ -20,11 +18,11 @@ def records_by_type(log):
 
 
 def bytes_by_type(log):
-    """Estimated bytes per record type (JSON-encoding proxy, matching
-    ``LogManager.bytes_estimate``)."""
+    """Encoded bytes per record type — the same buffer
+    ``LogManager.bytes_estimate`` sums and the segment writer frames."""
     sizes = {}
     for record in log.records():
-        size = len(json.dumps(record.to_dict(), default=str))
+        size = len(record.encoded())
         sizes[record.type] = sizes.get(record.type, 0) + size
     return sizes
 
@@ -32,7 +30,7 @@ def bytes_by_type(log):
 def txn_footprint(log, txn_id):
     """One transaction's full log footprint.
 
-    Returns a dict with the record count, byte estimate, touched index
+    Returns a dict with the record count, encoded bytes, touched index
     names, and lifecycle flags (committed / aborted / ended).
     """
     count = 0
@@ -43,7 +41,7 @@ def txn_footprint(log, txn_id):
         if record.txn_id != txn_id:
             continue
         count += 1
-        size += len(json.dumps(record.to_dict(), default=str))
+        size += len(record.encoded())
         index_name = getattr(record, "index_name", None)
         if index_name is not None:
             indexes.add(index_name)
@@ -94,18 +92,10 @@ def maintenance_share(log):
     reports them separately.
     """
     maintenance_types = {RecordType.ESCROW_DELTA, RecordType.COUNTER_IMAGE}
-    data_types = maintenance_types | {
-        RecordType.INSERT,
-        RecordType.UPDATE,
-        RecordType.DELETE,
-        RecordType.GHOST,
-        RecordType.REVIVE,
-        RecordType.CLEANUP,
-    }
     data = 0
     pure_maintenance = 0
     for record in log.records():
-        if record.type in data_types:
+        if isinstance(record, RowChangeRecord):
             data += 1
             if record.type in maintenance_types:
                 pure_maintenance += 1

@@ -17,7 +17,7 @@ power failure does to an OS page cache.
 
 import zlib
 
-from repro.common import FaultInjected, WalError
+from repro.common import FaultInjected, ReproError, WalError
 from repro.faults import NULL_INJECTOR
 from repro.obs.metrics import Histogram
 from repro.obs.tracer import NULL_TRACER
@@ -31,7 +31,7 @@ class LogManager:
         self._records = []
         self._next_lsn = 1
         self._txn_last_lsn = {}
-        self._txn_bytes = {}  # txn_id -> estimated bytes appended
+        self._txn_bytes = {}  # txn_id -> encoded bytes appended
         self.flushed_lsn = 0
         self.flush_count = 0
         self.flush_records = Histogram()  # records made durable per flush
@@ -83,25 +83,29 @@ class LogManager:
             fail_after_append = self.faults.fires(
                 "wal.append", txn_id=record.txn_id, detail=record_name
             ) is not None
+        txn_id = record.txn_id
         record.lsn = self._next_lsn
+        if txn_id is not None:
+            record.prev_lsn = self._txn_last_lsn.get(txn_id)
+        # One encoding per record (repro.wal.codec): its length is the
+        # record's size — the bytes a segment frame carries, which
+        # benchmarks compare across logging strategies — and its CRC the
+        # durable stamp. The bytes themselves are not kept.
+        try:
+            encoded = record.encoded()
+        except ReproError:
+            # a value with no layout: nothing has been appended
+            record.lsn = record.prev_lsn = None
+            raise
         self._next_lsn += 1
-        if record.txn_id is not None:
-            record.prev_lsn = self._txn_last_lsn.get(record.txn_id)
-            self._txn_last_lsn[record.txn_id] = record.lsn
         self._records.append(record)
-        # One encoding per record: its length is the size estimate (a
-        # stable proxy for on-disk size — benchmarks compare log volume
-        # across logging strategies with it) and its CRC the durable
-        # stamp. The bytes themselves are not kept.
-        encoded = record.encoded()
         size = len(encoded)
         if self.checksums:
             record.stored_crc = zlib.crc32(encoded)
         self.bytes_estimate += size
-        if record.txn_id is not None:
-            self._txn_bytes[record.txn_id] = (
-                self._txn_bytes.get(record.txn_id, 0) + size
-            )
+        if txn_id is not None:
+            self._txn_last_lsn[txn_id] = record.lsn
+            self._txn_bytes[txn_id] = self._txn_bytes.get(txn_id, 0) + size
         if self.tracer.enabled:
             self.tracer.emit(
                 "wal_append", txn_id=record.txn_id, lsn=record.lsn,
@@ -125,7 +129,7 @@ class LogManager:
         return self._txn_last_lsn.get(txn_id)
 
     def bytes_of(self, txn_id):
-        """Estimated bytes of every record ``txn_id`` has appended."""
+        """Encoded bytes of every record ``txn_id`` has appended."""
         return self._txn_bytes.get(txn_id, 0)
 
     def tail_lsn(self):

@@ -14,8 +14,11 @@ one of the paper's main points:
   value*. Because increments commute, redo and undo are correct under any
   interleaving of escrow holders — this is what makes E locks recoverable.
 
-Every record is serializable to a plain dict (JSON-safe when rows hold
-JSON-safe values) so the log can be persisted and replayed.
+Every record class declares its body as ``fields`` — ``(attribute,
+field kind)`` pairs in layout order — and :mod:`repro.wal.codec` packs
+them behind one fixed header: :meth:`LogRecord.encoded` is the record's
+one durable form (sized, CRC-stamped, framed into segments) and
+:meth:`LogRecord.decode` its inverse. Values keep their type both ways.
 
 Compensation records (:class:`CompensationRecord`) wrap the undo of another
 record; they are redo-only and carry ``undo_next_lsn`` so that a rollback
@@ -23,17 +26,10 @@ interrupted by a crash resumes where it left off, ARIES-style.
 """
 
 import enum
-import json
 import zlib
 
 from repro.common import WalError
-from repro.common.rows import Row
-
-
-#: The canonical encoding of a record: sorted keys, ASCII, ``str`` for
-#: values JSON has no form for. One encoder object, built once — its
-#: output both sizes the record in the log and feeds its checksum.
-_encode_canonical = json.JSONEncoder(sort_keys=True, default=str).encode
+from repro.wal import codec
 
 
 class RecordType(enum.Enum):
@@ -55,20 +51,35 @@ class RecordType(enum.Enum):
     DECISION = "decision"
 
 
+#: header type code -> record class (filled as the classes are defined)
+_RECORD_CLASSES = {}
+
+
 class LogRecord:
     """Base class: LSN plus the per-transaction backchain.
 
     ``stored_crc`` is the checksum the durable stream carries for this
     record: the log manager stamps it as the record is appended, from
-    the same encoding that sizes it (and ``dump``/``load`` round-trip
-    it), so any later divergence between the payload and the stamp — a
-    bit flip "on disk" — is detectable by :meth:`verify_checksum`
-    during the salvage scan.
+    the same bytes that size it (and segment frames round-trip it), so
+    any later divergence between the payload and the stamp — a bit flip
+    "on disk" — is detectable by :meth:`verify_checksum` during the
+    salvage scan.
     """
 
     __slots__ = ("lsn", "txn_id", "prev_lsn", "stored_crc")
 
     type = None  # overridden
+    code = None  # the header's type code: the type's position in RecordType
+    #: the record body: (attribute, codec field kind) in layout order
+    fields = ()
+    #: redo changes a row of an index (the row-change records and the
+    #: CLRs that compensate them): what redo replays and pages mirror
+    changes_rows = False
+
+    def __init_subclass__(cls):
+        if "type" in cls.__dict__:  # a concrete record class: register it
+            cls.code = list(RecordType).index(cls.type)
+            _RECORD_CLASSES[cls.code] = cls
 
     def __init__(self, txn_id):
         self.lsn = None  # assigned by the log manager
@@ -100,23 +111,30 @@ class LogRecord:
     # -- serialization ---------------------------------------------------
 
     def to_dict(self):
+        """The display form (inspection, traces, tests) — not a storage
+        format: nothing reads it back."""
         d = {
             "type": self.type.value,
             "lsn": self.lsn,
             "txn_id": self.txn_id,
             "prev_lsn": self.prev_lsn,
         }
-        d.update(self._payload())
+        d.update((attr, getattr(self, attr)) for attr, _ in self.fields)
         return d
 
-    def _payload(self):
-        return {}
-
     def encoded(self):
-        """The canonical JSON bytes of the record (lsn, backchain, and
-        payload — everything :meth:`to_dict` covers, which is everything
-        recovery consumes), built from the live fields on every call."""
-        return _encode_canonical(self.to_dict()).encode("ascii")
+        """The record's packed bytes — header (type, lsn, backchain) and
+        every body field, which is everything recovery consumes — built
+        from the live fields on every call."""
+        parts = [
+            codec.pack_record_header(
+                self.code, self.lsn, self.txn_id, self.prev_lsn
+            )
+        ]
+        out = parts.append
+        for attr, (pack, _) in self.fields:
+            pack(getattr(self, attr), out)
+        return b"".join(parts)
 
     def checksum(self):
         """CRC-32 over :meth:`encoded`."""
@@ -129,42 +147,47 @@ class LogRecord:
         return self.stored_crc is None or self.stored_crc == self.checksum()
 
     @staticmethod
-    def from_dict(d):
-        cls = _RECORD_CLASSES[RecordType(d["type"])]
-        record = cls._from_payload(d)
-        record.lsn = d["lsn"]
-        record.prev_lsn = d["prev_lsn"]
-        record.stored_crc = d.get("crc")
+    def decode(buf):
+        """The record :meth:`encoded` produced ``buf`` from (unstamped);
+        anything else — truncated, overlong, unknown type or tag — is a
+        :class:`WalError`."""
+        try:
+            record, at = _decode_at(buf, 0)
+        except codec.DECODE_ERRORS as exc:
+            raise WalError(f"undecodable log record: {exc!r}") from None
+        if at != len(buf):
+            raise WalError("undecodable log record: wrong length")
         return record
 
 
-def _row_to_plain(row):
-    return None if row is None else row.as_dict()
-
-
-def _row_from_plain(data):
-    return None if data is None else Row(data)
+def _decode_at(buf, at):
+    code, lsn, txn_id, prev_lsn, at = codec.unpack_record_header(buf, at)
+    cls = _RECORD_CLASSES[code]
+    record = cls.__new__(cls)
+    record.lsn = lsn
+    record.txn_id = txn_id
+    record.prev_lsn = prev_lsn
+    record.stored_crc = None
+    for attr, (_, unpack) in cls.fields:
+        value, at = unpack(buf, at)
+        setattr(record, attr, value)
+    return record, at
 
 
 class BeginRecord(LogRecord):
     type = RecordType.BEGIN
     __slots__ = ("is_system",)
+    fields = (("is_system", codec.VALUE),)
 
     def __init__(self, txn_id, is_system=False):
         super().__init__(txn_id)
         self.is_system = is_system
 
-    def _payload(self):
-        return {"is_system": self.is_system}
-
-    @classmethod
-    def _from_payload(cls, d):
-        return cls(d["txn_id"], d["is_system"])
-
 
 class CommitRecord(LogRecord):
     type = RecordType.COMMIT
     __slots__ = ("commit_ts",)
+    fields = (("commit_ts", codec.VALUE),)
 
     def __init__(self, txn_id, commit_ts):
         super().__init__(txn_id)
@@ -173,41 +196,26 @@ class CommitRecord(LogRecord):
     def _extra_repr(self):
         return f", ts={self.commit_ts}"
 
-    def _payload(self):
-        return {"commit_ts": self.commit_ts}
-
-    @classmethod
-    def _from_payload(cls, d):
-        return cls(d["txn_id"], d["commit_ts"])
-
 
 class AbortRecord(LogRecord):
     type = RecordType.ABORT
-
-    @classmethod
-    def _from_payload(cls, d):
-        return cls(d["txn_id"])
 
 
 class EndRecord(LogRecord):
     type = RecordType.END
 
-    @classmethod
-    def _from_payload(cls, d):
-        return cls(d["txn_id"])
 
+class RowChangeRecord(LogRecord):
+    """A record that changes the row at ``key`` of ``index_name``."""
 
-class InsertRecord(LogRecord):
-    """A new key inserted into an index. Undo removes it."""
+    __slots__ = ("index_name", "key")
+    fields = (("index_name", codec.NAME), ("key", codec.KEY))
+    changes_rows = True
 
-    type = RecordType.INSERT
-    __slots__ = ("index_name", "key", "row")
-
-    def __init__(self, txn_id, index_name, key, row):
+    def __init__(self, txn_id, index_name, key):
         super().__init__(txn_id)
         self.index_name = index_name
         self.key = key
-        self.row = row
 
     def _extra_repr(self):
         return f", {self.index_name}{self.key!r}"
@@ -215,25 +223,26 @@ class InsertRecord(LogRecord):
     def is_undoable(self):
         return True
 
+
+class InsertRecord(RowChangeRecord):
+    """A new key inserted into an index. Undo removes it."""
+
+    type = RecordType.INSERT
+    __slots__ = ("row",)
+    fields = RowChangeRecord.fields + (("row", codec.ROW),)
+
+    def __init__(self, txn_id, index_name, key, row):
+        super().__init__(txn_id, index_name, key)
+        self.row = row
+
     def redo(self, target):
         target.recovery_insert(self.index_name, self.key, self.row)
 
     def undo(self, target):
         target.recovery_delete(self.index_name, self.key)
 
-    def _payload(self):
-        return {
-            "index": self.index_name,
-            "key": list(self.key),
-            "row": _row_to_plain(self.row),
-        }
 
-    @classmethod
-    def _from_payload(cls, d):
-        return cls(d["txn_id"], d["index"], tuple(d["key"]), _row_from_plain(d["row"]))
-
-
-class UpdateRecord(LogRecord):
+class UpdateRecord(RowChangeRecord):
     """In-place row replacement with before/after images.
 
     This is the *physical* logging strategy. Using it for escrow-locked
@@ -242,20 +251,15 @@ class UpdateRecord(LogRecord):
     """
 
     type = RecordType.UPDATE
-    __slots__ = ("index_name", "key", "before", "after")
+    __slots__ = ("before", "after")
+    fields = RowChangeRecord.fields + (
+        ("before", codec.ROW), ("after", codec.ROW),
+    )
 
     def __init__(self, txn_id, index_name, key, before, after):
-        super().__init__(txn_id)
-        self.index_name = index_name
-        self.key = key
+        super().__init__(txn_id, index_name, key)
         self.before = before
         self.after = after
-
-    def _extra_repr(self):
-        return f", {self.index_name}{self.key!r}"
-
-    def is_undoable(self):
-        return True
 
     def redo(self, target):
         target.recovery_update(self.index_name, self.key, self.after)
@@ -263,43 +267,18 @@ class UpdateRecord(LogRecord):
     def undo(self, target):
         target.recovery_update(self.index_name, self.key, self.before)
 
-    def _payload(self):
-        return {
-            "index": self.index_name,
-            "key": list(self.key),
-            "before": _row_to_plain(self.before),
-            "after": _row_to_plain(self.after),
-        }
 
-    @classmethod
-    def _from_payload(cls, d):
-        return cls(
-            d["txn_id"],
-            d["index"],
-            tuple(d["key"]),
-            _row_from_plain(d["before"]),
-            _row_from_plain(d["after"]),
-        )
-
-
-class DeleteRecord(LogRecord):
+class DeleteRecord(RowChangeRecord):
     """Outright key removal (base tables without ghosts). Undo re-inserts
     the before image."""
 
     type = RecordType.DELETE
-    __slots__ = ("index_name", "key", "before")
+    __slots__ = ("before",)
+    fields = RowChangeRecord.fields + (("before", codec.ROW),)
 
     def __init__(self, txn_id, index_name, key, before):
-        super().__init__(txn_id)
-        self.index_name = index_name
-        self.key = key
+        super().__init__(txn_id, index_name, key)
         self.before = before
-
-    def _extra_repr(self):
-        return f", {self.index_name}{self.key!r}"
-
-    def is_undoable(self):
-        return True
 
     def redo(self, target):
         target.recovery_delete(self.index_name, self.key)
@@ -307,38 +286,18 @@ class DeleteRecord(LogRecord):
     def undo(self, target):
         target.recovery_insert(self.index_name, self.key, self.before)
 
-    def _payload(self):
-        return {
-            "index": self.index_name,
-            "key": list(self.key),
-            "before": _row_to_plain(self.before),
-        }
 
-    @classmethod
-    def _from_payload(cls, d):
-        return cls(
-            d["txn_id"], d["index"], tuple(d["key"]), _row_from_plain(d["before"])
-        )
-
-
-class GhostRecord(LogRecord):
+class GhostRecord(RowChangeRecord):
     """Logical deletion: the key stays, the record becomes a ghost.
     Undo revives it with the logged row."""
 
     type = RecordType.GHOST
-    __slots__ = ("index_name", "key", "row")
+    __slots__ = ("row",)
+    fields = RowChangeRecord.fields + (("row", codec.ROW),)
 
     def __init__(self, txn_id, index_name, key, row):
-        super().__init__(txn_id)
-        self.index_name = index_name
-        self.key = key
+        super().__init__(txn_id, index_name, key)
         self.row = row
-
-    def _extra_repr(self):
-        return f", {self.index_name}{self.key!r}"
-
-    def is_undoable(self):
-        return True
 
     def redo(self, target):
         target.recovery_set_ghost(self.index_name, self.key, True)
@@ -346,37 +305,21 @@ class GhostRecord(LogRecord):
     def undo(self, target):
         target.recovery_revive(self.index_name, self.key, self.row)
 
-    def _payload(self):
-        return {
-            "index": self.index_name,
-            "key": list(self.key),
-            "row": _row_to_plain(self.row),
-        }
 
-    @classmethod
-    def _from_payload(cls, d):
-        return cls(d["txn_id"], d["index"], tuple(d["key"]), _row_from_plain(d["row"]))
-
-
-class ReviveRecord(LogRecord):
+class ReviveRecord(RowChangeRecord):
     """An insert that landed on an existing ghost and revived it.
     Undo re-ghosts the record (restoring the ghost's old row image)."""
 
     type = RecordType.REVIVE
-    __slots__ = ("index_name", "key", "new_row", "ghost_row")
+    __slots__ = ("new_row", "ghost_row")
+    fields = RowChangeRecord.fields + (
+        ("new_row", codec.ROW), ("ghost_row", codec.ROW),
+    )
 
     def __init__(self, txn_id, index_name, key, new_row, ghost_row):
-        super().__init__(txn_id)
-        self.index_name = index_name
-        self.key = key
+        super().__init__(txn_id, index_name, key)
         self.new_row = new_row
         self.ghost_row = ghost_row
-
-    def _extra_repr(self):
-        return f", {self.index_name}{self.key!r}"
-
-    def is_undoable(self):
-        return True
 
     def redo(self, target):
         target.recovery_revive(self.index_name, self.key, self.new_row)
@@ -385,44 +328,19 @@ class ReviveRecord(LogRecord):
         target.recovery_update(self.index_name, self.key, self.ghost_row)
         target.recovery_set_ghost(self.index_name, self.key, True)
 
-    def _payload(self):
-        return {
-            "index": self.index_name,
-            "key": list(self.key),
-            "new_row": _row_to_plain(self.new_row),
-            "ghost_row": _row_to_plain(self.ghost_row),
-        }
 
-    @classmethod
-    def _from_payload(cls, d):
-        return cls(
-            d["txn_id"],
-            d["index"],
-            tuple(d["key"]),
-            _row_from_plain(d["new_row"]),
-            _row_from_plain(d["ghost_row"]),
-        )
-
-
-class CleanupRecord(LogRecord):
+class CleanupRecord(RowChangeRecord):
     """Physical removal of a ghost by the cleaner (a system transaction).
     Undo re-inserts the ghost — needed only if the system transaction
     itself rolls back, which is rare but possible."""
 
     type = RecordType.CLEANUP
-    __slots__ = ("index_name", "key", "ghost_row")
+    __slots__ = ("ghost_row",)
+    fields = RowChangeRecord.fields + (("ghost_row", codec.ROW),)
 
     def __init__(self, txn_id, index_name, key, ghost_row):
-        super().__init__(txn_id)
-        self.index_name = index_name
-        self.key = key
+        super().__init__(txn_id, index_name, key)
         self.ghost_row = ghost_row
-
-    def _extra_repr(self):
-        return f", {self.index_name}{self.key!r}"
-
-    def is_undoable(self):
-        return True
 
     def redo(self, target):
         target.recovery_delete(self.index_name, self.key)
@@ -430,21 +348,8 @@ class CleanupRecord(LogRecord):
     def undo(self, target):
         target.recovery_insert(self.index_name, self.key, self.ghost_row, is_ghost=True)
 
-    def _payload(self):
-        return {
-            "index": self.index_name,
-            "key": list(self.key),
-            "ghost_row": _row_to_plain(self.ghost_row),
-        }
 
-    @classmethod
-    def _from_payload(cls, d):
-        return cls(
-            d["txn_id"], d["index"], tuple(d["key"]), _row_from_plain(d["ghost_row"])
-        )
-
-
-class EscrowDeltaRecord(LogRecord):
+class EscrowDeltaRecord(RowChangeRecord):
     """Logical logging of a commutative counter update.
 
     ``deltas`` maps column name -> signed amount. Redo adds the deltas to
@@ -454,19 +359,15 @@ class EscrowDeltaRecord(LogRecord):
     """
 
     type = RecordType.ESCROW_DELTA
-    __slots__ = ("index_name", "key", "deltas")
+    __slots__ = ("deltas",)
+    fields = RowChangeRecord.fields + (("deltas", codec.COLUMNS),)
 
     def __init__(self, txn_id, index_name, key, deltas):
-        super().__init__(txn_id)
-        self.index_name = index_name
-        self.key = key
+        super().__init__(txn_id, index_name, key)
         self.deltas = dict(deltas)
 
     def _extra_repr(self):
         return f", {self.index_name}{self.key!r} {self.deltas!r}"
-
-    def is_undoable(self):
-        return True
 
     def redo(self, target):
         target.recovery_escrow_apply(self.index_name, self.key, self.deltas)
@@ -474,17 +375,6 @@ class EscrowDeltaRecord(LogRecord):
     def undo(self, target):
         negated = {c: -d for c, d in self.deltas.items()}
         target.recovery_escrow_apply(self.index_name, self.key, negated)
-
-    def _payload(self):
-        return {
-            "index": self.index_name,
-            "key": list(self.key),
-            "deltas": dict(self.deltas),
-        }
-
-    @classmethod
-    def _from_payload(cls, d):
-        return cls(d["txn_id"], d["index"], tuple(d["key"]), d["deltas"])
 
 
 class CounterImageRecord(UpdateRecord):
@@ -516,6 +406,13 @@ class CompensationRecord(LogRecord):
 
     type = RecordType.CLR
     __slots__ = ("compensated_lsn", "undo_next_lsn", "action")
+    changes_rows = True
+    fields = (
+        ("compensated_lsn", codec.VALUE),
+        ("undo_next_lsn", codec.VALUE),
+        # the compensated record, whole: its own header and body
+        ("action", (lambda record, out: out(record.encoded()), _decode_at)),
+    )
 
     def __init__(self, txn_id, compensated_lsn, undo_next_lsn, action):
         super().__init__(txn_id)
@@ -528,19 +425,6 @@ class CompensationRecord(LogRecord):
 
     def redo(self, target):
         self.action.undo(target)
-
-    def _payload(self):
-        action_dict = self.action.to_dict()
-        return {
-            "compensated_lsn": self.compensated_lsn,
-            "undo_next_lsn": self.undo_next_lsn,
-            "action": action_dict,
-        }
-
-    @classmethod
-    def _from_payload(cls, d):
-        action = LogRecord.from_dict(d["action"])
-        return cls(d["txn_id"], d["compensated_lsn"], d["undo_next_lsn"], action)
 
 
 class PrepareRecord(LogRecord):
@@ -556,6 +440,7 @@ class PrepareRecord(LogRecord):
 
     type = RecordType.PREPARE
     __slots__ = ("gid",)
+    fields = (("gid", codec.VALUE),)
 
     def __init__(self, txn_id, gid):
         super().__init__(txn_id)
@@ -563,13 +448,6 @@ class PrepareRecord(LogRecord):
 
     def _extra_repr(self):
         return f", gid={self.gid!r}"
-
-    def _payload(self):
-        return {"gid": self.gid}
-
-    @classmethod
-    def _from_payload(cls, d):
-        return cls(d["txn_id"], d["gid"])
 
 
 class DecisionRecord(LogRecord):
@@ -584,26 +462,32 @@ class DecisionRecord(LogRecord):
 
     type = RecordType.DECISION
     __slots__ = ("gid", "decision", "participants")
+    fields = (
+        ("gid", codec.VALUE),
+        ("decision", codec.VALUE),
+        ("participants", codec.KEY),
+    )
 
     def __init__(self, gid, decision, participants):
         super().__init__(txn_id=None)
         self.gid = gid
         self.decision = decision  # "commit" | "abort"
-        self.participants = list(participants)
+        self.participants = tuple(participants)
 
     def _extra_repr(self):
         return f", gid={self.gid!r}, decision={self.decision}"
 
-    def _payload(self):
-        return {
-            "gid": self.gid,
-            "decision": self.decision,
-            "participants": list(self.participants),
-        }
 
-    @classmethod
-    def _from_payload(cls, d):
-        return cls(d["gid"], d["decision"], d["participants"])
+def _unpack_table(buf, at):
+    pairs, at = codec.unpack_key(buf, at)
+    return dict(pairs), at
+
+
+#: an int -> int table, packed as a key of ``(key, value)`` pairs
+_TABLE = (
+    lambda table, out: codec.pack_key(tuple(table.items()), out),
+    _unpack_table,
+)
 
 
 class CheckpointRecord(LogRecord):
@@ -616,6 +500,7 @@ class CheckpointRecord(LogRecord):
 
     type = RecordType.CHECKPOINT
     __slots__ = ("active_txns", "dirty_pages")
+    fields = (("active_txns", _TABLE), ("dirty_pages", _TABLE))
 
     def __init__(self, active_txns, dirty_pages=None):
         super().__init__(txn_id=None)
@@ -624,35 +509,3 @@ class CheckpointRecord(LogRecord):
 
     def _extra_repr(self):
         return f", active={sorted(self.active_txns)}"
-
-    def _payload(self):
-        return {
-            "active_txns": {str(k): v for k, v in self.active_txns.items()},
-            "dirty_pages": {str(k): v for k, v in self.dirty_pages.items()},
-        }
-
-    @classmethod
-    def _from_payload(cls, d):
-        active = {int(k): v for k, v in d["active_txns"].items()}
-        dirty = {int(k): v for k, v in d["dirty_pages"].items()}
-        return cls(active, dirty)
-
-
-_RECORD_CLASSES = {
-    RecordType.BEGIN: BeginRecord,
-    RecordType.COMMIT: CommitRecord,
-    RecordType.ABORT: AbortRecord,
-    RecordType.END: EndRecord,
-    RecordType.INSERT: InsertRecord,
-    RecordType.UPDATE: UpdateRecord,
-    RecordType.DELETE: DeleteRecord,
-    RecordType.GHOST: GhostRecord,
-    RecordType.REVIVE: ReviveRecord,
-    RecordType.CLEANUP: CleanupRecord,
-    RecordType.ESCROW_DELTA: EscrowDeltaRecord,
-    RecordType.COUNTER_IMAGE: CounterImageRecord,
-    RecordType.CLR: CompensationRecord,
-    RecordType.CHECKPOINT: CheckpointRecord,
-    RecordType.PREPARE: PrepareRecord,
-    RecordType.DECISION: DecisionRecord,
-}

@@ -123,19 +123,6 @@ class RecoveryReport:
         }
 
 
-_DATA_TYPES = {
-    RecordType.INSERT,
-    RecordType.UPDATE,
-    RecordType.DELETE,
-    RecordType.GHOST,
-    RecordType.REVIVE,
-    RecordType.CLEANUP,
-    RecordType.ESCROW_DELTA,
-    RecordType.COUNTER_IMAGE,
-    RecordType.CLR,
-}
-
-
 def salvage(log, verify=True):
     """Pre-analysis checksum scan: truncate at the first bad record.
 
@@ -273,7 +260,7 @@ def redo(log, target, from_lsn=1, report=None, faults=None, gate=None):
     identically. Skipped records count into ``report.redo_skipped``.
     """
     for record in log.records(from_lsn):
-        if record.type in _DATA_TYPES:
+        if record.changes_rows:
             if faults is not None and faults.active:
                 faults.maybe_crash(
                     "recovery.redo", txn_id=record.txn_id,

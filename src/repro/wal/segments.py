@@ -6,12 +6,14 @@ engine that shape — the log's one on-disk form (formats pinned in
 ``docs/STORAGE.md``):
 
 * ``wal.00001.seg``, ``wal.00002.seg``, … — each segment holds a JSON
-  **header line** (``segment``, ``first_lsn``), a run of record lines
-  (one JSON object per record, each carrying the record's durable CRC
-  stamp), and a JSON **trailer line** (``segment``,
-  ``records``, ``last_lsn``, ``crc``) whose CRC-32 covers the segment
-  body — a torn segment tail or a bit flip fails the trailer check and
-  the segment (plus everything after it) is dropped, never replayed.
+  **header line** (``segment``, ``first_lsn``), a **body** of frames
+  (:func:`repro.wal.codec.frame`: length, the record's durable CRC
+  stamp, then exactly the bytes :meth:`LogRecord.encoded` gave the log
+  manager to size and stamp), a newline, and a JSON **trailer line**
+  (``segment``, ``records``, ``last_lsn``, ``crc``) whose CRC-32 covers
+  the body — a torn segment tail or a bit flip fails the trailer check
+  and the segment (plus everything after it) is dropped, never
+  replayed.
 * A ``wal.floor`` **marker file** records the legitimate truncation
   floor — the ``first_lsn`` the chain's head segment must carry and how
   many segment files the chain holds. :func:`dump_segments` writes it
@@ -38,7 +40,7 @@ engine that shape — the log's one on-disk form (formats pinned in
 ...     _ = log.append(BeginRecord(txn)); _ = log.append(CommitRecord(txn, txn))
 >>> log.flush()
 >>> directory = tempfile.mkdtemp()
->>> paths = dump_segments(log, directory, segment_bytes=220)
+>>> paths = dump_segments(log, directory, segment_bytes=64)
 >>> len(paths) > 1
 True
 >>> reloaded = load_segments(directory)
@@ -47,7 +49,7 @@ True
 >>> os.remove(paths[0])  # the head segment vanishes without a trace...
 >>> load_segments(directory).undecodable_tail > 0  # ...but not silently
 True
->>> paths = dump_segments(log, directory, segment_bytes=220)
+>>> paths = dump_segments(log, directory, segment_bytes=64)
 >>> recycle_segments(directory, keep_from_lsn=log.tail_lsn() + 1) == paths
 True
 >>> load_segments(directory).undecodable_tail  # recycled != lost
@@ -59,7 +61,9 @@ import os
 import re
 import zlib
 
+from repro.common import WalError
 from repro.faults import NULL_INJECTOR
+from repro.wal import codec
 from repro.wal.log import LogManager
 from repro.wal.records import LogRecord
 
@@ -100,7 +104,7 @@ def _read_head_first_lsn(path):
     when the head is unreadable (the old floor marker then keeps
     :func:`load_segments` wary instead of being overwritten)."""
     try:
-        with open(path) as f:
+        with open(path, "rb") as f:
             return json.loads(f.readline())["first_lsn"]
     except (OSError, ValueError, KeyError, TypeError):
         return None
@@ -134,14 +138,6 @@ def segment_files(directory):
     return sorted(found)
 
 
-def _record_line(log, record):
-    d = record.to_dict()
-    if log.checksums:
-        crc = record.stored_crc
-        d["crc"] = record.checksum() if crc is None else crc
-    return json.dumps(d)
-
-
 def dump_segments(log, directory, segment_bytes=32768, faults=None):
     """Write the flushed prefix of ``log`` as a chain of segments.
 
@@ -156,80 +152,91 @@ def dump_segments(log, directory, segment_bytes=32768, faults=None):
     for _, stale in segment_files(directory):
         os.remove(stale)
     _remove_floor(directory)
-    segments = []  # (number, first_lsn, [lines], last_lsn)
-    lines, first_lsn, last_lsn, size = [], None, None, 0
+    segments = []  # (number, first_lsn, [frames], last_lsn)
+    frames, first_lsn, last_lsn, size = [], None, None, 0
     for record in log.records():
         if record.lsn > log.flushed_lsn:
             break
-        line = _record_line(log, record)
+        payload = record.encoded()
+        crc = record.stored_crc  # unstamped (checksums off): vouch now
+        framed = codec.frame(payload, zlib.crc32(payload) if crc is None else crc)
         if first_lsn is None:
             first_lsn = record.lsn
-        lines.append(line)
+        frames.append(framed)
         last_lsn = record.lsn
-        size += len(line) + 1
+        size += len(framed)
         if size >= segment_bytes:
-            segments.append((len(segments) + 1, first_lsn, lines, last_lsn))
-            lines, first_lsn, last_lsn, size = [], None, None, 0
-    if lines:
-        segments.append((len(segments) + 1, first_lsn, lines, last_lsn))
+            segments.append((len(segments) + 1, first_lsn, frames, last_lsn))
+            frames, first_lsn, last_lsn, size = [], None, None, 0
+    if frames:
+        segments.append((len(segments) + 1, first_lsn, frames, last_lsn))
     if segments:
         # The marker describes the *intended* chain, written before the
         # per-segment fault site gets a say — a segment the device eats
         # is then a detectable hole, not a silently shorter history.
         _write_floor(directory, segments[0][1], len(segments))
     paths = []
-    for number, first, body, last in segments:
+    for number, first, frames, last in segments:
         if faults.active and faults.fires(
             "wal.segment_lost", detail=str(number)
         ) is not None:
             continue  # the device ate this segment wholesale
         path = segment_path(directory, number)
-        payload = "\n".join(body) + "\n"
+        body = b"".join(frames)
         trailer = {
             "segment": number,
-            "records": len(body),
+            "records": len(frames),
             "last_lsn": last,
-            "crc": zlib.crc32(payload.encode("utf-8")),
+            "crc": zlib.crc32(body),
         }
-        with open(path, "w") as f:
-            f.write(json.dumps({"segment": number, "first_lsn": first}) + "\n")
-            f.write(payload)
-            f.write(json.dumps(trailer) + "\n")
+        header = {"segment": number, "first_lsn": first}
+        with open(path, "wb") as f:
+            f.write(json.dumps(header).encode("ascii") + b"\n")
+            f.write(body + b"\n")
+            f.write(json.dumps(trailer).encode("ascii") + b"\n")
         paths.append(path)
     return paths
 
 
 def _read_segment(path):
-    """Parse one segment file; returns ``(header, record_dicts, ok)``.
+    """Parse one segment file; returns ``(header, records, ok)``.
 
     ``ok`` is False when the trailer is missing, its CRC does not match
-    the body, or its record count / last_lsn disagree with the content.
+    the body, the body's frames do not decode, or its record count /
+    last_lsn disagree with the content. Each record carries its frame's
+    CRC as ``stored_crc`` — verified later, by the salvage scan.
     """
-    with open(path) as f:
+    with open(path, "rb") as f:
         raw = f.read()
-    lines = raw.splitlines()
-    if len(lines) < 2:
+    # header line, body, newline, trailer line: the trailer is the last
+    # line, and the newline before it is the one written after the body
+    head_end = raw.find(b"\n")
+    body_end = raw.rfind(b"\n", 0, len(raw) - 1)
+    if head_end < 0 or body_end <= head_end:
         return None, [], False
     try:
-        header = json.loads(lines[0])
-        trailer = json.loads(lines[-1])
+        header = json.loads(raw[:head_end])
+        trailer = json.loads(raw[body_end + 1:])
     except ValueError:
+        return None, [], False
+    if not (isinstance(header, dict) and isinstance(trailer, dict)):
         return None, [], False
     if "first_lsn" not in header or "crc" not in trailer:
         return header, [], False
-    body = lines[1:-1]
-    payload = "\n".join(body) + "\n" if body else ""
-    if zlib.crc32(payload.encode("utf-8")) != trailer["crc"]:
+    body = raw[head_end + 1:body_end]
+    if zlib.crc32(body) != trailer["crc"]:
         return header, [], False
     records = []
-    for line in body:
-        try:
-            records.append(json.loads(line))
-        except ValueError:
-            return header, [], False
+    try:
+        for payload, crc in codec.iter_frames(body):
+            record = LogRecord.decode(payload)
+            record.stored_crc = crc
+            records.append(record)
+    except WalError:
+        return header, [], False
     if trailer.get("records") != len(records):
         return header, [], False
-    if records and trailer.get("last_lsn") != records[-1].get("lsn"):
+    if records and trailer.get("last_lsn") != records[-1].lsn:
         return header, [], False
     return header, records, True
 
@@ -242,7 +249,7 @@ def load_segments(directory, checksums=True):
     lost or prematurely recycled segment). The chain's *head* is checked
     against the ``wal.floor`` marker: a head starting past the recorded
     floor means the earliest segment was lost, not recycled (with no
-    marker at all, the head must start at LSN 1). Every record line at
+    marker at all, the head must start at LSN 1). Every record at
     or past a break is counted into ``undecodable_tail``, and so is
     every segment file the marker promises but the directory lacks (a
     lost tail leaves the surviving chain perfectly continuous — only
@@ -260,13 +267,12 @@ def load_segments(directory, checksums=True):
             broken = True
             dropped += max(len(records), 1)
             continue
-        for d in records:
-            record = LogRecord.from_dict(d)
+        for record in records:
             manager._records.append(record)
             if record.txn_id is not None:
                 manager._txn_last_lsn[record.txn_id] = record.lsn
         if records:
-            expected_lsn = records[-1]["lsn"] + 1
+            expected_lsn = records[-1].lsn + 1
     if floor is not None and len(files) < floor["segments"]:
         # each missing segment held at least one record
         dropped += floor["segments"] - len(files)
@@ -292,7 +298,7 @@ def recycle_segments(directory, keep_from_lsn):
         header, records, ok = _read_segment(path)
         if not ok or not records:
             break
-        if records[-1]["lsn"] < keep_from_lsn:
+        if records[-1].lsn < keep_from_lsn:
             os.remove(path)
             removed.append(path)
         else:

@@ -90,12 +90,30 @@ class TestVerdicts:
                 520.0, 510.0]
         assert pairs.judge(LATENCY, wild, wild)["verdict"] == "unresolved"
 
-    def test_an_exact_metric_may_not_differ_in_any_pair(self):
+    def test_an_exact_metric_may_only_move_to_its_better_side_everywhere(self):
         same = [1061.3673] * 10
         row = pairs.judge(WAL, same, list(same))
         assert row["verdict"] == "ok" and row["exact_identical"] is True
         moved = list(same)
-        moved[3] -= 0.35  # better, and far inside the bound: still flagged
+        moved[3] -= 0.35  # better in one pair, tied in nine: mixed
         row = pairs.judge(WAL, same, moved)
         assert row["verdict"] == "worse (exact metric differs)"
         assert row["exact_identical"] is False
+        # worse-side in every pair, far inside the 3 % bound: still flagged
+        row = pairs.judge(WAL, same, [v + 0.35 for v in same])
+        assert row["verdict"] == "worse (exact metric differs)"
+        # a declared drop — better in every pair — is ok and claimable
+        row = pairs.judge(WAL, same, [v * 0.36 for v in same])
+        assert row["verdict"] == "ok" and row["exact_identical"] is False
+        assert row["pairs_change_better"] == 10
+        assert pairs.claim_met(row, at_most=0.50)
+        assert not pairs.claim_met(row, at_most=0.30)
+
+    def test_exact_metrics_are_direction_aware_for_higher_is_better_too(self):
+        sim = {"name": "sim_txn_per_ktick", "unit": "count",
+               "better": "higher", "bound": 0.2}
+        same = [1000.0] * 10
+        assert pairs.judge(sim, same, [v + 1 for v in same])["verdict"] == "ok"
+        assert pairs.judge(
+            sim, same, [v - 1 for v in same]
+        )["verdict"] == "worse (exact metric differs)"

@@ -8,8 +8,6 @@ The two contracted behaviours (``docs/STORAGE.md`` §2):
   ``pageLSN`` before the image reaches the store.
 """
 
-import json
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +19,7 @@ from repro.query import AggregateSpec
 from repro.storage.bufferpool import BufferPool, PageStore, durable_winners
 from repro.storage.pages import SlottedPage
 from repro.wal import LogManager
+from repro.wal.codec import pack_entry
 from repro.wal.records import InsertRecord
 from repro.views import AggregateView
 
@@ -249,13 +248,11 @@ class TestDurableWinners:
 
     @staticmethod
     def page_of(page_id, *entries):
-        """A page image holding ``[index, key, row, ghost, lsn, dead]``
-        entries, as the mirror writes them."""
+        """A page image holding ``(index, key, row, ghost, lsn, dead)``
+        entries, packed as the mirror writes them."""
         page = SlottedPage(page_id, page_size=512)
         for index, key, row, ghost, lsn, dead in entries:
-            page.insert_record(
-                json.dumps([index, list(key), row, ghost, lsn, dead]).encode()
-            )
+            page.insert_record(pack_entry(index, key, row, ghost, dead, lsn))
         return page
 
     def test_an_empty_store_is_an_empty_table(self):

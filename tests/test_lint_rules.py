@@ -337,7 +337,26 @@ def test_rules_tuple_is_the_documented_set():
         "dist-isolation",
         "transport-discipline",
         "logged-write",
+        "one-codec",
     )
+
+
+def test_one_codec_bans_json_and_struct_where_bytes_are_laid_out(tmp_path):
+    for rel, source, fires in (
+        ("src/repro/storage/bufferpool.py", "import json\n", True),
+        ("src/repro/wal/records.py", "from json import dumps\n", True),
+        ("src/repro/wal/analysis.py", "import json\n", True),
+        ("src/repro/wal/segments.py", "import json\n", False),  # header lines
+        ("src/repro/obs/tracer.py", "import json\n", False),
+        ("src/repro/views/packer.py", "import struct\n", True),
+        ("src/repro/wal/log.py", "from struct import Struct\n", True),
+        ("src/repro/wal/codec.py", "import struct\n", False),
+        ("src/repro/storage/pages.py", "import struct\n", False),
+        ("benchmarks/tool.py", "import json, struct\n", False),
+    ):
+        planted = _plant(tmp_path, rel, source)
+        findings = lint_paths([planted], rules=("one-codec",))
+        assert _rules(findings) == ({"one-codec"} if fires else set()), rel
 
 
 # ---------------------------------------------------------------------

@@ -16,14 +16,20 @@ from repro.obs import (
     BUFFER_POOL_STATS_FIELDS,
     CHECKPOINT_RECORD_FIELDS,
     FLOOR_MARKER_FIELDS,
+    PAGE_ENTRY_FIELDS,
     PAGE_HEADER_FIELDS,
     PAGE_STATES,
+    RECORD_HEADER_FIELDS,
+    SEGMENT_FRAME_FIELDS,
     SEGMENT_HEADER_FIELDS,
     SEGMENT_TRAILER_FIELDS,
+    VALUE_TAGS,
 )
 from repro.query import AggregateSpec
 from repro.storage.pages import MAX_PAGE_SIZE, MIN_PAGE_SIZE, PAGE_HEADER, PAGE_SLOT
-from repro.wal.records import RecordType
+from repro.wal import codec
+from repro.wal.records import CheckpointRecord
+from repro.wal.segments import load_segments
 from repro.workload import BY_PRODUCT, SALES
 from repro.views import AggregateView
 
@@ -32,6 +38,10 @@ DOC = pathlib.Path(__file__).resolve().parent.parent / "docs" / "STORAGE.md"
 #: doc section name -> the schema constant its field rows must match
 CONTRACTS = {
     "page_header": PAGE_HEADER_FIELDS,
+    "page_entry": PAGE_ENTRY_FIELDS,
+    "value_tags": VALUE_TAGS,
+    "segment_frame": SEGMENT_FRAME_FIELDS,
+    "record_header": RECORD_HEADER_FIELDS,
     "segment_header": SEGMENT_HEADER_FIELDS,
     "segment_trailer": SEGMENT_TRAILER_FIELDS,
     "floor_marker": FLOOR_MARKER_FIELDS,
@@ -84,15 +94,25 @@ class TestDocContract:
             assert set(rows) == set(pinned), f"field mismatch in `{name}`"
 
     def test_ordered_contracts_document_struct_order(self):
-        # Header fields and frame states are ordered contracts (struct
-        # layout / lifecycle order), not just sets.
+        # Header fields, byte layouts, tags and frame states are ordered
+        # contracts (struct layout / tag byte / lifecycle order), not
+        # just sets.
         text = DOC.read_text()
-        assert _section_rows(text, "page_header") == list(PAGE_HEADER_FIELDS)
-        assert _section_rows(text, "page_states") == list(PAGE_STATES)
+        for name in ("page_header", "page_states", "page_entry",
+                     "value_tags", "segment_frame", "record_header"):
+            assert _section_rows(text, name) == list(CONTRACTS[name]), name
+
+    def test_value_tag_bytes_are_documented_in_tag_order(self):
+        section = DOC.read_text().split("#### `value_tags`")[1]
+        rows = re.findall(r"^\| `(\w+)` \| `(\d+)` \|", section, re.MULTILINE)
+        assert rows == [(tag, str(byte)) for byte, tag in enumerate(VALUE_TAGS)]
 
     def test_doc_pins_the_struct_formats_and_bounds(self):
         text = DOC.read_text()
         assert "<IQHHI" in text and "<HH" in text
+        for layout in (codec.RECORD_HEADER, codec.ENTRY_HEADER,
+                       codec.FRAME_HEADER):
+            assert f"`{layout.format}` ({layout.size} bytes)" in text
         assert f"MIN_PAGE_SIZE = {MIN_PAGE_SIZE}" in text
         assert f"MAX_PAGE_SIZE = {MAX_PAGE_SIZE}" in text
         assert f"({PAGE_HEADER.size} bytes)" in text
@@ -105,6 +125,41 @@ class TestSchemaMatchesEngine:
     def test_page_header_fields_cover_the_struct(self):
         assert len(PAGE_HEADER_FIELDS) == len(PAGE_HEADER.unpack(b"\0" * PAGE_HEADER.size))
 
+    def test_codec_headers_cover_their_documented_fields(self):
+        def width(layout):
+            return len(layout.unpack(bytes(layout.size)))
+
+        assert width(codec.RECORD_HEADER) == len(RECORD_HEADER_FIELDS)
+        # the packed part of an entry / a frame; the rest is
+        # length-prefixed (index, key, row) or sized by `length` (record)
+        assert width(codec.ENTRY_HEADER) == len(PAGE_ENTRY_FIELDS) - 3
+        assert width(codec.FRAME_HEADER) == len(SEGMENT_FRAME_FIELDS) - 1
+
+    def test_every_tag_is_the_first_byte_its_type_packs(self):
+        import datetime
+        import decimal
+
+        samples = {
+            "none": None, "false": False, "true": True, "int8": -7,
+            "int16": 300, "int32": 70_000, "int64": 2**40, "bigint": 2**70,
+            "float": -0.0, "str": "é", "bytes": b"\x00", "tuple": (1, (2,)),
+            "decimal": decimal.Decimal("1.10"),
+            "date": datetime.date(2026, 1, 2),
+            "datetime": datetime.datetime(2026, 1, 2, 3, 4, 5, 6),
+            "datetime_tz": datetime.datetime(
+                2026, 1, 2, tzinfo=datetime.timezone.utc
+            ),
+        }
+        assert set(samples) == set(VALUE_TAGS)
+        for byte, tag in enumerate(VALUE_TAGS):
+            parts = []
+            codec.pack_value(samples[tag], parts.append)
+            packed = b"".join(parts)
+            assert packed[0] == byte, tag
+            value, end = codec.unpack_value(packed, 0)
+            assert end == len(packed) and type(value) is type(samples[tag])
+            assert value == samples[tag] and repr(value) == repr(samples[tag])
+
     def test_buffer_pool_stats_shape(self):
         db = sales_db()
         insert(db, 1)
@@ -116,18 +171,20 @@ class TestSchemaMatchesEngine:
         insert(db, 1)
         db.take_checkpoint()
         db.dump_wal_segments(tmp_path)
-        # checkpoint payload keys sit beside the record envelope
-        # (type/lsn/txn_id/prev_lsn + optional crc stamp)
-        envelope = {"type", "lsn", "txn_id", "prev_lsn", "crc"}
-        payloads = []
-        for seg in sorted(tmp_path.glob("wal.*.seg")):
-            for line in seg.read_text().splitlines():
-                doc = json.loads(line)
-                if doc.get("type") == RecordType.CHECKPOINT.value:
-                    payloads.append(set(doc) - envelope)
-        assert payloads, "no checkpoint record in the dumped segments"
-        for payload in payloads:
-            assert payload == set(CHECKPOINT_RECORD_FIELDS)
+        checkpoints = [
+            record for record in load_segments(tmp_path).records()
+            if isinstance(record, CheckpointRecord)
+        ]
+        assert checkpoints, "no checkpoint record in the dumped segments"
+        for record in checkpoints:
+            assert {attr for attr, _ in record.fields} == set(
+                CHECKPOINT_RECORD_FIELDS
+            )
+            # the display form: body fields beside the record envelope
+            envelope = {"type", "lsn", "txn_id", "prev_lsn"}
+            assert set(record.to_dict()) - envelope == set(
+                CHECKPOINT_RECORD_FIELDS
+            )
 
     def test_segment_header_and_trailer_shape(self, tmp_path):
         db = sales_db()
@@ -136,10 +193,20 @@ class TestSchemaMatchesEngine:
         db.dump_wal_segments(tmp_path)
         files = sorted(tmp_path.glob("wal.*.seg"))
         assert files
+        framed = 0
         for seg in files:
-            lines = seg.read_text().splitlines()
-            assert set(json.loads(lines[0])) == set(SEGMENT_HEADER_FIELDS)
-            assert set(json.loads(lines[-1])) == set(SEGMENT_TRAILER_FIELDS)
+            raw = seg.read_bytes()
+            head_end = raw.index(b"\n")
+            body_end = raw.rindex(b"\n", 0, len(raw) - 1)
+            header = json.loads(raw[:head_end])
+            trailer = json.loads(raw[body_end + 1:])
+            assert set(header) == set(SEGMENT_HEADER_FIELDS)
+            assert set(trailer) == set(SEGMENT_TRAILER_FIELDS)
+            frames = list(codec.iter_frames(raw[head_end + 1:body_end]))
+            assert len(frames) == trailer["records"]
+            framed += sum(len(payload) for payload, _ in frames)
+        # the framed bytes are the very bytes the log manager counted
+        assert framed == db.log.bytes_estimate == db.stats()["wal"]["bytes"]
         marker = json.loads((tmp_path / "wal.floor").read_text())
         assert set(marker) == set(FLOOR_MARKER_FIELDS)
         assert marker["segments"] == len(files)

@@ -7,7 +7,10 @@ hard:
   hole its own dead slot left behind (``free_end`` jumps past it). A
   running garbage counter double-counts that space, ``has_room_for``
   overpromises, and the next insert blows up on a "roomy" page.
-  Garbage is now derived from the slot directory.
+  Garbage is ``page_size - free_end - live bytes``, two maintained
+  totals, and a Hypothesis differential holds every maintained field
+  (and the image) to its derivation from the slot directory, which is
+  kept here as the reference.
 * **Untrusted checkpoint** — a fuzzy checkpoint only shortcuts
   recovery when its durable page images are available and intact. A
   torn page, or a fresh process with an empty page store, must fall
@@ -15,13 +18,22 @@ hard:
   checkpoint.
 """
 
+import zlib
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common import StorageError
 from repro.core import Database, EngineConfig
 from repro.faults import FaultInjector
 from repro.query import AggregateSpec
-from repro.storage.pages import MAX_PAGE_SIZE, SlottedPage
+from repro.storage.pages import (
+    MAX_PAGE_SIZE,
+    PAGE_HEADER,
+    PAGE_SLOT,
+    SlottedPage,
+)
 from repro.views import AggregateView
 
 
@@ -65,6 +77,119 @@ class TestGarbageAccounting:
         with pytest.raises(StorageError, match="full"):
             page.insert_record(b"x" * 300)
         assert SlottedPage.capacity(MAX_PAGE_SIZE) < MAX_PAGE_SIZE
+
+
+# -- the slot-directory derivations the O(1) fields replaced, kept as the
+# -- reference the maintained geometry must equal after every operation
+
+
+def ref_free_end(page):
+    used = [off for off, _ in page._slots if off != 0]
+    return min(used) if used else page.page_size
+
+
+def ref_garbage(page):
+    live = sum(length for off, length in page._slots if off != 0)
+    return page.page_size - ref_free_end(page) - live
+
+
+def ref_has_room_for(page, payload):
+    need = len(payload)
+    if not any(off == 0 for off, _ in page._slots):
+        need += PAGE_SLOT.size
+    dir_end = PAGE_HEADER.size + len(page._slots) * PAGE_SLOT.size
+    return need <= ref_free_end(page) - dir_end + ref_garbage(page)
+
+
+def ref_first_dead(page):
+    return next(
+        (i for i, (off, _) in enumerate(page._slots) if off == 0), None
+    )
+
+
+def ref_to_bytes(page):
+    image = bytearray(page._buf)
+    free_end = ref_free_end(page)
+    head = (page.page_id, page.page_lsn, len(page._slots), free_end)
+    PAGE_HEADER.pack_into(image, 0, *head, 0)
+    cursor = PAGE_HEADER.size
+    for offset, length in page._slots:
+        PAGE_SLOT.pack_into(image, cursor, offset, length)
+        cursor += PAGE_SLOT.size
+    image[cursor:free_end] = bytes(free_end - cursor)
+    PAGE_HEADER.pack_into(image, 0, *head, zlib.crc32(bytes(image)))
+    return bytes(image)
+
+
+def assert_geometry_matches_the_directory(page, probe):
+    assert page._free_end == ref_free_end(page)
+    assert page._garbage() == ref_garbage(page)
+    assert page.live_count() == sum(1 for off, _ in page._slots if off)
+    assert page.has_room_for(probe) == ref_has_room_for(page, probe)
+    first_dead = ref_first_dead(page)
+    assert (page._dead == 0) == (first_dead is None)
+    assert first_dead is None or page._free_hint <= first_dead
+    assert page.to_bytes() == ref_to_bytes(page)
+
+
+_PAGE_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), st.integers(0, 90)),
+        st.tuples(st.just("update"), st.integers(0, 30), st.integers(0, 90)),
+        st.tuples(st.just("delete"), st.integers(0, 30)),
+        st.tuples(st.just("compact")),
+        st.tuples(st.just("reload")),
+    ),
+    max_size=60,
+)
+
+
+class TestGeometryDifferential:
+    @settings(max_examples=200, deadline=None)
+    @given(ops=_PAGE_OPS, page_size=st.sampled_from([128, 256, 512]))
+    def test_maintained_geometry_equals_the_slot_directory_derivation(
+        self, ops, page_size
+    ):
+        """Random insert / update / delete / compact / reload sequences:
+        after every step — failed ones included — ``free_end``, garbage,
+        ``has_room_for``, the free-slot hint and ``to_bytes()`` equal
+        what the slot directory says, and an insert lands in the lowest
+        dead slot."""
+        page = SlottedPage(9, page_size=page_size)
+        contents = {}
+        for step, op in enumerate(ops):
+            fill = bytes([step % 251 + 1])
+            if op[0] == "insert":
+                payload = fill * op[1]
+                fits = ref_has_room_for(page, payload)
+                lowest, appended = ref_first_dead(page), page.slot_count()
+                try:
+                    slot = page.insert_record(payload)
+                except StorageError:
+                    assert not fits
+                else:
+                    assert fits
+                    assert slot == (appended if lowest is None else lowest)
+                    contents[slot] = payload
+            elif op[0] == "update" and contents:
+                slot = sorted(contents)[op[1] % len(contents)]
+                payload = fill * op[2]
+                try:
+                    page.update_record(slot, payload)
+                except StorageError:
+                    pass  # did not fit: nothing may have moved
+                else:
+                    contents[slot] = payload
+            elif op[0] == "delete" and contents:
+                slot = sorted(contents)[op[1] % len(contents)]
+                page.delete_record(slot)
+                del contents[slot]
+            elif op[0] == "compact":
+                page._compact()
+            elif op[0] == "reload":
+                page = SlottedPage.from_bytes(page.to_bytes())
+            assert dict(page.records()) == contents
+            assert_geometry_matches_the_directory(page, probe=fill * 40)
 
 
 def paged_db():

@@ -152,7 +152,7 @@ class TestReading:
 class TestSerialization:
     def roundtrip(self, record):
         record.lsn = record.lsn or 1
-        return LogRecord.from_dict(record.to_dict())
+        return LogRecord.decode(record.encoded())
 
     def test_insert_roundtrip(self):
         r = self.roundtrip(InsertRecord(1, "t", (1, "a"), Row(a=1, b="x")))
@@ -190,7 +190,7 @@ class TestSerialization:
         inner.lsn = 5
         clr = CompensationRecord(1, compensated_lsn=5, undo_next_lsn=2, action=inner)
         clr.lsn = 9
-        got = LogRecord.from_dict(clr.to_dict())
+        got = LogRecord.decode(clr.encoded())
         assert got.compensated_lsn == 5
         assert got.undo_next_lsn == 2
         assert got.action.deltas == {"cnt": 2}
@@ -198,7 +198,7 @@ class TestSerialization:
     def test_checkpoint_roundtrip(self):
         cp = CheckpointRecord({3: 7, 4: 9}, {12: 5})
         cp.lsn = 1
-        got = LogRecord.from_dict(cp.to_dict())
+        got = LogRecord.decode(cp.encoded())
         assert got.active_txns == {3: 7, 4: 9}
         assert got.dirty_pages == {12: 5}
 

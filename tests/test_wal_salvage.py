@@ -1,7 +1,7 @@
 """Checksummed WAL + the salvage pass.
 
 The contract under test (docs/ROBUSTNESS.md, "Recovery hardening"):
-every durable record carries a CRC over its canonical serialization;
+every durable record carries a CRC over its packed bytes;
 recovery runs a salvage scan first, truncates the log at the first bad
 checksum, and classifies the loss — committed work rolled back
 (``lost_commits``) is *never* silent, uncommitted debris is honest
@@ -20,7 +20,7 @@ from repro.core import Database, EngineConfig
 from repro.faults import FaultInjector
 from repro.obs import validate_recovery_report
 from repro.query import AggregateSpec
-from repro.wal import RecordType, salvage
+from repro.wal import LogRecord, RecordType, codec, salvage
 from repro.wal.segments import load_segments
 from repro.workload import BY_PRODUCT, SALES
 from repro.views import AggregateView
@@ -189,19 +189,23 @@ class TestRecoveryIntegration:
             EngineConfig(salvage_policy="panic")
 
     def test_dump_load_with_tampered_line(self, tmp_path):
-        """On-disk tampering that stays valid JSON — and even re-seals
-        the segment trailer — is caught by the record's own CRC."""
+        """On-disk tampering that stays a decodable record — and even
+        re-seals the segment trailer — is caught by the frame's own
+        CRC."""
         db = sales_db()
         commit_sales(db, range(1, 4))
         (path,) = map(pathlib.Path, db.dump_wal_segments(tmp_path))
-        header, *lines, trailer = path.read_text().splitlines()
-        doc = json.loads(lines[5])
-        assert doc["crc"] is not None
-        doc["txn_id"] = 999  # payload edit without re-stamping the CRC
-        lines[5] = json.dumps(doc)
-        body = "\n".join(lines) + "\n"
-        sealed = dict(json.loads(trailer), crc=zlib.crc32(body.encode("utf-8")))
-        path.write_text(header + "\n" + body + json.dumps(sealed) + "\n")
+        header, body, trailer = split_segment(path)
+        frames = list(codec.iter_frames(body))
+        payload, crc = frames[5]
+        record = LogRecord.decode(payload)
+        record.txn_id = 999  # payload edit without re-stamping the CRC
+        frames[5] = (record.encoded(), crc)
+        body = b"".join(codec.frame(*f) for f in frames)
+        sealed = dict(json.loads(trailer), crc=zlib.crc32(body))
+        path.write_bytes(
+            header + b"\n" + body + b"\n" + json.dumps(sealed).encode() + b"\n"
+        )
         fresh = sales_db()
         report = fresh.load_wal_segments_and_recover(tmp_path)
         assert report.salvage is not None
@@ -210,13 +214,13 @@ class TestRecoveryIntegration:
 
     def test_torn_segment_tail_is_counted(self, tmp_path):
         db = sales_db(wal_segment_bytes=1024)
-        commit_sales(db, range(1, 13))
+        commit_sales(db, range(1, 25))
         paths = db.dump_wal_segments(tmp_path)
         assert len(paths) > 2
         last = pathlib.Path(paths[-1])
-        lines = last.read_text().splitlines()
+        header, body, _ = split_segment(last)
         # the write tore before the trailer
-        last.write_text("\n".join(lines[:-1]) + "\n")
+        last.write_bytes(header + b"\n" + body + b"\n")
         fresh = sales_db()
         report = fresh.load_wal_segments_and_recover(tmp_path)
         assert report.salvage is not None
@@ -224,6 +228,16 @@ class TestRecoveryIntegration:
         assert report.salvage["truncated_lsn"] is None
         assert fresh.read_committed(SALES, (1,)) is not None  # prefix kept
         assert fresh.check_all_views() == []
+
+
+def split_segment(path):
+    """``(header line, body, trailer line)`` of a segment file: the body
+    is everything between the first newline and the one before the last
+    line."""
+    raw = path.read_bytes()
+    head_end = raw.index(b"\n")
+    body_end = raw.rindex(b"\n", 0, len(raw) - 1)
+    return raw[:head_end], raw[head_end + 1:body_end], raw[body_end + 1:-1]
 
 
 def paged_db(**kwargs):

@@ -37,13 +37,13 @@ def flushed_log(txns=12):
 class TestFloorMarker:
     def test_dump_writes_the_marker(self, tmp_path):
         log = flushed_log()
-        paths = dump_segments(log, tmp_path, segment_bytes=200)
+        paths = dump_segments(log, tmp_path, segment_bytes=64)
         marker = read_floor(tmp_path)
         assert marker == {"first_lsn": 1, "segments": len(paths)}
 
     def test_recycle_moves_the_marker_to_the_surviving_head(self, tmp_path):
         log = flushed_log()
-        dump_segments(log, tmp_path, segment_bytes=200)
+        dump_segments(log, tmp_path, segment_bytes=64)
         removed = recycle_segments(tmp_path, keep_from_lsn=9)
         assert removed
         marker = read_floor(tmp_path)
@@ -55,7 +55,7 @@ class TestFloorMarker:
 
     def test_recycling_everything_leaves_a_clean_empty_chain(self, tmp_path):
         log = flushed_log()
-        paths = dump_segments(log, tmp_path, segment_bytes=200)
+        paths = dump_segments(log, tmp_path, segment_bytes=64)
         assert recycle_segments(tmp_path, keep_from_lsn=log.tail_lsn() + 1) == paths
         reloaded = load_segments(tmp_path)
         assert reloaded.undecodable_tail == 0
@@ -67,7 +67,7 @@ class TestSegmentLossDetection:
         """The head vanishing leaves a continuous-looking suffix; only
         the floor marker betrays that LSN 1 should still be present."""
         log = flushed_log()
-        paths = dump_segments(log, tmp_path, segment_bytes=200)
+        paths = dump_segments(log, tmp_path, segment_bytes=64)
         assert len(paths) > 2
         os.remove(paths[0])
         reloaded = load_segments(tmp_path)
@@ -78,7 +78,7 @@ class TestSegmentLossDetection:
         """After a legitimate recycle the chain starts above LSN 1 — a
         further (illegitimate) head loss must still be flagged."""
         log = flushed_log()
-        dump_segments(log, tmp_path, segment_bytes=200)
+        dump_segments(log, tmp_path, segment_bytes=64)
         recycle_segments(tmp_path, keep_from_lsn=9)
         survivors = sorted(p for p in os.listdir(tmp_path) if p.endswith(".seg"))
         os.remove(tmp_path / survivors[0])
@@ -89,7 +89,7 @@ class TestSegmentLossDetection:
         """A lost tail keeps the surviving prefix perfectly continuous;
         the marker's segment count is what catches it."""
         log = flushed_log()
-        paths = dump_segments(log, tmp_path, segment_bytes=200)
+        paths = dump_segments(log, tmp_path, segment_bytes=64)
         os.remove(paths[-1])
         reloaded = load_segments(tmp_path)
         assert reloaded.undecodable_tail > 0
@@ -101,7 +101,7 @@ class TestSegmentLossDetection:
         log = flushed_log()
         faults = FaultInjector(seed=0)
         faults.arm("wal.segment_lost", match="1", times=1)
-        dump_segments(log, tmp_path, segment_bytes=200, faults=faults)
+        dump_segments(log, tmp_path, segment_bytes=64, faults=faults)
         reloaded = load_segments(tmp_path)
         assert reloaded.undecodable_tail > 0
         assert not reloaded._records
@@ -129,6 +129,7 @@ def paged_db(ids=()):
     """A tiny-pool engine, so even a few rows reach the page store."""
     db = Database(EngineConfig(
         buffer_pool_frames=4, page_size=256, checkpoint_interval=5,
+        wal_segment_bytes=4096,
     ))
     db.execute(
         """
