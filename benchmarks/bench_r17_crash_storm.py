@@ -59,7 +59,8 @@ def run_transfers(db, bank, n=N_TRANSFERS, with_loser=True):
     """Seeded committed transfers, plus (for the recovery legs) one
     flushed-but-uncommitted loser — real work for the undo pass."""
     for _ in range(n):
-        with db.transaction() as txn:
+        with db.session() as session:
+            txn = session.current_transaction
             src = bank._random_aid()
             dst = bank._random_aid()
             while dst == src:

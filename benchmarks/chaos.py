@@ -230,7 +230,8 @@ def crash_storm_leg(seed=4242):
             db, n_branches=3, accounts_per_branch=6, seed=seed
         ).setup()
         for _ in range(20):
-            with db.transaction() as txn:
+            with db.session() as session:
+                txn = session.current_transaction
                 src = bank._random_aid()
                 dst = bank._random_aid()
                 while dst == src:
@@ -311,7 +312,8 @@ def broken_injector_demo(seed=1234):
     db.install_fault_injector(injector)
     injector.arm("wal.append.lost", probability=0.5, match="EscrowDelta")
     for _ in range(15):
-        with db.transaction() as txn:
+        with db.session() as session:
+            txn = session.current_transaction
             src = bank._random_aid()
             dst = bank._random_aid()
             if src == dst:
@@ -342,8 +344,8 @@ def retry_rescue(seed=99):
     seeds: with the scheduler's retry budget at 0, deadlock/timeout
     victims surface as user-visible aborts (``gave_up``); with a budget
     of 3 every program completes. A third pass exercises
-    ``Database.run_transaction`` against injected WAL faults so the
-    retry/backoff histograms land in ``db.stats()["retries"]``.
+    ``Session.run`` against injected WAL faults so the retry/backoff
+    histograms land in ``db.stats()["retries"]``.
     """
 
     def contended_run(max_retries):
@@ -364,7 +366,7 @@ def retry_rescue(seed=99):
     _, no_retry = contended_run(max_retries=0)
     db_retry, with_retry = contended_run(max_retries=3)
 
-    # run_transaction-level retry against injected faults.
+    # Session.run-level retry against injected faults.
     db = Database(EngineConfig(aggregate_strategy="escrow"))
     bank = BankingWorkload(
         db, n_branches=2, accounts_per_branch=10, seed=seed
@@ -373,7 +375,8 @@ def retry_rescue(seed=99):
     db.install_fault_injector(injector)
     injector.arm("wal.append", probability=0.15)
 
-    def transfer(txn):
+    def transfer(session):
+        txn = session.current_transaction
         src = bank._random_aid()
         dst = bank._random_aid()
         while dst == src:
@@ -381,8 +384,9 @@ def retry_rescue(seed=99):
         bank.execute_update_balance(txn, (src,), -5)
         bank.execute_update_balance(txn, (dst,), +5)
 
+    session = db.session()
     for _ in range(25):
-        db.run_transaction(transfer, retries=5)
+        session.run(transfer, retries=5)
     injector.disarm()
     bank.check_conservation()
     stats = db.stats()["retries"]
@@ -440,7 +444,7 @@ def run_suite(n_seeds, name="chaos"):
         ["control: corruption detected", control["detected"]],
         ["rescue: aborts w/o retry", rescue["aborts_no_retry"]],
         ["rescue: aborts with retry=3", rescue["aborts_with_retry"]],
-        ["rescue: runs retried (run_transaction)",
+        ["rescue: runs retried (Session.run)",
          rescue["run_stats"]["retried"]],
     ]
     checks = [

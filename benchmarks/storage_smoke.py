@@ -70,9 +70,9 @@ def build():
 
 def run_workload(db, n_txns=N_TXNS):
     for i in range(1, n_txns + 1):
-        with db.transaction() as txn:
-            db.insert(
-                txn, "sales",
+        with db.session() as s:
+            s.insert(
+                "sales",
                 {"id": i, "product": f"p{i % N_PRODUCTS}", "amount": i},
             )
 
@@ -101,10 +101,10 @@ def leg_pressure():
     # dirtied at unflushed LSNs get evicted mid-transaction — the
     # write-back must force the WAL durable first
     run_workload(db, 30)
-    with db.transaction() as txn:
+    with db.session() as s:
         for i in range(31, N_TXNS + 1):
-            db.insert(
-                txn, "sales",
+            s.insert(
+                "sales",
                 {"id": i, "product": f"p{i % N_PRODUCTS}", "amount": i},
             )
     pool = db.stats()["storage"]["pool"]

@@ -62,6 +62,14 @@ status 1 on any finding), via ``make lint``, or programmatically through
   differently from the log), and ``struct`` is imported by engine code
   only in ``repro/wal/codec.py`` and ``repro/storage/pages.py`` (the
   page header and slot directory).
+* **one-settle** — a transaction has one finish path and one rollback
+  walker. In engine code no ``except BaseException`` / ``except
+  Exception`` handler calls ``.abort(``: "abort unless it was a crash"
+  is ``Database.settle``'s job (it does so in its ``finally``), and a
+  hand-written copy is how work got logged on a crashed engine. And
+  ``CompensationRecord`` is constructed only under ``repro/wal/`` — by
+  ``repro.wal.recovery.undo``, which online rollback, savepoints and
+  in-doubt resolution all call.
 """
 
 import ast
@@ -82,6 +90,7 @@ RULES = (
     "transport-discipline",
     "logged-write",
     "one-codec",
+    "one-settle",
 )
 
 #: a constant-propagation cell bound more than once with different
@@ -272,6 +281,8 @@ class _FileLinter(ast.NodeVisitor):
             and _rel_to_repro(path) != _WRITE_MODULE
         )
         rel = _rel_to_repro(path) or ()
+        self.check_settle = "one-settle" in rules and self.engine
+        self.check_clrs = self.check_settle and rel[:1] != ("wal",)
         self.codec_banned = set()  # modules this file may not import
         if "one-codec" in rules and rel:
             if rel not in _LAYOUT_FILES:
@@ -457,10 +468,18 @@ class _FileLinter(ast.NodeVisitor):
     # ----------------------------------------------------------- calls
     def visit_Call(self, node):
         func = node.func
-        if self.check_writes:
-            name = func.id if isinstance(func, ast.Name) else (
-                func.attr if isinstance(func, ast.Attribute) else None
+        name = func.id if isinstance(func, ast.Name) else (
+            func.attr if isinstance(func, ast.Attribute) else None
+        )
+        if self.check_clrs and name == "CompensationRecord":
+            self.flag(
+                node,
+                "one-settle",
+                "CompensationRecord constructed outside repro/wal/; roll "
+                "back through repro.wal.recovery.undo, the one backchain "
+                "walker",
             )
+        if self.check_writes:
             if name in _ROW_CHANGE_RECORDS:
                 self.flag(
                     node,
@@ -607,6 +626,23 @@ class _FileLinter(ast.NodeVisitor):
             )
         if self.check_swallow and node.type is not None:
             self._check_swallow(node)
+        if (
+            self.check_settle
+            and {"BaseException", "Exception"} & set(_caught_names(node.type))
+            and any(
+                isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Attribute)
+                and call.func.attr == "abort"
+                for stmt in node.body for call in ast.walk(stmt)
+            )
+        ):
+            self.flag(
+                node,
+                "one-settle",
+                "broad except handler calls .abort(); end the transaction "
+                "through Database.settle, which leaves a crashed engine "
+                "alone",
+            )
         self.generic_visit(node)
 
     def _check_swallow(self, node):

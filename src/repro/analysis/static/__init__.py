@@ -34,7 +34,11 @@ from repro.analysis.static.analyzer import (
     ViewCheckReport,
     check_view,
 )
-from repro.analysis.static.diagnostics import CATALOG, Diagnostic
+from repro.analysis.static.diagnostics import (
+    CATALOG,
+    Diagnostic,
+    trace_static_check,
+)
 from repro.analysis.static.footprint import Footprint, LockStep
 from repro.analysis.static.lockgraph import LockOrderGraph
 from repro.analysis.static.prover import (
@@ -66,4 +70,5 @@ __all__ = [
     "prove_count",
     "prove_extreme",
     "prove_sum",
+    "trace_static_check",
 ]

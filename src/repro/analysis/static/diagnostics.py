@@ -93,3 +93,18 @@ class Diagnostic:
             "message": self.message,
             "evidence": list(self.evidence),
         }
+
+
+def trace_static_check(tracer, subject, kind, diagnostics):
+    """Emit the ``static_check`` event of one analyzer run: what was
+    checked and how many diagnostics of each severity came back."""
+    if not tracer.enabled:
+        return
+    counts = {"error": 0, "warning": 0, "info": 0}
+    for diagnostic in diagnostics:
+        counts[diagnostic.severity] += 1
+    tracer.emit(
+        "static_check", subject=subject, kind=kind,
+        errors=counts["error"], warnings=counts["warning"],
+        notes=counts["info"],
+    )

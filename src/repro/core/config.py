@@ -31,11 +31,12 @@ class EngineConfig:
       the default). Only cooperative (simulator) waiters can wait, so
       only they can time out; the no-wait policy already denies at once.
     * ``retry_backoff_base`` / ``retry_backoff_cap`` — the exponential
-      backoff schedule of ``Database.run_transaction``: attempt *n*
+      backoff schedule of ``Session.run``: attempt *n*
       sleeps ``min(cap, base * 2**(n-1))`` plus seeded jitter in
       ``[0, base]``, all in logical ticks (see ``docs/ROBUSTNESS.md``).
-    * ``retry_seed`` — seed of the jitter stream, so retry schedules are
-      deterministic per database instance.
+    * ``retry_seed`` — seed of the jitter stream, one per database
+      instance and shared by all its sessions, so retry schedules are
+      deterministic: same seed, same ``txn_retry`` trace.
     * ``group_commit`` — batch COMMIT-record flushes across transactions:
       ``None``/``"off"`` forces one flush per commit (the WAL commit
       rule, today's default); ``"size"`` flushes once the open commit

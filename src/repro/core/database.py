@@ -34,7 +34,6 @@ from repro.common import (
     Row,
     SimulatedCrash,
     StorageError,
-    TransactionAborted,
     TransactionStateError,
     UnsupportedSqlError,
     WalCorruptionError,
@@ -87,11 +86,10 @@ from repro.wal.codec import check_row
 from repro.wal.records import (
     AbortRecord,
     CommitRecord,
-    CompensationRecord,
     EndRecord,
     PrepareRecord,
 )
-from repro.wal.recovery import RecoveryTarget
+from repro.wal.recovery import RecoveryTarget, undo
 from repro.wal.segments import dump_segments, load_segments, recycle_segments
 
 
@@ -110,29 +108,14 @@ class Database(RecoveryTarget):
             tracer=self.tracer, faults=self.faults,
             checksums=self.config.wal_checksums,
         )
-        self.locks = LockManager(
-            tracer=self.tracer, clock=self.clock,
-            timeout=self.config.lock_wait_timeout, faults=self.faults,
-        )
-        self.latches = LatchSet()
-        self.escrow = EscrowRegistry()
-        self.snapshots = SnapshotRegistry(self.clock)
         self.catalog = Catalog()
         self.counters = Counters()
-        self.cleanup = CleanupQueue()
-        self.cleaner = GhostCleaner(self)
         self.deferred = DeferredMaintainer(self.clock)
         self.maintenance = MaintenanceEngine(
             self.catalog,
             aggregate_strategy=self.config.aggregate_strategy,
             deferred=self.deferred,
         )
-        self._txns = TransactionManager(
-            self.clock, self.log, self.locks, self.escrow, self.snapshots,
-            undo_target=self, tracer=self.tracer, metrics=self.metrics,
-            faults=self.faults,
-        )
-        self._txns.commit_listener = self._on_commit
         self.group_commit = GroupCommitCoordinator(
             self.log, self.clock,
             policy=self.config.group_commit,
@@ -141,15 +124,13 @@ class Database(RecoveryTarget):
             tracer=self.tracer, faults=self.faults,
         )
         self.group_commit.failure_handler = self._on_group_flush_failure
-        self.log.flush_listener = self.group_commit.on_flushed
-        self._txns.group_commit = self.group_commit
         self._indexes = {}
         self._index_views = {}  # index name -> owning view definition
+        self._wire_volatile()
         #: the page world: a durable page store (survives crashes), a
         #: fixed-frame buffer pool over it, and the slotted-page mirror
         #: that subscribes to the log's append stream (docs/STORAGE.md).
         self._rebuild_page_mirror()
-        self._commits_since_checkpoint = 0
         self.secondary = SecondaryIndexManager(self)
         from repro.integrity import QuarantineManager
 
@@ -397,14 +378,18 @@ class Database(RecoveryTarget):
         inside it (DDL always runs outside any transaction — it is not
         logged and cannot roll back).
         """
-        from repro.sql import parse
-
         if txn is None:
-            run = self._autocommit
-        else:
-            def run(fn):
-                txn.require_active()
-                return fn(txn)
+            return self.session().execute(sql)
+
+        def run(fn):
+            txn.require_active()
+            return fn(txn)
+
+        return self._execute(sql, run)
+
+    def _execute(self, sql, run):
+        """Dispatch each statement of a script; the last one's result."""
+        from repro.sql import parse
 
         result = None
         for stmt in parse(sql):
@@ -430,24 +415,6 @@ class Database(RecoveryTarget):
             return self.explain(stmt.statement)
         return run(lambda txn: execute_statement(self, txn, stmt))
 
-    def _autocommit(self, fn, policy=LockPolicy.NOWAIT,
-                    isolation="serializable"):
-        """Run ``fn(txn)`` as its own transaction: committed — and
-        durable, since an autocommit caller has no handle to wait on
-        later — on success, aborted on failure."""
-        txn = self.begin(policy=policy, isolation=isolation)
-        try:
-            result = fn(txn)
-            self.commit(txn)
-            self.ensure_durable(txn)
-            return result
-        except SimulatedCrash:
-            raise  # nothing is running any more; recovery will resolve it
-        except BaseException:
-            if txn.state is TxnState.ACTIVE:
-                self.abort(txn)
-            raise
-
     def _static_analyzer(self):
         from repro.analysis.static import StaticAnalyzer
 
@@ -457,28 +424,15 @@ class Database(RecoveryTarget):
             serializable=self.config.serializable,
         )
 
-    def _trace_static_check(self, subject, kind, diagnostics):
-        if not self.tracer.enabled:
-            return
-        by_severity = {"error": 0, "warning": 0, "info": 0}
-        for diagnostic in diagnostics:
-            by_severity[diagnostic.severity] += 1
-        self.tracer.emit(
-            "static_check",
-            subject=subject,
-            kind=kind,
-            errors=by_severity["error"],
-            warnings=by_severity["warning"],
-            notes=by_severity["info"],
-        )
-
     def check_view_static(self, name):
         """``CHECK VIEW name``: run the static analyzer over one
         registered view — escrow-eligibility proofs, worst-case lock
         footprints, deadlock-order and predicate diagnostics. Touches
         no data; see ``docs/ANALYSIS.md`` for the diagnostic codes."""
+        from repro.analysis.static import trace_static_check
+
         report = self._static_analyzer().check_view(name)
-        self._trace_static_check(name, "check_view", report.diagnostics)
+        trace_static_check(self.tracer, name, "check_view", report.diagnostics)
         return report
 
     def explain(self, statement):
@@ -490,6 +444,7 @@ class Database(RecoveryTarget):
         ... VIEW`` analyzes the would-be view against a scratch copy of
         the catalog without registering it.
         """
+        from repro.analysis.static import trace_static_check
         from repro.sql import ast as sql_ast
         from repro.sql import compile_view
 
@@ -530,7 +485,9 @@ class Database(RecoveryTarget):
                 f"EXPLAIN has no plan for "
                 f"{type(statement).__name__} statements"
             )
-        self._trace_static_check(report.label, "explain", report.diagnostics)
+        trace_static_check(
+            self.tracer, report.label, "explain", report.diagnostics
+        )
         return report
 
     # ==================================================================
@@ -540,16 +497,24 @@ class Database(RecoveryTarget):
     def session(self, isolation="serializable", policy=LockPolicy.NOWAIT):
         """The canonical entry point: a connection-like wrapper with an
         implicit current transaction and autocommit statements (see
-        :mod:`repro.core.session`)."""
+        :mod:`repro.core.session`); as a context manager, one transaction.
+
+        >>> db = Database(); _ = db.create_table("t", ("a",), ("a",))
+        >>> with db.session() as s:
+        ...     s.insert("t", {"a": 1})
+        (1,)
+        >>> db.read_committed("t", (1,))
+        Row(a=1)
+        """
         from repro.core.session import Session
 
         return Session(self, isolation=isolation, policy=policy)
 
     def begin(self, policy=LockPolicy.NOWAIT, isolation="serializable"):
         """Start and return a bare transaction handle — the primitive
-        under :meth:`session`, :meth:`transaction` and
-        :meth:`run_transaction`, and the one place that talks to the
-        transaction manager directly."""
+        under :meth:`session`. Whoever lets go of the handle ends it
+        through :meth:`settle`; a caller that keeps it uses :meth:`commit`
+        / :meth:`abort` / :meth:`ensure_durable` itself."""
         return self._txns.begin(policy=policy, isolation=isolation)
 
     def begin_system(self):
@@ -563,18 +528,34 @@ class Database(RecoveryTarget):
         self._maybe_auto_checkpoint()
         return result
 
-    def _commit_or_abort(self, txn):
-        """Commit on behalf of a caller that then lets go of ``txn``: a
-        failed commit (e.g. an injected fault while folding view deltas)
-        must not leave it holding locks nobody will release."""
+    def settle(self, txn, body=None, failure=None):
+        """End ``txn`` for a caller that lets go of the handle — the one
+        finish path (``docs/ARCHITECTURE.md`` §7). Runs ``body(txn)`` if
+        given, commits unless that resolved the transaction, waits for
+        the COMMIT to be durable, returns ``body``'s result. A failure of
+        those steps — or one the caller met itself and hands in as
+        ``failure``, from ``__exit__`` — aborts a transaction still active.
+        Except :class:`~repro.common.SimulatedCrash`: nothing runs on a
+        crashed engine; recovery settles the transaction from the log."""
         try:
-            return self.commit(txn)
-        except SimulatedCrash:
-            raise  # nothing is running any more; recovery will resolve it
-        except BaseException:
-            if txn.state is TxnState.ACTIVE:
-                self.abort(txn, reason="commit failed")
+            if failure is None:
+                result = body(txn) if body is not None else None
+                if txn.state is TxnState.ACTIVE:
+                    self.commit(txn)
+                self.ensure_durable(txn)
+                return result
+        except BaseException as exc:
+            failure = exc
             raise
+        finally:
+            if (
+                failure is not None
+                and not isinstance(failure, SimulatedCrash)
+                and txn.state is TxnState.ACTIVE
+            ):
+                self.abort(
+                    txn, reason=getattr(failure, "reason", None) or "error"
+                )
 
     def abort(self, txn, reason="user"):
         self._txns.abort(txn, reason)
@@ -637,33 +618,20 @@ class Database(RecoveryTarget):
             raise TransactionStateError(
                 f"transaction {txn_id} is not in doubt"
             )
+        if decision not in ("commit", "abort"):
+            raise TransactionStateError(
+                f"unknown 2PC decision {decision!r} for transaction {txn_id}"
+            )
         info = self._in_doubt.pop(txn_id)
         if decision == "commit":
-            commit_ts = self.clock.tick()
-            self.log.append(CommitRecord(txn_id, commit_ts))
+            self.log.append(CommitRecord(txn_id, self.clock.tick()))
             self.log.append(EndRecord(txn_id))
             self.log.flush_no_faults()
             self._txns.committed_count += 1
             self.counters.incr("dist.in_doubt_committed")
-        elif decision == "abort":
+        else:
             self.log.append(AbortRecord(txn_id))
-            lsn = info["last_lsn"]
-            while lsn is not None:
-                record = self.log.record_at(lsn)
-                if isinstance(record, CompensationRecord):
-                    lsn = record.undo_next_lsn
-                    continue
-                if record.is_undoable():
-                    clr = CompensationRecord(
-                        txn_id,
-                        compensated_lsn=record.lsn,
-                        undo_next_lsn=record.prev_lsn,
-                        action=record,
-                    )
-                    self.log.append(clr)
-                    record.undo(self)
-                lsn = record.prev_lsn
-            self.log.append(EndRecord(txn_id))
+            undo(self.log, self, {txn_id: info["last_lsn"]})
             self.log.flush_no_faults()
             # Re-stamp the reverted rows: recovery's baseline versions
             # carried the in-doubt deltas (prepared = commit-visible), so
@@ -679,11 +647,6 @@ class Database(RecoveryTarget):
                     record.stamp_version(ts)
             self._txns.aborted_count += 1
             self.counters.incr("dist.in_doubt_aborted")
-        else:
-            self._in_doubt[txn_id] = info
-            raise TransactionStateError(
-                f"unknown 2PC decision {decision!r} for transaction {txn_id}"
-            )
         self.locks.release_all(txn_id)
         return decision
 
@@ -695,79 +658,6 @@ class Database(RecoveryTarget):
         """Undo everything ``txn`` did after ``savepoint``; the
         transaction stays active with its locks retained."""
         self._txns.rollback_to(txn, savepoint)
-
-    def run_transaction(self, fn, retries=3, policy=LockPolicy.NOWAIT,
-                        isolation="serializable"):
-        """Run ``fn(txn)`` in a transaction, automatically re-executing it
-        when it aborts for a retryable reason (deadlock, lock timeout,
-        injected fault — anything raising
-        :class:`~repro.common.TransactionAborted`).
-
-        ``retries`` bounds *re*-executions: ``retries=3`` allows up to 4
-        attempts. Between attempts the logical clock advances by a seeded
-        exponential backoff with jitter (``docs/ROBUSTNESS.md``), so a
-        herd of retriers decorrelates deterministically. ``fn`` must be
-        safe to re-run from scratch (each attempt gets a fresh
-        transaction). A :class:`~repro.common.SimulatedCrash` is never
-        retried — nothing is running after a crash.
-
-        Returns ``fn``'s result from the successful attempt; commits for
-        ``fn`` unless ``fn`` already resolved the transaction itself.
-        """
-        attempt = 0
-        while True:
-            attempt += 1
-            txn = self.begin(policy=policy, isolation=isolation)
-            try:
-                result = fn(txn)
-                if txn.state is TxnState.ACTIVE:
-                    self.commit(txn)
-                # With group commit on, wait out the batched flush: a
-                # retracted group surfaces here as a retryable
-                # FaultInjected, so run_transaction re-runs exactly the
-                # members whose COMMIT records never became durable.
-                self.ensure_durable(txn)
-                self.retries.observe_run(attempt, success=True)
-                return result
-            except TransactionAborted as aborted:
-                if txn.state is TxnState.ACTIVE:
-                    self.abort(txn, reason=aborted.reason or "aborted")
-                if attempt > retries:
-                    self.retries.observe_run(attempt, success=False)
-                    raise
-                backoff = self._retry_backoff(attempt)
-                self.retries.observe_backoff(backoff)
-                if self.tracer.enabled:
-                    self.tracer.emit(
-                        "txn_retry", txn_id=txn.txn_id, attempt=attempt,
-                        backoff=backoff, reason=aborted.reason or "aborted",
-                    )
-                self.clock.tick(backoff)
-            except SimulatedCrash:
-                raise  # volatile state is gone; only recovery may follow
-            except BaseException:
-                if txn.state is TxnState.ACTIVE:
-                    self.abort(txn, reason="error")
-                raise
-
-    def _retry_backoff(self, attempt):
-        """Backoff before re-running attempt ``attempt + 1``, in ticks:
-        ``min(cap, base * 2**(attempt-1))`` plus jitter in ``[0, base]``."""
-        base = self.config.retry_backoff_base
-        cap = self.config.retry_backoff_cap
-        return min(cap, base * 2 ** (attempt - 1)) + self._retry_rng.randint(0, base)
-
-    def transaction(self, policy=LockPolicy.NOWAIT, isolation="serializable"):
-        """Context manager: commit on clean exit, abort on exception.
-
-        >>> db = Database(); _ = db.create_table("t", ("a",), ("a",))
-        >>> with db.transaction() as txn:
-        ...     db.insert(txn, "t", {"a": 1})
-        (1,)
-        >>> db.read_committed("t", (1,))
-        Row(a=1)
-        """
-        return _TransactionContext(self, policy, isolation)
 
     @property
     def committed_count(self):
@@ -856,7 +746,7 @@ class Database(RecoveryTarget):
             ticket.state = CommitTicket.RETRACTED
             ticket.reason = fault.site
             ticket.resolved_at = now
-            # Idempotent abort paths (scheduler, run_transaction) see the
+            # Idempotent abort paths (scheduler, settle) see the
             # member as already rolled back — which recovery just did.
             ticket.txn.state = TxnState.ABORTED
         self.group_commit.retracted_txns += len(tickets)
@@ -1546,8 +1436,7 @@ class Database(RecoveryTarget):
             if commit_ts is not None:
                 max_commit_ts = max(max_commit_ts, commit_ts)
         self.clock.advance_to(max_commit_ts)
-        self._reset_volatile()
-        self._txns._next_txn_id = max(self._txns._next_txn_id, max_txn + 1)
+        self._wire_volatile(max(self._txns._next_txn_id, max_txn + 1))
         gate, pages_loaded = self._seed_from_store()
         report = recover(
             self.log, self, faults=self.faults,
@@ -1609,8 +1498,10 @@ class Database(RecoveryTarget):
                     txn_id, key_resource(index_name, key), LockMode.X
                 )
 
-    def _reset_volatile(self):
-        next_txn_id = self._txns._next_txn_id
+    def _wire_volatile(self, next_txn_id=1):
+        """Build everything a crash destroys around what survives one
+        (log, catalog, page store, group-commit coordinator): how an
+        engine starts and how recovery begins."""
         self.locks = LockManager(
             tracer=self.tracer, clock=self.clock,
             timeout=self.config.lock_wait_timeout, faults=self.faults,
@@ -1624,12 +1515,11 @@ class Database(RecoveryTarget):
         self.log.faults = self.faults
         self._txns = TransactionManager(
             self.clock, self.log, self.locks, self.escrow, self.snapshots,
-            undo_target=self, tracer=self.tracer, metrics=self.metrics,
-            faults=self.faults,
+            undo_target=self, commit_listener=self._on_commit,
+            group_commit=self.group_commit, tracer=self.tracer,
+            metrics=self.metrics, faults=self.faults,
+            next_txn_id=next_txn_id,
         )
-        self._txns._next_txn_id = next_txn_id
-        self._txns.commit_listener = self._on_commit
-        self._txns.group_commit = self.group_commit
         # A crash destroys the open commit group: its members' COMMIT
         # records were in the lost suffix, so recovery rolls them back as
         # losers; anyone still waiting on a ticket learns it is lost.
@@ -1788,31 +1678,3 @@ class Database(RecoveryTarget):
         row = record.current_row
         changes = {c: row[c] + d for c, d in deltas.items()}
         record.current_row = row.replace(**changes)
-
-
-class _TransactionContext:
-    """``with db.transaction() as txn`` — commit or abort automatically."""
-
-    __slots__ = ("_db", "_policy", "_isolation", "_txn")
-
-    def __init__(self, db, policy, isolation):
-        self._db = db
-        self._policy = policy
-        self._isolation = isolation
-        self._txn = None
-
-    def __enter__(self):
-        self._txn = self._db.begin(
-            policy=self._policy, isolation=self._isolation
-        )
-        return self._txn
-
-    def __exit__(self, exc_type, exc, tb):
-        if self._txn.state is not TxnState.ACTIVE:
-            # already resolved (e.g. aborted as a deadlock victim)
-            return False
-        if exc_type is None:
-            self._db._commit_or_abort(self._txn)
-        else:
-            self._db.abort(self._txn)
-        return False

@@ -121,9 +121,7 @@ class SecondaryIndexManager:
             db._indexes.pop(name, None)
             db.cleanup.drop_index(name)
 
-        txn = db.begin_system()
-        db.online_builds.register(name, txn.txn_id, drop)
-        try:
+        def fill(txn):
             txn.acquire(table_resource(table), LockMode.S)
             for row in db.index(table).rows():
                 key, ref = self.entry(definition, row)
@@ -136,15 +134,14 @@ class SecondaryIndexManager:
                     txn, locks_for_insert(index, key, db.config.serializable)
                 )
                 put(db, txn, index, key, ref)
-            db.commit(txn)
-            db.ensure_durable(txn)
+
+        txn = db.begin_system()
+        db.online_builds.register(name, txn.txn_id, drop)
+        try:
+            db.settle(txn, fill)
         except SimulatedCrash:
             raise  # recovery settles it (resolve_after_recovery)
         except BaseException:
-            from repro.txn.transaction import TxnState
-
-            if txn.state is TxnState.ACTIVE:
-                db.abort(txn, reason="index build abandoned")
             drop()
             db.online_builds.remove(name)
             raise

@@ -9,15 +9,22 @@ code instead of threading a txn handle through every call::
     session.insert("sales", {"id": 1, "product": "ant", "amount": 3})
     session.commit()
 
+    # the same as a block: committed on a clean exit, aborted on an error
+    with db.session() as session:
+        session.insert("sales", {"id": 2, "product": "bee", "amount": 5})
+
     # or autocommit: each statement is its own transaction
-    session.insert("sales", {"id": 2, "product": "bee", "amount": 5})
+    session.insert("sales", {"id": 3, "product": "bee", "amount": 5})
 
 Outside an explicit ``begin()``, every statement runs in **autocommit**
 mode (its own transaction, committed on success, aborted on failure) —
-the same default as every SQL client library.
+the same default as every SQL client library. However a session's
+transaction ends (``commit()``, a ``with`` block, an autocommit
+statement, an attempt of :meth:`Session.run`), it ends through
+:meth:`Database.settle <repro.core.database.Database.settle>`.
 """
 
-from repro.common import TransactionStateError
+from repro.common import TransactionAborted, TransactionStateError
 from repro.txn.transaction import LockPolicy, TxnState
 
 
@@ -57,10 +64,18 @@ class Session:
     def commit(self):
         if not self.in_transaction():
             raise TransactionStateError("no open transaction to commit")
-        try:
-            return self._db._commit_or_abort(self._txn)
-        finally:
-            self._txn = None
+        txn, self._txn = self._txn, None
+        self._db.settle(txn)
+
+    def __enter__(self):
+        self.begin()
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        txn, self._txn = self._txn, None
+        if txn is not None:  # else the block resolved it itself
+            self._db.settle(txn, failure=exc)
+        return False
 
     def rollback(self):
         if not self.in_transaction():
@@ -85,47 +100,68 @@ class Session:
     # ------------------------------------------------------------------
 
     def run(self, fn, retries=3):
-        """Run ``fn(session)`` in one transaction with automatic retry on
-        deadlock / lock timeout / injected fault, via
-        :meth:`Database.run_transaction`. The session's current
-        transaction is set for the duration of each attempt, so ``fn``
-        uses plain session statements::
+        """Run ``fn(session)`` in one transaction, re-executing it when it
+        aborts for a retryable reason (deadlock, lock timeout, injected
+        fault, retracted commit group — any
+        :class:`~repro.common.TransactionAborted`): the engine's one
+        retry loop. The session's current transaction is set for each
+        attempt, so ``fn`` uses plain session statements::
 
             session.run(lambda s: s.update("acct", (1,), {"bal": 0}))
+
+        ``retries`` bounds *re*-executions (``retries=3``: up to 4
+        attempts, each a fresh transaction, so ``fn`` must be safe to
+        re-run). Between attempts the logical clock advances by
+        ``min(cap, base * 2**(attempt-1))`` plus jitter in ``[0, base]``
+        from the database's ``retry_seed`` stream (``docs/ROBUSTNESS.md``).
+        A :class:`~repro.common.SimulatedCrash` is never retried. Returns
+        ``fn``'s result from the successful attempt.
         """
         if self.in_transaction():
             raise TransactionStateError(
                 "run() manages its own transaction; commit or roll back first"
             )
-
-        def body(txn):
-            self._txn = txn
-            return fn(self)
-
-        try:
-            return self._db.run_transaction(
-                body, retries=retries, policy=self.policy,
-                isolation=self.isolation,
-            )
-        finally:
-            self._txn = None
+        db = self._db
+        config = db.config
+        attempt = 0
+        while True:
+            attempt += 1
+            txn = self.begin()
+            try:
+                result = db.settle(txn, lambda _txn: fn(self))
+                db.retries.observe_run(attempt, success=True)
+                return result
+            except TransactionAborted as aborted:
+                if attempt > retries:
+                    db.retries.observe_run(attempt, success=False)
+                    raise
+                backoff = min(
+                    config.retry_backoff_cap,
+                    config.retry_backoff_base * 2 ** (attempt - 1),
+                ) + db._retry_rng.randint(0, config.retry_backoff_base)
+                db.retries.observe_backoff(backoff)
+                if db.tracer.enabled:
+                    db.tracer.emit(
+                        "txn_retry", txn_id=txn.txn_id, attempt=attempt,
+                        backoff=backoff, reason=aborted.reason or "aborted",
+                    )
+                db.clock.tick(backoff)
+            finally:
+                self._txn = None
 
     def _run(self, fn):
         if self.in_transaction():
             return fn(self._txn)
-        return self._db._autocommit(fn, self.policy, self.isolation)
+        return self._db.settle(
+            self._db.begin(policy=self.policy, isolation=self.isolation), fn
+        )
 
     def execute(self, sql):
         """Execute SQL in this session: inside the current transaction
         when one is open, autocommit otherwise — through the same
         statement dispatcher as :meth:`Database.execute`, so DDL,
         ``EXPLAIN`` and ``CHECK VIEW`` run outside any transaction."""
-        from repro.sql import parse
-
-        result = None
-        for stmt in parse(sql):
-            result = self._db._execute_statement(stmt, self._run)
-        return result
+        return self._db._execute(sql, self._run)
 
     def insert(self, table, values):
         return self._run(lambda txn: self._db.insert(txn, table, values))

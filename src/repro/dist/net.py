@@ -16,14 +16,15 @@ with the *same* ``msg_id``, up to ``max_attempts``, emitting a
 ``net_retry`` event per retransmission. Exhausting the attempts raises
 :class:`PartitionUnavailableError` (a retryable abort) after a
 ``net_gave_up`` event. Exactly-once *effects* are the endpoint's job:
-:class:`PartitionEndpoint` keeps a per-``msg_id`` reply cache while
-faults are armed, and per-gid vote/decision tables always, so a
-re-delivered ``prepare`` re-answers the original binding vote and a
+:class:`PartitionEndpoint` keeps one table of messages already handled,
+keyed by ``(gid, phase)`` for the once-per-transaction phases (always)
+and by ``(msg_id, kind)`` for everything else (while faults are armed),
+so a re-delivered ``prepare`` re-answers the original binding vote and a
 re-delivered ``decide`` is a no-op.
 
 The endpoint owns the partition's branch-transaction handles. They are
 process state: a simulated partition crash (``SimulatedCrash`` escaping
-a handler) resets the endpoint — branches, votes, and the reply cache
+a handler) resets the endpoint — branches and the handled-message table
 are gone, exactly like the engine's volatile WAL tail — and recovery
 rebuilds what matters from the engine's durable in-doubt registry.
 """
@@ -267,29 +268,22 @@ class Network:
         }
 
 
-class _Branch:
-    """A partition-local branch of one global transaction."""
-
-    __slots__ = ("txn", "prepared", "vote")
-
-    def __init__(self, txn):
-        self.txn = txn
-        self.prepared = False
-        self.vote = None
+#: message kinds a global transaction sends a partition at most once in
+#: effect: their reply is binding and is remembered under the gid.
+_ONCE_PER_GID = frozenset({"prepare", "decide"})
 
 
 class PartitionEndpoint:
     """The partition-side message handler.
 
-    Owns the branch-transaction handles for its engine and the dedup
-    state that makes re-delivered messages idempotent:
-
-    - ``_replies`` maps ``msg_id`` → cached reply (populated only while
-      faults are armed, so fault-free runs carry no unbounded table);
-    - ``_Branch.vote`` makes a re-delivered ``prepare`` re-answer the
-      original binding vote without preparing twice;
-    - ``_applied`` maps gid → decision already applied, so a
-      re-delivered ``decide`` is a no-op.
+    Owns the branch-transaction handles for its engine (``gid`` → live
+    transaction) and the one idempotency table that makes re-delivered
+    messages harmless: ``_handled`` maps ``(gid, phase)`` for ``prepare``
+    / ``decide`` — always, the vote and the decision are binding — and
+    ``(msg_id, kind)`` for every other message — only while faults are
+    armed, so fault-free runs carry no unbounded table — to the reply
+    already given. A re-delivery gets that reply again and nothing runs
+    twice.
 
     All of it is volatile: a simulated crash wipes the endpoint along
     with the engine's in-memory state.
@@ -301,16 +295,14 @@ class PartitionEndpoint:
         self.faults = NULL_INJECTOR
         self.dedup_absorbed = 0
         self._branches = {}
-        self._replies = {}
-        self._applied = {}
+        self._handled = {}
 
     # ------------------------------------------------------------------
     # lifecycle
 
     def _reset(self):
         self._branches.clear()
-        self._replies.clear()
-        self._applied.clear()
+        self._handled.clear()
 
     def crash(self):
         """Operator-initiated crash: engine loses its volatile WAL tail,
@@ -328,29 +320,30 @@ class PartitionEndpoint:
     # dispatch
 
     def handle(self, envelope):
-        cached = self._replies.get(envelope.msg_id)
-        if cached is not None:
+        once = envelope.kind in _ONCE_PER_GID
+        key = (envelope.gid if once else envelope.msg_id, envelope.kind)
+        reply = self._handled.get(key)
+        if reply is not None:
             self.dedup_absorbed += 1
-            return cached
+            return reply
         try:
             reply = self._handlers[envelope.kind](self, envelope)
         except SimulatedCrash:
             self._reset()
             raise
-        if self.faults.active:
-            self._replies[envelope.msg_id] = reply
+        if once or self.faults.active:
+            self._handled[key] = reply
         return reply
 
-    def _branch_for(self, gid):
-        branch = self._branches.get(gid)
-        if branch is None:
-            branch = self._branches[gid] = _Branch(self.engine.begin())
-        return branch
+    def _prepared(self, gid):
+        """True once this incarnation voted yes on ``gid``."""
+        return self._handled.get((gid, "prepare"), {}).get("vote", False)
 
     def _handle_op(self, envelope):
         payload = envelope.payload
-        branch = self._branch_for(envelope.gid)
-        txn = branch.txn
+        txn = self._branches.get(envelope.gid)
+        if txn is None:
+            txn = self._branches[envelope.gid] = self.engine.begin()
         op = payload["op"]
         if op == "insert":
             result = self.engine.insert(txn, payload["table"], payload["values"])
@@ -369,16 +362,11 @@ class PartitionEndpoint:
 
     def _handle_prepare(self, envelope):
         gid = envelope.gid
-        branch = self._branches.get(gid)
-        if branch is None:
+        txn = self._branches.get(gid)
+        if txn is None:
             # No work ever reached this partition under that gid —
             # nothing to make durable, vote no.
             return {"vote": False, "txn_id": None}
-        if branch.vote is not None:
-            # Duplicate delivery: the vote is binding, answer it again.
-            self.dedup_absorbed += 1
-            return {"vote": branch.vote, "txn_id": branch.txn.txn_id}
-        txn = branch.txn
         if self.faults.active and self.faults.fires(
             "dist.partition_crash", txn_id=txn.txn_id,
             detail=f"prepare:{self.pid}",
@@ -388,39 +376,30 @@ class PartitionEndpoint:
         try:
             self.engine.prepare(txn, gid)
         except TransactionAborted:
-            branch.vote = False
-        else:
-            branch.vote = True
-            branch.prepared = True
-        return {"vote": branch.vote, "txn_id": txn.txn_id}
+            return {"vote": False, "txn_id": txn.txn_id}
+        return {"vote": True, "txn_id": txn.txn_id}
 
     def _handle_decide(self, envelope):
         gid = envelope.gid
         decision = envelope.payload["decision"]
-        applied = self._applied.get(gid)
-        if applied is not None:
-            # Duplicate delivery: already applied, effects must not
-            # repeat.
-            self.dedup_absorbed += 1
-            return {"via": "dedup", "decision": applied}
-        branch = self._branches.get(gid)
+        txn = self._branches.pop(gid, None)
         if (
-            branch is not None
-            and branch.prepared
+            txn is not None
+            and self._prepared(gid)
             and self.faults.active
             and self.faults.fires(
-                "dist.partition_crash", txn_id=branch.txn.txn_id,
+                "dist.partition_crash", txn_id=txn.txn_id,
                 detail=f"decide:{self.pid}",
             ) is not None
         ):
             self.engine.log.crash()
             raise SimulatedCrash(f"dist.partition_crash decide:{self.pid}")
         via = "none"
-        if branch is not None and branch.txn.state is TxnState.ACTIVE:
+        if txn is not None and txn.state is TxnState.ACTIVE:
             if decision == "commit":
-                self.engine.commit(branch.txn)
+                self.engine.settle(txn)
             else:
-                self.engine.abort(branch.txn, reason="2pc abort")
+                self.engine.abort(txn, reason="2pc abort")
             via = "live"
         else:
             # The live handle is gone (partition restarted): look for an
@@ -432,27 +411,26 @@ class PartitionEndpoint:
             if txn_id is not None:
                 self.engine.resolve_in_doubt(txn_id, decision)
                 via = "in_doubt"
-        self._applied[gid] = decision
-        self._branches.pop(gid, None)
         return {"via": via, "decision": decision}
 
     def _handle_commit(self, envelope):
         # Single-partition fast path: no coordinator, no prepare — just
-        # the partition's own commit and WAL rule.
-        branch = self._branches.pop(envelope.gid, None)
-        if branch is None:
+        # the partition's own commit and WAL rule. The endpoint lets go
+        # of the handle here, so a commit that fails aborts the branch.
+        txn = self._branches.pop(envelope.gid, None)
+        if txn is None:
             return {"committed": False, "txn_id": None}
-        self.engine.commit(branch.txn)
-        return {"committed": True, "txn_id": branch.txn.txn_id}
+        self.engine.settle(txn)
+        return {"committed": True, "txn_id": txn.txn_id}
 
     def _handle_probe(self, envelope):
         """In-doubt report for coordinator recovery: every branch that
         voted yes and is still awaiting a decision, whether live
         (prepared this incarnation) or recovered from the WAL."""
         report = dict(self.engine.in_doubt_transactions())
-        for gid, branch in sorted(self._branches.items()):
-            if branch.prepared and branch.txn.state is TxnState.ACTIVE:
-                report[branch.txn.txn_id] = gid
+        for gid, txn in sorted(self._branches.items()):
+            if self._prepared(gid) and txn.state is TxnState.ACTIVE:
+                report[txn.txn_id] = gid
         return report
 
     def _handle_ping(self, envelope):

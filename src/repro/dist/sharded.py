@@ -45,7 +45,11 @@ abort** (see :mod:`repro.dist.coordinator`). The robustness headline is
   for undecided gids.
 """
 
-from repro.analysis.static import StaticAnalyzer, check_copartition
+from repro.analysis.static import (
+    StaticAnalyzer,
+    check_copartition,
+    trace_static_check,
+)
 from repro.common import (
     CatalogError,
     LogicalClock,
@@ -221,18 +225,6 @@ class ShardedDatabase:
             partitioner=self.partitioner,
         )
 
-    def _trace_static_check(self, subject, kind, diagnostics):
-        if not self.tracer.enabled:
-            return
-        counts = {"error": 0, "warning": 0, "info": 0}
-        for diagnostic in diagnostics:
-            counts[diagnostic.severity] += 1
-        self.tracer.emit(
-            "static_check", subject=subject, kind=kind,
-            errors=counts["error"], warnings=counts["warning"],
-            notes=counts["info"],
-        )
-
     def _shard_check(self, probe):
         """DDL-time shard safety. An SA021 (cross-partition join)
         refuses the view outright; SA020 (legal but scatter-gather) is
@@ -241,7 +233,7 @@ class ShardedDatabase:
         diagnostics = check_copartition(
             self._engines[0].catalog, probe, self.partitioner
         )
-        self._trace_static_check(probe.name, "check_view", diagnostics)
+        trace_static_check(self.tracer, probe.name, "check_view", diagnostics)
         errors = [d for d in diagnostics if d.severity == "error"]
         if errors:
             raise CatalogError(
@@ -256,14 +248,18 @@ class ShardedDatabase:
         """``CHECK VIEW`` against the fleet: the single-engine report
         plus the co-partitioning verdict (SA020/SA021)."""
         report = self._analyzer().check_view(name)
-        self._trace_static_check(name, "check_view", report.diagnostics)
+        trace_static_check(
+            self.tracer, name, "check_view", report.diagnostics
+        )
         return report
 
     def check_all(self):
         """Whole-catalog static analysis with the fleet's partitioner
         wired in; returns a ``StaticReport``."""
         report = self._analyzer().check_all()
-        self._trace_static_check("catalog", "check_all", report.diagnostics)
+        trace_static_check(
+            self.tracer, "catalog", "check_all", report.diagnostics
+        )
         return report
 
     # ------------------------------------------------------------------

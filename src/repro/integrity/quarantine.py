@@ -128,9 +128,8 @@ class QuarantineManager:
                 f"view {view_name!r} is not quarantined; quarantine it "
                 "before rebuilding (rebuild is the quarantine exit path)"
             )
-        txn = db.begin_system()
-        corrections = 0
-        try:
+
+        def reconcile(txn):
             for base in view.base_tables():
                 txn.acquire(table_resource(base), LockMode.S)
             for index_name, _ in view.owned_indexes():
@@ -138,15 +137,13 @@ class QuarantineManager:
             contents = expected_index_contents(
                 view, lambda table: db.index(table).rows()
             )
-            for index_name, expected in sorted(contents.items()):
-                corrections += self._reconcile(txn, index_name, expected)
-            db.commit(txn)
-        except BaseException:
-            from repro.txn.transaction import TxnState
+            return sum(
+                self._reconcile(txn, index_name, expected)
+                for index_name, expected in sorted(contents.items())
+            )
 
-            if txn.state is TxnState.ACTIVE:
-                db.abort(txn, reason="rebuild interrupted")
-            raise
+        txn = db.begin_system()
+        corrections = db.settle(txn, reconcile)
         del self._reasons[view.name]
         self.rebuilds += 1
         db.counters.incr("integrity.rebuilds")

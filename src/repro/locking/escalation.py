@@ -41,11 +41,6 @@ def _is_read_only_mode(mode):
     return mode in (LockMode.NL, LockMode.S, LockMode.U, LockMode.IS)
 
 
-def intent_for(mode):
-    """The table-level intention lock a key lock in ``mode`` requires."""
-    return LockMode.IS if _is_read_only_mode(mode) else LockMode.IX
-
-
 class _IndexLockState:
     __slots__ = ("count", "read_only", "escalated_to", "intent")
 

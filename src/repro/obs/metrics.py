@@ -145,10 +145,11 @@ class EngineMetrics:
 
 
 class RetryStats:
-    """Automatic-retry accounting (``Database.run_transaction`` /
-    ``Session.run``), surfaced by ``Database.stats()["retries"]``.
+    """Automatic-retry accounting, surfaced by
+    ``Database.stats()["retries"]``. One instance per database
+    (``db.retries``); ``Session.run`` — the one retry loop — feeds it.
 
-    One *run* is one call to ``run_transaction``; ``attempts`` counts
+    One *run* is one call to ``Session.run``; ``attempts`` counts
     transaction executions per run (1 = committed first try), and
     ``backoff`` collects the per-retry backoff sleeps in ticks.
     """

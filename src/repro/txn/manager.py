@@ -21,12 +21,13 @@ failure escalates to a simulated crash.
 Abort protocol (online rollback):
 
 1. append ABORT;
-2. walk the transaction's log backchain newest-first; for every undoable
-   record write a CLR and apply the undo — *except* escrow deltas, whose
+2. walk the transaction's log backchain newest-first (the walker crash
+   recovery uses, :func:`repro.wal.recovery.undo`); for every undoable
+   record apply the undo and write a CLR — *except* escrow deltas, whose
    pending amounts never reached the row: their CLRs are logged (so crash
    recovery, which replays deltas, compensates them) but no row change is
-   applied online;
-3. discard pending escrow deltas, release locks, append END.
+   applied online; END closes the chain;
+3. discard pending escrow deltas, release locks.
 
 System transactions (:meth:`TransactionManager.begin_system`) are nested
 top-level actions: they get their own id and commit independently of the
@@ -36,44 +37,41 @@ rollback of the surrounding user transaction.
 """
 
 from repro.common import FaultInjected, SimulatedCrash, TransactionStateError
-from repro.faults import NULL_INJECTOR
-from repro.obs.tracer import NULL_TRACER
 from repro.txn.transaction import LockPolicy, Transaction, TxnState
 from repro.wal.records import (
     AbortRecord,
     BeginRecord,
     CommitRecord,
-    CompensationRecord,
     CounterImageRecord,
     EndRecord,
     EscrowDeltaRecord,
 )
+from repro.wal.recovery import undo
 
 
 class TransactionManager:
     """Creates transactions and drives their completion."""
 
     def __init__(self, clock, log, lock_manager, escrow_registry, snapshots,
-                 undo_target=None, tracer=NULL_TRACER, metrics=None,
-                 faults=None):
+                 undo_target, commit_listener, group_commit,
+                 tracer, metrics, faults, next_txn_id):
         self._clock = clock
         self._log = log
-        self.faults = faults if faults is not None else NULL_INJECTOR
+        self.faults = faults
         self._locks = lock_manager
         self._escrow = escrow_registry
         self._snapshots = snapshots
-        self._undo_target = undo_target
-        self._next_txn_id = 1
+        self._undo_target = undo_target  # RecoveryTarget: the Database
+        #: ``commit_listener(txn, commit_ts)`` folds escrow deltas into
+        #: rows and stamps versions at the commit point (the Database).
+        self.commit_listener = commit_listener
+        self.group_commit = group_commit  # GroupCommitCoordinator
+        self._next_txn_id = next_txn_id
         self._active = {}
-        self.commit_listener = None  # set by the Database
-        self.group_commit = None  # GroupCommitCoordinator, set by the Database
         self.committed_count = 0
         self.aborted_count = 0
         self.tracer = tracer
-        self.metrics = metrics  # EngineMetrics, when owned by a Database
-
-    def set_undo_target(self, target):
-        self._undo_target = target
+        self.metrics = metrics  # EngineMetrics
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -120,7 +118,7 @@ class TransactionManager:
         txn.commit_ts = commit_ts
         commit_lsn = self._log.append(CommitRecord(txn.txn_id, commit_ts))
         group = self.group_commit
-        grouped = group is not None and group.enabled
+        grouped = group.enabled
         if not grouped:
             try:
                 self._log.flush()
@@ -143,15 +141,7 @@ class TransactionManager:
                 # this site after the batched flush instead.
                 self.faults.maybe_crash("txn.commit.after",
                                         txn_id=txn.txn_id, committed=True)
-        # Fold escrow deltas into rows and stamp versions. The listener is
-        # the Database; it needs the commit timestamp for version stamps.
-        if self.commit_listener is not None:
-            self.commit_listener(txn, commit_ts)
-        else:
-            for account in txn.escrow_touched.values():
-                account.commit(txn.txn_id)
-            for record in txn.touched_records:
-                record.stamp_version(commit_ts)
+        self.commit_listener(txn, commit_ts)
         txn.state = TxnState.COMMITTED
         self._locks.release_all(txn.txn_id)
         self._snapshots.close(txn.txn_id)
@@ -160,10 +150,9 @@ class TransactionManager:
         self.committed_count += 1
         txn.stats.log_bytes = self._log.bytes_of(txn.txn_id)
         latency = commit_ts - txn.begin_ts
-        if self.metrics is not None:
-            self.metrics.observe_commit(
-                latency, txn.stats.log_bytes, txn.stats.actions
-            )
+        self.metrics.observe_commit(
+            latency, txn.stats.log_bytes, txn.stats.actions
+        )
         if self.tracer.enabled:
             self.tracer.emit(
                 "txn_commit", txn_id=txn.txn_id, commit_ts=commit_ts,
@@ -196,13 +185,12 @@ class TransactionManager:
             )
         self._locks.cancel_wait(txn.txn_id)
         self._log.append(AbortRecord(txn.txn_id))
-        self._rollback(txn)
+        self._rollback(txn)  # CLRs, then END
         for account in txn.escrow_touched.values():
             account.abort(txn.txn_id)
         txn.state = TxnState.ABORTED
         self._locks.release_all(txn.txn_id)
         self._snapshots.close(txn.txn_id)
-        self._log.append(EndRecord(txn.txn_id))
         del self._active[txn.txn_id]
         self.aborted_count += 1
         txn.stats.log_bytes = self._log.bytes_of(txn.txn_id)
@@ -210,45 +198,29 @@ class TransactionManager:
             self.tracer.emit("txn_abort", txn_id=txn.txn_id, reason=reason)
 
     def _rollback(self, txn, stop_after_lsn=None):
-        """Walk the backchain writing CLRs and applying undo actions.
+        """Online rollback through the one backchain walker
+        (:func:`repro.wal.recovery.undo`), down to ``stop_after_lsn`` for
+        a savepoint. Row changes are undone in place under the
+        transaction's own locks; the counter records are not, because
+        their row change waits for commit: an escrow delta is unreserved,
+        and the physically logged ablation variant is reconciled when the
+        account aborts."""
+        def apply(record):
+            if isinstance(record, EscrowDeltaRecord):
+                for column, delta in record.deltas.items():
+                    account = txn.escrow_touched.get(
+                        (record.index_name, record.key, column)
+                    )
+                    if account is not None:
+                        account.unreserve(txn.txn_id, delta)
+            elif not isinstance(record, CounterImageRecord):
+                record.undo(self._undo_target)
 
-        ``stop_after_lsn`` bounds the walk for partial (savepoint)
-        rollback: records with LSN <= the bound are left alone.
-        """
-        lsn = self._log.last_lsn_of(txn.txn_id)
-        while lsn is not None:
-            if stop_after_lsn is not None and lsn <= stop_after_lsn:
-                break
-            record = self._log.record_at(lsn)
-            if isinstance(record, CompensationRecord):
-                lsn = record.undo_next_lsn
-                continue
-            if record.is_undoable():
-                clr = CompensationRecord(
-                    txn.txn_id,
-                    compensated_lsn=record.lsn,
-                    undo_next_lsn=record.prev_lsn,
-                    action=record,
-                )
-                self._log.append(clr)
-                if isinstance(record, EscrowDeltaRecord):
-                    # The delta never reached the row; reverse the pending
-                    # reservation instead.
-                    for column, delta in record.deltas.items():
-                        resource = (record.index_name, record.key, column)
-                        account = txn.escrow_touched.get(resource)
-                        if account is not None:
-                            account.unreserve(txn.txn_id, delta)
-                elif isinstance(record, CounterImageRecord):
-                    # The physically logged ablation variant also defers
-                    # row changes to commit; online undo discards nothing
-                    # here (pending state is reconciled at abort/commit).
-                    pass
-                elif self._undo_target is not None:
-                    # Everything else is undone in place under the
-                    # transaction's own locks.
-                    record.undo(self._undo_target)
-            lsn = record.prev_lsn
+        undo(
+            self._log, self._undo_target,
+            {txn.txn_id: self._log.last_lsn_of(txn.txn_id)},
+            apply=apply, stop_after_lsn=stop_after_lsn,
+        )
 
     # ------------------------------------------------------------------
     # savepoints
@@ -290,9 +262,6 @@ class TransactionManager:
             txn_id: self._log.last_lsn_of(txn_id) or 0
             for txn_id in self._active
         }
-
-    def get(self, txn_id):
-        return self._active.get(txn_id)
 
 
 class _Savepoint:

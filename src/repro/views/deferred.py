@@ -63,9 +63,9 @@ class DeferredMaintainer:
             return 0
         view = db.catalog.view(view_name)
         engine = db.maintenance
-        applied = 0
-        txn = db.begin_system()
-        try:
+
+        def drain(txn):
+            applied = 0
             while queue and (limit is None or applied < limit):
                 change = queue[0]
                 actions = engine.compile_view(
@@ -78,11 +78,9 @@ class DeferredMaintainer:
                 queue.popleft()
                 applied += 1
                 self.total_applied += 1
-            db.commit(txn)
-        except BaseException:
-            db.abort(txn)
-            raise
-        return applied
+            return applied
+
+        return db.settle(db.begin_system(), drain)
 
     def refresh_all(self, db):
         """Refresh every view with pending changes; returns total applied."""

@@ -246,8 +246,7 @@ class ViewBuilder:
             db.faults.maybe_crash(
                 FAULT_SITE, txn_id=txn.txn_id, detail="flip"
             )
-        db.commit(txn)
-        db.ensure_durable(txn)
+        db.settle(txn)
         if db.faults.active:
             db.faults.maybe_crash(
                 FAULT_SITE, txn_id=txn.txn_id, detail="post_commit",

@@ -275,10 +275,18 @@ def redo(log, target, from_lsn=1, report=None, faults=None, gate=None):
                 report.redo_count += 1
 
 
-def undo(log, target, losers, report=None, write_clrs=True, faults=None,
-         durable=False):
-    """Phase 3: roll back losers, newest record first across all losers
-    (single combined pass in descending LSN order, as ARIES does).
+def undo(log, target, losers, report=None, faults=None, durable=False,
+         apply=None, stop_after_lsn=None):
+    """Phase 3, and every other rollback: walk the losers' backchains
+    newest record first (one combined pass in descending LSN order, as
+    ARIES does), writing a CLR for each undoable record and END when a
+    chain is exhausted.
+
+    ``apply(record)`` performs the undo; the default reverses the record
+    against ``target``. Online rollback passes its own (a pending escrow
+    delta is unreserved, not subtracted from a row it never reached) and
+    ``stop_after_lsn`` for a savepoint: records at or below it are left
+    alone and the transaction stays open.
 
     ``durable=True`` (recovery's setting) flushes each CLR / END as it is
     written, bypassing the flush fault sites (a crashed recovery is
@@ -287,10 +295,16 @@ def undo(log, target, losers, report=None, write_clrs=True, faults=None,
     Online rollback leaves ``durable=False``: its CLRs ride the normal
     commit-time flush.
     """
+    if apply is None:
+        def apply(record):
+            record.undo(target)
     # Each loser's cursor: the LSN of the next record to examine.
     cursors = {t: lsn for t, lsn in losers.items() if lsn is not None}
     while cursors:
         txn_id, lsn = max(cursors.items(), key=lambda item: item[1])
+        if stop_after_lsn is not None and lsn <= stop_after_lsn:
+            del cursors[txn_id]
+            continue
         record = log.record_at(lsn)
         if faults is not None and faults.active:
             faults.maybe_crash(
@@ -300,30 +314,25 @@ def undo(log, target, losers, report=None, write_clrs=True, faults=None,
         if isinstance(record, CompensationRecord):
             # Already-compensated work: skip to undo_next.
             next_lsn = record.undo_next_lsn
-        elif record.is_undoable():
-            record.undo(target)
-            if report is not None:
-                report.undo_count += 1
-            if write_clrs:
-                clr = CompensationRecord(
+        else:
+            if record.is_undoable():
+                apply(record)
+                log.append(CompensationRecord(
                     txn_id,
                     compensated_lsn=record.lsn,
                     undo_next_lsn=record.prev_lsn,
                     action=record,
-                )
-                log.append(clr)
+                ))
                 if report is not None:
+                    report.undo_count += 1
                     report.clrs_written += 1
                 if durable:
                     log.flush_no_faults()
             next_lsn = record.prev_lsn
-        else:
-            next_lsn = record.prev_lsn
         if next_lsn is None:
-            if write_clrs:
-                log.append(EndRecord(txn_id))
-                if durable:
-                    log.flush_no_faults()
+            log.append(EndRecord(txn_id))
+            if durable:
+                log.flush_no_faults()
             del cursors[txn_id]
         else:
             cursors[txn_id] = next_lsn

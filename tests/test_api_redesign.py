@@ -1,9 +1,11 @@
-"""The supported API surface: the ``repro.api`` facade, the unified
-transaction entry points, and the shared ``create_*_view`` keyword tail.
+"""The supported API surface: the ``repro.api`` facade, the transaction
+entry points, and the shared ``create_view`` keyword tail.
 
-``db.session()`` is canonical; ``begin()`` and ``transaction()`` are
-retained shorthands that route through it. All four view-DDL methods
-share ``where=`` / ``unique=`` / ``deferred=`` and return the
+``db.session()`` is the one convenience runner — statements, ``with``
+blocks, ``run()`` with retry — and every transaction it lets go of ends
+through ``Database.settle``; ``begin()`` is the primitive for callers
+that keep the handle. All four view kinds share ``unique=`` /
+``deferred=`` and return the
 :class:`~repro.views.definition.ViewDefinition`. ``examples/`` and
 ``benchmarks/`` may import only ``repro`` / ``repro.api`` — a rule
 ``benchmarks/check_results.py`` enforces and this module re-checks.
@@ -66,24 +68,24 @@ class TestEntryPoints:
 
     def test_transaction_routes_through_session(self):
         db = sales_db()
-        with db.transaction(isolation="read_committed") as txn:
-            assert txn.isolation == "read_committed"
-            db.insert(txn, "sales", {"id": 1, "product": "ant", "amount": 3})
+        with db.session(isolation="read_committed") as s:
+            assert s.current_transaction.isolation == "read_committed"
+            s.insert("sales", {"id": 1, "product": "ant", "amount": 3})
         assert db.read_committed("sales", (1,)) is not None
 
     def test_transaction_aborts_on_exception(self):
         db = sales_db()
         try:
-            with db.transaction() as txn:
-                db.insert(txn, "sales", {"id": 1, "product": "a", "amount": 1})
+            with db.session() as s:
+                s.insert("sales", {"id": 1, "product": "a", "amount": 1})
                 raise RuntimeError("boom")
         except RuntimeError:
             pass
         assert db.read_committed("sales", (1,)) is None
 
     def test_uniform_keywords(self):
-        """All three entry points accept the same isolation=/policy=
-        pair, in either order."""
+        """Both entry points accept the same isolation=/policy= pair, in
+        either order."""
         db = sales_db()
         for opener in (db.begin, db.session):
             handle = opener(

@@ -174,15 +174,15 @@ class TestEntryMovesSurviveCrashes:
     def grow_until_moved(self, db):
         """Widen row (1,) until its mirror entry moves pages; returns
         ``(old_location, new_location, final_data_value)``."""
-        with db.transaction() as txn:
-            db.insert(txn, "t", {"id": 1, "data": "x"})
+        with db.session() as s:
+            s.insert("t", {"id": 1, "data": "x"})
         old_loc = db._pages._slots[("t", (1,))]
         width, last = 8, "x"
         while db._pages.moves == 0:
             assert width < 100_000, "entry never moved pages"
             last = "x" * width
-            with db.transaction() as txn:
-                db.update(txn, "t", (1,), {"data": last})
+            with db.session() as s:
+                s.update("t", (1,), {"data": last})
             width *= 2
         new_loc = db._pages._slots[("t", (1,))]
         assert new_loc[0] != old_loc[0]
@@ -217,10 +217,10 @@ class TestEntryMovesSurviveCrashes:
 
     def test_delete_tombstone_still_wins_when_durable(self):
         db = self.build()
-        with db.transaction() as txn:
-            db.insert(txn, "t", {"id": 1, "data": "x"})
-        with db.transaction() as txn:
-            db.delete(txn, "t", (1,))
+        with db.session() as s:
+            s.insert("t", {"id": 1, "data": "x"})
+        with db.session() as s:
+            s.delete("t", (1,))
         db.run_ghost_cleanup()
         db.log.flush()
         db._pool.flush_dirty()
@@ -309,8 +309,8 @@ class TestDurableWinners:
         db = Database(EngineConfig(buffer_pool_frames=2, page_size=256))
         db.create_table("t", ("id", "data"), ("id",))
         for i in range(12):
-            with db.transaction() as txn:
-                db.insert(txn, "t", {"id": i, "data": "x" * 20})
+            with db.session() as s:
+                s.insert("t", {"id": i, "data": "x" * 20})
         before, writes = db._store.snapshot(), db._store.writes
         assert before  # the tiny pool evicted to the store
         first = durable_winners(db._store)
@@ -345,10 +345,10 @@ class TestEngineUnderMemoryPressure:
         db = self.build()
         # one big transaction: pages dirtied at unflushed LSNs get evicted
         # mid-transaction, so the write-back must flush the WAL first
-        with db.transaction() as txn:
+        with db.session() as s:
             for i in range(1, 25):
-                db.insert(
-                    txn, "sales",
+                s.insert(
+                    "sales",
                     {"id": i, "product": f"p{i % 5}", "amount": i},
                 )
         storage = db.stats()["storage"]
@@ -361,9 +361,9 @@ class TestEngineUnderMemoryPressure:
     def test_recovery_after_pressure_run(self):
         db = self.build()
         for i in range(1, 25):
-            with db.transaction() as txn:
-                db.insert(
-                    txn, "sales",
+            with db.session() as s:
+                s.insert(
+                    "sales",
                     {"id": i, "product": f"p{i % 5}", "amount": i},
                 )
         report = db.simulate_crash_and_recover()

@@ -22,14 +22,14 @@ def sales_db():
 class TestSnapshotHorizonGuard:
     def test_cleanup_deferred_while_snapshot_active(self):
         db = sales_db()
-        with db.transaction() as txn:
-            db.insert(txn, "sales", {"id": 1, "product": "a", "amount": 30})
+        with db.session() as s:
+            s.insert("sales", {"id": 1, "product": "a", "amount": 30})
         # a snapshot opens while the group is alive
         reader = db.begin(isolation="snapshot")
         assert db.read(reader, "v", ("a",))["t"] == 30
         # the group is emptied and cleanup runs
-        with db.transaction() as txn:
-            db.delete(txn, "sales", (1,))
+        with db.session() as s:
+            s.delete("sales", (1,))
         removed = db.run_ghost_cleanup()
         # the view row must survive: the reader still needs its history
         record = db.index("v").get_record(("a",), include_ghost=True)
@@ -45,21 +45,21 @@ class TestSnapshotHorizonGuard:
 
     def test_cleanup_immediate_without_snapshots(self):
         db = sales_db()
-        with db.transaction() as txn:
-            db.insert(txn, "sales", {"id": 1, "product": "a", "amount": 30})
-        with db.transaction() as txn:
-            db.delete(txn, "sales", (1,))
+        with db.session() as s:
+            s.insert("sales", {"id": 1, "product": "a", "amount": 30})
+        with db.session() as s:
+            s.delete("sales", (1,))
         db.run_ghost_cleanup()
         assert db.index("v").total_entries() == 0
         assert db.counters.get("cleanup.deferred_for_snapshots") == 0
 
     def test_base_row_history_also_protected(self):
         db = sales_db()
-        with db.transaction() as txn:
-            db.insert(txn, "sales", {"id": 1, "product": "a", "amount": 30})
+        with db.session() as s:
+            s.insert("sales", {"id": 1, "product": "a", "amount": 30})
         reader = db.begin(isolation="snapshot")
-        with db.transaction() as txn:
-            db.delete(txn, "sales", (1,))
+        with db.session() as s:
+            s.delete("sales", (1,))
         db.run_ghost_cleanup()
         # the base-row ghost survives for the reader
         assert db.read(reader, "sales", (1,)) == Row(id=1, product="a", amount=30)
@@ -69,11 +69,11 @@ class TestSnapshotHorizonGuard:
 
     def test_guard_requeues_not_drops(self):
         db = sales_db()
-        with db.transaction() as txn:
-            db.insert(txn, "sales", {"id": 1, "product": "a", "amount": 30})
+        with db.session() as s:
+            s.insert("sales", {"id": 1, "product": "a", "amount": 30})
         reader = db.begin(isolation="snapshot")
-        with db.transaction() as txn:
-            db.delete(txn, "sales", (1,))
+        with db.session() as s:
+            s.delete("sales", (1,))
         before = len(db.cleanup)
         db.run_ghost_cleanup()
         # candidates were requeued, so the backlog persists

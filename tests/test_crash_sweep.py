@@ -46,19 +46,19 @@ def build_schema(strategy):
 def run_workload(db):
     """A scenario touching every mechanism: inserts, hot-group escrow,
     deletes to zero, revival, update moving groups, an abort, cleanup."""
-    with db.transaction() as txn:
-        db.insert(txn, "sales", {"id": 1, "product": "a", "amount": 10})
-        db.insert(txn, "sales", {"id": 2, "product": "a", "amount": 20})
-        db.insert(txn, "sales", {"id": 3, "product": "b", "amount": 5})
+    with db.session() as s:
+        s.insert("sales", {"id": 1, "product": "a", "amount": 10})
+        s.insert("sales", {"id": 2, "product": "a", "amount": 20})
+        s.insert("sales", {"id": 3, "product": "b", "amount": 5})
     t_abort = db.begin()
     db.insert(t_abort, "sales", {"id": 4, "product": "a", "amount": 99})
     db.abort(t_abort)
-    with db.transaction() as txn:
-        db.delete(txn, "sales", (3,))  # empties group b
-    with db.transaction() as txn:
-        db.insert(txn, "sales", {"id": 5, "product": "b", "amount": 7})  # revives
-    with db.transaction() as txn:
-        db.update(txn, "sales", (1,), {"product": "b"})  # moves groups
+    with db.session() as s:
+        s.delete("sales", (3,))  # empties group b
+    with db.session() as s:
+        s.insert("sales", {"id": 5, "product": "b", "amount": 7})  # revives
+    with db.session() as s:
+        s.update("sales", (1,), {"product": "b"})  # moves groups
     db.run_ghost_cleanup()
     db.log.flush()
 
@@ -94,8 +94,8 @@ def test_recovery_correct_at_every_crash_point(strategy, tmp_path):
         problems = db.check_all_views()
         assert problems == [], f"lsn={crash_lsn}: {problems[:2]}"
         # and the recovered engine still works
-        with db.transaction() as txn:
-            db.insert(txn, "sales", {"id": 900, "product": "z", "amount": 1})
+        with db.session() as s:
+            s.insert("sales", {"id": 900, "product": "z", "amount": 1})
         assert db.read_committed("v", ("z",))["n"] == 1
 
 
@@ -208,8 +208,8 @@ def fuzzy_sweep(strategy, tmp_path, workload):
         assert db.check_integrity().clean, f"lsn={crash_lsn}"
         seeded_points += report.pages_loaded > 0
         redo_skipped_total += report.redo_skipped
-        with db.transaction() as txn:
-            db.insert(txn, "sales", {"id": 900, "product": "z", "amount": 1})
+        with db.session() as s:
+            s.insert("sales", {"id": 900, "product": "z", "amount": 1})
         assert db.read_committed("v", ("z",))["n"] == 1
     return reference, seeded_points, redo_skipped_total
 
@@ -241,16 +241,16 @@ def run_growth_workload(db):
     stale copies behind). Every committed fact must survive recovery
     no matter which of the two pages involved in a move was the one
     that reached the store before the crash."""
-    with db.transaction() as txn:
+    with db.session() as s:
         for i in range(1, 4):
-            db.insert(txn, "sales", {"id": i, "product": "p", "amount": i})
+            s.insert("sales", {"id": i, "product": "p", "amount": i})
     for width in (8, 24, 56, 120):
         # each step widens the row for key 2 and moves it to a new view
         # group, churning both the base entry and the group entries
-        with db.transaction() as txn:
-            db.update(txn, "sales", (2,), {"product": "g" * width})
-    with db.transaction() as txn:
-        db.delete(txn, "sales", (3,))
+        with db.session() as s:
+            s.update("sales", (2,), {"product": "g" * width})
+    with db.session() as s:
+        s.delete("sales", (3,))
     db.run_ghost_cleanup()
     db.log.flush()
 
@@ -364,13 +364,13 @@ def loaded_db(sales, products):
     db = Database()
     db.create_table("sales", ("id", "product", "amount"), ("id",))
     db.create_table("products", ("product", "category"), ("product",))
-    with db.transaction() as txn:
+    with db.session() as s:
         for sale_id, (product, amount) in sorted(sales.items()):
-            db.insert(txn, "sales", {
+            s.insert("sales", {
                 "id": sale_id, "product": product, "amount": amount,
             })
         for product in sorted(products):
-            db.insert(txn, "products", {
+            s.insert("products", {
                 "product": product, "category": product % 2,
             })
     return db

@@ -49,8 +49,8 @@ class TestReadEdgeCases:
         from repro.locking import LockMode
 
         db = sales_db()
-        with db.transaction() as seed:
-            db.insert(seed, "sales", {"id": 1, "product": "a", "amount": 1})
+        with db.session() as s:
+            s.insert("sales", {"id": 1, "product": "a", "amount": 1})
         txn = db.begin()
         db.read(txn, "sales", (1,), for_update=True)
         held = db.locks.held_mode(txn.txn_id, ("key", "sales", (1,)))
@@ -69,9 +69,9 @@ class TestReadEdgeCases:
 
     def test_derive_averages_on_view_read(self):
         db = sales_db()
-        with db.transaction() as txn:
-            db.insert(txn, "sales", {"id": 1, "product": "a", "amount": 10})
-            db.insert(txn, "sales", {"id": 2, "product": "a", "amount": 20})
+        with db.session() as s:
+            s.insert("sales", {"id": 1, "product": "a", "amount": 10})
+            s.insert("sales", {"id": 2, "product": "a", "amount": 20})
         row = db.read_committed("v", ("a",))
         enriched = derive_averages(row, [("avg_amount", "t", "n")])
         assert enriched["avg_amount"] == 15.0
@@ -80,10 +80,10 @@ class TestReadEdgeCases:
 class TestStatsAndCounters:
     def test_dml_counters(self):
         db = sales_db()
-        with db.transaction() as txn:
-            db.insert(txn, "sales", {"id": 1, "product": "a", "amount": 1})
-            db.update(txn, "sales", (1,), {"amount": 2})
-            db.delete(txn, "sales", (1,))
+        with db.session() as s:
+            s.insert("sales", {"id": 1, "product": "a", "amount": 1})
+            s.update("sales", (1,), {"amount": 2})
+            s.delete("sales", (1,))
         assert db.counters.get("dml.insert") == 1
         assert db.counters.get("dml.update") == 1
         assert db.counters.get("dml.delete") == 1
@@ -119,18 +119,18 @@ class TestVersionChains:
     def test_each_commit_adds_version(self):
         db = sales_db()
         for i in range(3):
-            with db.transaction() as txn:
-                db.insert(txn, "sales", {"id": i, "product": "a", "amount": 1})
+            with db.session() as s:
+                s.insert("sales", {"id": i, "product": "a", "amount": 1})
         record = db.index("v").get_record(("a",))
         assert record.version_count() == 3
 
     def test_old_snapshot_reads_old_version_after_many_commits(self):
         db = sales_db()
-        with db.transaction() as txn:
-            db.insert(txn, "sales", {"id": 0, "product": "a", "amount": 1})
+        with db.session() as s:
+            s.insert("sales", {"id": 0, "product": "a", "amount": 1})
         reader = db.begin(isolation="snapshot")
         for i in range(1, 4):
-            with db.transaction() as txn:
-                db.insert(txn, "sales", {"id": i, "product": "a", "amount": 1})
+            with db.session() as s:
+                s.insert("sales", {"id": i, "product": "a", "amount": 1})
         assert db.read(reader, "v", ("a",))["n"] == 1
         db.commit(reader)

@@ -313,8 +313,8 @@ class TestInDoubtLockScope:
             [AggregateSpec.count(), AggregateSpec.sum_of("total", "amount")],
         ))
         for key, region in ((1, "a"), (2, "b")):
-            with db.transaction() as seed:
-                db.insert(seed, ACCOUNTS, {"id": key, "region": region,
+            with db.session() as s:
+                s.insert(ACCOUNTS, {"id": key, "region": region,
                                            "amount": 10})
         txn = db.begin()
         db.update(txn, ACCOUNTS, (1,), {"amount": 25})
@@ -324,8 +324,8 @@ class TestInDoubtLockScope:
 
     def test_untouched_keys_stay_writable(self):
         db, _ = self.engine_with_in_doubt()
-        with db.transaction() as txn:
-            db.update(txn, ACCOUNTS, (2,), {"amount": 11})
+        with db.session() as s:
+            s.update(ACCOUNTS, (2,), {"amount": 11})
         assert db.read_committed(ACCOUNTS, (2,))["amount"] == 11
 
     def test_touched_key_blocks_until_resolution(self):
@@ -335,8 +335,8 @@ class TestInDoubtLockScope:
             db.update(blocked, ACCOUNTS, (1,), {"amount": 99})
         db.resolve_in_doubt(txn_id, "commit")
         assert db.read_committed(ACCOUNTS, (1,))["amount"] == 25
-        with db.transaction() as txn:
-            db.update(txn, ACCOUNTS, (1,), {"amount": 30})
+        with db.session() as s:
+            s.update(ACCOUNTS, (1,), {"amount": 30})
         assert db.read_committed(ACCOUNTS, (1,))["amount"] == 30
         assert db.check_all_views() == []
 
@@ -385,8 +385,8 @@ class TestRecycleFloorInDoubt:
         # Churn plus a checkpoint would otherwise advance the floor far
         # past the prepared branch's records.
         for key in range(20, 60):
-            with engine.transaction() as t:
-                engine.insert(t, ACCOUNTS, {"id": key, "region": "q",
+            with engine.session() as s:
+                s.insert(ACCOUNTS, {"id": key, "region": "q",
                                             "amount": 1})
         engine.take_checkpoint()
         assert engine.wal_recycle_floor() <= first_lsn

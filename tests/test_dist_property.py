@@ -73,9 +73,9 @@ def test_fold_equals_unsharded(rows):
         sharded.insert(txn, "t", {"id": key, "region": region,
                                   "amount": amount})
         sharded.commit(txn)
-        with flat.transaction() as t:
-            flat.insert(t, "t", {"id": key, "region": region,
-                                 "amount": amount})
+        with flat.session() as flat_s:
+            flat_s.insert("t", {"id": key, "region": region,
+                                "amount": amount})
     assert_folds_match(sharded, flat)
 
 
@@ -99,9 +99,9 @@ def test_fold_survives_crash_recover_cycle(rows, crash_after, crash_pid):
         sharded.insert(txn, "t", {"id": key, "region": region,
                                   "amount": amount})
         sharded.commit(txn)
-        with flat.transaction() as t:
-            flat.insert(t, "t", {"id": key, "region": region,
-                                 "amount": amount})
+        with flat.session() as flat_s:
+            flat_s.insert("t", {"id": key, "region": region,
+                                "amount": amount})
     assert_folds_match(sharded, flat)
 
 
@@ -121,11 +121,11 @@ def test_cross_partition_moves_conserve(rows):
         sharded.insert(txn, "t", {"id": mirror, "region": region,
                                   "amount": -amount})
         sharded.commit(txn)
-        with flat.transaction() as t:
-            flat.insert(t, "t", {"id": key, "region": region,
-                                 "amount": amount})
-            flat.insert(t, "t", {"id": mirror, "region": region,
-                                 "amount": -amount})
+        with flat.session() as flat_s:
+            flat_s.insert("t", {"id": key, "region": region,
+                                "amount": amount})
+            flat_s.insert("t", {"id": mirror, "region": region,
+                                "amount": -amount})
     assert_folds_match(sharded, flat)
     for region in REGIONS:
         folded = sharded.read_folded("v", (region,))

@@ -1,7 +1,6 @@
 """Fault injection: injector scheduling semantics, every engine fault
 site's soundness contract, lock-wait timeouts under the simulator, and
-the automatic-retry machinery (``Database.run_transaction`` /
-``Session.run``) built on top.
+the automatic-retry machinery (``Session.run``) built on top.
 
 The recurring pattern: arm a site, provoke it, then assert the engine's
 *invariants* survived — views equal recomputation, committed means
@@ -141,14 +140,14 @@ class TestInjectorScheduling:
 class TestWalAppendFaults:
     def test_append_fails_after_record_lands_and_rolls_back(self):
         db = sales_db()
-        with db.transaction() as seed:
-            db.insert(seed, SALES, sale(1))  # the group exists first
+        with db.session() as s:
+            s.insert(SALES, sale(1))  # the group exists first
         inj = FaultInjector()
         db.install_fault_injector(inj)
         inj.arm("wal.append", match="EscrowDelta")
         with pytest.raises(FaultInjected) as exc:
-            with db.transaction() as txn:
-                db.insert(txn, SALES, sale(2))
+            with db.session() as s:
+                s.insert(SALES, sale(2))
         assert exc.value.site == "wal.append"
         # The failed transaction rolled back completely: base row gone,
         # view matches recomputation, no locks or active txns left.
@@ -165,8 +164,8 @@ class TestWalAppendFaults:
         faulted transaction itself must succeed (is_undoable gate)."""
         db, inj = armed_db("wal.append")  # no match: any undoable record
         with pytest.raises(FaultInjected):
-            with db.transaction() as txn:
-                db.insert(txn, SALES, sale(1))
+            with db.session() as s:
+                s.insert(SALES, sale(1))
         # the rollback above appended ABORT + END without re-firing
         assert db.active_transactions() == []
         assert inj.fired["wal.append"] == 1
@@ -174,10 +173,10 @@ class TestWalAppendFaults:
     def test_retry_after_disarm_succeeds(self):
         db, inj = armed_db("wal.append", times=1)
         with pytest.raises(FaultInjected):
-            with db.transaction() as txn:
-                db.insert(txn, SALES, sale(1))
-        with db.transaction() as txn:  # times=1 budget spent
-            db.insert(txn, SALES, sale(1))
+            with db.session() as s:
+                s.insert(SALES, sale(1))
+        with db.session() as s:  # times=1 budget spent
+            s.insert(SALES, sale(1))
         assert db.read_committed(SALES, (1,))["amount"] == 10
         assert db.check_all_views() == []
 
@@ -185,13 +184,13 @@ class TestWalAppendFaults:
         """The deliberately unsound site: the consistency oracle MUST
         notice, or the chaos harness proves nothing."""
         db = sales_db()
-        with db.transaction() as seed:
-            db.insert(seed, SALES, sale(1))  # the group exists first
+        with db.session() as s:
+            s.insert(SALES, sale(1))  # the group exists first
         inj = FaultInjector()
         db.install_fault_injector(inj)
         inj.arm("wal.append.lost", match="EscrowDelta")
-        with db.transaction() as txn:
-            db.insert(txn, SALES, sale(2))  # delta record silently dropped
+        with db.session() as s:
+            s.insert(SALES, sale(2))  # delta record silently dropped
         inj.disarm()
         assert db.read_committed(BY_PRODUCT, ("ant",)) is not None  # online ok
         db.simulate_crash_and_recover()
@@ -232,8 +231,8 @@ class TestWalFlushFaults:
         transaction a winner) — it must be a crash."""
         db, inj = armed_db("wal.flush", times=1)
         with pytest.raises(SimulatedCrash) as exc:
-            with db.transaction() as txn:
-                db.insert(txn, SALES, sale(1))
+            with db.session() as s:
+                s.insert(SALES, sale(1))
         assert exc.value.site == "wal.flush"
         db.simulate_crash_and_recover()
         # COMMIT never became durable -> loser, fully rolled back.
@@ -243,8 +242,8 @@ class TestWalFlushFaults:
     def test_torn_commit_record_makes_txn_a_loser(self):
         db, inj = armed_db("wal.torn_tail", times=1)
         with pytest.raises(SimulatedCrash):
-            with db.transaction() as txn:
-                db.insert(txn, SALES, sale(1))
+            with db.session() as s:
+                s.insert(SALES, sale(1))
         db.simulate_crash_and_recover()
         assert db.read_committed(SALES, (1,)) is None
         assert db.check_all_views() == []
@@ -254,8 +253,8 @@ class TestCommitCrashFaults:
     def test_crash_before_commit_point_loses_the_txn(self):
         db, inj = armed_db("txn.commit.before", times=1)
         with pytest.raises(SimulatedCrash) as exc:
-            with db.transaction() as txn:
-                db.insert(txn, SALES, sale(1))
+            with db.session() as s:
+                s.insert(SALES, sale(1))
         assert exc.value.committed is False
         db.simulate_crash_and_recover()
         assert db.read_committed(SALES, (1,)) is None
@@ -264,8 +263,8 @@ class TestCommitCrashFaults:
     def test_crash_after_commit_point_preserves_the_txn(self):
         db, inj = armed_db("txn.commit.after", times=1)
         with pytest.raises(SimulatedCrash) as exc:
-            with db.transaction() as txn:
-                db.insert(txn, SALES, sale(1))
+            with db.session() as s:
+                s.insert(SALES, sale(1))
         assert exc.value.committed is True
         db.simulate_crash_and_recover()
         # Durability: the flushed COMMIT makes it a winner after recovery.
@@ -277,8 +276,8 @@ class TestCommitCrashFaults:
     def test_crash_mid_view_maintenance_recovers_consistently(self):
         db, inj = armed_db("view.midapply", times=1)
         with pytest.raises(SimulatedCrash) as exc:
-            with db.transaction() as txn:
-                db.insert(txn, SALES, sale(1))
+            with db.session() as s:
+                s.insert(SALES, sale(1))
         assert exc.value.site == "view.midapply"
         db.simulate_crash_and_recover()
         # Whatever prefix of the statement's actions ran, recovery must
@@ -290,10 +289,10 @@ class TestCommitCrashFaults:
 class TestCleanerInterruption:
     def test_interrupted_cleaner_requeues_candidate(self):
         db = sales_db()
-        with db.transaction() as txn:
-            db.insert(txn, SALES, sale(1))
-        with db.transaction() as txn:
-            db.delete(txn, SALES, (1,))
+        with db.session() as s:
+            s.insert(SALES, sale(1))
+        with db.session() as s:
+            s.delete(SALES, (1,))
         assert len(db.cleanup) > 0
         injector = FaultInjector()
         db.install_fault_injector(injector)
@@ -310,12 +309,12 @@ class TestLockFaults:
     def test_spurious_deny_aborts_and_is_retryable(self):
         db, inj = armed_db("lock.deny", times=1)
         with pytest.raises(FaultInjected) as exc:
-            with db.transaction() as txn:
-                db.insert(txn, SALES, sale(1))
+            with db.session() as s:
+                s.insert(SALES, sale(1))
         assert exc.value.site == "lock.deny"
         assert db.locks.stats.denials == 1
-        with db.transaction() as txn:  # budget spent: clean retry
-            db.insert(txn, SALES, sale(1))
+        with db.session() as s:  # budget spent: clean retry
+            s.insert(SALES, sale(1))
         assert db.check_all_views() == []
 
     def test_armed_sites_see_every_acquire_covered_or_not(self, monkeypatch):
@@ -333,11 +332,11 @@ class TestLockFaults:
         monkeypatch.setattr(Transaction, "acquire", counted)
         db, inj = armed_db("lock.deny", probability=0.0)  # armed, never fires
         inj.arm("lock.delay", probability=0.0)
-        with db.transaction() as txn:
+        with db.session() as s:
             for i in range(1, 5):
-                db.insert(txn, SALES, sale(i, product=f"p{i % 2}"))
-        with db.transaction() as txn:
-            rows = db.scan(txn, BY_PRODUCT)
+                s.insert(SALES, sale(i, product=f"p{i % 2}"))
+        with db.session() as s:
+            rows = s.scan(BY_PRODUCT)
         assert inj.fired == {} and len(rows) == 2
         assert inj.hits["lock.deny"] == len(acquires)
         stats = db.stats()["lock"]
@@ -383,7 +382,7 @@ class TestLockFaults:
 class TestRunTransaction:
     def test_first_try_success(self):
         db = sales_db()
-        key = db.run_transaction(lambda txn: db.insert(txn, SALES, sale(1)))
+        key = db.session().run(lambda s: s.insert(SALES, sale(1)))
         assert key == (1,)
         stats = db.stats()["retries"]
         assert stats["runs"] == 1
@@ -393,8 +392,8 @@ class TestRunTransaction:
     def test_retries_injected_fault_until_success(self):
         db, inj = armed_db("wal.append", times=2)
         start = db.clock.now()
-        key = db.run_transaction(
-            lambda txn: db.insert(txn, SALES, sale(1)), retries=3
+        key = db.session().run(
+            lambda s: s.insert(SALES, sale(1)), retries=3
         )
         assert key == (1,)
         assert db.read_committed(SALES, (1,)) is not None
@@ -409,8 +408,8 @@ class TestRunTransaction:
     def test_exhaustion_reraises_and_counts_gave_up(self):
         db, inj = armed_db("wal.append")  # fires every attempt
         with pytest.raises(FaultInjected):
-            db.run_transaction(
-                lambda txn: db.insert(txn, SALES, sale(1)), retries=2
+            db.session().run(
+                lambda s: s.insert(SALES, sale(1)), retries=2
             )
         stats = db.stats()["retries"]
         assert stats["gave_up"] == 1
@@ -420,39 +419,69 @@ class TestRunTransaction:
     def test_backoff_schedule_is_deterministic(self):
         def run_one():
             db, inj = armed_db("wal.append", times=3)
-            db.run_transaction(
-                lambda txn: db.insert(txn, SALES, sale(1)), retries=5
+            db.session().run(
+                lambda s: s.insert(SALES, sale(1)), retries=5
             )
             return db.stats()["retries"], db.clock.now()
 
         assert run_one() == run_one()
 
     def test_backoff_grows_exponentially_within_jitter(self):
-        db = sales_db()
+        db, inj = armed_db("wal.append")  # fires every attempt
+        db.tracer.enable()
         base = db.config.retry_backoff_base
         cap = db.config.retry_backoff_cap
-        for attempt in (1, 2, 3, 10):
-            b = db._retry_backoff(attempt)
+        with pytest.raises(FaultInjected):
+            db.session().run(lambda s: s.insert(SALES, sale(1)), retries=10)
+        retries = db.tracer.events(name="txn_retry")
+        assert [e.fields["attempt"] for e in retries] == list(range(1, 11))
+        for event in retries:
+            attempt, b = event.fields["attempt"], event.fields["backoff"]
             lo = min(cap, base * 2 ** (attempt - 1))
             assert lo <= b <= lo + base
+
+    def test_seeded_schedule_matches_the_pinned_golden(self):
+        """The backoffs, retry events and clock of one seeded run, taken
+        at PR 20 — when the retry loop still lived on ``Database`` — for
+        ``retry_seed=7``: moving it into ``Session.run`` moved no draw."""
+        db = sales_db(retry_seed=7)
+        db.install_fault_injector(FaultInjector(seed=0)).arm("wal.append")
+        db.tracer.enable()
+        with pytest.raises(FaultInjected):
+            db.session().run(lambda s: s.insert(SALES, sale(1)), retries=6)
+        assert [
+            (e.txn_id, e.ts, e.fields["attempt"], e.fields["backoff"],
+             e.fields["reason"])
+            for e in db.tracer.events(name="txn_retry")
+        ] == [
+            (1, 0, 1, 6, "fault wal.append"),
+            (2, 6, 2, 9, "fault wal.append"),
+            (3, 15, 3, 19, "fault wal.append"),
+            (4, 34, 4, 32, "fault wal.append"),
+            (5, 66, 5, 64, "fault wal.append"),
+            (6, 130, 6, 68, "fault wal.append"),
+        ]
+        assert db.clock.now() == 198
+        stats = db.stats()["retries"]
+        assert stats["gave_up"] == 1 and stats["backoff"]["count"] == 6
 
     def test_simulated_crash_is_not_retried(self):
         db, inj = armed_db("txn.commit.before", times=1)
         with pytest.raises(SimulatedCrash):
-            db.run_transaction(
-                lambda txn: db.insert(txn, SALES, sale(1)), retries=5
+            db.session().run(
+                lambda s: s.insert(SALES, sale(1)), retries=5
             )
         assert db.stats()["retries"]["runs"] == 0  # crash: no verdict
 
     def test_non_retryable_error_aborts_and_raises(self):
         db = sales_db()
 
-        def boom(txn):
-            db.insert(txn, SALES, sale(1))
+        def boom(s):
+            s.insert(SALES, sale(1))
             raise ValueError("application bug")
 
         with pytest.raises(ValueError):
-            db.run_transaction(boom, retries=5)
+            db.session().run(boom, retries=5)
         assert db.active_transactions() == []
         assert db.read_committed(SALES, (1,)) is None
         assert db.stats()["retries"]["runs"] == 0
@@ -460,12 +489,12 @@ class TestRunTransaction:
     def test_fn_may_resolve_the_transaction_itself(self):
         db = sales_db()
 
-        def insert_and_commit(txn):
-            db.insert(txn, SALES, sale(1))
-            db.commit(txn)
+        def insert_and_commit(s):
+            s.insert(SALES, sale(1))
+            db.commit(s.current_transaction)
             return "done"
 
-        assert db.run_transaction(insert_and_commit) == "done"
+        assert db.session().run(insert_and_commit) == "done"
         assert db.committed_count == 1
 
 
@@ -538,7 +567,7 @@ class TestSessionCommitFailureRegression:
 class TestStatsSurface:
     def test_stats_reports_faults_and_retries(self):
         db, inj = armed_db("wal.append", times=1)
-        db.run_transaction(lambda txn: db.insert(txn, SALES, sale(1)))
+        db.session().run(lambda s: s.insert(SALES, sale(1)))
         stats = db.stats()
         assert stats["faults"]["armed"] == ["wal.append"]
         assert stats["faults"]["fired"] == {"wal.append": 1}
@@ -548,7 +577,7 @@ class TestStatsSurface:
     def test_fault_events_are_traced(self):
         db, inj = armed_db("wal.append", times=1)
         db.tracer.enable()
-        db.run_transaction(lambda txn: db.insert(txn, SALES, sale(1)))
+        db.session().run(lambda s: s.insert(SALES, sale(1)))
         fault_events = db.tracer.events(name="fault_injected")
         assert len(fault_events) == 1
         assert fault_events[0].fields["site"] == "wal.append"
@@ -561,8 +590,8 @@ class TestStatsSurface:
     def test_injector_survives_crash_recovery(self):
         db, inj = armed_db("txn.commit.after", times=1)
         with pytest.raises(SimulatedCrash):
-            with db.transaction() as txn:
-                db.insert(txn, SALES, sale(1))
+            with db.session() as s:
+                s.insert(SALES, sale(1))
         db.simulate_crash_and_recover()
         assert db.faults is inj
         assert db.log.faults is inj
@@ -570,5 +599,5 @@ class TestStatsSurface:
         # and the rebuilt managers still honour it
         inj.arm("lock.deny", times=1)
         with pytest.raises(FaultInjected):
-            with db.transaction() as txn:
-                db.insert(txn, SALES, sale(2))
+            with db.session() as s:
+                s.insert(SALES, sale(2))

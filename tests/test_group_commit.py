@@ -49,10 +49,9 @@ def sale(i, product="ant", amount=10):
 
 def commit_one(db, i, **sale_kwargs):
     """One transaction inserting one sale; returns its (committed) txn."""
-    session = db.session()
-    txn = session.begin()
+    txn = db.begin()
     db.insert(txn, SALES, sale(i, **sale_kwargs))
-    session.commit()
+    db.commit(txn)  # the primitive: commit-visible, durability pends
     return txn
 
 

@@ -34,8 +34,8 @@ def grouped_db(size=2):
         ("product",),
         [AggregateSpec.count(), AggregateSpec.sum_of("revenue", "amount")],
     ))
-    with db.transaction() as seed:
-        db.insert(seed, SALES, {"id": 1, "product": "ant", "amount": 10})
+    with db.session() as s:
+        s.insert(SALES, {"id": 1, "product": "ant", "amount": 10})
     db.flush_group_commit()
     inj = FaultInjector(seed=0)
     db.install_fault_injector(inj)
@@ -43,10 +43,9 @@ def grouped_db(size=2):
 
 
 def commit_one(db, i):
-    session = db.session()
-    txn = session.begin()
+    txn = db.begin()
     db.insert(txn, SALES, {"id": i, "product": "ant", "amount": 10})
-    session.commit()
+    db.commit(txn)  # the primitive: commit-visible, durability pends
     return txn
 
 

@@ -42,8 +42,8 @@ def build_db(**kwargs):
 
 def seed(db, n=6):
     for i in range(1, n + 1):
-        with db.transaction() as txn:
-            db.insert(txn, SALES, {
+        with db.session() as s:
+            s.insert(SALES, {
                 "id": i, "product": "ant" if i % 2 else "bee",
                 "customer": i % 3, "amount": 10 * i,
             })
@@ -178,17 +178,17 @@ class TestQuarantine:
         # read_committed
         assert db.read_committed(BY_PRODUCT, ("ant",)) == truth
         # serializable read inside a transaction
-        with db.transaction() as txn:
-            assert db.read(txn, BY_PRODUCT, ("ant",)) == truth
+        with db.session() as s:
+            assert s.read(BY_PRODUCT, ("ant",)) == truth
         # snapshot read
-        with db.transaction(isolation="snapshot") as txn:
-            assert db.read(txn, BY_PRODUCT, ("ant",)) == truth
+        with db.session(isolation="snapshot") as s:
+            assert s.read(BY_PRODUCT, ("ant",)) == truth
         # scan (rows come back in key order; "ant" < "bee")
-        with db.transaction() as txn:
-            rows = db.scan(txn, BY_PRODUCT)
+        with db.session() as s:
+            rows = s.scan(BY_PRODUCT)
             assert rows[0] == truth
             # bounded scan
-            bounded = db.scan(txn, BY_PRODUCT, KeyRange.exactly(("ant",)))
+            bounded = s.scan(BY_PRODUCT, KeyRange.exactly(("ant",)))
             assert bounded == [truth]
         assert db.stats()["integrity"]["degraded_reads"] >= 5
 
@@ -198,8 +198,8 @@ class TestQuarantine:
         damage_view_row(db, revenue=99999)
         db.check_integrity(quarantine=True)
         before = db.read_committed(BY_PRODUCT, ("ant",))
-        with db.transaction() as txn:
-            db.insert(txn, SALES, {
+        with db.session() as s:
+            s.insert(SALES, {
                 "id": 100, "product": "ant", "customer": 1, "amount": 40,
             })
         # the materialized row was NOT maintained (view is quarantined)...
@@ -215,8 +215,8 @@ class TestQuarantine:
         seed(db)
         damage_view_row(db, revenue=99999)
         db.check_integrity(quarantine=True)
-        with db.transaction() as txn:
-            db.insert(txn, SALES, {
+        with db.session() as s:
+            s.insert(SALES, {
                 "id": 101, "product": "bee", "customer": 2, "amount": 50,
             })
         assert db.index("big_sales").get_record((101,)) is not None
@@ -252,8 +252,8 @@ class TestRebuild:
         db.rebuild_view(BY_PRODUCT)
         db.rebuild_view("big_sales")
         truth = db.read_committed(BY_PRODUCT, ("ant",))
-        with db.transaction() as txn:
-            db.insert(txn, SALES, {
+        with db.session() as s:
+            s.insert(SALES, {
                 "id": 102, "product": "ant", "customer": 0, "amount": 25,
             })
         # normal (indexed) reads again, and escrow maintenance works

@@ -30,8 +30,8 @@ def make_db(**kwargs):
 
 
 def put(db, k, v):
-    with db.transaction() as txn:
-        db.insert(txn, "t", {"k": k, "v": v})
+    with db.session() as s:
+        s.insert("t", {"k": k, "v": v})
 
 
 class TestDirtyReads:
@@ -79,8 +79,8 @@ class TestNonRepeatableReads:
         put(db, 1, "a")
         reader = db.begin(isolation="snapshot")
         first = db.read(reader, "t", (1,))
-        with db.transaction() as writer:
-            db.update(writer, "t", (1,), {"v": "b"})
+        with db.session() as s:
+            s.update("t", (1,), {"v": "b"})
         assert db.read(reader, "t", (1,)) == first  # stable snapshot
         db.commit(reader)
 
@@ -90,8 +90,8 @@ class TestNonRepeatableReads:
         put(db, 1, "a")
         reader = db.begin(isolation="read_committed")
         first = db.read(reader, "t", (1,))
-        with db.transaction() as writer:
-            db.update(writer, "t", (1,), {"v": "b"})
+        with db.session() as s:
+            s.update("t", (1,), {"v": "b"})
         second = db.read(reader, "t", (1,))
         db.commit(reader)
         assert first["v"] == "a" and second["v"] == "b"
@@ -155,16 +155,16 @@ class TestPhantomsByLevel:
             group_by=("g",),
             aggregates=[AggregateSpec.count("n")],
         ))
-        with db.transaction() as txn:
-            db.insert(txn, "s", {"id": 1, "g": "a", "x": 1})
+        with db.session() as session:
+            session.insert("s", {"id": 1, "g": "a", "x": 1})
         return db
 
     def test_read_committed_scan_admits_phantom(self):
         db = self.aggregate_db()
         reader = db.begin(isolation="read_committed")
         first = db.scan(reader, "v")
-        with db.transaction() as writer:
-            db.insert(writer, "s", {"id": 2, "g": "b", "x": 1})
+        with db.session() as writer:
+            writer.insert("s", {"id": 2, "g": "b", "x": 1})
         second = db.scan(reader, "v")
         db.commit(reader)
         assert len(second) == len(first) + 1  # phantom observed

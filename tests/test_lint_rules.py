@@ -338,6 +338,7 @@ def test_rules_tuple_is_the_documented_set():
         "transport-discipline",
         "logged-write",
         "one-codec",
+        "one-settle",
     )
 
 
@@ -357,6 +358,54 @@ def test_one_codec_bans_json_and_struct_where_bytes_are_laid_out(tmp_path):
         planted = _plant(tmp_path, rel, source)
         findings = lint_paths([planted], rules=("one-codec",))
         assert _rules(findings) == ({"one-codec"} if fires else set()), rel
+
+
+def test_one_settle_fires_on_a_hand_written_epilogue_or_clr(tmp_path):
+    bad = _plant(
+        tmp_path,
+        "src/repro/views/epilogue.py",
+        '''
+        def refresh(db, txn):
+            try:
+                db.commit(txn)
+            except BaseException:
+                db.abort(txn)  # runs after a SimulatedCrash too
+                raise
+
+        def rollback(log, txn_id, record):
+            log.append(CompensationRecord(txn_id, record.lsn, None, record))
+        ''',
+    )
+    findings = lint_paths([bad], rules=("one-settle",))
+    assert _rules(findings) == {"one-settle"}
+    assert len(findings) == 2
+    assert ".abort()" in findings[0].message
+    assert "CompensationRecord" in findings[1].message
+
+
+def test_one_settle_allows_settle_narrow_handlers_and_the_wal(tmp_path):
+    for rel, source in (
+        ("src/repro/views/fine.py", '''
+        def refresh(db, drain):
+            return db.settle(db.begin_system(), drain)
+
+        def clean_one(db, txn):
+            try:
+                db.commit(txn)
+            except TransactionAborted:  # a crash is not one of these
+                db.abort(txn)
+        '''),
+        ("src/repro/wal/recovery.py",
+         "clr = CompensationRecord(1, 2, None, record)\n"),
+        ("benchmarks/driver.py", '''
+        try:
+            run()
+        except Exception:
+            db.abort(txn)
+        '''),
+    ):
+        ok = _plant(tmp_path, rel, source)
+        assert lint_paths([ok], rules=("one-settle",)) == [], rel
 
 
 # ---------------------------------------------------------------------

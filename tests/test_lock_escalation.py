@@ -5,7 +5,6 @@ import pytest
 from repro.common import LockTimeoutError
 from repro.core import Database, EngineConfig
 from repro.locking import LockMode
-from repro.locking.escalation import intent_for
 from repro.locking.modes import RangeMode
 from repro.query import AggregateSpec
 from repro.common import ReproError
@@ -34,17 +33,28 @@ def load(db, n, product="p"):
     db.commit(txn)
 
 
+def table_intent_under(mode):
+    """The table lock ``acquire_plan`` takes ahead of one key lock in
+    ``mode`` — the intention lock that key lock requires."""
+    db = sales_db()
+    txn = db.begin()
+    db.acquire_plan(txn, [(("key", "sales", (1,)), mode)])
+    held = db.locks.held_mode(txn.txn_id, ("table", "sales"))
+    db.abort(txn)
+    return held
+
+
 class TestIntentFor:
     def test_read_modes_need_is(self):
-        assert intent_for(LockMode.S) is LockMode.IS
-        assert intent_for(LockMode.U) is LockMode.IS
-        assert intent_for(RangeMode.RANGE_S_S) is LockMode.IS
+        assert table_intent_under(LockMode.S) is LockMode.IS
+        assert table_intent_under(LockMode.U) is LockMode.IS
+        assert table_intent_under(RangeMode.RANGE_S_S) is LockMode.IS
 
     def test_write_modes_need_ix(self):
-        assert intent_for(LockMode.X) is LockMode.IX
-        assert intent_for(LockMode.E) is LockMode.IX
-        assert intent_for(RangeMode.RANGE_I_N) is LockMode.IX
-        assert intent_for(RangeMode.RANGE_X_X) is LockMode.IX
+        assert table_intent_under(LockMode.X) is LockMode.IX
+        assert table_intent_under(LockMode.E) is LockMode.IX
+        assert table_intent_under(RangeMode.RANGE_I_N) is LockMode.IX
+        assert table_intent_under(RangeMode.RANGE_X_X) is LockMode.IX
 
 
 class TestIntentionLocks:

@@ -331,8 +331,8 @@ class TestRecoveryReportContract:
 
     def test_live_report_matches_pinned_fields(self):
         db = sales_db()
-        with db.transaction() as txn:
-            db.insert(txn, SALES, {"id": 1, "product": "a", "customer": 1, "amount": 2})
+        with db.session() as s:
+            s.insert(SALES, {"id": 1, "product": "a", "customer": 1, "amount": 2})
         report = db.simulate_crash_and_recover()
         doc = report.as_dict()
         assert set(doc) == set(RECOVERY_REPORT_FIELDS)
@@ -343,8 +343,8 @@ class TestRecoveryReportContract:
     def test_salvaged_report_matches_pinned_fields(self):
         db = sales_db()
         for i in range(1, 4):
-            with db.transaction() as txn:
-                db.insert(txn, SALES, {"id": i, "product": "a", "customer": 1, "amount": 2})
+            with db.session() as s:
+                s.insert(SALES, {"id": i, "product": "a", "customer": 1, "amount": 2})
         db.log.flush()
         db.log.corrupt(db.log.tail_lsn() - 1)
         doc = db.simulate_crash_and_recover().as_dict()
@@ -354,8 +354,8 @@ class TestRecoveryReportContract:
 
     def test_validator_rejects_drift(self):
         db = sales_db()
-        with db.transaction() as txn:
-            db.insert(txn, SALES, {"id": 1, "product": "a", "customer": 1, "amount": 2})
+        with db.session() as s:
+            s.insert(SALES, {"id": 1, "product": "a", "customer": 1, "amount": 2})
         doc = db.simulate_crash_and_recover().as_dict()
         doc.pop("restarts")
         doc["extra"] = 1

@@ -44,17 +44,17 @@ def build_db(**kwargs):
 def run_workload(db):
     """Commits, an abort, a delete-to-zero, a group move — and a loser
     whose flushed records give undo real work at recovery time."""
-    with db.transaction() as txn:
-        db.insert(txn, SALES, {"id": 1, "product": "a", "customer": 1, "amount": 10})
-        db.insert(txn, SALES, {"id": 2, "product": "a", "customer": 2, "amount": 20})
-        db.insert(txn, SALES, {"id": 3, "product": "b", "customer": 1, "amount": 5})
+    with db.session() as s:
+        s.insert(SALES, {"id": 1, "product": "a", "customer": 1, "amount": 10})
+        s.insert(SALES, {"id": 2, "product": "a", "customer": 2, "amount": 20})
+        s.insert(SALES, {"id": 3, "product": "b", "customer": 1, "amount": 5})
     t_abort = db.begin()
     db.insert(t_abort, SALES, {"id": 4, "product": "a", "customer": 1, "amount": 99})
     db.abort(t_abort)
-    with db.transaction() as txn:
-        db.delete(txn, SALES, (3,))
-    with db.transaction() as txn:
-        db.update(txn, SALES, (1,), {"product": "b"})
+    with db.session() as s:
+        s.delete(SALES, (3,))
+    with db.session() as s:
+        s.update(SALES, (1,), {"product": "b"})
     loser = db.begin()
     db.insert(loser, SALES, {"id": 5, "product": "a", "customer": 3, "amount": 7})
     db.insert(loser, SALES, {"id": 6, "product": "c", "customer": 3, "amount": 8})
@@ -176,8 +176,8 @@ class TestCrashStorm:
         assert [e.fields["attempt"] for e in events] == [2]
         assert report.restarts == 1
         # the engine is fully usable after the storm
-        with db.transaction() as txn:
-            db.insert(txn, SALES, {"id": 50, "product": "z", "customer": 1, "amount": 1})
+        with db.session() as s:
+            s.insert(SALES, {"id": 50, "product": "z", "customer": 1, "amount": 1})
         assert db.read_committed(BY_PRODUCT, ("z",))["n_sales"] == 1
 
     def test_salvage_report_survives_recovery_restarts(self):
@@ -187,8 +187,8 @@ class TestCrashStorm:
         an already-clean log)."""
         db = build_db()
         run_workload(db)
-        with db.transaction() as txn:
-            db.insert(txn, SALES, {"id": 7, "product": "d", "customer": 1, "amount": 3})
+        with db.session() as s:
+            s.insert(SALES, {"id": 7, "product": "d", "customer": 1, "amount": 3})
         db.log.flush()
         commits = db.log.records_by_type(RecordType.COMMIT)
         db.log.corrupt(commits[-1].lsn)
@@ -259,17 +259,17 @@ class TestRecoveryIdempotence:
         which only reads the store, gates the same way every time."""
         db = build_db(buffer_pool_frames=2, page_size=256)
         for i in range(1, 5):
-            with db.transaction() as txn:
-                db.insert(txn, SALES, {
+            with db.session() as s:
+                s.insert(SALES, {
                     "id": i, "product": "ab"[i % 2], "customer": 1, "amount": i,
                 })
         db.take_checkpoint()
-        with db.transaction() as txn:
-            db.delete(txn, SALES, (2,))
+        with db.session() as s:
+            s.delete(SALES, (2,))
         db.run_ghost_cleanup()  # CLEANUP: the mirror entry becomes a tombstone
         for i in range(10, 16):  # churn two frames until it is written back
-            with db.transaction() as txn:
-                db.insert(txn, SALES, {
+            with db.session() as s:
+                s.insert(SALES, {
                     "id": i, "product": "c", "customer": 1, "amount": i,
                 })
         table, _, _ = durable_winners(db._store)

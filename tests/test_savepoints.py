@@ -184,29 +184,29 @@ class TestSavepointEscrowInteraction:
 class TestTransactionContextManager:
     def test_commit_on_success(self):
         db = sales_db()
-        with db.transaction() as txn:
-            add(db, txn, 1, "ant", 10)
+        with db.session() as s:
+            add(db, s.current_transaction, 1, "ant", 10)
         assert db.read_committed("sales", (1,)) is not None
 
     def test_abort_on_exception(self):
         db = sales_db()
         with pytest.raises(RuntimeError):
-            with db.transaction() as txn:
-                add(db, txn, 1, "ant", 10)
+            with db.session() as s:
+                add(db, s.current_transaction, 1, "ant", 10)
                 raise RuntimeError("boom")
         assert db.read_committed("sales", (1,)) is None
         assert db.check_all_views() == []
 
     def test_snapshot_isolation_option(self):
         db = sales_db()
-        with db.transaction() as txn:
-            add(db, txn, 1, "ant", 10)
-        with db.transaction(isolation="snapshot") as txn:
-            assert db.read(txn, "by_product", ("ant",))["n"] == 1
+        with db.session() as s:
+            add(db, s.current_transaction, 1, "ant", 10)
+        with db.session(isolation="snapshot") as s:
+            assert s.read("by_product", ("ant",))["n"] == 1
 
     def test_already_aborted_txn_tolerated(self):
         db = sales_db()
-        with db.transaction() as txn:
-            add(db, txn, 1, "ant", 10)
-            db.abort(txn)  # user resolved it inside the block
+        with db.session() as s:
+            add(db, s.current_transaction, 1, "ant", 10)
+            db.abort(s.current_transaction)  # user resolved it inside the block
         assert db.read_committed("sales", (1,)) is None

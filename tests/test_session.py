@@ -172,6 +172,6 @@ class TestOneDispatcherOneAutocommit:
         txn = db.begin(isolation="snapshot")
         assert txn.isolation == "snapshot" and db.active_transactions() == [txn]
         db.abort(txn)
-        with db.transaction() as inner:
-            db.insert(inner, "sales", {"id": 1, "product": "a", "amount": 5})
+        with db.session() as s:
+            s.insert("sales", {"id": 1, "product": "a", "amount": 5})
         assert db.committed_count == 1

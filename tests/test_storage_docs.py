@@ -78,9 +78,9 @@ def sales_db(**kwargs):
 
 
 def insert(db, i):
-    with db.transaction() as txn:
-        db.insert(
-            txn, SALES, {"id": i, "product": "a", "customer": 1, "amount": 2}
+    with db.session() as s:
+        s.insert(
+            SALES, {"id": i, "product": "a", "customer": 1, "amount": 2}
         )
 
 

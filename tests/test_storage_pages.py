@@ -214,8 +214,8 @@ def paged_db():
 
 def insert_rows(db, n=12):
     for i in range(1, n + 1):
-        with db.transaction() as txn:
-            db.insert(txn, "sales", {"id": i, "product": f"p{i % 3}", "amount": i})
+        with db.session() as s:
+            s.insert("sales", {"id": i, "product": f"p{i % 3}", "amount": i})
 
 
 class TestUntrustedCheckpointFallback:

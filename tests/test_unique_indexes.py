@@ -33,8 +33,8 @@ class TestUniqueConstraint:
 
     def test_duplicate_across_transactions(self):
         db = users_db()
-        with db.transaction() as txn:
-            add(db, txn, 1, "a@x")
+        with db.session() as s:
+            add(db, s.current_transaction, 1, "a@x")
         t2 = db.begin()
         with pytest.raises(CatalogError):
             add(db, t2, 2, "a@x")
@@ -42,13 +42,13 @@ class TestUniqueConstraint:
 
     def test_value_freed_after_delete_and_cleanup(self):
         db = users_db()
-        with db.transaction() as txn:
-            add(db, txn, 1, "a@x")
-        with db.transaction() as txn:
-            db.delete(txn, "users", (1,))
+        with db.session() as s:
+            add(db, s.current_transaction, 1, "a@x")
+        with db.session() as s:
+            s.delete("users", (1,))
         # the entry is a ghost: re-inserting the value revives it
-        with db.transaction() as txn:
-            add(db, txn, 2, "a@x")
+        with db.session() as s:
+            add(db, s.current_transaction, 2, "a@x")
         reader = db.begin()
         rows = db.lookup(reader, "users", "by_email", ("a@x",))
         db.commit(reader)
@@ -56,9 +56,9 @@ class TestUniqueConstraint:
 
     def test_update_to_taken_value_rejected(self):
         db = users_db()
-        with db.transaction() as txn:
-            add(db, txn, 1, "a@x")
-            add(db, txn, 2, "b@x")
+        with db.session() as s:
+            add(db, s.current_transaction, 1, "a@x")
+            add(db, s.current_transaction, 2, "b@x")
         t2 = db.begin()
         with pytest.raises(CatalogError):
             db.update(t2, "users", (2,), {"email": "a@x"})
@@ -66,10 +66,10 @@ class TestUniqueConstraint:
 
     def test_update_swapping_own_value_ok(self):
         db = users_db()
-        with db.transaction() as txn:
-            add(db, txn, 1, "a@x")
-        with db.transaction() as txn:
-            db.update(txn, "users", (1,), {"email": "c@x"})
+        with db.session() as s:
+            add(db, s.current_transaction, 1, "a@x")
+        with db.session() as s:
+            s.update("users", (1,), {"email": "c@x"})
         reader = db.begin()
         assert db.lookup(reader, "users", "by_email", ("c@x",))[0]["uid"] == 1
         assert db.lookup(reader, "users", "by_email", ("a@x",)) == []
@@ -78,16 +78,16 @@ class TestUniqueConstraint:
     def test_create_unique_index_over_duplicates_fails(self):
         db = Database(EngineConfig())
         db.create_table("users", ("uid", "email"), ("uid",))
-        with db.transaction() as txn:
-            db.insert(txn, "users", {"uid": 1, "email": "same"})
-            db.insert(txn, "users", {"uid": 2, "email": "same"})
+        with db.session() as s:
+            s.insert("users", {"uid": 1, "email": "same"})
+            s.insert("users", {"uid": 2, "email": "same"})
         with pytest.raises(CatalogError):
             db.create_secondary_index("users", "by_email", ("email",), unique=True)
 
     def test_lookup_returns_full_row(self):
         db = users_db()
-        with db.transaction() as txn:
-            add(db, txn, 1, "a@x", name="ada")
+        with db.session() as s:
+            add(db, s.current_transaction, 1, "a@x", name="ada")
         reader = db.begin()
         rows = db.lookup(reader, "users", "by_email", ("a@x",))
         db.commit(reader)
@@ -95,8 +95,8 @@ class TestUniqueConstraint:
 
     def test_recovery_preserves_constraint(self):
         db = users_db()
-        with db.transaction() as txn:
-            add(db, txn, 1, "a@x")
+        with db.session() as s:
+            add(db, s.current_transaction, 1, "a@x")
         db.simulate_crash_and_recover()
         t2 = db.begin()
         with pytest.raises(CatalogError):

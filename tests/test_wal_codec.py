@@ -117,8 +117,8 @@ def test_values_keep_their_type_through_checkpoint_crash_and_segment_restore(
 ):
     db = typed_db()
     for values in TYPED_ROWS:  # several inserts land in one SUM group
-        with db.transaction() as txn:
-            db.insert(txn, "t", values)
+        with db.session() as s:
+            s.insert("t", values)
     assert_typed_contents(db)
     # (i) the page store: checkpoint, crash, seed from durable pages
     db.take_checkpoint()
@@ -379,9 +379,9 @@ def test_an_order_transaction_runs_no_json_and_rescans_no_slot_directory(
         "by_product", "sales", group_by=("product",),
         aggregates=[AggregateSpec.count("n"), AggregateSpec.sum_of("r", "amount")],
     ))
-    with db.transaction() as txn:  # seed the groups, as the workload does
+    with db.session() as s:  # seed the groups, as the workload does
         for product in range(7):
-            db.insert(txn, "sales", {
+            s.insert("sales", {
                 "id": -1 - product, "product": product, "customer": 0,
                 "amount": 1,
             })
@@ -389,9 +389,9 @@ def test_an_order_transaction_runs_no_json_and_rescans_no_slot_directory(
     applied = db.stats()["storage"]["applied_records"]
     records = len(db.log)
     for t in range(50):  # the order_api shape: four inserts, one view
-        with db.transaction() as txn:
+        with db.session() as s:
             for i in range(4):
-                db.insert(txn, "sales", {
+                s.insert("sales", {
                     "id": 4 * t + i, "product": (t + i) % 7,
                     "customer": t, "amount": 10 + i,
                 })

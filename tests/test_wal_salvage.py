@@ -47,8 +47,8 @@ def sale(i, product="ant", amount=10):
 
 def commit_sales(db, ids, **kw):
     for i in ids:
-        with db.transaction() as txn:
-            db.insert(txn, SALES, sale(i, **kw))
+        with db.session() as s:
+            s.insert(SALES, sale(i, **kw))
 
 
 class TestChecksums:

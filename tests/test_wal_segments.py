@@ -112,8 +112,8 @@ class TestSegmentLossDetection:
         db = Database(EngineConfig(wal_segment_bytes=1024))
         db.create_table("t", ("id", "v"), ("id",))
         for i in range(1, 30):
-            with db.transaction() as txn:
-                db.insert(txn, "t", {"id": i, "v": i})
+            with db.session() as s:
+                s.insert("t", {"id": i, "v": i})
         paths = db.dump_wal_segments(tmp_path)
         assert len(paths) > 1
 
