@@ -70,6 +70,11 @@ status 1 on any finding), via ``make lint``, or programmatically through
   ``CompensationRecord`` is constructed only under ``repro/wal/`` — by
   ``repro.wal.recovery.undo``, which online rollback, savepoints and
   in-doubt resolution all call.
+* **lazy-envelope** — the log carries only what recovery reads. In
+  engine code ``CommitRecord`` / ``AbortRecord`` are constructed only in
+  ``repro/txn/manager.py`` and ``Database.resolve_in_doubt``, and
+  ``EndRecord`` only in ``repro/wal/recovery.py`` (``undo`` writes it
+  after a rollback's last CLR).
 """
 
 import ast
@@ -91,6 +96,7 @@ RULES = (
     "logged-write",
     "one-codec",
     "one-settle",
+    "lazy-envelope",
 )
 
 #: a constant-propagation cell bound more than once with different
@@ -114,6 +120,15 @@ _ROW_CHANGE_RECORDS = frozenset(
 
 #: the one module outside ``repro/wal/`` that may construct them.
 _WRITE_MODULE = ("txn", "write.py")
+
+#: the transaction-envelope records and the one engine file that writes
+#: each (``Database.resolve_in_doubt`` decides recovered 2PC branches)
+_ENVELOPE_WRITERS = {
+    "CommitRecord": ("txn", "manager.py"),
+    "AbortRecord": ("txn", "manager.py"),
+    "EndRecord": ("wal", "recovery.py"),
+}
+_RESOLVER_FILE, _RESOLVER_FUNC = ("core", "database.py"), "resolve_in_doubt"
 
 #: the only engine files that may ``import struct`` (byte layouts)
 _LAYOUT_FILES = (("wal", "codec.py"), ("storage", "pages.py"))
@@ -283,6 +298,8 @@ class _FileLinter(ast.NodeVisitor):
         rel = _rel_to_repro(path) or ()
         self.check_settle = "one-settle" in rules and self.engine
         self.check_clrs = self.check_settle and rel[:1] != ("wal",)
+        self.check_envelope = "lazy-envelope" in rules and self.engine
+        self.rel = rel
         self.codec_banned = set()  # modules this file may not import
         if "one-codec" in rules and rel:
             if rel not in _LAYOUT_FILES:
@@ -478,6 +495,23 @@ class _FileLinter(ast.NodeVisitor):
                 "CompensationRecord constructed outside repro/wal/; roll "
                 "back through repro.wal.recovery.undo, the one backchain "
                 "walker",
+            )
+        home = _ENVELOPE_WRITERS.get(name)
+        if (
+            self.check_envelope
+            and home is not None
+            and self.rel != home
+            and not (
+                self.rel == _RESOLVER_FILE
+                and self._func_stack[-1:] == [_RESOLVER_FUNC]
+            )
+        ):
+            self.flag(
+                node,
+                "lazy-envelope",
+                f"{name} constructed outside repro/{'/'.join(home)} and "
+                f"Database.resolve_in_doubt; end transactions through "
+                f"TransactionManager.commit / abort",
             )
         if self.check_writes:
             if name in _ROW_CHANGE_RECORDS:

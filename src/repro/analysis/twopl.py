@@ -6,15 +6,17 @@ Invariants checked over the lock/wal/txn event stream:
   is granted, or waits for another one (the engine releases everything
   at once via ``release_all``, so the first ``lock_release`` marks the
   start of the shrinking phase).
-* **SS2PL**: the shrinking phase begins only after the transaction's
-  COMMIT or ABORT record has been appended to the log. Under group
-  commit this is exactly the documented *early release* point — locks go
-  at COMMIT-record append, not at durability — so the check is on the
-  append, deliberately not on the flush.
+* **SS2PL**: a transaction that appended any log record begins its
+  shrinking phase only after its COMMIT or ABORT record has been
+  appended. Under group commit this is exactly the documented *early
+  release* point — locks go at COMMIT-record append, not at durability —
+  so the check is on the append, deliberately not on the flush. A
+  transaction that appended nothing has no decision to log: it may
+  release at its ``txn_commit`` / ``txn_abort``.
 
-The WAL sub-condition is skipped when the stream carries no ``wal``
-events (a trace captured with ``categories=("lock",)`` has nothing to
-anchor the commit point to).
+A stream that carries no ``wal`` events (a trace captured with
+``categories=("lock",)``) shows no transaction appending anything, so
+the WAL sub-condition never fires on it.
 """
 
 from repro.analysis.base import Sanitizer
@@ -26,8 +28,8 @@ class TwoPhaseLockingSanitizer(Sanitizer):
     def __init__(self):
         super().__init__()
         self._released = set()  # txns past their shrinking point
-        self._decided = set()  # txns with a COMMIT/ABORT record appended
-        self._saw_wal = False
+        #: txn that appended a record -> its COMMIT/ABORT is among them
+        self._decided = {}
 
     # ----------------------------------------------------------- growing
     def _growing(self, verb, txn_id, seq, fields):
@@ -50,7 +52,7 @@ class TwoPhaseLockingSanitizer(Sanitizer):
 
     # --------------------------------------------------------- shrinking
     def on_lock_release(self, txn_id, seq, fields):
-        if self._saw_wal and txn_id not in self._decided:
+        if self._decided.get(txn_id) is False:
             self.report(
                 "locks released before the transaction's COMMIT/ABORT "
                 "record was appended (strict 2PL violated)",
@@ -60,12 +62,9 @@ class TwoPhaseLockingSanitizer(Sanitizer):
         self._released.add(txn_id)
 
     def on_wal_append(self, txn_id, seq, fields):
-        self._saw_wal = True
-        if txn_id is not None and fields.get("record") in (
-            "CommitRecord",
-            "AbortRecord",
-        ):
-            self._decided.add(txn_id)
+        if txn_id is not None:
+            decision = fields.get("record") in ("CommitRecord", "AbortRecord")
+            self._decided[txn_id] = decision or self._decided.get(txn_id, False)
 
     def notice_crash(self):
         # The lock table is volatile: whatever was held is simply gone,

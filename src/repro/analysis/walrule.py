@@ -19,9 +19,11 @@ Invariants checked over the wal/txn event stream:
   the write-back, so at that event the durable boundary must already
   cover the page — a violation means a data page could survive a crash
   carrying effects whose log records did not.
-* **The WAL commit rule**: a transaction is commit-visible
-  (``txn_commit``) only after its COMMIT record was appended — and,
-  without group commit, only after that record was flushed. With group
+* **The WAL commit rule**: a transaction that appended any log record
+  is commit-visible (``txn_commit``) only after its COMMIT record was
+  appended — and, without group commit, only after that record was
+  flushed. One that appended nothing has nothing to make durable and
+  may commit with no record at all. With group
   commit the flush is deferred (the documented early-release exemption):
   the transaction is *pending durability* until a flush covers its
   COMMIT LSN; at quiescence (``finish(assume_quiescent=True)``) nothing
@@ -41,16 +43,15 @@ class WalRuleSanitizer(Sanitizer):
         self.group_commit = group_commit
         self._last_lsn = 0
         self._flushed = 0
+        self._logged = set()  # txns that appended any record
         self._commit_lsn = {}  # txn -> LSN of its COMMIT record
         self._pending = {}  # commit-visible txn -> COMMIT LSN awaiting flush
-        self._saw_wal = False
 
     # --------------------------------------------------------------- wal
     def on_wal_append(self, txn_id, seq, fields):
         lsn = fields.get("lsn")
         if lsn is None:
             return
-        self._saw_wal = True
         if lsn <= self._last_lsn:
             if lsn == self._flushed + 1:
                 # Crash rewind: the unflushed suffix was truncated and
@@ -64,14 +65,15 @@ class WalRuleSanitizer(Sanitizer):
                     seq,
                 )
         self._last_lsn = max(self._last_lsn, lsn)
-        if txn_id is not None and fields.get("record") == "CommitRecord":
-            self._commit_lsn[txn_id] = lsn
+        if txn_id is not None:
+            self._logged.add(txn_id)
+            if fields.get("record") == "CommitRecord":
+                self._commit_lsn[txn_id] = lsn
 
     def on_wal_flush(self, txn_id, seq, fields):
         flushed = fields.get("flushed_lsn")
         if flushed is None:
             return
-        self._saw_wal = True
         if flushed < self._flushed:
             self.report(
                 f"durable boundary regressed: {self._flushed} -> {flushed}",
@@ -127,8 +129,8 @@ class WalRuleSanitizer(Sanitizer):
 
     # --------------------------------------------------------------- txn
     def on_txn_commit(self, txn_id, seq, fields):
-        if not self._saw_wal:
-            return  # wal category not traced; nothing to anchor to
+        if txn_id not in self._logged:
+            return  # silent (or the wal category is not traced)
         lsn = self._commit_lsn.get(txn_id)
         if lsn is None:
             self.report(

@@ -86,7 +86,6 @@ from repro.wal.codec import check_row
 from repro.wal.records import (
     AbortRecord,
     CommitRecord,
-    EndRecord,
     PrepareRecord,
 )
 from repro.wal.recovery import RecoveryTarget, undo
@@ -610,7 +609,7 @@ class Database(RecoveryTarget):
 
         Recovery already repeated the branch's history (its escrow deltas
         and row images are in the recovered state), so commit is pure
-        bookkeeping: log COMMIT + END durably and release the locks.
+        bookkeeping: log COMMIT durably and release the locks.
         Abort physically reverses the branch record-by-record through
         CLRs — unlike online rollback, the deltas *are* on the rows here.
         """
@@ -625,7 +624,6 @@ class Database(RecoveryTarget):
         info = self._in_doubt.pop(txn_id)
         if decision == "commit":
             self.log.append(CommitRecord(txn_id, self.clock.tick()))
-            self.log.append(EndRecord(txn_id))
             self.log.flush_no_faults()
             self._txns.committed_count += 1
             self.counters.incr("dist.in_doubt_committed")
@@ -648,6 +646,7 @@ class Database(RecoveryTarget):
             self._txns.aborted_count += 1
             self.counters.incr("dist.in_doubt_aborted")
         self.locks.release_all(txn_id)
+        self.log.forget(txn_id)
         return decision
 
     def savepoint(self, txn):
@@ -725,8 +724,6 @@ class Database(RecoveryTarget):
         dependent-abort story the commit-flush comment in
         ``txn/manager.py`` documents.
         """
-        if not tickets:
-            return
         if not self._group_retractable(member_ids):
             # The members' COMMIT records die with the volatile log; mark
             # their tickets lost now so nothing waits on them forever.
@@ -760,8 +757,7 @@ class Database(RecoveryTarget):
     def _group_retractable(self, member_ids):
         """True when discarding the unflushed suffix undoes *only* the
         failed group: no active transactions, and every unflushed record
-        belongs to a group member. (Durable members can only have END
-        records past the boundary — losing an END is always safe.)"""
+        belongs to a group member."""
         if self._txns.active_transactions():
             return False
         for record in self.log.records(self.log.flushed_lsn + 1):
@@ -1018,9 +1014,21 @@ class Database(RecoveryTarget):
             row = record.read_as_of(as_of) if record is not None else None
             return self._visible(name, row)
         mode = LockMode.U if for_update else LockMode.S
-        self.acquire_plan(txn, locks_for_point_read(index, key, mode))
+        return self._visible(name, self.locked_row(txn, index, key, mode))
+
+    def locked_row(self, txn, index, key, mode=LockMode.S):
+        """The live row at ``key`` of ``index`` under a key lock in
+        ``mode`` (a gap fence if absent). One descent serves plan and
+        read: ``Transaction.acquire`` returns only on an immediate grant
+        (else it raises and the statement is re-planned), so nothing ran
+        in between."""
+        record = index.get_record(key, include_ghost=True)
+        plan = locks_for_point_read(index, key, mode, record)
+        self.acquire_plan(txn, plan)
         txn.stats.reads += 1
-        return self._visible(name, index.get_row(key))
+        if record is None or record.is_ghost:
+            return None
+        return record.current_row
 
     def read_exact(self, txn, name, key):
         """Read a view row including the transaction's *own* pending
@@ -1038,10 +1046,7 @@ class Database(RecoveryTarget):
             )
             txn.stats.reads += 1
             return contents.get(key)
-        index = self.index(name)
-        self.acquire_plan(txn, locks_for_point_read(index, key))
-        txn.stats.reads += 1
-        row = index.get_row(key)
+        row = self.locked_row(txn, self.index(name), key)
         if row is None:
             return None
         changes = {}
@@ -1250,7 +1255,7 @@ class Database(RecoveryTarget):
         recovery forget it."""
         att = self._txns.active_txn_table()
         for txn_id, info in self._in_doubt.items():
-            att[txn_id] = info["last_lsn"] or 0
+            att[txn_id] = info["last_lsn"]
         return att
 
     def _maybe_auto_checkpoint(self):
@@ -1475,8 +1480,6 @@ class Database(RecoveryTarget):
             lsn = last_lsn
             while lsn is not None:
                 record = self.log.record_at(lsn)
-                if record is None:
-                    break
                 first_lsn = record.lsn
                 if isinstance(record, PrepareRecord):
                     gid = record.gid

@@ -47,14 +47,18 @@ def _fence_resource(index, key):
     return key_resource(index.name, fence)
 
 
-def locks_for_point_read(index, key, mode=LockMode.S):
+def locks_for_point_read(index, key, mode=LockMode.S, record=...):
     """Read the row at ``key``: a key lock in ``mode``.
 
     If the key does not exist, a serializable reader must instead lock the
     gap that would contain it, so the answer "not there" stays true: we
-    take a range-S lock on the fence key.
+    take a range-S lock on the fence key. A caller that already holds the
+    record at ``key`` (ghosts included, ``None`` if absent) passes it as
+    ``record`` and saves the descent.
     """
-    if index.get_record(key, include_ghost=True) is not None:
+    if record is ...:
+        record = index.get_record(key, include_ghost=True)
+    if record is not None:
         return [(key_resource(index.name, key), RangeMode.key(mode))]
     return [(_fence_resource(index, key), RangeMode(RangeMode.RANGE_S_S.gap, LockMode.NL))]
 

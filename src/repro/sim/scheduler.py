@@ -427,7 +427,8 @@ class Scheduler:
                 self._charge(session, self._costs.commit)
                 ticket = session.txn.commit_ticket
                 if ticket is None:
-                    # No group commit: the commit flushed inline.
+                    # No group to wait on: the commit flushed inline (or
+                    # was silent; the model charges it a flush all the same).
                     self._charge(session, self._costs.flush)
                 elif ticket.state == "pending":
                     # Commit-visible; durability pends on the group flush.

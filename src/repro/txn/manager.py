@@ -6,7 +6,12 @@ Commit protocol (WAL rule enforced here):
    transaction is now durable;
 2. fold escrow deltas into their rows and stamp MVCC versions (via the
    registered commit listener — the Database);
-3. release all locks, append END.
+3. release all locks. COMMIT is the transaction's last record.
+
+The log carries only what recovery reads (``docs/ARCHITECTURE.md`` §7):
+``begin`` appends nothing — a transaction's first record opens it — and
+a *silent* transaction, one that has appended no record by its end,
+skips step 1 (and abort steps 1–2) altogether.
 
 With group commit enabled the flush in step 1 is skipped: the commit
 point is the COMMIT-record *append* (early lock release — steps 2–3 run
@@ -16,7 +21,10 @@ batched flush covers its COMMIT record; ``Database.ensure_durable``
 blocks on that. If the group flush fails before durability the whole
 group is retracted (rolled back, retryable) or, when other transactions
 already depend on the group's writes in ways rollback cannot reach, the
-failure escalates to a simulated crash.
+failure escalates to a simulated crash. A silent transaction that
+commits while a group is pending may have read a member's writes, so it
+enrolls too — at the newest pending COMMIT, appending nothing; with no
+member pending it takes no ticket.
 
 Abort protocol (online rollback):
 
@@ -26,7 +34,8 @@ Abort protocol (online rollback):
    record apply the undo and write a CLR — *except* escrow deltas, whose
    pending amounts never reached the row: their CLRs are logged (so crash
    recovery, which replays deltas, compensates them) but no row change is
-   applied online; END closes the chain;
+   applied online; END — written only here, after a rollback — closes
+   the chain;
 3. discard pending escrow deltas, release locks.
 
 System transactions (:meth:`TransactionManager.begin_system`) are nested
@@ -40,10 +49,8 @@ from repro.common import FaultInjected, SimulatedCrash, TransactionStateError
 from repro.txn.transaction import LockPolicy, Transaction, TxnState
 from repro.wal.records import (
     AbortRecord,
-    BeginRecord,
     CommitRecord,
     CounterImageRecord,
-    EndRecord,
     EscrowDeltaRecord,
 )
 from repro.wal.recovery import undo
@@ -92,14 +99,11 @@ class TransactionManager:
         )
         txn.begin_ts = self._clock.now()
         self._active[txn_id] = txn
-        # emit before the BeginRecord lands so txn_begin precedes every
-        # wal_append of the transaction in the trace's causal (seq) order
         if self.tracer.enabled:
             self.tracer.emit(
                 "txn_begin", txn_id=txn_id, isolation=isolation,
                 system=is_system,
             )
-        self._log.append(BeginRecord(txn_id, is_system=is_system))
         return txn
 
     def begin_system(self, policy=LockPolicy.NOWAIT):
@@ -116,39 +120,24 @@ class TransactionManager:
                                     committed=False)
         commit_ts = self._clock.tick()
         txn.commit_ts = commit_ts
-        commit_lsn = self._log.append(CommitRecord(txn.txn_id, commit_ts))
+        log = self._log
         group = self.group_commit
         grouped = group.enabled
-        if not grouped:
-            try:
-                self._log.flush()
-            except FaultInjected as fault:
-                # The COMMIT record is in the append stream but the flush
-                # failed. Online abort is unsound from here: if any prefix
-                # containing the COMMIT record later becomes durable,
-                # recovery declares the transaction a winner, so
-                # compensating it online would corrupt the redo history.
-                # Real engines halt on a log-device failure at the commit
-                # point; we escalate to a simulated crash the harness must
-                # recover from. (Group commit recovers less drastically:
-                # it retracts the group via a bounded log truncation when
-                # nothing outside the group is in the unflushed suffix.)
-                raise SimulatedCrash(fault.site, committed=False) from fault
-            if self.faults.active:
-                # Crash on the far side: COMMIT is flushed, so recovery
-                # must replay the transaction's effects (durability
-                # oracle). With grouping on, the coordinator evaluates
-                # this site after the batched flush instead.
-                self.faults.maybe_crash("txn.commit.after",
-                                        txn_id=txn.txn_id, committed=True)
+        if log.last_lsn_of(txn.txn_id) is None:
+            # Silent: nothing to make durable — but it may have read a
+            # pending member's writes (early lock release): ride its group.
+            commit_lsn = group.pending_lsn() if grouped else None
+        else:
+            commit_lsn = log.append(CommitRecord(txn.txn_id, commit_ts))
+            if not grouped:
+                self._flush_commit(txn)
         self.commit_listener(txn, commit_ts)
         txn.state = TxnState.COMMITTED
         self._locks.release_all(txn.txn_id)
         self._snapshots.close(txn.txn_id)
-        self._log.append(EndRecord(txn.txn_id))
         del self._active[txn.txn_id]
         self.committed_count += 1
-        txn.stats.log_bytes = self._log.bytes_of(txn.txn_id)
+        txn.stats.log_bytes = log.forget(txn.txn_id)
         latency = commit_ts - txn.begin_ts
         self.metrics.observe_commit(
             latency, txn.stats.log_bytes, txn.stats.actions
@@ -159,20 +148,43 @@ class TransactionManager:
                 latency=latency, log_bytes=txn.stats.log_bytes,
                 actions=txn.stats.actions,
             )
-        if grouped:
-            # Enroll only after the END record landed and the active-table
-            # entry is gone: the retraction guard ("nothing but group
-            # members in the unflushed suffix, no active transactions")
-            # must see this transaction as fully quiesced. Under the size
-            # policy this enrolment may flush the group inline — which may
-            # retract it, including this very transaction.
-            end_lsn = self._log.last_lsn_of(txn.txn_id)
-            ticket = group.enroll(txn, commit_lsn, end_lsn)
+        if grouped and commit_lsn is not None:
+            # Enroll only after the active-table entry is gone: the
+            # retraction guard ("nothing but group members in the
+            # unflushed suffix, no active transactions") must see this
+            # transaction as fully quiesced. Under the size policy this
+            # enrolment may flush the group inline — which may retract
+            # it, including this very transaction.
+            ticket = group.enroll(txn, commit_lsn)
             if ticket.state == ticket.RETRACTED:
                 raise FaultInjected(
                     ticket.reason or "wal.group_flush", txn.txn_id
                 )
         return commit_ts
+
+    def _flush_commit(self, txn):
+        """The ungrouped commit point: force the COMMIT record out."""
+        try:
+            self._log.flush()
+        except FaultInjected as fault:
+            # The COMMIT record is in the append stream but the flush
+            # failed. Online abort is unsound from here: if any prefix
+            # containing the COMMIT record later becomes durable,
+            # recovery declares the transaction a winner, so
+            # compensating it online would corrupt the redo history.
+            # Real engines halt on a log-device failure at the commit
+            # point; we escalate to a simulated crash the harness must
+            # recover from. (Group commit recovers less drastically:
+            # it retracts the group via a bounded log truncation when
+            # nothing outside the group is in the unflushed suffix.)
+            raise SimulatedCrash(fault.site, committed=False) from fault
+        if self.faults.active:
+            # Crash on the far side: COMMIT is flushed, so recovery
+            # must replay the transaction's effects (durability
+            # oracle). With grouping on, the coordinator evaluates
+            # this site after the batched flush instead.
+            self.faults.maybe_crash("txn.commit.after",
+                                    txn_id=txn.txn_id, committed=True)
 
     def abort(self, txn, reason="user"):
         """Roll ``txn`` back completely."""
@@ -184,8 +196,9 @@ class TransactionManager:
                 f"cannot abort transaction {txn.txn_id} in state {txn.state.value}"
             )
         self._locks.cancel_wait(txn.txn_id)
-        self._log.append(AbortRecord(txn.txn_id))
-        self._rollback(txn)  # CLRs, then END
+        if self._log.last_lsn_of(txn.txn_id) is not None:
+            self._log.append(AbortRecord(txn.txn_id))
+            self._rollback(txn)  # CLRs, then END
         for account in txn.escrow_touched.values():
             account.abort(txn.txn_id)
         txn.state = TxnState.ABORTED
@@ -193,7 +206,7 @@ class TransactionManager:
         self._snapshots.close(txn.txn_id)
         del self._active[txn.txn_id]
         self.aborted_count += 1
-        txn.stats.log_bytes = self._log.bytes_of(txn.txn_id)
+        txn.stats.log_bytes = self._log.forget(txn.txn_id)
         if self.tracer.enabled:
             self.tracer.emit("txn_abort", txn_id=txn.txn_id, reason=reason)
 
@@ -230,7 +243,7 @@ class TransactionManager:
         """Mark the current point in ``txn``; returns an opaque token for
         :meth:`rollback_to`."""
         txn.require_active()
-        return _Savepoint(txn.txn_id, self._log.last_lsn_of(txn.txn_id))
+        return _Savepoint(txn.txn_id, self._log.last_lsn_of(txn.txn_id) or 0)
 
     def rollback_to(self, txn, savepoint):
         """Undo everything ``txn`` did after ``savepoint``, leaving the
@@ -257,15 +270,15 @@ class TransactionManager:
         return list(self._active.values())
 
     def active_txn_table(self):
-        """txn_id -> last LSN, as a checkpoint wants it."""
-        return {
-            txn_id: self._log.last_lsn_of(txn_id) or 0
-            for txn_id in self._active
-        }
+        """txn_id -> last LSN, as a checkpoint wants it: a transaction
+        that has logged nothing leaves recovery nothing to find."""
+        heads = ((t, self._log.last_lsn_of(t)) for t in self._active)
+        return {txn_id: lsn for txn_id, lsn in heads if lsn is not None}
 
 
 class _Savepoint:
-    """An opaque marker: the transaction's last LSN at creation time."""
+    """An opaque marker: the transaction's last LSN at creation time (0
+    before its first record)."""
 
     __slots__ = ("txn_id", "lsn")
 

@@ -22,7 +22,6 @@ from repro.common.keys import KeyRange
 from repro.locking.keyrange import (
     locks_for_insert,
     locks_for_logical_delete,
-    locks_for_point_read,
     locks_for_update,
 )
 from repro.txn.write import ghost, patch, put
@@ -65,9 +64,7 @@ def left_rows_referencing(db, txn, view, right_key):
     rows = []
     for _, ref_record in matches:
         left_key = ref_record.current_row.key(view.left_pk)
-        db.acquire_plan(txn, locks_for_point_read(left_index, left_key))
-        txn.stats.reads += 1
-        left_row = left_index.get_row(left_key)
+        left_row = db.locked_row(txn, left_index, left_key)
         if left_row is not None:
             rows.append(left_row)
     return rows
@@ -128,9 +125,7 @@ class JoinMaintainer:
         fk = view.left_fk_of(row)
         # Read the matched right row under a shared lock (before any
         # mutation — this is still compile phase).
-        db.acquire_plan(txn, locks_for_point_read(right_index, fk))
-        txn.stats.reads += 1
-        right_row = right_index.get_row(fk)
+        right_row = db.locked_row(txn, right_index, fk)
         if right_row is None:
             return actions
         joined = row.merge(right_row)

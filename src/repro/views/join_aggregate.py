@@ -24,7 +24,6 @@ Right-side fan-out means one parent update can touch many groups — the
 NetDelta fold collapses those into one action per affected group.
 """
 
-from repro.locking.keyrange import locks_for_point_read
 from repro.views.delta import NetDelta, TxnViewDeltas
 from repro.views.join import left_rows_referencing, leftfk_actions
 
@@ -75,9 +74,7 @@ class JoinAggregateMaintainer:
     def _left_contributions(self, db, txn, view, left_row, sign):
         right_index = db.index(view.right)
         fk = view.left_fk_of(left_row)
-        db.acquire_plan(txn, locks_for_point_read(right_index, fk))
-        txn.stats.reads += 1
-        right_row = right_index.get_row(fk)
+        right_row = db.locked_row(txn, right_index, fk)
         if right_row is None:
             return []
         return [(left_row.merge(right_row), sign)]

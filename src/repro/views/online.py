@@ -286,45 +286,42 @@ class ViewBuilder:
         after the build timestamp and has not been applied yet. Returns
         the number of transactions caught up; call repeatedly."""
         db, view = self.db, self.view
-        committed = []
-        for record in db.log.records():
-            if (
-                isinstance(record, CommitRecord)
-                and record.commit_ts > self.build_ts
-                and record.txn_id not in self._applied_txns
-            ):
-                committed.append((record.commit_ts, record.txn_id))
-        committed.sort()
+        committed = [
+            record for record in db.log.records()
+            if isinstance(record, CommitRecord)
+            and record.commit_ts > self.build_ts
+            and record.txn_id not in self._applied_txns
+        ]
+        committed.sort(key=lambda commit: (commit.commit_ts, commit.txn_id))
         bases = set(view.base_tables())
-        for _commit_ts, txn_id in committed:
+        for commit in committed:
             if db.faults.active:
                 db.faults.maybe_crash(
                     FAULT_SITE, txn_id=self.txn.txn_id,
-                    detail=f"catchup:{txn_id}",
+                    detail=f"catchup:{commit.txn_id}",
                 )
-            for table, op, before, after in self._base_changes(txn_id, bases):
+            changes = self._base_changes(commit.prev_lsn, bases)
+            for table, op, before, after in changes:
                 actions = db.maintenance.compile_view(
                     db, self.txn, view, table, op, before, after
                 )
                 run_actions(db, self.txn, actions)
-            self._applied_txns.add(txn_id)
+            self._applied_txns.add(commit.txn_id)
         if committed:
             self._emit("catchup", txns=len(committed))
         return len(committed)
 
-    def _base_changes(self, txn_id, bases):
+    def _base_changes(self, lsn, bases):
         """One committed transaction's base-table changes, in log order.
 
-        Walks the undo backchain; a CLR's ``undo_next_lsn`` jumps over
-        the compensated record, so partially-rolled-back work nets out
-        to exactly what survived — the same skip rule ARIES undo uses.
+        Walks the undo backchain from ``lsn``, the record before its
+        COMMIT; a CLR's ``undo_next_lsn`` jumps over the compensated
+        record, so partially-rolled-back work nets out to exactly what
+        survived — the same skip rule ARIES undo uses.
         """
         changes = []
-        lsn = self.db.log.last_lsn_of(txn_id)
         while lsn is not None:
             record = self.db.log.record_at(lsn)
-            if record is None:
-                break
             if isinstance(record, CompensationRecord):
                 lsn = record.undo_next_lsn
                 continue

@@ -31,12 +31,14 @@ def txn_footprint(log, txn_id):
     """One transaction's full log footprint.
 
     Returns a dict with the record count, encoded bytes, touched index
-    names, and lifecycle flags (committed / aborted / ended).
+    names, and outcome flags: ``committed`` (a COMMIT, a winner's last
+    record), ``aborted`` (an ABORT) and ``rolled_back_complete`` (the END
+    after a rollback's last CLR). A silent transaction has no records.
     """
     count = 0
     size = 0
     indexes = set()
-    committed = aborted = ended = False
+    committed = aborted = rolled_back_complete = False
     for record in log.records():
         if record.txn_id != txn_id:
             continue
@@ -50,7 +52,7 @@ def txn_footprint(log, txn_id):
         elif record.type is RecordType.ABORT:
             aborted = True
         elif record.type is RecordType.END:
-            ended = True
+            rolled_back_complete = True
     return {
         "txn_id": txn_id,
         "records": count,
@@ -58,12 +60,13 @@ def txn_footprint(log, txn_id):
         "indexes": sorted(indexes),
         "committed": committed,
         "aborted": aborted,
-        "ended": ended,
+        "rolled_back_complete": rolled_back_complete,
     }
 
 
 def summarize(log):
-    """A one-stop summary for reports and debugging."""
+    """A one-stop summary for reports and debugging (a transaction that
+    changed nothing logged nothing, and is not ``seen``)."""
     type_counts = records_by_type(log)
     txn_ids = set()
     for record in log.records():

@@ -44,9 +44,10 @@ from repro.obs.tracer import NULL_TRACER
 class CommitTicket:
     """One transaction's stake in a commit group.
 
-    ``commit_lsn`` decides durability (the COMMIT record must be inside
-    the flushed prefix); ``end_lsn`` is the transaction's last record and
-    sets the group's flush target so END records persist too.
+    ``commit_lsn`` decides durability: the COMMIT record — the
+    transaction's last — must be inside the flushed prefix. A silent
+    transaction (no record of its own) carries the LSN of the newest
+    COMMIT that was pending when it ended: what it may have read.
     """
 
     PENDING = "pending"
@@ -54,13 +55,12 @@ class CommitTicket:
     RETRACTED = "retracted"
     LOST = "lost"
 
-    __slots__ = ("txn", "commit_lsn", "end_lsn", "state", "reason",
-                 "resolved_at", "leader")
+    __slots__ = ("txn", "commit_lsn", "state", "reason", "resolved_at",
+                 "leader")
 
-    def __init__(self, txn, commit_lsn, end_lsn):
+    def __init__(self, txn, commit_lsn):
         self.txn = txn
         self.commit_lsn = commit_lsn
-        self.end_lsn = end_lsn
         self.state = CommitTicket.PENDING
         self.reason = None
         self.resolved_at = None
@@ -107,16 +107,20 @@ class GroupCommitCoordinator:
     def pending_count(self):
         return len(self._pending)
 
+    def pending_lsn(self):
+        """The newest COMMIT still waiting for its flush, or ``None``."""
+        return self._pending[-1].commit_lsn if self._pending else None
+
     # ------------------------------------------------------------------
     # enrolment and deadlines
     # ------------------------------------------------------------------
 
-    def enroll(self, txn, commit_lsn, end_lsn):
+    def enroll(self, txn, commit_lsn):
         """Add a commit-visible transaction to the open group. Under the
         size policy the member that fills the group leads the flush
         inline; otherwise the ticket stays pending until a deadline,
         ``ensure_durable``, or an external flush settles it."""
-        ticket = CommitTicket(txn, commit_lsn, end_lsn)
+        ticket = CommitTicket(txn, commit_lsn)
         txn.commit_ticket = ticket
         if not self._pending:
             self._opened_at = self._clock.now()
@@ -173,7 +177,7 @@ class GroupCommitCoordinator:
         for ticket in self._pending:
             if ticket.txn_id == leader_id:
                 ticket.leader = True
-        target = max(t.end_lsn for t in self._pending)
+        target = self._pending[-1].commit_lsn  # enrolled in LSN order
         member_ids = {t.txn_id for t in self._pending}
         self._current_leader = leader_id
         try:
@@ -187,8 +191,6 @@ class GroupCommitCoordinator:
             self._pending = []
             self._opened_at = None
             self._current_leader = None
-            if not nondurable:
-                return  # only an END record was torn off; everyone won
             if self.failure_handler is None:
                 raise SimulatedCrash(fault.site, committed=False) from fault
             self.failure_handler(nondurable, member_ids, fault)

@@ -21,7 +21,7 @@ from repro.common import FaultInjected, ReproError, WalError
 from repro.faults import NULL_INJECTOR
 from repro.obs.metrics import Histogram
 from repro.obs.tracer import NULL_TRACER
-from repro.wal.records import CheckpointRecord
+from repro.wal.records import CheckpointRecord, RecordType
 
 
 class LogManager:
@@ -70,7 +70,7 @@ class LogManager:
         fail_after_append = False
         if self.faults.active and record.is_undoable():
             # Fault sites gate on undoable (data) records only: protocol
-            # records (BEGIN/COMMIT/ABORT/END/CLR) must never fail here,
+            # records (COMMIT/ABORT/END/CLR) must never fail here,
             # or abort itself could not be made to succeed.
             record_name = type(record).__name__
             if self.faults.fires(
@@ -126,11 +126,15 @@ class LogManager:
         return record.lsn
 
     def last_lsn_of(self, txn_id):
+        """The newest record of an open transaction's backchain; ``None``
+        before its first record and once it has ended."""
         return self._txn_last_lsn.get(txn_id)
 
-    def bytes_of(self, txn_id):
-        """Encoded bytes of every record ``txn_id`` has appended."""
-        return self._txn_bytes.get(txn_id, 0)
+    def forget(self, txn_id):
+        """``txn_id`` has ended: drop its backchain head and byte count,
+        returning the encoded bytes of every record it appended."""
+        self._txn_last_lsn.pop(txn_id, None)
+        return self._txn_bytes.pop(txn_id, 0)
 
     def tail_lsn(self):
         return self._next_lsn - 1
@@ -223,18 +227,29 @@ class LogManager:
 
     def truncate_from(self, lsn):
         """Drop every record with ``lsn >= lsn`` — the salvage cut after
-        a failed checksum. Returns the dropped records (newest-last).
-        LSNs restart at the cut, exactly as after :meth:`crash`."""
+        a failed checksum, or a crash's at the durable boundary. Returns
+        the dropped records (newest-last); LSNs restart at the cut."""
         dropped = [r for r in self._records if r.lsn >= lsn]
         self._records = [r for r in self._records if r.lsn < lsn]
         self._next_lsn = lsn
         if self.flushed_lsn >= lsn:
             self.flushed_lsn = lsn - 1
-        self._txn_last_lsn = {}
-        for record in self._records:
-            if record.txn_id is not None:
-                self._txn_last_lsn[record.txn_id] = record.lsn
+        self._rebuild_backchain_heads()
         return dropped
+
+    def _rebuild_backchain_heads(self):
+        """After a cut: backchain heads for the transactions the
+        surviving records leave open (a COMMIT or an END ended its own);
+        byte counts belonged to transactions the cut killed."""
+        heads = self._txn_last_lsn = {}
+        self._txn_bytes = {}
+        for record in self._records:
+            if record.txn_id is None:
+                continue
+            if record.type in (RecordType.COMMIT, RecordType.END):
+                heads.pop(record.txn_id, None)
+            else:
+                heads[record.txn_id] = record.lsn
 
     def flush_for_writeback(self, up_to_lsn):
         """WAL-before-write: make the prefix up to ``up_to_lsn`` durable
@@ -257,16 +272,7 @@ class LogManager:
 
         Returns the list of discarded records (for test assertions).
         """
-        survivors = [r for r in self._records if r.lsn <= self.flushed_lsn]
-        lost = [r for r in self._records if r.lsn > self.flushed_lsn]
-        self._records = survivors
-        self._next_lsn = self.flushed_lsn + 1
-        # Rebuild backchain heads from the surviving records.
-        self._txn_last_lsn = {}
-        for record in survivors:
-            if record.txn_id is not None:
-                self._txn_last_lsn[record.txn_id] = record.lsn
-        return lost
+        return self.truncate_from(self.flushed_lsn + 1)
 
     # ------------------------------------------------------------------
     # reading

@@ -33,7 +33,6 @@ from repro.wal import codec
 
 
 class RecordType(enum.Enum):
-    BEGIN = "begin"
     COMMIT = "commit"
     ABORT = "abort"
     END = "end"
@@ -174,16 +173,6 @@ def _decode_at(buf, at):
     return record, at
 
 
-class BeginRecord(LogRecord):
-    type = RecordType.BEGIN
-    __slots__ = ("is_system",)
-    fields = (("is_system", codec.VALUE),)
-
-    def __init__(self, txn_id, is_system=False):
-        super().__init__(txn_id)
-        self.is_system = is_system
-
-
 class CommitRecord(LogRecord):
     type = RecordType.COMMIT
     __slots__ = ("commit_ts",)
@@ -202,6 +191,10 @@ class AbortRecord(LogRecord):
 
 
 class EndRecord(LogRecord):
+    """A rollback ran to completion: every CLR of the chain is logged.
+    Written after an abort's CLRs only; a winner's last record is its
+    COMMIT."""
+
     type = RecordType.END
 
 

@@ -44,7 +44,6 @@ Two hardening layers sit on top of the classic pipeline:
 
 from repro.wal.records import (
     AbortRecord,
-    BeginRecord,
     CommitRecord,
     CompensationRecord,
     EndRecord,
@@ -200,35 +199,28 @@ def analyze(log, from_lsn=1, faults=None):
                 detail=type(record).__name__,
             )
         count += 1
-        if isinstance(record, BeginRecord):
-            open_txns[record.txn_id] = record.lsn
-        elif isinstance(record, CommitRecord):
-            winners.add(record.txn_id)
-            open_txns.pop(record.txn_id, None)
-            prepared.discard(record.txn_id)
-        elif isinstance(record, PrepareRecord):
-            prepared.add(record.txn_id)
-            open_txns[record.txn_id] = record.lsn
-        elif isinstance(record, (AbortRecord, EndRecord)):
-            # An abort record alone does not finish rollback; only END
-            # means every undo was applied and logged. A transaction with
-            # ABORT but no END is still a loser with work to do.
-            if record.type is RecordType.END:
-                open_txns.pop(record.txn_id, None)
-            else:
-                open_txns[record.txn_id] = record.lsn
-            # A logged abort (even unfinished) revokes the prepare vote:
-            # the coordinator already decided, or the branch aborted
-            # before voting completed — either way it rolls back locally.
-            prepared.discard(record.txn_id)
-        elif record.txn_id is not None:
-            open_txns.setdefault(record.txn_id, record.lsn)
-            open_txns[record.txn_id] = record.lsn
-    in_doubt = {t for t in open_txns if t in prepared}
-    losers = {}
-    for txn_id in open_txns:
-        if txn_id not in in_doubt:
-            losers[txn_id] = log.last_lsn_of(txn_id)
+        txn_id = record.txn_id
+        if isinstance(record, (CommitRecord, EndRecord)):
+            # COMMIT closes a winner. END closes a rollback: every undo
+            # was applied and logged — an ABORT alone does not say that,
+            # so a transaction with ABORT but no END is still a loser.
+            if isinstance(record, CommitRecord):
+                winners.add(txn_id)
+            open_txns.pop(txn_id, None)
+        elif txn_id is not None:
+            # There is no BEGIN: a transaction's first record opens it.
+            open_txns[txn_id] = record.lsn
+            if isinstance(record, PrepareRecord):
+                prepared.add(txn_id)
+            elif isinstance(record, AbortRecord):
+                # A logged abort (even unfinished) revokes the vote: the
+                # coordinator decided, or the branch aborted before the
+                # vote completed — either way it rolls back locally.
+                prepared.discard(txn_id)
+    in_doubt = prepared.intersection(open_txns)
+    losers = {
+        t: lsn for t, lsn in open_txns.items() if t not in in_doubt
+    }
     return winners, losers, count, in_doubt
 
 
@@ -280,13 +272,15 @@ def undo(log, target, losers, report=None, faults=None, durable=False,
     """Phase 3, and every other rollback: walk the losers' backchains
     newest record first (one combined pass in descending LSN order, as
     ARIES does), writing a CLR for each undoable record and END when a
-    chain is exhausted.
+    chain is exhausted — the one place END is written: it says the
+    rollback is complete, which no other record does.
 
     ``apply(record)`` performs the undo; the default reverses the record
     against ``target``. Online rollback passes its own (a pending escrow
     delta is unreserved, not subtracted from a row it never reached) and
-    ``stop_after_lsn`` for a savepoint: records at or below it are left
-    alone and the transaction stays open.
+    ``stop_after_lsn`` for a savepoint (0: taken before the first
+    record): records at or below it are left alone and the transaction
+    stays open, so no END.
 
     ``durable=True`` (recovery's setting) flushes each CLR / END as it is
     written, bypassing the flush fault sites (a crashed recovery is
@@ -330,9 +324,10 @@ def undo(log, target, losers, report=None, faults=None, durable=False,
                     log.flush_no_faults()
             next_lsn = record.prev_lsn
         if next_lsn is None:
-            log.append(EndRecord(txn_id))
-            if durable:
-                log.flush_no_faults()
+            if stop_after_lsn is None:
+                log.append(EndRecord(txn_id))
+                if durable:
+                    log.flush_no_faults()
             del cursors[txn_id]
         else:
             cursors[txn_id] = next_lsn
@@ -346,8 +341,6 @@ def _prepared_on_backchain(log, last_lsn):
     lsn = last_lsn
     while lsn is not None:
         record = log.record_at(lsn)
-        if record is None:
-            break
         if isinstance(record, PrepareRecord):
             return True
         lsn = record.prev_lsn
@@ -382,12 +375,10 @@ def recover(log, target, faults=None, salvage_report=None, gate=None):
         # it; they are losers unless a later COMMIT appeared — or
         # in-doubt, if their backchain carries a PREPARE the truncated
         # analysis window never saw.
-        for txn_id, last_lsn in checkpoint.active_txns.items():
-            if (
-                txn_id in winners or txn_id in losers or txn_id in in_doubt
-            ):
+        for txn_id in checkpoint.active_txns:
+            tail = log.last_lsn_of(txn_id)  # None: rolled back to its END
+            if tail is None or txn_id in winners | set(losers) | in_doubt:
                 continue
-            tail = log.last_lsn_of(txn_id) or last_lsn
             if _prepared_on_backchain(log, tail):
                 in_doubt.add(txn_id)
             else:
@@ -401,6 +392,8 @@ def recover(log, target, faults=None, salvage_report=None, gate=None):
     report.analyzed_records = analyzed
     redo(log, target, redo_from, report, faults=faults, gate=gate)
     undo(log, target, losers, report, faults=faults, durable=True)
+    for txn_id in losers:
+        log.forget(txn_id)  # rolled back to its END
     # Recovery's own durability point bypasses the flush fault sites:
     # nothing retries a failed recovery flush, it just re-enters.
     log.flush_no_faults()

@@ -34,10 +34,10 @@ engine that shape — the log's one on-disk form (formats pinned in
 
 >>> import tempfile
 >>> from repro.wal.log import LogManager
->>> from repro.wal.records import BeginRecord, CommitRecord
+>>> from repro.wal.records import CommitRecord
 >>> log = LogManager()
->>> for txn in (1, 2, 3):
-...     _ = log.append(BeginRecord(txn)); _ = log.append(CommitRecord(txn, txn))
+>>> for txn in range(1, 7):
+...     _ = log.append(CommitRecord(txn, txn))
 >>> log.flush()
 >>> directory = tempfile.mkdtemp()
 >>> paths = dump_segments(log, directory, segment_bytes=64)
@@ -267,16 +267,14 @@ def load_segments(directory, checksums=True):
             broken = True
             dropped += max(len(records), 1)
             continue
-        for record in records:
-            manager._records.append(record)
-            if record.txn_id is not None:
-                manager._txn_last_lsn[record.txn_id] = record.lsn
+        manager._records.extend(records)
         if records:
             expected_lsn = records[-1].lsn + 1
     if floor is not None and len(files) < floor["segments"]:
         # each missing segment held at least one record
         dropped += floor["segments"] - len(files)
     manager.undecodable_tail = dropped
+    manager._rebuild_backchain_heads()
     if manager._records:
         manager._next_lsn = manager._records[-1].lsn + 1
         manager.flushed_lsn = manager._records[-1].lsn

@@ -79,7 +79,7 @@ def test_recovery_correct_at_every_crash_point(strategy, tmp_path):
     full_log = load_segments(tmp_path)
     tail = full_log.tail_lsn()
     # sanity: the scenario produced a meaningful log
-    assert tail > 30
+    assert tail > 20  # row changes, CLRs and decisions only: no BEGIN, no END after COMMIT
 
     for crash_lsn in range(0, tail + 1):
         db = build_schema(strategy)

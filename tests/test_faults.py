@@ -24,7 +24,7 @@ from repro.query import AggregateSpec
 from repro.sim import Scheduler
 from repro.txn.transaction import Transaction
 from repro.wal import LogManager
-from repro.wal.records import BeginRecord, InsertRecord
+from repro.wal.records import InsertRecord
 from repro.workload import BY_PRODUCT, SALES
 from repro.views import AggregateView
 
@@ -203,7 +203,7 @@ class TestWalFlushFaults:
         inj = FaultInjector()
         inj.arm("wal.flush", times=1)
         log = LogManager(faults=inj)
-        log.append(BeginRecord(1))
+        log.append(InsertRecord(1, "t", (0,), Row({"a": 0})))
         log.append(InsertRecord(1, "t", (1,), Row({"a": 1})))
         with pytest.raises(FaultInjected):
             log.flush()
@@ -215,7 +215,7 @@ class TestWalFlushFaults:
         inj = FaultInjector()
         inj.arm("wal.torn_tail", times=1)
         log = LogManager(faults=inj)
-        log.append(BeginRecord(1))
+        log.append(InsertRecord(1, "t", (0,), Row({"a": 0})))
         log.append(InsertRecord(1, "t", (1,), Row({"a": 1})))
         log.append(InsertRecord(1, "t", (2,), Row({"a": 2})))
         with pytest.raises(FaultInjected):

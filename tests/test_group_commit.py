@@ -265,23 +265,28 @@ class TestRetraction:
         assert db.stats()["group_commit"]["lost_txns"] == 1
         assert db.check_all_views() == []
 
-    def test_torn_tail_can_leave_whole_group_durable(self):
-        """The flush target is the last member's END record; a torn tail
-        that drops only that END still covers every COMMIT, so the fault
-        settles the full group as winners and surfaces to nobody."""
+    def test_torn_tail_retracts_only_the_member_it_tore_off(self):
+        """The flush target is the last member's COMMIT — a winner's last
+        record — so a torn tail always tears a COMMIT off: the members
+        before it settle as winners and surface to nobody, and only the
+        torn-off member is retracted (retryable)."""
         db = sales_db(group_commit="size", group_commit_size=2)
         seed_durable(db)
         injector = FaultInjector(seed=0)
         db.install_fault_injector(injector)
         injector.arm("wal.torn_tail", probability=1.0, times=1)
         t1 = commit_one(db, 10)
-        t2 = commit_one(db, 11)  # leads the flush; the tail tears
+        t2 = db.begin()
+        db.insert(t2, SALES, sale(11))
+        with pytest.raises(FaultInjected):
+            db.commit(t2)  # leads the flush; the tail tears
         assert t1.commit_ticket.state == CommitTicket.DURABLE
-        assert t2.commit_ticket.state == CommitTicket.DURABLE
+        assert t2.commit_ticket.state == CommitTicket.RETRACTED
         assert injector.fired["wal.torn_tail"] == 1
+        assert db.stats()["group_commit"]["retracted_txns"] == 1
         db.simulate_crash_and_recover()
         assert db.read_committed(SALES, (10,)) is not None
-        assert db.read_committed(SALES, (11,)) is not None
+        assert db.read_committed(SALES, (11,)) is None
         assert db.check_all_views() == []
 
 

@@ -339,6 +339,7 @@ def test_rules_tuple_is_the_documented_set():
         "logged-write",
         "one-codec",
         "one-settle",
+        "lazy-envelope",
     )
 
 
@@ -406,6 +407,64 @@ def test_one_settle_allows_settle_narrow_handlers_and_the_wal(tmp_path):
     ):
         ok = _plant(tmp_path, rel, source)
         assert lint_paths([ok], rules=("one-settle",)) == [], rel
+
+
+def test_lazy_envelope_fires_on_a_second_writer_of_the_envelope(tmp_path):
+    bad = _plant(
+        tmp_path,
+        "src/repro/views/eager.py",
+        '''
+        def finish(log, txn):
+            log.append(CommitRecord(txn.txn_id, 0))
+            log.append(EndRecord(txn.txn_id))
+
+        def give_up(log, txn):
+            log.append(AbortRecord(txn.txn_id))
+        ''',
+    )
+    findings = lint_paths([bad], rules=("lazy-envelope",))
+    assert _rules(findings) == {"lazy-envelope"}
+    assert [f.message.split()[0] for f in findings] == [
+        "CommitRecord", "EndRecord", "AbortRecord",
+    ]
+    # each envelope record has its own home: END is recovery's alone
+    misplaced = _plant(
+        tmp_path, "src/repro/txn/manager.py",
+        "def commit(log, t):\n    log.append(EndRecord(t))\n",
+    )
+    assert _rules(lint_paths([misplaced], rules=("lazy-envelope",))) == {
+        "lazy-envelope"
+    }
+
+
+def test_lazy_envelope_allows_the_manager_recovery_and_the_resolver(tmp_path):
+    for rel, source in (
+        ("src/repro/txn/manager.py", '''
+        def commit(log, txn, ts):
+            return log.append(CommitRecord(txn.txn_id, ts))
+
+        def abort(log, txn):
+            log.append(AbortRecord(txn.txn_id))
+        '''),
+        ("src/repro/wal/recovery.py",
+         "def undo(log, t):\n    log.append(EndRecord(t))\n"),
+        ("src/repro/core/database.py", '''
+        class Database:
+            def resolve_in_doubt(self, txn_id, decision):
+                self.log.append(CommitRecord(txn_id, self.clock.tick()))
+                self.log.append(AbortRecord(txn_id))
+        '''),
+        ("tests/test_wal_log.py", "log.append(EndRecord(1))\n"),
+        ("benchmarks/driver.py", "log.append(CommitRecord(1, 2))\n"),
+    ):
+        ok = _plant(tmp_path, rel, source)
+        assert lint_paths([ok], rules=("lazy-envelope",)) == [], rel
+    elsewhere = _plant(tmp_path, "src/repro/core/database.py", '''
+    class Database:
+        def commit(self, txn):
+            self.log.append(CommitRecord(txn.txn_id, 0))
+    ''')
+    assert len(lint_paths([elsewhere], rules=("lazy-envelope",))) == 1
 
 
 # ---------------------------------------------------------------------

@@ -103,12 +103,21 @@ class TestLifecycle:
         assert db.locks.locks_of(txn.txn_id) == []
 
     def test_end_record_written(self):
+        """END closes a rollback's CLR chain and nothing else: a winner's
+        last record is its COMMIT."""
         from repro.wal import RecordType
 
         db = make_db()
         txn = db.begin()
+        db.insert(txn, "t", {"a": 1, "b": 2})
         db.commit(txn)
-        assert len(db.log.records_by_type(RecordType.END)) == 1
+        assert db.log.records_by_type(RecordType.END) == []
+        assert db.log.record_at(db.log.tail_lsn()).type is RecordType.COMMIT
+        txn = db.begin()
+        db.insert(txn, "t", {"a": 2, "b": 2})
+        db.abort(txn)
+        (end,) = db.log.records_by_type(RecordType.END)
+        assert (end.txn_id, end.lsn) == (txn.txn_id, db.log.tail_lsn())
 
 
 class TestSystemTransactionIndependence:

@@ -36,9 +36,9 @@ class TestLogAnalysis:
     def test_records_by_type(self):
         db, _, _ = busy_db()
         counts = records_by_type(db.log)
-        assert counts[RecordType.BEGIN] == 2
         assert counts[RecordType.COMMIT] == 1
         assert counts[RecordType.ABORT] == 1
+        assert counts[RecordType.END] == 1  # the abort's, not the commit's
         assert counts[RecordType.ESCROW_DELTA] >= 2
         assert counts[RecordType.CLR] >= 1
 
@@ -49,15 +49,17 @@ class TestLogAnalysis:
     def test_txn_footprint_committed(self):
         db, committed_id, _ = busy_db()
         fp = txn_footprint(db.log, committed_id)
-        assert fp["committed"] and fp["ended"] and not fp["aborted"]
+        assert fp["committed"] and not fp["aborted"]
+        assert not fp["rolled_back_complete"]  # COMMIT is its last record
         assert "sales" in fp["indexes"]
         assert "v" in fp["indexes"]
-        assert fp["records"] >= 6  # begin,2 inserts,2 deltas(+create),commit,end
+        assert fp["records"] >= 5  # 2 inserts, 2 deltas (+create), commit
 
     def test_txn_footprint_aborted(self):
         db, _, aborted_id = busy_db()
         fp = txn_footprint(db.log, aborted_id)
-        assert fp["aborted"] and fp["ended"] and not fp["committed"]
+        assert fp["aborted"] and fp["rolled_back_complete"]
+        assert not fp["committed"]
 
     def test_summarize(self):
         db, _, _ = busy_db()
@@ -66,7 +68,8 @@ class TestLogAnalysis:
         assert summary["commits"] == 1
         assert summary["aborts"] == 1
         assert summary["total_records"] == len(db.log)
-        assert summary["by_type"]["begin"] == 2
+        assert summary["by_type"]["end"] == 1  # the abort's
+        assert "begin" not in summary["by_type"]
 
     def test_maintenance_share(self):
         db, _, _ = busy_db()

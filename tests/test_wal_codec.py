@@ -29,7 +29,6 @@ from repro.views import AggregateView
 from repro.wal import codec
 from repro.wal.records import (
     AbortRecord,
-    BeginRecord,
     CheckpointRecord,
     CleanupRecord,
     CommitRecord,
@@ -221,7 +220,6 @@ int_maps = st.dictionaries(txn_ids, st.one_of(st.none(), lsns), max_size=4)
 any_record = stamped(st.one_of(
     undoable,
     clrs(),
-    st.builds(BeginRecord, txn_ids, st.booleans()),
     st.builds(CommitRecord, txn_ids, st.integers(0, 2**40)),
     st.builds(AbortRecord, txn_ids),
     st.builds(EndRecord, txn_ids),
@@ -395,7 +393,7 @@ def test_an_order_transaction_runs_no_json_and_rescans_no_slot_directory(
                     "id": 4 * t + i, "product": (t + i) % 7,
                     "customer": t, "amount": 10 + i,
                 })
-    assert len(db.log) - records == 50 * 11
+    assert len(db.log) - records == 50 * 9  # 8 row changes + COMMIT
     placed = db.stats()["storage"]["applied_records"] - applied
     assert placed == 50 * 8  # 4 base rows + 4 view deltas mirrored
     assert calls["json"] == 0

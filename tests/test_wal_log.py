@@ -4,7 +4,7 @@ import pytest
 
 from repro.common import Row, WalError
 from repro.wal import (
-    BeginRecord,
+    AbortRecord,
     CheckpointRecord,
     CommitRecord,
     CompensationRecord,
@@ -24,28 +24,28 @@ from repro.wal.segments import dump_segments, load_segments
 class TestAppend:
     def test_lsns_monotonic(self):
         log = LogManager()
-        lsns = [log.append(BeginRecord(i)) for i in range(1, 4)]
+        lsns = [log.append(AbortRecord(i)) for i in range(1, 4)]
         assert lsns == [1, 2, 3]
         assert log.tail_lsn() == 3
 
     def test_backchain_per_txn(self):
         log = LogManager()
-        b1 = BeginRecord(1)
-        b2 = BeginRecord(2)
         i1 = InsertRecord(1, "t", (1,), Row(a=1))
         i2 = InsertRecord(2, "t", (2,), Row(a=2))
         i1b = InsertRecord(1, "t", (3,), Row(a=3))
-        for r in (b1, b2, i1, i2, i1b):
+        c2 = CommitRecord(2, 10)
+        for r in (i1, i2, i1b, c2):
             log.append(r)
-        assert b1.prev_lsn is None
-        assert i1.prev_lsn == b1.lsn
+        # a transaction's first record is the one with no prev_lsn
+        assert i1.prev_lsn is None
+        assert i2.prev_lsn is None
         assert i1b.prev_lsn == i1.lsn
-        assert i2.prev_lsn == b2.lsn
+        assert c2.prev_lsn == i2.lsn
         assert log.last_lsn_of(1) == i1b.lsn
 
     def test_double_append_rejected(self):
         log = LogManager()
-        r = BeginRecord(1)
+        r = AbortRecord(1)
         log.append(r)
         with pytest.raises(WalError):
             log.append(r)
@@ -67,7 +67,7 @@ class TestAppend:
 class TestFlushAndCrash:
     def test_flush_advances(self):
         log = LogManager()
-        log.append(BeginRecord(1))
+        log.append(AbortRecord(1))
         log.append(InsertRecord(1, "t", (1,), Row(a=1)))
         assert log.flushed_lsn == 0
         log.flush()
@@ -77,20 +77,20 @@ class TestFlushAndCrash:
     def test_flush_partial(self):
         log = LogManager()
         for i in range(5):
-            log.append(BeginRecord(i))
+            log.append(AbortRecord(i))
         log.flush(up_to_lsn=3)
         assert log.flushed_lsn == 3
 
     def test_flush_idempotent(self):
         log = LogManager()
-        log.append(BeginRecord(1))
+        log.append(AbortRecord(1))
         log.flush()
         log.flush()
         assert log.flush_count == 1
 
     def test_crash_discards_unflushed(self):
         log = LogManager()
-        log.append(BeginRecord(1))
+        log.append(AbortRecord(1))
         log.flush()
         log.append(InsertRecord(1, "t", (1,), Row(a=1)))
         lost = log.crash()
@@ -101,11 +101,11 @@ class TestFlushAndCrash:
 
     def test_crash_then_append_continues_lsns(self):
         log = LogManager()
-        log.append(BeginRecord(1))
+        log.append(AbortRecord(1))
         log.flush()
-        log.append(BeginRecord(2))
+        log.append(AbortRecord(2))
         log.crash()
-        lsn = log.append(BeginRecord(3))
+        lsn = log.append(AbortRecord(3))
         assert lsn == 2
 
 
@@ -113,12 +113,12 @@ class TestReading:
     def test_records_from_lsn(self):
         log = LogManager()
         for i in range(1, 6):
-            log.append(BeginRecord(i))
+            log.append(AbortRecord(i))
         assert [r.txn_id for r in log.records(from_lsn=3)] == [3, 4, 5]
 
     def test_record_at(self):
         log = LogManager()
-        log.append(BeginRecord(7))
+        log.append(AbortRecord(7))
         assert log.record_at(1).txn_id == 7
         with pytest.raises(WalError):
             log.record_at(99)
@@ -126,7 +126,7 @@ class TestReading:
     def test_record_at_after_a_salvage_cut(self):
         log = LogManager()
         for i in range(1, 7):
-            log.append(BeginRecord(i))
+            log.append(AbortRecord(i))
         log.flush()
         log.truncate_from(5)
         assert [log.record_at(lsn).txn_id for lsn in (1, 4)] == [1, 4]
@@ -138,13 +138,13 @@ class TestReading:
         assert log.latest_checkpoint() is None
         log.append(CheckpointRecord({}))
         cp2 = CheckpointRecord({1: 1})
-        log.append(BeginRecord(1))
+        log.append(AbortRecord(1))
         log.append(cp2)
         assert log.latest_checkpoint() is cp2
 
     def test_records_by_type(self):
         log = LogManager()
-        log.append(BeginRecord(1))
+        log.append(AbortRecord(1))
         log.append(CommitRecord(1, 10))
         assert len(log.records_by_type(RecordType.COMMIT)) == 1
 
@@ -204,8 +204,8 @@ class TestSerialization:
 
     def test_dump_and_load(self, tmp_path):
         log = LogManager()
-        log.append(BeginRecord(1))
         log.append(InsertRecord(1, "t", (1,), Row(a=1)))
+        log.append(InsertRecord(1, "t", (2,), Row(a=2)))
         log.append(CommitRecord(1, 5))
         log.flush()
         dump_segments(log, tmp_path)
@@ -213,12 +213,12 @@ class TestSerialization:
         assert loaded.tail_lsn() == 3
         assert loaded.flushed_lsn == 3
         types = [r.type for r in loaded.records()]
-        assert types == [RecordType.BEGIN, RecordType.INSERT, RecordType.COMMIT]
+        assert types == [RecordType.INSERT, RecordType.INSERT, RecordType.COMMIT]
 
     def test_dump_excludes_unflushed(self, tmp_path):
         log = LogManager()
-        log.append(BeginRecord(1))
+        log.append(AbortRecord(1))
         log.flush()
-        log.append(BeginRecord(2))
+        log.append(AbortRecord(2))
         dump_segments(log, tmp_path)
         assert load_segments(tmp_path).tail_lsn() == 1

@@ -10,7 +10,6 @@ import pytest
 from repro.common import Row
 from repro.wal import (
     AbortRecord,
-    BeginRecord,
     CheckpointRecord,
     CommitRecord,
     DeleteRecord,
@@ -65,14 +64,13 @@ class FakeTarget(RecoveryTarget):
 
 
 def committed_txn(log, txn_id, records, ts=None):
-    log.append(BeginRecord(txn_id))
     for r in records:
         log.append(r)
     log.append(CommitRecord(txn_id, ts if ts is not None else txn_id * 10))
 
 
 def open_txn(log, txn_id, records):
-    log.append(BeginRecord(txn_id))
+    """The transaction's first record — no ``prev_lsn`` — opens it."""
     for r in records:
         log.append(r)
 
@@ -126,7 +124,6 @@ class TestRecoverBasics:
 
     def test_unflushed_commit_loses(self):
         log = LogManager()
-        log.append(BeginRecord(1))
         log.append(InsertRecord(1, "t", (1,), Row(a=1)))
         log.flush()
         log.append(CommitRecord(1, 10))
@@ -195,8 +192,6 @@ class TestEscrowRecovery:
         """
         log = LogManager()
         committed_txn(log, 1, [InsertRecord(1, "v", (1,), Row(total=10))])
-        log.append(BeginRecord(2))
-        log.append(BeginRecord(3))
         if physical:
             # Each txn logs before/after images as it sees them.
             log.append(UpdateRecord(2, "v", (1,), Row(total=10), Row(total=15)))
@@ -272,7 +267,7 @@ class TestCrashDuringRecovery:
         log.flush()
         target = FakeTarget()
         recover(log, target)
-        # keep BEGIN..deltas + first CLR only (drop second CLR + END)
+        # keep the deltas + first CLR only (drop second CLR + END)
         log.flush()
         clr_lsns = [r.lsn for r in log.records() if r.type is RecordType.CLR]
         assert len(clr_lsns) == 2
@@ -302,15 +297,15 @@ class TestRedoGate:
 
     def escrow_log(self):
         log = LogManager()
-        committed_txn(log, 1, [InsertRecord(1, "v", (1,), Row(k=1, n=0))])  # 2
-        committed_txn(log, 2, [EscrowDeltaRecord(2, "v", (1,), {"n": 5})])  # 5
-        committed_txn(log, 3, [EscrowDeltaRecord(3, "v", (1,), {"n": 7})])  # 8
+        committed_txn(log, 1, [InsertRecord(1, "v", (1,), Row(k=1, n=0))])  # 1
+        committed_txn(log, 2, [EscrowDeltaRecord(2, "v", (1,), {"n": 5})])  # 3
+        committed_txn(log, 3, [EscrowDeltaRecord(3, "v", (1,), {"n": 7})])  # 5
         log.flush()
         return log
 
     def test_live_winner_covers_up_to_and_including_its_own_lsn(self):
         log = self.escrow_log()
-        gate = {("v", (1,)): (5, {"k": 1, "n": 5}, False, False)}
+        gate = {("v", (1,)): (3, {"k": 1, "n": 5}, False, False)}
         target = FakeTarget()
         target.recovery_insert("v", (1,), Row(k=1, n=5))  # the seed
         report = recover(log, target, gate=dict(gate))
@@ -319,8 +314,8 @@ class TestRedoGate:
 
     def test_tombstone_never_suppresses_its_own_delete(self):
         log = LogManager()
-        committed_txn(log, 1, [InsertRecord(1, "t", (1,), Row(v=1))])  # 2
-        committed_txn(log, 2, [DeleteRecord(2, "t", (1,), Row(v=1))])  # 5
+        committed_txn(log, 1, [InsertRecord(1, "t", (1,), Row(v=1))])  # 1
+        committed_txn(log, 2, [DeleteRecord(2, "t", (1,), Row(v=1))])  # 3
         log.flush()
         redone = []
 
@@ -330,7 +325,7 @@ class TestRedoGate:
                 super().recovery_delete(index_name, key)
 
         report = recover(
-            log, Watching(), gate={("t", (1,)): (5, None, False, True)}
+            log, Watching(), gate={("t", (1,)): (3, None, False, True)}
         )
         # strictly older records are covered; the delete at the
         # tombstone's own LSN is redone (it is idempotent)
@@ -341,7 +336,7 @@ class TestRedoGate:
         log = self.escrow_log()
         open_txn(log, 4, [EscrowDeltaRecord(4, "v", (1,), {"n": 100})])
         log.flush()
-        gate = {("v", (1,)): (5, {"k": 1, "n": 5}, False, False)}
+        gate = {("v", (1,)): (3, {"k": 1, "n": 5}, False, False)}
         before = dict(gate)
         first, second = FakeTarget(), FakeTarget()
         for target in (first, second):  # a re-entered recovery gates alike

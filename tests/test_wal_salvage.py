@@ -45,6 +45,12 @@ def sale(i, product="ant", amount=10):
     return {"id": i, "product": product, "customer": 1, "amount": amount}
 
 
+def first_record_of_last_commit(log):
+    """The record that opened the last committed transaction."""
+    txn_id = log.records_by_type(RecordType.COMMIT)[-1].txn_id
+    return next(r for r in log.records() if r.txn_id == txn_id)
+
+
 def commit_sales(db, ids, **kw):
     for i in ids:
         with db.session() as s:
@@ -100,14 +106,13 @@ class TestSalvage:
         db = sales_db()
         commit_sales(db, range(1, 4))
         db.log.flush()
-        # corrupt the BEGIN of the *last* committed transaction
-        begins = db.log.records_by_type(RecordType.BEGIN)
-        victim = begins[-1]
+        # corrupt the first record of the *last* committed transaction
+        victim = first_record_of_last_commit(db.log)
         db.log.corrupt(victim.lsn)
         report = salvage(db.log)
         assert report is not None
         assert report["truncated_lsn"] == victim.lsn
-        assert report["corrupt_record"] == "BeginRecord"
+        assert report["corrupt_record"] == "InsertRecord"
         assert report["lost_commits"] == [victim.txn_id]
         assert report["dropped_records"] > 0
         assert report["tail_garbage"] == 0
@@ -141,8 +146,7 @@ class TestRecoveryIntegration:
         db = sales_db(**config)
         commit_sales(db, range(1, 4), product="ant", amount=10)
         db.log.flush()
-        begins = db.log.records_by_type(RecordType.BEGIN)
-        victim = begins[-1]
+        victim = first_record_of_last_commit(db.log)
         db.log.corrupt(victim.lsn)
         return db, victim
 
@@ -265,11 +269,11 @@ class TestSalvageDistrustsPagesPastTheCut:
             db.execute(f"INSERT INTO t VALUES ({i}, {i % 3}, {i})")
         db.log.corrupt(db.log.flushed_lsn // 2)
         report = db.simulate_crash_and_recover()
-        assert report.salvage["truncated_lsn"] == 101
+        assert report.salvage["truncated_lsn"] == 61
         assert len(report.salvage["lost_commits"]) == 21
         # full ungated replay of the surviving prefix, nothing from pages
         assert report.redo_skipped == 0
-        assert report.analyzed_records == 100
+        assert report.analyzed_records == 60
         assert [row["id"] for row in db.execute("SELECT * FROM t")] == list(
             range(19)
         )

@@ -16,7 +16,7 @@ from repro.common import StorageError
 from repro.core import Database, EngineConfig
 from repro.faults import FaultInjector
 from repro.wal import LogManager
-from repro.wal.records import BeginRecord, CommitRecord
+from repro.wal.records import AbortRecord, CommitRecord
 from repro.wal.segments import (
     dump_segments,
     load_segments,
@@ -28,7 +28,7 @@ from repro.wal.segments import (
 def flushed_log(txns=12):
     log = LogManager()
     for txn in range(1, txns + 1):
-        log.append(BeginRecord(txn))
+        log.append(AbortRecord(txn))  # filler: any small record
         log.append(CommitRecord(txn, txn))
     log.flush()
     return log
