@@ -50,11 +50,14 @@ status 1 on any finding), via ``make lint``, or programmatically through
   Construction, schema fan-out, folded reads, and operator accessors
   may still hold the engine list.
 * **logged-write** — the row-change log records (``InsertRecord`` /
-  ``GhostRecord`` / ``ReviveRecord`` / ``UpdateRecord``) are constructed
-  only under ``repro/wal/`` and in ``repro/txn/write.py``; everything
-  else changes rows through that module's ``put`` / ``ghost`` /
-  ``patch``, so no write can skip the log, the version stamp or the
-  ghost cleaner's work list.
+  ``GhostRecord`` / ``ReviveRecord`` / ``UpdateRecord`` /
+  ``CleanupRecord``) are constructed only under ``repro/wal/`` and in
+  ``repro/txn/write.py``, and an index's one mutator ``.set_entry(`` is
+  called only there, by the recovery target (``repro/core/database.py``)
+  and under ``repro/storage/``; everything else changes rows through the
+  write module's ``put`` / ``ghost`` / ``patch`` / ``erase``, so no
+  write can skip the log, the version stamp or the ghost cleaner's work
+  list.
 * **one-codec** — a log record and a page entry have one byte layout,
   ``repro/wal/codec.py``: ``json`` is not imported anywhere under
   ``repro/storage/`` nor in ``repro/wal/{records,log,analysis,
@@ -112,22 +115,45 @@ _ERRORS_MODULE = ("common", "errors.py")
 #: internals.
 _BENCH_EXTRA_SURFACE = "repro.analysis"
 
-#: the log records of a row change; constructed only by the WAL
-#: package itself and by the logged-write primitives.
-_ROW_CHANGE_RECORDS = frozenset(
-    {"InsertRecord", "GhostRecord", "ReviveRecord", "UpdateRecord"}
+#: names with homes: ``name -> (rule, homes, message)``. Calling one —
+#: constructing a record, or ``x.set_entry(`` — anywhere but under a
+#: home (a path prefix below ``repro/``) is a finding: anywhere at all
+#: for ``logged-write``, in engine code for the other two rules.
+_WRITE_HOMES = (("wal",), ("txn", "write.py"))
+_LOGGED_WRITE = (
+    "logged-write", _WRITE_HOMES,
+    "{name} constructed outside repro/wal/ and repro/txn/write.py; change "
+    "rows through repro.txn.write.put / ghost / patch / erase so the log, "
+    "the version stamp and the ghost cleaner all hear of it",
 )
-
-#: the one module outside ``repro/wal/`` that may construct them.
-_WRITE_MODULE = ("txn", "write.py")
-
-#: the transaction-envelope records and the one engine file that writes
-#: each (``Database.resolve_in_doubt`` decides recovered 2PC branches)
-_ENVELOPE_WRITERS = {
-    "CommitRecord": ("txn", "manager.py"),
-    "AbortRecord": ("txn", "manager.py"),
-    "EndRecord": ("wal", "recovery.py"),
+_ENVELOPE = (
+    "{name} constructed outside repro/{home} and Database.resolve_in_doubt; "
+    "end transactions through TransactionManager.commit / abort"
+)
+_HOMED = {
+    **dict.fromkeys(
+        ("InsertRecord", "GhostRecord", "ReviveRecord", "UpdateRecord",
+         "CleanupRecord"),
+        _LOGGED_WRITE,
+    ),
+    "set_entry": (
+        "logged-write", _WRITE_HOMES + (("core", "database.py"), ("storage",)),
+        ".{name}() called outside repro/txn/write.py, the recovery target "
+        "and repro/storage/; change rows through repro.txn.write.put / "
+        "ghost / patch / erase, the logged writes",
+    ),
+    "CompensationRecord": (
+        "one-settle", (("wal",),),
+        "{name} constructed outside repro/wal/; roll back through "
+        "repro.wal.recovery.undo, the one backchain walker",
+    ),
+    "CommitRecord": ("lazy-envelope", (("txn", "manager.py"),), _ENVELOPE),
+    "AbortRecord": ("lazy-envelope", (("txn", "manager.py"),), _ENVELOPE),
+    "EndRecord": ("lazy-envelope", (("wal", "recovery.py"),), _ENVELOPE),
 }
+_NO_HOME = (None, (), "")
+#: ``Database.resolve_in_doubt`` decides recovered 2PC branches: the
+#: envelope records' second home
 _RESOLVER_FILE, _RESOLVER_FUNC = ("core", "database.py"), "resolve_in_doubt"
 
 #: the only engine files that may ``import struct`` (byte layouts)
@@ -290,15 +316,8 @@ class _FileLinter(ast.NodeVisitor):
             "page-discipline" in rules
             and _rel_to_repro(path) not in _PAGE_LAYER
         )
-        self.check_writes = (
-            "logged-write" in rules
-            and (_rel_to_repro(path) or ())[:1] != ("wal",)
-            and _rel_to_repro(path) != _WRITE_MODULE
-        )
         rel = _rel_to_repro(path) or ()
         self.check_settle = "one-settle" in rules and self.engine
-        self.check_clrs = self.check_settle and rel[:1] != ("wal",)
-        self.check_envelope = "lazy-envelope" in rules and self.engine
         self.rel = rel
         self.codec_banned = set()  # modules this file may not import
         if "one-codec" in rules and rel:
@@ -488,41 +507,20 @@ class _FileLinter(ast.NodeVisitor):
         name = func.id if isinstance(func, ast.Name) else (
             func.attr if isinstance(func, ast.Attribute) else None
         )
-        if self.check_clrs and name == "CompensationRecord":
-            self.flag(
-                node,
-                "one-settle",
-                "CompensationRecord constructed outside repro/wal/; roll "
-                "back through repro.wal.recovery.undo, the one backchain "
-                "walker",
-            )
-        home = _ENVELOPE_WRITERS.get(name)
+        rule, homes, message = _HOMED.get(name, _NO_HOME)
         if (
-            self.check_envelope
-            and home is not None
-            and self.rel != home
+            rule in self.rules
+            and (self.engine or rule == "logged-write")
+            and not any(self.rel[:len(home)] == home for home in homes)
             and not (
-                self.rel == _RESOLVER_FILE
+                rule == "lazy-envelope"
+                and self.rel == _RESOLVER_FILE
                 and self._func_stack[-1:] == [_RESOLVER_FUNC]
             )
         ):
             self.flag(
-                node,
-                "lazy-envelope",
-                f"{name} constructed outside repro/{'/'.join(home)} and "
-                f"Database.resolve_in_doubt; end transactions through "
-                f"TransactionManager.commit / abort",
+                node, rule, message.format(name=name, home="/".join(homes[0]))
             )
-        if self.check_writes:
-            if name in _ROW_CHANGE_RECORDS:
-                self.flag(
-                    node,
-                    "logged-write",
-                    f"{name} constructed outside repro/wal/ and "
-                    f"repro/txn/write.py; change rows through "
-                    f"repro.txn.write.put / ghost / patch so the log, the "
-                    f"version stamp and the ghost cleaner all hear of it",
-                )
         if isinstance(func, ast.Attribute):
             if func.attr == "emit" and self.engine and node.args:
                 arg = node.args[0]

@@ -25,8 +25,7 @@ ghost, and a cleaner crash never affects user work).
 
 from repro.common import TransactionAborted
 from repro.locking.keyrange import locks_for_ghost_cleanup, locks_for_update
-from repro.txn.write import ghost
-from repro.wal.records import CleanupRecord
+from repro.txn.write import erase, ghost
 
 
 class CleanupQueue:
@@ -145,10 +144,7 @@ class GhostCleaner:
                 db.counters.incr("cleanup.deferred_for_snapshots")
                 self._trace(db, index_name, key, "deferred")
                 return False
-            ghost_row = record.current_row
-            index.physical_delete(key)
-            db.log.append(CleanupRecord(txn.txn_id, index_name, key, ghost_row))
-            db.cleanup.cancel(index_name, key)  # re-listed if ghosted above
+            erase(db, txn, index, key)  # unlists it too (ghosted above)
             for column in db.counter_columns(index_name):
                 db.escrow.drop((index_name, key, column))
             db.commit(txn)

@@ -58,7 +58,6 @@ from repro.storage.bufferpool import (
     PageStore,
     durable_winners,
 )
-from repro.storage.records import VersionedRecord
 from repro.txn import LockPolicy, SnapshotRegistry, TransactionManager
 from repro.txn.transaction import TxnState
 from repro.txn.write import ghost, patch, put
@@ -596,11 +595,6 @@ class Database(RecoveryTarget):
         return {
             txn_id: info["gid"] for txn_id, info in self._in_doubt.items()
         }
-
-    def in_doubt_resources(self, txn_id):
-        """The ``(index, key)`` pairs an in-doubt branch still holds X
-        locks on — exactly what stays blocked until resolution."""
-        return list(self._in_doubt[txn_id]["resources"])
 
     def resolve_in_doubt(self, txn_id, decision):
         """Finish a recovered in-doubt branch per the coordinator's
@@ -1574,7 +1568,7 @@ class Database(RecoveryTarget):
             gate = None
         for locator, (_, row, is_ghost, dead) in (gate or {}).items():
             if not dead and row is not None:
-                self.recovery_insert(*locator, Row(row), is_ghost=is_ghost)
+                self.set_entry(*locator, (Row(row), is_ghost))
         return gate, loaded
 
     def _rebuild_page_mirror(self):
@@ -1616,62 +1610,21 @@ class Database(RecoveryTarget):
     # RecoveryTarget implementation (also used by online rollback)
     # ==================================================================
 
-    def recovery_insert(self, index_name, key, row, is_ghost=False):
+    def set_entry(self, index_name, key, entry):
         index = self._indexes.get(index_name)
         if index is None:
             return
-        record = VersionedRecord(tuple(key), row, is_ghost)
-        index.physical_insert(record)
-        if is_ghost:
-            self.cleanup.enqueue(index_name, tuple(key))
+        key = tuple(key)
+        was_ghost = index.is_ghost(key)
+        index.set_entry(key, entry)
+        # The cleaner's list in step: a ghost is a candidate, a revived
+        # one is not; live -> live may be a zero-count group waiting there.
+        if entry is not None and entry[1]:
+            self.cleanup.enqueue(index_name, key)
+        elif entry is not None and was_ghost:
+            self.cleanup.cancel(index_name, key)
 
-    def recovery_delete(self, index_name, key):
-        index = self._indexes.get(index_name)
-        if index is None:
-            return
-        if index.get_record(tuple(key), include_ghost=True) is not None:
-            index.physical_delete(tuple(key))
-
-    def recovery_update(self, index_name, key, row):
-        index = self._indexes.get(index_name)
-        if index is None:
-            return
-        record = index.get_record(tuple(key), include_ghost=True)
-        if record is None:
-            record = VersionedRecord(tuple(key), row)
-            index.physical_insert(record)
-        else:
-            record.current_row = row
-
-    def recovery_set_ghost(self, index_name, key, ghost):
-        index = self._indexes.get(index_name)
-        if index is None:
-            return
-        record = index.get_record(tuple(key), include_ghost=True)
-        if record is None:
-            return
-        if ghost:
-            if not record.is_ghost:
-                index.logical_delete(tuple(key))
-            self.cleanup.enqueue(index_name, tuple(key))
-        elif record.is_ghost:
-            index.insert(tuple(key), record.current_row)
-            self.cleanup.cancel(index_name, tuple(key))
-
-    def recovery_revive(self, index_name, key, row):
-        index = self._indexes.get(index_name)
-        if index is None:
-            return
-        record = index.get_record(tuple(key), include_ghost=True)
-        if record is None:
-            index.physical_insert(VersionedRecord(tuple(key), row))
-        elif record.is_ghost:
-            index.insert(tuple(key), row)
-        else:
-            record.current_row = row
-        self.cleanup.cancel(index_name, tuple(key))
-
-    def recovery_escrow_apply(self, index_name, key, deltas):
+    def add_deltas(self, index_name, key, deltas):
         index = self._indexes.get(index_name)
         if index is None:
             return

@@ -183,26 +183,3 @@ class EscrowRegistry:
     def drop(self, resource):
         """Remove an account (ghost cleanup erased its row)."""
         self._accounts.pop(resource, None)
-
-    def commit_all(self, txn_id):
-        """Fold ``txn_id``'s deltas in every account; returns the list of
-        (resource, new_committed) pairs that changed."""
-        changed = []
-        for resource, acct in self._accounts.items():
-            if acct.pending_of(txn_id) != 0:
-                changed.append((resource, acct.commit(txn_id)))
-            else:
-                acct.abort(txn_id)  # clear a zero entry if present
-        return changed
-
-    def abort_all(self, txn_id):
-        """Discard ``txn_id``'s deltas everywhere."""
-        for acct in self._accounts.values():
-            acct.abort(txn_id)
-
-    def accounts_touched_by(self, txn_id):
-        return [
-            resource
-            for resource, acct in self._accounts.items()
-            if acct.pending_of(txn_id) != 0
-        ]

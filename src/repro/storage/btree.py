@@ -145,25 +145,28 @@ class BPlusTree:
             return leaf.values[idx]
         return default
 
-    def insert(self, key, value, overwrite=False):
-        """Insert ``key`` -> ``value``.
+    def insert(self, key, value):
+        """Insert ``key`` -> ``value``; a duplicate key raises
+        :class:`StorageError`."""
+        size = self._size
+        self.setdefault(key, value)
+        if self._size == size:  # nothing was added: the key was there
+            raise StorageError(f"duplicate key {key!r}")
 
-        Raises :class:`StorageError` on a duplicate key unless
-        ``overwrite`` is set, in which case the old value is replaced.
-        """
+    def setdefault(self, key, value):
+        """The value at ``key``, which becomes ``value`` if the key is
+        absent — found or placed in one descent."""
         path = self._find_path(key)
         leaf = path[-1][0]
         idx = bisect.bisect_left(leaf.keys, key)
         if idx < len(leaf.keys) and leaf.keys[idx] == key:
-            if not overwrite:
-                raise StorageError(f"duplicate key {key!r}")
-            leaf.values[idx] = value
-            return
+            return leaf.values[idx]
         leaf.keys.insert(idx, key)
         leaf.values.insert(idx, value)
         self._size += 1
         if len(leaf.keys) >= self._order:
             self._split(path)
+        return value
 
     def update(self, key, value):
         """Replace the value at an existing ``key``."""

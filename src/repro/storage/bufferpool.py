@@ -353,48 +353,31 @@ class PageManager:
     def entry_count(self):
         return len(self._slots)
 
-    # -- RecoveryTarget-shaped mutators --------------------------------
+    # -- the RecoveryTarget verbs -----------------------------------------
 
-    def recovery_insert(self, index_name, key, row, is_ghost=False):
-        self._write(index_name, tuple(key), row, is_ghost)
+    def set_entry(self, index_name, key, entry):
+        if entry is None:  # a removal leaves a tombstone
+            self._write(index_name, tuple(key), None, False, dead=True)
+        else:
+            self._write(index_name, tuple(key), *entry)
 
-    def recovery_delete(self, index_name, key):
-        self._write(index_name, tuple(key), None, False, dead=True)
-
-    def recovery_update(self, index_name, key, row):
-        _, ghost = self._live(index_name, tuple(key))
-        self._write(index_name, tuple(key), row, ghost)
-
-    def recovery_set_ghost(self, index_name, key, ghost):
-        row, _ = self._live(index_name, tuple(key))
-        self._write(index_name, tuple(key), row, bool(ghost))
-
-    def recovery_revive(self, index_name, key, row):
-        self._write(index_name, tuple(key), row, False)
-
-    def recovery_escrow_apply(self, index_name, key, deltas):
-        row, ghost = self._live(index_name, tuple(key))
-        row = {} if row is None else row
+    def add_deltas(self, index_name, key, deltas):
+        key = tuple(key)
+        loc = self._slots.get((index_name, key))
+        if loc is None:
+            return
+        _, _, row, is_ghost, _, dead = unpack_entry(
+            self.pool.page(loc[0]).read_record(loc[1])
+        )
+        if dead:  # a tombstone is no entry either
+            return
         for column, delta in deltas.items():
-            row[column] = row.get(column, 0) + delta
-        self._write(index_name, tuple(key), row, ghost)
+            row[column] += delta
+        self._write(index_name, key, row, is_ghost)
 
     # ------------------------------------------------------------------
     # entry plumbing
     # ------------------------------------------------------------------
-
-    def _live(self, index_name, key):
-        """``(row, is_ghost)`` of the key's mirrored entry — ``(None,
-        False)`` when it has none or only a tombstone."""
-        loc = self._slots.get((index_name, key))
-        if loc is not None:
-            page_id, slot = loc
-            _, _, row, is_ghost, _, dead = unpack_entry(
-                self.pool.page(page_id).read_record(slot)
-            )
-            if not dead:
-                return row, is_ghost
-        return None, False
 
     def _write(self, index_name, key, row, is_ghost, dead=False):
         lsn = self._lsn

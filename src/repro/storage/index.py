@@ -5,14 +5,15 @@ It wraps a :class:`~repro.storage.btree.BPlusTree` whose values are
 :class:`~repro.storage.records.VersionedRecord` instances and adds the
 semantics the maintenance and locking layers need:
 
-* **logical insert** revives an existing ghost instead of failing on a
-  duplicate key;
-* **logical delete** turns the record into a ghost rather than removing
-  the key (physical removal is the ghost cleaner's job);
+* **one mutator**, :meth:`Index.set_entry`: a slot is ``(row, is_ghost)``
+  or absent, and every change — insert, update, ghosting (a logical
+  delete keeps the key), revival, the cleaner's physical removal, redo
+  and undo of each — assigns it. Only :mod:`repro.txn.write` and the
+  recovery target call it (the ``logged-write`` lint rule);
 * scans skip ghosts by default but can include them (the cleaner, and
   key-range locking, need to see them: a ghost still defines a lockable
   key separating two gaps);
-* a registry of ghost keys awaiting cleanup.
+* a registry of ghost keys, kept in step by the mutator.
 """
 
 from repro.common import StorageError
@@ -41,21 +42,14 @@ class Index:
         self._ghost_keys = set()
         self._latches = latch_set
 
-    def _latched_shared(self, fn):
+    def _latched(self, fn, exclusive=False):
         if self._latches is None:
             return fn()
         latch = self._latches.get(f"tree:{self.name}")
-        latch.acquire_shared(self.name)
-        try:
-            return fn()
-        finally:
-            latch.release(self.name)
-
-    def _latched_exclusive(self, fn):
-        if self._latches is None:
-            return fn()
-        latch = self._latches.get(f"tree:{self.name}")
-        latch.acquire_exclusive(self.name)
+        if exclusive:
+            latch.acquire_exclusive(self.name)
+        else:
+            latch.acquire_shared(self.name)
         try:
             return fn()
         finally:
@@ -87,7 +81,7 @@ class Index:
     def get_record(self, key, include_ghost=False):
         """The record at ``key``; ``None`` if absent (or ghost, unless
         ``include_ghost``)."""
-        record = self._latched_shared(lambda: self._tree.get(key))
+        record = self._latched(lambda: self._tree.get(key))
         if record is None:
             return None
         if record.is_ghost and not include_ghost:
@@ -100,86 +94,39 @@ class Index:
         return record.current_row if record is not None else None
 
     # ------------------------------------------------------------------
-    # logical modifications (ghost-aware)
+    # the one mutator
     # ------------------------------------------------------------------
 
-    def insert(self, key, row):
-        """Logically insert ``row`` at ``key``.
-
-        If a ghost occupies the key it is revived in place; a live
-        occupant raises :class:`StorageError`. Returns the record.
+    def set_entry(self, key, entry):
+        """Make the slot at ``key`` be ``entry``: ``None`` (no slot) or
+        ``(row, is_ghost)``. Returns the record (for ``None``, the one
+        removed, if any). An occupied slot is assigned in place: the
+        record object, its version history and the escrow accounts keyed
+        on it survive a ghosting, a revival and an update alike. One
+        descent either way.
         """
 
-        def do_insert():
-            existing = self._tree.get(key)
-            if existing is not None:
-                if not existing.is_ghost:
-                    raise StorageError(
-                        f"duplicate key {key!r} in index {self.name!r}"
-                    )
-                existing.revive(row)
+        def assign():
+            if entry is None:
                 self._ghost_keys.discard(key)
-                return existing
-            record = VersionedRecord(key, row)
-            self._tree.insert(key, record)
-            return record
-
-        return self._latched_exclusive(do_insert)
-
-    def update(self, key, row):
-        """Replace the live row at ``key`` in place (key must not change)."""
-        record = self.get_record(key)
-        if record is None:
-            raise StorageError(f"missing key {key!r} in index {self.name!r}")
-        record.current_row = row
-        return record
-
-    def logical_delete(self, key):
-        """Mark the record at ``key`` as a ghost; returns the record.
-
-        The key remains in the tree so key-range locks anchored on it stay
-        meaningful and escrow state attached to it survives until cleanup.
-        """
-        record = self.get_record(key)
-        if record is None:
-            raise StorageError(f"missing key {key!r} in index {self.name!r}")
-        record.make_ghost()
-        self._ghost_keys.add(key)
-        return record
-
-    # ------------------------------------------------------------------
-    # physical modifications (system transactions / cleanup only)
-    # ------------------------------------------------------------------
-
-    def physical_insert(self, record):
-        """Place an existing record object at its key (recovery redo)."""
-
-        def do_insert():
-            self._tree.insert(record.key, record, overwrite=True)
-            if record.is_ghost:
-                self._ghost_keys.add(record.key)
+                return self._tree.pop(key, None)
+            row, is_ghost = entry
+            fresh = VersionedRecord(key, row, is_ghost)
+            record = self._tree.setdefault(key, fresh)
+            if record is not fresh:
+                record.current_row = row
+                record.is_ghost = is_ghost
+            if is_ghost:
+                self._ghost_keys.add(key)
             else:
-                self._ghost_keys.discard(record.key)
-
-        self._latched_exclusive(do_insert)
-
-    def physical_delete(self, key):
-        """Remove the slot entirely; only valid for ghost records unless
-        forced by recovery. Returns the removed record."""
-
-        def do_delete():
-            record = self._tree.get(key)
-            if record is None:
-                raise StorageError(f"missing key {key!r} in index {self.name!r}")
-            self._tree.delete(key)
-            self._ghost_keys.discard(key)
+                self._ghost_keys.discard(key)
             return record
 
-        return self._latched_exclusive(do_delete)
+        return self._latched(assign, exclusive=True)
 
-    def ghost_keys(self):
-        """Snapshot of keys currently marked ghost (cleanup work list)."""
-        return sorted(self._ghost_keys)
+    def is_ghost(self, key):
+        """True when a ghost occupies ``key`` (registry lookup, no descent)."""
+        return key in self._ghost_keys
 
     # ------------------------------------------------------------------
     # scans and navigation

@@ -12,7 +12,9 @@ A :class:`VersionedRecord` is what the B-tree actually stores. It carries:
   the key outright, because a concurrent escrow transaction may have an
   uncommitted increment on it. Instead the row is marked ghost and a system
   transaction erases it later, after verifying the count really is zero and
-  no transaction holds it (Graefe & Zwilling's "deferred deletion").
+  no transaction holds it (Graefe & Zwilling's "deferred deletion"). A
+  re-insert before then revives the ghost in place — required under
+  escrow locking: the ghost may still carry escrow state.
 
 The record does not know about locks — callers are responsible for holding
 the right locks before touching ``current_row``.
@@ -77,10 +79,6 @@ class VersionedRecord:
         else:
             self._versions.append(version)
 
-    def stamp_initial(self, commit_ts=0):
-        """Record the current state as the baseline committed version."""
-        self.stamp_version(commit_ts)
-
     def read_as_of(self, ts):
         """Return the row committed at the latest timestamp <= ``ts``.
 
@@ -124,19 +122,3 @@ class VersionedRecord:
         if dropped:
             del self._versions[:keep_from]
         return dropped
-
-    # -- ghost handling ------------------------------------------------
-
-    def make_ghost(self):
-        """Mark the record logically deleted (key remains in the index)."""
-        self.is_ghost = True
-
-    def revive(self, row):
-        """Turn a ghost back into a live record with ``row``.
-
-        This happens when a group is re-inserted before cleanup erased the
-        ghost — cheaper than delete+insert and required for correctness
-        under escrow locking (the ghost may still carry escrow state).
-        """
-        self.current_row = row
-        self.is_ghost = False

@@ -1,21 +1,25 @@
-"""The logged row writes: put, ghost, patch.
+"""The logged row writes: put, ghost, patch, erase.
 
 Every change a transaction makes to a row of an index — a base table, a
-view index, an auxiliary or a secondary index — is one of three
-primitives. Each mutates the :class:`~repro.storage.index.Index`,
-appends the one WAL record that redoes and undoes it, remembers the
-record for version stamping at commit, and keeps the ghost cleaner's
-work list in step. They take no locks: the caller's
+view index, an auxiliary or a secondary index — is one of four
+primitives. Each assigns the slot through the index's one mutator
+(:meth:`~repro.storage.index.Index.set_entry`), appends the one WAL
+record whose ``before_entry`` / ``after_entry`` are the slot before and
+after, remembers the record for version stamping at commit, and keeps
+the ghost cleaner's work list in step. They take no locks: the caller's
 :class:`~repro.views.actions.Action` plan (or table lock) was acquired
 first — lock first, mutate second.
 
 These are the only constructors of ``InsertRecord`` / ``ReviveRecord``
-/ ``GhostRecord`` / ``UpdateRecord`` outside ``repro/wal/`` (the
-``logged-write`` lint rule), so a write that forgets the log, the
-version stamp or the cleaner cannot be spelled.
+/ ``GhostRecord`` / ``UpdateRecord`` / ``CleanupRecord`` outside
+``repro/wal/`` and, the recovery targets apart, the only callers of
+``set_entry`` (the ``logged-write`` lint rule), so a write that forgets
+the log, the version stamp or the cleaner cannot be spelled.
 """
 
+from repro.common import StorageError
 from repro.wal.records import (
+    CleanupRecord,
     GhostRecord,
     InsertRecord,
     ReviveRecord,
@@ -28,15 +32,18 @@ def put(db, txn, index, key, row):
     (a live occupant raises :class:`~repro.common.StorageError`).
     Returns the record."""
     existing = index.get_record(key, include_ghost=True)
-    if existing is not None and existing.is_ghost:
-        ghost_row = existing.current_row
-        index.insert(key, row)
-        db.log.append(ReviveRecord(txn.txn_id, index.name, key, row, ghost_row))
+    if existing is None:
+        logged = InsertRecord(txn.txn_id, index.name, key, row)
+    elif existing.is_ghost:
+        logged = ReviveRecord(
+            txn.txn_id, index.name, key, row, existing.current_row
+        )
+    else:
+        raise StorageError(f"duplicate key {key!r} in index {index.name!r}")
+    record = index.set_entry(key, (row, False))
+    db.log.append(logged)
+    if existing is not None:  # a revived ghost
         db.cleanup.cancel(index.name, key)
-        txn.touch_record(existing)
-        return existing
-    record = index.insert(key, row)
-    db.log.append(InsertRecord(txn.txn_id, index.name, key, row))
     txn.touch_record(record)
     return record
 
@@ -48,7 +55,7 @@ def ghost(db, txn, index, key):
     record = index.get_record(key)
     if record is None:
         return None
-    index.logical_delete(key)
+    index.set_entry(key, (record.current_row, True))
     db.log.append(GhostRecord(txn.txn_id, index.name, key, record.current_row))
     txn.touch_record(record)
     db.cleanup.enqueue(index.name, key)
@@ -62,6 +69,19 @@ def patch(db, txn, index, key, row):
     if record is None:
         return None
     db.log.append(UpdateRecord(txn.txn_id, index.name, key, record.current_row, row))
-    record.current_row = row
+    index.set_entry(key, (row, False))
     txn.touch_record(record)
+    return record
+
+
+def erase(db, txn, index, key):
+    """Physically remove the ghost at ``key`` — the cleaner's step, in
+    its system transaction. Returns the removed record, or ``None`` when
+    no ghost is there."""
+    record = index.get_record(key, include_ghost=True)
+    if record is None or not record.is_ghost:
+        return None
+    index.set_entry(key, None)
+    db.log.append(CleanupRecord(txn.txn_id, index.name, key, record.current_row))
+    db.cleanup.cancel(index.name, key)
     return record

@@ -27,12 +27,10 @@ account state attached to the key.
 
 from repro.common import CatalogError
 from repro.locking.keyrange import (
-    key_resource,
     locks_for_escrow_update,
     locks_for_insert,
     locks_for_update,
 )
-from repro.locking.modes import LockMode, RangeMode
 from repro.txn.write import ghost, patch, put
 from repro.views.actions import Action
 from repro.views.delta import NetDelta, TxnViewDeltas
@@ -305,10 +303,3 @@ class AggregateMaintainer:
                     values[spec.out], base_row[spec.source]
                 )
         return values
-
-
-def read_exact_lock_plan(view_name, group_key):
-    """Lock plan for reading the exact current value of a group row under
-    the locking (non-snapshot) protocol: an S key lock, which the lock
-    manager converts to X if the reader itself holds E."""
-    return [(key_resource(view_name, group_key), RangeMode.key(LockMode.S))]

@@ -211,9 +211,6 @@ class AggregateView(ViewDefinition):
         """Columns maintained as escrow counters (COUNT/SUM only)."""
         return tuple(a.out for a in self.counter_specs)
 
-    def extreme_columns(self):
-        return tuple(a.out for a in self.extreme_specs)
-
     def group_key_of_base_row(self, base_row):
         return tuple(base_row[c] for c in self.group_by)
 

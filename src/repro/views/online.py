@@ -59,15 +59,7 @@ from repro.locking.modes import mode_compatible
 from repro.txn.write import put
 from repro.views.actions import run_actions
 from repro.views.definition import expected_index_contents
-from repro.wal.records import (
-    CommitRecord,
-    CompensationRecord,
-    DeleteRecord,
-    GhostRecord,
-    InsertRecord,
-    ReviveRecord,
-    UpdateRecord,
-)
+from repro.wal.records import CompensationRecord, RecordType
 
 FAULT_SITE = "view.online_build"
 
@@ -288,7 +280,7 @@ class ViewBuilder:
         db, view = self.db, self.view
         committed = [
             record for record in db.log.records()
-            if isinstance(record, CommitRecord)
+            if record.type is RecordType.COMMIT
             and record.commit_ts > self.build_ts
             and record.txn_id not in self._applied_txns
         ]
@@ -327,24 +319,15 @@ class ViewBuilder:
                 continue
             index_name = getattr(record, "index_name", None)
             if index_name in bases:
-                if isinstance(record, InsertRecord):
-                    changes.append((index_name, "insert", None, record.row))
-                elif isinstance(record, ReviveRecord):
-                    changes.append(
-                        (index_name, "insert", None, record.new_row)
+                # a ghost or no slot is no row: CLEANUP changes nothing
+                before = _live_row(record.before_entry())
+                after = _live_row(record.after_entry())
+                if before is not None or after is not None:
+                    op = (
+                        "insert" if before is None
+                        else "delete" if after is None else "update"
                     )
-                elif isinstance(record, UpdateRecord):
-                    changes.append(
-                        (index_name, "update", record.before, record.after)
-                    )
-                elif isinstance(record, GhostRecord):
-                    changes.append((index_name, "delete", record.row, None))
-                elif isinstance(record, DeleteRecord):
-                    changes.append(
-                        (index_name, "delete", record.before, None)
-                    )
-                # CleanupRecord: physical removal of an already-ghosted
-                # row — no logical change, nothing to replay.
+                    changes.append((index_name, op, before, after))
             lsn = record.prev_lsn
         changes.reverse()
         return changes
@@ -384,6 +367,12 @@ class ViewBuilder:
         self._emit("vanished")
 
 
+def _live_row(entry):
+    """The row an index entry shows a reader: ``None`` for a ghost or
+    for no slot."""
+    return None if entry is None or entry[1] else entry[0]
+
+
 def _drop_view_storage(db, view):
     """Drop the view's catalog entry and every index it owns."""
     if db.catalog.has_view(view.name):
@@ -403,7 +392,7 @@ def resolve_after_recovery(db):
     resolutions = []
     for name, build in sorted(db.online_builds.pending().items()):
         committed = any(
-            isinstance(record, CommitRecord)
+            record.type is RecordType.COMMIT
             and record.txn_id == build["txn_id"]
             for record in db.log.records()
         )

@@ -16,7 +16,6 @@ from repro.wal.records import (
     CommitRecord,
     CompensationRecord,
     DecisionRecord,
-    DeleteRecord,
     EndRecord,
     EscrowDeltaRecord,
     GhostRecord,
@@ -50,7 +49,6 @@ __all__ = [
     "CommitTicket",
     "CompensationRecord",
     "DecisionRecord",
-    "DeleteRecord",
     "EndRecord",
     "EscrowDeltaRecord",
     "GhostRecord",

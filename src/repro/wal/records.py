@@ -3,16 +3,22 @@
 Two families of data records coexist, and the difference between them is
 one of the paper's main points:
 
-* **Physiological records** (insert / update / delete / ghost / revive /
-  cleanup) carry before/after images. Their undo *restores the before
-  image* — correct for exclusively locked rows, and catastrophically wrong
-  for escrow-locked counters, where the before image observed by one
+* **Physiological records** (insert / update / ghost / revive / cleanup /
+  counter image) carry before/after images: each is a pair of index
+  entries, ``before_entry()`` and ``after_entry()`` — ``None`` (no slot)
+  or ``(row, is_ghost)``, derived from the fields it logs — applied by
+  **assignment** (:class:`RowChangeRecord`: redo is ``target.set_entry(
+  index, key, after)``, undo assigns ``before``). That is idempotent,
+  correct for exclusively locked rows, and catastrophically wrong for
+  escrow-locked counters, where the before image observed by one
   transaction interleaves with other transactions' committed increments.
 
 * **Logical escrow records** (:class:`EscrowDeltaRecord`) carry only the
-  delta. Redo applies ``+delta``; undo applies ``-delta`` *to the current
-  value*. Because increments commute, redo and undo are correct under any
-  interleaving of escrow holders — this is what makes E locks recoverable.
+  delta and are applied **relative to the current value**: redo is
+  ``target.add_deltas(index, key, +deltas)``, undo ``-deltas``. Because
+  increments commute, both are correct under any interleaving of escrow
+  holders — this is what makes E locks recoverable — but neither is
+  idempotent: recovery's LSN gate exists for this record alone.
 
 Every record class declares its body as ``fields`` — ``(attribute,
 field kind)`` pairs in layout order — and :mod:`repro.wal.codec` packs
@@ -38,7 +44,6 @@ class RecordType(enum.Enum):
     END = "end"
     INSERT = "insert"
     UPDATE = "update"
-    DELETE = "delete"
     GHOST = "ghost"
     REVIVE = "revive"
     CLEANUP = "cleanup"
@@ -95,17 +100,10 @@ class LogRecord:
     def _extra_repr(self):
         return ""
 
-    # -- undo/redo contract --------------------------------------------
-
     def is_undoable(self):
+        """True for the records that define ``undo(target)``; the ones
+        with :attr:`changes_rows` define ``redo(target)``."""
         return False
-
-    def redo(self, target):
-        """Apply the logged effect to ``target`` (a RecoveryTarget)."""
-
-    def undo(self, target):
-        """Apply the inverse effect. Only called if :meth:`is_undoable`."""
-        raise WalError(f"{type(self).__name__} is not undoable")
 
     # -- serialization ---------------------------------------------------
 
@@ -199,7 +197,10 @@ class EndRecord(LogRecord):
 
 
 class RowChangeRecord(LogRecord):
-    """A record that changes the row at ``key`` of ``index_name``."""
+    """A record that changes the entry at ``key`` of ``index_name``:
+    ``before_entry()`` is what it found there and ``after_entry()`` what
+    it left, each ``None`` (no slot) or ``(row, is_ghost)``; redo and
+    undo assign them."""
 
     __slots__ = ("index_name", "key")
     fields = (("index_name", codec.NAME), ("key", codec.KEY))
@@ -216,6 +217,12 @@ class RowChangeRecord(LogRecord):
     def is_undoable(self):
         return True
 
+    def redo(self, target):
+        target.set_entry(self.index_name, self.key, self.after_entry())
+
+    def undo(self, target):
+        target.set_entry(self.index_name, self.key, self.before_entry())
+
 
 class InsertRecord(RowChangeRecord):
     """A new key inserted into an index. Undo removes it."""
@@ -228,11 +235,11 @@ class InsertRecord(RowChangeRecord):
         super().__init__(txn_id, index_name, key)
         self.row = row
 
-    def redo(self, target):
-        target.recovery_insert(self.index_name, self.key, self.row)
+    def before_entry(self):
+        return None
 
-    def undo(self, target):
-        target.recovery_delete(self.index_name, self.key)
+    def after_entry(self):
+        return (self.row, False)
 
 
 class UpdateRecord(RowChangeRecord):
@@ -254,30 +261,11 @@ class UpdateRecord(RowChangeRecord):
         self.before = before
         self.after = after
 
-    def redo(self, target):
-        target.recovery_update(self.index_name, self.key, self.after)
+    def before_entry(self):
+        return (self.before, False)
 
-    def undo(self, target):
-        target.recovery_update(self.index_name, self.key, self.before)
-
-
-class DeleteRecord(RowChangeRecord):
-    """Outright key removal (base tables without ghosts). Undo re-inserts
-    the before image."""
-
-    type = RecordType.DELETE
-    __slots__ = ("before",)
-    fields = RowChangeRecord.fields + (("before", codec.ROW),)
-
-    def __init__(self, txn_id, index_name, key, before):
-        super().__init__(txn_id, index_name, key)
-        self.before = before
-
-    def redo(self, target):
-        target.recovery_delete(self.index_name, self.key)
-
-    def undo(self, target):
-        target.recovery_insert(self.index_name, self.key, self.before)
+    def after_entry(self):
+        return (self.after, False)
 
 
 class GhostRecord(RowChangeRecord):
@@ -292,11 +280,11 @@ class GhostRecord(RowChangeRecord):
         super().__init__(txn_id, index_name, key)
         self.row = row
 
-    def redo(self, target):
-        target.recovery_set_ghost(self.index_name, self.key, True)
+    def before_entry(self):
+        return (self.row, False)
 
-    def undo(self, target):
-        target.recovery_revive(self.index_name, self.key, self.row)
+    def after_entry(self):
+        return (self.row, True)
 
 
 class ReviveRecord(RowChangeRecord):
@@ -314,12 +302,11 @@ class ReviveRecord(RowChangeRecord):
         self.new_row = new_row
         self.ghost_row = ghost_row
 
-    def redo(self, target):
-        target.recovery_revive(self.index_name, self.key, self.new_row)
+    def before_entry(self):
+        return (self.ghost_row, True)
 
-    def undo(self, target):
-        target.recovery_update(self.index_name, self.key, self.ghost_row)
-        target.recovery_set_ghost(self.index_name, self.key, True)
+    def after_entry(self):
+        return (self.new_row, False)
 
 
 class CleanupRecord(RowChangeRecord):
@@ -335,11 +322,11 @@ class CleanupRecord(RowChangeRecord):
         super().__init__(txn_id, index_name, key)
         self.ghost_row = ghost_row
 
-    def redo(self, target):
-        target.recovery_delete(self.index_name, self.key)
+    def before_entry(self):
+        return (self.ghost_row, True)
 
-    def undo(self, target):
-        target.recovery_insert(self.index_name, self.key, self.ghost_row, is_ghost=True)
+    def after_entry(self):
+        return None
 
 
 class EscrowDeltaRecord(RowChangeRecord):
@@ -363,11 +350,11 @@ class EscrowDeltaRecord(RowChangeRecord):
         return f", {self.index_name}{self.key!r} {self.deltas!r}"
 
     def redo(self, target):
-        target.recovery_escrow_apply(self.index_name, self.key, self.deltas)
+        target.add_deltas(self.index_name, self.key, self.deltas)
 
     def undo(self, target):
         negated = {c: -d for c, d in self.deltas.items()}
-        target.recovery_escrow_apply(self.index_name, self.key, negated)
+        target.add_deltas(self.index_name, self.key, negated)
 
 
 class CounterImageRecord(UpdateRecord):

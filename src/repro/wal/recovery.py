@@ -53,30 +53,25 @@ from repro.wal.records import (
 
 
 class RecoveryTarget:
-    """The interface recovery (and online rollback) drives.
+    """The two verbs recovery (and online rollback) drives — the paper's
+    split. Image records *assign* an entry, which is idempotent; delta
+    records *add* to the current row, which is not, and is what the redo
+    gate exists for.
 
-    The engine's :class:`~repro.core.database.Database` implements these
+    The engine's :class:`~repro.core.database.Database` implements them
     as direct index manipulations that bypass locking — recovery runs
     single-threaded before transactions restart, and online rollback runs
     under the aborting transaction's own locks.
     """
 
-    def recovery_insert(self, index_name, key, row, is_ghost=False):
+    def set_entry(self, index_name, key, entry):
+        """Make the entry at ``key`` be ``entry``: ``None`` (no slot) or
+        ``(row, is_ghost)``."""
         raise NotImplementedError
 
-    def recovery_delete(self, index_name, key):
-        raise NotImplementedError
-
-    def recovery_update(self, index_name, key, row):
-        raise NotImplementedError
-
-    def recovery_set_ghost(self, index_name, key, ghost):
-        raise NotImplementedError
-
-    def recovery_revive(self, index_name, key, row):
-        raise NotImplementedError
-
-    def recovery_escrow_apply(self, index_name, key, deltas):
+    def add_deltas(self, index_name, key, deltas):
+        """Add ``deltas`` (column -> signed amount) to the row at
+        ``key``; a key with no entry is left alone."""
         raise NotImplementedError
 
 

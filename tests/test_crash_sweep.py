@@ -138,7 +138,7 @@ def base_table_in_prefix(log, limit_lsn):
             rows[r.key] = dict(r.row.as_dict())
         elif r.type is RecordType.UPDATE:
             rows[r.key] = dict(r.after.as_dict())
-        elif r.type in (RecordType.DELETE, RecordType.GHOST):
+        elif r.type is RecordType.GHOST:
             # a ghost is the *visible* removal; the later CLEANUP only
             # reclaims the slot, which a ghost-excluding scan never sees
             rows.pop(r.key, None)

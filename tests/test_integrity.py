@@ -85,7 +85,7 @@ class TestChecker:
     def test_detects_missing_view_row(self):
         db = build_db()
         seed(db)
-        db.index("big_sales").physical_delete((2,))
+        db.index("big_sales").set_entry((2,), None)
         report = db.check_integrity()
         assert not report.clean
         assert "big_sales" in report.damaged_views()
@@ -94,10 +94,9 @@ class TestChecker:
         db = build_db()
         seed(db)
         from repro.common import Row
-        db.index(BY_PRODUCT).insert(
-            ("ghost-group",),
-            Row({"product": "ghost-group", "n_sales": 3, "revenue": 1}),
-        )
+        db.index(BY_PRODUCT).set_entry(("ghost-group",), (
+            Row({"product": "ghost-group", "n_sales": 3, "revenue": 1}), False,
+        ))
         report = db.check_integrity()
         assert not report.clean
         assert BY_PRODUCT in report.damaged_views()
@@ -109,7 +108,7 @@ class TestChecker:
         name = secondary_name(SALES, "by_customer")
         index = db.index(name)
         victim = next(iter(index.scan()))[0]
-        index.physical_delete(victim)
+        index.set_entry(victim, None)
         report = db.check_integrity()
         assert not report.clean
         assert any(d.kind == "secondary" for d in report.damage)
@@ -227,7 +226,7 @@ class TestRebuild:
         db = build_db()
         seed(db)
         damage_view_row(db, revenue=99999, n_sales=50)
-        db.index("big_sales").physical_delete((2,))
+        db.index("big_sales").set_entry((2,), None)
         db.check_integrity(quarantine=True)
         assert set(db.quarantine.quarantined()) == {BY_PRODUCT, "big_sales"}
         return db

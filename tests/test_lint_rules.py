@@ -315,6 +315,31 @@ def test_logged_write_allows_the_wal_package_and_the_write_module(tmp_path):
     assert lint_paths([ok], rules=("logged-write",)) == []
 
 
+def test_logged_write_homes_the_cleanup_record_and_the_one_mutator(tmp_path):
+    source = '''
+    def reclaim(db, txn, index, key, row):
+        index.set_entry(key, None)
+        db.log.append(CleanupRecord(txn.txn_id, index.name, key, row))
+    '''
+    for rel in ("src/repro/core/cleanup.py", "benchmarks/sneaky.py"):
+        findings = lint_paths(
+            [_plant(tmp_path, rel, source)], rules=("logged-write",)
+        )
+        assert _rules(findings) == {"logged-write"}, rel
+        assert ".set_entry()" in findings[0].message
+        assert "CleanupRecord" in findings[1].message
+    for rel in ("src/repro/txn/write.py", "src/repro/wal/records.py"):
+        ok = _plant(tmp_path, rel, source)
+        assert lint_paths([ok], rules=("logged-write",)) == [], rel
+    # the recovery target and the storage package assign entries too,
+    # but only the write module (and the WAL) builds the record
+    for rel in ("src/repro/core/database.py", "src/repro/storage/bufferpool.py"):
+        findings = lint_paths(
+            [_plant(tmp_path, rel, source)], rules=("logged-write",)
+        )
+        assert [f.message.split()[0] for f in findings] == ["CleanupRecord"], rel
+
+
 def test_import_surface_flags_from_repro_submodule_form(tmp_path):
     bad = _plant(tmp_path, "examples/bad.py", "from repro import core\n")
     findings = lint_paths([bad])

@@ -119,29 +119,6 @@ class TestEscrowRegistry:
         assert reg.account(("v", (1,), "cnt")) is acct
         assert reg.existing(("missing",)) is None
 
-    def test_commit_all(self):
-        reg = EscrowRegistry()
-        reg.account("a").reserve(1, +2)
-        reg.account("b").reserve(1, -3)
-        reg.account("c").reserve(2, +9)
-        changed = dict(reg.commit_all(1))
-        assert changed == {"a": 2, "b": -3}
-        assert reg.account("c").pending_of(2) == 9  # untouched
-
-    def test_abort_all(self):
-        reg = EscrowRegistry()
-        reg.account("a").reserve(1, +2)
-        reg.account("b").reserve(2, +5)
-        reg.abort_all(1)
-        assert reg.account("a").read_committed() == 0
-        assert reg.account("b").pending_of(2) == 5
-
-    def test_accounts_touched_by(self):
-        reg = EscrowRegistry()
-        reg.account("a").reserve(1, +2)
-        reg.account("b").reserve(2, +5)
-        assert reg.accounts_touched_by(1) == ["a"]
-
     def test_drop(self):
         reg = EscrowRegistry()
         reg.account("a")

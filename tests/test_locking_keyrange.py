@@ -28,9 +28,7 @@ M = LockMode
 def make_index(keys=(2, 5, 8), ghosts=()):
     idx = Index("i", ("k",), order=4)
     for k in keys:
-        idx.insert((k,), Row(k=k))
-    for g in ghosts:
-        idx.logical_delete((g,))
+        idx.set_entry((k,), (Row(k=k), k in ghosts))
     return idx
 
 

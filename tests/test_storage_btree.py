@@ -43,11 +43,21 @@ class TestBasicOperations:
         with pytest.raises(StorageError):
             t.insert((1,), "x")
 
-    def test_overwrite(self):
+    def test_duplicate_insert_of_the_stored_object_raises_too(self):
         t = make_tree(3)
-        t.insert((1,), "new", overwrite=True)
-        assert t.get((1,)) == "new"
-        assert len(t) == 3
+        with pytest.raises(StorageError):
+            t.insert((1,), t.get((1,)))
+
+    def test_setdefault_finds_or_places_in_one_call(self):
+        t = make_tree(3)
+        held = t.get((1,))
+        assert t.setdefault((1,), "new") is held and len(t) == 3
+        assert t.setdefault((7,), "new") == "new" and len(t) == 4
+        assert t.get((7,)) == "new"
+        for k in range(10, 40):  # placements split leaves like insert does
+            t.setdefault((k,), k)
+        t.check_invariants()
+        assert len(t) == 34
 
     def test_update_existing(self):
         t = make_tree(3)

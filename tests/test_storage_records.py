@@ -4,8 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import Database
 from repro.common import KeyRange, Row, StorageError
+from repro.locking import LatchSet
 from repro.storage import Index, VersionedRecord
+from repro.txn import write
+from repro.txn.write import erase, patch, put
 
 
 class TestVersionedRecord:
@@ -44,17 +48,10 @@ class TestVersionedRecord:
     def test_ghost_version_invisible(self):
         r = VersionedRecord((1,), Row(v=0))
         r.stamp_version(10)
-        r.make_ghost()
+        r.is_ghost = True
         r.stamp_version(20)
         assert r.read_as_of(15) == Row(v=0)
         assert r.read_as_of(25) is None
-
-    def test_revive(self):
-        r = VersionedRecord((1,), Row(v=0))
-        r.make_ghost()
-        r.revive(Row(v=2))
-        assert not r.is_ghost
-        assert r.current_row == Row(v=2)
 
     def test_prune_versions(self):
         r = VersionedRecord((1,), Row(v=0))
@@ -71,13 +68,23 @@ class TestVersionedRecord:
         assert VersionedRecord((1,), None).prune_versions(10) == 0
 
 
+def live(row):
+    return (row, False)
+
+
+def ghost(row):
+    return (row, True)
+
+
 class TestIndex:
+    """``set_entry`` is the one mutator: a slot is live, ghost or absent."""
+
     def make_index(self):
         return Index("idx", ("k",), order=4)
 
     def test_insert_and_get(self):
         idx = self.make_index()
-        idx.insert((1,), Row(k=1, v="a"))
+        idx.set_entry((1,), live(Row(k=1, v="a")))
         assert idx.get_row((1,)) == Row(k=1, v="a")
         assert (1,) in idx
         assert len(idx) == 1
@@ -87,56 +94,82 @@ class TestIndex:
         assert idx.key_of(Row(a=1, b=2, c=3)) == (1, 2)
 
     def test_duplicate_live_insert_raises(self):
-        idx = self.make_index()
-        idx.insert((1,), Row(k=1))
-        with pytest.raises(StorageError):
-            idx.insert((1,), Row(k=1))
+        """The refusal lives in ``put`` (the index only assigns)."""
+        db = Database()
+        db.create_table("t", ("k",), ("k",))
+        txn = db.begin()
+        put(db, txn, db.index("t"), (1,), Row(k=1))
+        with pytest.raises(StorageError, match="duplicate key"):
+            put(db, txn, db.index("t"), (1,), Row(k=1))
+        assert db.index("t").get_row((1,)) == Row(k=1)
+        db.commit(txn)
+        assert len(db.log) == 2  # one INSERT, the COMMIT
 
     def test_logical_delete_creates_ghost(self):
         idx = self.make_index()
-        idx.insert((1,), Row(k=1))
-        idx.logical_delete((1,))
+        idx.set_entry((1,), live(Row(k=1)))
+        idx.set_entry((1,), ghost(Row(k=1)))
         assert idx.get_row((1,)) is None
         assert (1,) not in idx
         assert idx.total_entries() == 1
         assert idx.ghost_count() == 1
-        assert idx.ghost_keys() == [(1,)]
+        assert idx.is_ghost((1,))
 
     def test_insert_revives_ghost(self):
         idx = self.make_index()
-        record = idx.insert((1,), Row(k=1, v="old"))
-        idx.logical_delete((1,))
-        revived = idx.insert((1,), Row(k=1, v="new"))
+        record = idx.set_entry((1,), live(Row(k=1, v="old")))
+        record.stamp_version(5)
+        assert idx.set_entry((1,), ghost(Row(k=1, v="old"))) is record
+        revived = idx.set_entry((1,), live(Row(k=1, v="new")))
         assert revived is record  # same slot, escrow state survives
+        assert not record.is_ghost and record.version_count() == 1
         assert idx.get_row((1,)) == Row(k=1, v="new")
-        assert idx.ghost_count() == 0
+        assert idx.ghost_count() == 0 and not idx.is_ghost((1,))
 
     def test_update_in_place(self):
         idx = self.make_index()
-        idx.insert((1,), Row(k=1, v=0))
-        idx.update((1,), Row(k=1, v=5))
+        record = idx.set_entry((1,), live(Row(k=1, v=0)))
+        assert idx.set_entry((1,), live(Row(k=1, v=5))) is record
         assert idx.get_row((1,)) == Row(k=1, v=5)
 
-    def test_update_ghost_raises(self):
-        idx = self.make_index()
-        idx.insert((1,), Row(k=1))
-        idx.logical_delete((1,))
-        with pytest.raises(StorageError):
-            idx.update((1,), Row(k=1))
+    def test_patch_and_ghost_leave_a_ghost_alone(self):
+        """What ``Index.update`` on a ghost used to refuse: the logged
+        writes that need a live row find none and log nothing."""
+        db = Database()
+        db.create_table("t", ("k",), ("k",))
+        txn = db.begin()
+        index = db.index("t")
+        put(db, txn, index, (1,), Row(k=1))
+        assert write.ghost(db, txn, index, (1,)) is not None
+        logged = len(db.log)
+        assert patch(db, txn, index, (1,), Row(k=1)) is None
+        assert write.ghost(db, txn, index, (1,)) is None
+        assert erase(db, txn, index, (2,)) is None
+        assert len(db.log) == logged and index.is_ghost((1,))
 
-    def test_physical_delete(self):
+    def test_assigning_absent_removes_the_slot(self):
         idx = self.make_index()
-        idx.insert((1,), Row(k=1))
-        idx.logical_delete((1,))
-        idx.physical_delete((1,))
+        idx.set_entry((1,), live(Row(k=1)))
+        record = idx.set_entry((1,), ghost(Row(k=1)))
+        assert idx.set_entry((1,), None) is record
         assert idx.total_entries() == 0
         assert idx.ghost_count() == 0
+        assert idx.set_entry((1,), None) is None  # absent stays absent
+        idx.check_invariants()
+
+    def test_assign_ghost_to_an_absent_key(self):
+        idx = self.make_index()
+        idx.set_entry((1,), ghost(Row(k=1)))
+        assert idx.get_record((1,)) is None
+        assert idx.get_record((1,), include_ghost=True).current_row == Row(k=1)
+        assert len(idx) == 0 and idx.ghost_count() == 1
+        idx.check_invariants()
 
     def test_scan_skips_ghosts_by_default(self):
         idx = self.make_index()
         for i in range(5):
-            idx.insert((i,), Row(k=i))
-        idx.logical_delete((2,))
+            idx.set_entry((i,), live(Row(k=i)))
+        idx.set_entry((2,), ghost(Row(k=2)))
         assert [k for k, _ in idx.scan()] == [(0,), (1,), (3,), (4,)]
         assert [k for k, _ in idx.scan(include_ghosts=True)] == [
             (i,) for i in range(5)
@@ -145,21 +178,21 @@ class TestIndex:
     def test_scan_with_range(self):
         idx = self.make_index()
         for i in range(10):
-            idx.insert((i,), Row(k=i))
+            idx.set_entry((i,), live(Row(k=i)))
         got = [k for k, _ in idx.scan(KeyRange.between((3,), (6,)))]
         assert got == [(3,), (4,), (5,), (6,)]
 
     def test_rows_iterator(self):
         idx = self.make_index()
-        idx.insert((1,), Row(k=1))
-        idx.insert((2,), Row(k=2))
+        idx.set_entry((1,), live(Row(k=1)))
+        idx.set_entry((2,), live(Row(k=2)))
         assert list(idx.rows()) == [Row(k=1), Row(k=2)]
 
     def test_next_key_sees_ghosts_by_default(self):
         idx = self.make_index()
         for i in range(4):
-            idx.insert((i,), Row(k=i))
-        idx.logical_delete((2,))
+            idx.set_entry((i,), live(Row(k=i)))
+        idx.set_entry((2,), ghost(Row(k=2)))
         assert idx.next_key((1,)) == (2,)
         assert idx.next_key((1,), include_ghosts=False) == (3,)
         assert idx.prev_key((3,)) == (2,)
@@ -167,13 +200,21 @@ class TestIndex:
 
     def test_check_invariants_detects_sync(self):
         idx = self.make_index()
-        idx.insert((1,), Row(k=1))
-        idx.logical_delete((1,))
+        idx.set_entry((1,), live(Row(k=1)))
+        idx.set_entry((1,), ghost(Row(k=1)))
         idx.check_invariants()
         # sabotage the registry
         idx._ghost_keys.clear()
         with pytest.raises(StorageError):
             idx.check_invariants()
+
+    def test_every_assignment_runs_under_the_tree_latch(self):
+        latches = LatchSet()
+        idx = Index("idx", ("k",), order=4, latch_set=latches)
+        for entry in (live(Row(k=1)), ghost(Row(k=1)), None, None):
+            idx.set_entry((1,), entry)
+        assert latches.get("tree:idx").acquisitions == 4
+        latches.assert_all_free()
 
 
 class TestIndexProperties:
@@ -181,7 +222,7 @@ class TestIndexProperties:
     @given(
         st.lists(
             st.tuples(
-                st.sampled_from(["insert", "ldelete", "pdelete"]),
+                st.sampled_from(["live", "ghost", "absent"]),
                 st.integers(min_value=0, max_value=15),
             ),
             max_size=60,
@@ -189,33 +230,22 @@ class TestIndexProperties:
     )
     def test_ghost_registry_always_consistent(self, ops):
         idx = Index("p", ("k",), order=4)
-        live, ghosts = set(), set()
+        model = {}
         for op, k in ops:
             key = (k,)
-            if op == "insert":
-                if key in live:
-                    with pytest.raises(StorageError):
-                        idx.insert(key, Row(k=k))
-                else:
-                    idx.insert(key, Row(k=k))
-                    live.add(key)
-                    ghosts.discard(key)
-            elif op == "ldelete":
-                if key in live:
-                    idx.logical_delete(key)
-                    live.discard(key)
-                    ghosts.add(key)
-                else:
-                    with pytest.raises(StorageError):
-                        idx.logical_delete(key)
+            held = idx.get_record(key, include_ghost=True)
+            if op == "absent":
+                assert idx.set_entry(key, None) is held
+                model.pop(key, None)
             else:
-                if key in live or key in ghosts:
-                    idx.physical_delete(key)
-                    live.discard(key)
-                    ghosts.discard(key)
-                else:
-                    with pytest.raises(StorageError):
-                        idx.physical_delete(key)
-        idx.check_invariants()
-        assert len(idx) == len(live)
-        assert idx.ghost_count() == len(ghosts)
+                entry = (Row(k=k), op == "ghost")
+                record = idx.set_entry(key, entry)
+                assert held is None or record is held  # assigned in place
+                model[key] = entry
+            idx.check_invariants()
+        assert {
+            key: (record.current_row, record.is_ghost)
+            for key, record in idx.scan(include_ghosts=True)
+        } == model
+        assert len(idx) == sum(1 for _, g in model.values() if not g)
+        assert idx.ghost_count() == sum(1 for _, g in model.values() if g)

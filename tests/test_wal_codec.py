@@ -35,7 +35,6 @@ from repro.wal.records import (
     CompensationRecord,
     CounterImageRecord,
     DecisionRecord,
-    DeleteRecord,
     EndRecord,
     EscrowDeltaRecord,
     GhostRecord,
@@ -190,7 +189,6 @@ deltas = st.dictionaries(
 undoable = st.one_of(
     st.builds(InsertRecord, txn_ids, names, keys, rows),
     st.builds(UpdateRecord, txn_ids, names, keys, optional_rows, rows),
-    st.builds(DeleteRecord, txn_ids, names, keys, optional_rows),
     st.builds(GhostRecord, txn_ids, names, keys, rows),
     st.builds(ReviveRecord, txn_ids, names, keys, rows, optional_rows),
     st.builds(CleanupRecord, txn_ids, names, keys, optional_rows),

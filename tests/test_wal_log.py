@@ -6,9 +6,9 @@ from repro.common import Row, WalError
 from repro.wal import (
     AbortRecord,
     CheckpointRecord,
+    CleanupRecord,
     CommitRecord,
     CompensationRecord,
-    DeleteRecord,
     EscrowDeltaRecord,
     GhostRecord,
     InsertRecord,
@@ -165,9 +165,9 @@ class TestSerialization:
         assert r.before == Row(v=1)
         assert r.after == Row(v=2)
 
-    def test_delete_roundtrip(self):
-        r = self.roundtrip(DeleteRecord(1, "t", (1,), Row(v=1)))
-        assert r.before == Row(v=1)
+    def test_cleanup_roundtrip(self):
+        r = self.roundtrip(CleanupRecord(1, "t", (1,), Row(v=1)))
+        assert r.ghost_row == Row(v=1)
 
     def test_ghost_and_revive_roundtrip(self):
         g = self.roundtrip(GhostRecord(1, "t", (1,), Row(v=1)))
