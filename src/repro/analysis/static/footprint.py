@@ -8,6 +8,9 @@ mirrors one plan the runtime actually builds:
 * base DML takes a table IX intention lock, then the key-range plan of
   :mod:`repro.locking.keyrange` (fence RangeI-N + key X for inserts,
   key X for updates/ghost deletes);
+* projection maintenance inserts, patches or ghosts the row's entry; a
+  secondary index (a projection keyed by other columns) moves its entry
+  on UPDATE — X on the old key, then RangeI-N + X on the new one;
 * aggregate maintenance takes E on the group's view row under the
   escrow strategy (X under xlock, and always X for MIN/MAX columns),
   with the group-creation fence + X as the worst-case alternative;
@@ -153,19 +156,33 @@ def _opaque_note(view):
     return ()
 
 
-def _maintenance_steps(view, table, op, strategy, serializable):
+def _projection_steps(view, table, op, primary_key, serializable):
+    """A projection keyed by the base primary key patches or ghosts the
+    one entry a base row derives. One keyed by other columns (a
+    secondary index) ghosts its old entry on DELETE and, on UPDATE, may
+    also move it: X on the old key, then the fence and X of the new."""
+    if op == "insert":
+        return _view_insert_steps(view, serializable)
+    if view.key_columns == primary_key:
+        return [
+            LockStep(
+                view.name, f"key {_pk_sym(table)}", "X",
+                "patch/ghost the projected row",
+            )
+        ]
+    steps = [LockStep(view.name, "key <view key>", "X", "ghost the old entry")]
+    if op == "update":
+        steps.extend(_view_insert_steps(view, serializable))
+    return steps
+
+
+def _maintenance_steps(view, table, op, strategy, serializable, primary_key):
     """The maintenance tail of ``op`` on ``table`` for one view."""
     steps = []
     if view.kind == "projection":
-        if op == "insert":
-            steps.extend(_view_insert_steps(view, serializable))
-        else:
-            steps.append(
-                LockStep(
-                    view.name, f"key {_pk_sym(table)}", "X",
-                    "patch/ghost the projected row",
-                )
-            )
+        steps.extend(
+            _projection_steps(view, table, op, primary_key, serializable)
+        )
     elif view.kind == "aggregate":
         sign = {"insert": "increment", "delete": "decrement",
                 "update": "move/adjust"}[op]
@@ -255,11 +272,11 @@ def statement_footprint(catalog, table, op, strategy="escrow",
             )
         )
     notes = []
-    views = catalog.views_on(table)
-    for view in views:
-        steps.extend(
-            _maintenance_steps(view, table, op, strategy, serializable)
-        )
+    primary_key = catalog.table(table).primary_key
+    for view in catalog.views_on(table):
+        steps.extend(_maintenance_steps(
+            view, table, op, strategy, serializable, primary_key
+        ))
         notes.extend(_opaque_note(view))
     return Footprint(f"{op} {table}", steps, notes)
 

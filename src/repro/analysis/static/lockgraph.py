@@ -168,12 +168,13 @@ class LockOrderGraph:
 
     def views_in_component(self, catalog, component):
         """Registered views whose indexes participate in the component
-        (a secondary like ``v#leftfk`` belongs to view ``v``)."""
+        (an auxiliary like ``v#leftfk`` belongs to view ``v``; a
+        secondary index ``t#name`` is a view itself)."""
         names = set()
         for node in component:
-            base = node.split("#", 1)[0]
-            if catalog.has_view(base):
-                names.add(base)
+            owner = node if catalog.has_view(node) else node.split("#", 1)[0]
+            if catalog.has_view(owner):
+                names.add(owner)
         return tuple(sorted(names))
 
     def render_lines(self):

@@ -63,6 +63,7 @@ from repro.txn.transaction import TxnState
 from repro.txn.write import ghost, patch, put
 from repro.views.actions import Action, run_actions
 from repro.views.deferred import DeferredMaintainer
+from repro.views.definition import SecondaryIndex
 from repro.views.delta import TxnViewDeltas
 from repro.views.maintenance import MaintenanceEngine
 from repro.views.online import (
@@ -71,7 +72,6 @@ from repro.views.online import (
     resolve_after_recovery,
 )
 from repro.core.cleanup import CleanupQueue, GhostCleaner
-from repro.core.secondary import SecondaryIndexManager
 from repro.core.config import EngineConfig
 from repro.wal import (
     CheckpointRecord,
@@ -129,7 +129,6 @@ class Database(RecoveryTarget):
         #: fixed-frame buffer pool over it, and the slotted-page mirror
         #: that subscribes to the log's append stream (docs/STORAGE.md).
         self._rebuild_page_mirror()
-        self.secondary = SecondaryIndexManager(self)
         from repro.integrity import QuarantineManager
 
         #: damaged-view registry; reads on quarantined views degrade to
@@ -211,14 +210,33 @@ class Database(RecoveryTarget):
         return schema
 
     def create_secondary_index(self, table, name, columns, unique=False):
-        """Create a secondary index on a base table; ``unique=True``
-        enforces the constraint (see :mod:`repro.core.secondary`)."""
-        return self.secondary.create(table, name, columns, unique=unique)
+        """Create the secondary index ``table#name`` on ``columns`` — a
+        :class:`~repro.views.definition.SecondaryIndex` view, built and
+        maintained like any other; ``unique=True`` enforces the
+        constraint. Returns the definition."""
+        index = SecondaryIndex(table, name, columns, unique=unique)
+        return self.create_view(index, unique=unique)
 
     def lookup(self, txn, table, index_name, values):
-        """Fetch base rows via a secondary index probe."""
-        txn.require_active()
-        return self.secondary.lookup(txn, table, index_name, values)
+        """Base rows of ``table`` whose indexed columns equal ``values``:
+        a :meth:`scan` of the index entries under that prefix, then a
+        :meth:`read` of each entry's base row."""
+        name = f"{table}#{index_name}"
+        index = self.catalog.view(name) if self.catalog.has_view(name) else None
+        if not isinstance(index, SecondaryIndex) or index.base != table:
+            raise CatalogError(f"no index {index_name!r} on table {table!r}")
+        if len(values) != len(index.indexed):
+            raise CatalogError(
+                f"index {index_name!r} on {table!r} takes "
+                f"{len(index.indexed)} values, got {len(values)}"
+            )
+        probe = KeyRange.prefix(tuple(values), len(index.key_columns))
+        pk = self.table_pk(table)
+        rows = (
+            self.read(txn, table, entry.key(pk))
+            for entry in self.scan(txn, name, probe)
+        )
+        return [row for row in rows if row is not None]
 
     def create_view(self, view, *, unique=True, deferred=False,
                     online=False):
@@ -230,9 +248,10 @@ class Database(RecoveryTarget):
         or a ``CREATE [UNIQUE] INDEXED VIEW ... AS SELECT ...`` SQL string
         (compiled through :func:`repro.sql.compile_view`; the statement's
         ``UNIQUE`` and ``WITH (...)`` options override the keyword
-        arguments). ``unique`` records the (always-satisfied)
-        key-uniqueness of the view index, for parity with
-        :meth:`create_secondary_index`; ``deferred=True`` routes this one
+        arguments). ``unique`` records the key-uniqueness of the view
+        index (always satisfied but for a
+        :class:`~repro.views.definition.SecondaryIndex`, see
+        :meth:`create_secondary_index`); ``deferred=True`` routes this one
         view's maintenance through the deferred maintainer even when the
         global ``maintenance_mode`` is immediate (refresh with
         :meth:`refresh_view`). ``online=True`` builds the view without
@@ -294,13 +313,14 @@ class Database(RecoveryTarget):
             )
             self._index_views[index_name] = view
 
-    def _maintenance_suppressed(self, view_name):
-        """Maintenance skips quarantined views (damaged; rebuilt on
-        demand) and views mid build (an online build's catch-up phase
-        replays their deltas from the log instead)."""
-        return (
-            self.quarantine.is_quarantined(view_name)
-            or self.online_builds.is_building(view_name)
+    def _maintenance_suppressed(self, view):
+        """Maintenance skips views mid build (an online build's catch-up
+        phase replays their deltas from the log instead) and quarantined
+        views (damaged; rebuilt on demand) — unless always maintained:
+        a quarantined secondary index degrades its reads only."""
+        return self.online_builds.is_building(view.name) or (
+            not view.always_maintained
+            and self.quarantine.is_quarantined(view.name)
         )
 
     # ==================================================================
@@ -897,9 +917,8 @@ class Database(RecoveryTarget):
             d.counters.incr("dml.insert")
 
         base_action = Action(f"base-insert {table}{key!r}", base_plan, apply_base)
-        view_actions = self.maintenance.compile(self, txn, table, "insert", after=row)
-        index_actions = self.secondary.compile(table, "insert", None, row)
-        run_actions(self, txn, [base_action] + index_actions + view_actions)
+        view_actions = self.maintenance.compile(self, txn, table, after=row)
+        run_actions(self, txn, [base_action] + view_actions)
         return key
 
     def delete(self, txn, table, key):
@@ -920,11 +939,8 @@ class Database(RecoveryTarget):
             d.counters.incr("dml.delete")
 
         base_action = Action(f"base-delete {table}{key!r}", [], apply_base)
-        view_actions = self.maintenance.compile(
-            self, txn, table, "delete", before=before
-        )
-        index_actions = self.secondary.compile(table, "delete", before, None)
-        run_actions(self, txn, [base_action] + index_actions + view_actions)
+        view_actions = self.maintenance.compile(self, txn, table, before=before)
+        run_actions(self, txn, [base_action] + view_actions)
         return before
 
     def update(self, txn, table, key, changes):
@@ -958,10 +974,9 @@ class Database(RecoveryTarget):
 
         base_action = Action(f"base-update {table}{key!r}", [], apply_base)
         view_actions = self.maintenance.compile(
-            self, txn, table, "update", before=before, after=after
+            self, txn, table, before=before, after=after
         )
-        index_actions = self.secondary.compile(table, "update", before, after)
-        run_actions(self, txn, [base_action] + index_actions + view_actions)
+        run_actions(self, txn, [base_action] + view_actions)
         return after
 
     # ==================================================================
@@ -1165,9 +1180,9 @@ class Database(RecoveryTarget):
     def check_integrity(self, quarantine=False):
         """Run the online integrity checker (see
         :mod:`repro.integrity.checker`): B-tree structural invariants of
-        every index, secondary-index agreement with the base table, and
-        every view against fresh recomputation. Returns the
-        :class:`~repro.integrity.IntegrityReport`.
+        every index, every view (secondary indexes included) against
+        fresh recomputation, and the page mirror against the live
+        indexes. Returns the :class:`~repro.integrity.IntegrityReport`.
 
         ``quarantine=True`` additionally quarantines every view the
         checker found damaged, flipping its reads to degraded

@@ -3,9 +3,9 @@
 Two halves, matching how a damaged engine is found and healed:
 
 * :mod:`repro.integrity.checker` — :func:`check_database` walks every
-  index's structural invariants, cross-checks secondary indexes against
-  their base tables, and diffs every indexed view against a fresh
-  recomputation, returning an :class:`IntegrityReport` of typed
+  index's structural invariants, diffs every indexed view (secondary
+  indexes included) against a fresh recomputation, and checks the page
+  mirror, returning an :class:`IntegrityReport` of typed
   :class:`Damage` findings.
 * :mod:`repro.integrity.quarantine` — a damaged view is *quarantined*:
   reads transparently fall back to on-the-fly recomputation from the

@@ -1,19 +1,18 @@
 """The online integrity checker.
 
-:func:`check_database` sweeps four layers of invariants and returns a
+:func:`check_database` sweeps three layers of invariants and returns a
 structured :class:`IntegrityReport`:
 
 1. **structure** — every index's B-tree ordering/fanout invariants and
    ghost-registry consistency (``Index.check_invariants``);
-2. **secondary** — every secondary index agrees with its base table:
-   each live base row has exactly its entry (with the right reference
-   row), no orphan entries exist, and unique indexes hold no duplicate
-   values;
-3. **view** — every indexed view (main index *and* its auxiliary
-   ``#secondary`` / ``#leftfk`` indexes) matches a fresh recomputation
+2. **view** — every indexed view (main index *and* its auxiliary
+   ``#right`` / ``#leftfk`` indexes) matches a fresh recomputation
    from the base tables, with the usual zero-count-group allowance for
-   aggregate views;
-4. **storage** — every durable page image decodes with a valid CRC, and
+   aggregate views. A secondary index is a view and is checked here:
+   a missing, orphan or wrong entry is view damage, and a unique index
+   whose base rows hold a duplicate value — its recompute refuses them —
+   is a finding, not a crash;
+3. **storage** — every durable page image decodes with a valid CRC, and
    the slotted-page mirror agrees entry-for-entry with the live indexes
    (key set, row contents, ghost flags).
 
@@ -25,7 +24,7 @@ pair it with ``Database.check_integrity(quarantine=True)`` and
 :mod:`repro.integrity.quarantine`).
 """
 
-from repro.common import StorageError
+from repro.common import CatalogError, StorageError
 from repro.views.definition import expected_index_contents
 
 
@@ -35,7 +34,7 @@ class Damage:
     __slots__ = ("kind", "index", "key", "detail", "view")
 
     def __init__(self, kind, index, key=None, detail="", view=None):
-        self.kind = kind  # "structure" | "secondary" | "view" | "storage"
+        self.kind = kind  # "structure" | "view" | "storage"
         self.index = index
         self.key = key
         self.detail = detail
@@ -129,10 +128,9 @@ def view_problems(db, view):
 
 
 def check_database(db):
-    """Run the full four-layer sweep; returns an :class:`IntegrityReport`."""
+    """Run the full three-layer sweep; returns an :class:`IntegrityReport`."""
     report = IntegrityReport()
     _check_structure(db, report)
-    _check_secondary(db, report)
     _check_views(db, report)
     _check_storage(db, report)
     return report
@@ -153,43 +151,6 @@ def _check_structure(db, report):
             )
 
 
-def _check_secondary(db, report):
-    for schema in db.catalog.tables():
-        for definition in db.secondary.indexes_on(schema.name):
-            _check_one_secondary(db, report, definition)
-
-
-def _check_one_secondary(db, report, definition):
-    base = db.index(definition.table)
-    sec = db.index(definition.full_name)
-    expected = {}
-    for _, record in base.scan():
-        key, ref = db.secondary.entry(definition, record.current_row)
-        if definition.unique and key in expected:
-            report.damage.append(
-                Damage(
-                    "secondary", definition.full_name, key=key,
-                    detail="duplicate value under a unique index",
-                )
-            )
-            continue
-        expected[key] = ref
-    actual = {key: record.current_row for key, record in sec.scan()}
-    for key in sorted(set(expected) | set(actual), key=repr):
-        want, got = expected.get(key), actual.get(key)
-        if want == got:
-            continue
-        if want is None:
-            detail = f"orphan entry {got!r} with no live base row"
-        elif got is None:
-            detail = f"missing entry for base row (expected {want!r})"
-        else:
-            detail = f"entry disagrees with base row: {got!r} != {want!r}"
-        report.damage.append(
-            Damage("secondary", definition.full_name, key=key, detail=detail)
-        )
-
-
 def _check_views(db, report):
     for view in db.catalog.views():
         if db.online_builds.is_building(view.name):
@@ -197,7 +158,14 @@ def _check_views(db, report):
             # until the build commits; the build verifies itself.
             continue
         report.views_checked += 1
-        for index_name, key, want, got in view_discrepancies(db, view):
+        try:
+            found = list(view_discrepancies(db, view))
+        except CatalogError as err:  # a unique index over duplicates
+            report.damage.append(
+                Damage("view", view.name, detail=str(err), view=view.name)
+            )
+            continue
+        for index_name, key, want, got in found:
             report.damage.append(
                 Damage(
                     "view", index_name, key=key,
@@ -208,7 +176,7 @@ def _check_views(db, report):
 
 
 def _check_storage(db, report):
-    """Layer 4: durable page images decode, and the page mirror agrees
+    """Layer 3: durable page images decode, and the page mirror agrees
     entry-for-entry with the live indexes. Only meaningful at
     quiescence, like the view sweep: mid-transaction the mirror is
     legitimately ahead (it applies records at append time, the live row

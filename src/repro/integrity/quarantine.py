@@ -10,7 +10,10 @@ A view the integrity checker condemned (or an operator distrusts) is
   timestamp), and
 * **maintenance pauses** — base-table DML stops compiling maintenance
   actions for the view (its contents will be thrown away anyway), so
-  damaged state cannot make maintainers fail user statements.
+  damaged state cannot make maintainers fail user statements. A
+  secondary index is the exception: a unique constraint cannot be
+  checked later, so writes keep maintaining it and only its reads
+  degrade.
 
 The quarantine lifts when :meth:`QuarantineManager.rebuild` runs: a
 system transaction takes S locks on the base tables and an X lock on

@@ -8,6 +8,7 @@ from repro.views.definition import (
     JoinAggregateView,
     JoinView,
     ProjectionView,
+    SecondaryIndex,
     ViewDefinition,
     expected_index_contents,
 )
@@ -32,6 +33,7 @@ __all__ = [
     "NetDelta",
     "ProjectionMaintainer",
     "ProjectionView",
+    "SecondaryIndex",
     "TxnViewDeltas",
     "ViewDefinition",
     "expected_index_contents",

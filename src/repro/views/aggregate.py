@@ -52,7 +52,7 @@ class AggregateMaintainer:
     # statement compilation
     # ------------------------------------------------------------------
 
-    def compile(self, db, txn, view, table, op, before, after):
+    def compile(self, db, txn, view, table, before, after):
         contributions = []
         if before is not None:
             contributions.append((before, -1))

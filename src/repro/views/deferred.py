@@ -3,8 +3,8 @@
 In deferred mode, base-table changes append to a per-view queue instead of
 touching the view; update transactions are cheap but readers see stale
 views. :meth:`DeferredMaintainer.refresh` drains a view's queue inside a
-system transaction, applying the same maintenance actions immediate mode
-would have.
+system transaction, running the same maintenance actions immediate mode
+would have through :func:`~repro.views.actions.run_actions`.
 
 Staleness is observable: :meth:`pending_count` and
 :meth:`staleness_ticks` (age of the oldest unapplied change) feed
@@ -13,13 +13,14 @@ experiment R6.
 
 from collections import deque
 
+from repro.views.actions import run_actions
+
 
 class _PendingChange:
-    __slots__ = ("table", "op", "before", "after", "enqueued_at")
+    __slots__ = ("table", "before", "after", "enqueued_at")
 
-    def __init__(self, table, op, before, after, enqueued_at):
+    def __init__(self, table, before, after, enqueued_at):
         self.table = table
-        self.op = op
         self.before = before
         self.after = after
         self.enqueued_at = enqueued_at
@@ -34,9 +35,9 @@ class DeferredMaintainer:
         self.total_enqueued = 0
         self.total_applied = 0
 
-    def enqueue(self, view, table, op, before, after):
+    def enqueue(self, view, table, before, after):
         queue = self._queues.setdefault(view.name, deque())
-        queue.append(_PendingChange(table, op, before, after, self._clock.now()))
+        queue.append(_PendingChange(table, before, after, self._clock.now()))
         self.total_enqueued += 1
 
     def pending_count(self, view_name=None):
@@ -68,13 +69,9 @@ class DeferredMaintainer:
             applied = 0
             while queue and (limit is None or applied < limit):
                 change = queue[0]
-                actions = engine.compile_view(
-                    db, txn, view, change.table, change.op, change.before, change.after
-                )
-                for action in actions:
-                    db.acquire_plan(txn, action.lock_plan)
-                for action in actions:
-                    action.apply(db, txn)
+                run_actions(db, txn, engine.compile_view(
+                    db, txn, view, change.table, change.before, change.after
+                ))
                 queue.popleft()
                 applied += 1
                 self.total_applied += 1

@@ -16,7 +16,8 @@ Three view shapes cover the paper's territory:
 
 * :class:`ProjectionView` — ``SELECT cols FROM base WHERE p`` keyed by the
   base primary key; the simplest case, included as the baseline shape and
-  for predicate enter/leave testing.
+  for predicate enter/leave testing. A :class:`SecondaryIndex` is a
+  projection keyed by other columns.
 
 A definition is the one place that knows its kind: what the view
 contains (:meth:`ViewDefinition.recompute`, a call into the reference
@@ -85,6 +86,10 @@ class ViewDefinition:
     #: :class:`AuxIndex` descriptions of the indexes owned besides the
     #: view's own
     aux_indexes = ()
+    #: maintained by every statement whatever the maintenance mode, and
+    #: even while quarantined — only its own build pauses it (a unique
+    #: constraint cannot be checked later)
+    always_maintained = False
 
     def __init__(self, name, key_columns, columns, where=None):
         self.name = name
@@ -459,3 +464,54 @@ class ProjectionView(ViewDefinition):
 
     def project(self, base_row):
         return base_row.project(self.columns)
+
+    def entry(self, base_row):
+        """``(key, view row)`` of the entry ``base_row`` derives, or
+        ``None`` for no row or one the predicate filters out."""
+        if base_row is None or not self.relevant(base_row):
+            return None
+        row = self.project(base_row)
+        return self.key_of(row), row
+
+
+class SecondaryIndex(ProjectionView):
+    """A secondary index on a base table, ``table#name``: the projection
+    of the indexed columns plus the primary key (so a lookup can fetch
+    the base row), keyed by the indexed columns when ``unique`` and by
+    the indexed columns then the primary key otherwise — the standard
+    trick for storing duplicates in a unique B-tree.
+
+    A unique index refuses a duplicate value at statement time (the
+    projection maintainer's compile phase) and at build time
+    (:meth:`recompute`), so it is :attr:`always_maintained`."""
+
+    always_maintained = True
+
+    def __init__(self, table, name, columns, unique=False):
+        self.indexed = tuple(columns)
+        super().__init__(f"{table}#{name}", table, self.indexed)
+        self.unique = unique
+
+    def bind_keys(self, catalog):
+        schema = catalog.table(self.base)
+        unknown = [c for c in self.indexed if c not in schema.columns]
+        if unknown:
+            raise CatalogError(
+                f"secondary index on {self.base!r}: unknown columns "
+                f"{unknown!r}"
+            )
+        self.columns = self.indexed + tuple(
+            c for c in schema.primary_key if c not in self.indexed
+        )
+        self.key_columns = self.indexed if self.unique else self.columns
+
+    def recompute(self, rows_of):
+        contents = {}
+        for row in rows_of(self.base):
+            key, entry = self.entry(row)
+            if key in contents:
+                raise CatalogError(
+                    f"unique index {self.name!r}: duplicate value {key!r}"
+                )
+            contents[key] = entry
+        return contents

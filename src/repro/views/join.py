@@ -77,10 +77,10 @@ class JoinMaintainer:
     # statement compilation
     # ------------------------------------------------------------------
 
-    def compile(self, db, txn, view, table, op, before, after):
-        if op == "insert":
+    def compile(self, db, txn, view, table, before, after):
+        if before is None:
             return self._compile_insert(db, txn, view, table, after)
-        if op == "delete":
+        if after is None:
             return self._compile_delete(db, txn, view, table, before)
         return self._compile_update(db, txn, view, table, before, after)
 

@@ -38,35 +38,26 @@ class JoinAggregateMaintainer:
     # statement compilation
     # ------------------------------------------------------------------
 
-    def compile(self, db, txn, view, table, op, before, after):
+    def compile(self, db, txn, view, table, before, after):
         return leftfk_actions(db, view, table, before, after) + (
-            self._compile_groups(db, txn, view, table, op, before, after)
+            self._compile_groups(db, txn, view, table, before, after)
         )
 
-    def _compile_groups(self, db, txn, view, table, op, before, after):
-        contributions = []
+    def _compile_groups(self, db, txn, view, table, before, after):
+        """Contribute the before image with −1 and the after image with
+        +1 (either may be absent)."""
         if table == view.left:
-            if op in ("delete", "update"):
-                contributions.extend(
-                    self._left_contributions(db, txn, view, before, -1)
-                )
-            if op in ("insert", "update"):
-                contributions.extend(
-                    self._left_contributions(db, txn, view, after, +1)
-                )
-        else:  # right-side change
-            if op == "update" and not self._right_change_matters(
-                view, before, after
-            ):
-                return []
-            if op in ("delete", "update"):
-                contributions.extend(
-                    self._right_contributions(db, txn, view, before, -1)
-                )
-            if op in ("insert", "update"):
-                contributions.extend(
-                    self._right_contributions(db, txn, view, after, +1)
-                )
+            contribute = self._left_contributions
+        elif before is not None and after is not None and (
+            not self._right_change_matters(view, before, after)
+        ):
+            return []
+        else:
+            contribute = self._right_contributions
+        contributions = []
+        for row, sign in ((before, -1), (after, +1)):
+            if row is not None:
+                contributions.extend(contribute(db, txn, view, row, sign))
         return self._fold_and_compile(db, txn, view, contributions)
 
     # ------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """The maintenance engine: dispatch base-table changes to view maintainers.
 
-Given one base-table change (insert / delete / update with before+after
-images), :meth:`MaintenanceEngine.compile` produces the list of view
-maintenance :class:`~repro.views.actions.Action` objects for every view
-defined over that table, honouring the database's maintenance mode:
+Given one base-table change — its before and after images, either
+``None`` for an insert or a delete — :meth:`MaintenanceEngine.compile`
+produces the list of view maintenance
+:class:`~repro.views.actions.Action` objects for every view defined over
+that table, honouring the database's maintenance mode:
 
 * ``immediate`` — actions run inside the user statement (the paper's
   indexed views);
@@ -12,6 +13,9 @@ defined over that table, honouring the database's maintenance mode:
   still maintained immediately (folding row-level inserts buys nothing);
 * ``deferred`` — changes queue in the deferred maintainer and the views
   drift stale until refreshed (experiment R6's baseline).
+
+A view that is ``always_maintained`` (a secondary index) ignores the
+mode and runs immediately.
 """
 
 from repro.views.aggregate import AggregateMaintainer
@@ -22,7 +26,7 @@ from repro.views.projection import ProjectionMaintainer
 
 class MaintenanceEngine:
     """Routes base-table deltas to per-view-kind maintainers, which all
-    answer ``compile(db, txn, view, table, op, before, after)``."""
+    answer ``compile(db, txn, view, table, before, after)``."""
 
     def __init__(self, catalog, aggregate_strategy="escrow", deferred=None):
         self._catalog = catalog
@@ -34,38 +38,36 @@ class MaintenanceEngine:
             "projection": ProjectionMaintainer(),
         }
         self.deferred = deferred  # a DeferredMaintainer, or None
-        #: optional predicate(view_name) -> bool; True pauses maintenance
-        #: for that view (set to the quarantine check by Database — a
-        #: quarantined view's contents will be rebuilt wholesale, so
-        #: incrementally maintaining damaged state is wasted and risky)
+        #: optional predicate(view) -> bool; True pauses maintenance for
+        #: that view (set by Database: views mid build and quarantined
+        #: views — a quarantined view's contents will be rebuilt
+        #: wholesale, so incrementally maintaining damaged state is
+        #: wasted and risky)
         self.suppressed = None
 
-    def compile(self, db, txn, table, op, before=None, after=None):
-        """Actions maintaining every view over ``table`` for one change.
-
-        ``op`` is ``"insert"`` (after set), ``"delete"`` (before set) or
-        ``"update"`` (both set).
-        """
+    def compile(self, db, txn, table, before=None, after=None):
+        """Actions maintaining every view over ``table`` for one change:
+        ``after`` alone is an insert, ``before`` alone a delete, both an
+        update."""
         actions = []
         for view in self._catalog.views_on(table):
-            if self.suppressed is not None and self.suppressed(view.name):
+            if self.suppressed is not None and self.suppressed(view):
                 continue
-            deferred = (
-                db.config.maintenance_mode == "deferred"
-                or getattr(view, "deferred", False)
+            deferred = not view.always_maintained and (
+                db.config.maintenance_mode == "deferred" or view.deferred
             )
             if deferred and self.deferred is not None:
-                self.deferred.enqueue(view, table, op, before, after)
+                self.deferred.enqueue(view, table, before, after)
                 continue
             actions.extend(
-                self.compile_view(db, txn, view, table, op, before, after)
+                self.compile_view(db, txn, view, table, before, after)
             )
         return actions
 
-    def compile_view(self, db, txn, view, table, op, before, after):
+    def compile_view(self, db, txn, view, table, before, after):
         """Actions maintaining ``view`` alone for one change, suppressed
         or deferred or not — what a deferred refresh and an online
         build's catch-up replay."""
         return self._maintainers[view.kind].compile(
-            db, txn, view, table, op, before, after
+            db, txn, view, table, before, after
         )

@@ -12,7 +12,9 @@ rows and nothing commits behind the fill, so there is no gap to catch
 up; an open writer on a base table makes the build fail with the lock
 error rather than materialize its uncommitted rows. A view whose
 contents come out empty over quiet base tables is simply registered:
-nothing is logged and no transaction starts.
+nothing is logged and no transaction starts. A secondary index
+(``create_secondary_index``) is a view and is built this way; a unique
+one over duplicate values fails its recompute and vanishes.
 
 ``CREATE INDEXED VIEW ... WITH (online = true)`` (:meth:`ViewBuilder.run`)
 must not hold base tables locked for the duration of a full scan. It
@@ -65,9 +67,9 @@ FAULT_SITE = "view.online_build"
 
 
 class OnlineBuildRegistry:
-    """Fills in flight — views (and secondary indexes) being built over
-    existing rows: ``name -> {"txn_id", "drop"}``, ``drop()`` making the
-    unfinished thing vanish.
+    """Fills in flight — views (secondary indexes included) being built
+    over existing rows: ``name -> {"txn_id", "drop"}``, ``drop()`` making
+    the unfinished view vanish.
 
     Plain Python state, deliberately *not* reset by recovery (like the
     catalog): after a crash the registry is exactly the list of builds
@@ -293,9 +295,9 @@ class ViewBuilder:
                     detail=f"catchup:{commit.txn_id}",
                 )
             changes = self._base_changes(commit.prev_lsn, bases)
-            for table, op, before, after in changes:
+            for table, before, after in changes:
                 actions = db.maintenance.compile_view(
-                    db, self.txn, view, table, op, before, after
+                    db, self.txn, view, table, before, after
                 )
                 run_actions(db, self.txn, actions)
             self._applied_txns.add(commit.txn_id)
@@ -304,7 +306,8 @@ class ViewBuilder:
         return len(committed)
 
     def _base_changes(self, lsn, bases):
-        """One committed transaction's base-table changes, in log order.
+        """One committed transaction's base-table changes, in log order,
+        as ``(table, before, after)`` rows.
 
         Walks the undo backchain from ``lsn``, the record before its
         COMMIT; a CLR's ``undo_next_lsn`` jumps over the compensated
@@ -323,11 +326,7 @@ class ViewBuilder:
                 before = _live_row(record.before_entry())
                 after = _live_row(record.after_entry())
                 if before is not None or after is not None:
-                    op = (
-                        "insert" if before is None
-                        else "delete" if after is None else "update"
-                    )
-                    changes.append((index_name, op, before, after))
+                    changes.append((index_name, before, after))
             lsn = record.prev_lsn
         changes.reverse()
         return changes

@@ -1,12 +1,20 @@
 """Projection-view maintenance (SELECT cols FROM base WHERE p).
 
-The simplest view shape: one view row per qualifying base row, keyed by
-the base primary key. Its interesting case is the predicate boundary — an
-update can move a row *into* or *out of* the view, which is an insert or
-a (ghosted) delete on the view index, with the corresponding key-range
-locking.
+The simplest view shape: one view row per qualifying base row. A change
+is the pair of entries the before and after images derive
+(:meth:`~repro.views.definition.ProjectionView.entry`), and maintenance
+follows from comparing them: the same entry needs nothing, the same key
+with a new row is an in-place patch, anything else — a row entering or
+leaving the predicate, or a key that moved — ghosts the old entry and
+inserts the new one, with the corresponding key-range locking.
+
+A projection keyed by the base primary key never moves its entry. A
+:class:`~repro.views.definition.SecondaryIndex` does, and its insert is
+where a unique constraint lives: a live entry already holding the new
+key fails the statement in the compile phase, before anything mutated.
 """
 
+from repro.common import CatalogError
 from repro.locking.keyrange import (
     locks_for_insert,
     locks_for_logical_delete,
@@ -19,34 +27,37 @@ from repro.views.actions import Action
 class ProjectionMaintainer:
     """Compiles base-table changes into projection-view actions."""
 
-    def compile(self, db, txn, view, table, op, before, after):
-        was_in = before is not None and view.relevant(before)
-        now_in = after is not None and view.relevant(after)
+    def compile(self, db, txn, view, table, before, after):
+        old, new = view.entry(before), view.entry(after)
+        if old == new:
+            return []
         index = db.index(view.name)
-        if not now_in:
-            if not was_in:
-                return []
-            vkey = view.key_of(view.project(before))
-            if index.get_record(vkey) is None:
-                return []
+        if old is not None and new is not None and old[0] == new[0]:
+            key, row = new
             return [self._action(
-                "ghost", view, vkey, locks_for_logical_delete(index, vkey),
-                lambda d, t: ghost(d, t, index, vkey),
+                "patch", view, key, locks_for_update(index, key),
+                lambda d, t: patch(d, t, index, key, row),
             )]
-        view_row = view.project(after)
-        vkey = view.key_of(view_row)
-        if was_in:
-            # stayed in the view: in-place patch (the key cannot change —
-            # base primary keys are immutable in this engine)
-            return [self._action(
-                "patch", view, vkey, locks_for_update(index, vkey),
-                lambda d, t: patch(d, t, index, vkey, view_row),
-            )]
-        return [self._action(
-            "insert", view, vkey,
-            locks_for_insert(index, vkey, db.config.serializable),
-            lambda d, t: put(d, t, index, vkey, view_row),
-        )]
+        actions = []
+        if old is not None and index.get_record(old[0]) is not None:
+            old_key = old[0]
+            actions.append(self._action(
+                "ghost", view, old_key,
+                locks_for_logical_delete(index, old_key),
+                lambda d, t: ghost(d, t, index, old_key),
+            ))
+        if new is not None:
+            new_key, new_row = new
+            if index.get_record(new_key) is not None:
+                raise CatalogError(
+                    f"index {view.name!r}: duplicate value {new_key!r}"
+                )
+            actions.append(self._action(
+                "insert", view, new_key,
+                locks_for_insert(index, new_key, db.config.serializable),
+                lambda d, t: put(d, t, index, new_key, new_row),
+            ))
+        return actions
 
     @staticmethod
     def _action(verb, view, vkey, plan, write):

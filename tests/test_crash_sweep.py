@@ -437,6 +437,33 @@ def test_crash_mid_fill_leaves_the_view_absent():
     assert db.read_committed("w", (0,))["n"] == 3
 
 
+@pytest.mark.parametrize("detail, complete", [
+    ("snapshot:1", False), ("post_commit", True),
+])
+def test_crash_mid_fill_leaves_the_secondary_index_complete_or_absent(
+    detail, complete
+):
+    """A secondary index is filled by the same registered build, fault
+    site included: a crash before the build's commit leaves it absent,
+    one after it complete."""
+    db = loaded_db({i: (i % 3, i) for i in range(1, 10)}, ())
+    db.install_fault_injector(FaultInjector(seed=3))
+    db.faults.arm("view.online_build", times=1, match=detail)
+    with pytest.raises(SimulatedCrash):
+        db.create_secondary_index("sales", "by", ("product",))
+    db.faults.disarm()
+    db.simulate_crash_and_recover()
+    assert db.catalog.has_view("sales#by") is complete
+    assert ("sales#by" in db.index_names()) is complete
+    assert not db.online_builds.active
+    assert db.check_integrity().clean
+    if not complete:
+        db.create_secondary_index("sales", "by", ("product",))  # a retry
+    txn = db.begin()
+    assert len(db.lookup(txn, "sales", "by", (0,))) == 3
+    db.commit(txn)
+
+
 def test_create_view_refuses_to_materialize_an_open_writers_rows():
     db = loaded_db({1: (0, 5)}, ())
     writer = db.session()

@@ -63,7 +63,8 @@ class TestChecker:
         report = db.check_integrity()
         assert report.clean
         assert report.damage == []
-        assert report.views_checked == 2
+        # two views and the secondary index, which is a view too
+        assert report.views_checked == 3
         # base table + 2 view indexes + secondary index, at least
         assert report.indexes_checked >= 4
         assert db.stats()["integrity"]["checks"] == 1
@@ -101,18 +102,46 @@ class TestChecker:
         assert not report.clean
         assert BY_PRODUCT in report.damaged_views()
 
-    def test_detects_secondary_index_drift(self):
+    def test_drifted_secondary_index_is_quarantined_and_rebuilt(self):
+        """A secondary index is a view: a lost entry is view damage, the
+        quarantined index answers lookups from recomputation, and a
+        rebuild repairs it."""
         db = build_db()
         seed(db)
-        from repro.core.secondary import secondary_name
-        name = secondary_name(SALES, "by_customer")
+        name = f"{SALES}#by_customer"
         index = db.index(name)
         victim = next(iter(index.scan()))[0]
         index.set_entry(victim, None)
+        report = db.check_integrity(quarantine=True)
+        assert any(d.kind == "view" and d.view == name for d in report.damage)
+        assert report.damaged_views() == [name]
+        assert db.quarantine.is_quarantined(name)
+        customer, sale_id = victim
+        with db.session() as s:
+            found = s.lookup(SALES, "by_customer", (customer,))
+        assert db.read_committed(SALES, (sale_id,)) in found
+        assert db.stats()["integrity"]["degraded_reads"] >= 1
+        assert db.rebuild_view(name) == 1
+        assert not db.quarantine.is_quarantined(name)
+        assert db.check_integrity().clean
+
+    def test_unique_index_over_duplicated_rows_is_a_finding(self):
+        """Base rows that break a unique index (here: tampered past the
+        log) make its recompute refuse them; the checker reports that
+        instead of raising."""
+        from repro.common import Row
+
+        db = Database(EngineConfig())
+        db.create_table("users", ("uid", "email"), ("uid",))
+        db.create_secondary_index("users", "by_email", ("email",), unique=True)
+        with db.session() as s:
+            s.insert("users", {"uid": 1, "email": "a@x"})
+            s.insert("users", {"uid": 2, "email": "b@x"})
+        db.index("users").set_entry((2,), (Row(uid=2, email="a@x"), False))
         report = db.check_integrity()
-        assert not report.clean
-        assert any(d.kind == "secondary" for d in report.damage)
-        assert report.damaged_views() == []  # not view damage
+        (finding,) = [d for d in report.damage if d.kind == "view"]
+        assert finding.view == "users#by_email"
+        assert "duplicate value ('a@x',)" in finding.detail
 
     def test_report_as_dict_round_trips(self):
         db = build_db()
@@ -134,7 +163,7 @@ class TestChecker:
         events = db.tracer.events(name="integrity_check")
         assert len(events) == 1
         assert events[0].fields["damage"] == 0
-        assert events[0].fields["views"] == 2
+        assert events[0].fields["views"] == 3
 
 
 class TestQuarantine:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.common import CatalogError, LockTimeoutError, Row
 from repro.core import Database, EngineConfig
+from repro.views import ProjectionView
 
 
 def people_db(**config_kwargs):
@@ -80,6 +81,25 @@ class TestLookups:
             db.lookup(reader, "people", "by_city", ("a", "b"))
         db.abort(reader)
 
+    def test_only_a_secondary_index_of_the_table_answers(self):
+        db = people_db()
+        db.create_table("towns", ("city", "size"), ("city",))
+        db.create_view(ProjectionView("people#plain", "people", ("pid", "city")))
+        reader = db.begin()
+        for table, name in [("people", "plain"), ("people", "nope"),
+                            ("towns", "by_city")]:
+            with pytest.raises(CatalogError):
+                db.lookup(reader, table, name, ("oslo",))
+        db.abort(reader)
+
+    def test_reads_count_entries_and_rows(self):
+        db = people_db()
+        self.fill(db)
+        reader = db.begin()
+        assert len(db.lookup(reader, "people", "by_city", ("oslo",))) == 2
+        assert reader.stats.reads == 4
+        db.commit(reader)
+
     def test_returns_full_base_rows(self):
         db = people_db()
         self.fill(db)
@@ -119,11 +139,16 @@ class TestMaintenance:
         txn = db.begin()
         add(db, txn, 1, "oslo", 30)
         db.commit(txn)
-        before = db.counters.get("secondary.entry_inserted")
+        first = db.log.tail_lsn() + 1
         t2 = db.begin()
         db.update(t2, "people", (1,), {"age": 31})
         db.commit(t2)
-        assert db.counters.get("secondary.entry_inserted") == before
+        logged = {
+            getattr(record, "index_name", None)
+            for record in db.log.records(first)
+        }
+        assert "people" in logged
+        assert "people#by_city" not in logged  # no entry moved or changed
         reader = db.begin()
         assert db.lookup(reader, "people", "by_city", ("oslo",))[0]["age"] == 31
         db.commit(reader)

@@ -528,6 +528,19 @@ def sales_db(groups=40):
 
 KEYED = "SELECT product, n, total FROM by_product WHERE product = {}"
 
+SALES_INDEXES = {"sales#by_code", "sales#by_product"}
+
+
+def indexed_sales_db():
+    """``sales`` with a unique and a non-unique secondary index."""
+    db = Database()
+    db.execute("CREATE TABLE sales (id, product, code, amount, PRIMARY KEY (id))")
+    db.create_secondary_index("sales", "by_code", ("code",), unique=True)
+    db.create_secondary_index("sales", "by_product", ("product",))
+    values = ", ".join(f"({i}, {i % 4}, 'c{i}', 10)" for i in range(1, 11))
+    db.execute(f"INSERT INTO sales VALUES {values}")
+    return db
+
 
 class TestLockFootprint:
     def test_present_key_holds_exactly_one_key_lock(self):
@@ -671,7 +684,7 @@ def requested_locks(db, sql):
             out.append((resource[1], "range", "RangeS-S"))
         elif gap == "S":
             out.append((resource[1], "fence", "RangeS-S"))
-        elif gap == "INS":
+        elif gap == "I":
             out.append((resource[1], "gap", "RangeI-N"))
         else:
             out.append((resource[1], "key", key))
@@ -727,6 +740,30 @@ class TestExplainAgreesWithRuntime:
         if max_key_locks is not None:
             key_level = [r for r in requested if r[1] != "table"]
             assert len(key_level) <= max_key_locks
+
+    @pytest.mark.parametrize("sql, touched", [
+        ("INSERT INTO sales VALUES (50, 2, 'c50', 10)", True),
+        ("UPDATE sales SET product = 0, code = 'moved' WHERE id = 3", True),
+        ("UPDATE sales SET amount = 11 WHERE id = 3", False),
+        ("DELETE FROM sales WHERE id = 3", True),
+    ])
+    def test_secondary_index_maintenance_lies_inside_the_prediction(
+        self, sql, touched
+    ):
+        """A secondary index is a view in the catalog, so EXPLAIN lists
+        its maintenance — worst case, an UPDATE moving its entry — and
+        the locks the statement requests on it lie inside that."""
+        db = indexed_sales_db()
+        report = db.execute(f"EXPLAIN {sql}")
+        predicted_indexes = {
+            step.index for footprint in report.footprints
+            for step in footprint.steps
+        }
+        assert SALES_INDEXES <= predicted_indexes
+        requested = requested_locks(db, sql)
+        assert set(requested) <= predicted_locks(report)
+        requested_indexes = {index for index, _, _ in requested}
+        assert (SALES_INDEXES <= requested_indexes) is touched
 
     def test_point_footprint_of_a_view_read(self):
         db = sales_db()

@@ -6,8 +6,8 @@ from repro.common import CatalogError, Row
 from repro.core import Database, EngineConfig
 
 
-def users_db():
-    db = Database(EngineConfig())
+def users_db(**config_kwargs):
+    db = Database(EngineConfig(**config_kwargs))
     db.create_table("users", ("uid", "email", "name"), ("uid",))
     db.create_secondary_index("users", "by_email", ("email",), unique=True)
     return db
@@ -81,8 +81,13 @@ class TestUniqueConstraint:
         with db.session() as s:
             s.insert("users", {"uid": 1, "email": "same"})
             s.insert("users", {"uid": 2, "email": "same"})
-        with pytest.raises(CatalogError):
+        with pytest.raises(CatalogError, match="duplicate value"):
             db.create_secondary_index("users", "by_email", ("email",), unique=True)
+        # nothing is left behind: no catalog entry, no index, no build
+        assert not db.catalog.has_view("users#by_email")
+        assert "users#by_email" not in db.index_names()
+        assert not db.online_builds.active
+        db.create_secondary_index("users", "by_email", ("email",))
 
     def test_lookup_returns_full_row(self):
         db = users_db()
@@ -92,6 +97,41 @@ class TestUniqueConstraint:
         rows = db.lookup(reader, "users", "by_email", ("a@x",))
         db.commit(reader)
         assert rows == [Row(uid=1, email="a@x", name="ada")]
+
+    @pytest.mark.parametrize(
+        "mode", ["immediate", "deferred", "commit_fold"]
+    )
+    def test_constraint_holds_in_every_maintenance_mode(self, mode):
+        """A unique constraint cannot be checked later: the index is
+        maintained by the statement whatever the mode."""
+        db = users_db(maintenance_mode=mode)
+        with db.session() as s:
+            add(db, s.current_transaction, 1, "a@x")
+        t2 = db.begin()
+        with pytest.raises(CatalogError):
+            add(db, t2, 2, "a@x")
+        db.abort(t2)
+        assert db.deferred.pending_count() == 0
+        assert db.check_all_views() == []
+
+    def test_constraint_holds_while_quarantined(self):
+        """Quarantine degrades the index's reads; writes keep maintaining
+        it, so the rebuild finds nothing to fix."""
+        db = users_db()
+        with db.session() as s:
+            add(db, s.current_transaction, 1, "a@x")
+        db.quarantine_view("users#by_email")
+        t2 = db.begin()
+        with pytest.raises(CatalogError):
+            add(db, t2, 2, "a@x")
+        add(db, t2, 3, "c@x")
+        db.commit(t2)
+        assert db.index("users#by_email").get_record(("c@x",)) is not None
+        with db.session() as s:
+            assert [r["uid"] for r in s.lookup("users", "by_email", ("c@x",))] == [3]
+        assert db.stats()["integrity"]["degraded_reads"] == 1
+        assert db.rebuild_view("users#by_email") == 0
+        assert db.check_integrity().clean
 
     def test_recovery_preserves_constraint(self):
         db = users_db()

@@ -523,29 +523,30 @@ def test_a_delta_whose_insert_the_log_never_saw_seeds_no_row():
 # catch-up reads the same pair
 # ---------------------------------------------------------------------
 
-#: what the class-by-class chain in ``_base_changes`` used to produce
-CATCH_UP_OPS = {
-    RecordType.INSERT: lambda r: ("insert", None, r.row),
-    RecordType.REVIVE: lambda r: ("insert", None, r.new_row),
-    RecordType.UPDATE: lambda r: ("update", r.before, r.after),
-    RecordType.COUNTER_IMAGE: lambda r: ("update", r.before, r.after),
-    RecordType.GHOST: lambda r: ("delete", r.row, None),
+#: the ``(before, after)`` rows catch-up hands the maintainers per record
+#: class: an insert or revival has no before row, a ghost no after row
+CATCH_UP_PAIRS = {
+    RecordType.INSERT: lambda r: (None, r.row),
+    RecordType.REVIVE: lambda r: (None, r.new_row),
+    RecordType.UPDATE: lambda r: (r.before, r.after),
+    RecordType.COUNTER_IMAGE: lambda r: (r.before, r.after),
+    RecordType.GHOST: lambda r: (r.row, None),
     RecordType.CLEANUP: lambda r: None,
 }
-base_changes = row_changes.filter(lambda r: r.type in CATCH_UP_OPS)
+base_changes = row_changes.filter(lambda r: r.type in CATCH_UP_PAIRS)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(base_changes, max_size=12))
-def test_catch_up_derives_the_pinned_ops_from_the_entry_pairs(records):
+def test_catch_up_derives_the_pinned_pairs_from_the_entry_pairs(records):
     db = Database()
     for record in records:
         db.log.append(record)
     commit_lsn = db.log.append(CommitRecord(1, 10))
     expected = [
-        ("a", *op) for record in records
+        ("a", *pair) for record in records
         if record.index_name == "a"
-        for op in [CATCH_UP_OPS[record.type](record)] if op is not None
+        for pair in [CATCH_UP_PAIRS[record.type](record)] if pair is not None
     ]
     builder = ViewBuilder(db, view=None)
     prev_lsn = db.log.record_at(commit_lsn).prev_lsn
