@@ -2,21 +2,26 @@ PYTHON ?= python
 export PYTHONPATH := $(CURDIR)/src
 
 .PHONY: analyze test bench bench-smoke bench-r16 bench-r17 chaos-smoke \
-	check-results dist-smoke lint net-smoke perf perf-pairs perf-smoke \
-	sanitize-smoke sql-smoke storage-smoke verify
+	check-results dist-smoke lint machine net-smoke perf perf-pairs \
+	perf-smoke sanitize-smoke sql-smoke verify
 
 # The PR gate, in dependency-cheapest order: the AST lint rules, the
-# static view-program analyzer, the full tier-1 test suite, the
-# protocol sanitizers, the paged-storage smoke, the bounded chaos tier
-# (which includes the crash-storm recovery leg), then the sharded 2PC
-# smoke and its message-transport tier, the SQL smoke, and the checks
-# the wall-clock benchmark runs on itself. benchmarks/run_all.py
-# finishes with the same chain up to the SQL smoke.
-verify: lint analyze test sanitize-smoke storage-smoke chaos-smoke \
+# static view-program analyzer, the full tier-1 test suite, the crash
+# machine at a larger example count, the protocol sanitizers, the
+# bounded chaos tier (which includes the crash-storm recovery leg), then
+# the sharded 2PC smoke and its message-transport tier, the SQL smoke,
+# and the checks the wall-clock benchmark runs on itself.
+# benchmarks/run_all.py finishes with the smokes of the same chain.
+verify: lint analyze test machine sanitize-smoke chaos-smoke \
 	dist-smoke net-smoke sql-smoke perf-smoke
 
 test:
 	$(PYTHON) -m pytest -x -q
+
+# The generated crash machine (tests/test_crash_machine.py) with more
+# examples than tier-1 gives it (≈ 80 s).
+machine:
+	REPRO_MACHINE_EXAMPLES=2000 $(PYTHON) -m pytest -x -q tests/test_crash_machine.py
 
 # The custom AST lint gate: event discipline, determinism,
 # error-hierarchy, bare-except, and the repro.api import surface.
@@ -58,13 +63,6 @@ bench-r16:
 # then the schema gate.
 bench-r17:
 	cd benchmarks && $(PYTHON) -c "import bench_r17_crash_storm as b; b.scenario()"
-	$(PYTHON) benchmarks/check_results.py
-
-# The paged-storage smoke: buffer-pool pressure with recovery, the WAL
-# segment chain round-trip, recycling below the checkpoint floor, and
-# the torn-page / lost-segment fault legs, then the schema gate.
-storage-smoke:
-	cd benchmarks && $(PYTHON) -c "import storage_smoke as b; b.scenario()"
 	$(PYTHON) benchmarks/check_results.py
 
 # Bounded chaos tier: a dozen seeded fault schedules plus the

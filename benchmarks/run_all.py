@@ -39,7 +39,6 @@ BENCHES = [
     ("bench_r17_crash_storm", "scenario"),
     ("chaos", "scenario"),
     ("sanitize_smoke", "scenario"),
-    ("storage_smoke", "scenario"),
     ("dist_smoke", "scenario"),
     ("net_smoke", "scenario"),
     ("sql_smoke", "scenario"),

@@ -32,12 +32,11 @@ status 1 on any finding), via ``make lint``, or programmatically through
   the ``repro.api`` facade, never engine internals — with one carve-
   out: ``benchmarks/`` may import ``repro.analysis`` submodules (the
   lint/sanitizer/static tooling is itself a measurement surface).
-* **page-discipline** — raw page mutation (``insert_record`` /
-  ``update_record`` / ``delete_record`` / ``set_page_lsn`` /
-  ``write_page``) happens only inside ``repro/storage/pages.py`` and
-  ``repro/storage/bufferpool.py``; everything else goes through the
-  buffer pool's ``record_*`` helpers, so the dirty-page table and the
-  WAL-before-write rule cannot be bypassed.
+* **page-discipline** — only ``repro/storage/`` packs an entry or makes,
+  writes or drops an image (``pack_entry`` / ``SlottedPage(`` /
+  ``write_page`` / ``drop_page``): a leaf's bytes come from a buffer-pool
+  write-back alone, so WAL-before-write and the write-back order cannot
+  be bypassed.
 * **dist-isolation** — the partition engine list (``._engines``) is
   touched only inside ``repro/dist/``; everything else goes through the
   ``ShardedDatabase`` facade (or its ``partition()`` accessor), so no
@@ -163,15 +162,11 @@ _LAYOUT_FILES = (("wal", "codec.py"), ("storage", "pages.py"))
 #: (segments.py keeps JSON for its header / trailer / floor lines)
 _WAL_NO_JSON = frozenset({"records.py", "log.py", "analysis.py", "recovery.py"})
 
-#: attribute-call names that mutate a page or its durable image
-#: directly; allowed only inside the page layer itself.
+#: call names that pack an entry or make, write or drop a page image;
+#: allowed in engine code only under ``repro/storage/``.
 _PAGE_MUTATORS = frozenset(
-    {"insert_record", "update_record", "delete_record", "set_page_lsn",
-     "write_page"}
+    {"pack_entry", "SlottedPage", "write_page", "drop_page"}
 )
-
-#: the files that *are* the page layer.
-_PAGE_LAYER = (("storage", "pages.py"), ("storage", "bufferpool.py"))
 
 #: the attribute that holds a ShardedDatabase's partition engines;
 #: reaching it outside ``repro/dist/`` bypasses the 2PC facade.
@@ -314,7 +309,8 @@ class _FileLinter(ast.NodeVisitor):
         )
         self.check_pages = (
             "page-discipline" in rules
-            and _rel_to_repro(path) not in _PAGE_LAYER
+            and self.engine
+            and (_rel_to_repro(path) or ())[:1] != ("storage",)
         )
         rel = _rel_to_repro(path) or ()
         self.check_settle = "one-settle" in rules and self.engine
@@ -534,14 +530,14 @@ class _FileLinter(ast.NodeVisitor):
                     self._check_event_flow(node, arg)
             if self.check_determinism:
                 self._check_wallclock_call(node, func)
-            if self.check_pages and func.attr in _PAGE_MUTATORS:
-                self.flag(
-                    node,
-                    "page-discipline",
-                    f"direct page mutation .{func.attr}() outside the "
-                    f"page layer; go through BufferPool.record_* so the "
-                    f"dirty-page table and WAL-before-write hold",
-                )
+        if self.check_pages and name in _PAGE_MUTATORS:
+            self.flag(
+                node,
+                "page-discipline",
+                f"{name}() outside repro/storage/: a leaf's bytes are "
+                f"made by a buffer-pool write-back alone, so "
+                f"WAL-before-write and the write-back order hold",
+            )
         self.generic_visit(node)
 
     # ------------------------------------------------------ attributes

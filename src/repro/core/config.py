@@ -68,14 +68,16 @@ class EngineConfig:
       silently serving a state missing committed transactions.
     * ``checkpoint_interval`` — take a checkpoint automatically
       every N commits (``None`` disables, the default). A
-      checkpoint logs the active-transaction table plus the buffer
-      pool's dirty-page table — no data snapshot — then flushes dirty
-      pages in the background; recovery's redo window shrinks to
-      ``min(recLSN)`` instead of the whole log (see ``docs/STORAGE.md``).
-    * ``buffer_pool_frames`` — frames in the page buffer pool (>= 2).
-      Small pools force evictions; evicting a dirty page first forces
-      the WAL to the page's pageLSN (WAL-before-write).
-    * ``page_size`` — bytes per slotted page in the page mirror.
+      checkpoint writes back the leaves that stayed dirty since the
+      previous one, then logs the active-transaction table plus the
+      dirty-page table — no data snapshot; recovery's redo window
+      shrinks to ``min(recLSN)`` instead of the whole log (see
+      ``docs/STORAGE.md``).
+    * ``buffer_pool_frames`` — the cap on dirty B-tree leaves (>= 2).
+      Past it the least recently dirtied leaf is written back, after
+      the WAL is forced to its pageLSN (WAL-before-write).
+    * ``page_size`` — bytes per leaf image (a leaf whose entries need
+      more gets one right-sized image).
     * ``wal_segment_bytes`` — byte budget per on-disk WAL segment for
       ``dump_wal_segments`` (a segment always holds >= 1 record).
     """

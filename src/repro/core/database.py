@@ -25,6 +25,8 @@ cooperative policy a lock wait aborts the statement run with
 :class:`~repro.txn.transaction.WouldWait` and the simulator re-runs it.
 """
 
+import itertools
+
 from repro.catalog import Catalog, TableSchema
 from repro.common import (
     CatalogError,
@@ -52,12 +54,8 @@ from repro.locking.keyrange import (
 )
 from repro.obs import Counters, EngineMetrics, RetryStats, Tracer
 from repro.storage import Index
-from repro.storage.bufferpool import (
-    BufferPool,
-    PageManager,
-    PageStore,
-    durable_winners,
-)
+from repro.storage.bufferpool import BufferPool, PageStore, durable_winners
+from repro.storage.index import stamp
 from repro.txn import LockPolicy, SnapshotRegistry, TransactionManager
 from repro.txn.transaction import TxnState
 from repro.txn.write import ghost, patch, put
@@ -124,11 +122,12 @@ class Database(RecoveryTarget):
         self.group_commit.failure_handler = self._on_group_flush_failure
         self._indexes = {}
         self._index_views = {}  # index name -> owning view definition
+        #: every B-tree leaf is a page with an id unique to this engine
+        self._page_ids = itertools.count(1)
         self._wire_volatile()
-        #: the page world: a durable page store (survives crashes), a
-        #: fixed-frame buffer pool over it, and the slotted-page mirror
-        #: that subscribes to the log's append stream (docs/STORAGE.md).
-        self._rebuild_page_mirror()
+        #: the page world: a durable page store (survives crashes) under
+        #: the buffer pool's dirty-leaf table (docs/STORAGE.md).
+        self._attach_page_store()
         from repro.integrity import QuarantineManager
 
         #: damaged-view registry; reads on quarantined views degrade to
@@ -201,12 +200,7 @@ class Database(RecoveryTarget):
     def create_table(self, name, columns, primary_key):
         """Register a table and build its primary-key index."""
         schema = self.catalog.add_table(TableSchema(name, columns, primary_key))
-        self._indexes[name] = Index(
-            name,
-            schema.primary_key,
-            order=self.config.btree_order,
-            latch_set=self.latches,
-        )
+        self._indexes[name] = self._new_index(name, schema.primary_key)
         return schema
 
     def create_secondary_index(self, table, name, columns, unique=False):
@@ -307,11 +301,15 @@ class Database(RecoveryTarget):
     def _create_view_indexes(self, view):
         """Build the (empty) index family a view owns."""
         for index_name, key_columns in view.owned_indexes():
-            self._indexes[index_name] = Index(
-                index_name, key_columns,
-                order=self.config.btree_order, latch_set=self.latches,
-            )
+            self._indexes[index_name] = self._new_index(index_name, key_columns)
             self._index_views[index_name] = view
+
+    def _new_index(self, name, key_columns):
+        """An empty index whose leaves are pages of this engine."""
+        return Index(
+            name, key_columns, order=self.config.btree_order,
+            latch_set=self.latches, pages=self._pool,
+        )
 
     def _maintenance_suppressed(self, view):
         """Maintenance skips views mid build (an online build's catch-up
@@ -810,8 +808,6 @@ class Database(RecoveryTarget):
                 "store_writes": self._store.writes,
                 "store_reads": self._store.reads,
                 "torn_writes": self._store.torn_writes,
-                "mirrored_entries": self._pages.entry_count(),
-                "applied_records": self._pages.applied,
             },
             "per_txn": self.metrics.as_dict(),
             "tracer": self.tracer.summary(),
@@ -1181,8 +1177,8 @@ class Database(RecoveryTarget):
         """Run the online integrity checker (see
         :mod:`repro.integrity.checker`): B-tree structural invariants of
         every index, every view (secondary indexes included) against
-        fresh recomputation, and the page mirror against the live
-        indexes. Returns the :class:`~repro.integrity.IntegrityReport`.
+        fresh recomputation, and every clean leaf against its durable
+        image. Returns the :class:`~repro.integrity.IntegrityReport`.
 
         ``quarantine=True`` additionally quarantines every view the
         checker found damaged, flipping its reads to degraded
@@ -1225,18 +1221,22 @@ class Database(RecoveryTarget):
     # ==================================================================
 
     def take_checkpoint(self):
-        """Write the ARIES checkpoint record and run the background
-        writer.
+        """Write back the leaves dirty since before the previous
+        checkpoint, then write the ARIES checkpoint record.
 
         The record carries no data, just the active-transaction table
-        and the buffer pool's dirty-page table; the sweep after it
-        (:meth:`~repro.storage.bufferpool.BufferPool.flush_dirty`) makes
-        every mirrored entry durable. Recovery seeds from the durable
-        page images and redoes only from ``min(recLSN)`` — cost bounded
-        by the checkpoint interval, not the log length.
+        and the dirty-page table that the write-back left
+        (``docs/STORAGE.md`` §4 rule (c)): so redo never starts before
+        the penultimate checkpoint, two checkpoints with no write between
+        them leave nothing dirty, and a checkpoint writes only the leaves
+        that stayed dirty for a whole interval — every dirty leaf, when
+        the log holds no checkpoint yet. Recovery seeds from the
+        durable page images and redoes only from ``min(recLSN)`` — cost
+        bounded by the checkpoint interval, not the log length.
         ``EngineConfig(checkpoint_interval=N)`` takes one automatically
         every N commits.
         """
+        self._pool.write_older_than(self._checkpoint_lsn)
         dirty = self._pool.dirty_page_table()
         record = CheckpointRecord(self._checkpoint_att(), dirty)
         self.log.append(record)
@@ -1244,10 +1244,7 @@ class Database(RecoveryTarget):
         # flush fault sites belong to statement-level retries, not to a
         # background checkpointer, so they are not consumed here.
         self.log.flush_no_faults()
-        self._pool.flush_dirty()
-        # Every mirrored entry is durable now, so the superseded copies
-        # that page-to-page moves left behind can finally be erased.
-        self._pages.reclaim_stale()
+        self._checkpoint_lsn = record.lsn
         self.counters.incr("checkpoint.taken")
         if self.tracer.enabled:
             self.tracer.emit(
@@ -1463,7 +1460,9 @@ class Database(RecoveryTarget):
         # walks the index registry.
         resolve_after_recovery(self)
         self._post_recovery()
-        self._rebuild_page_mirror()
+        self._attach_page_store(
+            leaf for index in self._indexes.values() for leaf in index.leaves()
+        )
         report.restarts = self._recovery_attempts - 1
         self._recovery_attempts = 0
         self._pending_salvage = None
@@ -1540,19 +1539,20 @@ class Database(RecoveryTarget):
         self.group_commit.abandon_pending()
         self.group_commit.log = self.log
         self.log.flush_listener = self.group_commit.on_flushed
-        # The pool and the mirror are volatile — gone with the crash —
-        # and nothing replaces them until recovery's last step: the page
-        # store survives and recovery only reads it, so no record
-        # appended meanwhile (undo's CLRs) may reach a page.
-        self.log.append_listener = None
+        # The dirty-leaf table is volatile — gone with the crash — and
+        # the new one writes nothing until recovery's last step attaches
+        # it to a fresh store: the old store survives and recovery only
+        # reads it.
+        self._pool = BufferPool(
+            capacity=self.config.buffer_pool_frames, log=self.log,
+            tracer=self.tracer, page_size=self.config.page_size,
+            page_ids=self._page_ids, image_row=self._image_row,
+        )
+        checkpoint = self.log.latest_checkpoint()
+        self._checkpoint_lsn = checkpoint.lsn if checkpoint is not None else None
         self._commits_since_checkpoint = 0
         for name, index in list(self._indexes.items()):
-            self._indexes[name] = Index(
-                name,
-                index.key_columns,
-                order=self.config.btree_order,
-                latch_set=self.latches,
-            )
+            self._indexes[name] = self._new_index(name, index.key_columns)
 
     def _seed_from_store(self):
         """Recovery's one read of the page store: insert the newest live
@@ -1563,7 +1563,14 @@ class Database(RecoveryTarget):
         page, or entries written under log records the salvage pass has
         just cut away (their effects would survive the transactions the
         report calls lost). Recovery then replays the whole log ungated
-        — which needs the whole log."""
+        — which needs the whole log. The store is not read at all when
+        the log holds the whole history and no checkpoint: replaying it
+        from LSN 1 rebuilds every key without decoding an image."""
+        first = next(self.log.records(), None)
+        if self.log.latest_checkpoint() is None and (
+            first is None or first.lsn == 1
+        ):
+            return None, 0
         gate, loaded, torn = durable_winners(self._store)
         if torn:
             self.counters.incr("storage.torn_pages", torn)
@@ -1571,7 +1578,6 @@ class Database(RecoveryTarget):
         if gate and cut is not None and any(
             lsn >= cut for lsn, _, _, _ in gate.values()
         ):
-            first = next(self.log.records(), None)
             if first is not None and first.lsn > 1:
                 raise WalCorruptionError(
                     f"durable pages were written under log records lost "
@@ -1581,32 +1587,44 @@ class Database(RecoveryTarget):
                     salvage=self._pending_salvage,
                 )
             gate = None
-        for locator, (_, row, is_ghost, dead) in (gate or {}).items():
-            if not dead and row is not None:
-                self.set_entry(*locator, (Row(row), is_ghost))
+        indexes = self._indexes
+        for (index_name, key), (lsn, row, is_ghost, dead) in (gate or {}).items():
+            # the cleaner's work list is rebuilt by _post_recovery
+            if not dead and row is not None and index_name in indexes:
+                indexes[index_name].set_entry(key, (Row(row), is_ghost), lsn)
         return gate, loaded
 
-    def _rebuild_page_mirror(self):
-        """A brand-new page world (store included) holding the live
-        indexes as of the log tail, flushed and attached to the log's
-        append stream — how an engine starts, and recovery's last step:
-        whatever the old store said, the durable pages and the recovered
-        state agree from here on."""
+    def _attach_page_store(self, leaves=()):
+        """A brand-new page store under the dirty-leaf table, holding one
+        image per non-empty leaf of ``leaves`` — how an engine starts (no
+        leaves), and recovery's last step (every leaf of the recovered
+        indexes, ``docs/STORAGE.md`` §4 rule (d)): whatever the old store
+        said, the durable pages and the recovered state agree from here
+        on."""
         self._store = PageStore(faults=self.faults)
-        self._pool = BufferPool(
-            self._store, capacity=self.config.buffer_pool_frames,
-            log=self.log, tracer=self.tracer,
-        )
-        self._pages = PageManager(self._pool, page_size=self.config.page_size)
-        self.log.append_listener = self._pages.apply
-        entries = []
-        for name, index in self._indexes.items():
-            for key, record in index.scan(include_ghosts=True):
-                entries.append(
-                    (name, key, record.current_row, record.is_ghost)
-                )
-        self._pages.bootstrap(entries, self.log.tail_lsn())
-        self._pool.flush_dirty()
+        self._pool.attach(self._store, leaves)
+
+    def _image_row(self, index_name):
+        """How a row of ``index_name`` is written back: ``None`` (as it
+        is) or, for an escrow-maintained view, a function adding the
+        pending deltas of its counters to its committed row — an image
+        says what the log says up to the row's LSN, and the log holds
+        those deltas (``docs/STORAGE.md`` §4 rule (a))."""
+        columns = self.counter_columns(index_name)
+        if not columns:
+            return None
+
+        def row_of(key, row):
+            changes = {}
+            for column in columns:
+                account = self.escrow.existing((index_name, key, column))
+                if account is not None and account.has_pending():
+                    changes[column] = (
+                        row[column] + account.read_inclusive() - account.committed
+                    )
+            return row.replace(**changes) if changes else row
+
+        return row_of
 
     def _post_recovery(self):
         """Stamp baseline versions and rebuild the cleanup work list."""
@@ -1625,13 +1643,13 @@ class Database(RecoveryTarget):
     # RecoveryTarget implementation (also used by online rollback)
     # ==================================================================
 
-    def set_entry(self, index_name, key, entry):
+    def set_entry(self, index_name, key, entry, lsn):
         index = self._indexes.get(index_name)
         if index is None:
             return
         key = tuple(key)
         was_ghost = index.is_ghost(key)
-        index.set_entry(key, entry)
+        index.set_entry(key, entry, lsn)
         # The cleaner's list in step: a ghost is a candidate, a revived
         # one is not; live -> live may be a zero-count group waiting there.
         if entry is not None and entry[1]:
@@ -1639,7 +1657,7 @@ class Database(RecoveryTarget):
         elif entry is not None and was_ghost:
             self.cleanup.cancel(index_name, key)
 
-    def add_deltas(self, index_name, key, deltas):
+    def add_deltas(self, index_name, key, deltas, lsn):
         index = self._indexes.get(index_name)
         if index is None:
             return
@@ -1649,3 +1667,14 @@ class Database(RecoveryTarget):
         row = record.current_row
         changes = {c: row[c] + d for c, d in deltas.items()}
         record.current_row = row.replace(**changes)
+        stamp(index, record, lsn)
+
+    def stamp(self, index_name, key, lsn):
+        """Online rollback's escrow half: an unreserve at ``lsn`` (a CLR)
+        moved what the row's image holds without changing the row."""
+        index = self._indexes.get(index_name)
+        record = None if index is None else index.get_record(
+            tuple(key), include_ghost=True
+        )
+        if record is not None:
+            stamp(index, record, lsn)

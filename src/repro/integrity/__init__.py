@@ -4,8 +4,9 @@ Two halves, matching how a damaged engine is found and healed:
 
 * :mod:`repro.integrity.checker` — :func:`check_database` walks every
   index's structural invariants, diffs every indexed view (secondary
-  indexes included) against a fresh recomputation, and checks the page
-  mirror, returning an :class:`IntegrityReport` of typed
+  indexes included) against a fresh recomputation, and checks every
+  clean leaf against its durable image, returning an
+  :class:`IntegrityReport` of typed
   :class:`Damage` findings.
 * :mod:`repro.integrity.quarantine` — a damaged view is *quarantined*:
   reads transparently fall back to on-the-fly recomputation from the

@@ -13,8 +13,9 @@ structured :class:`IntegrityReport`:
    whose base rows hold a duplicate value — its recompute refuses them —
    is a finding, not a crash;
 3. **storage** — every durable page image decodes with a valid CRC, and
-   the slotted-page mirror agrees entry-for-entry with the live indexes
-   (key set, row contents, ghost flags).
+   every *clean* leaf's image holds exactly that leaf's entries (keys,
+   rows, ghost flags, LSNs): write-back fidelity. A dirty leaf's image
+   is stale by definition and is not compared.
 
 Like ``Database.check_view_consistency``, the sweep is only meaningful
 at quiescence — in-flight transactions legitimately leave views ahead of
@@ -26,6 +27,7 @@ pair it with ``Database.check_integrity(quarantine=True)`` and
 
 from repro.common import CatalogError, StorageError
 from repro.views.definition import expected_index_contents
+from repro.wal.codec import unpack_entry
 
 
 class Damage:
@@ -176,36 +178,41 @@ def _check_views(db, report):
 
 
 def _check_storage(db, report):
-    """Layer 3: durable page images decode, and the page mirror agrees
-    entry-for-entry with the live indexes. Only meaningful at
-    quiescence, like the view sweep: mid-transaction the mirror is
-    legitimately ahead (it applies records at append time, the live row
-    folds escrow at commit)."""
+    """Layer 3: durable page images decode, and every clean leaf's image
+    decodes to exactly that leaf's entries. Only meaningful at
+    quiescence, like the view sweep: an image includes the escrow deltas
+    pending when it was written."""
+    images = {}
     for page_id in sorted(db._store.page_ids()):
         try:
-            db._store.read_page(page_id)
+            images[page_id] = db._store.read_page(page_id)
         except StorageError as err:
             report.damage.append(
                 Damage("storage", "<pages>", key=(page_id,), detail=str(err))
             )
-    live = {}
     for name in db.index_names():
-        for key, record in db.index(name).scan(include_ghosts=True):
-            live[name, key] = (record.current_row.as_dict(), record.is_ghost)
-    mirrored = {
-        (index_name, key): (row, ghost)
-        for index_name, key, row, ghost in db._pages.iter_entries()
-    }
-    for locator in sorted(set(live) | set(mirrored), key=repr):
-        want, got = live.get(locator), mirrored.get(locator)
-        if want == got:
-            continue
-        if want is None:
-            detail = f"mirror entry {got!r} has no live record"
-        elif got is None:
-            detail = f"live record {want!r} missing from the page mirror"
-        else:
-            detail = f"mirror disagrees with live record: {got!r} != {want!r}"
-        report.damage.append(
-            Damage("storage", locator[0], key=locator[1], detail=detail)
+        for leaf in db.index(name).leaves():
+            if leaf.rec_lsn is not None or not db._store.has_page(leaf.page_id):
+                continue  # dirty, or an empty leaf never written
+            if leaf.page_id not in images:
+                continue  # torn: reported above
+            want = db._pool.payloads(leaf)[0]
+            got = [payload for _, payload in images[leaf.page_id].records()]
+            if got != want:
+                report.damage.append(Damage(
+                    "storage", name, key=(leaf.page_id,),
+                    detail=f"leaf page {leaf.page_id}: its image holds "
+                    f"{_entries(got, want)!r}, the leaf "
+                    f"{_entries(want, got)!r}",
+                ))
+
+
+def _entries(payloads, others):
+    """``(key, row, is_ghost, lsn)`` of the packed entries in
+    ``payloads`` that ``others`` lacks."""
+    return [
+        (key, row, ghost, lsn)
+        for _, key, row, ghost, lsn, _ in map(
+            unpack_entry, [p for p in payloads if p not in others]
         )
+    ]

@@ -191,8 +191,8 @@ EVENT_TYPES = {
     "page_evicted": {
         "category": "storage",
         "fields": {
-            "page_id": "the evicted page",
-            "dirty": "True when the image had to be written back first",
+            "page_id": "the leaf page written back",
+            "dirty": "True: the leaf's image was written back",
             "page_lsn": "the page's LSN at eviction (the WAL-before-"
             "write bound: the log was durable to here before the write)",
         },

@@ -122,7 +122,7 @@ CHECKPOINT_RECORD_FIELDS = {"active_txns", "dirty_pages"}
 
 #: keys of ``BufferPool.stats()`` (surfaced as ``stats()["storage"]["pool"]``).
 BUFFER_POOL_STATS_FIELDS = {
-    "frames", "resident", "pinned", "dirty", "hits", "misses",
+    "frames", "dirty", "hits", "misses",
     "evictions", "dirty_evictions", "forced_wal_flushes",
 }
 
@@ -144,8 +144,8 @@ LOCK_STATS_FIELDS = {
     "deadlocks", "denials", "timeouts",
 }
 
-#: lifecycle states a buffer-pool frame moves through.
-PAGE_STATES = ("pinned", "clean", "dirty", "evicted")
+#: lifecycle states a leaf's page moves through.
+PAGE_STATES = ("clean", "dirty", "freed")
 
 #: pinned shape of the salvage sub-report (``RecoveryReport.salvage``
 #: when not None; also carried by WalCorruptionError.salvage).

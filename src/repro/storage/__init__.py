@@ -6,7 +6,7 @@ transactional layers coordinate over.
 """
 
 from repro.storage.btree import BPlusTree
-from repro.storage.bufferpool import BufferPool, PageManager, PageStore
+from repro.storage.bufferpool import BufferPool, PageStore
 from repro.storage.index import Index
 from repro.storage.pages import SlottedPage
 from repro.storage.records import Version, VersionedRecord
@@ -15,7 +15,6 @@ __all__ = [
     "BPlusTree",
     "BufferPool",
     "Index",
-    "PageManager",
     "PageStore",
     "SlottedPage",
     "Version",

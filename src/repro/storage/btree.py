@@ -27,6 +27,15 @@ primitives that key-range locking needs:
 Keys are tuples (see :func:`repro.common.keys.composite_key`); values are
 arbitrary objects (the storage layer stores :class:`~repro.storage.records.
 VersionedRecord` instances, but the tree does not care).
+
+A tree built with ``pages`` (a :class:`~repro.storage.bufferpool.BufferPool`)
+is *paged*: every leaf is a page (``docs/STORAGE.md`` §2). It carries a
+page id unique per engine, its ``page_lsn`` and — while its image is stale
+— a ``rec_lsn``. The tree tells the pool three things and packs nothing:
+a leaf changed at an LSN (:meth:`BPlusTree.setdefault`, :meth:`BPlusTree.pop`
+and :meth:`BPlusTree.touch` with an ``lsn``), entries moved from one leaf
+to another (a split or a borrow), and a leaf was freed into a sibling (a
+merge).
 """
 
 import bisect
@@ -43,14 +52,25 @@ _MISSING = object()
 
 
 class _LeafNode:
-    __slots__ = ("id", "keys", "values", "next", "prev")
+    __slots__ = (
+        "id", "keys", "values", "next", "prev",
+        "index", "page_id", "page_lsn", "rec_lsn", "freed", "waits", "waiters",
+    )
 
-    def __init__(self, node_id):
+    def __init__(self, node_id, index=None, page_id=None):
         self.id = node_id
         self.keys = []
         self.values = []
         self.next = NO_NODE  # node ID of the right sibling leaf
         self.prev = NO_NODE  # node ID of the left sibling leaf
+        # the page (docs/STORAGE.md §2), maintained by the buffer pool
+        self.index = index  # the name its entries are packed under
+        self.page_id = node_id if page_id is None else page_id
+        self.page_lsn = 0  # newest change made to it, removals included
+        self.rec_lsn = None  # oldest change its image lacks; None: clean
+        self.freed = False  # merged away; its image awaits dropping
+        self.waits = None  # receivers to write before it (rule (b))
+        self.waiters = None  # givers waiting on its write
 
     @property
     def is_leaf(self):
@@ -87,10 +107,12 @@ class BPlusTree:
     [(1,), (2,)]
     """
 
-    def __init__(self, order=DEFAULT_ORDER):
+    def __init__(self, order=DEFAULT_ORDER, pages=None, name=None):
         if order < 4:
             raise StorageError("order must be at least 4")
         self._order = order
+        self._pages = pages
+        self._name = name
         self._nodes = {}  # node ID -> node
         self._next_node_id = 1
         self._root = self._new_leaf().id
@@ -101,7 +123,11 @@ class BPlusTree:
     # ------------------------------------------------------------------
 
     def _new_leaf(self):
-        node = _LeafNode(self._next_node_id)
+        pages = self._pages
+        node = _LeafNode(
+            self._next_node_id, self._name,
+            pages.new_page_id() if pages is not None else None,
+        )
         self._nodes[node.id] = node
         self._next_node_id += 1
         return node
@@ -153,13 +179,17 @@ class BPlusTree:
         if self._size == size:  # nothing was added: the key was there
             raise StorageError(f"duplicate key {key!r}")
 
-    def setdefault(self, key, value):
+    def setdefault(self, key, value, lsn=None):
         """The value at ``key``, which becomes ``value`` if the key is
-        absent — found or placed in one descent."""
+        absent — found or placed in one descent. With ``lsn``, the leaf
+        is marked changed by the log record at ``lsn``."""
         path = self._find_path(key)
         leaf = path[-1][0]
         idx = bisect.bisect_left(leaf.keys, key)
-        if idx < len(leaf.keys) and leaf.keys[idx] == key:
+        found = idx < len(leaf.keys) and leaf.keys[idx] == key
+        if lsn is not None and self._pages is not None:
+            self._pages.dirty(leaf, lsn)
+        if found:
             return leaf.values[idx]
         leaf.keys.insert(idx, key)
         leaf.values.insert(idx, value)
@@ -167,6 +197,12 @@ class BPlusTree:
         if len(leaf.keys) >= self._order:
             self._split(path)
         return value
+
+    def touch(self, key, lsn):
+        """Mark the leaf holding ``key`` changed by the log record at
+        ``lsn``: its value was changed in place."""
+        if self._pages is not None:
+            self._pages.dirty(self._find_leaf(key), lsn)
 
     def update(self, key, value):
         """Replace the value at an existing ``key``."""
@@ -176,8 +212,10 @@ class BPlusTree:
             raise StorageError(f"missing key {key!r}")
         leaf.values[idx] = value
 
-    def delete(self, key):
-        """Remove ``key`` and return its value.
+    def delete(self, key, lsn=None):
+        """Remove ``key`` and return its value; with ``lsn``, the leaf is
+        marked changed by the log record at ``lsn`` (before any merge can
+        free it).
 
         Raises :class:`StorageError` if the key is absent.
         """
@@ -190,13 +228,15 @@ class BPlusTree:
         del leaf.keys[idx]
         del leaf.values[idx]
         self._size -= 1
+        if lsn is not None and self._pages is not None:
+            self._pages.dirty(leaf, lsn)
         self._rebalance(path)
         return value
 
-    def pop(self, key, default=_MISSING):
+    def pop(self, key, default=_MISSING, lsn=None):
         """Remove ``key`` if present, returning its value or ``default``."""
         try:
-            return self.delete(key)
+            return self.delete(key, lsn)
         except StorageError:
             if default is _MISSING:
                 raise
@@ -207,6 +247,14 @@ class BPlusTree:
         self._nodes = {}
         self._root = self._new_leaf().id
         self._size = 0
+
+    def leaves(self):
+        """Iterate the leaf nodes in key order (the pages of a paged
+        tree)."""
+        leaf = self._leftmost_leaf()
+        while leaf is not None:
+            yield leaf
+            leaf = self._node(leaf.next) if leaf.next != NO_NODE else None
 
     # ------------------------------------------------------------------
     # ordered navigation
@@ -407,6 +455,8 @@ class BPlusTree:
         if right.next != NO_NODE:
             self._node(right.next).prev = right.id
         node.next = right.id
+        if self._pages is not None:
+            self._pages.moved(node, right)
         separator = right.keys[0]
         self._insert_in_parent(path, len(path) - 1, separator, right.id)
 
@@ -485,16 +535,21 @@ class BPlusTree:
         )
 
         if node.is_leaf:
+            pages = self._pages
             min_fill = self._min_leaf_fill()
             if left is not None and len(left.keys) > min_fill:
                 node.keys.insert(0, left.keys.pop())
                 node.values.insert(0, left.values.pop())
                 parent.keys[idx - 1] = node.keys[0]
+                if pages is not None:
+                    pages.moved(left, node)
                 return False
             if right is not None and len(right.keys) > min_fill:
                 node.keys.append(right.keys.pop(0))
                 node.values.append(right.values.pop(0))
                 parent.keys[idx] = right.keys[0]
+                if pages is not None:
+                    pages.moved(right, node)
                 return False
             # merge with a sibling
             if left is not None:
@@ -506,6 +561,8 @@ class BPlusTree:
                 del parent.children[idx]
                 del parent.keys[idx - 1]
                 self._free(node.id)
+                if pages is not None:
+                    pages.freed(node, left)
             else:
                 node.keys.extend(right.keys)
                 node.values.extend(right.values)
@@ -515,6 +572,8 @@ class BPlusTree:
                 del parent.children[idx + 1]
                 del parent.keys[idx]
                 self._free(right.id)
+                if pages is not None:
+                    pages.freed(right, node)
             return True
 
         min_children = self._min_inner_children()

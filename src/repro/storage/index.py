@@ -14,6 +14,12 @@ semantics the maintenance and locking layers need:
   key-range locking, need to see them: a ghost still defines a lockable
   key separating two gaps);
 * a registry of ghost keys, kept in step by the mutator.
+
+With ``pages`` (the engine's :class:`~repro.storage.bufferpool.BufferPool`)
+the tree's leaves are pages: every record carries the LSN of the last log
+record that changed it, and a change marks its leaf dirty — the mutator
+with its ``lsn`` argument, an escrow reserve or unreserve through
+:func:`stamp`. Nothing is packed until the pool writes a leaf back.
 """
 
 from repro.common import StorageError
@@ -34,11 +40,13 @@ class Index:
     benchmarks as a proxy for physical-structure traffic.
     """
 
-    def __init__(self, name, key_columns, order=32, unique=True, latch_set=None):
+    def __init__(self, name, key_columns, order=32, unique=True, latch_set=None,
+                 pages=None):
         self.name = name
         self.key_columns = tuple(key_columns)
         self.unique = unique
-        self._tree = BPlusTree(order=order)
+        self._tree = BPlusTree(order=order, pages=pages, name=name)
+        self._pages = pages
         self._ghost_keys = set()
         self._latches = latch_set
 
@@ -97,32 +105,39 @@ class Index:
     # the one mutator
     # ------------------------------------------------------------------
 
-    def set_entry(self, key, entry):
+    def set_entry(self, key, entry, lsn=None):
         """Make the slot at ``key`` be ``entry``: ``None`` (no slot) or
         ``(row, is_ghost)``. Returns the record (for ``None``, the one
         removed, if any). An occupied slot is assigned in place: the
         record object, its version history and the escrow accounts keyed
         on it survive a ghosting, a revival and an update alike. One
-        descent either way.
+        descent either way. ``lsn`` is the log record that makes the
+        change: the record is stamped with it and its leaf marked dirty.
         """
 
         def assign():
             if entry is None:
                 self._ghost_keys.discard(key)
-                return self._tree.pop(key, None)
+                return self._tree.pop(key, None, lsn)
             row, is_ghost = entry
-            fresh = VersionedRecord(key, row, is_ghost)
-            record = self._tree.setdefault(key, fresh)
+            fresh = VersionedRecord(key, row, is_ghost, lsn or 0)
+            record = self._tree.setdefault(key, fresh, lsn)
             if record is not fresh:
                 record.current_row = row
                 record.is_ghost = is_ghost
+                record.packed = None
+                if lsn is not None:
+                    record.lsn = lsn
             if is_ghost:
                 self._ghost_keys.add(key)
             else:
                 self._ghost_keys.discard(key)
             return record
 
-        return self._latched(assign, exclusive=True)
+        record = self._latched(assign, exclusive=True)
+        if lsn is not None and self._pages is not None:
+            self._pages.write_excess()  # the change is whole: a leaf may go
+        return record
 
     def is_ghost(self, key):
         """True when a ghost occupies ``key`` (registry lookup, no descent)."""
@@ -182,6 +197,10 @@ class Index:
             candidate = self._tree.prev_key(candidate)
         return None
 
+    def leaves(self):
+        """The tree's leaves in key order: the index's pages."""
+        return self._tree.leaves()
+
     def first_key(self):
         return self._tree.first_key()
 
@@ -199,3 +218,18 @@ class Index:
                 f"ghost registry out of sync in index {self.name!r}: "
                 f"registry={sorted(self._ghost_keys)!r} actual={sorted(actual_ghosts)!r}"
             )
+
+
+def stamp(index, record, lsn):
+    """The log record at ``lsn`` changed what ``record`` must be written
+    back as without assigning its slot — an escrow reserve or unreserve
+    moves the pending deltas its image includes (``docs/STORAGE.md`` §4
+    rule (a)), a redone delta adds to its row. Stamps the record and
+    marks its leaf dirty, off the index's public methods; while the pool
+    tracks nothing (recovery), without a descent."""
+    record.lsn = lsn
+    record.packed = None
+    pages = index._pages
+    if pages is not None and pages.store is not None:
+        index._tree.touch(record.key, lsn)
+        pages.write_excess()

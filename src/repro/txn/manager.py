@@ -31,11 +31,11 @@ Abort protocol (online rollback):
 1. append ABORT;
 2. walk the transaction's log backchain newest-first (the walker crash
    recovery uses, :func:`repro.wal.recovery.undo`); for every undoable
-   record apply the undo and write a CLR — *except* escrow deltas, whose
-   pending amounts never reached the row: their CLRs are logged (so crash
-   recovery, which replays deltas, compensates them) but no row change is
-   applied online; END — written only here, after a rollback — closes
-   the chain;
+   record write a CLR and apply the undo as of it — *except* escrow
+   deltas, whose pending amounts never reached the row: their CLRs are
+   logged (so crash recovery, which replays deltas, compensates them) and
+   the delta is unreserved, but no row change is applied online; END —
+   written only here, after a rollback — closes the chain;
 3. discard pending escrow deltas, release locks.
 
 System transactions (:meth:`TransactionManager.begin_system`) are nested
@@ -218,7 +218,7 @@ class TransactionManager:
         their row change waits for commit: an escrow delta is unreserved,
         and the physically logged ablation variant is reconciled when the
         account aborts."""
-        def apply(record):
+        def apply(record, lsn):
             if isinstance(record, EscrowDeltaRecord):
                 for column, delta in record.deltas.items():
                     account = txn.escrow_touched.get(
@@ -226,8 +226,12 @@ class TransactionManager:
                     )
                     if account is not None:
                         account.unreserve(txn.txn_id, delta)
-            elif not isinstance(record, CounterImageRecord):
-                record.undo(self._undo_target)
+            if isinstance(record, (EscrowDeltaRecord, CounterImageRecord)):
+                # no row change, but the pending deltas the row's image
+                # holds move: stamp it as of the CLR
+                self._undo_target.stamp(record.index_name, record.key, lsn)
+            else:
+                record.undo(self._undo_target, lsn)
 
         undo(
             self._log, self._undo_target,

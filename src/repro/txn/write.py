@@ -2,13 +2,15 @@
 
 Every change a transaction makes to a row of an index — a base table, a
 view index, an auxiliary or a secondary index — is one of four
-primitives. Each assigns the slot through the index's one mutator
-(:meth:`~repro.storage.index.Index.set_entry`), appends the one WAL
-record whose ``before_entry`` / ``after_entry`` are the slot before and
-after, remembers the record for version stamping at commit, and keeps
-the ghost cleaner's work list in step. They take no locks: the caller's
-:class:`~repro.views.actions.Action` plan (or table lock) was acquired
-first — lock first, mutate second.
+primitives. Each appends the one WAL record whose ``before_entry`` /
+``after_entry`` are the slot before and after, assigns the slot as of
+that record's LSN through the index's one mutator
+(:meth:`~repro.storage.index.Index.set_entry`, which stamps the row and
+dirties its leaf), remembers the record for version stamping at commit,
+and keeps the ghost cleaner's work list in step. Nothing is packed: a
+leaf's bytes are produced when the buffer pool writes it back. They take
+no locks: the caller's :class:`~repro.views.actions.Action` plan (or
+table lock) was acquired first — lock first, mutate second.
 
 These are the only constructors of ``InsertRecord`` / ``ReviveRecord``
 / ``GhostRecord`` / ``UpdateRecord`` / ``CleanupRecord`` outside
@@ -40,8 +42,7 @@ def put(db, txn, index, key, row):
         )
     else:
         raise StorageError(f"duplicate key {key!r} in index {index.name!r}")
-    record = index.set_entry(key, (row, False))
-    db.log.append(logged)
+    record = index.set_entry(key, (row, False), db.log.append(logged))
     if existing is not None:  # a revived ghost
         db.cleanup.cancel(index.name, key)
     txn.touch_record(record)
@@ -55,8 +56,10 @@ def ghost(db, txn, index, key):
     record = index.get_record(key)
     if record is None:
         return None
-    index.set_entry(key, (record.current_row, True))
-    db.log.append(GhostRecord(txn.txn_id, index.name, key, record.current_row))
+    lsn = db.log.append(
+        GhostRecord(txn.txn_id, index.name, key, record.current_row)
+    )
+    index.set_entry(key, (record.current_row, True), lsn)
     txn.touch_record(record)
     db.cleanup.enqueue(index.name, key)
     return record
@@ -68,8 +71,10 @@ def patch(db, txn, index, key, row):
     record = index.get_record(key)
     if record is None:
         return None
-    db.log.append(UpdateRecord(txn.txn_id, index.name, key, record.current_row, row))
-    index.set_entry(key, (row, False))
+    lsn = db.log.append(
+        UpdateRecord(txn.txn_id, index.name, key, record.current_row, row)
+    )
+    index.set_entry(key, (row, False), lsn)
     txn.touch_record(record)
     return record
 
@@ -81,7 +86,9 @@ def erase(db, txn, index, key):
     record = index.get_record(key, include_ghost=True)
     if record is None or not record.is_ghost:
         return None
-    index.set_entry(key, None)
-    db.log.append(CleanupRecord(txn.txn_id, index.name, key, record.current_row))
+    lsn = db.log.append(
+        CleanupRecord(txn.txn_id, index.name, key, record.current_row)
+    )
+    index.set_entry(key, None, lsn)
     db.cleanup.cancel(index.name, key)
     return record

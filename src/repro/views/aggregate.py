@@ -31,6 +31,7 @@ from repro.locking.keyrange import (
     locks_for_insert,
     locks_for_update,
 )
+from repro.storage.index import stamp
 from repro.txn.write import ghost, patch, put
 from repro.views.actions import Action
 from repro.views.delta import NetDelta, TxnViewDeltas
@@ -173,13 +174,17 @@ class AggregateMaintainer:
             after = before.replace(
                 **{c: before[c] + d for c, d in deltas.items()}
             )
-            db.log.append(
+            lsn = db.log.append(
                 CounterImageRecord(txn.txn_id, view.name, group_key, before, after)
             )
         else:
-            db.log.append(
+            lsn = db.log.append(
                 EscrowDeltaRecord(txn.txn_id, view.name, group_key, deltas)
             )
+        if lsn is not None:
+            # the reserve moved what the row's image holds (its pending
+            # deltas): stamp it, as of the record that says so
+            stamp(index, record, lsn)
         txn.touch_record(record)
         txn.stats.view_maintenances += 1
         db.counters.incr("agg.escrow_applied")

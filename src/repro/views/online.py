@@ -377,7 +377,9 @@ def _drop_view_storage(db, view):
     if db.catalog.has_view(view.name):
         db.catalog.drop_view(view.name)
     for index_name, _ in view.owned_indexes():
-        db._indexes.pop(index_name, None)
+        index = db._indexes.pop(index_name, None)
+        if index is not None:  # its pages go too: a rebuild reuses the name
+            db._pool.discard(index_name, index.leaves())
         db._index_views.pop(index_name, None)
         db.cleanup.drop_index(index_name)
 

@@ -235,7 +235,7 @@ def pack_columns(columns, out):
 
 
 def unpack_columns(buf, at):
-    # The hot read loop (every mirrored escrow delta, every entry at
+    # The hot read loop (every record's row and deltas, every entry at
     # recovery): short names and one-byte ints are read in line.
     n, at = _unpack_len(buf, at)
     columns = {}

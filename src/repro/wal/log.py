@@ -50,11 +50,6 @@ class LogManager:
         #: group-commit coordinator hangs off this to settle tickets even
         #: when the flush was triggered elsewhere (checkpoint, dump).
         self.flush_listener = None
-        #: called with every record the moment it enters the append
-        #: stream (LSN assigned, backchain linked) — the page mirror
-        #: (repro.storage.bufferpool.PageManager) replays data records
-        #: through this so page images track the log exactly.
-        self.append_listener = None
 
     def __len__(self):
         return len(self._records)
@@ -111,12 +106,6 @@ class LogManager:
                 "wal_append", txn_id=record.txn_id, lsn=record.lsn,
                 record=type(record).__name__, bytes=size,
             )
-        if self.append_listener is not None:
-            # Before the fault raise below: the record *is* in the append
-            # stream, so the page mirror must reflect it — rollback will
-            # walk through it and compensate via a CLR, which also lands
-            # here and keeps the mirror balanced.
-            self.append_listener(record)
         if fail_after_append:
             # The record made it into the append stream before the device
             # failed on the acknowledgement, so rollback can walk through

@@ -8,14 +8,14 @@ one of the paper's main points:
   entries, ``before_entry()`` and ``after_entry()`` — ``None`` (no slot)
   or ``(row, is_ghost)``, derived from the fields it logs — applied by
   **assignment** (:class:`RowChangeRecord`: redo is ``target.set_entry(
-  index, key, after)``, undo assigns ``before``). That is idempotent,
+  index, key, after, lsn)``, undo assigns ``before``). That is idempotent,
   correct for exclusively locked rows, and catastrophically wrong for
   escrow-locked counters, where the before image observed by one
   transaction interleaves with other transactions' committed increments.
 
 * **Logical escrow records** (:class:`EscrowDeltaRecord`) carry only the
   delta and are applied **relative to the current value**: redo is
-  ``target.add_deltas(index, key, +deltas)``, undo ``-deltas``. Because
+  ``target.add_deltas(index, key, +deltas, lsn)``, undo ``-deltas``. Because
   increments commute, both are correct under any interleaving of escrow
   holders — this is what makes E locks recoverable — but neither is
   idempotent: recovery's LSN gate exists for this record alone.
@@ -29,6 +29,9 @@ one durable form (sized, CRC-stamped, framed into segments) and
 Compensation records (:class:`CompensationRecord`) wrap the undo of another
 record; they are redo-only and carry ``undo_next_lsn`` so that a rollback
 interrupted by a crash resumes where it left off, ARIES-style.
+
+Both verbs carry the LSN of the record being applied — a redo's own, an
+undo's the CLR's — which the target stamps on the row it changes.
 """
 
 import enum
@@ -77,7 +80,7 @@ class LogRecord:
     #: the record body: (attribute, codec field kind) in layout order
     fields = ()
     #: redo changes a row of an index (the row-change records and the
-    #: CLRs that compensate them): what redo replays and pages mirror
+    #: CLRs that compensate them): what redo replays
     changes_rows = False
 
     def __init_subclass__(cls):
@@ -101,8 +104,8 @@ class LogRecord:
         return ""
 
     def is_undoable(self):
-        """True for the records that define ``undo(target)``; the ones
-        with :attr:`changes_rows` define ``redo(target)``."""
+        """True for the records that define ``undo(target, lsn)``; the
+        ones with :attr:`changes_rows` define ``redo(target)``."""
         return False
 
     # -- serialization ---------------------------------------------------
@@ -218,10 +221,10 @@ class RowChangeRecord(LogRecord):
         return True
 
     def redo(self, target):
-        target.set_entry(self.index_name, self.key, self.after_entry())
+        target.set_entry(self.index_name, self.key, self.after_entry(), self.lsn)
 
-    def undo(self, target):
-        target.set_entry(self.index_name, self.key, self.before_entry())
+    def undo(self, target, lsn):
+        target.set_entry(self.index_name, self.key, self.before_entry(), lsn)
 
 
 class InsertRecord(RowChangeRecord):
@@ -350,11 +353,11 @@ class EscrowDeltaRecord(RowChangeRecord):
         return f", {self.index_name}{self.key!r} {self.deltas!r}"
 
     def redo(self, target):
-        target.add_deltas(self.index_name, self.key, self.deltas)
+        target.add_deltas(self.index_name, self.key, self.deltas, self.lsn)
 
-    def undo(self, target):
+    def undo(self, target, lsn):
         negated = {c: -d for c, d in self.deltas.items()}
-        target.add_deltas(self.index_name, self.key, negated)
+        target.add_deltas(self.index_name, self.key, negated, lsn)
 
 
 class CounterImageRecord(UpdateRecord):
@@ -404,7 +407,7 @@ class CompensationRecord(LogRecord):
         return f", compensates={self.compensated_lsn}"
 
     def redo(self, target):
-        self.action.undo(target)
+        self.action.undo(target, self.lsn)
 
 
 class PrepareRecord(LogRecord):
@@ -460,6 +463,8 @@ class DecisionRecord(LogRecord):
 
 def _unpack_table(buf, at):
     pairs, at = codec.unpack_key(buf, at)
+    if not all(isinstance(pair, tuple) and len(pair) == 2 for pair in pairs):
+        raise WalError("a table entry is not a (key, value) pair")
     return dict(pairs), at
 
 

@@ -56,7 +56,8 @@ class RecoveryTarget:
     """The two verbs recovery (and online rollback) drives — the paper's
     split. Image records *assign* an entry, which is idempotent; delta
     records *add* to the current row, which is not, and is what the redo
-    gate exists for.
+    gate exists for. Each takes ``lsn``, the log record being applied (a
+    CLR's, for an undo), which the row it changes is stamped with.
 
     The engine's :class:`~repro.core.database.Database` implements them
     as direct index manipulations that bypass locking — recovery runs
@@ -64,12 +65,12 @@ class RecoveryTarget:
     under the aborting transaction's own locks.
     """
 
-    def set_entry(self, index_name, key, entry):
+    def set_entry(self, index_name, key, entry, lsn):
         """Make the entry at ``key`` be ``entry``: ``None`` (no slot) or
         ``(row, is_ghost)``."""
         raise NotImplementedError
 
-    def add_deltas(self, index_name, key, deltas):
+    def add_deltas(self, index_name, key, deltas, lsn):
         """Add ``deltas`` (column -> signed amount) to the row at
         ``key``; a key with no entry is left alone."""
         raise NotImplementedError
@@ -270,9 +271,10 @@ def undo(log, target, losers, report=None, faults=None, durable=False,
     chain is exhausted — the one place END is written: it says the
     rollback is complete, which no other record does.
 
-    ``apply(record)`` performs the undo; the default reverses the record
-    against ``target``. Online rollback passes its own (a pending escrow
-    delta is unreserved, not subtracted from a row it never reached) and
+    Each CLR is appended first and ``apply(record, lsn)`` then performs
+    the undo as of the CLR's LSN; the default reverses the record against
+    ``target``. Online rollback passes its own (a pending escrow delta is
+    unreserved, not subtracted from a row it never reached) and
     ``stop_after_lsn`` for a savepoint (0: taken before the first
     record): records at or below it are left alone and the transaction
     stays open, so no END.
@@ -285,8 +287,8 @@ def undo(log, target, losers, report=None, faults=None, durable=False,
     commit-time flush.
     """
     if apply is None:
-        def apply(record):
-            record.undo(target)
+        def apply(record, lsn):
+            record.undo(target, lsn)
     # Each loser's cursor: the LSN of the next record to examine.
     cursors = {t: lsn for t, lsn in losers.items() if lsn is not None}
     while cursors:
@@ -305,13 +307,12 @@ def undo(log, target, losers, report=None, faults=None, durable=False,
             next_lsn = record.undo_next_lsn
         else:
             if record.is_undoable():
-                apply(record)
-                log.append(CompensationRecord(
+                apply(record, log.append(CompensationRecord(
                     txn_id,
                     compensated_lsn=record.lsn,
                     undo_next_lsn=record.prev_lsn,
                     action=record,
-                ))
+                )))
                 if report is not None:
                     report.undo_count += 1
                     report.clrs_written += 1

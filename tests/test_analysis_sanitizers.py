@@ -375,6 +375,19 @@ def test_crash_recovery_run_passes():
     assert db.check_all_views() == []
 
 
+def test_leaf_write_backs_keep_the_wal_rule():
+    """Order-4 trees under a 2-leaf dirty table: leaves are written back
+    mid-transaction, each after the WAL is durable to its page LSN."""
+    db = Database(EngineConfig(
+        sanitizers=True, btree_order=4, buffer_pool_frames=2,
+    ))
+    _, result = _run_bank(db, seed=13)
+    assert result.committed > 0
+    evicted = [e for e in db.tracer.events() if e.name == "page_evicted"]
+    assert evicted and db.stats()["storage"]["pool"]["forced_wal_flushes"] > 0
+    assert db.sanitizers.check(assume_quiescent=True) == []
+
+
 def test_post_hoc_trace_of_real_run_is_clean():
     db = Database(EngineConfig(sanitizers=False))
     db.tracer.enable()

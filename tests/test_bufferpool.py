@@ -1,120 +1,44 @@
-"""Buffer-pool properties: pins protect frames, eviction respects
-WAL-before-write, and the engine keeps both under memory pressure.
+"""The dirty-leaf table: write-back respects WAL-before-write and the
+structure-change order, the engine keeps both under memory pressure, and
+a transaction packs nothing.
 
-The two contracted behaviours (``docs/STORAGE.md`` §2):
+The contracted behaviours (``docs/STORAGE.md`` §2, §4):
 
-* a pinned page is **never** evicted — an exhausted pool raises instead;
-* evicting a dirty page forces the WAL durable up to the page's
-  ``pageLSN`` before the image reaches the store.
+* writing a leaf back forces the WAL durable up to the leaf's
+  ``page_lsn`` before the image reaches the store;
+* a leaf that gave entries away is written only after the leaf that
+  received them, and a freed leaf's image leaves the store only after
+  its receiver's image is written (rule (b));
+* bytes are produced only at write-back.
 """
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.common import Row, StorageError
+from repro.common import Row
 from repro.core import Database, EngineConfig
-from repro.obs import Tracer
 from repro.query import AggregateSpec
+from repro.storage import bufferpool
+from repro.storage.btree import BPlusTree
 from repro.storage.bufferpool import BufferPool, PageStore, durable_winners
 from repro.storage.pages import SlottedPage
+from repro.storage.records import VersionedRecord
 from repro.wal import LogManager
 from repro.wal.codec import pack_entry
 from repro.wal.records import InsertRecord
+from repro.wal.segments import load_segments
 from repro.views import AggregateView
 
-PAGE_SIZE = 128
+
+def make_pool(capacity, log):
+    pool = BufferPool(capacity=capacity, log=log)
+    pool.attach(PageStore(), leaves=())
+    return pool
 
 
-def make_pool(capacity, log=None, tracer=None):
-    store = PageStore()
-    pool = BufferPool(
-        store, capacity=capacity, log=log,
-        **({"tracer": tracer} if tracer is not None else {}),
-    )
-    return store, pool
-
-
-def add_pages(pool, n, start=1):
-    for pid in range(start, start + n):
-        pool.add_page(SlottedPage(pid, page_size=PAGE_SIZE))
-
-
-class TestPinsProtectFrames:
-    def test_pinned_page_survives_any_amount_of_pressure(self):
-        tracer = Tracer()
-        tracer.enable(categories=("storage",))
-        store, pool = make_pool(3, tracer=tracer)
-        add_pages(pool, 3)
-        pool.pin(1)
-        add_pages(pool, 20, start=10)  # far beyond capacity
-        evicted = {
-            e.fields["page_id"]
-            for e in tracer.events()
-            if e.name == "page_evicted"
-        }
-        assert evicted  # pressure really happened
-        assert 1 not in evicted
-        assert pool.page(1).page_id == 1  # still resident, still pinned
-        assert pool.stats()["resident"] <= 3
-
-    def test_exhausted_pool_raises_instead_of_evicting_a_pin(self):
-        store, pool = make_pool(2)
-        add_pages(pool, 2)
-        pool.pin(1)
-        pool.pin(2)
-        with pytest.raises(StorageError, match="exhausted"):
-            pool.add_page(SlottedPage(3, page_size=PAGE_SIZE))
-
-    def test_unpin_makes_the_frame_evictable_again(self):
-        store, pool = make_pool(2)
-        add_pages(pool, 2)
-        pool.pin(1)
-        pool.pin(2)
-        pool.unpin(1)
-        pool.add_page(SlottedPage(3, page_size=PAGE_SIZE))  # now fits
-        assert pool.stats()["resident"] == 2
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(1, 8)), max_size=40))
-    def test_random_op_sequences_never_evict_a_pinned_page(self, script):
-        """Property: across arbitrary add/touch/pin/unpin interleavings
-        on a tiny pool, no ``page_evicted`` event ever names a page that
-        was pinned at that moment."""
-        tracer = Tracer()
-        tracer.enable(categories=("storage",))
-        store, pool = make_pool(2, tracer=tracer)
-        known, pins = set(), set()
-        seen = 0
-        for op, pid in script:
-            try:
-                if op == 0:  # admit a page (or touch it if known)
-                    if pid in known:
-                        pool.page(pid)
-                    else:
-                        pool.add_page(SlottedPage(pid, page_size=PAGE_SIZE))
-                        known.add(pid)
-                elif op == 1 and pid in known:  # touch / read through
-                    pool.page(pid)
-                elif op == 2 and pid in known:  # pin
-                    pool.pin(pid)
-                    pins.add(pid)
-                elif op == 3 and pid in pins:  # unpin once
-                    pool.unpin(pid)
-                    pins.discard(pid)
-            except StorageError as err:
-                assert "exhausted" in str(err)
-                continue
-            for event in tracer.events()[seen:]:
-                if event.name == "page_evicted":
-                    assert event.fields["page_id"] not in pins
-            seen = len(tracer.events())
-            assert pool.stats()["resident"] <= 2
-            for pinned in pins:
-                # a pinned page is always resident: requesting it is a hit
-                before = pool.misses
-                pool.page(pinned)
-                assert pool.misses == before
+def put(tree, key, lsn):
+    """One change to a paged tree, the way an index makes it."""
+    tree.setdefault(key, VersionedRecord(key, Row(id=key[0]), lsn=lsn), lsn)
+    tree._pages.write_excess()
 
 
 class TestWalBeforeWrite:
@@ -127,119 +51,165 @@ class TestWalBeforeWrite:
     def test_dirty_eviction_flushes_the_wal_to_page_lsn(self):
         log = self._log_with_records(5)
         assert log.flushed_lsn == 0  # nothing durable yet
-        store, pool = make_pool(2, log=log)
-        add_pages(pool, 2)
-        pool.record_insert(1, b"x" * 8, lsn=4)  # page 1 dirty at pageLSN 4
-        pool.record_insert(2, b"y" * 8, lsn=5)  # no clean victim available
-        pool.add_page(SlottedPage(3, page_size=PAGE_SIZE))  # evicts page 1
+        pool = make_pool(2, log)
+        first, second, third = (BPlusTree(pages=pool, name=n) for n in "abc")
+        put(first, (1,), 4)  # a leaf dirty at pageLSN 4
+        put(second, (1,), 5)
+        put(third, (1,), 5)  # over the cap: the least recently dirtied goes
         assert pool.dirty_evictions == 1
         assert pool.forced_wal_flushes == 1
         # WAL-before-write: the flush covered the page's LSN first
         assert log.flushed_lsn >= 4
-        assert store.read_page(1).page_lsn == 4
+        (page_id,) = pool.store.page_ids()
+        assert pool.store.read_page(page_id).page_lsn == 4
 
-    def test_clean_eviction_never_touches_the_wal(self):
+    def test_a_durable_page_lsn_is_written_back_without_a_flush(self):
         log = self._log_with_records(3)
-        store, pool = make_pool(2, log=log)
-        add_pages(pool, 2)
-        pool.flush_dirty()
-        flushed_before = log.flushed_lsn
-        add_pages(pool, 3, start=10)
+        log.flush()
+        pool = make_pool(2, log)
+        for name in "abc":
+            put(BPlusTree(pages=pool, name=name), (1,), 2)
+        assert pool.dirty_evictions == 1
         assert pool.forced_wal_flushes == 0
-        assert log.flushed_lsn == flushed_before
+        assert log.flush_count == 1
 
     def test_flush_target_is_min_of_page_lsn_and_tail(self):
         log = self._log_with_records(3)
-        store, pool = make_pool(4, log=log)
-        add_pages(pool, 1)
-        pool.record_insert(1, b"y" * 4, lsn=2)
-        pool.flush_page(1)
-        assert log.flushed_lsn >= 2
-        assert store.read_page(1).page_lsn == 2
+        pool = make_pool(4, log)
+        put(BPlusTree(pages=pool, name="t"), (1,), 2)
+        assert pool.write_older_than(None) == 1
+        assert log.flushed_lsn == 2
+        (page_id,) = pool.store.page_ids()
+        assert pool.store.read_page(page_id).page_lsn == 2
+
+
+def ordered_db():
+    """Order-4 trees (a leaf holds at most 3 entries) on a table with no
+    view, so every split and merge below is one of the test's."""
+    db = Database(EngineConfig(btree_order=4))
+    db.create_table("t", ("id", "v"), ("id",))
+    return db
+
+
+def rows(db, ids):
+    with db.session() as s:
+        for i in ids:
+            s.insert("t", {"id": i, "v": f"row {i}"})
+
+
+def erase(db, ids):
+    with db.session() as s:
+        for i in ids:
+            s.delete("t", (i,))
+    db.run_ghost_cleanup()
+
+
+def every_prefix_keeps(db, change, key, tmp_path):
+    """Make every leaf durable, run ``change``, write back the leaves it
+    dirtied, then recover a same-schema engine from the log and from
+    every prefix of that write-back's timeline: ``key`` must survive
+    each. Nothing was dirty before ``change``, so redo starts after the
+    records that wrote ``key``: only an image can keep it. Returns the
+    timeline, ``(page_id, image or None for a drop)``."""
+    db.take_checkpoint()
+    db.take_checkpoint()  # the second writes what the first left dirty
+    assert db._pool.dirty_page_table() == {}
+    base = db._store.snapshot()
+    change(db)
+    timeline = []
+    db._store.write_listener = lambda pid, data: timeline.append((pid, data))
+    db._pool.write_older_than(None)
+    db.dump_wal_segments(tmp_path)
+    for cut in range(len(timeline) + 1):
+        images = dict(base)
+        for page_id, data in timeline[:cut]:
+            if data is None:
+                images.pop(page_id, None)
+            else:
+                images[page_id] = data
+        fresh = ordered_db()
+        fresh.log = load_segments(tmp_path)
+        fresh._store.restore(images)
+        fresh._rebuild_from_log()
+        assert fresh.index("t").get_record(key) is not None, cut
+    return timeline
 
 
 class TestEntryMovesSurviveCrashes:
-    """A mirrored entry that outgrows its page is re-placed elsewhere.
-    The superseded copy must stay behind as a stale (lower-LSN) fact:
-    whichever subset of pages reaches the store before a crash, the
-    per-key winner election plus gated redo must reconstruct every
-    committed row. (Regression: the old tombstone-on-move scheme could
-    elect a same-LSN tombstone and skip the move record entirely.)"""
+    """Structure changes log nothing, so the write-back order is what
+    keeps an entry that moved between leaves in some durable image."""
 
-    def build(self):
-        db = Database(EngineConfig(buffer_pool_frames=8, page_size=256))
-        db.create_table("t", ("id", "data"), ("id",))
-        return db
+    def test_a_split_with_only_the_giver_durable_keeps_the_key(self, tmp_path):
+        db = ordered_db()
+        rows(db, (1, 2, 3))
+        # inserting 4 splits the one leaf [1 2 3], and 3 moves to the new
+        # leaf: it is in the giver's image alone until the receiver's is
+        # written, so the receiver goes first
+        timeline = every_prefix_keeps(
+            db, lambda d: rows(d, (4,)), (3,), tmp_path
+        )
+        (receiver, image), (giver, _) = timeline
+        assert (3,) in {key for key, _ in durable_winners_of(image)}
+        assert giver in db._store.snapshot() and receiver != giver
 
-    def grow_until_moved(self, db):
-        """Widen row (1,) until its mirror entry moves pages; returns
-        ``(old_location, new_location, final_data_value)``."""
-        with db.session() as s:
-            s.insert("t", {"id": 1, "data": "x"})
-        old_loc = db._pages._slots[("t", (1,))]
-        width, last = 8, "x"
-        while db._pages.moves == 0:
-            assert width < 100_000, "entry never moved pages"
-            last = "x" * width
-            with db.session() as s:
-                s.update("t", (1,), {"data": last})
-            width *= 2
-        new_loc = db._pages._slots[("t", (1,))]
-        assert new_loc[0] != old_loc[0]
-        return old_loc, new_loc, last
+    def test_a_merge_with_only_the_freed_leaf_durable_keeps_the_key(
+        self, tmp_path
+    ):
+        db = ordered_db()
+        rows(db, (1, 2, 3, 4))
+        erase(db, (2, 4))  # leaves [1] [3]
+        # erasing 1 empties the left leaf, which absorbs [3]: the right
+        # leaf is freed, and its image holds 3 until the left's is written
+        timeline = every_prefix_keeps(
+            db, lambda d: erase(d, (1,)), (3,), tmp_path
+        )
+        assert [data is None for _, data in timeline] == [False, True]
 
-    def test_move_with_only_the_old_page_durable_keeps_the_key(self):
-        """The reviewer scenario: the page the entry moved OFF is the
-        only one the store saw. The stale copy there is the key's only
-        durable trace — recovery must seed it and redo the move."""
-        db = self.build()
-        old_loc, _, last = self.grow_until_moved(db)
-        db.log.flush()
-        db._pool.flush_page(old_loc[0])
-        assert db._store.page_ids() == [old_loc[0]]
-        report = db.simulate_crash_and_recover()
-        assert report.pages_loaded == 1
-        record = db._indexes["t"].get_record((1,))
-        assert record is not None
-        assert record.current_row["data"] == last
+    def test_leaves_that_gave_each_other_entries_break_the_cycle(self):
+        """Two leaves that borrowed from each other, neither written
+        since, cannot both go second: one is written under a new page
+        id, and its old image stays until the other is written."""
+        pool = make_pool(64, LogManager())
+        tree = BPlusTree(order=4, pages=pool, name="t")
+        lsn = iter(range(1, 100))
+        for key in (1, 2, 3, 4):  # leaves [1 2] [3 4], both durable
+            put(tree, (key,), next(lsn))
+        pool.write_older_than(None)
+        base = pool.store.snapshot()
+        tree.pop((4,), lsn=next(lsn))
+        tree.pop((3,), lsn=next(lsn))  # the right leaf borrows 2: [1] [2]
+        put(tree, (5,), next(lsn))  # [1] [2 5]
+        tree.pop((1,), lsn=next(lsn))  # the left one borrows 2 back: [2] [5]
+        timeline = []
+        pool.store.write_listener = lambda pid, data: timeline.append(
+            (pid, data)
+        )
+        pool.write_older_than(None)
+        pool.write_older_than(None)  # the relocated leaf's old image goes
+        assert len(timeline) == 3 and timeline[-1][1] is None
+        assert timeline[0][0] not in base  # written under a new page id
+        for cut in range(len(timeline) + 1):
+            images = dict(base)
+            for page_id, data in timeline[:cut]:
+                if data is None:
+                    images.pop(page_id, None)
+                else:
+                    images[page_id] = data
+            keys = {
+                key for image in images.values()
+                for key, _ in durable_winners_of(image)
+            }
+            assert (2,) in keys, cut  # 5's insert is in the log, 2's not
+        assert keys == {(2,), (5,)}
+        assert pool.dirty_page_table() == {}
 
-    def test_move_with_both_pages_durable_elects_the_newest_copy(self):
-        db = self.build()
-        old_loc, new_loc, last = self.grow_until_moved(db)
-        db.log.flush()
-        db._pool.flush_dirty()
-        report = db.simulate_crash_and_recover()
-        assert report.pages_loaded >= 2
-        record = db._indexes["t"].get_record((1,))
-        assert record.current_row["data"] == last  # stale copy lost
-        # and the winner is gated: the old records were not re-applied
-        assert report.redo_skipped > 0
 
-    def test_delete_tombstone_still_wins_when_durable(self):
-        db = self.build()
-        with db.session() as s:
-            s.insert("t", {"id": 1, "data": "x"})
-        with db.session() as s:
-            s.delete("t", (1,))
-        db.run_ghost_cleanup()
-        db.log.flush()
-        db._pool.flush_dirty()
-        db.simulate_crash_and_recover()
-        assert db._indexes["t"].get_record((1,)) is None
-
-    def test_checkpoint_reclaims_the_stale_copy(self):
-        db = self.build()
-        old_loc, _, last = self.grow_until_moved(db)
-        assert db._pages._stale  # the move left a superseded copy
-        db.take_checkpoint()
-        assert db._pages._stale == []  # checkpoint swept it
-        # the old slot is actually dead on its page now
-        with pytest.raises(StorageError):
-            db._pool.page(old_loc[0]).read_record(old_loc[1])
-        # and a crash at any later point still recovers the key
-        db.simulate_crash_and_recover()
-        record = db._indexes["t"].get_record((1,))
-        assert record.current_row["data"] == last
+def durable_winners_of(image):
+    """The ``(key, row)`` entries of one page image."""
+    store = PageStore()
+    store.restore({0: image})
+    table, _, _ = durable_winners(store)
+    return [(key, row) for (_, key), (_, row, _, _) in table.items()]
 
 
 class TestDurableWinners:
@@ -249,11 +219,11 @@ class TestDurableWinners:
     @staticmethod
     def page_of(page_id, *entries):
         """A page image holding ``(index, key, row, ghost, lsn, dead)``
-        entries, packed as the mirror writes them."""
-        page = SlottedPage(page_id, page_size=512)
-        for index, key, row, ghost, lsn, dead in entries:
-            page.insert_record(pack_entry(index, key, row, ghost, dead, lsn))
-        return page
+        entries, packed as a write-back packs them."""
+        return SlottedPage(page_id, [
+            pack_entry(index, key, row, ghost, dead, lsn)
+            for index, key, row, ghost, lsn, dead in entries
+        ], page_size=512)
 
     def test_an_empty_store_is_an_empty_table(self):
         assert durable_winners(PageStore()) == ({}, 0, 0)
@@ -306,45 +276,47 @@ class TestDurableWinners:
         assert durable_winners(store) == (None, 1, 1)
 
     def test_reading_writes_nothing(self):
-        db = Database(EngineConfig(buffer_pool_frames=2, page_size=256))
+        db = Database(EngineConfig(buffer_pool_frames=2, btree_order=4))
         db.create_table("t", ("id", "data"), ("id",))
         for i in range(12):
             with db.session() as s:
                 s.insert("t", {"id": i, "data": "x" * 20})
         before, writes = db._store.snapshot(), db._store.writes
-        assert before  # the tiny pool evicted to the store
+        assert before  # the 2-leaf cap wrote leaves back
         first = durable_winners(db._store)
         assert durable_winners(db._store) == first
         assert db._store.snapshot() == before
         assert db._store.writes == writes
 
 
+def sales_db(**config):
+    db = Database(EngineConfig(**config))
+    db.create_table("sales", ("id", "product", "amount"), ("id",))
+    db.create_view(AggregateView(
+        "v",
+        "sales",
+        group_by=("product",),
+        aggregates=[
+            AggregateSpec.count("n"),
+            AggregateSpec.sum_of("t", "amount"),
+        ],
+    ))
+    return db
+
+
 class TestEngineUnderMemoryPressure:
-    """A whole engine on a tiny pool: evictions mid-transaction force
-    WAL flushes, and nothing the views promise is lost."""
+    """A whole engine on a 2-leaf dirty table: write-backs mid-transaction
+    force WAL flushes, and nothing the views promise is lost."""
 
     def build(self):
-        db = Database(
-            EngineConfig(
-                buffer_pool_frames=2, page_size=128, checkpoint_interval=3
-            )
+        return sales_db(
+            buffer_pool_frames=2, btree_order=4, checkpoint_interval=3
         )
-        db.create_table("sales", ("id", "product", "amount"), ("id",))
-        db.create_view(AggregateView(
-            "v",
-            "sales",
-            group_by=("product",),
-            aggregates=[
-                AggregateSpec.count("n"),
-                AggregateSpec.sum_of("t", "amount"),
-            ],
-        ))
-        return db
 
     def test_pressure_run_stays_consistent_and_flushes_early(self):
         db = self.build()
-        # one big transaction: pages dirtied at unflushed LSNs get evicted
-        # mid-transaction, so the write-back must flush the WAL first
+        # one big transaction: leaves dirtied at unflushed LSNs are
+        # written back mid-transaction, so the WAL must be flushed first
         with db.session() as s:
             for i in range(1, 25):
                 s.insert(
@@ -366,7 +338,67 @@ class TestEngineUnderMemoryPressure:
                     "sales",
                     {"id": i, "product": f"p{i % 5}", "amount": i},
                 )
+        with db.session() as s:  # past the last checkpoint, written back
+            for i in range(25, 31):  # mid-transaction
+                s.insert(
+                    "sales",
+                    {"id": i, "product": f"p{i % 5}", "amount": i},
+                )
         report = db.simulate_crash_and_recover()
         assert report.pages_loaded > 0  # durable pages seeded recovery
+        assert report.redo_skipped > 0  # and gated the redo they cover
         assert db.check_all_views() == []
-        assert db.read_committed("v", ("p1",))["n"] == 5
+        assert db.check_integrity().clean
+        assert db.read_committed("v", ("p1",)) == {
+            "product": "p1", "n": 6, "t": 1 + 6 + 11 + 16 + 21 + 26,
+        }
+
+
+class TestWriteBackCounts:
+    """Where the bytes are made: at write-back, one pack per entry, and
+    nowhere on the path of a transaction that stays under the cap."""
+
+    @pytest.fixture
+    def packs(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args[:2])
+            return pack_entry(*args)
+
+        monkeypatch.setattr(bufferpool, "pack_entry", counted)
+        return calls
+
+    def test_an_order_transaction_packs_nothing(self, packs):
+        db = sales_db()  # a 64-leaf cap: one transaction cannot reach it
+        with db.session() as s:  # seed the groups, as the workload does
+            for product in range(7):
+                s.insert("sales", {"id": -1 - product, "product": product,
+                                   "amount": 1})
+        writes, records = db._store.writes, len(db.log)
+        for t in range(20):  # the order_api shape: four inserts, one view
+            with db.session() as s:
+                for i in range(4):
+                    s.insert("sales", {"id": 4 * t + i,
+                                       "product": (t + i) % 7, "amount": i})
+        assert len(db.log) - records == 20 * 9  # 8 row changes + COMMIT
+        assert packs == []
+        assert db._store.writes == writes == 0
+        assert db.stats()["storage"]["pool"]["dirty"] > 0
+
+    def test_a_write_back_packs_each_entry_of_the_leaf_once(self, packs):
+        db = sales_db()
+        with db.session() as s:
+            for i in range(10):
+                s.insert("sales", {"id": i, "product": i % 3, "amount": i})
+        db.take_checkpoint()  # the first checkpoint writes every dirty leaf
+        leaves = [
+            leaf for name in db.index_names()
+            for leaf in db.index(name).leaves()
+        ]
+        assert sorted(packs) == sorted(
+            (leaf.index, record.key)
+            for leaf in leaves for record in leaf.values
+        )
+        assert db.stats()["storage"]["store_writes"] == len(leaves) == 2
+        assert db.stats()["storage"]["pool"]["dirty"] == 0

@@ -99,15 +99,17 @@ def test_recovery_correct_at_every_crash_point(strategy, tmp_path):
         assert db.read_committed("v", ("z",))["n"] == 1
 
 
-def build_fuzzy_schema(strategy):
+def build_fuzzy_schema(strategy, btree_order=32):
     """Same schema, but on a paged engine small enough to churn: auto
-    fuzzy checkpoints every 2 commits, 4 frames, 256-byte pages."""
+    fuzzy checkpoints every 2 commits, a 4-leaf dirty table, 256-byte
+    pages."""
     db = Database(
         EngineConfig(
             aggregate_strategy=strategy,
             checkpoint_interval=2,
             buffer_pool_frames=4,
             page_size=256,
+            btree_order=btree_order,
         )
     )
     db.create_table("sales", ("id", "product", "amount"), ("id",))
@@ -145,15 +147,16 @@ def base_table_in_prefix(log, limit_lsn):
     return rows
 
 
-def fuzzy_sweep(strategy, tmp_path, workload):
+def fuzzy_sweep(strategy, tmp_path, workload, btree_order=32):
     """Crash-at-every-LSN sweep harness over the paged engine: at every
     crash boundary the surviving device state is the log prefix PLUS
-    every page image written back before that point (reconstructed from
-    a ``PageStore.write_listener`` timeline). Asserts full consistency
-    at each boundary; returns ``(reference_db, seeded_points,
-    redo_skipped_total)`` so callers can check the machinery engaged."""
-    reference = build_fuzzy_schema(strategy)
-    timeline = []  # (log tail at write time, page_id, raw image)
+    every page image written back (or dropped) before that point
+    (reconstructed from a ``PageStore.write_listener`` timeline). Asserts
+    full consistency at each boundary; returns ``(reference_db,
+    seeded_points, redo_skipped_total)`` so callers can check the
+    machinery engaged."""
+    reference = build_fuzzy_schema(strategy, btree_order)
+    timeline = []  # (log tail at write time, page_id, image or None)
     reference._store.write_listener = lambda pid, data: timeline.append(
         (reference.log.tail_lsn(), pid, data)
     )
@@ -173,15 +176,19 @@ def fuzzy_sweep(strategy, tmp_path, workload):
     seeded_points = 0
     redo_skipped_total = 0
     for crash_lsn in range(0, tail + 1):
-        db = build_fuzzy_schema(strategy)
+        db = build_fuzzy_schema(strategy, btree_order)
         db.log = load_segments(tmp_path)
         db.log.flushed_lsn = crash_lsn
         db.log.crash()
-        # reconstruct the device: last image per page written while the
-        # log tail was still inside the surviving prefix
+        # reconstruct the device: last image per page written (or its
+        # drop) while the log tail was still inside the surviving prefix
         images = {}
         for written_at, page_id, data in timeline:
-            if written_at <= crash_lsn:
+            if written_at > crash_lsn:
+                break
+            if data is None:
+                images.pop(page_id, None)
+            else:
                 images[page_id] = data
         db._store.restore(images)
         report = db._rebuild_from_log()
@@ -235,39 +242,49 @@ def test_recovery_correct_at_every_crash_point_across_fuzzy_checkpoints(
     assert redo_skipped_total > 0
 
 
-def run_growth_workload(db):
-    """Rows whose payloads widen step by step, so mirrored entries
-    outgrow their slots and move between pages (leaving superseded
-    stale copies behind). Every committed fact must survive recovery
-    no matter which of the two pages involved in a move was the one
-    that reached the store before the crash."""
-    with db.session() as s:
-        for i in range(1, 4):
-            s.insert("sales", {"id": i, "product": "p", "amount": i})
-    for width in (8, 24, 56, 120):
-        # each step widens the row for key 2 and moves it to a new view
-        # group, churning both the base entry and the group entries
+def run_split_merge_workload(db):
+    """Order-4 trees under a 4-leaf cap: inserts split the sales leaves
+    and, spread over eight groups, the view's; deletes and the ghost
+    cleaner then empty leaves, which borrow and merge. Every committed
+    fact must survive recovery whichever images the entries that moved
+    reached before the crash."""
+    for first in range(1, 17, 4):
         with db.session() as s:
-            s.update("sales", (2,), {"product": "g" * width})
+            for i in range(first, first + 4):
+                s.insert("sales", {"id": i, "product": f"p{i % 8}", "amount": i})
+    for first in range(2, 17, 5):
+        with db.session() as s:
+            for i in range(first, min(first + 4, 17)):
+                s.delete("sales", (i,))
+    db.run_ghost_cleanup()
     with db.session() as s:
-        s.delete("sales", (3,))
+        s.insert("sales", {"id": 40, "product": "p3", "amount": 40})
+        s.update("sales", (1,), {"product": "p9"})
     db.run_ghost_cleanup()
     db.log.flush()
 
 
 @pytest.mark.parametrize("strategy", ["escrow", "xlock"])
-def test_recovery_correct_when_entries_move_between_pages(strategy, tmp_path):
-    """Crash sweep across page-to-page entry moves: the winner election
-    over durable pages must never lose a committed key to a superseded
-    copy — at every boundary, whatever subset of pages the timeline
-    says was durable. (Regression for the tombstone-on-move bug: a
-    same-LSN tombstone could gate out the very record that moved the
-    entry, silently dropping the key.)"""
-    reference, seeded_points, _ = fuzzy_sweep(
-        strategy, tmp_path, run_growth_workload
-    )
-    # the workload genuinely forced entries to move between pages
-    assert reference._pages.moves > 0
+def test_recovery_correct_across_leaf_splits_and_merges(strategy, tmp_path):
+    """Crash sweep across structure changes, which log nothing: at every
+    boundary, whatever images the timeline says were durable, the
+    write-back order (a receiver before its giver, a freed leaf's image
+    dropped after its receiver's write) keeps every committed key."""
+    changes = {"moved": 0, "freed": 0}
+
+    def counting(name, verb):
+        def counted(*args):
+            changes[name] += 1
+            return verb(*args)
+        return counted
+
+    def workload(db):
+        for name in changes:
+            setattr(db._pool, name, counting(name, getattr(db._pool, name)))
+        run_split_merge_workload(db)
+
+    _, seeded_points, _ = fuzzy_sweep(strategy, tmp_path, workload, 4)
+    assert changes["moved"] > 0 and changes["freed"] > 0
     assert seeded_points > 0
 
 
@@ -278,11 +295,12 @@ RECOVERY_SITES = ("recovery.analysis", "recovery.redo", "recovery.undo")
 def crashed_paged_engine(strategy):
     """The storm's starting point: the churned paged engine with a
     durable loser, stopped dead. Rebuilt from scratch for every crash
-    site — the workload is deterministic."""
-    db = build_fuzzy_schema(strategy)
+    site — the workload is deterministic. Order-4 trees, so the loser
+    dirties more leaves than the table holds and some are written."""
+    db = build_fuzzy_schema(strategy, btree_order=4)
     run_workload(db)
     loser = db.begin()
-    for i in range(50, 58):  # more redo and undo than the pool has frames
+    for i in range(50, 58):  # more redo and undo than the table has room
         db.insert(loser, "sales", {"id": i, "product": "abcd"[i % 4], "amount": i})
     db.update(loser, "sales", (2,), {"product": "b"})
     db.log.flush()  # the loser's records are durable, its COMMIT is not
@@ -311,7 +329,6 @@ def test_recovery_never_writes_the_page_store(strategy):
                 label = f"{site}@{boundary}"
                 assert db._store is store, label
                 assert store.snapshot() == before, label
-                assert db.log.append_listener is None, label
                 report = db.simulate_crash_and_recover()
                 # the second attempt read the same pages: same verdicts
                 assert report.pages_loaded == expected.pages_loaded, label

@@ -14,6 +14,8 @@ import pytest
 from repro.common import CatalogError, IntegrityError, KeyRange
 from repro.core import Database, EngineConfig
 from repro.query import AggregateSpec, col_ge
+from repro.storage.pages import SlottedPage
+from repro.wal.codec import pack_entry
 from repro.workload import BY_PRODUCT, SALES
 from repro.views import AggregateView, ProjectionView
 
@@ -73,15 +75,44 @@ class TestChecker:
     def test_detects_wrong_aggregate_value(self):
         db = build_db()
         seed(db)
+        db.take_checkpoint()  # every leaf written back: all are clean
         damage_view_row(db, revenue=99999)
         report = db.check_integrity()
         assert not report.clean
         assert BY_PRODUCT in report.damaged_views()
         kinds = {d.kind for d in report.damage}
         # The tampered live row is caught twice: against recomputation
-        # ("view") and against the independent page mirror ("storage").
+        # ("view") and against its clean leaf's durable image ("storage").
         assert kinds == {"view", "storage"}
         assert db.stats()["integrity"]["damage_found"] == len(report.damage)
+
+    def test_a_clean_leaf_whose_image_holds_another_entry_is_damage(self):
+        """Write-back fidelity: a well-formed image under a valid CRC
+        that says something the clean leaf does not is storage damage
+        naming that leaf; a dirty leaf is not compared."""
+        db = build_db()
+        seed(db)
+        db.take_checkpoint()
+        (leaf,) = db.index(BY_PRODUCT).leaves()
+        page = SlottedPage(leaf.page_id, db._pool.payloads(leaf)[0][1:] + [
+            pack_entry(BY_PRODUCT, ("cat",), {
+                "product": "cat", "n_sales": 1, "revenue": 5,
+            }, False, False, 1),
+        ], page_size=db.config.page_size)
+        images = db._store.snapshot()
+        images[leaf.page_id] = page.to_bytes()
+        db._store.restore(images)
+        report = db.check_integrity()
+        (finding,) = report.damage
+        assert (finding.kind, finding.index) == ("storage", BY_PRODUCT)
+        assert finding.key == (leaf.page_id,)
+        assert f"leaf page {leaf.page_id}" in finding.detail
+        assert "cat" in finding.detail and "ant" in finding.detail
+        with db.session() as s:  # the leaf turns dirty: its image is stale
+            s.insert(SALES, {
+                "id": 99, "product": "bee", "customer": 0, "amount": 1,
+            })
+        assert db.check_integrity().clean
 
     def test_detects_missing_view_row(self):
         db = build_db()

@@ -386,6 +386,33 @@ def test_one_codec_bans_json_and_struct_where_bytes_are_laid_out(tmp_path):
         assert _rules(findings) == ({"one-codec"} if fires else set()), rel
 
 
+def test_page_discipline_keeps_packing_and_images_in_storage(tmp_path):
+    source = '''
+    def write(store, leaf):
+        payload = pack_entry("t", (1,), {"id": 1}, False, False, 7)
+        store.write_page(SlottedPage(leaf.page_id, [payload]))
+        store.drop_page(leaf.page_id)
+    '''
+    for rel, fires in (
+        ("src/repro/txn/write.py", True),  # a write path that packs
+        ("src/repro/core/database.py", True),  # an image past the pool
+        ("src/repro/storage/bufferpool.py", False),
+        ("src/repro/storage/pages.py", False),
+        ("tests/test_pages.py", False),  # not engine code
+    ):
+        findings = lint_paths(
+            [_plant(tmp_path, rel, source)], rules=("page-discipline",)
+        )
+        assert len(findings) == (4 if fires else 0), rel
+    # reading an image is not making one
+    ok = _plant(
+        tmp_path, "src/repro/integrity/reader.py",
+        "entries = [unpack_entry(p) for _, p in store.read_page(1).records()]\n"
+        "page = SlottedPage.from_bytes(image)\n",
+    )
+    assert lint_paths([ok], rules=("page-discipline",)) == []
+
+
 def test_one_settle_fires_on_a_hand_written_epilogue_or_clr(tmp_path):
     bad = _plant(
         tmp_path,

@@ -1,16 +1,10 @@
-"""Slotted-page geometry and the fuzzy-checkpoint fallback paths.
+"""Slotted-page images and the fuzzy-checkpoint fallback paths.
 
-Two regressions pinned here, both found by driving the paged engine
-hard:
-
-* **Phantom garbage** — growing a record can re-place it inside the
-  hole its own dead slot left behind (``free_end`` jumps past it). A
-  running garbage counter double-counts that space, ``has_room_for``
-  overpromises, and the next insert blows up on a "roomy" page.
-  Garbage is ``page_size - free_end - live bytes``, two maintained
-  totals, and a Hypothesis differential holds every maintained field
-  (and the image) to its derivation from the slot directory, which is
-  kept here as the reference.
+* **Images** — a page is built whole from a leaf's payloads, and its
+  image is byte-for-byte what a derivation from its slot directory
+  gives (the derivation is kept here as the reference); it round-trips
+  through ``from_bytes``, and a payload list that does not fit is
+  refused.
 * **Untrusted checkpoint** — a fuzzy checkpoint only shortcuts
   recovery when its durable page images are available and intact. A
   torn page, or a fresh process with an empty page store, must fall
@@ -37,159 +31,78 @@ from repro.storage.pages import (
 from repro.views import AggregateView
 
 
-class TestGarbageAccounting:
-    def test_grow_into_own_hole_keeps_accounting_exact(self):
-        # 256-byte page: two 92-byte records leave 44 contiguous bytes.
-        page = SlottedPage(1, page_size=256)
-        page.insert_record(b"a" * 92)
-        slot = page.insert_record(b"b" * 92)
-        # Growing slot 1 by one byte re-places it inside the space its
-        # own dead slot vacated; no byte on the page is reclaimable.
-        page.update_record(slot, b"c" * 93)
-        assert page.read_record(slot) == b"c" * 93
-        assert not page.has_room_for(b"x" * 93)
-        with pytest.raises(StorageError, match="full"):
-            page.insert_record(b"x" * 93)
-
-    def test_dead_slot_space_is_reclaimed_by_compaction(self):
-        page = SlottedPage(1, page_size=256)
-        first = page.insert_record(b"a" * 100)
-        page.insert_record(b"b" * 100)
-        page.delete_record(first)
-        assert page.has_room_for(b"y" * 100)
-        slot = page.insert_record(b"y" * 100)
-        assert page.read_record(slot) == b"y" * 100
-
-    def test_images_round_trip_through_arbitrary_mutation(self):
-        page = SlottedPage(1, page_size=512)
-        slots = [page.insert_record(bytes([i]) * (20 + i)) for i in range(8)]
-        for s in slots[::2]:
-            page.delete_record(s)
-        grown = page.insert_record(b"z" * 120)
-        page.update_record(grown, b"w" * 150)
+class TestPageImages:
+    def test_images_round_trip(self):
+        payloads = [bytes([i]) * (20 + i) for i in range(8)]
+        page = SlottedPage(1, payloads, page_size=512, page_lsn=9)
         clone = SlottedPage.from_bytes(page.to_bytes())
-        assert dict(clone.records()) == dict(page.records())
-        assert clone.free_space() == page.free_space()
+        assert [p for _, p in clone.records()] == payloads
+        assert (clone.page_id, clone.page_lsn, clone.page_size) == (1, 9, 512)
+        assert clone.to_bytes() == page.to_bytes()
 
     def test_oversized_payload_is_rejected_with_bounds(self):
-        page = SlottedPage(1, page_size=256)
-        assert not page.has_room_for(b"x" * 300)
         with pytest.raises(StorageError, match="full"):
-            page.insert_record(b"x" * 300)
+            SlottedPage(1, [b"x" * 300], page_size=256)
+        capacity = SlottedPage.capacity(256)
+        assert SlottedPage(1, [b"x" * capacity], page_size=256)
+        with pytest.raises(StorageError, match="full"):
+            SlottedPage(1, [b"x" * (capacity + 1)], page_size=256)
         assert SlottedPage.capacity(MAX_PAGE_SIZE) < MAX_PAGE_SIZE
 
-
-# -- the slot-directory derivations the O(1) fields replaced, kept as the
-# -- reference the maintained geometry must equal after every operation
-
-
-def ref_free_end(page):
-    used = [off for off, _ in page._slots if off != 0]
-    return min(used) if used else page.page_size
-
-
-def ref_garbage(page):
-    live = sum(length for off, length in page._slots if off != 0)
-    return page.page_size - ref_free_end(page) - live
-
-
-def ref_has_room_for(page, payload):
-    need = len(payload)
-    if not any(off == 0 for off, _ in page._slots):
-        need += PAGE_SLOT.size
-    dir_end = PAGE_HEADER.size + len(page._slots) * PAGE_SLOT.size
-    return need <= ref_free_end(page) - dir_end + ref_garbage(page)
+    def test_a_dead_slot_in_an_image_reads_as_no_record(self):
+        """The format keeps ``offset == 0`` as a dead slot: a reader
+        skips it, though no write-back makes one."""
+        image = bytearray(SlottedPage(4, [b"aa", b"bb"], page_size=128).to_bytes())
+        PAGE_SLOT.pack_into(image, PAGE_HEADER.size, 0, 0)
+        fields = list(PAGE_HEADER.unpack_from(image, 0))
+        PAGE_HEADER.pack_into(image, 0, *fields[:4], 0)
+        PAGE_HEADER.pack_into(image, 0, *fields[:4], zlib.crc32(image))
+        page = SlottedPage.from_bytes(bytes(image))
+        assert list(page.records()) == [(1, b"bb")]
+        with pytest.raises(StorageError, match="no record in slot 0"):
+            page.read_record(0)
 
 
-def ref_first_dead(page):
-    return next(
-        (i for i, (off, _) in enumerate(page._slots) if off == 0), None
-    )
-
-
-def ref_to_bytes(page):
-    image = bytearray(page._buf)
-    free_end = ref_free_end(page)
-    head = (page.page_id, page.page_lsn, len(page._slots), free_end)
+def ref_to_bytes(page_id, payloads, page_size, page_lsn):
+    """The image, derived slot by slot: payloads packed down from the
+    page end, the directory after the header, zeros between."""
+    image = bytearray(page_size)
+    offset, slots = page_size, []
+    for payload in payloads:
+        offset -= len(payload)
+        image[offset:offset + len(payload)] = payload
+        slots.append((offset, len(payload)))
+    head = (page_id, page_lsn, len(slots), offset)
     PAGE_HEADER.pack_into(image, 0, *head, 0)
     cursor = PAGE_HEADER.size
-    for offset, length in page._slots:
-        PAGE_SLOT.pack_into(image, cursor, offset, length)
+    for slot in slots:
+        PAGE_SLOT.pack_into(image, cursor, *slot)
         cursor += PAGE_SLOT.size
-    image[cursor:free_end] = bytes(free_end - cursor)
     PAGE_HEADER.pack_into(image, 0, *head, zlib.crc32(bytes(image)))
     return bytes(image)
 
 
-def assert_geometry_matches_the_directory(page, probe):
-    assert page._free_end == ref_free_end(page)
-    assert page._garbage() == ref_garbage(page)
-    assert page.live_count() == sum(1 for off, _ in page._slots if off)
-    assert page.has_room_for(probe) == ref_has_room_for(page, probe)
-    first_dead = ref_first_dead(page)
-    assert (page._dead == 0) == (first_dead is None)
-    assert first_dead is None or page._free_hint <= first_dead
-    assert page.to_bytes() == ref_to_bytes(page)
-
-
-_PAGE_OPS = st.lists(
-    st.one_of(
-        st.tuples(st.just("insert"), st.integers(0, 90)),
-        st.tuples(st.just("update"), st.integers(0, 30), st.integers(0, 90)),
-        st.tuples(st.just("delete"), st.integers(0, 30)),
-        st.tuples(st.just("compact")),
-        st.tuples(st.just("reload")),
-    ),
-    max_size=60,
-)
-
-
 class TestGeometryDifferential:
     @settings(max_examples=200, deadline=None)
-    @given(ops=_PAGE_OPS, page_size=st.sampled_from([128, 256, 512]))
-    def test_maintained_geometry_equals_the_slot_directory_derivation(
-        self, ops, page_size
+    @given(
+        payloads=st.lists(st.binary(min_size=1, max_size=90), max_size=12),
+        page_size=st.sampled_from([128, 256, 512]),
+        page_lsn=st.integers(0, 2**40),
+    )
+    def test_an_image_equals_the_slot_directory_derivation(
+        self, payloads, page_size, page_lsn
     ):
-        """Random insert / update / delete / compact / reload sequences:
-        after every step — failed ones included — ``free_end``, garbage,
-        ``has_room_for``, the free-slot hint and ``to_bytes()`` equal
-        what the slot directory says, and an insert lands in the lowest
-        dead slot."""
-        page = SlottedPage(9, page_size=page_size)
-        contents = {}
-        for step, op in enumerate(ops):
-            fill = bytes([step % 251 + 1])
-            if op[0] == "insert":
-                payload = fill * op[1]
-                fits = ref_has_room_for(page, payload)
-                lowest, appended = ref_first_dead(page), page.slot_count()
-                try:
-                    slot = page.insert_record(payload)
-                except StorageError:
-                    assert not fits
-                else:
-                    assert fits
-                    assert slot == (appended if lowest is None else lowest)
-                    contents[slot] = payload
-            elif op[0] == "update" and contents:
-                slot = sorted(contents)[op[1] % len(contents)]
-                payload = fill * op[2]
-                try:
-                    page.update_record(slot, payload)
-                except StorageError:
-                    pass  # did not fit: nothing may have moved
-                else:
-                    contents[slot] = payload
-            elif op[0] == "delete" and contents:
-                slot = sorted(contents)[op[1] % len(contents)]
-                page.delete_record(slot)
-                del contents[slot]
-            elif op[0] == "compact":
-                page._compact()
-            elif op[0] == "reload":
-                page = SlottedPage.from_bytes(page.to_bytes())
-            assert dict(page.records()) == contents
-            assert_geometry_matches_the_directory(page, probe=fill * 40)
+        """Any payload list: the image is the derivation, or — when the
+        payloads and their slots do not fit — the page is refused."""
+        need = PAGE_HEADER.size + sum(len(p) + PAGE_SLOT.size for p in payloads)
+        if need > page_size:
+            with pytest.raises(StorageError, match="full"):
+                SlottedPage(9, payloads, page_size=page_size)
+            return
+        page = SlottedPage(9, payloads, page_size=page_size, page_lsn=page_lsn)
+        assert page.to_bytes() == ref_to_bytes(9, payloads, page_size, page_lsn)
+        reloaded = SlottedPage.from_bytes(page.to_bytes())
+        assert [p for _, p in reloaded.records()] == payloads
 
 
 def paged_db():

