@@ -1576,7 +1576,7 @@ class Database(RecoveryTarget):
             self.counters.incr("storage.torn_pages", torn)
         cut = (self._pending_salvage or {}).get("truncated_lsn")
         if gate and cut is not None and any(
-            lsn >= cut for lsn, _, _, _ in gate.values()
+            lsn >= cut for lsn, _, _ in gate.values()
         ):
             if first is not None and first.lsn > 1:
                 raise WalCorruptionError(
@@ -1588,9 +1588,9 @@ class Database(RecoveryTarget):
                 )
             gate = None
         indexes = self._indexes
-        for (index_name, key), (lsn, row, is_ghost, dead) in (gate or {}).items():
+        for (index_name, key), (lsn, row, is_ghost) in (gate or {}).items():
             # the cleaner's work list is rebuilt by _post_recovery
-            if not dead and row is not None and index_name in indexes:
+            if row is not None and index_name in indexes:
                 indexes[index_name].set_entry(key, (Row(row), is_ghost), lsn)
         return gate, loaded
 

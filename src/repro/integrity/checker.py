@@ -181,7 +181,9 @@ def _check_storage(db, report):
     """Layer 3: durable page images decode, and every clean leaf's image
     decodes to exactly that leaf's entries. Only meaningful at
     quiescence, like the view sweep: an image includes the escrow deltas
-    pending when it was written."""
+    pending when it was written. A clean leaf that holds entries always
+    has an image (a leaf is written when the store is attached, and any
+    change dirties it), so one without is a lost page."""
     images = {}
     for page_id in sorted(db._store.page_ids()):
         try:
@@ -192,8 +194,17 @@ def _check_storage(db, report):
             )
     for name in db.index_names():
         for leaf in db.index(name).leaves():
-            if leaf.rec_lsn is not None or not db._store.has_page(leaf.page_id):
-                continue  # dirty, or an empty leaf never written
+            if leaf.rec_lsn is not None:
+                continue  # dirty: its image is stale by design
+            if not db._store.has_page(leaf.page_id):
+                if leaf.values:
+                    report.damage.append(Damage(
+                        "storage", name, key=(leaf.page_id,),
+                        detail=f"leaf page {leaf.page_id}: the clean leaf "
+                        f"holds {len(leaf.values)} entries and has no "
+                        f"durable image",
+                    ))
+                continue  # an empty leaf never written
             if leaf.page_id not in images:
                 continue  # torn: reported above
             want = db._pool.payloads(leaf)[0]
@@ -212,7 +223,7 @@ def _entries(payloads, others):
     ``payloads`` that ``others`` lacks."""
     return [
         (key, row, ghost, lsn)
-        for _, key, row, ghost, lsn, _ in map(
+        for _, key, row, ghost, lsn in map(
             unpack_entry, [p for p in payloads if p not in others]
         )
     ]

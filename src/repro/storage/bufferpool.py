@@ -51,7 +51,7 @@ from repro.faults import NULL_INJECTOR
 from repro.obs.tracer import NULL_TRACER
 from repro.storage.btree import _LeafNode
 from repro.storage.pages import MAX_PAGE_SIZE, PAGE_HEADER, PAGE_SLOT, SlottedPage
-from repro.wal.codec import pack_entry, unpack_entry
+from repro.wal.codec import entry_lsn, pack_entry, unpack_entry
 
 
 class PageStore:
@@ -306,29 +306,28 @@ class BufferPool:
         """``(entries, page_lsn)``: ``leaf``'s records packed as its image
         holds them (rule (a)), and the LSN the image is stamped with.
 
-        With ``reuse`` (a write-back), a leaf written before — one that
-        is written again and again — keeps its records' bytes, and a
-        record unchanged since is not packed again: whatever moves what
-        its image holds (an assignment, an escrow reserve or unreserve)
-        clears its bytes, and a commit that folds its deltas in replaces
-        its row."""
+        With ``reuse`` (a write-back), a leaf written before keeps each
+        record's entry bytes, and a record whose LSN has not moved since
+        is not packed again. By rule (a) an entry is fixed by its LSN:
+        whatever changes what an image holds for a record logs a record
+        and stamps its LSN, and a commit that folds pending deltas into
+        the row leaves their sum, the written value, as it was."""
         name = leaf.index
         keep = reuse and self.store.has_page(leaf.page_id)
         row_of = self.image_row(name) if self.image_row is not None else None
         lsn = leaf.page_lsn
         entries = []
         for record in leaf.values:
-            row = record.current_row
-            if keep and record.packed is not None and record.packed_row is row:
-                entries.append(record.packed)
-            else:
+            entry = record.packed if keep else None
+            if entry is None or entry_lsn(entry) != record.lsn:
+                row = record.current_row
                 entry = pack_entry(
                     name, record.key, row if row_of is None else
-                    row_of(record.key, row), record.is_ghost, False, record.lsn,
+                    row_of(record.key, row), record.is_ghost, record.lsn,
                 )
                 if keep:
-                    record.packed, record.packed_row = entry, row
-                entries.append(entry)
+                    record.packed = entry
+            entries.append(entry)
             if record.lsn > lsn:
                 lsn = record.lsn
         return entries, lsn
@@ -399,9 +398,9 @@ def durable_winners(store):
     Reads every page image in ``store`` once (CRC-checked
     :meth:`PageStore.read_page`) and elects the newest entry per key.
     Returns ``(table, pages_loaded, torn)`` where ``table`` maps
-    ``(index, key)`` to ``(lsn, row, is_ghost, dead)`` — or is ``None``
-    when a torn page makes the store untrustworthy and the caller must
-    replay the whole log instead.
+    ``(index, key)`` to ``(lsn, row, is_ghost)`` — or is ``None`` when a
+    torn page makes the store untrustworthy and the caller must replay
+    the whole log instead.
     """
     table = {}
     pages_loaded = 0
@@ -414,10 +413,10 @@ def durable_winners(store):
             continue
         pages_loaded += 1
         for _, payload in page.records():
-            index_name, key, row, ghost, lsn, dead = unpack_entry(payload)
+            index_name, key, row, ghost, lsn = unpack_entry(payload)
             locator = (index_name, key)
             current = table.get(locator)
             # pages are visited in id order, so a tie goes to the later page
             if current is None or lsn >= current[0]:
-                table[locator] = (lsn, row, ghost, dead)
+                table[locator] = (lsn, row, ghost)
     return (None if torn else table), pages_loaded, torn

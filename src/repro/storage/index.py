@@ -125,7 +125,6 @@ class Index:
             if record is not fresh:
                 record.current_row = row
                 record.is_ghost = is_ghost
-                record.packed = None
                 if lsn is not None:
                     record.lsn = lsn
             if is_ghost:
@@ -228,7 +227,6 @@ def stamp(index, record, lsn):
     marks its leaf dirty, off the index's public methods; while the pool
     tracks nothing (recovery), without a descent."""
     record.lsn = lsn
-    record.packed = None
     pages = index._pages
     if pages is not None and pages.store is not None:
         index._tree.touch(record.key, lsn)

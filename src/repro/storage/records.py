@@ -46,14 +46,10 @@ class VersionedRecord:
     """A record slot in an index: current state plus committed history,
     and ``lsn``, the log record that last changed it (what its leaf's
     image stamps it with, ``docs/STORAGE.md`` §4). ``packed`` keeps the
-    entry bytes its last write-back made from ``packed_row``, for the
-    next one to reuse while the record has not changed; a change through
-    its index clears them."""
+    entry bytes a write-back last made for it, which the next write-back
+    reuses while ``lsn`` has not moved."""
 
-    __slots__ = (
-        "key", "current_row", "is_ghost", "lsn", "packed", "packed_row",
-        "_versions",
-    )
+    __slots__ = ("key", "current_row", "is_ghost", "lsn", "packed", "_versions")
 
     def __init__(self, key, row, is_ghost=False, lsn=0):
         self.key = key
@@ -61,7 +57,6 @@ class VersionedRecord:
         self.is_ghost = is_ghost
         self.lsn = lsn
         self.packed = None
-        self.packed_row = None
         self._versions = []
 
     def __repr__(self):

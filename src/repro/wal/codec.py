@@ -323,23 +323,29 @@ def unpack_record_header(buf, at):
     return (kind & _CODE_MASK, *fields, at + RECORD_HEADER.size)
 
 
-#: flags (ghost | dead), lsn — then index name, key, row
+#: flags (ghost; every other bit reserved), lsn — then index name, key, row
 ENTRY_HEADER = struct.Struct("<BI")
-_GHOST, _DEAD = 0x01, 0x02
+_GHOST = 0x01
 
 
-def pack_entry(index_name, key, row, is_ghost, dead, lsn):
+def pack_entry(index_name, key, row, is_ghost, lsn):
     """One key's page entry as of ``lsn``."""
-    flags = (_GHOST if is_ghost else 0) | (_DEAD if dead else 0)
+    flags = _GHOST if is_ghost else 0
     parts = [ENTRY_HEADER.pack(flags, lsn), _name(index_name)]
     pack_key(key, parts.append)
     pack_row(row, parts.append)
     return b"".join(parts)
 
 
+def entry_lsn(buf):
+    """The LSN a page entry was packed as of (its header alone)."""
+    return ENTRY_HEADER.unpack_from(buf, 0)[1]
+
+
 def unpack_entry(buf):
-    """``(index_name, key, row, is_ghost, lsn, dead)`` — the row a plain
-    dict or ``None``. A malformed entry is a :class:`StorageError`."""
+    """``(index_name, key, row, is_ghost, lsn)`` — the row a plain dict
+    or ``None``. A malformed entry, or one with a reserved flag bit set,
+    is a :class:`StorageError`."""
     try:
         flags, lsn = ENTRY_HEADER.unpack_from(buf, 0)
         index_name, at = _unpack_str(buf, ENTRY_HEADER.size)
@@ -347,9 +353,9 @@ def unpack_entry(buf):
         row, at = _unpack_optional_columns(buf, at)
     except DECODE_ERRORS as exc:
         raise StorageError(f"undecodable page entry: {exc!r}") from None
-    if at != len(buf) or flags & ~(_GHOST | _DEAD):
+    if at != len(buf) or flags & ~_GHOST:
         raise StorageError("undecodable page entry: bad length or flags")
-    return index_name, key, row, bool(flags & _GHOST), lsn, bool(flags & _DEAD)
+    return index_name, key, row, bool(flags & _GHOST), lsn
 
 
 #: record length, record CRC-32 — then the record's bytes

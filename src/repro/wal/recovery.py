@@ -222,24 +222,18 @@ def analyze(log, from_lsn=1, faults=None):
 
 def _covered(gate, record):
     """True when the durable winner for ``record``'s key already carries
-    its effect. A live winner is a full row image, so it covers every
-    record up to and including its own LSN. A *tombstone* covers only
-    strictly older records: redoing the delete that produced it is
-    idempotent, and a tombstone must never suppress a same-LSN record
-    whose effect it does not actually carry."""
+    its effect. A winner is a full row image as of its LSN, so it covers
+    every record up to and including that LSN."""
     inner = record.action if record.type is RecordType.CLR else record
     winner = gate.get((inner.index_name, tuple(inner.key)))
-    if winner is None:
-        return False
-    lsn, _, _, dead = winner
-    return record.lsn < lsn or (record.lsn == lsn and not dead)
+    return winner is not None and record.lsn <= winner[0]
 
 
 def redo(log, target, from_lsn=1, report=None, faults=None, gate=None):
     """Phase 2: repeat history — replay every data record in LSN order.
 
     When ``gate`` (the per-key winners read from the durable page
-    images, ``{(index, key): (lsn, row, is_ghost, dead)}``) is supplied,
+    images, ``{(index, key): (lsn, row, is_ghost)}``) is supplied,
     redo is *gated*: a record whose effect its key's winner already
     carries is skipped instead of re-applied. That is what makes
     checkpointed recovery sound for non-idempotent escrow deltas: a

@@ -12,6 +12,8 @@ The contracted behaviours (``docs/STORAGE.md`` §2, §4):
 * bytes are produced only at write-back.
 """
 
+import json
+
 import pytest
 
 from repro.common import Row
@@ -209,7 +211,7 @@ def durable_winners_of(image):
     store = PageStore()
     store.restore({0: image})
     table, _, _ = durable_winners(store)
-    return [(key, row) for (_, key), (_, row, _, _) in table.items()]
+    return [(key, row) for (_, key), (_, row, _) in table.items()]
 
 
 class TestDurableWinners:
@@ -218,12 +220,11 @@ class TestDurableWinners:
 
     @staticmethod
     def page_of(page_id, *entries):
-        """A page image holding ``(index, key, row, ghost, lsn, dead)``
-        entries, packed as a write-back packs them."""
-        return SlottedPage(page_id, [
-            pack_entry(index, key, row, ghost, dead, lsn)
-            for index, key, row, ghost, lsn, dead in entries
-        ], page_size=512)
+        """A page image holding ``(index, key, row, ghost, lsn)`` entries,
+        packed as a write-back packs them."""
+        return SlottedPage(
+            page_id, [pack_entry(*entry) for entry in entries], page_size=512
+        )
 
     def test_an_empty_store_is_an_empty_table(self):
         assert durable_winners(PageStore()) == ({}, 0, 0)
@@ -231,43 +232,34 @@ class TestDurableWinners:
     def test_newest_lsn_wins_whatever_page_it_sits_on(self):
         store = PageStore()
         store.write_page(self.page_of(
-            1, ("t", (1,), {"id": 1, "v": "new"}, False, 9, False),
+            1, ("t", (1,), {"id": 1, "v": "new"}, False, 9),
         ))
         store.write_page(self.page_of(
-            2, ("t", (1,), {"id": 1, "v": "old"}, False, 4, False),
-            ("t", (2,), {"id": 2, "v": "only"}, True, 5, False),
+            2, ("t", (1,), {"id": 1, "v": "old"}, False, 4),
+            ("t", (2,), {"id": 2, "v": "only"}, True, 5),
         ))
         table, pages_loaded, torn = durable_winners(store)
         assert (pages_loaded, torn) == (2, 0)
         assert table == {
-            ("t", (1,)): (9, {"id": 1, "v": "new"}, False, False),
-            ("t", (2,)): (5, {"id": 2, "v": "only"}, True, False),
+            ("t", (1,)): (9, {"id": 1, "v": "new"}, False),
+            ("t", (2,)): (5, {"id": 2, "v": "only"}, True),
         }
 
     def test_an_lsn_tie_goes_to_the_later_page(self):
         store = PageStore()
         store.write_page(self.page_of(
-            7, ("t", (1,), {"id": 1, "v": "moved"}, False, 6, False),
+            7, ("t", (1,), {"id": 1, "v": "moved"}, False, 6),
         ))
         store.write_page(self.page_of(
-            3, ("t", (1,), {"id": 1, "v": "left behind"}, False, 6, False),
+            3, ("t", (1,), {"id": 1, "v": "left behind"}, False, 6),
         ))
         table, _, _ = durable_winners(store)
         assert table[("t", (1,))][1]["v"] == "moved"
 
-    def test_a_tombstone_wins_as_a_dead_entry(self):
-        store = PageStore()
-        store.write_page(self.page_of(
-            1, ("t", (1,), {"id": 1}, False, 3, False),
-            ("t", (1,), None, False, 8, True),
-        ))
-        table, _, _ = durable_winners(store)
-        assert table == {("t", (1,)): (8, None, False, True)}
-
     def test_a_torn_page_means_no_table_but_intact_pages_still_count(self):
         store = PageStore()
-        store.write_page(self.page_of(1, ("t", (1,), {"id": 1}, False, 3, False)))
-        store.write_page(self.page_of(2, ("t", (2,), {"id": 2}, False, 4, False)))
+        store.write_page(self.page_of(1, ("t", (1,), {"id": 1}, False, 3)))
+        store.write_page(self.page_of(2, ("t", (2,), {"id": 2}, False, 4)))
         images = store.snapshot()
         torn = bytearray(images[2])
         torn[len(torn) // 2] ^= 0xFF
@@ -369,13 +361,31 @@ class TestWriteBackCounts:
         monkeypatch.setattr(bufferpool, "pack_entry", counted)
         return calls
 
-    def test_an_order_transaction_packs_nothing(self, packs):
+    @pytest.fixture
+    def json_calls(self, monkeypatch):
+        calls = []
+
+        def counted(original):
+            def wrapper(*args, **kwargs):
+                calls.append(original.__name__)
+                return original(*args, **kwargs)
+            return wrapper
+
+        for owner, name in (
+            (json.JSONEncoder, "encode"), (json.JSONEncoder, "iterencode"),
+            (json.JSONDecoder, "decode"), (json, "dumps"), (json, "loads"),
+        ):
+            monkeypatch.setattr(owner, name, counted(getattr(owner, name)))
+        return calls
+
+    def test_an_order_transaction_packs_nothing(self, packs, json_calls):
         db = sales_db()  # a 64-leaf cap: one transaction cannot reach it
         with db.session() as s:  # seed the groups, as the workload does
             for product in range(7):
                 s.insert("sales", {"id": -1 - product, "product": product,
                                    "amount": 1})
         writes, records = db._store.writes, len(db.log)
+        json_calls.clear()
         for t in range(20):  # the order_api shape: four inserts, one view
             with db.session() as s:
                 for i in range(4):
@@ -383,8 +393,10 @@ class TestWriteBackCounts:
                                        "product": (t + i) % 7, "amount": i})
         assert len(db.log) - records == 20 * 9  # 8 row changes + COMMIT
         assert packs == []
+        assert json_calls == []  # records are struct-packed, never JSON
         assert db._store.writes == writes == 0
         assert db.stats()["storage"]["pool"]["dirty"] > 0
+        assert db.check_integrity().clean
 
     def test_a_write_back_packs_each_entry_of_the_leaf_once(self, packs):
         db = sales_db()
@@ -402,3 +414,38 @@ class TestWriteBackCounts:
         )
         assert db.stats()["storage"]["store_writes"] == len(leaves) == 2
         assert db.stats()["storage"]["pool"]["dirty"] == 0
+
+    def test_a_leaf_written_again_repacks_only_the_records_that_moved(
+        self, packs
+    ):
+        db = sales_db()
+        ids = iter(range(100))
+
+        def insert(product):
+            with db.session() as s:
+                s.insert("sales", {"id": next(ids), "product": product,
+                                   "amount": 1})
+
+        def write_back():
+            db.take_checkpoint()
+            db.take_checkpoint()  # the second writes what the first left
+
+        for product in (0, 1, 2, 0, 1, 2):
+            insert(product)
+        write_back()  # the leaves' first images
+        insert(0)
+        write_back()  # their second: every entry's bytes are kept
+        packs.clear()
+        insert(1)
+        write_back()
+        assert sorted(packs) == [("sales", (7,)), ("v", (1,))]
+        packs.clear()
+        with db.session() as s:  # group 2 written with its delta pending
+            s.insert("sales", {"id": next(ids), "product": 2, "amount": 1})
+            db._pool.write_older_than(None)
+        assert ("v", (2,)) in packs
+        packs.clear()
+        insert(0)  # the view leaf again, after the commit folded 2's delta
+        write_back()
+        assert sorted(packs) == [("sales", (9,)), ("v", (0,))]
+        assert db.check_integrity().clean  # the kept bytes are the folded row's

@@ -97,7 +97,7 @@ class TestChecker:
         page = SlottedPage(leaf.page_id, db._pool.payloads(leaf)[0][1:] + [
             pack_entry(BY_PRODUCT, ("cat",), {
                 "product": "cat", "n_sales": 1, "revenue": 5,
-            }, False, False, 1),
+            }, False, 1),
         ], page_size=db.config.page_size)
         images = db._store.snapshot()
         images[leaf.page_id] = page.to_bytes()
@@ -113,6 +113,22 @@ class TestChecker:
                 "id": 99, "product": "bee", "customer": 0, "amount": 1,
             })
         assert db.check_integrity().clean
+
+    def test_a_clean_leaf_with_no_image_is_a_lost_page(self):
+        """Every clean leaf that holds entries has been written back, so
+        one whose image is gone from the store is storage damage."""
+        db = build_db()
+        seed(db)
+        db.take_checkpoint()
+        (leaf,) = db.index(BY_PRODUCT).leaves()
+        assert leaf.values and leaf.rec_lsn is None
+        images = db._store.snapshot()
+        del images[leaf.page_id]
+        db._store.restore(images)
+        (finding,) = db.check_integrity().damage
+        assert (finding.kind, finding.index) == ("storage", BY_PRODUCT)
+        assert finding.key == (leaf.page_id,)
+        assert "no durable image" in finding.detail
 
     def test_detects_missing_view_row(self):
         db = build_db()

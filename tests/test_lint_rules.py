@@ -389,7 +389,7 @@ def test_one_codec_bans_json_and_struct_where_bytes_are_laid_out(tmp_path):
 def test_page_discipline_keeps_packing_and_images_in_storage(tmp_path):
     source = '''
     def write(store, leaf):
-        payload = pack_entry("t", (1,), {"id": 1}, False, False, 7)
+        payload = pack_entry("t", (1,), {"id": 1}, False, 7)
         store.write_page(SlottedPage(leaf.page_id, [payload]))
         store.drop_page(leaf.page_id)
     '''

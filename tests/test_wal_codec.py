@@ -290,23 +290,26 @@ def test_a_damaged_frame_is_an_error_or_fails_its_stamp_never_another_record(
 
 entries = st.tuples(
     names, keys, st.one_of(st.none(), rows.map(dict)), st.booleans(),
-    st.integers(0, 2**32 - 1), st.booleans(),
+    st.integers(0, 2**32 - 1),
 )
 
 
 @settings(max_examples=200, deadline=None)
 @given(entries)
 def test_page_entries_round_trip_and_their_prefixes_do_not_decode(entry):
-    index_name, key, row, ghost, lsn, dead = entry
-    packed = codec.pack_entry(index_name, key, row, ghost, dead, lsn)
+    packed = codec.pack_entry(*entry)
     decoded = codec.unpack_entry(packed)
     assert same(decoded, entry)
-    assert codec.pack_entry(*decoded[:4], decoded[5], decoded[4]) == packed
+    assert codec.pack_entry(*decoded) == packed
     for cut in range(len(packed)):
         with pytest.raises(StorageError):
             codec.unpack_entry(packed[:cut])
     with pytest.raises(StorageError):
         codec.unpack_entry(packed + b"\x00")
+    for reserved in range(1, 8):  # every flag bit but the ghost bit
+        flagged = bytes([packed[0] | 1 << reserved]) + packed[1:]
+        with pytest.raises(StorageError):
+            codec.unpack_entry(flagged)
 
 
 @settings(max_examples=60, deadline=None)
@@ -314,10 +317,7 @@ def test_page_entries_round_trip_and_their_prefixes_do_not_decode(entry):
 def test_a_flipped_byte_anywhere_in_a_page_image_is_a_storage_error(
     entry_list, data
 ):
-    payloads = [
-        codec.pack_entry(index_name, key, row, ghost, dead, lsn)
-        for index_name, key, row, ghost, lsn, dead in entry_list
-    ]
+    payloads = [codec.pack_entry(*entry) for entry in entry_list]
     size = max(4096, sum(len(p) + 4 for p in payloads) + 20)
     image = bytearray(SlottedPage(3, payloads, page_size=size).to_bytes())
     image[data.draw(st.integers(0, len(image) - 1))] ^= data.draw(

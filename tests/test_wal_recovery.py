@@ -300,7 +300,7 @@ class TestRecoveryIdempotence:
 
 class TestRedoGate:
     """The gate is a read-only table of per-key winners elected from the
-    durable pages: ``{(index, key): (lsn, row, is_ghost, dead)}``."""
+    durable pages: ``{(index, key): (lsn, row, is_ghost)}``."""
 
     def escrow_log(self):
         log = LogManager()
@@ -312,14 +312,16 @@ class TestRedoGate:
 
     def test_live_winner_covers_up_to_and_including_its_own_lsn(self):
         log = self.escrow_log()
-        gate = {("v", (1,)): (3, {"k": 1, "n": 5}, False, False)}
+        gate = {("v", (1,)): (3, {"k": 1, "n": 5}, False)}
         target = FakeTarget()
         target.set_entry("v", (1,), (Row(k=1, n=5), False))  # the seed
         report = recover(log, target, gate=dict(gate))
         assert (report.redo_skipped, report.redo_count) == (2, 1)
         assert target.row("v", (1,)) == Row(k=1, n=12)  # +5 not added twice
 
-    def test_tombstone_never_suppresses_its_own_delete(self):
+    def test_a_key_no_image_holds_is_redone_in_full(self):
+        """A removed key is absent from every image: nothing gates the
+        records that made and removed it."""
         log = LogManager()
         committed_txn(log, 1, [InsertRecord(1, "t", (1,), Row(v=1))])  # 1
         committed_txn(log, 2, [CleanupRecord(2, "t", (1,), Row(v=1))])  # 3
@@ -332,18 +334,16 @@ class TestRedoGate:
                 super().set_entry(index_name, key, entry, lsn)
 
         report = recover(
-            log, Watching(), gate={("t", (1,)): (3, None, False, True)}
+            log, Watching(), gate={("t", (2,)): (3, {"v": 2}, False)}
         )
-        # strictly older records are covered; the delete at the
-        # tombstone's own LSN is redone (it is idempotent)
-        assert redone == [("t", (1,), None)]
-        assert (report.redo_skipped, report.redo_count) == (1, 1)
+        assert redone == [("t", (1,), (Row(v=1), False)), ("t", (1,), None)]
+        assert (report.redo_skipped, report.redo_count) == (0, 2)
 
     def test_recovery_only_reads_the_gate(self):
         log = self.escrow_log()
         open_txn(log, 4, [EscrowDeltaRecord(4, "v", (1,), {"n": 100})])
         log.flush()
-        gate = {("v", (1,)): (3, {"k": 1, "n": 5}, False, False)}
+        gate = {("v", (1,)): (3, {"k": 1, "n": 5}, False)}
         before = dict(gate)
         first, second = FakeTarget(), FakeTarget()
         for target in (first, second):  # a re-entered recovery gates alike
@@ -426,7 +426,7 @@ class Targets:
         table, _, _ = durable_winners(self.db._store)
         return {
             locator: (Row(row), ghost)
-            for locator, (_, row, ghost, dead) in table.items() if not dead
+            for locator, (_, row, ghost) in table.items()
         }
 
     def states(self):
