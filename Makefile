@@ -3,17 +3,17 @@ export PYTHONPATH := $(CURDIR)/src
 
 .PHONY: analyze test bench bench-smoke bench-r16 bench-r17 chaos-smoke \
 	check-results dist-smoke lint machine net-smoke perf perf-pairs \
-	perf-smoke sanitize-smoke sql-smoke verify
+	perf-smoke sanitize-smoke verify
 
 # The PR gate, in dependency-cheapest order: the AST lint rules, the
 # static view-program analyzer, the full tier-1 test suite, the crash
 # machine at a larger example count, the protocol sanitizers, the
 # bounded chaos tier (which includes the crash-storm recovery leg), then
-# the sharded 2PC smoke and its message-transport tier, the SQL smoke,
-# and the checks the wall-clock benchmark runs on itself.
+# the sharded 2PC smoke and its message-transport tier, and the checks
+# the wall-clock benchmark runs on itself.
 # benchmarks/run_all.py finishes with the smokes of the same chain.
 verify: lint analyze test machine sanitize-smoke chaos-smoke \
-	dist-smoke net-smoke sql-smoke perf-smoke
+	dist-smoke net-smoke perf-smoke
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -86,13 +86,6 @@ dist-smoke:
 # schema gate.
 net-smoke:
 	cd benchmarks && $(PYTHON) -c "import net_smoke as b; b.scenario()"
-	$(PYTHON) benchmarks/check_results.py
-
-# The SQL-surface smoke: dialect execution against engine-level
-# oracles, an online view build absorbing concurrent writers, and the
-# completes-or-vanishes crash contract, then the schema gate.
-sql-smoke:
-	cd benchmarks && $(PYTHON) -c "import sql_smoke as b; b.scenario()"
 	$(PYTHON) benchmarks/check_results.py
 
 # The wall-clock benchmark BENCHMARK.json declares: every workload

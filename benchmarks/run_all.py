@@ -41,7 +41,6 @@ BENCHES = [
     ("sanitize_smoke", "scenario"),
     ("dist_smoke", "scenario"),
     ("net_smoke", "scenario"),
-    ("sql_smoke", "scenario"),
     ("analyze_smoke", "scenario"),
 ]
 

@@ -108,9 +108,7 @@ class Database(RecoveryTarget):
         self.counters = Counters()
         self.deferred = DeferredMaintainer(self.clock)
         self.maintenance = MaintenanceEngine(
-            self.catalog,
-            aggregate_strategy=self.config.aggregate_strategy,
-            deferred=self.deferred,
+            self.catalog, aggregate_strategy=self.config.aggregate_strategy
         )
         self.group_commit = GroupCommitCoordinator(
             self.log, self.clock,
@@ -134,7 +132,7 @@ class Database(RecoveryTarget):
         #: recomputation and their maintenance pauses until rebuild.
         self.quarantine = QuarantineManager(self)
         #: views mid online build; their maintenance is suppressed (the
-        #: build's catch-up phase owns their deltas) and reads refuse them.
+        #: build's flip reconciles them) and reads refuse them.
         self.online_builds = OnlineBuildRegistry()
         self.maintenance.suppressed = self._maintenance_suppressed
         #: recovery attempts since the last completed recovery — nonzero
@@ -245,13 +243,14 @@ class Database(RecoveryTarget):
         arguments). ``unique`` records the key-uniqueness of the view
         index (always satisfied but for a
         :class:`~repro.views.definition.SecondaryIndex`, see
-        :meth:`create_secondary_index`); ``deferred=True`` routes this one
-        view's maintenance through the deferred maintainer even when the
-        global ``maintenance_mode`` is immediate (refresh with
+        :meth:`create_secondary_index`); ``deferred=True`` leaves this one
+        view unmaintained by statements even when the global
+        ``maintenance_mode`` is immediate (refresh with
         :meth:`refresh_view`). ``online=True`` builds the view without
-        blocking writers: snapshot scan, WAL catch-up, then a short
-        lock-protected flip; otherwise the build holds S on the base
-        tables throughout (see :mod:`repro.views.online` for both).
+        blocking writers: a snapshot fill, then a short lock-protected
+        flip that reconciles what committed meanwhile; otherwise the
+        build holds S on the base tables throughout (see
+        :mod:`repro.views.online` for both).
 
         DDL is not logged: recovery re-creates the schema from the
         catalog, then replays the data log. The *fill* is: its inserts
@@ -259,9 +258,7 @@ class Database(RecoveryTarget):
         interrupted build (complete when the build commit is durable,
         absent otherwise). A view that computes empty logs nothing.
         """
-        view, unique, options = self._view_definition(view, unique)
-        view.unique = unique
-        view.deferred = options.get("deferred", deferred)
+        view, options = self._view_definition(view, unique, deferred)
         builder = ViewBuilder(self, view)
         if options.get("online", online):
             return builder.run()
@@ -270,17 +267,17 @@ class Database(RecoveryTarget):
     def begin_online_build(self, view, *, unique=True):
         """An un-run :class:`~repro.views.online.ViewBuilder` for
         ``view`` (definition or CREATE INDEXED VIEW SQL) — callers drive
-        ``start`` / ``catch_up`` / ``finish`` themselves, interleaving
-        writers between phases; :meth:`create_view` with ``online=True``
-        is the one-shot form."""
-        view, unique, _ = self._view_definition(view, unique)
-        view.unique = unique
+        ``start`` / ``finish`` themselves, interleaving writers between
+        them; :meth:`create_view` with ``online=True`` is the one-shot
+        form."""
+        view, _ = self._view_definition(view, unique, deferred=False)
         return ViewBuilder(self, view)
 
-    def _view_definition(self, view, unique):
-        """``(definition, unique, WITH options)`` of what a caller handed
-        to view creation: a definition (keys bound to the catalog), SQL
-        text or a parsed statement."""
+    def _view_definition(self, view, unique, deferred):
+        """``(definition, WITH options)`` of what a caller handed to view
+        creation — a definition (keys bound to the catalog), SQL text or
+        a parsed statement — with its ``unique`` and ``deferred`` flags
+        set (a statement's own options win)."""
         options = {}
         if not hasattr(view, "kind"):
             from repro.sql import ast as sql_ast
@@ -296,7 +293,9 @@ class Database(RecoveryTarget):
             unique = stmt.unique
             view = compile_view(stmt, self.catalog)
         view.bind_keys(self.catalog)
-        return view, unique, options
+        view.unique = unique
+        view.deferred = options.get("deferred", deferred)
+        return view, options
 
     def _create_view_indexes(self, view):
         """Build the (empty) index family a view owns."""
@@ -312,10 +311,10 @@ class Database(RecoveryTarget):
         )
 
     def _maintenance_suppressed(self, view):
-        """Maintenance skips views mid build (an online build's catch-up
-        phase replays their deltas from the log instead) and quarantined
-        views (damaged; rebuilt on demand) — unless always maintained:
-        a quarantined secondary index degrades its reads only."""
+        """Maintenance skips views mid build (the build's flip reconciles
+        them) and quarantined views (damaged; rebuilt on demand) — unless
+        always maintained: a quarantined secondary index degrades its
+        reads only."""
         return self.online_builds.is_building(view.name) or (
             not view.always_maintained
             and self.quarantine.is_quarantined(view.name)
@@ -662,13 +661,18 @@ class Database(RecoveryTarget):
         return decision
 
     def savepoint(self, txn):
-        """Mark the current point in ``txn`` for partial rollback."""
-        return self._txns.savepoint(txn)
+        """Mark the current point in ``txn`` for partial rollback: its
+        log position and a copy of its commit-folded view deltas."""
+        savepoint = self._txns.savepoint(txn)
+        savepoint.folded = TxnViewDeltas.copy(txn)
+        return savepoint
 
     def rollback_to(self, txn, savepoint):
-        """Undo everything ``txn`` did after ``savepoint``; the
-        transaction stays active with its locks retained."""
+        """Undo everything ``txn`` did after ``savepoint``, folded view
+        deltas included; the transaction stays active with its locks
+        retained."""
         self._txns.rollback_to(txn, savepoint)
+        TxnViewDeltas.restore(txn, savepoint.folded)
 
     @property
     def committed_count(self):
@@ -1136,9 +1140,11 @@ class Database(RecoveryTarget):
         """Run the ghost cleaner; returns keys physically removed."""
         return self.cleaner.run(limit)
 
-    def refresh_view(self, view_name, limit=None):
-        """Apply pending deferred maintenance for one view."""
-        return self.deferred.refresh(self, view_name, limit)
+    def refresh_view(self, view_name):
+        """Bring a deferred view up to date: one system transaction under
+        S on its base tables and X on its indexes. Returns the number of
+        corrections applied."""
+        return self.deferred.refresh(self, view_name)
 
     def refresh_all_views(self):
         return self.deferred.refresh_all(self)
@@ -1158,7 +1164,7 @@ class Database(RecoveryTarget):
         (empty = consistent). Only meaningful at quiescence (no active
         transactions)."""
         if self.online_builds.is_building(view_name):
-            return []  # not yet logically a view; the build verifies it
+            return []  # not yet logically a view; its flip reconciles it
         from repro.integrity import view_problems
 
         return view_problems(self, self.catalog.view(view_name))

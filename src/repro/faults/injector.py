@@ -94,10 +94,10 @@ FAULT_SITES = {
     },
     "view.online_build": {
         "action": "crash",
-        "description": "crash during an online view build, evaluated at "
-        "each phase (detail 'snapshot:<n>' per snapshot row, "
-        "'catchup:<txn>' per caught-up writer, 'flip' at the final lock "
-        "point, 'post_commit' after the build commit is durable) — "
+        "description": "crash during a view build over existing rows, "
+        "online or not, evaluated at each phase (detail 'snapshot:<n>' "
+        "per row filled, 'flip' before the build commit, 'post_commit' "
+        "after the build commit is durable) — "
         "recovery must either complete the build (durable commit) or "
         "make the half-built view vanish without a trace",
     },

@@ -98,11 +98,10 @@ class IntegrityReport:
 def view_discrepancies(db, view):
     """Diff every index ``view`` owns against a recomputation from the
     live base rows: yields ``(index_name, key, expected, actual)`` where
-    they differ. Pending escrow deltas count as applied (an online build
-    verifies itself before its commit folds them in), and zero-count
-    groups — logically deleted, awaiting the ghost cleaner — as absent.
-    The one oracle behind ``check_view_consistency``, the integrity
-    sweep and the online build's verification."""
+    they differ. Pending escrow deltas count as applied (a checker may
+    run with a writer open), and zero-count groups — logically deleted,
+    awaiting the ghost cleaner — as absent. The one oracle behind
+    ``check_view_consistency`` and the integrity sweep."""
     live = expected_index_contents(view, lambda table: db.index(table).rows())
     for index_name, expected in live.items():
         counters = db.counter_columns(index_name)
@@ -157,7 +156,7 @@ def _check_views(db, report):
     for view in db.catalog.views():
         if db.online_builds.is_building(view.name):
             # Mid build: the maintained contents lag the bases by design
-            # until the build commits; the build verifies itself.
+            # until the build's flip reconciles them.
             continue
         report.views_checked += 1
         try:

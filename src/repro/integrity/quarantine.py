@@ -15,11 +15,12 @@ A view the integrity checker condemned (or an operator distrusts) is
   checked later, so writes keep maintaining it and only its reads
   degrade.
 
-The quarantine lifts when :meth:`QuarantineManager.rebuild` runs: a
-system transaction takes S locks on the base tables and an X lock on
-each view-owned index, reconciles the maintained contents against a
-fresh recomputation (logging every correction, so a crash mid-rebuild
-replays or rolls back cleanly), and commits. Quarantine state is part of
+The quarantine lifts when :meth:`QuarantineManager.rebuild` runs the one
+reconcile (:func:`repro.views.online.bring_up_to_date`): a system
+transaction takes S on the base tables and X on each view-owned index,
+diffs the maintained contents against a fresh recomputation (logging
+every correction, so a crash mid-rebuild replays or rolls back cleanly),
+and commits. Quarantine state is part of
 the *operator's* knowledge, not the engine's volatile state: it survives
 ``simulate_crash_and_recover`` until explicitly lifted.
 """
@@ -27,8 +28,7 @@ the *operator's* knowledge, not the engine's volatile state: it survives
 from repro.common import IntegrityError
 from repro.locking import LockMode
 from repro.locking.keyrange import table_resource
-from repro.txn.write import ghost, patch, put
-from repro.views.definition import expected_index_contents
+from repro.views.online import bring_up_to_date
 
 
 class QuarantineManager:
@@ -113,16 +113,9 @@ class QuarantineManager:
     # ------------------------------------------------------------------
 
     def rebuild(self, view_name):
-        """Re-materialize a quarantined view online and lift the
-        quarantine. Returns the number of corrections applied.
-
-        Runs as one system transaction: S locks on the base tables (the
-        recomputation source must hold still), X locks on every
-        view-owned index, then a reconcile of maintained contents against
-        the fresh recomputation. Every correction is logged through the
-        normal WAL records, so recovery replays a committed rebuild and
-        rolls back an interrupted one — after which the view is simply
-        still quarantined.
+        """Bring a quarantined view up to date and lift the quarantine.
+        Returns the number of corrections applied. An interrupted rebuild
+        rolls back like any transaction: the view is still quarantined.
         """
         db = self._db
         view = db.catalog.view(view_name)
@@ -131,22 +124,7 @@ class QuarantineManager:
                 f"view {view_name!r} is not quarantined; quarantine it "
                 "before rebuilding (rebuild is the quarantine exit path)"
             )
-
-        def reconcile(txn):
-            for base in view.base_tables():
-                txn.acquire(table_resource(base), LockMode.S)
-            for index_name, _ in view.owned_indexes():
-                txn.acquire(table_resource(index_name), LockMode.X)
-            contents = expected_index_contents(
-                view, lambda table: db.index(table).rows()
-            )
-            return sum(
-                self._reconcile(txn, index_name, expected)
-                for index_name, expected in sorted(contents.items())
-            )
-
-        txn = db.begin_system()
-        corrections = db.settle(txn, reconcile)
+        txn, corrections = bring_up_to_date(db, view)
         del self._reasons[view.name]
         self.rebuilds += 1
         db.counters.incr("integrity.rebuilds")
@@ -155,34 +133,4 @@ class QuarantineManager:
                 "view_rebuilt", txn_id=txn.txn_id, view=view.name,
                 corrections=corrections,
             )
-        return corrections
-
-    def _reconcile(self, txn, index_name, expected):
-        """Make ``index_name`` hold exactly ``expected``, logging each
-        correction; returns how many were needed."""
-        db = self._db
-        index = db.index(index_name)
-        actual = dict(index.scan(include_ghosts=True))
-        corrections = 0
-        for key in sorted(set(expected) | set(actual), key=repr):
-            want = expected.get(key)
-            record = actual.get(key)
-            if want is None:
-                if record is None or record.is_ghost:
-                    continue  # ghosts are the cleaner's business
-                ghost(db, txn, index, key)
-            elif record is None or record.is_ghost:
-                put(db, txn, index, key, want)
-            elif record.current_row != want:
-                patch(db, txn, index, key, want)
-            else:
-                continue
-            # Escrow accounts are created lazily from the row's current
-            # value; correcting a counter row must drop any stale account
-            # or the next escrow update would resume from the damaged
-            # value. Safe here: the X lock on the view index excludes
-            # every escrow holder.
-            for column in db.counter_columns(index_name):
-                db.escrow.drop((index_name, key, column))
-            corrections += 1
         return corrections

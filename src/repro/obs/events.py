@@ -141,13 +141,11 @@ EVENT_TYPES = {
     "view_online_build": {
         "category": "view",
         "fields": {
-            "view": "the view being built online",
-            "phase": "snapshot | catchup | completed | vanished | "
+            "view": "the view being built",
+            "phase": "snapshot | flip | completed | vanished | "
             "completed_on_recovery",
-            "rows": "view rows written by the finished phase (0 when the "
-            "phase writes none)",
-            "txns": "writer transactions caught up from the log by the "
-            "finished phase (0 outside catchup)",
+            "rows": "index rows the finished phase wrote or corrected, "
+            "over every index the view owns (0 when it writes none)",
         },
     },
     # ----------------------------------------------------------- fault

@@ -187,8 +187,10 @@ class BufferPool:
     def moved(self, giver, receiver):
         """Entries moved from ``giver`` to ``receiver`` (a split or a
         borrow). The giver turns dirty; the receiver takes the older of
-        the two ``rec_lsn`` — the log tail + 1 for a clean giver — and,
-        when the giver has an image, must be written before it."""
+        the two ``rec_lsn`` — the log tail + 1 for a clean giver — and
+        must be written before the giver, when it has an image, and
+        before every leaf waiting on the giver: their images may hold
+        the moved entries' only durable copies."""
         if self.store is None:
             return
         rec_lsn = giver.rec_lsn
@@ -201,6 +203,8 @@ class BufferPool:
             receiver.rec_lsn = rec_lsn
         if self.store.has_page(giver.page_id):
             _link(giver, receiver)
+        for waiter in list(giver.waiters or ()):
+            _link(waiter, receiver)
 
     def freed(self, leaf, receiver):
         """``leaf`` merged into ``receiver`` and left the tree. Whoever
@@ -208,11 +212,9 @@ class BufferPool:
         is dropped once the receiver's is written."""
         if self.store is None:
             return
-        self.moved(leaf, receiver)
+        self.moved(leaf, receiver)  # its waiters now wait on the receiver
         for giver in leaf.waiters or ():
             del giver.waits[leaf]
-            if giver is not receiver:
-                _link(giver, receiver)
         leaf.waiters = None
         leaf.freed = True
         if not self.store.has_page(leaf.page_id):

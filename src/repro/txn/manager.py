@@ -282,13 +282,15 @@ class TransactionManager:
 
 class _Savepoint:
     """An opaque marker: the transaction's last LSN at creation time (0
-    before its first record)."""
+    before its first record), and what the engine above keeps with it
+    (``folded``: the commit-folded view deltas to restore)."""
 
-    __slots__ = ("txn_id", "lsn")
+    __slots__ = ("txn_id", "lsn", "folded")
 
     def __init__(self, txn_id, lsn):
         self.txn_id = txn_id
         self.lsn = lsn
+        self.folded = None
 
     def __repr__(self):
         return f"Savepoint(txn={self.txn_id}, lsn={self.lsn})"

@@ -24,8 +24,8 @@ contains (:meth:`ViewDefinition.recompute`, a call into the reference
 executor), which indexes it owns besides its own
 (:attr:`ViewDefinition.aux_indexes`) and how their entries derive from
 a view or base row. :func:`expected_index_contents` puts the two
-together; building, verifying, degraded reads, rebuilding and checking a
-view all call it and differ only in the rows they hand it. The delta
+together; building, refreshing, rebuilding, degraded reads and checking
+a view all call it and differ only in the rows they hand it. The delta
 programs live in the maintainers.
 """
 
@@ -98,8 +98,8 @@ class ViewDefinition:
         self.where = where
         # Registration flags, normalized by Database.create_view: every
         # view index is keyed uniquely by construction (``unique``), and
-        # ``deferred`` routes this view's maintenance through the
-        # deferred maintainer regardless of the global maintenance_mode.
+        # ``deferred`` leaves this view to refresh_view regardless of
+        # the global maintenance_mode.
         self.unique = True
         self.deferred = False
         missing = [c for c in self.key_columns if c not in self.columns]

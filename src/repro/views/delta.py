@@ -10,7 +10,8 @@ the *net* change per group. Two uses:
   statement's deltas accumulate in the transaction's scratch space and are
   applied in one burst at commit. The hot view row is then E-locked for a
   moment at commit instead of from first update to commit, which is
-  experiment R10's lock-hold-time comparison.
+  experiment R10's lock-hold-time comparison. A savepoint keeps a copy
+  of the set and rolling back to it restores the copy.
 """
 
 
@@ -84,3 +85,22 @@ class TxnViewDeltas:
     @classmethod
     def clear(cls, txn):
         txn.scratch.pop(cls.SCRATCH_KEY, None)
+
+    @classmethod
+    def copy(cls, txn):
+        """A copy of ``txn``'s delta set — what a savepoint keeps."""
+        return _copied(txn.scratch.get(cls.SCRATCH_KEY) or {})
+
+    @classmethod
+    def restore(cls, txn, copied):
+        """Make ``txn``'s delta set what :meth:`copy` returned again —
+        rolling back to a savepoint forgets the deltas folded since."""
+        txn.scratch[cls.SCRATCH_KEY] = _copied(copied)
+
+
+def _copied(nets):
+    copies = {}
+    for view_name, net in nets.items():
+        copies[view_name] = NetDelta(view_name)
+        copies[view_name].merge(net)
+    return copies

@@ -11,8 +11,8 @@ that table, honouring the database's maintenance mode:
 * ``commit_fold`` — aggregate deltas accumulate per transaction and apply
   just before the commit record (experiment R10); non-aggregate views are
   still maintained immediately (folding row-level inserts buys nothing);
-* ``deferred`` — changes queue in the deferred maintainer and the views
-  drift stale until refreshed (experiment R6's baseline).
+* ``deferred`` — the views are skipped (the deferred maintainer counts
+  the skip) and drift stale until refreshed (experiment R6's baseline).
 
 A view that is ``always_maintained`` (a secondary index) ignores the
 mode and runs immediately.
@@ -28,7 +28,7 @@ class MaintenanceEngine:
     """Routes base-table deltas to per-view-kind maintainers, which all
     answer ``compile(db, txn, view, table, before, after)``."""
 
-    def __init__(self, catalog, aggregate_strategy="escrow", deferred=None):
+    def __init__(self, catalog, aggregate_strategy="escrow"):
         self._catalog = catalog
         self.aggregate = AggregateMaintainer(strategy=aggregate_strategy)
         self._maintainers = {
@@ -37,7 +37,6 @@ class MaintenanceEngine:
             "join_aggregate": JoinAggregateMaintainer(self.aggregate),
             "projection": ProjectionMaintainer(),
         }
-        self.deferred = deferred  # a DeferredMaintainer, or None
         #: optional predicate(view) -> bool; True pauses maintenance for
         #: that view (set by Database: views mid build and quarantined
         #: views — a quarantined view's contents will be rebuilt
@@ -53,21 +52,12 @@ class MaintenanceEngine:
         for view in self._catalog.views_on(table):
             if self.suppressed is not None and self.suppressed(view):
                 continue
-            deferred = not view.always_maintained and (
+            if not view.always_maintained and (
                 db.config.maintenance_mode == "deferred" or view.deferred
-            )
-            if deferred and self.deferred is not None:
-                self.deferred.enqueue(view, table, before, after)
+            ):
+                db.deferred.skip(view.name)
                 continue
-            actions.extend(
-                self.compile_view(db, txn, view, table, before, after)
-            )
+            actions.extend(self._maintainers[view.kind].compile(
+                db, txn, view, table, before, after
+            ))
         return actions
-
-    def compile_view(self, db, txn, view, table, before, after):
-        """Actions maintaining ``view`` alone for one change, suppressed
-        or deferred or not — what a deferred refresh and an online
-        build's catch-up replay."""
-        return self._maintainers[view.kind].compile(
-            db, txn, view, table, before, after
-        )

@@ -1,69 +1,126 @@
-"""Building an indexed view over existing rows — online or not.
+"""Bringing a view's indexes up to date — the one reconcile — and
+building a view over existing rows, online or not.
 
-Either way the fill is **one system transaction** of logged inserts,
-registered in the :class:`OnlineBuildRegistry` until its commit is
-durable, so a crash leaves the view complete or absent, never
-registered-but-empty. The two ways differ only in how the base tables
-are held still:
+:func:`reconcile` makes every index a view owns hold exactly
+:func:`~repro.views.definition.expected_index_contents` over the rows it
+is handed, logging each correction (``put`` / ``patch`` / ``ghost``)
+under the caller's transaction. Over empty indexes that is the fill.
+Every path that makes a view catch up with its base tables runs it after
+one lock step (:func:`lock_step`: S on each base table, X on each index
+the view owns), so it diffs against the bases as they *are*, never
+replays a change against bases as they were later:
 
-``create_view(...)`` (:meth:`ViewBuilder.run_locked`) takes a table S
-lock on every base table *first*. The live rows are then the committed
-rows and nothing commits behind the fill, so there is no gap to catch
-up; an open writer on a base table makes the build fail with the lock
-error rather than materialize its uncommitted rows. A view whose
-contents come out empty over quiet base tables is simply registered:
-nothing is logged and no transaction starts. A secondary index
-(``create_secondary_index``) is a view and is built this way; a unique
-one over duplicate values fails its recompute and vanishes.
+* ``create_view(...)`` (:meth:`ViewBuilder.run_locked`);
+* the online flip (:meth:`ViewBuilder.finish`);
+* ``rebuild_view`` (:mod:`repro.integrity.quarantine`);
+* ``refresh_view`` (:mod:`repro.views.deferred`).
+
+A build is **one system transaction**, registered in the
+:class:`OnlineBuildRegistry` until its commit is durable, so a crash
+leaves the view complete or absent, never registered-but-empty.
+``create_view`` takes the lock step *first*: an open writer on a base
+table makes it fail with the lock error rather than materialize
+uncommitted rows. A view whose contents come out empty over quiet base
+tables is simply registered: nothing is logged and no transaction
+starts. A secondary index (``create_secondary_index``) is a view and is
+built this way; a unique one over duplicate values fails its recompute
+and vanishes.
 
 ``CREATE INDEXED VIEW ... WITH (online = true)`` (:meth:`ViewBuilder.run`)
-must not hold base tables locked for the duration of a full scan. It
-runs three phases:
+must not hold base tables locked for a full scan. It runs two phases:
 
-1. **snapshot** — scan the base tables *as of* the build's start
-   timestamp (the version chains provide the consistent picture; no base
-   locks taken) and compute the view's contents from that snapshot.
-   Writers keep committing; their maintenance of the half-built view is
-   *suppressed* (see ``MaintenanceEngine.suppressed``), so nothing races
-   the build's inserts.
-2. **catchup** — find every transaction that committed after the
-   snapshot timestamp, walk its log backchain for base-table changes,
-   and re-apply them to the view through the ordinary maintainers (the
-   same delta programs immediate maintenance uses — escrow and all).
-   Repeatable until the gap is drained.
-3. **flip** — take a short S lock on each base table and X on the view
-   (quiescing writers for the handoff only), drain the last gap, verify
-   the contents against a fresh recomputation, and commit. From the
-   commit on, the view is ordinarily maintained.
+1. **snapshot** — reconcile, taking no lock, against the base tables
+   *as of* the build's start timestamp (the version chains give the
+   consistent picture). Writers keep committing; their maintenance of
+   the half-built view is *suppressed* (``MaintenanceEngine.suppressed``)
+   and reads refuse it.
+2. **flip** — the lock step (quiescing writers for the handoff only),
+   then reconcile against the live rows — which corrects whatever
+   committed since the snapshot — and commit. From the commit on, the
+   view is ordinarily maintained.
 
-Crash safety falls out of transaction atomicity: the whole build is one
-transaction, so a crash before the durable commit makes recovery undo
-every view insert — the half-built view then **vanishes** (catalog and
-indexes dropped, never half-maintained). A crash after the durable
-commit replays the build as a winner and the view **completes on
-recovery**. :func:`resolve_after_recovery` applies that verdict; the
-``view_online_build`` trace event records each phase.
-
-Reads of a building view are refused (:class:`~repro.common.CatalogError`)
-— it does not logically exist until the build commits.
+A crash before the build's durable commit makes recovery undo every
+build write — the half-built view then **vanishes** (catalog and indexes
+dropped); a crash after it replays the build as a winner and the view
+**completes on recovery**. :func:`resolve_after_recovery` applies that
+verdict; the ``view_online_build`` trace event records each phase.
 """
 
-from repro.common import (
-    CatalogError,
-    IntegrityError,
-    SimulatedCrash,
-    TransactionAborted,
-)
-from repro.integrity.checker import view_problems
+from repro.common import CatalogError, SimulatedCrash
 from repro.locking import LockMode
-from repro.locking.keyrange import locks_for_insert, table_resource
+from repro.locking.keyrange import table_resource
 from repro.locking.modes import mode_compatible
-from repro.txn.write import put
-from repro.views.actions import run_actions
+from repro.txn.write import ghost, patch, put
 from repro.views.definition import expected_index_contents
-from repro.wal.records import CompensationRecord, RecordType
+from repro.wal.records import RecordType
 
 FAULT_SITE = "view.online_build"
+
+
+def lock_step(txn, view):
+    """S on every base table (writers quiesce), X on every index the
+    view owns (its readers and escrow holders too)."""
+    for table in view.base_tables():
+        txn.acquire(table_resource(table), LockMode.S)
+    for index_name, _ in view.owned_indexes():
+        txn.acquire(table_resource(index_name), LockMode.X)
+
+
+def live_rows(db):
+    """``rows_of`` over the live rows: the committed rows once
+    :func:`lock_step` holds."""
+    return lambda table: db.index(table).rows()
+
+
+def reconcile(db, txn, view, rows_of, crash_detail=None):
+    """Make every index ``view`` owns hold exactly
+    ``expected_index_contents(view, rows_of)``, logging each correction
+    under ``txn``; returns how many were needed.
+
+    Walks each index's expected keys in their order, then the keys only
+    the index holds. A corrected key's escrow accounts are dropped:
+    they are created lazily from the row's value, and the caller's X
+    lock on the index excludes every escrow holder. ``crash_detail``
+    names a build phase: the ``view.online_build`` site is evaluated
+    before each correction with detail ``<crash_detail>:<n>``."""
+    corrections = 0
+    for index_name, expected in expected_index_contents(view, rows_of).items():
+        index = db.index(index_name)
+        actual = dict(index.scan(include_ghosts=True))
+        only_held = [key for key in actual if key not in expected]
+        for key in [*expected, *only_held]:
+            want, record = expected.get(key), actual.get(key)
+            live = record is not None and not record.is_ghost
+            if want is None and not live:
+                continue  # ghosts are the cleaner's business
+            if live and record.current_row == want:
+                continue
+            if crash_detail is not None and db.faults.active:
+                db.faults.maybe_crash(
+                    FAULT_SITE, txn_id=txn.txn_id,
+                    detail=f"{crash_detail}:{corrections}",
+                )
+            if want is None:
+                ghost(db, txn, index, key)
+            elif live:
+                patch(db, txn, index, key, want)
+            else:
+                put(db, txn, index, key, want)
+            for column in db.counter_columns(index_name):
+                db.escrow.drop((index_name, key, column))
+            corrections += 1
+    return corrections
+
+
+def bring_up_to_date(db, view):
+    """One system transaction: the lock step, then :func:`reconcile`
+    against the live rows. Returns ``(txn, corrections)``."""
+    def body(txn):
+        lock_step(txn, view)
+        return reconcile(db, txn, view, live_rows(db))
+
+    txn = db.begin_system()
+    return txn, db.settle(txn, body)
 
 
 class OnlineBuildRegistry:
@@ -101,8 +158,11 @@ class ViewBuilder:
     """Drives one build; see the module docstring.
 
     :meth:`run_locked` and :meth:`run` do the whole dance; tests drive
-    the online phases :meth:`start` / :meth:`catch_up` / :meth:`finish`
-    separately to interleave writers between them.
+    the online phases :meth:`start` / :meth:`finish` separately to
+    interleave writers between them. Any failure short of a crash makes
+    the half-built view vanish before the error propagates; a
+    :class:`~repro.common.SimulatedCrash` leaves the state exactly as-is
+    for recovery to settle.
     """
 
     def __init__(self, db, view):
@@ -111,54 +171,67 @@ class ViewBuilder:
         self.txn = None
         self.build_ts = None
         self._installed = False
-        self._applied_txns = set()
 
-    def _emit(self, phase, rows=0, txns=0):
+    def _emit(self, phase, rows=0):
         if self.db.tracer.enabled:
             self.db.tracer.emit(
                 "view_online_build",
                 txn_id=self.txn.txn_id if self.txn is not None else None,
-                view=self.view.name, phase=phase, rows=rows, txns=txns,
+                view=self.view.name, phase=phase, rows=rows,
             )
 
-    # ------------------------------------------------------------------
-    # the two ways to run
-    # ------------------------------------------------------------------
-
-    def run_locked(self):
-        """Build holding S on the base tables throughout; returns the
-        view definition."""
-        return self._guarded(self._build_locked)
-
-    def run(self):
-        """start -> catch_up -> finish; returns the view definition."""
-        return self._guarded(self.start, self.catch_up, self.finish)
-
-    def _guarded(self, *phases):
-        """Any failure short of a crash makes the half-built view vanish
-        before the error propagates; a :class:`SimulatedCrash` leaves the
-        state exactly as-is for recovery to settle."""
+    def _guarded(self, phase):
         try:
-            for phase in phases:
-                phase()
+            phase()
         except SimulatedCrash:
             raise
         except BaseException:
-            self._vanish()  # idempotent — finish() may already have
+            self._vanish()  # idempotent
             raise
         return self.view
+
+    def run_locked(self):
+        """Build under the lock step throughout; returns the view
+        definition."""
+        return self._guarded(self._build_locked)
+
+    def run(self):
+        """start -> finish; returns the view definition."""
+        self.start()
+        return self.finish()
+
+    def start(self):
+        """Register the view (suppressed + unreadable), then fill it from
+        a snapshot of the base tables at the build timestamp."""
+        def snapshot():
+            db = self.db
+            self._install()
+            self._begin()
+            self.build_ts = db.clock.now()
+            self._fill(lambda table: db.rows_as_of(table, self.build_ts))
+
+        self._guarded(snapshot)
+        return self
+
+    def finish(self):
+        """Flip: the lock step, reconcile against the live rows, commit
+        durably; returns the view definition."""
+        def flip():
+            db, view, txn = self.db, self.view, self.txn
+            lock_step(txn, view)
+            self._emit("flip", rows=reconcile(db, txn, view, live_rows(db)))
+            self._commit()
+
+        return self._guarded(flip)
 
     def _build_locked(self):
         self._install()
         if self._nothing_to_build():
             return
         self._begin()
-        self._lock_tables()
-        self._fill(self._live_rows)
+        lock_step(self.txn, self.view)
+        self._fill(live_rows(self.db))
         self._commit()
-
-    def _live_rows(self, table):
-        return self.db.index(table).rows()
 
     def _nothing_to_build(self):
         """True when no open writer holds a base table (so the live rows
@@ -168,12 +241,8 @@ class ViewBuilder:
             held = db.locks.holders(table_resource(table)).values()
             if not all(mode_compatible(mode, LockMode.S) for mode in held):
                 return False
-        contents = expected_index_contents(view, self._live_rows)
+        contents = expected_index_contents(view, live_rows(db))
         return not any(contents.values())
-
-    # ------------------------------------------------------------------
-    # shared steps
-    # ------------------------------------------------------------------
 
     def _install(self):
         """Register the view and create the (empty) indexes it owns."""
@@ -193,46 +262,16 @@ class ViewBuilder:
         recovery's to settle."""
         db, view = self.db, self.view
         self.txn = db.begin_system()
-        self._applied_txns.add(self.txn.txn_id)
         db.online_builds.register(
             view.name, self.txn.txn_id, lambda: _drop_view_storage(db, view)
         )
 
-    def _lock_tables(self):
-        """S on every base table (writers quiesce), X on the view."""
-        txn = self.txn
-        try:
-            for table in self.view.base_tables():
-                txn.acquire(table_resource(table), LockMode.S)
-            txn.acquire(table_resource(self.view.name), LockMode.X)
-        except TransactionAborted:
-            # NOWAIT lost against a live writer: completes-or-vanishes
-            # means vanish here; the caller may rebuild later.
-            self._vanish()
-            raise
-
     def _fill(self, rows_of):
-        """Insert, logged and locked under the build transaction (undone
-        wholesale if the build loses), what every owned index must hold
-        over ``rows_of``."""
-        db, view, txn = self.db, self.view, self.txn
-        count = 0
-        contents = expected_index_contents(view, rows_of)
-        for index_name, expected in contents.items():
-            index = db.index(index_name)
-            for key, row in expected.items():
-                if index_name == view.name:
-                    if db.faults.active:
-                        db.faults.maybe_crash(
-                            FAULT_SITE, txn_id=txn.txn_id,
-                            detail=f"snapshot:{count}",
-                        )
-                    count += 1
-                db.acquire_plan(
-                    txn, locks_for_insert(index, key, db.config.serializable)
-                )
-                put(db, txn, index, key, row)
-        self._emit("snapshot", rows=count)
+        """Reconcile the fresh indexes over ``rows_of``: the fill."""
+        rows = reconcile(
+            self.db, self.txn, self.view, rows_of, crash_detail="snapshot"
+        )
+        self._emit("snapshot", rows=rows)
 
     def _commit(self):
         db, view, txn = self.db, self.view, self.txn
@@ -250,106 +289,6 @@ class ViewBuilder:
         self._installed = False  # finished: nothing left to vanish
         self._emit("completed")
 
-    # ------------------------------------------------------------------
-    # the online phases
-    # ------------------------------------------------------------------
-
-    def start(self):
-        """Register the view (suppressed + unreadable), then populate it
-        from a snapshot of the base tables at the build timestamp."""
-        db, view = self.db, self.view
-        if view.has_extremes():
-            raise CatalogError(
-                f"view {view.name!r}: MIN/MAX views cannot be built "
-                "online — extremes are not delta-maintainable, so the "
-                "catch-up phase could not replay writer deletes"
-            )
-        if view.deferred:
-            raise CatalogError(
-                f"view {view.name!r}: online build and deferred "
-                "maintenance are mutually exclusive"
-            )
-        self._install()
-        self._begin()
-        self.build_ts = db.clock.now()
-        self._fill(lambda table: db.rows_as_of(table, self.build_ts))
-        return self
-
-    def catch_up(self):
-        """Replay base-table changes of every transaction that committed
-        after the build timestamp and has not been applied yet. Returns
-        the number of transactions caught up; call repeatedly."""
-        db, view = self.db, self.view
-        committed = [
-            record for record in db.log.records()
-            if record.type is RecordType.COMMIT
-            and record.commit_ts > self.build_ts
-            and record.txn_id not in self._applied_txns
-        ]
-        committed.sort(key=lambda commit: (commit.commit_ts, commit.txn_id))
-        bases = set(view.base_tables())
-        for commit in committed:
-            if db.faults.active:
-                db.faults.maybe_crash(
-                    FAULT_SITE, txn_id=self.txn.txn_id,
-                    detail=f"catchup:{commit.txn_id}",
-                )
-            changes = self._base_changes(commit.prev_lsn, bases)
-            for table, before, after in changes:
-                actions = db.maintenance.compile_view(
-                    db, self.txn, view, table, before, after
-                )
-                run_actions(db, self.txn, actions)
-            self._applied_txns.add(commit.txn_id)
-        if committed:
-            self._emit("catchup", txns=len(committed))
-        return len(committed)
-
-    def _base_changes(self, lsn, bases):
-        """One committed transaction's base-table changes, in log order,
-        as ``(table, before, after)`` rows.
-
-        Walks the undo backchain from ``lsn``, the record before its
-        COMMIT; a CLR's ``undo_next_lsn`` jumps over the compensated
-        record, so partially-rolled-back work nets out to exactly what
-        survived — the same skip rule ARIES undo uses.
-        """
-        changes = []
-        while lsn is not None:
-            record = self.db.log.record_at(lsn)
-            if isinstance(record, CompensationRecord):
-                lsn = record.undo_next_lsn
-                continue
-            index_name = getattr(record, "index_name", None)
-            if index_name in bases:
-                # a ghost or no slot is no row: CLEANUP changes nothing
-                before = _live_row(record.before_entry())
-                after = _live_row(record.after_entry())
-                if before is not None or after is not None:
-                    changes.append((index_name, before, after))
-            lsn = record.prev_lsn
-        changes.reverse()
-        return changes
-
-    def finish(self):
-        """Flip: quiesce writers with short table locks, drain the last
-        gap, verify against recomputation, commit durably."""
-        self._lock_tables()
-        self.catch_up()
-        problems = view_problems(self.db, self.view)
-        if problems:
-            self._vanish()
-            raise IntegrityError(
-                f"online build of {self.view.name!r} failed verification: "
-                + "; ".join(problems)
-            )
-        self._commit()
-        return self.view
-
-    # ------------------------------------------------------------------
-    # failure paths
-    # ------------------------------------------------------------------
-
     def _vanish(self):
         """Remove every trace of the unfinished view (indexes, catalog,
         cleanup candidates); abort the build transaction if still live."""
@@ -364,12 +303,6 @@ class ViewBuilder:
         _drop_view_storage(db, view)
         db.online_builds.remove(view.name)
         self._emit("vanished")
-
-
-def _live_row(entry):
-    """The row an index entry shows a reader: ``None`` for a ghost or
-    for no slot."""
-    return None if entry is None or entry[1] else entry[0]
 
 
 def _drop_view_storage(db, view):
@@ -403,8 +336,5 @@ def resolve_after_recovery(db):
         phase = "completed_on_recovery" if committed else "vanished"
         resolutions.append((name, phase))
         if db.tracer.enabled:
-            db.tracer.emit(
-                "view_online_build", view=name, phase=phase,
-                rows=0, txns=0,
-            )
+            db.tracer.emit("view_online_build", view=name, phase=phase, rows=0)
     return resolutions

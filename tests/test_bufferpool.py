@@ -205,6 +205,37 @@ class TestEntryMovesSurviveCrashes:
         assert keys == {(2,), (5,)}
         assert pool.dirty_page_table() == {}
 
+    def test_a_key_that_moves_on_keeps_its_durable_giver_waiting(self):
+        """5 moves from a durable leaf to a new one, then on to a third,
+        before either new leaf is written: the durable leaf's image holds
+        its only copy until the third leaf's is written. (The crash
+        machine found this under deferred maintenance: the middle leaf
+        was written first, releasing the durable one, and 5 was lost.)"""
+        pool = make_pool(64, LogManager())
+        tree = BPlusTree(order=4, pages=pool, name="t")
+        lsn = iter(range(1, 100))
+        for key in (0, 2, 5):  # one durable leaf [0 2 5]
+            put(tree, (key,), next(lsn))
+        pool.write_older_than(None)
+        base = pool.store.snapshot()
+        put(tree, (1,), next(lsn))  # [0 1] [2 5]
+        put(tree, (3,), next(lsn))
+        put(tree, (4,), next(lsn))  # [0 1] [2 3] [4 5]
+        timeline = []
+        pool.store.write_listener = lambda pid, data: timeline.append(
+            (pid, data)
+        )
+        pool.write_older_than(None)
+        assert len(timeline) == 3
+        for cut in range(len(timeline) + 1):
+            images = dict(base)
+            images.update(timeline[:cut])
+            keys = {
+                key for image in images.values()
+                for key, _ in durable_winners_of(image)
+            }
+            assert (5,) in keys, cut  # no record of 5 is past the images
+
 
 def durable_winners_of(image):
     """The ``(key, row)`` entries of one page image."""

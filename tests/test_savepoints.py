@@ -8,8 +8,8 @@ from repro.query import AggregateSpec
 from repro.views import AggregateView
 
 
-def sales_db(strategy="escrow"):
-    db = Database(EngineConfig(aggregate_strategy=strategy))
+def sales_db(strategy="escrow", **config):
+    db = Database(EngineConfig(aggregate_strategy=strategy, **config))
     db.create_table("sales", ("id", "product", "amount"), ("id",))
     db.create_view(AggregateView(
         "by_product",
@@ -179,6 +179,48 @@ class TestSavepointEscrowInteraction:
         assert db.read_committed("sales", (1,)) is None
         assert db.read_committed("by_product", ("ant",)) is None
         assert db.check_all_views() == []
+
+
+class TestRollbackForgetsFoldedDeltas:
+    """Under ``commit_fold`` a statement's view deltas wait in the
+    transaction until its commit; rolling back to a savepoint forgets
+    the ones folded after it, as it undoes the rows they came from."""
+
+    def committed(self, db, txn):
+        db.commit(txn)
+        assert db.check_all_views() == []
+        return db.read_committed("by_product", ("ant",))
+
+    def test_rollback_keeps_only_the_prefix_deltas(self):
+        db = sales_db(maintenance_mode="commit_fold")
+        txn = db.begin()
+        add(db, txn, 1, "ant", 10)
+        sp = db.savepoint(txn)
+        add(db, txn, 2, "ant", 5)
+        db.rollback_to(txn, sp)
+        assert self.committed(db, txn) == Row(product="ant", n=1, total=10)
+
+    def test_rollback_past_the_only_insert_leaves_no_group(self):
+        db = sales_db(maintenance_mode="commit_fold")
+        txn = db.begin()
+        sp = db.savepoint(txn)
+        add(db, txn, 1, "ant", 10)
+        db.rollback_to(txn, sp)
+        assert self.committed(db, txn) is None
+        index = db.index("by_product")
+        assert index.get_record(("ant",), include_ghost=True) is None
+
+    def test_one_savepoint_rolled_back_to_twice(self):
+        db = sales_db(maintenance_mode="commit_fold")
+        txn = db.begin()
+        add(db, txn, 1, "ant", 10)
+        sp = db.savepoint(txn)
+        add(db, txn, 2, "ant", 5)
+        db.rollback_to(txn, sp)
+        add(db, txn, 3, "ant", 7)
+        db.rollback_to(txn, sp)
+        add(db, txn, 4, "ant", 1)
+        assert self.committed(db, txn) == Row(product="ant", n=2, total=11)
 
 
 class TestTransactionContextManager:

@@ -420,9 +420,9 @@ class TestAnswerNeverChanges:
         for where in ("s = 'a'", "s > 'a'", "n = 1"):
             with pytest.raises(CatalogError, match="being built online"):
                 db.execute(f"SELECT * FROM by_s WHERE {where}")
-        builder.catch_up()
+        db.execute("INSERT INTO one VALUES (11, 5, 'a')")  # a writer
         builder.finish()
-        assert db.execute("SELECT * FROM by_s WHERE s = 'a'")[0]["n"] == 2
+        assert db.execute("SELECT * FROM by_s WHERE s = 'a'")[0]["n"] == 3
 
 
 # ---------------------------------------------------------------------

@@ -44,7 +44,6 @@ def test_view_options_documented_exactly():
     text = _text()
     for opt in VIEW_OPTIONS:
         assert f"`{opt}`" in text, opt
-    assert re.search(r"mutually\s+exclusive", text)
 
 
 def test_grammar_block_covers_every_statement():
@@ -83,7 +82,7 @@ def test_fault_site_and_details_documented():
     assert "view.online_build" in text
     # The crash-detail vocabulary of the site, pinned in §4's narrative.
     description = FAULT_SITES["view.online_build"]["description"]
-    for detail in ("snapshot:", "catchup:", "flip", "post_commit"):
+    for detail in ("snapshot:", "flip", "post_commit"):
         assert detail in description, detail
 
 

@@ -72,11 +72,12 @@ def test_online_build_over_existing_data(tmp_path):
     row = db.read_committed("rev_by_category", ("heavy",))
     assert (row["n"], row["rev"]) == (3, 542)
 
-    # No writers committed mid-build, so there is no catchup event —
-    # just the snapshot and the completion.
-    phases = [e.fields["phase"] for e in db.tracer.events(
-        name="view_online_build")]
-    assert phases == ["snapshot", "completed"]
+    # No writer committed mid-build, so the flip corrects nothing.
+    events = db.tracer.events(name="view_online_build")
+    assert [e.fields["phase"] for e in events] == [
+        "snapshot", "flip", "completed",
+    ]
+    assert events[1].fields["rows"] == 0
 
     # The build logged its inserts, so the full integrity checker —
     # storage mirror included — stays clean.
@@ -94,10 +95,16 @@ def test_online_build_survives_crash_recovery_roundtrip():
     assert_view_matches_recomputation(db)
 
 
+def base_total(db):
+    return sum(row["amount"] for row in db.execute("SELECT amount FROM sales"))
+
+
 def test_stepwise_build_absorbs_concurrent_committed_writers():
-    """Writers commit between every phase; the finished view includes
-    all of them — snapshot rows, catch-up rows, and the final drain."""
+    """Writers commit between the snapshot and the flip; the finished
+    view includes all of them, and its SUM folded over groups equals the
+    base table's total (conservation)."""
     db = seeded_db()
+    before = base_total(db)
     builder = db.begin_online_build(VIEW_SQL)
     builder.start()
 
@@ -111,30 +118,33 @@ def test_stepwise_build_absorbs_concurrent_committed_writers():
     # ...and its per-view consistency check abstains.
     assert db.check_view_consistency("rev_by_category") == []
 
-    insert_sale(db, 10, "tnt", 1)          # after snapshot
-    caught = builder.catch_up()
-    assert caught >= 1
-    insert_sale(db, 11, "piano", 40)       # after first catch-up
-    builder.catch_up()
-    insert_sale(db, 12, "anvil", 3)        # drained inside finish()
+    insert_sale(db, 10, "tnt", 1)
+    insert_sale(db, 11, "piano", 40)
+    db.execute("UPDATE sales SET amount = amount + 1 WHERE id = 1")
+    insert_sale(db, 12, "anvil", 3)
     builder.finish()
 
     assert not db.online_builds.active
     assert_view_matches_recomputation(db)
     row = db.read_committed("rev_by_category", ("boom",))
     assert (row["n"], row["rev"]) == (2, 8)
+    total = base_total(db)
+    folded = sum(
+        row["rev"] for row in db.execute("SELECT * FROM rev_by_category")
+    )
+    assert folded == total != before
     assert db.check_integrity().clean
 
 
-def test_catch_up_replays_deletes_updates_and_partial_rollbacks():
+def test_flip_corrects_deletes_updates_and_partial_rollbacks():
     db = seeded_db()
     builder = db.begin_online_build(VIEW_SQL)
     builder.start()
 
-    db.execute("DELETE FROM sales WHERE id = 2")           # ghost -> delete
+    db.execute("DELETE FROM sales WHERE id = 2")
     db.execute("UPDATE sales SET amount = 99 WHERE id = 3")
-    # A savepoint rollback mid-transaction: catch-up walks the
-    # compensated backchain and must replay only what survived.
+    # A savepoint rollback mid-transaction: the flip must see only what
+    # survived.
     session = db.session()
     txn = session.begin()
     db.insert(txn, "sales", {"id": 20, "product": "tnt", "amount": 5})
@@ -143,32 +153,54 @@ def test_catch_up_replays_deletes_updates_and_partial_rollbacks():
     db.rollback_to(txn, sp)
     session.commit()
 
-    builder.catch_up()
     builder.finish()
     assert_view_matches_recomputation(db)
     row = db.read_committed("rev_by_category", ("boom",))
     assert (row["n"], row["rev"]) == (2, 104)  # ids 3 (99) and 20 (5)
 
 
-def test_online_and_deferred_are_mutually_exclusive():
+def test_flip_sees_a_right_side_update_made_mid_build():
+    """A products row changes after a sale of it committed mid-build. A
+    replay of both against today's products moved the new sale twice
+    and the build vanished on an escrow violation; the flip diffs
+    against the bases as they are."""
     db = seeded_db()
-    with pytest.raises(CatalogError, match="mutually exclusive"):
-        db.execute(
-            "CREATE UNIQUE INDEXED VIEW v "
-            "WITH (online = true, deferred = true) AS "
-            "SELECT product, COUNT(*) AS n FROM sales GROUP BY product"
-        )
-    assert not db.online_builds.active
+    builder = db.begin_online_build(VIEW_SQL)
+    builder.start()
+    insert_sale(db, 50, "tnt", 9)
+    db.execute("UPDATE products SET category = 'quiet' WHERE product = 'tnt'")
+    builder.finish()
+    assert_view_matches_recomputation(db)
+    row = db.read_committed("rev_by_category", ("quiet",))
+    assert (row["n"], row["rev"]) == (2, 16)
+    assert db.read_committed("rev_by_category", ("boom",)) is None
+    assert db.check_integrity().clean
 
 
-def test_online_build_refuses_extremes():
+@pytest.mark.parametrize("options, select", [
+    ("online = true, deferred = true",
+     "SELECT product, COUNT(*) AS n FROM sales GROUP BY product"),
+    ("online = true",
+     "SELECT product, COUNT(*) AS n, MIN(amount) AS lo, MAX(amount) AS hi "
+     "FROM sales GROUP BY product"),
+])
+def test_deferred_and_extreme_views_build_online(options, select):
+    """Both were refused online while the build replayed writers' changes
+    through the maintainers; a reconcile needs neither."""
     db = seeded_db()
-    with pytest.raises(CatalogError, match="extreme"):
-        db.execute(
-            "CREATE UNIQUE INDEXED VIEW v WITH (online = true) AS "
-            "SELECT product, COUNT(*) AS n, MIN(amount) AS lo "
-            "FROM sales GROUP BY product"
-        )
+    builder = db.begin_online_build(
+        f"CREATE UNIQUE INDEXED VIEW v WITH ({options}) AS {select}"
+    )
+    builder.start()
+    db.execute("DELETE FROM sales WHERE id = 4")  # anvil's MIN goes
+    insert_sale(db, 60, "tnt", 2)
+    view = builder.finish()
+    assert db.check_view_consistency("v") == []
+    assert db.execute("SELECT * FROM v") == db.execute(select)
+    assert db.check_integrity().clean
+    assert view.deferred is ("deferred" in options)
+    insert_sale(db, 61, "rope", 1)
+    assert db.deferred.pending_count("v") == int(view.deferred)
 
 
 def test_failed_build_vanishes_without_a_trace():
@@ -192,24 +224,14 @@ def test_failed_build_vanishes_without_a_trace():
 def _crash_build_at(match):
     db = seeded_db(tracer=True)
     db.install_fault_injector(FaultInjector(seed=42))
-    if match == "catchup:":
-        # The catch-up phase only runs work when a writer committed
-        # mid-build; drive the phases by hand to create that window.
-        builder = db.begin_online_build(VIEW_SQL)
-        builder.start()
-        insert_sale(db, 99, "tnt", 2)
-        db.faults.arm("view.online_build", times=1, match=match)
-        with pytest.raises(SimulatedCrash) as exc:
-            builder.catch_up()
-    else:
-        db.faults.arm("view.online_build", times=1, match=match)
-        with pytest.raises(SimulatedCrash) as exc:
-            db.execute(VIEW_SQL)
+    db.faults.arm("view.online_build", times=1, match=match)
+    with pytest.raises(SimulatedCrash) as exc:
+        db.execute(VIEW_SQL)
     db.faults.disarm()
     return db, exc.value
 
 
-@pytest.mark.parametrize("match", ["snapshot:", "catchup:", "flip"])
+@pytest.mark.parametrize("match", ["snapshot:", "flip"])
 def test_crash_before_commit_point_vanishes(match):
     db, crash = _crash_build_at(match)
     assert crash.committed is False
@@ -249,18 +271,18 @@ def test_crash_after_commit_point_completes_on_recovery():
 
 
 def test_crash_midbuild_with_concurrent_writer_still_vanishes_cleanly():
-    """The chaos-leg shape: a writer committed between snapshot and the
-    crash. Recovery must keep the writer (it was durable) while the
-    half-built view vanishes."""
+    """A writer committed between snapshot and the crash at the flip.
+    Recovery must keep the writer (it was durable) while the half-built
+    view vanishes."""
     db = seeded_db()
     builder = db.begin_online_build(VIEW_SQL)
     builder.start()
     insert_sale(db, 40, "tnt", 13)
 
     db.install_fault_injector(FaultInjector(seed=7))
-    db.faults.arm("view.online_build", times=1, match="catchup:")
+    db.faults.arm("view.online_build", times=1, match="flip")
     with pytest.raises(SimulatedCrash):
-        builder.catch_up()
+        builder.finish()
     db.faults.disarm()
     db.simulate_crash_and_recover()
 

@@ -1,6 +1,6 @@
 """The golden static-analysis report: run the analyzer over every view
 the repo ships — the examples' schemas, both workloads, and the SQL
-benchmark fixture — and pin the result against
+fixture below — and pin the result against
 ``tests/golden/static_analysis.json``.
 
 Diagnostic *codes and subjects* are the contract (messages are free to
@@ -30,6 +30,20 @@ GOLDEN_PATH = pathlib.Path(__file__).resolve().parent / "golden" / (
     "static_analysis.json"
 )
 
+#: three view shapes over two tables, created through SQL
+SQL_FIXTURE = """
+    CREATE TABLE sales (id, product, region, amount, PRIMARY KEY (id));
+    CREATE TABLE products (product, category, PRIMARY KEY (product));
+    CREATE UNIQUE INDEXED VIEW by_product AS
+        SELECT product, COUNT(*) AS n, SUM(amount) AS rev
+        FROM sales GROUP BY product;
+    CREATE UNIQUE INDEXED VIEW named_sales AS
+        SELECT id, sales.product, amount, category
+        FROM sales JOIN products ON sales.product = products.product;
+    CREATE UNIQUE INDEXED VIEW big_sales AS
+        SELECT id, product, amount FROM sales WHERE amount >= 50;
+"""
+
 
 def _load_module(path):
     spec = importlib.util.spec_from_file_location(path.stem, path)
@@ -43,8 +57,8 @@ def _catalogs():
     order_fulfillment = _load_module(
         REPO / "examples" / "order_fulfillment.py"
     )
-    sql_smoke = _load_module(REPO / "benchmarks" / "sql_smoke.py")
-
+    sql = Database()
+    sql.execute(SQL_FIXTURE)
     orders = Database()
     OrderEntryWorkload(
         orders, n_products=4, with_join_view=True, with_category_view=True
@@ -53,7 +67,7 @@ def _catalogs():
     BankingWorkload(banking, n_branches=2, accounts_per_branch=2).setup()
     return {
         "examples/order_fulfillment": order_fulfillment.build(),
-        "benchmarks/sql_smoke": sql_smoke.build(rows=4),
+        "sql/three_views": sql,
         "workload/orders": orders,
         "workload/banking": banking,
     }

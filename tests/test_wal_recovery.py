@@ -17,7 +17,6 @@ from repro.common import Row
 from repro.core import EngineConfig
 from repro.faults import FaultInjector
 from repro.storage.bufferpool import durable_winners
-from repro.views.online import ViewBuilder
 from repro.wal import (
     AbortRecord,
     CheckpointRecord,
@@ -533,37 +532,3 @@ def test_a_delta_whose_insert_the_log_never_saw_fabricates_no_row(
         # the loss itself is reported, as it always was
         assert any("bee" in problem for problem in db.check_all_views())
         assert not db.check_integrity().clean
-
-
-# ---------------------------------------------------------------------
-# catch-up reads the same pair
-# ---------------------------------------------------------------------
-
-#: the ``(before, after)`` rows catch-up hands the maintainers per record
-#: class: an insert or revival has no before row, a ghost no after row
-CATCH_UP_PAIRS = {
-    RecordType.INSERT: lambda r: (None, r.row),
-    RecordType.REVIVE: lambda r: (None, r.new_row),
-    RecordType.UPDATE: lambda r: (r.before, r.after),
-    RecordType.COUNTER_IMAGE: lambda r: (r.before, r.after),
-    RecordType.GHOST: lambda r: (r.row, None),
-    RecordType.CLEANUP: lambda r: None,
-}
-base_changes = row_changes.filter(lambda r: r.type in CATCH_UP_PAIRS)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(base_changes, max_size=12))
-def test_catch_up_derives_the_pinned_pairs_from_the_entry_pairs(records):
-    db = Database()
-    for record in records:
-        db.log.append(record)
-    commit_lsn = db.log.append(CommitRecord(1, 10))
-    expected = [
-        ("a", *pair) for record in records
-        if record.index_name == "a"
-        for pair in [CATCH_UP_PAIRS[record.type](record)] if pair is not None
-    ]
-    builder = ViewBuilder(db, view=None)
-    prev_lsn = db.log.record_at(commit_lsn).prev_lsn
-    assert builder._base_changes(prev_lsn, {"a"}) == expected
