@@ -3,17 +3,18 @@ export PYTHONPATH := $(CURDIR)/src
 
 .PHONY: analyze test bench bench-smoke bench-r16 bench-r17 chaos-smoke \
 	check-results dist-smoke lint machine net-smoke perf perf-pairs \
-	perf-smoke sanitize-smoke verify
+	perf-smoke verify
 
 # The PR gate, in dependency-cheapest order: the AST lint rules, the
-# static view-program analyzer, the full tier-1 test suite, the crash
-# machine at a larger example count, the protocol sanitizers, the
-# bounded chaos tier (which includes the crash-storm recovery leg), then
-# the sharded 2PC smoke and its message-transport tier, and the checks
-# the wall-clock benchmark runs on itself.
+# static view-program analyzer, the full tier-1 test suite (the protocol
+# sanitizers' legs and negative controls are in
+# tests/test_analysis_sanitizers.py), the crash machine at a larger
+# example count, the bounded chaos tier (which includes the crash-storm
+# recovery leg), then the sharded 2PC smoke and its message-transport
+# tier, and the checks the wall-clock benchmark runs on itself.
 # benchmarks/run_all.py finishes with the smokes of the same chain.
-verify: lint analyze test machine sanitize-smoke chaos-smoke \
-	dist-smoke net-smoke perf-smoke
+verify: lint analyze test machine chaos-smoke dist-smoke net-smoke \
+	perf-smoke
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -35,12 +36,6 @@ lint:
 # See docs/ANALYSIS.md for the SA code catalogue.
 analyze:
 	$(PYTHON) -m repro.analysis.check
-
-# The protocol sanitizers (2PL / WAL rule / conflict serializability)
-# against the live engine, plus negative controls proving they can fail.
-sanitize-smoke:
-	$(PYTHON) benchmarks/sanitize_smoke.py
-	$(PYTHON) benchmarks/check_results.py
 
 bench:
 	$(PYTHON) benchmarks/run_all.py

@@ -2,7 +2,7 @@
 
 Sanitizers are *observers* of the :mod:`repro.obs` event stream. They
 never change engine behaviour; they accumulate :class:`Violation`
-objects that a harness (chaos, a test, ``make sanitize-smoke``) collects
+objects that a harness (chaos, a test) collects
 via :meth:`SanitizerSuite.check`. Events may be live
 :class:`~repro.obs.events.Event` objects (the tracer's listener hook) or
 plain dicts (a replayed ``Event.as_dict()`` stream, or one written by

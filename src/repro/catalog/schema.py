@@ -6,7 +6,7 @@ against their base tables so the maintenance engine can find them. Rows
 are validated at the table boundary — deeper layers trust them.
 """
 
-from repro.common import CatalogError
+from repro.common import CatalogError, StorageError
 
 
 class TableSchema:
@@ -47,6 +47,21 @@ class TableSchema:
         if extra:
             raise CatalogError(
                 f"row for table {self.name!r} has unknown columns {extra!r}"
+            )
+
+    def validate_changes(self, changes):
+        """Check that ``changes`` (column -> value, an UPDATE's) names
+        only non-key columns of this table."""
+        bad = [c for c in changes if c in self.primary_key]
+        if bad:
+            raise StorageError(
+                f"primary-key columns {bad!r} are immutable; "
+                "delete+insert instead"
+            )
+        unknown = [c for c in changes if c not in self.columns]
+        if unknown:
+            raise StorageError(
+                f"unknown columns {unknown!r} for table {self.name!r}"
             )
 
     def key_of(self, row):

@@ -45,21 +45,15 @@ from repro.faults import NULL_INJECTOR
 from repro.locking import EscrowRegistry, LatchSet, LockManager, LockMode
 from repro.locking.keyrange import (
     key_resource,
-    locks_for_logical_delete,
-    locks_for_insert,
     locks_for_point_read,
     locks_for_range_scan,
-    locks_for_update,
     table_resource,
 )
 from repro.obs import Counters, EngineMetrics, RetryStats, Tracer
 from repro.storage import Index
 from repro.storage.bufferpool import BufferPool, PageStore, durable_winners
-from repro.storage.index import stamp
 from repro.txn import LockPolicy, SnapshotRegistry, TransactionManager
 from repro.txn.transaction import TxnState
-from repro.txn.write import ghost, patch, put
-from repro.views.actions import Action, run_actions
 from repro.views.deferred import DeferredMaintainer
 from repro.views.definition import SecondaryIndex
 from repro.views.delta import TxnViewDeltas
@@ -79,7 +73,6 @@ from repro.wal import (
     recover,
     salvage,
 )
-from repro.wal.codec import check_row
 from repro.wal.records import (
     AbortRecord,
     CommitRecord,
@@ -120,6 +113,7 @@ class Database(RecoveryTarget):
         self.group_commit.failure_handler = self._on_group_flush_failure
         self._indexes = {}
         self._index_views = {}  # index name -> owning view definition
+        self._plans = {}  # table name -> WritePlan, rebuilt by DDL
         #: every B-tree leaf is a page with an id unique to this engine
         self._page_ids = itertools.count(1)
         self._wire_volatile()
@@ -134,7 +128,6 @@ class Database(RecoveryTarget):
         #: views mid online build; their maintenance is suppressed (the
         #: build's flip reconciles them) and reads refuse them.
         self.online_builds = OnlineBuildRegistry()
-        self.maintenance.suppressed = self._maintenance_suppressed
         #: recovery attempts since the last completed recovery — nonzero
         #: while a crash storm is interrupting recovery itself.
         self._recovery_attempts = 0
@@ -199,6 +192,7 @@ class Database(RecoveryTarget):
         """Register a table and build its primary-key index."""
         schema = self.catalog.add_table(TableSchema(name, columns, primary_key))
         self._indexes[name] = self._new_index(name, schema.primary_key)
+        self._replan([name])
         return schema
 
     def create_secondary_index(self, table, name, columns, unique=False):
@@ -298,26 +292,23 @@ class Database(RecoveryTarget):
         return view, options
 
     def _create_view_indexes(self, view):
-        """Build the (empty) index family a view owns."""
+        """Build the (empty) index family a view owns; replan its bases."""
         for index_name, key_columns in view.owned_indexes():
             self._indexes[index_name] = self._new_index(index_name, key_columns)
             self._index_views[index_name] = view
+        self._replan(view.base_tables())
+
+    def _replan(self, tables):
+        """Build the write plans of ``tables`` afresh: every DDL on them,
+        and recovery (which makes every index anew), calls this."""
+        for table in tables:
+            self._plans[table] = self.maintenance.plan(self, table)
 
     def _new_index(self, name, key_columns):
         """An empty index whose leaves are pages of this engine."""
         return Index(
             name, key_columns, order=self.config.btree_order,
             latch_set=self.latches, pages=self._pool,
-        )
-
-    def _maintenance_suppressed(self, view):
-        """Maintenance skips views mid build (the build's flip reconciles
-        them) and quarantined views (damaged; rebuilt on demand) — unless
-        always maintained: a quarantined secondary index degrades its
-        reads only."""
-        return self.online_builds.is_building(view.name) or (
-            not view.always_maintained
-            and self.quarantine.is_quarantined(view.name)
         )
 
     # ==================================================================
@@ -390,17 +381,32 @@ class Database(RecoveryTarget):
 
         With ``txn=None`` each DML/SELECT statement autocommits in its
         own transaction; pass an open transaction to run the script
-        inside it (DDL always runs outside any transaction — it is not
-        logged and cannot roll back).
+        inside it, each statement atomically (:meth:`_in_statement`).
+        DDL always runs outside any transaction — it is not logged and
+        cannot roll back.
         """
         if txn is None:
             return self.session().execute(sql)
 
         def run(fn):
             txn.require_active()
-            return fn(txn)
+            return self._in_statement(txn, fn)
 
         return self._execute(sql, run)
+
+    def _in_statement(self, txn, fn):
+        """``fn(txn)``: one SQL statement inside the open ``txn``, all or
+        nothing — a failure rolls back to a savepoint taken first and the
+        transaction stays usable. (Autocommit needs none: it aborts.)"""
+        savepoint = self.savepoint(txn)
+        try:
+            return fn(txn)
+        except SimulatedCrash:
+            raise
+        except BaseException:
+            if txn.state is TxnState.ACTIVE:
+                self.rollback_to(txn, savepoint)
+            raise
 
     def _execute(self, sql, run):
         """Dispatch each statement of a script; the last one's result."""
@@ -834,150 +840,74 @@ class Database(RecoveryTarget):
         }
 
     def _apply_commit_folds(self, txn):
-        """commit_fold mode: apply the transaction's accumulated aggregate
-        deltas now, one group at a time. Idempotent across WouldWait
-        re-runs: applied groups are remembered in the txn's scratch."""
+        """commit_fold mode: apply the transaction's folded aggregate
+        deltas now, one group at a time. An applied group leaves the fold,
+        so a re-run after a lock wait applies the rest."""
         nets = txn.scratch.get(TxnViewDeltas.SCRATCH_KEY)
         if not nets:
             return
-        applied = txn.scratch.setdefault("folds_applied", set())
-        maintainer = self.maintenance.aggregate
         for view_name in sorted(nets):
             if self.quarantine.is_quarantined(view_name):
                 # Quarantined mid-transaction: deltas accumulated before
                 # the quarantine are dropped — the rebuild recomputes.
                 continue
-            view = self.catalog.view(view_name)
-            for group_key, deltas in nets[view_name].items():
-                tag = (view_name, group_key)
-                if tag in applied:
-                    continue
-                action = maintainer.compile_group_delta(
+            view, net = self.catalog.view(view_name), nets[view_name]
+            for group_key, deltas in list(net.items()):
+                action = self.maintenance.aggregate.compile_group_delta(
                     self, txn, view, group_key, deltas
                 )
                 self.acquire_plan(txn, action.lock_plan)
                 action.apply(self, txn)
-                applied.add(tag)
+                net.discard(group_key)
 
     def _on_commit(self, txn, commit_ts):
-        """Commit listener: fold escrow deltas into rows, stamp versions,
-        queue newly empty groups for cleanup."""
-        records_to_stamp = list(txn.touched_records)
-        for resource in sorted(txn.escrow_touched, key=repr):
-            account = txn.escrow_touched[resource]
+        """Commit listener: fold escrow deltas into the records the
+        accounts reserved against, stamp versions, queue emptied groups."""
+        if not txn.touched_records and not txn.escrow_touched:
+            return  # a reader
+        folded = {}  # record -> {column: committed value}
+        emptied = []
+        for resource, account in txn.escrow_touched.items():
             index_name, key, column = resource
             new_value = account.commit(txn.txn_id)
-            index = self._indexes.get(index_name)
-            if index is None:
-                continue
-            record = index.get_record(key, include_ghost=True)
-            if record is None:
-                continue
-            record.current_row = record.current_row.replace(**{column: new_value})
-            records_to_stamp.append(record)
+            record = account.record
+            folded.setdefault(record, {})[column] = new_value
             if (
                 new_value == 0
                 and column == self.count_column(index_name)
                 and not record.is_ghost
             ):
-                self.cleanup.enqueue(index_name, key)
-                self.counters.incr("agg.group_emptied_at_commit")
-        stamped = set()
-        for record in records_to_stamp:
-            if id(record) in stamped:
-                continue
-            stamped.add(id(record))
+                emptied.append(resource)
+        for record, columns in folded.items():
+            record.current_row = record.current_row.replace(**columns)
+        for index_name, key, _ in sorted(emptied, key=repr):
+            self.cleanup.enqueue(index_name, key)
+            self.counters.incr("agg.group_emptied_at_commit")
+        for record in dict.fromkeys(itertools.chain(txn.touched_records, folded)):
             record.stamp_version(commit_ts)
 
     # ==================================================================
-    # DML
+    # DML: one statement through the table's write plan
     # ==================================================================
 
+    def write_plan(self, table):
+        """``table``'s :class:`~repro.views.maintenance.WritePlan`."""
+        try:
+            return self._plans[table]
+        except KeyError:
+            raise CatalogError(f"no table named {table!r}") from None
+
     def insert(self, txn, table, values):
-        """Insert one row, maintaining every view on ``table``."""
-        txn.require_active()
-        schema = self.catalog.table(table)
-        row = values if isinstance(values, Row) else Row(values)
-        schema.validate_row(row)
-        check_row(row)  # before anything is locked, mutated or logged
-        key = schema.key_of(row)
-        txn.acquire(table_resource(table), LockMode.IX)
-        index = self._indexes[table]
-        base_plan = locks_for_insert(index, key, self.config.serializable)
-        # The put in apply refuses a live duplicate too (under the key's X
-        # lock); this pre-check gives a cleaner error without burning a
-        # lock wait.
-        existing = index.get_record(key)
-        if existing is not None:
-            raise StorageError(f"duplicate primary key {key!r} in {table!r}")
-
-        def apply_base(d, t):
-            put(d, t, index, key, row)
-            t.stats.writes += 1
-            d.counters.incr("dml.insert")
-
-        base_action = Action(f"base-insert {table}{key!r}", base_plan, apply_base)
-        view_actions = self.maintenance.compile(self, txn, table, after=row)
-        run_actions(self, txn, [base_action] + view_actions)
-        return key
+        """Insert one row, maintaining every view on ``table``: its key."""
+        return self.write_plan(table).insert(self, txn, (values,))[0]
 
     def delete(self, txn, table, key):
-        """Delete (ghost) the row at ``key``, maintaining views."""
-        txn.require_active()
-        key = tuple(key)
-        txn.acquire(table_resource(table), LockMode.IX)
-        index = self._indexes[table]
-        # Lock before reading the before-image (compile-phase acquire).
-        self.acquire_plan(txn, locks_for_logical_delete(index, key))
-        before = index.get_row(key)
-        if before is None:
-            raise StorageError(f"no row with key {key!r} in {table!r}")
-
-        def apply_base(d, t):
-            ghost(d, t, index, key)
-            t.stats.writes += 1
-            d.counters.incr("dml.delete")
-
-        base_action = Action(f"base-delete {table}{key!r}", [], apply_base)
-        view_actions = self.maintenance.compile(self, txn, table, before=before)
-        run_actions(self, txn, [base_action] + view_actions)
-        return before
+        """Delete (ghost) the row at ``key``, maintaining views: its row."""
+        return self.write_plan(table).delete(self, txn, (key,))[0]
 
     def update(self, txn, table, key, changes):
-        """Update non-key columns of the row at ``key``."""
-        txn.require_active()
-        key = tuple(key)
-        schema = self.catalog.table(table)
-        bad = [c for c in changes if c in schema.primary_key]
-        if bad:
-            raise StorageError(
-                f"primary-key columns {bad!r} are immutable; delete+insert instead"
-            )
-        unknown = [c for c in changes if c not in schema.columns]
-        if unknown:
-            raise StorageError(f"unknown columns {unknown!r} for table {table!r}")
-        check_row(changes)
-        txn.acquire(table_resource(table), LockMode.IX)
-        index = self._indexes[table]
-        self.acquire_plan(txn, locks_for_update(index, key))
-        before = index.get_row(key)
-        if before is None:
-            raise StorageError(f"no row with key {key!r} in {table!r}")
-        after = before.replace(**changes)
-        if after == before:
-            return after
-
-        def apply_base(d, t):
-            patch(d, t, index, key, after)
-            t.stats.writes += 1
-            d.counters.incr("dml.update")
-
-        base_action = Action(f"base-update {table}{key!r}", [], apply_base)
-        view_actions = self.maintenance.compile(
-            self, txn, table, before=before, after=after
-        )
-        run_actions(self, txn, [base_action] + view_actions)
-        return after
+        """Update non-key columns of the row at ``key``: the row after."""
+        return self.write_plan(table).update(self, txn, ((key, changes),))[0]
 
     # ==================================================================
     # reads
@@ -1559,6 +1489,7 @@ class Database(RecoveryTarget):
         self._commits_since_checkpoint = 0
         for name, index in list(self._indexes.items()):
             self._indexes[name] = self._new_index(name, index.key_columns)
+        self._replan(schema.name for schema in self.catalog.tables())
 
     def _seed_from_store(self):
         """Recovery's one read of the page store: insert the newest live
@@ -1673,7 +1604,7 @@ class Database(RecoveryTarget):
         row = record.current_row
         changes = {c: row[c] + d for c, d in deltas.items()}
         record.current_row = row.replace(**changes)
-        stamp(index, record, lsn)
+        index.stamp(record, lsn)
 
     def stamp(self, index_name, key, lsn):
         """Online rollback's escrow half: an unreserve at ``lsn`` (a CLR)
@@ -1683,4 +1614,4 @@ class Database(RecoveryTarget):
             tuple(key), include_ghost=True
         )
         if record is not None:
-            stamp(index, record, lsn)
+            index.stamp(record, lsn)

@@ -158,10 +158,16 @@ class Session:
 
     def execute(self, sql):
         """Execute SQL in this session: inside the current transaction
-        when one is open, autocommit otherwise — through the same
-        statement dispatcher as :meth:`Database.execute`, so DDL,
-        ``EXPLAIN`` and ``CHECK VIEW`` run outside any transaction."""
-        return self._db._execute(sql, self._run)
+        when one is open, each statement all or nothing, autocommit
+        otherwise — through the same statement dispatcher as
+        :meth:`Database.execute`, so DDL, ``EXPLAIN`` and ``CHECK VIEW``
+        run outside any transaction."""
+        def run(fn):
+            if self.in_transaction():
+                return self._db._in_statement(self._txn, fn)
+            return self._run(fn)
+
+        return self._db._execute(sql, run)
 
     def insert(self, table, values):
         return self._run(lambda txn: self._db.insert(txn, table, values))

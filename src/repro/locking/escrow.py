@@ -27,13 +27,16 @@ from repro.common import EscrowViolationError
 class EscrowAccount:
     """One escrow-managed counter."""
 
-    __slots__ = ("committed", "low_bound", "high_bound", "_pending")
+    __slots__ = ("committed", "low_bound", "high_bound", "_pending", "record")
 
     def __init__(self, initial=0, low_bound=None, high_bound=None):
         self.committed = initial
         self.low_bound = low_bound
         self.high_bound = high_bound
         self._pending = {}  # txn_id -> accumulated delta
+        #: the row record the last reserve was made against — where a
+        #: commit folds the counter, found without a lookup
+        self.record = None
 
     def __repr__(self):
         return (

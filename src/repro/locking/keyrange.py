@@ -38,10 +38,19 @@ def eof_resource(index_name):
     return ("eof", index_name)
 
 
-def _fence_resource(index, key):
+#: the write plans' key modes, one object each
+KEY_X = RangeMode.key(LockMode.X)
+KEY_E = RangeMode.key(LockMode.E)
+
+
+def _fence_resource(index, key, at=None):
     """The resource anchoring the gap that ``key`` falls in: the next
-    existing key at or above ``key``, or the index EOF."""
-    fence = index.next_key(key, inclusive=True, include_ghosts=True)
+    existing key at or above ``key`` (``at.fence`` when the caller has
+    located ``key``), or the index EOF."""
+    if at is None:
+        fence = index.next_key(key, inclusive=True, include_ghosts=True)
+    else:
+        fence = at.fence
     if fence is None:
         return eof_resource(index.name)
     return key_resource(index.name, fence)
@@ -101,33 +110,39 @@ def locks_for_range_scan(index, key_range=None, mode=LockMode.S, serializable=Tr
     return plan
 
 
-def locks_for_insert(index, key, serializable=True):
+def locks_for_insert(index, key, serializable=True, at=None):
     """Insert ``key``: an insert-intent lock on the gap's fence key, then
-    X on the (new or revived) key itself."""
+    X on the (new or revived) key itself. ``at``, the key's
+    :class:`~repro.storage.index.Position`, says whether the key is there
+    and what fences its gap without a descent."""
     plan = []
     if serializable:
-        existing = index.get_record(key, include_ghost=True)
+        if at is None:
+            existing = index.get_record(key, include_ghost=True)
+        else:
+            existing = at.record
         if existing is None:
-            plan.append((_fence_resource(index, key), RangeMode.RANGE_I_N))
-    plan.append((key_resource(index.name, key), RangeMode.key(LockMode.X)))
+            plan.append((_fence_resource(index, key, at), RangeMode.RANGE_I_N))
+    plan.append((key_resource(index.name, key), KEY_X))
     return plan
 
 
 def locks_for_update(index, key):
     """Update the row at ``key`` in place (key unchanged): X on the key."""
-    return [(key_resource(index.name, key), RangeMode.key(LockMode.X))]
+    return [(key_resource(index.name, key), KEY_X)]
 
 
 def locks_for_logical_delete(index, key):
     """Ghost the row at ``key``: X on the key. The key survives as a
     fence post, so no gap lock is needed."""
-    return [(key_resource(index.name, key), RangeMode.key(LockMode.X))]
+    return [(key_resource(index.name, key), KEY_X)]
 
 
 def locks_for_escrow_update(index, key):
     """Increment/decrement counters in the row at ``key``: an E key lock —
-    compatible with other transactions' E locks on the same key."""
-    return [(key_resource(index.name, key), RangeMode.key(LockMode.E))]
+    compatible with other transactions' E locks on the same key. It
+    needs no descent: the caller's position said the row is there."""
+    return [(key_resource(index.name, key), KEY_E)]
 
 
 def locks_for_ghost_cleanup(index, key):

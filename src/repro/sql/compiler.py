@@ -19,9 +19,11 @@ Two entry points:
   ======================  =============================================
 
 * :func:`execute_statement` runs one bound DML/SELECT statement inside a
-  transaction, translating to ``db.insert`` / ``db.update`` /
-  ``db.delete`` / ``db.read`` / ``db.scan`` plus the relational
-  operators in :mod:`repro.query.executor`. Which of ``read`` and
+  transaction: an INSERT / UPDATE / DELETE is one statement — all its
+  rows — through the table's write plan (``db.write_plan(table)``, see
+  :mod:`repro.views.maintenance`), a SELECT ``db.read`` / ``db.scan``
+  plus the relational operators in :mod:`repro.query.executor`. Which
+  of ``read`` and
   ``scan`` — and over which key range — is the access path
   :mod:`repro.sql.access` picks from the WHERE clause. The engine's own
   maintenance machinery does the rest — the SQL layer never touches a
@@ -449,11 +451,11 @@ def _execute_insert(db, txn, stmt):
                 f"{len(columns)} columns",
                 **_pos_kwargs(stmt),
             )
-        db.insert(
-            txn, schema.name,
-            {c: lit.value for c, lit in zip(columns, values)},
-        )
-    return len(stmt.rows)
+    rows = [
+        {c: lit.value for c, lit in zip(columns, values)}
+        for values in stmt.rows
+    ]
+    return len(db.write_plan(schema.name).insert(db, txn, rows))
 
 
 def _execute_update(db, txn, stmt):
@@ -467,23 +469,17 @@ def _execute_update(db, txn, stmt):
                 **_pos_kwargs(stmt),
             )
         setters.append((column, value_fn(expr, scope)))
-    count = 0
-    for key, row in _matching_rows(db, txn, schema, stmt.where):
-        db.update(
-            txn, schema.name, key,
-            {column: fn(row) for column, fn in setters},
-        )
-        count += 1
-    return count
+    items = [
+        (key, {column: fn(row) for column, fn in setters})
+        for key, row in _matching_rows(db, txn, schema, stmt.where)
+    ]
+    return len(db.write_plan(schema.name).update(db, txn, items))
 
 
 def _execute_delete(db, txn, stmt):
     schema = _dml_schema(db.catalog, stmt)
-    count = 0
-    for key, _row in _matching_rows(db, txn, schema, stmt.where):
-        db.delete(txn, schema.name, key)
-        count += 1
-    return count
+    keys = [key for key, _ in _matching_rows(db, txn, schema, stmt.where)]
+    return len(db.write_plan(schema.name).delete(db, txn, keys))
 
 
 def _sorted_rows(keyed_rows):

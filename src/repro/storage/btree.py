@@ -21,6 +21,13 @@ primitives that key-range locking needs:
 
 * :meth:`BPlusTree.next_key` / :meth:`BPlusTree.prev_key` — find the
   neighbouring existing key, used to pick the lock that protects a gap.
+* :meth:`BPlusTree.seek` / :meth:`BPlusTree.slot` — one descent to the
+  leaf a key belongs in, then the value there and the gap fence (the next
+  key up) read from that leaf or its right sibling. A caller may keep the
+  leaf and hand it back to :meth:`BPlusTree.setdefault` /
+  :meth:`BPlusTree.touch` instead of descending again, for as long as
+  :attr:`BPlusTree.shape` — bumped by every split, borrow and merge — has
+  not moved: only those change which leaf a key belongs in.
 * :meth:`BPlusTree.range_items` — scan a :class:`~repro.common.keys.KeyRange`
   in key order.
 
@@ -117,6 +124,9 @@ class BPlusTree:
         self._next_node_id = 1
         self._root = self._new_leaf().id
         self._size = 0
+        #: structure changes so far (splits, borrows, merges, clears): a
+        #: leaf found at one shape is still its keys' leaf at the same one
+        self.shape = 0
 
     # ------------------------------------------------------------------
     # node store
@@ -179,12 +189,15 @@ class BPlusTree:
         if self._size == size:  # nothing was added: the key was there
             raise StorageError(f"duplicate key {key!r}")
 
-    def setdefault(self, key, value, lsn=None):
+    def setdefault(self, key, value, lsn=None, leaf=None):
         """The value at ``key``, which becomes ``value`` if the key is
-        absent — found or placed in one descent. With ``lsn``, the leaf
-        is marked changed by the log record at ``lsn``."""
-        path = self._find_path(key)
-        leaf = path[-1][0]
+        absent — found or placed in one descent, or in none when ``leaf``
+        is the leaf :meth:`seek` found at the current :attr:`shape`. With
+        ``lsn``, the leaf is marked changed by the log record at ``lsn``."""
+        path = None
+        if leaf is None:
+            path = self._find_path(key)
+            leaf = path[-1][0]
         idx = bisect.bisect_left(leaf.keys, key)
         found = idx < len(leaf.keys) and leaf.keys[idx] == key
         if lsn is not None and self._pages is not None:
@@ -195,14 +208,35 @@ class BPlusTree:
         leaf.values.insert(idx, value)
         self._size += 1
         if len(leaf.keys) >= self._order:
-            self._split(path)
+            self._split(path or self._find_path(key))
         return value
 
-    def touch(self, key, lsn):
-        """Mark the leaf holding ``key`` changed by the log record at
-        ``lsn``: its value was changed in place."""
+    def touch(self, key, lsn, leaf=None):
+        """Mark the leaf holding ``key`` (``leaf``, when the caller has
+        it) changed by the log record at ``lsn``: its value was changed
+        in place."""
         if self._pages is not None:
-            self._pages.dirty(self._find_leaf(key), lsn)
+            self._pages.dirty(leaf or self._find_leaf(key), lsn)
+
+    def seek(self, key):
+        """The leaf ``key`` belongs in: one descent."""
+        return self._find_leaf(key)
+
+    def slot(self, leaf, key):
+        """``(value, fence)`` of ``key`` in its ``leaf``: the value stored
+        there (``None`` if absent) and the smallest key at or above
+        ``key`` (``None`` past the last), read from ``leaf`` or its right
+        sibling."""
+        keys = leaf.keys
+        idx = bisect.bisect_left(keys, key)
+        if idx < len(keys):
+            fence = keys[idx]
+            return (leaf.values[idx] if fence == key else None), fence
+        while leaf.next != NO_NODE:
+            leaf = self._node(leaf.next)
+            if leaf.keys:
+                return None, leaf.keys[0]
+        return None, None
 
     def update(self, key, value):
         """Replace the value at an existing ``key``."""
@@ -247,6 +281,7 @@ class BPlusTree:
         self._nodes = {}
         self._root = self._new_leaf().id
         self._size = 0
+        self.shape += 1
 
     def leaves(self):
         """Iterate the leaf nodes in key order (the pages of a paged
@@ -443,6 +478,7 @@ class BPlusTree:
 
     def _split(self, path):
         """Split the (overfull) leaf at the end of ``path`` and propagate."""
+        self.shape += 1
         node, _ = path[-1]
         mid = len(node.keys) // 2
         right = self._new_leaf()
@@ -527,6 +563,7 @@ class BPlusTree:
         continue upward). The absorbed node's ID is freed back to the
         store.
         """
+        self.shape += 1
         left = self._node(parent.children[idx - 1]) if idx > 0 else None
         right = (
             self._node(parent.children[idx + 1])

@@ -13,19 +13,52 @@ semantics the maintenance and locking layers need:
 * scans skip ghosts by default but can include them (the cleaner, and
   key-range locking, need to see them: a ghost still defines a lockable
   key separating two gaps);
-* a registry of ghost keys, kept in step by the mutator.
+* a registry of ghost keys, kept in step by the mutator;
+* **one descent per touched key**: :meth:`Index.locate` returns a
+  :class:`Position` — the key's leaf, the record there and the gap fence
+  — which the duplicate check, the lock plan, the write and the escrow
+  stamp of one statement all read instead of descending again.
 
 With ``pages`` (the engine's :class:`~repro.storage.bufferpool.BufferPool`)
 the tree's leaves are pages: every record carries the LSN of the last log
 record that changed it, and a change marks its leaf dirty — the mutator
 with its ``lsn`` argument, an escrow reserve or unreserve through
-:func:`stamp`. Nothing is packed until the pool writes a leaf back.
+:meth:`Index.stamp`. Nothing is packed until the pool writes a leaf back.
 """
 
 from repro.common import StorageError
 from repro.common.keys import KeyRange
 from repro.storage.btree import BPlusTree
 from repro.storage.records import VersionedRecord
+
+
+class Position:
+    """Where one descent found ``key``: its ``leaf``, the ``record``
+    there (ghosts included; ``None`` if absent) and the gap ``fence`` —
+    the smallest key at or above ``key``, ``None`` past the last.
+
+    A position keeps its leaf, not a slot: the writes that take one
+    re-bisect inside the leaf, and descend afresh once the tree's
+    ``shape`` has moved (a split, borrow or merge since :meth:`Index.locate`).
+    ``record`` and ``fence`` say what the index held when it was located
+    (an insert through the position records its new record there); a
+    statement locates a key again (``locate(key, near=position)``, a
+    re-bisect) when its own earlier writes may have moved them.
+    """
+
+    __slots__ = ("key", "leaf", "shape", "record", "fence")
+
+    def __init__(self, key, leaf, shape, record, fence):
+        self.key = key
+        self.leaf = leaf
+        self.shape = shape
+        self.record = record
+        self.fence = fence
+
+    def live(self):
+        """The live record at the key, or ``None`` (absent or ghost)."""
+        record = self.record
+        return None if record is None or record.is_ghost else record
 
 
 class Index:
@@ -48,12 +81,14 @@ class Index:
         self._tree = BPlusTree(order=order, pages=pages, name=name)
         self._pages = pages
         self._ghost_keys = set()
-        self._latches = latch_set
+        self._latch = (
+            latch_set.get(f"tree:{name}") if latch_set is not None else None
+        )
 
     def _latched(self, fn, exclusive=False):
-        if self._latches is None:
+        latch = self._latch
+        if latch is None:
             return fn()
-        latch = self._latches.get(f"tree:{self.name}")
         if exclusive:
             latch.acquire_exclusive(self.name)
         else:
@@ -101,18 +136,48 @@ class Index:
         record = self.get_record(key)
         return record.current_row if record is not None else None
 
+    def locate(self, key, near=None):
+        """One descent to ``key``: its :class:`Position`. With ``near``,
+        an earlier position of the same key, only a re-bisect of its leaf
+        while the tree keeps its shape. A key this index cannot order
+        against the keys it holds (a string among integers, ``NULL``
+        among values) is refused with :class:`~repro.common.StorageError`
+        — here, before anything is locked, logged or changed."""
+        tree, latch = self._tree, self._latch
+        if latch is not None:
+            latch.acquire_shared(self.name)
+        try:
+            leaf = self._leaf_of(near) or tree.seek(key)
+            return Position(key, leaf, tree.shape, *tree.slot(leaf, key))
+        except TypeError:
+            raise StorageError(
+                f"index {self.name!r} cannot order key {key!r} against "
+                f"the keys it holds"
+            ) from None
+        finally:
+            if latch is not None:
+                latch.release(self.name)
+
+    def _leaf_of(self, at):
+        """``at``'s leaf while the tree keeps the shape it was found at."""
+        if at is not None and at.shape == self._tree.shape:
+            return at.leaf
+        return None
+
     # ------------------------------------------------------------------
     # the one mutator
     # ------------------------------------------------------------------
 
-    def set_entry(self, key, entry, lsn=None):
+    def set_entry(self, key, entry, lsn=None, at=None):
         """Make the slot at ``key`` be ``entry``: ``None`` (no slot) or
         ``(row, is_ghost)``. Returns the record (for ``None``, the one
         removed, if any). An occupied slot is assigned in place: the
         record object, its version history and the escrow accounts keyed
         on it survive a ghosting, a revival and an update alike. One
-        descent either way. ``lsn`` is the log record that makes the
-        change: the record is stamped with it and its leaf marked dirty.
+        descent either way — none with ``at``, the key's
+        :class:`Position`, while its leaf is still the key's. ``lsn`` is
+        the log record that makes the change: the record is stamped with
+        it and its leaf marked dirty.
         """
 
         def assign():
@@ -121,7 +186,7 @@ class Index:
                 return self._tree.pop(key, None, lsn)
             row, is_ghost = entry
             fresh = VersionedRecord(key, row, is_ghost, lsn or 0)
-            record = self._tree.setdefault(key, fresh, lsn)
+            record = self._tree.setdefault(key, fresh, lsn, self._leaf_of(at))
             if record is not fresh:
                 record.current_row = row
                 record.is_ghost = is_ghost
@@ -137,6 +202,20 @@ class Index:
         if lsn is not None and self._pages is not None:
             self._pages.write_excess()  # the change is whole: a leaf may go
         return record
+
+    def stamp(self, record, lsn, at=None):
+        """The log record at ``lsn`` changed what ``record`` must be
+        written back as without assigning its slot — an escrow reserve or
+        unreserve moves the pending deltas its image includes
+        (``docs/STORAGE.md`` §4 rule (a)), a redone delta adds to its row.
+        Stamps the record and marks its leaf dirty — ``at``'s leaf while
+        the tree keeps its shape; while the pool tracks nothing
+        (recovery), without a descent."""
+        record.lsn = lsn
+        pages = self._pages
+        if pages is not None and pages.store is not None:
+            self._tree.touch(record.key, lsn, self._leaf_of(at))
+            pages.write_excess()
 
     def is_ghost(self, key):
         """True when a ghost occupies ``key`` (registry lookup, no descent)."""
@@ -217,17 +296,3 @@ class Index:
                 f"ghost registry out of sync in index {self.name!r}: "
                 f"registry={sorted(self._ghost_keys)!r} actual={sorted(actual_ghosts)!r}"
             )
-
-
-def stamp(index, record, lsn):
-    """The log record at ``lsn`` changed what ``record`` must be written
-    back as without assigning its slot — an escrow reserve or unreserve
-    moves the pending deltas its image includes (``docs/STORAGE.md`` §4
-    rule (a)), a redone delta adds to its row. Stamps the record and
-    marks its leaf dirty, off the index's public methods; while the pool
-    tracks nothing (recovery), without a descent."""
-    record.lsn = lsn
-    pages = index._pages
-    if pages is not None and pages.store is not None:
-        index._tree.touch(record.key, lsn)
-        pages.write_excess()

@@ -1,8 +1,5 @@
-"""Indexed views: definitions, maintenance, deltas, deferred mode."""
+"""Indexed views: definitions, and the write plans that maintain them."""
 
-from repro.views.actions import Action, run_actions
-from repro.views.aggregate import ESCROW, XLOCK, AggregateMaintainer
-from repro.views.deferred import DeferredMaintainer
 from repro.views.definition import (
     AggregateView,
     JoinAggregateView,
@@ -12,30 +9,16 @@ from repro.views.definition import (
     ViewDefinition,
     expected_index_contents,
 )
-from repro.views.join_aggregate import JoinAggregateMaintainer
-from repro.views.delta import NetDelta, TxnViewDeltas
-from repro.views.join import JoinMaintainer
-from repro.views.maintenance import MaintenanceEngine
-from repro.views.projection import ProjectionMaintainer
+from repro.views.maintenance import MaintenanceEngine, WritePlan
 
 __all__ = [
-    "ESCROW",
-    "XLOCK",
-    "Action",
-    "AggregateMaintainer",
     "AggregateView",
-    "DeferredMaintainer",
-    "JoinAggregateMaintainer",
     "JoinAggregateView",
-    "JoinMaintainer",
     "JoinView",
     "MaintenanceEngine",
-    "NetDelta",
-    "ProjectionMaintainer",
     "ProjectionView",
     "SecondaryIndex",
-    "TxnViewDeltas",
     "ViewDefinition",
+    "WritePlan",
     "expected_index_contents",
-    "run_actions",
 ]

@@ -1,10 +1,11 @@
 """Maintenance actions: the lock-first / mutate-second contract.
 
-Every DML statement is compiled into a list of :class:`Action` objects:
-one for the base-table change plus one or more per affected view. The DML
+Every row change a statement makes is compiled into a list of
+:class:`Action` objects: one for the base-table change plus the view
+actions its write plan compiles (``docs/ARCHITECTURE.md`` §2). The DML
 executor then runs two phases::
 
-    for action in actions: db.acquire_plan(txn, action.lock_plan)  # phase A
+    db.acquire_plan(txn, <every action's lock plan, in order>)  # phase A
     for action in actions: action.apply(db, txn)               # phase B
 
 Phase A may raise :class:`~repro.txn.transaction.WouldWait`; the simulator
@@ -20,22 +21,44 @@ manager treats covered re-requests as no-ops) and retained until commit —
 strict two-phase locking.
 """
 
+from collections import namedtuple
+
 
 class Action:
-    """A lock plan plus a mutation closure."""
+    """A lock plan plus a mutation closure. ``description`` is a string,
+    or ``(verb, name, key)`` — rendered ``"verb name(key)"`` only when
+    something reads it (a trace event, a repr)."""
 
-    __slots__ = ("description", "lock_plan", "_apply")
+    __slots__ = ("_description", "lock_plan", "_apply")
 
     def __init__(self, description, lock_plan, apply_fn):
-        self.description = description
-        self.lock_plan = list(lock_plan)
+        self._description = description
+        self.lock_plan = lock_plan
         self._apply = apply_fn
+
+    @property
+    def description(self):
+        what = self._description
+        if isinstance(what, tuple):
+            verb, name, key = what
+            return f"{verb} {name}{key!r}"
+        return what
 
     def __repr__(self):
         return f"Action({self.description!r}, {len(self.lock_plan)} locks)"
 
     def apply(self, db, txn):
         self._apply(db, txn)
+
+
+#: One view of a table's write plan: the ``view``, the ``table`` whose
+#: changes reach it, the per-row ``compile(db, txn, view, table, before,
+#: after, net)`` (or ``None``) and, when it ``folds``, how a change's
+#: counter deltas join ``net``, the statement's NetDelta: ``fold(before,
+#: after, net)``, or in ``compile`` (a join-aggregate reads to fold).
+Binding = namedtuple(
+    "Binding", "view table compile fold folds", defaults=(None, None, False)
+)
 
 
 def run_actions(db, txn, actions):
@@ -49,8 +72,9 @@ def run_actions(db, txn, actions):
             actions=len(actions),
             locks=sum(len(a.lock_plan) for a in actions),
         )
-    for action in actions:
-        db.acquire_plan(txn, action.lock_plan)
+    db.acquire_plan(
+        txn, [step for action in actions for step in action.lock_plan]
+    )
     faults = db.faults
     check_faults = faults.active
     for i, action in enumerate(actions):

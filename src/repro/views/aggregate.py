@@ -1,9 +1,9 @@
 """Aggregate-view maintenance: escrow and exclusive strategies.
 
-This module is the core of the reproduction. A base-table change reaches
-an aggregate view as a set of counter deltas on one or two group rows
-(:meth:`AggregateView.deltas_for`); how those deltas are applied is the
-experiment:
+This module is the core of the reproduction. A statement reaches an
+aggregate view as counter deltas folded per group row over all of its
+row changes (:func:`counter_fold`, the write plan's fold); how one
+group's deltas are applied is the experiment:
 
 * **ESCROW** (the paper's contribution): take an E lock on the group row
   — compatible with every other transaction's E lock — reserve the deltas
@@ -25,133 +25,116 @@ than waiting for cleanup and re-inserting, and it preserves any escrow
 account state attached to the key.
 """
 
-from repro.common import CatalogError
+from repro.common import CatalogError, EscrowViolationError
 from repro.locking.keyrange import (
     locks_for_escrow_update,
     locks_for_insert,
     locks_for_update,
 )
-from repro.storage.index import stamp
+from repro.query.aggregates import AggFunc
 from repro.txn.write import ghost, patch, put
-from repro.views.actions import Action
-from repro.views.delta import NetDelta, TxnViewDeltas
+from repro.views.actions import Action, Binding
 from repro.wal.records import CounterImageRecord, EscrowDeltaRecord
 
 ESCROW = "escrow"
 XLOCK = "xlock"
 
 
+def counter_fold(view):
+    """``fold(before, after, net)``: add one row change's counter deltas
+    — ``before``'s with −1, ``after``'s with +1, either may be ``None``
+    — to ``net``; group key and delta functions worked out once."""
+    group_by, where = view.group_by, view.where
+    terms = [(spec.out, _delta_function(spec)) for spec in view.counter_specs]
+
+    def fold(before, after, net):
+        for row, sign in ((before, -1), (after, 1)):
+            if row is not None and (where is None or where(row)):
+                net.add(
+                    row.key(group_by),
+                    {out: delta(row, sign) for out, delta in terms},
+                )
+
+    return fold
+
+
+def _delta_function(spec):
+    """``delta(row, sign)`` of one COUNT/SUM column (see
+    :meth:`~repro.query.aggregates.AggregateSpec.delta_for`)."""
+    if spec.func is AggFunc.COUNT:
+        return lambda row, sign: sign
+    if spec.coeffs is None:
+        source = spec.source
+        return lambda row, sign: sign * row[source]
+    return spec.delta_for
+
+
 class AggregateMaintainer:
-    """Compiles base-table changes into aggregate-view actions."""
+    """Compiles folded group deltas (and MIN/MAX rows) into
+    aggregate-view actions."""
 
     def __init__(self, strategy=ESCROW):
         if strategy not in (ESCROW, XLOCK):
             raise CatalogError(f"unknown aggregate strategy {strategy!r}")
         self.strategy = strategy
 
-    # ------------------------------------------------------------------
-    # statement compilation
-    # ------------------------------------------------------------------
-
-    def compile(self, db, txn, view, table, before, after):
-        contributions = []
-        if before is not None:
-            contributions.append((before, -1))
-        if after is not None:
-            contributions.append((after, +1))
+    def bind(self, view, table):
+        """The view's place in ``table``'s write plan: its counters fold
+        per statement; MIN/MAX columns are compiled row by row."""
         if view.has_extremes():
-            return self._compile_extremes(db, txn, view, contributions)
-        return self._compile_deltas(
-            db, txn, view,
-            [(row, view.deltas_for(row, sign)) for row, sign in contributions],
-        )
+            return Binding(view, table, self._compile_extremes)
+        return Binding(view, table, fold=counter_fold(view), folds=True)
 
-    def _compile_deltas(self, db, txn, view, contributions):
-        """Fold row contributions into net per-group deltas, then compile
-        one action per affected group."""
-        net = NetDelta(view.name)
-        for row, deltas in contributions:
-            if deltas is None:
-                continue
-            net.add(view.group_key_of_base_row(row), deltas)
-        if db.config.maintenance_mode == "commit_fold":
-            # Accumulate in the transaction; applied at commit.
-            target = TxnViewDeltas.for_view(txn, view.name)
-            target.merge(net)
-            return []
-        actions = []
-        for group_key, deltas in net.items():
-            actions.append(self.compile_group_delta(db, txn, view, group_key, deltas))
-        return actions
+    # ------------------------------------------------------------------
+    # one group's folded deltas
+    # ------------------------------------------------------------------
 
-    def compile_group_delta(self, db, txn, view, group_key, deltas):
-        """One action applying ``deltas`` to one group row."""
+    def compile_group_delta(self, db, txn, view, group_key, deltas, at=None):
+        """One action applying ``deltas`` to one group row. ``at`` is the
+        group's :class:`~repro.storage.index.Position` when the statement
+        has located it; the plan, the write and the escrow stamp all read
+        it."""
         index = db.index(view.name)
-        record = index.get_record(group_key, include_ghost=True)
+        if at is None:
+            at = index.locate(group_key)
+        record = at.record
         if record is None:
-            plan = locks_for_insert(index, group_key, db.config.serializable)
-            return Action(
-                f"agg-create {view.name}{group_key!r}",
-                plan,
-                lambda d, t: self._apply_to_new_group(d, t, view, group_key, deltas),
+            verb = "agg-create"
+            plan = locks_for_insert(
+                index, group_key, db.config.serializable, at
             )
-        if record.is_ghost:
-            plan = locks_for_update(index, group_key)
-            return Action(
-                f"agg-revive {view.name}{group_key!r}",
-                plan,
-                lambda d, t: self._apply_to_ghost_group(d, t, view, group_key, deltas),
-            )
-        if self.strategy == ESCROW:
+        elif record.is_ghost:
+            verb, plan = "agg-revive", locks_for_update(index, group_key)
+        elif self.strategy == ESCROW:
+            verb = "agg-escrow"
             plan = locks_for_escrow_update(index, group_key)
-            return Action(
-                f"agg-escrow {view.name}{group_key!r}",
-                plan,
-                lambda d, t: self._apply_escrow(d, t, view, group_key, deltas),
-            )
-        plan = locks_for_update(index, group_key)
+        else:
+            verb, plan = "agg-xlock", locks_for_update(index, group_key)
         return Action(
-            f"agg-xlock {view.name}{group_key!r}",
-            plan,
-            lambda d, t: self._apply_xlock(d, t, view, group_key, deltas),
+            (verb, view.name, group_key), plan,
+            lambda d, t: self._apply(d, t, view, index, at, deltas),
         )
 
-    # ------------------------------------------------------------------
-    # apply closures (run with locks held)
-    # ------------------------------------------------------------------
-
-    def _apply_to_new_group(self, db, txn, view, group_key, deltas):
-        record = put(
-            db, txn, db.index(view.name), group_key, view.zero_row(group_key)
-        )
-        db.counters.incr("agg.group_created")
+    def _apply(self, db, txn, view, index, at, deltas):
+        """With the plan held: create or revive the group row, then apply
+        the deltas — through escrow under ESCROW even then (the creator's
+        X covers E): commit folding is the single write-back point."""
+        record = at.record
+        if record is None or record.is_ghost:
+            db.counters.incr(
+                "agg.group_created" if record is None else "agg.ghost_revived"
+            )
+            record = put(db, txn, index, at.key, view.zero_row(at.key), at)
         if self.strategy == ESCROW:
-            # The creator holds X, which covers E: apply deltas through
-            # the escrow machinery so commit folding is the single
-            # write-back point, consistent with later escrow updates.
-            self._apply_escrow(db, txn, view, group_key, deltas, record=record)
+            self._apply_escrow(db, txn, view, index, at, deltas, record)
         else:
-            self._apply_xlock(db, txn, view, group_key, deltas)
+            self._apply_xlock(db, txn, view, index, at, deltas)
 
-    def _apply_to_ghost_group(self, db, txn, view, group_key, deltas):
-        record = put(  # revives in place
-            db, txn, db.index(view.name), group_key, view.zero_row(group_key)
-        )
-        db.counters.incr("agg.ghost_revived")
-        if self.strategy == ESCROW:
-            self._apply_escrow(db, txn, view, group_key, deltas, record=record)
-        else:
-            self._apply_xlock(db, txn, view, group_key, deltas)
-
-    def _apply_escrow(self, db, txn, view, group_key, deltas, record=None):
-        """Reserve deltas in escrow accounts and log the logical record.
-
-        Also used by the XLOCK-created/revived group paths (the holder's X
-        covers E) so that commit folding is the single write-back point.
-        """
-        index = db.index(view.name)
-        if record is None:
-            record = index.get_record(group_key)
+    def _apply_escrow(self, db, txn, view, index, at, deltas, record):
+        """Reserve deltas in escrow accounts — all of them or, when one
+        fails its escrow test, none — and log the logical record."""
+        group_key = at.key
+        reserved = []
         for column, amount in deltas.items():
             if amount == 0:
                 continue
@@ -163,7 +146,15 @@ class AggregateMaintainer:
                 low_bound=low,
                 high_bound=high,
             )
-            account.reserve(txn.txn_id, amount)
+            try:
+                account.reserve(txn.txn_id, amount)
+            except EscrowViolationError:
+                for _, done, earlier in reserved:
+                    done.unreserve(txn.txn_id, earlier)
+                raise
+            reserved.append((resource, account, amount))
+        for resource, account, _ in reserved:
+            account.record = record
             txn.touch_escrow(resource, account)
         if db.config.counter_logging == "physical":
             # The unsound ablation benchmark R4 measures: log the counter
@@ -184,21 +175,20 @@ class AggregateMaintainer:
         if lsn is not None:
             # the reserve moved what the row's image holds (its pending
             # deltas): stamp it, as of the record that says so
-            stamp(index, record, lsn)
+            index.stamp(record, lsn, at)
         txn.touch_record(record)
         txn.stats.view_maintenances += 1
         db.counters.incr("agg.escrow_applied")
 
-    def _apply_xlock(self, db, txn, view, group_key, deltas):
-        index = db.index(view.name)
-        before = index.get_row(group_key)
+    def _apply_xlock(self, db, txn, view, index, at, deltas):
+        before = at.live().current_row
         after = before.replace(**{c: before[c] + d for c, d in deltas.items()})
-        patch(db, txn, index, group_key, after)
+        patch(db, txn, index, at.key, after, at)
         txn.stats.view_maintenances += 1
         db.counters.incr("agg.xlock_applied")
         if after[view.count_column] == 0:
             # The X holder knows the group is empty: ghost it inline.
-            ghost(db, txn, index, group_key)
+            ghost(db, txn, index, at.key, at)
             db.counters.incr("agg.group_emptied_inline")
 
     # ------------------------------------------------------------------
@@ -219,39 +209,32 @@ class AggregateMaintainer:
     # guarantees no other transaction has uncommitted changes in the
     # group.
 
-    def _compile_extremes(self, db, txn, view, contributions):
+    def _compile_extremes(self, db, txn, view, table, before, after, net):
         actions = []
-        for row, sign in contributions:
-            if not view.relevant(row):
+        index = db.index(view.name)
+        for row, sign in ((before, -1), (after, +1)):
+            if row is None or not view.relevant(row):
                 continue
             group_key = view.group_key_of_base_row(row)
-            index = db.index(view.name)
-            record = index.get_record(group_key, include_ghost=True)
-            if record is None:
-                plan = locks_for_insert(index, group_key, db.config.serializable)
+            at = index.locate(group_key)
+            if at.record is None:
+                plan = locks_for_insert(
+                    index, group_key, db.config.serializable, at
+                )
                 kind = "create"
-            elif record.is_ghost:
-                plan = locks_for_update(index, group_key)
-                kind = "revive"
             else:
                 plan = locks_for_update(index, group_key)
-                kind = "apply"
-            actions.append(
-                Action(
-                    f"agg-extreme-{kind} {view.name}{group_key!r}",
-                    plan,
-                    self._make_extreme_apply(view, group_key, row, sign),
-                )
-            )
+                kind = "revive" if at.record.is_ghost else "apply"
+            actions.append(Action(
+                (f"agg-extreme-{kind}", view.name, group_key), plan,
+                lambda d, t, key=group_key, row=row, sign=sign: (
+                    self._apply_extreme_contribution(d, t, view, key, row, sign)
+                ),
+            ))
         return actions
 
-    def _make_extreme_apply(self, view, group_key, row, sign):
-        def apply(db, txn):
-            self._apply_extreme_contribution(db, txn, view, group_key, row, sign)
-
-        return apply
-
     def _apply_extreme_contribution(self, db, txn, view, group_key, row, sign):
+        # Read afresh: an UPDATE's two contributions may share the group.
         index = db.index(view.name)
         record = index.get_record(group_key, include_ghost=True)
         if record is None or record.is_ghost:

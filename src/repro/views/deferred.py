@@ -1,8 +1,8 @@
 """Deferred view maintenance — the baseline immediate maintenance beats.
 
 A deferred view is not maintained by the statements that change its
-base tables: :meth:`~repro.views.maintenance.MaintenanceEngine.compile`
-skips it and counts the skip here. Readers see it stale until
+base tables: their write plan (:mod:`repro.views.maintenance`) skips it
+and counts the skipped row changes here. Readers see it stale until
 :meth:`DeferredMaintainer.refresh` brings it up to date with the one
 reconcile (:func:`repro.views.online.bring_up_to_date`): S on its base
 tables, X on its indexes, then a diff against recomputation. A refresh
@@ -26,13 +26,13 @@ class DeferredMaintainer:
         self._clock = clock
         self._skipped = {}
 
-    def skip(self, view_name):
-        """Count one statement change the view was not maintained for."""
+    def skip(self, view_name, changes=1):
+        """Count ``changes`` row changes the view was not maintained for."""
         skipped = self._skipped.get(view_name)
         if skipped is None:
-            self._skipped[view_name] = [self._clock.now(), 1]
+            self._skipped[view_name] = [self._clock.now(), changes]
         else:
-            skipped[1] += 1
+            skipped[1] += changes
 
     def pending_count(self, view_name=None):
         if view_name is not None:

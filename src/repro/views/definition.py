@@ -130,6 +130,11 @@ class ViewDefinition:
             (aux.name, aux.key_columns) for aux in self.aux_indexes
         ]
 
+    def relevant(self, row):
+        """True if ``row`` — a base row, or a joined one — passes the
+        view's predicate."""
+        return self.where is None or self.where(row)
+
     def has_extremes(self):
         """True if the view carries MIN/MAX columns (see
         :meth:`AggregateView.has_extremes`)."""
@@ -145,24 +150,22 @@ class ViewDefinition:
         return tuple(row[c] for c in self.key_columns)
 
 
-class AggregateView(ViewDefinition):
-    """A GROUP BY view with COUNT/SUM aggregates."""
+class _Grouped(ViewDefinition):
+    """What the aggregate-shaped kinds share: GROUP BY columns, a COUNT(*)
+    column (it detects empty groups, as in SQL Server), the counters and
+    their escrow ``bounds`` — a map from an aggregate output column to
+    ``(low, high)`` limits, either end ``None``. The escrow test enforces
+    them under *every* possible outcome of in-flight transactions — a
+    declarative business rule ("branch totals never below reserve") with
+    no read-validate cycle and no cascading aborts. COUNT(*) always has an
+    implicit low bound of 0."""
 
-    kind = "aggregate"
-
-    def __init__(self, name, base, group_by, aggregates, where=None, bounds=None):
-        """``bounds`` maps an aggregate output column to ``(low, high)``
-        limits (either end may be None). The escrow test enforces them
-        under *every* possible outcome of in-flight transactions — a
-        declarative business rule ("branch totals never below reserve")
-        with no read-validate cycle and no cascading aborts. COUNT(*)
-        always has an implicit low bound of 0.
-        """
+    def __init__(self, name, group_by, aggregates, where, bounds):
         if not group_by:
             raise CatalogError(f"view {name!r}: GROUP BY must not be empty")
         aggregates = tuple(aggregates)
-        count_specs = [a for a in aggregates if a.func is AggFunc.COUNT]
-        if not count_specs:
+        counts = [a.out for a in aggregates if a.func is AggFunc.COUNT]
+        if not counts:
             raise CatalogError(
                 f"view {name!r}: an aggregate view requires a COUNT(*) "
                 "column (it detects empty groups, as in SQL Server)"
@@ -176,12 +179,12 @@ class AggregateView(ViewDefinition):
                 f"view {name!r}: aggregate columns {sorted(clash)!r} clash "
                 "with group-by columns"
             )
-        columns = tuple(group_by) + tuple(out_names)
-        super().__init__(name, group_by, columns, where)
-        self.base = base
+        super().__init__(
+            name, group_by, tuple(group_by) + tuple(out_names), where
+        )
         self.group_by = tuple(group_by)
         self.aggregates = aggregates
-        self.count_column = count_specs[0].out
+        self.count_column = counts[0]
         self.counter_specs = tuple(a for a in aggregates if not a.is_extreme())
         self.extreme_specs = tuple(a for a in aggregates if a.is_extreme())
         self.bounds = dict(bounds or {})
@@ -199,12 +202,6 @@ class AggregateView(ViewDefinition):
             low = 0 if low is None else max(low, 0)
         return low, high
 
-    def base_tables(self):
-        return (self.base,)
-
-    def recompute(self, rows_of):
-        return executor.recompute_aggregate_view(rows_of(self.base), self)
-
     def has_extremes(self):
         """True if the view carries MIN/MAX columns — which forces
         exclusive (non-escrow) maintenance of its rows and delete-time
@@ -216,22 +213,6 @@ class AggregateView(ViewDefinition):
         """Columns maintained as escrow counters (COUNT/SUM only)."""
         return tuple(a.out for a in self.counter_specs)
 
-    def group_key_of_base_row(self, base_row):
-        return tuple(base_row[c] for c in self.group_by)
-
-    def relevant(self, base_row):
-        """True if ``base_row`` contributes to the view."""
-        return self.where is None or self.where(base_row)
-
-    def deltas_for(self, base_row, sign):
-        """Counter deltas contributed by a base row, or ``None`` when the
-        row is filtered out. ``sign`` is +1 (insert) or -1 (delete).
-        Extreme (MIN/MAX) columns are not deltas and are handled by the
-        maintainer separately."""
-        if not self.relevant(base_row):
-            return None
-        return {a.out: a.delta_for(base_row, sign) for a in self.counter_specs}
-
     def zero_row(self, group_key):
         """A fresh view row for a new group, all counters zero."""
         from repro.common.rows import Row
@@ -240,6 +221,26 @@ class AggregateView(ViewDefinition):
         for spec in self.aggregates:
             values[spec.out] = spec.initial_value()
         return Row(values)
+
+
+class AggregateView(_Grouped):
+    """A GROUP BY view with COUNT/SUM aggregates (and MIN/MAX, the
+    extension)."""
+
+    kind = "aggregate"
+
+    def __init__(self, name, base, group_by, aggregates, where=None, bounds=None):
+        super().__init__(name, group_by, aggregates, where, bounds)
+        self.base = base
+
+    def base_tables(self):
+        return (self.base,)
+
+    def recompute(self, rows_of):
+        return executor.recompute_aggregate_view(rows_of(self.base), self)
+
+    def group_key_of_base_row(self, base_row):
+        return tuple(base_row[c] for c in self.group_by)
 
 
 class _JoinSides:
@@ -287,9 +288,6 @@ class _JoinSides:
     def left_fk_of(self, left_row):
         """The right-table key matched by a left row."""
         return tuple(left_row[lc] for lc, _ in self.on)
-
-    def relevant(self, joined_row):
-        return self.where is None or self.where(joined_row)
 
 
 class JoinView(_JoinSides, ViewDefinition):
@@ -341,7 +339,7 @@ class JoinView(_JoinSides, ViewDefinition):
         )
 
 
-class JoinAggregateView(_JoinSides, ViewDefinition):
+class JoinAggregateView(_JoinSides, _Grouped):
     """``SELECT g.., COUNT(*), SUM(x).. FROM left JOIN right ON left.fk =
     right.pk [WHERE p] GROUP BY g..`` — the canonical SQL Server indexed
     view shape, composing the join and aggregate machinery.
@@ -357,57 +355,19 @@ class JoinAggregateView(_JoinSides, ViewDefinition):
 
     def __init__(self, name, left, right, on, group_by, aggregates,
                  where=None, bounds=None, left_pk=None, right_pk=None):
-        if not group_by:
-            raise CatalogError(f"view {name!r}: GROUP BY must not be empty")
         aggregates = tuple(aggregates)
         if any(a.is_extreme() for a in aggregates):
             raise CatalogError(
                 f"view {name!r}: MIN/MAX are not supported over joins "
                 "(only the delta-maintainable COUNT/SUM are)"
             )
-        count_specs = [a for a in aggregates if a.func is AggFunc.COUNT]
-        if not count_specs:
-            raise CatalogError(
-                f"view {name!r}: a COUNT(*) column is required"
-            )
-        out_names = [a.out for a in aggregates]
-        if len(set(out_names)) != len(out_names):
-            raise CatalogError(f"view {name!r}: duplicate aggregate columns")
-        clash = set(out_names) & set(group_by)
-        if clash:
-            raise CatalogError(
-                f"view {name!r}: aggregate columns {sorted(clash)!r} clash "
-                "with group-by columns"
-            )
-        columns = tuple(group_by) + tuple(out_names)
-        super().__init__(name, tuple(group_by), columns, where)
+        super().__init__(name, group_by, aggregates, where, bounds)
         self._init_sides(left, right, on, left_pk, right_pk)
-        self.group_by = tuple(group_by)
-        self.aggregates = aggregates
-        self.count_column = count_specs[0].out
-        self.counter_specs = aggregates  # all are counters (no extremes)
-        self.extreme_specs = ()
-        self.bounds = dict(bounds or {})
-        unknown_bounds = [c for c in self.bounds if c not in out_names]
-        if unknown_bounds:
-            raise CatalogError(
-                f"view {name!r}: bounds on unknown columns {unknown_bounds!r}"
-            )
-
-    def bounds_for(self, column):
-        """See :meth:`AggregateView.bounds_for`."""
-        low, high = self.bounds.get(column, (None, None))
-        if column == self.count_column:
-            low = 0 if low is None else max(low, 0)
-        return low, high
 
     def recompute(self, rows_of):
         return executor.recompute_join_aggregate_view(
             rows_of(self.left), rows_of(self.right), self
         )
-
-    def counter_columns(self):
-        return tuple(a.out for a in self.aggregates)
 
     def group_key_of_joined_row(self, joined_row):
         return tuple(joined_row[c] for c in self.group_by)
@@ -417,14 +377,6 @@ class JoinAggregateView(_JoinSides, ViewDefinition):
         if not self.relevant(joined_row):
             return None
         return {a.out: a.delta_for(joined_row, sign) for a in self.aggregates}
-
-    def zero_row(self, group_key):
-        from repro.common.rows import Row
-
-        values = dict(zip(self.group_by, group_key))
-        for spec in self.aggregates:
-            values[spec.out] = spec.initial_value()
-        return Row(values)
 
 
 class ProjectionView(ViewDefinition):
@@ -458,9 +410,6 @@ class ProjectionView(ViewDefinition):
 
     def recompute(self, rows_of):
         return executor.recompute_projection_view(rows_of(self.base), self)
-
-    def relevant(self, base_row):
-        return self.where is None or self.where(base_row)
 
     def project(self, base_row):
         return base_row.project(self.columns)

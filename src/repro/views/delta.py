@@ -3,9 +3,10 @@
 A :class:`NetDelta` folds a stream of per-row counter contributions into
 the *net* change per group. Two uses:
 
-* inside one statement — an UPDATE that moves a row within the same group
-  folds its delete-side and insert-side contributions into one small
-  delta;
+* inside one statement — every row change's contributions, an UPDATE's
+  delete side and insert side alike, fold into one delta per group, so a
+  multi-row INSERT whose rows share a group takes one lock and logs one
+  escrow record for it (``docs/ARCHITECTURE.md`` §2);
 * across a whole transaction — in ``commit_fold`` maintenance mode, every
   statement's deltas accumulate in the transaction's scratch space and are
   applied in one burst at commit. The hot view row is then E-locked for a
@@ -14,15 +15,19 @@ the *net* change per group. Two uses:
   of the set and rolling back to it restores the copy.
 """
 
+from repro.common import StorageError
+
 
 class NetDelta:
-    """Net counter deltas per group key for one aggregate view."""
+    """Net counter deltas per group key for one aggregate view, and
+    ``positions``: where a statement located its groups."""
 
-    __slots__ = ("view_name", "_groups")
+    __slots__ = ("view_name", "_groups", "positions")
 
     def __init__(self, view_name):
         self.view_name = view_name
         self._groups = {}
+        self.positions = {}
 
     def __len__(self):
         return len(self._groups)
@@ -41,11 +46,22 @@ class NetDelta:
 
     def items(self):
         """Iterate (group_key, deltas) pairs with all-zero groups removed,
-        in group-key order (deterministic lock acquisition order)."""
-        for key in sorted(self._groups):
+        in group-key order (deterministic lock acquisition order); keys
+        no index could order together are a StorageError."""
+        try:
+            keys = sorted(self._groups)
+        except TypeError:
+            raise StorageError(
+                f"view {self.view_name!r} cannot order group keys "
+                f"{list(self._groups)!r} against each other"
+            ) from None
+        for key in keys:
             deltas = self._groups[key]
             if any(v != 0 for v in deltas.values()):
                 yield key, deltas
+
+    def discard(self, group_key):
+        self._groups.pop(group_key, None)
 
     def is_empty(self):
         return all(

@@ -25,7 +25,7 @@ from repro.locking.keyrange import (
     locks_for_update,
 )
 from repro.txn.write import ghost, patch, put
-from repro.views.actions import Action
+from repro.views.actions import Action, Binding
 
 
 def leftfk_actions(db, view, table, before, after):
@@ -40,13 +40,13 @@ def leftfk_actions(db, view, table, before, after):
     if before is not None:
         old_key, _ = aux.entry(before)
         actions.append(Action(
-            f"leftfk-ghost {aux.name}{old_key!r}", [],
+            ("leftfk-ghost", aux.name, old_key), [],
             lambda d, t: ghost(d, t, index, old_key),
         ))
     if after is not None:
         new_key, ref_row = aux.entry(after)
         actions.append(Action(
-            f"leftfk-insert {aux.name}{new_key!r}", [],
+            ("leftfk-insert", aux.name, new_key), [],
             lambda d, t: put(d, t, index, new_key, ref_row),
         ))
     return actions
@@ -71,125 +71,74 @@ def left_rows_referencing(db, txn, view, right_key):
 
 
 class JoinMaintainer:
-    """Compiles base-table changes into join-view actions."""
+    """Compiles base-table changes into join-view actions, row by row."""
 
-    # ------------------------------------------------------------------
-    # statement compilation
-    # ------------------------------------------------------------------
+    def bind(self, view, table):
+        return Binding(view, table, self.compile)
 
-    def compile(self, db, txn, view, table, before, after):
+    def compile(self, db, txn, view, table, before, after, net):
         if before is None:
             return self._compile_insert(db, txn, view, table, after)
         if after is None:
             return self._compile_delete(db, txn, view, table, before)
-        return self._compile_update(db, txn, view, table, before, after)
+        # An update decomposes into delete + insert unless the row's join
+        # behaviour is unchanged: then its view rows are patched in place.
+        join_cols = (
+            [lc for lc, _ in view.on] if table == view.left else view.right_pk
+        )
+        if any(before[c] != after[c] for c in join_cols):
+            return self._compile_delete(db, txn, view, table, before) + (
+                self._compile_insert(db, txn, view, table, after)
+            )
+        actions = []
+        for vkey in self._view_keys(db, view, table, before):
+            actions += self._patch(db, view, vkey, before, after)
+        return actions
 
     def _compile_insert(self, db, txn, view, table, row):
+        """A left row joins its matched right row, read under an S lock
+        (compile phase: nothing has mutated yet); a new right row may
+        match left rows inserted before it (no FK enforcement here)."""
         if table == view.left:
-            return self._compile_left_insert(db, txn, view, row)
-        return self._compile_right_insert(db, txn, view, row)
+            actions = leftfk_actions(db, view, view.left, None, row)
+            right_row = db.locked_row(txn, db.index(view.right), view.left_fk_of(row))
+            joined = [] if right_row is None else [row.merge(right_row)]
+        else:
+            actions = []
+            joined = [
+                left_row.merge(row) for left_row in left_rows_referencing(
+                    db, txn, view, db.table_key(view.right, row)
+                )
+            ]
+        for joined_row in joined:
+            if view.relevant(joined_row):
+                view_row = joined_row.project(view.columns)
+                vkey = view.key_of(view_row)
+                plan = locks_for_insert(
+                    db.index(view.name), vkey, db.config.serializable
+                )
+                actions += self._action(db, view, "insert", vkey, view_row,
+                                        plan, put, view_row)
+        return actions
 
     def _compile_delete(self, db, txn, view, table, row):
         actions = leftfk_actions(db, view, table, row, None)
         for vkey in self._view_keys(db, view, table, row):
-            actions.extend(self._ghost_view_row_actions(db, view, vkey))
+            actions += self._ghost(db, view, vkey)
         return actions
 
-    def _compile_update(self, db, txn, view, table, before, after):
-        """Updates decompose into delete+insert unless the row's join
-        behaviour is unchanged, in which case affected view rows are
-        patched in place."""
-        join_cols = (
-            [lc for lc, _ in view.on] if table == view.left else list(view.right_pk)
-        )
-        join_changed = any(before[c] != after[c] for c in join_cols)
-        if join_changed:
-            return self._compile_delete(db, txn, view, table, before) + (
-                self._compile_insert(db, txn, view, table, after)
-            )
-        # In-place: re-derive each affected view row from the new base row.
-        actions = []
-        for vkey in self._view_keys(db, view, table, before):
-            actions.extend(
-                self._patch_view_row_actions(db, txn, view, table, vkey, before, after)
-            )
-        return actions
-
-    # ------------------------------------------------------------------
-    # left-side insert
-    # ------------------------------------------------------------------
-
-    def _compile_left_insert(self, db, txn, view, row):
-        actions = leftfk_actions(db, view, view.left, None, row)
-        right_index = db.index(view.right)
-        fk = view.left_fk_of(row)
-        # Read the matched right row under a shared lock (before any
-        # mutation — this is still compile phase).
-        right_row = db.locked_row(txn, right_index, fk)
-        if right_row is None:
-            return actions
-        joined = row.merge(right_row)
-        if not view.relevant(joined):
-            return actions
-        view_row = joined.project(view.columns)
-        actions.extend(self._insert_view_row_actions(db, view, view_row))
-        return actions
-
-    def _compile_right_insert(self, db, txn, view, row):
-        """A new right row may match left rows inserted before it (no FK
-        enforcement here)."""
-        actions = []
-        right_key = db.table_key(view.right, row)
-        for left_row in left_rows_referencing(db, txn, view, right_key):
-            joined = left_row.merge(row)
-            if not view.relevant(joined):
-                continue
-            view_row = joined.project(view.columns)
-            actions.extend(self._insert_view_row_actions(db, view, view_row))
-        return actions
-
-    # ------------------------------------------------------------------
-    # action builders
-    # ------------------------------------------------------------------
-
-    def _insert_view_row_actions(self, db, view, view_row):
-        vkey = view.key_of(view_row)
-        primary = db.index(view.name)
-        secondary = db.index(view.right_index.name)
-        skey, _ = view.right_index.entry(view_row)
-        plan = locks_for_insert(primary, vkey, db.config.serializable)
-
-        def apply(d, t):
-            put(d, t, primary, vkey, view_row)
-            put(d, t, secondary, skey, view_row)
-            t.stats.view_maintenances += 1
-            d.counters.incr("join.row_inserted")
-
-        return [Action(f"join-insert {view.name}{vkey!r}", plan, apply)]
-
-    def _ghost_view_row_actions(self, db, view, vkey):
-        primary = db.index(view.name)
-        record = primary.get_record(vkey)
+    def _ghost(self, db, view, vkey):
+        record = db.index(view.name).get_record(vkey)
         if record is None:
             return []
-        secondary = db.index(view.right_index.name)
-        skey, _ = view.right_index.entry(record.current_row)
-        plan = locks_for_logical_delete(primary, vkey)
+        plan = locks_for_logical_delete(db.index(view.name), vkey)
+        return self._action(db, view, "ghost", vkey, record.current_row, plan,
+                            ghost)
 
-        def apply(d, t):
-            ghost(d, t, primary, vkey)
-            ghost(d, t, secondary, skey)
-            t.stats.view_maintenances += 1
-            d.counters.incr("join.row_ghosted")
-
-        return [Action(f"join-ghost {view.name}{vkey!r}", plan, apply)]
-
-    def _patch_view_row_actions(self, db, txn, view, table, vkey, before, after):
-        primary = db.index(view.name)
-        record = primary.get_record(vkey)
+    def _patch(self, db, view, vkey, before, after):
+        record = db.index(view.name).get_record(vkey)
         if record is None:
             return []
-        old_view_row = record.current_row
         changed = {
             c: after[c]
             for c in view.columns
@@ -197,25 +146,30 @@ class JoinMaintainer:
         }
         if not changed:
             return []
-        new_view_row = old_view_row.replace(**changed)
+        new_view_row = record.current_row.replace(**changed)
         if not view.relevant(new_view_row):
             # The update pushed the joined row out of the view's predicate.
-            return self._ghost_view_row_actions(db, view, vkey)
-        secondary = db.index(view.right_index.name)
-        skey, _ = view.right_index.entry(old_view_row)
-        plan = locks_for_update(primary, vkey)
+            return self._ghost(db, view, vkey)
+        plan = locks_for_update(db.index(view.name), vkey)
+        return self._action(db, view, "patch", vkey, record.current_row, plan,
+                            patch, new_view_row)
+
+    @staticmethod
+    def _action(db, view, verb, vkey, view_row, plan, write, *row):
+        """One view row's action: ``write`` (``put`` / ``ghost`` /
+        ``patch``) at ``vkey`` in the view and at the ``#right`` entry
+        ``view_row`` derives."""
+        primary, secondary = db.index(view.name), db.index(view.right_index.name)
+        skey, _ = view.right_index.entry(view_row)
 
         def apply(d, t):
-            patch(d, t, primary, vkey, new_view_row)
-            patch(d, t, secondary, skey, new_view_row)
+            write(d, t, primary, vkey, *row)
+            write(d, t, secondary, skey, *row)
             t.stats.view_maintenances += 1
-            d.counters.incr("join.row_patched")
+            # join.row_inserted / join.row_ghosted / join.row_patched
+            d.counters.incr(f"join.row_{verb}ed")
 
-        return [Action(f"join-patch {view.name}{vkey!r}", plan, apply)]
-
-    # ------------------------------------------------------------------
-    # key plumbing
-    # ------------------------------------------------------------------
+        return [Action((f"join-{verb}", view.name, vkey), plan, apply)]
 
     def _view_keys(self, db, view, table, row):
         """Keys of the view rows a left or right base row joined into:

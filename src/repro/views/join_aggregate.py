@@ -1,11 +1,13 @@
 """Maintenance for join-aggregate views.
 
 The strategy is composition: turn a base-table change into a set of
-*joined-row contributions* ``(joined_row, sign)``, fold them into net
-per-group counter deltas, and hand each group delta to the plain
-aggregate maintainer (:meth:`AggregateMaintainer.compile_group_delta`) —
-so join-aggregate groups enjoy the same escrow locking, ghosting, and
-commit folding as single-table aggregate groups.
+*joined-row contributions* ``(joined_row, sign)`` and fold their counter
+deltas into the statement's net per-group deltas; the write plan hands
+each group's net delta to the plain aggregate maintainer
+(:meth:`AggregateMaintainer.compile_group_delta`) once the statement's
+last row change is compiled — so join-aggregate groups enjoy the same
+escrow locking, ghosting, and commit folding as single-table aggregate
+groups.
 
 Contribution derivation per event:
 
@@ -24,41 +26,39 @@ Right-side fan-out means one parent update can touch many groups — the
 NetDelta fold collapses those into one action per affected group.
 """
 
-from repro.views.delta import NetDelta, TxnViewDeltas
+from repro.views.actions import Binding
 from repro.views.join import left_rows_referencing, leftfk_actions
 
 
 class JoinAggregateMaintainer:
     """Compiles base-table changes into join-aggregate view actions."""
 
-    def __init__(self, aggregate_maintainer):
-        self._aggregate = aggregate_maintainer
+    def bind(self, view, table):
+        """Row by row (contributions are read under S locks), folding."""
+        return Binding(view, table, self.compile, folds=True)
 
-    # ------------------------------------------------------------------
-    # statement compilation
-    # ------------------------------------------------------------------
-
-    def compile(self, db, txn, view, table, before, after):
-        return leftfk_actions(db, view, table, before, after) + (
-            self._compile_groups(db, txn, view, table, before, after)
-        )
-
-    def _compile_groups(self, db, txn, view, table, before, after):
-        """Contribute the before image with −1 and the after image with
-        +1 (either may be absent)."""
+    def compile(self, db, txn, view, table, before, after, net):
+        """The ``#leftfk`` actions of one row change; its contributions,
+        the before image with −1 and the after image with +1 (either may
+        be absent), fold into ``net``."""
+        actions = leftfk_actions(db, view, table, before, after)
         if table == view.left:
             contribute = self._left_contributions
         elif before is not None and after is not None and (
             not self._right_change_matters(view, before, after)
         ):
-            return []
+            return actions
         else:
             contribute = self._right_contributions
         contributions = []
         for row, sign in ((before, -1), (after, +1)):
             if row is not None:
                 contributions.extend(contribute(db, txn, view, row, sign))
-        return self._fold_and_compile(db, txn, view, contributions)
+        for joined_row, sign in contributions:
+            deltas = view.deltas_for_joined(joined_row, sign)
+            if deltas is not None:
+                net.add(view.group_key_of_joined_row(joined_row), deltas)
+        return actions
 
     # ------------------------------------------------------------------
 
@@ -89,18 +89,3 @@ class JoinAggregateMaintainer:
             return True
         # a predicate can reference any column; re-evaluate conservatively
         return view.where is not None and bool(changed)
-
-    def _fold_and_compile(self, db, txn, view, contributions):
-        net = NetDelta(view.name)
-        for joined_row, sign in contributions:
-            deltas = view.deltas_for_joined(joined_row, sign)
-            if deltas is None:
-                continue
-            net.add(view.group_key_of_joined_row(joined_row), deltas)
-        if db.config.maintenance_mode == "commit_fold":
-            TxnViewDeltas.for_view(txn, view.name).merge(net)
-            return []
-        return [
-            self._aggregate.compile_group_delta(db, txn, view, group_key, deltas)
-            for group_key, deltas in net.items()
-        ]

@@ -32,7 +32,7 @@ must not hold base tables locked for a full scan. It runs two phases:
 1. **snapshot** — reconcile, taking no lock, against the base tables
    *as of* the build's start timestamp (the version chains give the
    consistent picture). Writers keep committing; their maintenance of
-   the half-built view is *suppressed* (``MaintenanceEngine.suppressed``)
+   the half-built view is *suppressed* (every write plan skips it)
    and reads refuse it.
 2. **flip** — the lock step (quiescing writers for the handoff only),
    then reconcile against the live rows — which corrects whatever
@@ -315,6 +315,7 @@ def _drop_view_storage(db, view):
             db._pool.discard(index_name, index.leaves())
         db._index_views.pop(index_name, None)
         db.cleanup.drop_index(index_name)
+    db._replan(view.base_tables())
 
 
 def resolve_after_recovery(db):

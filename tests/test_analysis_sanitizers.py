@@ -304,9 +304,9 @@ def test_release_after_commit_record_clean():
 # ---------------------------------------------------------------------
 
 
-def _run_bank(db, seed=7, sessions=4, txns=4):
+def _run_bank(db, seed=7, sessions=4, txns=4, branches=3, accounts=6):
     bank = BankingWorkload(
-        db, n_branches=3, accounts_per_branch=6, seed=seed
+        db, n_branches=branches, accounts_per_branch=accounts, seed=seed
     ).setup()
     sched = Scheduler(
         db, max_retries=8, cleanup_interval=100,
@@ -315,6 +315,43 @@ def _run_bank(db, seed=7, sessions=4, txns=4):
     for _ in range(sessions):
         sched.add_session(bank.transfer_program(think=1), txns=txns)
     return bank, sched.run()
+
+
+def _crash_run(seed, branches, accounts, before, flush, phases, sessions,
+               txns):
+    """Commit-point crashes and group-flush faults with recovery in the
+    loop: the WAL checker must follow the LSN rewind, the serializability
+    checker drop the retracted and lost transactions."""
+    from repro.common import SimulatedCrash
+
+    db = Database(
+        EngineConfig(sanitizers=True, group_commit="size", group_commit_size=4)
+    )
+    bank = BankingWorkload(
+        db, n_branches=branches, accounts_per_branch=accounts, seed=seed
+    ).setup()
+    injector = FaultInjector(seed=seed)
+    db.install_fault_injector(injector)
+    injector.arm("txn.commit.before", probability=before)
+    injector.arm("wal.group_flush", probability=flush)
+    crashes = 0
+    for _ in range(phases):
+        sched = Scheduler(
+            db, max_retries=8, cleanup_interval=100,
+            custom_executor=bank.op_executor(),
+        )
+        for _ in range(sessions):
+            sched.add_session(bank.transfer_program(think=1), txns=txns)
+        try:
+            sched.run()
+        except SimulatedCrash:
+            crashes += 1
+            db.simulate_crash_and_recover()
+    injector.disarm()
+    db.flush_group_commit()
+    assert crashes > 0, "fault schedule never crashed; test proves nothing"
+    assert db.sanitizers.check(assume_quiescent=True) == []
+    assert db.check_all_views() == []
 
 
 def test_engine_config_attaches_suite():
@@ -343,34 +380,54 @@ def test_group_commit_run_passes():
 
 
 def test_crash_recovery_run_passes():
-    from repro.common import SimulatedCrash
+    _crash_run(5, branches=2, accounts=6, before=0.1, flush=0.2, phases=4,
+               sessions=3, txns=3)
 
-    db = Database(
-        EngineConfig(sanitizers=True, group_commit="size", group_commit_size=4)
-    )
-    bank = BankingWorkload(
-        db, n_branches=2, accounts_per_branch=6, seed=5
-    ).setup()
-    injector = FaultInjector(seed=5)
-    db.install_fault_injector(injector)
-    injector.arm("txn.commit.before", probability=0.1)
-    injector.arm("wal.group_flush", probability=0.2)
-    crashes = 0
-    for attempt in range(4):
-        sched = Scheduler(
-            db, max_retries=8, cleanup_interval=100,
-            custom_executor=bank.op_executor(),
-        )
-        for _ in range(3):
-            sched.add_session(bank.transfer_program(think=1), txns=3)
-        try:
-            sched.run()
-        except SimulatedCrash:
-            crashes += 1
-            db.simulate_crash_and_recover()
-    injector.disarm()
+
+# The legs of the retired sanitizer smoke: 4 sessions x 6 transfers over
+# 3 branches x 8 accounts, plain and under group commit, and the crash
+# leg. Its negative controls are test_lost_update_flagged and
+# test_wal_commit_before_flush_detected above.
+
+
+@pytest.mark.parametrize("seed, group_commit", [(3, None), (5, "size")])
+def test_smoke_banking_leg_passes(seed, group_commit):
+    db = Database(EngineConfig(
+        sanitizers=True, group_commit=group_commit, group_commit_size=4,
+    ))
+    _, result = _run_bank(db, seed=seed, txns=6, accounts=8)
+    assert result.committed > 0
     db.flush_group_commit()
-    assert crashes > 0, "fault schedule never crashed; test proves nothing"
+    assert db.sanitizers.check(assume_quiescent=True) == []
+
+
+def test_smoke_crash_leg_passes():
+    _crash_run(11, branches=3, accounts=8, before=0.05, flush=0.1, phases=3,
+               sessions=4, txns=6)
+
+
+def test_multi_row_statements_pass():
+    """A write plan folds a statement's rows per view group: multi-row
+    INSERTs sharing groups and UPDATEs moving rows between them, from
+    two interleaved open transactions, keep 2PL, the WAL rule and a
+    serializable history."""
+    db = Database(EngineConfig(sanitizers=True))
+    db.execute("CREATE TABLE t (id, g, amount, PRIMARY KEY (id))")
+    db.execute(
+        "CREATE INDEXED VIEW by_g AS SELECT g, COUNT(*) AS n, "
+        "SUM(amount) AS total FROM t GROUP BY g"
+    )
+    db.execute("INSERT INTO t VALUES (100, 1, 0), (101, 2, 0)")  # the groups
+    a, b = db.session(), db.session()
+    a.begin()
+    b.begin()
+    a.execute("INSERT INTO t VALUES (1, 1, 5), (2, 1, 6), (3, 2, 7)")
+    b.execute("INSERT INTO t VALUES (10, 1, 1), (11, 2, 2), (12, 1, 3)")
+    a.execute("UPDATE t SET g = 3 - g WHERE id <= 3")
+    a.commit()
+    b.execute("UPDATE t SET amount = amount + 1 WHERE id >= 10 AND id <= 12")
+    b.execute("DELETE FROM t WHERE id = 11")
+    b.commit()
     assert db.sanitizers.check(assume_quiescent=True) == []
     assert db.check_all_views() == []
 

@@ -1,7 +1,9 @@
 """A generated crash machine over one paged engine.
 
 Hypothesis drives a :class:`RuleBasedStateMachine` through typed DML
-(every value tag a row can hold), commits, aborts, savepoint rollbacks,
+(every value tag a row can hold), multi-row SQL statements through
+``Session.execute`` (an INSERT whose rows share groups, an UPDATE moving
+rows between groups), commits, aborts, savepoint rollbacks,
 ghost cleanup, checkpoints, crashes, view refreshes and quarantine
 rebuilds, on an engine small enough that every leaf mechanism engages:
 order-4 trees (leaves split, borrow and merge), a 2-4 leaf dirty table
@@ -25,6 +27,7 @@ more than tier-1 does).
 
 import os
 
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
@@ -35,6 +38,7 @@ from hypothesis.stateful import (
     rule,
 )
 
+from repro.common import StorageError
 from repro.core import Database, EngineConfig
 from repro.query import AggregateSpec
 from repro.views import AggregateView
@@ -45,6 +49,14 @@ EXAMPLES = int(os.environ.get("REPRO_MACHINE_EXAMPLES", "60"))
 ids = st.integers(0, 11)
 groups = st.integers(0, 3)
 amounts = st.integers(-5, 20)
+sql_ids = st.integers(0, 23)  # wider, so most multi-row INSERTs go in
+sql_values = st.one_of(st.none(), amounts, st.text("abc", max_size=3))
+
+
+def literal(value):
+    if value is None:
+        return "NULL"
+    return f"'{value}'" if isinstance(value, str) else str(value)
 
 
 class CrashMachine(RuleBasedStateMachine):
@@ -69,6 +81,7 @@ class CrashMachine(RuleBasedStateMachine):
         ))
         self.committed = {}  # id -> row dict
         self.history = [(0, {})]  # (COMMIT LSN, committed rows after it)
+        self.session = self.db.session()
         self.txn = None
         self.pending = None  # the open transaction's view of the rows
         self.savepoint = None  # (token, rows at the savepoint)
@@ -147,6 +160,60 @@ class CrashMachine(RuleBasedStateMachine):
                     lambda rows: rows.pop(key),
                 )
 
+    def _execute(self, sql, change, refused=False):
+        """Run one SQL statement through ``Session.execute`` — in the
+        open transaction or autocommitted — and ``change(rows)`` on the
+        reference rows; a ``refused`` statement leaves everything as it
+        was."""
+        tail = self.db.log.tail_lsn()
+        if refused:
+            with pytest.raises(StorageError):
+                self.session.execute(sql)
+            assert self.db.log.tail_lsn() == tail
+            return
+        self.caught_up = None
+        self.session.execute(sql)
+        change(self.rows())
+        if self.txn is None:
+            self._committed(tail)
+
+    @rule(rows=st.lists(st.tuples(sql_ids, groups, amounts, sql_values),
+                        min_size=2, max_size=4))
+    def sql_insert(self, rows):
+        """One INSERT of rows that share groups: all go in, or — a key
+        the table holds or the statement repeats — none does."""
+        keys = [key for key, _, _, _ in rows]
+        values = ", ".join(
+            f"({key}, {g}, {amount}, {literal(v)})" for key, g, amount, v in rows
+        )
+
+        def change(table):
+            for key, g, amount, v in rows:
+                table[key] = {"id": key, "g": g, "amount": amount, "v": v}
+
+        self._execute(
+            f"INSERT INTO t (id, g, amount, v) VALUES {values}", change,
+            refused=len(set(keys)) < len(keys) or not set(keys).isdisjoint(
+                self.rows()
+            ),
+        )
+
+    @rule(low=sql_ids, high=sql_ids)
+    def sql_update(self, low, high):
+        """One UPDATE moving every row of an id range to the mirror
+        group, ``g -> 3 - g``, its amount up by one."""
+        def change(table):
+            for key, row in table.items():
+                if low <= key <= high:
+                    table[key] = {
+                        **row, "g": 3 - row["g"], "amount": row["amount"] + 1,
+                    }
+
+        self._execute(
+            "UPDATE t SET g = 3 - g, amount = amount + 1 "
+            f"WHERE id >= {low} AND id <= {high}", change,
+        )
+
     # ------------------------------------------------------------------
     # transaction boundaries
     # ------------------------------------------------------------------
@@ -154,7 +221,7 @@ class CrashMachine(RuleBasedStateMachine):
     @precondition(lambda self: self.txn is None)
     @rule()
     def begin(self):
-        self.txn = self.db.begin()
+        self.txn = self.session.begin()
         self.pending = dict(self.committed)
 
     @precondition(lambda self: self.txn is not None)
@@ -237,6 +304,7 @@ class CrashMachine(RuleBasedStateMachine):
         if self.caught_up is not None and self.caught_up > cut:
             self.caught_up = None  # the catching up is cut off
         self.txn = self.pending = self.savepoint = None
+        self.session = db.session()  # its transaction died with the crash
         self._watch_store()
 
     # ------------------------------------------------------------------

@@ -217,6 +217,83 @@ class TestIndex:
         latches.assert_all_free()
 
 
+class TestPositions:
+    """``locate`` is one descent: the record, ghosts included, and the gap
+    fence; writes through a position reuse its leaf while the tree keeps
+    its shape."""
+
+    def test_a_position_holds_the_record_and_the_fence(self):
+        idx = Index("i", ("k",), order=4)
+        for k in (2, 4, 6, 8, 10, 12):
+            idx.set_entry((k,), live(Row(k=k)))
+        idx.set_entry((6,), ghost(Row(k=6)))
+        assert idx._tree.height() > 1  # fences cross leaves below
+        assert idx.locate((6,)).record.is_ghost
+        assert idx.locate((6,)).fence == (6,)
+        assert idx.locate((6,)).live() is None
+        for k, fence in ((1, (2,)), (5, (6,)), (7, (8,)), (13, None)):
+            at = idx.locate((k,))
+            assert at.record is None
+            assert at.fence == fence == idx.next_key((k,), inclusive=True)
+        leaves = list(idx.leaves())
+        for leaf, right in zip(leaves, leaves[1:]):  # read from the sibling
+            at = idx.locate((leaf.keys[-1][0] + 1,))
+            assert at.leaf is leaf and at.fence == right.keys[0]
+
+    def test_a_key_the_index_cannot_order_is_refused(self):
+        idx = Index("i", ("k",), order=4)
+        idx.set_entry((1,), live(Row(k=1)))
+        with pytest.raises(StorageError, match=r"index 'i'.*\('x',\)"):
+            idx.locate(("x",))
+        nulls = Index("n", ("k",), order=4)
+        for _ in range(3):
+            nulls.set_entry((None,), live(Row(k=None)))
+        assert nulls.locate((None,)).record is not None
+
+    def test_splits_borrows_and_merges_move_the_shape(self):
+        idx = Index("i", ("k",), order=4)
+        shapes = [idx._tree.shape]
+        for k in range(12):
+            idx.set_entry((k,), live(Row(k=k)))
+            shapes.append(idx._tree.shape)
+        for k in range(12):
+            idx.set_entry((k,), None)
+            shapes.append(idx._tree.shape)
+        moved = sum(b > a for a, b in zip(shapes, shapes[1:]))
+        assert 0 < moved < len(shapes) - 1  # plain writes leave it alone
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(
+        st.tuples(
+            st.sampled_from(["live", "ghost", "absent"]),
+            st.integers(min_value=0, max_value=15),
+            st.integers(min_value=0, max_value=30),
+        ),
+        max_size=60,
+    ))
+    def test_writes_through_any_earlier_position_land_on_the_key(self, ops):
+        """A position taken any number of writes ago — across splits,
+        borrows and merges — writes the slot it names."""
+        idx = Index("p", ("k",), order=4)
+        model, taken = {}, []
+        for op, k, age in ops:
+            key = (k,)
+            taken.append(idx.locate(key))
+            earlier = [at for at in taken if at.key == key]
+            at = earlier[-1 - age % len(earlier)]
+            if op == "absent":
+                idx.set_entry(key, None, at=at)
+                model.pop(key, None)
+            else:
+                idx.set_entry(key, (Row(k=k), op == "ghost"), at=at)
+                model[key] = op == "ghost"
+            idx.check_invariants()
+        assert {
+            key: record.is_ghost
+            for key, record in idx.scan(include_ghosts=True)
+        } == model
+
+
 class TestIndexProperties:
     @settings(max_examples=60, deadline=None)
     @given(
