@@ -2,19 +2,19 @@ PYTHON ?= python
 export PYTHONPATH := $(CURDIR)/src
 
 .PHONY: analyze test bench bench-smoke bench-r16 bench-r17 chaos-smoke \
-	check-results dist-smoke lint machine net-smoke perf perf-pairs \
+	check-results lint machine net-smoke perf perf-pairs \
 	perf-smoke verify
 
 # The PR gate, in dependency-cheapest order: the AST lint rules, the
 # static view-program analyzer, the full tier-1 test suite (the protocol
 # sanitizers' legs and negative controls are in
-# tests/test_analysis_sanitizers.py), the crash machine at a larger
-# example count, the bounded chaos tier (which includes the crash-storm
-# recovery leg), then the sharded 2PC smoke and its message-transport
-# tier, and the checks the wall-clock benchmark runs on itself.
-# benchmarks/run_all.py finishes with the smokes of the same chain.
-verify: lint analyze test machine chaos-smoke dist-smoke net-smoke \
-	perf-smoke
+# tests/test_analysis_sanitizers.py, the sharded 2PC legs in
+# tests/test_dist.py), the crash machine at a larger example count, the
+# bounded chaos tier (which includes the crash-storm recovery leg), the
+# message-transport tier, and the checks the wall-clock benchmark runs
+# on itself. benchmarks/run_all.py finishes with the smokes of the same
+# chain.
+verify: lint analyze test machine chaos-smoke net-smoke perf-smoke
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -65,13 +65,6 @@ bench-r17:
 # schema + event-catalogue gate. Finishes in well under a minute.
 chaos-smoke:
 	cd benchmarks && $(PYTHON) -c "import chaos; chaos.smoke()"
-	$(PYTHON) benchmarks/check_results.py
-
-# The distributed-commit smoke: healthy cross-partition 2PC, a
-# partition crash mid-2PC with survivor traffic and in-doubt recovery,
-# and the presumed-abort negative control, then the schema gate.
-dist-smoke:
-	cd benchmarks && $(PYTHON) -c "import dist_smoke as b; b.scenario()"
 	$(PYTHON) benchmarks/check_results.py
 
 # The message-transport smoke: a quiet network is transparent, a lossy

@@ -193,7 +193,7 @@ def run_one_seed(seed):
     # drain any open commit group first so durability is settled, then
     # hold the run to the quiescence bar too ----
     injector.disarm()
-    db.flush_group_commit()
+    db.group_commit.flush_pending()
     sanitizer_violations = [
         str(v) for v in db.sanitizers.check(assume_quiescent=True)
     ]

@@ -38,7 +38,6 @@ BENCHES = [
     ("bench_r16_group_commit", "scenario"),
     ("bench_r17_crash_storm", "scenario"),
     ("chaos", "scenario"),
-    ("dist_smoke", "scenario"),
     ("net_smoke", "scenario"),
     ("analyze_smoke", "scenario"),
 ]

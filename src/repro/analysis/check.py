@@ -24,14 +24,6 @@ import sys
 from repro.analysis.static import StaticAnalyzer
 
 
-def _analyzer_for(db):
-    return StaticAnalyzer(
-        db.catalog,
-        strategy=db.config.aggregate_strategy,
-        serializable=db.config.serializable,
-    )
-
-
 def _demo_catalogs():
     """The built-in schemas: every view shape the repo ships."""
     from repro.core.database import Database
@@ -84,7 +76,7 @@ def main(argv=None, out=None):
     failed = False
     docs = {}
     for label, db in catalogs:
-        analyzer = _analyzer_for(db)
+        analyzer = StaticAnalyzer.configured(db.catalog, db.config)
         if args.view is not None:
             if not db.catalog.has_view(args.view):
                 continue

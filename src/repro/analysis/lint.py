@@ -52,7 +52,7 @@ status 1 on any finding), via ``make lint``, or programmatically through
   ``GhostRecord`` / ``ReviveRecord`` / ``UpdateRecord`` /
   ``CleanupRecord``) are constructed only under ``repro/wal/`` and in
   ``repro/txn/write.py``, and an index's one mutator ``.set_entry(`` is
-  called only there, by the recovery target (``repro/core/database.py``)
+  called only there, by the recovery target (``repro/core/indexes.py``)
   and under ``repro/storage/``; everything else changes rows through the
   write module's ``put`` / ``ghost`` / ``patch`` / ``erase``, so no
   write can skip the log, the version stamp or the ghost cleaner's work
@@ -74,7 +74,8 @@ status 1 on any finding), via ``make lint``, or programmatically through
   in-doubt resolution all call.
 * **lazy-envelope** — the log carries only what recovery reads. In
   engine code ``CommitRecord`` / ``AbortRecord`` are constructed only in
-  ``repro/txn/manager.py`` and ``Database.resolve_in_doubt``, and
+  ``repro/txn/manager.py`` and ``Participant.resolve_in_doubt``
+  (``repro/core/participant.py``), and
   ``EndRecord`` only in ``repro/wal/recovery.py`` (``undo`` writes it
   after a rollback's last CLR).
 """
@@ -126,7 +127,7 @@ _LOGGED_WRITE = (
     "the version stamp and the ghost cleaner all hear of it",
 )
 _ENVELOPE = (
-    "{name} constructed outside repro/{home} and Database.resolve_in_doubt; "
+    "{name} constructed outside repro/{home} and Participant.resolve_in_doubt; "
     "end transactions through TransactionManager.commit / abort"
 )
 _HOMED = {
@@ -136,7 +137,7 @@ _HOMED = {
         _LOGGED_WRITE,
     ),
     "set_entry": (
-        "logged-write", _WRITE_HOMES + (("core", "database.py"), ("storage",)),
+        "logged-write", _WRITE_HOMES + (("core", "indexes.py"), ("storage",)),
         ".{name}() called outside repro/txn/write.py, the recovery target "
         "and repro/storage/; change rows through repro.txn.write.put / "
         "ghost / patch / erase, the logged writes",
@@ -151,9 +152,9 @@ _HOMED = {
     "EndRecord": ("lazy-envelope", (("wal", "recovery.py"),), _ENVELOPE),
 }
 _NO_HOME = (None, (), "")
-#: ``Database.resolve_in_doubt`` decides recovered 2PC branches: the
+#: ``Participant.resolve_in_doubt`` decides recovered 2PC branches: the
 #: envelope records' second home
-_RESOLVER_FILE, _RESOLVER_FUNC = ("core", "database.py"), "resolve_in_doubt"
+_RESOLVER_FILE, _RESOLVER_FUNC = ("core", "participant.py"), "resolve_in_doubt"
 
 #: the only engine files that may ``import struct`` (byte layouts)
 _LAYOUT_FILES = (("wal", "codec.py"), ("storage", "pages.py"))

@@ -23,7 +23,7 @@ compiler produces:
   explanation.
 
 Surfaces: ``CHECK VIEW <name>`` / ``EXPLAIN <stmt>`` in the dialect,
-:meth:`Database.check_view_static` / :meth:`Database.explain`,
+:func:`check_view` / :func:`explain` against a live engine,
 ``python -m repro.analysis.check`` and ``make analyze``. Diagnostics
 carry stable ``SA...`` codes catalogued in ``docs/ANALYSIS.md``.
 """
@@ -33,6 +33,7 @@ from repro.analysis.static.analyzer import (
     StaticAnalyzer,
     ViewCheckReport,
     check_view,
+    explain,
 )
 from repro.analysis.static.diagnostics import (
     CATALOG,
@@ -66,6 +67,7 @@ __all__ = [
     "ViewCheckReport",
     "check_copartition",
     "check_view",
+    "explain",
     "linearize",
     "prove_count",
     "prove_extreme",

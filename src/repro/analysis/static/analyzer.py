@@ -11,6 +11,10 @@ Three entry points:
   diagnostics plus the global lock-order verdict (``make analyze``,
   ``python -m repro.analysis.check``).
 
+:meth:`StaticAnalyzer.configured` builds the analyzer for an engine's
+configuration; :func:`check_view` and :func:`explain` run the first two
+against a live engine — the dialect's ``CHECK VIEW`` and ``EXPLAIN``.
+
 Reports are plain objects with ``diagnostics`` (a list of
 :class:`~repro.analysis.static.diagnostics.Diagnostic`, sorted most
 severe first) and ``render_lines()`` for human output; ``to_doc()``
@@ -18,7 +22,7 @@ produces the dict shape validated by
 :func:`repro.obs.schema.validate_static_report`.
 """
 
-from repro.analysis.static.diagnostics import Diagnostic
+from repro.analysis.static.diagnostics import Diagnostic, trace_static_check
 from repro.analysis.static.footprint import (
     fanout_indexes,
     index_read_footprint,
@@ -27,7 +31,7 @@ from repro.analysis.static.footprint import (
 )
 from repro.analysis.static.lockgraph import LockOrderGraph
 from repro.analysis.static.shard import check_copartition
-from repro.common import CatalogError
+from repro.common import CatalogError, UnsupportedSqlError
 
 
 def _sorted_diagnostics(diagnostics):
@@ -156,6 +160,15 @@ class StaticAnalyzer:
         self.strategy = strategy
         self.serializable = serializable
         self.partitioner = partitioner
+
+    @classmethod
+    def configured(cls, catalog, config, partitioner=None):
+        """The analyzer modelling an engine run with ``config`` (an
+        :class:`~repro.core.config.EngineConfig`)."""
+        return cls(
+            catalog, strategy=config.aggregate_strategy,
+            serializable=config.serializable, partitioner=partitioner,
+        )
 
     # -- building blocks ----------------------------------------------
 
@@ -375,11 +388,43 @@ class StaticAnalyzer:
 
 
 def check_view(db, name):
-    """Convenience: run ``CHECK VIEW name`` against a live engine,
-    picking up its strategy and isolation configuration."""
-    analyzer = StaticAnalyzer(
-        db.catalog,
-        strategy=db.config.aggregate_strategy,
-        serializable=db.config.serializable,
-    )
-    return analyzer.check_view(name)
+    """``CHECK VIEW name`` against a live engine (traced as a
+    ``static_check`` event); touches no data."""
+    report = StaticAnalyzer.configured(db.catalog, db.config).check_view(name)
+    trace_static_check(db.tracer, name, "check_view", report.diagnostics)
+    return report
+
+
+def explain(db, statement):
+    """``EXPLAIN <stmt>`` against a live engine: the parsed
+    ``statement``'s lock footprint and access path, without executing
+    it; ``EXPLAIN CREATE ... VIEW`` analyzes the would-be view against a
+    copy of the catalog."""
+    from repro.sql import ast as sql_ast
+    from repro.sql import compile_view
+
+    analyzer = StaticAnalyzer.configured(db.catalog, db.config)
+    if isinstance(statement, sql_ast.Insert):
+        report = analyzer.explain("insert", statement.table)
+    elif isinstance(statement, (sql_ast.Update, sql_ast.Delete)):
+        op = "update" if isinstance(statement, sql_ast.Update) else "delete"
+        report = analyzer.explain(op, statement.table, statement)
+    elif isinstance(statement, sql_ast.Select):
+        report = analyzer.explain("select", statement.table.name, statement)
+    elif isinstance(statement, sql_ast.CreateView):
+        definition = compile_view(statement, db.catalog)
+        scratch = db.catalog.copy()
+        scratch.add_view(definition)
+        check = StaticAnalyzer.configured(scratch, db.config).check_view(
+            definition.name
+        )
+        report = ExplainReport(
+            f"create view {definition.name}", check.footprints,
+            check.diagnostics,
+        )
+    else:
+        raise UnsupportedSqlError(
+            f"EXPLAIN has no plan for {type(statement).__name__} statements"
+        )
+    trace_static_check(db.tracer, report.label, "explain", report.diagnostics)
+    return report

@@ -77,6 +77,14 @@ class Catalog:
         self._views = {}
         self._views_by_base = {}
 
+    def copy(self):
+        """A catalog with these tables and views that changes apart."""
+        clone = Catalog()
+        clone._tables = dict(self._tables)
+        for view in self._views.values():
+            clone.add_view(view)
+        return clone
+
     # -- tables ----------------------------------------------------------
 
     def add_table(self, schema):

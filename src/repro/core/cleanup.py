@@ -106,7 +106,7 @@ class GhostCleaner:
             if not record.is_ghost:
                 # A live candidate: only aggregate groups whose committed
                 # count is zero qualify; anything else was revived.
-                count_column = db.count_column(index_name)
+                count_column = db.indexes.count_column(index_name)
                 if count_column is None:
                     db.abort(txn)
                     self.skipped_live += 1
@@ -145,7 +145,7 @@ class GhostCleaner:
                 self._trace(db, index_name, key, "deferred")
                 return False
             erase(db, txn, index, key)  # unlists it too (ghosted above)
-            for column in db.counter_columns(index_name):
+            for column in db.indexes.counter_columns(index_name):
                 db.escrow.drop((index_name, key, column))
             db.commit(txn)
             self.cleaned += 1
@@ -170,7 +170,7 @@ class GhostCleaner:
 
     @staticmethod
     def _has_pending(db, index_name, key):
-        for column in db.counter_columns(index_name):
+        for column in db.indexes.counter_columns(index_name):
             account = db.escrow.existing((index_name, key, column))
             if account is not None and account.has_pending():
                 return True

@@ -25,6 +25,7 @@ statement, an attempt of :meth:`Session.run`), it ends through
 """
 
 from repro.common import TransactionAborted, TransactionStateError
+from repro.sql import execute_script, in_statement
 from repro.txn.transaction import LockPolicy, TxnState
 
 
@@ -138,7 +139,7 @@ class Session:
                 backoff = min(
                     config.retry_backoff_cap,
                     config.retry_backoff_base * 2 ** (attempt - 1),
-                ) + db._retry_rng.randint(0, config.retry_backoff_base)
+                ) + db.retry_rng.randint(0, config.retry_backoff_base)
                 db.retries.observe_backoff(backoff)
                 if db.tracer.enabled:
                     db.tracer.emit(
@@ -159,15 +160,15 @@ class Session:
     def execute(self, sql):
         """Execute SQL in this session: inside the current transaction
         when one is open, each statement all or nothing, autocommit
-        otherwise — through the same statement dispatcher as
-        :meth:`Database.execute`, so DDL, ``EXPLAIN`` and ``CHECK VIEW``
-        run outside any transaction."""
+        otherwise — through the one statement dispatcher
+        (:func:`repro.sql.execute_script`), so DDL, ``EXPLAIN`` and
+        ``CHECK VIEW`` run outside any transaction."""
         def run(fn):
             if self.in_transaction():
-                return self._db._in_statement(self._txn, fn)
+                return in_statement(self._db, self._txn, fn)
             return self._run(fn)
 
-        return self._db._execute(sql, run)
+        return execute_script(self._db, sql, run)
 
     def insert(self, table, values):
         return self._run(lambda txn: self._db.insert(txn, table, values))

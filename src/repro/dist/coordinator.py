@@ -6,7 +6,7 @@ the **decision log** — holding one
 transaction. The protocol's durability points:
 
 * a participant's vote is binding once its PREPARE record is durable in
-  *that partition's* WAL (``Database.prepare``);
+  *that partition's* WAL (``Participant.prepare``);
 * the coordinator's decision is binding once the DecisionRecord is
   durable in *this* log (``decide`` flushes it);
 * anything less resolves by **presumed abort**: a gid with no durable

@@ -374,7 +374,7 @@ class PartitionEndpoint:
             self.engine.log.crash()
             raise SimulatedCrash(f"dist.partition_crash prepare:{self.pid}")
         try:
-            self.engine.prepare(txn, gid)
+            self.engine.participant.prepare(txn, gid)
         except TransactionAborted:
             return {"vote": False, "txn_id": txn.txn_id}
         return {"vote": True, "txn_id": txn.txn_id}
@@ -404,12 +404,12 @@ class PartitionEndpoint:
         else:
             # The live handle is gone (partition restarted): look for an
             # engine-level in-doubt entry recovered from the WAL.
-            in_doubt = self.engine.in_doubt_transactions()
+            in_doubt = self.engine.participant.in_doubt_transactions()
             txn_id = next(
                 (t for t, g in sorted(in_doubt.items()) if g == gid), None
             )
             if txn_id is not None:
-                self.engine.resolve_in_doubt(txn_id, decision)
+                self.engine.participant.resolve_in_doubt(txn_id, decision)
                 via = "in_doubt"
         return {"via": via, "decision": decision}
 
@@ -427,7 +427,7 @@ class PartitionEndpoint:
         """In-doubt report for coordinator recovery: every branch that
         voted yes and is still awaiting a decision, whether live
         (prepared this incarnation) or recovered from the WAL."""
-        report = dict(self.engine.in_doubt_transactions())
+        report = dict(self.engine.participant.in_doubt_transactions())
         for gid, txn in sorted(self._branches.items()):
             if self._prepared(gid) and txn.state is TxnState.ACTIVE:
                 report[txn.txn_id] = gid

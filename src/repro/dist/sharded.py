@@ -218,11 +218,8 @@ class ShardedDatabase:
         """Every partition runs the same schema, so partition 0's
         catalog stands in for the fleet; the partitioner switches on
         the co-partitioning checks."""
-        return StaticAnalyzer(
-            self._engines[0].catalog,
-            strategy=self.config.aggregate_strategy,
-            serializable=self.config.serializable,
-            partitioner=self.partitioner,
+        return StaticAnalyzer.configured(
+            self._engines[0].catalog, self.config, self.partitioner
         )
 
     def _shard_check(self, probe):
@@ -355,7 +352,7 @@ class ShardedDatabase:
         (the single-partition fast path — no coordinator involvement,
         just the partition's own WAL rule). Two or more branches run the
         full protocol: phase 1 asks every branch to
-        :meth:`~repro.core.database.Database.prepare` (an exception, a
+        :meth:`~repro.core.participant.Participant.prepare` (an exception, a
         transport give-up, or an armed loss site is a no vote); the
         decision is commit iff every vote arrived yes, logged durably at
         the coordinator; phase 2 applies it branch-by-branch. A branch
@@ -518,10 +515,7 @@ class ShardedDatabase:
                 f"global transaction {dtxn.gid} is {dtxn.state}, not in doubt"
             )
         self._ensure_coordinator()
-        decision = self.coordinator.durable_decision(dtxn.gid)
-        if decision is None:
-            decision = "abort"
-            self.presumed_aborts += 1
+        decision = self._decision(dtxn.gid)
         for pid in sorted(dtxn.branches):
             txn_id = dtxn.branches[pid]
             if self.detector.is_down(pid):
@@ -564,39 +558,43 @@ class ShardedDatabase:
     def recover_partition(self, pid):
         """Run ARIES recovery on a down partition, resolve every in-doubt
         branch from the coordinator's durable decision log (undecided =
-        presumed abort), and rejoin it. Returns the
+        presumed abort), and only then rejoin it: a transport give-up on
+        the way leaves the partition down, and calling this again
+        settles it. Returns the
         :class:`~repro.wal.recovery.RecoveryReport`."""
         self._ensure_coordinator()
         report = self._endpoints[pid].recover()
-        self.detector.readmit(pid)
-        resolved_commit = 0
-        resolved_abort = 0
+        resolved = {"commit": 0, "abort": 0}
         probe = self.net.request(pid, "probe", {})
         for txn_id, gid in sorted(probe.items()):
-            decision = self.coordinator.durable_decision(gid)
-            if decision is None:
-                decision = "abort"
-                self.presumed_aborts += 1
+            decision = self._decision(gid)
             self.net.request(
                 pid, "decide", {"decision": decision}, gid=gid, txn_id=txn_id
             )
             self.in_doubt_resolved[decision] += 1
-            if decision == "commit":
-                resolved_commit += 1
-            else:
-                resolved_abort += 1
+            resolved[decision] += 1
+        self.detector.readmit(pid)
         if self.tracer.enabled:
             self.tracer.emit(
                 "partition_recovered", partition=pid,
                 in_doubt=len(report.in_doubt),
-                resolved_commit=resolved_commit,
-                resolved_abort=resolved_abort,
+                resolved_commit=resolved["commit"],
+                resolved_abort=resolved["abort"],
             )
         return report
 
     def _ensure_coordinator(self):
         if self.coordinator.crashed:
             self.recover_coordinator()
+
+    def _decision(self, gid):
+        """The durable decision on ``gid``; an undecided gid is presumed
+        aborted, and counted."""
+        decision = self.coordinator.durable_decision(gid)
+        if decision is None:
+            decision = "abort"
+            self.presumed_aborts += 1
+        return decision
 
     def recover_coordinator(self):
         """Stand up a fresh coordinator after a crash.
@@ -623,10 +621,7 @@ class ShardedDatabase:
             except TransactionAborted:
                 continue  # unreachable over a quiet net; lossy rejoin
             for txn_id, gid in sorted(report.items()):
-                decision = self.coordinator.durable_decision(gid)
-                if decision is None:
-                    decision = "abort"
-                    self.presumed_aborts += 1
+                decision = self._decision(gid)
                 try:
                     reply = self.net.request(
                         pid, "decide", {"decision": decision},
@@ -672,24 +667,24 @@ class ShardedDatabase:
 
     def scan_folded(self, view_name):
         """Every committed group of an aggregate view, folded across up
-        partitions; returns ``{group_key: Row}``."""
+        partitions; returns ``{group_key: Row}``. Each partition answers
+        through its committed read path, as :meth:`read_folded` does: a
+        quarantined partition from its recomputation."""
         view = self._views[view_name]
         by_key = {}
         for pid, engine in enumerate(self._engines):
             if self.detector.is_down(pid):
                 continue
-            for key, record in engine.index(view_name).scan():
-                row = record.read_as_of(engine.clock.now())
-                if row is not None:
-                    by_key.setdefault(key, []).append(row)
-        folded = {}
-        for key in sorted(by_key, key=repr):
-            row = self._fold(view, key, by_key[key])
-            if row is not None:
-                folded[key] = row
-        return folded
+            for key, row in engine.scan_committed(view_name):
+                by_key.setdefault(key, []).append(row)
+        return {
+            key: self._fold(view, key, by_key[key])
+            for key in sorted(by_key, key=repr)
+        }
 
     def _fold(self, view, key, sub_rows):
+        """One group's sub-counter rows folded; ``None`` without any (a
+        partition's read path already hides a zero-count row)."""
         if not sub_rows:
             return None
         values = dict(zip(view.group_by, key))
@@ -702,8 +697,6 @@ class ShardedDatabase:
                 values[spec.out] = folded
             else:
                 values[spec.out] = sum(row[spec.out] for row in sub_rows)
-        if values.get(view.count_column) == 0:
-            return None  # every sub-counter emptied: logically deleted
         return Row(values)
 
     # ------------------------------------------------------------------
@@ -712,7 +705,8 @@ class ShardedDatabase:
 
     def in_doubt_total(self):
         return sum(
-            len(engine.in_doubt_transactions()) for engine in self._engines
+            len(engine.participant.in_doubt_transactions())
+            for engine in self._engines
         )
 
     def stats(self):

@@ -104,7 +104,7 @@ def view_discrepancies(db, view):
     ``check_view_consistency`` and the integrity sweep."""
     live = expected_index_contents(view, lambda table: db.index(table).rows())
     for index_name, expected in live.items():
-        counters = db.counter_columns(index_name)
+        counters = db.indexes.counter_columns(index_name)
         actual = {}
         for key, record in db.index(index_name).scan():
             row = record.current_row
@@ -143,7 +143,7 @@ def _check_structure(db, report):
         try:
             db.index(name).check_invariants()
         except StorageError as err:
-            view = db.view_of_index(name)
+            view = db.indexes.view_of(name)
             report.damage.append(
                 Damage(
                     "structure", name, detail=str(err),
@@ -183,10 +183,11 @@ def _check_storage(db, report):
     pending when it was written. A clean leaf that holds entries always
     has an image (a leaf is written when the store is attached, and any
     change dirties it), so one without is a lost page."""
+    store = db.indexes.store
     images = {}
-    for page_id in sorted(db._store.page_ids()):
+    for page_id in sorted(store.page_ids()):
         try:
-            images[page_id] = db._store.read_page(page_id)
+            images[page_id] = store.read_page(page_id)
         except StorageError as err:
             report.damage.append(
                 Damage("storage", "<pages>", key=(page_id,), detail=str(err))
@@ -195,7 +196,7 @@ def _check_storage(db, report):
         for leaf in db.index(name).leaves():
             if leaf.rec_lsn is not None:
                 continue  # dirty: its image is stale by design
-            if not db._store.has_page(leaf.page_id):
+            if not store.has_page(leaf.page_id):
                 if leaf.values:
                     report.damage.append(Damage(
                         "storage", name, key=(leaf.page_id,),
@@ -206,7 +207,7 @@ def _check_storage(db, report):
                 continue  # an empty leaf never written
             if leaf.page_id not in images:
                 continue  # torn: reported above
-            want = db._pool.payloads(leaf)[0]
+            want = db.indexes.pool.payloads(leaf)[0]
             got = [payload for _, payload in images[leaf.page_id].records()]
             if got != want:
                 report.damage.append(Damage(

@@ -3,11 +3,12 @@
 A view the integrity checker condemned (or an operator distrusts) is
 *quarantined*: its maintained contents are presumed damaged, so
 
-* **reads degrade** — ``Database.read`` / ``scan`` / ``read_committed``
-  against the view transparently recompute the answer from the base
+* **reads degrade** — every read of the view (the engine's one read
+  path: ``read`` / ``read_exact`` / ``scan`` / ``read_committed`` /
+  ``scan_committed``) transparently recomputes the answer from the base
   tables under the caller's isolation level (serializable readers take
-  table-level S locks on the bases; snapshot readers use their version
-  timestamp), and
+  table-level S locks on the bases; snapshot and committed readers use
+  their version timestamp), and
 * **maintenance pauses** — base-table DML stops compiling maintenance
   actions for the view (its contents will be thrown away anyway), so
   damaged state cannot make maintainers fail user statements. A
@@ -79,32 +80,25 @@ class QuarantineManager:
     # degraded reads
     # ------------------------------------------------------------------
 
-    def degraded_contents(self, view, txn=None):
+    def degraded_contents(self, view, txn, as_of):
         """The view's visible contents recomputed from its base tables,
-        as ``{key: row}``, under ``txn``'s isolation (``None`` = a fresh
-        committed read)."""
-        self.degraded_reads += 1
-        self._db.counters.incr("integrity.degraded_reads")
-        return self._recompute(view, txn)
-
-    def _recompute(self, view, txn):
+        as ``{key: row}``: from their versions as of ``as_of``, or — with
+        ``as_of`` ``None``, a locked read — their live rows under a
+        table-level S lock per base table taken by ``txn``, which makes
+        the recomputation as repeatable as the maintained view index
+        would have been. (Base tables cannot be quarantined, so this
+        never recurses.)"""
         db = self._db
-        if txn is None or txn.isolation in ("snapshot", "read_committed"):
-            if txn is not None and txn.isolation == "snapshot":
-                as_of = txn.read_ts
-            else:
-                as_of = db.clock.now()
+        self.degraded_reads += 1
+        db.counters.incr("integrity.degraded_reads")
+        if as_of is not None:
+            return view.recompute(
+                lambda table: db.indexes.rows_as_of(table, as_of)
+            )
 
-            def rows_of(table):
-                return db.rows_as_of(table, as_of)
-        else:
-            # Serializable: a table-level S lock on each base table makes
-            # the recomputation as repeatable as the maintained view index
-            # would have been. Base tables cannot be quarantined, so this
-            # never recurses.
-            def rows_of(table):
-                txn.acquire(table_resource(table), LockMode.S)
-                return list(db.index(table).rows())
+        def rows_of(table):
+            txn.acquire(table_resource(table), LockMode.S)
+            return list(db.index(table).rows())
 
         return view.recompute(rows_of)
 

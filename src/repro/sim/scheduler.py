@@ -194,7 +194,7 @@ class Scheduler:
             if not runnable:
                 if all(s.state == "done" for s in self._sessions):
                     break
-                if self._durable_waiters and db.flush_group_commit():
+                if self._durable_waiters and db.group_commit.flush_pending():
                     # Quiescence with a partial commit group open (e.g.
                     # the size bound will never fill): force it out so
                     # the blocked committers resolve.
@@ -288,7 +288,7 @@ class Scheduler:
                     next_arrival >= len(arrivals)
                 ):
                     break
-                if self._durable_waiters and db.flush_group_commit():
+                if self._durable_waiters and db.group_commit.flush_pending():
                     stall_guard = 0
                     continue
                 stall_guard += 1
@@ -319,7 +319,7 @@ class Scheduler:
         True when one fired (the caller restarts its loop)."""
         db = self._db
         lock_deadline = db.locks.next_deadline()
-        group_deadline = db.group_commit_deadline()
+        group_deadline = db.group_commit.next_deadline()
         deadlines = [
             d for d in (lock_deadline, group_deadline) if d is not None
         ]
@@ -335,7 +335,7 @@ class Scheduler:
         if lock_deadline is not None and lock_deadline <= deadline:
             db.locks.poll(db.clock.now())
         if group_deadline is not None and group_deadline <= deadline:
-            db.poll_group_commit()
+            db.group_commit.poll()
         return True
 
     def _wake_ready(self, result):

@@ -16,7 +16,12 @@ rather than these internals.
 
 from repro.sql import ast
 from repro.sql.binder import CompiledPredicate, Scope, bind_options
-from repro.sql.compiler import compile_view, execute_statement
+from repro.sql.compiler import (
+    compile_view,
+    execute_script,
+    execute_statement,
+    in_statement,
+)
 from repro.sql.lexer import Token, tokenize
 from repro.sql.parser import parse, parse_one
 from repro.sql.render import plan_signature, render_expr, render_view
@@ -28,7 +33,9 @@ __all__ = [
     "ast",
     "bind_options",
     "compile_view",
+    "execute_script",
     "execute_statement",
+    "in_statement",
     "parse",
     "parse_one",
     "plan_signature",

@@ -1,6 +1,6 @@
 """The planner: SQL statements to engine operations.
 
-Two entry points:
+Three entry points:
 
 * :func:`compile_view` turns a ``CREATE [UNIQUE] INDEXED VIEW``
   statement into the matching
@@ -18,9 +18,14 @@ Two entry points:
   ... JOIN + GROUP BY      JoinAggregateView (escrow counters only)
   ======================  =============================================
 
+* :func:`execute_script` is the one statement dispatcher behind
+  ``Database.execute`` and ``Session.execute``: DDL, ``CHECK VIEW`` and
+  ``EXPLAIN`` outside any transaction, DML and SELECT in the one the
+  caller provides (each all or nothing by :func:`in_statement`).
 * :func:`execute_statement` runs one bound DML/SELECT statement inside a
   transaction: an INSERT / UPDATE / DELETE is one statement — all its
-  rows — through the table's write plan (``db.write_plan(table)``, see
+  rows — through the table's write plan
+  (``db.indexes.write_plan(table)``, see
   :mod:`repro.views.maintenance`), a SELECT ``db.read`` / ``db.scan``
   plus the relational operators in :mod:`repro.query.executor`. Which
   of ``read`` and
@@ -30,8 +35,9 @@ Two entry points:
   view index directly.
 """
 
+from repro.analysis.static import check_view, explain
 from repro.catalog.schema import TableSchema
-from repro.common import BindError, UnsupportedSqlError
+from repro.common import BindError, SimulatedCrash, UnsupportedSqlError
 from repro.query.aggregates import AggregateSpec
 from repro.query.executor import group_aggregate, nested_loops_join
 from repro.sql import ast
@@ -42,7 +48,8 @@ from repro.sql.binder import (
     compile_predicate,
     value_fn,
 )
-from repro.sql.parser import parse_one
+from repro.sql.parser import parse, parse_one
+from repro.txn.transaction import TxnState
 from repro.views.definition import (
     AggregateView,
     JoinAggregateView,
@@ -455,7 +462,7 @@ def _execute_insert(db, txn, stmt):
         {c: lit.value for c, lit in zip(columns, values)}
         for values in stmt.rows
     ]
-    return len(db.write_plan(schema.name).insert(db, txn, rows))
+    return len(db.indexes.write_plan(schema.name).insert(db, txn, rows))
 
 
 def _execute_update(db, txn, stmt):
@@ -473,13 +480,13 @@ def _execute_update(db, txn, stmt):
         (key, {column: fn(row) for column, fn in setters})
         for key, row in _matching_rows(db, txn, schema, stmt.where)
     ]
-    return len(db.write_plan(schema.name).update(db, txn, items))
+    return len(db.indexes.write_plan(schema.name).update(db, txn, items))
 
 
 def _execute_delete(db, txn, stmt):
     schema = _dml_schema(db.catalog, stmt)
     keys = [key for key, _ in _matching_rows(db, txn, schema, stmt.where)]
-    return len(db.write_plan(schema.name).delete(db, txn, keys))
+    return len(db.indexes.write_plan(schema.name).delete(db, txn, keys))
 
 
 def _sorted_rows(keyed_rows):
@@ -563,12 +570,47 @@ def _execute_select(db, txn, stmt):
     return out
 
 
+def execute_script(db, sql, run):
+    """Execute each statement of the SQL script ``sql`` against ``db``;
+    returns the last one's result. ``run(fn)`` calls ``fn(txn)`` in the
+    transaction the caller means a DML/SELECT statement to have: an
+    open one, or an autocommit one. DDL is not logged."""
+    result = None
+    for stmt in parse(sql):
+        if isinstance(stmt, ast.CreateTable):
+            result = db.create_table(stmt.name, stmt.columns, stmt.primary_key)
+        elif isinstance(stmt, ast.CreateView):
+            result = db.create_view(stmt)
+        elif isinstance(stmt, ast.CheckView):
+            result = check_view(db, stmt.name)
+        elif isinstance(stmt, ast.Explain):
+            result = explain(db, stmt.statement)
+        else:
+            result = run(lambda txn: execute_statement(db, txn, stmt))
+    return result
+
+
+def in_statement(db, txn, fn):
+    """``fn(txn)``: one SQL statement inside the open ``txn``, all or
+    nothing — a failure rolls back to a savepoint taken first and the
+    transaction stays usable. (Autocommit needs none: it aborts.)"""
+    savepoint = db.savepoint(txn)
+    try:
+        return fn(txn)
+    except SimulatedCrash:
+        raise
+    except BaseException:
+        if txn.state is TxnState.ACTIVE:
+            db.rollback_to(txn, savepoint)
+        raise
+
+
 def execute_statement(db, txn, stmt):
     """Execute one bound DML or SELECT statement inside ``txn``.
 
     Returns the SELECT's rows (a list of :class:`~repro.common.rows.Row`)
     or the DML's affected-row count. DDL statements are handled by
-    :meth:`Database.execute`, which owns catalog mutation.
+    :func:`execute_script`.
     """
     if isinstance(stmt, ast.Insert):
         return _execute_insert(db, txn, stmt)

@@ -107,7 +107,7 @@ class JoinMaintainer:
             actions = []
             joined = [
                 left_row.merge(row) for left_row in left_rows_referencing(
-                    db, txn, view, db.table_key(view.right, row)
+                    db, txn, view, db.catalog.table(view.right).key_of(row)
                 )
             ]
         for joined_row in joined:
@@ -176,9 +176,9 @@ class JoinMaintainer:
         a prefix of the view index for a left row, of ``#right`` for a
         right row."""
         if table == view.left:
-            index, prefix = db.index(view.name), db.table_key(view.left, row)
+            index = db.index(view.name)
         else:
             index = db.index(view.right_index.name)
-            prefix = db.table_key(view.right, row)
+        prefix = db.catalog.table(table).key_of(row)
         rng = KeyRange.prefix(prefix, len(index.key_columns))
         return [view.key_of(record.current_row) for _, record in index.scan(rng)]

@@ -46,7 +46,7 @@ dropped); a crash after it replays the build as a winner and the view
 verdict; the ``view_online_build`` trace event records each phase.
 """
 
-from repro.common import CatalogError, SimulatedCrash
+from repro.common import SimulatedCrash
 from repro.locking import LockMode
 from repro.locking.keyrange import table_resource
 from repro.locking.modes import mode_compatible
@@ -106,7 +106,7 @@ def reconcile(db, txn, view, rows_of, crash_detail=None):
                 patch(db, txn, index, key, want)
             else:
                 put(db, txn, index, key, want)
-            for column in db.counter_columns(index_name):
+            for column in db.indexes.counter_columns(index_name):
                 db.escrow.drop((index_name, key, column))
             corrections += 1
     return corrections
@@ -208,7 +208,7 @@ class ViewBuilder:
             self._install()
             self._begin()
             self.build_ts = db.clock.now()
-            self._fill(lambda table: db.rows_as_of(table, self.build_ts))
+            self._fill(lambda table: db.indexes.rows_as_of(table, self.build_ts))
 
         self._guarded(snapshot)
         return self
@@ -246,14 +246,7 @@ class ViewBuilder:
 
     def _install(self):
         """Register the view and create the (empty) indexes it owns."""
-        db, view = self.db, self.view
-        if view.name in db._indexes:
-            # Validate *before* mutating anything: a duplicate name must
-            # never reach _vanish, which would drop the storage of the
-            # existing view/table that owns the name.
-            raise CatalogError(f"name {view.name!r} already in use")
-        db.catalog.add_view(view)
-        db._create_view_indexes(view)
+        self.db.indexes.add_view(self.view)
         self._installed = True
 
     def _begin(self):
@@ -263,7 +256,7 @@ class ViewBuilder:
         db, view = self.db, self.view
         self.txn = db.begin_system()
         db.online_builds.register(
-            view.name, self.txn.txn_id, lambda: _drop_view_storage(db, view)
+            view.name, self.txn.txn_id, lambda: db.indexes.drop_view(view)
         )
 
     def _fill(self, rows_of):
@@ -300,30 +293,17 @@ class ViewBuilder:
         if not self._installed:
             return  # never registered (or already vanished)
         self._installed = False
-        _drop_view_storage(db, view)
+        db.indexes.drop_view(view)
         db.online_builds.remove(view.name)
         self._emit("vanished")
-
-
-def _drop_view_storage(db, view):
-    """Drop the view's catalog entry and every index it owns."""
-    if db.catalog.has_view(view.name):
-        db.catalog.drop_view(view.name)
-    for index_name, _ in view.owned_indexes():
-        index = db._indexes.pop(index_name, None)
-        if index is not None:  # its pages go too: a rebuild reuses the name
-            db._pool.discard(index_name, index.leaves())
-        db._index_views.pop(index_name, None)
-        db.cleanup.drop_index(index_name)
-    db._replan(view.base_tables())
 
 
 def resolve_after_recovery(db):
     """Settle every build interrupted by a crash: a durable COMMIT for
     the build transaction means it completed (recovery already replayed
     it as a winner); anything else vanishes (recovery already undid it
-    as a loser). Called by ``Database._rebuild_from_log`` before
-    ``_post_recovery`` stamps versions and enqueues cleanup."""
+    as a loser). Called by ``Restart.recover`` before the baseline
+    versions are stamped and the cleanup work list is rebuilt."""
     resolutions = []
     for name, build in sorted(db.online_builds.pending().items()):
         committed = any(

@@ -28,17 +28,16 @@ settles as:
 * ``lost`` — a crash destroyed the pending group; recovery rolls the
   member back as a loser.
 
-The coordinator never mutates engine state itself: on a flush fault it
-hands the non-durable tickets to ``failure_handler`` (installed by
-:class:`~repro.core.database.Database`), which either retracts the group
-(when provably sound) or escalates to :class:`~repro.common.SimulatedCrash`
-— the dependent-reader abort story the early-lock-release rule requires.
+What a failed group flush does is decided here too: retract the group
+through the one ``restart`` callable the engine hands in, or escalate to
+:class:`~repro.common.SimulatedCrash`.
 """
 
 from repro.common import FaultInjected, SimulatedCrash
 from repro.faults import NULL_INJECTOR
 from repro.obs.metrics import Histogram
 from repro.obs.tracer import NULL_TRACER
+from repro.txn.transaction import TxnState
 
 
 class CommitTicket:
@@ -78,18 +77,20 @@ class CommitTicket:
 class GroupCommitCoordinator:
     """Owns the open commit group and the batched-flush protocol."""
 
-    def __init__(self, log, clock, policy=None, size=8, latency=16,
-                 tracer=NULL_TRACER, faults=None):
-        self.log = log  # reattached by Database after a WAL restore
+    def __init__(self, log, clock, counters, restart, policy=None, size=8,
+                 latency=16, tracer=NULL_TRACER, faults=None):
+        self.log = log  # rewired by attach() after a crash or a restore
+        self.txns = None  # the TransactionManager, wired by attach()
         self._clock = clock
+        self.counters = counters
+        #: ``restart(member_ids)`` recovers from the durable log prefix,
+        #: rolling the members back
+        self.restart = restart
         self.policy = policy  # None | "size" | "latency"
         self.size = size
         self.latency = latency
         self.tracer = tracer
         self.faults = faults if faults is not None else NULL_INJECTOR
-        #: ``failure_handler(nondurable_tickets, member_ids, fault)`` —
-        #: installed by the Database; retracts or escalates to a crash.
-        self.failure_handler = None
         self._pending = []  # tickets of the single open group, enroll order
         self._opened_at = None
         self._current_leader = None
@@ -168,7 +169,7 @@ class GroupCommitCoordinator:
         touched; ``wal.flush``/``wal.torn_tail`` can fire inside
         :meth:`LogManager.flush` as usual. A torn tail may leave a prefix
         of the group durable — the flush listener settles those members
-        as winners and only the rest reach the failure handler, so a
+        as winners and only the rest are retracted (or escalate), so a
         retry re-runs exactly the non-durable members.
         """
         if not self._pending:
@@ -191,9 +192,7 @@ class GroupCommitCoordinator:
             self._pending = []
             self._opened_at = None
             self._current_leader = None
-            if self.failure_handler is None:
-                raise SimulatedCrash(fault.site, committed=False) from fault
-            self.failure_handler(nondurable, member_ids, fault)
+            self._retract_or_escalate(nondurable, member_ids, fault)
             return
         finally:
             self._current_leader = None
@@ -210,10 +209,7 @@ class GroupCommitCoordinator:
         durable = [t for t in self._pending if t.commit_lsn <= flushed_lsn]
         if not durable:
             return
-        now = self._clock.now()
-        for ticket in durable:
-            ticket.state = CommitTicket.DURABLE
-            ticket.resolved_at = now
+        self._settle(durable, CommitTicket.DURABLE)
         self._pending = [
             t for t in self._pending if t.state == CommitTicket.PENDING
         ]
@@ -228,21 +224,62 @@ class GroupCommitCoordinator:
                 flushed_lsn=flushed_lsn, leader=self._current_leader,
             )
 
-    def abandon_pending(self, reason="crash"):
-        """A crash destroyed the open group: its members' COMMIT records
-        were in the lost suffix, so recovery rolls them back as losers."""
-        if not self._pending:
-            return 0
-        now = self._clock.now()
-        for ticket in self._pending:
-            ticket.state = CommitTicket.LOST
-            ticket.reason = reason
-            ticket.resolved_at = now
-        lost = len(self._pending)
-        self.lost_txns += lost
+    def attach(self, log, txns):
+        """Wire to the engine's (new) log and transaction manager, at
+        start and after a crash — which destroyed the open group: its
+        members' COMMIT records were lost, recovery rolls them back, and
+        their tickets are lost. (A retraction leaves nothing pending.)"""
+        self.lost_txns += len(self._pending)
+        self._settle(self._pending, CommitTicket.LOST, "crash")
         self._pending = []
         self._opened_at = None
-        return lost
+        self.log = log
+        self.txns = txns
+        log.flush_listener = self.on_flushed
+
+    def _retract_or_escalate(self, tickets, member_ids, fault):
+        """The group flush failed before ``tickets`` became durable.
+        *Retract* the group — ``restart`` recovers from the durable
+        prefix, the members abort retryably — when that provably undoes
+        only the group (:meth:`_retractable`). Otherwise a reader may have
+        consumed a member's writes under early lock release, so escalate
+        to :class:`~repro.common.SimulatedCrash`: recovery aborts the
+        dependents too (see the commit-flush comment in
+        ``txn/manager.py``)."""
+        if not self._retractable(member_ids):
+            # The members' COMMIT records die with the volatile log; mark
+            # their tickets lost now so nothing waits on them forever.
+            self._settle(tickets, CommitTicket.LOST, fault.site)
+            self.lost_txns += len(tickets)
+            self.crash_escalations += 1
+            self.counters.incr("group_commit.crash_escalations")
+            raise SimulatedCrash(fault.site, committed=False) from fault
+        self.restart(member_ids)
+        self._settle(tickets, CommitTicket.RETRACTED, fault.site)
+        self.retracted_txns += len(tickets)
+        self.counters.incr("group_commit.retractions", len(tickets))
+
+    def _retractable(self, member_ids):
+        """True when discarding the unflushed suffix undoes *only* the
+        failed group: no active transactions, and every unflushed record
+        belongs to a group member."""
+        if self.txns.active_transactions():
+            return False
+        return all(
+            record.txn_id in member_ids
+            for record in self.log.records(self.log.flushed_lsn + 1)
+        )
+
+    def _settle(self, tickets, state, reason=None):
+        """Resolve ``tickets`` as ``state``; a retracted member reads as
+        rolled back (recovery just did that), so abort paths skip it."""
+        now = self._clock.now()
+        for ticket in tickets:
+            ticket.state = state
+            ticket.reason = reason
+            ticket.resolved_at = now
+            if state == CommitTicket.RETRACTED:
+                ticket.txn.state = TxnState.ABORTED
 
     def stats(self):
         """The ``db.stats()["group_commit"]`` payload (shape pinned by

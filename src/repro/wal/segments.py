@@ -30,7 +30,7 @@ engine that shape — the log's one on-disk form (formats pinned in
 * :func:`recycle_segments` deletes sealed segments wholly below a
   caller-supplied LSN floor — after a checkpoint the engine's
   floor is ``min(checkpoint LSN, min dirty-page recLSN, oldest active
-  transaction's first LSN)`` (``Database.wal_recycle_floor``).
+  transaction's first LSN)`` (``Restart.recycle_floor``).
 
 >>> import tempfile
 >>> from repro.wal.log import LogManager

@@ -65,7 +65,7 @@ class BankingWorkload:
         # engine later: force it out of any open commit group now, before
         # a caller arms fault sites (a retracted/lost setup transaction
         # has no retry loop — the money would just vanish).
-        db.flush_group_commit()
+        db.group_commit.flush_pending()
         return self
 
     def total_money_expected(self):

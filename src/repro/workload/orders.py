@@ -82,7 +82,7 @@ class OrderEntryWorkload:
         # Seed/reference data must not sit in an open commit group when
         # the caller starts injecting faults: a retracted setup
         # transaction has no retry loop.
-        self.db.flush_group_commit()
+        self.db.group_commit.flush_pending()
         return self
 
     def preload_sales(self, count):
@@ -91,7 +91,7 @@ class OrderEntryWorkload:
         for _ in range(count):
             self._insert_sale(txn)
         self.db.commit(txn)
-        self.db.flush_group_commit()
+        self.db.group_commit.flush_pending()
         return self
 
     def seed_groups(self):
@@ -117,7 +117,7 @@ class OrderEntryWorkload:
             )
             self._live_sales.append((sale_id, product))
         self.db.commit(txn)
-        self.db.flush_group_commit()
+        self.db.group_commit.flush_pending()
         return self
 
     # ------------------------------------------------------------------

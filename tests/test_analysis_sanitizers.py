@@ -348,7 +348,7 @@ def _crash_run(seed, branches, accounts, before, flush, phases, sessions,
             crashes += 1
             db.simulate_crash_and_recover()
     injector.disarm()
-    db.flush_group_commit()
+    db.group_commit.flush_pending()
     assert crashes > 0, "fault schedule never crashed; test proves nothing"
     assert db.sanitizers.check(assume_quiescent=True) == []
     assert db.check_all_views() == []
@@ -375,7 +375,7 @@ def test_group_commit_run_passes():
     assert db.sanitizers.group_commit is True
     _, result = _run_bank(db, seed=11)
     assert result.committed > 0
-    db.flush_group_commit()
+    db.group_commit.flush_pending()
     assert db.sanitizers.check(assume_quiescent=True) == []
 
 
@@ -397,7 +397,7 @@ def test_smoke_banking_leg_passes(seed, group_commit):
     ))
     _, result = _run_bank(db, seed=seed, txns=6, accounts=8)
     assert result.committed > 0
-    db.flush_group_commit()
+    db.group_commit.flush_pending()
     assert db.sanitizers.check(assume_quiescent=True) == []
 
 

@@ -115,12 +115,12 @@ def every_prefix_keeps(db, change, key, tmp_path):
     timeline, ``(page_id, image or None for a drop)``."""
     db.take_checkpoint()
     db.take_checkpoint()  # the second writes what the first left dirty
-    assert db._pool.dirty_page_table() == {}
-    base = db._store.snapshot()
+    assert db.indexes.pool.dirty_page_table() == {}
+    base = db.indexes.store.snapshot()
     change(db)
     timeline = []
-    db._store.write_listener = lambda pid, data: timeline.append((pid, data))
-    db._pool.write_older_than(None)
+    db.indexes.store.write_listener = lambda pid, data: timeline.append((pid, data))
+    db.indexes.pool.write_older_than(None)
     db.dump_wal_segments(tmp_path)
     for cut in range(len(timeline) + 1):
         images = dict(base)
@@ -131,8 +131,8 @@ def every_prefix_keeps(db, change, key, tmp_path):
                 images[page_id] = data
         fresh = ordered_db()
         fresh.log = load_segments(tmp_path)
-        fresh._store.restore(images)
-        fresh._rebuild_from_log()
+        fresh.indexes.store.restore(images)
+        fresh.restart.recover()
         assert fresh.index("t").get_record(key) is not None, cut
     return timeline
 
@@ -152,7 +152,7 @@ class TestEntryMovesSurviveCrashes:
         )
         (receiver, image), (giver, _) = timeline
         assert (3,) in {key for key, _ in durable_winners_of(image)}
-        assert giver in db._store.snapshot() and receiver != giver
+        assert giver in db.indexes.store.snapshot() and receiver != giver
 
     def test_a_merge_with_only_the_freed_leaf_durable_keeps_the_key(
         self, tmp_path
@@ -304,12 +304,12 @@ class TestDurableWinners:
         for i in range(12):
             with db.session() as s:
                 s.insert("t", {"id": i, "data": "x" * 20})
-        before, writes = db._store.snapshot(), db._store.writes
+        before, writes = db.indexes.store.snapshot(), db.indexes.store.writes
         assert before  # the 2-leaf cap wrote leaves back
-        first = durable_winners(db._store)
-        assert durable_winners(db._store) == first
-        assert db._store.snapshot() == before
-        assert db._store.writes == writes
+        first = durable_winners(db.indexes.store)
+        assert durable_winners(db.indexes.store) == first
+        assert db.indexes.store.snapshot() == before
+        assert db.indexes.store.writes == writes
 
 
 def sales_db(**config):
@@ -415,7 +415,7 @@ class TestWriteBackCounts:
             for product in range(7):
                 s.insert("sales", {"id": -1 - product, "product": product,
                                    "amount": 1})
-        writes, records = db._store.writes, len(db.log)
+        writes, records = db.indexes.store.writes, len(db.log)
         json_calls.clear()
         for t in range(20):  # the order_api shape: four inserts, one view
             with db.session() as s:
@@ -425,7 +425,7 @@ class TestWriteBackCounts:
         assert len(db.log) - records == 20 * 9  # 8 row changes + COMMIT
         assert packs == []
         assert json_calls == []  # records are struct-packed, never JSON
-        assert db._store.writes == writes == 0
+        assert db.indexes.store.writes == writes == 0
         assert db.stats()["storage"]["pool"]["dirty"] > 0
         assert db.check_integrity().clean
 
@@ -473,7 +473,7 @@ class TestWriteBackCounts:
         packs.clear()
         with db.session() as s:  # group 2 written with its delta pending
             s.insert("sales", {"id": next(ids), "product": 2, "amount": 1})
-            db._pool.write_older_than(None)
+            db.indexes.pool.write_older_than(None)
         assert ("v", (2,)) in packs
         packs.clear()
         insert(0)  # the view leaf again, after the commit folded 2's delta

@@ -94,10 +94,10 @@ class CrashMachine(RuleBasedStateMachine):
         """A fresh timeline over the current store: ``(durable LSN at the
         write, page id, image or None for a drop)``."""
         db = self.db
-        self.base = db._store.snapshot()
+        self.base = db.indexes.store.snapshot()
         self.floor = db.log.flushed_lsn
         self.timeline = []
-        db._store.write_listener = lambda pid, data: self.timeline.append(
+        db.indexes.store.write_listener = lambda pid, data: self.timeline.append(
             (db.log.flushed_lsn, pid, data)
         )
 
@@ -297,8 +297,8 @@ class CrashMachine(RuleBasedStateMachine):
                 images[page_id] = image
         db.log.flushed_lsn = cut
         db.log.crash()
-        db._store.restore(images)
-        db._rebuild_from_log()
+        db.indexes.store.restore(images)
+        db.restart.recover()
         self.history = [(lsn, rows) for lsn, rows in self.history if lsn <= cut]
         self.committed = dict(self.history[-1][1])
         if self.caught_up is not None and self.caught_up > cut:

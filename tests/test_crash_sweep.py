@@ -86,7 +86,7 @@ def test_recovery_correct_at_every_crash_point(strategy, tmp_path):
         db.log = load_segments(tmp_path)
         db.log.flushed_lsn = crash_lsn
         db.log.crash()  # discard everything past the crash point
-        report = db._rebuild_from_log()
+        report = db.restart.recover()
         # durability is exact: winners = commits inside the prefix
         expected_winners = committed_ids_in_prefix(full_log, crash_lsn)
         assert report.winners == expected_winners, f"lsn={crash_lsn}"
@@ -157,7 +157,7 @@ def fuzzy_sweep(strategy, tmp_path, workload, btree_order=32):
     machinery engaged."""
     reference = build_fuzzy_schema(strategy, btree_order)
     timeline = []  # (log tail at write time, page_id, image or None)
-    reference._store.write_listener = lambda pid, data: timeline.append(
+    reference.indexes.store.write_listener = lambda pid, data: timeline.append(
         (reference.log.tail_lsn(), pid, data)
     )
     workload(reference)
@@ -190,8 +190,8 @@ def fuzzy_sweep(strategy, tmp_path, workload, btree_order=32):
                 images.pop(page_id, None)
             else:
                 images[page_id] = data
-        db._store.restore(images)
-        report = db._rebuild_from_log()
+        db.indexes.store.restore(images)
+        report = db.restart.recover()
         # analysis starts at the last checkpoint inside the prefix, so
         # the report's winners are the commits after that point
         ckpt_lsn = max((c for c in checkpoints if c <= crash_lsn), default=0)
@@ -205,7 +205,7 @@ def fuzzy_sweep(strategy, tmp_path, workload, btree_order=32):
         # checkpoint or not: the recovered base table equals the oracle
         recovered = {
             key: dict(rec.current_row.as_dict())
-            for key, rec in db._indexes["sales"].scan()
+            for key, rec in db.index("sales").scan()
         }
         assert recovered == base_table_in_prefix(full_log, crash_lsn), (
             f"lsn={crash_lsn}"
@@ -280,7 +280,7 @@ def test_recovery_correct_across_leaf_splits_and_merges(strategy, tmp_path):
 
     def workload(db):
         for name in changes:
-            setattr(db._pool, name, counting(name, getattr(db._pool, name)))
+            setattr(db.indexes.pool, name, counting(name, getattr(db.indexes.pool, name)))
         run_split_merge_workload(db)
 
     _, seeded_points, _ = fuzzy_sweep(strategy, tmp_path, workload, 4)
@@ -320,14 +320,14 @@ def test_recovery_never_writes_the_page_store(strategy):
         boundary = 0
         while True:
             db = crashed_paged_engine(strategy)
-            store, before = db._store, db._store.snapshot()
+            store, before = db.indexes.store, db.indexes.store.snapshot()
             injector = db.install_fault_injector(FaultInjector())
             injector.arm(site, after=boundary, times=1)
             try:
                 report = db.simulate_crash_and_recover()
             except SimulatedCrash:
                 label = f"{site}@{boundary}"
-                assert db._store is store, label
+                assert db.indexes.store is store, label
                 assert store.snapshot() == before, label
                 report = db.simulate_crash_and_recover()
                 # the second attempt read the same pages: same verdicts
@@ -338,7 +338,7 @@ def test_recovery_never_writes_the_page_store(strategy):
                 boundary += 1
                 continue
             assert boundary > 0, f"{site} never evaluated"
-            assert db._store is not store  # the final rebuild replaced it
+            assert db.indexes.store is not store  # the final rebuild replaced it
             break
 
 

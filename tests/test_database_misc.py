@@ -31,13 +31,14 @@ class TestLookupsAndNames:
 
     def test_view_of_index(self):
         db = sales_db()
-        assert db.view_of_index("v").name == "v"
-        assert db.view_of_index("sales") is None
+        assert db.indexes.view_of("v").name == "v"
+        assert db.indexes.view_of("sales") is None
 
     def test_table_key_and_pk(self):
         db = sales_db()
-        assert db.table_pk("sales") == ("id",)
-        assert db.table_key("sales", Row(id=7, product="x", amount=1)) == (7,)
+        schema = db.catalog.table("sales")
+        assert schema.primary_key == ("id",)
+        assert schema.key_of(Row(id=7, product="x", amount=1)) == (7,)
 
 
 class TestReadEdgeCases:

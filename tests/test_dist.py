@@ -118,6 +118,8 @@ class TestCommitPaths:
         folded = db.read_folded(TOTALS, ("w",))
         assert folded["row_count"] == 2 and folded["total"] == 0
         assert check_conservation(db) == []
+        stats = db.stats()["dist"]
+        assert stats["two_phase_commits"] == stats["decisions"]["commit"] == 1
         votes = [e for e in db.tracer.events(name="2pc_prepare")]
         assert len(votes) == 2
         assert all(e.fields["vote"] == "yes" for e in votes)
@@ -138,6 +140,23 @@ class TestCommitPaths:
         assert db.partition(2).read_committed(ACCOUNTS, (600,)) is None
         with pytest.raises(TransactionStateError):
             db.insert(txn, ACCOUNTS, {"id": 1, "region": "w", "amount": 1})
+
+    def test_scan_folded_reads_a_quarantined_partition_like_read_folded(self):
+        """Both folded reads go through each partition's committed read
+        path: a quarantined partition answers from its recomputation,
+        never from its damaged index, and no transaction is opened."""
+        db = fleet()
+        for key in (1, 251, 501, 751):
+            deposit(db, key, "r", 10)
+        engine = db.partition(0)
+        record = engine.index(TOTALS).get_record(("r",))
+        record.current_row = record.current_row.replace(total=999)
+        record.stamp_version(engine.clock.tick())
+        engine.quarantine_view(TOTALS)
+        committed = [db.partition(p).committed_count for p in range(4)]
+        assert db.read_folded(TOTALS, ("r",))["total"] == 40
+        assert db.scan_folded(TOTALS)[("r",)]["total"] == 40
+        assert [db.partition(p).committed_count for p in range(4)] == committed
 
     def test_min_max_fold_across_partitions(self):
         db = fleet()
@@ -238,10 +257,33 @@ class TestPartialFailure:
         folded = db.read_folded(TOTALS, ("e",))
         assert folded["row_count"] == 2 and folded["total"] == 0
         assert check_conservation(db) == []
+        assert db.stats()["dist"]["in_doubt"] == 0
         assert db.stats()["dist"]["in_doubt_resolved"]["commit"] == 1
         event = db.tracer.events(name="partition_recovered")[-1]
         assert event.fields["partition"] == 2
         assert event.fields["resolved_commit"] == 1
+
+    def test_a_transport_give_up_leaves_the_partition_down(self):
+        """``recover_partition`` readmits last: when the transport gives
+        up on the way, the partition stays down with its branch in doubt,
+        and a retry settles it."""
+        db = fleet()
+        self.crash_mid_2pc(db)
+        inj = FaultInjector(seed=2)
+        db.install_fault_injector(inj)
+        inj.arm("net.request_lost", match="probe:2")
+        with pytest.raises(PartitionUnavailableError):
+            db.recover_partition(2)
+        assert db.down_partitions() == [2]
+        assert db.stats()["dist"]["in_doubt"] == 1
+        inj.disarm()
+        report = db.recover_partition(2)
+        assert len(report.in_doubt) == 1
+        assert db.down_partitions() == []
+        stats = db.stats()["dist"]
+        assert stats["in_doubt"] == 0
+        assert stats["in_doubt_resolved"]["commit"] == 1
+        assert check_conservation(db) == []
 
     def test_crashed_engine_keeps_branch_in_doubt_until_resolution(self):
         """Engine-level view of the same story: after ARIES recovery the
@@ -254,13 +296,13 @@ class TestPartialFailure:
         assert len(report.in_doubt) == 1
         assert not report.losers
         (txn_id,) = report.in_doubt
-        assert engine.in_doubt_transactions() == {txn_id: "G1"}
+        assert engine.participant.in_doubt_transactions() == {txn_id: "G1"}
         # Prepared means commit-visible: redo put the delta on the row.
         assert engine.read_committed(ACCOUNTS, (600,))["amount"] == 40
         decision = db.coordinator.durable_decision("G1")
         assert decision == "commit"
-        engine.resolve_in_doubt(txn_id, decision)
-        assert engine.in_doubt_transactions() == {}
+        engine.participant.resolve_in_doubt(txn_id, decision)
+        assert engine.participant.in_doubt_transactions() == {}
 
 
 class TestPresumedAbort:
@@ -276,7 +318,8 @@ class TestPresumedAbort:
         assert db.resolve(txn) == "abort"
         assert db.stats()["dist"]["presumed_aborts"] == 1
         assert db.read_folded(TOTALS, ("n",)) is None
-        assert db.partition(0).read_committed(ACCOUNTS, (10,)) is None
+        assert db.read_committed(ACCOUNTS, (10,)) is None
+        assert db.read_committed(ACCOUNTS, (600,)) is None
         assert check_conservation(db) == []
 
     def test_coordinator_crash_resolves_to_abort(self):
@@ -318,7 +361,7 @@ class TestInDoubtLockScope:
                                            "amount": 10})
         txn = db.begin()
         db.update(txn, ACCOUNTS, (1,), {"amount": 25})
-        db.prepare(txn, "G9")
+        db.participant.prepare(txn, "G9")
         db.simulate_crash_and_recover()
         return db, txn.txn_id
 
@@ -333,7 +376,7 @@ class TestInDoubtLockScope:
         blocked = db.begin()
         with pytest.raises(TransactionAborted):
             db.update(blocked, ACCOUNTS, (1,), {"amount": 99})
-        db.resolve_in_doubt(txn_id, "commit")
+        db.participant.resolve_in_doubt(txn_id, "commit")
         assert db.read_committed(ACCOUNTS, (1,))["amount"] == 25
         with db.session() as s:
             s.update(ACCOUNTS, (1,), {"amount": 30})
@@ -342,7 +385,7 @@ class TestInDoubtLockScope:
 
     def test_abort_resolution_reverts_and_restamps(self):
         db, txn_id = self.engine_with_in_doubt()
-        db.resolve_in_doubt(txn_id, "abort")
+        db.participant.resolve_in_doubt(txn_id, "abort")
         assert db.read_committed(ACCOUNTS, (1,))["amount"] == 10
         assert db.check_all_views() == []
 
@@ -350,7 +393,7 @@ class TestInDoubtLockScope:
         """COMMIT/ABORT + END logged by resolution are durable: a second
         crash after resolving must not resurrect the branch."""
         db, txn_id = self.engine_with_in_doubt()
-        db.resolve_in_doubt(txn_id, "commit")
+        db.participant.resolve_in_doubt(txn_id, "commit")
         report = db.simulate_crash_and_recover()
         assert report.in_doubt == set()
         assert db.read_committed(ACCOUNTS, (1,))["amount"] == 25
@@ -359,9 +402,9 @@ class TestInDoubtLockScope:
     def test_unknown_decision_rejected(self):
         db, txn_id = self.engine_with_in_doubt()
         with pytest.raises(TransactionStateError):
-            db.resolve_in_doubt(txn_id, "maybe")
+            db.participant.resolve_in_doubt(txn_id, "maybe")
         # The entry survives a bad call and still resolves.
-        db.resolve_in_doubt(txn_id, "abort")
+        db.participant.resolve_in_doubt(txn_id, "abort")
 
 
 class TestRecycleFloorInDoubt:
@@ -380,8 +423,8 @@ class TestRecycleFloorInDoubt:
 
         engine = db.partition(0)
         engine.simulate_crash_and_recover()
-        (txn_id,) = engine.in_doubt_transactions()
-        first_lsn = engine._in_doubt[txn_id]["first_lsn"]
+        (txn_id,) = engine.participant.in_doubt_transactions()
+        first_lsn = min(engine.participant.first_lsns())
         # Churn plus a checkpoint would otherwise advance the floor far
         # past the prepared branch's records.
         for key in range(20, 60):
@@ -389,11 +432,11 @@ class TestRecycleFloorInDoubt:
                 s.insert(ACCOUNTS, {"id": key, "region": "q",
                                             "amount": 1})
         engine.take_checkpoint()
-        assert engine.wal_recycle_floor() <= first_lsn
+        assert engine.restart.recycle_floor() <= first_lsn
 
         wal_dir = tmp_path / "wal"
         engine.dump_wal_segments(wal_dir)
-        engine.recycle_wal_segments(wal_dir)
+        engine.restart.recycle_segments(wal_dir)
         # Reload from the recycled chain: the in-doubt branch must
         # survive with its resources intact and still resolve cleanly.
         restored = Database(EngineConfig(aggregate_strategy="escrow"))
@@ -407,7 +450,7 @@ class TestRecycleFloorInDoubt:
         report = restored.load_wal_segments_and_recover(wal_dir)
         assert report.salvage is None or report.salvage["lost_commits"] == []
         assert txn_id in report.in_doubt
-        restored.resolve_in_doubt(txn_id, "commit")
+        restored.participant.resolve_in_doubt(txn_id, "commit")
         assert restored.read_committed(ACCOUNTS, (10,))["amount"] == -15
         assert restored.check_all_views() == []
 

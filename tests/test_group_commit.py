@@ -59,7 +59,7 @@ def seed_durable(db, ids=(1, 2)):
     """Seed rows and force them durable so later faults can't touch them."""
     for i in ids:
         commit_one(db, i)
-    db.flush_group_commit()
+    db.group_commit.flush_pending()
 
 
 class TestConfig:

@@ -1,6 +1,6 @@
 """The LOST branch of group commit, directly.
 
-``Database._on_group_flush_failure`` picks between two outcomes when the
+``GroupCommitCoordinator`` picks between two outcomes when the
 batched flush dies: *retract* (inline micro-crash, members retryable)
 when rollback provably reaches everything, else *escalate* (tickets
 LOST, ``SimulatedCrash``, full recovery). ``tests/test_group_commit.py``
@@ -36,7 +36,7 @@ def grouped_db(size=2):
     ))
     with db.session() as s:
         s.insert(SALES, {"id": 1, "product": "ant", "amount": 10})
-    db.flush_group_commit()
+    db.group_commit.flush_pending()
     inj = FaultInjector(seed=0)
     db.install_fault_injector(inj)
     return db, inj
@@ -100,7 +100,7 @@ class TestEscalation:
         db, inj = grouped_db(size=2)
         branch = db.begin()
         db.insert(branch, SALES, {"id": 80, "product": "cat", "amount": 5})
-        db.prepare(branch, "G7")
+        db.participant.prepare(branch, "G7")
         inj.arm("wal.group_flush", times=1)
         first = commit_one(db, 10)
         with pytest.raises(SimulatedCrash):
@@ -112,7 +112,7 @@ class TestEscalation:
         # it is in-doubt, awaiting the coordinator, and resolves cleanly.
         assert branch.txn_id in report.in_doubt
         assert db.read_committed(SALES, (10,)) is None
-        db.resolve_in_doubt(branch.txn_id, "commit")
+        db.participant.resolve_in_doubt(branch.txn_id, "commit")
         assert db.read_committed(SALES, (80,))["amount"] == 5
         assert db.check_all_views() == []
 
@@ -124,6 +124,6 @@ class TestEscalation:
         db, _ = grouped_db(size=8)
         branch = db.begin()
         db.insert(branch, SALES, {"id": 80, "product": "cat", "amount": 5})
-        db.prepare(branch, "G7")
+        db.participant.prepare(branch, "G7")
         assert db.log.flushed_lsn == len(db.log)
         assert db.group_commit.pending_count() == 0

@@ -94,14 +94,14 @@ class TestChecker:
         seed(db)
         db.take_checkpoint()
         (leaf,) = db.index(BY_PRODUCT).leaves()
-        page = SlottedPage(leaf.page_id, db._pool.payloads(leaf)[0][1:] + [
+        page = SlottedPage(leaf.page_id, db.indexes.pool.payloads(leaf)[0][1:] + [
             pack_entry(BY_PRODUCT, ("cat",), {
                 "product": "cat", "n_sales": 1, "revenue": 5,
             }, False, 1),
         ], page_size=db.config.page_size)
-        images = db._store.snapshot()
+        images = db.indexes.store.snapshot()
         images[leaf.page_id] = page.to_bytes()
-        db._store.restore(images)
+        db.indexes.store.restore(images)
         report = db.check_integrity()
         (finding,) = report.damage
         assert (finding.kind, finding.index) == ("storage", BY_PRODUCT)
@@ -122,9 +122,9 @@ class TestChecker:
         db.take_checkpoint()
         (leaf,) = db.index(BY_PRODUCT).leaves()
         assert leaf.values and leaf.rec_lsn is None
-        images = db._store.snapshot()
+        images = db.indexes.store.snapshot()
         del images[leaf.page_id]
-        db._store.restore(images)
+        db.indexes.store.restore(images)
         (finding,) = db.check_integrity().damage
         assert (finding.kind, finding.index) == ("storage", BY_PRODUCT)
         assert finding.key == (leaf.page_id,)

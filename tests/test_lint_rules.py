@@ -333,11 +333,28 @@ def test_logged_write_homes_the_cleanup_record_and_the_one_mutator(tmp_path):
         assert lint_paths([ok], rules=("logged-write",)) == [], rel
     # the recovery target and the storage package assign entries too,
     # but only the write module (and the WAL) builds the record
-    for rel in ("src/repro/core/database.py", "src/repro/storage/bufferpool.py"):
+    for rel in ("src/repro/core/indexes.py", "src/repro/storage/bufferpool.py"):
         findings = lint_paths(
             [_plant(tmp_path, rel, source)], rules=("logged-write",)
         )
         assert [f.message.split()[0] for f in findings] == ["CleanupRecord"], rel
+
+
+def test_logged_write_homes_set_entry_with_the_recovery_target(tmp_path):
+    """The recovery target is the index registry, ``core/indexes.py``:
+    the engine facade and the restart driver beside it assign no entry
+    of their own."""
+    source = '''
+    def seed(indexes, key, row, lsn):
+        indexes["t"].set_entry(key, (row, False), lsn)
+    '''
+    home = _plant(tmp_path, "src/repro/core/indexes.py", source)
+    assert lint_paths([home], rules=("logged-write",)) == []
+    for rel in ("src/repro/core/database.py", "src/repro/core/restart.py"):
+        findings = lint_paths(
+            [_plant(tmp_path, rel, source)], rules=("logged-write",)
+        )
+        assert [f.message.split()[0] for f in findings] == [".set_entry()"], rel
 
 
 def test_import_surface_flags_from_repro_submodule_form(tmp_path):
@@ -500,8 +517,8 @@ def test_lazy_envelope_allows_the_manager_recovery_and_the_resolver(tmp_path):
         '''),
         ("src/repro/wal/recovery.py",
          "def undo(log, t):\n    log.append(EndRecord(t))\n"),
-        ("src/repro/core/database.py", '''
-        class Database:
+        ("src/repro/core/participant.py", '''
+        class Participant:
             def resolve_in_doubt(self, txn_id, decision):
                 self.log.append(CommitRecord(txn_id, self.clock.tick()))
                 self.log.append(AbortRecord(txn_id))
@@ -511,12 +528,29 @@ def test_lazy_envelope_allows_the_manager_recovery_and_the_resolver(tmp_path):
     ):
         ok = _plant(tmp_path, rel, source)
         assert lint_paths([ok], rules=("lazy-envelope",)) == [], rel
-    elsewhere = _plant(tmp_path, "src/repro/core/database.py", '''
-    class Database:
-        def commit(self, txn):
+    elsewhere = _plant(tmp_path, "src/repro/core/participant.py", '''
+    class Participant:
+        def prepare(self, txn, gid):
             self.log.append(CommitRecord(txn.txn_id, 0))
     ''')
     assert len(lint_paths([elsewhere], rules=("lazy-envelope",))) == 1
+
+
+def test_lazy_envelope_resolver_home_follows_resolve_in_doubt(tmp_path):
+    """The resolver's home is ``Participant.resolve_in_doubt`` in
+    ``core/participant.py``: a ``resolve_in_doubt`` anywhere else — the
+    engine facade included — is a second writer of the envelope."""
+    source = '''
+    class Database:
+        def resolve_in_doubt(self, txn_id, decision):
+            self.log.append(CommitRecord(txn_id, self.clock.tick()))
+    '''
+    for rel in ("src/repro/core/database.py", "src/repro/core/restart.py"):
+        findings = lint_paths(
+            [_plant(tmp_path, rel, source)], rules=("lazy-envelope",)
+        )
+        assert [f.message.split()[0] for f in findings] == ["CommitRecord"], rel
+        assert "Participant.resolve_in_doubt" in findings[0].message
 
 
 # ---------------------------------------------------------------------

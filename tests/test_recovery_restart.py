@@ -68,7 +68,7 @@ def state_snapshot(db):
             key: (record.current_row.as_dict(), record.is_ghost)
             for key, record in index.scan(include_ghosts=True)
         }
-        for name, index in db._indexes.items()
+        for name, index in db.indexes.items()
     }
 
 
@@ -149,7 +149,7 @@ class TestCrashStorm:
                 site, after = schedule[attempt]
                 injector.arm(site, after=after, times=1)
             try:
-                report = db._rebuild_from_log()
+                report = db.restart.recover()
                 break
             except SimulatedCrash:
                 crashes += 1
@@ -272,7 +272,7 @@ class TestRecoveryIdempotence:
                 s.insert(SALES, {
                     "id": i, "product": "c", "customer": 1, "amount": i,
                 })
-        table, _, _ = durable_winners(db._store)
+        table, _, _ = durable_winners(db.indexes.store)
         assert (SALES, (2,)) not in table
         assert {(SALES, (i,)) for i in (1, 3, 4)} <= set(table)
 

@@ -94,7 +94,7 @@ def test_compilation_contract_names_real_entry_points():
         "db.insert",
         "db.update",
         "db.delete",
-        "db.write_plan",
+        "db.indexes.write_plan",
         "compile_view",
         "render_view",
         "plan_signature",

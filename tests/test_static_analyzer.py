@@ -13,6 +13,7 @@ from repro.analysis.static import (
     LockOrderGraph,
     StaticAnalyzer,
     check_copartition,
+    check_view,
 )
 from repro.analysis.static.footprint import (
     fanout_indexes,
@@ -246,7 +247,7 @@ class TestCheckViewSurface:
             ("id", "flag"),
             where=Predicate(lambda row: row["id"] % 2 == 1, "id % 2 = 1"),
         ))
-        report = db.check_view_static("odd")
+        report = check_view(db, "odd")
         (diag,) = [d for d in report.diagnostics if d.code == "SA003"]
         assert diag.severity == "info"
         assert "id % 2 = 1" in diag.message

@@ -172,7 +172,7 @@ class TestUntrustedCheckpointFallback:
         insert_rows(db)
         db.take_checkpoint()
         db.dump_wal_segments(tmp_path)
-        removed = db.recycle_wal_segments(tmp_path)
+        removed = db.restart.recycle_segments(tmp_path)
         # its own store survived, so the truncated chain plus the
         # durable pages recover everything the recycled records said
         report = db.load_wal_segments_and_recover(tmp_path)

@@ -55,7 +55,7 @@ def seeded(**config):
     with db.session() as s:
         for i, product in enumerate(PRODUCTS):
             s.insert("sales", sale(-1 - i, product))
-    db.flush_group_commit()
+    db.group_commit.flush_pending()
     return db
 
 
@@ -218,7 +218,7 @@ class Mix:
         row = self.fresh(product)
         txn = self.db.begin()
         self.db.insert(txn, "sales", row)
-        self.db.prepare(txn, gid)
+        self.db.participant.prepare(txn, gid)
         return txn, row
 
     def prepared_commit(self, product):
@@ -285,7 +285,7 @@ def test_every_transaction_matches_the_grammar_and_recovers(
         fresh.log = load_segments(directory)
         fresh.log.flushed_lsn = crash_lsn
         fresh.log.crash()
-        report = fresh._rebuild_from_log()
+        report = fresh.restart.recover()
         prefix = {
             t: w for t, w in shapes(fresh.log).items() if t in words
         }
@@ -310,7 +310,7 @@ def test_every_transaction_matches_the_grammar_and_recovers(
             mix, full_log, crash_lsn, in_doubt
         ), crash_lsn
         for txn_id in sorted(in_doubt):  # presumed abort
-            fresh.resolve_in_doubt(txn_id, "abort")
+            fresh.participant.resolve_in_doubt(txn_id, "abort")
         assert fresh.check_all_views() == [], crash_lsn
         assert recovered_sales(fresh) == expected_sales(
             mix, full_log, crash_lsn, set()
@@ -507,13 +507,13 @@ def test_ended_transactions_leave_nothing_in_the_log_manager():
     assert set(db.take_checkpoint().active_txns) == {open_writer.txn_id}
     branch = db.begin()
     db.insert(branch, "t", {"a": -2})
-    db.prepare(branch, "G1")
+    db.participant.prepare(branch, "G1")
     report = db.simulate_crash_and_recover()
     assert report.losers == {open_writer.txn_id}
     assert report.in_doubt == {branch.txn_id}
     assert set(db.log._txn_last_lsn) == {branch.txn_id}
     assert db.log._txn_bytes == {}
-    db.resolve_in_doubt(branch.txn_id, "commit")
+    db.participant.resolve_in_doubt(branch.txn_id, "commit")
     assert db.log._txn_last_lsn == {}
     assert db.read_committed("t", (-2,)) is not None
     assert db.read_committed("t", (-1,)) is None

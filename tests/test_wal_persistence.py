@@ -121,7 +121,7 @@ class TestVersionPruning:
             db.commit(txn)
         record = db.index("by_product").get_record(("ant",))
         assert record.version_count() == 5
-        dropped = db.prune_versions()
+        dropped = db.indexes.prune_versions()
         assert dropped > 0
         assert record.version_count() == 1
         # the surviving version is still readable
@@ -137,10 +137,10 @@ class TestVersionPruning:
             t = db.begin()
             db.insert(t, "sales", {"id": i, "product": "ant", "amount": 1})
             db.commit(t)
-        db.prune_versions()
+        db.indexes.prune_versions()
         # the reader's snapshot must still be answerable
         assert db.read(reader, "by_product", ("ant",))["n"] == 1
         db.commit(reader)
-        db.prune_versions()
+        db.indexes.prune_versions()
         record = db.index("by_product").get_record(("ant",))
         assert record.version_count() == 1

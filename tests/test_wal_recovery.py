@@ -410,7 +410,7 @@ class Targets:
         self.lsn += 1
         record.lsn = self.lsn
         record.redo(self.model)
-        record.redo(self.db)
+        record.redo(self.db.indexes)
 
     def undo(self, record):
         """Undo as of a CLR's LSN, the way rollback applies it."""
@@ -418,11 +418,11 @@ class Targets:
         self.lsn += 1
         clr.lsn = self.lsn
         clr.redo(self.model)
-        clr.redo(self.db)
+        clr.redo(self.db.indexes)
 
     def images(self):
-        self.db._pool.write_older_than(self.lsn + 1)
-        table, _, _ = durable_winners(self.db._store)
+        self.db.indexes.pool.write_older_than(self.lsn + 1)
+        table, _, _ = durable_winners(self.db.indexes.store)
         return {
             locator: (Row(row), ghost)
             for locator, (_, row, ghost) in table.items()

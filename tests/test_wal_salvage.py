@@ -303,7 +303,7 @@ class TestSalvageDistrustsPagesPastTheCut:
         for i in range(30):
             db.execute(f"INSERT INTO t VALUES ({i}, {i % 3}, {i})")
         db.dump_wal_segments(tmp_path)
-        assert db.recycle_wal_segments(tmp_path)
+        assert db.restart.recycle_segments(tmp_path)
         db.load_wal_segments_and_recover(tmp_path)  # the log now starts late
         for i in range(30, 40):
             db.execute(f"INSERT INTO t VALUES ({i}, {i % 3}, {i})")

@@ -173,7 +173,7 @@ class TestRestoreTargetMustBeSchemaOnly:
         before = db.execute("SELECT * FROM by_grp")
         db.take_checkpoint()
         db.dump_wal_segments(tmp_path)
-        assert db.recycle_wal_segments(tmp_path)  # some history is gone
+        assert db.restart.recycle_segments(tmp_path)  # some history is gone
         report = db.load_wal_segments_and_recover(tmp_path)
         assert report.pages_loaded > 0  # and lives on in the pages
         assert db.check_all_views() == []
@@ -186,7 +186,7 @@ class TestRestoreTargetMustBeSchemaOnly:
         store; a fresh engine would recover the tail and lose the rest."""
         src = paged_db(range(1, 61))
         src.dump_wal_segments(tmp_path)
-        assert src.recycle_wal_segments(tmp_path)
+        assert src.restart.recycle_segments(tmp_path)
         target = paged_db()
         with pytest.raises(StorageError, match="recycled and starts at LSN"):
             target.load_wal_segments_and_recover(tmp_path)
