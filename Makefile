@@ -2,19 +2,19 @@ PYTHON ?= python
 export PYTHONPATH := $(CURDIR)/src
 
 .PHONY: analyze test bench bench-smoke bench-r16 bench-r17 chaos-smoke \
-	check-results lint machine net-smoke perf perf-pairs \
+	check-results lint machine perf perf-pairs \
 	perf-smoke verify
 
 # The PR gate, in dependency-cheapest order: the AST lint rules, the
 # static view-program analyzer, the full tier-1 test suite (the protocol
 # sanitizers' legs and negative controls are in
 # tests/test_analysis_sanitizers.py, the sharded 2PC legs in
-# tests/test_dist.py), the crash machine at a larger example count, the
-# bounded chaos tier (which includes the crash-storm recovery leg), the
-# message-transport tier, and the checks the wall-clock benchmark runs
-# on itself. benchmarks/run_all.py finishes with the smokes of the same
-# chain.
-verify: lint analyze test machine chaos-smoke net-smoke perf-smoke
+# tests/test_dist.py, the message-transport legs in tests/test_dist_net.py),
+# the crash machine at a larger example count, the bounded chaos tier
+# (which includes the crash-storm recovery leg), and the checks the
+# wall-clock benchmark runs on itself. benchmarks/run_all.py finishes
+# with the smokes of the same chain.
+verify: lint analyze test machine chaos-smoke perf-smoke
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -65,15 +65,6 @@ bench-r17:
 # schema + event-catalogue gate. Finishes in well under a minute.
 chaos-smoke:
 	cd benchmarks && $(PYTHON) -c "import chaos; chaos.smoke()"
-	$(PYTHON) benchmarks/check_results.py
-
-# The message-transport smoke: a quiet network is transparent, a lossy
-# one (all five net.* sites armed) still settles every global
-# transaction atomically, and a coordinator crash storm at every
-# protocol step recovers from the durable decision log, then the
-# schema gate.
-net-smoke:
-	cd benchmarks && $(PYTHON) -c "import net_smoke as b; b.scenario()"
 	$(PYTHON) benchmarks/check_results.py
 
 # The wall-clock benchmark BENCHMARK.json declares: every workload

@@ -179,8 +179,9 @@ _DIST_ENGINES_ATTR = "_engines"
 #: bypass the ``net.*`` fault sites and the endpoint dedup tables.
 _DIST_COMMIT_PATH = frozenset({
     "insert", "update", "delete", "read", "commit", "abort", "prepare",
-    "decide", "resolve", "_two_phase_commit", "_apply_decision",
-    "recover_partition", "recover_coordinator",
+    "decide", "resolve", "_two_phase_commit", "recover_partition",
+    "recover_coordinator", "_send", "_deliver", "_settle_branches",
+    "_settle_in_doubt",
 })
 
 #: builtin exception class names (to distinguish ``raise SomeBuiltin``

@@ -207,20 +207,20 @@ class StaticAnalyzer:
             ]
         return []
 
-    def fanout_diagnostics(self, view):
-        out = []
-        for table in view.base_tables():
-            fanout = fanout_indexes(self.catalog, table)
-            if len(fanout) > 1:
-                out.append(
-                    Diagnostic(
-                        "SA011",
-                        f"insert {table}",
-                        f"one statement maintains {len(fanout)} extra "
-                        f"indexes beyond the base: {', '.join(fanout)}",
-                    )
-                )
-        return out
+    def fanout_diagnostics(self, table, op="insert"):
+        """SA011 when one ``op`` statement on ``table`` maintains more
+        than one index beyond the base; ``[]`` otherwise."""
+        fanout = fanout_indexes(self.catalog, table)
+        if len(fanout) <= 1:
+            return []
+        return [
+            Diagnostic(
+                "SA011",
+                f"{op} {table}",
+                f"one statement maintains {len(fanout)} extra "
+                f"indexes beyond the base: {', '.join(fanout)}",
+            )
+        ]
 
     def deadlock_diagnostics(self, graph=None, only_view=None):
         """SA010 per deadlock-prone SCC, naming the views involved and
@@ -288,7 +288,8 @@ class StaticAnalyzer:
         diagnostics = (
             self.proof_diagnostics(view)
             + self.predicate_diagnostics(view)
-            + self.fanout_diagnostics(view)
+            + [d for table in view.base_tables()
+               for d in self.fanout_diagnostics(table)]
             + self.deadlock_diagnostics(only_view=name)
             + self.shard_diagnostics(view)
         )
@@ -321,19 +322,9 @@ class StaticAnalyzer:
                 footprints.insert(0, index_read_footprint(
                     target, f"<pk({target})>", path, for_update=True
                 ))
-            diagnostics = []
-            fanout = fanout_indexes(self.catalog, target)
-            if len(fanout) > 1:
-                diagnostics.append(
-                    Diagnostic(
-                        "SA011",
-                        f"{op} {target}",
-                        f"one statement maintains {len(fanout)} extra "
-                        f"indexes beyond the base: {', '.join(fanout)}",
-                    )
-                )
             return ExplainReport(
-                f"{op} {target}", footprints, diagnostics, path=path
+                f"{op} {target}", footprints,
+                self.fanout_diagnostics(target, op), path=path,
             )
         if op == "select":
             if self.catalog.has_view(target):
@@ -373,17 +364,7 @@ class StaticAnalyzer:
         diagnostics.extend(self.deadlock_diagnostics(graph))
         # fan-out is per-table, not per-view: report once per table
         for schema in self.catalog.tables():
-            fanout = fanout_indexes(self.catalog, schema.name)
-            if len(fanout) > 1:
-                diagnostics.append(
-                    Diagnostic(
-                        "SA011",
-                        f"insert {schema.name}",
-                        f"one statement maintains {len(fanout)} extra "
-                        f"indexes beyond the base: "
-                        f"{', '.join(fanout)}",
-                    )
-                )
+            diagnostics.extend(self.fanout_diagnostics(schema.name))
         return StaticReport(sorted(names), diagnostics, graph)
 
 

@@ -33,7 +33,9 @@ class Participant:
 
         Applies any commit-folded view deltas (they must be locked and
         logged before the vote — nothing may fail after it), appends a
-        durable :class:`~repro.wal.records.PrepareRecord`, and leaves the
+        durable :class:`~repro.wal.records.PrepareRecord`, marks the
+        branch prepared (``txn.scratch["2pc_gid"]``, the one record of a
+        yes vote the partition endpoint reads), and leaves the
         transaction ACTIVE with every lock held. A flush failure here is
         a retryable fault: the vote never became durable, so it is a no.
         """

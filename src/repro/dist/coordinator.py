@@ -15,9 +15,10 @@ transaction. The protocol's durability points:
   acks, and forgets aborted gids for free — the classic optimization.
 
 Two fault sites live here. ``dist.decision_lost`` drops the decision
-between append and flush (written but never durable, nobody notified).
-``dist.coordinator_crash`` kills the coordinator *process*: the decision
-log loses its volatile suffix and the instance is dead (``crashed``) —
+before it reaches the log (never durable, nobody notified — and no
+later flush can make it binding). ``dist.coordinator_crash`` kills the
+coordinator *process*: the decision log loses its volatile suffix, the
+just-appended record with it, and the instance is dead (``crashed``) —
 every further ``decide`` refuses. The facade also evaluates the same
 site at the other protocol steps (``prepare_send:<pid>``,
 ``decide_send:<pid>``), so chaos can kill the coordinator anywhere in
@@ -54,7 +55,8 @@ class TwoPhaseCoordinator:
         self.epoch = epoch
         self.crashed = False
         self._next_gid = 1
-        #: gid -> durable decision (rebuilt from the log on recovery)
+        #: gid -> durable decision, the one record of what is binding
+        #: (rebuilt from the log's durable prefix on recovery)
         self._decisions = {}
         #: durable decisions by outcome
         self.decided = {"commit": 0, "abort": 0}
@@ -115,16 +117,17 @@ class TwoPhaseCoordinator:
             # Duplicate delivery: one durable DecisionRecord is enough.
             return True
         participants = sorted(participants)
-        self.log.append(DecisionRecord(gid, decision, participants))
-        durable = True
-        if self.faults.active:
-            if self.faults.fires("dist.decision_lost", detail=gid) is not None:
-                # Written but never flushed; no participant is notified.
-                durable = False
-            elif self.faults.fires(
+        # A lost decision never reaches the log; no participant is told.
+        durable = not (self.faults.active and self.faults.fires(
+            "dist.decision_lost", detail=gid
+        ) is not None)
+        if durable:
+            self.log.append(DecisionRecord(gid, decision, participants))
+            if self.faults.active and self.faults.fires(
                 "dist.coordinator_crash", detail=gid
             ) is not None:
-                # The coordinator process dies at the decision point.
+                # The process dies at the decision point: the crash
+                # truncates the unflushed record.
                 self.crash()
                 durable = False
         if durable:
@@ -141,18 +144,10 @@ class TwoPhaseCoordinator:
         return durable
 
     def durable_decision(self, gid):
-        """The decision for ``gid`` from the *durable* prefix of the
-        decision log, or ``None`` — in which case presumed abort applies.
-        This is what a recovering partition consults to resolve its
-        in-doubt branches."""
-        decision = None
-        flushed = self.log.flushed_lsn
-        for record in self.log.records():
-            if record.lsn > flushed:
-                break
-            if isinstance(record, DecisionRecord) and record.gid == gid:
-                decision = record.decision
-        return decision
+        """The durable decision for ``gid``, or ``None`` — in which case
+        presumed abort applies. This is what a recovering partition
+        consults to resolve its in-doubt branches."""
+        return self._decisions.get(gid)
 
     def stats(self):
         return {

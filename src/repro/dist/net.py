@@ -56,8 +56,8 @@ class Envelope:
     ``msg_id`` is stable across retransmissions of the same logical
     request — that is what lets the receiver deduplicate. ``gid`` ties
     the message to a global transaction (``None`` for heartbeats),
-    ``kind`` selects the endpoint handler, ``payload`` is the argument
-    dict.
+    ``kind`` selects the endpoint handler, ``payload`` carries its
+    arguments.
     """
 
     __slots__ = ("msg_id", "gid", "kind", "payload")
@@ -127,9 +127,6 @@ class Network:
     def register(self, pid, endpoint):
         """Attach a partition endpoint at address ``pid``."""
         self._endpoints[pid] = endpoint
-
-    def endpoint(self, pid):
-        return self._endpoints[pid]
 
     def _channel(self, src, dst):
         key = (src, dst)
@@ -273,6 +270,12 @@ class Network:
 _ONCE_PER_GID = frozenset({"prepare", "decide"})
 
 
+def _prepared(txn):
+    """True once the branch voted yes: the mark
+    :meth:`~repro.core.participant.Participant.prepare` leaves."""
+    return "2pc_gid" in txn.scratch
+
+
 class PartitionEndpoint:
     """The partition-side message handler.
 
@@ -335,29 +338,15 @@ class PartitionEndpoint:
             self._handled[key] = reply
         return reply
 
-    def _prepared(self, gid):
-        """True once this incarnation voted yes on ``gid``."""
-        return self._handled.get((gid, "prepare"), {}).get("vote", False)
-
     def _handle_op(self, envelope):
-        payload = envelope.payload
+        """One routed statement: ``(op, args)`` runs as
+        ``engine.<op>(branch, *args)`` — ``insert`` / ``update`` /
+        ``delete`` / ``read``."""
         txn = self._branches.get(envelope.gid)
         if txn is None:
             txn = self._branches[envelope.gid] = self.engine.begin()
-        op = payload["op"]
-        if op == "insert":
-            result = self.engine.insert(txn, payload["table"], payload["values"])
-        elif op == "update":
-            result = self.engine.update(
-                txn, payload["table"], payload["key"], payload["changes"]
-            )
-        elif op == "delete":
-            result = self.engine.delete(txn, payload["table"], payload["key"])
-        else:
-            result = self.engine.read(
-                txn, payload["table"], payload["key"],
-                for_update=payload.get("for_update", False),
-            )
+        op, args = envelope.payload
+        result = getattr(self.engine, op)(txn, *args)
         return {"txn_id": txn.txn_id, "result": result}
 
     def _handle_prepare(self, envelope):
@@ -385,7 +374,7 @@ class PartitionEndpoint:
         txn = self._branches.pop(gid, None)
         if (
             txn is not None
-            and self._prepared(gid)
+            and _prepared(txn)
             and self.faults.active
             and self.faults.fires(
                 "dist.partition_crash", txn_id=txn.txn_id,
@@ -429,7 +418,7 @@ class PartitionEndpoint:
         (prepared this incarnation) or recovered from the WAL."""
         report = dict(self.engine.participant.in_doubt_transactions())
         for gid, txn in sorted(self._branches.items()):
-            if self._prepared(gid) and txn.state is TxnState.ACTIVE:
+            if _prepared(txn) and txn.state is TxnState.ACTIVE:
                 report[txn.txn_id] = gid
         return report
 

@@ -22,27 +22,12 @@ retries with seeded backoff; the partition-side
 prepares and decides are exactly-once in effect.
 
 Cross-partition transactions commit by **two-phase commit with presumed
-abort** (see :mod:`repro.dist.coordinator`). The robustness headline is
-*partial failure*, in three failure domains:
-
-* **Partitions** — ``dist.partition_crash`` can kill one partition
-  mid-protocol: after its branch prepared, before it learned the
-  decision. The fleet degrades instead of dying; the surviving N-1
-  partitions keep committing; statements routed at the dead partition
-  raise :class:`~repro.common.errors.PartitionUnavailableError`
-  (retryable); the crashed partition's in-doubt branch blocks only the
-  keys it touched. :meth:`recover_partition` then runs ARIES recovery,
-  resolves every in-doubt branch from the coordinator's durable decision
-  log (undecided = presumed abort), and rejoins it.
-* **The network** — the :class:`~repro.dist.detector.FailureDetector`
-  turns missed heartbeats into suspicion instead of ad-hoc down marks,
-  and re-admits partitions that answer again.
-* **The coordinator** — ``dist.coordinator_crash`` can kill the
-  coordinator at any protocol step (``prepare_send:<pid>``, the decision
-  point, ``decide_send:<pid>``); in-flight commits park in doubt,
-  and :meth:`recover_coordinator` stands up a fresh coordinator from the
-  durable decision log plus partition in-doubt reports, presuming abort
-  for undecided gids.
+abort** (see :mod:`repro.dist.coordinator`), and the fleet survives a
+crashed partition (:meth:`~ShardedDatabase.recover_partition`), a lossy
+network (the :class:`~repro.dist.detector.FailureDetector`) and a
+crashed coordinator (:meth:`~ShardedDatabase.recover_coordinator`).
+Every branch settles on one path: one send, one decision delivery, one
+probe-then-decide helper (``docs/ARCHITECTURE.md`` §9).
 """
 
 from repro.analysis.static import (
@@ -263,9 +248,6 @@ class ShardedDatabase:
     # routing
     # ------------------------------------------------------------------
 
-    def partition_for(self, table, key):
-        return self.partitioner.partition_of(tuple(key))
-
     def _key_of(self, table, values):
         row = values if isinstance(values, Row) else Row(values)
         return self._schemas[table].key_of(row)
@@ -274,10 +256,18 @@ class ShardedDatabase:
         if self.detector.is_down(pid):
             raise PartitionUnavailableError(gid, partition=pid)
 
-    def _confirm_down(self, pid):
-        """A ``SimulatedCrash`` escaped a partition's message handler —
-        synchronous evidence; no heartbeat suspicion needed."""
-        self.detector.confirm_down(pid)
+    def _send(self, pid, kind, payload, gid=None, txn_id=None):
+        """The one way the facade reaches a partition: a request over the
+        transport. A ``SimulatedCrash`` escaping the partition's handler
+        is synchronous evidence that it died — it is marked down (no
+        heartbeat suspicion needed) and the crash propagates."""
+        try:
+            return self.net.request(
+                pid, kind, payload, gid=gid, txn_id=txn_id
+            )
+        except SimulatedCrash:
+            self.detector.confirm_down(pid)
+            raise
 
     # ------------------------------------------------------------------
     # transactions
@@ -289,8 +279,9 @@ class ShardedDatabase:
         self.clock.tick()
         return DistTransaction(self.coordinator.new_gid())
 
-    def _op(self, dtxn, pid, payload):
-        """Route one statement to its partition over the transport.
+    def _op(self, dtxn, key, op, *args):
+        """Route one statement — ``engine.<op>(txn, *args)`` — to the
+        partition owning ``key`` over the transport.
 
         Every op — not just the one that opens the branch — checks the
         failure detector first: an already-open branch on a partition
@@ -299,51 +290,33 @@ class ShardedDatabase:
         engine.
         """
         dtxn.require_active()
+        pid = self.partitioner.partition_of(key)
         self._require_up(pid, dtxn.gid)
-        try:
-            reply = self.net.request(
-                pid, "op", payload,
-                gid=dtxn.gid, txn_id=dtxn.branches.get(pid),
-            )
-        except SimulatedCrash:
-            self._confirm_down(pid)
-            raise
+        reply = self._send(
+            pid, "op", (op, args), gid=dtxn.gid,
+            txn_id=dtxn.branches.get(pid),
+        )
         dtxn.branches[pid] = reply["txn_id"]
         return reply["result"]
 
     def insert(self, dtxn, table, values):
         key = self._key_of(table, values)
-        pid = self.partitioner.partition_of(key)
-        return self._op(
-            dtxn, pid, {"op": "insert", "table": table, "values": values}
-        )
+        return self._op(dtxn, key, "insert", table, values)
 
     def update(self, dtxn, table, key, changes):
         key = tuple(key)
-        pid = self.partitioner.partition_of(key)
-        return self._op(
-            dtxn, pid,
-            {"op": "update", "table": table, "key": key, "changes": changes},
-        )
+        return self._op(dtxn, key, "update", table, key, changes)
 
     def delete(self, dtxn, table, key):
         key = tuple(key)
-        pid = self.partitioner.partition_of(key)
-        return self._op(
-            dtxn, pid, {"op": "delete", "table": table, "key": key}
-        )
+        return self._op(dtxn, key, "delete", table, key)
 
     def read(self, dtxn, table, key, for_update=False):
         """Transactional point read of a *base table* row (routed by
         key). View reads fold across partitions — use
         :meth:`read_folded`."""
         key = tuple(key)
-        pid = self.partitioner.partition_of(key)
-        return self._op(
-            dtxn, pid,
-            {"op": "read", "table": table, "key": key,
-             "for_update": for_update},
-        )
+        return self._op(dtxn, key, "read", table, key, for_update)
 
     def commit(self, dtxn):
         """Commit the global transaction.
@@ -376,12 +349,7 @@ class ShardedDatabase:
             ((pid, txn_id),) = branches.items()
             try:
                 self._require_up(pid, dtxn.gid)
-                self.net.request(
-                    pid, "commit", {}, gid=dtxn.gid, txn_id=txn_id
-                )
-            except SimulatedCrash:
-                self._confirm_down(pid)
-                raise
+                self._send(pid, "commit", {}, gid=dtxn.gid, txn_id=txn_id)
             except TransactionAborted:
                 # The branch died with its partition, or the commit was
                 # refused engine-side: the single branch is the whole
@@ -429,13 +397,11 @@ class ShardedDatabase:
                 pass  # a dead partition cannot vote yes
             else:
                 try:
-                    reply = self.net.request(
+                    vote = self._send(
                         pid, "prepare", {}, gid=gid, txn_id=txn_id
-                    )
-                    vote = reply["vote"]
+                    )["vote"]
                 except SimulatedCrash:
-                    # Crash at / before the vote: nothing usable arrived.
-                    self._confirm_down(pid)
+                    pass  # crash at / before the vote: nothing arrived
                 except TransactionAborted:
                     vote = False  # transport gave up, or the flush
                     # fault engine-side: the promise never held
@@ -462,38 +428,39 @@ class ShardedDatabase:
             dtxn.state = "in_doubt"
             return "in_doubt"
         # ---- phase 2: apply ----------------------------------------
-        self._apply_decision(dtxn, decision, votes)
+        self._settle_branches(dtxn, decision, phase2=True)
         dtxn.state = decision
         if decision == "abort":
             raise TransactionAborted(gid, reason="2pc abort")
         return decision
 
-    def _apply_decision(self, dtxn, decision, votes=None):
-        for pid in sorted(dtxn.branches):
-            txn_id = dtxn.branches[pid]
-            if votes is not None and self._coordinator_step(
-                f"decide_send:{pid}"
-            ):
+    def _deliver(self, pid, gid, txn_id, decision):
+        """The one decision delivery: send ``decision`` to one branch.
+        A recovered in-doubt branch it settles is counted."""
+        reply = self._send(
+            pid, "decide", {"decision": decision}, gid=gid, txn_id=txn_id
+        )
+        if reply.get("via") == "in_doubt":
+            self.in_doubt_resolved[decision] += 1
+
+    def _settle_branches(self, dtxn, decision, phase2=False):
+        """Deliver ``decision`` to every branch of ``dtxn`` — phase 2,
+        :meth:`abort` and :meth:`resolve`. A branch on a down partition
+        is skipped, and one whose partition crashes or whose transport
+        gives up stays prepared: both settle from the decision log on
+        :meth:`recover_partition` or the next coordinator hand-off."""
+        for pid, txn_id in sorted(dtxn.branches.items()):
+            if phase2 and self._coordinator_step(f"decide_send:{pid}"):
                 # The coordinator died mid-phase-2. The decision is
                 # already durable — the client outcome stands — but the
                 # remaining branches learn it only from the decision log
                 # once recover_coordinator() probes them.
                 return
             if self.detector.is_down(pid):
-                continue  # resolves from the decision log on rejoin
+                continue
             try:
-                self.net.request(
-                    pid, "decide", {"decision": decision},
-                    gid=dtxn.gid, txn_id=txn_id,
-                )
-            except SimulatedCrash:
-                # The headline fault: durably prepared, killed before
-                # the decision arrives — in-doubt until rejoin.
-                self._confirm_down(pid)
-            except TransactionAborted:
-                # Transport gave up, or a committing branch died
-                # engine-side: it is prepared and durable-decided, so
-                # recovery + the decision log finish it.
+                self._deliver(pid, dtxn.gid, txn_id, decision)
+            except (SimulatedCrash, TransactionAborted):
                 pass
 
     def abort(self, dtxn, reason="user"):
@@ -501,7 +468,7 @@ class ShardedDatabase:
         if dtxn.state == "aborted":
             return
         dtxn.require_active()
-        self._apply_decision(dtxn, "abort")
+        self._settle_branches(dtxn, "abort")
         dtxn.state = "aborted"
 
     def resolve(self, dtxn):
@@ -516,22 +483,7 @@ class ShardedDatabase:
             )
         self._ensure_coordinator()
         decision = self._decision(dtxn.gid)
-        for pid in sorted(dtxn.branches):
-            txn_id = dtxn.branches[pid]
-            if self.detector.is_down(pid):
-                continue
-            try:
-                reply = self.net.request(
-                    pid, "decide", {"decision": decision},
-                    gid=dtxn.gid, txn_id=txn_id,
-                )
-            except SimulatedCrash:
-                self._confirm_down(pid)
-                continue
-            except TransactionAborted:
-                continue  # transport gave up; rejoin settles the branch
-            if reply.get("via") == "in_doubt":
-                self.in_doubt_resolved[decision] += 1
+        self._settle_branches(dtxn, decision)
         dtxn.state = decision
         return decision
 
@@ -545,7 +497,7 @@ class ShardedDatabase:
         unflushed log suffix, endpoint dedup tables) is gone; the durable
         WAL and page store survive for :meth:`recover_partition`."""
         self._endpoints[pid].crash()
-        self._confirm_down(pid)
+        self.detector.confirm_down(pid)
 
     def heartbeat_round(self):
         """One failure-detector sweep over the fleet (see
@@ -564,15 +516,7 @@ class ShardedDatabase:
         :class:`~repro.wal.recovery.RecoveryReport`."""
         self._ensure_coordinator()
         report = self._endpoints[pid].recover()
-        resolved = {"commit": 0, "abort": 0}
-        probe = self.net.request(pid, "probe", {})
-        for txn_id, gid in sorted(probe.items()):
-            decision = self._decision(gid)
-            self.net.request(
-                pid, "decide", {"decision": decision}, gid=gid, txn_id=txn_id
-            )
-            self.in_doubt_resolved[decision] += 1
-            resolved[decision] += 1
+        resolved = self._settle_in_doubt(pid)
         self.detector.readmit(pid)
         if self.tracer.enabled:
             self.tracer.emit(
@@ -586,6 +530,18 @@ class ShardedDatabase:
     def _ensure_coordinator(self):
         if self.coordinator.crashed:
             self.recover_coordinator()
+
+    def _settle_in_doubt(self, pid):
+        """Probe ``pid`` for the branches awaiting a decision and deliver
+        each its durable one (undecided = presumed abort). A crash or a
+        transport give-up propagates to the caller. Returns the
+        deliveries by outcome."""
+        resolved = {"commit": 0, "abort": 0}
+        for txn_id, gid in sorted(self._send(pid, "probe", {}).items()):
+            decision = self._decision(gid)
+            self._deliver(pid, gid, txn_id, decision)
+            resolved[decision] += 1
+        return resolved
 
     def _decision(self, gid):
         """The durable decision on ``gid``; an undecided gid is presumed
@@ -614,26 +570,10 @@ class ShardedDatabase:
             if self.detector.is_down(pid):
                 continue  # its branches resolve on recover_partition
             try:
-                report = self.net.request(pid, "probe", {})
-            except SimulatedCrash:
-                self._confirm_down(pid)
-                continue
-            except TransactionAborted:
-                continue  # unreachable over a quiet net; lossy rejoin
-            for txn_id, gid in sorted(report.items()):
-                decision = self._decision(gid)
-                try:
-                    reply = self.net.request(
-                        pid, "decide", {"decision": decision},
-                        gid=gid, txn_id=txn_id,
-                    )
-                except SimulatedCrash:
-                    self._confirm_down(pid)
-                    break
-                except TransactionAborted:
-                    continue
-                if reply.get("via") == "in_doubt":
-                    self.in_doubt_resolved[decision] += 1
+                self._settle_in_doubt(pid)
+            except (SimulatedCrash, TransactionAborted):
+                pass  # down now, or unreachable: settles on rejoin or
+                # at the next hand-off
         return self.coordinator
 
     # ------------------------------------------------------------------

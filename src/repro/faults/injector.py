@@ -162,10 +162,11 @@ FAULT_SITES = {
     },
     "dist.decision_lost": {
         "action": "lost",
-        "description": "the coordinator's decision record is written but "
-        "never flushed and no participant is notified — every prepared "
-        "branch stays in-doubt until resolution, which finds no durable "
-        "decision and presumes abort",
+        "description": "the coordinator's decision is lost before it "
+        "reaches the decision log and no participant is notified — no "
+        "later flush can make it binding; every prepared branch stays "
+        "in-doubt until resolution, which finds no durable decision and "
+        "presumes abort",
     },
     "dist.coordinator_crash": {
         "action": "crash",

@@ -159,31 +159,38 @@ SALVAGE_REPORT_FIELDS = {
 }
 
 
+def _check_fields(obj, fields, where, optional=None):
+    """The one field checker: ``fields`` (and ``optional``) map key ->
+    expected type(s). Returns a problem string per missing key, wrong
+    type and unexpected extra key."""
+    if not isinstance(obj, dict):
+        return [f"{where}: not an object"]
+    optional = optional or {}
+    problems = [f"{where}: missing key {key!r}" for key in fields
+                if key not in obj]
+    for key, value in obj.items():
+        expected = fields.get(key, optional.get(key))
+        if expected is None:
+            problems.append(f"{where}: unexpected extra key {key!r}")
+        elif not isinstance(value, expected):
+            names = expected if isinstance(expected, tuple) else (expected,)
+            problems.append(
+                f"{where}: {key!r} is {type(value).__name__}, expected "
+                + " or ".join(t.__name__ for t in names)
+            )
+    return problems
+
+
 def validate_recovery_report(doc, label="recovery_report"):
     """Validate a ``RecoveryReport.as_dict()`` document (including its
     salvage sub-report, when present). Returns problem strings."""
-    problems = []
     if not isinstance(doc, dict):
         return [f"{label}: document is {type(doc).__name__}, not an object"]
-    for fields, target, where in (
-        (RECOVERY_REPORT_FIELDS, doc, label),
-        (SALVAGE_REPORT_FIELDS, doc.get("salvage"), f"{label}.salvage"),
-    ):
-        if target is None:
-            continue
-        if not isinstance(target, dict):
-            problems.append(f"{where}: not an object")
-            continue
-        for key, expected in fields.items():
-            if key not in target:
-                problems.append(f"{where}: missing key {key!r}")
-            elif not isinstance(target[key], expected):
-                problems.append(
-                    f"{where}: {key!r} is {type(target[key]).__name__}"
-                )
-        for key in target:
-            if key not in fields:
-                problems.append(f"{where}: unexpected extra key {key!r}")
+    problems = _check_fields(doc, RECOVERY_REPORT_FIELDS, label)
+    if doc.get("salvage") is not None:
+        problems += _check_fields(
+            doc["salvage"], SALVAGE_REPORT_FIELDS, f"{label}.salvage"
+        )
     return problems
 
 
@@ -191,17 +198,9 @@ def validate_static_report(doc, label="static_report"):
     """Validate a ``StaticReport.to_doc()`` document, including each
     diagnostic's shape and severity/count agreement. Returns problem
     strings (empty = valid)."""
-    problems = []
     if not isinstance(doc, dict):
         return [f"{label}: document is {type(doc).__name__}, not an object"]
-    for key, expected in STATIC_REPORT_FIELDS.items():
-        if key not in doc:
-            problems.append(f"{label}: missing key {key!r}")
-        elif not isinstance(doc[key], expected):
-            problems.append(f"{label}: {key!r} is {type(doc[key]).__name__}")
-    for key in doc:
-        if key not in STATIC_REPORT_FIELDS:
-            problems.append(f"{label}: unexpected extra key {key!r}")
+    problems = _check_fields(doc, STATIC_REPORT_FIELDS, label)
     if problems:
         return problems
     counts = doc["counts"]
@@ -213,15 +212,7 @@ def validate_static_report(doc, label="static_report"):
         if not isinstance(diag, dict):
             problems.append(f"{where}: not an object")
             continue
-        for key, expected in DIAGNOSTIC_FIELDS.items():
-            if key not in diag:
-                problems.append(f"{where}: missing key {key!r}")
-            elif not isinstance(diag[key], expected):
-                problems.append(f"{where}: {key!r} is "
-                                f"{type(diag[key]).__name__}")
-        for key in diag:
-            if key not in DIAGNOSTIC_FIELDS:
-                problems.append(f"{where}: unexpected extra key {key!r}")
+        problems += _check_fields(diag, DIAGNOSTIC_FIELDS, where)
         severity = diag.get("severity")
         if severity in tally:
             tally[severity] += 1
@@ -242,26 +233,9 @@ def validate_result(doc, label="result"):
 
     Returns a list of problem strings (empty = valid).
     """
-    problems = []
     if not isinstance(doc, dict):
         return [f"{label}: document is {type(doc).__name__}, not an object"]
-    for key, expected in _TOP_LEVEL.items():
-        if key not in doc:
-            problems.append(f"{label}: missing key {key!r}")
-        elif not isinstance(doc[key], expected):
-            problems.append(
-                f"{label}: {key!r} is {type(doc[key]).__name__}, "
-                f"expected {expected.__name__}"
-            )
-    for key in doc:
-        if key not in _TOP_LEVEL and key not in _OPTIONAL:
-            problems.append(f"{label}: unexpected extra key {key!r}")
-    for key, expected in _OPTIONAL.items():
-        if key in doc and not isinstance(doc[key], expected):
-            problems.append(
-                f"{label}: {key!r} is {type(doc[key]).__name__}, "
-                f"expected {expected.__name__}"
-            )
+    problems = _check_fields(doc, _TOP_LEVEL, label, _OPTIONAL)
     if problems:
         return problems
     if doc["schema_version"] != RESULT_SCHEMA_VERSION:
@@ -287,11 +261,7 @@ def validate_result(doc, label="result"):
                 )
                 break
     claim = doc["claim"]
-    for key, expected in _CLAIM.items():
-        if key not in claim:
-            problems.append(f"{label}: claim missing key {key!r}")
-        elif not isinstance(claim[key], expected):
-            problems.append(f"{label}: claim.{key} must be {expected.__name__}")
+    problems += _check_fields(claim, _CLAIM, f"{label}.claim")
     verdict = claim.get("verdict")
     if verdict is not None and verdict not in VERDICTS:
         problems.append(

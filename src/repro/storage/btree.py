@@ -26,8 +26,9 @@ primitives that key-range locking needs:
   key up) read from that leaf or its right sibling. A caller may keep the
   leaf and hand it back to :meth:`BPlusTree.setdefault` /
   :meth:`BPlusTree.touch` instead of descending again, for as long as
-  :attr:`BPlusTree.shape` — bumped by every split, borrow and merge — has
-  not moved: only those change which leaf a key belongs in.
+  :attr:`BPlusTree.shape` — bumped by every split, borrow, merge and
+  raised separator — has not moved: only those change which leaf a key
+  belongs in.
 * :meth:`BPlusTree.range_items` — scan a :class:`~repro.common.keys.KeyRange`
   in key order.
 
@@ -124,8 +125,9 @@ class BPlusTree:
         self._next_node_id = 1
         self._root = self._new_leaf().id
         self._size = 0
-        #: structure changes so far (splits, borrows, merges, clears): a
-        #: leaf found at one shape is still its keys' leaf at the same one
+        #: structure changes so far (splits, borrows, merges, raised
+        #: separators, clears): a leaf found at one shape is still its
+        #: keys' leaf at the same one
         self.shape = 0
 
     # ------------------------------------------------------------------
@@ -551,10 +553,13 @@ class BPlusTree:
 
     def _fix_separator(self, parent, idx_in_parent, node):
         """Keep the parent separator equal to the subtree's smallest key
-        after deletions at a leaf's left edge (cosmetic; lookups do not
-        require it, but it keeps check_invariants strict)."""
+        after deletions at a leaf's left edge. Raising it hands the keys
+        between the old and new separator to the left sibling, so the
+        tree changes shape: a leaf found before is no longer theirs."""
         if idx_in_parent and node.is_leaf and node.keys:
-            parent.keys[idx_in_parent - 1] = node.keys[0]
+            if parent.keys[idx_in_parent - 1] != node.keys[0]:
+                parent.keys[idx_in_parent - 1] = node.keys[0]
+                self.shape += 1
 
     def _borrow_or_merge(self, parent, idx, node):
         """Try borrowing from a sibling; otherwise merge.

@@ -39,7 +39,8 @@ class Position:
 
     A position keeps its leaf, not a slot: the writes that take one
     re-bisect inside the leaf, and descend afresh once the tree's
-    ``shape`` has moved (a split, borrow or merge since :meth:`Index.locate`).
+    ``shape`` has moved (a split, borrow, merge or raised separator since
+    :meth:`Index.locate`).
     ``record`` and ``fence`` say what the index held when it was located
     (an insert through the position records its new record there); a
     statement locates a key again (``locate(key, near=position)``, a

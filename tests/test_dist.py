@@ -23,6 +23,7 @@ from repro.dist import RangePartitioner, ShardedDatabase, check_conservation
 from repro.faults import FaultInjector
 from repro.query import AggregateSpec
 from repro.views import AggregateView, JoinView
+from tests.test_dist_net import assert_atomic
 
 BOUNDS = (250, 500, 750)  # 4 partitions
 ACCOUNTS = "accounts"
@@ -320,6 +321,29 @@ class TestPresumedAbort:
         assert db.read_folded(TOTALS, ("n",)) is None
         assert db.read_committed(ACCOUNTS, (10,)) is None
         assert db.read_committed(ACCOUNTS, (600,)) is None
+        assert check_conservation(db) == []
+
+    def test_a_lost_decision_cannot_split_the_outcome(self):
+        """Regression: a lost COMMIT record used to stay in the decision
+        log's volatile suffix, and the next 2PC commit flushed it. The
+        survivor had already aborted on resolve(), and the crashed
+        partition then committed its branch on rejoin. The conservation
+        oracle cannot see a split outcome; the atomicity check can."""
+        db = fleet()
+        inj = FaultInjector(seed=5)
+        db.install_fault_injector(inj)
+        inj.arm("dist.decision_lost", times=1)
+        txn = move(db, 10, 900, "n", 5)
+        assert db.commit(txn) == "in_doubt"
+        inj.disarm()
+        db.crash_partition(3)
+        assert db.resolve(txn) == "abort"
+        assert db.read_committed(ACCOUNTS, (10,)) is None
+        assert db.commit(move(db, 20, 600, "n", 1)) == "commit"
+        db.recover_partition(3)
+        assert_atomic(db, 10, 900, 5, "abort")
+        assert db.coordinator.durable_decision(txn.gid) is None
+        assert db.in_doubt_total() == 0
         assert check_conservation(db) == []
 
     def test_coordinator_crash_resolves_to_abort(self):

@@ -434,6 +434,20 @@ class TestCoordinatorCrashRecovery:
         assert coordinator.stats()["log_records"] == records
         assert coordinator.decided == {"commit": 1, "abort": 0}
 
+    def test_a_lost_decision_never_reaches_the_log(self):
+        coordinator = TwoPhaseCoordinator()
+        inj = FaultInjector(seed=1)
+        coordinator.faults = inj
+        inj.arm("dist.decision_lost", times=1)
+        gid = coordinator.new_gid()
+        assert coordinator.decide(gid, "commit", [0, 2]) is False
+        assert coordinator.stats()["log_records"] == 0
+        assert coordinator.lost_decisions == 1
+        # The next decision's flush cannot make the lost one binding.
+        assert coordinator.decide(coordinator.new_gid(), "abort", [1, 3])
+        assert coordinator.stats()["log_records"] == 1
+        assert coordinator.durable_decision(gid) is None
+
     def test_conflicting_decision_is_refused(self):
         coordinator = TwoPhaseCoordinator()
         gid = coordinator.new_gid()
@@ -497,6 +511,48 @@ class TestCoordinatorCrashRecovery:
         assert check_conservation(db) == []
         # Never more than one decision record per gid in the log.
         assert db.coordinator.stats()["log_records"] <= 1
+
+    def test_crash_storm_hands_off_every_time(self):
+        """Five coordinator crashes in one fleet, one per protocol step,
+        each followed by a survivor commit that forces the hand-off:
+        durable decisions stand, undecided gids presume abort, and the
+        log holds exactly one record per durable commit."""
+        db = fleet()
+        inj = FaultInjector(seed=32)
+        db.install_fault_injector(inj)
+        storm = [
+            (300, 780, "prepare_send:1"),
+            (301, 781, "prepare_send:3"),
+            (302, 782, None),  # the decision point, matched by the gid
+            (303, 783, "decide_send:1"),
+            (304, 784, "decide_send:3"),
+        ]
+        outcomes = []
+        for offset, (src, dst, step) in enumerate(storm):
+            txn = db.begin()
+            inj.arm("dist.coordinator_crash", match=step or txn.gid, times=1)
+            try:
+                db.insert(txn, ACCOUNTS,
+                          {"id": dst, "region": "e", "amount": 8})
+                db.insert(txn, ACCOUNTS,
+                          {"id": src, "region": "e", "amount": -8})
+                outcome = db.commit(txn)
+            except TransactionAborted:
+                outcome = "abort"
+            assert db.coordinator.crashed
+            inj.disarm("dist.coordinator_crash")
+            deposit(db, 600 + offset, "w", 1)
+            if txn.state == "in_doubt":
+                outcome = db.resolve(txn)
+            outcomes.append((src, dst, outcome))
+        assert db.coordinator.epoch == len(storm)
+        assert db.stats()["dist"]["coordinator_recoveries"] == len(storm)
+        assert [o for *_, o in outcomes] == ["abort"] * 3 + ["commit"] * 2
+        assert db.coordinator.stats()["log_records"] == 2
+        for src, dst, outcome in outcomes:
+            assert_atomic(db, src, dst, 8, outcome)
+        assert db.in_doubt_total() == 0
+        assert check_conservation(db) == []
 
     def test_decision_survives_crash_but_undecided_presumes_abort(self):
         """The two halves of presumed abort, side by side: a durable

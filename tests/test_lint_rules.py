@@ -265,6 +265,21 @@ def test_transport_discipline_fires_in_nested_helpers(tmp_path):
     assert _rules(lint_paths([bad])) == {"transport-discipline"}
 
 
+@pytest.mark.parametrize(
+    "helper", ["_send", "_deliver", "_settle_branches", "_settle_in_doubt"]
+)
+def test_transport_discipline_covers_the_settle_helpers(tmp_path, helper):
+    bad = _plant(
+        tmp_path,
+        f"src/repro/dist/{helper.strip('_')}.py",
+        f'''
+        def {helper}(self, pid):
+            return self._engines[pid]
+        ''',
+    )
+    assert _rules(lint_paths([bad])) == {"transport-discipline"}
+
+
 def test_transport_discipline_exempts_non_protocol_methods(tmp_path):
     # Construction, operator accessors, and folded reads legitimately
     # hold the engine list; only the protocol methods must use the

@@ -1,7 +1,7 @@
 """Unit tests for versioned records and ghost-aware indexes."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import Database
@@ -271,6 +271,10 @@ class TestPositions:
         ),
         max_size=60,
     ))
+    @example([  # deleting 2 raises the separator to 3: 2 now routes left
+        ("live", 0, 0), ("live", 1, 0), ("live", 2, 0), ("live", 3, 0),
+        ("absent", 2, 0), ("live", 2, 1),
+    ])
     def test_writes_through_any_earlier_position_land_on_the_key(self, ops):
         """A position taken any number of writes ago — across splits,
         borrows and merges — writes the slot it names."""
