@@ -12,7 +12,8 @@ compiler produces:
   instead of pattern-matching function names.
 * :mod:`footprint <repro.analysis.static.footprint>` — the worst-case
   lock footprint of each statement shape, including view-maintenance
-  fan-out, mirroring the lock plans the maintainers actually build.
+  fan-out, read from the lock entries of the write plan the runtime
+  runs (one row's order).
 * :mod:`lockgraph <repro.analysis.static.lockgraph>` — footprints
   composed across all registered views into a static lock-order graph;
   a cycle flags a deadlock-prone view combination before any

@@ -24,7 +24,6 @@ produces the dict shape validated by
 
 from repro.analysis.static.diagnostics import Diagnostic, trace_static_check
 from repro.analysis.static.footprint import (
-    fanout_indexes,
     index_read_footprint,
     is_opaque,
     statement_footprint,
@@ -207,17 +206,23 @@ class StaticAnalyzer:
             ]
         return []
 
-    def fanout_diagnostics(self, table, op="insert"):
-        """SA011 when one ``op`` statement on ``table`` maintains more
-        than one index beyond the base; ``[]`` otherwise."""
-        fanout = fanout_indexes(self.catalog, table)
+    def footprint(self, table, op):
+        """The write footprint of one row's ``op`` on ``table``."""
+        return statement_footprint(
+            self.catalog, table, op, self.strategy, self.serializable
+        )
+
+    def fanout_diagnostics(self, table, footprint):
+        """SA011 when ``footprint`` (a statement's on ``table``) locks
+        more than one index beyond the base; ``[]`` otherwise."""
+        fanout = [n for n in footprint.indexes_in_order() if n != table]
         if len(fanout) <= 1:
             return []
         return [
             Diagnostic(
                 "SA011",
-                f"{op} {table}",
-                f"one statement maintains {len(fanout)} extra "
+                footprint.label,
+                f"one statement locks {len(fanout)} extra "
                 f"indexes beyond the base: {', '.join(fanout)}",
             )
         ]
@@ -230,10 +235,10 @@ class StaticAnalyzer:
         components = graph.deadlock_components()
         edge_map = graph.component_edge_map(components)
         for i, component in enumerate(components):
-            views = graph.views_in_component(self.catalog, component)
+            edges = edge_map[i]
+            views = graph.views_inducing(edges)
             if only_view is not None and only_view not in views:
                 continue
-            edges = edge_map[i]
             edge_text = "; ".join(
                 f"{u} -> {v} ({', '.join(labels)})"
                 for u, v, labels in edges
@@ -268,28 +273,18 @@ class StaticAnalyzer:
             (spec.out, spec.proof)
             for spec in getattr(view, "aggregates", ())
         ]
-        footprints = []
+        footprints, fanout = [], []
         for table in view.base_tables():
-            footprints.append(
-                statement_footprint(
-                    self.catalog, table, "insert", self.strategy,
-                    self.serializable,
-                )
-            )
-            footprints.append(
-                statement_footprint(
-                    self.catalog, table, "delete", self.strategy,
-                    self.serializable,
-                )
-            )
+            inserts = self.footprint(table, "insert")
+            footprints += [inserts, self.footprint(table, "delete")]
+            fanout += self.fanout_diagnostics(table, inserts)
         footprints.append(
             index_read_footprint(view.name, "<view key>", "point")
         )
         diagnostics = (
             self.proof_diagnostics(view)
             + self.predicate_diagnostics(view)
-            + [d for table in view.base_tables()
-               for d in self.fanout_diagnostics(table)]
+            + fanout
             + self.deadlock_diagnostics(only_view=name)
             + self.shard_diagnostics(view)
         )
@@ -310,11 +305,7 @@ class StaticAnalyzer:
                 raise CatalogError(
                     f"EXPLAIN: no base table named {target!r}"
                 )
-            footprints = [
-                statement_footprint(
-                    self.catalog, target, op, self.strategy, self.serializable
-                )
-            ]
+            footprints = [self.footprint(target, op)]
             path = None
             if op != "insert":
                 path = self._access_path(statement)
@@ -324,7 +315,7 @@ class StaticAnalyzer:
                 ))
             return ExplainReport(
                 f"{op} {target}", footprints,
-                self.fanout_diagnostics(target, op), path=path,
+                self.fanout_diagnostics(target, footprints[-1]), path=path,
             )
         if op == "select":
             if self.catalog.has_view(target):
@@ -364,7 +355,9 @@ class StaticAnalyzer:
         diagnostics.extend(self.deadlock_diagnostics(graph))
         # fan-out is per-table, not per-view: report once per table
         for schema in self.catalog.tables():
-            diagnostics.extend(self.fanout_diagnostics(schema.name))
+            diagnostics.extend(self.fanout_diagnostics(
+                schema.name, self.footprint(schema.name, "insert")
+            ))
         return StaticReport(sorted(names), diagnostics, graph)
 
 

@@ -1,29 +1,30 @@
 """The static lock-order graph.
 
-Nodes are index names (base-table primaries, view primaries, join
-secondaries); there is an edge ``u -> v`` when some statement shape's
-footprint acquires a lock on ``u`` and *later* one on ``v`` — i.e. a
-transaction may hold ``u`` while waiting on ``v``. Deadlock requires a
-cycle in the wait-for graph, and every runtime wait-for edge projects
-onto a lock-order edge, so **an acyclic lock-order graph proves the
-registered views deadlock-free** and each strongly connected component
-is a deadlock-prone combination worth flagging before any transaction
-runs (diagnostic ``SA010``).
+Nodes are the indexes locks are taken on (base tables, views,
+secondary indexes); there is an edge ``u -> v`` when some statement
+shape's footprint acquires a lock on ``u`` and *later* one on ``v`` —
+i.e. a transaction may hold ``u`` while waiting on ``v``. Deadlock
+requires a cycle in the wait-for graph, and every wait-for edge between
+one-row statements projects onto a lock-order edge, so **an acyclic
+lock-order graph proves the registered views deadlock-free** under the
+footprints' one-row model (orders between the rows of one multi-row
+statement are outside it), and each strongly connected component is a
+deadlock-prone combination worth flagging before any transaction runs
+(diagnostic ``SA010``, naming the views whose bindings take the locks
+of its edges).
 
 The interesting edges, with the statement shapes that induce them:
 
-* ``left -> right`` — a left-side insert point-reads the matched right
-  row while holding its new base-row X;
-* ``right -> left`` — a right-side insert scans the fk secondary and
-  point-reads matching left rows: the opposite order, so a single join
-  view already forms a two-table cycle;
-* ``view -> base`` — deleting the current MIN/MAX holds the view row X
-  while rescanning the group's base rows (the reverse of the usual
-  ``base -> view`` maintenance edge).
+* ``left -> right`` — a left-side insert holds the left table's intent
+  while it point-reads the matched right row;
+* ``right -> left`` — a right-side insert point-reads the left rows that
+  reference it and then takes its own key: the opposite order, so a
+  single join view already forms a two-table cycle.
 
-Escrow-only aggregate views never read back into their base and so
-never close a cycle — the static restatement of the paper's claim that
-escrow maintenance composes without deadlocks.
+A view's writes come after every read of the statement, so an aggregate
+view — escrow or not — never reads back into its base and never closes
+a cycle: the static restatement of the paper's claim that escrow
+maintenance composes without deadlocks.
 """
 
 from repro.analysis.static.footprint import statement_footprint
@@ -34,8 +35,10 @@ class LockOrderGraph:
 
     def __init__(self):
         self.nodes = set()
-        # (u, v) -> sorted set of footprint labels inducing the edge
+        # (u, v) -> set of footprint labels inducing the edge
         self.edges = {}
+        # (u, v) -> set of views whose bindings take either lock
+        self.views = {}
 
     @classmethod
     def from_catalog(cls, catalog, strategy="escrow", serializable=True):
@@ -53,8 +56,7 @@ class LockOrderGraph:
     def add_footprint(self, footprint):
         """Add ``u -> v`` for every pair of steps where ``u`` is
         acquired before ``v`` (held-while-requesting), keeping
-        re-acquisitions: the extreme-rescan's late return to the base
-        table is exactly the edge that closes a cycle."""
+        re-acquisitions."""
         steps = footprint.steps
         for i, early in enumerate(steps):
             self.nodes.add(early.index)
@@ -63,6 +65,9 @@ class LockOrderGraph:
                     continue
                 key = (early.index, late.index)
                 self.edges.setdefault(key, set()).add(footprint.label)
+                self.views.setdefault(key, set()).update(
+                    step.view for step in (early, late) if step.view
+                )
 
     def successors(self, node):
         return self._adjacency().get(node, [])
@@ -132,23 +137,10 @@ class LockOrderGraph:
             if len(scc) > 1
         ]
 
-    def component_edges(self, component):
-        """The internal edges of one SCC with their inducing statement
-        labels, deterministically ordered."""
-        members = set(component)
-        internal = [
-            (u, v) for (u, v) in self.edges
-            if u in members and v in members
-        ]
-        return [
-            (u, v, tuple(sorted(self.edges[(u, v)])))
-            for (u, v) in sorted(internal)
-        ]
-
     def component_edge_map(self, components):
-        """``component_edges`` for many SCCs in one pass over the edge
-        set, keyed by position in ``components`` — what ``check_all``
-        uses so N flagged components don't rescan the edges N times."""
+        """The internal edges of each SCC with their inducing statement
+        labels, ``(u, v, labels)`` in order, keyed by position in
+        ``components`` — one pass over the edge set for them all."""
         owner = {}
         for i, component in enumerate(components):
             for node in component:
@@ -166,16 +158,12 @@ class LockOrderGraph:
             for i, pairs in grouped.items()
         }
 
-    def views_in_component(self, catalog, component):
-        """Registered views whose indexes participate in the component
-        (an auxiliary like ``v#leftfk`` belongs to view ``v``; a
-        secondary index ``t#name`` is a view itself)."""
-        names = set()
-        for node in component:
-            owner = node if catalog.has_view(node) else node.split("#", 1)[0]
-            if catalog.has_view(owner):
-                names.add(owner)
-        return tuple(sorted(names))
+    def views_inducing(self, edges):
+        """The views whose bindings take the locks of ``edges`` (``(u, v,
+        ...)`` tuples), sorted."""
+        return tuple(sorted(set().union(
+            *(self.views[(u, v)] for u, v, *_ in edges)
+        )))
 
     def render_lines(self):
         lines = [f"lock-order graph: {len(self.nodes)} indexes, "

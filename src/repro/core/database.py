@@ -580,13 +580,11 @@ class Database:
         read: ``Transaction.acquire`` returns only on an immediate grant
         (else it raises and the statement is re-planned), so nothing ran
         in between."""
-        record = index.get_record(key, include_ghost=True)
-        plan = locks_for_point_read(index, key, mode, record)
-        self.acquire_plan(txn, plan)
+        at = index.locate(key)
+        self.acquire_plan(txn, locks_for_point_read(index, key, at, mode=mode))
         txn.stats.reads += 1
-        if record is None or record.is_ghost:
-            return None
-        return record.current_row
+        record = at.live()
+        return None if record is None else record.current_row
 
     def read_exact(self, txn, name, key):
         """Read a view row including the transaction's *own* pending

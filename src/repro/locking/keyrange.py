@@ -22,6 +22,8 @@ RangeX-X gymnastics of systems that delete keys inline. Only the ghost
 cleaner (a system transaction) removes keys, and it locks them X first.
 """
 
+from collections import namedtuple
+
 from repro.common.keys import POS_INF, KeyRange
 from repro.locking.modes import LockMode, RangeMode
 
@@ -41,6 +43,8 @@ def eof_resource(index_name):
 #: the write plans' key modes, one object each
 KEY_X = RangeMode.key(LockMode.X)
 KEY_E = RangeMode.key(LockMode.E)
+#: a gap-only share lock on a fence: "not there" / "nothing beyond" stays true
+FENCE_S = RangeMode(RangeMode.RANGE_S_S.gap, LockMode.NL)
 
 
 def _fence_resource(index, key, at=None):
@@ -56,20 +60,27 @@ def _fence_resource(index, key, at=None):
     return key_resource(index.name, fence)
 
 
-def locks_for_point_read(index, key, mode=LockMode.S, record=...):
+# The per-key plans — point read, insert, update, ghost, escrow — share
+# one signature, ``(index, key, at=None, serializable=True)``: ``at``, the
+# key's :class:`~repro.storage.index.Position`, says whether the key is
+# there and what fences its gap without a descent (``None``: look it up).
+
+
+def locks_for_point_read(index, key, at=None, serializable=True,
+                         mode=LockMode.S):
     """Read the row at ``key``: a key lock in ``mode``.
 
     If the key does not exist, a serializable reader must instead lock the
     gap that would contain it, so the answer "not there" stays true: we
-    take a range-S lock on the fence key. A caller that already holds the
-    record at ``key`` (ghosts included, ``None`` if absent) passes it as
-    ``record`` and saves the descent.
+    take a range-S lock on the fence key.
     """
-    if record is ...:
+    if at is None:
         record = index.get_record(key, include_ghost=True)
+    else:
+        record = at.record
     if record is not None:
         return [(key_resource(index.name, key), RangeMode.key(mode))]
-    return [(_fence_resource(index, key), RangeMode(RangeMode.RANGE_S_S.gap, LockMode.NL))]
+    return [(_fence_resource(index, key, at), FENCE_S)]
 
 
 def locks_for_range_scan(index, key_range=None, mode=LockMode.S, serializable=True):
@@ -77,16 +88,11 @@ def locks_for_range_scan(index, key_range=None, mode=LockMode.S, serializable=Tr
     use range locks and fence the gap above the range end."""
     if key_range is None:
         key_range = KeyRange.all()
-    plan = []
     lock_mode = RangeMode(RangeMode.RANGE_S_S.gap, mode) if serializable else RangeMode.key(mode)
-    first = True
-    for key, _record in index.scan(key_range, include_ghosts=True):
-        if first and serializable and not key_range.low.inclusive:
-            # The gap below the first in-range key extends below the range;
-            # locking it is conservative but correct.
-            pass
-        plan.append((key_resource(index.name, key), lock_mode))
-        first = False
+    plan = [
+        (key_resource(index.name, key), lock_mode)
+        for key, _record in index.scan(key_range, include_ghosts=True)
+    ]
     if serializable:
         # Fence the gap above the last in-range key: the next key beyond
         # the range (or EOF) gets a gap-only lock so inserts into the tail
@@ -97,24 +103,15 @@ def locks_for_range_scan(index, key_range=None, mode=LockMode.S, serializable=Tr
         else:
             fence = index.next_key(high.key, inclusive=not high.inclusive)
         if fence is None:
-            plan.append(
-                (eof_resource(index.name), RangeMode(RangeMode.RANGE_S_S.gap, LockMode.NL))
-            )
+            plan.append((eof_resource(index.name), FENCE_S))
         else:
-            plan.append(
-                (
-                    key_resource(index.name, fence),
-                    RangeMode(RangeMode.RANGE_S_S.gap, LockMode.NL),
-                )
-            )
+            plan.append((key_resource(index.name, fence), FENCE_S))
     return plan
 
 
-def locks_for_insert(index, key, serializable=True, at=None):
+def locks_for_insert(index, key, at=None, serializable=True):
     """Insert ``key``: an insert-intent lock on the gap's fence key, then
-    X on the (new or revived) key itself. ``at``, the key's
-    :class:`~repro.storage.index.Position`, says whether the key is there
-    and what fences its gap without a descent."""
+    X on the (new or revived) key itself."""
     plan = []
     if serializable:
         if at is None:
@@ -127,22 +124,81 @@ def locks_for_insert(index, key, serializable=True, at=None):
     return plan
 
 
-def locks_for_update(index, key):
+def locks_for_update(index, key, at=None, serializable=True):
     """Update the row at ``key`` in place (key unchanged): X on the key."""
     return [(key_resource(index.name, key), KEY_X)]
 
 
-def locks_for_logical_delete(index, key):
+def locks_for_logical_delete(index, key, at=None, serializable=True):
     """Ghost the row at ``key``: X on the key. The key survives as a
     fence post, so no gap lock is needed."""
     return [(key_resource(index.name, key), KEY_X)]
 
 
-def locks_for_escrow_update(index, key):
+def locks_for_escrow_update(index, key, at=None, serializable=True):
     """Increment/decrement counters in the row at ``key``: an E key lock —
     compatible with other transactions' E locks on the same key. It
     needs no descent: the caller's position said the row is there."""
     return [(key_resource(index.name, key), KEY_E)]
+
+
+#: The plan of each verb a maintainer's action (or the base row's) may
+#: perform on one key. The runtime calls ``PLANS[verb]`` on concrete
+#: keys; the static analyzer reads the same functions on symbols
+#: (:func:`symbolic_plan`) for the verbs a :class:`LockEntry` lists.
+PLANS = {
+    "read": locks_for_point_read,
+    "insert": locks_for_insert,
+    "create": locks_for_insert,
+    "update": locks_for_update,
+    "patch": locks_for_update,
+    "revive": locks_for_update,
+    "xlock": locks_for_update,
+    "apply": locks_for_update,
+    "delete": locks_for_logical_delete,
+    "ghost": locks_for_logical_delete,
+    "escrow": locks_for_escrow_update,
+}
+
+#: When a statement takes an entry's locks, in order: ``locate`` as an
+#: UPDATE or DELETE finds its row, ``read`` while the views compile (a
+#: join reads the other side), ``write`` with the statement's actions.
+PHASES = ("locate", "read", "write")
+
+#: One lock a write plan takes per row change: in ``phase``, on
+#: ``index``, at the key the symbol ``key`` names (``<pk(t)>``,
+#: ``<group>``, ``<fk>``, ...), by one of ``verbs`` — the runtime picks
+#: one by the key's state (create, revive, escrow, ...), the analyzer
+#: lists them all: the worst case.
+LockEntry = namedtuple("LockEntry", "phase index key verbs")
+
+
+class _Symbol:
+    """A key the analyzer names but cannot see, standing in for its index
+    (``name``) and its position: ``record`` says whether the key is
+    there, and its gap's fence is the symbol itself."""
+
+    __slots__ = ("name", "record", "fence")
+
+    def __init__(self, name, key, present):
+        self.name = name
+        self.record = True if present else None
+        self.fence = key
+
+
+def symbolic_plan(plan, index_name, key, serializable=True):
+    """``plan`` read against the symbol ``key`` of ``index_name``:
+    ``(resource, mode, only_if_absent)`` for the locks it takes when the
+    key is there, then for those it takes when it is not (a gap's fence
+    is anchored on the symbol) — the worst case, in order."""
+    def run(present):
+        where = _Symbol(index_name, key, present)
+        return plan(where, key, where, serializable)
+
+    present, absent = run(True), run(False)
+    return [(r, m, False) for r, m in present if (r, m) not in absent] + [
+        (r, m, (r, m) not in present) for r, m in absent
+    ]
 
 
 def locks_for_ghost_cleanup(index, key):

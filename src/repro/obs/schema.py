@@ -70,8 +70,7 @@ DIAGNOSTIC_FIELDS = {
 }
 
 #: pinned shape of ``StaticReport.to_doc()`` — the whole-catalog
-#: analyzer verdict (``make analyze``, ``python -m repro.analysis.check``,
-#: the analyze_smoke benchmark).
+#: analyzer verdict (``make analyze``, ``python -m repro.analysis.check``).
 STATIC_REPORT_FIELDS = {
     "views_checked": list,
     "counts": dict,

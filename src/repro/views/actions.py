@@ -52,13 +52,23 @@ class Action:
 
 
 #: One view of a table's write plan: the ``view``, the ``table`` whose
-#: changes reach it, the per-row ``compile(db, txn, view, table, before,
-#: after, net)`` (or ``None``) and, when it ``folds``, how a change's
-#: counter deltas join ``net``, the statement's NetDelta: ``fold(before,
-#: after, net)``, or in ``compile`` (a join-aggregate reads to fold).
+#: changes reach it, its ``locks`` — per statement op (``insert``,
+#: ``update``, ``delete``), the :class:`~repro.locking.keyrange.LockEntry`
+#: list one row change takes, in order — the per-row ``compile(db, txn,
+#: view, table, before, after, net)`` (or ``None``) and, when it
+#: ``folds``, how a change's counter deltas join ``net``, the
+#: statement's NetDelta: ``fold(before, after, net)``, or in ``compile``
+#: (a join-aggregate reads to fold).
 Binding = namedtuple(
-    "Binding", "view table compile fold folds", defaults=(None, None, False)
+    "Binding", "view table locks compile fold folds",
+    defaults=(None, None, False),
 )
+
+
+def same_locks(*entries):
+    """``Binding.locks`` for a view whose row changes take ``entries``
+    whatever the statement op."""
+    return dict.fromkeys(("insert", "update", "delete"), entries)
 
 
 def run_actions(db, txn, actions):

@@ -26,18 +26,16 @@ account state attached to the key.
 """
 
 from repro.common import CatalogError, EscrowViolationError
-from repro.locking.keyrange import (
-    locks_for_escrow_update,
-    locks_for_insert,
-    locks_for_update,
-)
+from repro.locking.keyrange import PLANS, LockEntry
 from repro.query.aggregates import AggFunc
 from repro.txn.write import ghost, patch, put
-from repro.views.actions import Action, Binding
+from repro.views.actions import Action, Binding, same_locks
 from repro.wal.records import CounterImageRecord, EscrowDeltaRecord
 
 ESCROW = "escrow"
 XLOCK = "xlock"
+#: a MIN/MAX group row's verbs: every contribution changes it under X
+EXTREME_VERBS = ("create", "revive", "apply")
 
 
 def counter_fold(view):
@@ -77,13 +75,26 @@ class AggregateMaintainer:
         if strategy not in (ESCROW, XLOCK):
             raise CatalogError(f"unknown aggregate strategy {strategy!r}")
         self.strategy = strategy
+        #: a group row's verbs by its state: absent, ghost, live
+        self.group_verbs = ("create", "revive", strategy)
 
     def bind(self, view, table):
         """The view's place in ``table``'s write plan: its counters fold
         per statement; MIN/MAX columns are compiled row by row."""
         if view.has_extremes():
-            return Binding(view, table, self._compile_extremes)
-        return Binding(view, table, fold=counter_fold(view), folds=True)
+            return Binding(
+                view, table, same_locks(self.group_entry(view, EXTREME_VERBS)),
+                self._compile_extremes,
+            )
+        return Binding(view, table, same_locks(self.group_entry(view)),
+                       fold=counter_fold(view), folds=True)
+
+    def group_entry(self, view, verbs=None):
+        """The lock a change takes on one of ``view``'s group rows: a new
+        group is created (its gap's fence, then X), a ghost revived (X), a
+        live one changed — E under escrow, X under xlock or for MIN/MAX."""
+        return LockEntry("write", view.name, "<group>",
+                         verbs or self.group_verbs)
 
     # ------------------------------------------------------------------
     # one group's folded deltas
@@ -98,20 +109,13 @@ class AggregateMaintainer:
         if at is None:
             at = index.locate(group_key)
         record = at.record
-        if record is None:
-            verb = "agg-create"
-            plan = locks_for_insert(
-                index, group_key, db.config.serializable, at
-            )
-        elif record.is_ghost:
-            verb, plan = "agg-revive", locks_for_update(index, group_key)
-        elif self.strategy == ESCROW:
-            verb = "agg-escrow"
-            plan = locks_for_escrow_update(index, group_key)
-        else:
-            verb, plan = "agg-xlock", locks_for_update(index, group_key)
+        create, revive, change = self.group_verbs
+        verb = create if record is None else (
+            revive if record.is_ghost else change
+        )
+        plan = PLANS[verb](index, group_key, at, db.config.serializable)
         return Action(
-            (verb, view.name, group_key), plan,
+            ("agg-" + verb, view.name, group_key), plan,
             lambda d, t: self._apply(d, t, view, index, at, deltas),
         )
 
@@ -217,16 +221,13 @@ class AggregateMaintainer:
                 continue
             group_key = view.group_key_of_base_row(row)
             at = index.locate(group_key)
-            if at.record is None:
-                plan = locks_for_insert(
-                    index, group_key, db.config.serializable, at
-                )
-                kind = "create"
-            else:
-                plan = locks_for_update(index, group_key)
-                kind = "revive" if at.record.is_ghost else "apply"
+            create, revive, change = EXTREME_VERBS
+            verb = create if at.record is None else (
+                revive if at.record.is_ghost else change
+            )
             actions.append(Action(
-                (f"agg-extreme-{kind}", view.name, group_key), plan,
+                ("agg-extreme-" + verb, view.name, group_key),
+                PLANS[verb](index, group_key, at, db.config.serializable),
                 lambda d, t, key=group_key, row=row, sign=sign: (
                     self._apply_extreme_contribution(d, t, view, key, row, sign)
                 ),

@@ -19,11 +19,7 @@ stays as a lockable fence post until the ghost cleaner removes it.
 """
 
 from repro.common.keys import KeyRange
-from repro.locking.keyrange import (
-    locks_for_insert,
-    locks_for_logical_delete,
-    locks_for_update,
-)
+from repro.locking.keyrange import PLANS, LockEntry
 from repro.txn.write import ghost, patch, put
 from repro.views.actions import Action, Binding
 
@@ -52,6 +48,16 @@ def leftfk_actions(db, view, table, before, after):
     return actions
 
 
+def join_read(view, table):
+    """The lock entry of the other side's rows a change to ``table``
+    reads under S while compiling: a left row's matched right row (by its
+    fk), or a right row's matching left rows (each by its key; the
+    ``#leftfk`` scan that finds them takes no lock)."""
+    if table == view.left:
+        return LockEntry("read", view.right, "<fk>", ("read",))
+    return LockEntry("read", view.left, f"<pk({view.left})>", ("read",))
+
+
 def left_rows_referencing(db, txn, view, right_key):
     """The left rows whose join columns equal ``right_key``, found
     through ``#leftfk`` and each read under an S lock (compile phase:
@@ -74,7 +80,22 @@ class JoinMaintainer:
     """Compiles base-table changes into join-view actions, row by row."""
 
     def bind(self, view, table):
-        return Binding(view, table, self.compile)
+        """A new row joins the rows it reads; an UPDATE patches or ghosts
+        its view rows — and, changing a left row's fk, reads the new
+        match and inserts; a DELETE ghosts them."""
+        def rows(*verbs):
+            return LockEntry("write", view.name, "<view key>", verbs)
+
+        read = join_read(view, table)
+        if table == view.left:
+            update = (read, rows("patch", "ghost", "insert"))
+        else:
+            update = (rows("patch", "ghost"),)
+        return Binding(view, table, {
+            "insert": (read, rows("insert")),
+            "update": update,
+            "delete": (rows("ghost"),),
+        }, self.compile)
 
     def compile(self, db, txn, view, table, before, after, net):
         if before is None:
@@ -114,11 +135,8 @@ class JoinMaintainer:
             if view.relevant(joined_row):
                 view_row = joined_row.project(view.columns)
                 vkey = view.key_of(view_row)
-                plan = locks_for_insert(
-                    db.index(view.name), vkey, db.config.serializable
-                )
                 actions += self._action(db, view, "insert", vkey, view_row,
-                                        plan, put, view_row)
+                                        put, view_row)
         return actions
 
     def _compile_delete(self, db, txn, view, table, row):
@@ -131,9 +149,7 @@ class JoinMaintainer:
         record = db.index(view.name).get_record(vkey)
         if record is None:
             return []
-        plan = locks_for_logical_delete(db.index(view.name), vkey)
-        return self._action(db, view, "ghost", vkey, record.current_row, plan,
-                            ghost)
+        return self._action(db, view, "ghost", vkey, record.current_row, ghost)
 
     def _patch(self, db, view, vkey, before, after):
         record = db.index(view.name).get_record(vkey)
@@ -150,17 +166,18 @@ class JoinMaintainer:
         if not view.relevant(new_view_row):
             # The update pushed the joined row out of the view's predicate.
             return self._ghost(db, view, vkey)
-        plan = locks_for_update(db.index(view.name), vkey)
-        return self._action(db, view, "patch", vkey, record.current_row, plan,
+        return self._action(db, view, "patch", vkey, record.current_row,
                             patch, new_view_row)
 
     @staticmethod
-    def _action(db, view, verb, vkey, view_row, plan, write, *row):
+    def _action(db, view, verb, vkey, view_row, write, *row):
         """One view row's action: ``write`` (``put`` / ``ghost`` /
         ``patch``) at ``vkey`` in the view and at the ``#right`` entry
-        ``view_row`` derives."""
+        ``view_row`` derives, under the view key's ``verb`` plan (which
+        covers the ``#right`` entry)."""
         primary, secondary = db.index(view.name), db.index(view.right_index.name)
         skey, _ = view.right_index.entry(view_row)
+        plan = PLANS[verb](primary, vkey, None, db.config.serializable)
 
         def apply(d, t):
             write(d, t, primary, vkey, *row)

@@ -26,16 +26,23 @@ Right-side fan-out means one parent update can touch many groups — the
 NetDelta fold collapses those into one action per affected group.
 """
 
-from repro.views.actions import Binding
-from repro.views.join import left_rows_referencing, leftfk_actions
+from repro.views.actions import Binding, same_locks
+from repro.views.join import join_read, left_rows_referencing, leftfk_actions
 
 
 class JoinAggregateMaintainer:
-    """Compiles base-table changes into join-aggregate view actions."""
+    """Compiles base-table changes into join-aggregate view actions; the
+    groups' folded deltas are ``aggregate``'s to apply (an
+    :class:`~repro.views.aggregate.AggregateMaintainer`)."""
+
+    def __init__(self, aggregate):
+        self.aggregate = aggregate
 
     def bind(self, view, table):
         """Row by row (contributions are read under S locks), folding."""
-        return Binding(view, table, self.compile, folds=True)
+        return Binding(view, table, same_locks(
+            join_read(view, table), self.aggregate.group_entry(view)
+        ), self.compile, folds=True)
 
     def compile(self, db, txn, view, table, before, after, net):
         """The ``#leftfk`` actions of one row change; its contributions,

@@ -29,12 +29,7 @@ mode; a view mid build or quarantined is suppressed.
 
 from repro.common import Row, StorageError
 from repro.locking import LockMode
-from repro.locking.keyrange import (
-    locks_for_insert,
-    locks_for_logical_delete,
-    locks_for_update,
-    table_resource,
-)
+from repro.locking.keyrange import PLANS, LockEntry, table_resource
 from repro.txn.write import ghost, patch, put
 from repro.views.actions import Action, run_actions
 from repro.views.aggregate import AggregateMaintainer
@@ -54,16 +49,22 @@ class MaintenanceEngine:
         self._maintainers = {
             "aggregate": self.aggregate,
             "join": JoinMaintainer(),
-            "join_aggregate": JoinAggregateMaintainer(),
+            "join_aggregate": JoinAggregateMaintainer(self.aggregate),
             "projection": ProjectionMaintainer(),
         }
 
-    def plan(self, db, table):
-        """``table``'s write plan under the current catalog."""
-        return WritePlan(db, table, [
+    def bindings(self, table):
+        """One :class:`~repro.views.actions.Binding` per view over
+        ``table``, in catalog order. Binding needs no engine: the static
+        analyzer reads the lock entries of a scratch catalog's."""
+        return [
             self._maintainers[view.kind].bind(view, table)
             for view in self._catalog.views_on(table)
-        ])
+        ]
+
+    def plan(self, db, table):
+        """``table``'s write plan under the current catalog."""
+        return WritePlan(db, table, self.bindings(table))
 
     def compile(self, db, txn, statement, i):
         """The view actions of row change ``i`` of ``statement``, a plan's
@@ -93,6 +94,19 @@ class MaintenanceEngine:
                 for key, deltas in net.items()
             ]
         return actions
+
+
+def base_locks(table):
+    """The base row's own lock entries, per statement op — each verb the
+    op itself (:class:`WritePlan` runs ``PLANS[op]``): an INSERT's key
+    goes with the statement's actions; an UPDATE or DELETE locks its row X
+    while locating it, before any view compiles."""
+    key = f"<pk({table})>"
+    return {
+        "insert": (LockEntry("write", table, key, ("insert",)),),
+        "update": (LockEntry("locate", table, key, ("update",)),),
+        "delete": (LockEntry("locate", table, key, ("delete",)),),
+    }
 
 
 class WritePlan:
@@ -137,7 +151,7 @@ class WritePlan:
             check_row(values)
         changes, afters = [], []
         for key, values in items:
-            at = self._lock_row(db, txn, tuple(key), locks_for_update)
+            at = self._lock_row(db, txn, tuple(key), "update")
             before = at.record.current_row
             afters.append(before.replace(**values))
             if afters[-1] != before:
@@ -150,16 +164,17 @@ class WritePlan:
         txn.require_active()
         changes = []
         for key in keys:
-            at = self._lock_row(db, txn, tuple(key), locks_for_logical_delete)
+            at = self._lock_row(db, txn, tuple(key), "delete")
             changes.append((at.key, at.record.current_row, None, at))
         self._run(db, txn, changes)
         return [before for _, before, _, _ in changes]
 
-    def _lock_row(self, db, txn, key, locks):
-        """The position of the live row at ``key``, read under ``locks``."""
+    def _lock_row(self, db, txn, key, verb):
+        """The position of the live row at ``key``, read under ``verb``'s
+        plan."""
         txn.acquire(self.table_lock, LockMode.IX)
         at = self.index.locate(key)
-        db.acquire_plan(txn, locks(self.index, key))
+        db.acquire_plan(txn, PLANS[verb](self.index, key, at))
         if at.live() is None:
             raise StorageError(f"no row with key {key!r} in {self.table!r}")
         return at
@@ -208,7 +223,7 @@ class WritePlan:
             txn.acquire(self.table_lock, LockMode.IX)
             if i:  # the statement's earlier rows may have moved its fence
                 at = index.locate(key, near=at)
-            plan = locks_for_insert(index, key, db.config.serializable, at)
+            plan = PLANS[kind](index, key, at, db.config.serializable)
         else:
             kind = "delete" if after is None else "update"
 

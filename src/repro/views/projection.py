@@ -16,11 +16,7 @@ key fails the statement in the compile phase, before anything mutated.
 """
 
 from repro.common import CatalogError
-from repro.locking.keyrange import (
-    locks_for_insert,
-    locks_for_logical_delete,
-    locks_for_update,
-)
+from repro.locking.keyrange import PLANS, LockEntry
 from repro.txn.write import ghost, patch, put
 from repro.views.actions import Action, Binding
 
@@ -30,7 +26,16 @@ class ProjectionMaintainer:
     row."""
 
     def bind(self, view, table):
-        return Binding(view, table, self.compile)
+        """An INSERT inserts the entry, a DELETE ghosts it; an UPDATE
+        patches it, or ghosts it and inserts the one it becomes."""
+        def entry(*verbs):
+            return (LockEntry("write", view.name, "<view key>", verbs),)
+
+        return Binding(view, table, {
+            "insert": entry("insert"),
+            "update": entry("patch", "ghost", "insert"),
+            "delete": entry("ghost"),
+        }, self.compile)
 
     def compile(self, db, txn, view, table, before, after, net):
         old, new = view.entry(before), view.entry(after)
@@ -41,7 +46,7 @@ class ProjectionMaintainer:
             key, row = new
             at = index.locate(key)
             return [self._action(
-                "patch", view, key, locks_for_update(index, key),
+                db, "patch", view, index, key, at,
                 lambda d, t: patch(d, t, index, key, row, at),
             )]
         actions = []
@@ -50,8 +55,7 @@ class ProjectionMaintainer:
             old_at = index.locate(old_key)
             if old_at.live() is not None:
                 actions.append(self._action(
-                    "ghost", view, old_key,
-                    locks_for_logical_delete(index, old_key),
+                    db, "ghost", view, index, old_key, old_at,
                     lambda d, t: ghost(d, t, index, old_key, old_at),
                 ))
         if new is not None:
@@ -62,18 +66,18 @@ class ProjectionMaintainer:
                     f"index {view.name!r}: duplicate value {new_key!r}"
                 )
             actions.append(self._action(
-                "insert", view, new_key,
-                locks_for_insert(index, new_key, db.config.serializable, new_at),
+                db, "insert", view, index, new_key, new_at,
                 lambda d, t: put(d, t, index, new_key, new_row, new_at),
             ))
         return actions
 
     @staticmethod
-    def _action(verb, view, vkey, plan, write):
+    def _action(db, verb, view, index, vkey, at, write):
         def apply(d, t):
             write(d, t)
             t.stats.view_maintenances += 1
             # proj.row_inserted / proj.row_ghosted / proj.row_patched
             d.counters.incr(f"proj.row_{verb}ed")
 
+        plan = PLANS[verb](index, vkey, at, db.config.serializable)
         return Action((f"proj-{verb}", view.name, vkey), plan, apply)

@@ -19,7 +19,8 @@ integrity checker finds no structure or storage damage. Every view
 equals its recomputation whenever its mode promises it: at every step
 under ``immediate``, with no transaction open under ``commit_fold``, and
 under ``deferred`` once a refresh has caught up with every skipped
-change.
+change. Every DML statement takes only locks its ``EXPLAIN`` footprint
+lists.
 
 ``REPRO_MACHINE_EXAMPLES`` sets the example count (``make machine`` runs
 more than tier-1 does).
@@ -38,10 +39,12 @@ from hypothesis.stateful import (
     rule,
 )
 
+from repro.analysis.static import StaticAnalyzer
 from repro.common import StorageError
 from repro.core import Database, EngineConfig
 from repro.query import AggregateSpec
 from repro.views import AggregateView
+from tests.test_sql_access_paths import lock_triples, predicted_locks
 from tests.test_wal_codec import same, values
 
 EXAMPLES = int(os.environ.get("REPRO_MACHINE_EXAMPLES", "60"))
@@ -85,6 +88,15 @@ class CrashMachine(RuleBasedStateMachine):
         self.txn = None
         self.pending = None  # the open transaction's view of the rows
         self.savepoint = None  # (token, rows at the savepoint)
+        self.analyzer = StaticAnalyzer.configured(
+            self.db.catalog, self.db.config
+        )
+        self.locks = []  # the current statement's lock_acquire events
+        self.held = set()  # what its transaction held before it
+        self.db.tracer.enable()
+        self.db.tracer.listeners.append(
+            lambda e: e.name == "lock_acquire" and self.locks.append(e)
+        )
         #: deferred views caught up with the bases at the log tail
         #: ``caught_up`` (``None``: not since a statement skipped them)
         self.caught_up = 0
@@ -108,19 +120,42 @@ class CrashMachine(RuleBasedStateMachine):
     # statements: in the open transaction, or autocommitted
     # ------------------------------------------------------------------
 
-    def _statement(self, apply, change):
-        """Run ``apply(txn)`` in the open transaction, or autocommitted,
-        and ``change(rows)`` on the reference rows it writes."""
+    def _statement(self, op, apply, change):
+        """Run ``apply(txn)``, one row's ``op``, in the open transaction
+        or autocommitted, and ``change(rows)`` on the reference rows it
+        writes."""
         self.caught_up = None
+        self._locks_from_here()
         if self.txn is not None:
             apply(self.txn)
             change(self.pending)
-            return
-        tail = self.db.log.tail_lsn()
-        with self.db.session() as session:
-            apply(session.current_transaction)
-        change(self.committed)
-        self._committed(tail)
+        else:
+            tail = self.db.log.tail_lsn()
+            with self.db.session() as session:
+                apply(session.current_transaction)
+            change(self.committed)
+            self._committed(tail)
+        self._locks_lie_inside(self.analyzer.explain(op, "t"))
+
+    def _locks_from_here(self):
+        self.locks.clear()
+        self.held = {
+            resource for resource, _ in self.db.locks.locks_of(
+                self.txn.txn_id
+            )
+        } if self.txn is not None else set()
+
+    def _locks_lie_inside(self, report):
+        """The locks the statement took lie inside ``report``'s
+        footprint. Converting a lock an earlier statement took traces
+        the supremum of both requests — not this statement's own — so
+        such a conversion is left out."""
+        taken = [
+            event.as_dict()["fields"] for event in self.locks
+            if not (event.fields["conversion"]
+                    and event.fields["resource"] in self.held)
+        ]
+        assert set(lock_triples(taken)) <= predicted_locks(report)
 
     def _committed(self, tail_before):
         """A transaction ended in COMMIT: its rows are the committed ones,
@@ -135,7 +170,7 @@ class CrashMachine(RuleBasedStateMachine):
             if key not in self.rows():
                 row = {"id": key, "g": g, "amount": amount, "v": v}
                 self._statement(
-                    lambda txn: self.db.insert(txn, "t", row),
+                    "insert", lambda txn: self.db.insert(txn, "t", row),
                     lambda rows: rows.__setitem__(key, row),
                 )
 
@@ -147,7 +182,7 @@ class CrashMachine(RuleBasedStateMachine):
         if g is not None:
             changes["g"] = g
         self._statement(
-            lambda txn: self.db.update(txn, "t", (key,), changes),
+            "update", lambda txn: self.db.update(txn, "t", (key,), changes),
             lambda rows: rows.__setitem__(key, {**rows[key], **changes}),
         )
 
@@ -156,7 +191,7 @@ class CrashMachine(RuleBasedStateMachine):
         for key in keys:
             if key in self.rows():
                 self._statement(
-                    lambda txn: self.db.delete(txn, "t", (key,)),
+                    "delete", lambda txn: self.db.delete(txn, "t", (key,)),
                     lambda rows: rows.pop(key),
                 )
 
@@ -166,16 +201,18 @@ class CrashMachine(RuleBasedStateMachine):
         reference rows; a ``refused`` statement leaves everything as it
         was."""
         tail = self.db.log.tail_lsn()
+        self._locks_from_here()
         if refused:
             with pytest.raises(StorageError):
                 self.session.execute(sql)
             assert self.db.log.tail_lsn() == tail
-            return
-        self.caught_up = None
-        self.session.execute(sql)
-        change(self.rows())
-        if self.txn is None:
-            self._committed(tail)
+        else:
+            self.caught_up = None
+            self.session.execute(sql)
+            change(self.rows())
+            if self.txn is None:
+                self._committed(tail)
+        self._locks_lie_inside(self.db.execute(f"EXPLAIN {sql}"))
 
     @rule(rows=st.lists(st.tuples(sql_ids, groups, amounts, sql_values),
                         min_size=2, max_size=4))

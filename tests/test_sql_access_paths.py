@@ -673,6 +673,12 @@ def requested_locks(db, sql):
     ]
     session.rollback()
     db.tracer.disable()
+    return lock_triples(events)
+
+
+def lock_triples(events):
+    """The symbolic ``(index, resource kind, mode)`` of each traced
+    ``lock_acquire`` event's ``fields``, in order."""
     out = []
     for fields in events:
         resource, mode = fields["resource"], fields["mode"]

@@ -8,6 +8,8 @@ really deadlocks at runtime, while escrow-only schemas stay acyclic.
 import io
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.static import (
     LockOrderGraph,
@@ -16,11 +18,10 @@ from repro.analysis.static import (
     check_view,
 )
 from repro.analysis.static.footprint import (
-    fanout_indexes,
     index_read_footprint,
     statement_footprint,
 )
-from repro.common import CatalogError, DeadlockError, WouldWait
+from repro.common import CatalogError, DeadlockError, ReproError, WouldWait
 from repro.core import Database, EngineConfig
 from repro.dist import ShardedDatabase
 from repro.obs import validate_static_report
@@ -28,6 +29,7 @@ from repro.query import AggregateSpec
 from repro.query.predicates import Predicate
 from repro.txn import LockPolicy
 from repro.views import AggregateView, ProjectionView
+from tests.test_sql_access_paths import lock_triples, predicted_locks
 
 
 def escrow_db():
@@ -80,15 +82,6 @@ def deadlock_pair_db():
 
 
 class TestFootprints:
-    def test_escrow_insert_takes_e_on_the_group_row(self):
-        db = escrow_db()
-        footprint = statement_footprint(db.catalog, "accounts", "insert")
-        modes = [
-            s.mode for s in footprint.steps
-            if s.index == "branch_totals" and s.resource == "key <group>"
-        ]
-        assert "E" in modes
-
     def test_xlock_strategy_downgrades_escrow_to_exclusive(self):
         db = escrow_db()
         footprint = statement_footprint(
@@ -100,31 +93,35 @@ class TestFootprints:
         }
         assert "E" not in modes and "X" in modes
 
-    def test_extreme_delete_rescans_the_base_after_the_view_write(self):
-        db = extreme_db()
-        footprint = statement_footprint(db.catalog, "bids", "delete")
-        indexes = [s.index for s in footprint.steps]
-        # ... bids (X the ghost) ... best_bid (X the group) ... bids
-        # again (S-rescan): the re-acquisition is the reverse edge.
-        assert indexes.index("best_bid") < len(indexes) - 1
-        assert indexes[-1] == "bids"
-        assert any("rescan" in s.reason for s in footprint.steps)
+    @pytest.mark.parametrize("make, base, view", [
+        (escrow_db, "accounts", "branch_totals"),
+        (extreme_db, "bids", "best_bid"),
+    ])
+    def test_aggregate_delete_never_returns_to_the_base(self, make, base,
+                                                        view):
+        """A MIN/MAX delete's rescan reads the base rows without a lock,
+        so an extreme view orders its locks like an escrow one."""
+        footprint = statement_footprint(make().catalog, base, "delete")
+        assert footprint.indexes_in_order() == (base, view)
+        assert footprint.steps[-1].index == view
 
-    def test_escrow_delete_never_returns_to_the_base(self):
-        db = escrow_db()
-        footprint = statement_footprint(db.catalog, "accounts", "delete")
-        indexes = footprint.indexes_in_order()
-        assert indexes == ("accounts", "branch_totals")
-        assert footprint.steps[-1].index == "branch_totals"
-
-    def test_join_sides_read_in_opposite_orders(self):
+    def test_steps_name_the_view_whose_binding_takes_them(self):
         db = deadlock_pair_db()
-        left = statement_footprint(db.catalog, "a", "insert")
-        # an a-side insert maintains va (a is left: read b after a) and
-        # vb (a is right: scan vb#leftfk then point-read b's pk side)
-        order = left.indexes_in_order()
-        assert order.index("a") < order.index("b")
-        assert "vb#leftfk" in order
+        footprint = statement_footprint(db.catalog, "a", "insert")
+        assert {(s.index, s.view) for s in footprint.steps} == {
+            ("a", None),  # the table intent and the new key
+            ("b", "va"), ("b", "vb"),  # va's fk read, vb's referencing rows
+            ("va", "va"), ("vb", "vb"),
+        }
+
+    def test_insert_reads_before_any_write(self):
+        db = deadlock_pair_db()
+        footprint = statement_footprint(db.catalog, "a", "insert")
+        order = [s.index for s in footprint.steps]
+        assert order[0] == "a"  # the table intent
+        first_write = order.index("a", 1)  # the new key's gap fence
+        assert set(order[1:first_write]) == {"b"}  # the compile reads
+        assert "b" not in order[first_write:]
 
     def test_insert_is_range_fenced_only_when_serializable(self):
         db = escrow_db()
@@ -155,44 +152,29 @@ class TestFootprints:
         with pytest.raises(CatalogError, match="unknown statement shape"):
             statement_footprint(db.catalog, "accounts", "merge")
 
-    def test_fanout_lists_every_maintained_index(self):
-        db = deadlock_pair_db()
-        assert set(fanout_indexes(db.catalog, "a")) == {
-            "va", "vb", "b", "vb#leftfk"
-        }
-
 
 # -- the lock-order graph --------------------------------------------------
 
 
 class TestLockOrderGraph:
-    def test_escrow_only_schema_is_acyclic(self):
-        db = escrow_db()
-        graph = LockOrderGraph.from_catalog(db.catalog)
+    @pytest.mark.parametrize("make", [escrow_db, extreme_db])
+    def test_aggregate_schemas_are_acyclic(self, make):
+        graph = LockOrderGraph.from_catalog(make().catalog)
         assert graph.deadlock_components() == []
-
-    def test_extreme_view_closes_a_base_view_cycle(self):
-        db = extreme_db()
-        graph = LockOrderGraph.from_catalog(db.catalog)
-        components = graph.deadlock_components()
-        assert components == [("best_bid", "bids")]
-        edges = graph.component_edges(components[0])
-        assert ("best_bid", "bids") in [(u, v) for u, v, _ in edges]
 
     def test_join_pair_forms_a_cross_table_cycle(self):
         db = deadlock_pair_db()
         graph = LockOrderGraph.from_catalog(db.catalog)
         (component,) = graph.deadlock_components()
-        assert {"a", "b"} <= set(component)
-        assert graph.views_in_component(db.catalog, component) == (
-            "va", "vb"
-        )
+        assert component == ("a", "b")
+        (edges,) = graph.component_edge_map([component]).values()
+        assert graph.views_inducing(edges) == ("va", "vb")
 
     def test_edges_carry_their_inducing_statements(self):
         db = extreme_db()
         graph = LockOrderGraph.from_catalog(db.catalog)
-        labels = graph.edges[("best_bid", "bids")]
-        assert "delete bids" in labels
+        assert set(graph.edges) == {("bids", "best_bid")}
+        assert "delete bids" in graph.edges[("bids", "best_bid")]
 
     def test_render_lines_name_every_edge(self):
         db = escrow_db()
@@ -200,6 +182,92 @@ class TestLockOrderGraph:
         lines = graph.render_lines()
         assert "lock-order graph" in lines[0]
         assert any("accounts -> branch_totals" in line for line in lines)
+
+
+# -- the runtime agrees with the analyzer ----------------------------------
+
+
+def _builders():
+    from tests.test_sql_access_paths import indexed_sales_db
+    from tests.test_static_golden import CATALOGS
+
+    return {
+        **CATALOGS,
+        "best_bid": extreme_db,
+        "deadlock_pair": deadlock_pair_db,
+        "indexed_sales": indexed_sales_db,
+    }
+
+
+BUILDERS = _builders()
+
+
+def _domains(db, schema):
+    """Values to draw for each column of ``schema``: the ones its rows
+    hold, plus small integers (and one past the views' thresholds) unless
+    it holds another type."""
+    rows = [row for _, row in db.scan_committed(schema.name)]
+    out = {}
+    for column in schema.columns:
+        held = {row[column] for row in rows}
+        if all(isinstance(value, int) for value in held):
+            held |= {0, 1, 2, 3, 150}
+        out[column] = sorted(held)
+    return out
+
+
+class TestRuntimeAgreesWithAnalyzer:
+    """One-row DML on generated states of every shipped schema (and the
+    MIN view, the deadlock pair and both kinds of secondary index): each
+    lock a statement requests lies inside its EXPLAIN footprint, and each
+    ordered pair of distinct indexes it locks is a lock-order edge."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(label=st.sampled_from(sorted(BUILDERS)), data=st.data())
+    def test_requested_locks_lie_inside_the_footprint(self, label, data):
+        db = BUILDERS[label]()
+        analyzer = StaticAnalyzer.configured(db.catalog, db.config)
+        edges = set(analyzer.lock_order_graph().edges)
+        events = []
+        db.tracer.enable()
+        db.tracer.listeners.append(
+            lambda e: e.name == "lock_acquire"
+            and events.append(e.as_dict()["fields"])
+        )
+        tables = sorted(schema.name for schema in db.catalog.tables())
+        for _ in range(data.draw(st.integers(1, 8), label="statements")):
+            schema = db.catalog.table(data.draw(st.sampled_from(tables)))
+            op = data.draw(st.sampled_from(("insert", "update", "delete")))
+            row = {
+                column: data.draw(st.sampled_from(values), label=column)
+                for column, values in _domains(db, schema).items()
+            }
+            key = tuple(row[c] for c in schema.primary_key)
+            changed = data.draw(st.sets(st.sampled_from([
+                c for c in schema.columns if c not in schema.primary_key
+            ]), min_size=1), label="changed")
+            events.clear()
+            txn = db.begin()
+            try:
+                if op == "insert":
+                    db.insert(txn, schema.name, row)
+                elif op == "update":
+                    db.update(txn, schema.name, key,
+                              {c: row[c] for c in changed})
+                else:
+                    db.delete(txn, schema.name, key)
+                db.commit(txn)
+            except ReproError:
+                db.abort(txn)
+            requested = lock_triples(events)
+            report = analyzer.explain(op, schema.name)
+            assert set(requested) <= predicted_locks(report), (op, schema.name)
+            order = [index for index, _, _ in requested]
+            pairs = {
+                (u, v) for i, u in enumerate(order) for v in order[i + 1:]
+                if u != v
+            }
+            assert pairs <= edges, (op, schema.name, pairs - edges)
 
 
 # -- CHECK VIEW / EXPLAIN through the SQL surface --------------------------
@@ -216,10 +284,14 @@ class TestCheckViewSurface:
         assert any("counterexample" in line for line in diag.evidence)
 
     def test_check_view_flags_the_deadlock_cycle_it_belongs_to(self):
-        db = extreme_db()
-        report = db.execute("CHECK VIEW best_bid")
+        db = deadlock_pair_db()
+        report = db.execute("CHECK VIEW va")
         (diag,) = [d for d in report.diagnostics if d.code == "SA010"]
         assert "deadlock" in diag.message
+
+    def test_an_extreme_view_is_not_deadlock_prone(self):
+        report = extreme_db().execute("CHECK VIEW best_bid")
+        assert [d.code for d in report.diagnostics] == ["SA001"]
 
     def test_clean_view_reports_no_diagnostics(self):
         db = escrow_db()
@@ -269,7 +341,30 @@ class TestCheckViewSurface:
                             "(id, branch, balance) VALUES (1, 'b', 10)")
         text = "\n".join(report.render_lines())
         assert "EXPLAIN insert accounts" in text
-        assert "escrow delta commutes" in text
+        assert "branch_totals/key <group>: E -- branch_totals: escrow" in text
+
+    def test_fanout_is_the_statement_s_own(self):
+        """SA011 counts the indexes one op locks: a join's left-side
+        DELETE ghosts its view rows and reads nothing."""
+        db = Database()
+        db.execute(
+            """
+            CREATE TABLE sales (id, product, amount, PRIMARY KEY (id));
+            CREATE TABLE products (pid, name, PRIMARY KEY (pid));
+            CREATE UNIQUE INDEXED VIEW named AS
+                SELECT id, pid, name, amount FROM sales
+                JOIN products ON sales.product = products.pid;
+            """
+        )
+        report = db.execute("EXPLAIN DELETE FROM sales WHERE id = 1")
+        assert report.footprints[-1].indexes_in_order() == ("sales", "named")
+        assert report.diagnostics == []
+        report = db.execute("EXPLAIN INSERT INTO sales VALUES (1, 1, 5)")
+        (diag,) = report.diagnostics
+        assert diag.code == "SA011"
+        assert "2 extra indexes beyond the base: products, named" in (
+            diag.message
+        )
 
     def test_explain_select_scans_without_maintenance_locks(self):
         db = escrow_db()
@@ -329,9 +424,30 @@ class TestCheckAll:
         db = extreme_db()
         report = StaticAnalyzer(db.catalog).check_all()
         counts = report.counts()
-        assert counts["warning"] == 2  # SA001 + SA010
+        assert counts["warning"] == 1  # SA001; the rescan takes no lock
         assert sum(counts.values()) == len(report.diagnostics)
         assert report.ok  # warnings never fail the gate
+
+    @pytest.mark.parametrize("n_tables", [2, 4, 8])
+    def test_diagnostics_scale_linearly_with_the_catalog(self, n_tables):
+        """N independent tables, each with a MIN view (SA001) and a
+        projection (fan-out past two indexes, SA011): two diagnostics per
+        table, and no deadlock cycle."""
+        db = Database()
+        for i in range(n_tables):
+            db.execute(
+                f"CREATE TABLE t{i} (id, grp, amount, PRIMARY KEY (id));"
+                f"CREATE UNIQUE INDEXED VIEW low{i} AS SELECT grp, "
+                f"COUNT(*) AS n, MIN(amount) AS lo FROM t{i} GROUP BY grp;"
+                f"CREATE UNIQUE INDEXED VIEW flat{i} AS "
+                f"SELECT id, amount FROM t{i} WHERE amount >= 0;"
+            )
+        report = StaticAnalyzer(db.catalog).check_all()
+        assert sorted((d.code, d.subject) for d in report.diagnostics) == (
+            sorted([("SA001", f"low{i}") for i in range(n_tables)]
+                   + [("SA011", f"insert t{i}") for i in range(n_tables)])
+        )
+        assert report.graph.deadlock_components() == []
 
     def test_cli_runs_clean_over_the_demo_catalogs(self):
         from repro.analysis.check import main

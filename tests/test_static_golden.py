@@ -52,25 +52,40 @@ def _load_module(path):
     return module
 
 
+def _sql_fixture():
+    db = Database()
+    db.execute(SQL_FIXTURE)
+    return db
+
+
+def _orders():
+    db = Database()
+    OrderEntryWorkload(
+        db, n_products=4, with_join_view=True, with_category_view=True
+    ).setup()
+    return db
+
+
+def _banking():
+    db = Database()
+    BankingWorkload(db, n_branches=2, accounts_per_branch=2).setup()
+    return db
+
+
+#: a fresh engine over every shipped schema, by stable label
+CATALOGS = {
+    "examples/order_fulfillment": lambda: _load_module(
+        REPO / "examples" / "order_fulfillment.py"
+    ).build(),
+    "sql/three_views": _sql_fixture,
+    "workload/orders": _orders,
+    "workload/banking": _banking,
+}
+
+
 def _catalogs():
     """Every shipped schema, by stable label."""
-    order_fulfillment = _load_module(
-        REPO / "examples" / "order_fulfillment.py"
-    )
-    sql = Database()
-    sql.execute(SQL_FIXTURE)
-    orders = Database()
-    OrderEntryWorkload(
-        orders, n_products=4, with_join_view=True, with_category_view=True
-    ).setup()
-    banking = Database()
-    BankingWorkload(banking, n_branches=2, accounts_per_branch=2).setup()
-    return {
-        "examples/order_fulfillment": order_fulfillment.build(),
-        "sql/three_views": sql,
-        "workload/orders": orders,
-        "workload/banking": banking,
-    }
+    return {label: build() for label, build in CATALOGS.items()}
 
 
 def _reduced_report(db):
