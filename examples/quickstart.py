@@ -22,27 +22,28 @@ def main():
         """
     )
 
+    # ``?`` placeholders take the values; the statement is parsed and
+    # bound once and every later execution reuses that plan
+    insert = "INSERT INTO sales (id, product, amount) VALUES (?, ?, ?)"
+
     print("== insert three sales in one transaction ==")
-    db.execute(
-        "INSERT INTO sales (id, product, amount) VALUES "
-        "(1, 'anvil', 30), (2, 'anvil', 12), (3, 'rocket', 99)"
-    )
+    with db.session() as session:
+        for sale in [(1, "anvil", 30), (2, "anvil", 12), (3, "rocket", 99)]:
+            session.execute(insert, sale)
     print("anvil :", db.read_committed("sales_by_product", ("anvil",)))
     print("rocket:", db.read_committed("sales_by_product", ("rocket",)))
 
     print("\n== a rolled-back transaction leaves no trace ==")
     session = db.session()
     session.begin()
-    session.execute(
-        "INSERT INTO sales (id, product, amount) VALUES (4, 'anvil', 1000)"
-    )
+    session.execute(insert, (4, "anvil", 1000))
     txn = session.current_transaction
     print("inside txn (exact):", db.read_exact(txn, "sales_by_product", ("anvil",)))
     session.rollback()
     print("after abort       :", db.read_committed("sales_by_product", ("anvil",)))
 
     print("\n== deleting the last rocket sale removes its group ==")
-    db.execute("DELETE FROM sales WHERE id = 3")
+    db.execute("DELETE FROM sales WHERE id = ?", params=(3,))
     print("rocket:", db.read_committed("sales_by_product", ("rocket",)))
     removed = db.run_ghost_cleanup()
     print(f"ghost cleaner reclaimed {removed} index entries")

@@ -265,7 +265,7 @@ class Database:
     # SQL surface
     # ==================================================================
 
-    def execute(self, sql, txn=None):
+    def execute(self, sql, txn=None, params=()):
         """Execute a SQL script; returns the last statement's result.
 
         The canonical surface: DDL routes through :meth:`create_table` /
@@ -274,16 +274,17 @@ class Database:
         each DML/SELECT statement autocommits; pass an open transaction
         to run the script inside it, each statement atomically
         (:func:`repro.sql.in_statement`). DDL runs outside any
-        transaction.
+        transaction. The ``i``-th ``?`` placeholder stands for
+        ``params[i]``.
         """
         if txn is None:
-            return self.session().execute(sql)
+            return self.session().execute(sql, params)
 
         def run(fn):
             txn.require_active()
             return in_statement(self, txn, fn)
 
-        return execute_script(self, sql, run)
+        return execute_script(self, sql, run, params)
 
     # ==================================================================
     # transactions

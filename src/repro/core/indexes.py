@@ -5,7 +5,10 @@ index -> owning view map (indexes are created and dropped here and only
 here — :meth:`~Indexes.add_table`, :meth:`~Indexes.add_view` /
 :meth:`~Indexes.drop_view`, and all anew after a crash,
 :meth:`~Indexes.renew`); the per-table write plans
-(:class:`~repro.views.maintenance.WritePlan`); the page world of
+(:class:`~repro.views.maintenance.WritePlan`) and, beside them, the
+prepared SQL statements keyed by shape (:mod:`repro.sql.compiler`) —
+both made afresh by :meth:`~Indexes.replan`, which every catalog change
+passes through; the page world of
 ``docs/STORAGE.md`` — page ids, the dirty-leaf table (:attr:`~Indexes.pool`)
 and the durable store (:attr:`~Indexes.store`); and the recovery target
 (:class:`~repro.wal.recovery.RecoveryTarget`), whose verbs bypass
@@ -22,6 +25,9 @@ from repro.storage import Index
 from repro.storage.bufferpool import BufferPool, PageStore
 from repro.wal.recovery import RecoveryTarget
 
+#: how many statement shapes keep a prepared plan; the oldest goes first
+PREPARED_SHAPES = 256
+
 
 class Indexes(RecoveryTarget):
     """The indexes of one :class:`~repro.core.database.Database`."""
@@ -31,6 +37,7 @@ class Indexes(RecoveryTarget):
         self._indexes = {}
         self._views = {}  # index name -> owning view definition
         self._plans = {}  # table name -> WritePlan
+        self._prepared = {}  # statement shape key -> prepared plan
         #: every B-tree leaf is a page with an id unique to this engine
         self._page_ids = itertools.count(1)
         self.pool = None  # the dirty-leaf table, made anew by renew()
@@ -74,10 +81,12 @@ class Indexes(RecoveryTarget):
         self.replan(view.base_tables())
 
     def replan(self, tables):
-        """Build the write plans of ``tables`` afresh."""
+        """Build the write plans of ``tables`` afresh, and forget every
+        prepared statement: the catalog they were bound to has changed."""
         db = self._db
         for table in tables:
             self._plans[table] = db.maintenance.plan(db, table)
+        self._prepared.clear()
 
     def _new(self, name, key_columns):
         """An empty index whose leaves are pages of this engine."""
@@ -109,6 +118,18 @@ class Indexes(RecoveryTarget):
             return self._plans[table]
         except KeyError:
             raise CatalogError(f"no table named {table!r}") from None
+
+    def prepared(self, key):
+        """The prepared statement of shape ``key``, or ``None``."""
+        return self._prepared.get(key)
+
+    def keep_prepared(self, key, plan):
+        """Keep ``plan`` for shape ``key`` until the next :meth:`replan`
+        (or until :data:`PREPARED_SHAPES` newer shapes push it out)."""
+        prepared = self._prepared
+        if len(prepared) >= PREPARED_SHAPES and key not in prepared:
+            del prepared[next(iter(prepared))]
+        prepared[key] = plan
 
     def view_of(self, index_name):
         """The view owning ``index_name``, or ``None`` (a table's)."""

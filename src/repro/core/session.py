@@ -157,18 +157,22 @@ class Session:
             self._db.begin(policy=self.policy, isolation=self.isolation), fn
         )
 
-    def execute(self, sql):
+    def execute(self, sql, params=()):
         """Execute SQL in this session: inside the current transaction
         when one is open, each statement all or nothing, autocommit
         otherwise — through the one statement dispatcher
         (:func:`repro.sql.execute_script`), so DDL, ``EXPLAIN`` and
-        ``CHECK VIEW`` run outside any transaction."""
+        ``CHECK VIEW`` run outside any transaction. The ``i``-th ``?``
+        in ``sql`` stands for ``params[i]``::
+
+            session.execute("INSERT INTO t (a, b) VALUES (?, ?)", (1, "x"))
+        """
         def run(fn):
             if self.in_transaction():
                 return in_statement(self._db, self._txn, fn)
             return self._run(fn)
 
-        return execute_script(self._db, sql, run)
+        return execute_script(self._db, sql, run, params)
 
     def insert(self, table, values):
         return self._run(lambda txn: self._db.insert(txn, table, values))

@@ -20,10 +20,17 @@ path       chosen when                                 engine call
 The path only narrows what is *read* (and therefore locked); callers
 re-apply the whole predicate to the rows they get back, so a conjunct the
 planner ignored — or used only partially — can never change the answer.
+
+:func:`access_shape` makes the choice once per statement shape: its key
+and bounds hold the literals themselves, and :meth:`AccessPath.bind`
+gives one run's path from that run's values. The path's kind never
+depends on a value, only on a literal's type, which the shape's cache
+key carries (a NULL never narrows).
 """
 
 from repro.common.keys import NEG_INF, POS_INF, KeyBound, KeyRange
 from repro.sql import ast
+from repro.sql.binder import literal_value
 
 POINT = "point"
 RANGE = "range"
@@ -62,6 +69,19 @@ class AccessPath:
             return False
         return True
 
+    def bind(self, params):
+        """This path with each literal of its key or bounds replaced by
+        its value in ``params`` (``None``: as written)."""
+        if self.kind == FULL:
+            return self
+        if self.kind == POINT:
+            return AccessPath(POINT, key=_bind_key(self.key, params))
+        low, high = self.key_range.low, self.key_range.high
+        return AccessPath(RANGE, key_range=KeyRange(
+            KeyBound(_bind_key(low.key, params), low.inclusive),
+            KeyBound(_bind_key(high.key, params), high.inclusive),
+        ))
+
     def __repr__(self):
         if self.kind == POINT:
             return f"AccessPath(point {self.key!r})"
@@ -71,6 +91,17 @@ class AccessPath:
 
 
 FULL_SCAN = AccessPath(FULL)
+
+
+def _bind_key(key, params):
+    if key is NEG_INF or key is POS_INF:  # an unbounded end
+        return key
+    return tuple(
+        literal_value(part, params) if isinstance(part, ast.Literal)
+        else part
+        for part in key
+    )
+
 
 _FLIPPED = {"=": "=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
@@ -95,21 +126,21 @@ def _column_vs_literal(column, literal):
 
 
 def _constraints(conjunct):
-    """``(column_ref, op, value)`` triples one conjunct pins, if any."""
+    """``(column_ref, op, literal)`` triples one conjunct pins, if any."""
     if isinstance(conjunct, ast.Comparison) and conjunct.op in _FLIPPED:
         left, right = conjunct.left, conjunct.right
         if _column_vs_literal(left, right):
-            yield left, conjunct.op, right.value
+            yield left, conjunct.op, right
         elif _column_vs_literal(right, left):
-            yield right, _FLIPPED[conjunct.op], left.value
+            yield right, _FLIPPED[conjunct.op], left
     elif isinstance(conjunct, ast.Between):
         if _column_vs_literal(conjunct.item, conjunct.low):
-            yield conjunct.item, ">=", conjunct.low.value
+            yield conjunct.item, ">=", conjunct.low
         if _column_vs_literal(conjunct.item, conjunct.high):
-            yield conjunct.item, "<=", conjunct.high.value
+            yield conjunct.item, "<=", conjunct.high
     elif isinstance(conjunct, ast.InList) and len(conjunct.values) == 1:
         if _column_vs_literal(conjunct.item, conjunct.values[0]):
-            yield conjunct.item, "=", conjunct.values[0].value
+            yield conjunct.item, "=", conjunct.values[0]
 
 
 def _bound(prefix, limit, pad, is_low):
@@ -132,9 +163,16 @@ def _bound(prefix, limit, pad, is_low):
 
 def plan_access(where, key_columns, resolve):
     """Choose the access path ``where`` allows over an index keyed on
-    ``key_columns``. ``resolve`` maps a ColumnRef to its bare column
-    name (``Scope.resolve``). The first constraint of each kind on a
-    column wins; later ones are left to the caller's residual filter."""
+    ``key_columns``, its literals as written. ``resolve`` maps a
+    ColumnRef to its bare column name (``Scope.resolve``)."""
+    return access_shape(where, key_columns, resolve).bind(None)
+
+
+def access_shape(where, key_columns, resolve):
+    """The access path of every statement sharing ``where``'s shape: its
+    key and bounds hold the literals (see :meth:`AccessPath.bind`). The
+    first constraint of each kind on a column wins; later ones are left
+    to the caller's residual filter."""
     if where is None:
         return FULL_SCAN
     equal, lower, upper = {}, {}, {}

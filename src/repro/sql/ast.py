@@ -207,11 +207,19 @@ class ColumnRef(Expr):
 
 
 class Literal(Expr):
+    """A literal as written. ``slot`` is its place among the statement's
+    literal values (``None`` for TRUE / FALSE / NULL, which a statement
+    shape keeps as words); ``negated`` marks a folded sign (``-5`` is
+    slot ``i`` negated). A prepared statement reads the slot; ``value``
+    is what this parse saw there."""
+
     _fields = ("value",)
 
-    def __init__(self, value, pos=None):
+    def __init__(self, value, pos=None, slot=None, negated=False):
         super().__init__(pos)
         self.value = value
+        self.slot = slot
+        self.negated = negated
 
 
 class Star(Expr):

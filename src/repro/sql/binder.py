@@ -1,11 +1,14 @@
 """Name resolution against the catalog.
 
 The binder sits between the parser and the planner: it checks every
-:class:`~repro.sql.ast.ColumnRef` against the tables in scope and turns
-WHERE trees into :class:`CompiledPredicate` objects — ordinary
-:class:`~repro.query.predicates.Predicate` closures that additionally
-remember their AST, so a SQL-born view definition can be rendered back
-to SQL (see :mod:`repro.sql.render`).
+:class:`~repro.sql.ast.ColumnRef` against the tables in scope, once, and
+turns WHERE and SET trees into closures over a run's literal values
+(:func:`predicate_fn`, :func:`value_fn`), so one bound statement runs
+with any values of its shape. A view definition's WHERE becomes a
+:class:`CompiledPredicate` — an ordinary
+:class:`~repro.query.predicates.Predicate` with its literals as written
+that also remembers its AST, so a SQL-born view definition can be
+rendered back to SQL (see :mod:`repro.sql.render`).
 
 All failures raise :class:`~repro.common.BindError` carrying the
 position of the offending token; requests outside the engine's
@@ -113,77 +116,120 @@ class Scope:
 
 
 def compile_predicate(expr, scope):
-    """Compile a WHERE tree into a :class:`CompiledPredicate`."""
-    return CompiledPredicate(_predicate_fn(expr, scope), expr)
+    """Compile a WHERE tree into a :class:`CompiledPredicate`, its
+    literals as written (a view definition's)."""
+    return CompiledPredicate(predicate_fn(expr, scope)(None), expr)
 
 
-def _predicate_fn(expr, scope):
-    """Build the row -> bool closure for one expression subtree."""
-    if isinstance(expr, ast.And):
-        left = _predicate_fn(expr.left, scope)
-        right = _predicate_fn(expr.right, scope)
-        return lambda row: left(row) and right(row)
-    if isinstance(expr, ast.Or):
-        left = _predicate_fn(expr.left, scope)
-        right = _predicate_fn(expr.right, scope)
-        return lambda row: left(row) or right(row)
+def literal_value(literal, params):
+    """The value ``literal`` has in a run with ``params`` (``None``: the
+    value this parse saw)."""
+    if params is None or literal.slot is None:
+        return literal.value
+    value = params[literal.slot]
+    return -value if literal.negated else value
+
+
+def predicate_fn(expr, scope):
+    """Bind a boolean expression: names are resolved now, once, and the
+    result is ``make(params)``, which builds the row -> bool closure of
+    one run with its literals read from ``params``."""
+    if isinstance(expr, (ast.And, ast.Or)):
+        left = predicate_fn(expr.left, scope)
+        right = predicate_fn(expr.right, scope)
+        both = isinstance(expr, ast.And)
+
+        def make(params):
+            lf, rf = left(params), right(params)
+            if both:
+                return lambda row: lf(row) and rf(row)
+            return lambda row: lf(row) or rf(row)
+        return make
     if isinstance(expr, ast.Not):
-        operand = _predicate_fn(expr.operand, scope)
-        return lambda row: not operand(row)
+        operand = predicate_fn(expr.operand, scope)
+
+        def make(params):
+            of = operand(params)
+            return lambda row: not of(row)
+        return make
     if isinstance(expr, ast.Comparison):
         left = value_fn(expr.left, scope)
         right = value_fn(expr.right, scope)
-        op = expr.op
-        if op == "=":
-            return lambda row: left(row) == right(row)
-        if op == "<>":
-            return lambda row: left(row) != right(row)
-        if op == "<":
-            return lambda row: left(row) < right(row)
-        if op == "<=":
-            return lambda row: left(row) <= right(row)
-        if op == ">":
-            return lambda row: left(row) > right(row)
-        if op == ">=":
-            return lambda row: left(row) >= right(row)
-        raise BindError(
-            f"unknown comparison operator {op!r}", **_pos_kwargs(expr)
-        )
+        compare = _COMPARISONS.get(expr.op)
+        if compare is None:
+            raise BindError(
+                f"unknown comparison operator {expr.op!r}",
+                **_pos_kwargs(expr),
+            )
+        return lambda params: compare(left(params), right(params))
     if isinstance(expr, ast.Between):
         item = value_fn(expr.item, scope)
         low = value_fn(expr.low, scope)
         high = value_fn(expr.high, scope)
-        return lambda row: low(row) <= item(row) <= high(row)
+
+        def make(params):
+            itf, lf, hf = item(params), low(params), high(params)
+            return lambda row: lf(row) <= itf(row) <= hf(row)
+        return make
     if isinstance(expr, ast.InList):
         item = value_fn(expr.item, scope)
-        values = frozenset(v.value for v in expr.values)
-        return lambda row: item(row) in values
+
+        def make(params):
+            itf = item(params)
+            values = frozenset(
+                literal_value(v, params) for v in expr.values
+            )
+            return lambda row: itf(row) in values
+        return make
     raise BindError(
         f"expected a boolean expression, got {type(expr).__name__}",
         **_pos_kwargs(expr),
     )
 
 
+#: comparison -> (left row fn, right row fn) -> the row -> bool fn
+_COMPARISONS = {
+    "=": lambda lf, rf: lambda row: lf(row) == rf(row),
+    "<>": lambda lf, rf: lambda row: lf(row) != rf(row),
+    "<": lambda lf, rf: lambda row: lf(row) < rf(row),
+    "<=": lambda lf, rf: lambda row: lf(row) <= rf(row),
+    ">": lambda lf, rf: lambda row: lf(row) > rf(row),
+    ">=": lambda lf, rf: lambda row: lf(row) >= rf(row),
+}
+
+#: SET arithmetic -> (left row fn, right row fn) -> the row -> value fn
+_ARITHMETIC = {
+    "+": lambda lf, rf: lambda row: lf(row) + rf(row),
+    "-": lambda lf, rf: lambda row: lf(row) - rf(row),
+}
+
+
 def value_fn(expr, scope):
-    """Build the row -> value closure for a scalar operand (a column
-    reference, a literal, or SET arithmetic over them)."""
+    """Bind a scalar operand (a column reference, a literal, or SET
+    arithmetic over them): ``make(params)``, which builds the row ->
+    value closure of one run — a literal reads its slot of ``params``,
+    not the value it was prepared from."""
     if isinstance(expr, ast.Literal):
-        value = expr.value
-        return lambda row: value
+        def make(params):
+            value = literal_value(expr, params)
+            return lambda row: value
+        return make
     if isinstance(expr, ast.ColumnRef):
         column = scope.resolve(expr)
-        return lambda row: row[column]
+
+        def read(row):
+            return row[column]
+        return lambda params: read
     if isinstance(expr, ast.BinaryOp):
         left = value_fn(expr.left, scope)
         right = value_fn(expr.right, scope)
-        if expr.op == "+":
-            return lambda row: left(row) + right(row)
-        if expr.op == "-":
-            return lambda row: left(row) - right(row)
-        raise UnsupportedSqlError(
-            f"arithmetic operator {expr.op!r} is not supported",
-            **_pos_kwargs(expr),
-        )
+        combine = _ARITHMETIC.get(expr.op)
+        if combine is None:
+            raise UnsupportedSqlError(
+                f"arithmetic operator {expr.op!r} is not supported",
+                **_pos_kwargs(expr),
+            )
+        return lambda params: combine(left(params), right(params))
     raise BindError(
         f"expected a column or literal, got {type(expr).__name__}",
         **_pos_kwargs(expr),

@@ -21,34 +21,41 @@ Three entry points:
 * :func:`execute_script` is the one statement dispatcher behind
   ``Database.execute`` and ``Session.execute``: DDL, ``CHECK VIEW`` and
   ``EXPLAIN`` outside any transaction, DML and SELECT in the one the
-  caller provides (each all or nothing by :func:`in_statement`).
-* :func:`execute_statement` runs one bound DML/SELECT statement inside a
-  transaction: an INSERT / UPDATE / DELETE is one statement — all its
-  rows — through the table's write plan
-  (``db.indexes.write_plan(table)``, see
+  caller provides (each all or nothing by :func:`in_statement`). It
+  keeps one prepared plan per statement *shape* (``docs/SQL.md`` §2),
+  so a text differing from an earlier one only in its literal values
+  is neither parsed nor bound again.
+* :func:`prepare` binds one DML/SELECT statement into a plan whose
+  ``run(txn, params)`` executes it with one set of literal values: an
+  INSERT / UPDATE / DELETE is one statement — all its rows — through
+  the table's write plan (``db.indexes.write_plan(table)``, see
   :mod:`repro.views.maintenance`), a SELECT ``db.read`` / ``db.scan``
   plus the relational operators in :mod:`repro.query.executor`. Which
-  of ``read`` and
-  ``scan`` — and over which key range — is the access path
-  :mod:`repro.sql.access` picks from the WHERE clause. The engine's own
-  maintenance machinery does the rest — the SQL layer never touches a
-  view index directly.
+  of ``read`` and ``scan`` — and over which key range — is the access
+  path :mod:`repro.sql.access` picks from the WHERE clause. The
+  engine's own maintenance machinery does the rest — the SQL layer
+  never touches a view index directly.
 """
+
+import operator
 
 from repro.analysis.static import check_view, explain
 from repro.catalog.schema import TableSchema
-from repro.common import BindError, SimulatedCrash, UnsupportedSqlError
+from repro.common import BindError, Row, SimulatedCrash, UnsupportedSqlError
 from repro.query.aggregates import AggregateSpec
 from repro.query.executor import group_aggregate, nested_loops_join
-from repro.sql import ast
-from repro.sql.access import FULL, POINT, plan_access
+from repro.sql import ast, parser
+from repro.sql.access import FULL, POINT, access_shape, plan_access
 from repro.sql.binder import (
     Scope,
     bind_options,
     compile_predicate,
+    literal_value,
+    predicate_fn,
     value_fn,
 )
-from repro.sql.parser import parse, parse_one
+from repro.sql.lexer import shape_of
+from repro.sql.parser import parse_one
 from repro.txn.transaction import TxnState
 from repro.views.definition import (
     AggregateView,
@@ -385,7 +392,7 @@ def compile_view(stmt_or_sql, catalog):
 
 
 # ---------------------------------------------------------------------
-# DML / SELECT execution
+# DML / SELECT: prepare once per statement shape, run with its values
 # ---------------------------------------------------------------------
 
 
@@ -403,90 +410,158 @@ def _dml_schema(catalog, stmt):
     return catalog.table(stmt.table)
 
 
-def _fetch(db, txn, name, path, for_update=False):
-    """The rows of table or view ``name`` that ``path`` selects, in key
-    order, through the engine's own read calls — so the lock plans,
-    snapshot reads, quarantine and online-build rules are theirs. A path
-    whose literals the index cannot order against its keys (a string
-    against an integer key) is read as a full scan, where the predicate
-    decides row by row; that is settled here, before the engine is
-    called, so a ``TypeError`` from inside the engine stays visible."""
-    if path.kind == FULL or not path.orders_with(db.index(name).first_key()):
-        return db.scan(txn, name)
-    if path.kind == POINT:
-        row = db.read(txn, name, path.key, for_update=for_update)
-        return [] if row is None else [row]
-    return db.scan(txn, name, path.key_range)
+class _Read:
+    """How a statement reads one table or view: the access path its
+    WHERE allows over the index keyed on ``key_columns``, and the WHERE
+    itself, re-applied to every row that comes back."""
+
+    __slots__ = ("name", "path", "where")
+
+    def __init__(self, name, where, key_columns, scope):
+        self.name = name
+        self.path = access_shape(where, key_columns, scope.resolve)
+        self.where = predicate_fn(where, scope) if where is not None else None
+
+    def fetch(self, db, txn, params, for_update=False):
+        """The rows this run's path selects, in key order, through the
+        engine's own read calls — so the lock plans, snapshot reads,
+        quarantine and online-build rules are theirs. A path whose
+        literals the index cannot order against its keys (a string
+        against an integer key) is read as a full scan, where the
+        predicate decides row by row; that is settled here, before the
+        engine is called, so a ``TypeError`` from inside the engine
+        stays visible."""
+        name, path = self.name, self.path.bind(params)
+        if path.kind == FULL or not path.orders_with(
+            db.index(name).first_key()
+        ):
+            return db.scan(txn, name)
+        if path.kind == POINT:
+            row = db.read(txn, name, path.key, for_update=for_update)
+            return [] if row is None else [row]
+        return db.scan(txn, name, path.key_range)
+
+    def filter(self, rows, params):
+        if self.where is None:
+            return rows
+        predicate = self.where(params)
+        return [row for row in rows if predicate(row)]
+
+    def matching(self, db, txn, schema, params):
+        """``(key, row)`` pairs of the rows a DML statement changes,
+        materialized *before* it mutates (a statement must not observe
+        its own writes); a point read takes U."""
+        rows = self.filter(self.fetch(db, txn, params, for_update=True), params)
+        return [(schema.key_of(row), row) for row in rows]
 
 
-def _where_plan(where, scope, key_columns):
-    """Bind a WHERE (``None`` when absent) and choose its access path
-    over an index keyed on ``key_columns``: ``(predicate, path)``."""
-    predicate = (
-        compile_predicate(where, scope) if where is not None else None
-    )
-    return predicate, plan_access(where, key_columns, scope.resolve)
+def _getter(literal):
+    """``params -> value`` of one INSERT literal."""
+    if literal.slot is None or literal.negated:
+        return lambda params: literal_value(literal, params)
+    return operator.itemgetter(literal.slot)
 
 
-def _matching_rows(db, txn, schema, where):
-    """Materialize (key, row) pairs matching a WHERE, *before* mutating:
-    DML must not observe its own writes mid-statement. A WHERE naming
-    the whole primary key reads that one row under a U lock."""
-    predicate, path = _where_plan(
-        where, Scope({schema.name: schema}), schema.primary_key
-    )
-    return [
-        (schema.key_of(row), row)
-        for row in _fetch(db, txn, schema.name, path, for_update=True)
-        if predicate is None or predicate(row)
-    ]
+def _unique(named, what):
+    """Refuse a name listed twice — the later one would silently win —
+    at the node of its second listing; ``named`` is ``(name, node)``
+    pairs."""
+    seen = set()
+    for name, node in named:
+        if name in seen:
+            raise BindError(f"{what} {name!r} twice", **_pos_kwargs(node))
+        seen.add(name)
 
 
-def _execute_insert(db, txn, stmt):
-    schema = _dml_schema(db.catalog, stmt)
-    columns = stmt.columns if stmt.columns is not None else schema.columns
-    unknown = [c for c in columns if c not in schema.columns]
-    if unknown:
-        raise BindError(
-            f"table {schema.name!r} has no columns {unknown!r}",
-            **_pos_kwargs(stmt),
+class PreparedInsert:
+    """``INSERT INTO t (..) VALUES ..`` bound: each row's columns and
+    the slot each value reads."""
+
+    __slots__ = ("_db", "_table", "_rows")
+
+    def __init__(self, db, stmt):
+        schema = _dml_schema(db.catalog, stmt)
+        columns = stmt.columns if stmt.columns is not None else schema.columns
+        unknown = [c for c in columns if c not in schema.columns]
+        if unknown:
+            raise BindError(
+                f"table {schema.name!r} has no columns {unknown!r}",
+                **_pos_kwargs(stmt),
+            )
+        _unique(((c, stmt) for c in columns), "INSERT names column")
+        for values in stmt.rows:
+            if len(values) != len(columns):
+                raise BindError(
+                    f"INSERT row has {len(values)} values for "
+                    f"{len(columns)} columns",
+                    **_pos_kwargs(stmt),
+                )
+        self._db = db
+        self._table = schema.name
+        self._rows = tuple(
+            tuple(zip(columns, map(_getter, values))) for values in stmt.rows
         )
-    for values in stmt.rows:
-        if len(values) != len(columns):
-            raise BindError(
-                f"INSERT row has {len(values)} values for "
-                f"{len(columns)} columns",
-                **_pos_kwargs(stmt),
-            )
-    rows = [
-        {c: lit.value for c, lit in zip(columns, values)}
-        for values in stmt.rows
-    ]
-    return len(db.indexes.write_plan(schema.name).insert(db, txn, rows))
+
+    def run(self, txn, params):
+        rows = [{c: get(params) for c, get in row} for row in self._rows]
+        plan = self._db.indexes.write_plan(self._table)
+        return len(plan.insert(self._db, txn, rows))
 
 
-def _execute_update(db, txn, stmt):
-    schema = _dml_schema(db.catalog, stmt)
-    scope = Scope({schema.name: schema})
-    setters = []
-    for column, expr in stmt.sets:
-        if column not in schema.columns:
-            raise BindError(
-                f"table {schema.name!r} has no column {column!r}",
-                **_pos_kwargs(stmt),
-            )
-        setters.append((column, value_fn(expr, scope)))
-    items = [
-        (key, {column: fn(row) for column, fn in setters})
-        for key, row in _matching_rows(db, txn, schema, stmt.where)
-    ]
-    return len(db.indexes.write_plan(schema.name).update(db, txn, items))
+class PreparedUpdate:
+    """``UPDATE t SET .. [WHERE ..]`` bound: the read and the setters."""
+
+    __slots__ = ("_db", "_schema", "_read", "_setters")
+
+    def __init__(self, db, stmt):
+        schema = _dml_schema(db.catalog, stmt)
+        scope = Scope({schema.name: schema})
+        setters = []
+        for column, expr in stmt.sets:
+            if column not in schema.columns:
+                raise BindError(
+                    f"table {schema.name!r} has no column {column!r}",
+                    **_pos_kwargs(stmt),
+                )
+            setters.append((column, value_fn(expr, scope)))
+        _unique(stmt.sets, "UPDATE sets column")
+        self._db = db
+        self._schema = schema
+        self._read = _Read(schema.name, stmt.where, schema.primary_key, scope)
+        self._setters = tuple(setters)
+
+    def run(self, txn, params):
+        db = self._db
+        setters = [(column, make(params)) for column, make in self._setters]
+        items = [
+            (key, {column: fn(row) for column, fn in setters})
+            for key, row in self._read.matching(db, txn, self._schema, params)
+        ]
+        plan = db.indexes.write_plan(self._schema.name)
+        return len(plan.update(db, txn, items))
 
 
-def _execute_delete(db, txn, stmt):
-    schema = _dml_schema(db.catalog, stmt)
-    keys = [key for key, _ in _matching_rows(db, txn, schema, stmt.where)]
-    return len(db.indexes.write_plan(schema.name).delete(db, txn, keys))
+class PreparedDelete:
+    """``DELETE FROM t [WHERE ..]`` bound: the read."""
+
+    __slots__ = ("_db", "_schema", "_read")
+
+    def __init__(self, db, stmt):
+        schema = _dml_schema(db.catalog, stmt)
+        self._db = db
+        self._schema = schema
+        self._read = _Read(
+            schema.name, stmt.where, schema.primary_key,
+            Scope({schema.name: schema}),
+        )
+
+    def run(self, txn, params):
+        db = self._db
+        keys = [
+            key for key, _ in self._read.matching(db, txn, self._schema, params)
+        ]
+        plan = db.indexes.write_plan(self._schema.name)
+        return len(plan.delete(db, txn, keys))
 
 
 def _sorted_rows(keyed_rows):
@@ -499,84 +574,182 @@ def _sorted_rows(keyed_rows):
     return [row for _key, row in ordered]
 
 
-def _select_plan(catalog, stmt):
-    """Bind a SELECT's FROM/JOIN/WHERE and choose the access path of
-    its (outer) table or view.
-
-    Returns ``(scope, schema, predicate, path, right_schema, on_pairs)``;
-    the last two are ``None`` without a join, ``predicate`` without a
-    WHERE. A single-table read of an indexed view reads the view's own
-    index, keyed on the view's key columns.
-    """
+def _select_source(catalog, stmt):
+    """Bind a SELECT's FROM/JOIN: ``(scope, schema, right_schema,
+    on_pairs)``, the last two ``None`` without a join. A single-table
+    read of an indexed view reads the view's own index, keyed on the
+    view's key columns."""
     if stmt.join is None and catalog.has_view(stmt.table.name):
         view = catalog.view(stmt.table.name)
         schema = TableSchema(view.name, view.columns, view.key_columns)
-        scope, right_schema, on_pairs = Scope({view.name: schema}), None, None
-    else:
-        scope, schema, right_schema, on_pairs = _select_scope(catalog, stmt)
-    predicate, path = _where_plan(stmt.where, scope, schema.primary_key)
-    return scope, schema, predicate, path, right_schema, on_pairs
+        return Scope({view.name: schema}), schema, None, None
+    return _select_scope(catalog, stmt)
+
+
+def _output_columns(stmt, scope):
+    """``(column, name)`` pairs of an ungrouped SELECT's result, in
+    order; an item repeating an earlier pair adds nothing (``*, a``),
+    two different columns under one name are refused."""
+    pairs = []
+    for item in stmt.items:
+        if isinstance(item.expr, ast.Star):
+            wanted = [(column, column) for column in scope.columns()]
+        else:
+            column = scope.resolve(item.expr)
+            wanted = [(column, item.alias or column)]
+        for pair in wanted:
+            if pair in pairs:
+                continue
+            if any(name == pair[1] for _, name in pairs):
+                raise BindError(
+                    f"two select items are named {pair[1]!r}",
+                    **_pos_kwargs(item),
+                )
+            pairs.append(pair)
+    return tuple(pairs)
+
+
+class PreparedSelect:
+    """``SELECT ..`` bound: the read of its (outer) table or view, the
+    join, then the grouping or the projection."""
+
+    __slots__ = ("_db", "_read", "_join", "_group", "_columns", "_names")
+
+    def __init__(self, db, stmt):
+        scope, schema, right_schema, on_pairs = _select_source(
+            db.catalog, stmt
+        )
+        self._db = db
+        self._read = _Read(schema.name, stmt.where, schema.primary_key, scope)
+        self._join = (
+            None if right_schema is None else (right_schema.name, on_pairs)
+        )
+        self._group = self._columns = self._names = None
+        if stmt.group_by is not None:
+            self._group = _grouped_specs(
+                stmt, scope, joined=stmt.join is not None
+            )
+            return
+        _plain, aggs, _stars = _classify_items(stmt)
+        if aggs:
+            raise UnsupportedSqlError(
+                "aggregates require a GROUP BY clause", **_pos_kwargs(aggs[0])
+            )
+        pairs = _output_columns(stmt, scope)
+        self._columns = tuple(column for column, _ in pairs)
+        if any(column != name for column, name in pairs):
+            self._names = tuple(name for _, name in pairs)
+
+    def run(self, txn, params):
+        db = self._db
+        rows = self._read.fetch(db, txn, params)
+        if self._join is not None:
+            right, on_pairs = self._join
+            rows = list(nested_loops_join(rows, db.scan(txn, right), on_pairs))
+        rows = self._read.filter(rows, params)
+        if self._group is not None:
+            group_by, specs = self._group
+            return _sorted_rows(group_aggregate(rows, group_by, specs).items())
+        columns, names = self._columns, self._names
+        if names is None:
+            return [row.project(columns) for row in rows]
+        return [
+            Row({name: row[column] for column, name in zip(columns, names)})
+            for row in rows
+        ]
+
+
+_PREPARE = {
+    ast.Insert: PreparedInsert,
+    ast.Update: PreparedUpdate,
+    ast.Delete: PreparedDelete,
+    ast.Select: PreparedSelect,
+}
+
+
+def prepare(db, stmt):
+    """Bind one DML or SELECT statement against ``db``'s catalog into an
+    immutable plan whose ``run(txn, params)`` executes it with the
+    literal values ``params`` (slot order) — the only way such a
+    statement runs. The access path's kind, and which slots form its
+    key or bounds, are fixed here; the key itself is built per run."""
+    cls = _PREPARE.get(type(stmt))
+    if cls is None:
+        raise UnsupportedSqlError(
+            f"cannot execute {type(stmt).__name__} here",
+            **_pos_kwargs(stmt),
+        )
+    return cls(db, stmt)
 
 
 def access_path(catalog, stmt):
     """The access path ``stmt`` (a SELECT, UPDATE or DELETE) would read
-    its (outer) table or view by — what ``EXPLAIN`` reports."""
+    its (outer) table or view by, literals as written — what ``EXPLAIN``
+    reports."""
     if isinstance(stmt, ast.Select):
-        return _select_plan(catalog, stmt)[3]
-    schema = _dml_schema(catalog, stmt)
-    return _where_plan(
-        stmt.where, Scope({schema.name: schema}), schema.primary_key
-    )[1]
+        scope, schema, _, _ = _select_source(catalog, stmt)
+    else:
+        schema = _dml_schema(catalog, stmt)
+        scope = Scope({schema.name: schema})
+    return plan_access(stmt.where, schema.primary_key, scope.resolve)
 
 
-def _execute_select(db, txn, stmt):
-    scope, schema, predicate, path, right_schema, on_pairs = _select_plan(
-        db.catalog, stmt
+def _bakes_literals(stmt):
+    """Does ``stmt``'s plan hold some literal's value instead of its
+    slot? A SUM argument is normalized to a linear form when the plan
+    is made, coefficients and all."""
+    def has_slot(expr):
+        if isinstance(expr, ast.Literal):
+            return expr.slot is not None
+        if isinstance(expr, ast.BinaryOp):
+            return has_slot(expr.left) or has_slot(expr.right)
+        return False
+
+    return isinstance(stmt, ast.Select) and any(
+        isinstance(item.expr, ast.FuncCall) and has_slot(item.expr.arg)
+        for item in stmt.items
     )
-    rows = _fetch(db, txn, schema.name, path)
-    if right_schema is not None:
-        rows = list(nested_loops_join(
-            rows, db.scan(txn, right_schema.name), on_pairs
-        ))
-    if predicate is not None:
-        rows = [row for row in rows if predicate(row)]
-    if stmt.group_by is not None:
-        group_by, specs = _grouped_specs(
-            stmt, scope, joined=stmt.join is not None
-        )
-        grouped = group_aggregate(rows, group_by, specs)
-        return _sorted_rows(grouped.items())
-    plain, aggs, stars = _classify_items(stmt)
-    if aggs:
-        raise UnsupportedSqlError(
-            "aggregates require a GROUP BY clause", **_pos_kwargs(aggs[0])
-        )
-    columns = []
-    rename = {}
-    for item in stmt.items:
-        if isinstance(item.expr, ast.Star):
-            for column in scope.columns():
-                if column not in columns:
-                    columns.append(column)
-            continue
-        column = scope.resolve(item.expr)
-        if item.alias is not None:
-            rename[column] = item.alias
-        if column not in columns:
-            columns.append(column)
-    out = [row.project(columns) for row in rows]
-    if rename:
-        out = [row.rename(rename) for row in out]
-    return out
 
 
-def execute_script(db, sql, run):
+def _same_values(parsed, lifted):
+    """Did :func:`~repro.sql.lexer.shape_of` lift exactly the literals
+    the parse saw, type for type?"""
+    return lifted is not None and len(parsed) == len(lifted) and all(
+        type(a) is type(b) and a == b for a, b in zip(parsed, lifted)
+    )
+
+
+#: the first word of a text that may keep a prepared plan
+_KEPT_VERBS = frozenset({"SELECT", "INSERT", "UPDATE", "DELETE"})
+
+
+def execute_script(db, sql, run, params=()):
     """Execute each statement of the SQL script ``sql`` against ``db``;
-    returns the last one's result. ``run(fn)`` calls ``fn(txn)`` in the
-    transaction the caller means a DML/SELECT statement to have: an
-    open one, or an autocommit one. DDL is not logged."""
+    returns the last one's result. The ``i``-th ``?`` placeholder stands
+    for ``params[i]``. ``run(fn)`` calls ``fn(txn)`` in the transaction
+    the caller means a DML/SELECT statement to have: an open one, or an
+    autocommit one. DDL is not logged.
+
+    A text whose shape (:func:`~repro.sql.lexer.shape_of`: the text with
+    its literals lifted, keyed with their types) has a prepared plan in
+    ``db.indexes`` runs it with the lifted values and is never parsed.
+    Otherwise it is parsed; a text of one DML/SELECT statement whose
+    parsed literals are the lifted ones leaves its plan there for the
+    next text of its shape. A text that fails to parse, bind or prepare
+    leaves nothing. DDL, EXPLAIN, CHECK VIEW, a script of several
+    statements and a text that opens with a comment keep no plan, so
+    they skip the lift and the lookup."""
+    key = values = None
+    if sql.lstrip()[:6].upper() in _KEPT_VERBS:
+        shape, values = shape_of(sql, params)
+        if shape is not None and ";" not in shape.rstrip("; \t\r\n"):
+            key = (shape, tuple(map(type, values)))
+            plan = db.indexes.prepared(key)
+            if plan is not None:
+                return run(lambda txn: plan.run(txn, values))
+    statements, literals = parser.parse_literals(sql, params)
     result = None
-    for stmt in parse(sql):
+    for stmt in statements:
         if isinstance(stmt, ast.CreateTable):
             result = db.create_table(stmt.name, stmt.columns, stmt.primary_key)
         elif isinstance(stmt, ast.CreateView):
@@ -586,7 +759,12 @@ def execute_script(db, sql, run):
         elif isinstance(stmt, ast.Explain):
             result = explain(db, stmt.statement)
         else:
-            result = run(lambda txn: execute_statement(db, txn, stmt))
+            plan = prepare(db, stmt)
+            if (key is not None and len(statements) == 1
+                    and _same_values(literals, values)
+                    and not _bakes_literals(stmt)):
+                db.indexes.keep_prepared(key, plan)
+            result = run(lambda txn: plan.run(txn, literals))
     return result
 
 
@@ -603,24 +781,3 @@ def in_statement(db, txn, fn):
         if txn.state is TxnState.ACTIVE:
             db.rollback_to(txn, savepoint)
         raise
-
-
-def execute_statement(db, txn, stmt):
-    """Execute one bound DML or SELECT statement inside ``txn``.
-
-    Returns the SELECT's rows (a list of :class:`~repro.common.rows.Row`)
-    or the DML's affected-row count. DDL statements are handled by
-    :func:`execute_script`.
-    """
-    if isinstance(stmt, ast.Insert):
-        return _execute_insert(db, txn, stmt)
-    if isinstance(stmt, ast.Update):
-        return _execute_update(db, txn, stmt)
-    if isinstance(stmt, ast.Delete):
-        return _execute_delete(db, txn, stmt)
-    if isinstance(stmt, ast.Select):
-        return _execute_select(db, txn, stmt)
-    raise UnsupportedSqlError(
-        f"cannot execute {type(stmt).__name__} here",
-        **_pos_kwargs(stmt),
-    )

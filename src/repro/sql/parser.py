@@ -27,11 +27,15 @@ The grammar, in one screen::
     arith_factor:= ['-'] (number | col | '(' arith ')')
     expr        := or-tree over comparisons, BETWEEN, [NOT] IN, NOT, parens
     set_expr    := (col | literal) (('+'|'-') (col | literal))*
+    literal     := ['-'] number | string | TRUE | FALSE | NULL | '?'
+
+A ``?`` is a literal whose value the caller passes (``params``): the
+parse is the one its value spelled as a literal would give.
 """
 
-from repro.common import ParseError
+from repro.common import BindError, ParseError
 from repro.sql import ast
-from repro.sql.lexer import tokenize
+from repro.sql.lexer import MISSING, tokenize
 
 #: words with grammatical meaning; not usable as bare column names.
 KEYWORDS = frozenset(
@@ -44,10 +48,30 @@ KEYWORDS = frozenset(
 _AGG_FUNCS = frozenset({"count", "sum", "min", "max"})
 
 
-def parse(sql):
+def parse(sql, params=()):
     """Parse ``sql`` (one or more ``;``-separated statements) into a
-    list of AST statements."""
-    return _Parser(tokenize(sql)).parse_script()
+    list of AST statements; the ``i``-th ``?`` stands for
+    ``params[i]``."""
+    return parse_literals(sql, params)[0]
+
+
+def parse_literals(sql, params=()):
+    """``(statements, values)``: :func:`parse` plus the value of every
+    literal slot, in slot order — what the statements' slotted literals
+    read when they run (``repro.sql.compiler``)."""
+    tokens = tokenize(sql, params)
+    statements = _Parser(tokens).parse_script()
+    slotted = [token for token in tokens if token.slot is not None]
+    placeholders = [token for token in slotted if token.kind == "param"]
+    if len(placeholders) != len(params):
+        token = next(
+            (t for t in placeholders if t.value is MISSING), tokens[-1]
+        )
+        raise BindError(
+            f"{len(params)} parameters for {len(placeholders)} "
+            "placeholders", line=token.line, column=token.column,
+        )
+    return statements, [token.value for token in slotted]
 
 
 def parse_one(sql):
@@ -127,6 +151,8 @@ class _Parser:
     def _describe(token):
         if token.kind == "eof":
             return "end of input"
+        if token.kind == "param":
+            return "'?'"
         return repr(token.value)
 
     @staticmethod
@@ -443,34 +469,47 @@ class _Parser:
         )
 
     def _operand(self):
-        token = self._peek()
-        if token.kind in ("number", "string") or self._at_literal_kw():
-            return self._literal()
-        if self._at_op("-"):
+        if self._at_literal() or self._at_op("-"):
             return self._literal()
         return self._column_ref()
 
-    def _at_literal_kw(self):
+    def _at_literal(self):
         token = self._peek()
-        return token.kind == "ident" and token.value.lower() in (
-            "true", "false", "null"
+        if token.kind == "ident":
+            return token.value.lower() in ("true", "false", "null")
+        return token.slot is not None
+
+    def _at_number(self):
+        """A number, or a ``?`` whose value is one (as a literal it
+        would have been spelled as a number) or is missing (the count
+        error comes after the parse)."""
+        token = self._peek()
+        return token.kind == "number" or token.kind == "param" and (
+            token.value is MISSING or type(token.value) in (int, float)
+        )
+
+    def _signed(self, minus):
+        """The literal ``-number``: the sign folds into the value, and
+        the slot remembers it (``negated``)."""
+        number = self._advance()
+        value = number.value
+        return ast.Literal(
+            value if value is MISSING else -value, pos=self._pos(minus),
+            slot=number.slot, negated=True,
         )
 
     def _literal(self):
         token = self._peek()
-        if token.kind == "number":
+        if token.slot is not None:
             self._advance()
-            return ast.Literal(token.value, pos=self._pos(token))
-        if token.kind == "string":
-            self._advance()
-            return ast.Literal(token.value, pos=self._pos(token))
+            return ast.Literal(
+                token.value, pos=self._pos(token), slot=token.slot
+            )
         if self._at_op("-"):
             minus = self._advance()
-            number = self._peek()
-            if number.kind != "number":
-                self._error("expected a number after '-'", token=number)
-            self._advance()
-            return ast.Literal(-number.value, pos=self._pos(minus))
+            if not self._at_number():
+                self._error("expected a number after '-'")
+            return self._signed(minus)
         if token.kind == "ident":
             word = token.value.lower()
             if word == "true":
@@ -520,12 +559,10 @@ class _Parser:
         return left
 
     def _arith_factor(self):
-        token = self._peek()
         if self._at_op("-"):
             minus = self._advance()
-            if self._peek().kind == "number":
-                number = self._advance()
-                return ast.Literal(-number.value, pos=self._pos(minus))
+            if self._at_number():
+                return self._signed(minus)
             return ast.BinaryOp(
                 "-", ast.Literal(0, pos=self._pos(minus)),
                 self._arith_factor(), pos=self._pos(minus),
@@ -534,7 +571,7 @@ class _Parser:
             inner = self._arith()
             self._expect_op(")")
             return inner
-        if token.kind in ("number", "string") or self._at_literal_kw():
+        if self._at_literal():
             return self._literal()
         return self._column_ref()
 
@@ -552,7 +589,6 @@ class _Parser:
             return left
 
     def _set_operand(self):
-        token = self._peek()
-        if token.kind in ("number", "string") or self._at_literal_kw():
+        if self._at_literal():
             return self._literal()
         return self._column_ref()

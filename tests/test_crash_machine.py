@@ -3,7 +3,8 @@
 Hypothesis drives a :class:`RuleBasedStateMachine` through typed DML
 (every value tag a row can hold), multi-row SQL statements through
 ``Session.execute`` (an INSERT whose rows share groups, an UPDATE moving
-rows between groups), commits, aborts, savepoint rollbacks,
+rows between groups; literals or ``?`` parameters, so prepared plans
+outlive rebuilds and crashes), commits, aborts, savepoint rollbacks,
 ghost cleanup, checkpoints, crashes, view refreshes and quarantine
 rebuilds, on an engine small enough that every leaf mechanism engages:
 order-4 trees (leaves split, borrow and merge), a 2-4 leaf dirty table
@@ -195,7 +196,7 @@ class CrashMachine(RuleBasedStateMachine):
                     lambda rows: rows.pop(key),
                 )
 
-    def _execute(self, sql, change, refused=False):
+    def _execute(self, sql, change, refused=False, params=()):
         """Run one SQL statement through ``Session.execute`` — in the
         open transaction or autocommitted — and ``change(rows)`` on the
         reference rows; a ``refused`` statement leaves everything as it
@@ -204,25 +205,33 @@ class CrashMachine(RuleBasedStateMachine):
         self._locks_from_here()
         if refused:
             with pytest.raises(StorageError):
-                self.session.execute(sql)
+                self.session.execute(sql, params)
             assert self.db.log.tail_lsn() == tail
         else:
             self.caught_up = None
-            self.session.execute(sql)
+            self.session.execute(sql, params)
             change(self.rows())
             if self.txn is None:
                 self._committed(tail)
-        self._locks_lie_inside(self.db.execute(f"EXPLAIN {sql}"))
+        self._locks_lie_inside(self.db.execute(f"EXPLAIN {sql}", params=params))
 
     @rule(rows=st.lists(st.tuples(sql_ids, groups, amounts, sql_values),
-                        min_size=2, max_size=4))
-    def sql_insert(self, rows):
+                        min_size=2, max_size=4), placeholders=st.booleans())
+    def sql_insert(self, rows, placeholders):
         """One INSERT of rows that share groups: all go in, or — a key
-        the table holds or the statement repeats — none does."""
+        the table holds or the statement repeats — none does. Half the
+        time the values are ``?`` parameters: the shape repeats across
+        rebuilds and crashes, so cached plans meet them too."""
         keys = [key for key, _, _, _ in rows]
-        values = ", ".join(
-            f"({key}, {g}, {amount}, {literal(v)})" for key, g, amount, v in rows
-        )
+        if placeholders:
+            values = ", ".join("(?, ?, ?, ?)" for _ in rows)
+            params = tuple(value for row in rows for value in row)
+        else:
+            values = ", ".join(
+                f"({key}, {g}, {amount}, {literal(v)})"
+                for key, g, amount, v in rows
+            )
+            params = ()
 
         def change(table):
             for key, g, amount, v in rows:
@@ -232,13 +241,14 @@ class CrashMachine(RuleBasedStateMachine):
             f"INSERT INTO t (id, g, amount, v) VALUES {values}", change,
             refused=len(set(keys)) < len(keys) or not set(keys).isdisjoint(
                 self.rows()
-            ),
+            ), params=params,
         )
 
-    @rule(low=sql_ids, high=sql_ids)
-    def sql_update(self, low, high):
+    @rule(low=sql_ids, high=sql_ids, placeholders=st.booleans())
+    def sql_update(self, low, high, placeholders):
         """One UPDATE moving every row of an id range to the mirror
-        group, ``g -> 3 - g``, its amount up by one."""
+        group, ``g -> 3 - g``, its amount up by one (its bounds ``?``
+        parameters half the time)."""
         def change(table):
             for key, row in table.items():
                 if low <= key <= high:
@@ -246,9 +256,13 @@ class CrashMachine(RuleBasedStateMachine):
                         **row, "g": 3 - row["g"], "amount": row["amount"] + 1,
                     }
 
+        bounds, params = (("?", "?"), (low, high)) if placeholders else (
+            (low, high), ()
+        )
         self._execute(
             "UPDATE t SET g = 3 - g, amount = amount + 1 "
-            f"WHERE id >= {low} AND id <= {high}", change,
+            "WHERE id >= {} AND id <= {}".format(*bounds), change,
+            params=params,
         )
 
     # ------------------------------------------------------------------
