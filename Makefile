@@ -6,21 +6,22 @@ export PYTHONPATH := $(CURDIR)/src
 	perf-smoke verify
 
 # The PR gate, in dependency-cheapest order: the AST lint rules, the
-# static view-program analyzer, the full tier-1 test suite (the protocol
-# sanitizers' legs and negative controls are in
-# tests/test_analysis_sanitizers.py, the sharded 2PC legs in
-# tests/test_dist.py, the message-transport legs in tests/test_dist_net.py),
-# the crash machine at a larger example count, the bounded chaos tier
-# (which includes the crash-storm recovery leg), and the checks the
-# wall-clock benchmark runs on itself. benchmarks/run_all.py finishes
-# with the smokes of the same chain.
-verify: lint analyze test machine chaos-smoke perf-smoke
+# static view-program analyzer, the full tier-1 test suite with the
+# crash machine at a larger example count (the protocol sanitizers' legs
+# and negative controls are in tests/test_analysis_sanitizers.py, the
+# sharded 2PC legs in tests/test_dist.py, the message-transport legs in
+# tests/test_dist_net.py), the bounded chaos tier (which includes the
+# crash-storm recovery leg), and the checks the wall-clock benchmark runs
+# on itself. benchmarks/run_all.py finishes with the smokes of the same
+# chain.
+verify: lint analyze test chaos-smoke perf-smoke
 
+# Tier-1, with the generated crash machine (tests/test_crash_machine.py)
+# at 2000 examples instead of a bare pytest's 60.
 test:
-	$(PYTHON) -m pytest -x -q
+	REPRO_MACHINE_EXAMPLES=2000 $(PYTHON) -m pytest -x -q
 
-# The generated crash machine (tests/test_crash_machine.py) with more
-# examples than tier-1 gives it (≈ 80 s).
+# The crash machine alone at the same example count (≈ 170 s).
 machine:
 	REPRO_MACHINE_EXAMPLES=2000 $(PYTHON) -m pytest -x -q tests/test_crash_machine.py
 

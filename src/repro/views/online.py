@@ -273,6 +273,10 @@ class ViewBuilder:
                 FAULT_SITE, txn_id=txn.txn_id, detail="flip"
             )
         db.settle(txn)
+        if txn.stats.log_bytes == 0:
+            # a view that computed empty logged nothing: there is no
+            # commit for recovery to find, and nothing left to settle
+            db.online_builds.remove(view.name)
         if db.faults.active:
             db.faults.maybe_crash(
                 FAULT_SITE, txn_id=txn.txn_id, detail="post_commit",

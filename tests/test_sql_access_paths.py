@@ -678,14 +678,25 @@ def requested_locks(db, sql):
 
 def lock_triples(events):
     """The symbolic ``(index, resource kind, mode)`` of each traced
-    ``lock_acquire`` event's ``fields``, in order."""
-    out = []
+    ``lock_acquire`` event's ``fields``, in order. A conversion traces
+    the supremum of what was held and what was asked: where ``events``
+    hold the earlier grant on the same key, its triple is the part the
+    conversion added (a key S and then a fence on that key trace one
+    RangeS-S, whose request was the fence)."""
+    out, granted = [], {}
     for fields in events:
         resource, mode = fields["resource"], fields["mode"]
         if resource[0] == "table":
             out.append((resource[1], "table", mode.split(".")[1]))
             continue
         gap, key = _MODE.match(mode).groups()
+        before = granted.get(repr(resource))
+        granted[repr(resource)] = (gap, key)
+        if fields["conversion"] and before is not None:
+            gap = "NL" if gap == before[0] else gap
+            key = "NL" if key == before[1] else key
+            if gap == key == "NL":
+                continue
         if gap == "S" and key == "S":
             out.append((resource[1], "range", "RangeS-S"))
         elif gap == "S":

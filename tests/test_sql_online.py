@@ -270,6 +270,28 @@ def test_crash_after_commit_point_completes_on_recovery():
     assert_view_matches_recomputation(db)
 
 
+def test_an_empty_online_build_crashed_after_its_commit_is_complete():
+    """An online build over no rows logs nothing, so recovery finds no
+    commit for it: it must not be left for recovery to vanish."""
+    db = Database()
+    db.execute(
+        "CREATE TABLE sales (id, product, amount, PRIMARY KEY (id));"
+        "CREATE TABLE products (product, category, PRIMARY KEY (product));"
+    )
+    db.install_fault_injector(FaultInjector(seed=0))
+    db.faults.arm("view.online_build", times=1, match="post_commit")
+    with pytest.raises(SimulatedCrash) as exc:
+        db.execute(VIEW_SQL)
+    db.faults.disarm()
+    assert exc.value.committed is True
+    assert not db.online_builds.active
+    db.simulate_crash_and_recover()
+    assert db.catalog.has_view("rev_by_category")
+    db.execute("INSERT INTO products (product, category) VALUES ('tnt', 'boom')")
+    insert_sale(db, 1, "tnt", 7)
+    assert_view_matches_recomputation(db)
+
+
 def test_crash_midbuild_with_concurrent_writer_still_vanishes_cleanly():
     """A writer committed between snapshot and the crash at the flip.
     Recovery must keep the writer (it was durable) while the half-built

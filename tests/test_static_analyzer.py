@@ -269,6 +269,35 @@ class TestRuntimeAgreesWithAnalyzer:
             }
             assert pairs <= edges, (op, schema.name, pairs - edges)
 
+    def test_a_key_s_then_a_fence_on_that_key_is_the_predicted_fence(self):
+        """Inserting ``b`` row 0 when ``a`` holds only row 1 reads ``a``
+        row 1 by key (for ``va``), then fences the gap below it (for
+        ``vb``): one RangeS-S conversion, whose request was the predicted
+        fence. An unpredicted range lock on another key still fails."""
+        db = deadlock_pair_db()
+        report = StaticAnalyzer.configured(db.catalog, db.config).explain(
+            "insert", "b"
+        )
+        txn = db.begin()
+        db.insert(txn, "a", {"aid": 1, "bref": 0, "x": 0})
+        db.commit(txn)
+        events = []
+        db.tracer.enable()
+        db.tracer.listeners.append(
+            lambda e: e.name == "lock_acquire"
+            and events.append(e.as_dict()["fields"])
+        )
+        with db.session() as session:
+            db.insert(session.current_transaction, "b",
+                      {"bid": 0, "aref": 0, "y": 0})
+        key_s, range_s = events[2], events[3]
+        assert (key_s["mode"], range_s["mode"]) == ("Range(NL,S)", "Range(S,S)")
+        assert range_s["conversion"] and range_s["resource"] == ["key", "a", [1]]
+        assert set(lock_triples(events)) <= predicted_locks(report)
+        elsewhere = {**range_s, "resource": ["key", "a", [2]]}
+        assert ("a", "range", "RangeS-S") in lock_triples([key_s, elsewhere])
+        assert not set(lock_triples([key_s, elsewhere])) <= predicted_locks(report)
+
 
 # -- CHECK VIEW / EXPLAIN through the SQL surface --------------------------
 
