@@ -107,7 +107,6 @@ class Database:
         #: views mid online build; their maintenance is suppressed (the
         #: build's flip reconciles them) and reads refuse them.
         self.online_builds = OnlineBuildRegistry()
-        self._integrity_checks = 0
         self._integrity_damage = 0
         from repro.locking.escalation import EscalationPolicy
 
@@ -476,11 +475,11 @@ class Database:
             "retries": self.retries.as_dict(),
             "faults": self.faults.counts(),
             "integrity": {
-                "checks": self._integrity_checks,
+                "checks": self.counters.get("integrity.checks"),
                 "damage_found": self._integrity_damage,
                 "quarantined": self.quarantine.quarantined(),
-                "degraded_reads": self.quarantine.degraded_reads,
-                "rebuilds": self.quarantine.rebuilds,
+                "degraded_reads": self.counters.get("integrity.degraded_reads"),
+                "rebuilds": self.counters.get("integrity.rebuilds"),
             },
         }
 
@@ -716,7 +715,6 @@ class Database:
         from repro.integrity import check_database
 
         report = check_database(self)
-        self._integrity_checks += 1
         self._integrity_damage += len(report.damage)
         self.counters.incr("integrity.checks")
         if self.tracer.enabled:

@@ -38,8 +38,6 @@ class QuarantineManager:
     def __init__(self, db):
         self._db = db
         self._reasons = {}  # view name -> reason string
-        self.degraded_reads = 0
-        self.rebuilds = 0
 
     @property
     def active(self):
@@ -89,7 +87,6 @@ class QuarantineManager:
         would have been. (Base tables cannot be quarantined, so this
         never recurses.)"""
         db = self._db
-        self.degraded_reads += 1
         db.counters.incr("integrity.degraded_reads")
         if as_of is not None:
             return view.recompute(
@@ -120,7 +117,6 @@ class QuarantineManager:
             )
         txn, corrections = bring_up_to_date(db, view)
         del self._reasons[view.name]
-        self.rebuilds += 1
         db.counters.incr("integrity.rebuilds")
         if db.tracer.enabled:
             db.tracer.emit(

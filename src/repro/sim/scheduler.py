@@ -177,19 +177,73 @@ class Scheduler:
     def run(self, max_ticks=None):
         """Run until every session finished (or ``max_ticks`` of makespan
         elapsed). Returns a :class:`SimResult`."""
-        db = self._db
-        result = SimResult()
-        start_tick = db.clock.now()
+        start_tick = self._db.clock.now()
         for session in self._sessions:
             session.ready_at = start_tick
+        return self._loop(start_tick, (), None, max_ticks)
+
+    def run_open(self, program_factory, arrival_rate, duration, seed=0,
+                 isolation=None):
+        """Open-system mode: transactions *arrive* (Poisson process at
+        ``arrival_rate`` per tick) instead of being re-issued by a fixed
+        session pool, for ``duration`` ticks of arrivals.
+
+        Each arrival runs one instance of ``program_factory`` on its own
+        virtual processor; its **response time** (arrival to commit,
+        including lock waits and retries) lands in
+        ``result.response_time``. This is the load/latency view of the
+        same engine the closed-system ``run`` measures for throughput.
+        """
+        rng = DeterministicRng(seed)
+        start_tick = self._db.clock.now()
+        # Pre-draw the deterministic arrival schedule.
+        arrivals = []
+        t = start_tick
+        while True:
+            t += max(1, round(rng.expovariate(arrival_rate)))
+            if t - start_tick >= duration:
+                break
+            arrivals.append(t)
+
+        def arrival(tick):
+            session = _Session(
+                len(self._sessions),
+                program_factory,
+                1,
+                self._max_retries,
+                isolation or self._default_isolation,
+            )
+            session.arrival = session.ready_at = tick
+            self._sessions.append(session)
+
+        return self._loop(start_tick, arrivals, arrival, None)
+
+    def _loop(self, start_tick, arrivals, arrival, max_ticks):
+        """The event loop of both modes: step the earliest runnable
+        session until all are done, calling ``arrival(tick)`` for each
+        of the ascending ``arrivals`` once no runnable session is ready
+        before it. Returns a :class:`SimResult`."""
+        db = self._db
+        result = SimResult()
         self._last_completion = start_tick
         last_cleanup = start_tick
         stall_guard = 0
+        next_arrival = 0
         while True:
             self._wake_ready(result)
             runnable = [s for s in self._sessions if s.state == "runnable"]
-            if self._fire_deadlines(runnable):
+            horizon = (
+                arrivals[next_arrival] if next_arrival < len(arrivals)
+                else None
+            )
+            if self._fire_deadlines(runnable, horizon):
                 stall_guard = 0
+                continue
+            if horizon is not None and all(
+                horizon <= s.ready_at for s in runnable
+            ):
+                arrival(horizon)
+                next_arrival += 1
                 continue
             if not runnable:
                 if all(s.state == "done" for s in self._sessions):
@@ -228,93 +282,13 @@ class Scheduler:
         result.db_stats = db.counters.as_dict()
         return result
 
-    def run_open(self, program_factory, arrival_rate, duration, seed=0,
-                 isolation=None):
-        """Open-system mode: transactions *arrive* (Poisson process at
-        ``arrival_rate`` per tick) instead of being re-issued by a fixed
-        session pool, for ``duration`` ticks of arrivals.
-
-        Each arrival runs one instance of ``program_factory`` on its own
-        virtual processor; its **response time** (arrival to commit,
-        including lock waits and retries) lands in
-        ``result.response_time``. This is the load/latency view of the
-        same engine the closed-system ``run`` measures for throughput.
-        """
-        rng = DeterministicRng(seed)
-        db = self._db
-        result = SimResult()
-        start_tick = db.clock.now()
-        self._last_completion = start_tick
-        # Pre-draw the deterministic arrival schedule.
-        arrivals = []
-        t = start_tick
-        while True:
-            t += max(1, round(rng.expovariate(arrival_rate)))
-            if t - start_tick >= duration:
-                break
-            arrivals.append(t)
-        next_arrival = 0
-        stall_guard = 0
-        while True:
-            self._wake_ready(result)
-            runnable = [s for s in self._sessions if s.state == "runnable"]
-            next_runnable = min(
-                (s.ready_at for s in runnable), default=None
-            )
-            if self._fire_deadlines(
-                runnable,
-                horizon=arrivals[next_arrival]
-                if next_arrival < len(arrivals) else None,
-            ):
-                stall_guard = 0
-                continue
-            if next_arrival < len(arrivals) and (
-                next_runnable is None or arrivals[next_arrival] <= next_runnable
-            ):
-                session = _Session(
-                    len(self._sessions),
-                    program_factory,
-                    1,
-                    self._max_retries,
-                    isolation or self._default_isolation,
-                )
-                session.arrival = arrivals[next_arrival]
-                session.ready_at = arrivals[next_arrival]
-                self._sessions.append(session)
-                next_arrival += 1
-                continue
-            if not runnable:
-                if all(s.state == "done" for s in self._sessions) and (
-                    next_arrival >= len(arrivals)
-                ):
-                    break
-                if self._durable_waiters and db.group_commit.flush_pending():
-                    stall_guard = 0
-                    continue
-                stall_guard += 1
-                if stall_guard > len(self._sessions) + 2:
-                    raise ReproError("open-system scheduler stall")
-                continue
-            stall_guard = 0
-            session = min(runnable, key=lambda s: (s.ready_at, s.session_id))
-            db.clock.advance_to(session.ready_at)
-            self._step(session, result)
-        makespan_end = max(
-            [self._last_completion] + [s.ready_at for s in self._sessions]
-        )
-        db.clock.advance_to(makespan_end)
-        result.ticks = makespan_end - start_tick
-        result.lock_stats = db.locks.stats.as_dict()
-        result.db_stats = db.counters.as_dict()
-        return result
-
     # ------------------------------------------------------------------
 
-    def _fire_deadlines(self, runnable, horizon=None):
+    def _fire_deadlines(self, runnable, horizon):
         """Treat the earliest pending deadline — a lock wait timeout, an
         injected grant delay, or a latency-bound commit group's flush
         deadline — as a discrete event: if it precedes every runnable
-        session (and ``horizon``, when given), advance the clock to it
+        session (and ``horizon``, unless None), advance the clock to it
         and let the owning component resolve whatever expired. Returns
         True when one fired (the caller restarts its loop)."""
         db = self._db

@@ -711,14 +711,6 @@ def _bakes_literals(stmt):
     )
 
 
-def _same_values(parsed, lifted):
-    """Did :func:`~repro.sql.lexer.shape_of` lift exactly the literals
-    the parse saw, type for type?"""
-    return lifted is not None and len(parsed) == len(lifted) and all(
-        type(a) is type(b) and a == b for a, b in zip(parsed, lifted)
-    )
-
-
 #: the first word of a text that may keep a prepared plan
 _KEPT_VERBS = frozenset({"SELECT", "INSERT", "UPDATE", "DELETE"})
 
@@ -733,13 +725,13 @@ def execute_script(db, sql, run, params=()):
     A text whose shape (:func:`~repro.sql.lexer.shape_of`: the text with
     its literals lifted, keyed with their types) has a prepared plan in
     ``db.indexes`` runs it with the lifted values and is never parsed.
-    Otherwise it is parsed; a text of one DML/SELECT statement whose
-    parsed literals are the lifted ones leaves its plan there for the
-    next text of its shape. A text that fails to parse, bind or prepare
-    leaves nothing. DDL, EXPLAIN, CHECK VIEW, a script of several
+    Otherwise it is parsed; a text of one DML/SELECT statement leaves
+    its plan there for the next text of its shape (its slots hold the
+    lifted values: one literal grammar makes both). A text that fails
+    to parse, bind or prepare leaves nothing. DDL, EXPLAIN, CHECK VIEW, a script of several
     statements and a text that opens with a comment keep no plan, so
     they skip the lift and the lookup."""
-    key = values = None
+    key = None
     if sql.lstrip()[:6].upper() in _KEPT_VERBS:
         shape, values = shape_of(sql, params)
         if shape is not None and ";" not in shape.rstrip("; \t\r\n"):
@@ -761,7 +753,6 @@ def execute_script(db, sql, run, params=()):
         else:
             plan = prepare(db, stmt)
             if (key is not None and len(statements) == 1
-                    and _same_values(literals, values)
                     and not _bakes_literals(stmt)):
                 db.indexes.keep_prepared(key, plan)
             result = run(lambda txn: plan.run(txn, literals))

@@ -84,3 +84,23 @@ class TestOpenSystem:
         )
         assert result.committed == 0
         assert result.response_time.count == 0
+
+    def test_cleanup_interval_runs_cleaner(self):
+        db, _ = store()
+        ids = iter(range(1, 1000))
+
+        def churn():
+            i = next(ids)
+            yield (
+                "insert",
+                SALES,
+                {"id": i, "product": f"p{i}", "customer": 1, "amount": 1},
+            )
+            yield ("delete", SALES, (i,))
+
+        scheduler = Scheduler(db, cleanup_interval=50)
+        result = scheduler.run_open(
+            churn, arrival_rate=0.05, duration=1000, seed=7
+        )
+        assert result.committed > 10
+        assert db.counters.get("cleanup.removed") > 0

@@ -4,7 +4,8 @@ a position-carrying ``ParseError`` — never anything else."""
 
 import pytest
 
-from repro.common import ParseError
+from repro.api import Database
+from repro.common import ParseError, SqlError
 from repro.sql import ast, parse, parse_one, tokenize
 
 
@@ -29,10 +30,29 @@ def test_tokenize_string_escape():
     assert tokens[0].value == "it's"
 
 
-def test_tokenize_unknown_character_is_parse_error():
+@pytest.mark.parametrize("sql, column", [
+    ("SELECT @ FROM t", 8),
+    ("SELECT a FROM t WHERE a = \u00b2", 27),  # superscript two
+    ("SELECT a FROM t WHERE a = 1\u00b2", 28),
+    ("SELECT a FROM t WHERE a = \u0661", 27),  # Arabic-Indic one
+], ids=["at-sign", "superscript", "digit-superscript", "arabic-indic"])
+def test_tokenize_unknown_character_is_parse_error(sql, column):
+    """A number is ASCII digits: any other digit starts no token."""
     with pytest.raises(ParseError) as err:
-        tokenize("SELECT @ FROM t")
-    assert "line 1" in str(err.value)
+        tokenize(sql)
+    assert f"line 1, column {column}" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "digit", ["\u00b2", "\u0661"], ids=["superscript", "arabic-indic"]
+)
+def test_a_non_ascii_digit_in_a_statement_is_a_parse_error(digit):
+    db = Database()
+    db.execute("CREATE TABLE t (a, PRIMARY KEY (a))")
+    db.execute("INSERT INTO t VALUES (1)")
+    with pytest.raises(SqlError) as err:
+        db.execute(f"SELECT * FROM t WHERE a = {digit}")
+    assert isinstance(err.value, ParseError)
 
 
 # ---------------------------------------------------------------------

@@ -10,6 +10,8 @@ the literals' types (``docs/SQL.md`` §2). These tests pin:
   literal types and edges give the same outcome, EXPLAIN path, lock
   traffic and log bytes on a warm engine as on one whose cache was just
   cleared;
+* a generated differential: wherever ``shape_of`` lifts and ``tokenize``
+  succeeds, the lifted values are the parse's slotted values;
 * an ``order_sql``-shaped transaction is not parsed once warm, and a
   cached INSERT keeps maintaining views the catalog gained or rebuilt
   since it was prepared.
@@ -21,9 +23,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import BindError, Database, ParseError
+from repro.api import BindError, Database, ParseError, SqlError
 from repro.core.indexes import PREPARED_SHAPES
-from repro.sql import parser, shape_of
+from repro.sql import parser, shape_of, tokenize
 from repro.workload import SALES, OrderEntryWorkload
 from tests.test_sql_access_paths import build_db
 
@@ -314,6 +316,38 @@ def test_one_shape_never_shares_a_wrong_plan(program):
         assert outcome(cold, sql, params) == expected, sql
     assert log_digest(warm) == log_digest(cold)
     assert warm.check_all_views() == []
+
+
+# ---------------------------------------------------------------------
+# one literal grammar: the lifted values are the parse's slots
+# ---------------------------------------------------------------------
+
+FRAGMENTS = [
+    "-- a note: ? 'x' 3\n", "''", "'\u00e9'", "\u00e9", "\u00b2",
+    "\u0661", "7", "?", " ",
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(statements(), st.lists(
+    st.tuples(st.integers(0, 200), st.sampled_from(FRAGMENTS)), max_size=3,
+))
+def test_the_lifted_values_are_the_slots_of_the_parse(statement, inserts):
+    """Whenever ``shape_of`` lifts and ``tokenize`` succeeds on one text,
+    the lifted values are the slotted tokens' values, type for type."""
+    sql, params = statement
+    for at, fragment in inserts:
+        at %= len(sql) + 1
+        sql = sql[:at] + fragment + sql[at:]
+    shape, values = shape_of(sql, params)
+    try:
+        tokens = tokenize(sql, params)
+    except SqlError:
+        return
+    if shape is None:
+        return
+    slots = [token.value for token in tokens if token.slot is not None]
+    assert [(type(v), v) for v in values] == [(type(v), v) for v in slots]
 
 
 # ---------------------------------------------------------------------
