@@ -14,8 +14,8 @@ the queue in short **system transactions** with a NOWAIT lock policy:
 * a candidate that turned out to be live again (revived, or a concurrent
   increment landed first) is dropped;
 * a confirmed-dead aggregate group is first ghosted (if still live with
-  zero counts) and then physically removed, along with its escrow
-  accounts.
+  zero counts) and then physically removed; its escrow slot, empty by
+  then, goes with the record.
 
 Each candidate is processed in its own system transaction, which commits
 independently of every user transaction — the multi-level transaction
@@ -117,8 +117,9 @@ class GhostCleaner:
                 if record is None or record.is_ghost:
                     db.abort(txn)
                     return False
-                if record.current_row[count_column] != 0 or self._has_pending(
-                    db, index_name, key
+                if record.current_row[count_column] != 0 or (
+                    record.escrow is not None
+                    and any(map(any, record.escrow.pending.values()))
                 ):
                     db.abort(txn)
                     self.skipped_live += 1
@@ -145,8 +146,6 @@ class GhostCleaner:
                 self._trace(db, index_name, key, "deferred")
                 return False
             erase(db, txn, index, key)  # unlists it too (ghosted above)
-            for column in db.indexes.counter_columns(index_name):
-                db.escrow.drop((index_name, key, column))
             db.commit(txn)
             self.cleaned += 1
             db.counters.incr("cleanup.removed")
@@ -167,11 +166,3 @@ class GhostCleaner:
             db.tracer.emit(
                 "ghost_cleanup", index=index_name, key=key, outcome=outcome
             )
-
-    @staticmethod
-    def _has_pending(db, index_name, key):
-        for column in db.indexes.counter_columns(index_name):
-            account = db.escrow.existing((index_name, key, column))
-            if account is not None and account.has_pending():
-                return True
-        return False

@@ -22,9 +22,8 @@ each owning its state and the decisions about it, reached directly:
 ``db.indexes`` (:mod:`repro.core.indexes`), ``db.restart``
 (:mod:`repro.core.restart`), ``db.participant``
 (:mod:`repro.core.participant`), ``db.group_commit``, ``db.quarantine``,
-``db.deferred``, the lock, escrow and transaction managers. What stays
-here is the transaction lifecycle, the DML entry points and the one read
-path.
+``db.deferred``, the lock and transaction managers. What stays here is
+the transaction lifecycle, the DML entry points and the one read path.
 
 Every statement follows the lock-first / mutate-second discipline (see
 :mod:`repro.views.actions`): the statement compiles into actions, all lock
@@ -32,8 +31,6 @@ plans are acquired, then all mutations apply and log. Under the
 cooperative policy a lock wait aborts the statement run with
 :class:`~repro.txn.transaction.WouldWait` and the simulator re-runs it.
 """
-
-import itertools
 
 from repro.catalog import Catalog, TableSchema
 from repro.common import (
@@ -46,7 +43,7 @@ from repro.common import (
 )
 from repro.common.keys import KeyRange
 from repro.faults import NULL_INJECTOR
-from repro.locking import EscrowRegistry, LatchSet, LockManager, LockMode
+from repro.locking import LatchSet, LockManager, LockMode, escrow
 from repro.locking.keyrange import locks_for_point_read, locks_for_range_scan
 from repro.obs import Counters, EngineMetrics, RetryStats, Tracer
 from repro.sql import execute_script, in_statement
@@ -135,14 +132,13 @@ class Database:
             timeout=self.config.lock_wait_timeout, faults=self.faults,
         )
         self.latches = LatchSet()
-        self.escrow = EscrowRegistry()
         self.snapshots = SnapshotRegistry(self.clock)
         self.cleanup = CleanupQueue()
         self.cleaner = GhostCleaner(self)
         self.log.tracer = self.tracer  # a loaded WAL starts with NULL_TRACER
         self.log.faults = self.faults
         self._txns = TransactionManager(
-            self.clock, self.log, self.locks, self.escrow, self.snapshots,
+            self.clock, self.log, self.locks, self.snapshots,
             undo_target=self.indexes, commit_listener=self._on_commit,
             group_commit=self.group_commit, tracer=self.tracer,
             metrics=self.metrics, faults=self.faults,
@@ -418,30 +414,21 @@ class Database:
                 net.discard(group_key)
 
     def _on_commit(self, txn, commit_ts):
-        """Commit listener: fold escrow deltas into the records the
-        accounts reserved against, stamp versions, queue emptied groups."""
-        if not txn.touched_records and not txn.escrow_touched:
-            return  # a reader
-        folded = {}  # record -> {column: committed value}
+        """Commit listener: fold the transaction's escrow deltas into the
+        records holding them, stamp versions, queue emptied groups."""
         emptied = []
-        for resource, account in txn.escrow_touched.items():
-            index_name, key, column = resource
-            new_value = account.commit(txn.txn_id)
-            record = account.record
-            folded.setdefault(record, {})[column] = new_value
+        for record in dict.fromkeys(txn.touched_records):
+            view = escrow.commit(record, txn.txn_id)
             if (
-                new_value == 0
-                and column == self.indexes.count_column(index_name)
+                view is not None
+                and record.current_row[view.count_column] == 0
                 and not record.is_ghost
             ):
-                emptied.append(resource)
-        for record, columns in folded.items():
-            record.current_row = record.current_row.replace(**columns)
-        for index_name, key, _ in sorted(emptied, key=repr):
+                emptied.append((view.name, record.key))
+            record.stamp_version(commit_ts)
+        for index_name, key in sorted(emptied, key=repr):
             self.cleanup.enqueue(index_name, key)
             self.counters.incr("agg.group_emptied_at_commit")
-        for record in dict.fromkeys(itertools.chain(txn.touched_records, folded)):
-            record.stamp_version(commit_ts)
 
     def stats(self):
         """One nested dict of everything the engine measures (schema:
@@ -576,15 +563,19 @@ class Database:
 
     def locked_row(self, txn, index, key, mode=LockMode.S):
         """The live row at ``key`` of ``index`` under a key lock in
-        ``mode`` (a gap fence if absent). One descent serves plan and
-        read: ``Transaction.acquire`` returns only on an immediate grant
-        (else it raises and the statement is re-planned), so nothing ran
-        in between."""
+        ``mode`` (a gap fence if absent)."""
+        record = self.locked_record(txn, index, key, mode)
+        return None if record is None else record.current_row
+
+    def locked_record(self, txn, index, key, mode=LockMode.S):
+        """:meth:`locked_row`'s record. One descent serves plan and read:
+        ``Transaction.acquire`` returns only on an immediate grant (else
+        it raises and the statement is re-planned), so nothing ran in
+        between."""
         at = index.locate(key)
         self.acquire_plan(txn, locks_for_point_read(index, key, at, mode=mode))
         txn.stats.reads += 1
-        record = at.live()
-        return None if record is None else record.current_row
+        return at.live()
 
     def read_exact(self, txn, name, key):
         """Read a view row including the transaction's *own* pending
@@ -597,17 +588,8 @@ class Database:
         if contents is not None:
             txn.stats.reads += 1
             return contents.get(key)
-        row = self.locked_row(txn, index, key)
-        if row is None:
-            return None
-        changes = {}
-        for column in self.indexes.counter_columns(name):
-            account = self.escrow.existing((name, key, column))
-            if account is not None:
-                changes[column] = account.read_exact(txn.txn_id)
-        if changes:
-            row = row.replace(**changes)
-        return row
+        record = self.locked_record(txn, index, key)
+        return None if record is None else escrow.exact_row(record, txn.txn_id)
 
     def scan(self, txn, name, key_range=None):
         """Range scan of a table or view, in key order: serializable

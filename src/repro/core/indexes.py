@@ -14,8 +14,8 @@ and the durable store (:attr:`~Indexes.store`); and the recovery target
 (:class:`~repro.wal.recovery.RecoveryTarget`), whose verbs bypass
 locking: recovery runs single-threaded, online rollback under the
 aborting transaction's own locks. The engine's volatile parts (latches,
-escrow accounts, the cleaner's list) are read through the engine, since
-a crash replaces them.
+the cleaner's list) are read through the engine, since a crash replaces
+them.
 """
 
 import itertools
@@ -182,7 +182,7 @@ class Indexes(RecoveryTarget):
         self.pool = BufferPool(
             capacity=config.buffer_pool_frames, log=db.log,
             tracer=db.tracer, page_size=config.page_size,
-            page_ids=self._page_ids, image_row=self._image_row,
+            page_ids=self._page_ids,
         )
         for name, index in list(self._indexes.items()):
             self._indexes[name] = self._new(name, index.key_columns)
@@ -207,28 +207,6 @@ class Indexes(RecoveryTarget):
         self.pool.attach(self.store, (
             leaf for index in self._indexes.values() for leaf in index.leaves()
         ))
-
-    def _image_row(self, index_name):
-        """How a row of ``index_name`` is written back: ``None`` (as it
-        is) or, for an escrow-maintained view, a function adding the
-        pending deltas of its counters to its committed row — an image
-        says what the log says up to the row's LSN, and the log holds
-        those deltas (``docs/STORAGE.md`` §4 rule (a))."""
-        columns = self.counter_columns(index_name)
-        if not columns:
-            return None
-
-        def row_of(key, row):
-            changes = {}
-            for column in columns:
-                account = self._db.escrow.existing((index_name, key, column))
-                if account is not None and account.has_pending():
-                    changes[column] = (
-                        row[column] + account.read_inclusive() - account.committed
-                    )
-            return row.replace(**changes) if changes else row
-
-        return row_of
 
     def stats(self):
         """The ``stats()["storage"]`` block."""

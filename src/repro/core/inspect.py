@@ -81,11 +81,20 @@ def transaction_report(db):
                 "read_ts": txn.read_ts,
                 "locks_held": len(locks),
                 "waiting_on": db.locks.waiting_for(txn.txn_id),
-                "escrow_accounts_touched": len(txn.escrow_touched),
+                "escrow_accounts_touched": _escrow_columns(txn),
                 "stats": txn.stats.as_dict(),
             }
         )
     return report
+
+
+def _escrow_columns(txn):
+    """How many counter columns ``txn`` holds pending deltas on."""
+    return sum(
+        sum(1 for delta in record.escrow.pending.get(txn.txn_id, ()) if delta)
+        for record in dict.fromkeys(txn.touched_records)
+        if record.escrow is not None
+    )
 
 
 def storage_report(db):

@@ -3,7 +3,7 @@ message transport.
 
 :class:`ShardedDatabase` stamps out N fully independent
 :class:`~repro.core.database.Database` instances — each with its own
-lock manager, escrow registry, buffer pool, WAL, and recovery — and
+lock manager, buffer pool, WAL, and recovery — and
 routes statements to them by a :class:`~repro.dist.partitioner.RangePartitioner`
 over the primary key. Views are co-partitioned with their base table:
 partition i maintains view rows only for the base rows it owns, so an

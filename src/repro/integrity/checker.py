@@ -26,6 +26,7 @@ pair it with ``Database.check_integrity(quarantine=True)`` and
 """
 
 from repro.common import CatalogError, StorageError
+from repro.locking import escrow
 from repro.views.definition import expected_index_contents
 from repro.wal.codec import unpack_entry
 
@@ -107,11 +108,7 @@ def view_discrepancies(db, view):
         counters = db.indexes.counter_columns(index_name)
         actual = {}
         for key, record in db.index(index_name).scan():
-            row = record.current_row
-            for column in counters:
-                account = db.escrow.existing((index_name, key, column))
-                if account is not None and account.has_pending():
-                    row = row.replace(**{column: account.read_inclusive()})
+            row = escrow.inclusive_row(record)
             if not counters or row[view.count_column] != 0:
                 actual[key] = row
         for key in sorted(set(expected) | set(actual), key=repr):

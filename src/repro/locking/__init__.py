@@ -1,12 +1,12 @@
 """Concurrency control: lock modes, manager, key-range planning, escrow.
 
-The escrow (E) lock mode and the :class:`EscrowAccount` delta accounting
-are the paper's central mechanism: they let concurrent transactions update
-the same aggregate-view row without conflicting, because increments and
-decrements commute.
+The escrow (E) lock mode and the pending deltas it admits — kept on the
+view row's own record by :mod:`repro.locking.escrow` — are the paper's
+central mechanism: they let concurrent transactions update the same
+aggregate-view row without conflicting, because increments and decrements
+commute.
 """
 
-from repro.locking.escrow import EscrowAccount, EscrowRegistry
 from repro.locking.latches import Latch, LatchError, LatchSet
 from repro.locking.manager import LockManager, LockRequest, RequestStatus
 from repro.locking.modes import (
@@ -23,8 +23,6 @@ from repro.locking.modes import (
 )
 
 __all__ = [
-    "EscrowAccount",
-    "EscrowRegistry",
     "GapMode",
     "Latch",
     "LatchError",

@@ -1,188 +1,100 @@
-"""Escrow accounting for commutative counter updates.
+"""Escrow state on the record: commutative counter updates.
 
-The E lock mode (see :mod:`repro.locking.modes`) says *who may* increment a
-counter concurrently; this module tracks *what they did*. An
-:class:`EscrowAccount` keeps, for one counter (one aggregate column of one
-view row):
-
-* the **committed value** — the result of all committed transactions;
-* a **pending delta per in-flight transaction**;
-* optional **bounds** — e.g. ``COUNT(*) >= 0``, or a business rule like
-  "quantity on hand may not go negative".
-
-The classic escrow test (O'Neil 1986) admits an update only if the counter
-stays within bounds under *every* possible outcome of the in-flight
-transactions: the worst-case low assumes every pending decrement commits
-and every pending increment aborts, and vice versa for the high side. This
-is what allows increments to run concurrently without ever needing
-cascading aborts.
-
-Commit folds the transaction's delta into the committed value; abort simply
-discards it — logical undo of a commutative operation.
+The E lock mode (:mod:`repro.locking.modes`) says *who may* change a
+group's counters concurrently; this module keeps *what they did* on the
+group's own record, which may be a ghost. The committed counters are the
+row; ``record.escrow`` is ``None`` or an :class:`Escrow` holding the view
+and each in-flight transaction's pending deltas, by position over
+``view.counter_columns()``. The escrow test (O'Neil 1986) admits a delta
+only if its counter stays in bounds under *every* outcome of the in-flight
+transactions. Commit folds a transaction's deltas into the row, abort
+drops them (logical undo); the slot goes with the last of them.
 """
 
 from repro.common import EscrowViolationError
 
 
-class EscrowAccount:
-    """One escrow-managed counter."""
+class Escrow:
+    """A record's escrow slot: the view, its counter columns and
+    ``txn_id -> [delta per column]``."""
 
-    __slots__ = ("committed", "low_bound", "high_bound", "_pending", "record")
+    __slots__ = ("view", "columns", "pending")
 
-    def __init__(self, initial=0, low_bound=None, high_bound=None):
-        self.committed = initial
-        self.low_bound = low_bound
-        self.high_bound = high_bound
-        self._pending = {}  # txn_id -> accumulated delta
-        #: the row record the last reserve was made against — where a
-        #: commit folds the counter, found without a lookup
-        self.record = None
-
-    def __repr__(self):
-        return (
-            f"EscrowAccount(committed={self.committed}, "
-            f"pending={dict(self._pending)!r})"
-        )
-
-    # -- the escrow test ------------------------------------------------
-
-    def worst_case_low(self):
-        """Smallest value the counter could end up at if adversarially
-        chosen in-flight transactions commit/abort."""
-        return self.committed + sum(d for d in self._pending.values() if d < 0)
-
-    def worst_case_high(self):
-        """Largest possible eventual value (mirror of worst_case_low)."""
-        return self.committed + sum(d for d in self._pending.values() if d > 0)
-
-    def infimum(self):
-        """Alias used by the paper-style description."""
-        return self.worst_case_low()
-
-    def supremum(self):
-        return self.worst_case_high()
-
-    def reserve(self, txn_id, delta):
-        """Apply ``delta`` on behalf of ``txn_id`` if the escrow test
-        passes; raise :class:`EscrowViolationError` otherwise.
-
-        The test is evaluated with the new delta folded into the pending
-        set: the result must stay within bounds no matter which in-flight
-        transactions commit. Direction matters: the low bound gates
-        **decrements** and the high bound gates **increments** — a
-        counter already outside its bounds (e.g. a freshly created group
-        at 0 with a positive reserve requirement) may always move back
-        toward compliance.
-        """
-        new_pending = self._pending.get(txn_id, 0) + delta
-        low = self.committed + sum(
-            d for t, d in self._pending.items() if t != txn_id and d < 0
-        )
-        high = self.committed + sum(
-            d for t, d in self._pending.items() if t != txn_id and d > 0
-        )
-        if new_pending < 0:
-            low += new_pending
-        else:
-            high += new_pending
-        if delta < 0 and self.low_bound is not None and low < self.low_bound:
-            raise EscrowViolationError(
-                txn_id,
-                detail=(
-                    f"delta {delta} could drive value to {low}, below "
-                    f"bound {self.low_bound}"
-                ),
-            )
-        if delta > 0 and self.high_bound is not None and high > self.high_bound:
-            raise EscrowViolationError(
-                txn_id,
-                detail=(
-                    f"delta {delta} could drive value to {high}, above "
-                    f"bound {self.high_bound}"
-                ),
-            )
-        self._pending[txn_id] = new_pending
-        return new_pending
-
-    # -- reads ------------------------------------------------------------
-
-    def read_committed(self):
-        """The last committed value (what a snapshot reader sees)."""
-        return self.committed
-
-    def read_exact(self, txn_id):
-        """The value as seen by ``txn_id`` alone: committed plus its own
-        pending delta. Only meaningful when the caller has excluded other
-        escrow holders (holds X, or verified ``others_pending`` is empty).
-        """
-        return self.committed + self._pending.get(txn_id, 0)
-
-    def pending_of(self, txn_id):
-        return self._pending.get(txn_id, 0)
-
-    def read_inclusive(self):
-        """Committed value plus *all* pending deltas — the value the
-        counter will have if every in-flight transaction commits. The
-        view checker compares this against the base tables' current
-        rows, which carry the same uncommitted changes."""
-        return self.committed + sum(self._pending.values())
-
-    def others_pending(self, txn_id):
-        """True if any *other* transaction has a pending delta."""
-        return any(t != txn_id and d != 0 for t, d in self._pending.items())
-
-    def has_pending(self):
-        return any(d != 0 for d in self._pending.values())
-
-    # -- resolution -------------------------------------------------------
-
-    def commit(self, txn_id):
-        """Fold ``txn_id``'s delta into the committed value; returns the
-        new committed value."""
-        delta = self._pending.pop(txn_id, 0)
-        self.committed += delta
-        return self.committed
-
-    def abort(self, txn_id):
-        """Discard ``txn_id``'s pending delta (logical undo)."""
-        return self._pending.pop(txn_id, 0)
-
-    def unreserve(self, txn_id, delta):
-        """Reverse a previously reserved ``delta`` (partial rollback to a
-        savepoint). No escrow test is needed: removing a pending delta can
-        only relax the worst-case bounds, never violate them."""
-        remaining = self._pending.get(txn_id, 0) - delta
-        if remaining == 0:
-            self._pending.pop(txn_id, None)
-        else:
-            self._pending[txn_id] = remaining
-        return remaining
+    def __init__(self, view):
+        self.view = view
+        self.columns = view.counter_columns()
+        self.pending = {}
 
 
-class EscrowRegistry:
-    """All escrow accounts of the engine, addressed by resource name.
+def reserve(record, view, txn_id, deltas):
+    """Add ``deltas`` (``{column: amount}``) to ``txn_id``'s pending deltas
+    if every column passes the escrow test; else raise, changing nothing."""
+    slot = record.escrow or Escrow(view)
+    mine = list(slot.pending.get(txn_id) or [0] * len(slot.columns))
+    for column, delta in deltas.items():
+        if delta == 0:
+            continue
+        i = slot.columns.index(column)
+        mine[i] += delta
+        bound = view.bounds_for(column)[delta > 0]  # low gates decrements
+        if bound is None:
+            continue
+        # the worst case on delta's side: every delta of its sign commits
+        held = [d[i] for t, d in slot.pending.items() if t != txn_id]
+        side = [d for d in (*held, mine[i]) if (d > 0) == (delta > 0)]
+        worst = record.current_row[column] + sum(side)
+        if (worst - bound) * delta > 0:
+            raise EscrowViolationError(txn_id, detail=(
+                f"delta {delta} could drive value to {worst}, "
+                f"{'above' if delta > 0 else 'below'} bound {bound}"))
+    if any(mine) or txn_id in slot.pending:
+        slot.pending[txn_id] = mine
+        record.escrow = slot
 
-    The natural resource name is ``(index_name, key, column)`` — one
-    account per aggregate column per view row. Accounts are created lazily
-    with the initial committed value supplied by the caller.
-    """
 
-    def __init__(self):
-        self._accounts = {}
+def unreserve(record, txn_id, deltas):
+    """Take back ``deltas`` of ``txn_id``'s (a partial rollback): no test."""
+    mine = record.escrow and record.escrow.pending.get(txn_id)
+    for column, delta in deltas.items() if mine else ():
+        mine[record.escrow.columns.index(column)] -= delta
 
-    def account(self, resource, initial=0, low_bound=None, high_bound=None):
-        """Get or lazily create the account for ``resource``."""
-        acct = self._accounts.get(resource)
-        if acct is None:
-            acct = EscrowAccount(
-                initial=initial, low_bound=low_bound, high_bound=high_bound
-            )
-            self._accounts[resource] = acct
-        return acct
 
-    def existing(self, resource):
-        return self._accounts.get(resource)
+def abort(record, txn_id):
+    """Discard ``txn_id``'s pending deltas."""
+    slot = record.escrow
+    if slot is not None and slot.pending.pop(txn_id, None):
+        record.escrow = slot if slot.pending else None
 
-    def drop(self, resource):
-        """Remove an account (ghost cleanup erased its row)."""
-        self._accounts.pop(resource, None)
+
+def commit(record, txn_id):
+    """Fold ``txn_id``'s deltas into the row; its view if it held any."""
+    slot = record.escrow
+    mine = slot and slot.pending.pop(txn_id, None)
+    if not mine:
+        return None
+    record.current_row = _plus(record.current_row, slot.columns, mine)
+    record.escrow = slot if slot.pending else None
+    return slot.view
+
+
+def exact_row(record, txn_id):
+    """The row as ``txn_id`` alone sees it: committed plus its own deltas."""
+    mine = record.escrow and record.escrow.pending.get(txn_id)
+    if not mine:
+        return record.current_row
+    return _plus(record.current_row, record.escrow.columns, mine)
+
+
+def inclusive_row(record):
+    """The row plus *every* pending delta: what it holds if all commit."""
+    slot = record.escrow
+    if slot is None:
+        return record.current_row
+    sums = map(sum, zip(*slot.pending.values()))
+    return _plus(record.current_row, slot.columns, sums)
+
+
+def _plus(row, columns, deltas):
+    """``row`` with ``deltas`` added to ``columns``, position by position."""
+    changes = {c: row[c] + d for c, d in zip(columns, deltas) if d}
+    return row.replace(**changes) if changes else row

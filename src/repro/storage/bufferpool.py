@@ -48,6 +48,7 @@ from collections import OrderedDict
 
 from repro.common import StorageError
 from repro.faults import NULL_INJECTOR
+from repro.locking import escrow
 from repro.obs.tracer import NULL_TRACER
 from repro.storage.btree import _LeafNode
 from repro.storage.pages import MAX_PAGE_SIZE, PAGE_HEADER, PAGE_SLOT, SlottedPage
@@ -126,20 +127,17 @@ class BufferPool:
 
     ``log`` (a :class:`~repro.wal.log.LogManager`) is the WAL-before-write
     dependency: a leaf's image may only reach the store once the log is
-    durable up to the leaf's ``page_lsn``. ``image_row(index)`` (optional)
-    returns ``None`` or a function ``(key, row) -> row`` giving the row
-    a record of that index is written back as. Until :meth:`attach` gives
+    durable up to the leaf's ``page_lsn``. Until :meth:`attach` gives
     it a store the pool is *recovering*: it tracks and writes nothing.
     """
 
     def __init__(self, capacity=64, log=None, tracer=NULL_TRACER,
-                 page_size=4096, page_ids=None, image_row=None):
+                 page_size=4096, page_ids=None):
         self.store = None
         self.capacity = capacity
         self.log = log
         self.tracer = tracer
         self.page_size = page_size
-        self.image_row = image_row
         self._page_ids = page_ids if page_ids is not None else itertools.count(1)
         self._dirty = OrderedDict()  # leaf -> None, least recently dirtied first
         self.hits = 0
@@ -316,16 +314,14 @@ class BufferPool:
         the row leaves their sum, the written value, as it was."""
         name = leaf.index
         keep = reuse and self.store.has_page(leaf.page_id)
-        row_of = self.image_row(name) if self.image_row is not None else None
         lsn = leaf.page_lsn
         entries = []
         for record in leaf.values:
             entry = record.packed if keep else None
             if entry is None or entry_lsn(entry) != record.lsn:
-                row = record.current_row
                 entry = pack_entry(
-                    name, record.key, row if row_of is None else
-                    row_of(record.key, row), record.is_ghost, record.lsn,
+                    name, record.key, escrow.inclusive_row(record),
+                    record.is_ghost, record.lsn,
                 )
                 if keep:
                     record.packed = entry

@@ -173,12 +173,12 @@ class Index:
         """Make the slot at ``key`` be ``entry``: ``None`` (no slot) or
         ``(row, is_ghost)``. Returns the record (for ``None``, the one
         removed, if any). An occupied slot is assigned in place: the
-        record object, its version history and the escrow accounts keyed
-        on it survive a ghosting, a revival and an update alike. One
-        descent either way — none with ``at``, the key's
-        :class:`Position`, while its leaf is still the key's. ``lsn`` is
-        the log record that makes the change: the record is stamped with
-        it and its leaf marked dirty.
+        record object, its version history and its escrow slot (the
+        pending deltas on its counters) survive a ghosting, a revival and
+        an update alike. One descent either way — none with ``at``, the
+        key's :class:`Position`, while its leaf is still the key's.
+        ``lsn`` is the log record that makes the change: the record is
+        stamped with it and its leaf marked dirty.
         """
 
         def assign():

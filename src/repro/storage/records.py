@@ -14,7 +14,10 @@ A :class:`VersionedRecord` is what the B-tree actually stores. It carries:
   transaction erases it later, after verifying the count really is zero and
   no transaction holds it (Graefe & Zwilling's "deferred deletion"). A
   re-insert before then revives the ghost in place — required under
-  escrow locking: the ghost may still carry escrow state.
+  escrow locking: the ghost may still carry escrow state;
+* an **escrow slot** — ``None``, or the pending deltas in-flight
+  transactions hold on an aggregate group's counters
+  (:mod:`repro.locking.escrow`); the committed counters are the row.
 
 The record does not know about locks — callers are responsible for holding
 the right locks before touching ``current_row``.
@@ -47,9 +50,11 @@ class VersionedRecord:
     and ``lsn``, the log record that last changed it (what its leaf's
     image stamps it with, ``docs/STORAGE.md`` §4). ``packed`` keeps the
     entry bytes a write-back last made for it, which the next write-back
-    reuses while ``lsn`` has not moved."""
+    reuses while ``lsn`` has not moved. ``escrow`` is the escrow slot."""
 
-    __slots__ = ("key", "current_row", "is_ghost", "lsn", "packed", "_versions")
+    __slots__ = (
+        "key", "current_row", "is_ghost", "lsn", "packed", "escrow", "_versions",
+    )
 
     def __init__(self, key, row, is_ghost=False, lsn=0):
         self.key = key
@@ -57,6 +62,7 @@ class VersionedRecord:
         self.is_ghost = is_ghost
         self.lsn = lsn
         self.packed = None
+        self.escrow = None
         self._versions = []
 
     def __repr__(self):

@@ -46,6 +46,7 @@ rollback of the surrounding user transaction.
 """
 
 from repro.common import FaultInjected, SimulatedCrash, TransactionStateError
+from repro.locking import escrow
 from repro.txn.transaction import LockPolicy, Transaction, TxnState
 from repro.wal.records import (
     AbortRecord,
@@ -59,14 +60,13 @@ from repro.wal.recovery import undo
 class TransactionManager:
     """Creates transactions and drives their completion."""
 
-    def __init__(self, clock, log, lock_manager, escrow_registry, snapshots,
-                 undo_target, commit_listener, group_commit,
-                 tracer, metrics, faults, next_txn_id):
+    def __init__(self, clock, log, lock_manager, snapshots, undo_target,
+                 commit_listener, group_commit, tracer, metrics, faults,
+                 next_txn_id):
         self._clock = clock
         self._log = log
         self.faults = faults
         self._locks = lock_manager
-        self._escrow = escrow_registry
         self._snapshots = snapshots
         self._undo_target = undo_target  # RecoveryTarget: the Database
         #: ``commit_listener(txn, commit_ts)`` folds escrow deltas into
@@ -199,8 +199,8 @@ class TransactionManager:
         if self._log.last_lsn_of(txn.txn_id) is not None:
             self._log.append(AbortRecord(txn.txn_id))
             self._rollback(txn)  # CLRs, then END
-        for account in txn.escrow_touched.values():
-            account.abort(txn.txn_id)
+        for record in txn.touched_records:
+            escrow.abort(record, txn.txn_id)
         txn.state = TxnState.ABORTED
         self._locks.release_all(txn.txn_id)
         self._snapshots.close(txn.txn_id)
@@ -217,15 +217,13 @@ class TransactionManager:
         transaction's own locks; the counter records are not, because
         their row change waits for commit: an escrow delta is unreserved,
         and the physically logged ablation variant is reconciled when the
-        account aborts."""
+        transaction's pending deltas are discarded."""
         def apply(record, lsn):
             if isinstance(record, EscrowDeltaRecord):
-                for column, delta in record.deltas.items():
-                    account = txn.escrow_touched.get(
-                        (record.index_name, record.key, column)
-                    )
-                    if account is not None:
-                        account.unreserve(txn.txn_id, delta)
+                escrow.unreserve(
+                    self._undo_target.record(record.index_name, record.key),
+                    txn.txn_id, record.deltas,
+                )
             if isinstance(record, (EscrowDeltaRecord, CounterImageRecord)):
                 # no row change, but the pending deltas the row's image
                 # holds move: stamp it as of the CLR

@@ -50,7 +50,6 @@ class Transaction:
         "begin_ts",
         "commit_ts",
         "touched_records",
-        "escrow_touched",
         "scratch",
         "stats",
         "commit_ticket",
@@ -68,8 +67,7 @@ class Transaction:
         self.read_ts = read_ts
         self.begin_ts = read_ts  # overwritten by the manager's clock
         self.commit_ts = None
-        self.touched_records = []  # VersionedRecords to stamp at commit
-        self.escrow_touched = {}  # resource -> EscrowAccount
+        self.touched_records = []  # VersionedRecords to fold and stamp
         self.scratch = {}  # per-txn scratch space (commit-time delta folding)
         self.stats = TxnStats()
         self.commit_ticket = None  # CommitTicket once enrolled (group commit)
@@ -140,11 +138,9 @@ class Transaction:
     # ------------------------------------------------------------------
 
     def touch_record(self, record):
-        """Remember ``record`` for version stamping at commit."""
+        """Remember ``record`` for the commit (escrow fold, version stamp)
+        and abort (escrow discard)."""
         self.touched_records.append(record)
-
-    def touch_escrow(self, resource, account):
-        self.escrow_touched[resource] = account
 
 
 class TxnStats:

@@ -7,12 +7,12 @@ group's deltas are applied is the experiment:
 
 * **ESCROW** (the paper's contribution): take an E lock on the group row
   — compatible with every other transaction's E lock — reserve the deltas
-  in the row's escrow accounts (enforcing ``COUNT(*) >= 0`` via the escrow
-  test), and log a *logical* :class:`EscrowDeltaRecord`. The row itself is
-  untouched until commit, when the transaction's deltas fold into the
-  committed values. Groups whose committed count reaches zero are queued
-  for the ghost cleaner rather than deleted inline — the deleter cannot
-  know whether a concurrent escrow increment is in flight.
+  in the row record's escrow slot (enforcing ``COUNT(*) >= 0`` via the
+  escrow test), and log a *logical* :class:`EscrowDeltaRecord`. The row
+  itself is untouched until commit, when the transaction's deltas fold
+  into the committed values. Groups whose committed count reaches zero
+  are queued for the ghost cleaner rather than deleted inline — the
+  deleter cannot know whether a concurrent escrow increment is in flight.
 
 * **XLOCK** (the baseline): take an X lock, read the row, write new
   absolute values, log a physical :class:`UpdateRecord`. Correct, simple,
@@ -22,10 +22,11 @@ Group creation is identical under both strategies: a new group key needs a
 real insert (insert-intent lock on the gap's fence, X on the new key).
 An existing *ghost* group is revived in place under an X lock — cheaper
 than waiting for cleanup and re-inserting, and it preserves any escrow
-account state attached to the key.
+state the record carries.
 """
 
-from repro.common import CatalogError, EscrowViolationError
+from repro.common import CatalogError
+from repro.locking import escrow
 from repro.locking.keyrange import PLANS, LockEntry
 from repro.query.aggregates import AggFunc
 from repro.txn.write import ghost, patch, put
@@ -135,31 +136,10 @@ class AggregateMaintainer:
             self._apply_xlock(db, txn, view, index, at, deltas)
 
     def _apply_escrow(self, db, txn, view, index, at, deltas, record):
-        """Reserve deltas in escrow accounts — all of them or, when one
-        fails its escrow test, none — and log the logical record."""
+        """Reserve the deltas on the group's record — all of them or, when
+        one fails its escrow test, none — and log the logical record."""
         group_key = at.key
-        reserved = []
-        for column, amount in deltas.items():
-            if amount == 0:
-                continue
-            resource = (view.name, group_key, column)
-            low, high = view.bounds_for(column)
-            account = db.escrow.account(
-                resource,
-                initial=record.current_row[column],
-                low_bound=low,
-                high_bound=high,
-            )
-            try:
-                account.reserve(txn.txn_id, amount)
-            except EscrowViolationError:
-                for _, done, earlier in reserved:
-                    done.unreserve(txn.txn_id, earlier)
-                raise
-            reserved.append((resource, account, amount))
-        for resource, account, _ in reserved:
-            account.record = record
-            txn.touch_escrow(resource, account)
+        escrow.reserve(record, view, txn.txn_id, deltas)
         if db.config.counter_logging == "physical":
             # The unsound ablation benchmark R4 measures: log the counter
             # update as before/after images *as this transaction predicts

@@ -78,11 +78,11 @@ def reconcile(db, txn, view, rows_of, crash_detail=None):
     under ``txn``; returns how many were needed.
 
     Walks each index's expected keys in their order, then the keys only
-    the index holds. A corrected key's escrow accounts are dropped:
-    they are created lazily from the row's value, and the caller's X
-    lock on the index excludes every escrow holder. ``crash_detail``
-    names a build phase: the ``view.online_build`` site is evaluated
-    before each correction with detail ``<crash_detail>:<n>``."""
+    the index holds. The caller's X lock on the index excludes every
+    escrow holder, so no corrected record holds pending deltas.
+    ``crash_detail`` names a build phase: the ``view.online_build`` site
+    is evaluated before each correction with detail
+    ``<crash_detail>:<n>``."""
     corrections = 0
     for index_name, expected in expected_index_contents(view, rows_of).items():
         index = db.index(index_name)
@@ -106,8 +106,6 @@ def reconcile(db, txn, view, rows_of, crash_detail=None):
                 patch(db, txn, index, key, want)
             else:
                 put(db, txn, index, key, want)
-            for column in db.indexes.counter_columns(index_name):
-                db.escrow.drop((index_name, key, column))
             corrections += 1
     return corrections
 

@@ -128,7 +128,8 @@ class TestEscrowRecoveryEngine:
         db.log.flush()
         db.simulate_crash_and_recover()
         assert db.read_committed("by_product", ("hot",))["total"] == 10
-        # escrow accounts are rebuilt lazily; a new transaction works
+        # recovered records start with no escrow state; a new
+        # transaction works
         t2 = db.begin()
         db.insert(t2, "sales", {"id": 3, "product": "hot", "amount": 5})
         db.commit(t2)

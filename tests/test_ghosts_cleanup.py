@@ -69,11 +69,25 @@ class TestCleaner:
         db.index("by_product").check_invariants()
 
     def test_cleanup_drops_escrow_accounts(self):
+        """After cleanup, reviving the group starts from zero, with no
+        pending state left from the erased group."""
         db = sales_db("escrow")
         one_sale_then_delete(db)
-        assert db.escrow.existing(("by_product", ("hot",), "n")) is not None
         db.run_ghost_cleanup()
-        assert db.escrow.existing(("by_product", ("hot",), "n")) is None
+        assert db.index("by_product").get_record(
+            ("hot",), include_ghost=True
+        ) is None
+        txn = db.begin()
+        db.insert(txn, "sales", {"id": 2, "product": "hot", "amount": 5})
+        record = db.index("by_product").get_record(("hot",))
+        assert record.current_row["n"] == 0  # created afresh, at zero
+        assert list(record.escrow.pending) == [txn.txn_id]
+        db.commit(txn)
+        assert record.escrow is None
+        assert db.read_committed("by_product", ("hot",)) == Row(
+            {"product": "hot", "n": 1, "total": 5}
+        )
+        assert db.check_all_views() == []
 
     def test_cleanup_skips_revived_group(self):
         db = sales_db("escrow")

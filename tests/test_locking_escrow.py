@@ -1,130 +1,184 @@
-"""Tests for escrow accounts: the O'Neil escrow test, commit/abort folding."""
+"""Tests for escrow state on the record: the O'Neil escrow test,
+commit/abort folding, and the lifetime of a record's escrow slot."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common import EscrowViolationError
-from repro.locking import EscrowAccount, EscrowRegistry
+from repro.common import EscrowViolationError, Row
+from repro.locking import escrow
+from repro.query import AggregateSpec
+from repro.storage import Index, VersionedRecord
+from repro.views import AggregateView
+
+
+def counter(initial=0, low=None, high=None):
+    """``(view, record)``: one group row whose SUM column ``v`` starts at
+    ``initial`` and is bounded by ``low`` / ``high``."""
+    view = AggregateView(
+        "v", "t", group_by=("g",),
+        aggregates=[AggregateSpec.count("n"), AggregateSpec.sum_of("v", "x")],
+        bounds={"v": (low, high)},
+    )
+    return view, VersionedRecord(("a",), Row({"g": "a", "n": 1, "v": initial}))
+
+
+def reserve(c, txn, delta):
+    view, record = c
+    escrow.reserve(record, view, txn, {"v": delta})
+
+
+def committed(c):
+    return c[1].current_row["v"]
+
+
+def exact(c, txn):
+    return escrow.exact_row(c[1], txn)["v"]
 
 
 class TestEscrowBasics:
     def test_initial_state(self):
-        a = EscrowAccount(initial=10)
-        assert a.read_committed() == 10
-        assert not a.has_pending()
+        c = counter(initial=10)
+        assert committed(c) == 10
+        assert c[1].escrow is None
 
     def test_reserve_and_commit(self):
-        a = EscrowAccount(initial=10)
-        a.reserve(1, +5)
-        assert a.read_committed() == 10  # not yet committed
-        assert a.read_exact(1) == 15
-        assert a.commit(1) == 15
-        assert a.read_committed() == 15
+        c = counter(initial=10)
+        reserve(c, 1, +5)
+        assert committed(c) == 10  # not yet committed
+        assert exact(c, 1) == 15
+        assert escrow.commit(c[1], 1) is c[0]
+        assert committed(c) == 15
 
     def test_reserve_and_abort(self):
-        a = EscrowAccount(initial=10)
-        a.reserve(1, +5)
-        assert a.abort(1) == 5
-        assert a.read_committed() == 10
-        assert not a.has_pending()
+        c = counter(initial=10)
+        reserve(c, 1, +5)
+        escrow.abort(c[1], 1)
+        assert committed(c) == 10
+        assert c[1].escrow is None
 
     def test_multiple_reserves_accumulate(self):
-        a = EscrowAccount()
-        a.reserve(1, +3)
-        a.reserve(1, +4)
-        assert a.pending_of(1) == 7
-        a.commit(1)
-        assert a.read_committed() == 7
+        c = counter()
+        reserve(c, 1, +3)
+        reserve(c, 1, +4)
+        assert exact(c, 1) == 7
+        escrow.commit(c[1], 1)
+        assert committed(c) == 7
 
     def test_concurrent_transactions_commute(self):
-        a = EscrowAccount(initial=100)
-        a.reserve(1, +10)
-        a.reserve(2, -20)
-        a.reserve(3, +5)
-        a.commit(2)
-        a.abort(1)
-        a.commit(3)
-        assert a.read_committed() == 85
+        c = counter(initial=100)
+        reserve(c, 1, +10)
+        reserve(c, 2, -20)
+        reserve(c, 3, +5)
+        escrow.commit(c[1], 2)
+        escrow.abort(c[1], 1)
+        escrow.commit(c[1], 3)
+        assert committed(c) == 85
 
     def test_commit_without_reserve_is_noop(self):
-        a = EscrowAccount(initial=5)
-        assert a.commit(9) == 5
+        c = counter(initial=5)
+        assert escrow.commit(c[1], 9) is None
+        assert committed(c) == 5
 
     def test_others_pending(self):
-        a = EscrowAccount()
-        a.reserve(1, 1)
-        assert a.others_pending(2)
-        assert not a.others_pending(1)
+        """Another transaction's delta is in the inclusive row only."""
+        c = counter()
+        reserve(c, 1, 1)
+        assert escrow.inclusive_row(c[1])["v"] == 1
+        assert exact(c, 2) == 0
+        assert exact(c, 1) == 1
 
 
 class TestEscrowTest:
     """The worst-case bound check that replaces read-validate cycles."""
 
     def test_low_bound_blocks_overdraft(self):
-        a = EscrowAccount(initial=10, low_bound=0)
-        a.reserve(1, -6)
+        c = counter(initial=10, low=0)
+        reserve(c, 1, -6)
         with pytest.raises(EscrowViolationError):
-            a.reserve(2, -6)  # 10-6-6 = -2 under worst case
-        a.reserve(2, -4)  # exactly 0 is allowed
+            reserve(c, 2, -6)  # 10-6-6 = -2 under worst case
+        reserve(c, 2, -4)  # exactly 0 is allowed
 
     def test_low_bound_ignores_other_increments(self):
         """Pending increments may abort, so they cannot fund a decrement."""
-        a = EscrowAccount(initial=0, low_bound=0)
-        a.reserve(1, +10)
+        c = counter(initial=0, low=0)
+        reserve(c, 1, +10)
         with pytest.raises(EscrowViolationError):
-            a.reserve(2, -5)
+            reserve(c, 2, -5)
 
     def test_own_increment_funds_own_decrement(self):
-        a = EscrowAccount(initial=0, low_bound=0)
-        a.reserve(1, +10)
-        a.reserve(1, -5)  # txn 1's own net is +5: fine
-        assert a.pending_of(1) == 5
+        c = counter(initial=0, low=0)
+        reserve(c, 1, +10)
+        reserve(c, 1, -5)  # txn 1's own net is +5: fine
+        assert exact(c, 1) == 5
 
     def test_high_bound(self):
-        a = EscrowAccount(initial=0, high_bound=10)
-        a.reserve(1, +7)
+        c = counter(initial=0, high=10)
+        reserve(c, 1, +7)
         with pytest.raises(EscrowViolationError):
-            a.reserve(2, +7)
-        a.reserve(2, +3)
+            reserve(c, 2, +7)
+        reserve(c, 2, +3)
 
     def test_unbounded_account_never_rejects(self):
-        a = EscrowAccount()
+        c = counter()
         for txn in range(10):
-            a.reserve(txn, -1000)
-        assert a.worst_case_low() == -10000
+            reserve(c, txn, -1000)
+        assert escrow.inclusive_row(c[1])["v"] == -10000
 
     def test_worst_case_bounds(self):
-        a = EscrowAccount(initial=50)
-        a.reserve(1, +10)
-        a.reserve(2, -20)
-        assert a.worst_case_low() == 30
-        assert a.worst_case_high() == 60
-        assert a.infimum() == 30
-        assert a.supremum() == 60
+        """With +10 and -20 pending on 50, the worst cases are 30 and 60:
+        bounds there admit both, and nothing further either way."""
+        c = counter(initial=50, low=30, high=60)
+        reserve(c, 1, +10)
+        reserve(c, 2, -20)
+        with pytest.raises(EscrowViolationError):
+            reserve(c, 3, -1)
+        with pytest.raises(EscrowViolationError):
+            reserve(c, 3, +1)
+        assert escrow.inclusive_row(c[1])["v"] == 40
 
     def test_failed_reserve_leaves_no_trace(self):
-        a = EscrowAccount(initial=1, low_bound=0)
+        """All columns of a reserve or none: ``n`` passes, ``v`` fails."""
+        view, record = c = counter(initial=1, low=0)
         with pytest.raises(EscrowViolationError):
-            a.reserve(1, -2)
-        assert a.pending_of(1) == 0
-        a.reserve(1, -1)  # still possible
+            escrow.reserve(record, view, 1, {"n": +1, "v": -2})
+        assert record.escrow is None
+        reserve(c, 1, -1)  # still possible
+        assert escrow.exact_row(record, 1) == Row({"g": "a", "n": 1, "v": 0})
 
 
 class TestEscrowRegistry:
+    """The lifetime of a record's escrow slot."""
+
     def test_lazy_account_creation(self):
-        reg = EscrowRegistry()
-        acct = reg.account(("v", (1,), "cnt"), initial=3, low_bound=0)
-        assert acct.read_committed() == 3
-        assert reg.account(("v", (1,), "cnt")) is acct
-        assert reg.existing(("missing",)) is None
+        """The first reserve creates the slot; later ones share it."""
+        view, record = c = counter(initial=3, low=0)
+        assert record.escrow is None
+        reserve(c, 1, +1)
+        slot = record.escrow
+        assert slot is not None and slot.view is view
+        reserve(c, 2, +1)
+        assert record.escrow is slot
+        assert slot.pending == {1: [0, 1], 2: [0, 1]}  # by counter position
 
     def test_drop(self):
-        reg = EscrowRegistry()
-        reg.account("a")
-        reg.drop("a")
-        assert reg.existing("a") is None
-        reg.drop("a")  # idempotent
+        """The slot is ``None`` once the last pending delta clears, and an
+        erased ghost takes it with it."""
+        view, record = c = counter()
+        reserve(c, 1, +1)
+        reserve(c, 2, +1)
+        escrow.commit(record, 1)
+        assert record.escrow is not None
+        escrow.abort(record, 2)
+        assert record.escrow is None
+        escrow.abort(record, 2)  # idempotent
+
+        index = Index("v", ("g",))
+        ghost = index.set_entry(("a",), (record.current_row, True))
+        escrow.reserve(ghost, view, 3, {"v": +1})
+        index.set_entry(("a",), None)
+        revived = index.set_entry(("a",), (record.current_row, False))
+        assert revived is not ghost and revived.escrow is None
 
 
 @st.composite
@@ -149,39 +203,38 @@ class TestEscrowProperties:
         """Whatever interleaving of reserve/commit/abort happens, the
         committed value never violates the low bound — the core safety
         property of escrow locking."""
-        a = EscrowAccount(initial=initial, low_bound=0)
+        c = counter(initial=initial, low=0)
         live = set()
         for i, (txn, delta) in enumerate(steps):
             try:
-                a.reserve(txn, delta)
+                reserve(c, txn, delta)
                 live.add(txn)
             except EscrowViolationError:
                 pass
             if i % 3 == 2 and live:
                 victim = sorted(live)[0]
                 if i % 2:
-                    a.commit(victim)
+                    escrow.commit(c[1], victim)
                 else:
-                    a.abort(victim)
+                    escrow.abort(c[1], victim)
                 live.discard(victim)
-            assert a.read_committed() >= 0
+            assert committed(c) >= 0
         for txn in sorted(live):
-            a.commit(txn)
-            assert a.read_committed() >= 0
+            escrow.commit(c[1], txn)
+            assert committed(c) >= 0
 
     @settings(max_examples=100, deadline=None)
     @given(escrow_histories())
     def test_commit_order_irrelevant(self, steps):
         """Increments commute: committing in any order yields the same
         final value (determined only by which transactions commit)."""
-        a1 = EscrowAccount()
-        a2 = EscrowAccount()
+        c1, c2 = counter(), counter()
         for txn, delta in steps:
-            a1.reserve(txn, delta)
-            a2.reserve(txn, delta)
+            reserve(c1, txn, delta)
+            reserve(c2, txn, delta)
         txns = sorted({t for t, _ in steps})
         for t in txns:
-            a1.commit(t)
+            escrow.commit(c1[1], t)
         for t in reversed(txns):
-            a2.commit(t)
-        assert a1.read_committed() == a2.read_committed()
+            escrow.commit(c2[1], t)
+        assert committed(c1) == committed(c2)

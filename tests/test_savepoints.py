@@ -4,6 +4,7 @@ import pytest
 
 from repro.common import Row, TransactionStateError
 from repro.core import Database, EngineConfig
+from repro.locking import escrow
 from repro.query import AggregateSpec
 from repro.views import AggregateView
 
@@ -144,10 +145,11 @@ class TestSavepointEscrowInteraction:
         txn = db.begin()
         sp = db.savepoint(txn)
         add(db, txn, 2, "hot", 50)
-        account = db.escrow.existing(("by_product", ("hot",), "total"))
-        assert account.pending_of(txn.txn_id) == 50
+        record = db.index("by_product").get_record(("hot",))
+        assert escrow.exact_row(record, txn.txn_id)["total"] == 60
+        assert record.current_row["total"] == 10
         db.rollback_to(txn, sp)
-        assert account.pending_of(txn.txn_id) == 0
+        assert escrow.exact_row(record, txn.txn_id) == record.current_row
         db.commit(txn)
         assert db.read_committed("by_product", ("hot",))["total"] == 10
         assert db.check_all_views() == []

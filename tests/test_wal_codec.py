@@ -182,15 +182,27 @@ deltas = st.dictionaries(
         min_value=-1000, max_value=1000)), max_size=3,
 )
 
-undoable = st.one_of(
-    st.builds(InsertRecord, txn_ids, names, keys, rows),
-    st.builds(UpdateRecord, txn_ids, names, keys, optional_rows, rows),
-    st.builds(GhostRecord, txn_ids, names, keys, rows),
-    st.builds(ReviveRecord, txn_ids, names, keys, rows, optional_rows),
-    st.builds(CleanupRecord, txn_ids, names, keys, optional_rows),
-    st.builds(EscrowDeltaRecord, txn_ids, names, keys, deltas),
-    st.builds(CounterImageRecord, txn_ids, names, keys, rows, rows),
-)
+#: the undoable record types' strategies (a CLR wraps one of them)
+UNDOABLE = {
+    RecordType.INSERT: st.builds(InsertRecord, txn_ids, names, keys, rows),
+    RecordType.UPDATE: st.builds(
+        UpdateRecord, txn_ids, names, keys, optional_rows, rows
+    ),
+    RecordType.GHOST: st.builds(GhostRecord, txn_ids, names, keys, rows),
+    RecordType.REVIVE: st.builds(
+        ReviveRecord, txn_ids, names, keys, rows, optional_rows
+    ),
+    RecordType.CLEANUP: st.builds(
+        CleanupRecord, txn_ids, names, keys, optional_rows
+    ),
+    RecordType.ESCROW_DELTA: st.builds(
+        EscrowDeltaRecord, txn_ids, names, keys, deltas
+    ),
+    RecordType.COUNTER_IMAGE: st.builds(
+        CounterImageRecord, txn_ids, names, keys, rows, rows
+    ),
+}
+undoable = st.sampled_from(list(UNDOABLE)).flatmap(UNDOABLE.__getitem__)
 
 
 @st.composite
@@ -211,30 +223,39 @@ def clrs(draw):
 
 
 int_maps = st.dictionaries(txn_ids, st.one_of(st.none(), lsns), max_size=4)
-any_record = stamped(st.one_of(
-    undoable,
-    clrs(),
-    st.builds(CommitRecord, txn_ids, st.integers(0, 2**40)),
-    st.builds(AbortRecord, txn_ids),
-    st.builds(EndRecord, txn_ids),
-    st.builds(CheckpointRecord, int_maps, int_maps),
-    st.builds(PrepareRecord, txn_ids, st.text(max_size=10)),
-    st.builds(DecisionRecord, st.text(max_size=10),
-              st.sampled_from(["commit", "abort"]),
-              st.lists(st.integers(0, 64), max_size=4)),
-))
+#: one strategy per record type; ``any_record`` draws the type first, so
+#: every type gets an equal share of the draws by construction
+RECORDS = {
+    **UNDOABLE,
+    RecordType.CLR: clrs(),
+    RecordType.COMMIT: st.builds(CommitRecord, txn_ids, st.integers(0, 2**40)),
+    RecordType.ABORT: st.builds(AbortRecord, txn_ids),
+    RecordType.END: st.builds(EndRecord, txn_ids),
+    RecordType.CHECKPOINT: st.builds(CheckpointRecord, int_maps, int_maps),
+    RecordType.PREPARE: st.builds(
+        PrepareRecord, txn_ids, st.text(max_size=10)
+    ),
+    RecordType.DECISION: st.builds(
+        DecisionRecord, st.text(max_size=10),
+        st.sampled_from(["commit", "abort"]),
+        st.lists(st.integers(0, 64), max_size=4),
+    ),
+}
+any_record = stamped(st.sampled_from(RecordType).flatmap(RECORDS.__getitem__))
 
 
 def test_the_record_strategy_reaches_every_record_type():
-    seen = set()
+    """The table behind ``any_record`` is total, and each entry draws
+    records of its own type."""
+    assert set(RECORDS) == set(RecordType)
+    for record_type, records in RECORDS.items():
 
-    @settings(max_examples=400, deadline=None, database=None)
-    @given(any_record)
-    def collect(record):
-        seen.add(record.type)
+        @settings(max_examples=5, deadline=None, database=None)
+        @given(records)
+        def draws_its_type(record):
+            assert record.type is record_type
 
-    collect()
-    assert seen == set(RecordType)
+        draws_its_type()
 
 
 @settings(max_examples=300, deadline=None)
