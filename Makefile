@@ -1,27 +1,27 @@
 PYTHON ?= python
 export PYTHONPATH := $(CURDIR)/src
 
-.PHONY: analyze test bench bench-smoke bench-r16 bench-r17 chaos-smoke \
+.PHONY: analyze test bench bench-smoke bench-r16 bench-r17 \
 	check-results lint machine perf perf-pairs \
 	perf-smoke verify
 
 # The PR gate, in dependency-cheapest order: the AST lint rules, the
 # static view-program analyzer, the full tier-1 test suite with the
-# crash machine at a larger example count (the protocol sanitizers' legs
-# and negative controls are in tests/test_analysis_sanitizers.py, the
-# sharded 2PC legs in tests/test_dist.py, the message-transport legs in
-# tests/test_dist_net.py), the bounded chaos tier (which includes the
-# crash-storm recovery leg), and the checks the wall-clock benchmark runs
-# on itself. benchmarks/run_all.py finishes with the smokes of the same
-# chain.
-verify: lint analyze test chaos-smoke perf-smoke
+# crash machine at a larger example count (its concurrent sessions run
+# under the protocol sanitizers, whose own legs and negative controls
+# are in tests/test_analysis_sanitizers.py; the sharded 2PC legs are in
+# tests/test_dist.py, the message-transport legs in
+# tests/test_dist_net.py), and the checks the wall-clock benchmark runs
+# on itself. benchmarks/run_all.py finishes with the same chain.
+verify: lint analyze test perf-smoke
 
 # Tier-1, with the generated crash machine (tests/test_crash_machine.py)
 # at 2000 examples instead of a bare pytest's 60.
 test:
 	REPRO_MACHINE_EXAMPLES=2000 $(PYTHON) -m pytest -x -q
 
-# The crash machine alone at the same example count (≈ 170 s).
+# The crash machine alone at the same example count, its concurrent
+# sessions included.
 machine:
 	REPRO_MACHINE_EXAMPLES=2000 $(PYTHON) -m pytest -x -q tests/test_crash_machine.py
 
@@ -59,13 +59,6 @@ bench-r16:
 # then the schema gate.
 bench-r17:
 	cd benchmarks && $(PYTHON) -c "import bench_r17_crash_storm as b; b.scenario()"
-	$(PYTHON) benchmarks/check_results.py
-
-# Bounded chaos tier: a dozen seeded fault schedules plus the
-# broken-injector negative control and the retry-rescue demo, then the
-# schema + event-catalogue gate. Finishes in well under a minute.
-chaos-smoke:
-	cd benchmarks && $(PYTHON) -c "import chaos; chaos.smoke()"
 	$(PYTHON) benchmarks/check_results.py
 
 # The wall-clock benchmark BENCHMARK.json declares: every workload

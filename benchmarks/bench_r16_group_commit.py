@@ -10,11 +10,12 @@ cost model charges ``flush=20`` ticks (an fsync dwarfs the in-memory commit path
 simulated throughput too: without grouping every committer pays the
 flush; with grouping only the group's leader does.
 
-A second leg re-runs the chaos conservation oracle (banking transfers,
-``docs/ROBUSTNESS.md``) with group commit enabled and the
-``wal.group_flush`` fault site armed: failed group flushes retract or
-escalate to a crash, and money is conserved and views stay exact across
-every outcome — the safety half of the claim.
+A second leg (``chaos_leg``) runs seeded banking transfers under the
+simulator with group commit enabled and the ``wal.group_flush`` fault
+site armed: failed group flushes retract or escalate to a crash, and
+money is conserved and views stay exact across every outcome — the
+safety half of the claim. (The crash machine, ``tests/test_crash_machine.py``,
+judges group commit, its faults and concurrent sessions in general.)
 
 Run:  python benchmarks/bench_r16_group_commit.py
       make bench-r16

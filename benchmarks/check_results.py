@@ -7,8 +7,8 @@ supported ``repro.api`` facade.
 
 Exit status 0 when every document parses and conforms; 1 otherwise,
 with one line per problem. This is the regression gate ``make
-bench-smoke`` / ``make chaos-smoke`` (and ``run_all.py``) runs after
-emitting results.
+bench-smoke``, ``make bench-r16`` / ``bench-r17`` and ``run_all.py`` run
+after emitting results.
 
 Run:  python benchmarks/check_results.py [results_dir]
 """

@@ -37,7 +37,6 @@ BENCHES = [
     ("bench_r15_response_time", "scenario"),
     ("bench_r16_group_commit", "scenario"),
     ("bench_r17_crash_storm", "scenario"),
-    ("chaos", "scenario"),
 ]
 
 
@@ -89,9 +88,9 @@ def main():
         raise SystemExit(1)
     print("  static analyzer clean (python -m repro.analysis.check)")
     # Finish with the tier-1 suite so a full evaluation run ends with
-    # the complete `make verify` chain: the chaos tier ran above as a
-    # bench, lint and the schema gate just passed, and this is the
-    # remaining leg (it holds the sanitizer legs).
+    # the `make verify` chain: lint, the static analyzer and the schema
+    # gate just passed, and this is the test leg (it holds the crash
+    # machine, whose concurrent sessions run under the sanitizers).
     import subprocess
 
     code = subprocess.call(

@@ -2,7 +2,7 @@
 
 Sanitizers are *observers* of the :mod:`repro.obs` event stream. They
 never change engine behaviour; they accumulate :class:`Violation`
-objects that a harness (chaos, a test) collects
+objects that a harness (the crash machine, a test) collects
 via :meth:`SanitizerSuite.check`. Events may be live
 :class:`~repro.obs.events.Event` objects (the tracer's listener hook) or
 plain dicts (a replayed ``Event.as_dict()`` stream, or one written by
@@ -76,8 +76,9 @@ class Sanitizer:
         if handler is not None:
             handler(txn_id, seq, fields)
 
-    def notice_crash(self):
-        """The simulated process died; volatile protocol state is gone."""
+    def notice_crash(self, flushed_lsn):
+        """The simulated process died; volatile protocol state is gone.
+        ``flushed_lsn`` is the durable boundary recovery found."""
 
     def notice_retraction(self, txn_ids):
         """A commit group was retracted: these commit-visible
@@ -114,15 +115,15 @@ class SanitizerSuite:
         for checker in self.checkers:
             checker.observe(event)
 
-    def notice_crash(self):
+    def notice_crash(self, flushed_lsn):
         # Commit-visible transactions whose COMMIT record was still in
         # the lost suffix are rolled back by recovery: excise them from
         # the committed history before resetting per-checker state.
-        lost = self.walrule.pending_txns()
+        lost = self.walrule.lost_txns(flushed_lsn)
         if lost:
             self.serializability.mark_lost(lost)
         for checker in self.checkers:
-            checker.notice_crash()
+            checker.notice_crash(flushed_lsn)
 
     def notice_retraction(self, txn_ids):
         self.serializability.mark_lost(txn_ids)

@@ -66,7 +66,7 @@ class TwoPhaseLockingSanitizer(Sanitizer):
             decision = fields.get("record") in ("CommitRecord", "AbortRecord")
             self._decided[txn_id] = decision or self._decided.get(txn_id, False)
 
-    def notice_crash(self):
+    def notice_crash(self, flushed_lsn):
         # The lock table is volatile: whatever was held is simply gone,
         # and recovery never reacquires on behalf of dead transactions.
         self._released.clear()

@@ -152,9 +152,14 @@ class WalRuleSanitizer(Sanitizer):
                 )
 
     # ----------------------------------------------------------- hazards
-    def pending_txns(self):
-        """Commit-visible transactions whose durability is still owed."""
-        return set(self._pending)
+    def lost_txns(self, flushed_lsn):
+        """The transactions a crash whose durable boundary is
+        ``flushed_lsn`` rolls back although they committed: their COMMIT
+        record lies past it — under group commit, still pending
+        durability."""
+        return set(self._pending) | {
+            txn for txn, lsn in self._commit_lsn.items() if lsn > flushed_lsn
+        }
 
     def _rewind(self):
         self._last_lsn = self._flushed
@@ -164,7 +169,11 @@ class WalRuleSanitizer(Sanitizer):
         }
         self._pending = {}
 
-    def notice_crash(self):
+    def notice_crash(self, flushed_lsn):
+        # The log recovery reads is durable exactly to here, whatever
+        # the trace showed: a log loaded from segment files was never
+        # flushed in it at all.
+        self._flushed = flushed_lsn
         self._rewind()
 
     def notice_retraction(self, txn_ids):

@@ -416,7 +416,7 @@ class Database:
     def _on_commit(self, txn, commit_ts):
         """Commit listener: fold the transaction's escrow deltas into the
         records holding them, stamp versions, queue emptied groups."""
-        emptied = []
+        emptied, horizon = [], self.snapshots.horizon()
         for record in dict.fromkeys(txn.touched_records):
             view = escrow.commit(record, txn.txn_id)
             if (
@@ -425,7 +425,7 @@ class Database:
                 and not record.is_ghost
             ):
                 emptied.append((view.name, record.key))
-            record.stamp_version(commit_ts)
+            record.stamp_version(commit_ts, horizon)
         for index_name, key in sorted(emptied, key=repr):
             self.cleanup.enqueue(index_name, key)
             self.counters.incr("agg.group_emptied_at_commit")

@@ -161,15 +161,6 @@ class Indexes(RecoveryTarget):
         )
         return [row for row in rows if row is not None]
 
-    def prune_versions(self):
-        """Drop row versions no active snapshot can see; returns count."""
-        horizon = self._db.snapshots.horizon()
-        return sum(
-            record.prune_versions(horizon)
-            for index in self._indexes.values()
-            for _, record in index.scan(include_ghosts=True)
-        )
-
     # ------------------------------------------------------------------
     # the page world across a crash
     # ------------------------------------------------------------------

@@ -34,7 +34,7 @@ def waits_for_edges(db):
     edges = []
     for resource in db.locks.active_resources():
         for waiter in db.locks.waiters(resource):
-            for blocker in sorted(db.locks._blockers_of(waiter.txn_id)):
+            for blocker in sorted(db.locks.blockers_of(waiter.txn_id)):
                 edges.append((waiter.txn_id, blocker))
     return sorted(set(edges))
 
@@ -55,7 +55,7 @@ def wait_graph_snapshot(db):
                     "txn_id": request.txn_id,
                     "resource": resource,
                     "mode": repr(request.mode),
-                    "blocked_by": sorted(db.locks._blockers_of(request.txn_id)),
+                    "blocked_by": sorted(db.locks.blockers_of(request.txn_id)),
                 }
             )
     return {"edges": waits_for_edges(db), "waiters": waiters}

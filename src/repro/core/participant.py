@@ -106,11 +106,11 @@ class Participant:
             # Re-stamp the reverted rows: recovery's baseline versions
             # carried the in-doubt deltas (prepared = commit-visible), so
             # committed readers need a fresh version without them.
-            ts = db.clock.tick()
+            ts, horizon = db.clock.tick(), db.snapshots.horizon()
             for index_name, key in info["resources"]:
                 record = db.indexes.record(index_name, key)
                 if record is not None:
-                    record.stamp_version(ts)
+                    record.stamp_version(ts, horizon)
             db._txns.aborted_count += 1
             db.counters.incr("dist.in_doubt_aborted")
         db.locks.release_all(txn_id)

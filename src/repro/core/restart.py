@@ -113,7 +113,7 @@ class Restart:
             # Before recovery appends anything: the volatile suffix is
             # gone, LSNs legally rewind to flushed_lsn + 1, and commit-
             # visible-but-not-durable transactions are rolled back.
-            db.sanitizers.notice_crash()
+            db.sanitizers.notice_crash(db.log.flushed_lsn)
         self._salvage()
         max_txn = 0
         max_commit_ts = 0
@@ -212,11 +212,11 @@ class Restart:
     def _stamp_baseline(self):
         """Stamp baseline versions and rebuild the cleanup work list."""
         db = self._db
-        ts = db.clock.tick()
+        ts, horizon = db.clock.tick(), db.snapshots.horizon()
         for name, index in db.indexes.items():
             count_column = db.indexes.count_column(name)
             for key, record in index.scan(include_ghosts=True):
-                record.stamp_version(ts)
+                record.stamp_version(ts, horizon)
                 if record.is_ghost or (
                     count_column is not None
                     and record.current_row[count_column] == 0

@@ -2,7 +2,7 @@
 
 The single-engine integrity checker proves each partition's views
 against that partition's base rows. This module proves the *fleet-level*
-invariant the chaos harness leans on: for every aggregate view, the
+invariant the lossy-network tests lean on: for every aggregate view, the
 per-partition sub-counter rows **fold to exactly the aggregate of the
 union of base rows** across the same partitions. Escrow deltas lost on a
 crashed partition, applied twice on resolution, or leaked between

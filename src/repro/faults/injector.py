@@ -19,7 +19,7 @@ and arming sites turns failures on:
 
 Determinism: the injector draws from its own ``random.Random(seed)``
 stream, one draw per probabilistic evaluation, so identical workloads
-with identical seeds fire identical faults — a failing chaos seed can be
+with identical seeds fire identical faults — a failing fault schedule can be
 replayed exactly.
 
 Two failure shapes exist, matching two error types:
@@ -47,7 +47,7 @@ FAULT_SITES = {
     "wal.append.lost": {
         "action": "lost",
         "description": "log append silently drops the record (unsound by "
-        "design: exists to prove the chaos oracle detects corruption)",
+        "design: exists to prove the consistency oracle detects corruption)",
     },
     "wal.flush": {
         "action": "raise",

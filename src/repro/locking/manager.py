@@ -532,7 +532,7 @@ class LockManager:
     # deadlock detection
     # ------------------------------------------------------------------
 
-    def _blockers_of(self, txn_id):
+    def blockers_of(self, txn_id):
         """Transactions that must release/advance before ``txn_id``'s
         waiting request can be granted."""
         request = self._waiting_request.get(txn_id)
@@ -581,7 +581,7 @@ class LockManager:
             visited.add(txn)
             path.append(txn)
             on_path.add(txn)
-            for blocker in sorted(self._blockers_of(txn)):
+            for blocker in sorted(self.blockers_of(txn)):
                 found = dfs(blocker)
                 if found is not None:
                     return found

@@ -71,14 +71,16 @@ class VersionedRecord:
 
     # -- version management -------------------------------------------
 
-    def stamp_version(self, commit_ts):
+    def stamp_version(self, commit_ts, horizon=None):
         """Record the current state as committed at ``commit_ts``.
 
         Called by the transaction manager when a transaction that modified
         this record commits. Versions must be stamped in non-decreasing
         timestamp order; a re-stamp at the same timestamp replaces the
         previous one (several writes by one transaction fold into one
-        version).
+        version). Given the snapshot ``horizon``, the versions no snapshot
+        can see go at once (:meth:`prune_versions`), so a chain holds the
+        versions open snapshots need and no more.
         """
         if self._versions and self._versions[-1].commit_ts > commit_ts:
             raise StorageError(
@@ -90,23 +92,20 @@ class VersionedRecord:
             self._versions[-1] = version
         else:
             self._versions.append(version)
+        if horizon is not None:
+            self.prune_versions(horizon)
 
     def read_as_of(self, ts):
         """Return the row committed at the latest timestamp <= ``ts``.
 
         Returns ``None`` when the record did not (visibly) exist at ``ts``
         — either no version is old enough or the visible version is a
-        ghost.
+        ghost. Readers mostly ask for recent states: search newest-first.
         """
-        visible = None
-        for version in self._versions:
+        for version in reversed(self._versions):
             if version.commit_ts <= ts:
-                visible = version
-            else:
-                break
-        if visible is None or visible.is_ghost:
-            return None
-        return visible.row
+                return None if version.is_ghost else version.row
+        return None
 
     def latest_committed(self):
         """The most recent committed version, or ``None``."""

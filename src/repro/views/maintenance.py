@@ -70,7 +70,8 @@ class MaintenanceEngine:
         """The view actions of row change ``i`` of ``statement``, a plan's
         ``(changes, views, nets)``, in catalog order: per-row actions and,
         with the last change, each folded view's group actions (under
-        ``commit_fold``, its deltas join the transaction's instead)."""
+        ``commit_fold`` none: :meth:`WritePlan._run` hands the deltas to
+        the transaction once the statement applied)."""
         changes, views, nets = statement
         _, before, after, _ = changes[i]
         last = i == len(changes) - 1
@@ -82,10 +83,9 @@ class MaintenanceEngine:
                 actions += binding.compile(
                     db, txn, view, binding.table, before, after, net
                 )
-            if not last or net is None:
-                continue
-            if db.config.maintenance_mode == "commit_fold":
-                TxnViewDeltas.for_view(txn, view.name).merge(net)
+            if not last or net is None or (
+                db.config.maintenance_mode == "commit_fold"
+            ):
                 continue
             actions += [
                 self.aggregate.compile_group_delta(
@@ -212,6 +212,11 @@ class WritePlan:
             actions = [self._base_action(db, txn, change, i)]
             actions += db.maintenance.compile(db, txn, statement, i)
             run_actions(db, txn, actions)
+        if db.config.maintenance_mode == "commit_fold":
+            # Only now, after every row applied: a statement that waits
+            # for a lock re-runs whole, and must fold its deltas once.
+            for name, net in nets.items():
+                TxnViewDeltas.for_view(txn, name).merge(net)
 
     def _base_action(self, db, txn, change, i):
         """The base-table action of row change ``i``; an insert's takes

@@ -72,7 +72,7 @@ class LogManager:
                 "wal.append.lost", txn_id=record.txn_id, detail=record_name
             ) is not None:
                 # Unsound by design: the mutation happened (or will), the
-                # evidence is gone. Exists so the chaos oracle can prove
+                # evidence is gone. Exists so the consistency oracle can prove
                 # it detects corruption. The record gets no LSN.
                 return None
             fail_after_append = self.faults.fires(

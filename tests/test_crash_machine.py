@@ -1,17 +1,28 @@
 """A generated crash machine over one paged engine: the one oracle.
 
 Hypothesis drives a :class:`RuleBasedStateMachine` over a table ``t``
-(aggregate view ``by_g``) and a table ``p`` that ``t.g`` joins, on an
-engine small enough that every leaf mechanism engages (order-4 trees, a
-2-4 leaf dirty table), under both aggregate strategies and every
-maintenance mode. Rules:
+(aggregate view ``by_g``, its ``total`` an escrow counter bounded below
+by 0) and a table ``p`` that ``t.g`` joins, on an engine small enough
+that every leaf mechanism engages (order-4 trees, a 2-4 leaf dirty
+table), under both aggregate strategies, every maintenance mode, with or
+without a lock-wait timeout and group commit, and the protocol
+sanitizers attached. Up to three sessions each hold an open
+``COOPERATIVE`` transaction; every statement rule runs one statement of
+one session (``s`` picks it) through the real lock manager. Rules:
 
-* DML, in the open transaction or autocommitted: typed one-row
-  ``insert`` / ``update`` / ``delete`` on ``t`` (every value tag a row
-  can hold), ``write_p`` on ``p``, and through ``Session.execute`` a
-  multi-row ``sql_insert`` (all rows go in, or a repeated or present
-  key refuses them all) and a group-moving ``sql_update``, with literals
-  or ``?`` parameters, so prepared plans outlive DDL and crashes.
+* DML, in a session's transaction (all or nothing) or autocommitted:
+  typed one-row ``insert`` / ``update`` (or withdraw from the amount) /
+  ``delete`` on ``t`` (every value tag a row can hold), ``write_p`` on ``p``, and through
+  ``Session.execute`` a multi-row ``sql_insert`` (all rows go in, or a
+  repeated or present key refuses them all) and a group-moving
+  ``sql_update``, with literals or ``?`` parameters, so prepared plans
+  outlive DDL and crashes. An escrow bound refuses a statement; so does,
+  autocommitted, a lock an open session holds.
+* A statement that must wait parks its session, its request queued;
+  ``resume`` re-runs it once the manager grants the request, or rolls
+  the transaction back when the request was denied while parked (a
+  deadlock victim, a timed-out wait). ``tick`` runs the clock to the
+  next lock-wait or group-commit deadline.
 * ``begin`` / ``commit`` / ``abort`` / ``take_savepoint`` /
   ``rollback_to_savepoint``; ``prepared_branch``: ``participant.prepare``
   then commit, abort, or a crash that leaves the branch in doubt (its
@@ -21,35 +32,41 @@ maintenance mode. Rules:
   ``t`` and ``p``, or a unique or non-unique secondary index, optionally
   crashed at a ``view.online_build`` phase (absent after ``snapshot:<n>``
   / ``flip``, complete after ``post_commit``). A reused name is refused
-  with the original intact; a build over a table the open transaction
+  with the original intact; a build over a table an open transaction
   wrote is refused and leaves no view; a view that computes empty logs
   nothing.
 * ``reader`` (serializable, read-committed, scan, SELECT,
   ``Session.run``, an aborted reader) reads the committed row;
   ``open_snapshot`` / ``snapshot_read`` reads ``history`` replayed to
-  the reader's start (reenactment). Neither appends or flushes.
+  the reader's start (reenactment). Neither appends, nor flushes but a
+  commit group it may have read from.
 * ``ghost_cleanup``, ``checkpoint``, ``refresh``,
   ``quarantine_and_rebuild``.
 * ``crash_and_recover`` keeps a prefix of the store's write timeline and
-  a log prefix consistent with it, optionally re-entering recovery after
-  a ``recovery.analysis`` / ``redo`` / ``undo`` crash; ``fault`` arms one
-  single-session site (``wal.append``, ``wal.flush``, ``wal.torn_tail``,
-  ``txn.commit.before`` / ``after``, ``view.midapply``,
-  ``cleanup.interrupt``) for one write or cleaner pass: a retryable
-  fault rolls it back, a crash keeps it iff its COMMIT was durable;
-  ``restore_from_segments`` restores a WAL dump into a schema-only
-  engine and continues there.
+  a log prefix consistent with it, with any sessions in flight,
+  optionally re-entering recovery after a ``recovery.analysis`` /
+  ``redo`` / ``undo`` crash; ``fault`` arms one site (``wal.append``,
+  ``wal.flush``, ``wal.torn_tail``, ``wal.group_flush``, ``wal.corrupt``,
+  ``lock.delay``, ``lock.deny``, ``txn.commit.before`` / ``after``,
+  ``view.midapply``, ``cleanup.interrupt``) for one write or cleaner
+  pass: a retryable fault rolls it back (a failed group flush retracts
+  the group), a crash keeps it iff its COMMIT was durable, a corrupted
+  log loses it at the next recovery; ``restore_from_segments`` restores
+  a WAL dump into a schema-only engine and continues there.
 
 Invariants after every step: each table equals the reference (the
-committed rows, kept per COMMIT LSN as ``history``, or the open
-transaction's); the integrity checker finds no damage; every view equals
-its recomputation when its mode promises it (``immediate``: always,
-``commit_fold``: with no transaction open, ``deferred``: once a refresh
-caught up); every transaction's records, backchained, match
-``(ROW|CLR)* PREPARE? COMMIT | (ROW|CLR)* PREPARE? ABORT CLR* END``
-(where recovery ended it, the ABORT may be missing). Every DML
-statement takes only locks in the footprint of the current catalog,
-re-analyzed after every DDL, crash and restore.
+committed rows, kept per COMMIT LSN as ``history``, under each open
+transaction's own writes, which strict 2PL keeps apart); the integrity
+checker finds no damage; every view equals its recomputation when its
+mode promises it (``immediate``: always, ``commit_fold``: with no
+transaction open, ``deferred``: once a refresh caught up); every
+transaction's records, backchained, match ``(ROW|CLR)* PREPARE? COMMIT |
+(ROW|CLR)* PREPARE? ABORT CLR* END`` (where recovery ended it, the ABORT
+may be missing); the 2PL, WAL-rule and serializability sanitizers are
+clean; escrow deltas are pending only for open transactions and the
+committed counters keep their bounds; a parked session waits on open
+sessions only. Every DML statement takes only locks in the footprint of
+the current catalog, re-analyzed after every DDL, crash and restore.
 
 ``REPRO_MACHINE_EXAMPLES`` sets the example count (``make test`` runs
 more than a bare ``pytest`` does).
@@ -58,6 +75,7 @@ more than a bare ``pytest`` does).
 import os
 import re
 import tempfile
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import event, settings
@@ -73,17 +91,23 @@ from hypothesis.stateful import (
 from repro.analysis.static import StaticAnalyzer
 from repro.common import (
     CatalogError,
+    EscrowViolationError,
     FaultInjected,
     LockTimeoutError,
     SimulatedCrash,
     StorageError,
+    TransactionAborted,
+    WouldWait,
 )
 from repro.core import Database, EngineConfig
 from repro.faults import FaultInjector
 from repro.locking import LockMode
 from repro.locking.keyrange import table_resource
+from repro.locking.manager import RequestStatus
 from repro.locking.modes import mode_compatible
 from repro.query import AggregateSpec
+from repro.sql import in_statement
+from repro.txn import LockPolicy
 from repro.views import AggregateView
 from repro.views.definition import expected_index_contents
 from repro.wal import RecordType
@@ -97,8 +121,14 @@ groups = st.integers(0, 3)
 amounts = st.integers(-5, 20)
 sql_ids = st.integers(0, 23)  # wider, so most multi-row INSERTs go in
 sql_values = st.one_of(st.none(), amounts, st.text("abc", max_size=3))
+#: which session a rule acts on, taken modulo the sessions it can use
+#: (a statement rule autocommits on 3)
+sessions = st.integers(0, 3)
 
 KEYS = {"t": "id", "p": "pid"}
+#: ``by_g.total``'s escrow bounds, outside the deferred mode (a refresh
+#: must be able to write whatever the unchecked base rows sum to)
+BOUNDS = {"total": (0, None)}
 
 #: what ``run_ddl`` builds: SQL for a view, ``(table, name, columns,
 #: unique)`` for a secondary index
@@ -116,7 +146,8 @@ DDL = {
 }
 
 FAULT_SITES = (
-    "wal.append", "wal.flush", "wal.torn_tail", "txn.commit.before",
+    "wal.append", "wal.flush", "wal.torn_tail", "wal.group_flush",
+    "wal.corrupt", "lock.delay", "lock.deny", "txn.commit.before",
     "txn.commit.after", "view.midapply", "cleanup.interrupt",
 )
 
@@ -148,12 +179,20 @@ def copied(tables):
     return {table: dict(rows) for table, rows in tables.items()}
 
 
+def overlay(rows, writes):
+    """``rows`` under ``writes`` (key -> row, or ``None``: deleted)."""
+    return {
+        key: row for key, row in {**rows, **writes}.items() if row is not None
+    }
+
+
 def aborted_read(db, key):
     txn = db.begin()
-    row = db.read(txn, "t", (key,))
-    db.abort(txn)
-    assert txn.stats.log_bytes == 0
-    return row
+    try:
+        return db.read(txn, "t", (key,))
+    finally:
+        db.abort(txn)
+        assert txn.stats.log_bytes == 0
 
 
 #: a transaction that reads row ``key`` of ``t`` and changes nothing
@@ -173,17 +212,60 @@ READS = {
 }
 
 
+class Slot:
+    """One session: a cooperative ``Session``, its open transaction, its
+    writes over the committed rows (table -> key -> row, ``None`` for a
+    deleted one), its savepoint, and what it is parked on — the queued
+    lock request and the statement to re-run once it is granted."""
+
+    def __init__(self, session):
+        self.session = session
+        self.txn = self.savepoint = self.parked = None
+        self.writes = {table: {} for table in KEYS}
+
+
+def runnable(slot):
+    return slot.parked is None
+
+
+def in_txn(slot):
+    return slot.txn is not None and slot.parked is None
+
+
+def idle(slot):
+    return slot.txn is None
+
+
+def resolved(slot):
+    return (slot.parked is not None
+            and slot.parked[0].status is not RequestStatus.WAITING)
+
+
+def any_slot(fits):
+    return lambda self: any(map(fits, self.slots))
+
+
 class CrashMachine(RuleBasedStateMachine):
     @initialize(
-        strategy=st.sampled_from(["escrow", "xlock"]),
+        strategy=st.sampled_from(["escrow", "escrow", "xlock"]),
         frames=st.integers(2, 4),
-        mode=st.sampled_from(["immediate", "commit_fold", "deferred"]),
+        mode=st.sampled_from(
+            ["immediate", "immediate", "commit_fold", "deferred"]
+        ),
+        timeout=st.sampled_from([None, 2, 8]),
+        group=st.sampled_from([
+            {}, {}, {"group_commit": "size", "group_commit_size": 2},
+            {"group_commit": "latency", "group_commit_latency": 4},
+        ]),
+        seeded=st.booleans(),
     )
-    def build(self, strategy, frames, mode):
+    def build(self, strategy, frames, mode, timeout, group, seeded):
         self.mode = mode
+        self.bounded = strategy == "escrow" and mode != "deferred"
         self.config = dict(
             aggregate_strategy=strategy, btree_order=4,
             buffer_pool_frames=frames, page_size=256, maintenance_mode=mode,
+            lock_wait_timeout=timeout, sanitizers=True, **group,
         )
         self.created = []  # DDL names, in the order they were built
         self.committed = {"t": {}, "p": {}}  # table -> key -> row dict
@@ -194,6 +276,8 @@ class CrashMachine(RuleBasedStateMachine):
         self.locks = []  # the current statement's lock_acquire events
         self.held = set()  # what its transaction held before it
         self._adopt(self._engine())
+        if seeded:  # two rows of 5 in each group, where withdrawals meet
+            self.insert(3, [(key, key % 4, 5, None) for key in range(8)])
 
     def _engine(self):
         """A schema-only engine: the tables, ``by_g`` and every object
@@ -207,6 +291,7 @@ class CrashMachine(RuleBasedStateMachine):
                 AggregateSpec.count("n"),
                 AggregateSpec.sum_of("total", "amount"),
             ],
+            bounds=None if self.mode == "deferred" else BOUNDS,
         ))
         for name in self.created:
             run_ddl(db, name)
@@ -217,18 +302,22 @@ class CrashMachine(RuleBasedStateMachine):
         survives, the reference is the last committed state, and the
         footprint, the envelope scan and the write timeline start over."""
         self.db = db
-        self.txn = self.pending = self.savepoint = self.reader = None
+        self.reader = None
+        self.slots = [
+            Slot(db.session(policy=LockPolicy.COOPERATIVE)) for _ in range(3)
+        ]
         self.committed = copied(self.history[-1][1])
         self.session = db.session()
-        if not db.tracer.enabled:
-            db.tracer.enable()
-            db.tracer.listeners.append(
-                lambda e: e.name == "lock_acquire" and self.locks.append(e)
-            )
+        if self._lock_event not in db.tracer.listeners:
+            db.tracer.listeners.append(self._lock_event)
         self.words, self.last, self.unchecked, self.scanned = {}, {}, set(), 0
         self._scan_log()
         self.ended_by_recovery = set(self.words)
         self._after_ddl()
+
+    def _lock_event(self, e):
+        if e.name == "lock_acquire":
+            self.locks.append(e)
 
     def _after_ddl(self):
         """The catalog changed: judge statements by its footprint, and
@@ -252,37 +341,113 @@ class CrashMachine(RuleBasedStateMachine):
             (db.log.flushed_lsn, pid, data)
         )
 
-    def rows(self, table="t"):
-        return (self.pending if self.txn is not None else self.committed)[table]
+    def _pick(self, s, fits):
+        """The ``s``-th (modulo) of the sessions ``fits`` admits."""
+        slots = [slot for slot in self.slots if fits(slot)]
+        return slots[s % len(slots)]
+
+    def _writer(self, s):
+        """Who runs a statement rule: on ``s`` = 3 an idle session,
+        autocommitting; else the ``s``-th (modulo) unparked session, in
+        its transaction — which the statement begins if none is open."""
+        if s == 3 and any(map(idle, self.slots)):
+            return self._pick(s, idle)
+        slot = self._pick(s, runnable)
+        if slot.txn is None:
+            slot.txn = slot.session.begin()
+        return slot
+
+    def _open(self):
+        return [slot.txn for slot in self.slots if slot.txn is not None]
+
+    def rows(self, slot, table="t"):
+        """``table`` as ``slot`` sees it: committed, under its writes."""
+        return overlay(self.committed[table], slot.writes[table])
+
+    def current(self):
+        """The tables as they stand: the committed rows under every open
+        transaction's writes."""
+        return {
+            table: overlay(self.committed[table], {
+                key: row for slot in self.slots
+                for key, row in slot.writes[table].items()
+            })
+            for table in KEYS
+        }
 
     # ------------------------------------------------------------------
-    # statements: in the open transaction, or autocommitted
+    # statements: in a session's transaction, or autocommitted
     # ------------------------------------------------------------------
 
-    def _statement(self, table, op, apply, change):
-        """Run ``apply(txn)``, one row's ``op`` on ``table``, in the open
-        transaction or autocommitted, and ``change(rows)`` on the
-        reference rows it writes."""
+    def _step(self, slot, body):
+        """Run ``body``, one statement of ``slot``: a lock wait parks the
+        session — ``resume`` re-runs ``body`` — and a deadlock rolls its
+        transaction back. Whether the statement ran to its end."""
+        try:
+            body()
+            return True
+        except WouldWait as wait:
+            event("parked")
+            slot.parked = (wait.request, body)
+        except TransactionAborted as aborted:
+            event(f"rolled back: {aborted.reason.split()[0]}")
+            self._abort(slot)
+        return False
+
+    def _attempt(self, slot, statement):
+        """``statement()``: whether it went in. An escrow bound refuses
+        it (all of it); autocommitted, so does an open session's lock.
+        A deadlock in ``slot``'s transaction is ``_step``'s to handle."""
+        try:
+            statement()
+            return True
+        except TransactionAborted as refused:
+            bound = isinstance(refused, EscrowViolationError)
+            if slot.txn is not None and not bound:
+                raise
+            assert bound or self._open()  # only an open session blocks
+            event(f"refused: {refused.reason.split()[0]}")
+            return False
+
+    def _statement(self, slot, table, op, apply, change):
+        """Run ``apply(txn)``, one row's ``op`` on ``table``, in
+        ``slot``'s transaction or autocommitted, and ``change(rows)`` on
+        the reference rows it writes."""
+        db = self.db
         self.caught_up = None
-        self._locks_from_here()
-        if self.txn is not None:
-            apply(self.txn)
-            change(self.pending[table])
-        else:
-            tail = self.db.log.tail_lsn()
-            with self.db.session() as session:
+        self._locks_from_here(slot)
+        tail = db.log.tail_lsn()
+
+        def autocommit():
+            with db.session() as session:
                 apply(session.current_transaction)
-            change(self.committed[table])
-            self._committed(tail)
+
+        if self._attempt(slot, autocommit if slot.txn is None else (
+            lambda: in_statement(db, slot.txn, apply)
+        )):
+            self._change(slot, table, change, tail)
         self._locks_lie_inside(self.analyzer.explain(op, table))
 
-    def _locks_from_here(self):
+    def _change(self, slot, table, change, tail):
+        """``change(rows)`` on ``table``'s reference: ``slot``'s writes,
+        or, autocommitted, the committed rows as of its COMMIT."""
+        if slot.txn is None:
+            change(self.committed[table])
+            return self._committed(tail)
+        rows = self.rows(slot, table)
+        before = dict(rows)
+        change(rows)
+        for key in before.keys() | rows.keys():
+            if rows.get(key) is not before.get(key):
+                slot.writes[table][key] = rows.get(key)
+
+    def _locks_from_here(self, slot):
         self.locks.clear()
         self.held = {
             resource for resource, _ in self.db.locks.locks_of(
-                self.txn.txn_id
+                slot.txn.txn_id
             )
-        } if self.txn is not None else set()
+        } if slot.txn is not None else set()
 
     def _locks_lie_inside(self, report):
         """The locks the statement took lie inside ``report``'s
@@ -303,89 +468,126 @@ class CrashMachine(RuleBasedStateMachine):
         if self.db.log.tail_lsn() != tail_before:
             self.history.append((self.db.log.tail_lsn(), copied(self.committed)))
 
-    @rule(rows=st.lists(st.tuples(ids, groups, amounts, values), max_size=4))
-    def insert(self, rows):
+    @precondition(any_slot(runnable))
+    @rule(s=sessions,
+          rows=st.lists(st.tuples(ids, groups, amounts, values), max_size=4))
+    def insert(self, s, rows):
+        slot = self._writer(s)
         for key, g, amount, v in rows:
-            if key not in self.rows():
-                row = {"id": key, "g": g, "amount": amount, "v": v}
+            row = {"id": key, "g": g, "amount": amount, "v": v}
+
+            def body(key=key, row=row):
+                if key not in self.rows(slot) and key not in self.current()["t"]:
+                    self._statement(
+                        slot, "t", "insert",
+                        lambda txn: self.db.insert(txn, "t", row),
+                        lambda rows: rows.__setitem__(key, row),
+                    )
+
+            if not self._step(slot, body):
+                return
+
+    @precondition(any_slot(runnable))
+    @rule(s=sessions, key=ids, g=st.one_of(st.none(), groups),
+          amount=amounts, v=values, withdraw=st.booleans())
+    def update(self, s, key, g, amount, v, withdraw):
+        """Set row ``key``'s ``v`` and its amount to ``amount`` — or,
+        ``withdraw``-ing, take ``amount`` off it — maybe into group
+        ``g``."""
+        slot = self._writer(s)
+
+        def body():
+            rows = self.rows(slot)
+            if key in rows:
+                changes = {"v": v, "amount": (
+                    rows[key]["amount"] - amount if withdraw else amount
+                )}
+                if g is not None:
+                    changes["g"] = g
                 self._statement(
-                    "t", "insert", lambda txn: self.db.insert(txn, "t", row),
-                    lambda rows: rows.__setitem__(key, row),
+                    slot, "t", "update",
+                    lambda txn: self.db.update(txn, "t", (key,), changes),
+                    lambda rows: rows.__setitem__(key, {**rows[key], **changes}),
                 )
 
-    @rule(key=ids, g=st.one_of(st.none(), groups), amount=amounts, v=values)
-    def update(self, key, g, amount, v):
-        if key not in self.rows():
-            return
-        changes = {"amount": amount, "v": v}
-        if g is not None:
-            changes["g"] = g
-        self._statement(
-            "t", "update",
-            lambda txn: self.db.update(txn, "t", (key,), changes),
-            lambda rows: rows.__setitem__(key, {**rows[key], **changes}),
-        )
+        self._step(slot, body)
 
-    @rule(keys=st.lists(ids, max_size=4))
-    def delete(self, keys):
+    @precondition(any_slot(runnable))
+    @rule(s=sessions, keys=st.lists(ids, max_size=4))
+    def delete(self, s, keys):
+        slot = self._writer(s)
         for key in keys:
-            if key in self.rows():
-                self._statement(
-                    "t", "delete", lambda txn: self.db.delete(txn, "t", (key,)),
-                    lambda rows: rows.pop(key),
-                )
+            def body(key=key):
+                if key in self.rows(slot):
+                    self._statement(
+                        slot, "t", "delete",
+                        lambda txn: self.db.delete(txn, "t", (key,)),
+                        lambda rows: rows.pop(key),
+                    )
 
-    @rule(pid=groups, cat=st.one_of(st.none(), st.integers(0, 1)))
-    def write_p(self, pid, cat):
+            if not self._step(slot, body):
+                return
+
+    @precondition(any_slot(runnable))
+    @rule(s=sessions, pid=groups, cat=st.one_of(st.none(), st.integers(0, 1)))
+    def write_p(self, s, pid, cat):
         """Insert ``p``'s row ``pid``, re-categorise it, or (``cat`` None)
         delete it: the join views' other side."""
-        db, present = self.db, pid in self.rows("p")
-        if cat is None:
+        slot, db = self._writer(s), self.db
+
+        def body():
+            present = pid in self.rows(slot, "p")
+            if cat is None:
+                if present:
+                    self._statement(
+                        slot, "p", "delete",
+                        lambda txn: db.delete(txn, "p", (pid,)),
+                        lambda rows: rows.pop(pid),
+                    )
+                return
+            row = {"pid": pid, "cat": cat}
             if present:
                 self._statement(
-                    "p", "delete", lambda txn: db.delete(txn, "p", (pid,)),
-                    lambda rows: rows.pop(pid),
+                    slot, "p", "update",
+                    lambda txn: db.update(txn, "p", (pid,), {"cat": cat}),
+                    lambda rows: rows.__setitem__(pid, row),
                 )
-            return
-        row = {"pid": pid, "cat": cat}
-        if present:
-            self._statement(
-                "p", "update",
-                lambda txn: db.update(txn, "p", (pid,), {"cat": cat}),
-                lambda rows: rows.__setitem__(pid, row),
-            )
-        else:
-            self._statement(
-                "p", "insert", lambda txn: db.insert(txn, "p", row),
-                lambda rows: rows.__setitem__(pid, row),
-            )
+            elif pid not in self.current()["p"]:
+                self._statement(
+                    slot, "p", "insert", lambda txn: db.insert(txn, "p", row),
+                    lambda rows: rows.__setitem__(pid, row),
+                )
 
-    def _execute(self, sql, change, refused=False, params=()):
-        """Run one SQL statement through ``Session.execute`` — in the
-        open transaction or autocommitted — and ``change(rows)`` on the
-        reference rows; a ``refused`` statement leaves everything as it
-        was."""
+        self._step(slot, body)
+
+    def _execute(self, slot, sql, change, refused=False, params=()):
+        """Run one SQL statement through ``Session.execute`` — in
+        ``slot``'s transaction or autocommitted — and ``change(rows)`` on
+        the reference rows; a ``refused`` statement leaves everything as
+        it was."""
         tail = self.db.log.tail_lsn()
-        self._locks_from_here()
+        self._locks_from_here(slot)
+        session = self.session if slot.txn is None else slot.session
         if refused:
             with pytest.raises(StorageError):
-                self.session.execute(sql, params)
+                session.execute(sql, params)
             assert self.db.log.tail_lsn() == tail
         else:
             self.caught_up = None
-            self.session.execute(sql, params)
-            change(self.rows())
-            if self.txn is None:
-                self._committed(tail)
+            if self._attempt(slot, lambda: session.execute(sql, params)):
+                self._change(slot, "t", change, tail)
         self._locks_lie_inside(self.db.execute(f"EXPLAIN {sql}", params=params))
 
-    @rule(rows=st.lists(st.tuples(sql_ids, groups, amounts, sql_values),
+    @precondition(any_slot(runnable))
+    @rule(s=sessions,
+          rows=st.lists(st.tuples(sql_ids, groups, amounts, sql_values),
                         min_size=2, max_size=4), placeholders=st.booleans())
-    def sql_insert(self, rows, placeholders):
+    def sql_insert(self, s, rows, placeholders):
         """One INSERT of rows that share groups: all go in, or — a key
         the table holds or the statement repeats — none does. Half the
         time the values are ``?`` parameters: the shape repeats across
         rebuilds and crashes, so cached plans meet them too."""
+        slot = self._writer(s)
         keys = [key for key, _, _, _ in rows]
         if placeholders:
             values = ", ".join("(?, ?, ?, ?)" for _ in rows)
@@ -401,18 +603,21 @@ class CrashMachine(RuleBasedStateMachine):
             for key, g, amount, v in rows:
                 table[key] = {"id": key, "g": g, "amount": amount, "v": v}
 
-        self._execute(
-            f"INSERT INTO t (id, g, amount, v) VALUES {values}", change,
+        self._step(slot, lambda: self._execute(
+            slot, f"INSERT INTO t (id, g, amount, v) VALUES {values}", change,
             refused=len(set(keys)) < len(keys) or not set(keys).isdisjoint(
-                self.rows()
+                self.current()["t"]
             ), params=params,
-        )
+        ))
 
-    @rule(low=sql_ids, high=sql_ids, placeholders=st.booleans())
-    def sql_update(self, low, high, placeholders):
+    @precondition(any_slot(runnable))
+    @rule(s=sessions, low=sql_ids, high=sql_ids, placeholders=st.booleans())
+    def sql_update(self, s, low, high, placeholders):
         """One UPDATE moving every row of an id range to the mirror
         group, ``g -> 3 - g``, its amount up by one (its bounds ``?``
         parameters half the time)."""
+        slot = self._writer(s)
+
         def change(table):
             for key, row in table.items():
                 if low <= key <= high:
@@ -423,70 +628,127 @@ class CrashMachine(RuleBasedStateMachine):
         bounds, params = (("?", "?"), (low, high)) if placeholders else (
             (low, high), ()
         )
-        self._execute(
-            "UPDATE t SET g = 3 - g, amount = amount + 1 "
+        self._step(slot, lambda: self._execute(
+            slot, "UPDATE t SET g = 3 - g, amount = amount + 1 "
             "WHERE id >= {} AND id <= {}".format(*bounds), change,
             params=params,
-        )
+        ))
 
     # ------------------------------------------------------------------
-    # transaction boundaries
+    # transaction boundaries, waits and wake-ups
     # ------------------------------------------------------------------
 
-    @precondition(lambda self: self.txn is None)
-    @rule()
-    def begin(self):
-        self.txn = self.session.begin()
-        self.pending = copied(self.committed)
+    @precondition(any_slot(idle))
+    @rule(s=sessions)
+    def begin(self, s):
+        slot = self._pick(s, idle)
+        slot.txn = slot.session.begin()
 
-    @precondition(lambda self: self.txn is not None)
-    @rule()
-    def commit(self):
+    @precondition(any_slot(in_txn))
+    @rule(s=sessions)
+    def commit(self, s):
+        slot = self._pick(s, in_txn)
+        self._step(slot, lambda: self._commit(slot))
+
+    def _commit(self, slot):
+        """Commit ``slot``'s transaction (under ``commit_fold`` its folded
+        deltas may wait for locks first); under group commit it is
+        commit-visible now and durable once its group flushes."""
         tail = self.db.log.tail_lsn()
-        self.db.commit(self.txn)
-        self.committed, self.txn, self.pending = self.pending, None, None
-        self.savepoint = None
+        self.db.commit(slot.txn)
+        self.committed = {
+            table: self.rows(slot, table) for table in KEYS
+        }
+        self._ended(slot)
         self._committed(tail)
 
-    @precondition(lambda self: self.txn is not None)
-    @rule()
-    def abort(self):
-        self.db.abort(self.txn)
-        self.txn = self.pending = self.savepoint = None
+    @precondition(any_slot(in_txn))
+    @rule(s=sessions)
+    def abort(self, s):
+        self._abort(self._pick(s, in_txn))
 
-    @precondition(lambda self: self.txn is not None)
-    @rule()
-    def take_savepoint(self):
-        self.savepoint = (self.db.savepoint(self.txn), copied(self.pending))
+    def _abort(self, slot):
+        self.db.abort(slot.txn)
+        self._ended(slot)
 
-    @precondition(lambda self: self.savepoint is not None)
-    @rule()
-    def rollback_to_savepoint(self):
-        token, rows = self.savepoint
-        self.db.rollback_to(self.txn, token)
-        self.pending = copied(rows)
+    def _ended(self, slot):
+        slot.txn = slot.savepoint = slot.parked = None
+        slot.writes = {table: {} for table in KEYS}
 
-    @precondition(lambda self: self.txn is not None)
-    @rule(outcome=st.sampled_from(["commit", "abort", "crash"]))
-    def prepared_branch(self, outcome):
-        """Vote yes on the open transaction as a 2PC branch, then commit,
-        abort, or crash: recovery repeats the branch's history — its rows
-        are back, locked — and it stays in doubt until presumed abort."""
-        db, txn = self.db, self.txn
-        event(f"prepared branch: {outcome}")
+    @precondition(any_slot(in_txn))
+    @rule(s=sessions)
+    def take_savepoint(self, s):
+        slot = self._pick(s, in_txn)
+        slot.savepoint = (self.db.savepoint(slot.txn), copied(slot.writes))
+
+    @precondition(any_slot(lambda slot: in_txn(slot) and slot.savepoint))
+    @rule(s=sessions)
+    def rollback_to_savepoint(self, s):
+        slot = self._pick(s, lambda slot: in_txn(slot) and slot.savepoint)
+        token, writes = slot.savepoint
+        self.db.rollback_to(slot.txn, token)
+        slot.writes = copied(writes)
+
+    @precondition(any_slot(resolved))
+    @rule(s=sessions)
+    def resume(self, s):
+        """A parked statement's request was granted: re-run it. Denied
+        while parked — a deadlock victim, a wait past its timeout — the
+        transaction rolls back."""
+        slot = self._pick(s, resolved)
+        request, body = slot.parked
+        slot.parked = None
+        if request.status is RequestStatus.DENIED:
+            event(f"denied while parked: {request.deny_error.reason}")
+            self._abort(slot)
+        else:
+            self._step(slot, body)
+
+    @precondition(lambda self: self._deadline() is not None)
+    @rule()
+    def tick(self):
+        """Time passes to the next deadline: waits past the lock-wait
+        timeout are denied, an open latency commit group flushes."""
+        db = self.db
+        db.clock.advance_to(self._deadline())
+        db.locks.poll(db.clock.now())
+        db.group_commit.poll()
+
+    def _deadline(self):
+        deadlines = [
+            deadline for deadline in (
+                self.db.locks.next_deadline(),
+                self.db.group_commit.next_deadline(),
+            ) if deadline is not None
+        ]
+        return min(deadlines, default=None)
+
+    @precondition(any_slot(in_txn))
+    @rule(s=sessions, outcome=st.sampled_from(["commit", "abort", "crash"]))
+    def prepared_branch(self, s, outcome):
+        slot = self._pick(s, in_txn)
+        self._step(slot, lambda: self._prepared(slot, outcome))
+
+    def _prepared(self, slot, outcome):
+        """Vote yes on ``slot``'s transaction as a 2PC branch, then
+        commit, abort, or crash: recovery repeats the branch's history —
+        its rows are back, locked, and the other sessions' are gone — and
+        it stays in doubt until presumed abort."""
+        db, txn = self.db, slot.txn
         db.participant.prepare(txn, f"G{txn.txn_id}")
+        event(f"prepared branch: {outcome}")
         assert db.log.flushed_lsn == db.log.tail_lsn()  # the vote is durable
         if outcome == "commit":
-            return self.commit()
+            return self._commit(slot)
         if outcome == "abort":
-            return self.abort()
-        pending = self.pending
+            return self._abort(slot)
+        branch = {table: self.rows(slot, table) for table in KEYS}
         self._crash(len(self.timeline), db.log.flushed_lsn, settle=False)
         db = self.db
         assert db.participant.in_doubt_transactions() == {
             txn.txn_id: f"G{txn.txn_id}"
         }
-        self._tables_are(pending)
+        self._tables_are(branch)
         db.participant.resolve_in_doubt(txn.txn_id, "abort")
         assert db.participant.in_doubt_transactions() == {}
 
@@ -516,9 +778,11 @@ class CrashMachine(RuleBasedStateMachine):
         bases = {table_resource(table) for table in (
             ("t", "p") if "JOIN" in str(DDL[name]) else ("t",)
         )}
-        written = self.txn is not None and any(
-            resource in bases and not mode_compatible(mode, LockMode.S)
-            for resource, mode in db.locks.locks_of(self.txn.txn_id)
+        written = any(
+            not mode_compatible(mode, LockMode.S)
+            for resource in bases
+            for mode in [*db.locks.holders(resource).values(),
+                         *(w.mode for w in db.locks.waiters(resource))]
         )
         if crash is not None:
             db.install_fault_injector(FaultInjector(seed=0)).arm(
@@ -539,7 +803,7 @@ class CrashMachine(RuleBasedStateMachine):
         except LockTimeoutError:
             db.install_fault_injector(None)
             event("create: refused under an open writer")
-            assert written  # only the open writer's table refuses it
+            assert written  # only an open writer's table refuses it
             assert not db.catalog.has_view(name)
             assert name not in db.index_names()
             assert not db.online_builds.active
@@ -560,19 +824,27 @@ class CrashMachine(RuleBasedStateMachine):
     # readers: they read the committed state and log nothing
     # ------------------------------------------------------------------
 
+    @contextmanager
+    def _silent(self):
+        """A reader appends nothing, and flushes nothing but a pending
+        commit group it may have read from."""
+        log = self.db.log
+        before = len(log), log.flush_count, self.db.group_commit.pending_count()
+        yield
+        assert len(log) == before[0]
+        assert log.flush_count == before[1] or before[2]
+
     @rule(kind=st.sampled_from(sorted(READS)), key=ids)
     def reader(self, kind, key):
-        db = self.db
-        before = len(db.log), db.log.flush_count
         event(f"reader: {kind}")
-        try:
-            got = READS[kind](db, key)
-        except LockTimeoutError:
-            assert self.txn is not None  # only the open writer blocks it
-        else:
-            want = self.committed["t"].get(key)
-            assert (got is None) if want is None else same(dict(got), want)
-        assert (len(db.log), db.log.flush_count) == before
+        with self._silent():
+            try:
+                got = READS[kind](self.db, key)
+            except TransactionAborted:
+                assert self._open()  # only an open session blocks it
+            else:
+                want = self.committed["t"].get(key)
+                assert (got is None) if want is None else same(dict(got), want)
 
     @precondition(lambda self: self.reader is None)
     @rule()
@@ -586,30 +858,29 @@ class CrashMachine(RuleBasedStateMachine):
     def snapshot_read(self):
         """The snapshot reader reads each table as ``history`` replayed
         to the last COMMIT before its start (reenactment), then commits
-        without appending or flushing anything."""
+        silently."""
         db, (txn, as_of) = self.db, self.reader
-        before = len(db.log), db.log.flush_count
         want = [tables for lsn, tables in self.history if lsn <= as_of][-1]
-        for table, key in KEYS.items():
-            got = {row[key]: dict(row) for row in db.scan(txn, table)}
-            assert got.keys() == want[table].keys(), table
-            for k, row in want[table].items():
-                assert same(got[k], row), (table, k, got[k], row)
-        db.commit(txn)
+        with self._silent():
+            for table, key in KEYS.items():
+                got = {row[key]: dict(row) for row in db.scan(txn, table)}
+                assert got.keys() == want[table].keys(), table
+                for k, row in want[table].items():
+                    assert same(got[k], row), (table, k, got[k], row)
+            db.commit(txn)
         self.reader = None
         event("snapshot read")
-        assert (len(db.log), db.log.flush_count) == before
 
     # ------------------------------------------------------------------
     # housekeeping
     # ------------------------------------------------------------------
 
-    @precondition(lambda self: self.txn is None)
+    @precondition(lambda self: not self._open())
     @rule()
     def ghost_cleanup(self):
         self.db.run_ghost_cleanup()
 
-    @precondition(lambda self: self.txn is None)
+    @precondition(lambda self: not self._open())
     @rule()
     def refresh(self):
         for view in self.db.catalog.views():
@@ -617,7 +888,7 @@ class CrashMachine(RuleBasedStateMachine):
         assert self.db.deferred.pending_count() == 0
         self._views_caught_up()
 
-    @precondition(lambda self: self.txn is None)
+    @precondition(lambda self: not self._open())
     @rule(data=st.data())
     def quarantine_and_rebuild(self, data):
         name = data.draw(st.sampled_from(["by_g", *self.created]))
@@ -649,14 +920,14 @@ class CrashMachine(RuleBasedStateMachine):
             else self.db.log.flushed_lsn
         )
         cut = data.draw(st.integers(low, high), label="log cut")
+        if self._open():
+            event("crash with sessions in flight")
         self._crash(kept, cut, interrupt, after)
 
     def _crash(self, kept, cut, interrupt=None, after=0, settle=True):
         """Crash with the first ``kept`` write-backs on the device and the
         log durable to ``cut``, then recover — re-entering recovery if
-        the ``interrupt`` site fires in it after ``after`` hits — and
-        (``settle``) abort every branch left in doubt, as a coordinator
-        that finds no decision presumes."""
+        the ``interrupt`` site fires in it after ``after`` hits."""
         db = self.db
         images = dict(self.base)
         for _, page_id, image in self.timeline[:kept]:
@@ -678,15 +949,33 @@ class CrashMachine(RuleBasedStateMachine):
             assert report.restarts == 1
             event(f"recovery re-entered after {interrupt}")
         db.install_fault_injector(None)
-        self.history = [(lsn, rows) for lsn, rows in self.history if lsn <= cut]
         if self.caught_up is not None and self.caught_up > cut:
             self.caught_up = None  # the catching up is cut off
-        self._adopt(db)
-        if settle:
-            for txn_id in sorted(db.participant.in_doubt_transactions()):
-                db.participant.resolve_in_doubt(txn_id, "abort")
+        self._recovered(settle)
 
-    @precondition(lambda self: self.txn is None)
+    def _recovered(self, settle=True):
+        """Continue on the engine recovery just rebuilt: ``history``
+        keeps the commits whose COMMIT record survived (recovery's own
+        records take the LSNs of the lost ones; none is a COMMIT), and
+        (``settle``) every branch left in doubt is aborted, as a
+        coordinator that finds no decision presumes — a retracted commit
+        group can leave one too."""
+        log = self.db.log
+
+        def survived(lsn):
+            record = next(log.records(lsn), None)
+            return (record is not None and record.lsn == lsn
+                    and record.type is RecordType.COMMIT)
+
+        self.history = [
+            (lsn, rows) for lsn, rows in self.history if not lsn or survived(lsn)
+        ]
+        self._adopt(self.db)
+        if settle:
+            for txn_id in sorted(self.db.participant.in_doubt_transactions()):
+                self.db.participant.resolve_in_doubt(txn_id, "abort")
+
+    @precondition(lambda self: not self._open())
     @rule(site=st.sampled_from(FAULT_SITES), key=ids, g=groups,
           amount=amounts)
     def fault(self, site, key, g, amount):
@@ -712,28 +1001,57 @@ class CrashMachine(RuleBasedStateMachine):
             row = {"id": key, "g": g, "amount": amount, "v": None}
             write, change = (lambda txn: db.insert(txn, "t", row),
                              lambda: rows.__setitem__(key, row))
-        tail, txns = db.log.tail_lsn(), []
+
+        def waited(txn):
+            """``write(txn)`` and its commit, each waiting out every
+            ``lock.delay``: the clock runs to the delayed grant, and the
+            step re-runs — unless the lock-wait timeout came first."""
+            for step in (write, db.commit):
+                while True:
+                    try:
+                        step(txn)
+                        break
+                    except WouldWait as wait:
+                        db.clock.advance_to(db.locks.next_deadline())
+                        db.locks.poll(db.clock.now())
+                        if wait.request.deny_error is not None:
+                            raise wait.request.deny_error
+
+        txn = db.begin(policy=LockPolicy.COOPERATIVE)
+        tail = db.log.tail_lsn()
         self.caught_up = None
         try:
-            with db.session() as session:
-                txns.append(session.current_transaction)
-                write(session.current_transaction)
+            db.settle(txn, waited)
+        except (EscrowViolationError, LockTimeoutError) as refused:
+            # an escrow bound refused it before the site was reached (a
+            # corrupt site may have hit its rollback), or a lock delayed
+            # past the lock-wait timeout
+            db.install_fault_injector(None)
+            assert site in ("lock.delay", "wal.corrupt") or (
+                not injector.fired.get(site)
+            )
+            assert isinstance(refused, EscrowViolationError) or (
+                db.config.lock_wait_timeout is not None
+            )
         except FaultInjected as caught:
             db.install_fault_injector(None)
-            assert caught.site == site == "wal.append"
-            assert injector.fired[site] == 1  # the rollback is immune
-            assert db.log.tail_lsn() > tail  # it failed after appending
-            assert db.active_transactions() == (
-                [self.reader[0]] if self.reader is not None else []
-            )
-            assert db.locks.active_resources() == []
+            assert caught.site == site
+            if site in ("wal.append", "lock.deny"):  # the write rolled back
+                assert injector.fired[site] == 1  # the rollback is immune
+                assert (db.log.tail_lsn() > tail) is (site == "wal.append")
+                assert db.active_transactions() == (
+                    [self.reader[0]] if self.reader is not None else []
+                )
+                assert db.locks.active_resources() == []
+            else:  # a failed group flush retracted the group: recovered
+                assert db.config.group_commit is not None
+                self._recovered()
         except SimulatedCrash as caught:
             db.install_fault_injector(None)
             assert caught.site == site != "wal.append"
             assert caught.committed is (site == "txn.commit.after")
             if site == "wal.torn_tail":  # all but the COMMIT is durable
                 assert db.log.flushed_lsn == db.log.tail_lsn() - 1
-            (txn,) = txns
             durable = [
                 record.lsn for record in db.log.records(tail + 1)
                 if record.type is RecordType.COMMIT
@@ -747,15 +1065,21 @@ class CrashMachine(RuleBasedStateMachine):
             self._crash(len(self.timeline), db.log.flushed_lsn)
         else:
             db.install_fault_injector(None)
-            assert site == "view.midapply"  # no view maintained: no hit
+            # no view maintained on the write is midway; a delayed lock is
+            # granted; a corrupted record is only found by recovery
+            assert site in (
+                "view.midapply", "lock.delay", "wal.corrupt", "wal.group_flush"
+            )
             change()
             self._committed(tail)
+        if site == "wal.corrupt":  # recovery's salvage cuts the log there
+            self._crash(len(self.timeline), db.log.flushed_lsn)
 
     @rule()
     def restore_from_segments(self):
         """Dump the WAL as segment files and restore them into a
-        schema-only engine (an open transaction's flushed records make
-        it a loser there); the machine continues on the restored
+        schema-only engine (the open transactions' flushed records make
+        them losers there); the machine continues on the restored
         engine."""
         with tempfile.TemporaryDirectory() as directory:
             self.db.dump_wal_segments(directory)
@@ -784,11 +1108,11 @@ class CrashMachine(RuleBasedStateMachine):
 
     @invariant()
     def tables_are_the_reference(self):
-        self._tables_are(self.pending if self.txn is not None else self.committed)
+        self._tables_are(self.current())
 
     def views_are_exact(self):
         if self.mode == "commit_fold":
-            return self.txn is None
+            return not self._open()
         if self.mode == "deferred":
             return self.caught_up is not None
         return True
@@ -800,7 +1124,34 @@ class CrashMachine(RuleBasedStateMachine):
             found for found in self.db.check_integrity().damage
             if exact or found.kind != "view"
         ]
-        assert damage == []
+        assert damage == [], damage
+
+    @invariant()
+    def protocols_are_clean(self):
+        assert self.db.sanitizers.check() == []
+
+    @invariant()
+    def escrow_is_open_and_bounded(self):
+        """Escrow deltas are pending for open transactions only, and the
+        committed ``total`` of every group keeps its bound."""
+        open_ = {txn.txn_id for txn in self._open()}
+        for name, index in self.db.indexes.items():
+            for _, record in index.scan(include_ghosts=True):
+                assert record.escrow is None or (
+                    record.escrow.pending and record.escrow.pending.keys() <= open_
+                ), (name, record, record.escrow and record.escrow.pending)
+                if self.bounded and name == "by_g":
+                    assert record.current_row["total"] >= BOUNDS["total"][0]
+
+    @invariant()
+    def parked_sessions_wait_on_open_sessions(self):
+        """A waiting request has a blocker (else the manager missed a
+        grant), and only an open session can be it."""
+        open_ = {txn.txn_id for txn in self._open()}
+        for slot in self.slots:
+            if slot.parked and slot.parked[0].status is RequestStatus.WAITING:
+                blockers = self.db.locks.blockers_of(slot.txn.txn_id)
+                assert blockers and blockers <= open_ - {slot.txn.txn_id}
 
     def _scan_log(self):
         """Read the records appended since the last scan into ``words``
@@ -822,7 +1173,7 @@ class CrashMachine(RuleBasedStateMachine):
     @invariant()
     def every_transaction_matches_the_envelope(self):
         self._scan_log()
-        open_ = {self.txn.txn_id} if self.txn is not None else set()
+        open_ = {txn.txn_id for txn in self._open()}
         for txn_id in sorted(self.unchecked):
             word = self.words[txn_id]
             if txn_id in open_:

@@ -118,12 +118,27 @@ class TestEngineConfigRepr:
 
 class TestVersionChains:
     def test_each_commit_adds_version(self):
+        """Each commit stamps a version and drops the ones no snapshot
+        can see: with no other transaction open a hot group keeps at
+        most two, and a snapshot opened earlier keeps its own."""
         db = sales_db()
-        for i in range(3):
+        with db.session() as s:
+            s.insert("sales", {"id": 0, "product": "a", "amount": 1})
+        record = db.index("v").get_record(("a",))
+        for i in range(1, 1001):
             with db.session() as s:
                 s.insert("sales", {"id": i, "product": "a", "amount": 1})
-        record = db.index("v").get_record(("a",))
-        assert record.version_count() == 3
+            assert record.version_count() <= 2
+        reader = db.begin(isolation="snapshot")
+        for i in range(1001, 1011):
+            with db.session() as s:
+                s.insert("sales", {"id": i, "product": "a", "amount": 1})
+        assert db.read(reader, "v", ("a",))["n"] == 1001
+        db.commit(reader)
+        with db.session() as s:
+            s.insert("sales", {"id": 1011, "product": "a", "amount": 1})
+        assert record.version_count() <= 2
+        assert db.read_committed("v", ("a",))["n"] == 1012
 
     def test_old_snapshot_reads_old_version_after_many_commits(self):
         db = sales_db()

@@ -182,7 +182,8 @@ class TestWalAppendFaults:
 
     def test_lost_append_is_caught_by_the_oracle_after_crash(self):
         """The deliberately unsound site: the consistency oracle MUST
-        notice, or the chaos harness proves nothing."""
+        notice, or the crash machine that arms every sound site proves
+        nothing."""
         db = sales_db()
         with db.session() as s:
             s.insert(SALES, sale(1))  # the group exists first

@@ -5,6 +5,9 @@ Lock resources are tuples that contain strings, so anything that walks a
 A commit that wakes waiters on two resources must emit their
 ``lock_grant`` events in the order the locks were taken, not in hash
 order, or two runs of one seeded schedule differ between processes.
+The same holds for a fixed rule sequence of the crash machine's
+concurrent sessions: waits, a deadlock, a resumed statement, escrow
+holders sharing a group and a crash with a session in flight.
 """
 
 import os
@@ -27,10 +30,38 @@ for event in db.tracer.as_dicts():
     print(json.dumps(event, sort_keys=True, default=repr))
 """
 
+MACHINE = """
+import json
+from hypothesis import given, settings, strategies as st
+from tests.test_crash_machine import CrashMachine
 
-def trace_under(hash_seed):
+@settings(max_examples=1, database=None)
+@given(st.just(None))
+def run(_):
+    m = CrashMachine()
+    m.build(strategy="escrow", frames=2, mode="immediate", timeout=None,
+            group={}, seeded=False)
+    m.insert(s=3, rows=[(1, 0, 5, None), (2, 1, 5, None)])  # autocommitted
+    for _ in range(3):
+        m.begin(s=0)
+    m.update(s=0, key=1, g=None, amount=6, v=None, withdraw=False)
+    m.update(s=1, key=2, g=None, amount=7, v=None, withdraw=False)
+    m.update(s=0, key=2, g=None, amount=8, v=None, withdraw=False)  # session 0 parks
+    m.update(s=0, key=1, g=None, amount=9, v=None, withdraw=False)  # session 1: deadlock
+    m.resume(s=0)
+    m.insert(s=1, rows=[(3, 0, 4, None)])  # session 2 shares group 0
+    m.commit(s=0)
+    m._crash(len(m.timeline), m.db.log.flushed_lsn)  # session 2 in flight
+    for event in m.db.tracer.as_dicts():
+        print(json.dumps(event, sort_keys=True, default=repr))
+
+run()
+"""
+
+
+def trace_under(hash_seed, script):
     result = subprocess.run(
-        [sys.executable, "-c", SCHEDULE],
+        [sys.executable, "-c", script],
         capture_output=True,
         text=True,
         timeout=120,
@@ -41,7 +72,8 @@ def trace_under(hash_seed):
 
 
 def test_contended_schedule_traces_the_same_under_two_hash_seeds():
-    first, second = trace_under(0), trace_under(1)
-    # the schedule is contended: commits do wake queued waiters
-    assert sum('"lock_grant"' in line for line in first) > 10
-    assert first == second
+    for script, grants in ((SCHEDULE, 10), (MACHINE, 0)):
+        first, second = trace_under(0, script), trace_under(1, script)
+        # the schedule is contended: commits do wake queued waiters
+        assert sum('"lock_grant"' in line for line in first) > grants
+        assert first == second

@@ -149,7 +149,10 @@ class TestContention:
         assert escrow.lock_stats["waits"] < xlock.lock_stats["waits"]
         assert escrow.throughput() > xlock.throughput()
 
-    def test_deadlocks_resolved_and_retried(self):
+    @staticmethod
+    def crossing_updaters(**scheduler):
+        """Two sessions updating rows 1 and 2 in opposite orders, five
+        programs each: they deadlock."""
         db = sales_db("xlock")
         txn = db.begin()
         db.insert(txn, SALES, {"id": 1, "product": "a", "customer": 1, "amount": 1})
@@ -164,13 +167,25 @@ class TestContention:
 
             return program
 
-        sched = Scheduler(db)
+        sched = Scheduler(db, **scheduler)
         sched.add_session(updater(1, 2), txns=5)
         sched.add_session(updater(2, 1), txns=5)
-        result = sched.run()
+        return db, sched.run()
+
+    def test_deadlocks_resolved_and_retried(self):
+        db, result = self.crossing_updaters()
         assert result.committed == 10
         assert result.aborted.get("deadlock") > 0
         assert result.retries > 0
+        assert db.check_all_views() == []
+
+    def test_without_retries_deadlock_victims_give_up(self):
+        """The same contention with no retry budget: each deadlock
+        victim's program is given up, which the retries above rescue."""
+        db, result = self.crossing_updaters(max_retries=0)
+        assert result.gave_up == result.aborted.get("deadlock") > 0
+        assert result.committed == 10 - result.gave_up
+        assert result.retries == 0
         assert db.check_all_views() == []
 
     def test_wait_times_recorded(self):

@@ -114,18 +114,17 @@ class TestWalDumpRestore:
 
 class TestVersionPruning:
     def test_prune_drops_invisible_versions(self):
+        """A commit prunes what no snapshot can see: with no other
+        transaction open the group keeps at most two versions, and the
+        newest still reads."""
         db = build_schema()
-        for i in range(5):
+        for i in range(1000):
             txn = db.begin()
             db.insert(txn, "sales", {"id": i, "product": "ant", "amount": 1})
             db.commit(txn)
-        record = db.index("by_product").get_record(("ant",))
-        assert record.version_count() == 5
-        dropped = db.indexes.prune_versions()
-        assert dropped > 0
-        assert record.version_count() == 1
-        # the surviving version is still readable
-        assert db.read_committed("by_product", ("ant",))["n"] == 5
+            record = db.index("by_product").get_record(("ant",))
+            assert record.version_count() <= 2
+        assert db.read_committed("by_product", ("ant",))["n"] == 1000
 
     def test_prune_respects_active_snapshots(self):
         db = build_schema()
@@ -137,10 +136,11 @@ class TestVersionPruning:
             t = db.begin()
             db.insert(t, "sales", {"id": i, "product": "ant", "amount": 1})
             db.commit(t)
-        db.indexes.prune_versions()
         # the reader's snapshot must still be answerable
         assert db.read(reader, "by_product", ("ant",))["n"] == 1
         db.commit(reader)
-        db.indexes.prune_versions()
+        t = db.begin()
+        db.insert(t, "sales", {"id": 5, "product": "ant", "amount": 1})
+        db.commit(t)  # the first commit after the reader prunes its versions
         record = db.index("by_product").get_record(("ant",))
-        assert record.version_count() == 1
+        assert record.version_count() <= 2
