@@ -109,6 +109,18 @@ def _unpack_str(buf, at):
     return _unpack_sized(buf, at, _UTF8)
 
 
+def _decimal(data):
+    """Only the text ``str(value)`` writes: ``Decimal`` also reads
+    spaces, underscores and other spellings of the same value, so a
+    damaged byte could decode, re-encode to the original bytes and pass
+    its checksum."""
+    text = str(data, "ascii")
+    value = decimal.Decimal(text)
+    if str(value) != text:
+        raise WalError(f"non-canonical decimal text {text!r}")
+    return value
+
+
 def _pack_int(value, out):
     if -0x80 <= value < 0x80:
         out(_INT8[value + 128])
@@ -188,9 +200,7 @@ _UNPACKERS = (
     _unpack_str,
     lambda buf, at: _unpack_sized(buf, at, bytes),
     lambda buf, at: unpack_key(buf, at),
-    lambda buf, at: _unpack_sized(
-        buf, at, lambda data: decimal.Decimal(str(data, "ascii"))
-    ),
+    lambda buf, at: _unpack_sized(buf, at, _decimal),
     lambda buf, at: (
         datetime.date.fromordinal(_U32.unpack_from(buf, at)[0]), at + 4
     ),

@@ -309,6 +309,18 @@ def test_a_damaged_frame_is_an_error_or_fails_its_stamp_never_another_record(
     assert not all(r.verify_checksum() for r in survivors)
 
 
+@pytest.mark.parametrize("text", [b"\x1c.000", b" 0.000", b"0_0.5", b"+1", b"1e3"])
+def test_a_decimal_reads_back_only_from_the_text_it_was_written_as(text):
+    """``Decimal`` also parses these spellings; had the reader taken
+    them, a flipped byte would decode to the value it replaced, re-encode
+    to the original bytes and pass its stamp."""
+    parts = []
+    codec.pack_value(decimal.Decimal(str(text, "ascii")), parts.append)
+    tag = b"".join(parts)[:1]
+    with pytest.raises(WalError):
+        codec.unpack_value(tag + bytes((len(text),)) + text, 0)
+
+
 entries = st.tuples(
     names, keys, st.one_of(st.none(), rows.map(dict)), st.booleans(),
     st.integers(0, 2**32 - 1),
