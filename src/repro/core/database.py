@@ -625,13 +625,17 @@ class Database:
             ]
         if key_range is None:
             key_range = KeyRange.all()
-        plan = locks_for_range_scan(
-            index, key_range, serializable=self.config.serializable
-        )
-        self.acquire_plan(txn, plan)
+        # One walk serves plan and read, as in locked_record: a wait raises
+        # before a row is read, and the re-run walks and plans afresh.
+        items = list(index.scan(key_range, include_ghosts=True))
+        self.acquire_plan(txn, locks_for_range_scan(
+            index, key_range, serializable=self.config.serializable,
+            items=items,
+        ))
         return [
-            (key, record.current_row) for key, record in index.scan(key_range)
-            if count is None or record.current_row[count] != 0
+            (key, record.current_row) for key, record in items
+            if not record.is_ghost
+            and (count is None or record.current_row[count] != 0)
         ]
 
     def lookup(self, txn, table, index_name, values):

@@ -70,18 +70,23 @@ class EscalationPolicy:
 
         ``plan`` is a list of ``(resource, mode)`` pairs as produced by
         :mod:`repro.locking.keyrange`. Table-level resources pass through
-        unchanged. May raise WouldWait etc., exactly like plain
-        acquisition — callers re-run safely because nothing here mutates
-        data.
+        unchanged. The keys that follow a key on its index in its mode
+        (a scan's) go in one ``txn.acquire_run`` up to the first that must
+        wait, or the threshold; the loop resumes at that key. May raise
+        WouldWait etc., exactly like plain acquisition — callers re-run
+        safely because nothing here mutates data.
         """
         states = txn.scratch.get(self.SCRATCH_KEY)
         if states is None:
             states = txn.scratch[self.SCRATCH_KEY] = {}
-        # With fault sites armed every key's intent is asked for again, so
-        # lock.deny / lock.delay schedules see the requests they always did.
+        # With fault sites armed every key's intent is asked for again and
+        # nothing runs, so lock.deny / lock.delay see the usual requests.
         ask_again = txn.faults_armed
         index_name = state = plan_mode = read_only = None
-        for resource, mode in plan:
+        position, end = 0, len(plan)
+        while position < end:
+            resource, mode = plan[position]
+            position += 1
             if resource[0] != "key" and resource[0] != "eof":
                 txn.acquire(resource, mode)
                 continue
@@ -132,3 +137,23 @@ class EscalationPolicy:
             txn.acquire(resource, mode)
             state.count += 1
             state.read_only = state.read_only and read_only
+            if ask_again or position == end:
+                continue
+            stop = position
+            while stop < end:
+                resource, next_mode = plan[stop]
+                if (
+                    (next_mode is not mode and next_mode != mode)
+                    or (resource[0] != "key" and resource[0] != "eof")
+                    or resource[1] != index_name
+                ):
+                    break
+                stop += 1
+            if self.threshold is not None:
+                stop = min(stop, position + self.threshold - state.count)
+            if stop > position:
+                taken = txn.acquire_run(
+                    [key for key, _ in plan[position:stop]], mode
+                )
+                state.count += taken
+                position += taken

@@ -83,16 +83,19 @@ def locks_for_point_read(index, key, at=None, serializable=True,
     return [(_fence_resource(index, key, at), FENCE_S)]
 
 
-def locks_for_range_scan(index, key_range=None, mode=LockMode.S, serializable=True):
+def locks_for_range_scan(index, key_range=None, mode=LockMode.S, serializable=True,
+                         items=None):
     """Scan ``key_range``: lock every key in range; when ``serializable``,
-    use range locks and fence the gap above the range end."""
+    use range locks and fence the gap above the range end. ``items`` are
+    the range's ``(key, record)`` pairs, ghosts included, when the caller
+    has walked it already (``None``: walk it here)."""
     if key_range is None:
         key_range = KeyRange.all()
+    if items is None:
+        items = index.scan(key_range, include_ghosts=True)
     lock_mode = RangeMode(RangeMode.RANGE_S_S.gap, mode) if serializable else RangeMode.key(mode)
-    plan = [
-        (key_resource(index.name, key), lock_mode)
-        for key, _record in index.scan(key_range, include_ghosts=True)
-    ]
+    name = index.name
+    plan = [(("key", name, key), lock_mode) for key, _record in items]
     if serializable:
         # Fence the gap above the last in-range key: the next key beyond
         # the range (or EOF) gets a gap-only lock so inserts into the tail

@@ -192,7 +192,8 @@ class LockManager:
                 return request
             target = mode_supremum(held, mode)
             request = LockRequest(txn_id, resource, target, is_conversion=True)
-            if self._compatible_with_granted(queue, txn_id, target):
+            # Conversions jump the queue: only the holders can stop one.
+            if self._grantable(queue, txn_id, target, ()):
                 queue.granted[txn_id] = target
                 self._held_by_txn[txn_id][resource] = target
                 request.status = RequestStatus.GRANTED
@@ -220,11 +221,8 @@ class LockManager:
             queue = self._queues[resource] = _ResourceQueue()
             grantable = delay_spec is None
         else:
-            grantable = delay_spec is None and self._compatible_with_granted(
-                queue, txn_id, mode
-            ) and not any(
-                w.txn_id != txn_id and not mode_compatible(mode, w.mode)
-                for w in queue.waiting
+            grantable = delay_spec is None and self._grantable(
+                queue, txn_id, mode, queue.waiting
             )
         if grantable:
             queue.granted[txn_id] = mode
@@ -243,6 +241,60 @@ class LockManager:
             ) + delay_spec.delay
         queue.waiting.append(request)
         return self._begin_wait(request, queue)
+
+    def grant_run(self, txn_id, resources, mode):
+        """Take ``mode`` on the longest prefix of ``resources`` that needs
+        no wait and return its length — held-table hits count as
+        ``covered``, the rest as immediate grants, and no
+        :class:`LockRequest` is made. The resource past the prefix is the
+        caller's to :meth:`request`. With fault sites armed it grants
+        nothing, so ``lock.deny`` / ``lock.delay`` see every request."""
+        if self.faults.active or txn_id in self._waiting_request:
+            return 0
+        held = self._held_by_txn.get(txn_id) or self.held_locks(txn_id)
+        queues = self._queues
+        tracer = self.tracer if self.tracer.enabled else None
+        taken = covered = 0
+        for resource in resources:
+            have = held.get(resource)
+            if have is not None:
+                if not covers(have, mode):
+                    break
+                covered += 1
+            else:
+                queue = queues.get(resource)
+                if queue is None:
+                    queue = queues[resource] = _ResourceQueue()
+                elif not self._grantable(queue, txn_id, mode, queue.waiting):
+                    break
+                queue.granted[txn_id] = mode
+                held[resource] = mode
+                if tracer is not None:
+                    tracer.emit(
+                        "lock_acquire", txn_id=txn_id, resource=resource,
+                        mode=mode, conversion=False,
+                    )
+            taken += 1
+        stats = self.stats
+        stats.requests += taken - covered
+        stats.immediate_grants += taken - covered
+        stats.covered += covered
+        return taken
+
+    def _grantable(self, queue, txn_id, mode, waiters):
+        """The one "grant now?" test: ``mode`` is compatible with every
+        other transaction's held mode and its request among ``waiters``
+        (the whole queue for a new request, those ahead for a queued one,
+        none for a conversion)."""
+        for holder, held in queue.granted.items():
+            if holder != txn_id and not mode_compatible(mode, held):
+                return False
+        for waiter in waiters:
+            if waiter.txn_id != txn_id and not mode_compatible(
+                mode, waiter.mode
+            ):
+                return False
+        return True
 
     def _begin_wait(self, request, queue):
         self.stats.waits += 1
@@ -292,13 +344,6 @@ class LockManager:
                 if request.status is RequestStatus.WAITING:
                     return request
         return request
-
-    def _compatible_with_granted(self, queue, txn_id, mode):
-        return all(
-            mode_compatible(mode, held)
-            for holder, held in queue.granted.items()
-            if holder != txn_id
-        )
 
     # ------------------------------------------------------------------
     # release
@@ -444,24 +489,12 @@ class LockManager:
                     if request.is_conversion:
                         continue
                     break
-                if request.is_conversion:
-                    compatible = self._compatible_with_granted(
-                        queue, request.txn_id, request.mode
-                    )
-                else:
-                    ahead = []
-                    for earlier in queue.waiting:
-                        if earlier is request:
-                            break
-                        ahead.append(earlier)
-                    compatible = self._compatible_with_granted(
-                        queue, request.txn_id, request.mode
-                    ) and all(
-                        earlier.txn_id == request.txn_id
-                        or mode_compatible(request.mode, earlier.mode)
-                        for earlier in ahead
-                    )
-                if not compatible:
+                ahead = () if request.is_conversion else queue.waiting[
+                    :queue.waiting.index(request)
+                ]
+                if not self._grantable(
+                    queue, request.txn_id, request.mode, ahead
+                ):
                     # FIFO: do not let later requests jump an incompatible
                     # earlier one (conversions excepted, handled above by
                     # sitting at the queue front).

@@ -126,6 +126,13 @@ class Transaction:
         locks.cancel_wait(self.txn_id)
         raise LockTimeoutError(self.txn_id, resource)
 
+    def acquire_run(self, resources, mode):
+        """Take ``mode`` on the longest prefix of ``resources`` that needs
+        no wait (``LockManager.grant_run``) and return its length; the
+        resource past it is the caller's to :meth:`acquire`."""
+        self.require_active()
+        return self._lock_manager.grant_run(self.txn_id, resources, mode)
+
     def acquire_all(self, plan):
         """Acquire every (resource, mode) pair of a lock plan, in order."""
         for resource, mode in plan:

@@ -246,7 +246,7 @@ class GroupCommitCoordinator:
         to :class:`~repro.common.SimulatedCrash`: recovery aborts the
         dependents too (see the commit-flush comment in
         ``txn/manager.py``)."""
-        if not self._retractable(member_ids):
+        if not self._retractable(tickets, member_ids):
             # The members' COMMIT records die with the volatile log; mark
             # their tickets lost now so nothing waits on them forever.
             self._settle(tickets, CommitTicket.LOST, fault.site)
@@ -259,11 +259,15 @@ class GroupCommitCoordinator:
         self.retracted_txns += len(tickets)
         self.counters.incr("group_commit.retractions", len(tickets))
 
-    def _retractable(self, member_ids):
+    def _retractable(self, tickets, member_ids):
         """True when discarding the unflushed suffix undoes *only* the
-        failed group: no active transactions, and every unflushed record
-        belongs to a group member."""
+        failed group, and undoes it: no active transactions, every
+        unflushed record belongs to a group member, and no member of
+        ``tickets`` is a prepared 2PC branch (its durable PREPARE makes
+        recovery keep it in doubt, not roll it back)."""
         if self.txns.active_transactions():
+            return False
+        if any("2pc_gid" in ticket.txn.scratch for ticket in tickets):
             return False
         return all(
             record.txn_id in member_ids

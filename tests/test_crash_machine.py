@@ -958,8 +958,9 @@ class CrashMachine(RuleBasedStateMachine):
         keeps the commits whose COMMIT record survived (recovery's own
         records take the LSNs of the lost ones; none is a COMMIT), and
         (``settle``) every branch left in doubt is aborted, as a
-        coordinator that finds no decision presumes — a retracted commit
-        group can leave one too."""
+        coordinator that finds no decision presumes — a commit group
+        lost to a crash can leave one too (a group holding a prepared
+        branch escalates rather than retract)."""
         log = self.db.log
 
         def survived(lsn):

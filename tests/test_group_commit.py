@@ -20,6 +20,7 @@ from repro.core import Database, EngineConfig
 from repro.faults import FaultInjector
 from repro.query import AggregateSpec
 from repro.sim import Scheduler
+from repro.txn import TxnState
 from repro.wal import CommitTicket
 from repro.workload import BY_PRODUCT, SALES
 from repro.views import AggregateView
@@ -199,6 +200,33 @@ class TestRetraction:
         assert db.stats()["retries"]["gave_up"] == 1
         assert db.stats()["group_commit"]["retracted_txns"] == 3
         injector.disarm()
+        assert db.check_all_views() == []
+
+    def test_group_holding_a_prepared_branch_escalates(self):
+        """A retraction would roll the group back from the durable prefix,
+        but a prepared branch's PREPARE is in it: recovery keeps the
+        branch in doubt. So the group escalates to a crash, and the
+        branch's handle reads LOST — undecided — as the engine has it."""
+        db = sales_db(group_commit="size", group_commit_size=2)
+        seed_durable(db)
+        branch = db.begin()
+        db.insert(branch, SALES, sale(10))
+        db.participant.prepare(branch, "G1")
+        db.commit(branch)  # commit-visible; its COMMIT waits for the group
+        injector = db.install_fault_injector(FaultInjector(seed=0))
+        injector.arm("wal.flush")
+        with pytest.raises(SimulatedCrash):
+            db.session().insert(SALES, sale(11))  # fills the group
+        db.install_fault_injector(None)
+        db.simulate_crash_and_recover()
+        assert branch.commit_ticket.state == CommitTicket.LOST
+        assert branch.state is not TxnState.ABORTED
+        assert db.participant.in_doubt_transactions() == {
+            branch.txn_id: "G1"
+        }
+        db.participant.resolve_in_doubt(branch.txn_id, "commit")
+        assert db.read_committed(SALES, (10,)) is not None
+        assert db.read_committed(SALES, (11,)) is None
         assert db.check_all_views() == []
 
     def test_scheduler_reruns_all_retracted_members(self):

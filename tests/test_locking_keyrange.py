@@ -2,10 +2,15 @@
 
 The concurrency tests exercise the plans end-to-end; these pin down the
 plans themselves: fence selection, EOF handling, ghost keys as fence
-posts, and the serializable/non-serializable split.
+posts, and the serializable/non-serializable split — and, last, that a
+scan taking its key locks as runs takes the very locks, in the very
+order, of one request per key.
 """
 
-from repro.common import KeyRange, Row
+import pytest
+
+from repro.common import KeyRange, Row, WouldWait
+from repro.core import Database, EngineConfig
 from repro.locking import GapMode, LockMode, RangeMode
 from repro.locking.keyrange import (
     eof_resource,
@@ -21,6 +26,7 @@ from repro.locking.keyrange import (
     table_resource,
 )
 from repro.storage import Index
+from repro.txn import LockPolicy, Transaction
 
 M = LockMode
 
@@ -112,6 +118,14 @@ class TestRangeScan:
         # nothing in range; only the fence above (key 5)
         assert [r for r, _ in plan] == [("key", "i", (5,))]
 
+    def test_collected_items_plan_as_a_walk_does(self):
+        idx = make_index(keys=(2, 5, 8, 11), ghosts=(5,))
+        for key_range in (KeyRange.between((2,), (8,)), KeyRange.all()):
+            items = list(idx.scan(key_range, include_ghosts=True))
+            assert locks_for_range_scan(
+                idx, key_range, items=items
+            ) == locks_for_range_scan(idx, key_range)
+
 
 class TestInsertPlans:
     def test_new_key_takes_fence_insert_intent_then_x(self):
@@ -171,3 +185,118 @@ class TestOtherPlans:
         idx = make_index(ghosts=(8,))
         plan = locks_for_ghost_cleanup(idx, (8,))
         assert plan[1][0] == ("eof", "i")
+
+
+# ----------------------------------------------------------------------
+# a scan's key locks as runs against one request per key
+# ----------------------------------------------------------------------
+
+KEYS = [2 * i for i in range(1, 31)]  # 30 rows, a free gap between each
+LOCK_EVENTS = ("lock_acquire", "lock_escalate", "lock_wait")
+STATS = ("requests", "covered", "immediate_grants", "waits")
+
+
+def ghost_some(db):
+    txn = db.begin()
+    for key in (10, 12, 14):
+        db.delete(txn, "t", (key,))
+    db.commit(txn)
+    assert db.index("t").is_ghost((12,))
+
+
+def hold_the_20th_key(db):
+    writer = db.begin()
+    db.update(writer, "t", (KEYS[19],), {"v": -1})
+    return writer
+
+
+class TestScanTakesTheSameLocks:
+    """``Database.scan`` takes its keys as runs (``acquire_run``); the
+    reference asks for each key through ``Transaction.acquire`` — one
+    ``LockManager.request`` each — because its ``acquire_run`` grants
+    nothing. The lock events, the counters, the locks held and the
+    outcome must be the same."""
+
+    def scan(self, per_key, prepare, key_range, policy=LockPolicy.NOWAIT,
+             rerun=False, **config):
+        with pytest.MonkeyPatch.context() as patch:
+            if per_key:
+                patch.setattr(
+                    Transaction, "acquire_run",
+                    lambda txn, resources, mode: 0,
+                )
+            db = Database(EngineConfig(**config))
+            db.create_table("t", ("id", "v"), ("id",))
+            session = db.session()
+            for key in KEYS:
+                session.insert("t", {"id": key, "v": key})
+            writer = prepare(db)
+            events = []
+            db.tracer.enable(categories=("lock",))
+            db.tracer.listeners.append(
+                lambda e: events.append((e.name, e.txn_id, e.fields))
+                if e.name in LOCK_EVENTS else None
+            )
+            before = db.stats()["lock"]
+            txn = db.begin(policy=policy)
+            try:
+                outcome = db.scan(txn, "t", key_range)
+            except WouldWait as wait:
+                outcome = ("waits for", wait.request.resource)
+                if rerun:  # the writer commits, the scan runs again
+                    db.commit(writer)
+                    outcome = (outcome, db.scan(txn, "t", key_range))
+            after = db.stats()["lock"]
+            counters = {name: after[name] - before[name] for name in STATS}
+            return outcome, events, counters, db.locks.locks_of(txn.txn_id)
+
+    @pytest.mark.parametrize("case", [
+        "ghosts", "empty", "eof", "not_serializable", "escalates", "waits",
+        "waits_then_escalates",
+    ])
+    def test_runs_take_the_per_key_locks(self, case):
+        rerun = case == "waits_then_escalates"
+        prepare, key_range, policy, config = {
+            "ghosts": (ghost_some, KeyRange.between((6,), (20,)),
+                       LockPolicy.NOWAIT, {}),
+            "empty": (lambda db: None, KeyRange.between((5,), (5,)),
+                      LockPolicy.NOWAIT, {}),
+            "eof": (lambda db: None, KeyRange.at_least((41,)),
+                    LockPolicy.NOWAIT, {}),
+            "not_serializable": (ghost_some, KeyRange.between((6,), (30,)),
+                                 LockPolicy.NOWAIT, {"serializable": False}),
+            "escalates": (lambda db: None, None, LockPolicy.NOWAIT,
+                          {"escalation_threshold": 10}),
+            "waits": (hold_the_20th_key, None, LockPolicy.COOPERATIVE, {}),
+            # the keys granted before the wait count towards escalation
+            "waits_then_escalates": (hold_the_20th_key, None,
+                                     LockPolicy.COOPERATIVE,
+                                     {"escalation_threshold": 25}),
+        }[case]
+        runs = self.scan(False, prepare, key_range, policy, rerun, **config)
+        assert runs == self.scan(
+            True, prepare, key_range, policy, rerun, **config
+        )
+        outcome, events, counters, held = runs
+        assert events and counters["requests"] > 0
+        names = [name for name, _, _ in events]
+        assert ("lock_escalate" in names) == case.endswith("escalates")
+        if case == "waits":
+            assert outcome == ("waits for", ("key", "t", (KEYS[19],)))
+            keys = {r for r, _ in held if r[0] == "key"}
+            assert keys == {("key", "t", (key,)) for key in KEYS[:19]}
+            assert counters["waits"] == 1
+        if rerun:
+            # 19 keys granted before the wait count, so the re-run asks
+            # for 6 more (all held: covered) and escalates at the 7th
+            assert counters["covered"] == 6
+            assert [
+                fields["key_locks"] for name, _, fields in events
+                if name == "lock_escalate"
+            ] == [25]
+        if case == "empty":
+            assert outcome == [] and [r for r, _ in held] == [
+                ("key", "t", (6,)), ("table", "t"),
+            ]
+        if case == "eof":
+            assert ("eof", "t") in [r for r, _ in held]

@@ -459,8 +459,9 @@ class TestHeldLockTable:
 
 
 # ----------------------------------------------------------------------
-# differential: Transaction.acquire (held-table fast path) against
-# LockManager.request called for every step
+# differential: Transaction.acquire (held-table fast path) and
+# Transaction.acquire_run (a run's no-wait prefix) against
+# LockManager.request called for every resource
 # ----------------------------------------------------------------------
 
 EOF_RES = ("eof", "idx")
@@ -477,12 +478,39 @@ acquire_step = st.tuples(
     st.just("acquire"), st.integers(0, 3),
     st.sampled_from(RESOURCES), st.sampled_from(MODES),
 )
+run_step = st.tuples(
+    st.just("run"), st.integers(0, 3),
+    st.lists(st.sampled_from(RESOURCES), min_size=1, max_size=4),
+    st.sampled_from(MODES),
+)
 finish_step = st.tuples(st.sampled_from(["commit", "abort"]), st.integers(0, 3))
 # mostly acquisitions, so transactions live long enough to convert, queue
 # up behind each other and deadlock
 steps = st.lists(
-    st.one_of(*[acquire_step] * 6, finish_step), min_size=8, max_size=80
+    st.one_of(*[acquire_step] * 4, *[run_step] * 2, finish_step),
+    min_size=8, max_size=80,
 )
+
+
+def take_run(txn, resources, mode):
+    """A run the way the escalation policy takes one: a resource through
+    ``acquire``, the no-wait prefix after it through ``acquire_run``, and
+    the resource past that prefix through ``acquire`` again."""
+    taken = 0
+    while taken < len(resources):
+        txn.acquire(resources[taken], mode)
+        taken += 1
+        taken += txn.acquire_run(resources[taken:], mode)
+
+
+def request_run(locks, txn_id, resources, mode):
+    """The same run as one ``request`` per resource, up to the first that
+    is not granted; returns the last request."""
+    for resource in resources:
+        request = locks.request(txn_id, resource, mode)
+        if request.status is not RequestStatus.GRANTED:
+            break
+    return request
 
 
 def outcome_of(request):
@@ -505,6 +533,14 @@ class TestAcquireMatchesRequest:
         ("acquire", 2, RES, M.X), ("acquire", 0, RES, M.X),
         ("abort", 2), ("acquire", 0, RES, M.S),
     ])
+    @example(2, [  # a run that meets a conflict in its middle, waits there
+        ("acquire", 1, RES2, M.X), ("run", 0, [TAB, RES, RES2, EOF_RES], M.S),
+        ("commit", 1), ("run", 0, [TAB, RES, RES2, EOF_RES], M.S),
+    ])
+    @example(2, [  # a run that deadlocks in its middle: the younger is denied
+        ("acquire", 0, RES, M.X), ("run", 1, [EOF_RES, RES2, RES], M.S),
+        ("acquire", 0, RES2, M.X), ("abort", 1),
+    ])
     def test_same_grants_waits_and_victims(self, n_txns, schedule):
         fast, plain = LockManager(), LockManager()
         slots = list(range(1, n_txns + 1))  # slot -> current txn id
@@ -518,13 +554,19 @@ class TestAcquireMatchesRequest:
             slot = step[1] % n_txns
             txn_id = slots[slot]
             txn = txns[txn_id]
-            if step[0] == "acquire":
+            if step[0] in ("acquire", "run"):
                 if plain.waiting_for(txn_id) is not None:
                     continue  # a parked transaction does nothing
                 _, _, resource, mode = step
-                reference = plain.request(txn_id, resource, mode)
+                if step[0] == "run":
+                    reference = request_run(plain, txn_id, resource, mode)
+                else:
+                    reference = plain.request(txn_id, resource, mode)
                 try:
-                    txn.acquire(resource, mode)
+                    if step[0] == "run":
+                        take_run(txn, resource, mode)
+                    else:
+                        txn.acquire(resource, mode)
                     outcome = ("granted",)
                 except WouldWait as wait:
                     outcome = ("waiting",)

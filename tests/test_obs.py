@@ -224,15 +224,24 @@ class TestDatabaseStats:
     def test_requests_plus_covered_counts_every_acquire(self, monkeypatch):
         """``requests`` are the acquisitions that reached the lock
         manager's queues, ``covered`` the ones the transaction's held-lock
-        table answered: together, every ``Transaction.acquire`` call."""
+        table answered: together, every resource asked for — each
+        ``Transaction.acquire`` call, and each resource a
+        ``Transaction.acquire_run`` settled (the one past its prefix is
+        the caller's next ``acquire``)."""
         calls = []
-        acquire = Transaction.acquire
+        acquire, acquire_run = Transaction.acquire, Transaction.acquire_run
 
         def counted(txn, resource, mode):
             calls.append(resource)
             return acquire(txn, resource, mode)
 
+        def counted_run(txn, resources, mode):
+            taken = acquire_run(txn, resources, mode)
+            calls.extend(resources[:taken])
+            return taken
+
         monkeypatch.setattr(Transaction, "acquire", counted)
+        monkeypatch.setattr(Transaction, "acquire_run", counted_run)
         db = Database(EngineConfig())
         orders = OrderEntryWorkload(
             db, n_products=20, zipf_theta=1.0, seed=11
