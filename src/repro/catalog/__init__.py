@@ -1,5 +1,5 @@
 """Schema objects: tables, the catalog registry."""
 
-from repro.catalog.schema import Catalog, TableSchema
+from repro.catalog.schema import Catalog, RowLayout, TableSchema
 
-__all__ = ["Catalog", "TableSchema"]
+__all__ = ["Catalog", "RowLayout", "TableSchema"]

@@ -1,12 +1,34 @@
-"""Table schemas and the catalog registry.
+"""Table schemas, row layouts and the catalog registry.
 
 The catalog is deliberately light: tables declare column names and a
 primary key; views (defined in :mod:`repro.views.definition`) register
 against their base tables so the maintenance engine can find them. Rows
-are validated at the table boundary — deeper layers trust them.
+are validated at the table boundary — deeper layers trust them. Each
+index's rows are logged and paged by position, against a
+:class:`RowLayout` the catalog hands out.
 """
 
 from repro.common import CatalogError, StorageError
+
+
+class RowLayout:
+    """What a packed row of one index means: a stable u16 ``id`` (what
+    log records and page entries carry), the index ``name``, its row
+    ``columns`` and escrow ``counters`` in packing order."""
+
+    __slots__ = ("id", "name", "columns", "counters")
+
+    def __init__(self, layout_id, name, columns, counters=()):
+        self.id = layout_id
+        self.name = name
+        self.columns = tuple(columns)
+        self.counters = tuple(counters)
+
+    def __repr__(self):
+        return f"RowLayout({self.id}, {self.name!r}, {self.columns}, {self.counters})"
+
+    def definition(self):
+        return self.name, self.columns, self.counters
 
 
 class TableSchema:
@@ -76,6 +98,8 @@ class Catalog:
         self._tables = {}
         self._views = {}
         self._views_by_base = {}
+        self._layouts = {}  # id -> RowLayout, every one ever handed out
+        self._interned = {}  # definition -> RowLayout
 
     def copy(self):
         """A catalog with these tables and views that changes apart."""
@@ -84,6 +108,46 @@ class Catalog:
         for view in self._views.values():
             clone.add_view(view)
         return clone
+
+    # -- row layouts -----------------------------------------------------
+
+    def layout(self, name, columns, counters=()):
+        """The layout handed out before for this definition, else a new
+        one with an id no layout has had. A column named twice (an index
+        keyed by a join column that is also in the primary key) is stored
+        once, so it is laid out once."""
+        definition = (name, tuple(dict.fromkeys(columns)), tuple(counters))
+        layout = self._interned.get(definition)
+        if layout is None:
+            layout_id = max(self._layouts, default=0) + 1
+            if layout_id > 0xFFFF:
+                raise CatalogError("no row layout id left")
+            layout = RowLayout(layout_id, *definition)
+            self._layouts[layout_id] = self._interned[definition] = layout
+        return layout
+
+    def layouts(self):
+        """``{id: RowLayout}``: every layout handed out."""
+        return self._layouts
+
+    def adopt_layouts(self, table):
+        """Take the numbering of an adopted log's layout ``table`` (``{id:
+        RowLayout}``, its live layouts bound to this catalog's); this
+        catalog's other layouts get fresh ids past it. Nothing packed
+        under the old numbers survives: the log that held it is gone."""
+        kept = set(map(id, table.values()))
+        rest = [l for l in self._layouts.values() if id(l) not in kept]
+        self._layouts = dict(table)
+        for layout_id, layout in table.items():
+            layout.id = layout_id
+        for layout in rest:
+            layout.id = max(self._layouts, default=0) + 1
+            self._layouts[layout.id] = layout
+        # this catalog's own layouts win a definition a dropped one of
+        # the log's shares: that one's records stay bound to nothing
+        self._interned = {
+            l.definition(): l for l in (*table.values(), *rest)
+        }
 
     # -- tables ----------------------------------------------------------
 

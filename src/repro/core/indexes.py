@@ -13,7 +13,10 @@ passes through; the page world of
 and the durable store (:attr:`~Indexes.store`); and the recovery target
 (:class:`~repro.wal.recovery.RecoveryTarget`), whose verbs bypass
 locking: recovery runs single-threaded, online rollback under the
-aborting transaction's own locks. The engine's volatile parts (latches,
+aborting transaction's own locks. Each index has the
+:class:`~repro.catalog.RowLayout` the catalog interns for it; a log
+restored from segment files binds to them by name (:meth:`~Indexes.bind`).
+The engine's volatile parts (latches,
 the cleaner's list) are read through the engine, since a crash replaces
 them.
 """
@@ -49,7 +52,8 @@ class Indexes(RecoveryTarget):
 
     def add_table(self, schema):
         """The (empty) primary-key index of the table ``schema``."""
-        self._indexes[schema.name] = self._new(schema.name, schema.primary_key)
+        layout = self._db.catalog.layout(schema.name, schema.columns)
+        self._indexes[schema.name] = self._new(layout, schema.primary_key)
         self.replan([schema.name])
 
     def add_view(self, view):
@@ -60,9 +64,13 @@ class Indexes(RecoveryTarget):
             # never reach drop_view, which would drop the storage of the
             # existing view or table that owns the name.
             raise CatalogError(f"name {view.name!r} already in use")
-        self._db.catalog.add_view(view)
-        for index_name, key_columns in view.owned_indexes():
-            self._indexes[index_name] = self._new(index_name, key_columns)
+        catalog = self._db.catalog
+        catalog.add_view(view)
+        for index_name, key_columns, columns in view.owned_indexes():
+            layout = catalog.layout(index_name, columns, (
+                view.counter_columns() if index_name == view.name else ()
+            ))
+            self._indexes[index_name] = self._new(layout, key_columns)
             self._views[index_name] = view
         self.replan(view.base_tables())
 
@@ -72,10 +80,10 @@ class Indexes(RecoveryTarget):
         db = self._db
         if db.catalog.has_view(view.name):
             db.catalog.drop_view(view.name)
-        for index_name, _ in view.owned_indexes():
+        for index_name, *_ in view.owned_indexes():
             index = self._indexes.pop(index_name, None)
             if index is not None:  # its pages go too: a rebuild reuses the name
-                self.pool.discard(index_name, index.leaves())
+                self.pool.discard(index.layout, index.leaves())
             self._views.pop(index_name, None)
             db.cleanup.drop_index(index_name)
         self.replan(view.base_tables())
@@ -88,11 +96,12 @@ class Indexes(RecoveryTarget):
             self._plans[table] = db.maintenance.plan(db, table)
         self._prepared.clear()
 
-    def _new(self, name, key_columns):
-        """An empty index whose leaves are pages of this engine."""
+    def _new(self, layout, key_columns):
+        """An empty index of ``layout`` whose leaves are pages of this
+        engine."""
         return Index(
-            name, key_columns, order=self._db.config.btree_order,
-            latch_set=self._db.latches, pages=self.pool,
+            layout.name, key_columns, order=self._db.config.btree_order,
+            latch_set=self._db.latches, pages=self.pool, layout=layout,
         )
 
     # ------------------------------------------------------------------
@@ -135,18 +144,9 @@ class Indexes(RecoveryTarget):
         """The view owning ``index_name``, or ``None`` (a table's)."""
         return self._views.get(index_name)
 
-    def counter_columns(self, index_name):
-        """The escrow-counter columns of ``index_name``'s rows: an
-        aggregate-shaped view's COUNT/SUM columns for the view's own
-        index, ``()`` for every other index."""
-        view = self._views.get(index_name)
-        if view is None or view.name != index_name:
-            return ()
-        return view.counter_columns()
-
     def count_column(self, index_name):
         """The COUNT(*) column whose zero marks a row of ``index_name``
-        logically deleted, or ``None`` (see :meth:`counter_columns`)."""
+        logically deleted, or ``None`` (a view's own index has one)."""
         view = self._views.get(index_name)
         if view is None or view.name != index_name:
             return None
@@ -176,8 +176,37 @@ class Indexes(RecoveryTarget):
             page_ids=self._page_ids,
         )
         for name, index in list(self._indexes.items()):
-            self._indexes[name] = self._new(name, index.key_columns)
+            self._indexes[name] = self._new(index.layout, index.key_columns)
         self.replan(schema.name for schema in db.catalog.tables())
+
+    def layouts(self):
+        """A segment header's layout table: ``(layout, live)`` for every
+        layout handed out, by id; ``live`` when an index has it now."""
+        live = {id(index.layout) for index in self._indexes.values()}
+        return [
+            (layout, id(layout) in live)
+            for _, layout in sorted(self._db.catalog.layouts().items())
+        ]
+
+    def bind(self, pairs):
+        """The ``{id: layout}`` table a restored log decodes against: a
+        segment chain's ``(layout, live)`` ``pairs``, each live one bound
+        to the index of its name (one that binds nothing changes nothing
+        here), or a :class:`StorageError` if its columns or counters
+        differ. Changes nothing itself."""
+        table = {}
+        for layout, live in pairs:
+            index = self._indexes.get(layout.name) if live else None
+            if index is None:
+                table[layout.id] = layout
+                continue
+            mine = index.layout
+            if mine.definition() != layout.definition():
+                raise StorageError(
+                    f"cannot restore this WAL: {mine} here, {layout} in it"
+                )
+            table[layout.id] = mine
+        return table
 
     def seed(self, winners):
         """Recovery's seed: the newest durable entry per key (the
@@ -222,8 +251,16 @@ class Indexes(RecoveryTarget):
             return None
         return index.get_record(tuple(key), include_ghost=True)
 
-    def set_entry(self, index_name, key, entry, lsn):
-        index = self._indexes.get(index_name)
+    def _of(self, layout):
+        """The index of ``layout``'s name, unless re-created since under
+        another definition: then a record of ``layout`` changes nothing."""
+        index = self._indexes.get(layout.name)
+        if index is None or index.layout.id != layout.id:
+            return None
+        return index
+
+    def set_entry(self, layout, key, entry, lsn):
+        index = self._of(layout)
         if index is None:
             return
         key = tuple(key)
@@ -232,18 +269,21 @@ class Indexes(RecoveryTarget):
         # The cleaner's list in step: a ghost is a candidate, a revived
         # one is not; live -> live may be a zero-count group waiting there.
         if entry is not None and entry[1]:
-            self._db.cleanup.enqueue(index_name, key)
+            self._db.cleanup.enqueue(index.name, key)
         elif entry is not None and was_ghost:
-            self._db.cleanup.cancel(index_name, key)
+            self._db.cleanup.cancel(index.name, key)
 
-    def add_deltas(self, index_name, key, deltas, lsn):
-        record = self.record(index_name, key)
+    def add_deltas(self, layout, key, deltas, lsn):
+        index = self._of(layout)
+        if index is None:
+            return
+        record = index.get_record(tuple(key), include_ghost=True)
         if record is None:
             return
         row = record.current_row
         changes = {c: row[c] + d for c, d in deltas.items()}
         record.current_row = row.replace(**changes)
-        self._indexes[index_name].stamp(record, lsn)
+        index.stamp(record, lsn)
 
     def stamp(self, index_name, key, lsn):
         """Online rollback's escrow half: an unreserve at ``lsn`` (a CLR)

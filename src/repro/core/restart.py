@@ -17,7 +17,12 @@ from repro.common import StorageError, WalCorruptionError
 from repro.storage.bufferpool import durable_winners
 from repro.views.online import resolve_after_recovery
 from repro.wal import CheckpointRecord, recover, salvage
-from repro.wal.segments import dump_segments, load_segments, recycle_segments
+from repro.wal.segments import (
+    dump_segments,
+    load_segments,
+    read_layouts,
+    recycle_segments,
+)
 
 
 class Restart:
@@ -190,7 +195,9 @@ class Restart:
             first is None or first.lsn == 1
         ):
             return None, 0
-        gate, loaded, torn = durable_winners(db.indexes.store)
+        gate, loaded, torn = durable_winners(
+            db.indexes.store, db.catalog.layouts()
+        )
         if torn:
             db.counters.incr("storage.torn_pages", torn)
         cut = (self._pending_salvage or {}).get("truncated_lsn")
@@ -236,20 +243,26 @@ class Restart:
         return dump_segments(
             db.log, directory,
             segment_bytes=db.config.wal_segment_bytes, faults=db.faults,
+            layouts=db.indexes.layouts(),
         )
 
     def load_segments_and_recover(self, directory):
         """Rebuild all state from a segment chain written by
         :meth:`dump_segments`. DDL is not logged, so the receiving engine
         must already have the same tables and views — build the schema,
-        load no rows, then restore (see :meth:`_adopt`). A broken chain
-        (bad trailer CRC, lost segment) is truncated at the break and
-        the loss lands in the salvage report."""
-        return self._adopt(load_segments(
-            directory, checksums=self._db.config.wal_checksums
-        ))
+        load no rows, then restore (see :meth:`_adopt`); the chain's
+        layouts bind to its indexes by name, or nothing is redone
+        (:meth:`~repro.core.indexes.Indexes.bind`). A broken chain (bad
+        trailer CRC, lost segment) is truncated at the break and the loss
+        lands in the salvage report."""
+        db = self._db
+        layouts = db.indexes.bind(read_layouts(directory))
+        loaded = load_segments(
+            directory, checksums=db.config.wal_checksums, layouts=layouts
+        )
+        return self._adopt(loaded, layouts)
 
-    def _adopt(self, loaded):
+    def _adopt(self, loaded, layouts):
         """Replace the log with one read back from disk and recover from
         it — only when the local pages were written under it.
 
@@ -262,6 +275,8 @@ class Restart:
         the pages its dropped segments were folded into, which live only
         in the engine that recycled it; without them recovery would
         silently lose everything before the chain's first record.
+        Adopted, the log's layout numbering (``layouts``) becomes the
+        catalog's, so its records pack back to their stamped bytes.
         """
         db = self._db
         pages = len(db.indexes.store)
@@ -282,6 +297,8 @@ class Restart:
                 f"only in the page store of the engine that recycled it; "
                 f"restore the unrecycled chain"
             )
+        if layouts:
+            db.catalog.adopt_layouts(layouts)
         db.log = loaded
         return self.recover()
 

@@ -105,7 +105,7 @@ def view_discrepancies(db, view):
     ``check_view_consistency`` and the integrity sweep."""
     live = expected_index_contents(view, lambda table: db.index(table).rows())
     for index_name, expected in live.items():
-        counters = db.indexes.counter_columns(index_name)
+        counters = db.index(index_name).layout.counters
         actual = {}
         for key, record in db.index(index_name).scan():
             row = escrow.inclusive_row(record)
@@ -181,6 +181,7 @@ def _check_storage(db, report):
     has an image (a leaf is written when the store is attached, and any
     change dirties it), so one without is a lost page."""
     store = db.indexes.store
+    layouts = db.catalog.layouts()
     images = {}
     for page_id in sorted(store.page_ids()):
         try:
@@ -210,17 +211,17 @@ def _check_storage(db, report):
                 report.damage.append(Damage(
                     "storage", name, key=(leaf.page_id,),
                     detail=f"leaf page {leaf.page_id}: its image holds "
-                    f"{_entries(got, want)!r}, the leaf "
-                    f"{_entries(want, got)!r}",
+                    f"{_entries(got, want, layouts)!r}, the leaf "
+                    f"{_entries(want, got, layouts)!r}",
                 ))
 
 
-def _entries(payloads, others):
+def _entries(payloads, others, layouts):
     """``(key, row, is_ghost, lsn)`` of the packed entries in
     ``payloads`` that ``others`` lacks."""
     return [
         (key, row, ghost, lsn)
-        for _, key, row, ghost, lsn in map(
-            unpack_entry, [p for p in payloads if p not in others]
+        for _, key, row, ghost, lsn in (
+            unpack_entry(p, layouts) for p in payloads if p not in others
         )
     ]

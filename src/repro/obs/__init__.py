@@ -17,6 +17,7 @@ from repro.obs.schema import (
     CHECKPOINT_RECORD_FIELDS,
     FLOOR_MARKER_FIELDS,
     LOCK_STATS_FIELDS,
+    LAYOUT_ENTRY_FIELDS,
     NET_STATS_FIELDS,
     PAGE_ENTRY_FIELDS,
     PAGE_HEADER_FIELDS,
@@ -50,6 +51,7 @@ __all__ = [
     "EngineMetrics",
     "Histogram",
     "LOCK_STATS_FIELDS",
+    "LAYOUT_ENTRY_FIELDS",
     "NET_STATS_FIELDS",
     "NULL_TRACER",
     "PAGE_ENTRY_FIELDS",

@@ -89,8 +89,9 @@ STATIC_REPORT_FIELDS = {
 PAGE_HEADER_FIELDS = ("page_id", "page_lsn", "slot_count", "free_end", "crc")
 
 #: one page entry (``repro.wal.codec.pack_entry``), in layout order: a
-#: packed ``<BI`` header, then the length-prefixed name, key and row.
-PAGE_ENTRY_FIELDS = ("flags", "lsn", "index", "key", "row")
+#: packed ``<BIH`` header (the row layout's id last), then the key and
+#: the row by position.
+PAGE_ENTRY_FIELDS = ("flags", "lsn", "layout", "key", "row")
 
 #: the fixed header of every log record, in struct order (``<BIII``).
 RECORD_HEADER_FIELDS = ("type", "lsn", "txn_id", "prev_lsn")
@@ -108,7 +109,10 @@ VALUE_TAGS = (
 SEGMENT_FRAME_FIELDS = ("length", "crc", "record")
 
 #: the JSON header line of every WAL segment file.
-SEGMENT_HEADER_FIELDS = {"segment", "first_lsn"}
+SEGMENT_HEADER_FIELDS = {"segment", "first_lsn", "layouts", "layouts_crc"}
+
+#: one entry of a segment header's layout table, in list order.
+LAYOUT_ENTRY_FIELDS = ("id", "name", "live", "columns", "counters")
 
 #: the JSON trailer line sealing every WAL segment file.
 SEGMENT_TRAILER_FIELDS = {"segment", "records", "last_lsn", "crc"}

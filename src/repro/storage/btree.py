@@ -62,17 +62,17 @@ _MISSING = object()
 class _LeafNode:
     __slots__ = (
         "id", "keys", "values", "next", "prev",
-        "index", "page_id", "page_lsn", "rec_lsn", "freed", "waits", "waiters",
+        "layout", "page_id", "page_lsn", "rec_lsn", "freed", "waits", "waiters",
     )
 
-    def __init__(self, node_id, index=None, page_id=None):
+    def __init__(self, node_id, layout=None, page_id=None):
         self.id = node_id
         self.keys = []
         self.values = []
         self.next = NO_NODE  # node ID of the right sibling leaf
         self.prev = NO_NODE  # node ID of the left sibling leaf
         # the page (docs/STORAGE.md §2), maintained by the buffer pool
-        self.index = index  # the name its entries are packed under
+        self.layout = layout  # the RowLayout its entries are packed against
         self.page_id = node_id if page_id is None else page_id
         self.page_lsn = 0  # newest change made to it, removals included
         self.rec_lsn = None  # oldest change its image lacks; None: clean
@@ -115,12 +115,12 @@ class BPlusTree:
     [(1,), (2,)]
     """
 
-    def __init__(self, order=DEFAULT_ORDER, pages=None, name=None):
+    def __init__(self, order=DEFAULT_ORDER, pages=None, layout=None):
         if order < 4:
             raise StorageError("order must be at least 4")
         self._order = order
         self._pages = pages
-        self._name = name
+        self._layout = layout
         self._nodes = {}  # node ID -> node
         self._next_node_id = 1
         self._root = self._new_leaf().id
@@ -137,7 +137,7 @@ class BPlusTree:
     def _new_leaf(self):
         pages = self._pages
         node = _LeafNode(
-            self._next_node_id, self._name,
+            self._next_node_id, self._layout,
             pages.new_page_id() if pages is not None else None,
         )
         self._nodes[node.id] = node

@@ -28,12 +28,16 @@ that received them, and a leaf freed by a merge keeps its image until
 its receiver's is written — until then, the old image may hold the only
 durable copy of an entry whose records lie below the recycle floor.
 
+>>> from repro.catalog import RowLayout
 >>> from repro.storage.btree import BPlusTree
 >>> from repro.storage.records import VersionedRecord
 >>> from repro.wal import LogManager
 >>> pool = BufferPool(capacity=2, log=LogManager())
 >>> pool.attach(PageStore(), leaves=())
->>> trees = [BPlusTree(order=4, pages=pool, name=f"t{i}") for i in range(3)]
+>>> trees = [
+...     BPlusTree(order=4, pages=pool, layout=RowLayout(i, f"t{i}", ("k",)))
+...     for i in range(3)
+... ]
 >>> for lsn, tree in enumerate(trees, start=1):
 ...     _ = tree.setdefault((1,), VersionedRecord((1,), {"k": 1}, lsn=lsn), lsn)
 ...     pool.write_excess()
@@ -268,7 +272,7 @@ class BufferPool:
     def _relocate(self, leaf):
         """Give ``leaf`` a new page id; its old image stays behind as a
         freed page that waits on its receivers."""
-        stub = _LeafNode(0, leaf.index, leaf.page_id)
+        stub = _LeafNode(0, leaf.layout, leaf.page_id)
         stub.freed = True
         stub.page_lsn = leaf.page_lsn
         stub.waits = leaf.waits
@@ -312,7 +316,7 @@ class BufferPool:
         whatever changes what an image holds for a record logs a record
         and stamps its LSN, and a commit that folds pending deltas into
         the row leaves their sum, the written value, as it was."""
-        name = leaf.index
+        layout = leaf.layout
         keep = reuse and self.store.has_page(leaf.page_id)
         lsn = leaf.page_lsn
         entries = []
@@ -320,7 +324,7 @@ class BufferPool:
             entry = record.packed if keep else None
             if entry is None or entry_lsn(entry) != record.lsn:
                 entry = pack_entry(
-                    name, record.key, escrow.inclusive_row(record),
+                    layout, record.key, escrow.inclusive_row(record),
                     record.is_ghost, record.lsn,
                 )
                 if keep:
@@ -340,7 +344,7 @@ class BufferPool:
         )
         if size > MAX_PAGE_SIZE:
             raise StorageError(
-                f"leaf of {leaf.index!r} needs a {size}-byte image, over the "
+                f"leaf of {leaf.layout.name!r} needs a {size}-byte image, over the "
                 f"maximum page size ({MAX_PAGE_SIZE})"
             )
         return SlottedPage(leaf.page_id, entries, size, lsn)
@@ -354,12 +358,12 @@ class BufferPool:
         checkpoint logs and where ARIES redo starts."""
         return {leaf.page_id: leaf.rec_lsn for leaf in self._dirty}
 
-    def discard(self, index, leaves):
-        """Index ``index`` was dropped: its leaves (``leaves``, the live
-        ones) leave the table and their images the store."""
+    def discard(self, layout, leaves):
+        """The index of ``layout`` was dropped: its leaves (``leaves``,
+        the live ones) leave the table and their images the store."""
         if self.store is None:
             return
-        dropped = [leaf for leaf in self._dirty if leaf.index == index]
+        dropped = [leaf for leaf in self._dirty if leaf.layout is layout]
         for leaf in dropped:
             del self._dirty[leaf]
         for leaf in itertools.chain(dropped, leaves):
@@ -390,11 +394,12 @@ def _link(giver, receiver):
     receiver.waiters[giver] = None
 
 
-def durable_winners(store):
+def durable_winners(store, layouts):
     """Recovery's one read of the durable device.
 
     Reads every page image in ``store`` once (CRC-checked
-    :meth:`PageStore.read_page`) and elects the newest entry per key.
+    :meth:`PageStore.read_page`), decoding against ``layouts``, and
+    elects the newest entry per key.
     Returns ``(table, pages_loaded, torn)`` where ``table`` maps
     ``(index, key)`` to ``(lsn, row, is_ghost)`` — or is ``None`` when a
     torn page makes the store untrustworthy and the caller must replay
@@ -411,8 +416,8 @@ def durable_winners(store):
             continue
         pages_loaded += 1
         for _, payload in page.records():
-            index_name, key, row, ghost, lsn = unpack_entry(payload)
-            locator = (index_name, key)
+            layout, key, row, ghost, lsn = unpack_entry(payload, layouts)
+            locator = (layout.name, key)
             current = table.get(locator)
             # pages are visited in id order, so a tie goes to the later page
             if current is None or lsn >= current[0]:

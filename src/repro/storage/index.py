@@ -71,15 +71,17 @@ class Index:
     threaded (concurrency is simulated above the storage layer), so
     latches cannot be *contended* here, but the acquire/release pairing
     is executed and asserted, and the acquisition counts feed the
-    benchmarks as a proxy for physical-structure traffic.
+    benchmarks as a proxy for physical-structure traffic. Rows are
+    logged and paged against ``layout`` (:class:`~repro.catalog.RowLayout`).
     """
 
     def __init__(self, name, key_columns, order=32, unique=True, latch_set=None,
-                 pages=None):
+                 pages=None, layout=None):
         self.name = name
         self.key_columns = tuple(key_columns)
         self.unique = unique
-        self._tree = BPlusTree(order=order, pages=pages, name=name)
+        self.layout = layout
+        self._tree = BPlusTree(order=order, pages=pages, layout=layout)
         self._pages = pages
         self._ghost_keys = set()
         self._latch = (

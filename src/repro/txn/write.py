@@ -41,10 +41,10 @@ def put(db, txn, index, key, row, at=None):
     else:
         existing = at.record
     if existing is None:
-        logged = InsertRecord(txn.txn_id, index.name, key, row)
+        logged = InsertRecord(txn.txn_id, index.layout, key, row)
     elif existing.is_ghost:
         logged = ReviveRecord(
-            txn.txn_id, index.name, key, row, existing.current_row
+            txn.txn_id, index.layout, key, row, existing.current_row
         )
     else:
         raise StorageError(f"duplicate key {key!r} in index {index.name!r}")
@@ -65,7 +65,7 @@ def ghost(db, txn, index, key, at=None):
     if record is None:
         return None
     lsn = db.log.append(
-        GhostRecord(txn.txn_id, index.name, key, record.current_row)
+        GhostRecord(txn.txn_id, index.layout, key, record.current_row)
     )
     index.set_entry(key, (record.current_row, True), lsn, at)
     txn.touch_record(record)
@@ -80,7 +80,7 @@ def patch(db, txn, index, key, row, at=None):
     if record is None:
         return None
     lsn = db.log.append(
-        UpdateRecord(txn.txn_id, index.name, key, record.current_row, row)
+        UpdateRecord(txn.txn_id, index.layout, key, record.current_row, row)
     )
     index.set_entry(key, (row, False), lsn, at)
     txn.touch_record(record)
@@ -95,7 +95,7 @@ def erase(db, txn, index, key):
     if record is None or not record.is_ghost:
         return None
     lsn = db.log.append(
-        CleanupRecord(txn.txn_id, index.name, key, record.current_row)
+        CleanupRecord(txn.txn_id, index.layout, key, record.current_row)
     )
     index.set_entry(key, None, lsn)
     db.cleanup.cancel(index.name, key)

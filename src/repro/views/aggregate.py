@@ -150,11 +150,13 @@ class AggregateMaintainer:
                 **{c: before[c] + d for c, d in deltas.items()}
             )
             lsn = db.log.append(
-                CounterImageRecord(txn.txn_id, view.name, group_key, before, after)
+                CounterImageRecord(
+                    txn.txn_id, index.layout, group_key, before, after
+                )
             )
         else:
             lsn = db.log.append(
-                EscrowDeltaRecord(txn.txn_id, view.name, group_key, deltas)
+                EscrowDeltaRecord(txn.txn_id, index.layout, group_key, deltas)
             )
         if lsn is not None:
             # the reserve moved what the row's image holds (its pending

@@ -124,10 +124,12 @@ class ViewDefinition:
         raise NotImplementedError
 
     def owned_indexes(self):
-        """``(index name, key columns)`` of every index the view owns,
-        its own first."""
-        return [(self.name, self.key_columns)] + [
-            (aux.name, aux.key_columns) for aux in self.aux_indexes
+        """``(index name, key columns, row columns)`` of every index the
+        view owns, its own first."""
+        return [(self.name, self.key_columns, self.columns)] + [
+            (aux.name, aux.key_columns,
+             aux.key_columns if aux.source else self.columns)
+            for aux in self.aux_indexes
         ]
 
     def relevant(self, row):

@@ -62,7 +62,7 @@ def lock_step(txn, view):
     view owns (its readers and escrow holders too)."""
     for table in view.base_tables():
         txn.acquire(table_resource(table), LockMode.S)
-    for index_name, _ in view.owned_indexes():
+    for index_name, *_ in view.owned_indexes():
         txn.acquire(table_resource(index_name), LockMode.X)
 
 

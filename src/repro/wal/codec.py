@@ -10,19 +10,21 @@ segment frame and its page entry are all readings of one buffer.
   a user object, an ``int`` subclass — is refused
   (:class:`UnsupportedValueError`), not written as something else.
 * **lengths** — one byte, or ``0xFF`` then a ``u32``.
-* **keys** — a length and that many values; **rows** — a presence byte,
-  a column count, ``(name, value)`` pairs in the row's own order.
+* **keys** — a length and that many values; **rows** — a presence
+  byte, the arity, the values in ``layout.columns`` order (a
+  :class:`~repro.catalog.RowLayout`, named by its u16 id: no name is
+  packed); **escrow deltas** — the arity, the ``layout.counters``.
 * **record header** :data:`RECORD_HEADER`, then the record class's
   declared fields (:mod:`repro.wal.records`), each one of the kinds at
-  the bottom of this module; **page entry** :data:`ENTRY_HEADER`, index
-  name, key, row; **segment frame** :data:`FRAME_HEADER`, record bytes.
+  the bottom of this module; **page entry** :data:`ENTRY_HEADER`, key,
+  row; **segment frame** :data:`FRAME_HEADER`, record bytes.
 
 Packers append ``bytes`` to a sink (``list.append``); unpackers take
 ``(buf, at)`` and return ``(value, next_at)``, letting a malformed
 buffer's errors (:data:`DECODE_ERRORS`) reach the two decoding entry
 points, :meth:`LogRecord.decode <repro.wal.records.LogRecord.decode>`
-and :func:`unpack_entry`, which raise :class:`WalError` /
-:class:`StorageError`.
+and :func:`unpack_entry` (against a layout table), which raise
+:class:`WalError` / :class:`StorageError`.
 
 >>> parts = []; pack_value((1, "é", None), parts.append)
 >>> unpack_value(b"".join(parts), 0)[0]
@@ -91,15 +93,6 @@ def _sized(data):
 def _unpack_sized(buf, at, convert):
     n, at = _unpack_len(buf, at)
     return convert(buf[at:at + n]), at + n
-
-
-@functools.lru_cache(maxsize=4096)
-def _name(name):
-    """An index or column name: length, UTF-8. The same few names are
-    packed millions of times, hence the memo."""
-    if type(name) is not str:
-        _refuse(name)
-    return _sized(name.encode("utf-8"))
 
 
 _UTF8 = functools.partial(str, encoding="utf-8")
@@ -236,64 +229,66 @@ def unpack_key(buf, at):
     return tuple(values), at
 
 
-def pack_columns(columns, out):
-    """A column count, then ``(name, value)`` pairs in mapping order."""
-    out(_pack_len(len(columns)))
-    for name, value in columns.items():
-        out(_name(name))
-        _PACKERS.get(type(value), _refuse)(value, out)
+def _pack_values(mapping, names, out):
+    """The arity, then ``mapping``'s values at ``names`` — which must be
+    all of its keys — in that order."""
+    if len(mapping) != len(names):
+        raise WalError(f"{len(mapping)} values for the layout's {names!r}")
+    out(_pack_len(len(names)))
+    try:
+        for name in names:
+            value = mapping[name]
+            _PACKERS.get(type(value), _refuse)(value, out)
+    except KeyError as missing:
+        raise WalError(f"no {missing} among {list(mapping)!r}") from None
 
 
-def unpack_columns(buf, at):
+def _unpack_values(buf, at, names):
     # The hot read loop (every record's row and deltas, every entry at
-    # recovery): short names and one-byte ints are read in line.
+    # recovery): one-byte ints are read in line.
     n, at = _unpack_len(buf, at)
-    columns = {}
-    for _ in range(n):
-        end = at + 1 + buf[at]
-        if buf[at] == 255:
-            name, end = _unpack_str(buf, at)
-        else:
-            name = str(buf[at + 1:end], "utf-8")
-        tag = buf[end]
+    if n != len(names):
+        raise WalError(f"arity {n} where the layout has {len(names)}")
+    values = {}
+    for name in names:
+        tag = buf[at]
         if tag == _INT8_TAG:
-            columns[name] = (buf[end + 1] ^ 0x80) - 0x80
-            at = end + 2
+            values[name] = (buf[at + 1] ^ 0x80) - 0x80
+            at += 2
         else:
-            columns[name], at = _UNPACKERS[tag](buf, end + 1)
-    if len(columns) != n:
-        raise WalError("duplicate column name")
-    return columns, at
+            values[name], at = _UNPACKERS[tag](buf, at + 1)
+    return values, at
 
 
-def pack_row(row, out):
-    """A presence byte (a before image may be absent), then the
-    columns."""
+def pack_row(row, out, layout):
+    """A presence byte (a before image may be absent), then the row's
+    values in ``layout.columns`` order."""
     if row is None:
         out(_BYTE[0])
     else:
         out(_BYTE[1])
-        pack_columns(row, out)
+        _pack_values(row, layout.columns, out)
 
 
-def _unpack_optional_columns(buf, at):
+def _unpack_optional_values(buf, at, layout):
     if buf[at] == 0:
         return None, at + 1
     if buf[at] != 1:
         raise WalError("bad row presence byte")
-    return unpack_columns(buf, at + 1)
+    return _unpack_values(buf, at + 1, layout.columns)
 
 
-def unpack_row(buf, at):
-    columns, at = _unpack_optional_columns(buf, at)
-    return (None if columns is None else Row(columns)), at
+def unpack_row(buf, at, layout):
+    values, at = _unpack_optional_values(buf, at, layout)
+    return (None if values is None else Row(values)), at
 
 
 def check_row(row):
     """Refuse (:class:`UnsupportedValueError`) a row some value of which
-    has no layout — by packing it, the one exact test — so DML can fail
-    before it has changed anything."""
-    pack_columns(row, lambda data: None)
+    has no layout — by packing its values as a record does, the one exact
+    test — so DML can fail before it has changed anything."""
+    for value in row.values():
+        _PACKERS.get(type(value), _refuse)(value, lambda data: None)
 
 
 #: kind (type code | presence flags), lsn, txn_id, prev_lsn
@@ -333,17 +328,17 @@ def unpack_record_header(buf, at):
     return (kind & _CODE_MASK, *fields, at + RECORD_HEADER.size)
 
 
-#: flags (ghost; every other bit reserved), lsn — then index name, key, row
-ENTRY_HEADER = struct.Struct("<BI")
+#: flags (ghost; every other bit reserved), lsn, layout id — then key, row
+ENTRY_HEADER = struct.Struct("<BIH")
 _GHOST = 0x01
 
 
-def pack_entry(index_name, key, row, is_ghost, lsn):
+def pack_entry(layout, key, row, is_ghost, lsn):
     """One key's page entry as of ``lsn``."""
     flags = _GHOST if is_ghost else 0
-    parts = [ENTRY_HEADER.pack(flags, lsn), _name(index_name)]
+    parts = [ENTRY_HEADER.pack(flags, lsn, layout.id)]
     pack_key(key, parts.append)
-    pack_row(row, parts.append)
+    pack_row(row, parts.append, layout)
     return b"".join(parts)
 
 
@@ -352,20 +347,21 @@ def entry_lsn(buf):
     return ENTRY_HEADER.unpack_from(buf, 0)[1]
 
 
-def unpack_entry(buf):
-    """``(index_name, key, row, is_ghost, lsn)`` — the row a plain dict
-    or ``None``. A malformed entry, or one with a reserved flag bit set,
-    is a :class:`StorageError`."""
+def unpack_entry(buf, layouts):
+    """``(layout, key, row, is_ghost, lsn)`` — the row a plain dict or
+    ``None``; the layout from ``layouts`` (``{id: RowLayout}``). A
+    malformed entry, an unknown layout id, a wrong arity or a reserved
+    flag bit set is a :class:`StorageError`."""
     try:
-        flags, lsn = ENTRY_HEADER.unpack_from(buf, 0)
-        index_name, at = _unpack_str(buf, ENTRY_HEADER.size)
-        key, at = unpack_key(buf, at)
-        row, at = _unpack_optional_columns(buf, at)
+        flags, lsn, layout_id = ENTRY_HEADER.unpack_from(buf, 0)
+        layout = layouts[layout_id]
+        key, at = unpack_key(buf, ENTRY_HEADER.size)
+        row, at = _unpack_optional_values(buf, at, layout)
     except DECODE_ERRORS as exc:
         raise StorageError(f"undecodable page entry: {exc!r}") from None
     if at != len(buf) or flags & ~_GHOST:
         raise StorageError("undecodable page entry: bad length or flags")
-    return index_name, key, row, bool(flags & _GHOST), lsn
+    return layout, key, row, bool(flags & _GHOST), lsn
 
 
 #: record length, record CRC-32 — then the record's bytes
@@ -392,9 +388,36 @@ def iter_frames(body):
         at += length
 
 
-# record-body field kinds: (pack(value, out), unpack(buf, at))
-VALUE = (pack_value, unpack_value)
-NAME = (lambda name, out: out(_name(name)), _unpack_str)
-KEY = (pack_key, unpack_key)
-ROW = (pack_row, unpack_row)
-COLUMNS = (pack_columns, unpack_columns)
+# Record-body field kinds: ``(pack(value, out, record), unpack(buf, at,
+# record, layouts))``; rows and deltas pack against ``record.layout``.
+_LAYOUT_ID = struct.Struct("<H")
+
+
+def plain(pack, unpack):
+    """A field kind that needs neither the record nor the table."""
+    return (
+        lambda value, out, record: pack(value, out),
+        lambda buf, at, record, layouts: unpack(buf, at),
+    )
+
+
+VALUE = plain(pack_value, unpack_value)
+KEY = plain(pack_key, unpack_key)
+LAYOUT = (
+    lambda layout, out, record: out(_LAYOUT_ID.pack(layout.id)),
+    lambda buf, at, record, layouts: (
+        layouts[_LAYOUT_ID.unpack_from(buf, at)[0]], at + 2
+    ),
+)
+ROW = (
+    lambda row, out, record: pack_row(row, out, record.layout),
+    lambda buf, at, record, layouts: unpack_row(buf, at, record.layout),
+)
+DELTAS = (
+    lambda deltas, out, record: _pack_values(
+        deltas, record.layout.counters, out
+    ),
+    lambda buf, at, record, layouts: _unpack_values(
+        buf, at, record.layout.counters
+    ),
+)

@@ -8,14 +8,14 @@ one of the paper's main points:
   entries, ``before_entry()`` and ``after_entry()`` — ``None`` (no slot)
   or ``(row, is_ghost)``, derived from the fields it logs — applied by
   **assignment** (:class:`RowChangeRecord`: redo is ``target.set_entry(
-  index, key, after, lsn)``, undo assigns ``before``). That is idempotent,
+  layout, key, after, lsn)``, undo assigns ``before``). That is idempotent,
   correct for exclusively locked rows, and catastrophically wrong for
   escrow-locked counters, where the before image observed by one
   transaction interleaves with other transactions' committed increments.
 
 * **Logical escrow records** (:class:`EscrowDeltaRecord`) carry only the
   delta and are applied **relative to the current value**: redo is
-  ``target.add_deltas(index, key, +deltas, lsn)``, undo ``-deltas``. Because
+  ``target.add_deltas(layout, key, +deltas, lsn)``, undo ``-deltas``. Because
   increments commute, both are correct under any interleaving of escrow
   holders — this is what makes E locks recoverable — but neither is
   idempotent: recovery's LSN gate exists for this record alone.
@@ -25,6 +25,9 @@ field kind)`` pairs in layout order — and :mod:`repro.wal.codec` packs
 them behind one fixed header: :meth:`LogRecord.encoded` is the record's
 one durable form (sized, CRC-stamped, framed into segments) and
 :meth:`LogRecord.decode` its inverse. Values keep their type both ways.
+A row-change record names its index by a
+:class:`~repro.catalog.RowLayout` (packed as its u16 id) and packs rows
+and deltas by its positions, so it decodes against a layout table.
 
 Compensation records (:class:`CompensationRecord`) wrap the undo of another
 record; they are redo-only and carry ``undo_next_lsn`` so that a rollback
@@ -133,7 +136,7 @@ class LogRecord:
         ]
         out = parts.append
         for attr, (pack, _) in self.fields:
-            pack(getattr(self, attr), out)
+            pack(getattr(self, attr), out, self)
         return b"".join(parts)
 
     def checksum(self):
@@ -147,12 +150,13 @@ class LogRecord:
         return self.stored_crc is None or self.stored_crc == self.checksum()
 
     @staticmethod
-    def decode(buf):
-        """The record :meth:`encoded` produced ``buf`` from (unstamped);
-        anything else — truncated, overlong, unknown type or tag — is a
-        :class:`WalError`."""
+    def decode(buf, layouts):
+        """The record :meth:`encoded` produced ``buf`` from (unstamped),
+        its layout from ``layouts`` (``{id: RowLayout}``); anything else —
+        truncated, overlong, unknown type, tag or layout id, a wrong
+        arity — is a :class:`WalError`."""
         try:
-            record, at = _decode_at(buf, 0)
+            record, at = _decode_at(buf, 0, layouts)
         except codec.DECODE_ERRORS as exc:
             raise WalError(f"undecodable log record: {exc!r}") from None
         if at != len(buf):
@@ -160,7 +164,7 @@ class LogRecord:
         return record
 
 
-def _decode_at(buf, at):
+def _decode_at(buf, at, layouts):
     code, lsn, txn_id, prev_lsn, at = codec.unpack_record_header(buf, at)
     cls = _RECORD_CLASSES[code]
     record = cls.__new__(cls)
@@ -169,7 +173,7 @@ def _decode_at(buf, at):
     record.prev_lsn = prev_lsn
     record.stored_crc = None
     for attr, (_, unpack) in cls.fields:
-        value, at = unpack(buf, at)
+        value, at = unpack(buf, at, record, layouts)
         setattr(record, attr, value)
     return record, at
 
@@ -200,19 +204,23 @@ class EndRecord(LogRecord):
 
 
 class RowChangeRecord(LogRecord):
-    """A record that changes the entry at ``key`` of ``index_name``:
+    """A record that changes the entry at ``key`` of ``layout``'s index:
     ``before_entry()`` is what it found there and ``after_entry()`` what
     it left, each ``None`` (no slot) or ``(row, is_ghost)``; redo and
     undo assign them."""
 
-    __slots__ = ("index_name", "key")
-    fields = (("index_name", codec.NAME), ("key", codec.KEY))
+    __slots__ = ("layout", "key")
+    fields = (("layout", codec.LAYOUT), ("key", codec.KEY))
     changes_rows = True
 
-    def __init__(self, txn_id, index_name, key):
+    def __init__(self, txn_id, layout, key):
         super().__init__(txn_id)
-        self.index_name = index_name
+        self.layout = layout
         self.key = key
+
+    @property
+    def index_name(self):
+        return self.layout.name
 
     def _extra_repr(self):
         return f", {self.index_name}{self.key!r}"
@@ -221,10 +229,10 @@ class RowChangeRecord(LogRecord):
         return True
 
     def redo(self, target):
-        target.set_entry(self.index_name, self.key, self.after_entry(), self.lsn)
+        target.set_entry(self.layout, self.key, self.after_entry(), self.lsn)
 
     def undo(self, target, lsn):
-        target.set_entry(self.index_name, self.key, self.before_entry(), lsn)
+        target.set_entry(self.layout, self.key, self.before_entry(), lsn)
 
 
 class InsertRecord(RowChangeRecord):
@@ -234,8 +242,8 @@ class InsertRecord(RowChangeRecord):
     __slots__ = ("row",)
     fields = RowChangeRecord.fields + (("row", codec.ROW),)
 
-    def __init__(self, txn_id, index_name, key, row):
-        super().__init__(txn_id, index_name, key)
+    def __init__(self, txn_id, layout, key, row):
+        super().__init__(txn_id, layout, key)
         self.row = row
 
     def before_entry(self):
@@ -259,8 +267,8 @@ class UpdateRecord(RowChangeRecord):
         ("before", codec.ROW), ("after", codec.ROW),
     )
 
-    def __init__(self, txn_id, index_name, key, before, after):
-        super().__init__(txn_id, index_name, key)
+    def __init__(self, txn_id, layout, key, before, after):
+        super().__init__(txn_id, layout, key)
         self.before = before
         self.after = after
 
@@ -279,8 +287,8 @@ class GhostRecord(RowChangeRecord):
     __slots__ = ("row",)
     fields = RowChangeRecord.fields + (("row", codec.ROW),)
 
-    def __init__(self, txn_id, index_name, key, row):
-        super().__init__(txn_id, index_name, key)
+    def __init__(self, txn_id, layout, key, row):
+        super().__init__(txn_id, layout, key)
         self.row = row
 
     def before_entry(self):
@@ -300,8 +308,8 @@ class ReviveRecord(RowChangeRecord):
         ("new_row", codec.ROW), ("ghost_row", codec.ROW),
     )
 
-    def __init__(self, txn_id, index_name, key, new_row, ghost_row):
-        super().__init__(txn_id, index_name, key)
+    def __init__(self, txn_id, layout, key, new_row, ghost_row):
+        super().__init__(txn_id, layout, key)
         self.new_row = new_row
         self.ghost_row = ghost_row
 
@@ -321,8 +329,8 @@ class CleanupRecord(RowChangeRecord):
     __slots__ = ("ghost_row",)
     fields = RowChangeRecord.fields + (("ghost_row", codec.ROW),)
 
-    def __init__(self, txn_id, index_name, key, ghost_row):
-        super().__init__(txn_id, index_name, key)
+    def __init__(self, txn_id, layout, key, ghost_row):
+        super().__init__(txn_id, layout, key)
         self.ghost_row = ghost_row
 
     def before_entry(self):
@@ -335,29 +343,29 @@ class CleanupRecord(RowChangeRecord):
 class EscrowDeltaRecord(RowChangeRecord):
     """Logical logging of a commutative counter update.
 
-    ``deltas`` maps column name -> signed amount. Redo adds the deltas to
-    the current row; undo subtracts them from the current row. Neither
-    direction references an absolute value, so concurrent escrow
-    transactions recover correctly in any order.
+    ``deltas`` maps each counter column of the layout -> signed amount.
+    Redo adds the deltas to the current row; undo subtracts them from
+    the current row. Neither direction references an absolute value, so
+    concurrent escrow transactions recover correctly in any order.
     """
 
     type = RecordType.ESCROW_DELTA
     __slots__ = ("deltas",)
-    fields = RowChangeRecord.fields + (("deltas", codec.COLUMNS),)
+    fields = RowChangeRecord.fields + (("deltas", codec.DELTAS),)
 
-    def __init__(self, txn_id, index_name, key, deltas):
-        super().__init__(txn_id, index_name, key)
+    def __init__(self, txn_id, layout, key, deltas):
+        super().__init__(txn_id, layout, key)
         self.deltas = dict(deltas)
 
     def _extra_repr(self):
         return f", {self.index_name}{self.key!r} {self.deltas!r}"
 
     def redo(self, target):
-        target.add_deltas(self.index_name, self.key, self.deltas, self.lsn)
+        target.add_deltas(self.layout, self.key, self.deltas, self.lsn)
 
     def undo(self, target, lsn):
         negated = {c: -d for c, d in self.deltas.items()}
-        target.add_deltas(self.index_name, self.key, negated, lsn)
+        target.add_deltas(self.layout, self.key, negated, lsn)
 
 
 class CounterImageRecord(UpdateRecord):
@@ -394,7 +402,10 @@ class CompensationRecord(LogRecord):
         ("compensated_lsn", codec.VALUE),
         ("undo_next_lsn", codec.VALUE),
         # the compensated record, whole: its own header and body
-        ("action", (lambda record, out: out(record.encoded()), _decode_at)),
+        ("action", (
+            lambda action, out, record: out(action.encoded()),
+            lambda buf, at, record, layouts: _decode_at(buf, at, layouts),
+        )),
     )
 
     def __init__(self, txn_id, compensated_lsn, undo_next_lsn, action):
@@ -469,7 +480,7 @@ def _unpack_table(buf, at):
 
 
 #: an int -> int table, packed as a key of ``(key, value)`` pairs
-_TABLE = (
+_TABLE = codec.plain(
     lambda table, out: codec.pack_key(tuple(table.items()), out),
     _unpack_table,
 )

@@ -59,18 +59,20 @@ class RecoveryTarget:
     gate exists for. Each takes ``lsn``, the log record being applied (a
     CLR's, for an undo), which the row it changes is stamped with.
 
-    The engine's :class:`~repro.core.database.Database` implements them
+    A record names its index by :class:`~repro.catalog.RowLayout`, and
+    one of a definition since dropped changes nothing. The engine's
+    :class:`~repro.core.indexes.Indexes` implements them
     as direct index manipulations that bypass locking — recovery runs
     single-threaded before transactions restart, and online rollback runs
     under the aborting transaction's own locks.
     """
 
-    def set_entry(self, index_name, key, entry, lsn):
+    def set_entry(self, layout, key, entry, lsn):
         """Make the entry at ``key`` be ``entry``: ``None`` (no slot) or
         ``(row, is_ghost)``."""
         raise NotImplementedError
 
-    def add_deltas(self, index_name, key, deltas, lsn):
+    def add_deltas(self, layout, key, deltas, lsn):
         """Add ``deltas`` (column -> signed amount) to the row at
         ``key``; a key with no entry is left alone."""
         raise NotImplementedError

@@ -6,14 +6,18 @@ engine that shape — the log's one on-disk form (formats pinned in
 ``docs/STORAGE.md``):
 
 * ``wal.00001.seg``, ``wal.00002.seg``, … — each segment holds a JSON
-  **header line** (``segment``, ``first_lsn``), a **body** of frames
+  **header line** (``segment``, ``first_lsn``, and the engine's
+  **layout table**, CRC-covered, that the records' layout ids name), a
+  **body** of frames
   (:func:`repro.wal.codec.frame`: length, the record's durable CRC
   stamp, then exactly the bytes :meth:`LogRecord.encoded` gave the log
   manager to size and stamp), a newline, and a JSON **trailer line**
   (``segment``, ``records``, ``last_lsn``, ``crc``) whose CRC-32 covers
   the body — a torn segment tail or a bit flip fails the trailer check
   and the segment (plus everything after it) is dropped, never
-  replayed.
+  replayed. The head segment's layout table is the chain's: one that
+  fails its CRC is a :class:`~repro.common.StorageError`, and a later
+  segment whose table fails its CRC or differs is a break.
 * A ``wal.floor`` **marker file** records the legitimate truncation
   floor — the ``first_lsn`` the chain's head segment must carry and how
   many segment files the chain holds. :func:`dump_segments` writes it
@@ -61,7 +65,8 @@ import os
 import re
 import zlib
 
-from repro.common import WalError
+from repro.catalog import RowLayout
+from repro.common import StorageError, WalError
 from repro.faults import NULL_INJECTOR
 from repro.wal import codec
 from repro.wal.log import LogManager
@@ -138,8 +143,54 @@ def segment_files(directory):
     return sorted(found)
 
 
-def dump_segments(log, directory, segment_bytes=32768, faults=None):
-    """Write the flushed prefix of ``log`` as a chain of segments.
+def _table_crc(table):
+    return zlib.crc32(json.dumps(table).encode("ascii"))
+
+
+def _layout_pairs(header):
+    """The ``(RowLayout, live)`` pairs of a segment header's layout
+    table, or ``None`` when it is missing or fails its CRC."""
+    table = header.get("layouts")
+    if _table_crc(table) != header.get("layouts_crc"):
+        return None
+    return [
+        (RowLayout(layout_id, name, columns, counters), live)
+        for layout_id, name, live, columns, counters in table
+    ]
+
+
+def _as_table(pairs):
+    return {layout.id: layout for layout, _ in pairs}
+
+
+def _definitions(table):
+    return {i: layout.definition() for i, layout in table.items()}
+
+
+def read_layouts(directory):
+    """The ``(RowLayout, live)`` pairs of the layout table the chain in
+    ``directory`` decodes against: its first segment's (none when there
+    is no segment or its header does not parse, which breaks the chain
+    there anyway). A table that fails its CRC is a
+    :class:`StorageError`."""
+    files = segment_files(directory)
+    try:
+        with open(files[0][1], "rb") as f:
+            header = json.loads(f.readline())
+    except (IndexError, OSError, ValueError):
+        return []
+    pairs = _layout_pairs(header) if isinstance(header, dict) else []
+    if pairs is None:
+        raise StorageError(
+            f"segment {header.get('segment')}: its layout table fails its CRC"
+        )
+    return pairs
+
+
+def dump_segments(log, directory, segment_bytes=32768, faults=None,
+                  layouts=()):
+    """Write the flushed prefix of ``log`` as a chain of segments, each
+    headed by ``layouts``, ``(RowLayout, live)`` pairs.
 
     Each segment is sealed once its body exceeds ``segment_bytes`` (a
     segment always holds at least one record). The ``wal.segment_lost``
@@ -175,6 +226,11 @@ def dump_segments(log, directory, segment_bytes=32768, faults=None):
         # per-segment fault site gets a say — a segment the device eats
         # is then a detectable hole, not a silently shorter history.
         _write_floor(directory, segments[0][1], len(segments))
+    table = [
+        [layout.id, layout.name, live, list(layout.columns),
+         list(layout.counters)]
+        for layout, live in layouts
+    ]
     paths = []
     for number, first, frames, last in segments:
         if faults.active and faults.fires(
@@ -189,7 +245,10 @@ def dump_segments(log, directory, segment_bytes=32768, faults=None):
             "last_lsn": last,
             "crc": zlib.crc32(body),
         }
-        header = {"segment": number, "first_lsn": first}
+        header = {
+            "segment": number, "first_lsn": first, "layouts": table,
+            "layouts_crc": _table_crc(table),
+        }
         with open(path, "wb") as f:
             f.write(json.dumps(header).encode("ascii") + b"\n")
             f.write(body + b"\n")
@@ -198,13 +257,17 @@ def dump_segments(log, directory, segment_bytes=32768, faults=None):
     return paths
 
 
-def _read_segment(path):
+def _read_segment(path, layouts=None):
     """Parse one segment file; returns ``(header, records, ok)``.
 
     ``ok`` is False when the trailer is missing, its CRC does not match
     the body, the body's frames do not decode, or its record count /
     last_lsn disagree with the content. Each record carries its frame's
-    CRC as ``stored_crc`` — verified later, by the salvage scan.
+    CRC as ``stored_crc`` — verified later, by the salvage scan. The
+    records decode against ``layouts`` (``{id: RowLayout}``, the chain's
+    table), and ``ok`` is False too when the segment's own table fails
+    its CRC or names other definitions; with no ``layouts`` they decode
+    against the segment's own table.
     """
     with open(path, "rb") as f:
         raw = f.read()
@@ -223,13 +286,20 @@ def _read_segment(path):
         return None, [], False
     if "first_lsn" not in header or "crc" not in trailer:
         return header, [], False
+    pairs = _layout_pairs(header)
+    if pairs is None:
+        return header, [], False
+    if layouts is None:
+        layouts = _as_table(pairs)
+    elif _definitions(_as_table(pairs)) != _definitions(layouts):
+        return header, [], False
     body = raw[head_end + 1:body_end]
     if zlib.crc32(body) != trailer["crc"]:
         return header, [], False
     records = []
     try:
         for payload, crc in codec.iter_frames(body):
-            record = LogRecord.decode(payload)
+            record = LogRecord.decode(payload, layouts)
             record.stored_crc = crc
             records.append(record)
     except WalError:
@@ -241,8 +311,12 @@ def _read_segment(path):
     return header, records, True
 
 
-def load_segments(directory, checksums=True):
+def load_segments(directory, checksums=True, layouts=None):
     """Rebuild a :class:`LogManager` from a segment chain.
+
+    The records decode against ``layouts`` (``{id: RowLayout}``), by
+    default the chain's table as written (:func:`read_layouts`); every
+    segment carries the table its dump wrote.
 
     Loading stops at the first broken link — a failed trailer CRC, an
     undecodable body, or an LSN gap against the previous segment (a
@@ -261,8 +335,10 @@ def load_segments(directory, checksums=True):
     dropped = 0
     broken = False
     expected_lsn = floor["first_lsn"] if floor is not None else 1
+    if layouts is None:
+        layouts = _as_table(read_layouts(directory))
     for number, path in files:
-        header, records, ok = _read_segment(path)
+        header, records, ok = _read_segment(path, layouts)
         if broken or not ok or header["first_lsn"] != expected_lsn:
             broken = True
             dropped += max(len(records), 1)

@@ -16,6 +16,7 @@ import json
 
 import pytest
 
+from repro.catalog import RowLayout
 from repro.common import Row
 from repro.core import Database, EngineConfig
 from repro.query import AggregateSpec
@@ -29,6 +30,12 @@ from repro.wal.codec import pack_entry
 from repro.wal.records import InsertRecord
 from repro.wal.segments import load_segments
 from repro.views import AggregateView
+
+
+#: the layouts the hand-built trees and pages below pack against
+ID = {name: RowLayout(i, name, ("id",)) for i, name in enumerate("abct", 1)}
+T = RowLayout(9, "t", ("id", "v"))
+TABLE = {layout.id: layout for layout in (*ID.values(), T)}
 
 
 def make_pool(capacity, log):
@@ -47,14 +54,14 @@ class TestWalBeforeWrite:
     def _log_with_records(self, n):
         log = LogManager()
         for i in range(1, n + 1):
-            log.append(InsertRecord(1, "t", (i,), Row({"id": i})))
+            log.append(InsertRecord(1, ID["t"], (i,), Row({"id": i})))
         return log
 
     def test_dirty_eviction_flushes_the_wal_to_page_lsn(self):
         log = self._log_with_records(5)
         assert log.flushed_lsn == 0  # nothing durable yet
         pool = make_pool(2, log)
-        first, second, third = (BPlusTree(pages=pool, name=n) for n in "abc")
+        first, second, third = (BPlusTree(pages=pool, layout=ID[n]) for n in "abc")
         put(first, (1,), 4)  # a leaf dirty at pageLSN 4
         put(second, (1,), 5)
         put(third, (1,), 5)  # over the cap: the least recently dirtied goes
@@ -70,7 +77,7 @@ class TestWalBeforeWrite:
         log.flush()
         pool = make_pool(2, log)
         for name in "abc":
-            put(BPlusTree(pages=pool, name=name), (1,), 2)
+            put(BPlusTree(pages=pool, layout=ID[name]), (1,), 2)
         assert pool.dirty_evictions == 1
         assert pool.forced_wal_flushes == 0
         assert log.flush_count == 1
@@ -78,7 +85,7 @@ class TestWalBeforeWrite:
     def test_flush_target_is_min_of_page_lsn_and_tail(self):
         log = self._log_with_records(3)
         pool = make_pool(4, log)
-        put(BPlusTree(pages=pool, name="t"), (1,), 2)
+        put(BPlusTree(pages=pool, layout=ID["t"]), (1,), 2)
         assert pool.write_older_than(None) == 1
         assert log.flushed_lsn == 2
         (page_id,) = pool.store.page_ids()
@@ -151,7 +158,9 @@ class TestEntryMovesSurviveCrashes:
             db, lambda d: rows(d, (4,)), (3,), tmp_path
         )
         (receiver, image), (giver, _) = timeline
-        assert (3,) in {key for key, _ in durable_winners_of(image)}
+        assert (3,) in {
+            key for key, _ in durable_winners_of(image, db.catalog.layouts())
+        }
         assert giver in db.indexes.store.snapshot() and receiver != giver
 
     def test_a_merge_with_only_the_freed_leaf_durable_keeps_the_key(
@@ -172,7 +181,7 @@ class TestEntryMovesSurviveCrashes:
         since, cannot both go second: one is written under a new page
         id, and its old image stays until the other is written."""
         pool = make_pool(64, LogManager())
-        tree = BPlusTree(order=4, pages=pool, name="t")
+        tree = BPlusTree(order=4, pages=pool, layout=ID["t"])
         lsn = iter(range(1, 100))
         for key in (1, 2, 3, 4):  # leaves [1 2] [3 4], both durable
             put(tree, (key,), next(lsn))
@@ -212,7 +221,7 @@ class TestEntryMovesSurviveCrashes:
         machine found this under deferred maintenance: the middle leaf
         was written first, releasing the durable one, and 5 was lost.)"""
         pool = make_pool(64, LogManager())
-        tree = BPlusTree(order=4, pages=pool, name="t")
+        tree = BPlusTree(order=4, pages=pool, layout=ID["t"])
         lsn = iter(range(1, 100))
         for key in (0, 2, 5):  # one durable leaf [0 2 5]
             put(tree, (key,), next(lsn))
@@ -237,11 +246,11 @@ class TestEntryMovesSurviveCrashes:
             assert (5,) in keys, cut  # no record of 5 is past the images
 
 
-def durable_winners_of(image):
+def durable_winners_of(image, layouts=TABLE):
     """The ``(key, row)`` entries of one page image."""
     store = PageStore()
     store.restore({0: image})
-    table, _, _ = durable_winners(store)
+    table, _, _ = durable_winners(store, layouts)
     return [(key, row) for (_, key), (_, row, _) in table.items()]
 
 
@@ -251,25 +260,25 @@ class TestDurableWinners:
 
     @staticmethod
     def page_of(page_id, *entries):
-        """A page image holding ``(index, key, row, ghost, lsn)`` entries,
+        """A page image holding ``(layout, key, row, ghost, lsn)`` entries,
         packed as a write-back packs them."""
         return SlottedPage(
             page_id, [pack_entry(*entry) for entry in entries], page_size=512
         )
 
     def test_an_empty_store_is_an_empty_table(self):
-        assert durable_winners(PageStore()) == ({}, 0, 0)
+        assert durable_winners(PageStore(), TABLE) == ({}, 0, 0)
 
     def test_newest_lsn_wins_whatever_page_it_sits_on(self):
         store = PageStore()
         store.write_page(self.page_of(
-            1, ("t", (1,), {"id": 1, "v": "new"}, False, 9),
+            1, (T, (1,), {"id": 1, "v": "new"}, False, 9),
         ))
         store.write_page(self.page_of(
-            2, ("t", (1,), {"id": 1, "v": "old"}, False, 4),
-            ("t", (2,), {"id": 2, "v": "only"}, True, 5),
+            2, (T, (1,), {"id": 1, "v": "old"}, False, 4),
+            (T, (2,), {"id": 2, "v": "only"}, True, 5),
         ))
-        table, pages_loaded, torn = durable_winners(store)
+        table, pages_loaded, torn = durable_winners(store, TABLE)
         assert (pages_loaded, torn) == (2, 0)
         assert table == {
             ("t", (1,)): (9, {"id": 1, "v": "new"}, False),
@@ -279,24 +288,24 @@ class TestDurableWinners:
     def test_an_lsn_tie_goes_to_the_later_page(self):
         store = PageStore()
         store.write_page(self.page_of(
-            7, ("t", (1,), {"id": 1, "v": "moved"}, False, 6),
+            7, (T, (1,), {"id": 1, "v": "moved"}, False, 6),
         ))
         store.write_page(self.page_of(
-            3, ("t", (1,), {"id": 1, "v": "left behind"}, False, 6),
+            3, (T, (1,), {"id": 1, "v": "left behind"}, False, 6),
         ))
-        table, _, _ = durable_winners(store)
+        table, _, _ = durable_winners(store, TABLE)
         assert table[("t", (1,))][1]["v"] == "moved"
 
     def test_a_torn_page_means_no_table_but_intact_pages_still_count(self):
         store = PageStore()
-        store.write_page(self.page_of(1, ("t", (1,), {"id": 1}, False, 3)))
-        store.write_page(self.page_of(2, ("t", (2,), {"id": 2}, False, 4)))
+        store.write_page(self.page_of(1, (ID["t"], (1,), {"id": 1}, False, 3)))
+        store.write_page(self.page_of(2, (ID["t"], (2,), {"id": 2}, False, 4)))
         images = store.snapshot()
         torn = bytearray(images[2])
         torn[len(torn) // 2] ^= 0xFF
         images[2] = bytes(torn)
         store.restore(images)
-        assert durable_winners(store) == (None, 1, 1)
+        assert durable_winners(store, TABLE) == (None, 1, 1)
 
     def test_reading_writes_nothing(self):
         db = Database(EngineConfig(buffer_pool_frames=2, btree_order=4))
@@ -306,8 +315,9 @@ class TestDurableWinners:
                 s.insert("t", {"id": i, "data": "x" * 20})
         before, writes = db.indexes.store.snapshot(), db.indexes.store.writes
         assert before  # the 2-leaf cap wrote leaves back
-        first = durable_winners(db.indexes.store)
-        assert durable_winners(db.indexes.store) == first
+        layouts = db.catalog.layouts()
+        first = durable_winners(db.indexes.store, layouts)
+        assert durable_winners(db.indexes.store, layouts) == first
         assert db.indexes.store.snapshot() == before
         assert db.indexes.store.writes == writes
 
@@ -386,7 +396,7 @@ class TestWriteBackCounts:
         calls = []
 
         def counted(*args):
-            calls.append(args[:2])
+            calls.append((args[0].name, args[1]))
             return pack_entry(*args)
 
         monkeypatch.setattr(bufferpool, "pack_entry", counted)
@@ -440,7 +450,7 @@ class TestWriteBackCounts:
             for leaf in db.index(name).leaves()
         ]
         assert sorted(packs) == sorted(
-            (leaf.index, record.key)
+            (leaf.layout.name, record.key)
             for leaf in leaves for record in leaf.values
         )
         assert db.stats()["storage"]["store_writes"] == len(leaves) == 2

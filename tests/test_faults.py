@@ -10,6 +10,7 @@ particular internal state.
 
 import pytest
 
+from repro.catalog import RowLayout
 from repro.common import (
     FaultInjected,
     LogicalClock,
@@ -27,6 +28,9 @@ from repro.wal import LogManager
 from repro.wal.records import InsertRecord
 from repro.workload import BY_PRODUCT, SALES
 from repro.views import AggregateView
+
+#: the layout the hand-built records below are packed against
+T_A = RowLayout(1, "t", ("a",))
 
 
 def sales_db(strategy="escrow", **kwargs):
@@ -204,8 +208,8 @@ class TestWalFlushFaults:
         inj = FaultInjector()
         inj.arm("wal.flush", times=1)
         log = LogManager(faults=inj)
-        log.append(InsertRecord(1, "t", (0,), Row({"a": 0})))
-        log.append(InsertRecord(1, "t", (1,), Row({"a": 1})))
+        log.append(InsertRecord(1, T_A, (0,), Row({"a": 0})))
+        log.append(InsertRecord(1, T_A, (1,), Row({"a": 1})))
         with pytest.raises(FaultInjected):
             log.flush()
         assert log.flushed_lsn == 0  # nothing became durable
@@ -216,9 +220,9 @@ class TestWalFlushFaults:
         inj = FaultInjector()
         inj.arm("wal.torn_tail", times=1)
         log = LogManager(faults=inj)
-        log.append(InsertRecord(1, "t", (0,), Row({"a": 0})))
-        log.append(InsertRecord(1, "t", (1,), Row({"a": 1})))
-        log.append(InsertRecord(1, "t", (2,), Row({"a": 2})))
+        log.append(InsertRecord(1, T_A, (0,), Row({"a": 0})))
+        log.append(InsertRecord(1, T_A, (1,), Row({"a": 1})))
+        log.append(InsertRecord(1, T_A, (2,), Row({"a": 2})))
         with pytest.raises(FaultInjected):
             log.flush()
         tail = log.tail_lsn()

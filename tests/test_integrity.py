@@ -95,7 +95,7 @@ class TestChecker:
         db.take_checkpoint()
         (leaf,) = db.index(BY_PRODUCT).leaves()
         page = SlottedPage(leaf.page_id, db.indexes.pool.payloads(leaf)[0][1:] + [
-            pack_entry(BY_PRODUCT, ("cat",), {
+            pack_entry(db.index(BY_PRODUCT).layout, ("cat",), {
                 "product": "cat", "n_sales": 1, "revenue": 5,
             }, False, 1),
         ], page_size=db.config.page_size)

@@ -272,7 +272,7 @@ class TestRecoveryIdempotence:
                 s.insert(SALES, {
                     "id": i, "product": "c", "customer": 1, "amount": i,
                 })
-        table, _, _ = durable_winners(db.indexes.store)
+        table, _, _ = durable_winners(db.indexes.store, db.catalog.layouts())
         assert (SALES, (2,)) not in table
         assert {(SALES, (i,)) for i in (1, 3, 4)} <= set(table)
 

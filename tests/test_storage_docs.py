@@ -16,6 +16,7 @@ from repro.obs import (
     BUFFER_POOL_STATS_FIELDS,
     CHECKPOINT_RECORD_FIELDS,
     FLOOR_MARKER_FIELDS,
+    LAYOUT_ENTRY_FIELDS,
     PAGE_ENTRY_FIELDS,
     PAGE_HEADER_FIELDS,
     PAGE_STATES,
@@ -43,6 +44,7 @@ CONTRACTS = {
     "segment_frame": SEGMENT_FRAME_FIELDS,
     "record_header": RECORD_HEADER_FIELDS,
     "segment_header": SEGMENT_HEADER_FIELDS,
+    "layout_entry": LAYOUT_ENTRY_FIELDS,
     "segment_trailer": SEGMENT_TRAILER_FIELDS,
     "floor_marker": FLOOR_MARKER_FIELDS,
     "checkpoint_record": CHECKPOINT_RECORD_FIELDS,
@@ -99,7 +101,8 @@ class TestDocContract:
         # just sets.
         text = DOC.read_text()
         for name in ("page_header", "page_states", "page_entry",
-                     "value_tags", "segment_frame", "record_header"):
+                     "value_tags", "segment_frame", "record_header",
+                     "layout_entry"):
             assert _section_rows(text, name) == list(CONTRACTS[name]), name
 
     def test_value_tag_bytes_are_documented_in_tag_order(self):
@@ -131,8 +134,8 @@ class TestSchemaMatchesEngine:
 
         assert width(codec.RECORD_HEADER) == len(RECORD_HEADER_FIELDS)
         # the packed part of an entry / a frame; the rest is
-        # length-prefixed (index, key, row) or sized by `length` (record)
-        assert width(codec.ENTRY_HEADER) == len(PAGE_ENTRY_FIELDS) - 3
+        # length-prefixed (key, row) or sized by `length` (record)
+        assert width(codec.ENTRY_HEADER) == len(PAGE_ENTRY_FIELDS) - 2
         assert width(codec.FRAME_HEADER) == len(SEGMENT_FRAME_FIELDS) - 1
 
     def test_every_tag_is_the_first_byte_its_type_packs(self):
@@ -201,6 +204,10 @@ class TestSchemaMatchesEngine:
             header = json.loads(raw[:head_end])
             trailer = json.loads(raw[body_end + 1:])
             assert set(header) == set(SEGMENT_HEADER_FIELDS)
+            assert all(
+                len(entry) == len(LAYOUT_ENTRY_FIELDS)
+                for entry in header["layouts"]
+            )
             assert set(trailer) == set(SEGMENT_TRAILER_FIELDS)
             frames = list(codec.iter_frames(raw[head_end + 1:body_end]))
             assert len(frames) == trailer["records"]

@@ -5,24 +5,31 @@
   and turned tuples into lists);
 * a value with no layout is refused, typed, **before** anything is
   mutated or logged;
-* every record type and every page entry round-trips byte-for-byte;
-  a damaged frame or page never yields a silently different record.
+* every record type and every page entry round-trips byte-for-byte
+  against its layout table; a damaged frame or page, an unknown layout
+  id or a wrong arity never yields a silently different record;
+* a segment restore binds layouts by name and refuses a catalog that
+  disagrees before anything is redone.
 """
 
 import datetime
 import decimal
+import json
 import zlib
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.catalog import RowLayout
 from repro.common import Row, StorageError, UnsupportedValueError, WalError
+from repro.obs import VALUE_TAGS
 from repro.core import Database, EngineConfig
 from repro.query import AggregateSpec
 from repro.storage.pages import SlottedPage
-from repro.views import AggregateView
+from repro.views import AggregateView, JoinAggregateView, JoinView
 from repro.wal import codec
+from repro.wal.segments import dump_segments, recycle_segments
 from repro.wal.records import (
     AbortRecord,
     CheckpointRecord,
@@ -147,7 +154,9 @@ def test_a_value_with_no_layout_is_refused_before_anything_changes(bad, tmp_path
 
 def test_the_log_refuses_what_the_codec_cannot_pack_and_stays_unchanged():
     db = typed_db()
-    record = InsertRecord(1, "t", (1,), Row(id=1, v=[1]))
+    record = InsertRecord(
+        1, db.index("t").layout, (1,), Row(id=1, grp="a", amt=1, v=[1])
+    )
     with pytest.raises(UnsupportedValueError):
         db.log.append(record)
     assert len(db.log) == 0 and db.log.tail_lsn() == 0
@@ -155,54 +164,130 @@ def test_the_log_refuses_what_the_codec_cannot_pack_and_stays_unchanged():
 
 
 # ---------------------------------------------------------------------
-# property tests: every record type, every entry
+# property tests: every value tag, every record type, every entry, each
+# packed against a generated layout table
 # ---------------------------------------------------------------------
 
-scalars = st.one_of(
-    st.none(), st.booleans(), st.integers(-2**80, 2**80),
-    st.integers(-200, 200), st.floats(allow_nan=False), st.text(max_size=12),
-    st.binary(max_size=12),
-    st.decimals(allow_nan=False, places=3, min_value=-10**6, max_value=10**6),
-    st.decimals(allow_nan=False),
-    st.dates(), st.datetimes(),
-    st.datetimes(timezones=st.just(UTC_PLUS)),
-)
-values = st.recursive(
-    scalars, lambda inner: st.lists(inner, max_size=3).map(tuple), max_leaves=6
-)
+#: one strategy per value tag, each drawing only values packed with it;
+#: ``values`` draws the tag first, so every tag gets an equal share
+VALUES = {
+    "none": st.none(),
+    "false": st.just(False),
+    "true": st.just(True),
+    "int8": st.integers(-2**7, 2**7 - 1),
+    "int16": st.one_of(
+        st.integers(-2**15, -2**7 - 1), st.integers(2**7, 2**15 - 1)
+    ),
+    "int32": st.one_of(
+        st.integers(-2**31, -2**15 - 1), st.integers(2**15, 2**31 - 1)
+    ),
+    "int64": st.one_of(
+        st.integers(-2**63, -2**31 - 1), st.integers(2**31, 2**63 - 1)
+    ),
+    "bigint": st.one_of(
+        st.integers(-2**80, -2**63 - 1), st.integers(2**63, 2**80)
+    ),
+    "float": st.floats(allow_nan=False),
+    "str": st.text(max_size=12),
+    "bytes": st.binary(max_size=12),
+    "tuple": st.lists(st.deferred(lambda: values), max_size=3).map(tuple),
+    "decimal": st.one_of(
+        st.decimals(allow_nan=False, places=3, min_value=-10**6,
+                    max_value=10**6),
+        st.decimals(allow_nan=False),
+    ),
+    "date": st.dates(),
+    "datetime": st.datetimes(),
+    "datetime_tz": st.datetimes(timezones=st.just(UTC_PLUS)),
+}
+values = st.sampled_from(VALUE_TAGS).flatmap(VALUES.__getitem__)
 names = st.text(min_size=1, max_size=8)
 keys = st.lists(values, min_size=1, max_size=3).map(tuple)
-rows = st.dictionaries(names, values, max_size=5).map(Row)
-optional_rows = st.one_of(st.none(), rows)
 lsns = st.integers(1, 2**32 - 1)
 txn_ids = st.integers(0, 2**32 - 1)
-deltas = st.dictionaries(
-    names, st.one_of(st.integers(-10**6, 10**6), st.decimals(
-        allow_nan=False, allow_infinity=False, places=2,
-        min_value=-1000, max_value=1000)), max_size=3,
-)
+amounts = st.one_of(st.integers(-10**6, 10**6), st.decimals(
+    allow_nan=False, allow_infinity=False, places=2,
+    min_value=-1000, max_value=1000))
+
+
+def test_the_value_strategy_reaches_every_value_tag():
+    """The table behind ``values`` is total, and each entry draws values
+    packed with its own tag."""
+    assert set(VALUES) == set(VALUE_TAGS)
+    for tag, strategy in VALUES.items():
+
+        @settings(max_examples=5, deadline=None, database=None)
+        @given(strategy)
+        def packs_its_tag(value):
+            parts = []
+            codec.pack_value(value, parts.append)
+            assert VALUE_TAGS[parts[0][0]] == tag
+
+        packs_its_tag()
+
+
+@st.composite
+def layout_tables(draw):
+    """A catalog's layout table ``{id: RowLayout}``: one to four layouts
+    with distinct u16 ids, each with one to five distinct columns and,
+    as escrow counters, some of them in column order."""
+    table = {}
+    ids = st.lists(st.integers(0, 0xFFFF), min_size=1, max_size=4, unique=True)
+    for layout_id in draw(ids):
+        columns = draw(st.lists(names, min_size=1, max_size=5, unique=True))
+        counters = [column for column in columns if draw(st.booleans())]
+        table[layout_id] = RowLayout(layout_id, draw(names), columns, counters)
+    return table
+
+
+def over(columns, strategy):
+    """Dicts of one ``strategy`` value per column, in column order."""
+    return st.tuples(*[strategy] * len(columns)).map(
+        lambda drawn: dict(zip(columns, drawn))
+    )
+
+
+def rows(layout):
+    return over(layout.columns, values).map(Row)
+
+
+def optional_rows(layout):
+    return st.one_of(st.none(), rows(layout))
+
+
+def deltas(layout):
+    return over(layout.counters, amounts)
+
+
+def row_change(cls, *bodies):
+    """``table -> strategy`` of ``cls`` records on a layout of the table,
+    each body field drawn by ``bodies`` (``layout -> strategy``)."""
+    def build(table):
+        return st.sampled_from(list(table.values())).flatmap(
+            lambda layout: st.builds(
+                cls, txn_ids, st.just(layout), keys,
+                *(body(layout) for body in bodies),
+            )
+        )
+    return build
+
 
 #: the undoable record types' strategies (a CLR wraps one of them)
 UNDOABLE = {
-    RecordType.INSERT: st.builds(InsertRecord, txn_ids, names, keys, rows),
-    RecordType.UPDATE: st.builds(
-        UpdateRecord, txn_ids, names, keys, optional_rows, rows
-    ),
-    RecordType.GHOST: st.builds(GhostRecord, txn_ids, names, keys, rows),
-    RecordType.REVIVE: st.builds(
-        ReviveRecord, txn_ids, names, keys, rows, optional_rows
-    ),
-    RecordType.CLEANUP: st.builds(
-        CleanupRecord, txn_ids, names, keys, optional_rows
-    ),
-    RecordType.ESCROW_DELTA: st.builds(
-        EscrowDeltaRecord, txn_ids, names, keys, deltas
-    ),
-    RecordType.COUNTER_IMAGE: st.builds(
-        CounterImageRecord, txn_ids, names, keys, rows, rows
-    ),
+    RecordType.INSERT: row_change(InsertRecord, rows),
+    RecordType.UPDATE: row_change(UpdateRecord, optional_rows, rows),
+    RecordType.GHOST: row_change(GhostRecord, rows),
+    RecordType.REVIVE: row_change(ReviveRecord, rows, optional_rows),
+    RecordType.CLEANUP: row_change(CleanupRecord, optional_rows),
+    RecordType.ESCROW_DELTA: row_change(EscrowDeltaRecord, deltas),
+    RecordType.COUNTER_IMAGE: row_change(CounterImageRecord, rows, rows),
 }
-undoable = st.sampled_from(list(UNDOABLE)).flatmap(UNDOABLE.__getitem__)
+
+
+def undoable(table):
+    return st.sampled_from(list(UNDOABLE)).flatmap(
+        lambda record_type: UNDOABLE[record_type](table)
+    )
 
 
 @st.composite
@@ -215,33 +300,50 @@ def stamped(draw, records):
 
 
 @st.composite
-def clrs(draw):
-    action = draw(stamped(undoable))
+def clrs(draw, table):
+    action = draw(stamped(undoable(table)))
     return CompensationRecord(
         action.txn_id, action.lsn, draw(st.one_of(st.none(), lsns)), action
     )
 
 
+def plain(strategy):
+    """A record type that names no layout: the table is not consulted."""
+    return lambda table: strategy
+
+
 int_maps = st.dictionaries(txn_ids, st.one_of(st.none(), lsns), max_size=4)
-#: one strategy per record type; ``any_record`` draws the type first, so
-#: every type gets an equal share of the draws by construction
+#: one strategy per record type (``table -> strategy``); ``any_record``
+#: draws the type first, so every type gets an equal share by construction
 RECORDS = {
     **UNDOABLE,
-    RecordType.CLR: clrs(),
-    RecordType.COMMIT: st.builds(CommitRecord, txn_ids, st.integers(0, 2**40)),
-    RecordType.ABORT: st.builds(AbortRecord, txn_ids),
-    RecordType.END: st.builds(EndRecord, txn_ids),
-    RecordType.CHECKPOINT: st.builds(CheckpointRecord, int_maps, int_maps),
-    RecordType.PREPARE: st.builds(
-        PrepareRecord, txn_ids, st.text(max_size=10)
+    RecordType.CLR: clrs,
+    RecordType.COMMIT: plain(
+        st.builds(CommitRecord, txn_ids, st.integers(0, 2**40))
     ),
-    RecordType.DECISION: st.builds(
+    RecordType.ABORT: plain(st.builds(AbortRecord, txn_ids)),
+    RecordType.END: plain(st.builds(EndRecord, txn_ids)),
+    RecordType.CHECKPOINT: plain(
+        st.builds(CheckpointRecord, int_maps, int_maps)
+    ),
+    RecordType.PREPARE: plain(
+        st.builds(PrepareRecord, txn_ids, st.text(max_size=10))
+    ),
+    RecordType.DECISION: plain(st.builds(
         DecisionRecord, st.text(max_size=10),
         st.sampled_from(["commit", "abort"]),
         st.lists(st.integers(0, 64), max_size=4),
-    ),
+    )),
 }
-any_record = stamped(st.sampled_from(RecordType).flatmap(RECORDS.__getitem__))
+
+
+@st.composite
+def any_record(draw):
+    """``(record, table)``: a stamped record of any type and the layout
+    table it is packed against."""
+    table = draw(layout_tables())
+    record_type = draw(st.sampled_from(RecordType))
+    return draw(stamped(RECORDS[record_type](table))), table
 
 
 def test_the_record_strategy_reaches_every_record_type():
@@ -251,7 +353,7 @@ def test_the_record_strategy_reaches_every_record_type():
     for record_type, records in RECORDS.items():
 
         @settings(max_examples=5, deadline=None, database=None)
-        @given(records)
+        @given(layout_tables().flatmap(records))
         def draws_its_type(record):
             assert record.type is record_type
 
@@ -259,51 +361,86 @@ def test_the_record_strategy_reaches_every_record_type():
 
 
 @settings(max_examples=300, deadline=None)
-@given(any_record)
-@example(CommitRecord(0, 0))  # transaction 0 and an absent LSN are
-@example(CheckpointRecord({}, {}))  # not the same header
-def test_records_round_trip_field_by_field_and_byte_for_byte(record):
+@given(any_record())
+@example((CommitRecord(0, 0), {}))  # transaction 0 and an absent LSN are
+@example((CheckpointRecord({}, {}), {}))  # not the same header
+def test_records_round_trip_field_by_field_and_byte_for_byte(drawn):
+    record, table = drawn
     packed = record.encoded()
-    decoded = LogRecord.decode(packed)
+    decoded = LogRecord.decode(packed, table)
     assert same(decoded, record)
     assert decoded.encoded() == packed
     assert decoded.stored_crc is None and decoded.checksum() == zlib.crc32(packed)
 
 
-def parse_frames(body):
+def layout_of(record):
+    """The layout a record's rows are packed against (a CLR's action's)."""
+    return getattr(getattr(record, "action", record), "layout", None)
+
+
+@settings(max_examples=100, deadline=None)
+@given(any_record())
+def test_a_record_never_decodes_against_another_layout(drawn):
+    """Decoded against a table without its layout id, or one whose
+    layout under that id has another arity, a record is a ``WalError``
+    — never its values read into other columns."""
+    record, table = drawn
+    layout = layout_of(record)
+    if layout is None:
+        return
+    packed = record.encoded()
+    with pytest.raises(WalError):
+        LogRecord.decode(packed, {
+            i: other for i, other in table.items() if i != layout.id
+        })
+    changed = getattr(record, "action", record)
+    if changed.type is RecordType.ESCROW_DELTA:
+        other = RowLayout(
+            layout.id, layout.name, layout.columns, layout.counters + ("+",)
+        )
+    else:
+        other = RowLayout(layout.id, layout.name, layout.columns + ("+",))
+        if all(getattr(changed, attr) is None for attr, _ in changed.fields[2:]):
+            return  # an absent row has no arity to disagree with
+    with pytest.raises(WalError):
+        LogRecord.decode(packed, {**table, layout.id: other})
+
+
+def parse_frames(body, table):
     """What a segment reader makes of a body: the records, each carrying
     its frame's stamp for the salvage scan to verify."""
     records = []
     for payload, crc in codec.iter_frames(body):
-        record = LogRecord.decode(payload)
+        record = LogRecord.decode(payload, table)
         record.stored_crc = crc
         records.append(record)
     return records
 
 
 @settings(max_examples=60, deadline=None)
-@given(any_record, st.data())
+@given(any_record(), st.data())
 def test_a_damaged_frame_is_an_error_or_fails_its_stamp_never_another_record(
-    record, data
+    drawn, data
 ):
     """Any truncation raises ``WalError``. Any single-byte flip either
-    raises ``WalError`` (the body no longer parses) or yields a record
-    whose stamp no longer verifies — which is what the salvage scan
-    cuts at, and why the loader hands it the stamp instead of judging
-    it. No other exception, and never a body of records that all
-    verify."""
+    raises ``WalError`` (the body no longer parses: an unknown layout id
+    or arity among the reasons) or yields a record whose stamp no longer
+    verifies — which is what the salvage scan cuts at, and why the
+    loader hands it the stamp instead of judging it. No other exception,
+    and never a body of records that all verify."""
+    record, table = drawn
     packed = record.encoded()
     framed = codec.frame(packed, zlib.crc32(packed))
-    (intact,) = parse_frames(framed)
+    (intact,) = parse_frames(framed, table)
     assert intact.verify_checksum()
     for cut in range(1, len(framed)):
         with pytest.raises(WalError):
-            parse_frames(framed[:cut])
+            parse_frames(framed[:cut], table)
     at = data.draw(st.integers(0, len(framed) - 1))
     damaged = bytearray(framed)
     damaged[at] ^= data.draw(st.integers(1, 255))
     try:
-        survivors = parse_frames(bytes(damaged))
+        survivors = parse_frames(bytes(damaged), table)
     except WalError:
         return
     assert not all(r.verify_checksum() for r in survivors)
@@ -321,32 +458,50 @@ def test_a_decimal_reads_back_only_from_the_text_it_was_written_as(text):
         codec.unpack_value(tag + bytes((len(text),)) + text, 0)
 
 
-entries = st.tuples(
-    names, keys, st.one_of(st.none(), rows.map(dict)), st.booleans(),
-    st.integers(0, 2**32 - 1),
-)
+@st.composite
+def entries(draw, table):
+    """``(layout, key, row, is_ghost, lsn)`` on a layout of ``table``."""
+    layout = draw(st.sampled_from(list(table.values())))
+    row = draw(st.one_of(st.none(), rows(layout).map(dict)))
+    return (layout, draw(keys), row, draw(st.booleans()),
+            draw(st.integers(0, 2**32 - 1)))
 
 
 @settings(max_examples=200, deadline=None)
-@given(entries)
-def test_page_entries_round_trip_and_their_prefixes_do_not_decode(entry):
+@given(layout_tables().flatmap(
+    lambda table: st.tuples(entries(table), st.just(table))
+))
+def test_page_entries_round_trip_and_their_prefixes_do_not_decode(drawn):
+    entry, table = drawn
     packed = codec.pack_entry(*entry)
-    decoded = codec.unpack_entry(packed)
-    assert same(decoded, entry)
+    decoded = codec.unpack_entry(packed, table)
+    assert same(decoded[1:], entry[1:]) and decoded[0] is entry[0]
     assert codec.pack_entry(*decoded) == packed
     for cut in range(len(packed)):
         with pytest.raises(StorageError):
-            codec.unpack_entry(packed[:cut])
+            codec.unpack_entry(packed[:cut], table)
     with pytest.raises(StorageError):
-        codec.unpack_entry(packed + b"\x00")
+        codec.unpack_entry(packed + b"\x00", table)
     for reserved in range(1, 8):  # every flag bit but the ghost bit
         flagged = bytes([packed[0] | 1 << reserved]) + packed[1:]
         with pytest.raises(StorageError):
-            codec.unpack_entry(flagged)
+            codec.unpack_entry(flagged, table)
+    # an id the table lacks, or a layout of another arity under it
+    layout = entry[0]
+    with pytest.raises(StorageError):
+        codec.unpack_entry(packed, {
+            i: other for i, other in table.items() if i != layout.id
+        })
+    if entry[2] is not None:
+        wider = RowLayout(layout.id, layout.name, layout.columns + ("+",))
+        with pytest.raises(StorageError):
+            codec.unpack_entry(packed, {**table, layout.id: wider})
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(entries, min_size=1, max_size=6), st.data())
+@given(layout_tables().flatmap(
+    lambda table: st.lists(entries(table), min_size=1, max_size=6)
+), st.data())
 def test_a_flipped_byte_anywhere_in_a_page_image_is_a_storage_error(
     entry_list, data
 ):
@@ -358,3 +513,237 @@ def test_a_flipped_byte_anywhere_in_a_page_image_is_a_storage_error(
     )
     with pytest.raises(StorageError):
         SlottedPage.from_bytes(bytes(image))
+
+
+# ---------------------------------------------------------------------
+# segment restores bind layouts by name
+# ---------------------------------------------------------------------
+
+
+def sales_db(columns=("id", "product", "customer", "amount"),
+             aggregates=(("count", "n_sales"), ("sum_of", "revenue", "amount"))):
+    db = Database(EngineConfig(buffer_pool_frames=4, page_size=512))
+    db.create_table("sales", columns, ("id",))
+    db.create_view(AggregateView(
+        "by_product", "sales", group_by=("product",),
+        aggregates=[getattr(AggregateSpec, f)(*args) for f, *args in aggregates],
+    ))
+    return db
+
+
+def sell(db, ids):
+    for i in ids:
+        with db.session() as s:
+            s.insert("sales", {
+                "id": i, "product": f"p{i % 3}", "customer": i % 2,
+                "amount": i,
+            })
+
+
+@pytest.mark.parametrize("target", [
+    dict(columns=("id", "product", "client", "amount")),  # renamed
+    dict(columns=("id", "customer", "product", "amount")),  # reordered
+    dict(columns=("id", "product", "customer", "amount", "note")),  # extra
+    dict(aggregates=(("count", "n_sales"), ("sum_of", "total", "amount"))),
+    dict(aggregates=(("count", "n_sales"),)),  # other counter columns
+], ids=["renamed", "reordered", "extra", "other_counter", "fewer_counters"])
+def test_a_restore_into_a_disagreeing_catalog_is_refused_before_any_redo(
+    target, tmp_path
+):
+    source = sales_db()
+    sell(source, range(1, 12))
+    source.dump_wal_segments(tmp_path)
+    restored = sales_db(**target)
+    with pytest.raises(StorageError, match="cannot restore this WAL"):
+        restored.load_wal_segments_and_recover(tmp_path)
+    # nothing was redone, adopted or renumbered
+    assert len(restored.log) == 0
+    assert list(restored.index("sales").rows()) == []
+    assert [layout.id for layout in restored.catalog.layouts().values()] == [
+        1, 2,
+    ]
+
+
+def test_a_flipped_byte_in_a_segment_header_layout_table_is_a_storage_error(
+    tmp_path,
+):
+    source = sales_db()
+    sell(source, range(1, 6))
+    (path,) = source.dump_wal_segments(tmp_path)
+    raw = bytearray(open(path, "rb").read())
+    at = raw.index(b'"customer"') + 3  # inside a column name of the table
+    raw[at] ^= 0x01
+    open(path, "wb").write(bytes(raw))
+    with pytest.raises(StorageError, match="layout table"):
+        sales_db().load_wal_segments_and_recover(tmp_path)
+
+
+def chain_of_three(tmp_path):
+    """``sales_db`` traffic dumped as a chain of at least three
+    segments; returns the engine and the segment paths."""
+    db = sales_db()
+    sell(db, range(1, 16))
+    paths = dump_segments(
+        db.log, tmp_path, segment_bytes=256, layouts=db.indexes.layouts()
+    )
+    assert len(paths) >= 3
+    return db, paths
+
+
+def rewrite_header(path, change):
+    raw = open(path, "rb").read()
+    head_end = raw.index(b"\n")
+    header = json.loads(raw[:head_end])
+    change(header)
+    open(path, "wb").write(json.dumps(header).encode("ascii") + raw[head_end:])
+
+
+def flip_a_table_byte(header):
+    header["layouts"][0][1] = "salez"  # the CRC no longer matches
+
+
+def rename_a_column(header):
+    header["layouts"][0][3][1] = "item"
+    header["layouts_crc"] = zlib.crc32(
+        json.dumps(header["layouts"]).encode("ascii")
+    )
+
+
+@pytest.mark.parametrize("change", [flip_a_table_byte, rename_a_column],
+                         ids=["bad_crc", "other_table"])
+def test_a_later_segment_whose_layout_table_is_bad_or_differs_is_a_break(
+    change, tmp_path
+):
+    """The chain decodes against its head's table; a later segment whose
+    own table fails its CRC or names other definitions cuts the chain
+    there, and the loss lands in the salvage report."""
+    db, paths = chain_of_three(tmp_path)
+    rewrite_header(paths[-1], change)
+    restored = sales_db()
+    report = restored.load_wal_segments_and_recover(tmp_path)
+    assert report.salvage is not None
+    assert report.salvage["undecodable_lines"] > 0
+    assert 0 < len(restored.log) < len(db.log)
+    assert restored.check_all_views() == []
+
+
+def test_recycling_stops_at_a_segment_whose_layout_table_is_bad(tmp_path):
+    db, paths = chain_of_three(tmp_path)
+    rewrite_header(paths[1], flip_a_table_byte)
+    removed = recycle_segments(tmp_path, keep_from_lsn=db.log.tail_lsn() + 1)
+    assert removed == paths[:1]
+
+
+def test_a_page_entry_of_an_unknown_layout_id_is_a_storage_error():
+    db = sales_db()
+    sell(db, range(1, 6))
+    layout = db.index("sales").layout
+    packed = codec.pack_entry(layout, (1,), None, True, 7)
+    unknown = RowLayout(999, "sales", layout.columns)
+    assert codec.unpack_entry(packed, db.catalog.layouts())[0] is layout
+    with pytest.raises(StorageError, match="999"):
+        codec.unpack_entry(codec.pack_entry(unknown, (1,), None, True, 7),
+                           db.catalog.layouts())
+
+
+def view_rows(db):
+    return {
+        key: dict(record.current_row)
+        for key, record in db.index("by_product").scan()
+    }
+
+
+def by_customer(db):
+    return AggregateView(
+        "by_product", "sales", group_by=("customer",),
+        aggregates=[AggregateSpec.count("n_sales")],
+    )
+
+
+def test_a_view_re_created_under_another_definition_takes_no_old_record(
+    tmp_path,
+):
+    """Drop ``by_product`` and create a view of the same name grouped by
+    customer: it gets a fresh layout id, and neither crash recovery nor
+    a segment restore applies a record of the old definition to it. The
+    old definition, re-created, gets its old id back."""
+    db = sales_db()
+    sell(db, range(1, 8))
+    old = db.index("by_product").layout
+    db.indexes.drop_view(db.catalog.view("by_product"))
+    db.create_view(by_customer(db))
+    sell(db, range(8, 12))
+    new = db.index("by_product").layout
+    assert new.id not in (1, old.id) and new.columns == (
+        "customer", "n_sales",
+    )
+    expected = view_rows(db)
+    assert set(expected) == {(0,), (1,)}
+
+    db.simulate_crash_and_recover()  # replays the old view's records too
+    assert view_rows(db) == expected and db.check_all_views() == []
+
+    db.dump_wal_segments(tmp_path)
+    header = json.loads(open(tmp_path / "wal.00001.seg", "rb").readline())
+    assert [entry[:3] for entry in header["layouts"]] == [
+        [1, "sales", True], [old.id, "by_product", False],
+        [new.id, "by_product", True],
+    ]
+    restored = sales_db()
+    restored.indexes.drop_view(restored.catalog.view("by_product"))
+    restored.create_view(by_customer(restored))
+    restored.load_wal_segments_and_recover(tmp_path)
+    assert view_rows(restored) == expected
+    assert restored.check_all_views() == []
+    assert restored.index("by_product").layout.id == new.id
+
+    db.indexes.drop_view(db.catalog.view("by_product"))
+    db.create_view(sales_db().catalog.view("by_product"))
+    assert db.index("by_product").layout is old
+
+
+@pytest.mark.parametrize("kind", ["join", "join_aggregate"])
+def test_a_join_view_keyed_by_a_primary_key_column_restores(kind, tmp_path):
+    """``lines`` is joined on ``order_id``, which is also in its primary
+    key, so the ``#leftfk`` index keys by ``order_id`` twice: its layout
+    names the column once, as the stored row does. Inserts, crash
+    recovery and a segment restore all pack and read it."""
+    def engine():
+        db = Database(EngineConfig(buffer_pool_frames=4, page_size=512))
+        db.create_table("orders", ("order_id", "customer"), ("order_id",))
+        db.create_table("lines", ("order_id", "line", "qty"),
+                        ("order_id", "line"))
+        on = [("order_id", "order_id")]
+        db.create_view(
+            JoinView("v", "lines", "orders", on=on,
+                     columns=("order_id", "line", "qty", "customer"))
+            if kind == "join" else
+            JoinAggregateView("v", "lines", "orders", on=on,
+                              group_by=("customer",),
+                              aggregates=[AggregateSpec.count("n")])
+        )
+        return db
+
+    db = engine()
+    assert db.index("v#leftfk").layout.columns == ("order_id", "line")
+    for o in range(1, 4):
+        with db.session() as s:
+            s.insert("orders", {"order_id": o, "customer": f"c{o % 2}"})
+            for line in range(1, 4):
+                s.insert("lines", {"order_id": o, "line": line, "qty": line})
+    with db.session() as s:
+        s.delete("lines", (2, 2))
+    expected = {k: dict(r.current_row) for k, r in db.index("v").scan()}
+    assert expected
+
+    db.simulate_crash_and_recover()
+    assert {k: dict(r.current_row) for k, r in db.index("v").scan()} == expected
+    assert db.check_all_views() == []
+
+    db.dump_wal_segments(tmp_path)
+    restored = engine()
+    restored.load_wal_segments_and_recover(tmp_path)
+    assert {
+        k: dict(r.current_row) for k, r in restored.index("v").scan()
+    } == expected
+    assert restored.check_all_views() == []

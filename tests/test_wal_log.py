@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.catalog import RowLayout
 from repro.common import Row, WalError
 from repro.wal import (
     AbortRecord,
@@ -20,6 +21,14 @@ from repro.wal import (
 )
 from repro.wal.segments import dump_segments, load_segments
 
+#: the layouts the hand-built records below are packed against
+T_A = RowLayout(1, "t", ("a",))
+T_AB = RowLayout(2, "t", ("a", "b"))
+T_V = RowLayout(3, "t", ("v",))
+V = RowLayout(4, "v", ("g", "cnt", "total"), counters=("cnt", "total"))
+V_CNT = RowLayout(5, "v", ("g", "cnt"), counters=("cnt",))
+TABLE = {layout.id: layout for layout in (T_A, T_AB, T_V, V, V_CNT)}
+
 
 class TestAppend:
     def test_lsns_monotonic(self):
@@ -30,9 +39,9 @@ class TestAppend:
 
     def test_backchain_per_txn(self):
         log = LogManager()
-        i1 = InsertRecord(1, "t", (1,), Row(a=1))
-        i2 = InsertRecord(2, "t", (2,), Row(a=2))
-        i1b = InsertRecord(1, "t", (3,), Row(a=3))
+        i1 = InsertRecord(1, T_A, (1,), Row(a=1))
+        i2 = InsertRecord(2, T_A, (2,), Row(a=2))
+        i1b = InsertRecord(1, T_A, (3,), Row(a=3))
         c2 = CommitRecord(2, 10)
         for r in (i1, i2, i1b, c2):
             log.append(r)
@@ -58,9 +67,9 @@ class TestAppend:
 
     def test_bytes_estimate_grows(self):
         log = LogManager()
-        log.append(InsertRecord(1, "t", (1,), Row(a=1)))
+        log.append(InsertRecord(1, T_A, (1,), Row(a=1)))
         first = log.bytes_estimate
-        log.append(InsertRecord(1, "t", (2,), Row(a=2, b="x" * 50)))
+        log.append(InsertRecord(1, T_AB, (2,), Row(a=2, b="x" * 50)))
         assert log.bytes_estimate > first * 1.5
 
 
@@ -68,7 +77,7 @@ class TestFlushAndCrash:
     def test_flush_advances(self):
         log = LogManager()
         log.append(AbortRecord(1))
-        log.append(InsertRecord(1, "t", (1,), Row(a=1)))
+        log.append(InsertRecord(1, T_A, (1,), Row(a=1)))
         assert log.flushed_lsn == 0
         log.flush()
         assert log.flushed_lsn == 2
@@ -92,7 +101,7 @@ class TestFlushAndCrash:
         log = LogManager()
         log.append(AbortRecord(1))
         log.flush()
-        log.append(InsertRecord(1, "t", (1,), Row(a=1)))
+        log.append(InsertRecord(1, T_A, (1,), Row(a=1)))
         lost = log.crash()
         assert len(lost) == 1
         assert log.tail_lsn() == 1
@@ -152,32 +161,32 @@ class TestReading:
 class TestSerialization:
     def roundtrip(self, record):
         record.lsn = record.lsn or 1
-        return LogRecord.decode(record.encoded())
+        return LogRecord.decode(record.encoded(), TABLE)
 
     def test_insert_roundtrip(self):
-        r = self.roundtrip(InsertRecord(1, "t", (1, "a"), Row(a=1, b="x")))
+        r = self.roundtrip(InsertRecord(1, T_AB, (1, "a"), Row(a=1, b="x")))
         assert r.index_name == "t"
         assert r.key == (1, "a")
         assert r.row == Row(a=1, b="x")
 
     def test_update_roundtrip(self):
-        r = self.roundtrip(UpdateRecord(1, "t", (1,), Row(v=1), Row(v=2)))
+        r = self.roundtrip(UpdateRecord(1, T_V, (1,), Row(v=1), Row(v=2)))
         assert r.before == Row(v=1)
         assert r.after == Row(v=2)
 
     def test_cleanup_roundtrip(self):
-        r = self.roundtrip(CleanupRecord(1, "t", (1,), Row(v=1)))
+        r = self.roundtrip(CleanupRecord(1, T_V, (1,), Row(v=1)))
         assert r.ghost_row == Row(v=1)
 
     def test_ghost_and_revive_roundtrip(self):
-        g = self.roundtrip(GhostRecord(1, "t", (1,), Row(v=1)))
+        g = self.roundtrip(GhostRecord(1, T_V, (1,), Row(v=1)))
         assert g.row == Row(v=1)
-        rv = self.roundtrip(ReviveRecord(1, "t", (1,), Row(v=2), Row(v=1)))
+        rv = self.roundtrip(ReviveRecord(1, T_V, (1,), Row(v=2), Row(v=1)))
         assert rv.new_row == Row(v=2)
         assert rv.ghost_row == Row(v=1)
 
     def test_escrow_roundtrip(self):
-        r = self.roundtrip(EscrowDeltaRecord(1, "v", (3,), {"cnt": 1, "total": -5}))
+        r = self.roundtrip(EscrowDeltaRecord(1, V, (3,), {"cnt": 1, "total": -5}))
         assert r.deltas == {"cnt": 1, "total": -5}
 
     def test_commit_roundtrip(self):
@@ -186,11 +195,11 @@ class TestSerialization:
         assert r.txn_id == 4
 
     def test_clr_roundtrip(self):
-        inner = EscrowDeltaRecord(1, "v", (3,), {"cnt": 2})
+        inner = EscrowDeltaRecord(1, V_CNT, (3,), {"cnt": 2})
         inner.lsn = 5
         clr = CompensationRecord(1, compensated_lsn=5, undo_next_lsn=2, action=inner)
         clr.lsn = 9
-        got = LogRecord.decode(clr.encoded())
+        got = LogRecord.decode(clr.encoded(), TABLE)
         assert got.compensated_lsn == 5
         assert got.undo_next_lsn == 2
         assert got.action.deltas == {"cnt": 2}
@@ -198,17 +207,17 @@ class TestSerialization:
     def test_checkpoint_roundtrip(self):
         cp = CheckpointRecord({3: 7, 4: 9}, {12: 5})
         cp.lsn = 1
-        got = LogRecord.decode(cp.encoded())
+        got = LogRecord.decode(cp.encoded(), TABLE)
         assert got.active_txns == {3: 7, 4: 9}
         assert got.dirty_pages == {12: 5}
 
     def test_dump_and_load(self, tmp_path):
         log = LogManager()
-        log.append(InsertRecord(1, "t", (1,), Row(a=1)))
-        log.append(InsertRecord(1, "t", (2,), Row(a=2)))
+        log.append(InsertRecord(1, T_A, (1,), Row(a=1)))
+        log.append(InsertRecord(1, T_A, (2,), Row(a=2)))
         log.append(CommitRecord(1, 5))
         log.flush()
-        dump_segments(log, tmp_path)
+        dump_segments(log, tmp_path, layouts=[(T_A, True)])
         loaded = load_segments(tmp_path)
         assert loaded.tail_lsn() == 3
         assert loaded.flushed_lsn == 3

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import AggregateSpec, AggregateView, Database
+from repro.catalog import RowLayout
 from repro.common import Row
 from repro.core import EngineConfig
 from repro.faults import FaultInjector
@@ -39,6 +40,14 @@ from repro.wal.recovery import RecoveryTarget
 from tests.test_wal_codec import same, values
 
 
+#: the layouts the hand-built records below are packed against
+T_A = RowLayout(1, "t", ("a",))
+T_V = RowLayout(2, "t", ("v",), counters=("v",))
+V_TOTAL = RowLayout(3, "v", ("total",), counters=("total",))
+V_CNT = RowLayout(4, "v", ("cnt",), counters=("cnt",))
+V_KN = RowLayout(5, "v", ("k", "n"), counters=("n",))
+
+
 class FakeTarget(RecoveryTarget):
     """The reference model of the two verbs: ``{index: {key: (row,
     is_ghost)}}``, an absent key being no slot."""
@@ -49,18 +58,18 @@ class FakeTarget(RecoveryTarget):
     def _index(self, name):
         return self.indexes.setdefault(name, {})
 
-    def set_entry(self, index_name, key, entry, lsn=None):
+    def set_entry(self, layout, key, entry, lsn=None):
         if entry is None:
-            self._index(index_name).pop(key, None)
+            self._index(layout.name).pop(key, None)
         else:
-            self._index(index_name)[key] = entry
+            self._index(layout.name)[key] = entry
 
-    def add_deltas(self, index_name, key, deltas, lsn=None):
-        entry = self._index(index_name).get(key)
+    def add_deltas(self, layout, key, deltas, lsn=None):
+        entry = self._index(layout.name).get(key)
         if entry is not None:
             row, ghost = entry
             changes = {c: row[c] + d for c, d in deltas.items()}
-            self._index(index_name)[key] = (row.replace(**changes), ghost)
+            self._index(layout.name)[key] = (row.replace(**changes), ghost)
 
     def row(self, index_name, key):
         entry = self._index(index_name).get(key)
@@ -82,22 +91,22 @@ def open_txn(log, txn_id, records):
 class TestAnalysis:
     def test_winners_and_losers(self):
         log = LogManager()
-        committed_txn(log, 1, [InsertRecord(1, "t", (1,), Row(a=1))])
-        open_txn(log, 2, [InsertRecord(2, "t", (2,), Row(a=2))])
+        committed_txn(log, 1, [InsertRecord(1, T_A, (1,), Row(a=1))])
+        open_txn(log, 2, [InsertRecord(2, T_A, (2,), Row(a=2))])
         winners, losers, _, _ = analyze(log)
         assert winners == {1}
         assert set(losers) == {2}
 
     def test_aborted_without_end_is_loser(self):
         log = LogManager()
-        open_txn(log, 1, [InsertRecord(1, "t", (1,), Row(a=1))])
+        open_txn(log, 1, [InsertRecord(1, T_A, (1,), Row(a=1))])
         log.append(AbortRecord(1))
         winners, losers, _, _ = analyze(log)
         assert set(losers) == {1}
 
     def test_ended_txn_is_closed(self):
         log = LogManager()
-        open_txn(log, 1, [InsertRecord(1, "t", (1,), Row(a=1))])
+        open_txn(log, 1, [InsertRecord(1, T_A, (1,), Row(a=1))])
         log.append(AbortRecord(1))
         log.append(EndRecord(1))
         winners, losers, _, _ = analyze(log)
@@ -108,7 +117,7 @@ class TestAnalysis:
 class TestRecoverBasics:
     def test_committed_insert_survives(self):
         log = LogManager()
-        committed_txn(log, 1, [InsertRecord(1, "t", (1,), Row(a=1))])
+        committed_txn(log, 1, [InsertRecord(1, T_A, (1,), Row(a=1))])
         log.flush()
         target = FakeTarget()
         report = recover(log, target)
@@ -117,7 +126,7 @@ class TestRecoverBasics:
 
     def test_uncommitted_insert_rolled_back(self):
         log = LogManager()
-        open_txn(log, 1, [InsertRecord(1, "t", (1,), Row(a=1))])
+        open_txn(log, 1, [InsertRecord(1, T_A, (1,), Row(a=1))])
         log.flush()
         target = FakeTarget()
         report = recover(log, target)
@@ -128,7 +137,7 @@ class TestRecoverBasics:
 
     def test_unflushed_commit_loses(self):
         log = LogManager()
-        log.append(InsertRecord(1, "t", (1,), Row(a=1)))
+        log.append(InsertRecord(1, T_A, (1,), Row(a=1)))
         log.flush()
         log.append(CommitRecord(1, 10))
         log.crash()  # commit record was not flushed
@@ -138,12 +147,12 @@ class TestRecoverBasics:
 
     def test_update_and_delete_recover(self):
         log = LogManager()
-        committed_txn(log, 1, [InsertRecord(1, "t", (1,), Row(a=1))])
+        committed_txn(log, 1, [InsertRecord(1, T_A, (1,), Row(a=1))])
         committed_txn(
-            log, 2, [UpdateRecord(2, "t", (1,), Row(a=1), Row(a=2))]
+            log, 2, [UpdateRecord(2, T_A, (1,), Row(a=1), Row(a=2))]
         )
-        committed_txn(log, 3, [GhostRecord(3, "t", (1,), Row(a=2))])
-        open_txn(log, 4, [CleanupRecord(4, "t", (1,), Row(a=2))])
+        committed_txn(log, 3, [GhostRecord(3, T_A, (1,), Row(a=2))])
+        open_txn(log, 4, [CleanupRecord(4, T_A, (1,), Row(a=2))])
         log.flush()
         target = FakeTarget()
         recover(log, target)
@@ -152,9 +161,9 @@ class TestRecoverBasics:
 
     def test_ghost_and_revive_recover(self):
         log = LogManager()
-        committed_txn(log, 1, [InsertRecord(1, "t", (1,), Row(a=1))])
-        committed_txn(log, 2, [GhostRecord(2, "t", (1,), Row(a=1))])
-        open_txn(log, 3, [ReviveRecord(3, "t", (1,), Row(a=9), Row(a=1))])
+        committed_txn(log, 1, [InsertRecord(1, T_A, (1,), Row(a=1))])
+        committed_txn(log, 2, [GhostRecord(2, T_A, (1,), Row(a=1))])
+        open_txn(log, 3, [ReviveRecord(3, T_A, (1,), Row(a=9), Row(a=1))])
         log.flush()
         target = FakeTarget()
         recover(log, target)
@@ -164,9 +173,9 @@ class TestRecoverBasics:
 
     def test_multiple_losers_undone_in_lsn_order(self):
         log = LogManager()
-        committed_txn(log, 1, [InsertRecord(1, "t", (1,), Row(v=0))])
-        open_txn(log, 2, [UpdateRecord(2, "t", (1,), Row(v=0), Row(v=5))])
-        open_txn(log, 3, [UpdateRecord(3, "t", (1,), Row(v=5), Row(v=9))])
+        committed_txn(log, 1, [InsertRecord(1, T_V, (1,), Row(v=0))])
+        open_txn(log, 2, [UpdateRecord(2, T_V, (1,), Row(v=0), Row(v=5))])
+        open_txn(log, 3, [UpdateRecord(3, T_V, (1,), Row(v=5), Row(v=9))])
         log.flush()
         target = FakeTarget()
         recover(log, target)
@@ -177,9 +186,9 @@ class TestRecoverBasics:
         """Multi-level recovery: a committed ghost-cleanup stays applied
         even though the user transaction that made the ghost aborts."""
         log = LogManager()
-        committed_txn(log, 1, [InsertRecord(1, "t", (1,), Row(a=1))])
+        committed_txn(log, 1, [InsertRecord(1, T_A, (1,), Row(a=1))])
         # user txn 2 ghosts the row, still open at crash
-        open_txn(log, 2, [GhostRecord(2, "t", (1,), Row(a=1))])
+        open_txn(log, 2, [GhostRecord(2, T_A, (1,), Row(a=1))])
         log.flush()
         target = FakeTarget()
         recover(log, target)
@@ -197,14 +206,14 @@ class TestEscrowRecovery:
         Correct final value: 10 + 3 = 13.
         """
         log = LogManager()
-        committed_txn(log, 1, [InsertRecord(1, "v", (1,), Row(total=10))])
+        committed_txn(log, 1, [InsertRecord(1, V_TOTAL, (1,), Row(total=10))])
         if physical:
             # Each txn logs before/after images as it sees them.
-            log.append(UpdateRecord(2, "v", (1,), Row(total=10), Row(total=15)))
-            log.append(UpdateRecord(3, "v", (1,), Row(total=15), Row(total=18)))
+            log.append(UpdateRecord(2, V_TOTAL, (1,), Row(total=10), Row(total=15)))
+            log.append(UpdateRecord(3, V_TOTAL, (1,), Row(total=15), Row(total=18)))
         else:
-            log.append(EscrowDeltaRecord(2, "v", (1,), {"total": 5}))
-            log.append(EscrowDeltaRecord(3, "v", (1,), {"total": 3}))
+            log.append(EscrowDeltaRecord(2, V_TOTAL, (1,), {"total": 5}))
+            log.append(EscrowDeltaRecord(3, V_TOTAL, (1,), {"total": 3}))
         log.append(CommitRecord(3, 30))
         log.flush()
         return log
@@ -224,9 +233,9 @@ class TestEscrowRecovery:
 
     def test_escrow_redo_is_order_insensitive(self):
         log = LogManager()
-        committed_txn(log, 1, [InsertRecord(1, "v", (1,), Row(cnt=0))])
-        committed_txn(log, 2, [EscrowDeltaRecord(2, "v", (1,), {"cnt": 4})])
-        committed_txn(log, 3, [EscrowDeltaRecord(3, "v", (1,), {"cnt": -1})])
+        committed_txn(log, 1, [InsertRecord(1, V_CNT, (1,), Row(cnt=0))])
+        committed_txn(log, 2, [EscrowDeltaRecord(2, V_CNT, (1,), {"cnt": 4})])
+        committed_txn(log, 3, [EscrowDeltaRecord(3, V_CNT, (1,), {"cnt": -1})])
         log.flush()
         target = FakeTarget()
         recover(log, target)
@@ -237,13 +246,13 @@ class TestCrashDuringRecovery:
     def test_partial_rollback_resumes_via_clrs(self):
         """Crash mid-undo; the CLR chain prevents double compensation."""
         log = LogManager()
-        committed_txn(log, 1, [InsertRecord(1, "t", (1,), Row(v=0))])
+        committed_txn(log, 1, [InsertRecord(1, T_V, (1,), Row(v=0))])
         open_txn(
             log,
             2,
             [
-                EscrowDeltaRecord(2, "t", (1,), {"v": 5}),
-                EscrowDeltaRecord(2, "t", (1,), {"v": 7}),
+                EscrowDeltaRecord(2, T_V, (1,), {"v": 5}),
+                EscrowDeltaRecord(2, T_V, (1,), {"v": 7}),
             ],
         )
         log.flush()
@@ -261,13 +270,13 @@ class TestCrashDuringRecovery:
     def test_crash_after_partial_clrs(self):
         """Simulate a crash that persisted only one of two CLRs."""
         log = LogManager()
-        committed_txn(log, 1, [InsertRecord(1, "t", (1,), Row(v=0))])
+        committed_txn(log, 1, [InsertRecord(1, T_V, (1,), Row(v=0))])
         open_txn(
             log,
             2,
             [
-                EscrowDeltaRecord(2, "t", (1,), {"v": 5}),
-                EscrowDeltaRecord(2, "t", (1,), {"v": 7}),
+                EscrowDeltaRecord(2, T_V, (1,), {"v": 5}),
+                EscrowDeltaRecord(2, T_V, (1,), {"v": 7}),
             ],
         )
         log.flush()
@@ -287,8 +296,8 @@ class TestCrashDuringRecovery:
 class TestRecoveryIdempotence:
     def test_double_recovery_same_state(self):
         log = LogManager()
-        committed_txn(log, 1, [InsertRecord(1, "t", (1,), Row(v=1))])
-        open_txn(log, 2, [UpdateRecord(2, "t", (1,), Row(v=1), Row(v=2))])
+        committed_txn(log, 1, [InsertRecord(1, T_V, (1,), Row(v=1))])
+        open_txn(log, 2, [UpdateRecord(2, T_V, (1,), Row(v=1), Row(v=2))])
         log.flush()
         t1, t2 = FakeTarget(), FakeTarget()
         recover(log, t1)
@@ -303,9 +312,9 @@ class TestRedoGate:
 
     def escrow_log(self):
         log = LogManager()
-        committed_txn(log, 1, [InsertRecord(1, "v", (1,), Row(k=1, n=0))])  # 1
-        committed_txn(log, 2, [EscrowDeltaRecord(2, "v", (1,), {"n": 5})])  # 3
-        committed_txn(log, 3, [EscrowDeltaRecord(3, "v", (1,), {"n": 7})])  # 5
+        committed_txn(log, 1, [InsertRecord(1, V_KN, (1,), Row(k=1, n=0))])  # 1
+        committed_txn(log, 2, [EscrowDeltaRecord(2, V_KN, (1,), {"n": 5})])  # 3
+        committed_txn(log, 3, [EscrowDeltaRecord(3, V_KN, (1,), {"n": 7})])  # 5
         log.flush()
         return log
 
@@ -313,7 +322,7 @@ class TestRedoGate:
         log = self.escrow_log()
         gate = {("v", (1,)): (3, {"k": 1, "n": 5}, False)}
         target = FakeTarget()
-        target.set_entry("v", (1,), (Row(k=1, n=5), False))  # the seed
+        target.set_entry(V_KN, (1,), (Row(k=1, n=5), False))  # the seed
         report = recover(log, target, gate=dict(gate))
         assert (report.redo_skipped, report.redo_count) == (2, 1)
         assert target.row("v", (1,)) == Row(k=1, n=12)  # +5 not added twice
@@ -322,15 +331,15 @@ class TestRedoGate:
         """A removed key is absent from every image: nothing gates the
         records that made and removed it."""
         log = LogManager()
-        committed_txn(log, 1, [InsertRecord(1, "t", (1,), Row(v=1))])  # 1
-        committed_txn(log, 2, [CleanupRecord(2, "t", (1,), Row(v=1))])  # 3
+        committed_txn(log, 1, [InsertRecord(1, T_V, (1,), Row(v=1))])  # 1
+        committed_txn(log, 2, [CleanupRecord(2, T_V, (1,), Row(v=1))])  # 3
         log.flush()
         redone = []
 
         class Watching(FakeTarget):
-            def set_entry(self, index_name, key, entry, lsn=None):
-                redone.append((index_name, key, entry))
-                super().set_entry(index_name, key, entry, lsn)
+            def set_entry(self, layout, key, entry, lsn=None):
+                redone.append((layout.name, key, entry))
+                super().set_entry(layout, key, entry, lsn)
 
         report = recover(
             log, Watching(), gate={("t", (2,)): (3, {"v": 2}, False)}
@@ -340,13 +349,13 @@ class TestRedoGate:
 
     def test_recovery_only_reads_the_gate(self):
         log = self.escrow_log()
-        open_txn(log, 4, [EscrowDeltaRecord(4, "v", (1,), {"n": 100})])
+        open_txn(log, 4, [EscrowDeltaRecord(4, V_KN, (1,), {"n": 100})])
         log.flush()
         gate = {("v", (1,)): (3, {"k": 1, "n": 5}, False)}
         before = dict(gate)
         first, second = FakeTarget(), FakeTarget()
         for target in (first, second):  # a re-entered recovery gates alike
-            target.set_entry("v", (1,), (Row(k=1, n=5), False))
+            target.set_entry(V_KN, (1,), (Row(k=1, n=5), False))
             recover(log, target, gate=gate)
             assert gate == before
         assert first.row("v", (1,)) == second.row("v", (1,)) == Row(k=1, n=12)
@@ -374,10 +383,17 @@ counters = st.one_of(
                 min_value=-50, max_value=50),
 )
 slot_rows = st.builds(
-    lambda n, s, v: Row(n=n, s=s, v=v), st.integers(-50, 50), counters, values
+    lambda k, n, s, v: Row(k=k, n=n, s=s, v=v),
+    st.integers(0, 3), st.integers(-50, 50), counters, values,
 )
-slot_deltas = st.dictionaries(st.sampled_from(["n", "s"]), counters, max_size=2)
-where = (st.just(1), st.sampled_from(INDEXES), slot_keys)
+slot_deltas = st.fixed_dictionaries({"n": counters, "s": counters})
+#: the engine's table layouts (ids in creation order), with the two
+#: counter columns the escrow deltas below are packed over
+SLOT_LAYOUTS = [
+    RowLayout(i, name, ("k", "n", "s", "v"), counters=("n", "s"))
+    for i, name in enumerate(INDEXES, 1)
+]
+where = (st.just(1), st.sampled_from(SLOT_LAYOUTS), slot_keys)
 row_changes = st.one_of(
     st.builds(InsertRecord, *where, slot_rows),
     st.builds(UpdateRecord, *where, slot_rows, slot_rows),
@@ -422,7 +438,9 @@ class Targets:
 
     def images(self):
         self.db.indexes.pool.write_older_than(self.lsn + 1)
-        table, _, _ = durable_winners(self.db.indexes.store)
+        table, _, _ = durable_winners(
+            self.db.indexes.store, self.db.catalog.layouts()
+        )
         return {
             locator: (Row(row), ghost)
             for locator, (_, row, ghost) in table.items()
@@ -476,21 +494,25 @@ def test_the_three_targets_agree_after_every_redo_and_undo(sequence):
 
 def test_a_delta_is_the_one_redo_that_is_not_idempotent():
     targets = Targets()
-    targets.redo(InsertRecord(1, "a", (1,), Row(n=0, s=0, v=None)))
-    delta = EscrowDeltaRecord(1, "a", (1,), {"n": 2})
+    a = SLOT_LAYOUTS[0]
+    targets.redo(InsertRecord(1, a, (1,), Row(k=1, n=0, s=0, v=None)))
+    delta = EscrowDeltaRecord(1, a, (1,), {"n": 2, "s": 0})
     targets.redo(delta)
     targets.redo(delta)
-    assert targets.agreed_state()[("a", (1,))] == (Row(n=4, s=0, v=None), False)
+    assert targets.agreed_state()[("a", (1,))] == (
+        Row(k=1, n=4, s=0, v=None), False
+    )
 
 
 def test_a_delta_against_an_absent_entry_is_a_no_op_on_every_target():
     targets = Targets()
-    delta = EscrowDeltaRecord(1, "a", (2,), {"n": 1, "s": 7})
+    a = SLOT_LAYOUTS[0]
+    delta = EscrowDeltaRecord(1, a, (2,), {"n": 1, "s": 7})
     targets.redo(delta)
     assert targets.agreed_state() == {}
     # a removed entry is no entry either
-    targets.redo(InsertRecord(1, "a", (2,), Row(n=0, s=0, v=None)))
-    targets.redo(CleanupRecord(1, "a", (2,), Row(n=0, s=0, v=None)))
+    targets.redo(InsertRecord(1, a, (2,), Row(k=2, n=0, s=0, v=None)))
+    targets.redo(CleanupRecord(1, a, (2,), Row(k=2, n=0, s=0, v=None)))
     targets.redo(delta)
     targets.undo(delta)
     assert targets.agreed_state() == {}

@@ -202,7 +202,7 @@ class TestRecoveryIntegration:
         header, body, trailer = split_segment(path)
         frames = list(codec.iter_frames(body))
         payload, crc = frames[5]
-        record = LogRecord.decode(payload)
+        record = LogRecord.decode(payload, db.catalog.layouts())
         record.txn_id = 999  # payload edit without re-stamping the CRC
         frames[5] = (record.encoded(), crc)
         body = b"".join(codec.frame(*f) for f in frames)

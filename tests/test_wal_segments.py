@@ -129,7 +129,7 @@ def paged_db(ids=()):
     """A tiny-pool engine, so even a few rows reach the page store."""
     db = Database(EngineConfig(
         buffer_pool_frames=4, page_size=256, checkpoint_interval=5,
-        wal_segment_bytes=4096,
+        wal_segment_bytes=2048,
     ))
     db.execute(
         """
