@@ -128,8 +128,9 @@ def storm_leg(seed=41):
 
 
 def corrupt_last_commit(db):
-    """Flip the durable bytes of the newest COMMIT record; returns its
-    transaction id (the honest loss the salvage scan must report)."""
+    """Damage the newest COMMIT record's stored CRC (a COMMIT has no row
+    byte to flip); returns its transaction id (the honest loss the
+    salvage scan must report)."""
     victim = None
     for record in db.log.records():
         if type(record).__name__ == "CommitRecord":
@@ -158,10 +159,11 @@ def salvage_leg(seed=42):
 
 
 def negative_control_leg(seed=42):
-    """Checksums off: a flipped committed escrow delta flows through
-    recovery silently (salvage is blind, by design — proving the
-    checksum oracle is load-bearing), but the independent integrity
-    checker recomputes from base tables and catches it."""
+    """Checksums off: a committed escrow delta with one flipped bit reads
+    back as another delta and flows through recovery silently (salvage
+    is blind, by design — proving the checksum oracle is load-bearing),
+    but the independent integrity checker recomputes from base tables
+    and catches it."""
     db, bank = build_bank(seed, wal_checksums=False)
     run_transfers(db, bank, n=12, with_loser=False)
     victim = None

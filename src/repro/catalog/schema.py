@@ -99,7 +99,6 @@ class Catalog:
         self._views = {}
         self._views_by_base = {}
         self._layouts = {}  # id -> RowLayout, every one ever handed out
-        self._interned = {}  # definition -> RowLayout
 
     def copy(self):
         """A catalog with these tables and views that changes apart."""
@@ -112,42 +111,40 @@ class Catalog:
     # -- row layouts -----------------------------------------------------
 
     def layout(self, name, columns, counters=()):
-        """The layout handed out before for this definition, else a new
-        one with an id no layout has had. A column named twice (an index
-        keyed by a join column that is also in the primary key) is stored
-        once, so it is laid out once."""
-        definition = (name, tuple(dict.fromkeys(columns)), tuple(counters))
-        layout = self._interned.get(definition)
-        if layout is None:
-            layout_id = max(self._layouts, default=0) + 1
-            if layout_id > 0xFFFF:
-                raise CatalogError("no row layout id left")
-            layout = RowLayout(layout_id, *definition)
-            self._layouts[layout_id] = self._interned[definition] = layout
+        """A new layout for one incarnation of an index, with an id no
+        layout has had: the records of an index dropped and re-created,
+        even under the same definition, never reach the new one. A column
+        named twice (an index keyed by a join column that is also in the
+        primary key) is stored once, so it is laid out once."""
+        layout_id = max(self._layouts, default=0) + 1
+        if layout_id > 0xFFFF:
+            raise CatalogError("no row layout id left")
+        layout = RowLayout(
+            layout_id, name, dict.fromkeys(columns), counters
+        )
+        self._layouts[layout_id] = layout
         return layout
 
     def layouts(self):
-        """``{id: RowLayout}``: every layout handed out."""
+        """``{id: RowLayout}``: every layout handed out (the one table
+        the log decodes against)."""
         return self._layouts
 
     def adopt_layouts(self, table):
         """Take the numbering of an adopted log's layout ``table`` (``{id:
         RowLayout}``, its live layouts bound to this catalog's); this
-        catalog's other layouts get fresh ids past it. Nothing packed
-        under the old numbers survives: the log that held it is gone."""
+        catalog's other layouts get fresh ids past it. The table is
+        changed in place: the records the log holds and those appended
+        after them decode against it."""
         kept = set(map(id, table.values()))
         rest = [l for l in self._layouts.values() if id(l) not in kept]
-        self._layouts = dict(table)
+        self._layouts.clear()
+        self._layouts.update(table)
         for layout_id, layout in table.items():
             layout.id = layout_id
         for layout in rest:
             layout.id = max(self._layouts, default=0) + 1
             self._layouts[layout.id] = layout
-        # this catalog's own layouts win a definition a dropped one of
-        # the log's shares: that one's records stay bound to nothing
-        self._interned = {
-            l.definition(): l for l in (*table.values(), *rest)
-        }
 
     # -- tables ----------------------------------------------------------
 

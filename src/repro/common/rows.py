@@ -84,7 +84,7 @@ class Row(Mapping):
         """Return a new row with ``changes`` applied over this row."""
         values = dict(self._values)
         values.update(changes)
-        return Row(values)
+        return adopt_row(values)
 
     def project(self, columns):
         """Return a new row containing only ``columns`` (in their order)."""
@@ -115,3 +115,18 @@ class Row(Mapping):
     def as_dict(self):
         """Return a plain mutable dict copy of the row."""
         return dict(self._values)
+
+
+_new_row = object.__new__
+_set_values = Row._values.__set__
+_set_hash = Row._hash.__set__
+
+
+def adopt_row(values):
+    """A :class:`Row` over ``values``, a dict the caller hands over and
+    keeps no reference to — no copy is made (the hot paths: a row decoded
+    from the log, a functional update)."""
+    row = _new_row(Row)
+    _set_values(row, values)
+    _set_hash(row, None)
+    return row

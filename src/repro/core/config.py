@@ -55,9 +55,10 @@ class EngineConfig:
       observers of the trace stream. Enables the tracer on all
       categories; collect findings via ``db.sanitizers.check()``. See
       ``docs/ANALYSIS.md``.
-    * ``wal_checksums`` — stamp a CRC on every log record as it becomes
-      durable, so recovery's salvage pass can detect a corrupted durable
-      stream and truncate at it. ``False`` is the negative control for
+    * ``wal_checksums`` — recovery's salvage pass checks every stored log
+      record against the CRC it was framed with at append, so it can
+      detect a corrupted durable stream and truncate at it. ``False``
+      (the CRCs are still stored) is the negative control for
       salvage honesty: corruption then flows into recovery undetected
       and must be caught by the integrity checker instead.
     * ``salvage_policy`` — what recovery does when salvage finds that

@@ -74,11 +74,11 @@ class Database:
         self.retries = RetryStats()
         #: the jitter stream of ``Session.run``'s backoff
         self.retry_rng = DeterministicRng(self.config.retry_seed)
+        self.catalog = Catalog()
         self.log = LogManager(
             tracer=self.tracer, faults=self.faults,
-            checksums=self.config.wal_checksums,
+            layouts=self.catalog.layouts(),
         )
-        self.catalog = Catalog()
         self.counters = Counters()
         self.deferred = DeferredMaintainer(self.clock)
         self.maintenance = MaintenanceEngine(

@@ -120,18 +120,13 @@ class Restart:
             # visible-but-not-durable transactions are rolled back.
             db.sanitizers.notice_crash(db.log.flushed_lsn)
         self._salvage()
-        max_txn = 0
-        max_commit_ts = 0
-        for record in db.log.records():
-            if record.txn_id is not None:
-                max_txn = max(max_txn, record.txn_id)
-            commit_ts = getattr(record, "commit_ts", None)
-            if commit_ts is not None:
-                max_commit_ts = max(max_commit_ts, commit_ts)
-        db.clock.advance_to(max_commit_ts)
-        db._wire_volatile(max(db._txns._next_txn_id, max_txn + 1))
-        checkpoint = db.log.latest_checkpoint()
-        self._checkpoint_lsn = checkpoint.lsn if checkpoint is not None else None
+        log = db.log
+        if log.last_commit_lsn is not None:
+            # commit timestamps rise with LSN — each COMMIT is appended at
+            # the tick that stamps it — so the last one is the highest
+            db.clock.advance_to(log.record_at(log.last_commit_lsn).commit_ts)
+        db._wire_volatile(max(db._txns._next_txn_id, log.max_txn_id + 1))
+        self._checkpoint_lsn = log.checkpoint_lsn
         self._since_checkpoint = 0
         gate, pages_loaded = self._seed()
         report = recover(
@@ -157,7 +152,7 @@ class Restart:
         txn_id cannot be trusted); the report stays pending across
         re-entries so the loss lands on the completed report."""
         db = self._db
-        fresh = salvage(db.log, verify=db.log.checksums)
+        fresh = salvage(db.log, verify=db.config.wal_checksums)
         if fresh is None:
             return
         self._pending_salvage = fresh
@@ -190,10 +185,8 @@ class Restart:
         the whole log. A log holding the whole history and no checkpoint
         is replayed without reading the store at all."""
         db = self._db
-        first = next(db.log.records(), None)
-        if db.log.latest_checkpoint() is None and (
-            first is None or first.lsn == 1
-        ):
+        first = db.log.first_lsn if len(db.log) else None
+        if db.log.checkpoint_lsn is None and first in (None, 1):
             return None, 0
         gate, loaded, torn = durable_winners(
             db.indexes.store, db.catalog.layouts()
@@ -204,11 +197,11 @@ class Restart:
         if gate and cut is not None and any(
             lsn >= cut for lsn, _, _ in gate.values()
         ):
-            if first is not None and first.lsn > 1:
+            if first is not None and first > 1:
                 raise WalCorruptionError(
                     f"durable pages were written under log records lost "
                     f"past LSN {cut}, and the log, recycled, starts at LSN "
-                    f"{first.lsn}: neither the pages nor a full replay can "
+                    f"{first}: neither the pages nor a full replay can "
                     f"vouch for a state",
                     salvage=self._pending_salvage,
                 )
@@ -257,9 +250,7 @@ class Restart:
         lands in the salvage report."""
         db = self._db
         layouts = db.indexes.bind(read_layouts(directory))
-        loaded = load_segments(
-            directory, checksums=db.config.wal_checksums, layouts=layouts
-        )
+        loaded = load_segments(directory, layouts=layouts)
         return self._adopt(loaded, layouts)
 
     def _adopt(self, loaded, layouts):
@@ -276,7 +267,8 @@ class Restart:
         in the engine that recycled it; without them recovery would
         silently lose everything before the chain's first record.
         Adopted, the log's layout numbering (``layouts``) becomes the
-        catalog's, so its records pack back to their stamped bytes.
+        catalog's — the one table the loaded records and every record
+        appended after them decode against.
         """
         db = self._db
         pages = len(db.indexes.store)
@@ -288,26 +280,28 @@ class Restart:
                 f"loaded log's durable images; restore into a "
                 f"schema-only engine"
             )
-        first = next(loaded.records(), None)
-        if first is not None and first.lsn > 1 and not pages:
+        if len(loaded) and loaded.first_lsn > 1 and not pages:
             raise StorageError(
                 f"cannot restore this WAL into an engine without durable "
                 f"pages: the log was recycled and starts at LSN "
-                f"{first.lsn}, and what its dropped records said lives "
+                f"{loaded.first_lsn}, and what its dropped records said lives "
                 f"only in the page store of the engine that recycled it; "
                 f"restore the unrecycled chain"
             )
         if layouts:
             db.catalog.adopt_layouts(layouts)
+        loaded.layouts = db.catalog.layouts()
         db.log = loaded
         return self.recover()
 
     def _ends_like_own_log(self, loaded):
+        """The loaded log's last record is this engine's last durable
+        one, frame for frame."""
         log = self._db.log
         tail = loaded.tail_lsn()
         if not len(loaded) or tail != log.flushed_lsn:
             return False
-        return loaded.record_at(tail).checksum() == log.record_at(tail).checksum()
+        return loaded.body(tail, tail) == log.body(tail, tail)
 
     def recycle_floor(self):
         """First LSN the log must retain — ``min(checkpoint LSN, min
@@ -327,9 +321,9 @@ class Restart:
             candidates.append(min(dirty.values()))
         active = set(db._txns.active_txn_table())
         if active:
-            for record in db.log.records():
-                if record.txn_id in active:
-                    candidates.append(record.lsn)
+            for _, lsn, txn_id, _ in db.log.headers():
+                if txn_id in active:
+                    candidates.append(lsn)
                     break
         candidates.extend(db.participant.first_lsns())
         return min(candidates)

@@ -52,7 +52,7 @@ from repro.locking.keyrange import table_resource
 from repro.locking.modes import mode_compatible
 from repro.txn.write import ghost, patch, put
 from repro.views.definition import expected_index_contents
-from repro.wal.records import RecordType
+from repro.wal.records import CommitRecord
 
 FAULT_SITE = "view.online_build"
 
@@ -309,9 +309,8 @@ def resolve_after_recovery(db):
     resolutions = []
     for name, build in sorted(db.online_builds.pending().items()):
         committed = any(
-            record.type is RecordType.COMMIT
-            and record.txn_id == build["txn_id"]
-            for record in db.log.records()
+            cls is CommitRecord and txn_id == build["txn_id"]
+            for cls, _, txn_id, _ in db.log.headers()
         )
         if not committed:
             build["drop"]()

@@ -4,6 +4,8 @@ Operational tooling over the log — record/byte histograms by type, per-
 transaction footprints, and an end-to-end summary. Benchmark R9 uses the
 byte accounting; the introspection examples print the summaries; tests
 use the per-transaction footprint to assert logging behaviour precisely.
+Everything here reads the stored record headers and sizes; only the
+footprint's index names need a record decoded.
 """
 
 from repro.wal.records import RecordType, RowChangeRecord
@@ -12,25 +14,24 @@ from repro.wal.records import RecordType, RowChangeRecord
 def records_by_type(log):
     """Record counts per :class:`RecordType` (zero-count types omitted)."""
     counts = {}
-    for record in log.records():
-        counts[record.type] = counts.get(record.type, 0) + 1
+    for cls, _, _, _ in log.headers():
+        counts[cls.type] = counts.get(cls.type, 0) + 1
     return counts
 
 
 def bytes_by_type(log):
-    """Encoded bytes per record type — the same buffer
+    """Stored bytes per record type — the payloads
     ``LogManager.bytes_estimate`` sums and the segment writer frames."""
     sizes = {}
-    for record in log.records():
-        size = len(record.encoded())
-        sizes[record.type] = sizes.get(record.type, 0) + size
+    for cls, lsn, _, _ in log.headers():
+        sizes[cls.type] = sizes.get(cls.type, 0) + len(log.payload(lsn))
     return sizes
 
 
 def txn_footprint(log, txn_id):
     """One transaction's full log footprint.
 
-    Returns a dict with the record count, encoded bytes, touched index
+    Returns a dict with the record count, stored bytes, touched index
     names, and outcome flags: ``committed`` (a COMMIT, a winner's last
     record), ``aborted`` (an ABORT) and ``rolled_back_complete`` (the END
     after a rollback's last CLR). A silent transaction has no records.
@@ -39,19 +40,18 @@ def txn_footprint(log, txn_id):
     size = 0
     indexes = set()
     committed = aborted = rolled_back_complete = False
-    for record in log.records():
-        if record.txn_id != txn_id:
+    for cls, lsn, owner, _ in log.headers():
+        if owner != txn_id:
             continue
         count += 1
-        size += len(record.encoded())
-        index_name = getattr(record, "index_name", None)
-        if index_name is not None:
-            indexes.add(index_name)
-        if record.type is RecordType.COMMIT:
+        size += len(log.payload(lsn))
+        if issubclass(cls, RowChangeRecord):
+            indexes.add(log.record_at(lsn).index_name)
+        if cls.type is RecordType.COMMIT:
             committed = True
-        elif record.type is RecordType.ABORT:
+        elif cls.type is RecordType.ABORT:
             aborted = True
-        elif record.type is RecordType.END:
+        elif cls.type is RecordType.END:
             rolled_back_complete = True
     return {
         "txn_id": txn_id,
@@ -68,10 +68,8 @@ def summarize(log):
     """A one-stop summary for reports and debugging (a transaction that
     changed nothing logged nothing, and is not ``seen``)."""
     type_counts = records_by_type(log)
-    txn_ids = set()
-    for record in log.records():
-        if record.txn_id is not None:
-            txn_ids.add(record.txn_id)
+    txn_ids = {txn_id for _, _, txn_id, _ in log.headers()}
+    txn_ids.discard(None)
     return {
         "total_records": len(log),
         "total_bytes": log.bytes_estimate,
@@ -97,10 +95,10 @@ def maintenance_share(log):
     maintenance_types = {RecordType.ESCROW_DELTA, RecordType.COUNTER_IMAGE}
     data = 0
     pure_maintenance = 0
-    for record in log.records():
-        if isinstance(record, RowChangeRecord):
+    for cls, _, _, _ in log.headers():
+        if issubclass(cls, RowChangeRecord):
             data += 1
-            if record.type in maintenance_types:
+            if cls.type in maintenance_types:
                 pure_maintenance += 1
     return {
         "data_records": data,

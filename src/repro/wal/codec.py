@@ -36,7 +36,8 @@ import decimal
 import functools
 import struct
 
-from repro.common import Row, StorageError, UnsupportedValueError, WalError
+from repro.common import StorageError, UnsupportedValueError, WalError
+from repro.common.rows import adopt_row
 from repro.obs.schema import VALUE_TAGS  # tag names; tag byte = position
 
 #: what a malformed buffer makes the unpackers raise: their own
@@ -220,7 +221,9 @@ def pack_key(key, out):
         _PACKERS.get(type(value), _refuse)(value, out)
 
 
-def unpack_key(buf, at):
+def unpack_key(buf, at, record=None, layouts=None):
+    """A key: the inverse of :func:`pack_key` (and a record field's
+    unpacker, which is given the record and layout table too)."""
     n, at = _unpack_len(buf, at)
     values = []
     for _ in range(n):
@@ -278,11 +281,6 @@ def _unpack_optional_values(buf, at, layout):
     return _unpack_values(buf, at + 1, layout.columns)
 
 
-def unpack_row(buf, at, layout):
-    values, at = _unpack_optional_values(buf, at, layout)
-    return (None if values is None else Row(values)), at
-
-
 def check_row(row):
     """Refuse (:class:`UnsupportedValueError`) a row some value of which
     has no layout — by packing its values as a record does, the one exact
@@ -293,9 +291,10 @@ def check_row(row):
 
 #: kind (type code | presence flags), lsn, txn_id, prev_lsn
 RECORD_HEADER = struct.Struct("<BIII")
-_CODE_MASK = 0x1F
+CODE_MASK = 0x1F
 # presence flags: lsn, txn_id, prev_lsn is not None
-_HAS_LSN, _HAS_TXN, _HAS_PREV = _PRESENT = (0x20, 0x40, 0x80)
+HAS_LSN, HAS_TXN, HAS_PREV = 0x20, 0x40, 0x80
+_ALL_PRESENT = HAS_LSN | HAS_TXN | HAS_PREV
 
 
 def pack_record_header(code, lsn, txn_id, prev_lsn):
@@ -303,11 +302,11 @@ def pack_record_header(code, lsn, txn_id, prev_lsn):
     with its presence flag clear, so LSN / transaction 0 stay
     representable."""
     if lsn is not None:
-        code |= _HAS_LSN
+        code |= HAS_LSN
     if txn_id is not None:
-        code |= _HAS_TXN
+        code |= HAS_TXN
     if prev_lsn is not None:
-        code |= _HAS_PREV
+        code |= HAS_PREV
     try:
         return RECORD_HEADER.pack(code, lsn or 0, txn_id or 0, prev_lsn or 0)
     except struct.error:
@@ -319,13 +318,17 @@ def pack_record_header(code, lsn, txn_id, prev_lsn):
 
 def unpack_record_header(buf, at):
     """``(code, lsn, txn_id, prev_lsn, next_at)``."""
-    kind, *fields = RECORD_HEADER.unpack_from(buf, at)
-    for i, flag in enumerate(_PRESENT):
-        if not kind & flag:
-            if fields[i]:
-                raise WalError("header field set without its presence flag")
-            fields[i] = None
-    return (kind & _CODE_MASK, *fields, at + RECORD_HEADER.size)
+    kind, lsn, txn_id, prev_lsn = RECORD_HEADER.unpack_from(buf, at)
+    if kind & _ALL_PRESENT != _ALL_PRESENT:
+        if (
+            (not kind & HAS_LSN and lsn) or (not kind & HAS_TXN and txn_id)
+            or (not kind & HAS_PREV and prev_lsn)
+        ):
+            raise WalError("header field set without its presence flag")
+        lsn = lsn if kind & HAS_LSN else None
+        txn_id = txn_id if kind & HAS_TXN else None
+        prev_lsn = prev_lsn if kind & HAS_PREV else None
+    return kind & CODE_MASK, lsn, txn_id, prev_lsn, at + RECORD_HEADER.size
 
 
 #: flags (ghost; every other bit reserved), lsn, layout id — then key, row
@@ -366,43 +369,49 @@ def unpack_entry(buf, layouts):
 
 #: record length, record CRC-32 — then the record's bytes
 FRAME_HEADER = struct.Struct("<II")
+#: a frame's header and its record's, read as one: what the readers of
+#: headers alone (the log's scans, the segment loader) unpack
+FRAMED_RECORD_HEADER = struct.Struct("<II" + RECORD_HEADER.format[1:])
 
 
 def frame(payload, crc):
     return FRAME_HEADER.pack(len(payload), crc) + payload
 
 
-def iter_frames(body):
-    """Yield ``(payload, crc)`` for each frame of a segment body, which
-    the frames must tile exactly (:class:`WalError` otherwise)."""
-    at, end = 0, len(body)
+def frame_offsets(body):
+    """Where each frame of a segment body starts; the frames must tile
+    the body exactly (:class:`WalError` otherwise). Reads frame headers
+    only."""
+    offsets, at, end = [], 0, len(body)
     while at < end:
+        offsets.append(at)
         try:
-            length, crc = FRAME_HEADER.unpack_from(body, at)
+            length = FRAME_HEADER.unpack_from(body, at)[0]
         except struct.error:
             raise WalError("segment body ends inside a frame header") from None
-        at += FRAME_HEADER.size
-        if at + length > end:
+        at += FRAME_HEADER.size + length
+        if at > end:
             raise WalError("segment body ends inside a frame")
-        yield body[at:at + length], crc
-        at += length
+    return offsets
 
 
 # Record-body field kinds: ``(pack(value, out, record), unpack(buf, at,
 # record, layouts))``; rows and deltas pack against ``record.layout``.
+# The unpackers are the decoder's inner loop: each reads its field
+# directly, with no adapter call between.
 _LAYOUT_ID = struct.Struct("<H")
 
 
-def plain(pack, unpack):
-    """A field kind that needs neither the record nor the table."""
-    return (
-        lambda value, out, record: pack(value, out),
-        lambda buf, at, record, layouts: unpack(buf, at),
-    )
+def _unpack_row_field(buf, at, record, layouts):
+    values, at = _unpack_optional_values(buf, at, record.layout)
+    return (None if values is None else adopt_row(values)), at
 
 
-VALUE = plain(pack_value, unpack_value)
-KEY = plain(pack_key, unpack_key)
+VALUE = (
+    lambda value, out, record: pack_value(value, out),
+    lambda buf, at, record, layouts: _UNPACKERS[buf[at]](buf, at + 1),
+)
+KEY = (lambda key, out, record: pack_key(key, out), unpack_key)
 LAYOUT = (
     lambda layout, out, record: out(_LAYOUT_ID.pack(layout.id)),
     lambda buf, at, record, layouts: (
@@ -411,7 +420,7 @@ LAYOUT = (
 )
 ROW = (
     lambda row, out, record: pack_row(row, out, record.layout),
-    lambda buf, at, record, layouts: unpack_row(buf, at, record.layout),
+    _unpack_row_field,
 )
 DELTAS = (
     lambda deltas, out, record: _pack_values(

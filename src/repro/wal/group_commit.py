@@ -270,8 +270,8 @@ class GroupCommitCoordinator:
         if any("2pc_gid" in ticket.txn.scratch for ticket in tickets):
             return False
         return all(
-            record.txn_id in member_ids
-            for record in self.log.records(self.log.flushed_lsn + 1)
+            txn_id in member_ids
+            for _, _, txn_id, _ in self.log.headers(self.log.flushed_lsn + 1)
         )
 
     def _settle(self, tickets, state, reason=None):

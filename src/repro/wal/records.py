@@ -22,23 +22,26 @@ one of the paper's main points:
 
 Every record class declares its body as ``fields`` — ``(attribute,
 field kind)`` pairs in layout order — and :mod:`repro.wal.codec` packs
-them behind one fixed header: :meth:`LogRecord.encoded` is the record's
-one durable form (sized, CRC-stamped, framed into segments) and
-:meth:`LogRecord.decode` its inverse. Values keep their type both ways.
+them behind one fixed header. :meth:`LogRecord.encoded` runs once per
+record, at append: the log keeps those bytes, framed, and nothing else
+(:mod:`repro.wal.log`). :meth:`LogRecord.decode` is the one way back —
+recovery, rollback and every reader of the log decode the stored bytes
+as they need a record, and a record object lives only as long as its
+reader holds it. Values keep their type both ways.
 A row-change record names its index by a
 :class:`~repro.catalog.RowLayout` (packed as its u16 id) and packs rows
 and deltas by its positions, so it decodes against a layout table.
 
 Compensation records (:class:`CompensationRecord`) wrap the undo of another
-record; they are redo-only and carry ``undo_next_lsn`` so that a rollback
-interrupted by a crash resumes where it left off, ARIES-style.
+record — its stored bytes, embedded whole; they are redo-only and carry
+``undo_next_lsn`` so that a rollback interrupted by a crash resumes where
+it left off, ARIES-style.
 
 Both verbs carry the LSN of the record being applied — a redo's own, an
 undo's the CLR's — which the target stamps on the row it changes.
 """
 
 import enum
-import zlib
 
 from repro.common import WalError
 from repro.wal import codec
@@ -61,41 +64,36 @@ class RecordType(enum.Enum):
     DECISION = "decision"
 
 
-#: header type code -> record class (filled as the classes are defined)
-_RECORD_CLASSES = {}
+#: header type code -> record class, ``None`` for a code no class has
+#: (filled as the classes are defined; a code is five bits)
+RECORD_CLASSES = [None] * 32
 
 
 class LogRecord:
-    """Base class: LSN plus the per-transaction backchain.
+    """Base class: LSN plus the per-transaction backchain."""
 
-    ``stored_crc`` is the checksum the durable stream carries for this
-    record: the log manager stamps it as the record is appended, from
-    the same bytes that size it (and segment frames round-trip it), so
-    any later divergence between the payload and the stamp — a bit flip
-    "on disk" — is detectable by :meth:`verify_checksum` during the
-    salvage scan.
-    """
-
-    __slots__ = ("lsn", "txn_id", "prev_lsn", "stored_crc")
+    __slots__ = ("lsn", "txn_id", "prev_lsn")
 
     type = None  # overridden
     code = None  # the header's type code: the type's position in RecordType
     #: the record body: (attribute, codec field kind) in layout order
     fields = ()
+    #: the body's decoder, compiled from ``fields`` (:func:`_compile`)
+    unpack_body = staticmethod(lambda buf, at, record, layouts: at)
     #: redo changes a row of an index (the row-change records and the
     #: CLRs that compensate them): what redo replays
     changes_rows = False
 
     def __init_subclass__(cls):
+        cls.unpack_body = staticmethod(_compile(cls.fields))
         if "type" in cls.__dict__:  # a concrete record class: register it
             cls.code = list(RecordType).index(cls.type)
-            _RECORD_CLASSES[cls.code] = cls
+            RECORD_CLASSES[cls.code] = cls
 
     def __init__(self, txn_id):
         self.lsn = None  # assigned by the log manager
         self.txn_id = txn_id
         self.prev_lsn = None  # assigned by the log manager
-        self.stored_crc = None  # stamped at append / loaded from disk
 
     def __repr__(self):
         return (
@@ -127,8 +125,8 @@ class LogRecord:
 
     def encoded(self):
         """The record's packed bytes — header (type, lsn, backchain) and
-        every body field, which is everything recovery consumes — built
-        from the live fields on every call."""
+        every body field, which is everything recovery consumes. The log
+        calls this once, at append, and keeps the bytes."""
         parts = [
             codec.pack_record_header(
                 self.code, self.lsn, self.txn_id, self.prev_lsn
@@ -139,43 +137,48 @@ class LogRecord:
             pack(getattr(self, attr), out, self)
         return b"".join(parts)
 
-    def checksum(self):
-        """CRC-32 over :meth:`encoded`."""
-        return zlib.crc32(self.encoded())
-
-    def verify_checksum(self):
-        """True when the stored checksum matches the payload (records
-        that were never stamped — e.g. with checksums disabled — are
-        vacuously valid; nothing can vouch for them)."""
-        return self.stored_crc is None or self.stored_crc == self.checksum()
-
     @staticmethod
-    def decode(buf, layouts):
-        """The record :meth:`encoded` produced ``buf`` from (unstamped),
+    def decode(buf, layouts, start=0, end=None):
+        """The record :meth:`encoded` produced ``buf[start:end]`` from,
         its layout from ``layouts`` (``{id: RowLayout}``); anything else —
         truncated, overlong, unknown type, tag or layout id, a wrong
         arity — is a :class:`WalError`."""
         try:
-            record, at = _decode_at(buf, 0, layouts)
+            record, at = _decode_at(buf, start, layouts)
         except codec.DECODE_ERRORS as exc:
             raise WalError(f"undecodable log record: {exc!r}") from None
-        if at != len(buf):
+        if at != (len(buf) if end is None else end):
             raise WalError("undecodable log record: wrong length")
         return record
 
 
 def _decode_at(buf, at, layouts):
     code, lsn, txn_id, prev_lsn, at = codec.unpack_record_header(buf, at)
-    cls = _RECORD_CLASSES[code]
+    cls = RECORD_CLASSES[code]
+    if cls is None:
+        raise WalError(f"unknown record type code {code}")
     record = cls.__new__(cls)
     record.lsn = lsn
     record.txn_id = txn_id
     record.prev_lsn = prev_lsn
-    record.stored_crc = None
-    for attr, (_, unpack) in cls.fields:
-        value, at = unpack(buf, at, record, layouts)
-        setattr(record, attr, value)
-    return record, at
+    return record, cls.unpack_body(buf, at, record, layouts)
+
+
+def _compile(fields):
+    """A record class's body decoder: each declared field's unpacker in
+    layout order, as straight-line code — the decoder's inner loop,
+    unrolled once per class (the way ``dataclasses`` writes its methods)."""
+    scope = {f"unpack_{i}": kind[1] for i, (_, kind) in enumerate(fields)}
+    lines = [
+        f"    record.{attr}, at = unpack_{i}(buf, at, record, layouts)"
+        for i, (attr, _) in enumerate(fields)
+    ]
+    exec(
+        "def unpack_body(buf, at, record, layouts):\n"
+        + "".join(line + "\n" for line in lines) + "    return at\n",
+        scope,
+    )
+    return scope["unpack_body"]
 
 
 class CommitRecord(LogRecord):
@@ -385,34 +388,48 @@ class CounterImageRecord(UpdateRecord):
     __slots__ = ()
 
 
+def _unpack_action(buf, at, record, layouts):
+    action, end = _decode_at(buf, at, layouts)
+    record.action_bytes = bytes(buf[at:end])
+    return action, end
+
+
 class CompensationRecord(LogRecord):
     """A CLR: the redo-only record of having undone ``compensated_lsn``.
 
     ``undo_next_lsn`` points at the next record of the same transaction
     still awaiting undo, so rollback never repeats work after a crash.
-    The CLR embeds the compensated record; *redoing the CLR applies that
-    record's undo* — for escrow deltas this stays relative (-delta), for
-    physical records it restores the before image.
+    The CLR embeds the compensated record — ``action_bytes``, the bytes
+    the log stored for it, whole — and ``action`` is that record decoded;
+    *redoing the CLR applies that record's undo* — for escrow deltas this
+    stays relative (-delta), for physical records it restores the before
+    image.
     """
 
     type = RecordType.CLR
-    __slots__ = ("compensated_lsn", "undo_next_lsn", "action")
+    __slots__ = ("compensated_lsn", "undo_next_lsn", "action", "action_bytes")
     changes_rows = True
     fields = (
         ("compensated_lsn", codec.VALUE),
         ("undo_next_lsn", codec.VALUE),
         # the compensated record, whole: its own header and body
         ("action", (
-            lambda action, out, record: out(action.encoded()),
-            lambda buf, at, record, layouts: _decode_at(buf, at, layouts),
+            lambda action, out, record: out(record.action_bytes),
+            _unpack_action,
         )),
     )
 
-    def __init__(self, txn_id, compensated_lsn, undo_next_lsn, action):
+    def __init__(self, txn_id, compensated_lsn, undo_next_lsn, action,
+                 action_bytes=None):
         super().__init__(txn_id)
         self.compensated_lsn = compensated_lsn
         self.undo_next_lsn = undo_next_lsn
-        self.action = action  # the compensated LogRecord (embedded copy)
+        self.action = action  # the compensated LogRecord
+        #: its stored bytes (rollback passes the log's); a record built
+        #: by hand is encoded here
+        self.action_bytes = (
+            action.encoded() if action_bytes is None else action_bytes
+        )
 
     def _extra_repr(self):
         return f", compensates={self.compensated_lsn}"
@@ -480,9 +497,9 @@ def _unpack_table(buf, at):
 
 
 #: an int -> int table, packed as a key of ``(key, value)`` pairs
-_TABLE = codec.plain(
-    lambda table, out: codec.pack_key(tuple(table.items()), out),
-    _unpack_table,
+_TABLE = (
+    lambda table, out, record: codec.pack_key(tuple(table.items()), out),
+    lambda buf, at, record, layouts: _unpack_table(buf, at),
 )
 
 

@@ -25,9 +25,9 @@ both through this same recovery driver and shows the divergence.
 
 Two hardening layers sit on top of the classic pipeline:
 
-* **Salvage** (:func:`salvage`) runs before analysis: it scans the
-  durable prefix for the first record whose checksum stamp no longer
-  matches its payload, truncates the log there, and classifies the loss
+* **Salvage** (:func:`salvage`) runs before analysis: it runs a CRC over
+  every stored payload for the first record whose frame's CRC no longer
+  matches it, truncates the log there, and classifies the loss
   — committed transactions whose COMMIT fell past the cut
   (``lost_commits``) versus uncommitted tail garbage. The loss is never
   silent: it lands in ``RecoveryReport.salvage`` (or, under
@@ -50,6 +50,10 @@ from repro.wal.records import (
     PrepareRecord,
     RecordType,
 )
+
+# Every phase reads the stored record headers; only a record whose body
+# it needs is decoded — redo's row changes, undo's backchain — so a
+# recovery decodes each record at most once, plus undo's reads.
 
 
 class RecoveryTarget:
@@ -123,15 +127,17 @@ class RecoveryReport:
 def salvage(log, verify=True):
     """Pre-analysis checksum scan: truncate at the first bad record.
 
-    Scans the log for the first record whose payload no longer matches
-    its durable checksum stamp and truncates the log there (recovery must
-    not replay garbage, and nothing after a corrupt record can be
-    trusted). Returns a report dict classifying the loss, or ``None``
-    when there was nothing to salvage:
+    Runs a CRC over every stored payload for the first record whose
+    frame's CRC no longer matches it (:meth:`LogManager.damaged_lsn
+    <repro.wal.log.LogManager.damaged_lsn>`) and truncates the log there
+    (recovery must not replay garbage, and nothing after a corrupt record
+    can be trusted); the loss is classified from the dropped records'
+    headers, and nothing is decoded. Returns a report dict classifying
+    the loss, or ``None`` when there was nothing to salvage:
 
     * ``truncated_lsn`` / ``corrupt_record`` — where the cut happened and
-      the record type found corrupt (``None`` if only the file tail was
-      undecodable);
+      the record type its header names (``None`` if only the file tail
+      was undecodable);
     * ``dropped_records`` — records discarded by the cut;
     * ``lost_commits`` — txn ids whose COMMIT record fell past the cut:
       *committed work was rolled back*, the honest-loss case;
@@ -144,12 +150,7 @@ def salvage(log, verify=True):
     negative control proving corruption then goes undetected here and
     must be caught downstream by the integrity checker.
     """
-    bad = None
-    if verify:
-        for record in log.records():
-            if not record.verify_checksum():
-                bad = record
-                break
+    bad = log.damaged_lsn() if verify else None
     if bad is None and not log.undecodable_tail:
         return None
     report = {
@@ -161,17 +162,18 @@ def salvage(log, verify=True):
         "undecodable_lines": log.undecodable_tail,
     }
     if bad is not None:
-        dropped = log.truncate_from(bad.lsn)
+        dropped = list(log.headers(bad))
+        log.truncate_from(bad)
         lost = {
-            r.txn_id for r in dropped
-            if isinstance(r, CommitRecord) and r.txn_id is not None
+            txn_id for cls, _, txn_id, _ in dropped
+            if cls is CommitRecord and txn_id is not None
         }
-        report["truncated_lsn"] = bad.lsn
-        report["corrupt_record"] = type(bad).__name__
+        report["truncated_lsn"] = bad
+        report["corrupt_record"] = getattr(dropped[0][0], "__name__", None)
         report["dropped_records"] = len(dropped)
         report["lost_commits"] = sorted(lost)
         report["tail_garbage"] = sum(
-            1 for r in dropped if r.txn_id not in lost
+            1 for _, _, txn_id, _ in dropped if txn_id not in lost
         )
     return report
 
@@ -190,27 +192,25 @@ def analyze(log, from_lsn=1, faults=None):
     open_txns = {}
     prepared = set()
     count = 0
-    for record in log.records(from_lsn):
+    for cls, lsn, txn_id, _ in log.headers(from_lsn):
         if faults is not None and faults.active:
             faults.maybe_crash(
-                "recovery.analysis", txn_id=record.txn_id,
-                detail=type(record).__name__,
+                "recovery.analysis", txn_id=txn_id, detail=cls.__name__,
             )
         count += 1
-        txn_id = record.txn_id
-        if isinstance(record, (CommitRecord, EndRecord)):
+        if cls is CommitRecord or cls is EndRecord:
             # COMMIT closes a winner. END closes a rollback: every undo
             # was applied and logged — an ABORT alone does not say that,
             # so a transaction with ABORT but no END is still a loser.
-            if isinstance(record, CommitRecord):
+            if cls is CommitRecord:
                 winners.add(txn_id)
             open_txns.pop(txn_id, None)
         elif txn_id is not None:
             # There is no BEGIN: a transaction's first record opens it.
-            open_txns[txn_id] = record.lsn
-            if isinstance(record, PrepareRecord):
+            open_txns[txn_id] = lsn
+            if cls is PrepareRecord:
                 prepared.add(txn_id)
-            elif isinstance(record, AbortRecord):
+            elif cls is AbortRecord:
                 # A logged abort (even unfinished) revokes the vote: the
                 # coordinator decided, or the branch aborted before the
                 # vote completed — either way it rolls back locally.
@@ -243,20 +243,19 @@ def redo(log, target, from_lsn=1, report=None, faults=None, gate=None):
     table is only read, so every attempt of a re-entered recovery gates
     identically. Skipped records count into ``report.redo_skipped``.
     """
-    for record in log.records(from_lsn):
-        if record.changes_rows:
-            if faults is not None and faults.active:
-                faults.maybe_crash(
-                    "recovery.redo", txn_id=record.txn_id,
-                    detail=type(record).__name__,
-                )
-            if gate and _covered(gate, record):
-                if report is not None:
-                    report.redo_skipped += 1
-                continue
-            record.redo(target)
+    for record in log.records(from_lsn, changes_rows=True):
+        if faults is not None and faults.active:
+            faults.maybe_crash(
+                "recovery.redo", txn_id=record.txn_id,
+                detail=type(record).__name__,
+            )
+        if gate and _covered(gate, record):
             if report is not None:
-                report.redo_count += 1
+                report.redo_skipped += 1
+            continue
+        record.redo(target)
+        if report is not None:
+            report.redo_count += 1
 
 
 def undo(log, target, losers, report=None, faults=None, durable=False,
@@ -308,6 +307,7 @@ def undo(log, target, losers, report=None, faults=None, durable=False,
                     compensated_lsn=record.lsn,
                     undo_next_lsn=record.prev_lsn,
                     action=record,
+                    action_bytes=log.payload(record.lsn),
                 )))
                 if report is not None:
                     report.undo_count += 1
@@ -332,10 +332,9 @@ def _prepared_on_backchain(log, last_lsn):
     analysis window."""
     lsn = last_lsn
     while lsn is not None:
-        record = log.record_at(lsn)
-        if isinstance(record, PrepareRecord):
+        cls, _, _, lsn = log.header_at(lsn)
+        if cls is PrepareRecord:
             return True
-        lsn = record.prev_lsn
     return False
 
 
@@ -358,7 +357,7 @@ def recover(log, target, faults=None, salvage_report=None, gate=None):
     """
     report = RecoveryReport()
     report.salvage = salvage_report
-    checkpoint = log.latest_checkpoint() if gate else None
+    checkpoint = log.latest_checkpoint() if gate else None  # one decode
     from_lsn = checkpoint.lsn + 1 if checkpoint is not None else 1
     winners, losers, analyzed, in_doubt = analyze(log, from_lsn, faults=faults)
     redo_from = from_lsn

@@ -9,9 +9,9 @@ engine that shape — the log's one on-disk form (formats pinned in
   **header line** (``segment``, ``first_lsn``, and the engine's
   **layout table**, CRC-covered, that the records' layout ids name), a
   **body** of frames
-  (:func:`repro.wal.codec.frame`: length, the record's durable CRC
-  stamp, then exactly the bytes :meth:`LogRecord.encoded` gave the log
-  manager to size and stamp), a newline, and a JSON **trailer line**
+  (:func:`repro.wal.codec.frame`: length, the record's CRC, then the
+  record's bytes) — a slice of the log's own buffer, which holds
+  exactly these frames — a newline, and a JSON **trailer line**
   (``segment``, ``records``, ``last_lsn``, ``crc``) whose CRC-32 covers
   the body — a torn segment tail or a bit flip fails the trailer check
   and the segment (plus everything after it) is dropped, never
@@ -25,9 +25,12 @@ engine that shape — the log's one on-disk form (formats pinned in
   tell a *recycled* head (expected, clean) from a *lost* one (the
   ``wal.segment_lost`` fault site can eat segment 1, which no
   continuity check between surviving neighbours would ever notice).
-* :func:`load_segments` verifies the head against the marker, **LSN
-  continuity** across the chain, and the marker's segment count (which
-  catches a lost *tail* segment). Everything at or past a break — and
+* :func:`load_segments` verifies each trailer, that the frames tile each
+  body, the head against the marker, **LSN continuity** frame by frame
+  across the chain, and the marker's segment count (which catches a
+  lost *tail* segment) — reading frame and record headers only: it
+  decodes no record, and the bodies it keeps become the loaded log's
+  buffer. Everything at or past a break — and
   every missing segment — is counted into
   ``LogManager.undecodable_tail`` so the salvage pass reports the loss
   instead of recovery silently replaying a history with a hole.
@@ -66,11 +69,10 @@ import re
 import zlib
 
 from repro.catalog import RowLayout
-from repro.common import StorageError, WalError
+from repro.common import StorageError
 from repro.faults import NULL_INJECTOR
 from repro.wal import codec
 from repro.wal.log import LogManager
-from repro.wal.records import LogRecord
 
 _SEGMENT_NAME = re.compile(r"^wal\.(\d{5})\.seg$")
 
@@ -102,17 +104,6 @@ def _remove_floor(directory):
     except OSError as exc:
         return exc
     return None
-
-
-def _read_head_first_lsn(path):
-    """``first_lsn`` from a segment file's header line, or ``None``
-    when the head is unreadable (the old floor marker then keeps
-    :func:`load_segments` wary instead of being overwritten)."""
-    try:
-        with open(path, "rb") as f:
-            return json.loads(f.readline())["first_lsn"]
-    except (OSError, ValueError, KeyError, TypeError):
-        return None
 
 
 def read_floor(directory):
@@ -190,7 +181,8 @@ def read_layouts(directory):
 def dump_segments(log, directory, segment_bytes=32768, faults=None,
                   layouts=()):
     """Write the flushed prefix of ``log`` as a chain of segments, each
-    headed by ``layouts``, ``(RowLayout, live)`` pairs.
+    headed by ``layouts``, ``(RowLayout, live)`` pairs; each body is a
+    slice of the log's buffer.
 
     Each segment is sealed once its body exceeds ``segment_bytes`` (a
     segment always holds at least one record). The ``wal.segment_lost``
@@ -203,24 +195,13 @@ def dump_segments(log, directory, segment_bytes=32768, faults=None,
     for _, stale in segment_files(directory):
         os.remove(stale)
     _remove_floor(directory)
-    segments = []  # (number, first_lsn, [frames], last_lsn)
-    frames, first_lsn, last_lsn, size = [], None, None, 0
-    for record in log.records():
-        if record.lsn > log.flushed_lsn:
-            break
-        payload = record.encoded()
-        crc = record.stored_crc  # unstamped (checksums off): vouch now
-        framed = codec.frame(payload, zlib.crc32(payload) if crc is None else crc)
-        if first_lsn is None:
-            first_lsn = record.lsn
-        frames.append(framed)
-        last_lsn = record.lsn
-        size += len(framed)
-        if size >= segment_bytes:
-            segments.append((len(segments) + 1, first_lsn, frames, last_lsn))
-            frames, first_lsn, last_lsn, size = [], None, None, 0
-    if frames:
-        segments.append((len(segments) + 1, first_lsn, frames, last_lsn))
+    segments = []  # (number, first_lsn, last_lsn)
+    first_lsn, start = log.first_lsn, 0
+    for lsn in range(log.first_lsn, log.flushed_lsn + 1):
+        end = log.span(lsn)[1]
+        if end - start >= segment_bytes or lsn == log.flushed_lsn:
+            segments.append((len(segments) + 1, first_lsn, lsn))
+            first_lsn, start = lsn + 1, end
     if segments:
         # The marker describes the *intended* chain, written before the
         # per-segment fault site gets a say — a segment the device eats
@@ -232,16 +213,16 @@ def dump_segments(log, directory, segment_bytes=32768, faults=None,
         for layout, live in layouts
     ]
     paths = []
-    for number, first, frames, last in segments:
+    for number, first, last in segments:
         if faults.active and faults.fires(
             "wal.segment_lost", detail=str(number)
         ) is not None:
             continue  # the device ate this segment wholesale
         path = segment_path(directory, number)
-        body = b"".join(frames)
+        body = log.body(first, last)
         trailer = {
             "segment": number,
-            "records": len(frames),
+            "records": last - first + 1,
             "last_lsn": last,
             "crc": zlib.crc32(body),
         }
@@ -258,16 +239,17 @@ def dump_segments(log, directory, segment_bytes=32768, faults=None,
 
 
 def _read_segment(path, layouts=None):
-    """Parse one segment file; returns ``(header, records, ok)``.
+    """Parse one segment file; returns ``(header, body, offsets, ok)``:
+    the body's frames and where each starts.
 
-    ``ok`` is False when the trailer is missing, its CRC does not match
-    the body, the body's frames do not decode, or its record count /
-    last_lsn disagree with the content. Each record carries its frame's
-    CRC as ``stored_crc`` — verified later, by the salvage scan. The
-    records decode against ``layouts`` (``{id: RowLayout}``, the chain's
-    table), and ``ok`` is False too when the segment's own table fails
-    its CRC or names other definitions; with no ``layouts`` they decode
-    against the segment's own table.
+    ``ok`` is False when the trailer is missing or its CRC does not
+    match the body, the frames do not tile the body, their LSNs do not
+    run on from ``first_lsn`` one by one, or the record count / last_lsn
+    disagree with them — all read from frame and record headers; no
+    record is decoded, and no frame's own CRC is judged here (the
+    salvage scan does that). ``ok`` is False too when the segment's own
+    layout table fails its CRC or, given the chain's ``layouts`` (``{id:
+    RowLayout}``), names other definitions.
     """
     with open(path, "rb") as f:
         raw = f.read()
@@ -276,60 +258,62 @@ def _read_segment(path, layouts=None):
     head_end = raw.find(b"\n")
     body_end = raw.rfind(b"\n", 0, len(raw) - 1)
     if head_end < 0 or body_end <= head_end:
-        return None, [], False
+        return None, b"", [], False
     try:
         header = json.loads(raw[:head_end])
         trailer = json.loads(raw[body_end + 1:])
     except ValueError:
-        return None, [], False
+        return None, b"", [], False
     if not (isinstance(header, dict) and isinstance(trailer, dict)):
-        return None, [], False
+        return None, b"", [], False
     if "first_lsn" not in header or "crc" not in trailer:
-        return header, [], False
+        return header, b"", [], False
     pairs = _layout_pairs(header)
-    if pairs is None:
-        return header, [], False
-    if layouts is None:
-        layouts = _as_table(pairs)
-    elif _definitions(_as_table(pairs)) != _definitions(layouts):
-        return header, [], False
+    if pairs is None or (
+        layouts is not None
+        and _definitions(_as_table(pairs)) != _definitions(layouts)
+    ):
+        return header, b"", [], False
     body = raw[head_end + 1:body_end]
     if zlib.crc32(body) != trailer["crc"]:
-        return header, [], False
-    records = []
+        return header, b"", [], False
     try:
-        for payload, crc in codec.iter_frames(body):
-            record = LogRecord.decode(payload, layouts)
-            record.stored_crc = crc
-            records.append(record)
-    except WalError:
-        return header, [], False
-    if trailer.get("records") != len(records):
-        return header, [], False
-    if records and trailer.get("last_lsn") != records[-1].lsn:
-        return header, [], False
-    return header, records, True
+        offsets = codec.frame_offsets(body)
+        heads = [codec.FRAMED_RECORD_HEADER.unpack_from(body, at) for at in offsets]
+    except codec.DECODE_ERRORS:
+        return header, b"", [], False
+    expected = header["first_lsn"]
+    for _, _, kind, lsn, _, _ in heads:
+        if not kind & codec.HAS_LSN or lsn != expected:
+            return header, b"", [], False
+        expected += 1
+    if trailer.get("records") != len(offsets):
+        return header, b"", [], False
+    if offsets and trailer.get("last_lsn") != expected - 1:
+        return header, b"", [], False
+    return header, body, offsets, True
 
 
-def load_segments(directory, checksums=True, layouts=None):
-    """Rebuild a :class:`LogManager` from a segment chain.
+def load_segments(directory, layouts=None):
+    """Rebuild a :class:`LogManager` from a segment chain: its buffer is
+    the chain's bodies, back to back, and nothing is decoded.
 
-    The records decode against ``layouts`` (``{id: RowLayout}``), by
+    The log decodes against ``layouts`` (``{id: RowLayout}``), by
     default the chain's table as written (:func:`read_layouts`); every
     segment carries the table its dump wrote.
 
-    Loading stops at the first broken link — a failed trailer CRC, an
-    undecodable body, or an LSN gap against the previous segment (a
-    lost or prematurely recycled segment). The chain's *head* is checked
-    against the ``wal.floor`` marker: a head starting past the recorded
-    floor means the earliest segment was lost, not recycled (with no
-    marker at all, the head must start at LSN 1). Every record at
-    or past a break is counted into ``undecodable_tail``, and so is
-    every segment file the marker promises but the directory lacks (a
-    lost tail leaves the surviving chain perfectly continuous — only
-    the count betrays it), so the salvage pass reports the loss.
+    Loading stops at the first broken link — a failed trailer CRC, frames
+    that do not tile the body or LSNs that skip, or an LSN gap against
+    the previous segment (a lost or prematurely recycled segment). The
+    chain's *head* is checked against the ``wal.floor`` marker: a head
+    starting past the recorded floor means the earliest segment was
+    lost, not recycled (with no marker at all, the head must start at
+    LSN 1). Every record at or past a break is counted into
+    ``undecodable_tail``, and so is every segment file the marker
+    promises but the directory lacks (a lost tail leaves the surviving
+    chain perfectly continuous — only the count betrays it), so the
+    salvage pass reports the loss.
     """
-    manager = LogManager(checksums=checksums)
     files = segment_files(directory)
     floor = read_floor(directory)
     dropped = 0
@@ -337,23 +321,26 @@ def load_segments(directory, checksums=True, layouts=None):
     expected_lsn = floor["first_lsn"] if floor is not None else 1
     if layouts is None:
         layouts = _as_table(read_layouts(directory))
+    bodies, offsets, first_lsn, size = [], [], None, 0
     for number, path in files:
-        header, records, ok = _read_segment(path, layouts)
+        header, body, starts, ok = _read_segment(path, layouts)
         if broken or not ok or header["first_lsn"] != expected_lsn:
             broken = True
-            dropped += max(len(records), 1)
+            dropped += max(len(starts), 1)
             continue
-        manager._records.extend(records)
-        if records:
-            expected_lsn = records[-1].lsn + 1
+        if starts and first_lsn is None:
+            first_lsn = expected_lsn
+        bodies.append(body)
+        offsets.extend(size + at for at in starts)
+        size += len(body)
+        expected_lsn += len(starts)
     if floor is not None and len(files) < floor["segments"]:
         # each missing segment held at least one record
         dropped += floor["segments"] - len(files)
+    manager = LogManager.from_frames(
+        b"".join(bodies), offsets, first_lsn or 1, layouts=layouts
+    )
     manager.undecodable_tail = dropped
-    manager._rebuild_backchain_heads()
-    if manager._records:
-        manager._next_lsn = manager._records[-1].lsn + 1
-        manager.flushed_lsn = manager._records[-1].lsn
     return manager
 
 
@@ -367,12 +354,12 @@ def recycle_segments(directory, keep_from_lsn):
     truncation was legitimate and can still tell a *lost* head from a
     recycled one. Returns the removed paths.
     """
-    removed = []
+    removed, header = [], None
     for _, path in segment_files(directory):
-        header, records, ok = _read_segment(path)
-        if not ok or not records:
+        header, _, starts, ok = _read_segment(path)
+        if not ok or not starts:
             break
-        if records[-1].lsn < keep_from_lsn:
+        if header["first_lsn"] + len(starts) - 1 < keep_from_lsn:
             os.remove(path)
             removed.append(path)
         else:
@@ -380,9 +367,10 @@ def recycle_segments(directory, keep_from_lsn):
     if removed:
         remaining = segment_files(directory)
         if remaining:
-            first_lsn = _read_head_first_lsn(remaining[0][1])
-            if first_lsn is not None:
-                _write_floor(directory, first_lsn, len(remaining))
+            # the new head is where the loop stopped; an unreadable one
+            # leaves the old marker, keeping load_segments wary
+            if isinstance(header, dict) and "first_lsn" in header:
+                _write_floor(directory, header["first_lsn"], len(remaining))
         else:
             # everything below the floor was recycled and nothing is
             # left — an empty directory is a legitimate empty chain

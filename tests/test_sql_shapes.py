@@ -31,9 +31,10 @@ from tests.test_sql_access_paths import build_db
 
 
 def log_digest(db):
+    """A hash of the log's stored bytes, every frame as appended."""
     digest = hashlib.sha256()
-    for record in db.log.records():
-        digest.update(record.encoded())
+    for lsn in range(db.log.first_lsn, db.log.tail_lsn() + 1):
+        digest.update(db.log.body(lsn, lsn))
     return digest.hexdigest()
 
 

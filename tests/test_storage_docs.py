@@ -33,6 +33,7 @@ from repro.wal.records import CheckpointRecord
 from repro.wal.segments import load_segments
 from repro.workload import BY_PRODUCT, SALES
 from repro.views import AggregateView
+from tests.test_wal_codec import frames_of
 
 DOC = pathlib.Path(__file__).resolve().parent.parent / "docs" / "STORAGE.md"
 
@@ -209,7 +210,7 @@ class TestSchemaMatchesEngine:
                 for entry in header["layouts"]
             )
             assert set(trailer) == set(SEGMENT_TRAILER_FIELDS)
-            frames = list(codec.iter_frames(raw[head_end + 1:body_end]))
+            frames = list(frames_of(raw[head_end + 1:body_end]))
             assert len(frames) == trailer["records"]
             framed += sum(len(payload) for payload, _ in frames)
         # the framed bytes are the very bytes the log manager counted

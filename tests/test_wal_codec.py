@@ -370,7 +370,9 @@ def test_records_round_trip_field_by_field_and_byte_for_byte(drawn):
     decoded = LogRecord.decode(packed, table)
     assert same(decoded, record)
     assert decoded.encoded() == packed
-    assert decoded.stored_crc is None and decoded.checksum() == zlib.crc32(packed)
+    # as the log decodes it: in place, inside a larger buffer
+    stored = bytearray(b"\xff" + packed + b"\xff")
+    assert same(LogRecord.decode(stored, table, 1, 1 + len(packed)), record)
 
 
 def layout_of(record):
@@ -406,15 +408,24 @@ def test_a_record_never_decodes_against_another_layout(drawn):
         LogRecord.decode(packed, {**table, layout.id: other})
 
 
+def frames_of(body):
+    """``(payload, crc)`` for each frame of a segment body."""
+    frames = []
+    for at in codec.frame_offsets(body):
+        length, crc = codec.FRAME_HEADER.unpack_from(body, at)
+        start = at + codec.FRAME_HEADER.size
+        frames.append((body[start:start + length], crc))
+    return frames
+
+
 def parse_frames(body, table):
-    """What a segment reader makes of a body: the records, each carrying
-    its frame's stamp for the salvage scan to verify."""
-    records = []
-    for payload, crc in codec.iter_frames(body):
-        record = LogRecord.decode(payload, table)
-        record.stored_crc = crc
-        records.append(record)
-    return records
+    """What the log makes of a body: for each frame, its record and
+    whether the payload passes the frame's CRC — the salvage scan's
+    test."""
+    return [
+        (LogRecord.decode(payload, table), zlib.crc32(payload) == crc)
+        for payload, crc in frames_of(body)
+    ]
 
 
 @settings(max_examples=60, deadline=None)
@@ -424,15 +435,15 @@ def test_a_damaged_frame_is_an_error_or_fails_its_stamp_never_another_record(
 ):
     """Any truncation raises ``WalError``. Any single-byte flip either
     raises ``WalError`` (the body no longer parses: an unknown layout id
-    or arity among the reasons) or yields a record whose stamp no longer
-    verifies — which is what the salvage scan cuts at, and why the
-    loader hands it the stamp instead of judging it. No other exception,
-    and never a body of records that all verify."""
+    or arity among the reasons) or leaves a frame whose payload fails
+    its CRC — which is what the salvage scan cuts at, and why the loader
+    keeps the frame as stored instead of judging it. No other exception,
+    and never a body of frames that all pass."""
     record, table = drawn
     packed = record.encoded()
     framed = codec.frame(packed, zlib.crc32(packed))
-    (intact,) = parse_frames(framed, table)
-    assert intact.verify_checksum()
+    ((_, intact),) = parse_frames(framed, table)
+    assert intact
     for cut in range(1, len(framed)):
         with pytest.raises(WalError):
             parse_frames(framed[:cut], table)
@@ -443,7 +454,7 @@ def test_a_damaged_frame_is_an_error_or_fails_its_stamp_never_another_record(
         survivors = parse_frames(bytes(damaged), table)
     except WalError:
         return
-    assert not all(r.verify_checksum() for r in survivors)
+    assert not all(passes for _, passes in survivors)
 
 
 @pytest.mark.parametrize("text", [b"\x1c.000", b" 0.000", b"0_0.5", b"+1", b"1e3"])
@@ -666,7 +677,7 @@ def test_a_view_re_created_under_another_definition_takes_no_old_record(
     """Drop ``by_product`` and create a view of the same name grouped by
     customer: it gets a fresh layout id, and neither crash recovery nor
     a segment restore applies a record of the old definition to it. The
-    old definition, re-created, gets its old id back."""
+    old definition, re-created, gets a fresh id too."""
     db = sales_db()
     sell(db, range(1, 8))
     old = db.index("by_product").layout
@@ -699,7 +710,34 @@ def test_a_view_re_created_under_another_definition_takes_no_old_record(
 
     db.indexes.drop_view(db.catalog.view("by_product"))
     db.create_view(sales_db().catalog.view("by_product"))
-    assert db.index("by_product").layout is old
+    again = db.index("by_product").layout
+    assert again.definition() == old.definition()
+    assert again.id not in (old.id, new.id)
+
+
+def test_a_view_dropped_and_re_created_alike_takes_no_record_of_its_old_incarnation():
+    """An index incarnation is its layout id: ``by_product`` dropped,
+    two of its groups' sales deleted meanwhile, then re-created under
+    the very same definition is a new incarnation, and crash recovery's
+    full replay applies none of the old one's records to it."""
+    db = sales_db()
+    for i in range(1, 5):
+        with db.session() as s:
+            s.insert("sales", {
+                "id": i, "product": f"p{i}", "customer": 0, "amount": i,
+            })
+    definition = db.catalog.view("by_product")
+    db.indexes.drop_view(definition)
+    for i in (1, 2):
+        with db.session() as s:
+            s.delete("sales", (i,))
+    db.create_view(sales_db().catalog.view("by_product"))
+    expected = view_rows(db)
+    assert set(expected) == {("p3",), ("p4",)}
+
+    db.simulate_crash_and_recover()
+    assert view_rows(db) == expected
+    assert db.check_all_views() == []
 
 
 @pytest.mark.parametrize("kind", ["join", "join_aggregate"])

@@ -102,8 +102,7 @@ class TestFlushAndCrash:
         log.append(AbortRecord(1))
         log.flush()
         log.append(InsertRecord(1, T_A, (1,), Row(a=1)))
-        lost = log.crash()
-        assert len(lost) == 1
+        assert log.crash() == 1  # records discarded
         assert log.tail_lsn() == 1
         assert list(log.records()) != []
         assert log.last_lsn_of(1) == 1
@@ -149,7 +148,8 @@ class TestReading:
         cp2 = CheckpointRecord({1: 1})
         log.append(AbortRecord(1))
         log.append(cp2)
-        assert log.latest_checkpoint() is cp2
+        got = log.latest_checkpoint()  # decoded from the stored bytes
+        assert (got.lsn, got.active_txns) == (cp2.lsn, {1: 1})
 
     def test_records_by_type(self):
         log = LogManager()

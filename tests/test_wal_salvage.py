@@ -21,9 +21,11 @@ from repro.faults import FaultInjector
 from repro.obs import validate_recovery_report
 from repro.query import AggregateSpec
 from repro.wal import LogRecord, RecordType, codec, salvage
+from repro.wal.records import RowChangeRecord
 from repro.wal.segments import load_segments
 from repro.workload import BY_PRODUCT, SALES
 from repro.views import AggregateView
+from tests.test_wal_codec import frames_of
 
 
 def sales_db(**kwargs):
@@ -57,40 +59,62 @@ def commit_sales(db, ids, **kw):
             s.insert(SALES, sale(i, **kw))
 
 
+def stored(log):
+    """Every stored frame of ``log``, by LSN."""
+    return [log.body(lsn, lsn) for lsn in range(log.first_lsn, log.tail_lsn() + 1)]
+
+
 class TestChecksums:
-    def test_flushed_records_are_stamped(self):
+    def test_every_stored_frame_carries_its_payloads_crc(self):
         db = sales_db()
         commit_sales(db, range(1, 4))
-        for record in db.log.records():
-            if record.lsn <= db.log.flushed_lsn:
-                assert record.stored_crc is not None
-                assert record.verify_checksum()
+        for lsn in range(1, db.log.tail_lsn() + 1):
+            payload = db.log.payload(lsn)
+            assert db.log.body(lsn, lsn) == codec.frame(payload, zlib.crc32(payload))
+        assert db.log.damaged_lsn() is None
 
-    def test_unstamped_record_verifies_vacuously(self):
+    def test_checksums_off_stores_the_same_frames_and_salvage_looks_away(self):
         db = sales_db(wal_checksums=False)
         commit_sales(db, [1])
-        record = next(iter(db.log.records()))
-        assert record.stored_crc is None
-        assert record.verify_checksum()
+        payload = db.log.payload(1)
+        assert db.log.body(1, 1) == codec.frame(payload, zlib.crc32(payload))
+        db.log.corrupt(1)
+        assert db.log.damaged_lsn() == 1
+        assert salvage(db.log, verify=db.config.wal_checksums) is None
 
-    def test_dump_load_round_trip_preserves_crc(self, tmp_path):
+    def test_dump_load_round_trip_keeps_every_frame(self, tmp_path):
         db = sales_db()
         commit_sales(db, range(1, 4))
         db.dump_wal_segments(tmp_path)
         loaded = load_segments(tmp_path)
-        assert len(loaded) == len(db.log)
-        for record in loaded.records():
-            assert record.stored_crc is not None
-            assert record.verify_checksum()
+        assert stored(loaded) == stored(db.log)
         assert salvage(loaded) is None
 
-    def test_corruption_helper_breaks_verification(self):
-        db = sales_db()
-        commit_sales(db, [1])
-        victim = list(db.log.records())[2]
-        assert victim.verify_checksum()
-        db.log.corrupt(victim.lsn)
-        assert not victim.verify_checksum()
+    def test_corruption_flips_one_value_bit_or_damages_the_crc(self):
+        """A row change's corruption is one flipped bit of its row or
+        deltas that still decodes — another record, under a CRC that no
+        longer matches; any other record keeps its payload and gets a
+        damaged CRC."""
+        tail = None
+        lsn = 1
+        while tail is None or lsn <= tail:
+            db = sales_db()
+            commit_sales(db, [1])
+            tail = db.log.tail_lsn()
+            record = db.log.record_at(lsn)
+            before, payload = db.log.body(lsn, lsn), db.log.payload(lsn)
+            db.log.corrupt(lsn)
+            assert db.log.damaged_lsn() == lsn
+            after = db.log.body(lsn, lsn)
+            flipped = sum(bin(a ^ b).count("1") for a, b in zip(before, after))
+            if isinstance(record, RowChangeRecord):
+                assert flipped == 1 and after[:8] == before[:8]
+                damaged = db.log.record_at(lsn)
+                assert (damaged.key, damaged.layout) == (record.key, record.layout)
+                assert damaged.to_dict() != record.to_dict()
+            else:
+                assert db.log.payload(lsn) == payload and after[:4] == before[:4]
+            lsn += 1
 
 
 class TestSalvage:
@@ -200,7 +224,7 @@ class TestRecoveryIntegration:
         commit_sales(db, range(1, 4))
         (path,) = map(pathlib.Path, db.dump_wal_segments(tmp_path))
         header, body, trailer = split_segment(path)
-        frames = list(codec.iter_frames(body))
+        frames = list(frames_of(body))
         payload, crc = frames[5]
         record = LogRecord.decode(payload, db.catalog.layouts())
         record.txn_id = 999  # payload edit without re-stamping the CRC

@@ -51,7 +51,7 @@ class TestFloorMarker:
         reloaded = load_segments(tmp_path)
         assert reloaded.undecodable_tail == 0
         assert reloaded.tail_lsn() == log.tail_lsn()
-        assert reloaded._records[0].lsn == marker["first_lsn"]
+        assert reloaded.first_lsn == marker["first_lsn"]
 
     def test_recycling_everything_leaves_a_clean_empty_chain(self, tmp_path):
         log = flushed_log()
@@ -59,7 +59,7 @@ class TestFloorMarker:
         assert recycle_segments(tmp_path, keep_from_lsn=log.tail_lsn() + 1) == paths
         reloaded = load_segments(tmp_path)
         assert reloaded.undecodable_tail == 0
-        assert not reloaded._records
+        assert not len(reloaded)
 
 
 class TestSegmentLossDetection:
@@ -72,7 +72,7 @@ class TestSegmentLossDetection:
         os.remove(paths[0])
         reloaded = load_segments(tmp_path)
         assert reloaded.undecodable_tail > 0
-        assert not reloaded._records  # nothing past the hole is trusted
+        assert not len(reloaded)  # nothing past the hole is trusted
 
     def test_lost_head_after_recycle_is_detected(self, tmp_path):
         """After a legitimate recycle the chain starts above LSN 1 — a
@@ -104,7 +104,7 @@ class TestSegmentLossDetection:
         dump_segments(log, tmp_path, segment_bytes=64, faults=faults)
         reloaded = load_segments(tmp_path)
         assert reloaded.undecodable_tail > 0
-        assert not reloaded._records
+        assert not len(reloaded)
 
     def test_engine_recovery_reports_the_loss(self, tmp_path):
         """End to end: losing the head segment of a dumped WAL lands in
