@@ -137,8 +137,8 @@ class GhostCleaner:
             # record's final version could still read an earlier, live
             # version — physical removal would erase that history. Defer
             # until every such snapshot has closed.
-            latest = record.latest_committed()
-            if latest is not None and db.snapshots.horizon() < latest.commit_ts:
+            committed = record.committed_ts
+            if committed is not None and db.snapshots.horizon() < committed:
                 db.abort(txn)
                 db.cleanup.enqueue(index_name, key)
                 self.requeued += 1

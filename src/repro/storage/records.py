@@ -50,10 +50,18 @@ class VersionedRecord:
     and ``lsn``, the log record that last changed it (what its leaf's
     image stamps it with, ``docs/STORAGE.md`` §4). ``packed`` keeps the
     entry bytes a write-back last made for it, which the next write-back
-    reuses while ``lsn`` has not moved. ``escrow`` is the escrow slot."""
+    reuses while ``lsn`` has not moved. ``escrow`` is the escrow slot.
+
+    The newest committed version lives in the record itself
+    (``committed_ts``, ``None`` before the first commit, with its row
+    and ghost flag); only the older ones open snapshots still need are
+    :class:`Version` objects, in ``_older`` (oldest first). Most records
+    have one version, and so no version object at all.
+    """
 
     __slots__ = (
-        "key", "current_row", "is_ghost", "lsn", "packed", "escrow", "_versions",
+        "key", "current_row", "is_ghost", "lsn", "packed", "escrow",
+        "committed_ts", "_committed_row", "_committed_ghost", "_older",
     )
 
     def __init__(self, key, row, is_ghost=False, lsn=0):
@@ -63,7 +71,10 @@ class VersionedRecord:
         self.lsn = lsn
         self.packed = None
         self.escrow = None
-        self._versions = []
+        self.committed_ts = None
+        self._committed_row = None
+        self._committed_ghost = False
+        self._older = None
 
     def __repr__(self):
         flag = " ghost" if self.is_ghost else ""
@@ -82,17 +93,28 @@ class VersionedRecord:
         can see go at once (:meth:`prune_versions`), so a chain holds the
         versions open snapshots need and no more.
         """
-        if self._versions and self._versions[-1].commit_ts > commit_ts:
-            raise StorageError(
-                f"version timestamps must be monotonic: "
-                f"{self._versions[-1].commit_ts} > {commit_ts}"
-            )
-        version = Version(commit_ts, self.current_row, self.is_ghost)
-        if self._versions and self._versions[-1].commit_ts == commit_ts:
-            self._versions[-1] = version
-        else:
-            self._versions.append(version)
-        if horizon is not None:
+        newest = self.committed_ts
+        if newest is not None and newest != commit_ts:
+            if newest > commit_ts:
+                raise StorageError(
+                    f"version timestamps must be monotonic: "
+                    f"{newest} > {commit_ts}"
+                )
+            if horizon is not None and commit_ts <= horizon:
+                # no snapshot can see any state older than this one
+                self._older = None
+            else:
+                version = Version(
+                    newest, self._committed_row, self._committed_ghost
+                )
+                if self._older is None:
+                    self._older = [version]
+                else:
+                    self._older.append(version)
+        self.committed_ts = commit_ts
+        self._committed_row = self.current_row
+        self._committed_ghost = self.is_ghost
+        if horizon is not None and self._older is not None:
             self.prune_versions(horizon)
 
     def read_as_of(self, ts):
@@ -102,17 +124,20 @@ class VersionedRecord:
         — either no version is old enough or the visible version is a
         ghost. Readers mostly ask for recent states: search newest-first.
         """
-        for version in reversed(self._versions):
+        newest = self.committed_ts
+        if newest is None:
+            return None
+        if newest <= ts:
+            return None if self._committed_ghost else self._committed_row
+        for version in reversed(self._older or ()):
             if version.commit_ts <= ts:
                 return None if version.is_ghost else version.row
         return None
 
-    def latest_committed(self):
-        """The most recent committed version, or ``None``."""
-        return self._versions[-1] if self._versions else None
-
     def version_count(self):
-        return len(self._versions)
+        if self.committed_ts is None:
+            return 0
+        return 1 + len(self._older or ())
 
     def prune_versions(self, horizon_ts):
         """Drop versions no snapshot older than ``horizon_ts`` can see.
@@ -121,15 +146,18 @@ class VersionedRecord:
         visible version for snapshots at the horizon) plus everything
         newer. Returns the number of versions dropped.
         """
-        if not self._versions:
+        older = self._older
+        if not older:
             return 0
+        if self.committed_ts <= horizon_ts:
+            self._older = None
+            return len(older)
         keep_from = 0
-        for i, version in enumerate(self._versions):
+        for i, version in enumerate(older):
             if version.commit_ts <= horizon_ts:
                 keep_from = i
             else:
                 break
-        dropped = keep_from
-        if dropped:
-            del self._versions[:keep_from]
-        return dropped
+        if keep_from:
+            del older[:keep_from]
+        return keep_from

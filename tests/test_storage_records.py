@@ -18,7 +18,7 @@ class TestVersionedRecord:
         assert r.current_row == Row(a=1)
         assert not r.is_ghost
         assert r.version_count() == 0
-        assert r.latest_committed() is None
+        assert r.committed_ts is None
 
     def test_stamp_and_read_as_of(self):
         r = VersionedRecord((1,), Row(v=0))
@@ -66,6 +66,35 @@ class TestVersionedRecord:
 
     def test_prune_empty(self):
         assert VersionedRecord((1,), None).prune_versions(10) == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(
+        st.tuples(st.integers(0, 3), st.booleans(),
+                  st.one_of(st.none(), st.integers(0, 40))),
+        max_size=12,
+    ))
+    def test_history_matches_a_list_of_versions(self, stamps):
+        """Keeping the newest version in the record and only older ones
+        as objects answers every read as a plain list of versions did
+        (append, fold a same-timestamp re-stamp, prune to the horizon)."""
+        record, model, ts = VersionedRecord((1,), None), [], 0
+        for step, (gap, is_ghost, horizon) in enumerate(stamps):
+            ts += gap
+            record.current_row, record.is_ghost = Row(v=step), is_ghost
+            record.stamp_version(ts, horizon)
+            if model and model[-1][0] == ts:
+                model[-1] = (ts, Row(v=step), is_ghost)
+            else:
+                model.append((ts, Row(v=step), is_ghost))
+            if horizon is not None:
+                keep = max([i for i, v in enumerate(model) if v[0] <= horizon],
+                           default=0)
+                del model[:keep]
+            assert record.version_count() == len(model)
+            for at in range(ts + 2):
+                seen = [v for v in model if v[0] <= at]
+                expected = None if not seen or seen[-1][2] else seen[-1][1]
+                assert record.read_as_of(at) == expected
 
 
 def live(row):
