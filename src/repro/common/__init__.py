@@ -14,7 +14,6 @@ from repro.common.errors import (
     FaultInjected,
     IntegrityError,
     BindError,
-    LatchError,
     LockTimeoutError,
     NonLinearError,
     ParseError,
@@ -46,7 +45,6 @@ __all__ = [
     "IntegrityError",
     "KeyBound",
     "KeyRange",
-    "LatchError",
     "LockTimeoutError",
     "LogicalClock",
     "NonLinearError",

@@ -139,10 +139,6 @@ class WouldWait(ReproError):
         self.request = request
 
 
-class LatchError(ReproError):
-    """Latch protocol violation (would self-deadlock in a real engine)."""
-
-
 class SimulatedCrash(ReproError):
     """A crash fault site fired: the simulated process is gone.
 

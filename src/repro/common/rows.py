@@ -88,7 +88,7 @@ class Row(Mapping):
 
     def project(self, columns):
         """Return a new row containing only ``columns`` (in their order)."""
-        return Row({c: self._values[c] for c in columns})
+        return adopt_row({c: self._values[c] for c in columns})
 
     def key(self, columns):
         """Extract the values of ``columns`` as a tuple, for use as an
@@ -105,12 +105,14 @@ class Row(Mapping):
         """
         values = dict(self._values)
         values.update(other)
-        return Row(values)
+        return adopt_row(values)
 
     def rename(self, mapping):
         """Return a new row with columns renamed per ``mapping``
         (old name -> new name); unmapped columns keep their names."""
-        return Row({mapping.get(k, k): v for k, v in self._values.items()})
+        return adopt_row(
+            {mapping.get(k, k): v for k, v in self._values.items()}
+        )
 
     def as_dict(self):
         """Return a plain mutable dict copy of the row."""

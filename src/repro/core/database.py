@@ -43,7 +43,7 @@ from repro.common import (
 )
 from repro.common.keys import KeyRange
 from repro.faults import NULL_INJECTOR
-from repro.locking import LatchSet, LockManager, LockMode, escrow
+from repro.locking import LockManager, LockMode, escrow
 from repro.locking.keyrange import locks_for_point_read, locks_for_range_scan
 from repro.obs import Counters, EngineMetrics, RetryStats, Tracer
 from repro.sql import execute_script, in_statement
@@ -131,7 +131,6 @@ class Database:
             tracer=self.tracer, clock=self.clock,
             timeout=self.config.lock_wait_timeout, faults=self.faults,
         )
-        self.latches = LatchSet()
         self.snapshots = SnapshotRegistry(self.clock)
         self.cleanup = CleanupQueue()
         self.cleaner = GhostCleaner(self)

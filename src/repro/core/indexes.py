@@ -16,14 +16,14 @@ locking: recovery runs single-threaded, online rollback under the
 aborting transaction's own locks. Each index has the
 :class:`~repro.catalog.RowLayout` the catalog interns for it; a log
 restored from segment files binds to them by name (:meth:`~Indexes.bind`).
-The engine's volatile parts (latches,
-the cleaner's list) are read through the engine, since a crash replaces
-them.
+The engine's volatile part, the cleaner's list, is read through the
+engine, since a crash replaces it.
 """
 
 import itertools
 
-from repro.common import CatalogError, Row, StorageError
+from repro.common import CatalogError, StorageError
+from repro.common.rows import adopt_row
 from repro.storage import Index
 from repro.storage.bufferpool import BufferPool, PageStore
 from repro.wal.recovery import RecoveryTarget
@@ -101,7 +101,7 @@ class Indexes(RecoveryTarget):
         engine."""
         return Index(
             layout.name, key_columns, order=self._db.config.btree_order,
-            latch_set=self._db.latches, pages=self.pool, layout=layout,
+            pages=self.pool, layout=layout,
         )
 
     # ------------------------------------------------------------------
@@ -215,7 +215,7 @@ class Indexes(RecoveryTarget):
         for (index_name, key), (lsn, row, is_ghost) in winners.items():
             if row is not None and index_name in self._indexes:
                 self._indexes[index_name].set_entry(
-                    key, (Row(row), is_ghost), lsn
+                    key, (adopt_row(row), is_ghost), lsn
                 )
 
     def attach_store(self):

@@ -129,7 +129,6 @@ def health_report(db):
         "snapshot_horizon": db.snapshots.horizon(),
         "cleanup_backlog": len(db.cleanup),
         "lock_stats": db.locks.stats.as_dict(),
-        "latch_acquisitions": db.latches.total_acquisitions(),
         "escalations": db.escalation.escalations,
         "committed": db.committed_count,
         "aborted": db.aborted_count,

@@ -7,7 +7,6 @@ aggregate-view row without conflicting, because increments and decrements
 commute.
 """
 
-from repro.locking.latches import Latch, LatchError, LatchSet
 from repro.locking.manager import LockManager, LockRequest, RequestStatus
 from repro.locking.modes import (
     GapMode,
@@ -24,9 +23,6 @@ from repro.locking.modes import (
 
 __all__ = [
     "GapMode",
-    "Latch",
-    "LatchError",
-    "LatchSet",
     "LockManager",
     "LockMode",
     "LockRequest",

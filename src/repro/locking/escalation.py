@@ -8,27 +8,28 @@ lock (IS/IX) on the index's table resource — the escalated S/X conflicts
 with those intents, so escalation waits out (or blocks) everyone touching
 individual keys.
 
-:class:`EscalationPolicy` wraps plan acquisition for the Database:
+:class:`EscalationPolicy` wraps plan acquisition for the Database. What
+the transaction holds on an index's table resource is read from its
+held-lock table (:meth:`~repro.locking.manager.LockManager.held_locks`),
+the one record of it:
 
-* it takes the correct intention lock ahead of an index's key locks —
-  once, remembering the strongest intent the transaction already has;
-* it counts per-(transaction, index) key locks;
-* past the threshold it converts the transaction's intent to a full
-  table lock and *skips* further key locks that the table lock covers.
+* an intention lock (IS/IX) the table mode covers is not asked again;
+* a table mode covering the key's (S for a read, X for a write) takes
+  the key lock's place — an escalated lock, or one taken outside the
+  policy (an online build's ``lock_step``);
+* IX or stronger on the table means the index was written, so an
+  escalation takes X; otherwise S.
 
-A threshold of ``None`` disables escalation (the default) — then the
-policy only contributes the intention locks, i.e. plain multi-granularity
-locking.
+Only with a threshold set does the policy keep state of its own: a
+per-(transaction, index) count of key-lock acquisitions. The key that
+finds the count at the threshold escalates, and a count past it is
+what "escalated" means. A threshold of ``None`` disables escalation
+(the default) — then the policy only contributes the intention locks,
+i.e. plain multi-granularity locking.
 """
 
 from repro.locking.keyrange import table_resource
-from repro.locking.modes import (
-    GapMode,
-    LockMode,
-    RangeMode,
-    covers,
-    supremum,
-)
+from repro.locking.modes import GapMode, LockMode, RangeMode, covers
 from repro.obs.tracer import NULL_TRACER
 
 
@@ -41,22 +42,10 @@ def _is_read_only_mode(mode):
     return mode in (LockMode.NL, LockMode.S, LockMode.U, LockMode.IS)
 
 
-class _IndexLockState:
-    __slots__ = ("count", "read_only", "escalated_to", "intent")
-
-    def __init__(self):
-        self.count = 0
-        self.read_only = True
-        self.escalated_to = None  # None | LockMode.S | LockMode.X
-        # Strongest table intent taken so far: NL | IS | IX. Locks stay
-        # until commit/abort, so what was taken is still held.
-        self.intent = LockMode.NL
-
-
 class EscalationPolicy:
-    """Per-database escalation bookkeeping; state lives in txn scratch."""
+    """Per-database escalation policy; its counts live in txn scratch."""
 
-    SCRATCH_KEY = "escalation_state"
+    SCRATCH_KEY = "escalation_counts"
 
     def __init__(self, threshold=None, tracer=NULL_TRACER):
         self.threshold = threshold
@@ -72,18 +61,22 @@ class EscalationPolicy:
         :mod:`repro.locking.keyrange`. Table-level resources pass through
         unchanged. The keys that follow a key on its index in its mode
         (a scan's) go in one ``txn.acquire_run`` up to the first that must
-        wait, or the threshold; the loop resumes at that key. May raise
+        wait or convert, or the threshold; the loop resumes at that key,
+        and the rest of that run goes key by key (all of it while fault
+        sites are armed: ``grant_run`` then grants nothing). May raise
         WouldWait etc., exactly like plain acquisition — callers re-run
         safely because nothing here mutates data.
         """
-        states = txn.scratch.get(self.SCRATCH_KEY)
-        if states is None:
-            states = txn.scratch[self.SCRATCH_KEY] = {}
-        # With fault sites armed every key's intent is asked for again and
-        # nothing runs, so lock.deny / lock.delay see the usual requests.
-        ask_again = txn.faults_armed
-        index_name = state = plan_mode = read_only = None
+        held = txn.held
+        threshold = self.threshold
+        counts = None
+        if threshold is not None:
+            counts = txn.scratch.get(self.SCRATCH_KEY)
+            if counts is None:
+                counts = txn.scratch[self.SCRATCH_KEY] = {}
+        index_name = table = plan_mode = None
         position, end = 0, len(plan)
+        run_end = 0  # where the run last tried ends
         while position < end:
             resource, mode = plan[position]
             position += 1
@@ -92,68 +85,75 @@ class EscalationPolicy:
                 continue
             if resource[1] != index_name:
                 index_name = resource[1]
-                state = states.get(index_name)
-                if state is None:
-                    state = states[index_name] = _IndexLockState()
+                table = table_resource(index_name)
             if mode is not plan_mode:  # a scan's keys share one mode
                 plan_mode = mode
-                read_only = _is_read_only_mode(mode)
-            if state.escalated_to is not None:
-                # Already escalated: does the table lock cover this mode?
-                if state.escalated_to is LockMode.X or read_only:
+                if _is_read_only_mode(mode):
+                    intent, whole = LockMode.IS, LockMode.S
+                else:
+                    intent, whole = LockMode.IX, LockMode.X
+            if counts is not None:
+                count = counts.get(index_name, 0)
+                if count >= threshold:
+                    self._escalated(txn, table, index_name, count, intent,
+                                    whole, counts)
                     continue
-                # Held table S but now writing: escalate the escalation.
-                txn.acquire(table_resource(index_name), LockMode.X)
-                state.escalated_to = LockMode.X
-                state.read_only = False
-                if self.tracer.enabled:
-                    self.tracer.emit(
-                        "lock_escalate", txn_id=txn.txn_id, index=index_name,
-                        mode=LockMode.X, key_locks=state.count,
-                    )
-                continue
-            intent = LockMode.IS if read_only else LockMode.IX
-            if ask_again or not covers(state.intent, intent):
-                txn.acquire(table_resource(index_name), intent)
-                state.intent = supremum(state.intent, intent)
-            if (
-                self.threshold is not None
-                and state.count + 1 > self.threshold
-            ):
-                needed_table_mode = (
-                    LockMode.S if (read_only and state.read_only)
-                    else LockMode.X
-                )
-                txn.acquire(table_resource(index_name), needed_table_mode)
-                state.escalated_to = needed_table_mode
-                state.read_only = state.read_only and read_only
-                self.escalations += 1
-                if self.tracer.enabled:
-                    self.tracer.emit(
-                        "lock_escalate", txn_id=txn.txn_id, index=index_name,
-                        mode=needed_table_mode, key_locks=state.count,
-                    )
-                continue
+            table_mode = held.get(table)
+            if table_mode is not intent:  # held intent answers both tests
+                if table_mode is None:
+                    txn.acquire(table, intent)
+                elif covers(table_mode, whole):
+                    continue  # the table lock covers the key
+                elif not covers(table_mode, intent):
+                    txn.acquire(table, intent)
             txn.acquire(resource, mode)
-            state.count += 1
-            state.read_only = state.read_only and read_only
-            if ask_again or position == end:
-                continue
-            stop = position
-            while stop < end:
-                resource, next_mode = plan[stop]
+            if counts is not None:
+                count = counts[index_name] = count + 1
+            if position == end or position < run_end:
+                continue  # the rest of a run tried once goes key by key
+            run_end = position
+            while run_end < end:
+                resource, next_mode = plan[run_end]
                 if (
                     (next_mode is not mode and next_mode != mode)
                     or (resource[0] != "key" and resource[0] != "eof")
                     or resource[1] != index_name
                 ):
                     break
-                stop += 1
-            if self.threshold is not None:
-                stop = min(stop, position + self.threshold - state.count)
+                run_end += 1
+            stop = run_end
+            if counts is not None:
+                stop = min(stop, position + threshold - count)
             if stop > position:
                 taken = txn.acquire_run(
                     [key for key, _ in plan[position:stop]], mode
                 )
-                state.count += taken
+                if counts is not None:
+                    counts[index_name] = count + taken
                 position += taken
+
+    def _escalated(self, txn, table, index_name, count, intent, whole,
+                   counts):
+        """A key on an index whose key-lock ``count`` reached the
+        threshold: escalate to a table lock (at the threshold), or, past
+        it, upgrade an escalated S the key's ``whole`` mode needs more
+        than."""
+        table_mode = txn.held.get(table)
+        if count > self.threshold:
+            if covers(table_mode, whole):
+                return
+            txn.acquire(table, LockMode.X)  # held table S, now writing
+            mode = LockMode.X
+        else:
+            if table_mode is None or not covers(table_mode, intent):
+                txn.acquire(table, intent)
+                table_mode = txn.held[table]
+            mode = LockMode.X if covers(table_mode, LockMode.IX) else LockMode.S
+            txn.acquire(table, mode)
+            counts[index_name] = count + 1
+            self.escalations += 1
+        if self.tracer.enabled:
+            self.tracer.emit(
+                "lock_escalate", txn_id=txn.txn_id, index=index_name,
+                mode=mode, key_locks=self.threshold,
+            )

@@ -170,18 +170,24 @@ class LockManager:
                 f"transaction {txn_id} already has a waiting lock request"
             )
         self.stats.requests += 1
-        if self.faults.active and self.faults.fires(
-            "lock.deny", txn_id=txn_id, detail=repr(resource)
-        ) is not None:
-            # Spurious denial: the request never touches the queues, so
-            # no cleanup beyond the caller's abort is needed.
-            request = LockRequest(txn_id, resource, mode)
-            request.status = RequestStatus.DENIED
-            request.deny_error = FaultInjected("lock.deny", txn_id)
-            self.stats.denials += 1
-            return request
         queue = self._queues.get(resource)
         held = queue.granted.get(txn_id) if queue is not None else None
+        delay_spec = None
+        if self.faults.active:
+            if self.faults.fires(
+                "lock.deny", txn_id=txn_id, detail=repr(resource)
+            ) is not None:
+                # Spurious denial: the request never touches the queues,
+                # so no cleanup beyond the caller's abort is needed.
+                request = LockRequest(txn_id, resource, mode)
+                request.status = RequestStatus.DENIED
+                request.deny_error = FaultInjected("lock.deny", txn_id)
+                self.stats.denials += 1
+                return request
+            if held is None:  # a conversion is never delayed
+                delay_spec = self.faults.fires(
+                    "lock.delay", txn_id=txn_id, detail=repr(resource)
+                )
 
         if held is not None:
             if covers(held, mode):
@@ -210,11 +216,6 @@ class LockManager:
             return self._begin_wait(request, queue)
 
         request = LockRequest(txn_id, resource, mode)
-        delay_spec = None
-        if self.faults.active:
-            delay_spec = self.faults.fires(
-                "lock.delay", txn_id=txn_id, detail=repr(resource)
-            )
         if queue is None:
             # Nobody holds the resource and nobody waits for it: there is
             # nothing to be compatible with.
@@ -248,7 +249,8 @@ class LockManager:
         ``covered``, the rest as immediate grants, and no
         :class:`LockRequest` is made. The resource past the prefix is the
         caller's to :meth:`request`. With fault sites armed it grants
-        nothing, so ``lock.deny`` / ``lock.delay`` see every request."""
+        nothing: each key goes to :meth:`request`, where ``lock.deny`` /
+        ``lock.delay`` see it."""
         if self.faults.active or txn_id in self._waiting_request:
             return 0
         held = self._held_by_txn.get(txn_id) or self.held_locks(txn_id)

@@ -141,8 +141,10 @@ NET_STATS_FIELDS = {
 #: pinned key set of ``Database.stats()["lock"]`` (``LockStats.as_dict()``).
 #: ``requests`` counts calls that reached the lock manager's queues,
 #: ``covered`` re-requests a transaction answered from its held-lock
-#: table; their sum is the number of resources asked for — one per
-#: ``Transaction.acquire`` call, one per key an ``acquire_run`` settled.
+#: table, armed fault sites or not; their sum is the number of resources
+#: asked for — one per ``Transaction.acquire`` call, one per key an
+#: ``acquire_run`` settled. An intent or key lock the table mode already
+#: covers is not asked for at all.
 LOCK_STATS_FIELDS = {
     "requests", "covered", "immediate_grants", "waits", "conversions",
     "deadlocks", "denials", "timeouts",

@@ -65,18 +65,12 @@ class Position:
 class Index:
     """An ordered, ghost-aware collection of versioned records.
 
-    When a ``latch_set`` is supplied, every operation runs the real latch
-    protocol against the index's tree latch — shared for lookups and
-    scans, exclusive for structural changes. The engine is single-
-    threaded (concurrency is simulated above the storage layer), so
-    latches cannot be *contended* here, but the acquire/release pairing
-    is executed and asserted, and the acquisition counts feed the
-    benchmarks as a proxy for physical-structure traffic. Rows are
-    logged and paged against ``layout`` (:class:`~repro.catalog.RowLayout`).
+    Rows are logged and paged against ``layout``
+    (:class:`~repro.catalog.RowLayout`).
     """
 
-    def __init__(self, name, key_columns, order=32, unique=True, latch_set=None,
-                 pages=None, layout=None):
+    def __init__(self, name, key_columns, order=32, unique=True, pages=None,
+                 layout=None):
         self.name = name
         self.key_columns = tuple(key_columns)
         self.unique = unique
@@ -84,22 +78,6 @@ class Index:
         self._tree = BPlusTree(order=order, pages=pages, layout=layout)
         self._pages = pages
         self._ghost_keys = set()
-        self._latch = (
-            latch_set.get(f"tree:{name}") if latch_set is not None else None
-        )
-
-    def _latched(self, fn, exclusive=False):
-        latch = self._latch
-        if latch is None:
-            return fn()
-        if exclusive:
-            latch.acquire_exclusive(self.name)
-        else:
-            latch.acquire_shared(self.name)
-        try:
-            return fn()
-        finally:
-            latch.release(self.name)
 
     def __len__(self):
         """Number of live (non-ghost) records."""
@@ -127,7 +105,7 @@ class Index:
     def get_record(self, key, include_ghost=False):
         """The record at ``key``; ``None`` if absent (or ghost, unless
         ``include_ghost``)."""
-        record = self._latched(lambda: self._tree.get(key))
+        record = self._tree.get(key)
         if record is None:
             return None
         if record.is_ghost and not include_ghost:
@@ -146,9 +124,7 @@ class Index:
         against the keys it holds (a string among integers, ``NULL``
         among values) is refused with :class:`~repro.common.StorageError`
         — here, before anything is locked, logged or changed."""
-        tree, latch = self._tree, self._latch
-        if latch is not None:
-            latch.acquire_shared(self.name)
+        tree = self._tree
         try:
             leaf = self._leaf_of(near) or tree.seek(key)
             return Position(key, leaf, tree.shape, *tree.slot(leaf, key))
@@ -157,9 +133,6 @@ class Index:
                 f"index {self.name!r} cannot order key {key!r} against "
                 f"the keys it holds"
             ) from None
-        finally:
-            if latch is not None:
-                latch.release(self.name)
 
     def _leaf_of(self, at):
         """``at``'s leaf while the tree keeps the shape it was found at."""
@@ -182,11 +155,10 @@ class Index:
         ``lsn`` is the log record that makes the change: the record is
         stamped with it and its leaf marked dirty.
         """
-
-        def assign():
-            if entry is None:
-                self._ghost_keys.discard(key)
-                return self._tree.pop(key, None, lsn)
+        if entry is None:
+            self._ghost_keys.discard(key)
+            record = self._tree.pop(key, None, lsn)
+        else:
             row, is_ghost = entry
             fresh = VersionedRecord(key, row, is_ghost, lsn or 0)
             record = self._tree.setdefault(key, fresh, lsn, self._leaf_of(at))
@@ -199,9 +171,6 @@ class Index:
                 self._ghost_keys.add(key)
             else:
                 self._ghost_keys.discard(key)
-            return record
-
-        record = self._latched(assign, exclusive=True)
         if lsn is not None and self._pages is not None:
             self._pages.write_excess()  # the change is whole: a leaf may go
         return record
@@ -230,12 +199,8 @@ class Index:
 
     def scan(self, key_range=None, include_ghosts=False):
         """Iterate ``(key, record)`` pairs in key order over ``key_range``
-        (default: everything).
-
-        Scans are not tree-latched: a real engine latches leaf-at-a-time
-        and releases between leaves, which a Python generator cannot
-        express without holding the latch across arbitrary caller code.
-        Transactional protection comes from the key-range locks above.
+        (default: everything). Transactional protection comes from the
+        key-range locks above.
         """
         if key_range is None:
             key_range = KeyRange.all()

@@ -215,21 +215,28 @@ class TransactionManager:
         (:func:`repro.wal.recovery.undo`), down to ``stop_after_lsn`` for
         a savepoint. Row changes are undone in place under the
         transaction's own locks; the counter records are not, because
-        their row change waits for commit: an escrow delta is unreserved,
-        and the physically logged ablation variant is reconciled when the
-        transaction's pending deltas are discarded."""
+        their row change waits for commit: their deltas are unreserved —
+        an escrow delta's, and the difference of the physically logged
+        ablation variant's images."""
         def apply(record, lsn):
             if isinstance(record, EscrowDeltaRecord):
-                escrow.unreserve(
-                    self._undo_target.record(record.index_name, record.key),
-                    txn.txn_id, record.deltas,
-                )
-            if isinstance(record, (EscrowDeltaRecord, CounterImageRecord)):
-                # no row change, but the pending deltas the row's image
-                # holds move: stamp it as of the CLR
-                self._undo_target.stamp(record.index_name, record.key, lsn)
+                deltas = record.deltas
+            elif isinstance(record, CounterImageRecord):
+                before, after = record.before, record.after
+                deltas = {
+                    column: after[column] - before[column]
+                    for column in record.layout.counters
+                }
             else:
                 record.undo(self._undo_target, lsn)
+                return
+            target = self._undo_target
+            escrow.unreserve(
+                target.record(record.index_name, record.key), txn.txn_id, deltas
+            )
+            # no row change, but the pending deltas the row's image holds
+            # moved: stamp it as of the CLR
+            target.stamp(record.index_name, record.key, lsn)
 
         undo(
             self._log, self._undo_target,

@@ -54,7 +54,7 @@ class Transaction:
         "stats",
         "commit_ticket",
         "_lock_manager",
-        "_held",
+        "held",
     )
 
     def __init__(self, txn_id, lock_manager, policy=LockPolicy.NOWAIT, read_ts=0,
@@ -72,10 +72,10 @@ class Transaction:
         self.stats = TxnStats()
         self.commit_ticket = None  # CommitTicket once enrolled (group commit)
         self._lock_manager = lock_manager
-        # The lock manager's own held-lock table for this transaction
-        # ({resource: mode}): the manager writes it on every grant,
-        # conversion and release, this class only reads it.
-        self._held = lock_manager.held_locks(txn_id)
+        #: The lock manager's own held-lock table for this transaction
+        #: ({resource: mode}): the manager writes it on every grant,
+        #: conversion and release; everyone else only reads it.
+        self.held = lock_manager.held_locks(txn_id)
 
     def __repr__(self):
         return f"Transaction({self.txn_id}, {self.state.value})"
@@ -88,13 +88,6 @@ class Transaction:
                 f"transaction {self.txn_id} is {self.state.value}, not active"
             )
 
-    @property
-    def faults_armed(self):
-        """True while a fault injector has sites armed: every
-        :meth:`acquire` then reaches the lock manager, so ``lock.deny`` /
-        ``lock.delay`` schedules count covered re-requests too."""
-        return self._lock_manager.faults.active
-
     def acquire(self, resource, mode):
         """Take a lock, honouring this transaction's policy on waits.
 
@@ -105,12 +98,8 @@ class Transaction:
         """
         self.require_active()
         locks = self._lock_manager
-        held = self._held.get(resource)
-        if (
-            held is not None
-            and covers(held, mode)
-            and not locks.faults.active
-        ):
+        held = self.held.get(resource)
+        if held is not None and covers(held, mode):
             locks.stats.covered += 1
             return
         request = locks.request(self.txn_id, resource, mode)
@@ -133,14 +122,9 @@ class Transaction:
         self.require_active()
         return self._lock_manager.grant_run(self.txn_id, resources, mode)
 
-    def acquire_all(self, plan):
-        """Acquire every (resource, mode) pair of a lock plan, in order."""
-        for resource, mode in plan:
-            self.acquire(resource, mode)
-
     def holds(self, resource):
         """The mode this transaction holds on ``resource``, or ``None``."""
-        return self._held.get(resource)
+        return self.held.get(resource)
 
     # ------------------------------------------------------------------
 

@@ -70,7 +70,6 @@ class LogManager:
         self.flushed_lsn = 0
         self.flush_count = 0
         self.flush_records = Histogram()  # records made durable per flush
-        self.bytes_estimate = 0
         self.tracer = tracer
         self.faults = faults if faults is not None else NULL_INJECTOR
         #: record lines load_segments() dropped at or past a break in the
@@ -83,6 +82,12 @@ class LogManager:
 
     def __len__(self):
         return len(self._offsets)
+
+    @property
+    def bytes_estimate(self):
+        """The encoded bytes of the records held: the buffer less a frame
+        header per record — what a restore loads and a crash cuts too."""
+        return len(self._frames) - _FRAME * len(self._offsets)
 
     # ------------------------------------------------------------------
     # appending
@@ -125,7 +130,6 @@ class LogManager:
         self._offsets.append(len(self._frames))
         self._frames += codec.frame(payload, zlib.crc32(payload))
         size = len(payload)
-        self.bytes_estimate += size
         if record.code == _COMMIT:
             self.last_commit_lsn = lsn
         elif record.code == _CHECKPOINT:

@@ -190,12 +190,14 @@ class TestEscrowBounds:
         a1 = maintainer.compile_group_delta(
             db, t1, view, ("hot",), {"n": -1, "total": -10}
         )
-        t1.acquire_all(a1.lock_plan)
+        for resource, mode in a1.lock_plan:
+            t1.acquire(resource, mode)
         a1.apply(db, t1)
         a2 = maintainer.compile_group_delta(
             db, t2, view, ("hot",), {"n": -1, "total": -10}
         )
-        t2.acquire_all(a2.lock_plan)  # E locks are compatible...
+        for resource, mode in a2.lock_plan:  # E locks are compatible...
+            t2.acquire(resource, mode)
         with pytest.raises(EscrowViolationError):
             a2.apply(db, t2)  # ...but the worst-case count would be -1
         db.abort(t2)

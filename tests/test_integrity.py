@@ -212,6 +212,34 @@ class TestChecker:
         assert events[0].fields["damage"] == 0
         assert events[0].fields["views"] == 3
 
+    @pytest.mark.parametrize("frames", [2, 3, 8])
+    def test_physical_counter_rollback_leaves_true_leaf_images(self, frames):
+        """Under ``counter_logging="physical"`` online rollback gives back
+        the deltas a ``CounterImageRecord`` reserved before it stamps the
+        group's record, so no leaf image keeps the rolled-back counters
+        (the crash machine's shrunk case: seeded, one session deletes rows
+        0 and 2 and aborts)."""
+        db = Database(EngineConfig(
+            counter_logging="physical", btree_order=4,
+            buffer_pool_frames=frames, page_size=256,
+        ))
+        db.create_table("t", ("id", "g", "amount", "v"), ("id",))
+        db.create_view(AggregateView(
+            "by_g", "t", group_by=("g",),
+            aggregates=[
+                AggregateSpec.count("n"), AggregateSpec.sum_of("total", "amount"),
+            ],
+        ))
+        with db.session() as s:
+            for key in range(8):  # two rows of 5 in each group
+                s.insert("t", {"id": key, "g": key % 4, "amount": 5, "v": None})
+        txn = db.begin()
+        db.delete(txn, "t", (0,))
+        db.delete(txn, "t", (2,))
+        db.abort(txn)
+        assert db.check_integrity().clean
+        assert db.read_committed("by_g", (0,))["n"] == 2
+
 
 class TestQuarantine:
     def test_unknown_view_rejected(self):

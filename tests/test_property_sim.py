@@ -67,7 +67,6 @@ class TestRandomOrderEntryFleets:
         assert db.check_all_views() == []
         for name in db.index_names():
             db.index(name).check_invariants()
-        db.latches.assert_all_free()
 
     @settings(max_examples=10, deadline=None)
     @given(fleet_configs)

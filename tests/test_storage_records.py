@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro import Database
 from repro.common import KeyRange, Row, StorageError
-from repro.locking import LatchSet
 from repro.storage import Index, VersionedRecord
 from repro.txn import write
 from repro.txn.write import erase, patch, put
@@ -236,14 +235,6 @@ class TestIndex:
         idx._ghost_keys.clear()
         with pytest.raises(StorageError):
             idx.check_invariants()
-
-    def test_every_assignment_runs_under_the_tree_latch(self):
-        latches = LatchSet()
-        idx = Index("idx", ("k",), order=4, latch_set=latches)
-        for entry in (live(Row(k=1)), ghost(Row(k=1)), None, None):
-            idx.set_entry((1,), entry)
-        assert latches.get("tree:idx").acquisitions == 4
-        latches.assert_all_free()
 
 
 class TestPositions:
