@@ -89,6 +89,20 @@ class TestRowOperations:
     def test_rename(self):
         assert Row(a=1, b=2).rename({"a": "x"}) == Row(x=1, b=2)
 
+    def test_merge_takes_a_copy_of_the_mapping_it_is_given(self):
+        updates = {"b": 9}
+        merged = Row(a=1, b=2).merge(updates)
+        updates["b"] = 0
+        updates["c"] = 3
+        assert merged == Row(a=1, b=9)
+
+    def test_derived_rows_leave_their_source_alone(self):
+        row = Row(a=1, b=2)
+        assert row.project(("a",)) == Row(a=1)
+        assert row.merge({"b": 9, "c": 3}) == Row(a=1, b=9, c=3)
+        assert row.rename({"a": "x"}) == Row(x=1, b=2)
+        assert row == Row(a=1, b=2) and hash(row) == hash(Row(a=1, b=2))
+
     def test_as_dict_is_mutable_copy(self):
         row = Row(a=1)
         d = row.as_dict()
